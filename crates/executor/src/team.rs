@@ -6,8 +6,25 @@
 //! pair of cores. The hierarchical alternative keeps ranks = address
 //! spaces (few, communicating) and adds teams = cores (many, sharing the
 //! rank's memory): a [`SweepTeam`] owns `lanes - 1` worker threads that
-//! sleep on a condvar between sweeps and split each sweep by
-//! *deterministic static chunking* of the existing run classification.
+//! wait between sweeps by the spin-then-park contract below and split each
+//! sweep by *deterministic static chunking* of the existing run
+//! classification.
+//!
+//! # How the lanes wait
+//!
+//! Both directions of the handshake — a worker waiting for the next
+//! dispatch, the rank thread waiting for the last worker at the join — use
+//! the one wait of [`stance_sim::wait`]: poll a lock-free hint (`Shared::
+//! epoch_hint`, a mirror of `epoch`/`shutdown`; `Shared::remaining_hint`,
+//! a mirror of `remaining`) for at most the team's [`SpinBudget`], then
+//! take the lock, read the real state there, and park on the condvar if
+//! it has not moved. The hints are stored only under the lock and decide
+//! nothing; the publisher and the last worker notify only when the
+//! lock-protected `parked_workers` / `rank_parked` records say somebody is
+//! asleep, so back-to-back sweeps hand off without a futex call. The
+//! budget is [`stance_sim::wait::SPIN_BUDGET`], or zero — the plain
+//! lock → check → `Condvar::wait` handshake — when ranks × lanes exceed
+//! the host's cores.
 //!
 //! # Bitwise reproducibility
 //!
@@ -38,10 +55,12 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use stance_inspector::TranslatedAdjacency;
+use stance_sim::wait::SpinBudget;
 use stance_sim::Element;
 
 use crate::kernel::{sweep_phase, Kernel};
@@ -57,13 +76,23 @@ struct Job {
     f: &'static (dyn Fn(usize) + Sync),
 }
 
-/// State shared between the rank thread and its parked workers.
+/// State shared between the rank thread and its waiting workers.
 struct Shared {
     state: Mutex<State>,
-    /// Signalled by the publisher when a new epoch (or shutdown) is posted.
+    /// Signalled by the publisher when a new epoch (or shutdown) is posted
+    /// and a worker is parked.
     work: Condvar,
-    /// Signalled by the last worker to retire the current epoch.
+    /// Signalled by the last worker to retire the current epoch, if the
+    /// rank thread is parked.
     done: Condvar,
+    /// Hint for the workers' spin phase: [`State::epoch_hint`] as of the
+    /// last dispatch or shutdown. Like `remaining_hint`, stored
+    /// (`Release`) only under `state`'s lock, polled (`Acquire`) without
+    /// it, never acted on.
+    epoch_hint: AtomicU64,
+    /// Hint for the rank thread's spin phase at the join: `remaining`.
+    remaining_hint: AtomicUsize,
+    spin: SpinBudget,
 }
 
 struct State {
@@ -76,6 +105,29 @@ struct State {
     /// Set when any worker's job panicked; re-raised on the rank thread.
     panicked: bool,
     shutdown: bool,
+    /// Workers currently asleep on `work`.
+    parked_workers: usize,
+    /// The rank thread is asleep on `done`.
+    rank_parked: bool,
+}
+
+impl State {
+    /// What a waiting worker watches: changes whenever `epoch` or
+    /// `shutdown` does.
+    fn epoch_hint(&self) -> u64 {
+        self.epoch << 1 | u64::from(self.shutdown)
+    }
+}
+
+impl Shared {
+    /// Publishes a change workers watch for — call with the lock held,
+    /// after moving `epoch` or `shutdown` — and wakes the parked ones.
+    fn publish_and_wake(&self, st: &State) {
+        self.epoch_hint.store(st.epoch_hint(), Ordering::Release);
+        if st.parked_workers > 0 {
+            self.work.notify_all();
+        }
+    }
 }
 
 /// The element-type-independent thread pool: worker threads + handshake.
@@ -85,7 +137,7 @@ struct TeamCore {
 }
 
 impl TeamCore {
-    /// Spawns `workers` parked worker threads (lanes `1..=workers`).
+    /// Spawns `workers` waiting worker threads (lanes `1..=workers`).
     fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -94,9 +146,14 @@ impl TeamCore {
                 remaining: 0,
                 panicked: false,
                 shutdown: false,
+                parked_workers: 0,
+                rank_parked: false,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
+            epoch_hint: AtomicU64::new(0),
+            remaining_hint: AtomicUsize::new(0),
+            spin: SpinBudget::for_threads(workers + 1),
         });
         let handles = (1..=workers)
             .map(|lane| {
@@ -119,10 +176,11 @@ impl TeamCore {
     /// borrowed closure is never outlived).
     fn run(&self, worker_job: &(dyn Fn(usize) + Sync), lane0: impl FnOnce()) {
         // SAFETY: the only unsafe in the crate. We erase `worker_job`'s
-        // lifetime so the parked threads (whose loop is necessarily
+        // lifetime so the waiting threads (whose loop is necessarily
         // `'static`) can call it. The borrow cannot be outlived: this
         // function publishes the job, then unconditionally blocks — even
-        // when `lane0` panics — until `remaining` drops to zero, i.e.
+        // when `lane0` panics — until `remaining` (read under the lock;
+        // the spin on its hint only shortens the wait) drops to zero, i.e.
         // until every worker has finished calling the closure and will
         // never touch it again (the epoch check stops re-runs).
         let job = Job {
@@ -132,20 +190,27 @@ impl TeamCore {
                 )
             },
         };
+        let shared = &*self.shared;
         {
-            let mut st = self.shared.state.lock().expect("team state poisoned");
+            let mut st = shared.state.lock().expect("team state poisoned");
             st.job = Some(job);
             st.remaining = self.workers.len();
+            shared.remaining_hint.store(st.remaining, Ordering::Release);
             st.epoch += 1;
+            shared.publish_and_wake(&st);
         }
-        self.shared.work.notify_all();
 
         let lane0_result = catch_unwind(AssertUnwindSafe(lane0));
 
+        shared
+            .spin
+            .spin_until(None, || shared.remaining_hint.load(Ordering::Acquire) == 0);
         let worker_panicked = {
-            let mut st = self.shared.state.lock().expect("team state poisoned");
+            let mut st = shared.state.lock().expect("team state poisoned");
             while st.remaining != 0 {
-                st = self.shared.done.wait(st).expect("team state poisoned");
+                st.rank_parked = true;
+                st = shared.done.wait(st).expect("team state poisoned");
+                st.rank_parked = false;
             }
             st.job = None;
             std::mem::take(&mut st.panicked)
@@ -166,8 +231,8 @@ impl Drop for TeamCore {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             st.shutdown = true;
+            self.shared.publish_and_wake(&st);
         }
-        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -177,6 +242,9 @@ impl Drop for TeamCore {
 fn worker_loop(shared: &Shared, lane: usize) {
     let mut seen = 0u64;
     loop {
+        shared.spin.spin_until(None, || {
+            shared.epoch_hint.load(Ordering::Acquire) != seen << 1
+        });
         let job = {
             let mut st = shared.state.lock().expect("team state poisoned");
             loop {
@@ -187,7 +255,9 @@ fn worker_loop(shared: &Shared, lane: usize) {
                     seen = st.epoch;
                     break st.job.expect("published epoch carries a job");
                 }
+                st.parked_workers += 1;
                 st = shared.work.wait(st).expect("team state poisoned");
+                st.parked_workers -= 1;
             }
         };
         let ok = catch_unwind(AssertUnwindSafe(|| (job.f)(lane))).is_ok();
@@ -196,7 +266,8 @@ fn worker_loop(shared: &Shared, lane: usize) {
             st.panicked = true;
         }
         st.remaining -= 1;
-        if st.remaining == 0 {
+        shared.remaining_hint.store(st.remaining, Ordering::Release);
+        if st.remaining == 0 && st.rank_parked {
             shared.done.notify_one();
         }
     }
@@ -244,7 +315,7 @@ pub struct SweepTeam<E: Element> {
 
 impl<E: Element> SweepTeam<E> {
     /// Creates a team with `lanes` compute lanes: the calling rank thread
-    /// (lane 0) plus `lanes - 1` spawned worker threads, parked until a
+    /// (lane 0) plus `lanes - 1` spawned worker threads, waiting until a
     /// sweep is dispatched. Call [`SweepTeam::rebuild_splits`] before the
     /// first sweep.
     ///
@@ -392,6 +463,7 @@ fn split_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stance_sim::wait::{stress_rounds, with_forced_budget, Jitter, REGIMES};
 
     fn flatten(splits: &[Vec<Range<usize>>]) -> Vec<usize> {
         splits
@@ -439,46 +511,78 @@ mod tests {
         assert_eq!(flatten(&splits), vec![5, 6]);
     }
 
+    /// A team whose lanes wait with `spin`, whatever the host's width.
+    fn core(workers: usize, spin: SpinBudget) -> TeamCore {
+        with_forced_budget(spin, || TeamCore::new(workers))
+    }
+
     #[test]
     fn core_runs_every_lane_and_recycles() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let core = TeamCore::new(3);
-        let hits = AtomicUsize::new(0);
-        for round in 1..=5usize {
-            let job = |lane: usize| {
-                hits.fetch_add(lane, Ordering::Relaxed);
-            };
-            core.run(&job, || {
-                hits.fetch_add(100, Ordering::Relaxed);
-            });
-            // Lanes 1+2+3 plus lane 0's 100, every round.
-            assert_eq!(hits.load(Ordering::Relaxed), round * 106);
+        for spin in REGIMES {
+            let core = core(3, spin);
+            let hits = AtomicUsize::new(0);
+            for round in 1..=5usize {
+                let job = |lane: usize| {
+                    hits.fetch_add(lane, Ordering::Relaxed);
+                };
+                core.run(&job, || {
+                    hits.fetch_add(100, Ordering::Relaxed);
+                });
+                // Lanes 1+2+3 plus lane 0's 100, every round.
+                assert_eq!(hits.load(Ordering::Relaxed), round * 106);
+            }
         }
     }
 
     #[test]
     fn worker_panic_reaches_the_rank_thread() {
-        let team = TeamCore::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        for spin in REGIMES {
+            let team = core(2, spin);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                team.run(
+                    &|lane| {
+                        if lane == 1 {
+                            panic!("lane 1 exploded");
+                        }
+                    },
+                    || {},
+                );
+            }));
+            assert!(result.is_err(), "worker panic must propagate");
+            // The team must still be usable afterwards.
+            let hits = AtomicUsize::new(0);
             team.run(
-                &|lane| {
-                    if lane == 1 {
-                        panic!("lane 1 exploded");
-                    }
+                &|_| {
+                    hits.fetch_add(1, Ordering::Relaxed);
                 },
                 || {},
             );
-        }));
-        assert!(result.is_err(), "worker panic must propagate");
-        // The team must still be usable afterwards.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let hits = AtomicUsize::new(0);
-        team.run(
-            &|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            },
-            || {},
-        );
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
+            assert_eq!(hits.load(Ordering::Relaxed), 2);
+        }
+    }
+
+    #[test]
+    fn three_lane_dispatch_never_loses_a_wakeup() {
+        // Seeded pauses on every lane land the workers' wait for the next
+        // dispatch and the rank thread's wait at the join in the spin
+        // phase, at the budget's expiry, and deep in the park phase. A
+        // lost wake-up hangs the test; a skipped or repeated job fails the
+        // per-lane round count.
+        let rounds = stress_rounds(100_000);
+        for spin in REGIMES {
+            let team = core(2, spin);
+            let done: [AtomicUsize; 3] = Default::default();
+            let jitters: [Mutex<Jitter>; 3] = [1, 2, 3].map(|seed| Mutex::new(Jitter::new(seed)));
+            let lane_body = |lane: usize| {
+                jitters[lane].lock().expect("one lane each").pause();
+                done[lane].fetch_add(1, Ordering::Relaxed);
+            };
+            for round in 1..=rounds {
+                team.run(&lane_body, || lane_body(0));
+                for lane in &done {
+                    assert_eq!(lane.load(Ordering::Relaxed), round);
+                }
+            }
+        }
     }
 }

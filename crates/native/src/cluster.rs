@@ -112,7 +112,10 @@ impl NativeCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stance_sim::wait::{with_forced_budget, REGIMES};
     use stance_sim::{Comm, Payload, Tag};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
 
     #[test]
     fn single_rank_runs() {
@@ -185,27 +188,45 @@ mod tests {
         assert!(report.into_results()[0] < 0.5);
     }
 
-    #[test]
-    #[should_panic(expected = "original boom")]
-    fn rank_panic_unblocks_peers_in_barrier() {
-        NativeCluster::new(3).run(|comm| {
-            if comm.rank() == 2 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                panic!("original boom");
+    /// Runs a doomed cluster under both wait regimes, with the failing
+    /// rank panicking at once (its peers are still in their spin phase)
+    /// and after 20 ms (they are parked): every combination must surface
+    /// the original message, not hang and not a peer's secondary panic.
+    fn surfaces_original_boom(run: impl Fn(Duration)) {
+        for spin in REGIMES {
+            for delay in [Duration::ZERO, Duration::from_millis(20)] {
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    with_forced_budget(spin, || run(delay));
+                }))
+                .expect_err("the run must fail");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"original boom"));
             }
-            comm.barrier();
+        }
+    }
+
+    #[test]
+    fn rank_panic_unblocks_peers_in_barrier() {
+        surfaces_original_boom(|delay| {
+            NativeCluster::new(3).run(|comm| {
+                if comm.rank() == 2 {
+                    std::thread::sleep(delay);
+                    panic!("original boom");
+                }
+                comm.barrier();
+            });
         });
     }
 
     #[test]
-    #[should_panic(expected = "original boom")]
     fn rank_panic_unblocks_peers_in_recv() {
-        NativeCluster::new(2).run(|comm| {
-            if comm.rank() == 1 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                panic!("original boom");
-            }
-            comm.recv(1, Tag(1));
+        surfaces_original_boom(|delay| {
+            NativeCluster::new(2).run(|comm| {
+                if comm.rank() == 1 {
+                    std::thread::sleep(delay);
+                    panic!("original boom");
+                }
+                comm.recv(1, Tag(1));
+            });
         });
     }
 

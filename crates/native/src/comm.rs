@@ -6,6 +6,7 @@ use std::time::Instant;
 use stance_sim::launch::BarrierShared;
 use stance_sim::mailbox::{MailboxReceiver, MailboxSender, TagBuffer, Tagged};
 use stance_sim::time::VTime;
+use stance_sim::wait::deadline_after;
 use stance_sim::{Comm, Payload, RecvRequest, Tag};
 
 /// A message between two native ranks: no arrival stamp — delivery is
@@ -153,7 +154,7 @@ impl Comm for NativeComm {
     /// are preserved in FIFO order.
     fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let deadline = Instant::now() + std::time::Duration::from_secs_f64(timeout_secs.max(0.0));
+        let deadline = deadline_after(timeout_secs);
         self.pending
             .recv_matching_deadline(&mut self.rxs[src], src, tag, deadline)
             .ok()
@@ -165,10 +166,7 @@ impl Comm for NativeComm {
     /// the barrier was poisoned), with this rank's arrival withdrawn.
     fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
         self.barrier
-            .wait_deadline(
-                VTime::ZERO,
-                std::time::Duration::from_secs_f64(timeout_secs.max(0.0)),
-            )
+            .wait_deadline(VTime::ZERO, deadline_after(timeout_secs))
             .is_ok()
     }
 }
@@ -176,25 +174,63 @@ impl Comm for NativeComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NativeCluster;
+    use stance_sim::wait::{with_forced_budget, Jitter, REGIMES};
 
     #[test]
     fn zero_cost_barrier_synchronizes_two_threads() {
-        let b = BarrierShared::new(2, 0.0);
-        let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || b2.wait(VTime::ZERO));
-        b.wait(VTime::ZERO);
-        h.join().expect("peer reached the barrier");
+        for spin in REGIMES {
+            let b = with_forced_budget(spin, || BarrierShared::new(2, 0.0));
+            let b2 = Arc::clone(&b);
+            let h = std::thread::spawn(move || b2.wait(VTime::ZERO));
+            b.wait(VTime::ZERO);
+            h.join().expect("peer reached the barrier");
+        }
     }
 
     #[test]
     fn poisoned_barrier_wakes_waiter() {
-        let b = BarrierShared::new(2, 0.0);
-        let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b2.wait(VTime::ZERO))).is_err()
+        // Poison at once (the waiter is spinning, or not even there yet),
+        // after a jittered pause, and after 10 ms (it is parked).
+        let mut jitter = Jitter::new(3);
+        for spin in REGIMES {
+            for round in 0..20 {
+                let b = with_forced_budget(spin, || BarrierShared::new(2, 0.0));
+                let b2 = Arc::clone(&b);
+                let h = std::thread::spawn(move || {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b2.wait(VTime::ZERO)))
+                        .is_err()
+                });
+                if round == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                }
+                jitter.pause();
+                b.poison();
+                assert!(h.join().expect("waiter thread"), "waiter must panic out");
+            }
+        }
+    }
+
+    #[test]
+    fn infinite_timeout_is_no_deadline_not_a_panic() {
+        let got = NativeCluster::new(2).run(|comm| {
+            if comm.rank() == 0 {
+                comm.send(1, Tag(3), Payload::from_u32(vec![7]));
+                assert!(comm.barrier_deadline(f64::INFINITY));
+                return None;
+            }
+            // Already queued (or on its way): delivered, however long the wait.
+            let queued = comm.recv_deadline(0, Tag(3), f64::INFINITY);
+            assert!(comm.barrier_deadline(f64::MAX));
+            queued.map(Payload::into_u32)
         });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        b.poison();
-        assert!(h.join().expect("waiter thread"), "waiter must panic out");
+        assert_eq!(got.into_results(), vec![None, Some(vec![7])]);
+        // A dead peer ends an unbounded wait promptly, with `None`.
+        let t0 = Instant::now();
+        let got = NativeCluster::new(2).run(|comm| {
+            (comm.rank() == 0).then(|| comm.recv_deadline(1, Tag(3), f64::INFINITY).is_none())
+        });
+        assert_eq!(got.into_results(), vec![Some(true), None]);
+        assert!(t0.elapsed() < std::time::Duration::from_secs(10));
     }
 }

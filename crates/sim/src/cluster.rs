@@ -223,6 +223,9 @@ mod tests {
     use super::*;
     use crate::comm::Comm;
     use crate::payload::{Payload, Tag};
+    use crate::wait::{with_forced_budget, REGIMES};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
 
     #[test]
     fn single_rank_compute_only() {
@@ -532,21 +535,37 @@ mod tests {
         });
     }
 
+    /// Runs a doomed cluster under both wait regimes, with the failing
+    /// rank panicking at once (its peers are still in their spin phase)
+    /// and after 20 ms (they are parked): every combination must surface
+    /// the original message, not hang and not a peer's secondary panic.
+    fn surfaces_original_boom(run: impl Fn(Duration)) {
+        for spin in REGIMES {
+            for delay in [Duration::ZERO, Duration::from_millis(20)] {
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    with_forced_budget(spin, || run(delay));
+                }))
+                .expect_err("the run must fail");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"original boom"));
+            }
+        }
+    }
+
     /// A rank that panics while its peers sit in `barrier` must fail the
     /// whole run with the *original* panic message — before the poisoning
     /// fix this deadlocked, and before first-panic recording it could
     /// surface a secondary "peer rank panicked" message instead.
     #[test]
-    #[should_panic(expected = "original boom")]
     fn rank_panic_unblocks_peers_in_barrier() {
         let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        Cluster::new(spec).run(|env| {
-            if env.rank() == 2 {
-                // Give peers time to actually block inside the barrier.
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                panic!("original boom");
-            }
-            env.barrier();
+        surfaces_original_boom(|delay| {
+            Cluster::new(spec.clone()).run(|env| {
+                if env.rank() == 2 {
+                    std::thread::sleep(delay);
+                    panic!("original boom");
+                }
+                env.barrier();
+            });
         });
     }
 
@@ -554,16 +573,41 @@ mod tests {
     /// and the run surfaces the original message, not the receiver's
     /// secondary "sender exited" panic.
     #[test]
-    #[should_panic(expected = "original boom")]
     fn rank_panic_unblocks_peers_in_recv() {
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
-        Cluster::new(spec).run(|env| {
-            if env.rank() == 1 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                panic!("original boom");
-            }
-            env.recv(1, Tag(1));
+        surfaces_original_boom(|delay| {
+            Cluster::new(spec.clone()).run(|env| {
+                if env.rank() == 1 {
+                    std::thread::sleep(delay);
+                    panic!("original boom");
+                }
+                env.recv(1, Tag(1));
+            });
         });
+    }
+
+    #[test]
+    fn infinite_timeout_is_no_deadline_not_a_panic() {
+        let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
+        let report = Cluster::new(spec.clone()).run(|env| {
+            if env.rank() == 0 {
+                env.send(1, Tag(3), Payload::from_u32(vec![7]));
+                assert!(env.barrier_deadline(f64::INFINITY));
+                return None;
+            }
+            // Already queued (or on its way): delivered, however long the wait.
+            let queued = env.recv_deadline(0, Tag(3), f64::INFINITY);
+            assert!(env.barrier_deadline(f64::MAX));
+            queued.map(Payload::into_u32)
+        });
+        assert_eq!(report.into_results(), vec![None, Some(vec![7])]);
+        // A dead peer ends an unbounded wait promptly, with `None`.
+        let t0 = std::time::Instant::now();
+        let report = Cluster::new(spec).run(|env| {
+            (env.rank() == 0).then(|| env.recv_deadline(1, Tag(3), f64::INFINITY).is_none())
+        });
+        assert_eq!(report.into_results(), vec![Some(true), None]);
+        assert!(t0.elapsed() < Duration::from_secs(10));
     }
 
     #[test]

@@ -278,8 +278,7 @@ impl Env {
     /// waiting are preserved.
     pub fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let deadline =
-            std::time::Instant::now() + std::time::Duration::from_secs_f64(timeout_secs.max(0.0));
+        let deadline = crate::wait::deadline_after(timeout_secs);
         match self
             .pending
             .recv_matching_deadline(&mut self.rxs[src], src, tag, deadline)
@@ -309,10 +308,10 @@ impl Env {
     /// timeout charged to the virtual clock as wait time.
     pub fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
         let entry = self.clock;
-        match self.barrier.wait_deadline(
-            entry,
-            std::time::Duration::from_secs_f64(timeout_secs.max(0.0)),
-        ) {
+        match self
+            .barrier
+            .wait_deadline(entry, crate::wait::deadline_after(timeout_secs))
+        {
             Ok(release) => {
                 debug_assert!(release >= entry, "barrier released before entry");
                 self.stats.barrier_time += release - entry;

@@ -16,10 +16,13 @@
 //!    resumed, so the caller sees the original panic message.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
+use std::time::Instant;
 
 use crate::time::VTime;
+use crate::wait::{park, RankContext, SpinBudget};
 
 /// Stack size for rank threads: partitioners recurse over meshes, so be
 /// generous — this costs only virtual address space.
@@ -35,6 +38,13 @@ pub const RANK_STACK_BYTES: usize = 16 * 1024 * 1024;
 /// simulator's time model; the native backend constructs the barrier with
 /// zero cost and passes [`VTime::ZERO`], which reduces `wait` to a plain
 /// synchronization barrier — one copy of the protocol for both backends.
+///
+/// Early arrivers wait by the spin-then-park contract of [`crate::wait`]:
+/// they poll `hint` (a lock-free mirror of `generation`/`poisoned`, stored
+/// under the lock) for at most the barrier's [`SpinBudget`], then re-take
+/// the lock, read the real state, and park on the condvar if it has not
+/// moved. The last arriver and `poison` notify only when the lock-protected
+/// `parked` count says somebody is asleep.
 pub struct BarrierShared {
     inner: Mutex<BarrierInner>,
     cv: Condvar,
@@ -42,6 +52,11 @@ pub struct BarrierShared {
     /// Virtual seconds a barrier adds beyond the max participant clock
     /// (log-tree latency model).
     cost: f64,
+    /// Hint for the spin phase: [`BarrierInner::hint`] as of the last
+    /// release or poison. Stored (`Release`) only under `inner`'s lock,
+    /// polled (`Acquire`) without it, never acted on.
+    hint: AtomicU64,
+    spin: SpinBudget,
 }
 
 /// The error [`BarrierShared::wait_deadline`] returns when the barrier
@@ -60,6 +75,16 @@ struct BarrierInner {
     /// Set when a rank panics: waiters must not keep waiting for a
     /// participant that will never arrive.
     poisoned: bool,
+    /// Waiters currently asleep on the condvar.
+    parked: usize,
+}
+
+impl BarrierInner {
+    /// What a waiter watches: changes whenever `generation` or `poisoned`
+    /// does.
+    fn hint(&self) -> u64 {
+        self.generation << 1 | u64::from(self.poisoned)
+    }
 }
 
 impl BarrierShared {
@@ -80,11 +105,31 @@ impl BarrierShared {
                 max_clock: VTime::ZERO,
                 release: VTime::ZERO,
                 poisoned: false,
+                parked: 0,
             }),
             cv: Condvar::new(),
             size,
             cost: 2.0 * per_message_latency * rounds,
+            hint: AtomicU64::new(0),
+            spin: SpinBudget::for_threads(size),
         })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BarrierInner> {
+        // The barrier's own `poisoned` flag is the protocol state; a
+        // poisoned *mutex* carries no extra information, so read through it.
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Publishes a change waiters watch for — call with the lock held,
+    /// after moving `generation` or `poisoned` — and wakes the parked ones.
+    fn publish_and_wake(&self, g: &BarrierInner) {
+        self.hint.store(g.hint(), Ordering::Release);
+        if g.parked > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Blocks until all ranks arrive; returns the synchronized release time.
@@ -93,55 +138,29 @@ impl BarrierShared {
     /// Panics if the barrier was [poisoned](Self::poison) by a rank that
     /// failed — the missing participant would otherwise deadlock everyone.
     pub fn wait(&self, clock: VTime) -> VTime {
-        // `unwrap_or_else(into_inner)`: a waiter that panics out of this
-        // very function (via the poison assert) unwinds while holding the
-        // guard, poisoning the *mutex*; the barrier's own `poisoned` flag
-        // is the real protocol state, so keep going and read it.
-        let mut g = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert!(!g.poisoned, "barrier poisoned: a peer rank panicked");
-        g.max_clock = g.max_clock.max(clock);
-        g.arrived += 1;
-        if g.arrived == self.size {
-            g.release = g.max_clock + self.cost;
-            g.generation = g.generation.wrapping_add(1);
-            g.arrived = 0;
-            g.max_clock = VTime::ZERO;
-            self.cv.notify_all();
-            g.release
-        } else {
-            let gen = g.generation;
-            while g.generation == gen {
-                g = self
-                    .cv
-                    .wait(g)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                assert!(!g.poisoned, "barrier poisoned: a peer rank panicked");
-            }
-            g.release
-        }
+        // Without a deadline the only way out unreleased is the poison.
+        self.arrive(clock, None)
+            .unwrap_or_else(|_poisoned| panic!("barrier poisoned: a peer rank panicked"))
     }
 
     /// Deadline-bounded variant of [`BarrierShared::wait`], the failure
-    /// detector's entry point: if the barrier does not release within
-    /// `timeout` (a participant is dead or wedged), this rank *withdraws
+    /// detector's entry point: if the barrier does not release by
+    /// `deadline` (a participant is dead or wedged), this rank *withdraws
     /// its arrival* — leaving the barrier state consistent for any later
     /// attempt — and returns [`BarrierTimeout`] instead of blocking
     /// forever. A poisoned barrier also returns `Err` (rather than
     /// panicking like the blocking variant): the caller is a recovery
     /// path, and a dead peer is its input, not its crash.
-    pub fn wait_deadline(
-        &self,
-        clock: VTime,
-        timeout: std::time::Duration,
-    ) -> Result<VTime, BarrierTimeout> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    pub fn wait_deadline(&self, clock: VTime, deadline: Instant) -> Result<VTime, BarrierTimeout> {
+        self.arrive(clock, Some(deadline))
+    }
+
+    /// The one arrive/release/wait protocol behind both entry points. The
+    /// last arriver releases the generation; everyone else spins on the
+    /// hint, then lock → check → park until the release, the poison, or
+    /// the deadline (withdrawing the arrival on either of the latter).
+    fn arrive(&self, clock: VTime, deadline: Option<Instant>) -> Result<VTime, BarrierTimeout> {
+        let mut g = self.lock();
         if g.poisoned {
             return Err(BarrierTimeout);
         }
@@ -152,31 +171,29 @@ impl BarrierShared {
             g.generation = g.generation.wrapping_add(1);
             g.arrived = 0;
             g.max_clock = VTime::ZERO;
-            self.cv.notify_all();
+            self.publish_and_wake(&g);
             return Ok(g.release);
         }
         let gen = g.generation;
+        if !self.spin.is_zero() {
+            let arrived_at = g.hint();
+            drop(g);
+            self.spin
+                .spin_until(deadline, || self.hint.load(Ordering::Acquire) != arrived_at);
+            g = self.lock();
+        }
         loop {
             if g.generation != gen {
                 return Ok(g.release);
             }
-            if g.poisoned {
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if g.poisoned || remaining.is_some_and(|left| left.is_zero()) {
                 g.arrived = g.arrived.saturating_sub(1);
                 return Err(BarrierTimeout);
             }
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                g.arrived = g.arrived.saturating_sub(1);
-                return Err(BarrierTimeout);
-            };
-            g = self
-                .cv
-                .wait_timeout(g, remaining)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
+            g.parked += 1;
+            g = park(&self.cv, g, remaining).unwrap_or_else(std::sync::PoisonError::into_inner);
+            g.parked -= 1;
         }
     }
 
@@ -184,13 +201,9 @@ impl BarrierShared {
     /// panics out of [`Self::wait`]). Called when a rank fails so peers
     /// blocked on the barrier don't deadlock waiting for it.
     pub fn poison(&self) {
-        let mut g = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut g = self.lock();
         g.poisoned = true;
-        drop(g);
-        self.cv.notify_all();
+        self.publish_and_wake(&g);
     }
 }
 
@@ -222,6 +235,7 @@ where
     R: Send,
 {
     let p = ctxs.len();
+    let wait_context = RankContext::capture(p);
     let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     let record_first = |payload: Box<dyn std::any::Any + Send>| {
         let mut g = first_panic
@@ -243,6 +257,7 @@ where
                 .name(format!("{name_prefix}{rank}"))
                 .stack_size(RANK_STACK_BYTES)
                 .spawn_scoped(scope, move || {
+                    wait_context.enter();
                     match catch_unwind(AssertUnwindSafe(|| rank_main(&mut ctx))) {
                         Ok(result) => Some(finish(ctx, result)),
                         Err(payload) => {
@@ -286,7 +301,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::wait::{stress_rounds, with_forced_budget, Jitter, REGIMES, SPIN_BUDGET};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    /// A zero-cost barrier whose waiters use `spin`, whatever the host.
+    fn barrier(size: usize, spin: SpinBudget) -> Arc<BarrierShared> {
+        with_forced_budget(spin, || BarrierShared::new(size, 0.0))
+    }
+
+    fn after(d: Duration) -> Instant {
+        Instant::now() + d
+    }
 
     #[test]
     fn results_in_rank_order() {
@@ -302,43 +328,121 @@ mod tests {
 
     #[test]
     fn wait_deadline_times_out_and_withdraws() {
-        let barrier = BarrierShared::new(2, 0.0);
-        // Alone at a 2-rank barrier: must time out, not hang.
-        let r = barrier.wait_deadline(VTime::ZERO, std::time::Duration::from_millis(10));
-        assert_eq!(r, Err(BarrierTimeout));
-        // The withdrawal left the state clean: a later full barrier works.
-        let b2 = Arc::clone(&barrier);
-        let peer = thread::spawn(move || b2.wait(VTime::ZERO));
-        let mine = barrier.wait_deadline(VTime::ZERO, std::time::Duration::from_secs(10));
-        assert!(mine.is_ok());
-        peer.join().unwrap();
+        for spin in REGIMES {
+            let barrier = barrier(2, spin);
+            // Alone at a 2-rank barrier: must time out, not hang.
+            let r = barrier.wait_deadline(VTime::ZERO, after(Duration::from_millis(10)));
+            assert_eq!(r, Err(BarrierTimeout));
+            // The withdrawal left the state clean: a later full barrier works.
+            let b2 = Arc::clone(&barrier);
+            let peer = thread::spawn(move || b2.wait(VTime::ZERO));
+            let mine = barrier.wait_deadline(VTime::ZERO, after(Duration::from_secs(10)));
+            assert!(mine.is_ok());
+            peer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn wait_deadline_shorter_than_the_budget_is_honoured() {
+        // The spin phase must stop at the deadline, not at the budget. A
+        // preempted attempt proves nothing, so the fastest of a few stands:
+        // if the spin overshot, every attempt would last the full budget.
+        let barrier = barrier(2, SpinBudget::SPIN);
+        let fastest = (0..50)
+            .map(|_| {
+                let t0 = Instant::now();
+                let r = barrier.wait_deadline(VTime::ZERO, t0 + SPIN_BUDGET / 10);
+                assert_eq!(r, Err(BarrierTimeout));
+                t0.elapsed()
+            })
+            .min()
+            .expect("attempts were made");
+        assert!(fastest < SPIN_BUDGET / 2, "fastest attempt {fastest:?}");
     }
 
     #[test]
     fn wait_deadline_releases_with_all_present() {
-        let barrier = BarrierShared::new(3, 0.0);
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let b = Arc::clone(&barrier);
-            handles.push(thread::spawn(move || {
-                b.wait_deadline(VTime::ZERO, std::time::Duration::from_secs(10))
-            }));
-        }
-        for h in handles {
-            assert!(h.join().unwrap().is_ok());
+        for spin in REGIMES {
+            let barrier = barrier(3, spin);
+            let mut handles = Vec::new();
+            for _ in 0..3 {
+                let b = Arc::clone(&barrier);
+                handles.push(thread::spawn(move || {
+                    b.wait_deadline(VTime::ZERO, after(Duration::from_secs(10)))
+                }));
+            }
+            for h in handles {
+                assert!(h.join().unwrap().is_ok());
+            }
         }
     }
 
     #[test]
     fn wait_deadline_errors_on_poison() {
-        let barrier = BarrierShared::new(2, 0.0);
-        let b2 = Arc::clone(&barrier);
-        let waiter = thread::spawn(move || {
-            b2.wait_deadline(VTime::ZERO, std::time::Duration::from_secs(30))
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        barrier.poison();
-        assert_eq!(waiter.join().unwrap(), Err(BarrierTimeout));
+        // The poison must reach a waiter wherever it is: the jittered
+        // pause after its arrival lands it in the spin phase, at the
+        // budget's expiry, and parked.
+        let mut jitter = Jitter::new(7);
+        for spin in REGIMES {
+            for _ in 0..40 {
+                let barrier = barrier(2, spin);
+                let b2 = Arc::clone(&barrier);
+                let waiter = thread::spawn(move || {
+                    b2.wait_deadline(VTime::ZERO, after(Duration::from_secs(30)))
+                });
+                while barrier.lock().arrived == 0 {
+                    thread::yield_now();
+                }
+                jitter.pause();
+                barrier.poison();
+                assert_eq!(waiter.join().unwrap(), Err(BarrierTimeout));
+                // A poisoned barrier refuses further arrivals outright.
+                assert_eq!(
+                    barrier.wait_deadline(VTime::ZERO, after(Duration::from_secs(30))),
+                    Err(BarrierTimeout)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn three_party_barrier_never_loses_a_wakeup() {
+        // Every round each party stamps its slot, waits, and checks that
+        // both peers have stamped at least this round — and that all three
+        // read the same release (the max of the clocks they brought).
+        const ROUNDS: usize = stress_rounds(100_000);
+        for spin in REGIMES {
+            let barrier = barrier(3, spin);
+            let stamps: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
+            let parties: Vec<_> = (0..3)
+                .map(|me| {
+                    let barrier = Arc::clone(&barrier);
+                    let stamps = Arc::clone(&stamps);
+                    thread::spawn(move || {
+                        let mut jitter = Jitter::new(me as u64 + 1);
+                        for round in 1..=ROUNDS {
+                            jitter.pause();
+                            stamps[me].store(round, Ordering::Release);
+                            let clock = VTime::from_secs((round * 3 + me) as f64);
+                            let release = if (round + me) % 2 == 0 {
+                                barrier.wait(clock)
+                            } else {
+                                barrier
+                                    .wait_deadline(clock, after(Duration::from_secs(60)))
+                                    .expect("every party arrives")
+                            };
+                            assert_eq!(release, VTime::from_secs((round * 3 + 2) as f64));
+                            for peer in stamps.iter() {
+                                assert!(peer.load(Ordering::Acquire) >= round);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for party in parties {
+                party.join().expect("no party panicked");
+            }
+        }
     }
 
     #[test]

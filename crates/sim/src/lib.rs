@@ -88,6 +88,7 @@ pub mod stats;
 pub mod survivor;
 pub mod tags;
 pub mod time;
+pub mod wait;
 
 pub use cluster::{Cluster, ClusterSpec, RankReport, RunReport};
 pub use comm::{Comm, RecvRequest, SendRequest};

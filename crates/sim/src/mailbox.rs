@@ -5,11 +5,29 @@
 //! inspector's occasional protocol rounds, but a per-message allocation on
 //! the executor's hot path, where the paper's loop runs thousands of
 //! gathers between inspector invocations. A mailbox is the minimal
-//! replacement: a mutex-protected ring (`VecDeque`) plus a condvar. The
-//! deque's capacity warms up over the first iterations of a run and is
-//! then reused forever, so steady-state sends and receives perform **zero
-//! heap allocations** (the payload buffers themselves are recycled one
-//! layer up, by the executor's `CommBuffers`).
+//! replacement: a mutex-protected ring (`VecDeque`) whose single receiver
+//! waits by the spin-then-park contract of [`crate::wait`]. The deque's
+//! capacity warms up over the first iterations of a run and is then reused
+//! forever, so steady-state sends and receives perform **zero heap
+//! allocations** (the payload buffers themselves are recycled one layer
+//! up, by the executor's `CommBuffers`).
+//!
+//! # How a receive waits
+//!
+//! `ready` is a lock-free mirror of "the queue is non-empty or the mailbox
+//! is closed", stored under the lock by whoever changes either. It is a
+//! *hint only*: a receiver polls it for at most the mailbox's
+//! [`SpinBudget`] (never past its deadline), then takes the lock and reads
+//! the queue and `closed` there, whatever the hint said. If there is still
+//! nothing it records `parked` under the lock and sleeps on the condvar as
+//! it always did; `send` and the sender's drop issue the futex wake only
+//! when they find `parked` set under that same lock — so a sender whose
+//! peer is spinning or busy pays no syscall at all, and a wake-up cannot be
+//! lost (the receiver either is parked and gets notified, or has yet to
+//! take the lock and will find the message). The budget is fixed at
+//! construction: [`crate::wait::SPIN_BUDGET`], or zero — exactly the old
+//! lock → check → `Condvar::wait` — when the cluster is wider than the
+//! host.
 //!
 //! Semantics match the mpsc channel it replaces: FIFO per (source,
 //! destination) pair, blocking receive, and disconnection reporting — a
@@ -24,10 +42,12 @@
 //! same zero-allocation steady state on real threads.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::payload::Tag;
+use crate::wait::{park, SpinBudget};
 
 /// The error a [`MailboxReceiver::recv`] returns when the sending rank
 /// terminated without ever sending a matching message.
@@ -226,22 +246,62 @@ struct MailboxState<T> {
     /// Set when either endpoint is dropped; each mailbox has exactly one
     /// sender and one receiver, so one flag serves both directions.
     closed: bool,
+    /// The receiver is asleep on `cv` (or about to be: it sets this and
+    /// waits without releasing the lock in between). The waker clears it.
+    parked: bool,
 }
 
 struct Mailbox<T> {
     state: Mutex<MailboxState<T>>,
     cv: Condvar,
+    /// Hint for the receiver's spin phase: `!queue.is_empty() || closed`
+    /// as of the last change. Stored (`Release`) only under `state`'s
+    /// lock, polled (`Acquire`) without it; never trusted — see the module
+    /// docs.
+    ready: AtomicBool,
+    spin: SpinBudget,
+}
+
+impl<T> Mailbox<T> {
+    fn lock(&self) -> MutexGuard<'_, MailboxState<T>> {
+        self.state.lock().expect("mailbox lock poisoned")
+    }
+
+    /// Republishes the hint; call with the lock held, after every change
+    /// to the queue or `closed`.
+    fn publish(&self, g: &MailboxState<T>) {
+        self.ready
+            .store(!g.queue.is_empty() || g.closed, Ordering::Release);
+    }
+
+    /// Publishes a change the receiver may be waiting for and wakes it if
+    /// — and only if — it is parked.
+    fn publish_and_wake(&self, mut g: MutexGuard<'_, MailboxState<T>>) {
+        self.publish(&g);
+        let wake = std::mem::take(&mut g.parked);
+        drop(g);
+        if wake {
+            self.cv.notify_one();
+        }
+    }
 }
 
 /// Creates one directed mailbox: the sender half enqueues, the receiver
 /// half dequeues in FIFO order.
 pub fn mailbox<T>() -> (MailboxSender<T>, MailboxReceiver<T>) {
+    mailbox_with(SpinBudget::for_threads(2))
+}
+
+fn mailbox_with<T>(spin: SpinBudget) -> (MailboxSender<T>, MailboxReceiver<T>) {
     let core = Arc::new(Mailbox {
         state: Mutex::new(MailboxState {
             queue: VecDeque::new(),
             closed: false,
+            parked: false,
         }),
         cv: Condvar::new(),
+        ready: AtomicBool::new(false),
+        spin,
     });
     (MailboxSender(Arc::clone(&core)), MailboxReceiver(core))
 }
@@ -252,23 +312,21 @@ pub struct MailboxSender<T>(Arc<Mailbox<T>>);
 impl<T> MailboxSender<T> {
     /// Enqueues a message; returns it back if the receiver hung up.
     pub fn send(&self, msg: T) -> Result<(), T> {
-        let mut g = self.0.state.lock().expect("mailbox lock poisoned");
+        let mut g = self.0.lock();
         if g.closed {
             return Err(msg);
         }
         g.queue.push_back(msg);
-        drop(g);
-        self.0.cv.notify_one();
+        self.0.publish_and_wake(g);
         Ok(())
     }
 }
 
 impl<T> Drop for MailboxSender<T> {
     fn drop(&mut self) {
-        let mut g = self.0.state.lock().expect("mailbox lock poisoned");
+        let mut g = self.0.lock();
         g.closed = true;
-        drop(g);
-        self.0.cv.notify_all();
+        self.0.publish_and_wake(g);
     }
 }
 
@@ -281,13 +339,14 @@ pub type RankMailboxes<T> = (Vec<MailboxSender<T>>, Vec<MailboxReceiver<T>>);
 /// mailbox per (source, destination) pair, including self-sends. Returns
 /// one [`RankMailboxes`] pair per rank.
 pub fn mailbox_matrix<T>(p: usize) -> Vec<RankMailboxes<T>> {
+    let spin = SpinBudget::for_threads(p);
     let mut tx_rows: Vec<Vec<Option<MailboxSender<T>>>> =
         (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
     let mut rx_rows: Vec<Vec<Option<MailboxReceiver<T>>>> =
         (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
     for (src, tx_row) in tx_rows.iter_mut().enumerate() {
         for (dst, slot) in tx_row.iter_mut().enumerate() {
-            let (tx, rx) = mailbox();
+            let (tx, rx) = mailbox_with(spin);
             *slot = Some(tx);
             rx_rows[dst][src] = Some(rx);
         }
@@ -316,16 +375,8 @@ impl<T> MailboxReceiver<T> {
     /// Blocks until a message is available and returns it; already-buffered
     /// messages are delivered even after the sender hung up.
     pub fn recv(&self) -> Result<T, Disconnected> {
-        let mut g = self.0.state.lock().expect("mailbox lock poisoned");
-        loop {
-            if let Some(msg) = g.queue.pop_front() {
-                return Ok(msg);
-            }
-            if g.closed {
-                return Err(Disconnected);
-            }
-            g = self.0.cv.wait(g).expect("mailbox lock poisoned");
-        }
+        // Without a deadline the only way out empty-handed is the close.
+        self.wait_for_msg(None).map_err(|_closed| Disconnected)
     }
 
     /// Nonblocking receive: returns the next buffered message if one is
@@ -334,8 +385,12 @@ impl<T> MailboxReceiver<T> {
     /// yet" alike; a blocking [`MailboxReceiver::recv`] is where
     /// disconnection is an error).
     pub fn try_recv(&self) -> Option<T> {
-        let mut g = self.0.state.lock().expect("mailbox lock poisoned");
-        g.queue.pop_front()
+        let mut g = self.0.lock();
+        let msg = g.queue.pop_front();
+        if msg.is_some() {
+            self.0.publish(&g);
+        }
+        msg
     }
 
     /// Like [`MailboxReceiver::recv`] but bounded by a wall-clock
@@ -345,34 +400,39 @@ impl<T> MailboxReceiver<T> {
     /// with the queue drained (dead peers are detected immediately, not
     /// after the full timeout). Buffered messages are always delivered.
     pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
-        let mut g = self.0.state.lock().expect("mailbox lock poisoned");
+        self.wait_for_msg(Some(deadline))
+    }
+
+    /// The one receive wait (module docs): spin on the hint, then lock →
+    /// check → park, until a message, the close, or the deadline.
+    fn wait_for_msg(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+        let mb = &*self.0;
+        mb.spin
+            .spin_until(deadline, || mb.ready.load(Ordering::Acquire));
+        let mut g = mb.lock();
         loop {
             if let Some(msg) = g.queue.pop_front() {
+                mb.publish(&g);
                 return Ok(msg);
             }
             if g.closed {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if remaining.is_some_and(|left| left.is_zero()) {
                 return Err(RecvTimeoutError::TimedOut);
-            };
-            let (guard, _timed_out) = self
-                .0
-                .cv
-                .wait_timeout(g, remaining)
-                .expect("mailbox lock poisoned");
-            g = guard;
+            }
+            g.parked = true;
+            g = park(&mb.cv, g, remaining).expect("mailbox lock poisoned");
+            // A timeout or spurious wake-up finds the record still set.
+            g.parked = false;
         }
     }
 }
 
 impl<T> Drop for MailboxReceiver<T> {
     fn drop(&mut self) {
-        let mut g = self.0.state.lock().expect("mailbox lock poisoned");
+        let mut g = self.0.lock();
         g.closed = true;
         // No notify needed: only the sender could be waiting, and senders
         // never block.
@@ -385,6 +445,8 @@ mod tests {
     use crate::env::Msg;
     use crate::payload::{Payload, Tag};
     use crate::time::VTime;
+    use crate::wait::{stress_rounds, Jitter, REGIMES, SPIN_BUDGET};
+    use std::time::Duration;
 
     fn msg(tag: u32) -> Msg {
         Msg {
@@ -421,11 +483,74 @@ mod tests {
 
     #[test]
     fn cross_thread_blocking_recv() {
-        let (tx, rx) = mailbox::<Msg>();
-        let handle = std::thread::spawn(move || rx.recv().unwrap().tag);
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        tx.send(msg(42)).unwrap();
-        assert_eq!(handle.join().unwrap(), Tag(42));
+        for spin in REGIMES {
+            let (tx, rx) = mailbox_with::<Msg>(spin);
+            let handle = std::thread::spawn(move || rx.recv().unwrap().tag);
+            std::thread::sleep(Duration::from_millis(10));
+            tx.send(msg(42)).unwrap();
+            assert_eq!(handle.join().unwrap(), Tag(42));
+        }
+    }
+
+    #[test]
+    fn sender_drop_reaches_a_blocked_receiver() {
+        // The close must reach a receiver wherever it is: the jittered
+        // pause lands the drop in its spin phase, at the budget's expiry,
+        // and after it parked.
+        let mut jitter = Jitter::new(11);
+        for spin in REGIMES {
+            for _ in 0..40 {
+                let (tx, rx) = mailbox_with::<Msg>(spin);
+                let (started_tx, started_rx) = mailbox_with::<()>(spin);
+                let handle = std::thread::spawn(move || {
+                    started_tx.send(()).unwrap();
+                    let far = Instant::now() + Duration::from_secs(60);
+                    (rx.recv_deadline(far).err(), rx.recv().err())
+                });
+                started_rx.recv().unwrap();
+                jitter.pause();
+                drop(tx);
+                assert_eq!(
+                    handle.join().unwrap(),
+                    (Some(RecvTimeoutError::Disconnected), Some(Disconnected))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ping_pong_never_loses_a_wakeup() {
+        // Two threads bounce a counter; the seeded pause before each send
+        // lands the peer's receive in the spin phase, exactly at the
+        // budget's expiry, and deep in the park phase. A lost wake-up
+        // hangs the test; a lost or reordered message fails the count.
+        const ROUNDS: u32 = stress_rounds(100_000) as u32;
+        for spin in REGIMES {
+            let (to_peer, from_main) = mailbox_with::<u32>(spin);
+            let (to_main, from_peer) = mailbox_with::<u32>(spin);
+            let peer = std::thread::spawn(move || {
+                let mut jitter = Jitter::new(2);
+                let far = Instant::now() + Duration::from_secs(600);
+                for round in 0..ROUNDS {
+                    // Alternate the two receive entry points.
+                    let got = if round % 2 == 0 {
+                        from_main.recv().unwrap()
+                    } else {
+                        from_main.recv_deadline(far).unwrap()
+                    };
+                    assert_eq!(got, round);
+                    jitter.pause();
+                    to_main.send(got + 1).unwrap();
+                }
+            });
+            let mut jitter = Jitter::new(1);
+            for round in 0..ROUNDS {
+                jitter.pause();
+                to_peer.send(round).unwrap();
+                assert_eq!(from_peer.recv().unwrap(), round + 1);
+            }
+            peer.join().expect("the peer saw every message");
+        }
     }
 
     #[test]
@@ -474,43 +599,69 @@ mod tests {
 
     #[test]
     fn recv_deadline_times_out_then_delivers() {
-        let (tx, rx) = mailbox::<Msg>();
-        let soon = Instant::now() + std::time::Duration::from_millis(5);
-        assert!(matches!(
-            rx.recv_deadline(soon),
-            Err(RecvTimeoutError::TimedOut)
-        ));
-        tx.send(msg(2)).unwrap();
-        let later = Instant::now() + std::time::Duration::from_secs(5);
-        assert_eq!(rx.recv_deadline(later).unwrap().tag, Tag(2));
+        for spin in REGIMES {
+            let (tx, rx) = mailbox_with::<Msg>(spin);
+            let soon = Instant::now() + Duration::from_millis(5);
+            assert!(matches!(
+                rx.recv_deadline(soon),
+                Err(RecvTimeoutError::TimedOut)
+            ));
+            tx.send(msg(2)).unwrap();
+            let later = Instant::now() + Duration::from_secs(5);
+            assert_eq!(rx.recv_deadline(later).unwrap().tag, Tag(2));
+        }
+    }
+
+    #[test]
+    fn recv_deadline_shorter_than_the_budget_is_honoured() {
+        // The spin phase must stop at the deadline, not at the budget. A
+        // preempted attempt proves nothing, so the fastest of a few stands:
+        // if the spin overshot, every attempt would last the full budget.
+        let (_tx, rx) = mailbox_with::<Msg>(SpinBudget::SPIN);
+        let fastest = (0..50)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert!(matches!(
+                    rx.recv_deadline(t0 + SPIN_BUDGET / 10),
+                    Err(RecvTimeoutError::TimedOut)
+                ));
+                t0.elapsed()
+            })
+            .min()
+            .expect("attempts were made");
+        assert!(fastest < SPIN_BUDGET / 2, "fastest attempt {fastest:?}");
     }
 
     #[test]
     fn recv_deadline_reports_disconnect_immediately() {
-        let (tx, rx) = mailbox::<Msg>();
-        tx.send(msg(1)).unwrap();
-        drop(tx);
-        let far = Instant::now() + std::time::Duration::from_secs(60);
-        // Buffered messages still deliver; then disconnect, not timeout.
-        assert_eq!(rx.recv_deadline(far).unwrap().tag, Tag(1));
-        let t0 = Instant::now();
-        assert!(matches!(
-            rx.recv_deadline(far),
-            Err(RecvTimeoutError::Disconnected)
-        ));
-        assert!(t0.elapsed() < std::time::Duration::from_secs(10));
+        for spin in REGIMES {
+            let (tx, rx) = mailbox_with::<Msg>(spin);
+            tx.send(msg(1)).unwrap();
+            drop(tx);
+            let far = Instant::now() + Duration::from_secs(60);
+            // Buffered messages still deliver; then disconnect, not timeout.
+            assert_eq!(rx.recv_deadline(far).unwrap().tag, Tag(1));
+            let t0 = Instant::now();
+            assert!(matches!(
+                rx.recv_deadline(far),
+                Err(RecvTimeoutError::Disconnected)
+            ));
+            assert!(t0.elapsed() < Duration::from_secs(10));
+        }
     }
 
     #[test]
     fn recv_deadline_wakes_on_cross_thread_send() {
-        let (tx, rx) = mailbox::<Msg>();
-        let handle = std::thread::spawn(move || {
-            let deadline = Instant::now() + std::time::Duration::from_secs(30);
-            rx.recv_deadline(deadline).unwrap().tag
-        });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        tx.send(msg(6)).unwrap();
-        assert_eq!(handle.join().unwrap(), Tag(6));
+        for spin in REGIMES {
+            let (tx, rx) = mailbox_with::<Msg>(spin);
+            let handle = std::thread::spawn(move || {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                rx.recv_deadline(deadline).unwrap().tag
+            });
+            std::thread::sleep(Duration::from_millis(10));
+            tx.send(msg(6)).unwrap();
+            assert_eq!(handle.join().unwrap(), Tag(6));
+        }
     }
 
     #[test]

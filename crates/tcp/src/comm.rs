@@ -56,6 +56,7 @@ use std::time::{Duration, Instant};
 use stance_sim::comm::Comm;
 use stance_sim::mailbox::{RecvTimeoutError, TagBuffer, Tagged};
 use stance_sim::tags::TAG_TCP_BARRIER;
+use stance_sim::wait::deadline_after;
 use stance_sim::{Payload, RecvRequest, Tag};
 
 use crate::link::{PeerLink, TcpMsg};
@@ -472,7 +473,7 @@ impl Comm for TcpComm {
 
     fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let timeout = Duration::from_secs_f64(timeout_secs.max(0.0));
+        let deadline = deadline_after(timeout_secs);
         if src == self.rank {
             if let Some(p) = self.take_self(tag) {
                 return Some(p);
@@ -480,10 +481,9 @@ impl Comm for TcpComm {
             // A single sequential rank cannot self-send while waiting;
             // live the timeout (wall-clock parity with the native
             // backend) and give up.
-            std::thread::sleep(timeout);
+            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
             return None;
         }
-        let deadline = Instant::now() + timeout;
         let link = self.links[src].as_mut().expect("src is a peer");
         self.pending
             .recv_matching_deadline(link, src, tag, deadline)
@@ -492,8 +492,7 @@ impl Comm for TcpComm {
     }
 
     fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
-        let deadline = Instant::now() + Duration::from_secs_f64(timeout_secs.max(0.0));
-        self.barrier_impl(Some(deadline))
+        self.barrier_impl(Some(deadline_after(timeout_secs)))
     }
 
     fn crash(&mut self) -> bool {
@@ -652,6 +651,30 @@ mod tests {
             t0.elapsed() < Duration::from_secs(10),
             "death detected at socket speed, not deadline speed"
         );
+    }
+
+    #[test]
+    fn infinite_timeout_is_no_deadline_not_a_panic() {
+        let out = run_ranks(mesh(2), |c| {
+            c.send(
+                1 - c.rank(),
+                Tag(3),
+                Payload::from_u32(vec![c.rank() as u32]),
+            );
+            // Already on the wire: delivered, however long the wait.
+            let got = c.recv_deadline(1 - c.rank(), Tag(3), f64::INFINITY);
+            assert!(c.barrier_deadline(f64::INFINITY));
+            got.map(Payload::into_u32)
+        });
+        assert_eq!(out, vec![Some(vec![1]), Some(vec![0])]);
+        // A dead peer ends an unbounded wait promptly, with `None`.
+        let mut comms = mesh(2);
+        let mut alive = comms.swap_remove(0);
+        drop(comms);
+        let t0 = Instant::now();
+        assert!(alive.recv_deadline(1, Tag(3), f64::INFINITY).is_none());
+        assert!(!alive.barrier_deadline(f64::INFINITY));
+        assert!(t0.elapsed() < Duration::from_secs(10));
     }
 
     #[test]

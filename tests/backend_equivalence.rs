@@ -34,6 +34,7 @@
 
 use stance::executor::sequential_relaxation;
 use stance::prelude::*;
+use stance::sim::wait::{with_forced_budget, REGIMES};
 use stance_native::NativeCluster;
 use stance_repro::scenarios::{bits, cg_body, cg_problem, equiv_init, equiv_mesh, relaxation_body};
 use stance_tcp::codec::Wire;
@@ -52,6 +53,20 @@ fn relaxation_on_sim(mesh: &Graph, p: usize, iters: usize, overlap: bool, team: 
     stance::reassemble(&partition, results.into_iter().map(|(v, _)| v).collect())
 }
 
+/// Runs a native launch twice — every mailbox, barrier and sweep-team wait
+/// forced to park-only, then forced to spin-then-park, whatever the host's
+/// width would have chosen — and returns the values after asserting that
+/// the two regimes agree bitwise: how a rank waits moves wall time only.
+fn native_in_both_wait_regimes(run: impl Fn() -> Vec<f64>) -> Vec<f64> {
+    let [parked, spun] = REGIMES.map(|spin| with_forced_budget(spin, &run));
+    assert_eq!(
+        bits(&parked),
+        bits(&spun),
+        "native park-only and spin-then-park runs disagree bitwise"
+    );
+    spun
+}
+
 fn relaxation_on_native(
     mesh: &Graph,
     p: usize,
@@ -59,11 +74,13 @@ fn relaxation_on_native(
     overlap: bool,
     team: usize,
 ) -> Vec<f64> {
-    let report =
-        NativeCluster::new(p).run(|comm| relaxation_body(comm, mesh, iters, overlap, team));
-    let results: Vec<_> = report.into_results();
-    let partition = results[0].1.clone();
-    stance::reassemble(&partition, results.into_iter().map(|(v, _)| v).collect())
+    native_in_both_wait_regimes(|| {
+        let report =
+            NativeCluster::new(p).run(|comm| relaxation_body(comm, mesh, iters, overlap, team));
+        let results: Vec<_> = report.into_results();
+        let partition = results[0].1.clone();
+        stance::reassemble(&partition, results.into_iter().map(|(v, _)| v).collect())
+    })
 }
 
 /// The same relaxation on `p` OS processes over loopback TCP; each
@@ -192,11 +209,13 @@ fn cg_solver_bitwise_identical_across_backends() {
             )
         };
         let run_native = |overlap: bool, team: usize| {
-            check(
-                NativeCluster::new(p)
-                    .run(|comm| cg_body(comm, m2, b2, shift, 120, overlap, team))
-                    .into_results(),
-            )
+            native_in_both_wait_regimes(|| {
+                check(
+                    NativeCluster::new(p)
+                        .run(|comm| cg_body(comm, m2, b2, shift, 120, overlap, team))
+                        .into_results(),
+                )
+            })
         };
         let sim = run_sim(false, 1);
         let native = run_native(false, 1);

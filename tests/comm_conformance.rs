@@ -15,6 +15,7 @@
 //! rank's result.
 
 use stance::prelude::*;
+use stance::sim::wait::{with_forced_budget, REGIMES};
 use stance_native::NativeCluster;
 use stance_repro::conformance::{self as bodies, expect_protocol_clean};
 use stance_tcp::TcpCluster;
@@ -35,17 +36,23 @@ fn run_sim(p: usize, body: impl Fn(&mut CheckedComm<'_, Env>) + Send + Sync) {
 }
 
 /// Launches a generic body on the native thread-pool backend, checked
-/// exactly like [`run_sim`].
+/// exactly like [`run_sim`] — twice: with every mailbox and barrier wait
+/// forced to park-only and forced to spin-then-park, whatever the host's
+/// width would have chosen. The contract may not notice the difference.
 fn run_native(
     p: usize,
     body: impl Fn(&mut CheckedComm<'_, stance_native::NativeComm>) + Send + Sync,
 ) {
-    let report = NativeCluster::new(p).run(|comm| {
-        let mut trace = RankTrace::new(comm.rank(), comm.size());
-        body(&mut CheckedComm::attach(comm, &mut trace));
-        trace
-    });
-    expect_protocol_clean("native", &report.into_results());
+    for spin in REGIMES {
+        let report = with_forced_budget(spin, || {
+            NativeCluster::new(p).run(|comm| {
+                let mut trace = RankTrace::new(comm.rank(), comm.size());
+                body(&mut CheckedComm::attach(comm, &mut trace));
+                trace
+            })
+        });
+        expect_protocol_clean("native", &report.into_results());
+    }
 }
 
 /// Launches a registered conformance scenario on the TCP process
