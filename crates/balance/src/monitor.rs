@@ -177,7 +177,7 @@ impl LoadMonitor {
 
     /// [`LoadMonitor::per_item_time`] as consumed by a load-balance
     /// *check*: identical while the window has samples, but a carried
-    /// estimate answers at most [`CARRY_CHECK_BUDGET`] consecutive
+    /// estimate answers at most `CARRY_CHECK_BUDGET` consecutive
     /// checks before expiring to `None`. An empty-block rank cannot
     /// refresh its estimate by measurement, so the expiry is what lets
     /// the controller eventually probe it with work again instead of
@@ -273,7 +273,7 @@ impl LoadMonitor {
     /// Records the measured cost of one remap: `rebuild_seconds` is the
     /// schedule-rebuild share (inspector + runner + value-buffer rebuild),
     /// `total_seconds` the whole remap (data movement included). Both feed
-    /// EWMAs ([`COST_EWMA_ALPHA`]); the first observation seeds them
+    /// EWMAs (`COST_EWMA_ALPHA`); the first observation seeds them
     /// directly — the caller's static hint serves as the prior *until*
     /// this first call, after which measurement replaces it.
     pub fn record_remap_cost(&mut self, rebuild_seconds: f64, total_seconds: f64) {

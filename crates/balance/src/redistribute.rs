@@ -413,7 +413,7 @@ pub fn redistribute_values<E: Element, C: Comm>(
 
 /// Moves **several value arrays at once** to the new distribution,
 /// coalescing all of a destination's segments into one message (the same
-/// §2 message-coalescing optimization the executor's `gather_coalesced`
+/// §2 message-coalescing optimization the executor's `gather_fused`
 /// applies: for `k` arrays, `1/k` of the messages, paying the per-message
 /// setup once). Each array must hold one element per owned vertex of the
 /// old interval and is replaced in place with its new block.

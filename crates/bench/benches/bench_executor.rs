@@ -95,11 +95,10 @@ fn bench_full_iteration(c: &mut Criterion) {
                     let adj = LocalAdjacency::extract(&mesh, &part, env.rank());
                     let (sched, _) =
                         build_schedule_symmetric(&part, &adj, env.rank(), ScheduleStrategy::Sort2);
-                    let mut runner =
-                        LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel);
+                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
                     let owned = part.interval_of(env.rank()).len();
                     let mut values = runner.make_values(vec![1.0; owned]);
-                    runner.run(env, &mut values, 5);
+                    runner.run(env, &RelaxationKernel, &mut values, 5);
                 })
             });
         });

@@ -44,15 +44,15 @@ pub fn time_sweep_gather(mesh: &Graph, threads: usize, iters: usize) -> f64 {
         let rank = comm.rank();
         let adj = LocalAdjacency::extract(mesh, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel);
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
 
         // Warm-up: mailbox deques and recycled buffers reach steady state.
-        runner.run(comm, &mut values, 3);
+        runner.run(comm, &RelaxationKernel, &mut values, 3);
         comm.barrier();
         let t0 = Instant::now();
-        runner.run(comm, &mut values, iters);
+        runner.run(comm, &RelaxationKernel, &mut values, iters);
         let elapsed = t0.elapsed().as_secs_f64();
         comm.barrier();
         elapsed / iters as f64
@@ -120,11 +120,10 @@ mod tests {
             let rank = comm.rank();
             let adj = LocalAdjacency::extract(&mesh, &part, rank);
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let mut runner =
-                LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel);
+            let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
             let iv = part.interval_of(rank);
             let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
-            runner.run(comm, &mut values, iters);
+            runner.run(comm, &RelaxationKernel, &mut values, iters);
             values.local().to_vec()
         });
         let got = stance::reassemble(&part, report.into_results());

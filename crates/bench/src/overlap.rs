@@ -56,17 +56,17 @@ pub fn time_sweep_gather(mesh: &Graph, threads: usize, iters: usize, overlap: bo
         let rank = comm.rank();
         let adj = LocalAdjacency::extract(mesh, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-            .with_overlap(overlap);
+        let mut runner =
+            LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_overlap(overlap);
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
 
         // Warm-up: mailbox deques, recycled buffers and the request pool
         // reach steady state.
-        runner.run(comm, &mut values, 3);
+        runner.run(comm, &RelaxationKernel, &mut values, 3);
         comm.barrier();
         let t0 = Instant::now();
-        runner.run(comm, &mut values, iters);
+        runner.run(comm, &RelaxationKernel, &mut values, iters);
         let elapsed = t0.elapsed().as_secs_f64();
         comm.barrier();
         elapsed / iters as f64
@@ -89,11 +89,11 @@ pub fn modelled_secs_per_iter(mesh: &Graph, ranks: usize, iters: usize, overlap:
         let rank = env.rank();
         let adj = LocalAdjacency::extract(mesh, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::sun4(), RelaxationKernel)
-            .with_overlap(overlap);
+        let mut runner =
+            LoopRunner::new(sched, &adj, ComputeCostModel::sun4()).with_overlap(overlap);
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
-        runner.run(env, &mut values, iters);
+        runner.run(env, &RelaxationKernel, &mut values, iters);
         env.now().as_secs()
     });
     report.into_results().into_iter().fold(0.0, f64::max) / iters as f64
@@ -194,11 +194,10 @@ mod tests {
                 let (sched, _) =
                     build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
                 let mut runner =
-                    LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-                        .with_overlap(overlap);
+                    LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_overlap(overlap);
                 let iv = part.interval_of(rank);
                 let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
-                runner.run(comm, &mut values, iters);
+                runner.run(comm, &RelaxationKernel, &mut values, iters);
                 values.local().to_vec()
             });
             let got = stance::reassemble(&part, report.into_results());

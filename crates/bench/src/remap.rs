@@ -193,7 +193,7 @@ fn legacy_redistribute_adjacency<C: Comm>(
 struct LegacyState<E: Field> {
     partition: BlockPartition,
     adj: LocalAdjacency,
-    runner: LoopRunner<E, RelaxationKernel>,
+    runner: LoopRunner<E>,
     values: GhostedArray<E>,
 }
 
@@ -206,7 +206,7 @@ fn legacy_setup<E: Field, C: Comm>(
     let rank = env.rank();
     let adj = LocalAdjacency::extract(graph, &partition, rank);
     let (sched, _) = build_schedule_symmetric(&partition, &adj, rank, ScheduleStrategy::Sort2);
-    let runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel);
+    let runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
     let iv = partition.interval_of(rank);
     let values = runner.make_values(iv.iter().map(init).collect());
     LegacyState {
@@ -234,12 +234,7 @@ fn legacy_remap<E: Field, C: Comm>(
     state.adj = new_adj;
     let (sched, _) =
         build_schedule_symmetric(&state.partition, &state.adj, rank, ScheduleStrategy::Sort2);
-    state.runner = LoopRunner::new(
-        sched,
-        &state.adj,
-        ComputeCostModel::zero(),
-        RelaxationKernel,
-    );
+    state.runner = LoopRunner::new(sched, &state.adj, ComputeCostModel::zero());
     state.values = state.runner.make_values(new_local);
 }
 

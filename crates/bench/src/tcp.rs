@@ -43,16 +43,16 @@ fn bench_sweep(comm: &mut TcpComm, args: &[u8]) -> Vec<u8> {
     let rank = comm.rank();
     let adj = LocalAdjacency::extract(&mesh, &part, rank);
     let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel);
+    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
     let iv = part.interval_of(rank);
     let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
 
     // Warm-up: socket buffers, link accumulators and recycled frame
     // scratch reach steady state before the clock starts.
-    runner.run(comm, &mut values, 3);
+    runner.run(comm, &RelaxationKernel, &mut values, 3);
     comm.barrier();
     let t0 = std::time::Instant::now();
-    runner.run(comm, &mut values, iters);
+    runner.run(comm, &RelaxationKernel, &mut values, iters);
     let elapsed = t0.elapsed().as_secs_f64();
     comm.barrier();
     (elapsed / iters as f64).to_wire()

@@ -66,7 +66,7 @@ pub fn time_team_iters(mesh: &Graph, ranks: usize, team: usize, iters: usize) ->
         let rank = comm.rank();
         let adj = LocalAdjacency::extract(mesh, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
             .with_overlap(true)
             .with_team(team);
         let iv = part.interval_of(rank);
@@ -74,10 +74,10 @@ pub fn time_team_iters(mesh: &Graph, ranks: usize, team: usize, iters: usize) ->
 
         // Warm-up: mailboxes, recycled buffers, team staging and the
         // parked lanes all reach steady state.
-        runner.run(comm, &mut values, 3);
+        runner.run(comm, &RelaxationKernel, &mut values, 3);
         comm.barrier();
         let t0 = Instant::now();
-        runner.run(comm, &mut values, iters);
+        runner.run(comm, &RelaxationKernel, &mut values, iters);
         let elapsed = t0.elapsed().as_secs_f64();
         comm.barrier();
         elapsed / iters as f64
@@ -98,12 +98,12 @@ pub fn modelled_team_secs_per_iter(mesh: &Graph, ranks: usize, team: usize, iter
         let rank = env.rank();
         let adj = LocalAdjacency::extract(mesh, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::sun4(), RelaxationKernel)
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::sun4())
             .with_overlap(false)
             .with_team(team);
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
-        runner.run(env, &mut values, iters);
+        runner.run(env, &RelaxationKernel, &mut values, iters);
         env.now().as_secs()
     });
     report.into_results().into_iter().fold(0.0, f64::max) / iters as f64
@@ -284,13 +284,12 @@ mod tests {
                 let adj = LocalAdjacency::extract(&mesh, &part, rank);
                 let (sched, _) =
                     build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                let mut runner =
-                    LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-                        .with_overlap(true)
-                        .with_team(team);
+                let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                    .with_overlap(true)
+                    .with_team(team);
                 let iv = part.interval_of(rank);
                 let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
-                runner.run(comm, &mut values, iters);
+                runner.run(comm, &RelaxationKernel, &mut values, iters);
                 values.local().to_vec()
             });
             let got = stance::reassemble(&part, report.into_results());

@@ -98,9 +98,9 @@ impl<E: Element> SessionCheckpoint<E> {
         &self.monitors
     }
 
-    /// The name of the primary field (the legacy session records its
-    /// value array as `"values"`; a dataflow session uses the graph's
-    /// first registered field name).
+    /// The name of the primary field — the graph's first registered
+    /// field (`"values"` for an
+    /// [`AdaptiveSession`](crate::AdaptiveSession)).
     pub fn primary_name(&self) -> &str {
         &self.primary_name
     }

@@ -68,7 +68,8 @@ impl DetectorConfig {
     }
 }
 
-/// Configuration for an [`AdaptiveSession`](crate::session::AdaptiveSession).
+/// Configuration for a session ([`DataflowSession`](crate::DataflowSession)
+/// and its one-field spelling, [`AdaptiveSession`](crate::AdaptiveSession)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StanceConfig {
     /// How communication schedules are built (Table 3's strategies).
@@ -82,7 +83,8 @@ pub struct StanceConfig {
     /// Iterations between load-balance checks. "The frequency of this
     /// load-balancing check has to be set based on … the overhead of load
     /// balancing \[and\] the rate at which the underlying computational
-    /// resources adapt" (§3.5). The paper's experiment used 10.
+    /// resources adapt" (§3.5). The paper's experiment used 10. Must be at
+    /// least 1 (session setup rejects zero).
     pub check_interval: usize,
     /// Load-monitor window (blocks averaged for the capability estimate).
     pub monitor_window: usize,
@@ -135,7 +137,8 @@ pub struct StanceConfig {
     /// values make each rank split its sweeps across a persistent team of
     /// parked threads (`stance_executor::SweepTeam`), with **bitwise
     /// identical** results for any value — set it via
-    /// [`StanceConfig::with_team`] so the cost model stays in step.
+    /// [`StanceConfig::with_team`] so the cost model stays in step. Must
+    /// be at least 1 (session setup rejects zero).
     pub team_threads: usize,
 }
 
@@ -165,19 +168,9 @@ impl StanceConfig {
     /// tests.
     pub fn free() -> Self {
         StanceConfig {
-            schedule_strategy: ScheduleStrategy::Sort2,
             compute_cost: ComputeCostModel::zero(),
             inspector_cost: InspectorCostModel::zero(),
-            balancer: BalancerConfig::default(),
-            check_interval: 10,
-            monitor_window: 4,
-            estimator: CapabilityEstimator::default(),
-            overlap_gather: false,
-            calibrate_rebuild_cost: false,
-            verify: false,
-            recovery: RecoveryPolicy::default(),
-            detector: DetectorConfig::default(),
-            team_threads: 1,
+            ..Self::default()
         }
     }
 

@@ -1,29 +1,60 @@
-//! Multi-field dataflow sessions: named fields + kernel-stage DAGs with
-//! fused ghost exchange.
+//! The session engine: named fields + kernel-stage DAGs driven through
+//! the paper's execution structure, with fused ghost exchange.
 //!
-//! [`AdaptiveSession`](crate::AdaptiveSession) drives one kernel over one
-//! array; real adaptive applications (the CG example already) sweep
-//! *several* kernels over *several* per-vertex arrays each outer
-//! iteration. This module is the session API redesigned around that
-//! shape:
+//! The paper has exactly one execution structure — Phase D's *gather →
+//! sweep* loop run in blocks, a load-balance check between blocks, and a
+//! remap (move data, re-run the inspector) when the check says so — and
+//! this module is its one implementation. Real adaptive applications (the
+//! CG example already) sweep *several* kernels over *several* per-vertex
+//! arrays each outer iteration, so the engine is built around that shape:
 //!
 //! * a [`FieldSet`] — the registry of **named** per-vertex arrays
-//!   (name → [`GhostedArray`]), replacing the positional aux-array
-//!   convention of `check_and_rebalance_with`;
+//!   (name → [`GhostedArray`]): every registered field moves through
+//!   remaps and checkpoints automatically, keyed by name;
 //! * a [`StageGraph`] — kernel stages declaring which field they read and
 //!   which they write, validated at build time by the
 //!   [`stance_verify`] dataflow audit (duplicate names, undeclared
 //!   accesses, dependency cycles) and scheduled deterministically in
 //!   topological order;
-//! * a [`DataflowSession`] — the runtime that earns the API: ghost
+//! * a [`DataflowSession`] — one rank's share of the computation
+//!   (partition interval, mesh rows, field values, load monitor) plus a
+//!   [`LoopRunner`], which owns everything sized from the communication
+//!   schedule and performs the one exchange + sweep stage step. Ghost
 //!   gathers for fields exchanged at the same dataflow point are **fused
 //!   into one message per neighbor per pass**
-//!   ([`gather_fused`] on `TAG_GATHER_FUSED`), gathers for fields whose
-//!   writers have not run since the last exchange are **skipped**
-//!   (dirty-tracking), and an exchange overlaps the next stage's
-//!   interior sweep through the split-phase
-//!   [`gather_fused_start`]/[`gather_fused_finish`] pair when
-//!   `StanceConfig::with_overlap(true)` is set.
+//!   ([`gather_fused`](stance_executor::gather_fused) on
+//!   `TAG_GATHER_FUSED`), gathers for fields whose writers have not run
+//!   since the last exchange are **skipped** (dirty-tracking), and an
+//!   exchange overlaps the next stage's interior sweep through the
+//!   split-phase
+//!   [`gather_fused_start`](stance_executor::gather_fused_start) /
+//!   [`gather_fused_finish`](stance_executor::gather_fused_finish) pair
+//!   when `StanceConfig::with_overlap(true)` is set.
+//!
+//! [`AdaptiveSession`](crate::AdaptiveSession) — one kernel over one
+//! array, the paper's own workload — is the one-field, one-stage spelling
+//! of this engine, not a second implementation.
+//!
+//! The engine is backend-generic: every method that communicates takes
+//! any [`Comm`] — the virtual-time simulator (`stance_sim::Env`) for
+//! reproducible experiments, or the native thread-pool and TCP process
+//! backends for real-hardware runs, where the load monitor feeds on
+//! measured wall-clock times instead of modelled ones. All such methods
+//! are collectives: every rank of the cluster must call them in the same
+//! order (the SPMD contract of §2).
+//!
+//! With `StanceConfig::with_verification(true)` the session *checks* that
+//! contract as it runs: every schedule build and remap is followed by a
+//! collective audit of the global invariants (intervals tile, ghosts
+//! resolve to owners, send/recv lists pairwise symmetric, derived
+//! orderings deadlock-free — see [`stance_verify`]), each remap's
+//! redistribution plan is audited against the old and new partitions, and
+//! all point-to-point traffic is recorded through a
+//! [`CheckedComm`](stance_verify::CheckedComm) whose trace
+//! [`DataflowSession::verify_protocol`] analyzes collectively. A violated
+//! invariant panics with the full diagnostic report; results stay bitwise
+//! identical either way, and with verification off none of the machinery
+//! is constructed.
 //!
 //! ## Exchange points, fusion and skipping
 //!
@@ -46,18 +77,18 @@
 //! Fusion changes *message count*, never bytes or values: results are
 //! bitwise identical to per-field gathers
 //! ([`StageGraphBuilder::with_fused_exchange`] keeps the unfused
-//! spelling available as the measurement baseline), and a one-field,
-//! one-stage graph reproduces [`AdaptiveSession`](crate::AdaptiveSession)
-//! bit-for-bit — including its load-balance decisions.
+//! spelling available as the measurement baseline; it never overlaps —
+//! an unfused graph runs synchronously even under
+//! `StanceConfig::with_overlap(true)`).
 
 use stance_balance::{
     load_balance_step_measured, Decision, LoadMonitor, MeasuredCosts, RemapScratch,
 };
-use stance_executor::{
-    gather, gather_fused, gather_fused_finish, gather_fused_start, sweep_phase, CommBuffers,
-    ComputeCostModel, GhostedArray, Kernel, LoopStats, SweepTeam,
+use stance_executor::{GhostedArray, Kernel, LoopRunner, LoopStats};
+use stance_inspector::{
+    build_schedule_simple, build_schedule_symmetric_with, CommSchedule, LocalAdjacency,
+    ScheduleScratch, ScheduleStrategy,
 };
-use stance_inspector::{CommSchedule, LocalAdjacency, TranslatedAdjacency};
 use stance_locality::Graph;
 use stance_onedim::BlockPartition;
 use stance_sim::tags::TAG_CHECKPOINT;
@@ -69,14 +100,33 @@ use stance_verify::{
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::config::StanceConfig;
-use crate::session::{build_schedule, SessionReport};
+
+/// Aggregate timing of an adaptive run on one rank.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SessionReport {
+    /// Executor iterations performed.
+    pub iterations: usize,
+    /// Seconds in the compute sweep (virtual on the simulator, wall-clock
+    /// on the native backend).
+    pub compute_time: f64,
+    /// Load-balance checks performed.
+    pub checks: usize,
+    /// Remaps performed.
+    pub remaps: usize,
+    /// Seconds spent in checks (gather + decision + broadcast).
+    pub check_cost: f64,
+    /// Seconds spent remapping (data movement + schedule rebuild).
+    pub rebalance_cost: f64,
+    /// This rank's clock when the run finished.
+    pub total_time: f64,
+}
 
 /// The registry of a session's named per-vertex arrays: one
 /// [`GhostedArray`] per field, addressed by name, plus the per-field
 /// dirty flag the fused exchange uses to skip gathers of fields whose
 /// writers have not run. Field 0 is the session's *primary* field (the
 /// first one registered) — the one whose block the remap pipeline moves
-/// in place of the legacy session's `values`.
+/// straight out of its array's storage.
 pub struct FieldSet<E: Element = f64> {
     names: Vec<String>,
     pub(crate) arrays: Vec<GhostedArray<E>>,
@@ -398,44 +448,51 @@ impl<E: Element> StageGraph<E> {
     }
 }
 
-/// One rank's state for a multi-field adaptive computation: the
-/// [`StageGraph`]'s schedule driven over a [`FieldSet`], with the same
-/// load-balance/remap/checkpoint machinery as
-/// [`AdaptiveSession`](crate::AdaptiveSession) — except that *every*
-/// field is named, moves through remaps automatically, and is
-/// checkpointed under its name. All communicating methods are
-/// collectives (the SPMD contract of §2).
+/// One rank's state for an adaptive computation: the [`StageGraph`]'s
+/// schedule driven over a [`FieldSet`] through the paper's execution
+/// structure — blocks of passes separated by load-balance checks, with
+/// full remaps (data movement + inspector re-run) when the controller
+/// finds one profitable. *Every* field is named, moves through remaps
+/// automatically, and is checkpointed under its name. All communicating
+/// methods are collectives (the SPMD contract of §2).
 pub struct DataflowSession<E: Element = f64> {
     partition: BlockPartition,
     adj: LocalAdjacency,
     graph: StageGraph<E>,
-    schedule: CommSchedule,
-    tadj: TranslatedAdjacency,
+    /// The stage step and everything sized from the schedule (translated
+    /// adjacency, transport and sweep scratch, lane splits) — shared by
+    /// all stages and fields (they live on one mesh, so one inspector
+    /// pass serves all) and rebuilt only on remap, so blocks of passes
+    /// between load-balance checks are allocation-free.
+    runner: LoopRunner<E>,
     fields: FieldSet<E>,
     /// Recycled dirty-filtered fusion group (field indices).
     group: Vec<usize>,
-    /// Combined-size sweep scratch shared by all stages: the owned prefix
-    /// receives sweep outputs and commits by swapping storage with the
-    /// output field's array (stale ghost suffixes are rewritten by the
-    /// next gather before any read — the `LoopRunner` argument).
-    sweep_scratch: Vec<E>,
-    bufs: CommBuffers<E>,
     /// Recycled staging for the non-primary fields' owned blocks during a
     /// remap (the primary moves through `RemapScratch` directly).
     aux_staging: Vec<Vec<E>>,
     monitor: LoadMonitor,
     config: StanceConfig,
+    /// Recycled storage for the whole remap pipeline (plan, message
+    /// staging, destination blocks, adjacency CSR assembly, schedule
+    /// rebuild) — the remap-path counterpart of the runner's
+    /// `CommBuffers`: after the first remap has warmed it up, a remap's
+    /// allocation count is bounded and independent of how many remaps the
+    /// run has already performed.
     scratch: RemapScratch<E>,
+    /// The protocol trace, recording every point-to-point event the
+    /// session's communication performs — `Some` iff
+    /// `StanceConfig::verify` (boxed so the disabled case costs one
+    /// pointer). Analyzed by [`DataflowSession::verify_protocol`].
     verify: Option<Box<RankTrace>>,
-    /// The rank's worker team (`StanceConfig::with_team`), shared by all
-    /// stages; `None` for the single-lane default.
-    team: Option<SweepTeam<E>>,
 }
 
 impl<E: Element> DataflowSession<E> {
-    /// Collective setup with an equal-share initial decomposition.
-    /// `init(name, g)` supplies the initial value of field `name` at
-    /// global element `g`.
+    /// Collective setup with an equal-share initial decomposition (the
+    /// paper's adaptive experiment starts this way: "the graph was
+    /// decomposed assuming all the processors had equal computational
+    /// ratio"). `init(name, g)` supplies the initial value of field
+    /// `name` at global element `g`.
     pub fn setup<C: Comm>(
         env: &mut C,
         mesh: &Graph,
@@ -447,7 +504,14 @@ impl<E: Element> DataflowSession<E> {
         Self::setup_with_partition(env, mesh, partition, graph, init, config)
     }
 
-    /// Collective setup with an explicit initial partition.
+    /// Collective setup with an explicit initial partition (e.g. weighted
+    /// by known machine speeds).
+    ///
+    /// # Panics
+    /// Panics if the partition does not match the cluster and the mesh,
+    /// or if `config.check_interval` or `config.team_threads` is zero
+    /// (both are public fields, so the builder methods' checks can be
+    /// bypassed).
     pub fn setup_with_partition<C: Comm>(
         env: &mut C,
         mesh: &Graph,
@@ -456,6 +520,14 @@ impl<E: Element> DataflowSession<E> {
         init: impl Fn(&str, usize) -> E,
         config: &StanceConfig,
     ) -> Self {
+        assert!(
+            config.check_interval >= 1,
+            "check interval must be at least 1"
+        );
+        assert!(
+            config.team_threads >= 1,
+            "a rank has at least one compute lane"
+        );
         assert_eq!(
             partition.num_procs(),
             env.size(),
@@ -479,20 +551,19 @@ impl<E: Element> DataflowSession<E> {
             let mut env = MaybeChecked::new(env, verify.as_deref_mut());
             build_schedule(&mut env, &partition, &adj, config, &mut scratch.schedule)
         };
-        let tadj = schedule.translate_adjacency(&adj);
-        let bufs = CommBuffers::for_schedule(&schedule);
+        let runner = LoopRunner::new(schedule, &adj, config.compute_cost)
+            .with_overlap(config.overlap_gather)
+            .with_team(config.team_threads);
         if verify.is_some() {
-            let diags = audit_collective(env, partition.n(), &schedule, &adj, &tadj);
+            let diags =
+                audit_collective(env, partition.n(), runner.schedule(), &adj, runner.tadj());
             expect_clean("post-setup schedule audit", &diags);
         }
         let iv = partition.interval_of(env.rank());
-        let ghosts = schedule.num_ghosts() as usize;
         let arrays: Vec<GhostedArray<E>> = graph
             .fields
             .iter()
-            .map(|name| {
-                GhostedArray::from_local(iv.iter().map(|g| init(name, g)).collect(), ghosts)
-            })
+            .map(|name| runner.make_values(iv.iter().map(|g| init(name, g)).collect()))
             .collect();
         let k = graph.fields.len();
         let fields = FieldSet {
@@ -500,28 +571,18 @@ impl<E: Element> DataflowSession<E> {
             arrays,
             dirty: vec![true; k],
         };
-        let sweep_scratch = vec![E::zero(); tadj.buffer_len()];
-        let team = (config.team_threads > 1).then(|| {
-            let mut team = SweepTeam::new(config.team_threads);
-            team.rebuild_splits(&tadj);
-            team
-        });
         DataflowSession {
             partition,
             adj,
             graph,
-            schedule,
-            tadj,
+            runner,
             fields,
             group: Vec::with_capacity(k),
-            sweep_scratch,
-            bufs,
             aux_staging: Vec::new(),
             monitor: LoadMonitor::with_estimator(config.monitor_window, config.estimator),
             config: config.clone(),
             scratch,
             verify,
-            team,
         }
     }
 
@@ -533,7 +594,7 @@ impl<E: Element> DataflowSession<E> {
     /// The current communication schedule (shared by every field — the
     /// fields live on one mesh, so one inspector pass serves all).
     pub fn schedule(&self) -> &CommSchedule {
-        &self.schedule
+        self.runner.schedule()
     }
 
     /// The stage graph driving this session.
@@ -558,40 +619,43 @@ impl<E: Element> DataflowSession<E> {
     }
 
     /// Runs a block of `passes` full passes — each pass executes every
-    /// stage once, in the graph's topological order, with fused
-    /// (dirty-filtered) exchanges at the planned points — and records
-    /// the load measurement. Collective.
+    /// stage once, in the graph's topological order, with the planned
+    /// (dirty-filtered) exchange before each stage — and records the load
+    /// measurement. Collective.
     pub fn run_block<C: Comm>(&mut self, env: &mut C, passes: usize) -> LoopStats {
         let DataflowSession {
             graph,
-            schedule,
-            tadj,
+            runner,
             fields,
             group,
-            sweep_scratch,
-            bufs,
             monitor,
-            config,
             verify,
-            team,
             ..
         } = self;
         let mut env = MaybeChecked::new(env, verify.as_deref_mut());
         let mut stats = LoopStats::default();
         for _ in 0..passes {
-            stats.compute_time += run_one_pass(
-                &mut env,
-                graph,
-                schedule,
-                tadj,
-                fields,
-                group,
-                sweep_scratch,
-                bufs,
-                &config.compute_cost,
-                config.overlap_gather,
-                team.as_mut(),
-            );
+            let mut pass_time = 0.0;
+            for (pos, &si) in graph.order.iter().enumerate() {
+                let stage = &graph.stages[si];
+                group.clear();
+                group.extend(graph.plan[pos].iter().copied().filter(|&f| fields.dirty[f]));
+                pass_time += runner.run_stage(
+                    &mut env,
+                    stage.kernel.as_ref(),
+                    &mut fields.arrays,
+                    group,
+                    graph.fused,
+                    stage.input,
+                    stage.gathered,
+                    stage.output,
+                );
+                for &f in group.iter() {
+                    fields.dirty[f] = false;
+                }
+                fields.dirty[stage.output] = true;
+            }
+            stats.compute_time += pass_time;
             stats.iterations += 1;
         }
         monitor.record(
@@ -612,6 +676,9 @@ impl<E: Element> DataflowSession<E> {
         remaining_passes: usize,
     ) -> (bool, f64, f64) {
         let per_item = self.monitor.per_item_for_check().unwrap_or(0.0);
+        // Calibration (opt-in): charge the profitability rule the costs
+        // this rank has *measured* — the rebuild EWMA and the fitted
+        // movement model — instead of the static hints.
         let measured = if self.config.calibrate_rebuild_cost {
             MeasuredCosts {
                 rebuild: self.monitor.rebuild_cost(),
@@ -639,50 +706,111 @@ impl<E: Element> DataflowSession<E> {
             Decision::Keep => (false, check_cost, 0.0),
             Decision::Remap(new_partition) => {
                 let t1 = env.now_secs();
-                self.apply_remap(env, new_partition);
+                self.apply_remap(env, new_partition, &mut []);
                 (true, check_cost, env.now_secs() - t1)
             }
         }
     }
 
     /// The monitor's current per-item time estimate (seconds per element
-    /// per pass), if any measurement or carried estimate exists.
+    /// per pass), if any measurement or carried estimate exists. Exposed
+    /// for observability: after a remap the estimate is *carried* (it is
+    /// per element, so it survives the block resize), keeping the first
+    /// post-remap check informed even on ranks whose new block records
+    /// nothing.
     pub fn per_item_estimate(&self) -> Option<f64> {
         self.monitor.per_item_time()
     }
 
+    /// The calibrated schedule-rebuild cost (EWMA, seconds), or `None`
+    /// before the first remap.
+    pub(crate) fn calibrated_rebuild_cost(&self) -> Option<f64> {
+        self.monitor.rebuild_cost()
+    }
+
+    /// The calibrated total remap cost (EWMA, seconds), or `None` before
+    /// the first remap.
+    pub(crate) fn calibrated_remap_cost(&self) -> Option<f64> {
+        self.monitor.remap_cost()
+    }
+
     /// Forces a remap to an explicitly chosen partition, moving **every**
     /// field and rebuilding the schedule, without consulting the
-    /// controller. Collective; an identity remap is a no-op.
+    /// controller. Collective — every rank must pass the same
+    /// `new_partition`; an identity remap (the current partition) is a
+    /// no-op.
+    ///
+    /// This is the deterministic repartitioning entry point: benchmarks
+    /// use it to measure remap latency, tests to force churn, and
+    /// applications with out-of-band knowledge (e.g. a scheduler that
+    /// *knows* a machine is about to be withdrawn) to act without waiting
+    /// for the load monitor to notice.
     ///
     /// # Panics
     /// Panics if `new_partition` does not cover the same list with the
     /// same number of ranks.
     pub fn remap_to<C: Comm>(&mut self, env: &mut C, new_partition: BlockPartition) {
+        self.remap_with(env, new_partition, &mut []);
+    }
+
+    /// [`DataflowSession::remap_to`] with caller-owned per-vertex arrays
+    /// riding along — the one private path that serves
+    /// [`AdaptiveSession`](crate::AdaptiveSession)'s aux arguments.
+    pub(crate) fn remap_with<C: Comm>(
+        &mut self,
+        env: &mut C,
+        new_partition: BlockPartition,
+        aux: &mut [&mut Vec<E>],
+    ) {
         assert_eq!(
             new_partition.num_procs(),
             self.partition.num_procs(),
             "partition rank count changed"
         );
         assert_eq!(new_partition.n(), self.partition.n(), "list length changed");
-        self.apply_remap(env, new_partition);
+        self.apply_remap(env, new_partition, aux);
     }
 
     /// Moves every field and the structure to `new_partition` and
-    /// rebuilds the schedule and transport scratch — the multi-field
-    /// counterpart of the legacy session's remap: the primary field's
-    /// block travels through [`RemapScratch`] directly, the others stage
-    /// through recycled buffers, and all of them ride the same coalesced
-    /// message per destination. After the move every dirty flag is set:
+    /// rebuilds the schedule and the runner's scratch. Collective.
+    ///
+    /// The whole pipeline draws on the session's [`RemapScratch`]: the
+    /// redistribution plan is computed once and shared, the primary
+    /// field moves straight out of its `GhostedArray`'s storage (no
+    /// upfront copy), the other registered fields stage through recycled
+    /// buffers, the caller's `aux` arrays (if any) follow them, and all
+    /// of it rides **one** coalesced message per destination (§2 message
+    /// coalescing); the new adjacency assembles into recycled CSR arrays,
+    /// and the schedule/runner rebuild reuses the retired schedule's
+    /// vectors — so after the first remap has warmed the scratch, a
+    /// remap's allocation count is bounded (pinned by
+    /// `tests/alloc_free.rs`). After the move every dirty flag is set:
     /// ghost regions are rebuilt empty, so every field's next gathered
     /// read re-exchanges.
-    fn apply_remap<C: Comm>(&mut self, env: &mut C, new_partition: BlockPartition) {
+    ///
+    /// The measured cost is fed back to the monitor: the schedule-rebuild
+    /// share and the total, both in backend seconds (modelled on the
+    /// simulator, wall clock on native). With
+    /// `StanceConfig::calibrate_rebuild_cost` the next check's
+    /// profitability rule charges the measured rebuild EWMA instead of
+    /// the static hint.
+    fn apply_remap<C: Comm>(
+        &mut self,
+        env: &mut C,
+        new_partition: BlockPartition,
+        aux: &mut [&mut Vec<E>],
+    ) {
         if new_partition == self.partition {
+            // Identity: nothing moves, nothing rebuilds. The controller
+            // never issues identity remaps (zero saving); this guards the
+            // explicit `remap_to` entry point.
             return;
         }
         let t0 = env.now_secs();
         let (moved_messages, moved_elements);
         let plan = self.scratch.take_plan(&self.partition, &new_partition);
+        // The trace is taken for the duration so the redistribution and
+        // rebuild below can wrap `env` while `self` stays borrowable.
         let mut trace = self.verify.take();
         if trace.is_some() {
             let diags = audit_redistribution(&self.partition, &new_partition, &plan);
@@ -696,14 +824,20 @@ impl<E: Element> DataflowSession<E> {
                 staged.clear();
                 staged.extend_from_slice(f.local());
             }
-            let mut aux_refs: Vec<&mut Vec<E>> = self.aux_staging.iter_mut().collect();
+            // Registered fields first, then the caller's arrays. (An
+            // empty chain collects without allocating.)
+            let mut riders: Vec<&mut Vec<E>> = self
+                .aux_staging
+                .iter_mut()
+                .chain(aux.iter_mut().map(|a| &mut **a))
+                .collect();
             self.scratch.redistribute(
                 &mut env,
                 &self.partition,
                 &new_partition,
                 &plan,
                 self.fields.arrays[0].local(),
-                &mut aux_refs,
+                &mut riders,
             );
             let new_adj = self.scratch.redistribute_adjacency(
                 &mut env,
@@ -720,7 +854,11 @@ impl<E: Element> DataflowSession<E> {
         }
         self.partition = new_partition;
 
+        // The schedule-rebuild share: inspector + runner + value buffers.
         let t_rebuild = env.now_secs();
+        // Feed the movement model one (messages, elements, seconds)
+        // observation: the span just measured is exactly the data-movement
+        // share of this remap.
         self.monitor
             .record_movement_cost(moved_messages, moved_elements, t_rebuild - t0);
         let schedule = {
@@ -733,20 +871,12 @@ impl<E: Element> DataflowSession<E> {
                 &mut self.scratch.schedule,
             )
         };
-        schedule.translate_adjacency_into(&self.adj, &mut self.tadj);
-        self.bufs.rebuild(&schedule);
-        let retired = std::mem::replace(&mut self.schedule, schedule);
+        let retired = self.runner.rebuild(schedule, &self.adj);
         self.scratch.schedule.recycle(retired);
-        let ghosts = self.schedule.num_ghosts() as usize;
-        self.fields.arrays[0].rebuild_from(self.scratch.primary_block(), ghosts);
+        self.runner
+            .reset_values(&mut self.fields.arrays[0], self.scratch.primary_block());
         for (f, staged) in self.fields.arrays[1..].iter_mut().zip(&self.aux_staging) {
-            f.rebuild_from(staged, ghosts);
-        }
-        self.sweep_scratch.resize(self.tadj.buffer_len(), E::zero());
-        // Lane splits derive from the new run classification; the team's
-        // threads and staging capacity are recycled.
-        if let Some(team) = &mut self.team {
-            team.rebuild_splits(&self.tadj);
+            self.runner.reset_values(f, staged);
         }
         for d in &mut self.fields.dirty {
             *d = true;
@@ -755,12 +885,15 @@ impl<E: Element> DataflowSession<E> {
         self.monitor.record_remap_cost(now - t_rebuild, now - t0);
         self.verify = trace;
         if self.verify.is_some() {
+            // The rebuilt schedule must satisfy the same global contract
+            // the setup schedule did (audit messages are charged after the
+            // remap cost is recorded, so calibration stays unpolluted).
             let diags = audit_collective(
                 env,
                 self.partition.n(),
-                &self.schedule,
+                self.runner.schedule(),
                 &self.adj,
-                &self.tadj,
+                self.runner.tadj(),
             );
             expect_clean("post-remap schedule audit", &diags);
         }
@@ -769,16 +902,40 @@ impl<E: Element> DataflowSession<E> {
 
     /// Checkpoints the session collectively: allgathers every rank's
     /// recovery state (monitor snapshot + every field's owned block) on
-    /// `TAG_CHECKPOINT` and assembles the same replicated
-    /// [`SessionCheckpoint`] on every rank. Every field is recorded
-    /// **under its name** — the blob identifies fields by name, not
-    /// position, and [`DataflowSession::restore`] validates the names
+    /// the reserved checkpoint tag and assembles the same replicated
+    /// [`SessionCheckpoint`] on every rank — so any subset of survivors
+    /// can later restore without help from the dead. Every field is
+    /// recorded **under its name** — the blob identifies fields by name,
+    /// not position, and [`DataflowSession::restore`] validates the names
     /// against the restoring graph.
     pub fn checkpoint<C: Comm>(&mut self, env: &mut C) -> SessionCheckpoint<E> {
+        self.checkpoint_with(env, &[])
+    }
+
+    /// [`DataflowSession::checkpoint`] with caller-owned per-vertex
+    /// slices appended after the registered fields, recorded under the
+    /// generated names `"aux0"`, `"aux1"`, … — the one private path that
+    /// serves [`AdaptiveSession`](crate::AdaptiveSession)'s aux
+    /// arguments.
+    pub(crate) fn checkpoint_with<C: Comm>(
+        &mut self,
+        env: &mut C,
+        aux: &[&[E]],
+    ) -> SessionCheckpoint<E> {
+        let owned = self.fields.arrays[0].local_len();
+        for (i, a) in aux.iter().enumerate() {
+            assert_eq!(
+                a.len(),
+                owned,
+                "aux slice {i} has {} elements for a {owned}-element block",
+                a.len()
+            );
+        }
         let mut bytes = Vec::new();
         crate::checkpoint::write_snapshot(&self.monitor.snapshot(), &mut bytes);
-        for f in &self.fields.arrays {
-            E::pack_into(f.local(), &mut bytes);
+        let blocks = self.fields.arrays.iter().map(GhostedArray::local);
+        for block in blocks.chain(aux.iter().copied()) {
+            E::pack_into(block, &mut bytes);
         }
         let parts = {
             let mut env = MaybeChecked::new(env, self.verify.as_deref_mut());
@@ -786,7 +943,7 @@ impl<E: Element> DataflowSession<E> {
         };
         let n = self.partition.n();
         let p = self.partition.num_procs();
-        let k = self.fields.arrays.len();
+        let k = self.fields.arrays.len() + aux.len();
         let mut monitors = Vec::with_capacity(p);
         let mut globals: Vec<Vec<E>> = (0..k).map(|_| vec![E::zero(); n]).collect();
         for (rank, payload) in parts.into_iter().enumerate() {
@@ -801,9 +958,9 @@ impl<E: Element> DataflowSession<E> {
         }
         let mut globals = globals.into_iter();
         let values = globals.next().expect("a graph has at least one field");
-        let aux = self.graph.fields[1..]
-            .iter()
-            .cloned()
+        let names = self.graph.fields[1..].iter().cloned();
+        let aux = names
+            .chain((0..aux.len()).map(|i| format!("aux{i}")))
             .zip(globals)
             .collect();
         SessionCheckpoint {
@@ -818,17 +975,44 @@ impl<E: Element> DataflowSession<E> {
     }
 
     /// Collective restore from a [`SessionCheckpoint`], onto **any** rank
-    /// count (same semantics as the legacy session's restore: same width
-    /// reinstalls partition and monitors bit-for-bit, a different width
-    /// starts uniform with fresh monitors). The checkpoint's field
-    /// records are matched to the graph **by name**: a checkpoint
-    /// missing a graph field, holding an unknown field, or naming a
-    /// different primary is rejected — never zipped by position.
+    /// count — this is the recovery entry point for shrink-onto-survivors
+    /// (pass a [`SurvivorComm`](stance_sim::SurvivorComm) wrapping the
+    /// backend) as well as plain same-width restarts.
+    ///
+    /// Restoring onto the checkpoint's own rank count reinstalls the
+    /// partition *and* every rank's monitor snapshot bit-for-bit; a
+    /// different rank count starts from [`BlockPartition::uniform`] and
+    /// fresh monitors (a redistribution plan cannot cross rank counts, and
+    /// fresh monitors keep a recovered run identical to a clean start
+    /// from the same blob). The checkpoint's field records are matched to
+    /// the graph **by name**: a checkpoint missing a graph field, holding
+    /// an unknown field, or naming a different primary is rejected —
+    /// never zipped by position.
     ///
     /// # Panics
     /// Panics if `mesh` does not have the checkpoint's element count or
     /// the field names do not match the graph exactly.
     pub fn restore<C: Comm>(
+        env: &mut C,
+        mesh: &Graph,
+        graph: StageGraph<E>,
+        ckpt: &SessionCheckpoint<E>,
+        config: &StanceConfig,
+    ) -> Self {
+        assert_eq!(
+            ckpt.aux().len(),
+            graph.fields.len() - 1,
+            "checkpoint holds {} auxiliary fields for a {}-field graph",
+            ckpt.aux().len(),
+            graph.fields.len()
+        );
+        Self::restore_registered(env, mesh, graph, ckpt, config)
+    }
+
+    /// [`DataflowSession::restore`] that tolerates records beyond the
+    /// graph's fields (the façade's caller-owned aux arrays, which it
+    /// hands back to the caller instead).
+    pub(crate) fn restore_registered<C: Comm>(
         env: &mut C,
         mesh: &Graph,
         graph: StageGraph<E>,
@@ -848,13 +1032,6 @@ impl<E: Element> DataflowSession<E> {
             "checkpoint primary field {:?} does not match graph field {:?}",
             ckpt.primary_name(),
             graph.fields[0]
-        );
-        assert_eq!(
-            ckpt.aux().len(),
-            graph.fields.len() - 1,
-            "checkpoint holds {} auxiliary fields for a {}-field graph",
-            ckpt.aux().len(),
-            graph.fields.len()
         );
         for name in &graph.fields[1..] {
             assert!(
@@ -884,9 +1061,16 @@ impl<E: Element> DataflowSession<E> {
         session
     }
 
-    /// Analyzes the protocol traces recorded so far — identical
-    /// semantics to
-    /// [`AdaptiveSession::verify_protocol`](crate::AdaptiveSession::verify_protocol).
+    /// Analyzes the protocol traces recorded so far: allgathers every
+    /// rank's [`RankTrace`] and runs the offline analyzer over the full
+    /// set (unmatched sends, phantom receives, payload-shape mismatches,
+    /// leaked requests, barrier-arity mismatches, epoch-crossing
+    /// messages — see [`stance_verify::analyze_traces`]). Every rank
+    /// returns the same diagnostics; an empty vector means the traffic
+    /// obeyed the protocol. Collective when verification is enabled;
+    /// with it disabled there is nothing recorded and nothing to agree
+    /// on, so this returns empty without communicating (the config is
+    /// replicated, so all ranks skip together).
     pub fn verify_protocol<C: Comm>(&mut self, env: &mut C) -> Vec<Diagnostic> {
         match self.verify.as_deref() {
             None => Vec::new(),
@@ -900,9 +1084,9 @@ impl<E: Element> DataflowSession<E> {
         self.verify.as_deref()
     }
 
-    /// The paper's full execution structure over passes: blocks of
-    /// `check_interval` passes separated by load-balance checks, for
-    /// `total_passes` passes. Collective.
+    /// The paper's full execution structure: blocks of `check_interval`
+    /// passes separated by load-balance checks, for `total_passes`
+    /// passes. Collective.
     pub fn run_adaptive<C: Comm>(&mut self, env: &mut C, total_passes: usize) -> SessionReport {
         let mut report = SessionReport::default();
         let mut done = 0;
@@ -928,158 +1112,43 @@ impl<E: Element> DataflowSession<E> {
     }
 }
 
-/// One pass: every stage once, in topological order, with the planned
-/// (dirty-filtered) exchange before each stage. Returns the pass's
-/// compute-sweep seconds (the load monitor's sample). The per-stage
-/// structure mirrors `LoopRunner::apply` exactly — gather (or split
-/// start), charge, sweep, (finish, charge, sweep boundary) — so a
-/// one-field, one-stage graph is bitwise **and** clockwise identical to
-/// the legacy runner.
-#[allow(clippy::too_many_arguments)]
-fn run_one_pass<E: Element, C: Comm>(
+/// Builds the schedule with the configured strategy, charging inspector
+/// work to the rank's clock. Collective for [`ScheduleStrategy::Simple`].
+/// The symmetric builders draw their working storage from `scratch`
+/// (recycled across remaps); the simple strategy's three communication
+/// rounds allocate as they always did — its cost is dominated by the
+/// messages, not the allocator.
+fn build_schedule<C: Comm>(
     env: &mut C,
-    graph: &StageGraph<E>,
-    schedule: &CommSchedule,
-    tadj: &TranslatedAdjacency,
-    fields: &mut FieldSet<E>,
-    group: &mut Vec<usize>,
-    sweep_scratch: &mut Vec<E>,
-    bufs: &mut CommBuffers<E>,
-    cost: &ComputeCostModel,
-    overlap: bool,
-    mut team: Option<&mut SweepTeam<E>>,
-) -> f64 {
-    let local_len = tadj.len();
-    let mut compute_time = 0.0;
-    for (pos, &si) in graph.order.iter().enumerate() {
-        let stage = &graph.stages[si];
-        group.clear();
-        group.extend(graph.plan[pos].iter().copied().filter(|&f| fields.dirty[f]));
-        let kernel = stage.kernel.as_ref();
-        if graph.fused && overlap && !group.is_empty() {
-            gather_fused_start(env, schedule, &fields.arrays, group, cost, bufs);
-            if stage.gathered && group.contains(&stage.input) {
-                // The exchange in flight carries this stage's own input:
-                // sweep the interior (no ghost references) while the
-                // bytes travel, land them, sweep the boundary.
-                let interior_work = kernel.cost(cost, tadj.num_interior(), tadj.interior_refs());
-                let boundary_work = kernel.cost(cost, tadj.num_boundary(), tadj.boundary_refs());
-                let t0 = env.now_secs();
-                env.compute(interior_work);
-                match team.as_deref_mut() {
-                    Some(t) => t.sweep_interior(
-                        kernel,
-                        tadj,
-                        fields.arrays[stage.input].combined(),
-                        &mut sweep_scratch[..local_len],
-                    ),
-                    None => sweep_phase(
-                        kernel,
-                        tadj,
-                        fields.arrays[stage.input].combined(),
-                        &mut sweep_scratch[..local_len],
-                        tadj.interior_runs(),
-                    ),
-                }
-                let interior_time = env.now_secs() - t0;
-                gather_fused_finish(env, schedule, &mut fields.arrays, group, cost, bufs);
-                let t1 = env.now_secs();
-                env.compute(boundary_work);
-                sweep_phase(
-                    kernel,
-                    tadj,
-                    fields.arrays[stage.input].combined(),
-                    &mut sweep_scratch[..local_len],
-                    tadj.boundary_runs(),
-                );
-                compute_time += interior_time + env.now_secs() - t1;
-            } else {
-                // The in-flight fields are not read by this stage (its
-                // input's ghosts are already clean, or it reads owned
-                // entries only): the whole sweep overlaps the exchange.
-                let work = kernel.cost(cost, local_len, tadj.num_refs());
-                let t0 = env.now_secs();
-                env.compute(work);
-                match team.as_deref_mut() {
-                    Some(t) => t.sweep_full(
-                        kernel,
-                        tadj,
-                        fields.arrays[stage.input].combined(),
-                        &mut sweep_scratch[..local_len],
-                    ),
-                    None => kernel.sweep(
-                        tadj,
-                        fields.arrays[stage.input].combined(),
-                        &mut sweep_scratch[..local_len],
-                    ),
-                }
-                compute_time += env.now_secs() - t0;
-                gather_fused_finish(env, schedule, &mut fields.arrays, group, cost, bufs);
-            }
-        } else {
-            if graph.fused {
-                gather_fused(env, schedule, &mut fields.arrays, group, cost, bufs);
-            } else {
-                for &f in group.iter() {
-                    gather(env, schedule, &mut fields.arrays[f], cost, bufs);
-                }
-            }
-            let work = kernel.cost(cost, local_len, tadj.num_refs());
-            let t0 = env.now_secs();
-            env.compute(work);
-            match team.as_deref_mut() {
-                Some(t) => t.sweep_full(
-                    kernel,
-                    tadj,
-                    fields.arrays[stage.input].combined(),
-                    &mut sweep_scratch[..local_len],
-                ),
-                None => kernel.sweep(
-                    tadj,
-                    fields.arrays[stage.input].combined(),
-                    &mut sweep_scratch[..local_len],
-                ),
-            }
-            compute_time += env.now_secs() - t0;
+    partition: &BlockPartition,
+    adj: &LocalAdjacency,
+    config: &StanceConfig,
+    scratch: &mut ScheduleScratch,
+) -> CommSchedule {
+    match config.schedule_strategy {
+        ScheduleStrategy::Sort1 | ScheduleStrategy::Sort2 => {
+            let (schedule, work) = build_schedule_symmetric_with(
+                partition,
+                adj,
+                env.rank(),
+                config.schedule_strategy,
+                scratch,
+            );
+            env.compute(config.inspector_cost.seconds(&work));
+            schedule
         }
-        for &f in group.iter() {
-            fields.dirty[f] = false;
+        ScheduleStrategy::Simple => {
+            build_schedule_simple(env, partition, adj, &config.inspector_cost)
         }
-        fields.arrays[stage.output].swap_data(sweep_scratch);
-        fields.dirty[stage.output] = true;
     }
-    compute_time
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prelude::*;
-    use crate::session::AdaptiveSession;
+    use crate::testkit::{init, mesh, test_balancer};
     use stance_executor::{sequential_relaxation, RelaxationKernel};
-    use stance_locality::meshgen;
-
-    fn init(g: usize) -> f64 {
-        (g as f64).cos() * 5.0
-    }
-
-    fn mesh() -> Graph {
-        let raw = meshgen::triangulated_grid(12, 10, 0.4, 3);
-        crate::prepare_mesh(&raw, OrderingMethod::Rcb).0
-    }
-
-    fn test_balancer() -> BalancerConfig {
-        BalancerConfig {
-            redist_model: RedistCostModel {
-                per_message: 1.0e-4,
-                per_element: 1.0e-7,
-            },
-            rebuild_cost_hint: 1.0e-4,
-            profitability_margin: 1.0,
-            use_mcr: true,
-            mode: ControllerMode::Centralized,
-        }
-    }
 
     /// A one-stage relaxation graph over field `y`.
     fn relax_graph(fused: bool) -> StageGraph<f64> {
@@ -1130,44 +1199,45 @@ mod tests {
             .build();
     }
 
-    /// A one-field, one-stage dataflow session must reproduce the legacy
-    /// `AdaptiveSession` bit-for-bit — values, partitions, and the
-    /// controller's remap decisions — under forced load.
-    #[test]
-    fn single_stage_graph_is_a_faithful_adapter() {
+    /// `check_interval` and `team_threads` are public fields, so the
+    /// builder methods' checks can be bypassed; setup re-validates both —
+    /// a zero interval used to spin `run_adaptive` forever.
+    fn setup_after(poke: impl Fn(&mut StanceConfig), facade: bool) {
         let m = mesh();
-        let iters = 40;
-        let mut config = StanceConfig::default().with_check_interval(10);
-        config.balancer = test_balancer();
-        let spec = || {
-            ClusterSpec::uniform(3)
-                .with_network(NetworkSpec::zero_cost())
-                .with_load(0, LoadTimeline::constant(1.0 / 3.0))
-        };
-        let legacy: Vec<_> = {
-            let (m, config) = (m.clone(), config.clone());
-            Cluster::new(spec())
-                .run(move |env| {
-                    let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
-                    let rep = s.run_adaptive(env, iters);
-                    (rep, s.local_values().to_vec(), s.partition().sizes())
-                })
-                .into_results()
-        };
-        let dataflow: Vec<_> = Cluster::new(spec())
-            .run(move |env| {
-                let mut s =
-                    DataflowSession::setup(env, &m, relax_graph(true), |_, g| init(g), &config);
-                let rep = s.run_adaptive(env, iters);
-                (rep, s.local("y").to_vec(), s.partition().sizes())
-            })
-            .into_results();
-        assert!(legacy[0].0.remaps >= 1, "load must force a remap");
-        for (l, d) in legacy.iter().zip(&dataflow) {
-            assert_eq!(l.0.remaps, d.0.remaps, "remap decisions diverged");
-            assert_eq!(l.1, d.1, "values diverged");
-            assert_eq!(l.2, d.2, "partitions diverged");
-        }
+        let mut config = StanceConfig::free();
+        poke(&mut config);
+        let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
+        Cluster::new(spec).run(|env| {
+            if facade {
+                let _ = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
+            } else {
+                let _ = DataflowSession::setup(env, &m, relax_graph(true), |_, g| init(g), &config);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "check interval must be at least 1")]
+    fn zero_check_interval_is_rejected_at_setup() {
+        setup_after(|c| c.check_interval = 0, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "check interval must be at least 1")]
+    fn zero_check_interval_is_rejected_through_the_facade() {
+        setup_after(|c| c.check_interval = 0, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "a rank has at least one compute lane")]
+    fn zero_team_threads_is_rejected_at_setup() {
+        setup_after(|c| c.team_threads = 0, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "a rank has at least one compute lane")]
+    fn zero_team_threads_is_rejected_through_the_facade() {
+        setup_after(|c| c.team_threads = 0, true);
     }
 
     /// Two independent relaxation fields and one inert field: both relax
@@ -1420,6 +1490,85 @@ mod tests {
             expected,
             "remap chain diverged from sequential"
         );
+    }
+
+    /// A registered field must land on the same owners as the primary when
+    /// the **controller** (not a forced `remap_to`) moves the partition.
+    #[test]
+    fn registered_fields_follow_a_controller_remap() {
+        let m = mesh();
+        let mut config = StanceConfig::default().with_check_interval(10);
+        config.balancer = test_balancer();
+        let spec = ClusterSpec::uniform(2)
+            .with_network(NetworkSpec::zero_cost())
+            .with_load(0, LoadTimeline::constant(1.0 / 3.0));
+        let report = Cluster::new(spec).run(|env| {
+            let graph = StageGraphBuilder::new()
+                .field("y")
+                .field("aux")
+                .stage("relax", RelaxationKernel, "y", "y")
+                .build();
+            // aux[g] = 3g so ownership is trivially checkable.
+            let init2 = |name: &str, g| if name == "y" { init(g) } else { 3.0 * g as f64 };
+            let mut s = DataflowSession::setup(env, &m, graph, init2, &config);
+            let mut remapped_once = false;
+            for _ in 0..4 {
+                s.run_block(env, 10);
+                let (remapped, _, _) = s.check_and_rebalance(env, 10);
+                remapped_once |= remapped;
+            }
+            let iv = s.partition().interval_of(env.rank());
+            assert_eq!(
+                s.local("aux").len(),
+                iv.len(),
+                "field follows the partition"
+            );
+            for (offset, g) in iv.iter().enumerate() {
+                assert_eq!(s.local("aux")[offset], 3.0 * g as f64, "element strayed");
+            }
+            remapped_once
+        });
+        assert!(
+            report.into_results().into_iter().all(|r| r),
+            "the forced load should have remapped at least once"
+        );
+    }
+
+    /// The private aux path behind the façade: caller-owned arrays ride
+    /// *after* the registered fields' staging in a remap, and are
+    /// recorded after them (as `"aux0"`, …) in a checkpoint.
+    #[test]
+    fn caller_arrays_ride_after_registered_fields() {
+        let m = mesh();
+        let config = StanceConfig::free();
+        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
+        Cluster::new(spec).run(|env| {
+            let graph = StageGraphBuilder::new()
+                .field("y")
+                .field("tag")
+                .stage("relax", RelaxationKernel, "y", "y")
+                .build();
+            let init2 = |name: &str, g| if name == "y" { init(g) } else { 3.0 * g as f64 };
+            let mut s = DataflowSession::setup(env, &m, graph, init2, &config);
+            let iv = s.partition().interval_of(env.rank());
+            let mut mine: Vec<f64> = iv.iter().map(|g| -(g as f64)).collect();
+            s.remap_with(
+                env,
+                BlockPartition::from_sizes(&[20, 40, 60]),
+                &mut [&mut mine],
+            );
+            let iv = s.partition().interval_of(env.rank());
+            assert_eq!(mine.len(), iv.len());
+            for (offset, g) in iv.iter().enumerate() {
+                assert_eq!(s.local("tag")[offset], 3.0 * g as f64, "field strayed");
+                assert_eq!(mine[offset], -(g as f64), "caller array strayed");
+            }
+            let ckpt = s.checkpoint_with(env, &[&mine]);
+            let names: Vec<&str> = ckpt.field_names().collect();
+            assert_eq!(names, ["y", "tag", "aux0"]);
+            let global = ckpt.field("aux0").expect("caller array recorded");
+            assert!(global.iter().enumerate().all(|(g, &v)| v == -(g as f64)));
+        });
     }
 
     /// Named checkpoint round trip: a restored session continues

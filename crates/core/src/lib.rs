@@ -25,7 +25,7 @@
 //! The runtime owns partitioning, ghost exchange, scheduling and load
 //! balancing; the *application* supplies exactly two things:
 //!
-//! * an [`Element`](sim::Element) — the fixed-size, `Copy`, byte-serializable
+//! * an [`Element`] — the fixed-size, `Copy`, byte-serializable
 //!   per-vertex state (`f64` for the paper's arrays, `[f64; K]` for
 //!   multi-field state, or any custom record);
 //! * a [`Kernel`](executor::Kernel) — the sweep that reads the gathered
@@ -205,6 +205,37 @@ pub mod prelude {
         Cluster, ClusterSpec, Comm, Element, Env, LoadTimeline, MachineSpec, NetworkSpec, Payload,
         SurvivorComm, Tag,
     };
+}
+
+/// Fixtures shared by the session unit tests.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use crate::prelude::*;
+
+    pub fn init(g: usize) -> f64 {
+        (g as f64).cos() * 5.0
+    }
+
+    pub fn mesh() -> Graph {
+        let raw = stance_locality::meshgen::triangulated_grid(12, 10, 0.4, 3);
+        crate::prepare_mesh(&raw, OrderingMethod::Rcb).0
+    }
+
+    /// A balancer scaled to the tiny test mesh: the default hints assume the
+    /// paper's 30k-vertex workload, where remap costs are repaid in a few
+    /// iterations; at 120 vertices they would never be.
+    pub fn test_balancer() -> BalancerConfig {
+        BalancerConfig {
+            redist_model: RedistCostModel {
+                per_message: 1.0e-4,
+                per_element: 1.0e-7,
+            },
+            rebuild_cost_hint: 1.0e-4,
+            profitability_margin: 1.0,
+            use_mcr: true,
+            mode: ControllerMode::Centralized,
+        }
+    }
 }
 
 #[cfg(test)]

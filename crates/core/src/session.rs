@@ -1,121 +1,72 @@
-//! The adaptive session: Phases A–D wired together on each rank.
+//! The adaptive session: the paper's own workload — one kernel sweeping
+//! one per-vertex array — as a typed façade over the session engine.
 //!
-//! An [`AdaptiveSession`] owns one rank's share of the computation — its
-//! partition interval, mesh rows, communication schedule, ghosted values and
-//! load monitor — and drives the paper's execution structure: blocks of
-//! executor iterations separated by load-balance checks, with full remaps
-//! (data movement + inspector re-run) when the controller finds one
-//! profitable.
+//! There is one engine, [`DataflowSession`]: named fields, a stage graph,
+//! blocks of passes separated by load-balance checks, remaps, checkpoints
+//! (see [`crate::dataflow`]). An [`AdaptiveSession`] *is* that engine
+//! driven by the one-field (`"values"`), one-stage graph `values →
+//! values`, with the field name spelled for you: [`local_values`] is
+//! `local("values")`, [`run_block`] runs passes of the single stage, and
+//! every collective (check, remap, checkpoint, restore, protocol
+//! verification) is the engine's own. Nothing about the execution
+//! structure lives here — a one-field [`DataflowSession`] built by hand
+//! behaves bit-for-bit the same, down to the virtual clock.
 //!
 //! The session is generic over the application: `E` is the per-vertex
-//! [`Element`](stance_sim::Element) and `K` the [`Kernel`] sweeping it.
-//! Communication scratch lives in the session's [`LoopRunner`]
-//! (`CommBuffers`, sized from the schedule and rebuilt only on remap), so
-//! blocks of executor iterations between load-balance checks are
-//! allocation-free. The
-//! paper's relaxation is `AdaptiveSession<f64, RelaxationKernel>` (the
-//! default parameters); the CG example runs
-//! `AdaptiveSession<f64, LaplacianKernel>` and keeps its solver vectors
-//! consistent across remaps with [`AdaptiveSession::check_and_rebalance_named`].
+//! [`Element`] and the [`Kernel`] sweeping it is handed to
+//! [`AdaptiveSession::setup`] (it must be `'static` — the stage graph
+//! owns it). The paper's relaxation is
+//! `AdaptiveSession::setup(env, &mesh, RelaxationKernel, init, &config)`.
 //!
-//! With `StanceConfig::with_overlap(true)` the session's runner uses the
-//! split-phase gather — the ghost exchange is posted, interior vertices
-//! are swept while bytes are in flight, and boundary vertices after it
-//! completes. The setting is numerically free (bitwise-identical results,
-//! pinned by `tests/backend_equivalence.rs`) and survives remaps: the
-//! rebuilt schedule re-classifies interior/boundary, the runner keeps the
-//! flag.
+//! What the façade adds over the engine is the **caller-owned aux
+//! array** convention: [`AdaptiveSession::remap_to`] and
+//! [`AdaptiveSession::checkpoint`] accept per-vertex arrays the session
+//! does not own and carry them along, identified by position (and
+//! recorded as `"aux0"`, `"aux1"`, … in checkpoints). Applications whose
+//! extra arrays must also follow *controller-driven* remaps register them
+//! as fields of a [`DataflowSession`] instead — registered fields move
+//! and checkpoint under their own names, automatically.
 //!
-//! The session is backend-generic: every method that communicates takes
-//! any [`Comm`] — the virtual-time simulator (`stance_sim::Env`) for
-//! reproducible experiments, or the native thread-pool backend
-//! (`stance-native`) for real-hardware runs, where the load monitor feeds
-//! on measured wall-clock times instead of modelled ones. All such methods
-//! are collectives: every rank of the cluster must call them in the same
-//! order (the SPMD contract of §2).
-//!
-//! With `StanceConfig::with_verification(true)` the session *checks* that
-//! contract as it runs: every schedule build and remap is followed by a
-//! collective audit of the global invariants (intervals tile, ghosts
-//! resolve to owners, send/recv lists pairwise symmetric, derived
-//! orderings deadlock-free — see [`stance_verify`]), each remap's
-//! redistribution plan is audited against the old and new partitions, and
-//! all point-to-point traffic is recorded through a
-//! [`CheckedComm`](stance_verify::CheckedComm) whose trace
-//! [`AdaptiveSession::verify_protocol`] analyzes collectively. A violated
-//! invariant panics with the full diagnostic report; results stay bitwise
-//! identical either way, and with verification off none of the machinery
-//! is constructed.
+//! [`local_values`]: AdaptiveSession::local_values
+//! [`run_block`]: AdaptiveSession::run_block
 
-use stance_balance::{
-    load_balance_step_measured, Decision, LoadMonitor, MeasuredCosts, RemapScratch,
-};
-use stance_executor::{GhostedArray, Kernel, LoopRunner, LoopStats, RelaxationKernel};
-use stance_inspector::{
-    build_schedule_simple, build_schedule_symmetric_with, CommSchedule, LocalAdjacency,
-    ScheduleScratch, ScheduleStrategy,
-};
+use stance_executor::{Kernel, LoopStats};
+use stance_inspector::CommSchedule;
 use stance_locality::Graph;
 use stance_onedim::BlockPartition;
-use stance_sim::tags::TAG_CHECKPOINT;
-use stance_sim::{Comm, Element, Payload};
-use stance_verify::{
-    analyze_collective, audit_collective, audit_redistribution, expect_clean, Diagnostic,
-    MaybeChecked, RankTrace,
-};
+use stance_sim::{Comm, Element};
+use stance_verify::{Diagnostic, RankTrace};
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::config::StanceConfig;
+use crate::dataflow::{DataflowSession, StageGraph, StageGraphBuilder};
 
-/// Aggregate timing of an adaptive run on one rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SessionReport {
-    /// Executor iterations performed.
-    pub iterations: usize,
-    /// Seconds in the compute sweep (virtual on the simulator, wall-clock
-    /// on the native backend).
-    pub compute_time: f64,
-    /// Load-balance checks performed.
-    pub checks: usize,
-    /// Remaps performed.
-    pub remaps: usize,
-    /// Seconds spent in checks (gather + decision + broadcast).
-    pub check_cost: f64,
-    /// Seconds spent remapping (data movement + schedule rebuild).
-    pub rebalance_cost: f64,
-    /// This rank's clock when the run finished.
-    pub total_time: f64,
+pub use crate::dataflow::SessionReport;
+
+/// The façade's single field.
+const VALUES: &str = "values";
+
+/// The one-field, one-stage graph `values → values`.
+fn one_stage<E: Element>(kernel: impl Kernel<E> + 'static) -> StageGraph<E> {
+    StageGraphBuilder::new()
+        .field(VALUES)
+        .stage("sweep", kernel, VALUES, VALUES)
+        .build()
 }
 
-/// One rank's state for the adaptive computation.
-pub struct AdaptiveSession<E: Element = f64, K: Kernel<E> = RelaxationKernel> {
-    partition: BlockPartition,
-    adj: LocalAdjacency,
-    runner: LoopRunner<E, K>,
-    values: GhostedArray<E>,
-    monitor: LoadMonitor,
-    config: StanceConfig,
-    /// Recycled storage for the whole remap pipeline (plan, message
-    /// staging, destination blocks, adjacency CSR assembly, schedule
-    /// rebuild) — the remap-path counterpart of the runner's
-    /// `CommBuffers`: after the first remap has warmed it up, a remap's
-    /// allocation count is bounded and independent of how many remaps the
-    /// run has already performed.
-    scratch: RemapScratch<E>,
-    /// The protocol trace, recording every point-to-point event the
-    /// session's communication performs — `Some` iff
-    /// `StanceConfig::verify` (boxed so the disabled case costs one
-    /// pointer). Analyzed by [`AdaptiveSession::verify_protocol`].
-    verify: Option<Box<RankTrace>>,
+/// One rank's state for the adaptive computation of one kernel over one
+/// array — see the module docs.
+pub struct AdaptiveSession<E: Element = f64> {
+    engine: DataflowSession<E>,
 }
 
-impl<E: Element, K: Kernel<E>> AdaptiveSession<E, K> {
+impl<E: Element> AdaptiveSession<E> {
     /// Collective setup with an equal-share initial decomposition (the
     /// paper's adaptive experiment starts this way: "the graph was
     /// decomposed assuming all the processors had equal computational
     /// ratio"). The application supplies its `kernel` and the initial value
     /// `init(g)` of every global element `g`.
-    pub fn setup<C: Comm>(
+    pub fn setup<C: Comm, K: Kernel<E> + 'static>(
         env: &mut C,
         graph: &Graph,
         kernel: K,
@@ -128,7 +79,7 @@ impl<E: Element, K: Kernel<E>> AdaptiveSession<E, K> {
 
     /// Collective setup with an explicit initial partition (e.g. weighted by
     /// known machine speeds).
-    pub fn setup_with_partition<C: Comm>(
+    pub fn setup_with_partition<C: Comm, K: Kernel<E> + 'static>(
         env: &mut C,
         graph: &Graph,
         partition: BlockPartition,
@@ -136,60 +87,23 @@ impl<E: Element, K: Kernel<E>> AdaptiveSession<E, K> {
         init: impl Fn(usize) -> E,
         config: &StanceConfig,
     ) -> Self {
-        assert_eq!(
-            partition.num_procs(),
-            env.size(),
-            "partition has {} blocks for {} ranks",
-            partition.num_procs(),
-            env.size()
-        );
-        assert_eq!(
-            partition.n(),
-            graph.num_vertices(),
-            "partition covers {} elements for a {}-vertex graph",
-            partition.n(),
-            graph.num_vertices()
-        );
-        let adj = LocalAdjacency::extract(graph, &partition, env.rank());
-        let mut scratch = RemapScratch::new();
-        let mut verify = config
-            .verify
-            .then(|| Box::new(RankTrace::new(env.rank(), env.size())));
-        let schedule = {
-            let mut env = MaybeChecked::new(env, verify.as_deref_mut());
-            build_schedule(&mut env, &partition, &adj, config, &mut scratch.schedule)
-        };
-        let runner = LoopRunner::new(schedule, &adj, config.compute_cost, kernel)
-            .with_overlap(config.overlap_gather)
-            .with_team(config.team_threads);
-        if verify.is_some() {
-            let diags =
-                audit_collective(env, partition.n(), runner.schedule(), &adj, runner.tadj());
-            expect_clean("post-setup schedule audit", &diags);
-        }
-        let iv = partition.interval_of(env.rank());
-        let local: Vec<E> = iv.iter().map(&init).collect();
-        let values = runner.make_values(local);
+        let stages = one_stage(kernel);
+        let init = |_: &str, g| init(g);
         AdaptiveSession {
-            partition,
-            adj,
-            runner,
-            values,
-            monitor: LoadMonitor::with_estimator(config.monitor_window, config.estimator),
-            config: config.clone(),
-            scratch,
-            verify,
+            engine: DataflowSession::setup_with_partition(
+                env, graph, partition, stages, init, config,
+            ),
         }
     }
 
     /// The current partition.
     pub fn partition(&self) -> &BlockPartition {
-        &self.partition
+        self.engine.partition()
     }
 
     /// This rank's owned values (in interval order).
     pub fn local_values(&self) -> &[E] {
-        self.values.local()
+        self.engine.local(VALUES)
     }
 
     /// Replaces this rank's owned values (for workloads that recompute
@@ -199,48 +113,18 @@ impl<E: Element, K: Kernel<E>> AdaptiveSession<E, K> {
     /// # Panics
     /// Panics if `values` does not match the rank's current interval.
     pub fn set_local_values(&mut self, values: &[E]) {
-        self.values.set_local(values);
+        self.engine.set_local(VALUES, values);
     }
 
     /// The current communication schedule.
     pub fn schedule(&self) -> &CommSchedule {
-        self.runner.schedule()
+        self.engine.schedule()
     }
 
     /// Runs a block of iterations, committing each sweep's output as the
     /// next sweep's input, and records the load measurement. Collective.
     pub fn run_block<C: Comm>(&mut self, env: &mut C, iters: usize) -> LoopStats {
-        let AdaptiveSession {
-            runner,
-            values,
-            monitor,
-            verify,
-            ..
-        } = self;
-        let mut env = MaybeChecked::new(env, verify.as_deref_mut());
-        let stats = runner.run(&mut env, values, iters);
-        monitor.record(stats.compute_time, stats.iterations, values.local_len());
-        stats
-    }
-
-    /// Applies the kernel once *without* committing: gathers ghosts of the
-    /// current values, performs the sweep, records the load measurement,
-    /// and returns the per-owned-vertex output. The session's values are
-    /// unchanged — operator-style workloads (e.g. a matvec inside CG) read
-    /// the result, update their own vectors, and push the next input with
-    /// [`AdaptiveSession::set_local_values`]. Collective.
-    pub fn apply_kernel<C: Comm>(&mut self, env: &mut C) -> &[E] {
-        let AdaptiveSession {
-            runner,
-            values,
-            monitor,
-            verify,
-            ..
-        } = self;
-        let mut env = MaybeChecked::new(env, verify.as_deref_mut());
-        let stats = runner.apply(&mut env, values);
-        monitor.record(stats.compute_time, stats.iterations, values.local_len());
-        runner.scratch()
+        self.engine.run_block(env, iters)
     }
 
     /// One load-balance check (and remap, if the controller finds it
@@ -251,113 +135,14 @@ impl<E: Element, K: Kernel<E>> AdaptiveSession<E, K> {
         env: &mut C,
         remaining_iters: usize,
     ) -> (bool, f64, f64) {
-        self.check_and_rebalance_impl(env, remaining_iters, &mut [])
-    }
-
-    /// Like [`AdaptiveSession::check_and_rebalance`], but also moves the
-    /// caller's auxiliary per-vertex arrays to the new distribution when a
-    /// remap happens — identified **positionally**, which is why this
-    /// spelling is deprecated: a caller that reorders its aux list silently
-    /// wires solver state to the wrong array. Use
-    /// [`AdaptiveSession::check_and_rebalance_named`] (same semantics,
-    /// name-keyed) or migrate to a
-    /// [`DataflowSession`](crate::DataflowSession), where fields are
-    /// registered by name once and move through remaps automatically.
-    #[deprecated(
-        since = "0.7.0",
-        note = "positional aux arrays are error-prone; use check_and_rebalance_named \
-                (name-keyed) or a DataflowSession with registered fields"
-    )]
-    pub fn check_and_rebalance_with<C: Comm>(
-        &mut self,
-        env: &mut C,
-        remaining_iters: usize,
-        aux: &mut [&mut Vec<E>],
-    ) -> (bool, f64, f64) {
-        self.check_and_rebalance_impl(env, remaining_iters, aux)
-    }
-
-    /// Like [`AdaptiveSession::check_and_rebalance`], but also moves the
-    /// caller's **named** auxiliary per-vertex arrays to the new
-    /// distribution when a remap happens. Each array must hold one element
-    /// per owned vertex (in interval order) and is resized/refilled in
-    /// place, so solver state like `x` and `r` stays consistent with the
-    /// session's partition. The names must be pairwise distinct; they are
-    /// the same keys [`AdaptiveSession::checkpoint_named`] records, so a
-    /// caller keeps one name per array across rebalancing and
-    /// checkpointing. Collective — every rank must pass the same arrays
-    /// under the same names in the same order.
-    ///
-    /// # Panics
-    /// Panics if two arrays share a name.
-    pub fn check_and_rebalance_named<C: Comm>(
-        &mut self,
-        env: &mut C,
-        remaining_iters: usize,
-        fields: &mut [(&str, &mut Vec<E>)],
-    ) -> (bool, f64, f64) {
-        for i in 1..fields.len() {
-            let name = fields[i].0;
-            assert!(
-                fields[..i].iter().all(|(n, _)| *n != name),
-                "aux field {name:?} is passed more than once"
-            );
-        }
-        let mut aux: Vec<&mut Vec<E>> = fields.iter_mut().map(|(_, a)| &mut **a).collect();
-        self.check_and_rebalance_impl(env, remaining_iters, &mut aux)
-    }
-
-    fn check_and_rebalance_impl<C: Comm>(
-        &mut self,
-        env: &mut C,
-        remaining_iters: usize,
-        aux: &mut [&mut Vec<E>],
-    ) -> (bool, f64, f64) {
-        let per_item = self.monitor.per_item_for_check().unwrap_or(0.0);
-        // Calibration (opt-in): charge the profitability rule the costs
-        // this rank has *measured* — the rebuild EWMA and the fitted
-        // movement model — instead of the static hints.
-        let measured = if self.config.calibrate_rebuild_cost {
-            MeasuredCosts {
-                rebuild: self.monitor.rebuild_cost(),
-                movement: self
-                    .monitor
-                    .movement_model(self.config.balancer.redist_model),
-            }
-        } else {
-            MeasuredCosts::none()
-        };
-        let t0 = env.now_secs();
-        let decision = {
-            let mut env = MaybeChecked::new(env, self.verify.as_deref_mut());
-            load_balance_step_measured(
-                &mut env,
-                &self.partition,
-                per_item,
-                remaining_iters,
-                &self.config.balancer,
-                measured,
-            )
-        };
-        let check_cost = env.now_secs() - t0;
-        match decision {
-            Decision::Keep => (false, check_cost, 0.0),
-            Decision::Remap(new_partition) => {
-                let t1 = env.now_secs();
-                self.apply_remap(env, new_partition, aux);
-                (true, check_cost, env.now_secs() - t1)
-            }
-        }
+        self.engine.check_and_rebalance(env, remaining_iters)
     }
 
     /// The monitor's current per-item time estimate (seconds per element
-    /// per sweep), if any measurement or carried estimate exists. Exposed
-    /// for observability: after a remap the estimate is *carried* (it is
-    /// per element, so it survives the block resize), keeping the first
-    /// post-remap check informed even on ranks whose new block records
-    /// nothing.
+    /// per sweep), if any measurement or carried estimate exists — see
+    /// [`DataflowSession::per_item_estimate`].
     pub fn per_item_estimate(&self) -> Option<f64> {
-        self.monitor.per_item_time()
+        self.engine.per_item_estimate()
     }
 
     /// The calibrated schedule-rebuild cost (EWMA of measured rebuild
@@ -365,27 +150,25 @@ impl<E: Element, K: Kernel<E>> AdaptiveSession<E, K> {
     /// replaces `rebuild_cost_hint` in checks when
     /// `StanceConfig::calibrate_rebuild_cost` is enabled.
     pub fn calibrated_rebuild_cost(&self) -> Option<f64> {
-        self.monitor.rebuild_cost()
+        self.engine.calibrated_rebuild_cost()
     }
 
     /// The calibrated total remap cost (EWMA over measured remaps:
     /// data movement + rebuild, seconds), or `None` before the first
     /// remap.
     pub fn calibrated_remap_cost(&self) -> Option<f64> {
-        self.monitor.remap_cost()
+        self.engine.calibrated_remap_cost()
     }
 
     /// Forces a remap to an explicitly chosen partition, moving the
-    /// session's values (and the caller's aux arrays) and rebuilding the
-    /// schedule, without consulting the controller. Collective — every
-    /// rank must pass the same `new_partition` and the same number of aux
-    /// arrays. An identity remap (the current partition) is a no-op.
-    ///
-    /// This is the deterministic repartitioning entry point: benchmarks
-    /// use it to measure remap latency, tests to force churn, and
-    /// applications with out-of-band knowledge (e.g. a scheduler that
-    /// *knows* a machine is about to be withdrawn) to act without waiting
-    /// for the load monitor to notice.
+    /// session's values (and the caller's aux arrays, in the same
+    /// coalesced message per destination) and rebuilding the schedule,
+    /// without consulting the controller — see
+    /// [`DataflowSession::remap_to`]. Each aux array must hold one
+    /// element per owned vertex (in interval order) and is
+    /// resized/refilled in place. Collective — every rank must pass the
+    /// same `new_partition` and the same number of aux arrays. An
+    /// identity remap (the current partition) is a no-op.
     ///
     /// # Panics
     /// Panics if `new_partition` does not cover the same list with the
@@ -396,362 +179,68 @@ impl<E: Element, K: Kernel<E>> AdaptiveSession<E, K> {
         new_partition: BlockPartition,
         aux: &mut [&mut Vec<E>],
     ) {
-        assert_eq!(
-            new_partition.num_procs(),
-            self.partition.num_procs(),
-            "partition rank count changed"
-        );
-        assert_eq!(new_partition.n(), self.partition.n(), "list length changed");
-        self.apply_remap(env, new_partition, aux);
+        self.engine.remap_with(env, new_partition, aux);
     }
 
-    /// Moves data and structure to `new_partition` and rebuilds the
-    /// schedule and the runner's transport scratch. Collective.
+    /// Checkpoints the session collectively — see
+    /// [`DataflowSession::checkpoint`] — including the caller's aux
+    /// slices. Each `aux` slice must hold one element per owned vertex
+    /// (in interval order); every rank must pass the same number of them.
     ///
-    /// The whole pipeline draws on the session's [`RemapScratch`]: the
-    /// redistribution plan is computed once and shared, values move
-    /// straight out of the `GhostedArray`'s storage (no upfront copy),
-    /// the new adjacency assembles into recycled CSR arrays, and the
-    /// schedule/runner rebuild reuses the retired schedule's vectors — so
-    /// after the first remap has warmed the scratch, a remap's allocation
-    /// count is bounded (pinned by `tests/alloc_free.rs`).
-    ///
-    /// The measured cost is fed back to the monitor: the schedule-rebuild
-    /// share and the total, both in backend seconds (modelled on the
-    /// simulator, wall clock on native). With
-    /// `StanceConfig::calibrate_rebuild_cost` the next check's
-    /// profitability rule charges the measured rebuild EWMA instead of
-    /// the static hint.
-    fn apply_remap<C: Comm>(
-        &mut self,
-        env: &mut C,
-        new_partition: BlockPartition,
-        aux: &mut [&mut Vec<E>],
-    ) {
-        if new_partition == self.partition {
-            // Identity: nothing moves, nothing rebuilds. The controller
-            // never issues identity remaps (zero saving); this guards the
-            // explicit `remap_to` entry point.
-            return;
-        }
-        let t0 = env.now_secs();
-        let (moved_messages, moved_elements);
-        let plan = self.scratch.take_plan(&self.partition, &new_partition);
-        // The trace is taken for the duration so the redistribution and
-        // rebuild below can wrap `env` while `self` stays borrowable.
-        let mut trace = self.verify.take();
-        if trace.is_some() {
-            let diags = audit_redistribution(&self.partition, &new_partition, &plan);
-            expect_clean("redistribution-plan audit", &diags);
-        }
-        {
-            let mut env = MaybeChecked::new(env, trace.as_deref_mut());
-            // The session's values and every caller aux array move in ONE
-            // coalesced message per destination (§2 message coalescing),
-            // packed straight from the ghosted array's owned block.
-            self.scratch.redistribute(
-                &mut env,
-                &self.partition,
-                &new_partition,
-                &plan,
-                self.values.local(),
-                aux,
-            );
-            let new_adj = self.scratch.redistribute_adjacency(
-                &mut env,
-                &self.partition,
-                &new_partition,
-                &plan,
-                &self.adj,
-            );
-            moved_messages = plan.num_messages();
-            moved_elements = plan.elements_moved();
-            self.scratch.put_plan(plan);
-            let old_adj = std::mem::replace(&mut self.adj, new_adj);
-            self.scratch.recycle_adjacency(old_adj);
-        }
-        self.partition = new_partition;
-
-        // The schedule-rebuild share: inspector + runner + value buffers.
-        let t_rebuild = env.now_secs();
-        // Feed the movement model one (messages, elements, seconds)
-        // observation: the span just measured is exactly the data-movement
-        // share of this remap.
-        self.monitor
-            .record_movement_cost(moved_messages, moved_elements, t_rebuild - t0);
-        let schedule = {
-            let mut env = MaybeChecked::new(env, trace.as_deref_mut());
-            build_schedule(
-                &mut env,
-                &self.partition,
-                &self.adj,
-                &self.config,
-                &mut self.scratch.schedule,
-            )
-        };
-        let retired = self.runner.rebuild(schedule, &self.adj);
-        self.scratch.schedule.recycle(retired);
-        self.runner
-            .reset_values(&mut self.values, self.scratch.primary_block());
-        let now = env.now_secs();
-        self.monitor.record_remap_cost(now - t_rebuild, now - t0);
-        self.verify = trace;
-        if self.verify.is_some() {
-            // The rebuilt schedule must satisfy the same global contract
-            // the setup schedule did (audit messages are charged after the
-            // remap cost is recorded, so calibration stays unpolluted).
-            let diags = audit_collective(
-                env,
-                self.partition.n(),
-                self.runner.schedule(),
-                &self.adj,
-                self.runner.tadj(),
-            );
-            expect_clean("post-remap schedule audit", &diags);
-        }
-        self.monitor.rollover();
-    }
-
-    /// Checkpoints the session collectively: allgathers every rank's
-    /// recovery state (monitor snapshot, owned values, the caller's aux
-    /// slices) on the reserved `TAG_CHECKPOINT` and assembles the same
-    /// replicated [`SessionCheckpoint`] on every rank — so any subset of
-    /// survivors can later restore without help from the dead.
-    ///
-    /// Each `aux` slice must hold one element per owned vertex (in
-    /// interval order), exactly like the arrays passed to
-    /// [`AdaptiveSession::check_and_rebalance_named`]. Collective — every
-    /// rank must pass the same number of aux slices.
-    ///
-    /// The blob's field records are name-keyed (format v2): the value
-    /// array is recorded as `"values"` and the aux slices under the
-    /// generated names `"aux0"`, `"aux1"`, … in argument order. Callers
-    /// with meaningful names should use
-    /// [`AdaptiveSession::checkpoint_named`] so restores can validate
-    /// them.
+    /// The blob's field records are name-keyed: the value array is
+    /// recorded as `"values"` and the aux slices under the generated
+    /// names `"aux0"`, `"aux1"`, … in argument order. Callers with
+    /// meaningful names should register their arrays as fields of a
+    /// [`DataflowSession`], which records (and validates on restore)
+    /// every field under its own name.
     pub fn checkpoint<C: Comm>(&mut self, env: &mut C, aux: &[&[E]]) -> SessionCheckpoint<E> {
-        let names: Vec<String> = (0..aux.len()).map(|i| format!("aux{i}")).collect();
-        self.checkpoint_impl(env, aux, names)
-    }
-
-    /// Like [`AdaptiveSession::checkpoint`], but records each aux slice
-    /// under the caller's **name** — the key
-    /// [`SessionCheckpoint::field`] looks up and
-    /// [`DataflowSession::restore`](crate::DataflowSession::restore)
-    /// validates. Names must be non-empty, pairwise distinct, and not
-    /// `"values"` (the primary's record). Collective — every rank must
-    /// pass the same slices under the same names in the same order.
-    ///
-    /// # Panics
-    /// Panics on an empty, duplicated, or `"values"`-colliding name.
-    pub fn checkpoint_named<C: Comm>(
-        &mut self,
-        env: &mut C,
-        fields: &[(&str, &[E])],
-    ) -> SessionCheckpoint<E> {
-        for (i, (name, _)) in fields.iter().enumerate() {
-            assert!(!name.is_empty(), "checkpoint field name is empty");
-            assert_ne!(
-                *name, "values",
-                "field name \"values\" collides with the primary record"
-            );
-            assert!(
-                fields[..i].iter().all(|(n, _)| n != name),
-                "checkpoint field {name:?} is passed more than once"
-            );
-        }
-        let aux: Vec<&[E]> = fields.iter().map(|(_, a)| *a).collect();
-        let names = fields.iter().map(|(n, _)| (*n).to_string()).collect();
-        self.checkpoint_impl(env, &aux, names)
-    }
-
-    fn checkpoint_impl<C: Comm>(
-        &mut self,
-        env: &mut C,
-        aux: &[&[E]],
-        names: Vec<String>,
-    ) -> SessionCheckpoint<E> {
-        let iv = self.partition.interval_of(env.rank());
-        for (i, a) in aux.iter().enumerate() {
-            assert_eq!(
-                a.len(),
-                iv.len(),
-                "aux slice {i} has {} elements for a {}-element block",
-                a.len(),
-                iv.len()
-            );
-        }
-        let mut bytes = Vec::new();
-        crate::checkpoint::write_snapshot(&self.monitor.snapshot(), &mut bytes);
-        E::pack_into(self.values.local(), &mut bytes);
-        for a in aux {
-            E::pack_into(a, &mut bytes);
-        }
-        let parts = {
-            let mut env = MaybeChecked::new(env, self.verify.as_deref_mut());
-            env.allgather(TAG_CHECKPOINT, Payload::from_bytes(bytes))
-        };
-        let n = self.partition.n();
-        let p = self.partition.num_procs();
-        let mut monitors = Vec::with_capacity(p);
-        let mut values = vec![E::zero(); n];
-        let mut aux_global: Vec<Vec<E>> = (0..aux.len()).map(|_| vec![E::zero(); n]).collect();
-        for (rank, payload) in parts.into_iter().enumerate() {
-            let b = payload.into_bytes();
-            let (snap, rest) = crate::checkpoint::read_contribution(&b);
-            monitors.push(snap);
-            let riv = self.partition.interval_of(rank);
-            let vb = riv.len() * E::SIZE_BYTES;
-            E::unpack_into(&rest[..vb], &mut values[riv.start..riv.end]);
-            for (k, ag) in aux_global.iter_mut().enumerate() {
-                E::unpack_into(
-                    &rest[(k + 1) * vb..(k + 2) * vb],
-                    &mut ag[riv.start..riv.end],
-                );
-            }
-        }
-        SessionCheckpoint {
-            n,
-            block_sizes: self.partition.block_sizes(),
-            arrangement: self.partition.arrangement().as_slice().to_vec(),
-            monitors,
-            primary_name: "values".to_string(),
-            values,
-            aux: names.into_iter().zip(aux_global).collect(),
-        }
+        self.engine.checkpoint_with(env, aux)
     }
 
     /// Collective restore from a [`SessionCheckpoint`], onto **any** rank
-    /// count — this is the recovery entry point for shrink-onto-survivors
-    /// (pass a [`SurvivorComm`](stance_sim::SurvivorComm) wrapping the
-    /// backend) as well as plain same-width restarts.
-    ///
-    /// Restoring onto the checkpoint's own rank count reinstalls the
-    /// partition *and* every rank's monitor snapshot bit-for-bit; a
-    /// different rank count starts from [`BlockPartition::uniform`] and
-    /// fresh monitors (a redistribution plan cannot cross rank counts, and
-    /// fresh monitors keep a recovered run identical to a clean start
-    /// from the same blob). Returns the session and the checkpoint's aux
-    /// arrays localized to this rank's new interval.
+    /// count — see [`DataflowSession::restore`] for the same-width /
+    /// cross-width semantics. Returns the session and the checkpoint's
+    /// aux arrays localized to this rank's new interval.
     ///
     /// # Panics
-    /// Panics if `graph` does not have the checkpoint's element count.
-    pub fn restore<C: Comm>(
+    /// Panics if `graph` does not have the checkpoint's element count or
+    /// the checkpoint's primary field is not `"values"`.
+    pub fn restore<C: Comm, K: Kernel<E> + 'static>(
         env: &mut C,
         graph: &Graph,
         kernel: K,
         ckpt: &SessionCheckpoint<E>,
         config: &StanceConfig,
     ) -> (Self, Vec<Vec<E>>) {
-        assert_eq!(
-            graph.num_vertices(),
-            ckpt.n(),
-            "checkpoint covers {} elements for a {}-vertex graph",
-            ckpt.n(),
-            graph.num_vertices()
-        );
-        let same_width = env.size() == ckpt.num_procs();
-        let partition = if same_width {
-            ckpt.partition()
-        } else {
-            BlockPartition::uniform(ckpt.n(), env.size())
-        };
-        let values = ckpt.values();
-        let mut session =
-            Self::setup_with_partition(env, graph, partition, kernel, |g| values[g], config);
-        if same_width {
-            session
-                .monitor
-                .restore_snapshot(&ckpt.monitors()[env.rank()]);
-        }
-        let iv = session.partition.interval_of(env.rank());
+        let engine =
+            DataflowSession::restore_registered(env, graph, one_stage(kernel), ckpt, config);
+        let iv = engine.partition().interval_of(env.rank());
         let aux = ckpt
             .aux()
             .iter()
             .map(|(_, a)| a[iv.start..iv.end].to_vec())
             .collect();
-        (session, aux)
+        (AdaptiveSession { engine }, aux)
     }
 
-    /// Analyzes the protocol traces recorded so far: allgathers every
-    /// rank's [`RankTrace`] and runs the offline analyzer over the full
-    /// set (unmatched sends, phantom receives, payload-shape mismatches,
-    /// leaked requests, barrier-arity mismatches, epoch-crossing
-    /// messages — see [`stance_verify::analyze_traces`]). Every rank
-    /// returns the same diagnostics; an empty vector means the traffic
-    /// obeyed the protocol. Collective when verification is enabled;
-    /// with it disabled there is nothing recorded and nothing to agree
-    /// on, so this returns empty without communicating (the config is
-    /// replicated, so all ranks skip together).
+    /// Analyzes the protocol traces recorded so far — see
+    /// [`DataflowSession::verify_protocol`]. Collective when verification
+    /// is enabled; a local no-op otherwise.
     pub fn verify_protocol<C: Comm>(&mut self, env: &mut C) -> Vec<Diagnostic> {
-        match self.verify.as_deref() {
-            None => Vec::new(),
-            Some(trace) => analyze_collective(env, trace),
-        }
+        self.engine.verify_protocol(env)
     }
 
     /// The protocol trace recorded so far — `Some` iff the session was
     /// set up with `StanceConfig::with_verification(true)`.
     pub fn trace(&self) -> Option<&RankTrace> {
-        self.verify.as_deref()
+        self.engine.trace()
     }
 
     /// The paper's full execution structure: blocks of `check_interval`
     /// iterations separated by load-balance checks, for `total_iters`
     /// iterations. Collective.
     pub fn run_adaptive<C: Comm>(&mut self, env: &mut C, total_iters: usize) -> SessionReport {
-        let mut report = SessionReport::default();
-        let mut done = 0;
-        while done < total_iters {
-            let block = self.config.check_interval.min(total_iters - done);
-            let stats = self.run_block(env, block);
-            done += block;
-            report.iterations += stats.iterations;
-            report.compute_time += stats.compute_time;
-            if done < total_iters && self.config.load_balancing_enabled() {
-                let (remapped, check, rebalance) =
-                    self.check_and_rebalance(env, total_iters - done);
-                report.checks += 1;
-                report.check_cost += check;
-                if remapped {
-                    report.remaps += 1;
-                    report.rebalance_cost += rebalance;
-                }
-            }
-        }
-        report.total_time = env.now_secs();
-        report
-    }
-}
-
-/// Builds the schedule with the configured strategy, charging inspector
-/// work to the rank's clock. Collective for [`ScheduleStrategy::Simple`].
-/// The symmetric builders draw their working storage from `scratch`
-/// (recycled across remaps); the simple strategy's three communication
-/// rounds allocate as they always did — its cost is dominated by the
-/// messages, not the allocator.
-pub(crate) fn build_schedule<C: Comm>(
-    env: &mut C,
-    partition: &BlockPartition,
-    adj: &LocalAdjacency,
-    config: &StanceConfig,
-    scratch: &mut ScheduleScratch,
-) -> CommSchedule {
-    match config.schedule_strategy {
-        ScheduleStrategy::Sort1 | ScheduleStrategy::Sort2 => {
-            let (schedule, work) = build_schedule_symmetric_with(
-                partition,
-                adj,
-                env.rank(),
-                config.schedule_strategy,
-                scratch,
-            );
-            env.compute(config.inspector_cost.seconds(&work));
-            schedule
-        }
-        ScheduleStrategy::Simple => {
-            build_schedule_simple(env, partition, adj, &config.inspector_cost)
-        }
+        self.engine.run_adaptive(env, total_iters)
     }
 }
 
@@ -759,33 +248,8 @@ pub(crate) fn build_schedule<C: Comm>(
 mod tests {
     use super::*;
     use crate::prelude::*;
+    use crate::testkit::{init, mesh, test_balancer};
     use stance_executor::sequential_relaxation;
-    use stance_locality::meshgen;
-
-    fn init(g: usize) -> f64 {
-        (g as f64).cos() * 5.0
-    }
-
-    fn mesh() -> Graph {
-        let raw = meshgen::triangulated_grid(12, 10, 0.4, 3);
-        crate::prepare_mesh(&raw, OrderingMethod::Rcb).0
-    }
-
-    /// A balancer scaled to the tiny test mesh: the default hints assume the
-    /// paper's 30k-vertex workload, where remap costs are repaid in a few
-    /// iterations; at 120 vertices they would never be.
-    fn test_balancer() -> BalancerConfig {
-        BalancerConfig {
-            redist_model: RedistCostModel {
-                per_message: 1.0e-4,
-                per_element: 1.0e-7,
-            },
-            rebuild_cost_hint: 1.0e-4,
-            profitability_margin: 1.0,
-            use_mcr: true,
-            mode: ControllerMode::Centralized,
-        }
-    }
 
     #[test]
     fn static_run_matches_sequential() {
@@ -998,45 +462,6 @@ mod tests {
             assert_eq!(rep.iterations, 21);
             assert_eq!(rep.checks, 2); // after blocks 1 and 2, none after the last
         }
-    }
-
-    #[test]
-    fn aux_arrays_follow_a_forced_remap() {
-        // An auxiliary per-vertex array passed to check_and_rebalance_named
-        // must land on the same owners as the session's values.
-        let m = mesh();
-        let mut config = StanceConfig::default().with_check_interval(10);
-        config.balancer = test_balancer();
-        let spec = ClusterSpec::uniform(2)
-            .with_network(NetworkSpec::zero_cost())
-            .with_load(0, LoadTimeline::constant(1.0 / 3.0));
-        let report = Cluster::new(spec).run(|env| {
-            let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
-            // aux[g] = 3g so ownership is trivially checkable.
-            let mut aux: Vec<f64> = s
-                .partition()
-                .interval_of(env.rank())
-                .iter()
-                .map(|g| 3.0 * g as f64)
-                .collect();
-            let mut remapped_once = false;
-            for _ in 0..4 {
-                s.run_block(env, 10);
-                let (remapped, _, _) =
-                    s.check_and_rebalance_named(env, 10, &mut [("aux", &mut aux)]);
-                remapped_once |= remapped;
-            }
-            let iv = s.partition().interval_of(env.rank());
-            assert_eq!(aux.len(), iv.len(), "aux length follows the partition");
-            for (offset, g) in iv.iter().enumerate() {
-                assert_eq!(aux[offset], 3.0 * g as f64, "aux element strayed");
-            }
-            remapped_once
-        });
-        assert!(
-            report.into_results().into_iter().all(|r| r),
-            "the forced load should have remapped at least once"
-        );
     }
 
     /// Regression (monitor continuity): `apply_remap` used to reset the
@@ -1368,13 +793,7 @@ mod tests {
             s.run_block(env, iters);
             let uninterrupted = s.local_values().to_vec();
             // … versus a fresh session restored from the checkpoint.
-            let (mut r, raux) = AdaptiveSession::<f64, RelaxationKernel>::restore(
-                env,
-                &m,
-                RelaxationKernel,
-                &ckpt,
-                &config,
-            );
+            let (mut r, raux) = AdaptiveSession::restore(env, &m, RelaxationKernel, &ckpt, &config);
             assert_eq!(raux.len(), 1);
             assert_eq!(raux[0], aux, "aux array must survive the round trip");
             assert_eq!(
@@ -1418,13 +837,7 @@ mod tests {
 
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec).run(|env| {
-            let (mut s, aux) = AdaptiveSession::<f64, RelaxationKernel>::restore(
-                env,
-                &m,
-                RelaxationKernel,
-                &ckpt,
-                &config,
-            );
+            let (mut s, aux) = AdaptiveSession::restore(env, &m, RelaxationKernel, &ckpt, &config);
             assert!(aux.is_empty());
             s.run_block(env, rest);
             (s.local_values().to_vec(), s.partition().clone())

@@ -36,14 +36,14 @@ pub struct CommBuffers<E: Element> {
     /// Element scratch for indexed decodes (scatter contributions).
     elems: Vec<E>,
     /// Outstanding receive handles of an in-flight split-phase gather
-    /// (`gather_start` fills it, `gather_finish` drains it). Requests are
-    /// plain `Copy` records recycled through this one pool — pre-sized
-    /// from the schedule's receive count, so posting receives in the
-    /// steady state allocates nothing.
+    /// (`gather_fused_start` fills it, `gather_fused_finish` drains it).
+    /// Requests are plain `Copy` records recycled through this one pool —
+    /// pre-sized from the schedule's receive count, so posting receives
+    /// in the steady state allocates nothing.
     pub(crate) recv_reqs: Vec<RecvRequest>,
     /// Outstanding send handles of an in-flight split-phase gather,
-    /// mirrored on `recv_reqs`: `gather_start` parks every `isend`
-    /// handle here and `gather_finish` waits and drains them, so no
+    /// mirrored on `recv_reqs`: `gather_fused_start` parks every `isend`
+    /// handle here and `gather_fused_finish` waits and drains them, so no
     /// request is ever dropped unwaited (the protocol-checker contract)
     /// — pre-sized from the schedule's send count.
     pub(crate) send_reqs: Vec<SendRequest>,
@@ -101,7 +101,7 @@ impl<E: Element> CommBuffers<E> {
     ///
     /// # Panics
     /// Panics if a split-phase gather is still in flight (the request pool
-    /// must be drained by `gather_finish` before the schedule changes).
+    /// must be drained by `gather_fused_finish` before the schedule changes).
     pub fn rebuild(&mut self, schedule: &CommSchedule) {
         assert!(
             self.recv_reqs.is_empty() && self.send_reqs.is_empty(),

@@ -3,7 +3,7 @@
 //! The paper pitches the runtime as support for *data-parallel
 //! applications*: the runtime owns partitioning, the inspector,
 //! gather/scatter and load balancing, while the application supplies two
-//! things — the per-vertex state type ([`Element`](stance_sim::Element))
+//! things — the per-vertex state type ([`Element`])
 //! and the sweep over it ([`Kernel`]). A new workload is therefore a type
 //! implementing `Kernel` (usually a few dozen lines), not a fork of the
 //! executor.
@@ -40,12 +40,12 @@ use stance_sim::{Comm, Element};
 use crate::buffers::CommBuffers;
 use crate::cost::ComputeCostModel;
 use crate::ghosted::GhostedArray;
-use crate::primitives::{gather, gather_finish, gather_start};
+use crate::primitives::{gather, gather_fused, gather_fused_finish, gather_fused_start};
 use crate::team::SweepTeam;
 
 /// Elements with the componentwise arithmetic the built-in kernels need.
 ///
-/// Separate from [`Element`](stance_sim::Element) because the runtime core
+/// Separate from [`Element`] because the runtime core
 /// (gather, scatter, redistribution) only needs to *move* elements; only
 /// kernels need to compute with them. Operations take `self` by value —
 /// elements are small `Copy` records.
@@ -244,7 +244,7 @@ const MAX_PRECISE_RUNS: usize = 32;
 /// Precise mode calls `sweep_chunked` once per run (which defaults to the
 /// kernel's `sweep_range`) — no redundant work for range-honoring
 /// kernels. Fragmented phases (more than
-/// [`MAX_PRECISE_RUNS`] runs) use one call spanning first-run start to
+/// `MAX_PRECISE_RUNS` runs) use one call spanning first-run start to
 /// last-run end instead. The bounding span also sweeps vertices of the
 /// *other* class, which is harmless for any conforming kernel: per-vertex
 /// outputs are pure functions of their referenced inputs, so an interior
@@ -505,15 +505,19 @@ impl LoopStats {
     }
 }
 
-/// Drives the gather + sweep iteration of one [`Kernel`] on one rank.
+/// Drives the exchange + sweep stage step on one rank — the one loop
+/// body behind both the single-array spelling ([`LoopRunner::run`]) and
+/// the multi-field dataflow pass ([`LoopRunner::run_stage`]).
 ///
-/// The runner owns the transport scratch ([`CommBuffers`]) alongside the
-/// sweep scratch: both are sized from the schedule at construction and
-/// rebuilt only on remap, so steady-state iterations perform zero heap
-/// allocations (see `tests/alloc_free.rs`). The sweep scratch is a full
-/// combined-size buffer, which lets [`LoopRunner::run`] commit each
-/// iteration by *swapping* it with the value buffer (one pointer exchange)
-/// instead of copying the owned block.
+/// The runner owns everything that is sized from the schedule: the
+/// translated adjacency, the transport scratch ([`CommBuffers`]), the
+/// sweep scratch and the worker team's lane splits. All of it is rebuilt
+/// only on remap ([`LoopRunner::rebuild`]), so steady-state iterations
+/// perform zero heap allocations (see `tests/alloc_free.rs`). The sweep
+/// scratch is a full combined-size buffer, which lets a stage commit by
+/// *swapping* it with the output array's storage (one pointer exchange)
+/// instead of copying the owned block. The application's [`Kernel`] is
+/// passed per call, so one runner serves every stage of a graph.
 ///
 /// With [`LoopRunner::with_overlap`] the runner uses the **split-phase
 /// gather**: receives and sends are posted, the interior vertices (which
@@ -522,18 +526,17 @@ impl LoopStats {
 /// Results are bitwise identical to the synchronous path on every backend
 /// — per-vertex outputs depend only on the referenced inputs, which are
 /// the same in both orders (pinned by `tests/backend_equivalence.rs`).
-pub struct LoopRunner<E: Element = f64, K: Kernel<E> = RelaxationKernel> {
+pub struct LoopRunner<E: Element = f64> {
     schedule: CommSchedule,
     tadj: TranslatedAdjacency,
     cost: ComputeCostModel,
-    kernel: K,
     /// Combined-size sweep scratch: the owned prefix receives sweep
     /// outputs; the ghost suffix exists so commits can swap whole buffers
     /// with the value array (its content is stale by construction and
     /// rewritten by the next gather).
     scratch: Vec<E>,
     bufs: CommBuffers<E>,
-    /// Whether [`LoopRunner::apply`] uses the split-phase gather.
+    /// Whether fused exchanges use the split-phase gather.
     overlap: bool,
     /// The rank's worker team, present when [`LoopRunner::with_team`] was
     /// given more than one lane. `None` means every sweep runs on the rank
@@ -541,16 +544,11 @@ pub struct LoopRunner<E: Element = f64, K: Kernel<E> = RelaxationKernel> {
     team: Option<SweepTeam<E>>,
 }
 
-impl<E: Element, K: Kernel<E>> LoopRunner<E, K> {
-    /// Builds a runner from a schedule, the rank's adjacency, and the
-    /// application's kernel. The gather is synchronous by default; enable
-    /// the split-phase path with [`LoopRunner::with_overlap`].
-    pub fn new(
-        schedule: CommSchedule,
-        adj: &LocalAdjacency,
-        cost: ComputeCostModel,
-        kernel: K,
-    ) -> Self {
+impl<E: Element> LoopRunner<E> {
+    /// Builds a runner from a schedule and the rank's adjacency. The
+    /// gather is synchronous by default; enable the split-phase path with
+    /// [`LoopRunner::with_overlap`].
+    pub fn new(schedule: CommSchedule, adj: &LocalAdjacency, cost: ComputeCostModel) -> Self {
         let tadj = schedule.translate_adjacency(adj);
         let scratch = vec![E::zero(); tadj.buffer_len()];
         let bufs = CommBuffers::for_schedule(&schedule);
@@ -558,7 +556,6 @@ impl<E: Element, K: Kernel<E>> LoopRunner<E, K> {
             schedule,
             tadj,
             cost,
-            kernel,
             scratch,
             bufs,
             overlap: false,
@@ -619,13 +616,8 @@ impl<E: Element, K: Kernel<E>> LoopRunner<E, K> {
         &self.tadj
     }
 
-    /// The application kernel.
-    pub fn kernel(&self) -> &K {
-        &self.kernel
-    }
-
     /// Replaces the schedule and adjacency (after a remap) while keeping
-    /// the kernel, cost model and overlap setting — **in place**: the
+    /// the cost model, overlap setting and team — **in place**: the
     /// translated adjacency, the transport scratch ([`CommBuffers`]) and
     /// the sweep scratch are all rebuilt into their existing storage
     /// (capacity never shrinks), so a rebuild's allocation count is
@@ -637,9 +629,9 @@ impl<E: Element, K: Kernel<E>> LoopRunner<E, K> {
         schedule.translate_adjacency_into(adj, &mut self.tadj);
         self.bufs.rebuild(&schedule);
         let retired = std::mem::replace(&mut self.schedule, schedule);
-        // Stale content is fine: `apply` rewrites the owned prefix every
-        // sweep and the ghost suffix is rewritten by every gather before
-        // any read (the same argument as `GhostedArray::swap_data`).
+        // Stale content is fine: every sweep rewrites the owned prefix and
+        // the ghost suffix is rewritten by every gather before any read
+        // (the same argument as `GhostedArray::swap_data`).
         self.scratch.resize(self.tadj.buffer_len(), E::zero());
         // The lane splits derive from the run classification, so a remap
         // invalidates them; the team itself (threads, staging capacity)
@@ -669,111 +661,94 @@ impl<E: Element, K: Kernel<E>> LoopRunner<E, K> {
         values.rebuild_from(local, self.tadj.num_ghosts() as usize);
     }
 
-    /// One application of the kernel *without* committing: gathers ghosts,
-    /// charges and performs the sweep, and leaves the result in
-    /// [`LoopRunner::scratch`]. The input values' owned block is untouched
-    /// — this is what operator-style workloads (matvec inside a solver)
-    /// use. Which gather runs (synchronous or split-phase) follows the
-    /// [`LoopRunner::with_overlap`] setting; the results are bitwise
-    /// identical either way.
-    pub fn apply<C: Comm>(&mut self, env: &mut C, values: &mut GhostedArray<E>) -> LoopStats {
-        if self.overlap {
-            self.apply_overlapped(env, values)
-        } else {
-            self.apply_synchronous(env, values)
-        }
-    }
-
-    /// The synchronous path: complete the whole gather, then sweep.
-    fn apply_synchronous<C: Comm>(
+    /// The one stage step (see [`LoopRunner::run_stage`] for its three
+    /// shapes): exchange, sweep, leave the output in the sweep scratch.
+    /// Returns the seconds spent sweeping — the load monitor's sample.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_step<C: Comm, K: Kernel<E> + ?Sized>(
         &mut self,
         env: &mut C,
-        values: &mut GhostedArray<E>,
-    ) -> LoopStats {
-        let work = self
-            .kernel
-            .cost(&self.cost, self.tadj.len(), self.tadj.num_refs());
-        gather(env, &self.schedule, values, &self.cost, &mut self.bufs);
+        kernel: &K,
+        fields: &mut [GhostedArray<E>],
+        exchange: &[usize],
+        fused: bool,
+        input: usize,
+        reads_ghosts: bool,
+    ) -> f64 {
+        let LoopRunner {
+            schedule,
+            tadj,
+            cost,
+            scratch,
+            bufs,
+            overlap,
+            team,
+        } = self;
+        let out = &mut scratch[..tadj.len()];
+        let in_flight = fused && *overlap && !exchange.is_empty();
+        if in_flight {
+            gather_fused_start(env, schedule, fields, exchange, cost, bufs);
+        } else if fused {
+            gather_fused(env, schedule, fields, exchange, cost, bufs);
+        } else {
+            for &f in exchange {
+                gather(env, schedule, &mut fields[f], cost, bufs);
+            }
+        }
+        if in_flight && reads_ghosts && exchange.contains(&input) {
+            // Interior compute is charged *before* the wait, so on the
+            // simulator the clock advances past the modelled arrivals and
+            // the wait costs only what the interior sweep could not hide;
+            // on the native backend the overlap is real.
+            let interior_work = kernel.cost(cost, tadj.num_interior(), tadj.interior_refs());
+            let boundary_work = kernel.cost(cost, tadj.num_boundary(), tadj.boundary_refs());
+            let t0 = env.now_secs();
+            env.compute(interior_work);
+            let combined = fields[input].combined();
+            match team {
+                Some(team) => team.sweep_interior(kernel, tadj, combined, out),
+                None => sweep_phase(kernel, tadj, combined, out, tadj.interior_runs()),
+            }
+            let interior_time = env.now_secs() - t0;
+            gather_fused_finish(env, schedule, fields, exchange, cost, bufs);
+            let t1 = env.now_secs();
+            env.compute(boundary_work);
+            let combined = fields[input].combined();
+            sweep_phase(kernel, tadj, combined, out, tadj.boundary_runs());
+            return interior_time + env.now_secs() - t1;
+        }
+        let work = kernel.cost(cost, tadj.len(), tadj.num_refs());
         let t0 = env.now_secs();
         env.compute(work);
-        match &mut self.team {
-            Some(team) => team.sweep_full(
-                &self.kernel,
-                &self.tadj,
-                values.combined(),
-                &mut self.scratch[..self.tadj.len()],
-            ),
-            None => self.kernel.sweep(
-                &self.tadj,
-                values.combined(),
-                &mut self.scratch[..self.tadj.len()],
-            ),
+        let combined = fields[input].combined();
+        match team {
+            Some(team) => team.sweep_full(kernel, tadj, combined, out),
+            None => kernel.sweep(tadj, combined, out),
         }
-        LoopStats {
-            iterations: 1,
-            compute_time: env.now_secs() - t0,
+        let compute_time = env.now_secs() - t0;
+        if in_flight {
+            gather_fused_finish(env, schedule, fields, exchange, cost, bufs);
         }
+        compute_time
     }
 
-    /// The split-phase path: post the gather, sweep the interior runs
-    /// while bytes are in flight, complete the gather, sweep the boundary
-    /// runs. Interior compute is charged *before* the wait, so on the
-    /// simulator the virtual clock advances past the modelled arrivals and
-    /// the wait costs only what the interior sweep could not hide; on the
-    /// native backend the overlap is real wall-clock overlap across
-    /// threads.
-    fn apply_overlapped<C: Comm>(
+    /// One application of `kernel` *without* committing: gathers the
+    /// ghosts of `values`, charges and performs the sweep, and leaves the
+    /// result in [`LoopRunner::scratch`]. The input values' owned block is
+    /// untouched — this is what operator-style workloads (matvec inside a
+    /// solver) use. Which gather runs (synchronous or split-phase) follows
+    /// the [`LoopRunner::with_overlap`] setting; the results are bitwise
+    /// identical either way.
+    pub fn apply<C: Comm, K: Kernel<E> + ?Sized>(
         &mut self,
         env: &mut C,
+        kernel: &K,
         values: &mut GhostedArray<E>,
     ) -> LoopStats {
-        let interior_work = self.kernel.cost(
-            &self.cost,
-            self.tadj.num_interior(),
-            self.tadj.interior_refs(),
-        );
-        let boundary_work = self.kernel.cost(
-            &self.cost,
-            self.tadj.num_boundary(),
-            self.tadj.boundary_refs(),
-        );
-        let local_len = self.tadj.len();
-
-        gather_start(env, &self.schedule, values, &self.cost, &mut self.bufs);
-
-        let t0 = env.now_secs();
-        env.compute(interior_work);
-        match &mut self.team {
-            Some(team) => team.sweep_interior(
-                &self.kernel,
-                &self.tadj,
-                values.combined(),
-                &mut self.scratch[..local_len],
-            ),
-            None => sweep_phase(
-                &self.kernel,
-                &self.tadj,
-                values.combined(),
-                &mut self.scratch[..local_len],
-                self.tadj.interior_runs(),
-            ),
-        }
-        let interior_time = env.now_secs() - t0;
-
-        gather_finish(env, &self.schedule, values, &self.cost, &mut self.bufs);
-
-        let t1 = env.now_secs();
-        env.compute(boundary_work);
-        sweep_phase(
-            &self.kernel,
-            &self.tadj,
-            values.combined(),
-            &mut self.scratch[..local_len],
-            self.tadj.boundary_runs(),
-        );
+        let group = std::slice::from_mut(values);
         LoopStats {
             iterations: 1,
-            compute_time: interior_time + env.now_secs() - t1,
+            compute_time: self.stage_step(env, kernel, group, &[0], true, 0, true),
         }
     }
 
@@ -783,28 +758,63 @@ impl<E: Element, K: Kernel<E>> LoopRunner<E, K> {
         &self.scratch[..self.tadj.len()]
     }
 
-    /// Runs `iters` iterations: gather ghosts, charge and perform the
-    /// sweep, commit the new values. The commit is double-buffered — the
-    /// sweep scratch and the value buffer exchange pointers instead of
-    /// copying the owned block, so committing is O(1) regardless of block
-    /// size. Returns measured timing.
-    pub fn run<C: Comm>(
+    /// One committed stage of a multi-field pass: exchanges the ghosts of
+    /// the fields selected by `exchange` (indices into `fields`), sweeps
+    /// `kernel` over `fields[input]`, and commits the output to
+    /// `fields[output]` by swapping storage. Returns the seconds spent
+    /// sweeping. Collective; every rank must pass the same selection.
+    ///
+    /// The step takes one of three shapes, chosen from replicated state:
+    ///
+    /// * **blocking** — complete the exchange (one fused message per
+    ///   neighbor, or with `fused == false` one plain [`gather`] per field
+    ///   — the unfused baseline, which never overlaps), then sweep;
+    /// * **split** (overlap on, and the kernel `reads_ghosts` of an
+    ///   `input` that is among the exchanged fields) — post the exchange,
+    ///   sweep the interior runs while bytes are in flight, land them,
+    ///   sweep the boundary runs;
+    /// * **whole sweep in flight** (overlap on, but the stage does not
+    ///   read the travelling fields' ghosts) — post, sweep, land.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_stage<C: Comm, K: Kernel<E> + ?Sized>(
         &mut self,
         env: &mut C,
+        kernel: &K,
+        fields: &mut [GhostedArray<E>],
+        exchange: &[usize],
+        fused: bool,
+        input: usize,
+        reads_ghosts: bool,
+        output: usize,
+    ) -> f64 {
+        let compute_time =
+            self.stage_step(env, kernel, fields, exchange, fused, input, reads_ghosts);
+        // O(1) commit: the swapped-in ghost region is stale, but the
+        // output field is now dirty, so its next gathered read rewrites
+        // every ghost slot before any sweep sees it.
+        fields[output].swap_data(&mut self.scratch);
+        compute_time
+    }
+
+    /// Runs `iters` iterations over one array: gather ghosts, charge and
+    /// perform the sweep, commit the new values. The commit is
+    /// double-buffered — the sweep scratch and the value buffer exchange
+    /// pointers instead of copying the owned block, so committing is O(1)
+    /// regardless of block size. (After the swap, `scratch()` holds the
+    /// *previous* values, not the committed output — callers that need
+    /// the output of a non-committing application use `apply` +
+    /// `scratch()`.) Returns measured timing.
+    pub fn run<C: Comm, K: Kernel<E> + ?Sized>(
+        &mut self,
+        env: &mut C,
+        kernel: &K,
         values: &mut GhostedArray<E>,
         iters: usize,
     ) -> LoopStats {
+        let group = std::slice::from_mut(values);
         let mut stats = LoopStats::default();
         for _ in 0..iters {
-            let step = self.apply(env, values);
-            // O(1) commit: the swapped-in ghost region is stale, but the
-            // next iteration's gather rewrites every ghost slot before any
-            // sweep reads it. (After the swap, `scratch()` holds the
-            // *previous* values, not the committed output — callers that
-            // need the output of a non-committing application use
-            // `apply` + `scratch()`.)
-            values.swap_data(&mut self.scratch);
-            stats.compute_time += step.compute_time;
+            stats.compute_time += self.run_stage(env, kernel, group, &[0], true, 0, true, 0);
             stats.iterations += 1;
         }
         stats
@@ -876,12 +886,11 @@ mod tests {
                 let adj = LocalAdjacency::extract(&g2, &part2, rank);
                 let (sched, _) =
                     build_schedule_symmetric(&part2, &adj, rank, ScheduleStrategy::Sort1);
-                let mut runner =
-                    LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel);
+                let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
                 let iv = part2.interval_of(rank);
                 let init = initial_values(n);
                 let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                runner.run(env, &mut values, iters);
+                runner.run(env, &RelaxationKernel, &mut values, iters);
                 values.local().to_vec()
             });
             let mut got = Vec::with_capacity(n);
@@ -911,12 +920,11 @@ mod tests {
                 let (sched, _) =
                     build_schedule_symmetric(&part2, &adj, rank, ScheduleStrategy::Sort2);
                 let mut runner =
-                    LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-                        .with_overlap(true);
+                    LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_overlap(true);
                 let iv = part2.interval_of(rank);
                 let init = initial_values(n);
                 let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                runner.run(env, &mut values, iters);
+                runner.run(env, &RelaxationKernel, &mut values, iters);
                 values.local().to_vec()
             });
             let mut got = Vec::with_capacity(n);
@@ -953,17 +961,12 @@ mod tests {
             let rank = env.rank();
             let adj = LocalAdjacency::extract(&g, &part, rank);
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let mut runner = LoopRunner::new(
-                sched,
-                &adj,
-                ComputeCostModel::zero(),
-                DefaultRangeRelaxation,
-            )
-            .with_overlap(true);
+            let mut runner =
+                LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_overlap(true);
             let iv = part.interval_of(rank);
             let init = initial_values(n);
             let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-            runner.run(env, &mut values, iters);
+            runner.run(env, &DefaultRangeRelaxation, &mut values, iters);
             values.local().to_vec()
         });
         let mut got = Vec::with_capacity(n);
@@ -1012,22 +1015,16 @@ mod tests {
                 let init = initial_values(n);
                 let local = init[iv.start..iv.end].to_vec();
                 let out = if default_range {
-                    let mut runner = LoopRunner::new(
-                        sched,
-                        &adj,
-                        ComputeCostModel::zero(),
-                        DefaultRangeRelaxation,
-                    )
-                    .with_overlap(overlap);
+                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                        .with_overlap(overlap);
                     let mut values = runner.make_values(local);
-                    runner.run(env, &mut values, iters);
+                    runner.run(env, &DefaultRangeRelaxation, &mut values, iters);
                     values.local().to_vec()
                 } else {
-                    let mut runner =
-                        LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-                            .with_overlap(overlap);
+                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                        .with_overlap(overlap);
                     let mut values = runner.make_values(local);
-                    runner.run(env, &mut values, iters);
+                    runner.run(env, &RelaxationKernel, &mut values, iters);
                     values.local().to_vec()
                 };
                 out
@@ -1070,13 +1067,12 @@ mod tests {
                     let adj = LocalAdjacency::extract(&g, &part, rank);
                     let (sched, _) =
                         build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner =
-                        LoopRunner::new(sched, &adj, ComputeCostModel::sun4(), RelaxationKernel)
-                            .with_overlap(overlap);
+                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::sun4())
+                        .with_overlap(overlap);
                     let iv = part.interval_of(rank);
                     let mut values =
                         runner.make_values(iv.iter().map(|g| (g as f64).cos()).collect());
-                    runner.run(env, &mut values, 10);
+                    runner.run(env, &RelaxationKernel, &mut values, 10);
                     (env.now().as_secs(), values.local().to_vec())
                 })
                 .into_results()
@@ -1111,7 +1107,7 @@ mod tests {
             let run_recycled = |env: &mut Env| {
                 let rank = env.rank();
                 let init = initial_values(n);
-                let mut runner: Option<LoopRunner<f64, RelaxationKernel>> = None;
+                let mut runner: Option<LoopRunner<f64>> = None;
                 let mut out = Vec::new();
                 for part in &phases {
                     let adj = LocalAdjacency::extract(&g, part, rank);
@@ -1120,13 +1116,8 @@ mod tests {
                     match &mut runner {
                         None => {
                             runner = Some(
-                                LoopRunner::new(
-                                    sched,
-                                    &adj,
-                                    ComputeCostModel::zero(),
-                                    RelaxationKernel,
-                                )
-                                .with_overlap(overlap),
+                                LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                                    .with_overlap(overlap),
                             );
                         }
                         Some(r) => {
@@ -1136,7 +1127,7 @@ mod tests {
                     let r = runner.as_mut().expect("runner built");
                     let iv = part.interval_of(rank);
                     let mut values = r.make_values(init[iv.start..iv.end].to_vec());
-                    r.run(env, &mut values, iters);
+                    r.run(env, &RelaxationKernel, &mut values, iters);
                     out.push(values.local().to_vec());
                 }
                 out
@@ -1149,12 +1140,11 @@ mod tests {
                     let adj = LocalAdjacency::extract(&g, part, rank);
                     let (sched, _) =
                         build_schedule_symmetric(part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner =
-                        LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-                            .with_overlap(overlap);
+                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                        .with_overlap(overlap);
                     let iv = part.interval_of(rank);
                     let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                    runner.run(env, &mut values, iters);
+                    runner.run(env, &RelaxationKernel, &mut values, iters);
                     out.push(values.local().to_vec());
                 }
                 out
@@ -1173,8 +1163,7 @@ mod tests {
         let part = BlockPartition::uniform(n, 2);
         let adj = LocalAdjacency::extract(&g, &part, 0);
         let (sched, _) = build_schedule_symmetric(&part, &adj, 0, ScheduleStrategy::Sort2);
-        let runner: LoopRunner =
-            LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel);
+        let runner: LoopRunner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
         let local: Vec<f64> = (0..adj.len()).map(|i| i as f64).collect();
         let fresh = runner.make_values(local.clone());
         // An arbitrarily shaped pre-owned buffer is rebuilt to the same state.
@@ -1217,14 +1206,9 @@ mod tests {
             let adj = LocalAdjacency::extract(&g, &part, rank);
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
             let iv = part.interval_of(rank);
-            let mut runner = LoopRunner::new(
-                sched,
-                &adj,
-                ComputeCostModel::zero(),
-                LaplacianKernel { shift },
-            );
+            let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
             let mut values = runner.make_values(x2[iv.start..iv.end].to_vec());
-            runner.apply(env, &mut values);
+            runner.apply(env, &LaplacianKernel { shift }, &mut values);
             runner.scratch().to_vec()
         });
         let mut got = Vec::with_capacity(n);
@@ -1244,12 +1228,11 @@ mod tests {
             let rank = env.rank();
             let adj = LocalAdjacency::extract(&g, &part, rank);
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let mut runner =
-                LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel);
+            let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
             let iv = part.interval_of(rank);
             let init: Vec<f64> = iv.iter().map(|g| g as f64).collect();
             let mut values = runner.make_values(init.clone());
-            runner.apply(env, &mut values);
+            runner.apply(env, &RelaxationKernel, &mut values);
             assert_eq!(values.local(), init.as_slice(), "apply must not commit");
         });
     }
@@ -1300,9 +1283,9 @@ mod tests {
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
             let owned = adj.len();
             let refs = adj.num_refs();
-            let mut runner = LoopRunner::new(sched, &adj, cost, MaxNeighborKernel);
+            let mut runner = LoopRunner::new(sched, &adj, cost);
             let mut values = runner.make_values(vec![0.0; owned]);
-            let stats = runner.run(env, &mut values, 4);
+            let stats = runner.run(env, &MaxNeighborKernel, &mut values, 4);
             (stats, owned, refs)
         });
         for (stats, owned, refs) in report.results() {
@@ -1330,10 +1313,9 @@ mod tests {
             let refs = adj.num_refs();
             let owned = adj.len();
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let mut runner: LoopRunner<[f64; 2], RelaxationKernel> =
-                LoopRunner::new(sched, &adj, cost, RelaxationKernel);
+            let mut runner: LoopRunner<[f64; 2]> = LoopRunner::new(sched, &adj, cost);
             let mut values = runner.make_values(vec![[0.0; 2]; owned]);
-            let stats = runner.run(env, &mut values, 5);
+            let stats = runner.run(env, &RelaxationKernel, &mut values, 5);
             (stats, owned, refs)
         });
         for (stats, owned, refs) in report.results() {
@@ -1359,9 +1341,9 @@ mod tests {
             let refs = adj.num_refs();
             let owned = adj.len();
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let mut runner = LoopRunner::new(sched, &adj, cost, RelaxationKernel);
+            let mut runner = LoopRunner::new(sched, &adj, cost);
             let mut values = runner.make_values(vec![0.0; owned]);
-            let stats = runner.run(env, &mut values, 10);
+            let stats = runner.run(env, &RelaxationKernel, &mut values, 10);
             (stats, owned, refs)
         });
         for (stats, owned, refs) in report.results() {
@@ -1390,10 +1372,9 @@ mod tests {
             let adj = LocalAdjacency::extract(&g, &part, rank);
             let owned = adj.len();
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let mut runner =
-                LoopRunner::new(sched, &adj, ComputeCostModel::sun4(), RelaxationKernel);
+            let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::sun4());
             let mut values = runner.make_values(vec![0.0; owned]);
-            let stats = runner.run(env, &mut values, 4);
+            let stats = runner.run(env, &RelaxationKernel, &mut values, 4);
             stats.avg_time_per_item(owned)
         });
         let per_item: Vec<f64> = report.into_results();
@@ -1439,15 +1420,14 @@ mod tests {
                     let adj = LocalAdjacency::extract(&g2, &part, rank);
                     let (sched, _) =
                         build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner =
-                        LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-                            .with_overlap(overlap)
-                            .with_team(team);
+                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                        .with_overlap(overlap)
+                        .with_team(team);
                     assert_eq!(runner.team_lanes(), team);
                     let iv = part.interval_of(rank);
                     let init = initial_values(n);
                     let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                    runner.run(env, &mut values, iters);
+                    runner.run(env, &RelaxationKernel, &mut values, iters);
                     values.local().to_vec()
                 });
                 let mut got = Vec::with_capacity(n);
@@ -1486,14 +1466,13 @@ mod tests {
                     let adj = LocalAdjacency::extract(&g2, &part, rank);
                     let (sched, _) =
                         build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner =
-                        LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-                            .with_overlap(overlap)
-                            .with_team(team);
+                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                        .with_overlap(overlap)
+                        .with_team(team);
                     let iv = part.interval_of(rank);
                     let init = initial_values(n);
                     let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                    runner.run(env, &mut values, iters);
+                    runner.run(env, &RelaxationKernel, &mut values, iters);
                     values.local().to_vec()
                 });
                 let mut got = Vec::with_capacity(n);
@@ -1525,7 +1504,7 @@ mod tests {
                 .run(|env| {
                     let rank = env.rank();
                     let init = initial_values(n);
-                    let mut runner: Option<LoopRunner<f64, RelaxationKernel>> = None;
+                    let mut runner: Option<LoopRunner<f64>> = None;
                     let mut out = Vec::new();
                     for part in &phases {
                         let adj = LocalAdjacency::extract(&g, part, rank);
@@ -1537,21 +1516,16 @@ mod tests {
                             }
                             _ => {
                                 runner = Some(
-                                    LoopRunner::new(
-                                        sched,
-                                        &adj,
-                                        ComputeCostModel::zero(),
-                                        RelaxationKernel,
-                                    )
-                                    .with_overlap(true)
-                                    .with_team(team),
+                                    LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                                        .with_overlap(true)
+                                        .with_team(team),
                                 );
                             }
                         }
                         let r = runner.as_mut().expect("runner built");
                         let iv = part.interval_of(rank);
                         let mut values = r.make_values(init[iv.start..iv.end].to_vec());
-                        r.run(env, &mut values, iters);
+                        r.run(env, &RelaxationKernel, &mut values, iters);
                         out.push(values.local().to_vec());
                     }
                     out
@@ -1592,10 +1566,11 @@ mod tests {
                     let owned = adj.len();
                     let (sched, _) =
                         build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner =
-                        LoopRunner::new(sched, &adj, cost, RelaxationKernel).with_team(team);
+                    let mut runner = LoopRunner::new(sched, &adj, cost).with_team(team);
                     let mut values = runner.make_values(vec![0.0; owned]);
-                    runner.run(env, &mut values, 4).compute_time
+                    runner
+                        .run(env, &RelaxationKernel, &mut values, 4)
+                        .compute_time
                 })
                 .into_results()
         };

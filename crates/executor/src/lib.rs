@@ -19,11 +19,15 @@
 //!   bulk codecs](stance_sim::Element::unpack_into), with send staging
 //!   recycled through [`CommBuffers`] so steady-state iterations are
 //!   allocation-free;
-//! * [`gather_start`] / [`gather_finish`] — the **split-phase** gather:
-//!   posts all traffic with the nonblocking `Comm` primitives and lands
-//!   it later, so the caller (a [`LoopRunner`] with overlap enabled)
-//!   sweeps interior vertices while ghost bytes are in flight;
-//! * [`kernel`] — the [`Kernel`] trait and [`LoopRunner`], plus the two
+//! * [`gather_fused`] — the same gather for a *group* of arrays, one
+//!   message per neighbor ([`gather`] is its group-of-one spelling), and
+//!   [`gather_fused_start`] / [`gather_fused_finish`] — the
+//!   **split-phase** flavour: posts all traffic with the nonblocking
+//!   `Comm` primitives and lands it later, so the caller (a
+//!   [`LoopRunner`] with overlap enabled) sweeps interior vertices while
+//!   ghost bytes are in flight;
+//! * [`kernel`] — the [`Kernel`] trait and [`LoopRunner`] (the one
+//!   exchange + sweep stage step every session runs), plus the two
 //!   built-in kernels: [`RelaxationKernel`] (the paper's Fig. 8 loop,
 //!   `t[i] = Σ y[ia[k]]; y[i] = t[i]/deg(i)`) and [`LaplacianKernel`] (the
 //!   shifted graph-Laplacian matvec driving the CG example);
@@ -55,8 +59,5 @@ pub use kernel::{
     sequential_relaxation, sweep_phase, Field, Kernel, LaplacianKernel, LoopRunner, LoopStats,
     RelaxationKernel,
 };
-pub use primitives::{
-    gather, gather_coalesced, gather_finish, gather_fused, gather_fused_finish, gather_fused_start,
-    gather_start, scatter_add,
-};
+pub use primitives::{gather, gather_fused, gather_fused_finish, gather_fused_start, scatter_add};
 pub use team::SweepTeam;

@@ -9,7 +9,7 @@
 //! inspector guarantees matching; `CommSchedule::validate` checks it).
 //!
 //! All primitives are generic over the application's
-//! [`Element`](stance_sim::Element): values travel as packed little-endian
+//! [`Element`]: values travel as packed little-endian
 //! bytes, so the wire size the network model charges is
 //! `count × E::SIZE_BYTES` for every element type. Packing work is charged
 //! per *element* (one data item), matching the paper's per-item cost model.
@@ -19,7 +19,10 @@
 //! element scratch into the owned block (scatter), never via an
 //! intermediate `Vec<E>`; send staging rides in byte buffers recycled
 //! through [`CommBuffers`], so steady-state iterations allocate nothing.
-//! All three primitives take the caller's [`CommBuffers`] — a
+//! Gathers come in one blocking body ([`gather_fused`]; [`gather`] is its
+//! group-of-one spelling) and one split-phase pair
+//! ([`gather_fused_start`] / [`gather_fused_finish`]). Every primitive
+//! takes the caller's [`CommBuffers`] — a
 //! [`LoopRunner`](crate::LoopRunner) owns one and rebuilds it only on
 //! remap; hand-driven callers build one with
 //! [`CommBuffers::for_schedule`].
@@ -67,6 +70,10 @@ fn pack_indexed<E: Element>(local: &[E], locals: &[u32], bytes: &mut Vec<u8>) {
 /// the peer. For each receive segment: receives the peer's packet and stores
 /// it contiguously in the ghost region (the slots the schedule assigned).
 /// Packing/unpacking work is charged to `env` via `cost`.
+///
+/// This is [`gather_fused`] with a group of one, on the plain
+/// [`TAG_GATHER`](stance_sim::tags::TAG_GATHER) stream — the spelling for
+/// hand-driven callers that hold a single array.
 pub fn gather<E: Element, C: Comm>(
     env: &mut C,
     schedule: &CommSchedule,
@@ -74,132 +81,8 @@ pub fn gather<E: Element, C: Comm>(
     cost: &ComputeCostModel,
     bufs: &mut CommBuffers<E>,
 ) {
-    debug_assert_eq!(values.local_len(), schedule.interval().len());
-    debug_assert_eq!(values.num_ghosts(), schedule.num_ghosts() as usize);
-
-    // Send my boundary values to every peer that needs them, staged in a
-    // recycled buffer; consecutive send runs bulk-pack straight from the
-    // owned block.
-    for (peer, locals) in schedule.sends() {
-        env.compute(cost.pack_work(locals.len()));
-        let mut bytes = bufs.take_bytes(locals.len() * E::SIZE_BYTES);
-        pack_indexed(values.local(), locals, &mut bytes);
-        env.send(*peer, TAG_GATHER, Payload::from_bytes(bytes));
-    }
-    // Receive ghost segments in schedule (peer-ascending) order; slots are
-    // contiguous across segments by construction, so each payload decodes
-    // directly into its ghost-region slice — no intermediate `Vec<E>`.
-    let mut slot = 0usize;
-    for (peer, globals) in schedule.recvs() {
-        let bytes = env.recv(*peer, TAG_GATHER).into_bytes();
-        assert_eq!(
-            bytes.len(),
-            globals.len() * E::SIZE_BYTES,
-            "gather packet from rank {peer} has wrong length"
-        );
-        env.compute(cost.pack_work(globals.len()));
-        E::unpack_into(&bytes, &mut values.ghosts_mut()[slot..slot + globals.len()]);
-        bufs.recycle(bytes);
-        slot += globals.len();
-    }
-}
-
-/// Starts a split-phase gather: posts one nonblocking receive per receive
-/// segment (handles parked in `bufs`' recycled request pool), then packs
-/// and posts every send. Returns as soon as all traffic is posted — the
-/// caller computes (typically: sweeps the interior vertices, which need no
-/// gathered data) while the bytes are in flight, then calls
-/// [`gather_finish`] to land them.
-///
-/// A `gather_start`/[`gather_finish`] pair moves exactly the bytes a
-/// blocking [`gather`] moves, in the same per-peer order, and leaves the
-/// ghost region bitwise identical — the split changes *when* the transfer
-/// is waited on, never what arrives. Between the two calls the ghost
-/// region still holds its previous contents, so only interior data may be
-/// read from `values.combined()`.
-///
-/// # Panics
-/// Panics (in debug) if `values`' shape does not match the schedule.
-/// Calling `gather_start` twice without an intervening [`gather_finish`]
-/// on the same `bufs` is a protocol bug (the request pool would hold
-/// handles from both).
-pub fn gather_start<E: Element, C: Comm>(
-    env: &mut C,
-    schedule: &CommSchedule,
-    values: &GhostedArray<E>,
-    cost: &ComputeCostModel,
-    bufs: &mut CommBuffers<E>,
-) {
-    debug_assert_eq!(values.local_len(), schedule.interval().len());
-    debug_assert_eq!(values.num_ghosts(), schedule.num_ghosts() as usize);
-    debug_assert!(
-        bufs.recv_reqs.is_empty(),
-        "gather_start while a split-phase gather is already in flight"
-    );
-
-    // Post all receives first (MPI wisdom: a pre-posted receive gives the
-    // transport a landing slot before any matching send can arrive).
-    for (peer, _globals) in schedule.recvs() {
-        let req = env.irecv(*peer, TAG_GATHER);
-        bufs.recv_reqs.push(req);
-    }
-    // Pack and post the sends, staged in recycled buffers; consecutive
-    // send runs bulk-pack straight from the owned block. Send handles
-    // are parked in the recycled request pool and waited by
-    // `gather_finish` — sends are buffered (the waits never block), but
-    // every posted request must be completed so the protocol checker can
-    // account for handles, and so a future backend with genuine send
-    // completion works unchanged.
-    for (peer, locals) in schedule.sends() {
-        env.compute(cost.pack_work(locals.len()));
-        let mut bytes = bufs.take_bytes(locals.len() * E::SIZE_BYTES);
-        pack_indexed(values.local(), locals, &mut bytes);
-        let req = env.isend(*peer, TAG_GATHER, Payload::from_bytes(bytes));
-        bufs.send_reqs.push(req);
-    }
-}
-
-/// Completes a split-phase gather started by [`gather_start`]: waits for
-/// each posted receive in schedule (peer-ascending) order and decodes the
-/// payload directly into its ghost-region slice, exactly as the blocking
-/// [`gather`] does. After this returns, `values.combined()` is fully
-/// consistent and the boundary sweep may run.
-///
-/// # Panics
-/// Panics if a packet's length does not match its schedule segment.
-pub fn gather_finish<E: Element, C: Comm>(
-    env: &mut C,
-    schedule: &CommSchedule,
-    values: &mut GhostedArray<E>,
-    cost: &ComputeCostModel,
-    bufs: &mut CommBuffers<E>,
-) {
-    assert_eq!(
-        bufs.recv_reqs.len(),
-        schedule.recvs().len(),
-        "gather_finish without a matching gather_start"
-    );
-    let mut slot = 0usize;
-    for (i, (peer, globals)) in schedule.recvs().iter().enumerate() {
-        let req = bufs.recv_reqs[i];
-        let bytes = env.wait_recv(req).into_bytes();
-        assert_eq!(
-            bytes.len(),
-            globals.len() * E::SIZE_BYTES,
-            "gather packet from rank {peer} has wrong length"
-        );
-        env.compute(cost.pack_work(globals.len()));
-        E::unpack_into(&bytes, &mut values.ghosts_mut()[slot..slot + globals.len()]);
-        bufs.recycle(bytes);
-        slot += globals.len();
-    }
-    bufs.recv_reqs.clear();
-    // Complete the posted sends (never blocks — sends are buffered) so
-    // no request handle outlives the gather it belongs to.
-    for i in 0..bufs.send_reqs.len() {
-        env.wait_send(bufs.send_reqs[i]);
-    }
-    bufs.send_reqs.clear();
+    let group = std::slice::from_mut(values);
+    gather_group(env, schedule, group, &[0], cost, bufs, TAG_GATHER);
 }
 
 /// Sends each ghost-region value back to its owner, which **adds** it into
@@ -259,70 +142,14 @@ pub fn scatter_add<E: Field, C: Comm>(
     }
 }
 
-/// Gathers ghosts for **several arrays at once**, coalescing all of a
-/// peer's values into one message (the paper's §2 "message coalescing"
-/// optimization: for `k` arrays this sends `1/k` of the messages of `k`
-/// separate gathers, paying the per-message setup once).
-///
-/// Wire format per peer: `k` consecutive segments, one per array, each in
-/// send-list order. All ranks must pass the same number of arrays.
-///
-/// # Panics
-/// Panics if any array's shape does not match the schedule.
-pub fn gather_coalesced<E: Element, C: Comm>(
-    env: &mut C,
-    schedule: &CommSchedule,
-    arrays: &mut [&mut GhostedArray<E>],
-    cost: &ComputeCostModel,
-    bufs: &mut CommBuffers<E>,
-) {
-    if arrays.is_empty() {
-        return;
-    }
-    let k = arrays.len();
-    for a in arrays.iter() {
-        debug_assert_eq!(a.local_len(), schedule.interval().len());
-        debug_assert_eq!(a.num_ghosts(), schedule.num_ghosts() as usize);
-    }
-    for (peer, locals) in schedule.sends() {
-        env.compute(cost.pack_work(locals.len() * k));
-        let mut bytes = bufs.take_bytes(locals.len() * k * E::SIZE_BYTES);
-        for a in arrays.iter() {
-            pack_indexed(a.local(), locals, &mut bytes);
-        }
-        env.send(*peer, TAG_GATHER, Payload::from_bytes(bytes));
-    }
-    // Each array's segment of the payload decodes directly into that
-    // array's ghost-region slice.
-    let mut slot = 0usize;
-    for (peer, globals) in schedule.recvs() {
-        let seg = globals.len();
-        let bytes = env.recv(*peer, TAG_GATHER).into_bytes();
-        assert_eq!(
-            bytes.len(),
-            seg * k * E::SIZE_BYTES,
-            "coalesced packet from rank {peer} has wrong length"
-        );
-        env.compute(cost.pack_work(seg * k));
-        let seg_bytes = seg * E::SIZE_BYTES;
-        for (i, a) in arrays.iter_mut().enumerate() {
-            E::unpack_into(
-                &bytes[i * seg_bytes..(i + 1) * seg_bytes],
-                &mut a.ghosts_mut()[slot..slot + seg],
-            );
-        }
-        bufs.recycle(bytes);
-        slot += seg;
-    }
-}
-
 /// Gathers ghosts for the fields selected by `which` (indices into
 /// `arrays`) in **one fused message per neighbor**, on the dedicated
 /// [`TAG_GATHER_FUSED`](stance_sim::tags::TAG_GATHER_FUSED) stream. This
 /// is the stage-graph exchange primitive: a dataflow session groups all
 /// fields whose ghosts are due at the same point of the stage schedule
 /// and moves them in a single packet, paying the per-message setup once
-/// instead of once per field.
+/// instead of once per field (the paper's §2 "message coalescing": `k`
+/// fields cost `1/k` of the messages of `k` separate gathers).
 ///
 /// The selection-by-index signature (rather than `&mut [&mut
 /// GhostedArray<E>]`) lets a caller that owns all its fields in one
@@ -345,44 +172,62 @@ pub fn gather_fused<E: Element, C: Comm>(
     cost: &ComputeCostModel,
     bufs: &mut CommBuffers<E>,
 ) {
+    gather_group(env, schedule, arrays, which, cost, bufs, TAG_GATHER_FUSED);
+}
+
+/// The blocking exchange body behind [`gather`] and [`gather_fused`],
+/// which differ only in the stream they use.
+fn gather_group<E: Element, C: Comm>(
+    env: &mut C,
+    schedule: &CommSchedule,
+    arrays: &mut [GhostedArray<E>],
+    which: &[usize],
+    cost: &ComputeCostModel,
+    bufs: &mut CommBuffers<E>,
+    tag: Tag,
+) {
     if which.is_empty() {
         return;
     }
-    debug_assert_fused_selection(schedule, arrays, which);
-    let k = which.len();
+    debug_assert_selection(schedule, arrays, which);
+    // Send my boundary values to every peer that needs them.
     for (peer, locals) in schedule.sends() {
-        env.compute(cost.pack_work(locals.len() * k));
-        let mut bytes = bufs.take_bytes(locals.len() * k * E::SIZE_BYTES);
-        for &w in which {
-            pack_indexed(arrays[w].local(), locals, &mut bytes);
-        }
-        env.send(*peer, TAG_GATHER_FUSED, Payload::from_bytes(bytes));
+        let payload = pack_segments(env, arrays, which, locals, cost, bufs);
+        env.send(*peer, tag, payload);
     }
-    // Each field's segment of the payload decodes directly into that
-    // field's ghost-region slice.
+    // Receive ghost segments in schedule (peer-ascending) order; slots are
+    // contiguous across segments by construction.
     let mut slot = 0usize;
     for (peer, globals) in schedule.recvs() {
-        let seg = globals.len();
-        let bytes = env.recv(*peer, TAG_GATHER_FUSED).into_bytes();
-        assert_eq!(
-            bytes.len(),
-            seg * k * E::SIZE_BYTES,
-            "fused gather packet from rank {peer} has wrong length"
+        let bytes = env.recv(*peer, tag).into_bytes();
+        land_segments(
+            env,
+            bytes,
+            *peer,
+            arrays,
+            which,
+            slot,
+            globals.len(),
+            cost,
+            bufs,
         );
-        env.compute(cost.pack_work(seg * k));
-        unpack_fused_segments(&bytes, arrays, which, slot, seg);
-        bufs.recycle(bytes);
-        slot += seg;
+        slot += globals.len();
     }
 }
 
 /// Starts a split-phase fused gather for the fields selected by `which`:
-/// posts one nonblocking receive per peer, then packs every selected
-/// field's boundary values into one message per peer and posts the
-/// sends, exactly as [`gather_fused`] would. The caller computes while
-/// the bytes are in flight — legally, anything that reads no ghost of a
-/// selected field — then calls [`gather_fused_finish`] with the **same**
-/// selection to land them.
+/// posts one nonblocking receive per peer (handles parked in `bufs`'
+/// recycled request pool), then packs every selected field's boundary
+/// values into one message per peer and posts the sends, exactly as
+/// [`gather_fused`] would. The caller computes while the bytes are in
+/// flight — legally, anything that reads no ghost of a selected field
+/// (typically: the interior vertices, which need no gathered data) — then
+/// calls [`gather_fused_finish`] with the **same** selection to land them.
+///
+/// A start/finish pair moves exactly the bytes a blocking
+/// [`gather_fused`] moves, in the same per-peer order, and leaves the
+/// ghost regions bitwise identical — the split changes *when* the
+/// transfer is waited on, never what arrives.
 ///
 /// An empty selection posts nothing (and the matching finish is a
 /// no-op), so callers can drive the pair unconditionally from
@@ -390,7 +235,8 @@ pub fn gather_fused<E: Element, C: Comm>(
 ///
 /// # Panics
 /// Panics (in debug) if a split-phase gather is already in flight on
-/// `bufs`, or if a selected array's shape does not match the schedule.
+/// `bufs` (the request pool would hold handles from both), or if a
+/// selected array's shape does not match the schedule.
 pub fn gather_fused_start<E: Element, C: Comm>(
     env: &mut C,
     schedule: &CommSchedule,
@@ -406,33 +252,32 @@ pub fn gather_fused_start<E: Element, C: Comm>(
         bufs.recv_reqs.is_empty(),
         "gather_fused_start while a split-phase gather is already in flight"
     );
-    #[cfg(debug_assertions)]
-    for (i, &w) in which.iter().enumerate() {
-        debug_assert_eq!(arrays[w].local_len(), schedule.interval().len());
-        debug_assert_eq!(arrays[w].num_ghosts(), schedule.num_ghosts() as usize);
-        debug_assert!(!which[..i].contains(&w), "field {w} selected twice");
-    }
-    let k = which.len();
+    debug_assert_selection(schedule, arrays, which);
+    // Post all receives first (MPI wisdom: a pre-posted receive gives the
+    // transport a landing slot before any matching send can arrive).
     for (peer, _globals) in schedule.recvs() {
         let req = env.irecv(*peer, TAG_GATHER_FUSED);
         bufs.recv_reqs.push(req);
     }
+    // Send handles are parked in the recycled request pool and waited by
+    // the finish — sends are buffered (the waits never block), but every
+    // posted request must be completed so the protocol checker can
+    // account for handles, and so a future backend with genuine send
+    // completion works unchanged.
     for (peer, locals) in schedule.sends() {
-        env.compute(cost.pack_work(locals.len() * k));
-        let mut bytes = bufs.take_bytes(locals.len() * k * E::SIZE_BYTES);
-        for &w in which {
-            pack_indexed(arrays[w].local(), locals, &mut bytes);
-        }
-        let req = env.isend(*peer, TAG_GATHER_FUSED, Payload::from_bytes(bytes));
+        let payload = pack_segments(env, arrays, which, locals, cost, bufs);
+        let req = env.isend(*peer, TAG_GATHER_FUSED, payload);
         bufs.send_reqs.push(req);
     }
 }
 
 /// Completes a split-phase fused gather started by
 /// [`gather_fused_start`] with the same selection: waits each posted
-/// receive in schedule order, decodes every field's segment into its
-/// ghost-region slice, then completes the posted sends. A no-op for an
-/// empty selection.
+/// receive in schedule (peer-ascending) order, decodes every field's
+/// segment into its ghost-region slice exactly as the blocking
+/// [`gather_fused`] does, then completes the posted sends. After this
+/// returns every selected array's `combined()` is fully consistent. A
+/// no-op for an empty selection.
 ///
 /// # Panics
 /// Panics if no matching start was issued or a packet's length does not
@@ -453,67 +298,100 @@ pub fn gather_fused_finish<E: Element, C: Comm>(
         schedule.recvs().len(),
         "gather_fused_finish without a matching gather_fused_start"
     );
-    let k = which.len();
     let mut slot = 0usize;
     for (i, (peer, globals)) in schedule.recvs().iter().enumerate() {
-        let seg = globals.len();
-        let req = bufs.recv_reqs[i];
-        let bytes = env.wait_recv(req).into_bytes();
-        assert_eq!(
-            bytes.len(),
-            seg * k * E::SIZE_BYTES,
-            "fused gather packet from rank {peer} has wrong length"
+        let bytes = env.wait_recv(bufs.recv_reqs[i]).into_bytes();
+        land_segments(
+            env,
+            bytes,
+            *peer,
+            arrays,
+            which,
+            slot,
+            globals.len(),
+            cost,
+            bufs,
         );
-        env.compute(cost.pack_work(seg * k));
-        unpack_fused_segments(&bytes, arrays, which, slot, seg);
-        bufs.recycle(bytes);
-        slot += seg;
+        slot += globals.len();
     }
     bufs.recv_reqs.clear();
+    // Complete the posted sends (never blocks — sends are buffered) so
+    // no request handle outlives the gather it belongs to.
     for i in 0..bufs.send_reqs.len() {
         env.wait_send(bufs.send_reqs[i]);
     }
     bufs.send_reqs.clear();
 }
 
-/// Decodes one fused packet's `which.len()` segments (each `seg`
-/// elements, starting at ghost `slot`) into the selected arrays.
+/// Charges and packs one peer's message: every selected field's `locals`
+/// segment, back to back in `which` order, staged in a recycled buffer
+/// (consecutive send runs bulk-pack straight from the owned block).
 #[inline]
-fn unpack_fused_segments<E: Element>(
-    bytes: &[u8],
+fn pack_segments<E: Element, C: Comm>(
+    env: &mut C,
+    arrays: &[GhostedArray<E>],
+    which: &[usize],
+    locals: &[u32],
+    cost: &ComputeCostModel,
+    bufs: &mut CommBuffers<E>,
+) -> Payload {
+    let elements = locals.len() * which.len();
+    env.compute(cost.pack_work(elements));
+    let mut bytes = bufs.take_bytes(elements * E::SIZE_BYTES);
+    for &w in which {
+        pack_indexed(arrays[w].local(), locals, &mut bytes);
+    }
+    Payload::from_bytes(bytes)
+}
+
+/// Lands one peer's message: checks its length, charges the unpack, and
+/// decodes each selected field's segment (`seg` elements, starting at
+/// ghost `slot`) **directly into** that field's ghost-region slice — no
+/// intermediate `Vec<E>` — then recycles the byte buffer.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn land_segments<E: Element, C: Comm>(
+    env: &mut C,
+    bytes: Vec<u8>,
+    peer: usize,
     arrays: &mut [GhostedArray<E>],
     which: &[usize],
     slot: usize,
     seg: usize,
+    cost: &ComputeCostModel,
+    bufs: &mut CommBuffers<E>,
 ) {
     let seg_bytes = seg * E::SIZE_BYTES;
+    assert_eq!(
+        bytes.len(),
+        seg_bytes * which.len(),
+        "gather packet from rank {peer} has wrong length"
+    );
+    env.compute(cost.pack_work(seg * which.len()));
     for (i, &w) in which.iter().enumerate() {
         E::unpack_into(
             &bytes[i * seg_bytes..(i + 1) * seg_bytes],
             &mut arrays[w].ghosts_mut()[slot..slot + seg],
         );
     }
+    bufs.recycle(bytes);
 }
 
-#[cfg(debug_assertions)]
-fn debug_assert_fused_selection<E: Element>(
+/// Debug-build shape check of a selection: every selected array matches
+/// the schedule and no index repeats.
+#[inline]
+fn debug_assert_selection<E: Element>(
     schedule: &CommSchedule,
     arrays: &[GhostedArray<E>],
     which: &[usize],
 ) {
-    for (i, &w) in which.iter().enumerate() {
-        debug_assert_eq!(arrays[w].local_len(), schedule.interval().len());
-        debug_assert_eq!(arrays[w].num_ghosts(), schedule.num_ghosts() as usize);
-        debug_assert!(!which[..i].contains(&w), "field {w} selected twice");
+    if cfg!(debug_assertions) {
+        for (i, &w) in which.iter().enumerate() {
+            assert_eq!(arrays[w].local_len(), schedule.interval().len());
+            assert_eq!(arrays[w].num_ghosts(), schedule.num_ghosts() as usize);
+            assert!(!which[..i].contains(&w), "field {w} selected twice");
+        }
     }
-}
-
-#[cfg(not(debug_assertions))]
-fn debug_assert_fused_selection<E: Element>(
-    _schedule: &CommSchedule,
-    _arrays: &[GhostedArray<E>],
-    _which: &[usize],
-) {
 }
 
 #[cfg(test)]
@@ -596,57 +474,9 @@ mod tests {
         assert!(total > 0.0);
     }
 
-    /// A gather_start/gather_finish pair must deliver exactly what the
-    /// blocking gather delivers — same ghost values (bitwise), same
-    /// message count — with compute legal between the phases.
     #[test]
-    fn split_phase_gather_equivalent_to_blocking() {
-        let g = meshgen::triangulated_grid(9, 7, 0.3, 2);
-        let part = BlockPartition::from_sizes(&[20, 23, 20]);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        Cluster::new(spec).run(|env| {
-            let rank = env.rank();
-            let adj = LocalAdjacency::extract(&g, &part, rank);
-            let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let iv = part.interval_of(rank);
-            let local: Vec<f64> = iv.iter().map(|g| (g as f64).sin()).collect();
-            let ghosts = sched.num_ghosts() as usize;
-            let mut blocking = GhostedArray::from_local(local.clone(), ghosts);
-            let mut split = GhostedArray::from_local(local, ghosts);
-            let mut bufs = CommBuffers::for_schedule(&sched);
-
-            gather(
-                env,
-                &sched,
-                &mut blocking,
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            let msgs_blocking = env.stats().messages_sent;
-
-            gather_start(env, &sched, &split, &ComputeCostModel::zero(), &mut bufs);
-            // Anything may run here; the ghost region is still stale.
-            env.compute(0.0);
-            gather_finish(
-                env,
-                &sched,
-                &mut split,
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            let msgs_split = env.stats().messages_sent - msgs_blocking;
-
-            assert_eq!(split, blocking, "split-phase ghosts differ");
-            assert_eq!(
-                msgs_split, msgs_blocking,
-                "split-phase message count differs"
-            );
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "without a matching gather_start")]
-    fn gather_finish_requires_start() {
+    #[should_panic(expected = "without a matching gather_fused_start")]
+    fn gather_fused_finish_requires_start() {
         let g = meshgen::triangulated_grid(4, 4, 0.0, 1);
         let part = BlockPartition::uniform(16, 2);
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
@@ -654,11 +484,13 @@ mod tests {
             let adj = LocalAdjacency::extract(&g, &part, env.rank());
             let (sched, _) =
                 build_schedule_symmetric(&part, &adj, env.rank(), ScheduleStrategy::Sort2);
-            let mut values: GhostedArray = GhostedArray::zeros(8, sched.num_ghosts() as usize);
-            gather_finish(
+            let mut fields: Vec<GhostedArray> =
+                vec![GhostedArray::zeros(8, sched.num_ghosts() as usize)];
+            gather_fused_finish(
                 env,
                 &sched,
-                &mut values,
+                &mut fields,
+                &[0],
                 &ComputeCostModel::zero(),
                 &mut CommBuffers::new(),
             );
@@ -703,185 +535,72 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Coalesced gather must deliver exactly what k separate gathers would,
-    /// with 1/k of the messages.
-    #[test]
-    fn coalesced_gather_equivalent_and_cheaper() {
-        let g = meshgen::triangulated_grid(9, 7, 0.3, 2);
-        let n = g.num_vertices();
-        let part = BlockPartition::uniform(n, 3);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        let report = Cluster::new(spec).run(|env| {
-            let rank = env.rank();
-            let adj = LocalAdjacency::extract(&g, &part, rank);
-            let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let iv = part.interval_of(rank);
-            let ghosts = sched.num_ghosts() as usize;
-            // Three arrays with distinct value patterns.
-            let mk =
-                |f: fn(usize) -> f64| GhostedArray::from_local(iv.iter().map(f).collect(), ghosts);
-            let mut a = mk(|g| g as f64);
-            let mut b = mk(|g| (g * g) as f64);
-            let mut c = mk(|g| -(g as f64));
-
-            // Reference: separate gathers.
-            let mut a_ref = a.clone();
-            let mut b_ref = b.clone();
-            let mut c_ref = c.clone();
-            let mut bufs = CommBuffers::for_schedule(&sched);
-            gather(
-                env,
-                &sched,
-                &mut a_ref,
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            gather(
-                env,
-                &sched,
-                &mut b_ref,
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            gather(
-                env,
-                &sched,
-                &mut c_ref,
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            let msgs_separate = env.stats().messages_sent;
-
-            gather_coalesced(
-                env,
-                &sched,
-                &mut [&mut a, &mut b, &mut c],
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            let msgs_coalesced = env.stats().messages_sent - msgs_separate;
-
-            assert_eq!(a, a_ref);
-            assert_eq!(b, b_ref);
-            assert_eq!(c, c_ref);
-            (msgs_separate, msgs_coalesced)
-        });
-        for (separate, coalesced) in report.results() {
-            assert_eq!(
-                *separate,
-                3 * coalesced,
-                "coalescing must cut messages 3x ({separate} vs {coalesced})"
-            );
-        }
-    }
-
-    #[test]
-    fn coalesced_gather_empty_array_list_is_noop() {
-        let g = meshgen::triangulated_grid(4, 4, 0.0, 1);
-        let part = BlockPartition::uniform(16, 2);
-        let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
-        Cluster::new(spec).run(|env| {
-            let adj = LocalAdjacency::extract(&g, &part, env.rank());
-            let (sched, _) =
-                build_schedule_symmetric(&part, &adj, env.rank(), ScheduleStrategy::Sort2);
-            gather_coalesced::<f64, _>(
-                env,
-                &sched,
-                &mut [],
-                &ComputeCostModel::zero(),
-                &mut CommBuffers::new(),
-            );
-            assert_eq!(env.stats().messages_sent, 0);
-        });
-    }
-
-    /// Fused gather of a selection must deliver exactly what separate
-    /// gathers of those fields would — bitwise — in one message per
-    /// neighbor, and the blocking and split-phase flavours must agree.
+    /// Fused gather of a selection — a group of one, a proper subset, and
+    /// all fields (the paper's message coalescing) — must deliver exactly
+    /// what separate gathers of those fields would, bitwise, in one
+    /// message per neighbor (`1/k` of the separate count); and the
+    /// split-phase pair must agree with the blocking flavour in ghosts
+    /// and message count, with compute legal between the phases.
     #[test]
     fn fused_gather_equivalent_to_separate_and_single_message() {
         let g = meshgen::triangulated_grid(9, 7, 0.3, 2);
         let n = g.num_vertices();
         let part = BlockPartition::uniform(n, 3);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        let report = Cluster::new(spec).run(|env| {
-            let rank = env.rank();
-            let adj = LocalAdjacency::extract(&g, &part, rank);
-            let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let iv = part.interval_of(rank);
-            let ghosts = sched.num_ghosts() as usize;
-            let mk =
-                |f: fn(usize) -> f64| GhostedArray::from_local(iv.iter().map(f).collect(), ghosts);
-            // Three registered fields; the selection gathers only two.
-            let mut fields = vec![
-                mk(|g| g as f64),
-                mk(|g| (g * g) as f64),
-                mk(|g| -(g as f64)),
-            ];
-            let mut split = fields.clone();
-            let mut bufs = CommBuffers::for_schedule(&sched);
+        for which in [&[0usize][..], &[0, 2], &[0, 1, 2]] {
+            let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
+            let report = Cluster::new(spec).run(|env| {
+                let rank = env.rank();
+                let adj = LocalAdjacency::extract(&g, &part, rank);
+                let (sched, _) =
+                    build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
+                let iv = part.interval_of(rank);
+                let ghosts = sched.num_ghosts() as usize;
+                let mk = |f: fn(usize) -> f64| {
+                    GhostedArray::from_local(iv.iter().map(f).collect(), ghosts)
+                };
+                // Three registered fields with distinct value patterns.
+                let mut fields = vec![
+                    mk(|g| g as f64),
+                    mk(|g| (g * g) as f64),
+                    mk(|g| -(g as f64)),
+                ];
+                let mut split = fields.clone();
+                let mut separate = fields.clone();
+                let mut bufs = CommBuffers::for_schedule(&sched);
+                let cost = ComputeCostModel::zero();
 
-            // Reference: separate gathers of the selected fields.
-            let mut a_ref = fields[0].clone();
-            let mut c_ref = fields[2].clone();
-            gather(
-                env,
-                &sched,
-                &mut a_ref,
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            gather(
-                env,
-                &sched,
-                &mut c_ref,
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            let msgs_separate = env.stats().messages_sent;
+                // Reference: one plain gather per selected field.
+                for &w in which {
+                    gather(env, &sched, &mut separate[w], &cost, &mut bufs);
+                }
+                let msgs_separate = env.stats().messages_sent;
 
-            gather_fused(
-                env,
-                &sched,
-                &mut fields,
-                &[0, 2],
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            let msgs_fused = env.stats().messages_sent - msgs_separate;
+                gather_fused(env, &sched, &mut fields, which, &cost, &mut bufs);
+                let msgs_fused = env.stats().messages_sent - msgs_separate;
 
-            gather_fused_start(
-                env,
-                &sched,
-                &split,
-                &[0, 2],
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
-            env.compute(0.0);
-            gather_fused_finish(
-                env,
-                &sched,
-                &mut split,
-                &[0, 2],
-                &ComputeCostModel::zero(),
-                &mut bufs,
-            );
+                gather_fused_start(env, &sched, &split, which, &cost, &mut bufs);
+                // Anything may run here; the ghost regions are still stale.
+                env.compute(0.0);
+                gather_fused_finish(env, &sched, &mut split, which, &cost, &mut bufs);
+                let msgs_split = env.stats().messages_sent - msgs_separate - msgs_fused;
 
-            assert_eq!(fields[0], a_ref);
-            assert_eq!(fields[2], c_ref);
-            // The unselected field's ghosts were never touched.
-            assert!(fields[1].ghosts().iter().all(|&x| x == 0.0));
-            assert_eq!(split[0], fields[0]);
-            assert_eq!(split[2], fields[2]);
-            (msgs_separate, msgs_fused)
-        });
-        for (separate, fused) in report.results() {
-            assert_eq!(
-                *separate,
-                2 * fused,
-                "fusing 2 fields must halve messages ({separate} vs {fused})"
-            );
+                // Selected fields match their separate gathers; unselected
+                // fields' ghosts were never touched (still zero, like the
+                // reference copies nobody gathered).
+                assert_eq!(fields, separate, "fused ghosts differ");
+                assert_eq!(split, fields, "split-phase ghosts differ");
+                assert_eq!(msgs_split, msgs_fused, "split-phase message count differs");
+                (msgs_separate, msgs_fused)
+            });
+            for (separate, fused) in report.results() {
+                assert_eq!(
+                    *separate,
+                    which.len() as u64 * fused,
+                    "fusing {} fields must cut messages {}x ({separate} vs {fused})",
+                    which.len(),
+                    which.len()
+                );
+            }
         }
     }
 

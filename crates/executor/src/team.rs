@@ -292,7 +292,7 @@ enum Split {
 ///
 /// The boundary phase of an overlapped gather is deliberately *not*
 /// team-split: boundary runs are short (block edges), and the phase sits
-/// between `gather_finish` and the commit where dispatch overhead would
+/// between `gather_fused_finish` and the commit where dispatch overhead would
 /// dominate.
 ///
 /// [`LoopRunner::with_team`]: crate::LoopRunner::with_team

@@ -14,7 +14,7 @@
 //! participant and would wait for it forever. `SurvivorComm` therefore
 //! emulates the barrier with point-to-point messages among survivors
 //! only (gather-to-leader + release broadcast on the reserved
-//! [`TAG_SHRINK`](crate::tags::TAG_SHRINK) tag).
+//! [`TAG_SHRINK`] tag).
 
 use crate::comm::{Comm, RecvRequest, SendRequest};
 use crate::payload::{Payload, Tag};

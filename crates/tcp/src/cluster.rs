@@ -6,7 +6,7 @@
 //! mesh, so a dying rank takes no coordinator state with it. Its whole
 //! protocol is HELLO in (validated), WELCOME out (every rank's peer
 //! port plus the scenario arguments), RESULT in (or EOF, if the rank
-//! died first). Every phase is deadline-bounded, and a [`KillGuard`]
+//! died first). Every phase is deadline-bounded, and a `KillGuard`
 //! SIGKILLs all surviving children on every exit path — a failed test
 //! never leaks worker processes.
 

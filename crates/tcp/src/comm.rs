@@ -37,7 +37,8 @@
 //!   Either way `gen` never advances except by a global release, so a
 //!   failed bounded barrier composes with later barriers — the property
 //!   `tests/comm_conformance.rs` exercises and the recovery path relies
-//!   on. A dead root is detected as [`Disconnected`] and surfaces as
+//!   on. A dead root is detected as
+//!   [`Disconnected`](stance_sim::mailbox::Disconnected) and surfaces as
 //!   `false`, never a hang.
 //!
 //! ## Failure surfaces

@@ -30,8 +30,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use stance_sim::{Comm, Payload, RecvRequest, SendRequest, Tag};
 
-/// What an injected fault does to the victim rank. See the [module
-/// docs](self) for the observable consequences of each.
+/// What an injected fault does to the victim rank. See the module
+/// docs for the observable consequences of each.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Abrupt death: unwind out of the communication call; the catcher

@@ -12,7 +12,7 @@
 //! in a way ad-hoc message passing never is. This crate is that checker,
 //! in two halves:
 //!
-//! * **Static audit** ([`audit`]): given the per-rank inspector
+//! * **Static audit** (the `audit` module): given the per-rank inspector
 //!   artifacts, verify the global invariants every backend relies on —
 //!   the partition intervals tile the index space, every ghost resolves
 //!   to exactly one owner, send/recv lists are pairwise symmetric

@@ -279,14 +279,9 @@ pub fn cg_body<C: Comm>(
         rank,
         stance::inspector::ScheduleStrategy::Sort2,
     );
-    let mut runner = LoopRunner::new(
-        sched,
-        &adj,
-        ComputeCostModel::zero(),
-        LaplacianKernel { shift },
-    )
-    .with_overlap(overlap)
-    .with_team(team);
+    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+        .with_overlap(overlap)
+        .with_team(team);
     let iv = part.interval_of(rank);
     let mut x = vec![0.0f64; iv.len()];
     let mut r: Vec<f64> = iv.iter().map(|g| b[g]).collect();
@@ -300,7 +295,7 @@ pub fn cg_body<C: Comm>(
     let rho0 = rho;
     for _ in 0..max_iters {
         values.set_local(&p);
-        runner.apply(env, &mut values);
+        runner.apply(env, &LaplacianKernel { shift }, &mut values);
         let ap = runner.scratch().to_vec();
         let p_dot_ap = {
             let local: f64 = p.iter().zip(&ap).map(|(a, c)| a * c).sum();

@@ -198,31 +198,38 @@ fn oscillating_load_churn_stays_bitwise_correct() {
             .with_network(NetworkSpec::zero_cost())
             .with_load(0, LoadTimeline::from_phases(phases.clone()));
         let report = Cluster::new(spec).run(|env| {
-            let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
-            // aux[g] = 3g rides along through every remap.
-            let mut aux: Vec<f64> = s
-                .partition()
-                .interval_of(env.rank())
-                .iter()
-                .map(|g| 3.0 * g as f64)
-                .collect();
+            // aux[g] = 3g is a second registered field: it rides along
+            // through every controller-driven remap.
+            let graph = StageGraphBuilder::new()
+                .field("values")
+                .field("aux")
+                .stage("sweep", RelaxationKernel, "values", "values")
+                .build();
+            let init2 = |name: &str, g| {
+                if name == "aux" {
+                    3.0 * g as f64
+                } else {
+                    init(g)
+                }
+            };
+            let mut s = DataflowSession::setup(env, &m, graph, init2, &config);
             let mut remaps = 0;
             for b in 0..blocks {
                 s.run_block(env, per_block);
                 if b + 1 < blocks {
                     let remaining = iters - (b + 1) * per_block;
-                    let (remapped, _, _) =
-                        s.check_and_rebalance_named(env, remaining, &mut [("aux", &mut aux)]);
+                    let (remapped, _, _) = s.check_and_rebalance(env, remaining);
                     remaps += usize::from(remapped);
                 }
             }
             // Aux ownership must match the final partition exactly.
             let iv = s.partition().interval_of(env.rank());
+            let aux = s.local("aux");
             assert_eq!(aux.len(), iv.len(), "aux length follows the partition");
             for (offset, g) in iv.iter().enumerate() {
                 assert_eq!(aux[offset], 3.0 * g as f64, "aux element strayed");
             }
-            (remaps, s.local_values().to_vec(), s.partition().clone())
+            (remaps, s.local("values").to_vec(), s.partition().clone())
         });
         let results: Vec<_> = report.into_results();
         assert!(

@@ -101,7 +101,7 @@ where
         let rank = env.rank();
         let adj = LocalAdjacency::extract(&g, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero(), kernel)
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
             .with_overlap(overlap)
             .with_team(team);
         let iv = part.interval_of(rank);
@@ -110,7 +110,7 @@ where
         // Warm-up: let mailbox deques and the recycled-buffer cycle reach
         // their fixed point (buffer capacities converge within a few laps
         // of the send/receive cycle).
-        runner.run(env, &mut values, 12);
+        runner.run(env, &kernel, &mut values, 12);
 
         // Arm the counter with every rank quiescent on both sides.
         env.barrier();
@@ -120,7 +120,7 @@ where
         }
         env.barrier();
 
-        runner.run(env, &mut values, 8);
+        runner.run(env, &kernel, &mut values, 8);
 
         // Disarm before any rank leaves the closure (thread teardown and
         // report assembly may allocate; they are not the steady state).
@@ -163,13 +163,13 @@ where
         let rank = comm.rank();
         let adj = LocalAdjacency::extract(&g, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero(), kernel)
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
             .with_overlap(overlap)
             .with_team(team);
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(&init).collect());
 
-        runner.run(comm, &mut values, 12);
+        runner.run(comm, &kernel, &mut values, 12);
 
         comm.barrier();
         if rank == 0 {
@@ -178,7 +178,7 @@ where
         }
         comm.barrier();
 
-        runner.run(comm, &mut values, 8);
+        runner.run(comm, &kernel, &mut values, 8);
 
         comm.barrier();
         let counted = if rank == 0 {
@@ -209,7 +209,7 @@ fn remap_allocation_body<E, K, C>(
 ) -> Vec<u64>
 where
     E: Field,
-    K: Kernel<E> + Copy + Send + Sync,
+    K: Kernel<E> + Copy + Send + Sync + 'static,
     C: Comm,
 {
     let n = g.num_vertices();
@@ -256,7 +256,7 @@ where
 fn remap_allocations<E, K>(kernel: K, init: impl Fn(usize) -> E + Sync, n_remaps: usize) -> Vec<u64>
 where
     E: Field,
-    K: Kernel<E> + Copy + Send + Sync,
+    K: Kernel<E> + Copy + Send + Sync + 'static,
 {
     let _serial = SERIAL
         .lock()
@@ -279,7 +279,7 @@ fn native_remap_allocations<E, K>(
 ) -> Vec<u64>
 where
     E: Field,
-    K: Kernel<E> + Copy + Send + Sync,
+    K: Kernel<E> + Copy + Send + Sync + 'static,
 {
     let _serial = SERIAL
         .lock()
@@ -457,12 +457,11 @@ fn steady_state_under_armed_fault_injection_is_allocation_free() {
         let mut faulty = stance_verify::FaultyComm::attach(env, &plan);
         let adj = LocalAdjacency::extract(&g, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero(), RelaxationKernel)
-            .with_overlap(false);
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_overlap(false);
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
 
-        runner.run(&mut faulty, &mut values, 12);
+        runner.run(&mut faulty, &RelaxationKernel, &mut values, 12);
 
         faulty.barrier();
         if rank == 0 {
@@ -471,7 +470,7 @@ fn steady_state_under_armed_fault_injection_is_allocation_free() {
         }
         faulty.barrier();
 
-        runner.run(&mut faulty, &mut values, 8);
+        runner.run(&mut faulty, &RelaxationKernel, &mut values, 8);
 
         faulty.barrier();
         let counted = if rank == 0 {

@@ -315,12 +315,21 @@ fn legacy_checkpoint_records_generated_names() {
     let config = StanceConfig::free().without_load_balancing();
     let report =
         Cluster::new(ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost())).run(|env| {
+            // The one-field spelling: caller-owned aux slices get
+            // generated names …
             let mut s =
                 AdaptiveSession::setup(env, &m, RelaxationKernel, |g| init("y", g), &config);
             let iv = s.partition().interval_of(env.rank());
             let aux: Vec<f64> = iv.iter().map(|g| g as f64).collect();
             let auto = s.checkpoint(env, &[&aux]);
-            let named = s.checkpoint_named(env, &[("residual", &aux)]);
+            // … a registered field is recorded under its own.
+            let graph = StageGraphBuilder::new()
+                .field("values")
+                .field("residual")
+                .stage("sweep", RelaxationKernel, "values", "values")
+                .build();
+            let mut d = DataflowSession::setup(env, &m, graph, init, &config);
+            let named = d.checkpoint(env);
             (
                 auto.primary_name().to_string(),
                 auto.aux()[0].0.clone(),
@@ -332,6 +341,11 @@ fn legacy_checkpoint_records_generated_names() {
         assert_eq!(primary, "values");
         assert_eq!(auto_name, "aux0");
         let named_field = named_field.as_ref().expect("named field recorded");
+        let expected: Vec<f64> = (0..named_field.len()).map(|g| g as f64).collect();
+        assert_eq!(
+            named_field, &expected,
+            "registered field holds its own data"
+        );
         let back = SessionCheckpoint::<f64>::from_bytes(bytes);
         assert_eq!(back.field("residual"), Some(named_field.as_slice()));
     }
@@ -376,17 +390,17 @@ fn dataflow_restore_is_keyed_by_name_not_position() {
 #[test]
 #[should_panic(expected = "more than once")]
 fn checkpoint_rejects_duplicate_field_names() {
-    let m = mesh();
-    let config = StanceConfig::free().without_load_balancing();
-    Cluster::new(ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost())).run(|env| {
-        let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, |g| init("y", g), &config);
-        let iv = s.partition().interval_of(env.rank());
-        let aux: Vec<f64> = iv.iter().map(|g| g as f64).collect();
-        // Two aux slices under the same name: rejected at encode-use time
-        // by checkpoint_named, and — for a blob forged around it — at
-        // decode time.
-        let _ = s.checkpoint_named(env, &[("dup", &aux), ("dup", &aux)]);
-    });
+    // A checkpoint's keys are the registered field names, so a duplicate
+    // is rejected where the names are declared — no session (and hence no
+    // checkpoint) can exist with two fields under one name. (A blob
+    // forged around this is rejected at decode time; see the
+    // `checkpoint` module's own tests.)
+    let _ = StageGraphBuilder::<f64>::new()
+        .field("values")
+        .field("dup")
+        .field("dup")
+        .stage("sweep", RelaxationKernel, "values", "values")
+        .build();
 }
 
 /// f64 slices compared as raw bit patterns (catches -0.0 vs 0.0 and NaN
