@@ -173,7 +173,9 @@ impl<E: Element> SessionCheckpoint<E> {
     /// Panics with a descriptive message if the blob is truncated, has the
     /// wrong magic or version, was written for a different element size,
     /// or carries malformed or duplicated field names — a corrupt
-    /// checkpoint must never restore silently.
+    /// checkpoint must never restore silently. Counts and lengths in the
+    /// blob are checked against its size before they size an allocation, so
+    /// decoding never takes more than a small multiple of `bytes.len()`.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         let mut c = Cursor { bytes, at: 0 };
         assert_eq!(c.take(4), MAGIC, "not a STANCE checkpoint (bad magic)");
@@ -186,26 +188,34 @@ impl<E: Element> SessionCheckpoint<E> {
             "checkpoint holds {elem}-byte elements, expected {}",
             E::SIZE_BYTES
         );
-        let n = c.u64() as usize;
+        // The three counts come from outside the process: each is held
+        // against the bytes actually present before anything is sized by it.
+        let n = usize::try_from(c.u64()).unwrap_or(usize::MAX);
         let p = c.u32() as usize;
         let aux_count = c.u32() as usize;
         assert!(p > 0, "checkpoint has no ranks");
         let primary_name = read_name(&mut c);
+        c.expect_room(p, 8 + 4 + SNAPSHOT_BYTES);
         let block_sizes: Vec<usize> = (0..p).map(|_| c.u64() as usize).collect();
         assert_eq!(
-            block_sizes.iter().sum::<usize>(),
-            n,
+            block_sizes
+                .iter()
+                .try_fold(0usize, |sum, &size| sum.checked_add(size)),
+            Some(n),
             "checkpoint block sizes do not tile the list"
         );
         let arrangement: Vec<usize> = (0..p).map(|_| c.u32() as usize).collect();
         let monitors: Vec<MonitorSnapshot> = (0..p).map(|_| read_snapshot(&mut c)).collect();
+        let field_bytes = c.expect_room(n, elem);
         let mut values = vec![E::zero(); n];
-        E::unpack_into(c.take(n * elem), &mut values);
+        E::unpack_into(c.take(field_bytes), &mut values);
+        // An auxiliary record is at least a name's length word and a field.
+        c.expect_room(aux_count, 4 + field_bytes);
         let aux: Vec<(String, Vec<E>)> = (0..aux_count)
             .map(|_| {
                 let name = read_name(&mut c);
                 let mut a = vec![E::zero(); n];
-                E::unpack_into(c.take(n * elem), &mut a);
+                E::unpack_into(c.take(field_bytes), &mut a);
                 (name, a)
             })
             .collect();
@@ -292,9 +302,23 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    /// Panics unless `count` records of `each` bytes can still follow, and
+    /// returns their total size. Called before allocating for a count read
+    /// from the blob, so a hostile count costs a panic, not the memory.
+    fn expect_room(&self, count: usize, each: usize) -> usize {
+        match count.checked_mul(each) {
+            Some(total) if total <= self.bytes.len() - self.at => total,
+            _ => panic!(
+                "checkpoint truncated at byte {} (wanted {count} x {each} more of {})",
+                self.at,
+                self.bytes.len()
+            ),
+        }
+    }
+
     fn take(&mut self, len: usize) -> &'a [u8] {
         assert!(
-            self.at + len <= self.bytes.len(),
+            len <= self.bytes.len() - self.at,
             "checkpoint truncated at byte {} (wanted {len} more of {})",
             self.at,
             self.bytes.len()
@@ -434,5 +458,76 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes.push(0);
         let _ = SessionCheckpoint::<f64>::from_bytes(&bytes);
+    }
+
+    /// A header claiming `n` elements, `p` ranks and `aux` auxiliary
+    /// fields, followed by the one-byte primary name `"v"`: 33 bytes.
+    fn hostile_header(n: u64, p: u32, aux: u32) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&8u32.to_le_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&p.to_le_bytes());
+        bytes.extend_from_slice(&aux.to_le_bytes());
+        write_name("v", &mut bytes);
+        bytes
+    }
+
+    /// A well-formed one-rank prefix (sizes, arrangement, snapshot) for a
+    /// blob claiming `n` elements, stopping where the values would start.
+    fn one_rank_prefix(n: u64) -> Vec<u8> {
+        let mut bytes = hostile_header(n, 1, 0);
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; SNAPSHOT_BYTES]);
+        bytes
+    }
+
+    /// Decoding must end in the catchable "truncated" panic. An abort
+    /// (allocation failure) would take the test process down instead.
+    fn assert_rejected_as_truncated(blob: &[u8]) {
+        let panic = std::panic::catch_unwind(|| SessionCheckpoint::<f64>::from_bytes(blob))
+            .expect_err("a hostile blob must not decode");
+        let message = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("checkpoint truncated"), "{message}");
+    }
+
+    #[test]
+    fn hostile_rank_count_panics_before_allocating() {
+        let blob = hostile_header(5, u32::MAX, 0);
+        assert_eq!(blob.len(), 33);
+        assert_rejected_as_truncated(&blob);
+    }
+
+    #[test]
+    fn hostile_aux_count_panics_before_allocating() {
+        let mut blob = sample().to_bytes();
+        blob[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_rejected_as_truncated(&blob);
+    }
+
+    #[test]
+    fn hostile_element_count_panics_before_allocating() {
+        assert_rejected_as_truncated(&one_rank_prefix(1 << 40));
+    }
+
+    #[test]
+    fn element_count_whose_byte_size_overflows_is_rejected() {
+        // n x 8 wraps to 8 in 64 bits: the eight bytes are even there.
+        let mut blob = one_rank_prefix((1 << 61) + 1);
+        blob.extend_from_slice(&[0; 8]);
+        assert_rejected_as_truncated(&blob);
+        assert_rejected_as_truncated(&one_rank_prefix(u64::MAX));
+    }
+
+    #[test]
+    fn hostile_name_length_panics_before_allocating() {
+        let mut blob = hostile_header(5, 2, 0);
+        blob[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_rejected_as_truncated(&blob);
+        let mut blob = sample().to_bytes();
+        let aux_name_at = blob.len() - (4 + "residual".len() + 5 * 8);
+        blob[aux_name_at..aux_name_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_rejected_as_truncated(&blob);
     }
 }

@@ -7,6 +7,8 @@
 //! partitioners (RCB, inertial, space-filling curves) need them; purely
 //! combinatorial methods (spectral) ignore them.
 
+use crate::bisect::{host_threads, FORK_MIN};
+
 /// An undirected computational graph in CSR form with coordinates.
 ///
 /// Invariants (checked at construction):
@@ -183,25 +185,80 @@ impl Graph {
     /// identical structure under the renaming; coordinates follow their
     /// vertices.
     ///
+    /// The CSR arrays are permuted directly — new row pointers from the old
+    /// degrees, then each new row mapped through `new_of_old` and sorted in
+    /// place — with the rows split over the host's threads on large graphs.
+    ///
     /// # Panics
     /// Panics unless `new_of_old` is a permutation of `0..n`.
     pub fn relabel(&self, new_of_old: &[u32]) -> Graph {
+        let threads = host_threads().min(self.num_vertices() / FORK_MIN);
+        self.relabel_on_threads(new_of_old, threads.max(1))
+    }
+
+    /// [`Graph::relabel`] with the rows filled by `threads` threads; the
+    /// same graph for any number.
+    pub(crate) fn relabel_on_threads(&self, new_of_old: &[u32], threads: usize) -> Graph {
         let n = self.num_vertices();
         assert_eq!(new_of_old.len(), n, "permutation length mismatch");
-        let mut seen = vec![false; n];
-        for &x in new_of_old {
-            assert!((x as usize) < n && !seen[x as usize], "not a permutation");
-            seen[x as usize] = true;
+        // Inverting the map is also the check that it is a permutation.
+        let mut old_of_new = vec![u32::MAX; n];
+        for (old, &new) in new_of_old.iter().enumerate() {
+            assert!(
+                (new as usize) < n && old_of_new[new as usize] == u32::MAX,
+                "not a permutation"
+            );
+            old_of_new[new as usize] = old as u32;
         }
-        let mut edges = Vec::with_capacity(self.num_edges());
-        for (u, v) in self.edges() {
-            edges.push((new_of_old[u as usize], new_of_old[v as usize]));
+        let mut xadj = Vec::with_capacity(n + 1);
+        xadj.push(0);
+        for &old in &old_of_new {
+            xadj.push(xadj[xadj.len() - 1] + self.degree(old as usize));
         }
+        let mut adjncy = vec![0u32; self.adjncy.len()];
         let mut coords = vec![[0.0; 3]; n];
-        for v in 0..n {
-            coords[new_of_old[v] as usize] = self.coords[v];
+
+        // Fills the rows and coordinates of new vertices `first..`, one per
+        // element of `coords`; `adjncy` is exactly their slice of the array.
+        let fill = |first: usize, mut adjncy: &mut [u32], coords: &mut [[f64; 3]]| {
+            for (new, coord) in (first..).zip(coords) {
+                let old = old_of_new[new] as usize;
+                let row;
+                (row, adjncy) = std::mem::take(&mut adjncy).split_at_mut(xadj[new + 1] - xadj[new]);
+                for (slot, &neighbor) in row.iter_mut().zip(self.neighbors(old)) {
+                    *slot = new_of_old[neighbor as usize];
+                }
+                row.sort_unstable();
+                for w in row.windows(2) {
+                    assert_ne!(w[0], w[1], "duplicate edge at vertex {new}");
+                }
+                *coord = self.coords[old];
+            }
+        };
+        let fill = &fill;
+        let rows_per_thread = n.div_ceil(threads).max(1);
+        std::thread::scope(|s| {
+            let mut adjncy = adjncy.as_mut_slice();
+            let mut chunks = coords.chunks_mut(rows_per_thread).enumerate().peekable();
+            while let Some((i, coords)) = chunks.next() {
+                let first = i * rows_per_thread;
+                let rows;
+                (rows, adjncy) = std::mem::take(&mut adjncy)
+                    .split_at_mut(xadj[first + coords.len()] - xadj[first]);
+                if chunks.peek().is_some() {
+                    s.spawn(move || fill(first, rows, coords));
+                } else {
+                    // The last chunk (the only one on small graphs) runs here.
+                    fill(first, rows, coords);
+                }
+            }
+        });
+        Graph {
+            xadj,
+            adjncy,
+            coords,
+            dim: self.dim,
         }
-        Graph::from_edges(n, &edges, coords, self.dim)
     }
 
     /// The induced subgraph on `vertices` (given as original ids). Returns

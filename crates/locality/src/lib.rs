@@ -24,10 +24,13 @@
 
 #![forbid(unsafe_code)]
 
+mod bisect;
 pub mod graph;
 pub mod io;
 pub mod meshgen;
 pub mod metrics;
+#[cfg(test)]
+mod oracles;
 pub mod ordering;
 pub mod rcb;
 pub mod rcm;

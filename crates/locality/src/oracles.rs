@@ -1,0 +1,388 @@
+//! Test-only references for Phase A's fast paths: the implementations that
+//! [`crate::bisect`] and the in-place [`Graph::relabel`] replaced, kept
+//! verbatim as oracles, plus the property and golden tests that hold the
+//! replacements to them bit for bit.
+
+use proptest::prelude::*;
+use proptest::TestRng;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+use crate::graph::Graph;
+use crate::meshgen;
+use crate::ordering::Ordering;
+use crate::rcb::{rcb_on_threads, rcb_ordering};
+use crate::rib::{inertial_on_threads, inertial_ordering};
+
+/// RCB as it was: ids through `coords[id]`, `partial_cmp` per comparison.
+fn rcb_oracle(graph: &Graph) -> Ordering {
+    fn recurse(ids: &mut [u32], coords: &[[f64; 3]], dim: usize) {
+        if ids.len() <= 2 {
+            ids.sort_unstable();
+            return;
+        }
+        let axis = widest_axis(ids, coords, dim);
+        let mid = ids.len() / 2;
+        ids.select_nth_unstable_by(mid, |&a, &b| {
+            let ca = coords[a as usize][axis];
+            let cb = coords[b as usize][axis];
+            ca.partial_cmp(&cb)
+                .expect("coordinates must not be NaN")
+                .then(a.cmp(&b))
+        });
+        let (left, right) = ids.split_at_mut(mid);
+        recurse(left, coords, dim);
+        recurse(right, coords, dim);
+    }
+
+    fn widest_axis(ids: &[u32], coords: &[[f64; 3]], dim: usize) -> usize {
+        let mut lo = [f64::INFINITY; 3];
+        let mut hi = [f64::NEG_INFINITY; 3];
+        for &v in ids {
+            let c = coords[v as usize];
+            for d in 0..dim {
+                lo[d] = lo[d].min(c[d]);
+                hi[d] = hi[d].max(c[d]);
+            }
+        }
+        let mut best = 0;
+        let mut best_extent = hi[0] - lo[0];
+        for d in 1..dim {
+            let e = hi[d] - lo[d];
+            if e > best_extent {
+                best_extent = e;
+                best = d;
+            }
+        }
+        best
+    }
+
+    let mut ids: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    recurse(&mut ids, graph.coords(), graph.dim());
+    Ordering::from_sequence(&ids)
+}
+
+/// RIB as it was: centroid and both projections recomputed per comparison.
+fn rib_oracle(graph: &Graph) -> Ordering {
+    fn recurse(ids: &mut [u32], coords: &[[f64; 3]], dim: usize) {
+        if ids.len() <= 2 {
+            ids.sort_unstable();
+            return;
+        }
+        let axis = principal_axis(ids, coords, dim);
+        let centroid = centroid(ids, coords);
+        let mid = ids.len() / 2;
+        ids.select_nth_unstable_by(mid, |&a, &b| {
+            let pa = project(coords[a as usize], centroid, axis);
+            let pb = project(coords[b as usize], centroid, axis);
+            pa.partial_cmp(&pb)
+                .expect("projections are finite")
+                .then(a.cmp(&b))
+        });
+        let (left, right) = ids.split_at_mut(mid);
+        recurse(left, coords, dim);
+        recurse(right, coords, dim);
+    }
+
+    fn centroid(ids: &[u32], coords: &[[f64; 3]]) -> [f64; 3] {
+        let mut c = [0.0; 3];
+        for &v in ids {
+            let p = coords[v as usize];
+            for d in 0..3 {
+                c[d] += p[d];
+            }
+        }
+        let inv = 1.0 / ids.len() as f64;
+        [c[0] * inv, c[1] * inv, c[2] * inv]
+    }
+
+    fn project(p: [f64; 3], centroid: [f64; 3], axis: [f64; 3]) -> f64 {
+        (p[0] - centroid[0]) * axis[0]
+            + (p[1] - centroid[1]) * axis[1]
+            + (p[2] - centroid[2]) * axis[2]
+    }
+
+    #[allow(clippy::needless_range_loop)]
+    fn principal_axis(ids: &[u32], coords: &[[f64; 3]], dim: usize) -> [f64; 3] {
+        let c = centroid(ids, coords);
+        let mut m = [[0.0f64; 3]; 3];
+        for &v in ids {
+            let p = coords[v as usize];
+            let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
+            for i in 0..3 {
+                for j in i..3 {
+                    m[i][j] += d[i] * d[j];
+                }
+            }
+        }
+        for i in 0..3 {
+            for j in 0..i {
+                m[i][j] = m[j][i];
+            }
+        }
+        let mut v = if dim == 2 {
+            [1.0, 0.5, 0.0]
+        } else {
+            [1.0, 0.5, 0.25]
+        };
+        for _ in 0..30 {
+            let mut w = [0.0; 3];
+            for i in 0..3 {
+                for j in 0..3 {
+                    w[i] += m[i][j] * v[j];
+                }
+            }
+            let norm = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]).sqrt();
+            if norm < 1e-30 {
+                return [1.0, 0.0, 0.0];
+            }
+            v = [w[0] / norm, w[1] / norm, w[2] / norm];
+        }
+        v
+    }
+
+    let mut ids: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    recurse(&mut ids, graph.coords(), graph.dim());
+    Ordering::from_sequence(&ids)
+}
+
+/// `Graph::relabel` as it was: an edge list rebuilt through `from_edges`.
+fn relabel_oracle(graph: &Graph, new_of_old: &[u32]) -> Graph {
+    let n = graph.num_vertices();
+    let edges: Vec<(u32, u32)> = graph
+        .edges()
+        .map(|(u, v)| (new_of_old[u as usize], new_of_old[v as usize]))
+        .collect();
+    let mut coords = vec![[0.0; 3]; n];
+    for v in 0..n {
+        coords[new_of_old[v] as usize] = graph.coord(v);
+    }
+    Graph::from_edges(n, &edges, coords, graph.dim())
+}
+
+/// Random 2-D and 3-D graphs built to hit the comparator's corners: clouds
+/// on a five-value lattice holding both zeros (exact ties on every axis,
+/// coincident points), clouds where every other point repeats an earlier
+/// one, plain uniform clouds, and the sizes where the recursion bottoms out
+/// at once. Edges are a random sparse set, for the relabel property.
+struct Clouds;
+
+impl Strategy for Clouds {
+    type Value = Graph;
+
+    fn generate(&self, rng: &mut TestRng) -> Graph {
+        const LATTICE: [f64; 5] = [-2.0, -0.0, 0.0, 1.0, 1.5];
+        let n = match rng.below(4) {
+            0 => rng.below(4) as usize,
+            _ => 4 + rng.below(200) as usize,
+        };
+        let dim = 2 + rng.below(2) as usize;
+        let style = rng.below(3);
+        let mut coords: Vec<[f64; 3]> = Vec::with_capacity(n);
+        for v in 0..n {
+            if style == 1 && v % 2 == 1 {
+                coords.push(coords[rng.below(v as u64) as usize]);
+                continue;
+            }
+            let mut c = [0.0; 3];
+            for x in &mut c[..dim] {
+                *x = match style {
+                    0 => LATTICE[rng.below(5) as usize],
+                    _ => rng.unit_f64() * 2.0 - 1.0,
+                };
+            }
+            coords.push(c);
+        }
+        let mut edges: Vec<(u32, u32)> = (0..2 * n)
+            .map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32))
+            .filter(|(u, v)| u != v)
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        Graph::from_edges(n, &edges, coords, dim)
+    }
+}
+
+/// A uniformly random permutation of `0..n`.
+fn permutation(n: usize, seed: u64) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    perm.shuffle(&mut StdRng::seed_from_u64(seed));
+    perm
+}
+
+/// Bitwise graph equality: `Graph`'s `==` would let `-0.0` pass for `0.0`.
+fn assert_same_graph(a: &Graph, b: &Graph) {
+    assert_eq!(a, b);
+    let bits =
+        |g: &Graph| -> Vec<[u64; 3]> { g.coords().iter().map(|c| c.map(f64::to_bits)).collect() };
+    assert_eq!(bits(a), bits(b));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn rcb_equals_its_oracle(graph in Clouds) {
+        prop_assert_eq!(rcb_ordering(&graph), rcb_oracle(&graph));
+    }
+
+    #[test]
+    fn rib_equals_its_oracle(graph in Clouds) {
+        prop_assert_eq!(inertial_ordering(&graph), rib_oracle(&graph));
+    }
+
+    #[test]
+    fn relabel_equals_its_oracle(graph in Clouds, seed in 0u64..1 << 32, threads in 1usize..6) {
+        let perm = permutation(graph.num_vertices(), seed);
+        let expected = relabel_oracle(&graph, &perm);
+        assert_same_graph(&graph.relabel(&perm), &expected);
+        assert_same_graph(&graph.relabel_on_threads(&perm, threads), &expected);
+    }
+}
+
+/// Word-wise FNV-1a.
+fn fnv(words: impl IntoIterator<Item = u32>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ u64::from(w)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Digest of a graph's rows (degree, neighbours, coordinate bits).
+fn graph_digest(g: &Graph) -> u64 {
+    fnv((0..g.num_vertices()).flat_map(|v| {
+        let coord_words = g.coord(v).into_iter().flat_map(|c| {
+            let bits = c.to_bits();
+            [bits as u32, (bits >> 32) as u32]
+        });
+        std::iter::once(g.degree(v) as u32)
+            .chain(g.neighbors(v).iter().copied())
+            .chain(coord_words)
+    }))
+}
+
+/// One mesh per generator with the digests of its RCB positions, its RIB
+/// positions and its RCB-relabelled CSR, all captured at commit `4652aeb`
+/// (the last with the oracle loops in charge).
+#[test]
+fn golden_digests_per_generator() {
+    let grid = meshgen::triangulated_grid(60, 50, 0.3, 2);
+    let cases: [(&str, Graph, [u64; 3]); 6] = [
+        (
+            "paper_mesh(7)",
+            meshgen::paper_mesh(7),
+            [
+                0x8411_794f_56da_0907,
+                0xbcfc_a4e8_a697_85db,
+                0x6592_5fde_2bb0_a474,
+            ],
+        ),
+        (
+            "triangulated_grid(40, 30, 0.0, 3)",
+            meshgen::triangulated_grid(40, 30, 0.0, 3),
+            [
+                0x1a36_f01d_3a9c_9485,
+                0x5b87_2756_c953_d125,
+                0x99c6_4c09_b65a_b1b8,
+            ],
+        ),
+        (
+            "annulus_mesh(40, 120, 5)",
+            meshgen::annulus_mesh(40, 120, 5),
+            [
+                0x40e8_5b4b_3b1c_8373,
+                0xe025_13ef_71da_37d3,
+                0xa48d_5140_e99d_5b56,
+            ],
+        ),
+        (
+            "random_geometric(5000, 0.03, 11)",
+            meshgen::random_geometric(5000, 0.03, 11),
+            [
+                0xdc5b_528d_502a_27d7,
+                0xa5e4_cd3f_bd07_4e35,
+                0x227b_d3ba_339d_6b9f,
+            ],
+        ),
+        (
+            "shuffle_labels(triangulated_grid(60, 50, 0.3, 2), 9)",
+            meshgen::shuffle_labels(&grid, 9),
+            [
+                0x54dd_a7aa_7930_be87,
+                0x9b7b_4f0f_6464_0b4f,
+                0x2d9c_a7c3_fd6c_4f46,
+            ],
+        ),
+        (
+            "thin_to_edges(triangulated_grid(60, 50, 0.3, 2), 5000, 4)",
+            meshgen::thin_to_edges(&grid, 5000, 4),
+            [
+                0x528a_0c8c_de2a_cd91,
+                0x175a_2cb0_4481_90a1,
+                0x1a96_0d8b_75d6_e19a,
+            ],
+        ),
+    ];
+    for (name, mesh, [rcb, rib, relabelled]) in cases {
+        let ordering = rcb_ordering(&mesh);
+        assert_eq!(
+            fnv(ordering.positions().iter().copied()),
+            rcb,
+            "{name}: rcb"
+        );
+        assert_eq!(
+            fnv(inertial_ordering(&mesh).positions().iter().copied()),
+            rib,
+            "{name}: rib"
+        );
+        assert_eq!(
+            graph_digest(&ordering.apply(&mesh)),
+            relabelled,
+            "{name}: relabel"
+        );
+    }
+}
+
+/// The benchmark's `sweep-1m` input, the one mesh here large enough for
+/// every level of forking (and for `relabel`'s row threads) on a many-core
+/// host. Digests from commit `4652aeb`.
+#[test]
+fn golden_digests_of_the_million_vertex_grid() {
+    let mesh = meshgen::triangulated_grid(1000, 1000, 0.3, 7);
+    let ordering = rcb_ordering(&mesh);
+    assert_eq!(
+        fnv(ordering.positions().iter().copied()),
+        0x4cde_fd19_b039_8a09
+    );
+    assert_eq!(graph_digest(&ordering.apply(&mesh)), 0xaa6d_8407_178f_92de);
+}
+
+/// Forking is decided by size and by the thread budget alone, so the budget
+/// must not show in the result. 150 000 points fork at two levels under a
+/// budget of 8 and unevenly (1 + 2) under 3; a third of them sit on lattice
+/// ties.
+#[test]
+fn ordering_does_not_depend_on_the_thread_count() {
+    let mut rng = TestRng::for_test("thread-count invariance");
+    let coords: Vec<[f64; 3]> = (0..150_000)
+        .map(|v| {
+            let mut x = || match v % 3 {
+                0 => (rng.below(9) as f64 - 4.0) * 0.25,
+                _ => rng.unit_f64() * 2.0 - 1.0,
+            };
+            [x(), x(), x()]
+        })
+        .collect();
+    let cloud = Graph::from_edges(coords.len(), &[], coords, 3);
+    let rcb = rcb_on_threads(&cloud, 1);
+    let rib = inertial_on_threads(&cloud, 1);
+    for threads in [2, 3, 8] {
+        assert_eq!(rcb_on_threads(&cloud, threads), rcb, "rcb on {threads}");
+        assert_eq!(
+            inertial_on_threads(&cloud, threads),
+            rib,
+            "rib on {threads}"
+        );
+    }
+}

@@ -6,61 +6,45 @@
 //! the list, so contiguous blocks of the list are compact regions of the
 //! mesh.
 //!
-//! The split uses `select_nth_unstable` (expected `O(n)` per level, total
-//! `O(n log n)`), with a deterministic tie-break on vertex id so orderings
-//! are reproducible.
+//! Each level costs expected `O(n)` (a median selection on integer keys, see
+//! `bisect.rs`), `O(n log n)` in total, with a deterministic tie-break
+//! on vertex id and independent halves ordered on separate threads — the
+//! ordering is the same for every thread count.
 
+use crate::bisect::{bisection_ordering, host_threads, value_of, Point};
 use crate::graph::Graph;
 use crate::ordering::Ordering;
 
 /// Computes the RCB ordering of a graph from its vertex coordinates.
+///
+/// # Panics
+/// Panics if a coordinate is NaN or infinite.
 pub fn rcb_ordering(graph: &Graph) -> Ordering {
-    let n = graph.num_vertices();
-    let mut ids: Vec<u32> = (0..n as u32).collect();
-    let coords = graph.coords();
+    rcb_on_threads(graph, host_threads())
+}
+
+/// [`rcb_ordering`] on at most `threads` threads; the same ordering for any.
+pub(crate) fn rcb_on_threads(graph: &Graph, threads: usize) -> Ordering {
     let dim = graph.dim();
-    rcb_recurse(&mut ids, coords, dim);
-    Ordering::from_sequence(&ids)
+    bisection_ordering(graph, threads, |points: &mut [Point<3>]| {
+        widest_axis(points, dim)
+    })
 }
 
-/// Recursively orders `ids` in place.
-fn rcb_recurse(ids: &mut [u32], coords: &[[f64; 3]], dim: usize) {
-    if ids.len() <= 2 {
-        // Keep leaves deterministic: order by id.
-        ids.sort_unstable();
-        return;
-    }
-    let axis = widest_axis(ids, coords, dim);
-    let mid = ids.len() / 2;
-    ids.select_nth_unstable_by(mid, |&a, &b| {
-        let ca = coords[a as usize][axis];
-        let cb = coords[b as usize][axis];
-        ca.partial_cmp(&cb)
-            .expect("coordinates must not be NaN")
-            .then(a.cmp(&b))
-    });
-    let (left, right) = ids.split_at_mut(mid);
-    rcb_recurse(left, coords, dim);
-    rcb_recurse(right, coords, dim);
-}
-
-/// The axis with the largest coordinate extent over `ids`.
-fn widest_axis(ids: &[u32], coords: &[[f64; 3]], dim: usize) -> usize {
-    let mut lo = [f64::INFINITY; 3];
-    let mut hi = [f64::NEG_INFINITY; 3];
-    for &v in ids {
-        let c = coords[v as usize];
+/// The axis with the largest coordinate extent over `points`.
+fn widest_axis(points: &[Point<3>], dim: usize) -> usize {
+    let mut lo = [u64::MAX; 3];
+    let mut hi = [u64::MIN; 3];
+    for p in points {
         for d in 0..dim {
-            lo[d] = lo[d].min(c[d]);
-            hi[d] = hi[d].max(c[d]);
+            lo[d] = lo[d].min(p.key[d]);
+            hi[d] = hi[d].max(p.key[d]);
         }
     }
+    let extent = |d: usize| value_of(hi[d]) - value_of(lo[d]);
     let mut best = 0;
-    let mut best_extent = hi[0] - lo[0];
     for d in 1..dim {
-        let e = hi[d] - lo[d];
-        if e > best_extent {
-            best_extent = e;
+        if extent(d) > extent(best) {
             best = d;
         }
     }
@@ -164,5 +148,29 @@ mod tests {
         // First four positions should be one z-layer.
         let zs: Vec<f64> = seq[..4].iter().map(|&v| g.coord(v as usize)[2]).collect();
         assert!(zs.iter().all(|&z| z == zs[0]));
+    }
+
+    /// Three collinear points with vertex 1 moved to `bad` on the y axis.
+    fn with_bad_coordinate(bad: f64) -> Graph {
+        let coords = vec![[0.0; 3], [1.0, bad, 0.0], [2.0, 0.0, 0.0]];
+        Graph::from_edges(3, &[], coords, 2)
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates must not be NaN or infinite: vertex 1")]
+    fn rcb_rejects_nan() {
+        let _ = rcb_ordering(&with_bad_coordinate(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates must not be NaN or infinite: vertex 1")]
+    fn rcb_rejects_positive_infinity() {
+        let _ = rcb_ordering(&with_bad_coordinate(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates must not be NaN or infinite: vertex 1")]
+    fn rcb_rejects_negative_infinity() {
+        let _ = rcb_ordering(&with_bad_coordinate(f64::NEG_INFINITY));
     }
 }

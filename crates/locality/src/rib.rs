@@ -6,47 +6,65 @@
 //! projection. It handles meshes whose natural grain is diagonal to the
 //! coordinate system. Listed among the paper's "important heuristics" for
 //! coordinate-based partitioning (§3.1).
+//!
+//! Each level finds the centroid and the axis, then projects every point
+//! **once** and splits on the projections with the integer-key median
+//! selection of `bisect.rs`: `O(n log n)` in total, halves on
+//! separate threads, the same ordering for every thread count.
 
+use crate::bisect::{bisection_ordering, host_threads, key_of, value_of, Point};
 use crate::graph::Graph;
 use crate::ordering::Ordering;
 
+/// The key slot holding a point's projection onto the current level's axis
+/// (slots 0–2 hold its coordinates).
+const PROJECTION: usize = 3;
+
 /// Computes the recursive inertial bisection ordering.
+///
+/// # Panics
+/// Panics if a coordinate is NaN or infinite, or so large that a
+/// projection onto the principal axis overflows.
 pub fn inertial_ordering(graph: &Graph) -> Ordering {
-    let n = graph.num_vertices();
-    let mut ids: Vec<u32> = (0..n as u32).collect();
-    rib_recurse(&mut ids, graph.coords(), graph.dim());
-    Ordering::from_sequence(&ids)
+    inertial_on_threads(graph, host_threads())
 }
 
-fn rib_recurse(ids: &mut [u32], coords: &[[f64; 3]], dim: usize) {
-    if ids.len() <= 2 {
-        ids.sort_unstable();
-        return;
-    }
-    let axis = principal_axis(ids, coords, dim);
-    let centroid = centroid(ids, coords);
-    let mid = ids.len() / 2;
-    ids.select_nth_unstable_by(mid, |&a, &b| {
-        let pa = project(coords[a as usize], centroid, axis);
-        let pb = project(coords[b as usize], centroid, axis);
-        pa.partial_cmp(&pb)
-            .expect("projections are finite")
-            .then(a.cmp(&b))
-    });
-    let (left, right) = ids.split_at_mut(mid);
-    rib_recurse(left, coords, dim);
-    rib_recurse(right, coords, dim);
+/// [`inertial_ordering`] on at most `threads` threads; the same ordering
+/// for any.
+pub(crate) fn inertial_on_threads(graph: &Graph, threads: usize) -> Ordering {
+    let dim = graph.dim();
+    bisection_ordering(graph, threads, |points: &mut [Point<4>]| {
+        let centroid = centroid(points);
+        let axis = principal_axis(points, centroid, dim);
+        for p in points {
+            let projection = project(position(p), centroid, axis);
+            assert!(
+                projection.is_finite(),
+                "coordinates too large for inertial bisection: the projection of vertex {} \
+                 onto the principal axis is {projection}",
+                p.id
+            );
+            p.key[PROJECTION] = key_of(projection);
+        }
+        PROJECTION
+    })
 }
 
-fn centroid(ids: &[u32], coords: &[[f64; 3]]) -> [f64; 3] {
+/// A point's coordinates, back from its keys.
+#[inline]
+fn position(p: &Point<4>) -> [f64; 3] {
+    [value_of(p.key[0]), value_of(p.key[1]), value_of(p.key[2])]
+}
+
+fn centroid(points: &[Point<4>]) -> [f64; 3] {
     let mut c = [0.0; 3];
-    for &v in ids {
-        let p = coords[v as usize];
+    for p in points {
+        let p = position(p);
         for d in 0..3 {
             c[d] += p[d];
         }
     }
-    let inv = 1.0 / ids.len() as f64;
+    let inv = 1.0 / points.len() as f64;
     [c[0] * inv, c[1] * inv, c[2] * inv]
 }
 
@@ -55,16 +73,16 @@ fn project(p: [f64; 3], centroid: [f64; 3], axis: [f64; 3]) -> f64 {
     (p[0] - centroid[0]) * axis[0] + (p[1] - centroid[1]) * axis[1] + (p[2] - centroid[2]) * axis[2]
 }
 
-/// Dominant eigenvector of the 3×3 coordinate covariance matrix, found by
-/// power iteration (deterministic start, ~30 iterations is plenty for a
-/// partitioning axis — exactness is not needed, only a good direction).
+/// Dominant eigenvector of the 3×3 coordinate covariance matrix about
+/// centroid `c`, found by power iteration (deterministic start, ~30
+/// iterations is plenty for a partitioning axis — exactness is not needed,
+/// only a good direction).
 #[allow(clippy::needless_range_loop)] // index pairs over a tiny fixed matrix
-fn principal_axis(ids: &[u32], coords: &[[f64; 3]], dim: usize) -> [f64; 3] {
-    let c = centroid(ids, coords);
+fn principal_axis(points: &[Point<4>], c: [f64; 3], dim: usize) -> [f64; 3] {
     // Covariance (upper triangle; symmetric).
     let mut m = [[0.0f64; 3]; 3];
-    for &v in ids {
-        let p = coords[v as usize];
+    for p in points {
+        let p = position(p);
         let d = [p[0] - c[0], p[1] - c[1], p[2] - c[2]];
         for i in 0..3 {
             for j in i..3 {
@@ -168,5 +186,36 @@ mod tests {
             .collect();
         let g = Graph::from_edges(50, &[], coords, 2);
         assert_eq!(inertial_ordering(&g), inertial_ordering(&g));
+    }
+
+    /// Three collinear points with vertex 2 moved to `bad` on the x axis.
+    fn with_bad_coordinate(bad: f64) -> Graph {
+        let coords = vec![[0.0; 3], [1.0, 0.0, 0.0], [bad, 0.0, 0.0]];
+        Graph::from_edges(3, &[], coords, 2)
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be NaN or infinite: vertex 2")]
+    fn rejects_nan() {
+        let _ = inertial_ordering(&with_bad_coordinate(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be NaN or infinite: vertex 2")]
+    fn rejects_positive_infinity() {
+        let _ = inertial_ordering(&with_bad_coordinate(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be NaN or infinite: vertex 2")]
+    fn rejects_negative_infinity() {
+        let _ = inertial_ordering(&with_bad_coordinate(f64::NEG_INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates too large for inertial bisection")]
+    fn rejects_coordinates_whose_projection_overflows() {
+        let coords = vec![[f64::MAX, 0.0, 0.0], [-f64::MAX, 0.0, 0.0], [0.0; 3]];
+        let _ = inertial_ordering(&Graph::from_edges(3, &[], coords, 2));
     }
 }
