@@ -9,11 +9,6 @@
 use std::time::Instant;
 
 fn main() {
-    // When a `TcpCluster` spawned this very binary as a rank worker (the
-    // rendezvous environment is set), become that rank and exit; the
-    // BENCH_tcp measurement below launches its process clusters this way.
-    stance_tcp::maybe_rank_main(stance_bench::tcp::BENCH_SCENARIOS);
-
     let t0 = Instant::now();
     let run = |name: &str, f: &dyn Fn() -> String| {
         let start = Instant::now();
@@ -36,70 +31,6 @@ fn main() {
     run("table3", &stance_bench::tables::table3);
     run("table4", &stance_bench::tables::table4);
     run("table5", &stance_bench::tables::table5);
-
-    // Perf trajectory: wall-clock measurements (not paper reproductions),
-    // emitted as JSON so future PRs can diff against them.
-    {
-        let start = Instant::now();
-        eprintln!(">> BENCH_transport ...");
-        stance_bench::emit_file(
-            "BENCH_transport.json",
-            &stance_bench::transport::report_json(),
-        );
-        eprintln!(
-            "   BENCH_transport done in {:.1}s",
-            start.elapsed().as_secs_f64()
-        );
-    }
-    {
-        let start = Instant::now();
-        eprintln!(">> BENCH_native ...");
-        stance_bench::emit_file("BENCH_native.json", &stance_bench::native::report_json());
-        eprintln!(
-            "   BENCH_native done in {:.1}s",
-            start.elapsed().as_secs_f64()
-        );
-    }
-    {
-        let start = Instant::now();
-        eprintln!(">> BENCH_tcp ...");
-        let me = std::env::current_exe().expect("own executable path");
-        stance_bench::emit_file("BENCH_tcp.json", &stance_bench::tcp::report_json(&me));
-        eprintln!("   BENCH_tcp done in {:.1}s", start.elapsed().as_secs_f64());
-    }
-    {
-        let start = Instant::now();
-        eprintln!(">> BENCH_overlap ...");
-        stance_bench::emit_file("BENCH_overlap.json", &stance_bench::overlap::report_json());
-        eprintln!(
-            "   BENCH_overlap done in {:.1}s",
-            start.elapsed().as_secs_f64()
-        );
-    }
-    {
-        let start = Instant::now();
-        eprintln!(">> BENCH_remap ...");
-        stance_bench::emit_file("BENCH_remap.json", &stance_bench::remap::report_json());
-        eprintln!(
-            "   BENCH_remap done in {:.1}s",
-            start.elapsed().as_secs_f64()
-        );
-    }
-    {
-        let start = Instant::now();
-        eprintln!(">> BENCH_team ...");
-        stance_bench::emit_file("BENCH_team.json", &stance_bench::team::report_json());
-        eprintln!(
-            "   BENCH_team done in {:.1}s",
-            start.elapsed().as_secs_f64()
-        );
-    }
-    {
-        let start = Instant::now();
-        eprintln!(">> BENCH_dag ...");
-        stance_bench::emit_file("BENCH_dag.json", &stance_bench::dag::report_json());
-        eprintln!("   BENCH_dag done in {:.1}s", start.elapsed().as_secs_f64());
-    }
 
     eprintln!("all experiments done in {:.1}s", t0.elapsed().as_secs_f64());
 }

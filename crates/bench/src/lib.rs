@@ -2,12 +2,12 @@
 //! Criterion benches.
 //!
 //! Every binary regenerates one table or figure of the paper (see
-//! `EXPERIMENTS.md` at the workspace root for the index) and prints a
-//! paper-formatted table with the original numbers alongside, so shape
-//! comparisons are immediate. Sample counts honor the `STANCE_SAMPLES`
-//! environment variable (default = the paper's 100) so quick runs are
-//! possible: `STANCE_SAMPLES=5 cargo run --release -p stance-bench --bin
-//! table2`.
+//! "Reproduction harness" in the workspace `README.md` for the index) and
+//! prints a paper-formatted table with the original numbers alongside, so
+//! shape comparisons are immediate. Sample counts honor the
+//! `STANCE_SAMPLES` environment variable (default = the paper's 100) so
+//! quick runs are possible: `STANCE_SAMPLES=5 cargo run --release -p
+//! stance-bench --bin table2`.
 
 #![forbid(unsafe_code)]
 
@@ -15,42 +15,43 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 pub mod ablations;
-pub mod dag;
 pub mod figures;
 pub mod fmt;
-pub mod native;
-pub mod overlap;
-pub mod remap;
 pub mod tables;
-pub mod tcp;
-pub mod team;
-pub mod transport;
 
 pub use fmt::TableBuilder;
 
 /// Number of random samples for averaged experiments (paper: 100).
 pub fn sample_count() -> usize {
-    std::env::var("STANCE_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100)
+    count_from_env("STANCE_SAMPLES", 100)
 }
 
 /// Iterations for the big loop experiments (paper: 500). Override with
 /// `STANCE_ITERATIONS` for quick runs.
 pub fn iteration_count() -> usize {
-    std::env::var("STANCE_ITERATIONS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(stance::scenarios::PAPER_ITERATIONS)
+    count_from_env("STANCE_ITERATIONS", stance::scenarios::PAPER_ITERATIONS)
 }
 
-/// Times `f` once per repetition and returns the median seconds — the
-/// sampling policy every wall-clock harness in this crate shares.
-pub fn median_secs(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..reps).map(|_| f()).collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+/// The positive count in environment variable `var`, or `default` when
+/// it is unset. Anything but a positive integer ends the process with a
+/// message naming the variable: zero samples average to `inf`, and a typo
+/// silently falling back to the paper's full count is a surprise of
+/// minutes.
+fn count_from_env(var: &str, default: usize) -> usize {
+    let Some(raw) = std::env::var_os(var) else {
+        return default;
+    };
+    parse_count(var, &raw.to_string_lossy()).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_count(var: &str, raw: &str) -> Result<usize, String> {
+    match raw.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{var} must be a positive integer, got {raw:?}")),
+    }
 }
 
 /// A seeded RNG for workload generation; `STANCE_SEED` overrides.
@@ -73,19 +74,13 @@ pub fn random_capabilities(rng: &mut StdRng, p: usize) -> Vec<f64> {
 /// under the workspace root (best effort — printing still succeeds if the
 /// directory is read-only).
 pub fn emit(name: &str, content: &str) {
-    emit_file(&format!("{name}.txt"), content);
-}
-
-/// Like [`emit`], but `filename` carries its own extension (e.g. the
-/// `BENCH_transport.json` perf-trajectory entry).
-pub fn emit_file(filename: &str, content: &str) {
     println!("{content}");
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")
         .join("results");
     if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join(filename), content);
+        let _ = std::fs::write(dir.join(format!("{name}.txt")), content);
     }
 }
 
@@ -99,6 +94,16 @@ mod tests {
         let caps = random_capabilities(&mut rng, 20);
         assert_eq!(caps.len(), 20);
         assert!(caps.iter().all(|&c| c > 0.0));
+    }
+
+    #[test]
+    fn counts_reject_zero_and_garbage_naming_the_variable() {
+        assert_eq!(parse_count("STANCE_SAMPLES", "5"), Ok(5));
+        for raw in ["0", "5x", "", "-3", "1.5"] {
+            let msg = parse_count("STANCE_SAMPLES", raw).expect_err(raw);
+            assert!(msg.contains("STANCE_SAMPLES"), "{msg}");
+            assert!(msg.contains(raw), "{msg}");
+        }
     }
 
     #[test]

@@ -74,12 +74,10 @@
 //! across ranks and the fused wire format (one segment per selected
 //! field, in group order) always matches.
 //!
-//! Fusion changes *message count*, never bytes or values: results are
-//! bitwise identical to per-field gathers
-//! ([`StageGraphBuilder::with_fused_exchange`] keeps the unfused
-//! spelling available as the measurement baseline; it never overlaps —
-//! an unfused graph runs synchronously even under
-//! `StanceConfig::with_overlap(true)`).
+//! Fusion changes *message count*, never bytes or values: the ghosts a
+//! fused message lands are bitwise those of per-field gathers (pinned at
+//! the primitive, [`stance_executor::gather_fused`] against
+//! [`stance_executor::gather`]).
 
 use stance_balance::{
     load_balance_step_measured, Decision, LoadMonitor, MeasuredCosts, RemapScratch,
@@ -220,7 +218,6 @@ struct StageSpec<E: Element> {
 pub struct StageGraphBuilder<E: Element = f64> {
     fields: Vec<String>,
     stages: Vec<StageSpec<E>>,
-    fused: bool,
 }
 
 impl<E: Element> Default for StageGraphBuilder<E> {
@@ -230,12 +227,11 @@ impl<E: Element> Default for StageGraphBuilder<E> {
 }
 
 impl<E: Element> StageGraphBuilder<E> {
-    /// An empty builder with the fused exchange enabled.
+    /// An empty builder.
     pub fn new() -> Self {
         StageGraphBuilder {
             fields: Vec::new(),
             stages: Vec::new(),
-            fused: true,
         }
     }
 
@@ -286,16 +282,6 @@ impl<E: Element> StageGraphBuilder<E> {
             gathered: false,
             output: writes.to_string(),
         });
-        self
-    }
-
-    /// Selects the exchange flavour: `true` (the default) fuses every
-    /// dataflow point's gathers into one message per neighbor; `false`
-    /// issues one plain per-field gather per dirty field at the same
-    /// points. Values are bitwise identical either way — the unfused
-    /// spelling exists as the measurement baseline (`bench_dag`).
-    pub fn with_fused_exchange(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -372,7 +358,6 @@ impl<E: Element> StageGraphBuilder<E> {
             stages,
             order,
             plan,
-            fused: self.fused,
         }
     }
 
@@ -404,7 +389,6 @@ pub struct StageGraph<E: Element = f64> {
     /// message per neighbor) immediately before the stage at position
     /// `pos` runs, before dirty filtering. Sorted ascending.
     plan: Vec<Vec<usize>>,
-    fused: bool,
 }
 
 impl<E: Element> StageGraph<E> {
@@ -416,12 +400,6 @@ impl<E: Element> StageGraph<E> {
     /// Number of stages.
     pub fn num_stages(&self) -> usize {
         self.stages.len()
-    }
-
-    /// Whether exchanges are fused (one message per neighbor per
-    /// dataflow point) or issued per field.
-    pub fn fused(&self) -> bool {
-        self.fused
     }
 
     /// Stage names in execution (topological) order.
@@ -645,7 +623,6 @@ impl<E: Element> DataflowSession<E> {
                     stage.kernel.as_ref(),
                     &mut fields.arrays,
                     group,
-                    graph.fused,
                     stage.input,
                     stage.gathered,
                     stage.output,
@@ -1151,11 +1128,10 @@ mod tests {
     use stance_executor::{sequential_relaxation, RelaxationKernel};
 
     /// A one-stage relaxation graph over field `y`.
-    fn relax_graph(fused: bool) -> StageGraph<f64> {
+    fn relax_graph() -> StageGraph<f64> {
         StageGraphBuilder::new()
             .field("y")
             .stage("relax", RelaxationKernel, "y", "y")
-            .with_fused_exchange(fused)
             .build()
     }
 
@@ -1176,7 +1152,6 @@ mod tests {
         // entries only).
         assert_eq!(g.fields_gathered_before("precond"), Vec::<&str>::new());
         assert_eq!(g.fields_gathered_before("matvec"), vec!["u"]);
-        assert!(g.fused());
     }
 
     #[test]
@@ -1211,7 +1186,7 @@ mod tests {
             if facade {
                 let _ = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
             } else {
-                let _ = DataflowSession::setup(env, &m, relax_graph(true), |_, g| init(g), &config);
+                let _ = DataflowSession::setup(env, &m, relax_graph(), |_, g| init(g), &config);
             }
         });
     }
@@ -1242,9 +1217,9 @@ mod tests {
 
     /// Two independent relaxation fields and one inert field: both relax
     /// fields must match the sequential reference bitwise, the inert
-    /// field must stay untouched — and, fused, each pass moves exactly
-    /// one gather message per neighbor (half the unfused count), while
-    /// the inert field is never gathered at all.
+    /// field must stay untouched — and each pass moves exactly one gather
+    /// message per neighbor for both relax fields together, while the
+    /// inert field is never gathered at all.
     #[test]
     fn multi_field_passes_fuse_skip_and_match_sequential() {
         let m = mesh();
@@ -1255,68 +1230,60 @@ mod tests {
         sequential_relaxation(&m, &mut exp_y, passes);
         sequential_relaxation(&m, &mut exp_z, passes);
 
-        let run = |fused: bool| {
-            let m = m.clone();
-            let config = StanceConfig::free();
-            let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-            Cluster::new(spec)
-                .run(move |env| {
-                    let graph = StageGraphBuilder::new()
-                        .field("y")
-                        .field("z")
-                        .field("inert")
-                        .stage("relax_y", RelaxationKernel, "y", "y")
-                        .stage("relax_z", RelaxationKernel, "z", "z")
-                        .with_fused_exchange(fused)
-                        .build();
-                    let mut s = DataflowSession::setup(
-                        env,
-                        &m,
-                        graph,
-                        |name, g| match name {
-                            "y" => init(g),
-                            "z" => init(g) * 2.0 + 1.0,
-                            _ => g as f64,
-                        },
-                        &config,
-                    );
-                    s.run_block(env, passes);
-                    (
-                        s.local("y").to_vec(),
-                        s.local("z").to_vec(),
-                        s.local("inert").to_vec(),
-                        env.stats().messages_sent,
-                        s.partition().clone(),
-                    )
-                })
-                .into_results()
-        };
-        let fused = run(true);
-        let unfused = run(false);
-        let part = fused[0].4.clone();
+        let config = StanceConfig::free();
+        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
+        let results = Cluster::new(spec)
+            .run(|env| {
+                let graph = StageGraphBuilder::new()
+                    .field("y")
+                    .field("z")
+                    .field("inert")
+                    .stage("relax_y", RelaxationKernel, "y", "y")
+                    .stage("relax_z", RelaxationKernel, "z", "z")
+                    .build();
+                let mut s = DataflowSession::setup(
+                    env,
+                    &m,
+                    graph,
+                    |name, g| match name {
+                        "y" => init(g),
+                        "z" => init(g) * 2.0 + 1.0,
+                        _ => g as f64,
+                    },
+                    &config,
+                );
+                let before = env.stats().messages_sent;
+                s.run_block(env, passes);
+                (
+                    s.local("y").to_vec(),
+                    s.local("z").to_vec(),
+                    s.local("inert").to_vec(),
+                    env.stats().messages_sent - before,
+                    s.schedule().sends().len(),
+                    s.partition().clone(),
+                )
+            })
+            .into_results();
+        let part = results[0].5.clone();
         let mut got_y = vec![0.0; n];
         let mut got_z = vec![0.0; n];
-        for (rank, (y, z, inert, _, _)) in fused.iter().enumerate() {
+        for (rank, (y, z, inert, msgs, neighbors, _)) in results.iter().enumerate() {
             let iv = part.interval_of(rank);
             got_y[iv.start..iv.end].copy_from_slice(y);
             got_z[iv.start..iv.end].copy_from_slice(z);
             for (offset, g) in iv.iter().enumerate() {
                 assert_eq!(inert[offset], g as f64, "inert field changed");
             }
+            // Both relax fields share the pass-start exchange point, so
+            // they travel in one message per neighbor per pass.
+            assert_eq!(
+                *msgs,
+                (passes * neighbors) as u64,
+                "rank {rank}: gather messages != passes x neighbors"
+            );
         }
         assert_eq!(got_y, exp_y, "field y diverged");
         assert_eq!(got_z, exp_z, "field z diverged");
-        for ((fy, fz, _, fmsgs, _), (uy, uz, _, umsgs, _)) in fused.iter().zip(&unfused) {
-            assert_eq!(fy, uy, "fused vs unfused y diverged");
-            assert_eq!(fz, uz, "fused vs unfused z diverged");
-            // Both relax fields share the pass-start exchange point, so
-            // fusion halves the gather traffic; setup messages are
-            // identical between the runs and cancel in the comparison.
-            assert!(
-                fmsgs < umsgs,
-                "fusion must reduce message count: {fmsgs} vs {umsgs}"
-            );
-        }
     }
 
     /// A field whose writer never runs is gathered once (the initial

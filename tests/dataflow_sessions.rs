@@ -1,8 +1,8 @@
 //! Acceptance tests for the multi-field dataflow session API: stage-DAG
 //! validation diagnostics, the **fused-exchange message contract**
 //! (exactly one gather message per neighbor per pass, trace-verified on
-//! both backends), bitwise equivalence of fused vs per-field exchange,
-//! and name-keyed checkpoint round trips.
+//! both backends), bitwise equivalence of the fused exchange with
+//! per-field serial references, and name-keyed checkpoint round trips.
 //!
 //! The message-count check is the tentpole's acceptance criterion: a
 //! three-field, two-stage graph whose two relaxation stages both read
@@ -13,6 +13,7 @@
 //! `StanceConfig::with_verification(true)`, so it is the actual traffic,
 //! not a model.
 
+use stance::executor::sequential_relaxation;
 use stance::prelude::*;
 use stance::sim::tags::{TAG_GATHER, TAG_GATHER_FUSED};
 use stance_native::NativeCluster;
@@ -33,14 +34,13 @@ fn init(name: &str, g: usize) -> f64 {
 
 /// The acceptance graph: two independent relaxation stages sharing the
 /// pass-start exchange point, plus an inert field nobody reads or writes.
-fn three_field_graph(fused: bool) -> StageGraph<f64> {
+fn three_field_graph() -> StageGraph<f64> {
     StageGraphBuilder::new()
         .field("y")
         .field("z")
         .field("inert")
         .stage("relax_y", RelaxationKernel, "y", "y")
         .stage("relax_z", RelaxationKernel, "z", "z")
-        .with_fused_exchange(fused)
         .build()
 }
 
@@ -133,7 +133,7 @@ fn traced_body<C: Comm>(env: &mut C, mesh: &Graph, passes: usize) -> TracedRank 
     let config = StanceConfig::free()
         .without_load_balancing()
         .with_verification(true);
-    let mut s = DataflowSession::setup(env, mesh, three_field_graph(true), init, &config);
+    let mut s = DataflowSession::setup(env, mesh, three_field_graph(), init, &config);
     s.run_block(env, passes);
     let diags = s.verify_protocol(env);
     assert!(diags.is_empty(), "protocol diagnostics: {diags:?}");
@@ -220,87 +220,86 @@ fn fused_graph_sends_one_message_per_neighbor_per_pass_on_both_backends() {
 }
 
 // ---------------------------------------------------------------------
-// Fused vs per-field exchange: bitwise identical on both backends.
+// Fused exchange vs per-field serial references: bitwise identical on
+// both backends, without the verifier in the path.
 // ---------------------------------------------------------------------
+
+/// What one rank's unverified run returns: the two live fields, the
+/// messages it sent during the passes (as `sent` counts them), its
+/// schedule neighbor count, and the partition.
+type FlavorRank = (Vec<f64>, Vec<f64>, u64, usize, BlockPartition);
 
 fn flavor_body<C: Comm>(
     env: &mut C,
     mesh: &Graph,
-    fused: bool,
     passes: usize,
-) -> (Vec<f64>, Vec<f64>, BlockPartition) {
+    sent: impl Fn(&C) -> u64,
+) -> FlavorRank {
     let config = StanceConfig::free().without_load_balancing();
-    let mut s = DataflowSession::setup(env, mesh, three_field_graph(fused), init, &config);
+    let mut s = DataflowSession::setup(env, mesh, three_field_graph(), init, &config);
+    let before = sent(env);
     s.run_block(env, passes);
     (
         s.local("y").to_vec(),
         s.local("z").to_vec(),
+        sent(env) - before,
+        s.schedule().sends().len(),
         s.partition().clone(),
     )
 }
 
-fn reassemble_flavor(results: Vec<(Vec<f64>, Vec<f64>, BlockPartition)>) -> (Vec<f64>, Vec<f64>) {
-    let partition = results[0].2.clone();
-    let (ys, zs): (Vec<_>, Vec<_>) = results.into_iter().map(|(y, z, _)| (y, z)).unzip();
+fn reassemble_flavor(results: Vec<FlavorRank>) -> (Vec<f64>, Vec<f64>) {
+    let partition = results[0].4.clone();
+    let (ys, zs): (Vec<_>, Vec<_>) = results.into_iter().map(|(y, z, ..)| (y, z)).unzip();
     (
         stance::reassemble(&partition, ys),
         stance::reassemble(&partition, zs),
     )
 }
 
+/// Each field of the fused run equals its own serial relaxation — the
+/// per-field reference — bitwise, on both backends; and on the simulator
+/// (whose counters are exact) the passes move `passes x neighbors`
+/// messages per rank, one per neighbor per pass for both fields together.
 #[test]
 fn fused_and_per_field_exchange_are_bitwise_identical() {
     let m = mesh();
+    let n = m.num_vertices();
     let passes = 9;
+    let mut exp_y: Vec<f64> = (0..n).map(|g| init("y", g)).collect();
+    let mut exp_z: Vec<f64> = (0..n).map(|g| init("z", g)).collect();
+    sequential_relaxation(&m, &mut exp_y, passes);
+    sequential_relaxation(&m, &mut exp_z, passes);
     for p in [1usize, 2, 4] {
         let m2 = &m;
-        let run_sim = |fused: bool| {
-            reassemble_flavor(
-                Cluster::new(ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost()))
-                    .run(|env| flavor_body(env, m2, fused, passes))
-                    .into_results(),
-            )
-        };
-        let run_native = |fused: bool| {
-            reassemble_flavor(
-                NativeCluster::new(p)
-                    .run(|env| flavor_body(env, m2, fused, passes))
-                    .into_results(),
-            )
-        };
-        let (fy, fz) = run_sim(true);
-        let (uy, uz) = run_sim(false);
-        assert_eq!(
-            bits(&fy),
-            bits(&uy),
-            "sim fused y != per-field y at p = {p}"
+        let sim_results =
+            Cluster::new(ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost()))
+                .run(|env| flavor_body(env, m2, passes, |e| e.stats().messages_sent))
+                .into_results();
+        for (rank, (_, _, msgs, neighbors, _)) in sim_results.iter().enumerate() {
+            assert_eq!(
+                *msgs,
+                (passes * neighbors) as u64,
+                "sim rank {rank}: gather messages != passes x neighbors at p = {p}"
+            );
+        }
+        let (sy, sz) = reassemble_flavor(sim_results);
+        assert_eq!(bits(&sy), bits(&exp_y), "sim y != serial y at p = {p}");
+        assert_eq!(bits(&sz), bits(&exp_z), "sim z != serial z at p = {p}");
+        let (ny, nz) = reassemble_flavor(
+            NativeCluster::new(p)
+                .run(|env| flavor_body(env, m2, passes, |_| 0))
+                .into_results(),
         );
         assert_eq!(
-            bits(&fz),
-            bits(&uz),
-            "sim fused z != per-field z at p = {p}"
-        );
-        let (nfy, nfz) = run_native(true);
-        let (nuy, nuz) = run_native(false);
-        assert_eq!(
-            bits(&nfy),
-            bits(&nuy),
-            "native fused y != per-field y at p = {p}"
+            bits(&ny),
+            bits(&sy),
+            "y diverged across backends at p = {p}"
         );
         assert_eq!(
-            bits(&nfz),
-            bits(&nuz),
-            "native fused z != per-field z at p = {p}"
-        );
-        assert_eq!(
-            bits(&fy),
-            bits(&nfy),
-            "fused y diverged across backends at p = {p}"
-        );
-        assert_eq!(
-            bits(&fz),
-            bits(&nfz),
-            "fused z diverged across backends at p = {p}"
+            bits(&nz),
+            bits(&sz),
+            "z diverged across backends at p = {p}"
         );
     }
 }
