@@ -24,7 +24,10 @@
 //!   so retired aux storage becomes next remap's scratch);
 //! * CSR assembly storage for the new [`LocalAdjacency`] (a retired
 //!   adjacency donates its vectors back via
-//!   [`RemapScratch::recycle_adjacency`]);
+//!   [`RemapScratch::recycle_adjacency`]); the new CSR is assembled
+//!   segment by segment — the kept rows and each received packet are one
+//!   copy of their references plus one mapped pass that rebases their row
+//!   pointers — never row by row;
 //! * a [`ScheduleScratch`] for the inspector rebuild that follows.
 //!
 //! The destination blocks are **not pre-zeroed**: the kept intersection
@@ -247,12 +250,11 @@ impl<E: Element> RemapScratch<E> {
     /// Moves the distributed mesh rows (each vertex's global neighbor
     /// list) to the new owners, returning this rank's new
     /// [`LocalAdjacency`] — assembled **directly in CSR form** from the
-    /// kept rows and the received packets. Compared to the fresh-build
-    /// path ([`redistribute_adjacency`]'s historic implementation used one
-    /// heap `Vec` per received row), this performs no per-row allocations:
-    /// staging words come from a recycled pool and the CSR arrays reuse
-    /// the storage a previous remap retired
-    /// ([`RemapScratch::recycle_adjacency`]).
+    /// kept rows and the received packets, one bulk copy of references
+    /// and one rebased run of row pointers per segment. Staging words come
+    /// from a recycled pool and the CSR arrays reuse the storage a
+    /// previous remap retired ([`RemapScratch::recycle_adjacency`]), so a
+    /// warm move allocates nothing.
     ///
     /// Wire format per moved range: `[deg(v) for v in range] ++ [refs…]`
     /// as one `u32` payload, receives in the plan's deterministic
@@ -278,12 +280,12 @@ impl<E: Element> RemapScratch<E> {
         for m in plan.sends_of(rank) {
             let lo = m.range.start - old_iv.start;
             let hi = m.range.end - old_iv.start;
+            // Rows are CSR-adjacent: the range's degrees are one pass over
+            // its row pointers and its refs are one slice.
+            let (rows, _) = adj.csr_window(lo..hi);
             let refs = adj.refs_in(lo, hi);
             let mut words = pool_take(&mut self.words_pool, m.range.len() + refs.len());
-            for l in lo..hi {
-                words.push(adj.degree_of(l) as u32);
-            }
-            // Rows are CSR-adjacent: the whole range's refs are one slice.
+            words.extend(rows.windows(2).map(|w| (w[1] - w[0]) as u32));
             words.extend_from_slice(refs);
             env.send(m.dst, TAG_ADJ, Payload::from_u32(words));
         }
@@ -313,25 +315,24 @@ impl<E: Element> RemapScratch<E> {
             // Hard asserts (O(p) total): a plan/partition mismatch must not
             // silently assemble a wrong CSR.
             assert_eq!(start, expected_start, "segments must tile the interval");
+            // Each segment's row pointers are rebased onto the refs
+            // assembled so far with one mapped `extend`.
+            let base = refs.len();
             if source == SEG_KEPT {
                 let lo = kept.start - old_iv.start;
-                let hi = kept.end - old_iv.start;
-                for l in lo..hi {
-                    xadj.push(xadj.last().expect("nonempty xadj") + adj.degree_of(l));
-                }
-                refs.extend_from_slice(adj.refs_in(lo, hi));
+                let (rows, _) = adj.csr_window(lo..lo + count);
+                let first = rows[0];
+                xadj.extend(rows[1..].iter().map(|&x| x - first + base));
+                refs.extend_from_slice(adj.refs_in(lo, lo + count));
             } else {
-                let words = &self.packets[source];
-                let degrees = &words[..count];
-                for &d in degrees {
-                    xadj.push(xadj.last().expect("nonempty xadj") + d as usize);
-                }
-                refs.extend_from_slice(&words[count..]);
-                assert_eq!(
-                    *xadj.last().expect("nonempty xadj"),
-                    refs.len(),
-                    "adjacency packet fully consumed"
-                );
+                let (degrees, packet_refs) = self.packets[source].split_at(count);
+                let mut end = base;
+                xadj.extend(degrees.iter().map(|&d| {
+                    end += d as usize;
+                    end
+                }));
+                refs.extend_from_slice(packet_refs);
+                assert_eq!(end, refs.len(), "adjacency packet fully consumed");
             }
             expected_start = start + count;
         }
@@ -490,7 +491,9 @@ pub fn redistribute_adjacency<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stance_locality::meshgen;
+    use proptest::prelude::*;
+    use stance_locality::{meshgen, Graph};
+    use stance_native::NativeCluster;
     use stance_onedim::Arrangement;
     use stance_sim::{Cluster, ClusterSpec, NetworkSpec};
 
@@ -661,24 +664,81 @@ mod tests {
             BlockPartition::uniform(n, 3),
         ];
         let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        Cluster::new(spec).run(|env| {
-            let rank = env.rank();
-            let mut scratch: RemapScratch<f64> = RemapScratch::new();
-            let mut adj = LocalAdjacency::extract(&g, &parts[0], rank);
-            for w in parts.windows(2) {
-                let (old, new) = (&w[0], &w[1]);
-                let plan = scratch.take_plan(old, new);
-                let next = scratch.redistribute_adjacency(env, old, new, &plan, &adj);
-                scratch.put_plan(plan);
-                scratch.recycle_adjacency(adj);
-                assert_eq!(
-                    next,
-                    LocalAdjacency::extract(&g, new, rank),
-                    "adjacency diverged from fresh extraction"
-                );
-                adj = next;
-            }
-        });
+        Cluster::new(spec).run(|env| move_adjacency_along(env, &g, &parts));
+    }
+
+    /// One rank's share of a chain of adjacency moves through one recycled
+    /// scratch, each step held to fresh extraction on the new partition.
+    fn move_adjacency_along<C: Comm>(env: &mut C, g: &Graph, parts: &[BlockPartition]) {
+        let rank = env.rank();
+        let mut scratch: RemapScratch<f64> = RemapScratch::new();
+        let mut adj = LocalAdjacency::extract(g, &parts[0], rank);
+        for w in parts.windows(2) {
+            let (old, new) = (&w[0], &w[1]);
+            let plan = scratch.take_plan(old, new);
+            let next = scratch.redistribute_adjacency(env, old, new, &plan, &adj);
+            scratch.put_plan(plan);
+            scratch.recycle_adjacency(adj);
+            assert_eq!(
+                next,
+                LocalAdjacency::extract(g, new, rank),
+                "rank {rank}: {old:?} → {new:?}"
+            );
+            adj = next;
+        }
+    }
+
+    /// A mesh and a chain of weighted partitions of it: zero weights (empty
+    /// blocks) and shuffled block arrangements included, so kept segments
+    /// land at the front, in the middle and at the back of the new block.
+    struct PartitionChains;
+
+    impl Strategy for PartitionChains {
+        type Value = (Graph, Vec<BlockPartition>);
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> Self::Value {
+            let g = meshgen::triangulated_grid(
+                8 + rng.below(30) as usize,
+                8 + rng.below(30) as usize,
+                0.3,
+                rng.next_u64(),
+            );
+            let p = 2 + rng.below(3) as usize;
+            let parts = (0..4)
+                .map(|_| {
+                    let mut weights: Vec<f64> = (0..p)
+                        .map(|_| match rng.below(4) {
+                            0 => 0.0,
+                            _ => 0.1 + rng.unit_f64(),
+                        })
+                        .collect();
+                    weights[rng.below(p as u64) as usize] += 1.0;
+                    let mut order: Vec<usize> = (0..p).collect();
+                    for i in (1..p).rev() {
+                        order.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                    BlockPartition::from_weights(
+                        g.num_vertices(),
+                        &weights,
+                        Arrangement::new(order),
+                    )
+                })
+                .collect();
+            (g, parts)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn adjacency_move_equals_extraction_on_sim_and_native(case in PartitionChains) {
+            let (g, parts) = &case;
+            let p = parts[0].num_procs();
+            let spec = ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost());
+            Cluster::new(spec).run(|env| move_adjacency_along(env, g, parts));
+            NativeCluster::new(p).run(|comm| move_adjacency_along(comm, g, parts));
+        }
     }
 
     #[test]

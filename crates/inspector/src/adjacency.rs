@@ -10,6 +10,11 @@
 use stance_locality::Graph;
 use stance_onedim::{BlockPartition, Interval};
 
+/// Rows per chunk of the inspector's CSR walks (the executor's
+/// `SWEEP_BLOCK`): ~12 KiB of references on a degree-6 mesh, so a chunk
+/// tested and then mapped is still in L1 for the second touch.
+pub(crate) const ROW_CHUNK: usize = 512;
+
 /// One rank's slice of the (reordered) computational graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalAdjacency {
@@ -35,17 +40,14 @@ impl LocalAdjacency {
             graph.num_vertices()
         );
         let interval = partition.interval_of(rank);
-        let mut xadj = Vec::with_capacity(interval.len() + 1);
-        let mut refs = Vec::new();
-        xadj.push(0);
-        for g in interval.iter() {
-            refs.extend_from_slice(graph.neighbors(g));
-            xadj.push(refs.len());
-        }
+        // A rank's rows are contiguous in the graph's CSR as well: one copy
+        // of the window's references, and its row pointers rebased to zero.
+        let (rows, adjncy) = graph.csr_window(interval.start..interval.end);
+        let base = rows[0];
         LocalAdjacency {
             interval,
-            xadj,
-            refs,
+            xadj: rows.iter().map(|&x| x - base).collect(),
+            refs: adjncy[base..rows[interval.len()]].to_vec(),
         }
     }
 
@@ -121,6 +123,29 @@ impl LocalAdjacency {
     #[inline]
     pub fn refs_in(&self, lo: usize, hi: usize) -> &[u32] {
         &self.refs[self.xadj[lo]..self.xadj[hi]]
+    }
+
+    /// The raw CSR window backing local vertices `range`: the row-pointer
+    /// slice `xadj[range.start..=range.end]` (so `window.0[i + 1] -
+    /// window.0[i]` is the degree of local vertex `range.start + i`)
+    /// together with the full reference array it indexes into — what a
+    /// bulk consumer (the remap's adjacency move, a chunked inspector
+    /// pass) wants instead of one [`LocalAdjacency::neighbors_of`] call
+    /// per row.
+    #[inline]
+    pub fn csr_window(&self, range: std::ops::Range<usize>) -> (&[usize], &[u32]) {
+        (&self.xadj[range.start..=range.end], &self.refs)
+    }
+
+    /// Walks the rows in fixed private chunks of [`ROW_CHUNK`], yielding
+    /// each chunk's local-vertex range with the contiguous slice of
+    /// references its rows make — the unit the inspector's passes decide
+    /// "interior or not" on.
+    pub(crate) fn row_chunks(&self) -> impl Iterator<Item = (std::ops::Range<usize>, &[u32])> + '_ {
+        (0..self.len()).step_by(ROW_CHUNK).map(move |lo| {
+            let hi = self.len().min(lo + ROW_CHUNK);
+            (lo..hi, self.refs_in(lo, hi))
+        })
     }
 
     /// Dismantles the structure into `(interval, xadj, refs)` so a retired

@@ -27,6 +27,26 @@
 //!
 //! Both produce identical schedules; they differ only in counted work.
 //!
+//! ## What a build costs us, as opposed to the paper
+//!
+//! The *counted* work ([`InspectorWork`]) is the paper's algorithm: one
+//! dereference per reference, one hash probe per off-processor reference
+//! and per (vertex, peer) pair. The *executed* work is proportional to the
+//! boundary. The builder and
+//! [`CommSchedule::translate_adjacency_into`] walk the CSR in fixed chunks
+//! of 512 rows and ask each chunk, with one branch-free reduction over its
+//! contiguous slice of references, whether any of them leaves the owned
+//! interval. On a locality-ordered mesh almost no chunk does (24 of 196
+//! for a 100k-row block of the 200k benchmark mesh): an interior chunk
+//! costs the builder one addition to the counted work and costs
+//! translation one bulk subtraction, and single references are looked at
+//! only inside the chunks that hold a boundary row. There is one builder
+//! and one translation routine — the per-reference loop is the slow arm of
+//! the same function, taken chunk by chunk — and no state survives from
+//! one build to the next, so set-up, remap and restore all run the same
+//! code. `schedule/oracles.rs` keeps the plain per-reference versions as
+//! test oracles.
+//!
 //! ## Simple strategy
 //!
 //! The general path (no symmetry assumption), as in PARTI/CHAOS \[27\]: the
@@ -236,40 +256,53 @@ impl CommSchedule {
     /// has warmed up. The result is identical to a fresh translation.
     pub fn translate_adjacency_into(&self, adj: &LocalAdjacency, out: &mut TranslatedAdjacency) {
         assert_eq!(adj.interval(), self.interval, "adjacency/schedule mismatch");
+        let start = self.interval.start as u32;
         let local_len = self.interval.len() as u32;
+        // The row pointers are the adjacency's own, by construction.
         out.xadj.clear();
-        out.xadj.reserve(adj.len() + 1);
+        out.xadj.extend_from_slice(adj.csr_window(0..adj.len()).0);
         out.slots.clear();
         out.slots.reserve(adj.num_refs());
         out.interior_runs.clear();
         out.boundary_runs.clear();
         let mut interior_vertices = 0usize;
         let mut interior_refs = 0usize;
-        out.xadj.push(0usize);
-        for l in 0..adj.len() {
-            let mut references_ghost = false;
-            for &g in adj.neighbors_of(l) {
-                let combined = match self.resolve(g) {
-                    LocalRef::Local(i) => i,
-                    LocalRef::Ghost(s) => {
-                        references_ghost = true;
-                        local_len + s
-                    }
-                };
-                out.slots.push(combined);
+        for (rows, refs) in adj.row_chunks() {
+            // Translate the chunk as if it were interior — one subtraction
+            // per reference, no branch — and learn on the way whether that
+            // was right: an owned global lands below `local_len`, anything
+            // else wraps above it.
+            let base = out.slots.len();
+            out.slots
+                .extend(refs.iter().map(|&g| g.wrapping_sub(start)));
+            if !any_outside(&out.slots[base..], 0, local_len) {
+                interior_vertices += rows.len();
+                interior_refs += refs.len();
+                extend_run(&mut out.interior_runs, rows);
+                continue;
             }
-            let degree = out.slots.len() - out.xadj[l];
-            out.xadj.push(out.slots.len());
-            let runs = if references_ghost {
-                &mut out.boundary_runs
-            } else {
-                interior_vertices += 1;
-                interior_refs += degree;
-                &mut out.interior_runs
-            };
-            match runs.last_mut() {
-                Some((_, end)) if *end == l as u32 => *end = l as u32 + 1,
-                _ => runs.push((l as u32, l as u32 + 1)),
+            // A boundary row somewhere in the chunk: go over it row by row
+            // and send the references that wrapped — the only ones touched
+            // one at a time — through the schedule's ghost map.
+            for l in rows {
+                let mut references_ghost = false;
+                for slot in &mut out.slots[out.xadj[l]..out.xadj[l + 1]] {
+                    if *slot >= local_len {
+                        let LocalRef::Ghost(s) = self.resolve(slot.wrapping_add(start)) else {
+                            unreachable!("an owned global translates below local_len");
+                        };
+                        references_ghost = true;
+                        *slot = local_len + s;
+                    }
+                }
+                let runs = if references_ghost {
+                    &mut out.boundary_runs
+                } else {
+                    interior_vertices += 1;
+                    interior_refs += adj.degree_of(l);
+                    &mut out.interior_runs
+                };
+                extend_run(runs, l..l + 1);
             }
         }
         out.local_len = local_len;
@@ -446,6 +479,27 @@ impl TranslatedAdjacency {
     }
 }
 
+/// Whether any of `refs` lies outside `[start, start + len)`: one
+/// branch-free reduction over a contiguous slice (it vectorises), with no
+/// assumption that the references are sorted — `LocalAdjacency::from_parts`
+/// accepts any row order.
+#[inline]
+fn any_outside(refs: &[u32], start: u32, len: u32) -> bool {
+    refs.iter().fold(false, |outside, &g| {
+        outside | (g.wrapping_sub(start) >= len)
+    })
+}
+
+/// Appends the local-vertex range `rows` to a list of maximal runs, growing
+/// the last run when `rows` continues it.
+#[inline]
+fn extend_run(runs: &mut Vec<(u32, u32)>, rows: std::ops::Range<usize>) {
+    match runs.last_mut() {
+        Some((_, end)) if *end == rows.start as u32 => *end = rows.end as u32,
+        _ => runs.push((rows.start as u32, rows.end as u32)),
+    }
+}
+
 /// Bound on pooled segment vectors in a [`ScheduleScratch`] — generous for
 /// any realistic peer count, small enough that a pathological schedule
 /// cannot hoard memory.
@@ -455,7 +509,7 @@ const SEG_POOL_CAP: usize = 64;
 /// owned by whoever rebuilds schedules on remap — the session keeps one
 /// inside its `RemapScratch`).
 ///
-/// A fresh build allocates two dedup hash maps, two per-peer segment
+/// A fresh build allocates the dedup hash map, two per-peer segment
 /// tables, the send/receive lists and the ghost map; with a scratch, all
 /// of that storage is recycled remap over remap (capacity never shrinks),
 /// and a retired schedule's vectors are donated back via
@@ -465,7 +519,6 @@ const SEG_POOL_CAP: usize = 64;
 #[derive(Debug)]
 pub struct ScheduleScratch {
     ghost_dedup: RefHashMap,
-    send_dedup: RefHashMap,
     recv_segments: Vec<Vec<u32>>,
     send_segments: Vec<Vec<u32>>,
     seg_pool: Vec<Vec<u32>>,
@@ -478,7 +531,6 @@ impl ScheduleScratch {
     pub fn new() -> Self {
         ScheduleScratch {
             ghost_dedup: RefHashMap::with_capacity(16),
-            send_dedup: RefHashMap::with_capacity(16),
             recv_segments: Vec::new(),
             send_segments: Vec::new(),
             seg_pool: Vec::new(),
@@ -588,40 +640,47 @@ pub fn build_schedule_symmetric_with(
     scratch.prepare_segments(p);
     let ScheduleScratch {
         ghost_dedup,
-        send_dedup,
         recv_segments,
         send_segments,
         outer_pool,
         map_pool,
         ..
     } = scratch;
-    // --- Receive side: unique off-processor globals per owner. -----------
-    // One dedup hash over the reference stream (§3.2 phase 1).
+    // Receive side: unique off-processor globals per owner, through one
+    // dedup hash over the reference stream (§3.2 phase 1). Send side:
+    // boundary locals per destination, each (local, peer) pair once.
     ghost_dedup.clear();
-    // --- Send side: boundary locals per destination. ----------------------
-    // Dedup (local, peer) pairs: last-seen peer marker per local vertex is
-    // not enough (a vertex can border several peers), so hash on the packed
-    // pair. Key = local * p + peer (fits u32 for the scales involved).
-    send_dedup.clear();
 
-    for l in 0..adj.len() {
-        for &g in adj.neighbors_of(l) {
-            work.translate_ops += 1;
-            if interval.contains(g as usize) {
-                continue;
-            }
-            let owner = partition.owner_of(g as usize);
-            work.hash_ops += 1;
-            if ghost_dedup.insert_if_absent(g, 0).is_none() {
-                recv_segments[owner].push(g);
-                work.scan_ops += 1;
-            }
-            // Symmetric accesses: the owner of g references my vertex l.
-            let pair_key = l as u32 * p as u32 + owner as u32;
-            work.hash_ops += 1;
-            if send_dedup.insert_if_absent(pair_key, 0).is_none() {
-                send_segments[owner].push(l as u32);
-                work.scan_ops += 1;
+    let (start, len) = (interval.start as u32, interval.len() as u32);
+    for (rows, refs) in adj.row_chunks() {
+        // The paper's algorithm dereferences every reference; that is what
+        // the counted work charges. Ours asks the chunk first, and an
+        // interior chunk — all but the few that hold a boundary row on a
+        // locality-ordered mesh — is done.
+        work.translate_ops += refs.len() as u64;
+        if !any_outside(refs, start, len) {
+            continue;
+        }
+        for l in rows {
+            for &g in adj.neighbors_of(l) {
+                if interval.contains(g as usize) {
+                    continue;
+                }
+                let owner = partition.owner_of(g as usize);
+                work.hash_ops += 1;
+                if ghost_dedup.insert_if_absent(g, 0).is_none() {
+                    recv_segments[owner].push(g);
+                    work.scan_ops += 1;
+                }
+                // Symmetric accesses: the owner of g references my vertex
+                // l. Rows are visited in ascending l, so a repeated
+                // (l, owner) pair is always the segment's last entry; the
+                // probe is charged as the paper's hash lookup regardless.
+                work.hash_ops += 1;
+                if send_segments[owner].last() != Some(&(l as u32)) {
+                    send_segments[owner].push(l as u32);
+                    work.scan_ops += 1;
+                }
             }
         }
     }
@@ -802,6 +861,9 @@ pub fn build_schedule_simple<C: Comm>(
 
     CommSchedule::from_parts(rank, interval, sends, recvs)
 }
+
+#[cfg(test)]
+mod oracles;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,365 @@
+//! Test-only references for the chunked inspector passes: the
+//! per-reference symmetric builder and translation that
+//! [`build_schedule_symmetric_with`] and
+//! [`CommSchedule::translate_adjacency_into`] replaced, kept as oracles,
+//! plus the tests that hold the replacements to them field for field —
+//! schedule, [`TranslatedAdjacency`] (runs and interior counts included)
+//! and [`InspectorWork`], under both sort strategies.
+
+use std::collections::HashSet;
+
+use proptest::prelude::*;
+use stance_locality::rcb::rcb_ordering;
+use stance_locality::{meshgen, Graph};
+use stance_onedim::Arrangement;
+
+use super::*;
+use crate::adjacency::ROW_CHUNK;
+
+/// The symmetric builder as it was: every reference dereferenced one at a
+/// time, (local, peer) pairs deduplicated through a set keyed on the pair
+/// itself (the old packed `u32` key could wrap).
+fn symmetric_oracle(
+    partition: &BlockPartition,
+    adj: &LocalAdjacency,
+    rank: usize,
+    strategy: ScheduleStrategy,
+) -> (CommSchedule, InspectorWork) {
+    let mut work = InspectorWork::default();
+    let p = partition.num_procs();
+    let interval = partition.interval_of(rank);
+    let mut ghost_dedup = RefHashMap::with_capacity(16);
+    let mut seen_pairs = HashSet::new();
+    let mut recv_segments = vec![Vec::new(); p];
+    let mut send_segments = vec![Vec::new(); p];
+    for l in 0..adj.len() {
+        for &g in adj.neighbors_of(l) {
+            work.translate_ops += 1;
+            if interval.contains(g as usize) {
+                continue;
+            }
+            let owner = partition.owner_of(g as usize);
+            work.hash_ops += 1;
+            if ghost_dedup.insert_if_absent(g, 0).is_none() {
+                recv_segments[owner].push(g);
+                work.scan_ops += 1;
+            }
+            work.hash_ops += 1;
+            if seen_pairs.insert((l, owner)) {
+                send_segments[owner].push(l as u32);
+                work.scan_ops += 1;
+            }
+        }
+    }
+    for seg in &mut recv_segments {
+        work.add_sort(seg.len());
+        seg.sort_unstable();
+    }
+    if strategy == ScheduleStrategy::Sort1 {
+        for seg in &mut send_segments {
+            work.add_sort(seg.len());
+            seg.sort_unstable();
+        }
+    }
+    let keep = |segments: Vec<Vec<u32>>| -> Vec<(usize, Vec<u32>)> {
+        segments
+            .into_iter()
+            .enumerate()
+            .filter(|(peer, seg)| *peer != rank && !seg.is_empty())
+            .collect()
+    };
+    let schedule =
+        CommSchedule::from_parts(rank, interval, keep(send_segments), keep(recv_segments));
+    (schedule, work)
+}
+
+/// Translation as it was: one `resolve` and one `push` per reference, one
+/// run update per row.
+fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
+    let local_len = schedule.interval.len() as u32;
+    let mut out = TranslatedAdjacency {
+        local_len,
+        num_ghosts: schedule.num_ghosts,
+        xadj: vec![0],
+        slots: Vec::new(),
+        interior_runs: Vec::new(),
+        boundary_runs: Vec::new(),
+        interior_vertices: 0,
+        interior_refs: 0,
+    };
+    for l in 0..adj.len() {
+        let mut references_ghost = false;
+        for &g in adj.neighbors_of(l) {
+            let combined = match schedule.resolve(g) {
+                LocalRef::Local(i) => i,
+                LocalRef::Ghost(s) => {
+                    references_ghost = true;
+                    local_len + s
+                }
+            };
+            out.slots.push(combined);
+        }
+        let degree = out.slots.len() - out.xadj[l];
+        out.xadj.push(out.slots.len());
+        let runs = if references_ghost {
+            &mut out.boundary_runs
+        } else {
+            out.interior_vertices += 1;
+            out.interior_refs += degree;
+            &mut out.interior_runs
+        };
+        match runs.last_mut() {
+            Some((_, end)) if *end == l as u32 => *end = l as u32 + 1,
+            _ => runs.push((l as u32, l as u32 + 1)),
+        }
+    }
+    out
+}
+
+/// Holds the shipped builder and translation to their oracles on one
+/// rank's adjacency, fresh and through a reused scratch / recycled
+/// translation. Returns the translation so callers can assert on its
+/// shape.
+fn assert_matches_oracles(
+    partition: &BlockPartition,
+    adj: &LocalAdjacency,
+    rank: usize,
+) -> TranslatedAdjacency {
+    let mut scratch = ScheduleScratch::new();
+    let mut recycled: Option<TranslatedAdjacency> = None;
+    for strategy in [ScheduleStrategy::Sort1, ScheduleStrategy::Sort2] {
+        let (expected, expected_work) = symmetric_oracle(partition, adj, rank, strategy);
+        let (fresh, fresh_work) = build_schedule_symmetric(partition, adj, rank, strategy);
+        assert_eq!(fresh, expected, "rank {rank} {strategy:?}: schedule");
+        assert_eq!(fresh_work, expected_work, "rank {rank} {strategy:?}: work");
+        let (reused, reused_work) =
+            build_schedule_symmetric_with(partition, adj, rank, strategy, &mut scratch);
+        assert_eq!(
+            reused, expected,
+            "rank {rank} {strategy:?}: reused schedule"
+        );
+        assert_eq!(reused_work, expected_work);
+        fresh.validate(partition);
+
+        let expected_tadj = translate_oracle(&expected, adj);
+        assert_eq!(
+            fresh.translate_adjacency(adj),
+            expected_tadj,
+            "rank {rank} {strategy:?}: translation"
+        );
+        let out = recycled.get_or_insert_with(|| expected_tadj.clone());
+        fresh.translate_adjacency_into(adj, out);
+        assert_eq!(*out, expected_tadj, "rank {rank}: recycled translation");
+        scratch.recycle(reused);
+    }
+    recycled.expect("two strategies ran")
+}
+
+fn assert_all_ranks_match(graph: &Graph, partition: &BlockPartition) {
+    for rank in 0..partition.num_procs() {
+        let adj = LocalAdjacency::extract(graph, partition, rank);
+        assert_matches_oracles(partition, &adj, rank);
+    }
+}
+
+/// A jittered grid in RCB order: blocks of a few thousand rows whose
+/// interior chunks really are interior.
+fn ordered_mesh(nx: usize, ny: usize, seed: u64) -> Graph {
+    let g = meshgen::triangulated_grid(nx, ny, 0.3, seed);
+    rcb_ordering(&g).apply(&g)
+}
+
+/// `adj` with every row's references reversed or rotated — rows that
+/// `from_parts` accepts and a sorted-row shortcut would get wrong.
+fn unsorted(adj: &LocalAdjacency, seed: u64) -> LocalAdjacency {
+    let (interval, xadj, mut refs) = adj.clone().into_parts();
+    for (l, w) in xadj.windows(2).enumerate() {
+        let row = &mut refs[w[0]..w[1]];
+        if row.is_empty() {
+            continue;
+        }
+        match (l as u64 ^ seed) % 3 {
+            0 => row.reverse(),
+            1 => row.rotate_left(1),
+            _ => row.rotate_right(1),
+        }
+    }
+    LocalAdjacency::from_parts(interval, xadj, refs)
+}
+
+/// Mesh sizes, rank counts, weights (zeros allowed, so intervals may be
+/// empty) and a block arrangement.
+struct Cases;
+
+#[derive(Debug)]
+struct Case {
+    graph: Graph,
+    partition: BlockPartition,
+    seed: u64,
+}
+
+impl Strategy for Cases {
+    type Value = Case;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> Case {
+        let nx = 20 + rng.below(50) as usize;
+        let ny = 20 + rng.below(50) as usize;
+        let seed = rng.next_u64();
+        let graph = ordered_mesh(nx, ny, seed);
+        let p = 1 + rng.below(5) as usize;
+        let mut weights: Vec<f64> = (0..p)
+            .map(|_| match rng.below(4) {
+                0 => 0.0,
+                _ => 0.1 + rng.unit_f64(),
+            })
+            .collect();
+        weights[rng.below(p as u64) as usize] += 1.0;
+        let mut order: Vec<usize> = (0..p).collect();
+        for i in (1..p).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let partition =
+            BlockPartition::from_weights(graph.num_vertices(), &weights, Arrangement::new(order));
+        Case {
+            graph,
+            partition,
+            seed,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn builder_and_translation_equal_their_oracles(case in Cases) {
+        assert_all_ranks_match(&case.graph, &case.partition);
+    }
+
+    #[test]
+    fn unsorted_rows_equal_their_oracles(case in Cases) {
+        for rank in 0..case.partition.num_procs() {
+            let adj = LocalAdjacency::extract(&case.graph, &case.partition, rank);
+            assert_matches_oracles(&case.partition, &unsorted(&adj, case.seed), rank);
+        }
+    }
+}
+
+/// Block lengths around the chunk size: the last chunk is empty, one row,
+/// one short, exact, one over, two and a bit.
+#[test]
+fn block_lengths_around_the_chunk_size() {
+    assert_eq!(ROW_CHUNK, 512, "the lengths below straddle this");
+    let g = ordered_mesh(60, 60, 11);
+    let n = g.num_vertices();
+    for len in [0, 1, 511, 512, 513, 1025] {
+        // The block under test sits between two neighbours, so both of its
+        // ends are boundaries.
+        let partition = BlockPartition::from_sizes(&[1000, len, n - 1000 - len]);
+        assert_all_ranks_match(&g, &partition);
+        let adj = LocalAdjacency::extract(&g, &partition, 1);
+        assert_eq!(adj.row_chunks().count(), len.div_ceil(ROW_CHUNK));
+        assert_eq!(assert_matches_oracles(&partition, &adj, 1).len(), len);
+    }
+}
+
+/// Isolated vertices are interior rows, whether their chunk is or not.
+#[test]
+fn rows_of_degree_zero() {
+    // A 1200-path with every 7th vertex cut out of it, plus a block made of
+    // isolated vertices only.
+    let n = 1200;
+    let edges: Vec<(u32, u32)> = (0..n as u32 - 1)
+        .filter(|i| i % 7 != 0 && (i + 1) % 7 != 0 && *i < 1100)
+        .map(|i| (i, i + 1))
+        .collect();
+    let coords = (0..n).map(|i| [i as f64, 0.0, 0.0]).collect();
+    let g = Graph::from_edges(n, &edges, coords, 2);
+    let partition = BlockPartition::from_sizes(&[600, 503, 97]);
+    assert_all_ranks_match(&g, &partition);
+    let adj = LocalAdjacency::extract(&g, &partition, 2);
+    assert_eq!(adj.num_refs(), 0);
+    let tadj = assert_matches_oracles(&partition, &adj, 2);
+    assert_eq!(tadj.num_interior(), 97);
+    assert_eq!(tadj.interior_runs().collect::<Vec<_>>(), vec![0..97]);
+}
+
+/// A shuffled numbering has no locality: every chunk holds a boundary row
+/// and the whole block goes through the per-reference arm.
+#[test]
+fn shuffled_numbering_has_no_interior_chunk() {
+    let g = meshgen::shuffle_labels(&meshgen::triangulated_grid(50, 50, 0.3, 5), 17);
+    let partition = BlockPartition::from_sizes(&[1100, 900, 500]);
+    assert_all_ranks_match(&g, &partition);
+    for rank in 0..3 {
+        let adj = LocalAdjacency::extract(&g, &partition, rank);
+        let (start, len) = (adj.interval().start as u32, adj.len() as u32);
+        assert!(adj
+            .row_chunks()
+            .all(|(_, refs)| any_outside(refs, start, len)));
+    }
+}
+
+/// The only off-block reference of a chunk is the last one it makes (and,
+/// for the chunk after it, the first): the reduction must cover the whole
+/// slice.
+#[test]
+fn lone_off_block_reference_at_a_chunk_edge() {
+    let n = 2 * ROW_CHUNK + 1;
+    let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    let coords = (0..n).map(|i| [i as f64, 0.0, 0.0]).collect();
+    let g = Graph::from_edges(n, &edges, coords, 2);
+    // Rank 0's single chunk ends in row 511 → [510, 512]: 512 is rank 1's.
+    let partition = BlockPartition::from_sizes(&[ROW_CHUNK, ROW_CHUNK + 1]);
+    let adj = LocalAdjacency::extract(&g, &partition, 0);
+    assert_eq!(adj.refs().last(), Some(&(ROW_CHUNK as u32)));
+    assert_eq!(
+        adj.refs()
+            .iter()
+            .filter(|&&g| g >= ROW_CHUNK as u32)
+            .count(),
+        1
+    );
+    let tadj = assert_matches_oracles(&partition, &adj, 0);
+    assert_eq!(
+        tadj.boundary_runs().collect::<Vec<_>>(),
+        vec![ROW_CHUNK - 1..ROW_CHUNK]
+    );
+    // Rank 1: chunk 0 opens with the off-block reference, chunk 1 (one
+    // row) is interior and continues chunk 0's interior run.
+    let adj = LocalAdjacency::extract(&g, &partition, 1);
+    let tadj = assert_matches_oracles(&partition, &adj, 1);
+    assert_eq!(tadj.boundary_runs().collect::<Vec<_>>(), vec![0..1]);
+    assert_eq!(
+        tadj.interior_runs().collect::<Vec<_>>(),
+        vec![1..ROW_CHUNK + 1]
+    );
+}
+
+/// The packed `local · p + peer` dedup key this builder used to hash on
+/// wrapped once `local · p` reached 2³²: with 2¹⁶ ranks, row 65537's pair
+/// collided with row 1's and the row was left out of its send list (a
+/// debug build panicked on the overflow instead).
+#[test]
+fn send_list_keeps_rows_whose_packed_pair_key_would_wrap() {
+    let p = 1 << 16;
+    let mut sizes = vec![0usize; p];
+    (sizes[0], sizes[1]) = (70_000, 10);
+    let partition = BlockPartition::from_sizes(&sizes);
+    let (early, late) = (1usize, (1 << 16) + 1);
+    assert!(late as u64 * p as u64 > u64::from(u32::MAX));
+    assert_eq!((late * p + 1) as u32, (early * p + 1) as u32);
+    // Rows `early` and `late` each reference one vertex of rank 1; every
+    // other row is empty.
+    let mut xadj = vec![0usize; 70_001];
+    xadj[early + 1..].fill(1);
+    xadj[late + 1..].fill(2);
+    let adj = LocalAdjacency::from_parts(partition.interval_of(0), xadj, vec![70_000, 70_001]);
+    for strategy in [ScheduleStrategy::Sort1, ScheduleStrategy::Sort2] {
+        let (schedule, work) = build_schedule_symmetric(&partition, &adj, 0, strategy);
+        schedule.validate(&partition);
+        assert_eq!(schedule.sends(), [(1, vec![early as u32, late as u32])]);
+        assert_eq!(schedule.recvs(), [(1, vec![70_000, 70_001])]);
+        assert_eq!((work.hash_ops, work.scan_ops), (4, 4));
+    }
+}

@@ -110,6 +110,16 @@ impl Graph {
         self.xadj[v + 1] - self.xadj[v]
     }
 
+    /// The raw CSR window backing vertices `range`: the row-pointer slice
+    /// `xadj[range.start..=range.end]` together with the full column-index
+    /// array it indexes into. Consecutive vertices' rows are adjacent, so
+    /// a rank extracting its block copies one slice instead of calling
+    /// [`Graph::neighbors`] per vertex.
+    #[inline]
+    pub fn csr_window(&self, range: std::ops::Range<usize>) -> (&[usize], &[u32]) {
+        (&self.xadj[range.start..=range.end], &self.adjncy)
+    }
+
     /// Coordinate of `v`.
     #[inline]
     pub fn coord(&self, v: usize) -> [f64; 3] {
