@@ -26,10 +26,12 @@
 //!   of iterative solvers (see the `cg_solver` example).
 //!
 //! Both are generic over any [`Field`] element (`f64`, or `[f64; K]` for
-//! multi-field state). Because the translated adjacency preserves the
-//! graph's (ascending-neighbor) CSR order, a parallel sweep accumulates in
-//! exactly the sequential order — results are **bitwise identical** to the
-//! sequential references, which the integration tests assert.
+//! multi-field state), and both are one row closure handed to
+//! [`sweep_rows`], the block walk that visits rows grouped by degree.
+//! Because the translated adjacency preserves the graph's
+//! (ascending-neighbor) CSR order, a parallel sweep accumulates each row
+//! in exactly the sequential order — results are **bitwise identical** to
+//! the sequential references, which the integration tests assert.
 
 use std::ops::Range;
 
@@ -193,14 +195,16 @@ pub trait Kernel<E: Element>: Sync {
     /// The default delegates to [`Kernel::sweep_range`], so user kernels
     /// need not know this hook exists. The built-in kernels point the
     /// delegation the other way: their `sweep_chunked` is the real
-    /// implementation — a cache-blocked loop over the CSR window
-    /// ([`TranslatedAdjacency::csr_window`]) that walks the slot array as
-    /// one moving slice, eliminating the per-vertex row-pointer bounds
-    /// checks so rustc keeps the accumulation loop tight enough to
-    /// autovectorize the componentwise arithmetic of `[f64; K]` fields —
-    /// and their `sweep_range`/`sweep` delegate to it. Override this (and
-    /// make `sweep_range` delegate to it) only when your kernel has a
-    /// blocked formulation whose *per-vertex accumulation order* is
+    /// implementation — one call of [`sweep_rows`] with the kernel's
+    /// arithmetic as a per-row closure — and their `sweep_range`/`sweep`
+    /// delegate to it. [`sweep_rows`] visits the rows of every whole
+    /// 512-row block inside `range` grouped by degree, so the neighbor
+    /// loop runs with a constant trip count. That reorders *which row of
+    /// a block is written when*, and nothing else: the additions within a
+    /// row stay in CSR order, so the outputs are bitwise those of a plain
+    /// ascending loop. Override this (and make `sweep_range` delegate to
+    /// it) with your own row closure over [`sweep_rows`], or with any
+    /// other formulation whose *per-vertex accumulation order* is
     /// unchanged; otherwise bitwise reproducibility across team sizes and
     /// gather flavours is lost.
     fn sweep_chunked(
@@ -276,12 +280,107 @@ pub fn sweep_phase<E, K>(
     }
 }
 
-/// Vertices per cache block of the built-in chunked sweeps. With the
-/// meshes' ~6 references per vertex this bounds one block's working set
-/// (row pointers + slots + outputs) to a few tens of KiB — comfortably L1/L2
-/// resident — while keeping the per-block setup (one CSR window, two slice
-/// bounds proofs) amortized over hundreds of vertices.
-const SWEEP_BLOCK: usize = 512;
+/// The one block walk under every built-in sweep: writes
+/// `out[l] = row(l, neighbors of l)` for each owned vertex `l` in `range`
+/// and leaves the rest of `out` untouched. `row` receives the vertex's
+/// local index and its combined-buffer references in CSR order.
+///
+/// What makes the irregular loop slow on a block that fits in cache is not
+/// its memory traffic but the exit of the variable-trip neighbor loop,
+/// mispredicted whenever two consecutive rows differ in degree — most of
+/// the time, on an unstructured mesh. So the rows of every whole
+/// [`TranslatedAdjacency::BLOCK_ROWS`]-row block inside `range` (blocks sit
+/// at absolute multiples of the block size) are visited **grouped by
+/// degree**, in the order the inspector planned
+/// ([`TranslatedAdjacency::degree_classes`]): for degrees 1 to 8, `row` is
+/// called in a loop whose neighbor count is a compile-time constant, so
+/// the optimiser unrolls the accumulation and nothing about one row
+/// depends on the shape of the next. The ragged head and tail of a range,
+/// and rows with no or more than eight neighbors, go row by row through
+/// the same closure.
+///
+/// Only *which row of a block is written when* is reordered. Each call of
+/// `row` sees its references in CSR order, so a kernel that accumulates
+/// in the order it is handed — and whose outputs depend on nothing but
+/// the referenced inputs, as every [`Kernel`] must — writes bit for bit
+/// what a plain ascending loop would, for any fragmentation of `0..len`
+/// into ranges.
+///
+/// Call it from a `#[inline(never)]` [`Kernel::sweep_chunked`] and point
+/// `sweep` and `sweep_range` at that, as the built-in kernels do.
+///
+/// # Panics
+/// Panics if `out.len() != tadj.len()` or `range` exceeds `0..tadj.len()`.
+#[inline]
+pub fn sweep_rows<E: Element>(
+    tadj: &TranslatedAdjacency,
+    out: &mut [E],
+    range: Range<usize>,
+    row: impl Fn(usize, &[u32]) -> E,
+) {
+    const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
+    assert_eq!(out.len(), tadj.len(), "output length mismatch");
+    let mut at = range.start;
+    while at < range.end {
+        let block = at / ROWS;
+        let block_start = block * ROWS;
+        let block_end = tadj.len().min(block_start + ROWS);
+        if at != block_start || block_end > range.end {
+            let end = block_end.min(range.end);
+            for (l, o) in out[at..end].iter_mut().enumerate() {
+                *o = row(at + l, tadj.neighbors_of(at + l));
+            }
+            at = end;
+            continue;
+        }
+        let (xadj, slots) = tadj.csr_window(block_start..block_end);
+        let out = &mut out[block_start..block_end];
+        let (mut order, classes) = tadj.degree_classes(block);
+        for (degree, &rows) in classes.iter().enumerate() {
+            let class;
+            (class, order) = order.split_at(rows as usize);
+            match degree {
+                1 => sweep_class::<1, _, _>(class, xadj, slots, out, block_start, &row),
+                2 => sweep_class::<2, _, _>(class, xadj, slots, out, block_start, &row),
+                3 => sweep_class::<3, _, _>(class, xadj, slots, out, block_start, &row),
+                4 => sweep_class::<4, _, _>(class, xadj, slots, out, block_start, &row),
+                5 => sweep_class::<5, _, _>(class, xadj, slots, out, block_start, &row),
+                6 => sweep_class::<6, _, _>(class, xadj, slots, out, block_start, &row),
+                7 => sweep_class::<7, _, _>(class, xadj, slots, out, block_start, &row),
+                8 => sweep_class::<8, _, _>(class, xadj, slots, out, block_start, &row),
+                _ => {
+                    for &i in class {
+                        let l = block_start + i as usize;
+                        out[i as usize] = row(l, tadj.neighbors_of(l));
+                    }
+                }
+            }
+        }
+        at = block_end;
+    }
+}
+
+/// One degree class of one block: every row in `class` has exactly `D`
+/// neighbors, so `row` inlines into a loop of constant trip count. `xadj`
+/// and `out` are the block's windows, `block_start` its first local index.
+#[inline(always)]
+fn sweep_class<const D: usize, E, F: Fn(usize, &[u32]) -> E>(
+    class: &[u16],
+    xadj: &[u32],
+    slots: &[u32],
+    out: &mut [E],
+    block_start: usize,
+    row: &F,
+) {
+    for &i in class {
+        let i = i as usize;
+        let first = xadj[i] as usize;
+        let nbrs: &[u32; D] = slots[first..first + D]
+            .try_into()
+            .expect("a slice of D slots");
+        out[i] = row(block_start + i, nbrs);
+    }
+}
 
 /// The paper's Fig. 8 relaxation: each vertex becomes the average of its
 /// neighbors (zero-degree vertices keep their value). Works on any
@@ -311,15 +410,6 @@ impl<E: Field> Kernel<E> for RelaxationKernel {
     // flavours differently laid-out hot loops, and measured sync-vs-split
     // deltas then track code placement instead of communication (observed
     // at ±60% on this ~4 ns/vertex loop).
-    //
-    // The loop is cache-blocked over the CSR window: per block, the row
-    // pointers are one local slice and the block's slots are consumed as a
-    // moving `split_at` slice, so the inner accumulation runs with no
-    // per-vertex row-pointer indexing and a single slice-length bound —
-    // tight enough for rustc to autovectorize the componentwise arithmetic
-    // of `[f64; K]` fields. The per-vertex accumulation order is exactly
-    // CSR (ascending-neighbor) order, so outputs stay bitwise identical to
-    // the scalar formulation.
     #[inline(never)]
     fn sweep_chunked(
         &self,
@@ -328,29 +418,16 @@ impl<E: Field> Kernel<E> for RelaxationKernel {
         out: &mut [E],
         range: std::ops::Range<usize>,
     ) {
-        assert_eq!(out.len(), tadj.len(), "output length mismatch");
-        let mut block_start = range.start;
-        while block_start < range.end {
-            let block_end = range.end.min(block_start + SWEEP_BLOCK);
-            let (xadj, slots) = tadj.csr_window(block_start..block_end);
-            let mut rest = &slots[xadj[0]..xadj[block_end - block_start]];
-            let mut prev = xadj[0];
-            for (i, o) in out[block_start..block_end].iter_mut().enumerate() {
-                let (nbrs, tail) = rest.split_at(xadj[i + 1] - prev);
-                prev = xadj[i + 1];
-                rest = tail;
-                if nbrs.is_empty() {
-                    *o = combined[block_start + i];
-                    continue;
-                }
-                let mut t = E::zero();
-                for &s in nbrs {
-                    t = t.add(combined[s as usize]);
-                }
-                *o = t.div(nbrs.len() as f64);
+        sweep_rows(tadj, out, range, |l, nbrs| {
+            if nbrs.is_empty() {
+                return combined[l];
             }
-            block_start = block_end;
-        }
+            let mut t = E::zero();
+            for &s in nbrs {
+                t = t.add(combined[s as usize]);
+            }
+            t.div(nbrs.len() as f64)
+        });
     }
 
     fn cost(&self, model: &ComputeCostModel, vertices: usize, references: usize) -> f64 {
@@ -384,10 +461,8 @@ impl<E: Field> Kernel<E> for LaplacianKernel {
         self.sweep_chunked(tadj, combined, out, range);
     }
 
-    // See RelaxationKernel::sweep_chunked: one shared cache-blocked copy
-    // keeps the two gather flavours on identical machine code, and the
-    // moving-slice CSR walk keeps the inner loop free of per-vertex
-    // row-pointer bounds checks without changing the accumulation order.
+    // See RelaxationKernel::sweep_chunked: one shared copy keeps the two
+    // gather flavours on identical machine code.
     #[inline(never)]
     fn sweep_chunked(
         &self,
@@ -396,25 +471,13 @@ impl<E: Field> Kernel<E> for LaplacianKernel {
         out: &mut [E],
         range: std::ops::Range<usize>,
     ) {
-        assert_eq!(out.len(), tadj.len(), "output length mismatch");
-        let mut block_start = range.start;
-        while block_start < range.end {
-            let block_end = range.end.min(block_start + SWEEP_BLOCK);
-            let (xadj, slots) = tadj.csr_window(block_start..block_end);
-            let mut rest = &slots[xadj[0]..xadj[block_end - block_start]];
-            let mut prev = xadj[0];
-            for (i, o) in out[block_start..block_end].iter_mut().enumerate() {
-                let (nbrs, tail) = rest.split_at(xadj[i + 1] - prev);
-                prev = xadj[i + 1];
-                rest = tail;
-                let mut acc = combined[block_start + i].scale(nbrs.len() as f64 + self.shift);
-                for &s in nbrs {
-                    acc = acc.sub(combined[s as usize]);
-                }
-                *o = acc;
+        sweep_rows(tadj, out, range, |l, nbrs| {
+            let mut acc = combined[l].scale(nbrs.len() as f64 + self.shift);
+            for &s in nbrs {
+                acc = acc.sub(combined[s as usize]);
             }
-            block_start = block_end;
-        }
+            acc
+        });
     }
 
     fn cost(&self, model: &ComputeCostModel, vertices: usize, references: usize) -> f64 {

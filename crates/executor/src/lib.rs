@@ -56,8 +56,8 @@ pub use cost::ComputeCostModel;
 pub use ghosted::GhostedArray;
 pub use kernel::{
     laplacian_matvec_step, parallel_relaxation_step, sequential_laplacian_matvec,
-    sequential_relaxation, sweep_phase, Field, Kernel, LaplacianKernel, LoopRunner, LoopStats,
-    RelaxationKernel,
+    sequential_relaxation, sweep_phase, sweep_rows, Field, Kernel, LaplacianKernel, LoopRunner,
+    LoopStats, RelaxationKernel,
 };
 pub use primitives::{gather, gather_fused, gather_fused_finish, gather_fused_start, scatter_add};
 pub use team::SweepTeam;

@@ -10,10 +10,7 @@
 use stance_locality::Graph;
 use stance_onedim::{BlockPartition, Interval};
 
-/// Rows per chunk of the inspector's CSR walks (the executor's
-/// `SWEEP_BLOCK`): ~12 KiB of references on a degree-6 mesh, so a chunk
-/// tested and then mapped is still in L1 for the second touch.
-pub(crate) const ROW_CHUNK: usize = 512;
+use crate::schedule::TranslatedAdjacency;
 
 /// One rank's slice of the (reordered) computational graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,13 +134,14 @@ impl LocalAdjacency {
         (&self.xadj[range.start..=range.end], &self.refs)
     }
 
-    /// Walks the rows in fixed private chunks of [`ROW_CHUNK`], yielding
-    /// each chunk's local-vertex range with the contiguous slice of
-    /// references its rows make — the unit the inspector's passes decide
-    /// "interior or not" on.
+    /// Walks the rows in fixed chunks of
+    /// [`TranslatedAdjacency::BLOCK_ROWS`], yielding each chunk's
+    /// local-vertex range with the contiguous slice of references its rows
+    /// make — the unit the inspector's passes decide "interior or not" on.
     pub(crate) fn row_chunks(&self) -> impl Iterator<Item = (std::ops::Range<usize>, &[u32])> + '_ {
-        (0..self.len()).step_by(ROW_CHUNK).map(move |lo| {
-            let hi = self.len().min(lo + ROW_CHUNK);
+        const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
+        (0..self.len()).step_by(ROWS).map(move |lo| {
+            let hi = self.len().min(lo + ROWS);
             (lo..hi, self.refs_in(lo, hi))
         })
     }

@@ -34,9 +34,9 @@
 //! and per (vertex, peer) pair. The *executed* work is proportional to the
 //! boundary. The builder and
 //! [`CommSchedule::translate_adjacency_into`] walk the CSR in fixed chunks
-//! of 512 rows and ask each chunk, with one branch-free reduction over its
-//! contiguous slice of references, whether any of them leaves the owned
-//! interval. On a locality-ordered mesh almost no chunk does (24 of 196
+//! of 512 rows ([`TranslatedAdjacency::BLOCK_ROWS`]) and ask each chunk,
+//! with one branch-free reduction over its contiguous slice of references,
+//! whether any of them leaves the owned interval. On a locality-ordered mesh almost no chunk does (24 of 196
 //! for a 100k-row block of the 200k benchmark mesh): an interior chunk
 //! costs the builder one addition to the counted work and costs
 //! translation one bulk subtraction, and single references are looked at
@@ -241,6 +241,8 @@ impl CommSchedule {
             num_ghosts: 0,
             xadj: Vec::with_capacity(adj.len() + 1),
             slots: Vec::with_capacity(adj.num_refs()),
+            order: Vec::with_capacity(adj.len()),
+            class_rows: Vec::with_capacity(adj.len().div_ceil(TranslatedAdjacency::BLOCK_ROWS)),
             interior_runs: Vec::new(),
             boundary_runs: Vec::new(),
             interior_vertices: 0,
@@ -254,20 +256,36 @@ impl CommSchedule {
     /// and refills `out`'s vectors in place (capacity never shrinks), so a
     /// remap's re-translation stops allocating once the runner's scratch
     /// has warmed up. The result is identical to a fresh translation.
+    ///
+    /// # Panics
+    /// Panics if the adjacency and the schedule cover different intervals,
+    /// or if the rank makes more than `u32::MAX` references (the translated
+    /// row pointers are 32-bit).
     pub fn translate_adjacency_into(&self, adj: &LocalAdjacency, out: &mut TranslatedAdjacency) {
         assert_eq!(adj.interval(), self.interval, "adjacency/schedule mismatch");
+        check_row_pointers_fit(self.rank, adj.num_refs());
         let start = self.interval.start as u32;
         let local_len = self.interval.len() as u32;
-        // The row pointers are the adjacency's own, by construction.
         out.xadj.clear();
-        out.xadj.extend_from_slice(adj.csr_window(0..adj.len()).0);
+        out.xadj.reserve(adj.len() + 1);
+        out.xadj.push(0);
         out.slots.clear();
         out.slots.reserve(adj.num_refs());
+        out.order.clear();
+        out.order.reserve(adj.len());
+        out.class_rows.clear();
         out.interior_runs.clear();
         out.boundary_runs.clear();
         let mut interior_vertices = 0usize;
         let mut interior_refs = 0usize;
         for (rows, refs) in adj.row_chunks() {
+            // The row pointers are the adjacency's own, narrowed (the check
+            // above covers the last and therefore all of them); while the
+            // chunk's are in L1, group its rows by degree for the sweep.
+            let row_ptrs = adj.csr_window(rows.clone()).0;
+            out.xadj.extend(row_ptrs[1..].iter().map(|&x| x as u32));
+            out.class_rows
+                .push(group_by_degree(row_ptrs, &mut out.order));
             // Translate the chunk as if it were interior — one subtraction
             // per reference, no branch — and learn on the way whether that
             // was right: an owned global lands below `local_len`, anything
@@ -286,7 +304,7 @@ impl CommSchedule {
             // one at a time — through the schedule's ghost map.
             for l in rows {
                 let mut references_ghost = false;
-                for slot in &mut out.slots[out.xadj[l]..out.xadj[l + 1]] {
+                for slot in &mut out.slots[out.xadj[l] as usize..out.xadj[l + 1] as usize] {
                     if *slot >= local_len {
                         let LocalRef::Ghost(s) = self.resolve(slot.wrapping_add(start)) else {
                             unreachable!("an owned global translates below local_len");
@@ -357,12 +375,30 @@ impl CommSchedule {
 /// then the boundary runs once it completes. On a locality-ordered mesh
 /// the interior is typically one long run with short boundary runs at the
 /// block edges.
+///
+/// Finally the rows carry a **degree index** for the sweep itself. The
+/// irregular loop's cost on a cache-resident block is not its memory
+/// traffic but the exit of the variable-trip `for s in neighbors` loop,
+/// mispredicted whenever consecutive rows differ in degree — on an
+/// unstructured mesh, most of the time. So every block of
+/// [`TranslatedAdjacency::BLOCK_ROWS`] rows records its rows grouped by
+/// degree ([`TranslatedAdjacency::degree_classes`]), planned once here so
+/// that the executor visits a block class by class with a constant trip
+/// count. Only the order in which a block's rows are *visited* is planned;
+/// each row's references stay in CSR order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranslatedAdjacency {
     local_len: u32,
     num_ghosts: u32,
-    xadj: Vec<usize>,
+    /// CSR row pointers, `len + 1` of them; 32-bit, which pays for `order`.
+    xadj: Vec<u32>,
     slots: Vec<u32>,
+    /// Per block, its row-in-block numbers grouped by degree class, each
+    /// class ascending. Block `b` owns `order[b · BLOCK_ROWS ..]`.
+    order: Vec<u16>,
+    /// Per block, how many of its rows fall into each degree class — the
+    /// lengths of the consecutive groups of its `order`.
+    class_rows: Vec<[u16; TranslatedAdjacency::DEGREE_CLASSES]>,
     /// Maximal `[start, end)` runs of consecutive interior vertices,
     /// ascending and disjoint.
     interior_runs: Vec<(u32, u32)>,
@@ -376,6 +412,16 @@ pub struct TranslatedAdjacency {
 }
 
 impl TranslatedAdjacency {
+    /// Rows per block: the chunk of the inspector's CSR walks, the unit of
+    /// the degree index and the executor's cache block — ~12 KiB of
+    /// references on a degree-6 mesh, so a block touched twice is still in
+    /// L1 the second time, and a row-in-block number fits 16 bits.
+    pub const BLOCK_ROWS: usize = 512;
+
+    /// Degree classes of the per-block index: class `d < 9` holds the rows
+    /// with exactly `d` references, the last class every row with more.
+    pub const DEGREE_CLASSES: usize = 10;
+
     /// Number of owned vertices.
     #[inline]
     pub fn len(&self) -> usize {
@@ -409,13 +455,13 @@ impl TranslatedAdjacency {
     /// Combined-buffer indices of vertex `local`'s neighbors.
     #[inline]
     pub fn neighbors_of(&self, local: usize) -> &[u32] {
-        &self.slots[self.xadj[local]..self.xadj[local + 1]]
+        &self.slots[self.xadj[local] as usize..self.xadj[local + 1] as usize]
     }
 
     /// Degree of vertex `local`.
     #[inline]
     pub fn degree_of(&self, local: usize) -> usize {
-        self.xadj[local + 1] - self.xadj[local]
+        (self.xadj[local + 1] - self.xadj[local]) as usize
     }
 
     /// The raw CSR window backing vertices `range`: the row-pointer slice
@@ -427,8 +473,25 @@ impl TranslatedAdjacency {
     /// [`TranslatedAdjacency::neighbors_of`] stays the convenient
     /// per-vertex view.
     #[inline]
-    pub fn csr_window(&self, range: std::ops::Range<usize>) -> (&[usize], &[u32]) {
+    pub fn csr_window(&self, range: std::ops::Range<usize>) -> (&[u32], &[u32]) {
         (&self.xadj[range.start..=range.end], &self.slots)
+    }
+
+    /// The degree index of block `block` (local vertices
+    /// `block · BLOCK_ROWS ..`, the last block possibly short): the block's
+    /// row-in-block numbers grouped by degree class, and the number of rows
+    /// in each class. The first `classes[0]` entries of the order are the
+    /// rows of degree 0, ascending; the next `classes[1]` those of degree
+    /// 1; and so on, the last class taking every degree of
+    /// [`TranslatedAdjacency::DEGREE_CLASSES`]` - 1` and above.
+    ///
+    /// # Panics
+    /// Panics if `block` is not below `len().div_ceil(BLOCK_ROWS)`.
+    #[inline]
+    pub fn degree_classes(&self, block: usize) -> (&[u16], &[u16; Self::DEGREE_CLASSES]) {
+        let start = block * Self::BLOCK_ROWS;
+        let end = self.len().min(start + Self::BLOCK_ROWS);
+        (&self.order[start..end], &self.class_rows[block])
     }
 
     /// Total references.
@@ -477,6 +540,39 @@ impl TranslatedAdjacency {
     pub fn boundary_refs(&self) -> usize {
         self.num_refs() - self.interior_refs
     }
+}
+
+/// Translated row pointers are 32-bit: a rank with more references than
+/// that cannot be translated.
+fn check_row_pointers_fit(rank: usize, num_refs: usize) {
+    assert!(
+        u32::try_from(num_refs).is_ok(),
+        "rank {rank} makes {num_refs} references, more than the u32::MAX a translated \
+         adjacency's 32-bit row pointers can address"
+    );
+}
+
+/// Groups one block's rows by degree class: appends the block's
+/// row-in-block numbers to `order` class by class, each class ascending,
+/// and returns the class sizes. `row_ptrs` are the block's row pointers,
+/// one more than it has rows.
+fn group_by_degree(
+    row_ptrs: &[usize],
+    order: &mut Vec<u16>,
+) -> [u16; TranslatedAdjacency::DEGREE_CLASSES] {
+    const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
+    // One row list per class, each with room for a whole block.
+    let mut lists = [[0u16; TranslatedAdjacency::BLOCK_ROWS]; LAST + 1];
+    let mut rows = [0usize; LAST + 1];
+    for (i, w) in row_ptrs.windows(2).enumerate() {
+        let class = (w[1] - w[0]).min(LAST);
+        lists[class][rows[class]] = i as u16;
+        rows[class] += 1;
+    }
+    for (list, &rows) in lists.iter().zip(&rows) {
+        order.extend_from_slice(&list[..rows]);
+    }
+    rows.map(|rows| rows as u16)
 }
 
 /// Whether any of `refs` lies outside `[start, start + len)`: one

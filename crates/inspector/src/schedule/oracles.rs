@@ -3,8 +3,8 @@
 //! [`build_schedule_symmetric_with`] and
 //! [`CommSchedule::translate_adjacency_into`] replaced, kept as oracles,
 //! plus the tests that hold the replacements to them field for field —
-//! schedule, [`TranslatedAdjacency`] (runs and interior counts included)
-//! and [`InspectorWork`], under both sort strategies.
+//! schedule, [`TranslatedAdjacency`] (runs, interior counts and the degree
+//! index included) and [`InspectorWork`], under both sort strategies.
 
 use std::collections::HashSet;
 
@@ -14,7 +14,8 @@ use stance_locality::{meshgen, Graph};
 use stance_onedim::Arrangement;
 
 use super::*;
-use crate::adjacency::ROW_CHUNK;
+
+const BLOCK_ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
 
 /// The symmetric builder as it was: every reference dereferenced one at a
 /// time, (local, peer) pairs deduplicated through a set keyed on the pair
@@ -74,14 +75,29 @@ fn symmetric_oracle(
 }
 
 /// Translation as it was: one `resolve` and one `push` per reference, one
-/// run update per row.
+/// run update per row — and the degree index by its definition, a stable
+/// sort of each block's row numbers on `min(degree, 9)`.
 fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
     let local_len = schedule.interval.len() as u32;
+    let mut order = Vec::new();
+    let mut class_rows = Vec::new();
+    for lo in (0..adj.len()).step_by(BLOCK_ROWS) {
+        let rows = adj.len().min(lo + BLOCK_ROWS) - lo;
+        let class_of = |&i: &u16| adj.degree_of(lo + i as usize).min(9);
+        let mut block: Vec<u16> = (0..rows as u16).collect();
+        block.sort_by_key(class_of);
+        class_rows.push(std::array::from_fn(|class| {
+            block.iter().filter(|&i| class_of(i) == class).count() as u16
+        }));
+        order.extend(block);
+    }
     let mut out = TranslatedAdjacency {
         local_len,
         num_ghosts: schedule.num_ghosts,
         xadj: vec![0],
         slots: Vec::new(),
+        order,
+        class_rows,
         interior_runs: Vec::new(),
         boundary_runs: Vec::new(),
         interior_vertices: 0,
@@ -99,8 +115,8 @@ fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Translated
             };
             out.slots.push(combined);
         }
-        let degree = out.slots.len() - out.xadj[l];
-        out.xadj.push(out.slots.len());
+        let degree = out.slots.len() - out.xadj[l] as usize;
+        out.xadj.push(out.slots.len() as u32);
         let runs = if references_ghost {
             &mut out.boundary_runs
         } else {
@@ -116,17 +132,39 @@ fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Translated
     out
 }
 
+/// What a previous translation of another size leaves behind for
+/// `translate_adjacency_into`: `tadj` with every vector cut to half its
+/// length, or followed by more than a block of stale entries.
+fn stale_storage(tadj: &TranslatedAdjacency, larger: bool) -> TranslatedAdjacency {
+    fn resize<T: Clone>(v: &mut Vec<T>, larger: bool, stale: T) {
+        let len = if larger {
+            2 * v.len() + 700
+        } else {
+            v.len() / 2
+        };
+        v.resize(len, stale);
+    }
+    let mut out = tadj.clone();
+    resize(&mut out.xadj, larger, 7);
+    resize(&mut out.slots, larger, 7);
+    resize(&mut out.order, larger, 7);
+    resize(&mut out.class_rows, larger, [7; 10]);
+    resize(&mut out.interior_runs, larger, (7, 8));
+    resize(&mut out.boundary_runs, larger, (8, 9));
+    out
+}
+
 /// Holds the shipped builder and translation to their oracles on one
-/// rank's adjacency, fresh and through a reused scratch / recycled
-/// translation. Returns the translation so callers can assert on its
-/// shape.
+/// rank's adjacency, fresh and through a reused scratch / a translation
+/// recycled from a larger and from a smaller one. Returns the translation
+/// so callers can assert on its shape.
 fn assert_matches_oracles(
     partition: &BlockPartition,
     adj: &LocalAdjacency,
     rank: usize,
 ) -> TranslatedAdjacency {
     let mut scratch = ScheduleScratch::new();
-    let mut recycled: Option<TranslatedAdjacency> = None;
+    let mut recycled = None;
     for strategy in [ScheduleStrategy::Sort1, ScheduleStrategy::Sort2] {
         let (expected, expected_work) = symmetric_oracle(partition, adj, rank, strategy);
         let (fresh, fresh_work) = build_schedule_symmetric(partition, adj, rank, strategy);
@@ -147,9 +185,14 @@ fn assert_matches_oracles(
             expected_tadj,
             "rank {rank} {strategy:?}: translation"
         );
-        let out = recycled.get_or_insert_with(|| expected_tadj.clone());
-        fresh.translate_adjacency_into(adj, out);
-        assert_eq!(*out, expected_tadj, "rank {rank}: recycled translation");
+        for larger in [true, false] {
+            let out = recycled.insert(stale_storage(&expected_tadj, larger));
+            fresh.translate_adjacency_into(adj, out);
+            assert_eq!(
+                *out, expected_tadj,
+                "rank {rank}: translation recycled from a larger ({larger}) one"
+            );
+        }
         scratch.recycle(reused);
     }
     recycled.expect("two strategies ran")
@@ -249,7 +292,7 @@ proptest! {
 /// one short, exact, one over, two and a bit.
 #[test]
 fn block_lengths_around_the_chunk_size() {
-    assert_eq!(ROW_CHUNK, 512, "the lengths below straddle this");
+    assert_eq!(BLOCK_ROWS, 512, "the lengths below straddle this");
     let g = ordered_mesh(60, 60, 11);
     let n = g.num_vertices();
     for len in [0, 1, 511, 512, 513, 1025] {
@@ -258,7 +301,7 @@ fn block_lengths_around_the_chunk_size() {
         let partition = BlockPartition::from_sizes(&[1000, len, n - 1000 - len]);
         assert_all_ranks_match(&g, &partition);
         let adj = LocalAdjacency::extract(&g, &partition, 1);
-        assert_eq!(adj.row_chunks().count(), len.div_ceil(ROW_CHUNK));
+        assert_eq!(adj.row_chunks().count(), len.div_ceil(BLOCK_ROWS));
         assert_eq!(assert_matches_oracles(&partition, &adj, 1).len(), len);
     }
 }
@@ -305,25 +348,25 @@ fn shuffled_numbering_has_no_interior_chunk() {
 /// slice.
 #[test]
 fn lone_off_block_reference_at_a_chunk_edge() {
-    let n = 2 * ROW_CHUNK + 1;
+    let n = 2 * BLOCK_ROWS + 1;
     let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
     let coords = (0..n).map(|i| [i as f64, 0.0, 0.0]).collect();
     let g = Graph::from_edges(n, &edges, coords, 2);
     // Rank 0's single chunk ends in row 511 → [510, 512]: 512 is rank 1's.
-    let partition = BlockPartition::from_sizes(&[ROW_CHUNK, ROW_CHUNK + 1]);
+    let partition = BlockPartition::from_sizes(&[BLOCK_ROWS, BLOCK_ROWS + 1]);
     let adj = LocalAdjacency::extract(&g, &partition, 0);
-    assert_eq!(adj.refs().last(), Some(&(ROW_CHUNK as u32)));
+    assert_eq!(adj.refs().last(), Some(&(BLOCK_ROWS as u32)));
     assert_eq!(
         adj.refs()
             .iter()
-            .filter(|&&g| g >= ROW_CHUNK as u32)
+            .filter(|&&g| g >= BLOCK_ROWS as u32)
             .count(),
         1
     );
     let tadj = assert_matches_oracles(&partition, &adj, 0);
     assert_eq!(
         tadj.boundary_runs().collect::<Vec<_>>(),
-        vec![ROW_CHUNK - 1..ROW_CHUNK]
+        vec![BLOCK_ROWS - 1..BLOCK_ROWS]
     );
     // Rank 1: chunk 0 opens with the off-block reference, chunk 1 (one
     // row) is interior and continues chunk 0's interior run.
@@ -332,8 +375,15 @@ fn lone_off_block_reference_at_a_chunk_edge() {
     assert_eq!(tadj.boundary_runs().collect::<Vec<_>>(), vec![0..1]);
     assert_eq!(
         tadj.interior_runs().collect::<Vec<_>>(),
-        vec![1..ROW_CHUNK + 1]
+        vec![1..BLOCK_ROWS + 1]
     );
+}
+
+#[test]
+#[should_panic(expected = "rank 3 makes 4294967296 references, more than the u32::MAX")]
+fn more_references_than_row_pointers_can_address() {
+    check_row_pointers_fit(3, u32::MAX as usize);
+    check_row_pointers_fit(3, u32::MAX as usize + 1);
 }
 
 /// The packed `local · p + peer` dedup key this builder used to hash on

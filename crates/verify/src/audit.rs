@@ -440,7 +440,10 @@ pub fn check_deadlock(ops: &[Vec<CommOp>]) -> Vec<Diagnostic> {
 /// interior/boundary class from the raw references and the partition
 /// interval and compares it against the classification the translation
 /// recorded; also checks that every off-interval reference was actually
-/// scheduled as a ghost.
+/// scheduled as a ghost, and that the degree index the sweep visits rows
+/// by is what the adjacency's degrees say it must be: each block's order
+/// a permutation of its rows, the class sizes summing to the block, every
+/// row filed under its own degree, each class ascending.
 pub fn audit_translation(
     schedule: &CommSchedule,
     adj: &LocalAdjacency,
@@ -500,7 +503,74 @@ pub fn audit_translation(
             ));
         }
     }
+    audit_degree_index(schedule, adj, tadj, &mut diags);
     diags
+}
+
+/// The degree-index half of [`audit_translation`] (shapes already agree).
+fn audit_degree_index(
+    schedule: &CommSchedule,
+    adj: &LocalAdjacency,
+    tadj: &TranslatedAdjacency,
+    diags: &mut Vec<Diagnostic>,
+) {
+    const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
+    const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
+    let iv = schedule.interval();
+    let mut mismatch = |detail: String| {
+        diags.push(Diagnostic::new(
+            DiagnosticKind::ClassificationMismatch,
+            schedule.rank(),
+            detail,
+        ));
+    };
+    for block in 0..adj.len().div_ceil(ROWS) {
+        let start = block * ROWS;
+        let (order, classes) = tadj.degree_classes(block);
+        let filed: usize = classes.iter().map(|&rows| rows as usize).sum();
+        if filed != order.len() {
+            mismatch(format!(
+                "degree classes of block {block} of {iv} hold {filed} rows, the block has {}",
+                order.len()
+            ));
+            continue;
+        }
+        let visited = &mut [false; ROWS][..order.len()];
+        let mut rest = order;
+        for (class, &rows) in classes.iter().enumerate() {
+            let (group, tail) = rest.split_at(rows as usize);
+            rest = tail;
+            if !group.windows(2).all(|w| w[0] < w[1]) {
+                mismatch(format!(
+                    "degree class {class} of block {block} of {iv} is not ascending"
+                ));
+            }
+            for &i in group {
+                let Some(seen) = visited.get_mut(i as usize) else {
+                    mismatch(format!(
+                        "block {block} of {iv} visits row {i} of its {}",
+                        order.len()
+                    ));
+                    continue;
+                };
+                *seen = true;
+                let l = start + i as usize;
+                let degree = adj.degree_of(l);
+                if degree.min(LAST) != class {
+                    mismatch(format!(
+                        "vertex {l} of {iv} has degree {degree} but is swept with degree \
+                         class {class}"
+                    ));
+                }
+            }
+        }
+        if let Some(i) = visited.iter().position(|&seen| !seen) {
+            mismatch(format!(
+                "vertex {} of {iv} is never visited by its block's sweep order",
+                start + i
+            ));
+        }
+    }
 }
 
 /// Audits a redistribution plan against the old and new partitions, for

@@ -20,7 +20,8 @@ pub enum DiagnosticKind {
     /// A receive segment lists a global its peer does not own.
     GhostFromNonOwner,
     /// The interior/boundary run classification disagrees with the ghost
-    /// set the schedule actually fetches.
+    /// set the schedule actually fetches, or the per-block degree classes
+    /// the sweep visits rows by disagree with the adjacency's degrees.
     ClassificationMismatch,
     /// A redistribution's kept copy + receives do not exactly tile the
     /// new interval.

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use stance::balance::BalancerConfig;
-use stance::executor::sequential_relaxation;
+use stance::executor::{sequential_relaxation, sweep_phase, sweep_rows, SweepTeam};
 use stance::inspector::{build_schedule_symmetric, LocalAdjacency, TranslatedAdjacency};
 use stance::onedim::RedistCostModel;
 use stance::prelude::*;
@@ -233,6 +233,50 @@ impl<E: Field> Kernel<E> for DampedJacobi {
     }
 }
 
+/// The same kernel in its closure spelling: the row body handed to
+/// `sweep_rows`, which visits each block's rows grouped by degree.
+struct GroupedDampedJacobi {
+    omega: f64,
+}
+
+impl<E: Field> Kernel<E> for GroupedDampedJacobi {
+    fn sweep(&self, tadj: &TranslatedAdjacency, combined: &[E], out: &mut [E]) {
+        self.sweep_chunked(tadj, combined, out, 0..tadj.len());
+    }
+
+    fn sweep_range(
+        &self,
+        tadj: &TranslatedAdjacency,
+        combined: &[E],
+        out: &mut [E],
+        range: std::ops::Range<usize>,
+    ) {
+        self.sweep_chunked(tadj, combined, out, range);
+    }
+
+    #[inline(never)]
+    fn sweep_chunked(
+        &self,
+        tadj: &TranslatedAdjacency,
+        combined: &[E],
+        out: &mut [E],
+        range: std::ops::Range<usize>,
+    ) {
+        sweep_rows(tadj, out, range, |l, nbrs| {
+            if nbrs.is_empty() {
+                return combined[l];
+            }
+            let mut t = E::zero();
+            for &s in nbrs {
+                t = t.add(combined[s as usize]);
+            }
+            combined[l]
+                .scale(1.0 - self.omega)
+                .add(t.div(nbrs.len() as f64).scale(self.omega))
+        });
+    }
+}
+
 /// The matching sequential reference.
 fn sequential_damped_jacobi(g: &Graph, y: &mut [f64], omega: f64, iters: usize) {
     let n = g.num_vertices();
@@ -257,6 +301,11 @@ fn sequential_damped_jacobi(g: &Graph, y: &mut [f64], omega: f64, iters: usize) 
 
 #[test]
 fn user_kernel_runs_adaptively_and_matches_sequential() {
+    user_kernel_matches_sequential(|omega| DampedJacobi { omega });
+    user_kernel_matches_sequential(|omega| GroupedDampedJacobi { omega });
+}
+
+fn user_kernel_matches_sequential<K: Kernel<f64> + 'static>(kernel: fn(f64) -> K) {
     let m = mesh();
     let n = m.num_vertices();
     let iters = 30;
@@ -272,7 +321,7 @@ fn user_kernel_runs_adaptively_and_matches_sequential() {
         .with_network(NetworkSpec::zero_cost())
         .with_load(1, LoadTimeline::constant(0.4));
     let report = Cluster::new(spec).run(move |env| {
-        let mut s = AdaptiveSession::setup(env, &m2, DampedJacobi { omega }, init, &config);
+        let mut s = AdaptiveSession::setup(env, &m2, kernel(omega), init, &config);
         let rep = s.run_adaptive(env, iters);
         (rep, s.local_values().to_vec(), s.partition().clone())
     });
@@ -419,6 +468,298 @@ proptest! {
                 e.to_bits(),
                 "laplacian diverged at vertex {} ({:e} vs {:e})", i, g, e
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Degree-grouped blocks: `sweep_rows` visits the rows of every whole block
+// class by class, the ragged ends of a range row by row. Whatever the degree
+// mix, the block count, the range and the element type, each row must come
+// out bit for bit as the frozen per-row loops above compute it.
+// ---------------------------------------------------------------------------
+
+/// One sweep's worth of input: a single-rank translation whose rows cover
+/// every arm of the driver, and three raw-bit value arrays (the lanes of a
+/// `[f64; 3]` payload; lane 0 doubles as the `f64` payload).
+#[derive(Debug)]
+struct SweepCase {
+    tadj: TranslatedAdjacency,
+    lanes: [Vec<f64>; 3],
+    /// Arbitrary cut points for fragmenting `0..n`.
+    cuts: Vec<usize>,
+    shift: f64,
+}
+
+/// `SweepCase`s of `n` rows; `None` draws `n` from the lengths around the
+/// block size.
+struct SweepCases(Option<usize>);
+
+/// From this many rows up a case carries the whole planted degree ladder.
+const PLANTED_FROM: usize = 100;
+
+impl Strategy for SweepCases {
+    type Value = SweepCase;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> SweepCase {
+        let n = self.0.unwrap_or_else(|| match rng.below(8) {
+            0 => 0,
+            1 => 1,
+            2 => 511,
+            3 => 512,
+            4 => 513,
+            5 => 1025,
+            _ => 2 + rng.below(1400) as usize,
+        });
+        // Planted rows sit at random places, so every block gets some.
+        let mut ids: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut edges = Vec::new();
+        let mut free = &ids[..];
+        if n >= PLANTED_FROM {
+            let mut take = |k: usize| {
+                let (taken, rest) = free.split_at(k);
+                free = rest;
+                taken
+            };
+            // Degree 0 twice; a hub of exactly `d` leaves for d = 1..=8;
+            // a 10-clique (degree exactly 9).
+            take(2);
+            for d in 1..=8 {
+                let star = take(d + 1);
+                edges.extend(star[1..].iter().map(|&leaf| (star[0], leaf)));
+            }
+            let clique = take(10);
+            for (k, &a) in clique.iter().enumerate() {
+                edges.extend(clique[k + 1..].iter().map(|&b| (a, b)));
+            }
+            // A star far above 8: its hub is planted, its 40 leaves are not.
+            let hub = take(1)[0];
+            edges.extend(free[..40].iter().map(|&leaf| (hub, leaf)));
+        }
+        if free.len() >= 2 {
+            for _ in 0..rng.below(3 * free.len() as u64) {
+                let pick =
+                    |rng: &mut proptest::TestRng| free[rng.below(free.len() as u64) as usize];
+                edges.push((pick(rng), pick(rng)));
+            }
+        }
+        const SPECIAL: [u64; 8] = [
+            0x7ff8_0000_0000_0000, // NaN
+            0xfff0_0000_0000_0001, // a signalling, negative NaN
+            0x0000_0000_0000_0000, // +0
+            0x8000_0000_0000_0000, // −0
+            0x0000_0000_0000_0001, // smallest subnormal
+            0x800f_ffff_ffff_ffff, // largest subnormal, negative
+            0x7ff0_0000_0000_0000, // +∞
+            0xfff0_0000_0000_0000, // −∞
+        ];
+        let mut payload = || -> Vec<f64> {
+            (0..n)
+                .map(|_| match rng.below(6) {
+                    0 => SPECIAL[rng.below(8) as usize],
+                    _ => rng.next_u64(),
+                })
+                .map(f64::from_bits)
+                .collect()
+        };
+        let lanes = [payload(), payload(), payload()];
+        SweepCase {
+            tadj: single_rank_tadj(n, &edges),
+            lanes,
+            cuts: (0..rng.below(10))
+                .map(|_| rng.below(1500) as usize)
+                .collect(),
+            shift: (rng.unit_f64() - 0.5) * 2.0e3,
+        }
+    }
+}
+
+/// What a row the driver must not write still holds afterwards: a finite
+/// value no sweep of these inputs produces.
+const UNTOUCHED: f64 = -4.242_424_242e242;
+
+/// The wire form of `f64`-built elements with every NaN folded onto one
+/// pattern: equality of these is bitwise equality — ±0, subnormals and
+/// infinities told apart — except for *which* NaN. A row that reads two
+/// NaNs keeps the payload of whichever the compiler made the first
+/// operand of its (commutative) add; that is fixed by neither IEEE 754 nor
+/// the accumulation order, and differs between two compilations of the
+/// same loop.
+fn bits<E: Element>(values: &[E]) -> Vec<u64> {
+    let mut bytes = Vec::new();
+    E::pack_into(values, &mut bytes);
+    bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        .map(|b| {
+            if f64::from_bits(b).is_nan() {
+                u64::MAX
+            } else {
+                b
+            }
+        })
+        .collect()
+}
+
+/// `got` must equal `expected` on every row of `written` and still hold
+/// `untouched` everywhere else.
+fn assert_rows<E: Element>(
+    got: &[E],
+    expected: &[E],
+    untouched: E,
+    written: &[std::ops::Range<usize>],
+    what: &str,
+) {
+    let mut wanted = vec![untouched; got.len()];
+    for run in written {
+        wanted[run.clone()].copy_from_slice(&expected[run.clone()]);
+    }
+    if let Some(l) = (0..got.len()).find(|&l| bits(&got[l..=l]) != bits(&wanted[l..=l])) {
+        panic!("{what}: row {l} holds {:?}, wanted {:?}", got[l], wanted[l]);
+    }
+}
+
+/// Drives one kernel over one element type through every way the runtime
+/// reaches `sweep_rows`, against `expected` (the per-row loop's output).
+fn assert_sweeps_match<E: Field, K: Kernel<E>>(
+    kernel: &K,
+    case: &SweepCase,
+    combined: &[E],
+    expected: &[E],
+    untouched: E,
+) {
+    let (tadj, n) = (&case.tadj, case.tadj.len());
+    let fresh = || vec![untouched; n];
+    let one = std::slice::from_ref;
+
+    let mut got = fresh();
+    kernel.sweep(tadj, combined, &mut got);
+    assert_rows(&got, expected, untouched, one(&(0..n)), "sweep");
+
+    // Ranges that start and end mid-block, one call each.
+    let frags = fragments(n, &case.cuts);
+    let mut got = fresh();
+    for (k, run) in frags.iter().enumerate() {
+        kernel.sweep_chunked(tadj, combined, &mut got, run.clone());
+        assert_rows(&got, expected, untouched, &frags[..=k], "fragment");
+    }
+
+    // A range strictly inside one block, and one that holds exactly one
+    // whole block between two ragged ends.
+    for run in [n / 3..n / 3 + n.min(200) / 2, n / 5..n - n / 7] {
+        let mut got = fresh();
+        kernel.sweep_range(tadj, combined, &mut got, run.clone());
+        assert_rows(&got, expected, untouched, one(&run), "range");
+    }
+
+    // `sweep_phase`: every third row as its own run. Up to 32 runs it
+    // sweeps run by run, above that their bounding span in one call.
+    let runs: Vec<_> = (0..n).step_by(3).map(|l| l..l + 1).collect();
+    for runs in [&runs[..], &runs[..runs.len().min(20)]] {
+        let mut got = fresh();
+        sweep_phase(kernel, tadj, combined, &mut got, runs.iter().cloned());
+        let span = runs.first().map_or(0, |r| r.start)..runs.last().map_or(0, |r| r.end);
+        let written = if runs.len() > 32 { one(&span) } else { runs };
+        assert_rows(&got, expected, untouched, written, "phase");
+    }
+}
+
+/// Both built-in kernels, `f64` and `[f64; 3]`, against the per-row loops.
+fn assert_case_matches_references(case: &SweepCase) {
+    let n = case.tadj.len();
+    let zip3 = |lanes: [&Vec<f64>; 3]| -> Vec<[f64; 3]> {
+        (0..n).map(|l| lanes.map(|lane| lane[l])).collect()
+    };
+    let per_lane = |reference: &dyn Fn(&[f64], &mut [f64])| {
+        case.lanes.each_ref().map(|lane| {
+            let mut out = vec![0.0; n];
+            reference(lane, &mut out);
+            out
+        })
+    };
+    let combined3 = zip3(case.lanes.each_ref());
+    let laplacian = LaplacianKernel { shift: case.shift };
+
+    let relaxed = per_lane(&|x, out| relaxation_reference(&case.tadj, x, out));
+    let applied = per_lane(&|x, out| laplacian_reference(&case.tadj, x, out, case.shift));
+    assert_sweeps_match(
+        &RelaxationKernel,
+        case,
+        &case.lanes[0],
+        &relaxed[0],
+        UNTOUCHED,
+    );
+    assert_sweeps_match(&laplacian, case, &case.lanes[0], &applied[0], UNTOUCHED);
+    let untouched = [UNTOUCHED; 3];
+    assert_sweeps_match(
+        &RelaxationKernel,
+        case,
+        &combined3,
+        &zip3(relaxed.each_ref()),
+        untouched,
+    );
+    assert_sweeps_match(
+        &laplacian,
+        case,
+        &combined3,
+        &zip3(applied.each_ref()),
+        untouched,
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn grouped_sweeps_match_the_per_row_loops_bitwise(case in SweepCases(None)) {
+        let n = case.tadj.len();
+        if n >= PLANTED_FROM {
+            // The planted rows are there: every class arm runs, and the
+            // generic arm sees degree 0, exactly 9 and far more.
+            let degrees: BTreeSet<usize> = (0..n).map(|l| case.tadj.degree_of(l)).collect();
+            prop_assert!((0..=9).all(|d| degrees.contains(&d)), "{:?}", degrees);
+            prop_assert!(degrees.last() >= Some(&40), "{:?}", degrees);
+        }
+        assert_case_matches_references(&case);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// 1300 rows are two blocks and a bit; two lanes cut them at 650,
+    /// three at 433 and 866 — all mid-block, so every lane sweeps a ragged
+    /// head, and most a ragged tail, around its whole blocks.
+    #[test]
+    fn teams_whose_lane_cuts_fall_mid_block_match_the_per_row_loops(case in SweepCases(Some(1300))) {
+        let n = case.tadj.len();
+        let combined: Vec<[f64; 3]> = (0..n).map(|l| case.lanes.each_ref().map(|x| x[l])).collect();
+        let mut expected = vec![[0.0; 3]; n];
+        RelaxationKernel.sweep(&case.tadj, &combined, &mut expected);
+        // The single-lane sweep is itself held to the per-row loops …
+        assert_case_matches_references(&case);
+        // … and every team size to it.
+        for lanes in 1..=3 {
+            let mut team = SweepTeam::new(lanes);
+            team.rebuild_splits(&case.tadj);
+            for interior in [false, true] {
+                let mut got = vec![[UNTOUCHED; 3]; n];
+                if interior {
+                    team.sweep_interior(&RelaxationKernel, &case.tadj, &combined, &mut got);
+                } else {
+                    team.sweep_full(&RelaxationKernel, &case.tadj, &combined, &mut got);
+                }
+                assert_rows(
+                    &got,
+                    &expected,
+                    [UNTOUCHED; 3],
+                    std::slice::from_ref(&(0..n)),
+                    "team",
+                );
+            }
         }
     }
 }

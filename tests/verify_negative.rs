@@ -227,6 +227,40 @@ fn classification_mismatch_names_the_vertex() {
     );
 }
 
+/// Kind 6 again, the degree index: a translation audited against an
+/// adjacency of the same shape and the same interior/boundary classes in
+/// which one row has lost a reference — the sweep would visit that row
+/// with the wrong trip count.
+#[test]
+fn degree_class_mismatch_names_the_vertex_and_both_degrees() {
+    let mesh = stance::locality::meshgen::triangulated_grid(8, 8, 0.4, 1);
+    let part = BlockPartition::uniform(mesh.num_vertices(), 2);
+    let adj_a = LocalAdjacency::extract(&mesh, &part, 0);
+    let (schedule, _) = build_schedule_symmetric(&part, &adj_a, 0, ScheduleStrategy::Sort2);
+    let tadj = schedule.translate_adjacency(&adj_a);
+    assert_eq!(audit_translation(&schedule, &adj_a, &tadj), Vec::new());
+
+    // Row 9 is interior with at least two references: drop its last one.
+    let (interval, mut xadj, mut refs) = adj_a.clone().into_parts();
+    let degree = xadj[10] - xadj[9];
+    assert!(degree >= 2 && tadj.interior_runs().any(|run| run.contains(&9)));
+    refs.remove(xadj[10] - 1);
+    for x in &mut xadj[10..] {
+        *x -= 1;
+    }
+    let adj_b = LocalAdjacency::from_parts(interval, xadj, refs);
+
+    let diags = audit_translation(&schedule, &adj_b, &tadj);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    let d = find(&diags, DiagnosticKind::ClassificationMismatch);
+    assert_eq!(d.rank, 0);
+    let expected = format!(
+        "vertex 9 of [0, 32) has degree {} but is swept with degree class {degree}",
+        degree - 1
+    );
+    assert_eq!(d.detail, expected);
+}
+
 /// Kind 7: a redistribution plan that does not match the partitions it
 /// is audited against — moves ship data the source no longer owns and
 /// the receives no longer tile the new intervals.
