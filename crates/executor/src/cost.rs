@@ -26,8 +26,9 @@ pub struct ComputeCostModel {
     /// Marginal efficiency of each lane beyond the first, in `(0, 1]`:
     /// the effective speedup of a `T`-lane team is
     /// `1 + (T − 1) · team_efficiency` (static chunking splits the sweep
-    /// near-perfectly, but the serial commit of worker fragments and the
-    /// wake/join handshake tax every extra lane).
+    /// near-perfectly and every lane writes its own window of the output,
+    /// but the wake/join handshake and the cores' shared memory bandwidth
+    /// tax every extra lane).
     pub team_efficiency: f64,
 }
 

@@ -151,62 +151,46 @@ pub trait Kernel<E: Element>: Sync {
     /// anything about its previous contents.
     fn sweep(&self, tadj: &TranslatedAdjacency, combined: &[E], out: &mut [E]);
 
-    /// Sweeps only the owned vertices in `range` (a contiguous run of
-    /// local indices), writing `out[range]` and leaving the rest of `out`
-    /// untouched. `out` is still the full owned-output slice, so
-    /// implementations index it exactly as in [`Kernel::sweep`].
+    /// The ranged hook: sweeps only the owned vertices in `range` (a
+    /// contiguous run of local indices) into `out`, **the window of
+    /// `range`** — `out.len() == range.len()` and `out[i]` is the output of
+    /// row `range.start + i`. For the whole block, `0..tadj.len()`, the
+    /// window is the owned-output slice of [`Kernel::sweep`]. Inputs are
+    /// indexed as ever: `combined[l]` is row `l`'s own value.
     ///
-    /// This is the split-phase hook: the runner sweeps the *interior* runs
-    /// (vertices with no ghost references — see
-    /// [`TranslatedAdjacency::interior_runs`]) while the ghost gather is
-    /// in flight, and the boundary runs after it completes. Per-vertex
-    /// outputs must depend only on `combined` entries the vertex
-    /// references — true for any kernel fitting this trait's model — so
-    /// splitting the sweep cannot change any value.
+    /// Every sweep the runner issues arrives here through [`sweep_phase`]:
+    /// the *interior* runs (vertices with no ghost references — see
+    /// [`TranslatedAdjacency::interior_runs`]) while the ghost gather is in
+    /// flight, the boundary runs after it completes, and under a
+    /// [`crate::SweepTeam`] each lane's share of either, written straight
+    /// into that lane's window of the output. Per-vertex outputs must
+    /// depend only on `combined` entries the vertex references — true for
+    /// any kernel fitting this trait's model — so splitting the sweep
+    /// cannot change any value.
     ///
-    /// The default delegates to [`Kernel::sweep`], recomputing **every**
-    /// vertex: existing kernels stay correct without changes (the runner's
-    /// boundary phase rewrites all slots with fully-gathered data, so
-    /// interior-phase values computed from stale ghosts never survive),
-    /// but they forfeit the overlap's work saving and redo the full sweep
-    /// per delegated call — the runner bounds how many such calls a phase
-    /// can make (fragmented classifications collapse to one bounding-range
-    /// call; see `MAX_PRECISE_RUNS` in this module), so a delegating
-    /// kernel never degrades past a small constant factor. Override with
-    /// a real ranged loop — usually the `sweep` body with `range` as the
-    /// loop bounds — to get split-phase performance.
-    fn sweep_range(
-        &self,
-        tadj: &TranslatedAdjacency,
-        combined: &[E],
-        out: &mut [E],
-        range: Range<usize>,
-    ) {
-        let _ = range;
-        self.sweep(tadj, combined, out);
-    }
-
-    /// The throughput-tuned variant of [`Kernel::sweep_range`]: identical
-    /// contract (write exactly `out[range]` from `combined`, bitwise equal
-    /// to what `sweep_range` would write), but the *preferred* entry point
-    /// for every sweep the runner issues — full, interior and boundary
-    /// phases alike all funnel through it via [`sweep_phase`].
+    /// The default serves kernels that implement only [`Kernel::sweep`]:
+    /// the whole-block range is that sweep, and a partial window sweeps
+    /// the **whole** block into a temporary and copies the window out.
+    /// Such kernels stay correct under overlap and teams without changes,
+    /// but a partial call recomputes every vertex and allocates — they
+    /// forfeit what splitting would win. The runner bounds how many such
+    /// calls a phase can make (fragmented classifications collapse to one
+    /// bounding-range call; see `MAX_PRECISE_RUNS` in this module), so a
+    /// sweep-only kernel never degrades past a small constant factor.
     ///
-    /// The default delegates to [`Kernel::sweep_range`], so user kernels
-    /// need not know this hook exists. The built-in kernels point the
-    /// delegation the other way: their `sweep_chunked` is the real
-    /// implementation — one call of [`sweep_rows`] with the kernel's
-    /// arithmetic as a per-row closure — and their `sweep_range`/`sweep`
-    /// delegate to it. [`sweep_rows`] visits the rows of every whole
-    /// 512-row block inside `range` grouped by degree, so the neighbor
-    /// loop runs with a constant trip count. That reorders *which row of
-    /// a block is written when*, and nothing else: the additions within a
-    /// row stay in CSR order, so the outputs are bitwise those of a plain
-    /// ascending loop. Override this (and make `sweep_range` delegate to
-    /// it) with your own row closure over [`sweep_rows`], or with any
-    /// other formulation whose *per-vertex accumulation order* is
-    /// unchanged; otherwise bitwise reproducibility across team sizes and
-    /// gather flavours is lost.
+    /// The built-in kernels point the delegation the other way: their
+    /// `sweep_chunked` is the real implementation — one call of
+    /// [`sweep_rows`] with the kernel's arithmetic as a per-row closure —
+    /// and their `sweep` calls it for the whole block. [`sweep_rows`]
+    /// visits the rows of every whole 512-row block inside `range` grouped
+    /// by degree, so the neighbor loop runs with a constant trip count.
+    /// That reorders *which row of a block is written when*, and nothing
+    /// else: the additions within a row stay in CSR order, so the outputs
+    /// are bitwise those of a plain ascending loop. Override this with
+    /// your own row closure over [`sweep_rows`], or with any other
+    /// formulation whose *per-vertex accumulation order* is unchanged;
+    /// otherwise bitwise reproducibility across team sizes and gather
+    /// flavours is lost.
     fn sweep_chunked(
         &self,
         tadj: &TranslatedAdjacency,
@@ -214,7 +198,12 @@ pub trait Kernel<E: Element>: Sync {
         out: &mut [E],
         range: Range<usize>,
     ) {
-        self.sweep_range(tadj, combined, out, range);
+        if range == (0..tadj.len()) {
+            return self.sweep(tadj, combined, out);
+        }
+        let mut block = vec![E::zero(); tadj.len()];
+        self.sweep(tadj, combined, &mut block);
+        out.copy_from_slice(&block[range]);
     }
 
     /// Reference-seconds of work one sweep over `vertices` owned vertices
@@ -233,57 +222,70 @@ pub trait Kernel<E: Element>: Sync {
 }
 
 /// Phases with at most this many runs are swept run by run; more
-/// fragmented phases collapse to one bounding-range `sweep_range` call.
-/// The cap exists for kernels that keep the *default* `sweep_range`
-/// (which delegates to a full sweep): without it, a pathologically
-/// interleaved interior/boundary classification — e.g. a shuffled vertex
-/// numbering — would issue one full sweep per run, turning an O(N)
-/// iteration into O(runs × N). With the cap, a delegating kernel does at
-/// most `MAX_PRECISE_RUNS` full sweeps per phase, and fragmented meshes
-/// do exactly one.
+/// fragmented phases collapse to one bounding-range `sweep_chunked` call.
+/// The cap exists for kernels that keep the *default* `sweep_chunked`
+/// (a full sweep into a temporary per partial window): without it, a
+/// pathologically interleaved interior/boundary classification — e.g. a
+/// shuffled vertex numbering — would issue one full sweep per run, turning
+/// an O(N) iteration into O(runs × N). With the cap, a sweep-only kernel
+/// does at most `MAX_PRECISE_RUNS` full sweeps per phase (and per lane),
+/// and fragmented meshes do exactly one.
 const MAX_PRECISE_RUNS: usize = 32;
 
-/// Sweeps one split-phase phase (the interior or the boundary runs).
+/// Sweeps `runs` — one split-phase phase (the interior or the boundary
+/// runs), or one team lane's share of a sweep — into `out`, the window of
+/// `window`: `out.len() == window.len()`, `out[i]` is row
+/// `window.start + i`, and every run lies inside `window`. The rank thread
+/// passes its whole output block and `0..tadj.len()`; a team lane passes
+/// the sub-slice it owns.
 ///
-/// Precise mode calls `sweep_chunked` once per run (which defaults to the
-/// kernel's `sweep_range`) — no redundant work for range-honoring
-/// kernels. Fragmented phases (more than
-/// `MAX_PRECISE_RUNS` runs) use one call spanning first-run start to
-/// last-run end instead. The bounding span also sweeps vertices of the
-/// *other* class, which is harmless for any conforming kernel: per-vertex
-/// outputs are pure functions of their referenced inputs, so an interior
-/// vertex recomputes the same value in either phase, and a boundary
-/// vertex swept early (against stale ghosts) is rewritten by the boundary
-/// phase, whose span covers every boundary vertex. Both modes therefore
-/// produce bitwise-identical final outputs; the choice depends only on
-/// the schedule, never on timing.
+/// Precise mode calls `sweep_chunked` once per run, on the run's own
+/// window — no redundant work for range-honoring kernels. Fragmented
+/// phases (more than `MAX_PRECISE_RUNS` runs) use one call spanning
+/// first-run start to last-run end instead. The bounding span also sweeps
+/// vertices of the *other* class, which is harmless for any conforming
+/// kernel: per-vertex outputs are pure functions of their referenced
+/// inputs, so an interior vertex recomputes the same value in either
+/// phase, and a boundary vertex swept early (against stale ghosts) is
+/// rewritten by the boundary phase, whose span covers every boundary
+/// vertex. Both modes therefore produce bitwise-identical final outputs;
+/// the choice depends only on the schedule, never on timing.
+///
+/// # Panics
+/// Panics if `out` is not as long as `window` or a run leaves `window`.
 pub fn sweep_phase<E, K>(
     kernel: &K,
     tadj: &TranslatedAdjacency,
     combined: &[E],
     out: &mut [E],
+    window: Range<usize>,
     runs: impl Iterator<Item = Range<usize>> + Clone,
 ) where
     E: Element,
     K: Kernel<E> + ?Sized,
 {
+    assert_eq!(out.len(), window.len(), "output window length mismatch");
+    let mut sweep = |run: Range<usize>| {
+        let rows = &mut out[run.start - window.start..run.end - window.start];
+        kernel.sweep_chunked(tadj, combined, rows, run);
+    };
     if runs.clone().count() <= MAX_PRECISE_RUNS {
-        for run in runs {
-            kernel.sweep_chunked(tadj, combined, out, run);
-        }
+        runs.for_each(sweep);
     } else {
         // Runs are ascending and disjoint: the bounding span is
         // first-start .. last-end.
         let start = runs.clone().next().expect("count > cap > 0").start;
         let end = runs.last().expect("count > cap > 0").end;
-        kernel.sweep_chunked(tadj, combined, out, start..end);
+        sweep(start..end);
     }
 }
 
 /// The one block walk under every built-in sweep: writes
-/// `out[l] = row(l, neighbors of l)` for each owned vertex `l` in `range`
-/// and leaves the rest of `out` untouched. `row` receives the vertex's
-/// local index and its combined-buffer references in CSR order.
+/// `row(l, neighbors of l)` for each owned vertex `l` in `range` into
+/// `out`, **the window of `range`** — `out.len() == range.len()`, `out[i]`
+/// is row `range.start + i`, and nothing outside the window is reachable.
+/// `row` receives the vertex's local index and its combined-buffer
+/// references in CSR order.
 ///
 /// What makes the irregular loop slow on a block that fits in cache is not
 /// its memory traffic but the exit of the variable-trip neighbor loop,
@@ -307,10 +309,11 @@ pub fn sweep_phase<E, K>(
 /// into ranges.
 ///
 /// Call it from a `#[inline(never)]` [`Kernel::sweep_chunked`] and point
-/// `sweep` and `sweep_range` at that, as the built-in kernels do.
+/// `sweep` at that, as the built-in kernels do.
 ///
 /// # Panics
-/// Panics if `out.len() != tadj.len()` or `range` exceeds `0..tadj.len()`.
+/// Panics if `out.len() != range.len()` or `range` exceeds
+/// `0..tadj.len()`.
 #[inline]
 pub fn sweep_rows<E: Element>(
     tadj: &TranslatedAdjacency,
@@ -319,7 +322,8 @@ pub fn sweep_rows<E: Element>(
     row: impl Fn(usize, &[u32]) -> E,
 ) {
     const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
-    assert_eq!(out.len(), tadj.len(), "output length mismatch");
+    assert_eq!(out.len(), range.len(), "output length mismatch");
+    assert!(range.end <= tadj.len(), "sweep range exceeds the block");
     let mut at = range.start;
     while at < range.end {
         let block = at / ROWS;
@@ -327,14 +331,15 @@ pub fn sweep_rows<E: Element>(
         let block_end = tadj.len().min(block_start + ROWS);
         if at != block_start || block_end > range.end {
             let end = block_end.min(range.end);
-            for (l, o) in out[at..end].iter_mut().enumerate() {
+            let ragged = &mut out[at - range.start..end - range.start];
+            for (l, o) in ragged.iter_mut().enumerate() {
                 *o = row(at + l, tadj.neighbors_of(at + l));
             }
             at = end;
             continue;
         }
         let (xadj, slots) = tadj.csr_window(block_start..block_end);
-        let out = &mut out[block_start..block_end];
+        let out = &mut out[block_start - range.start..block_end - range.start];
         let (mut order, classes) = tadj.degree_classes(block);
         for (degree, &rows) in classes.iter().enumerate() {
             let class;
@@ -393,19 +398,9 @@ impl<E: Field> Kernel<E> for RelaxationKernel {
         self.sweep_chunked(tadj, combined, out, 0..tadj.len());
     }
 
-    fn sweep_range(
-        &self,
-        tadj: &TranslatedAdjacency,
-        combined: &[E],
-        out: &mut [E],
-        range: std::ops::Range<usize>,
-    ) {
-        self.sweep_chunked(tadj, combined, out, range);
-    }
-
     // One machine-code copy per element type, shared by the synchronous
-    // full sweep and the split-phase per-run calls (`sweep` and
-    // `sweep_range` are trivial delegations, so every path lands here):
+    // full sweep, the split-phase per-run calls and the team lanes
+    // (`sweep` is a trivial delegation, so every path lands here):
     // letting each call site inline its own copy hands the two gather
     // flavours differently laid-out hot loops, and measured sync-vs-split
     // deltas then track code placement instead of communication (observed
@@ -449,16 +444,6 @@ pub struct LaplacianKernel {
 impl<E: Field> Kernel<E> for LaplacianKernel {
     fn sweep(&self, tadj: &TranslatedAdjacency, combined: &[E], out: &mut [E]) {
         self.sweep_chunked(tadj, combined, out, 0..tadj.len());
-    }
-
-    fn sweep_range(
-        &self,
-        tadj: &TranslatedAdjacency,
-        combined: &[E],
-        out: &mut [E],
-        range: std::ops::Range<usize>,
-    ) {
-        self.sweep_chunked(tadj, combined, out, range);
     }
 
     // See RelaxationKernel::sweep_chunked: one shared copy keeps the two
@@ -645,8 +630,9 @@ impl<E: Element> LoopRunner<E> {
     /// spawned now and recycled across every iteration and remap). `1`
     /// detaches the team. Outputs are **bitwise identical** for every
     /// `lanes` value — the team splits sweeps by deterministic static
-    /// chunking and commits lane results in fixed lane order — so the team
-    /// size is purely a throughput knob. The cost model is updated in
+    /// chunking and every lane writes its rows straight into its own
+    /// disjoint window of the output — so the team size is purely a
+    /// throughput knob. The cost model is updated in
     /// tandem (see [`ComputeCostModel::with_team`]) so the simulator's
     /// clock, and through it the load balancer, sees the rank's effective
     /// speed.
@@ -697,7 +683,7 @@ impl<E: Element> LoopRunner<E> {
         // (the same argument as `GhostedArray::swap_data`).
         self.scratch.resize(self.tadj.buffer_len(), E::zero());
         // The lane splits derive from the run classification, so a remap
-        // invalidates them; the team itself (threads, staging capacity)
+        // invalidates them; the team itself (threads, split storage)
         // is recycled.
         if let Some(team) = &mut self.team {
             team.rebuild_splits(&self.tadj);
@@ -764,14 +750,30 @@ impl<E: Element> LoopRunner<E> {
             let combined = fields[input].combined();
             match team {
                 Some(team) => team.sweep_interior(kernel, tadj, combined, out),
-                None => sweep_phase(kernel, tadj, combined, out, tadj.interior_runs()),
+                None => {
+                    sweep_phase(
+                        kernel,
+                        tadj,
+                        combined,
+                        out,
+                        0..tadj.len(),
+                        tadj.interior_runs(),
+                    );
+                }
             }
             let interior_time = env.now_secs() - t0;
             gather_fused_finish(env, schedule, fields, exchange, cost, bufs);
             let t1 = env.now_secs();
             env.compute(boundary_work);
             let combined = fields[input].combined();
-            sweep_phase(kernel, tadj, combined, out, tadj.boundary_runs());
+            sweep_phase(
+                kernel,
+                tadj,
+                combined,
+                out,
+                0..tadj.len(),
+                tadj.boundary_runs(),
+            );
             return interior_time + env.now_secs() - t1;
         }
         let work = kernel.cost(cost, tadj.len(), tadj.num_refs());
@@ -989,10 +991,10 @@ mod tests {
         }
     }
 
-    /// A user kernel that does NOT override `sweep_range`: the default
-    /// delegates to the full sweep, so the split-phase runner must still
-    /// produce bitwise-sequential results (the boundary phase rewrites
-    /// every slot with fully-gathered data).
+    /// A user kernel that does NOT override `sweep_chunked`: the default
+    /// sweeps the whole block into a temporary and copies the window out,
+    /// so the split-phase runner must still produce bitwise-sequential
+    /// results.
     struct DefaultRangeRelaxation;
 
     impl Kernel<f64> for DefaultRangeRelaxation {
@@ -1002,7 +1004,7 @@ mod tests {
     }
 
     #[test]
-    fn default_sweep_range_kernel_correct_under_overlap() {
+    fn sweep_only_kernel_correct_under_overlap() {
         let g = meshgen::triangulated_grid(9, 7, 0.3, 2);
         let n = g.num_vertices();
         let iters = 7;
@@ -1033,7 +1035,7 @@ mod tests {
     /// A pathologically fragmented classification — every other owned
     /// vertex is boundary, far above `MAX_PRECISE_RUNS` runs — exercises
     /// the bounding-range arm of `sweep_phase`. Both a range-honoring
-    /// kernel and one relying on the default (delegating) `sweep_range`
+    /// kernel and one relying on the default (sweep-only) `sweep_chunked`
     /// must still match the synchronous path bitwise.
     #[test]
     fn fragmented_classification_correct_under_overlap() {
@@ -1460,9 +1462,9 @@ mod tests {
     }
 
     /// Team size is purely a throughput knob: any `T`, with either gather
-    /// flavour, must reproduce the sequential reference bitwise — worker
-    /// lanes sweep private staging and commit in fixed lane order, so the
-    /// accumulation order never changes.
+    /// flavour, must reproduce the sequential reference bitwise — lanes
+    /// write disjoint windows of the output, each row exactly as a single
+    /// lane would, so the accumulation order never changes.
     #[test]
     fn team_runner_matches_sequential_bitwise() {
         let g = meshgen::triangulated_grid(11, 9, 0.4, 6);

@@ -39,9 +39,10 @@
 //!   splits each rank's sweeps across cores with bitwise-identical
 //!   results for any team size.
 
-// `deny` rather than `forbid`: the `team` module carries the crate's one
-// documented unsafe block (a lifetime erasure for dispatching borrowed
-// sweep closures to parked worker threads) behind a module-level allow.
+// `deny` rather than `forbid`: the `team` module carries the crate's two
+// documented unsafe blocks (a lifetime erasure for dispatching borrowed
+// sweep closures to parked worker threads, and the carve of a sweep's
+// output into disjoint lane windows) behind a module-level allow.
 #![deny(unsafe_code)]
 
 pub mod buffers;

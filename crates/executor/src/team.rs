@@ -31,31 +31,36 @@
 //! Team size is purely a throughput knob — outputs are bitwise identical
 //! for every lane count, both backends, sync and overlapped gathers:
 //!
-//! * every committed output slot is produced by a `sweep_chunked` call
-//!   over a range containing it, reading the same immutable `combined`
-//!   buffer, so the per-vertex accumulation order never changes;
+//! * every output slot is produced by a `sweep_chunked` call over a range
+//!   containing it, reading the same immutable `combined` buffer, so the
+//!   per-vertex accumulation order never changes;
 //! * the lane splits are a pure function of the run classification (never
 //!   of timing), so the same schedule always yields the same splits;
-//! * workers write disjoint *private* staging buffers and the caller
-//!   merges them in fixed lane order after all lanes finish — no
-//!   concurrent writes, no order dependence.
+//! * every lane writes its rows where the result lives: lane `w` owns one
+//!   contiguous window of the output (its first fragment's start to its
+//!   last fragment's end), the windows ascend with the lane index and
+//!   never overlap — asserted when the splits are built — so there are no
+//!   concurrent writes to any slot, no copy and no order dependence.
 //!
 //! # Steady-state allocation freedom
 //!
-//! Threads are spawned once, the staging buffers and split tables are
-//! recycled across iterations (resized only on
-//! [`SweepTeam::rebuild_splits`], i.e. on remap), and dispatching a sweep
-//! publishes one borrowed closure under a mutex — no boxing, no channels.
+//! Threads are spawned once, the split tables are recycled across
+//! iterations (rebuilt only on [`SweepTeam::rebuild_splits`], i.e. on
+//! remap), and dispatching a sweep publishes one borrowed closure under a
+//! mutex — no boxing, no channels, no per-lane buffers.
 //! `tests/alloc_free.rs` pins the team-mode steady state at zero
 //! allocations on both backends.
 
-// The one unsafe block in this crate lives here (the lifetime erasure in
-// `TeamCore::run`); everything else stays checked.
+// The two unsafe blocks in this crate live here — the lifetime erasure in
+// `TeamCore::run` and the carve of the output into lane windows in
+// `SweepTeam::sweep_split`, both resting on `run`'s join; everything else
+// stays checked.
 #![allow(unsafe_code)]
 
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
@@ -175,9 +180,10 @@ impl TeamCore {
     /// A panic on any lane is re-raised here (after the join, so the
     /// borrowed closure is never outlived).
     fn run(&self, worker_job: &(dyn Fn(usize) + Sync), lane0: impl FnOnce()) {
-        // SAFETY: the only unsafe in the crate. We erase `worker_job`'s
-        // lifetime so the waiting threads (whose loop is necessarily
-        // `'static`) can call it. The borrow cannot be outlived: this
+        // SAFETY: we erase `worker_job`'s lifetime so the waiting threads
+        // (whose loop is necessarily `'static`) can call it. The borrow
+        // cannot be outlived (nor can what the closure borrows — the lane
+        // windows `SweepTeam::sweep_split` carves rest on this too): this
         // function publishes the job, then unconditionally blocks — even
         // when `lane0` panics — until `remaining` (read under the lock;
         // the spin on its hint only shortens the wait) drops to zero, i.e.
@@ -282,6 +288,45 @@ enum Split {
     Interior,
 }
 
+/// One precomputed lane split: which rows every lane sweeps, and the
+/// window of the output it writes them into.
+struct LaneSplit {
+    /// `frags[lane]` = the fragments lane `lane` sweeps, ascending.
+    frags: Vec<Vec<Range<usize>>>,
+    /// `spans[lane]` = the window of the output lane `lane` owns: its
+    /// first fragment's start to its last fragment's end (empty for a lane
+    /// without fragments). Ascending with the lane index and disjoint.
+    spans: Vec<Range<usize>>,
+}
+
+impl LaneSplit {
+    fn new(lanes: usize) -> Self {
+        LaneSplit {
+            frags: vec![Vec::new(); lanes],
+            spans: vec![0..0; lanes],
+        }
+    }
+
+    /// Re-splits `runs` (see [`split_runs`]) of a block of `len` rows and
+    /// derives the lane windows, checking what the carve in
+    /// [`SweepTeam::sweep_split`] rests on.
+    fn rebuild(&mut self, runs: impl Iterator<Item = Range<usize>>, total: usize, len: usize) {
+        split_runs(runs, total, &mut self.frags);
+        let mut floor = 0;
+        for (span, frags) in self.spans.iter_mut().zip(&self.frags) {
+            *span = match (frags.first(), frags.last()) {
+                (Some(first), Some(last)) => first.start..last.end,
+                _ => floor..floor,
+            };
+            assert!(
+                floor <= span.start && span.start <= span.end && span.end <= len,
+                "lane windows must ascend without overlap inside the block"
+            );
+            floor = span.end;
+        }
+    }
+}
+
 /// A rank's persistent worker team for splitting sweeps across cores.
 ///
 /// Construct once per rank (or let [`LoopRunner::with_team`] do it), call
@@ -300,17 +345,15 @@ pub struct SweepTeam<E: Element> {
     lanes: usize,
     /// `None` when `lanes == 1`: no threads, every sweep runs inline.
     core: Option<TeamCore>,
-    /// One private full-length output buffer per worker lane (index
-    /// `lane - 1`). The mutex is uncontended by construction — each worker
-    /// locks only its own buffer, the caller only after the join — and
-    /// exists to make the sharing visible to the type system without
-    /// unsafe slice splitting.
-    staging: Vec<Mutex<Vec<E>>>,
-    /// `full_splits[lane]` = the fragments of `0..len` lane `lane` sweeps.
-    full_splits: Vec<Vec<Range<usize>>>,
-    /// `interior_splits[lane]` = the interior-run fragments of lane
-    /// `lane`.
-    interior_splits: Vec<Vec<Range<usize>>>,
+    /// The split of the whole owned range `0..len`.
+    full: LaneSplit,
+    /// The split of the interior runs.
+    interior: LaneSplit,
+    /// `(tadj.len(), tadj.num_interior())` of the adjacency the splits
+    /// were built for; a sweep of any other block is refused.
+    built_for: (usize, usize),
+    /// Lanes write `E`s into the caller's output; the team stores none.
+    element: PhantomData<fn(E)>,
 }
 
 impl<E: Element> SweepTeam<E> {
@@ -326,9 +369,10 @@ impl<E: Element> SweepTeam<E> {
         SweepTeam {
             lanes,
             core: (lanes > 1).then(|| TeamCore::new(lanes - 1)),
-            staging: (1..lanes).map(|_| Mutex::new(Vec::new())).collect(),
-            full_splits: vec![Vec::new(); lanes],
-            interior_splits: vec![Vec::new(); lanes],
+            full: LaneSplit::new(lanes),
+            interior: LaneSplit::new(lanes),
+            built_for: (0, 0),
+            element: PhantomData,
         }
     }
 
@@ -337,25 +381,24 @@ impl<E: Element> SweepTeam<E> {
         self.lanes
     }
 
-    /// Recomputes the deterministic static lane splits from the run
-    /// classification and resizes the staging buffers — call after every
+    /// Recomputes the deterministic static lane splits (and the lane
+    /// windows) from the run classification — call after every
     /// (re)translation of the adjacency. Storage is recycled; steady-state
     /// iterations between calls allocate nothing.
     pub fn rebuild_splits(&mut self, tadj: &TranslatedAdjacency) {
         let len = tadj.len();
-        for buf in &self.staging {
-            buf.lock().expect("staging poisoned").resize(len, E::zero());
-        }
-        split_runs(std::iter::once(0..len), len, &mut self.full_splits);
-        split_runs(
-            tadj.interior_runs(),
-            tadj.num_interior(),
-            &mut self.interior_splits,
-        );
+        self.full.rebuild(std::iter::once(0..len), len, len);
+        self.interior
+            .rebuild(tadj.interior_runs(), tadj.num_interior(), len);
+        self.built_for = (len, tadj.num_interior());
     }
 
     /// Sweeps all owned vertices (`0..len`) split across the team,
     /// writing `out` exactly as `kernel.sweep` would.
+    ///
+    /// # Panics
+    /// Panics if `tadj` is not the adjacency [`SweepTeam::rebuild_splits`]
+    /// last saw, or `out` is not one slot per owned vertex.
     pub fn sweep_full<K: Kernel<E> + ?Sized>(
         &mut self,
         kernel: &K,
@@ -369,6 +412,9 @@ impl<E: Element> SweepTeam<E> {
     /// Sweeps the interior runs split across the team, writing the
     /// interior slots of `out` exactly as a single-lane
     /// [`sweep_phase`] over [`TranslatedAdjacency::interior_runs`] would.
+    ///
+    /// # Panics
+    /// As [`SweepTeam::sweep_full`].
     pub fn sweep_interior<K: Kernel<E> + ?Sized>(
         &mut self,
         kernel: &K,
@@ -387,43 +433,47 @@ impl<E: Element> SweepTeam<E> {
         out: &mut [E],
         which: Split,
     ) {
-        let splits = match which {
-            Split::Full => &self.full_splits,
-            Split::Interior => &self.interior_splits,
+        assert_eq!(
+            (tadj.len(), tadj.num_interior()),
+            self.built_for,
+            "stale lane splits: rebuild_splits saw another (rows, interior rows)"
+        );
+        assert_eq!(out.len(), tadj.len(), "output length mismatch");
+        let split = match which {
+            Split::Full => &self.full,
+            Split::Interior => &self.interior,
         };
         let Some(core) = &self.core else {
-            // Single lane: sweep inline, no staging, no handshake.
-            sweep_phase(kernel, tadj, combined, out, splits[0].iter().cloned());
+            // Single lane: sweep inline, no handshake.
+            let runs = split.frags[0].iter().cloned();
+            sweep_phase(kernel, tadj, combined, out, 0..tadj.len(), runs);
             return;
         };
-        if splits.iter().all(Vec::is_empty) {
+        if split.frags.iter().all(Vec::is_empty) {
             return; // nothing classified into this phase
         }
-        let staging = &self.staging;
-        let worker = move |lane: usize| {
-            let mut buf = staging[lane - 1].lock().expect("staging poisoned");
-            sweep_phase(
-                kernel,
-                tadj,
-                combined,
-                &mut buf[..],
-                splits[lane].iter().cloned(),
-            );
+        // `out` itself is not touched again until `run` has joined every
+        // lane: all windows derive from this one pointer. The atomic is
+        // only a `Sync` cell for it (hence `Relaxed`) — the dispatch
+        // handshake's lock orders every lane's load after this store.
+        let base = AtomicPtr::new(out.as_mut_ptr());
+        let sweep_lane = |lane: usize| {
+            let span = split.spans[lane].clone();
+            // SAFETY: `rebuild` asserted that the lane spans ascend with
+            // the lane index, never overlap and end inside the block the
+            // splits were built for, and `out` was just checked to be that
+            // long — so each lane's window lies inside `out` and no two
+            // lanes' windows share a slot. Each lane index runs once per
+            // dispatch, and `TeamCore::run` joins every lane before it
+            // returns, so no window outlives the borrow of `out`.
+            let window = unsafe {
+                let first = base.load(Ordering::Relaxed).add(span.start);
+                std::slice::from_raw_parts_mut(first, span.len())
+            };
+            let runs = split.frags[lane].iter().cloned();
+            sweep_phase(kernel, tadj, combined, window, span, runs);
         };
-        core.run(&worker, || {
-            sweep_phase(kernel, tadj, combined, out, splits[0].iter().cloned());
-        });
-        // Commit worker fragments in fixed lane order. The copies are of
-        // *identical-value* slots only where fragments touch a bounding
-        // span (see `sweep_phase`); disjointness of the lane fragments
-        // makes the order immaterial for values, and fixing it anyway
-        // keeps the write sequence reproducible.
-        for (lane, frags) in splits.iter().enumerate().skip(1) {
-            let buf = staging[lane - 1].lock().expect("staging poisoned");
-            for r in frags {
-                out[r.clone()].copy_from_slice(&buf[r.clone()]);
-            }
-        }
+        core.run(&sweep_lane, || sweep_lane(0));
     }
 }
 
@@ -463,6 +513,10 @@ fn split_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::RelaxationKernel;
+    use stance_inspector::{build_schedule_symmetric, LocalAdjacency, ScheduleStrategy};
+    use stance_locality::Graph;
+    use stance_onedim::BlockPartition;
     use stance_sim::wait::{stress_rounds, with_forced_budget, Jitter, REGIMES};
 
     fn flatten(splits: &[Vec<Range<usize>>]) -> Vec<usize> {
@@ -561,7 +615,10 @@ mod tests {
         }
     }
 
+    // Miri: thousands of jittered rounds take the interpreter hours, and
+    // it is the handshake, not aliasing, that they probe — TSan's job.
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn three_lane_dispatch_never_loses_a_wakeup() {
         // Seeded pauses on every lane land the workers' wait for the next
         // dispatch and the rank thread's wait at the join in the spin
@@ -584,5 +641,106 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rank 0's translated block of `len` rows on a two-rank chain: every
+    /// row references its chain neighbors, every seventh one also a vertex
+    /// of rank 1 — so the interior is many short runs, and with them the
+    /// lanes' fragment lists fall on both sides of `sweep_phase`'s
+    /// precise-run cap.
+    fn chain_block(len: usize) -> TranslatedAdjacency {
+        let n = len + 8;
+        let mut edges: Vec<(u32, u32)> = (1..n as u32).map(|i| (i - 1, i)).collect();
+        edges.extend(
+            (0..len.saturating_sub(1))
+                .step_by(7)
+                .map(|i| (i as u32, (len + i % 8) as u32)),
+        );
+        let g = Graph::from_edges(n, &edges, vec![[0.0; 3]; n], 2);
+        let part = BlockPartition::from_sizes(&[len, 8]);
+        let adj = LocalAdjacency::extract(&g, &part, 0);
+        let (sched, _) = build_schedule_symmetric(&part, &adj, 0, ScheduleStrategy::Sort2);
+        sched.translate_adjacency(&adj)
+    }
+
+    #[test]
+    fn lanes_write_their_own_windows_and_nothing_else() {
+        const SENTINEL: f64 = -4.242_424_242e242;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for len in [0usize, 1, 511, 513, 1300] {
+            let tadj = chain_block(len);
+            let combined: Vec<f64> = (0..tadj.buffer_len())
+                .map(|i| (i as f64).sin() * 10.0)
+                .collect();
+            let mut single = vec![SENTINEL; len];
+            RelaxationKernel.sweep(&tadj, &combined, &mut single);
+            for lanes in 1..=4 {
+                let mut team = SweepTeam::new(lanes);
+                team.rebuild_splits(&tadj);
+                for interior in [false, true] {
+                    let what = format!("len {len}, {lanes} lanes, interior {interior}");
+                    let mut got = vec![SENTINEL; len];
+                    if interior {
+                        team.sweep_interior(&RelaxationKernel, &tadj, &combined, &mut got);
+                    } else {
+                        team.sweep_full(&RelaxationKernel, &tadj, &combined, &mut got);
+                    }
+                    // The same lanes one after the other, windows carved
+                    // by safe slicing: which slots a lane may write.
+                    let split = if interior { &team.interior } else { &team.full };
+                    let mut model = vec![SENTINEL; len];
+                    for (span, frags) in split.spans.iter().zip(&split.frags) {
+                        let window = &mut model[span.clone()];
+                        let runs = frags.iter().cloned();
+                        sweep_phase(
+                            &RelaxationKernel,
+                            &tadj,
+                            &combined,
+                            window,
+                            span.clone(),
+                            runs,
+                        );
+                    }
+                    assert_eq!(bits(&got), bits(&model), "{what}");
+                    // Every slot is the single-lane value or untouched,
+                    // and every row of the phase was swept.
+                    let mut phase = vec![!interior; len];
+                    for run in tadj.interior_runs() {
+                        phase[run].fill(true);
+                    }
+                    for l in 0..len {
+                        let swept = got[l].to_bits() == single[l].to_bits();
+                        assert!(
+                            swept || got[l] == SENTINEL,
+                            "{what}: row {l} holds {}",
+                            got[l]
+                        );
+                        assert!(swept || !phase[l], "{what}: row {l} was not swept");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stale lane splits")]
+    fn sweep_of_a_block_the_splits_were_not_built_for_panics() {
+        let (built, other) = (chain_block(40), chain_block(41));
+        let mut team = SweepTeam::new(2);
+        team.rebuild_splits(&built);
+        let combined = vec![0.0; other.buffer_len()];
+        let mut out = vec![0.0; other.len()];
+        team.sweep_full(&RelaxationKernel, &other, &combined, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "output length mismatch")]
+    fn sweep_into_an_output_of_the_wrong_length_panics() {
+        let tadj = chain_block(40);
+        let mut team = SweepTeam::new(2);
+        team.rebuild_splits(&tadj);
+        let combined = vec![0.0; tadj.buffer_len()];
+        let mut out = vec![0.0; tadj.len() - 1];
+        team.sweep_interior(&RelaxationKernel, &tadj, &combined, &mut out);
     }
 }

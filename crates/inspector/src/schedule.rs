@@ -371,7 +371,7 @@ impl CommSchedule {
 /// ghost region). The classification is stored as maximal runs of
 /// consecutive same-class local indices, so a split-phase executor sweeps
 /// the interior as a handful of contiguous ranges (cache-friendly, and one
-/// `Kernel::sweep_range` call each) while the ghost exchange is in flight,
+/// `Kernel::sweep_chunked` call each) while the ghost exchange is in flight,
 /// then the boundary runs once it completes. On a locality-ordered mesh
 /// the interior is typically one long run with short boundary runs at the
 /// block edges.

@@ -244,16 +244,6 @@ impl<E: Field> Kernel<E> for GroupedDampedJacobi {
         self.sweep_chunked(tadj, combined, out, 0..tadj.len());
     }
 
-    fn sweep_range(
-        &self,
-        tadj: &TranslatedAdjacency,
-        combined: &[E],
-        out: &mut [E],
-        range: std::ops::Range<usize>,
-    ) {
-        self.sweep_chunked(tadj, combined, out, range);
-    }
-
     #[inline(never)]
     fn sweep_chunked(
         &self,
@@ -336,13 +326,69 @@ fn user_kernel_matches_sequential<K: Kernel<f64> + 'static>(kernel: fn(f64) -> K
     assert_eq!(got, expected, "user kernel diverged from its reference");
 }
 
+/// A kernel that implements only `sweep` rides the default ranged hook — a
+/// whole-block sweep into a temporary per partial window — so it must come
+/// out of every team size and gather flavour bit for bit as the sequential
+/// loop does: on a locality-ordered mesh (a few runs per lane, one hook call
+/// each) and on a classification fragmented far past the precise-run cap
+/// (every lane collapses to its bounding span).
+#[test]
+fn sweep_only_kernel_matches_sequential_under_teams() {
+    // Every even vertex of rank 0's block is wired into rank 1's: rank 0
+    // alternates boundary/interior, 200 interior runs — more than 32 for
+    // each of three lanes.
+    let n = 800;
+    let edges: Vec<(u32, u32)> = (0..200u32).map(|i| (2 * i, 400 + i)).collect();
+    let fragmented = Graph::from_edges(n, &edges, vec![[0.0; 3]; n], 2);
+    let part = BlockPartition::uniform(n, 2);
+    let adj = LocalAdjacency::extract(&fragmented, &part, 0);
+    let (sched, _) = build_schedule_symmetric(&part, &adj, 0, ScheduleStrategy::Sort2);
+    let interior_runs = sched.translate_adjacency(&adj).interior_runs().count();
+    assert!(interior_runs > 3 * 32, "{interior_runs} interior runs");
+
+    let (omega, iters) = (0.7, 6);
+    let init = |g: usize| (g as f64 * 0.05).sin() * 3.0;
+    for (what, graph) in [("fragmented", fragmented), ("mesh", mesh())] {
+        let n = graph.num_vertices();
+        let mut expected: Vec<f64> = (0..n).map(init).collect();
+        sequential_damped_jacobi(&graph, &mut expected, omega, iters);
+        let expected: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
+        let part = BlockPartition::uniform(n, 2);
+        for lanes in [2usize, 3] {
+            for overlap in [false, true] {
+                let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
+                let report = Cluster::new(spec).run(|env| {
+                    let rank = env.rank();
+                    let adj = LocalAdjacency::extract(&graph, &part, rank);
+                    let (sched, _) =
+                        build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
+                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
+                        .with_overlap(overlap)
+                        .with_team(lanes);
+                    let mut values =
+                        runner.make_values(part.interval_of(rank).iter().map(init).collect());
+                    runner.run(env, &DampedJacobi { omega }, &mut values, iters);
+                    values.local().to_vec()
+                });
+                let got: Vec<u64> = report
+                    .into_results()
+                    .iter()
+                    .flatten()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, expected, "{what}: {lanes} lanes, overlap {overlap}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Chunked sweeps: `sweep_chunked` must be bitwise identical to the frozen
 // per-vertex scalar formulation, for arbitrary graphs, arbitrary sweep-range
 // fragmentation, and arbitrary payload bits — NaN and subnormal included.
-// The built-ins' `sweep`/`sweep_range` now *delegate* to `sweep_chunked`,
-// so the reference loops below are written out longhand (the pre-blocking
-// formulation), not routed through the trait.
+// The built-ins' `sweep` *delegates* to `sweep_chunked`, so the reference
+// loops below are written out longhand (the pre-blocking formulation), not
+// routed through the trait.
 // ---------------------------------------------------------------------------
 
 /// The frozen scalar relaxation sweep: `out[l] = Σ combined[s] / deg(l)`
@@ -395,7 +441,8 @@ fn single_rank_tadj(n: usize, raw_edges: &[(usize, usize)]) -> TranslatedAdjacen
 
 /// Split `0..n` at the given (arbitrary, possibly duplicated) cut points
 /// into consecutive fragments — the run fragmentation a split-phase sweep
-/// or a team lane hands `sweep_chunked`.
+/// or a team lane hands `sweep_chunked`, each with its own window of the
+/// output.
 fn fragments(n: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
     let mut points: Vec<usize> = cuts.iter().map(|&c| c % (n + 1)).collect();
     points.push(0);
@@ -428,7 +475,8 @@ proptest! {
 
         let mut got = vec![f64::from_bits(0x7ff8_dead_beef_0000); n];
         for r in fragments(n, &cuts) {
-            Kernel::<f64>::sweep_chunked(&RelaxationKernel, &tadj, &combined, &mut got, r);
+            let window = &mut got[r.clone()];
+            Kernel::<f64>::sweep_chunked(&RelaxationKernel, &tadj, &combined, window, r);
         }
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             prop_assert_eq!(
@@ -460,7 +508,7 @@ proptest! {
         let mut got = vec![f64::from_bits(0x7ff8_dead_beef_0000); n];
         let kernel = LaplacianKernel { shift };
         for r in fragments(n, &cuts) {
-            Kernel::<f64>::sweep_chunked(&kernel, &tadj, &combined, &mut got, r);
+            Kernel::<f64>::sweep_chunked(&kernel, &tadj, &combined, &mut got[r.clone()], r);
         }
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             prop_assert_eq!(
@@ -643,7 +691,7 @@ fn assert_sweeps_match<E: Field, K: Kernel<E>>(
     let frags = fragments(n, &case.cuts);
     let mut got = fresh();
     for (k, run) in frags.iter().enumerate() {
-        kernel.sweep_chunked(tadj, combined, &mut got, run.clone());
+        kernel.sweep_chunked(tadj, combined, &mut got[run.clone()], run.clone());
         assert_rows(&got, expected, untouched, &frags[..=k], "fragment");
     }
 
@@ -651,19 +699,24 @@ fn assert_sweeps_match<E: Field, K: Kernel<E>>(
     // whole block between two ragged ends.
     for run in [n / 3..n / 3 + n.min(200) / 2, n / 5..n - n / 7] {
         let mut got = fresh();
-        kernel.sweep_range(tadj, combined, &mut got, run.clone());
+        kernel.sweep_chunked(tadj, combined, &mut got[run.clone()], run.clone());
         assert_rows(&got, expected, untouched, one(&run), "range");
     }
 
     // `sweep_phase`: every third row as its own run. Up to 32 runs it
-    // sweeps run by run, above that their bounding span in one call.
-    let runs: Vec<_> = (0..n).step_by(3).map(|l| l..l + 1).collect();
+    // sweeps run by run, above that their bounding span in one call —
+    // into the whole block as the rank thread passes it, and into a window
+    // that starts mid-block as a team lane's does.
+    let runs: Vec<_> = (n / 4..n).step_by(3).map(|l| l..l + 1).collect();
     for runs in [&runs[..], &runs[..runs.len().min(20)]] {
-        let mut got = fresh();
-        sweep_phase(kernel, tadj, combined, &mut got, runs.iter().cloned());
         let span = runs.first().map_or(0, |r| r.start)..runs.last().map_or(0, |r| r.end);
         let written = if runs.len() > 32 { one(&span) } else { runs };
-        assert_rows(&got, expected, untouched, written, "phase");
+        for window in [0..n, span.clone()] {
+            let mut got = fresh();
+            let out = &mut got[window.clone()];
+            sweep_phase(kernel, tadj, combined, out, window, runs.iter().cloned());
+            assert_rows(&got, expected, untouched, written, "phase");
+        }
     }
 }
 
