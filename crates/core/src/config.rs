@@ -92,13 +92,6 @@ pub struct StanceConfig {
     /// paper uses the last phase; footnote 2 suggests multi-phase
     /// prediction, provided here as window averaging and linear trend).
     pub estimator: CapabilityEstimator,
-    /// Whether the executor loop uses the split-phase gather: post the
-    /// ghost exchange, sweep interior vertices while bytes are in flight,
-    /// complete the exchange, sweep the boundary. Results are bitwise
-    /// identical to the synchronous gather on every backend; only timing
-    /// changes. Off by default — the synchronous path is the paper's
-    /// structure and what the reproduction tables model.
-    pub overlap_gather: bool,
     /// Whether the controller's profitability rule uses the **measured**
     /// schedule-rebuild cost instead of the static
     /// `BalancerConfig::rebuild_cost_hint`. Each remap brackets its
@@ -152,7 +145,6 @@ impl Default for StanceConfig {
             check_interval: 10,
             monitor_window: 4,
             estimator: CapabilityEstimator::default(),
-            overlap_gather: false,
             calibrate_rebuild_cost: false,
             verify: false,
             recovery: RecoveryPolicy::default(),
@@ -185,22 +177,12 @@ impl StanceConfig {
         self
     }
 
-    /// Enables (or disables) the split-phase gather: the executor
-    /// overlaps the ghost exchange with the interior sweep. Numerically
-    /// free — results are bitwise identical either way.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap_gather = overlap;
-        self
-    }
-
     /// Sets the intra-rank worker-team size: each rank splits its sweeps
     /// across `lanes` compute lanes (the rank thread plus `lanes - 1`
     /// persistent worker threads). Numerically free — results are bitwise
-    /// identical for any `lanes`, with either gather flavour, on both
-    /// backends. The compute cost model's `team_lanes` is set in tandem so
-    /// the simulated clock and the load balancer see the rank's effective
-    /// speed; combine with `with_overlap` freely (the team accelerates the
-    /// interior phase, the boundary phase stays on the rank thread).
+    /// identical for any `lanes` on every backend. The compute cost
+    /// model's `team_lanes` is set in tandem so the simulated clock and
+    /// the load balancer see the rank's effective speed.
     ///
     /// # Panics
     /// Panics if `lanes` is zero.
@@ -299,8 +281,6 @@ mod tests {
         assert_eq!(c.check_interval, 25);
         let off = StanceConfig::default().without_load_balancing();
         assert!(!off.load_balancing_enabled());
-        assert!(!StanceConfig::default().overlap_gather);
-        assert!(StanceConfig::default().with_overlap(true).overlap_gather);
         // Calibration is strictly opt-in: the default (and the free test
         // config) must keep the tables' static-hint decision inputs.
         assert!(!StanceConfig::default().calibrate_rebuild_cost);

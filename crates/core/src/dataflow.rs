@@ -23,13 +23,8 @@
 //!   gathers for fields exchanged at the same dataflow point are **fused
 //!   into one message per neighbor per pass**
 //!   ([`gather_fused`](stance_executor::gather_fused) on
-//!   `TAG_GATHER_FUSED`), gathers for fields whose writers have not run
-//!   since the last exchange are **skipped** (dirty-tracking), and an
-//!   exchange overlaps the next stage's interior sweep through the
-//!   split-phase
-//!   [`gather_fused_start`](stance_executor::gather_fused_start) /
-//!   [`gather_fused_finish`](stance_executor::gather_fused_finish) pair
-//!   when `StanceConfig::with_overlap(true)` is set.
+//!   `TAG_GATHER_FUSED`), and gathers for fields whose writers have not
+//!   run since the last exchange are **skipped** (dirty-tracking).
 //!
 //! [`AdaptiveSession`](crate::AdaptiveSession) — one kernel over one
 //! array, the paper's own workload — is the one-field, one-stage spelling
@@ -529,9 +524,8 @@ impl<E: Element> DataflowSession<E> {
             let mut env = MaybeChecked::new(env, verify.as_deref_mut());
             build_schedule(&mut env, &partition, &adj, config, &mut scratch.schedule)
         };
-        let runner = LoopRunner::new(schedule, &adj, config.compute_cost)
-            .with_overlap(config.overlap_gather)
-            .with_team(config.team_threads);
+        let runner =
+            LoopRunner::new(schedule, &adj, config.compute_cost).with_team(config.team_threads);
         if verify.is_some() {
             let diags =
                 audit_collective(env, partition.n(), runner.schedule(), &adj, runner.tadj());
@@ -624,7 +618,6 @@ impl<E: Element> DataflowSession<E> {
                     &mut fields.arrays,
                     group,
                     stage.input,
-                    stage.gathered,
                     stage.output,
                 );
                 for &f in group.iter() {
@@ -1041,8 +1034,7 @@ impl<E: Element> DataflowSession<E> {
     /// Analyzes the protocol traces recorded so far: allgathers every
     /// rank's [`RankTrace`] and runs the offline analyzer over the full
     /// set (unmatched sends, phantom receives, payload-shape mismatches,
-    /// leaked requests, barrier-arity mismatches, epoch-crossing
-    /// messages — see [`stance_verify::analyze_traces`]). Every rank
+    /// barrier-arity mismatches, epoch-crossing messages — see [`stance_verify::analyze_traces`]). Every rank
     /// returns the same diagnostics; an empty vector means the traffic
     /// obeyed the protocol. Collective when verification is enabled;
     /// with it disabled there is nothing recorded and nothing to agree
@@ -1332,48 +1324,15 @@ mod tests {
         }
     }
 
-    /// Overlapped multi-field run stays bitwise identical to the
-    /// synchronous one (the split changes when bytes are waited on,
-    /// never what arrives).
-    #[test]
-    fn overlapped_passes_are_bitwise_identical() {
-        let m = mesh();
-        let run = |overlap: bool| {
-            let m = m.clone();
-            let config = StanceConfig::free().with_overlap(overlap);
-            let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-            Cluster::new(spec)
-                .run(move |env| {
-                    let graph = StageGraphBuilder::new()
-                        .field("y")
-                        .field("z")
-                        .stage("relax_y", RelaxationKernel, "y", "y")
-                        .stage("relax_z", RelaxationKernel, "z", "z")
-                        .build();
-                    let mut s = DataflowSession::setup(
-                        env,
-                        &m,
-                        graph,
-                        |name, g| if name == "y" { init(g) } else { -init(g) },
-                        &config,
-                    );
-                    s.run_block(env, 10);
-                    (s.local("y").to_vec(), s.local("z").to_vec())
-                })
-                .into_results()
-        };
-        assert_eq!(run(false), run(true), "overlap changed values");
-    }
-
-    /// A worker team must not change any dataflow value: all four
-    /// team × gather-flavour combinations produce identical bits, across
-    /// a forced remap (which recomputes the lane splits).
+    /// A worker team must not change any dataflow value: every team
+    /// size produces identical bits, across a forced remap (which
+    /// recomputes the lane splits).
     #[test]
     fn teamed_passes_are_bitwise_identical() {
         let m = mesh();
-        let run = |team: usize, overlap: bool| {
+        let run = |team: usize| {
             let m = m.clone();
-            let config = StanceConfig::free().with_overlap(overlap).with_team(team);
+            let config = StanceConfig::free().with_team(team);
             let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
             Cluster::new(spec)
                 .run(move |env| {
@@ -1397,15 +1356,9 @@ mod tests {
                 })
                 .into_results()
         };
-        let reference = run(1, false);
+        let reference = run(1);
         for team in [2usize, 4] {
-            for overlap in [false, true] {
-                assert_eq!(
-                    run(team, overlap),
-                    reference,
-                    "team = {team}, overlap = {overlap} changed values"
-                );
-            }
+            assert_eq!(run(team), reference, "team = {team} changed values");
         }
     }
 

@@ -314,49 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_adaptive_run_with_remap_matches_sequential() {
-        // The split-phase gather must survive remaps (the rebuilt runner
-        // re-classifies interior/boundary) and still match the sequential
-        // reference bitwise.
-        let m = mesh();
-        let n = m.num_vertices();
-        let iters = 40;
-        let mut expected: Vec<f64> = (0..n).map(init).collect();
-        sequential_relaxation(&m, &mut expected, iters);
-
-        let m2 = m.clone();
-        let mut config = StanceConfig::default()
-            .with_check_interval(10)
-            .with_overlap(true);
-        config.balancer = test_balancer();
-        let spec = ClusterSpec::uniform(3)
-            .with_network(NetworkSpec::zero_cost())
-            .with_load(0, LoadTimeline::constant(1.0 / 3.0));
-        let report = Cluster::new(spec).run(move |env| {
-            let mut s = AdaptiveSession::setup(env, &m2, RelaxationKernel, init, &config);
-            let rep = s.run_adaptive(env, iters);
-            (rep, s.local_values().to_vec(), s.partition().clone())
-        });
-        let results: Vec<_> = report.into_results();
-        assert!(
-            results[0].0.remaps >= 1,
-            "expected at least one remap: {:?}",
-            results[0].0
-        );
-        let final_part = results[0].2.clone();
-        let mut got = vec![0.0; n];
-        for (rank, (_, values, _)) in results.iter().enumerate() {
-            let iv = final_part.interval_of(rank);
-            got[iv.start..iv.end].copy_from_slice(values);
-        }
-        assert_eq!(got, expected, "overlapped adaptive run diverged");
-    }
-
-    #[test]
     fn teamed_adaptive_run_with_remap_matches_sequential() {
         // Worker teams must survive remaps (lane splits recomputed from
-        // the new classification) and stay bitwise-sequential, with load
-        // balancing active and the split-phase gather on. The remap
+        // the new row count) and stay bitwise-sequential, with load
+        // balancing active. The remap
         // decisions themselves may differ from the single-lane run — the
         // team-aware cost model changes what the balancer sees — but the
         // values may not.
@@ -367,10 +328,7 @@ mod tests {
         sequential_relaxation(&m, &mut expected, iters);
 
         let m2 = m.clone();
-        let mut config = StanceConfig::default()
-            .with_check_interval(10)
-            .with_overlap(true)
-            .with_team(3);
+        let mut config = StanceConfig::default().with_check_interval(10).with_team(3);
         config.balancer = test_balancer();
         let spec = ClusterSpec::uniform(3)
             .with_network(NetworkSpec::zero_cost())

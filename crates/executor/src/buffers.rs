@@ -20,7 +20,7 @@
 //! degrades to the old per-message allocation, never to unbounded memory.
 
 use stance_inspector::CommSchedule;
-use stance_sim::{Element, RecvRequest, SendRequest};
+use stance_sim::Element;
 
 /// Recycled transport scratch owned by one
 /// [`LoopRunner`](crate::LoopRunner) (or built standalone for hand-driven
@@ -35,18 +35,6 @@ pub struct CommBuffers<E: Element> {
     pool_cap: usize,
     /// Element scratch for indexed decodes (scatter contributions).
     elems: Vec<E>,
-    /// Outstanding receive handles of an in-flight split-phase gather
-    /// (`gather_fused_start` fills it, `gather_fused_finish` drains it).
-    /// Requests are plain `Copy` records recycled through this one pool —
-    /// pre-sized from the schedule's receive count, so posting receives
-    /// in the steady state allocates nothing.
-    pub(crate) recv_reqs: Vec<RecvRequest>,
-    /// Outstanding send handles of an in-flight split-phase gather,
-    /// mirrored on `recv_reqs`: `gather_fused_start` parks every `isend`
-    /// handle here and `gather_fused_finish` waits and drains them, so no
-    /// request is ever dropped unwaited (the protocol-checker contract)
-    /// — pre-sized from the schedule's send count.
-    pub(crate) send_reqs: Vec<SendRequest>,
 }
 
 impl<E: Element> CommBuffers<E> {
@@ -56,8 +44,6 @@ impl<E: Element> CommBuffers<E> {
             pool: Vec::new(),
             pool_cap: 8,
             elems: Vec::new(),
-            recv_reqs: Vec::new(),
-            send_reqs: Vec::new(),
         }
     }
 
@@ -86,33 +72,18 @@ impl<E: Element> CommBuffers<E> {
             pool,
             pool_cap,
             elems: Vec::with_capacity(max_arriving),
-            recv_reqs: Vec::with_capacity(schedule.recvs().len()),
-            send_reqs: Vec::with_capacity(schedule.sends().len()),
         }
     }
 
     /// Re-targets recycled buffers at a new schedule (after a remap):
-    /// pooled byte buffers, the element scratch and the request pool are
-    /// all kept — only the pool cap and reservations are adjusted, so a
-    /// rebuild allocates nothing once capacities have warmed up (compare
+    /// pooled byte buffers and the element scratch are kept — only the
+    /// pool cap is adjusted, so a rebuild allocates nothing (compare
     /// [`CommBuffers::for_schedule`], which starts from scratch). Any
     /// buffer that turns out undersized for the new schedule grows lazily
     /// in `take_bytes`/`decode_into_scratch`, exactly as during warm-up.
-    ///
-    /// # Panics
-    /// Panics if a split-phase gather is still in flight (the request pool
-    /// must be drained by `gather_fused_finish` before the schedule changes).
     pub fn rebuild(&mut self, schedule: &CommSchedule) {
-        assert!(
-            self.recv_reqs.is_empty() && self.send_reqs.is_empty(),
-            "CommBuffers::rebuild with a split-phase gather in flight"
-        );
         self.pool_cap = schedule.sends().len().max(schedule.recvs().len()).max(8);
         self.pool.truncate(self.pool_cap);
-        // The request pools are empty here, so this ensures capacity for
-        // the new schedule's segment counts (no-op once warm).
-        self.recv_reqs.reserve(schedule.recvs().len());
-        self.send_reqs.reserve(schedule.sends().len());
     }
 
     /// A cleared byte buffer with at least `capacity` bytes reserved —

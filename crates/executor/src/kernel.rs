@@ -42,7 +42,7 @@ use stance_sim::{Comm, Element};
 use crate::buffers::CommBuffers;
 use crate::cost::ComputeCostModel;
 use crate::ghosted::GhostedArray;
-use crate::primitives::{gather_fused, gather_fused_finish, gather_fused_start};
+use crate::primitives::gather_fused;
 use crate::team::SweepTeam;
 
 /// Elements with the componentwise arithmetic the built-in kernels need.
@@ -158,25 +158,19 @@ pub trait Kernel<E: Element>: Sync {
     /// window is the owned-output slice of [`Kernel::sweep`]. Inputs are
     /// indexed as ever: `combined[l]` is row `l`'s own value.
     ///
-    /// Every sweep the runner issues arrives here through [`sweep_phase`]:
-    /// the *interior* runs (vertices with no ghost references — see
-    /// [`TranslatedAdjacency::interior_runs`]) while the ghost gather is in
-    /// flight, the boundary runs after it completes, and under a
-    /// [`crate::SweepTeam`] each lane's share of either, written straight
-    /// into that lane's window of the output. Per-vertex outputs must
-    /// depend only on `combined` entries the vertex references — true for
-    /// any kernel fitting this trait's model — so splitting the sweep
-    /// cannot change any value.
+    /// A [`crate::SweepTeam`] calls this once per lane, with the lane's
+    /// contiguous range of rows and that range's window of the output;
+    /// without a team the runner calls [`Kernel::sweep`]. Per-vertex
+    /// outputs must depend only on `combined` entries the vertex
+    /// references — true for any kernel fitting this trait's model — so
+    /// splitting the sweep cannot change any value.
     ///
     /// The default serves kernels that implement only [`Kernel::sweep`]:
     /// the whole-block range is that sweep, and a partial window sweeps
     /// the **whole** block into a temporary and copies the window out.
-    /// Such kernels stay correct under overlap and teams without changes,
-    /// but a partial call recomputes every vertex and allocates — they
-    /// forfeit what splitting would win. The runner bounds how many such
-    /// calls a phase can make (fragmented classifications collapse to one
-    /// bounding-range call; see `MAX_PRECISE_RUNS` in this module), so a
-    /// sweep-only kernel never degrades past a small constant factor.
+    /// Such kernels stay correct under teams without changes, but every
+    /// lane recomputes every vertex and allocates — they forfeit what
+    /// splitting would win.
     ///
     /// The built-in kernels point the delegation the other way: their
     /// `sweep_chunked` is the real implementation — one call of
@@ -189,8 +183,7 @@ pub trait Kernel<E: Element>: Sync {
     /// are bitwise those of a plain ascending loop. Override this with
     /// your own row closure over [`sweep_rows`], or with any other
     /// formulation whose *per-vertex accumulation order* is unchanged;
-    /// otherwise bitwise reproducibility across team sizes and gather
-    /// flavours is lost.
+    /// otherwise bitwise reproducibility across team sizes is lost.
     fn sweep_chunked(
         &self,
         tadj: &TranslatedAdjacency,
@@ -210,73 +203,8 @@ pub trait Kernel<E: Element>: Sync {
     /// with `references` total neighbor references performs. The default is
     /// the paper's relaxation pricing; override it if your kernel does
     /// substantially more (or less) arithmetic per reference.
-    ///
-    /// The split-phase runner charges each phase separately —
-    /// `cost(interior vertices, interior refs)` before the wait and
-    /// `cost(boundary vertices, boundary refs)` after — so keep this hook
-    /// linear in its arguments (as the default is) if you enable overlap;
-    /// a nonlinear hook would charge the split differently than the whole.
     fn cost(&self, model: &ComputeCostModel, vertices: usize, references: usize) -> f64 {
         model.sweep_work(vertices, references)
-    }
-}
-
-/// Phases with at most this many runs are swept run by run; more
-/// fragmented phases collapse to one bounding-range `sweep_chunked` call.
-/// The cap exists for kernels that keep the *default* `sweep_chunked`
-/// (a full sweep into a temporary per partial window): without it, a
-/// pathologically interleaved interior/boundary classification — e.g. a
-/// shuffled vertex numbering — would issue one full sweep per run, turning
-/// an O(N) iteration into O(runs × N). With the cap, a sweep-only kernel
-/// does at most `MAX_PRECISE_RUNS` full sweeps per phase (and per lane),
-/// and fragmented meshes do exactly one.
-const MAX_PRECISE_RUNS: usize = 32;
-
-/// Sweeps `runs` — one split-phase phase (the interior or the boundary
-/// runs), or one team lane's share of a sweep — into `out`, the window of
-/// `window`: `out.len() == window.len()`, `out[i]` is row
-/// `window.start + i`, and every run lies inside `window`. The rank thread
-/// passes its whole output block and `0..tadj.len()`; a team lane passes
-/// the sub-slice it owns.
-///
-/// Precise mode calls `sweep_chunked` once per run, on the run's own
-/// window — no redundant work for range-honoring kernels. Fragmented
-/// phases (more than `MAX_PRECISE_RUNS` runs) use one call spanning
-/// first-run start to last-run end instead. The bounding span also sweeps
-/// vertices of the *other* class, which is harmless for any conforming
-/// kernel: per-vertex outputs are pure functions of their referenced
-/// inputs, so an interior vertex recomputes the same value in either
-/// phase, and a boundary vertex swept early (against stale ghosts) is
-/// rewritten by the boundary phase, whose span covers every boundary
-/// vertex. Both modes therefore produce bitwise-identical final outputs;
-/// the choice depends only on the schedule, never on timing.
-///
-/// # Panics
-/// Panics if `out` is not as long as `window` or a run leaves `window`.
-pub fn sweep_phase<E, K>(
-    kernel: &K,
-    tadj: &TranslatedAdjacency,
-    combined: &[E],
-    out: &mut [E],
-    window: Range<usize>,
-    runs: impl Iterator<Item = Range<usize>> + Clone,
-) where
-    E: Element,
-    K: Kernel<E> + ?Sized,
-{
-    assert_eq!(out.len(), window.len(), "output window length mismatch");
-    let mut sweep = |run: Range<usize>| {
-        let rows = &mut out[run.start - window.start..run.end - window.start];
-        kernel.sweep_chunked(tadj, combined, rows, run);
-    };
-    if runs.clone().count() <= MAX_PRECISE_RUNS {
-        runs.for_each(sweep);
-    } else {
-        // Runs are ascending and disjoint: the bounding span is
-        // first-start .. last-end.
-        let start = runs.clone().next().expect("count > cap > 0").start;
-        let end = runs.last().expect("count > cap > 0").end;
-        sweep(start..end);
     }
 }
 
@@ -398,13 +326,12 @@ impl<E: Field> Kernel<E> for RelaxationKernel {
         self.sweep_chunked(tadj, combined, out, 0..tadj.len());
     }
 
-    // One machine-code copy per element type, shared by the synchronous
-    // full sweep, the split-phase per-run calls and the team lanes
-    // (`sweep` is a trivial delegation, so every path lands here):
-    // letting each call site inline its own copy hands the two gather
-    // flavours differently laid-out hot loops, and measured sync-vs-split
-    // deltas then track code placement instead of communication (observed
-    // at ±60% on this ~4 ns/vertex loop).
+    // One machine-code copy per element type, shared by the single-lane
+    // full sweep and the team lanes (`sweep` is a trivial delegation, so
+    // every path lands here): letting each call site inline its own copy
+    // hands them differently laid-out hot loops, and measured deltas then
+    // track code placement instead of the change under test (observed at
+    // ±60% on this ~4 ns/vertex loop).
     #[inline(never)]
     fn sweep_chunked(
         &self,
@@ -446,8 +373,8 @@ impl<E: Field> Kernel<E> for LaplacianKernel {
         self.sweep_chunked(tadj, combined, out, 0..tadj.len());
     }
 
-    // See RelaxationKernel::sweep_chunked: one shared copy keeps the two
-    // gather flavours on identical machine code.
+    // See RelaxationKernel::sweep_chunked: one shared copy keeps every
+    // caller on identical machine code.
     #[inline(never)]
     fn sweep_chunked(
         &self,
@@ -566,14 +493,6 @@ impl LoopStats {
 /// *swapping* it with the output array's storage (one pointer exchange)
 /// instead of copying the owned block. The application's [`Kernel`] is
 /// passed per call, so one runner serves every stage of a graph.
-///
-/// With [`LoopRunner::with_overlap`] the runner uses the **split-phase
-/// gather**: receives and sends are posted, the interior vertices (which
-/// reference no gathered data) are swept while the bytes are in flight,
-/// and the boundary vertices are swept after the gather completes.
-/// Results are bitwise identical to the synchronous path on every backend
-/// — per-vertex outputs depend only on the referenced inputs, which are
-/// the same in both orders (pinned by `tests/backend_equivalence.rs`).
 pub struct LoopRunner<E: Element = f64> {
     schedule: CommSchedule,
     tadj: TranslatedAdjacency,
@@ -584,8 +503,6 @@ pub struct LoopRunner<E: Element = f64> {
     /// rewritten by the next gather).
     scratch: Vec<E>,
     bufs: CommBuffers<E>,
-    /// Whether fused exchanges use the split-phase gather.
-    overlap: bool,
     /// The rank's worker team, present when [`LoopRunner::with_team`] was
     /// given more than one lane. `None` means every sweep runs on the rank
     /// thread exactly as before teams existed.
@@ -593,9 +510,7 @@ pub struct LoopRunner<E: Element = f64> {
 }
 
 impl<E: Element> LoopRunner<E> {
-    /// Builds a runner from a schedule and the rank's adjacency. The
-    /// gather is synchronous by default; enable the split-phase path with
-    /// [`LoopRunner::with_overlap`].
+    /// Builds a runner from a schedule and the rank's adjacency.
     pub fn new(schedule: CommSchedule, adj: &LocalAdjacency, cost: ComputeCostModel) -> Self {
         let tadj = schedule.translate_adjacency(adj);
         let scratch = vec![E::zero(); tadj.buffer_len()];
@@ -606,23 +521,8 @@ impl<E: Element> LoopRunner<E> {
             cost,
             scratch,
             bufs,
-            overlap: false,
             team: None,
         }
-    }
-
-    /// Selects the gather flavour: `true` overlaps the ghost exchange with
-    /// the interior sweep (split-phase), `false` keeps the synchronous
-    /// gather-then-sweep order. The setting survives
-    /// [`LoopRunner::rebuild`].
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// Whether this runner overlaps communication with computation.
-    pub fn overlap(&self) -> bool {
-        self.overlap
     }
 
     /// Attaches a persistent worker team of `lanes` compute lanes (lane 0
@@ -666,7 +566,7 @@ impl<E: Element> LoopRunner<E> {
     }
 
     /// Replaces the schedule and adjacency (after a remap) while keeping
-    /// the cost model, overlap setting and team — **in place**: the
+    /// the cost model and team — **in place**: the
     /// translated adjacency, the transport scratch ([`CommBuffers`]) and
     /// the sweep scratch are all rebuilt into their existing storage
     /// (capacity never shrinks), so a rebuild's allocation count is
@@ -682,7 +582,7 @@ impl<E: Element> LoopRunner<E> {
         // the ghost suffix is rewritten by every gather before any read
         // (the same argument as `GhostedArray::swap_data`).
         self.scratch.resize(self.tadj.buffer_len(), E::zero());
-        // The lane splits derive from the run classification, so a remap
+        // The lane splits derive from the row count, so a remap
         // invalidates them; the team itself (threads, split storage)
         // is recycled.
         if let Some(team) = &mut self.team {
@@ -710,9 +610,9 @@ impl<E: Element> LoopRunner<E> {
         values.rebuild_from(local, self.tadj.num_ghosts() as usize);
     }
 
-    /// The one stage step (see [`LoopRunner::run_stage`] for its three
-    /// shapes): exchange, sweep, leave the output in the sweep scratch.
-    /// Returns the seconds spent sweeping — the load monitor's sample.
+    /// The one stage step: exchange (one fused message per neighbor),
+    /// sweep, leave the output in the sweep scratch. Returns the seconds
+    /// spent sweeping — the load monitor's sample.
     fn stage_step<C: Comm, K: Kernel<E> + ?Sized>(
         &mut self,
         env: &mut C,
@@ -720,7 +620,6 @@ impl<E: Element> LoopRunner<E> {
         fields: &mut [GhostedArray<E>],
         exchange: &[usize],
         input: usize,
-        reads_ghosts: bool,
     ) -> f64 {
         let LoopRunner {
             schedule,
@@ -728,54 +627,10 @@ impl<E: Element> LoopRunner<E> {
             cost,
             scratch,
             bufs,
-            overlap,
             team,
         } = self;
         let out = &mut scratch[..tadj.len()];
-        let in_flight = *overlap && !exchange.is_empty();
-        if in_flight {
-            gather_fused_start(env, schedule, fields, exchange, cost, bufs);
-        } else {
-            gather_fused(env, schedule, fields, exchange, cost, bufs);
-        }
-        if in_flight && reads_ghosts && exchange.contains(&input) {
-            // Interior compute is charged *before* the wait, so on the
-            // simulator the clock advances past the modelled arrivals and
-            // the wait costs only what the interior sweep could not hide;
-            // on the native backend the overlap is real.
-            let interior_work = kernel.cost(cost, tadj.num_interior(), tadj.interior_refs());
-            let boundary_work = kernel.cost(cost, tadj.num_boundary(), tadj.boundary_refs());
-            let t0 = env.now_secs();
-            env.compute(interior_work);
-            let combined = fields[input].combined();
-            match team {
-                Some(team) => team.sweep_interior(kernel, tadj, combined, out),
-                None => {
-                    sweep_phase(
-                        kernel,
-                        tadj,
-                        combined,
-                        out,
-                        0..tadj.len(),
-                        tadj.interior_runs(),
-                    );
-                }
-            }
-            let interior_time = env.now_secs() - t0;
-            gather_fused_finish(env, schedule, fields, exchange, cost, bufs);
-            let t1 = env.now_secs();
-            env.compute(boundary_work);
-            let combined = fields[input].combined();
-            sweep_phase(
-                kernel,
-                tadj,
-                combined,
-                out,
-                0..tadj.len(),
-                tadj.boundary_runs(),
-            );
-            return interior_time + env.now_secs() - t1;
-        }
+        gather_fused(env, schedule, fields, exchange, cost, bufs);
         let work = kernel.cost(cost, tadj.len(), tadj.num_refs());
         let t0 = env.now_secs();
         env.compute(work);
@@ -784,20 +639,14 @@ impl<E: Element> LoopRunner<E> {
             Some(team) => team.sweep_full(kernel, tadj, combined, out),
             None => kernel.sweep(tadj, combined, out),
         }
-        let compute_time = env.now_secs() - t0;
-        if in_flight {
-            gather_fused_finish(env, schedule, fields, exchange, cost, bufs);
-        }
-        compute_time
+        env.now_secs() - t0
     }
 
     /// One application of `kernel` *without* committing: gathers the
     /// ghosts of `values`, charges and performs the sweep, and leaves the
     /// result in [`LoopRunner::scratch`]. The input values' owned block is
     /// untouched — this is what operator-style workloads (matvec inside a
-    /// solver) use. Which gather runs (synchronous or split-phase) follows
-    /// the [`LoopRunner::with_overlap`] setting; the results are bitwise
-    /// identical either way.
+    /// solver) use.
     pub fn apply<C: Comm, K: Kernel<E> + ?Sized>(
         &mut self,
         env: &mut C,
@@ -807,7 +656,7 @@ impl<E: Element> LoopRunner<E> {
         let group = std::slice::from_mut(values);
         LoopStats {
             iterations: 1,
-            compute_time: self.stage_step(env, kernel, group, &[0], 0, true),
+            compute_time: self.stage_step(env, kernel, group, &[0], 0),
         }
     }
 
@@ -822,18 +671,6 @@ impl<E: Element> LoopRunner<E> {
     /// `kernel` over `fields[input]`, and commits the output to
     /// `fields[output]` by swapping storage. Returns the seconds spent
     /// sweeping. Collective; every rank must pass the same selection.
-    ///
-    /// The step takes one of three shapes, chosen from replicated state:
-    ///
-    /// * **blocking** — complete the exchange (one fused message per
-    ///   neighbor), then sweep;
-    /// * **split** (overlap on, and the kernel `reads_ghosts` of an
-    ///   `input` that is among the exchanged fields) — post the exchange,
-    ///   sweep the interior runs while bytes are in flight, land them,
-    ///   sweep the boundary runs;
-    /// * **whole sweep in flight** (overlap on, but the stage does not
-    ///   read the travelling fields' ghosts) — post, sweep, land.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_stage<C: Comm, K: Kernel<E> + ?Sized>(
         &mut self,
         env: &mut C,
@@ -841,10 +678,9 @@ impl<E: Element> LoopRunner<E> {
         fields: &mut [GhostedArray<E>],
         exchange: &[usize],
         input: usize,
-        reads_ghosts: bool,
         output: usize,
     ) -> f64 {
-        let compute_time = self.stage_step(env, kernel, fields, exchange, input, reads_ghosts);
+        let compute_time = self.stage_step(env, kernel, fields, exchange, input);
         // O(1) commit: the swapped-in ghost region is stale, but the
         // output field is now dirty, so its next gathered read rewrites
         // every ghost slot before any sweep sees it.
@@ -870,7 +706,7 @@ impl<E: Element> LoopRunner<E> {
         let group = std::slice::from_mut(values);
         let mut stats = LoopStats::default();
         for _ in 0..iters {
-            stats.compute_time += self.run_stage(env, kernel, group, &[0], 0, true, 0);
+            stats.compute_time += self.run_stage(env, kernel, group, &[0], 0, 0);
             stats.iterations += 1;
         }
         stats
@@ -957,205 +793,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn overlapped_runner_matches_sequential_bitwise() {
-        let g = meshgen::triangulated_grid(11, 9, 0.4, 6);
-        let n = g.num_vertices();
-        let iters = 12;
-        let mut expected = initial_values(n);
-        sequential_relaxation(&g, &mut expected, iters);
-
-        for p in [1usize, 2, 3, 4] {
-            let part = BlockPartition::uniform(n, p);
-            let g2 = g.clone();
-            let part2 = part.clone();
-            let spec = ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost());
-            let report = Cluster::new(spec).run(move |env| {
-                let rank = env.rank();
-                let adj = LocalAdjacency::extract(&g2, &part2, rank);
-                let (sched, _) =
-                    build_schedule_symmetric(&part2, &adj, rank, ScheduleStrategy::Sort2);
-                let mut runner =
-                    LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_overlap(true);
-                let iv = part2.interval_of(rank);
-                let init = initial_values(n);
-                let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                runner.run(env, &RelaxationKernel, &mut values, iters);
-                values.local().to_vec()
-            });
-            let mut got = Vec::with_capacity(n);
-            for r in report.into_results() {
-                got.extend(r);
-            }
-            assert_eq!(got, expected, "overlapped p = {p} diverged from sequential");
-        }
-    }
-
-    /// A user kernel that does NOT override `sweep_chunked`: the default
-    /// sweeps the whole block into a temporary and copies the window out,
-    /// so the split-phase runner must still produce bitwise-sequential
-    /// results.
-    struct DefaultRangeRelaxation;
-
-    impl Kernel<f64> for DefaultRangeRelaxation {
-        fn sweep(&self, tadj: &TranslatedAdjacency, combined: &[f64], out: &mut [f64]) {
-            RelaxationKernel.sweep(tadj, combined, out);
-        }
-    }
-
-    #[test]
-    fn sweep_only_kernel_correct_under_overlap() {
-        let g = meshgen::triangulated_grid(9, 7, 0.3, 2);
-        let n = g.num_vertices();
-        let iters = 7;
-        let mut expected = initial_values(n);
-        sequential_relaxation(&g, &mut expected, iters);
-
-        let part = BlockPartition::uniform(n, 3);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        let report = Cluster::new(spec).run(|env| {
-            let rank = env.rank();
-            let adj = LocalAdjacency::extract(&g, &part, rank);
-            let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let mut runner =
-                LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_overlap(true);
-            let iv = part.interval_of(rank);
-            let init = initial_values(n);
-            let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-            runner.run(env, &DefaultRangeRelaxation, &mut values, iters);
-            values.local().to_vec()
-        });
-        let mut got = Vec::with_capacity(n);
-        for r in report.into_results() {
-            got.extend(r);
-        }
-        assert_eq!(got, expected, "default-range kernel diverged under overlap");
-    }
-
-    /// A pathologically fragmented classification — every other owned
-    /// vertex is boundary, far above `MAX_PRECISE_RUNS` runs — exercises
-    /// the bounding-range arm of `sweep_phase`. Both a range-honoring
-    /// kernel and one relying on the default (sweep-only) `sweep_chunked`
-    /// must still match the synchronous path bitwise.
-    #[test]
-    fn fragmented_classification_correct_under_overlap() {
-        // 200 vertices, 2 ranks. Every even vertex of rank 0's block is
-        // wired to a vertex in rank 1's block, so rank 0's classification
-        // alternates boundary/interior — 100 runs.
-        let n = 200;
-        let edges: Vec<(u32, u32)> = (0..50u32).map(|i| (2 * i, 100 + i)).collect();
-        let g = Graph::from_edges(n, &edges, vec![[0.0; 3]; n], 2);
-        let part = BlockPartition::uniform(n, 2);
-        let adj = LocalAdjacency::extract(&g, &part, 0);
-        let (sched, _) = build_schedule_symmetric(&part, &adj, 0, ScheduleStrategy::Sort2);
-        let tadj = sched.translate_adjacency(&adj);
-        assert!(
-            tadj.interior_runs().count() + tadj.boundary_runs().count() > MAX_PRECISE_RUNS,
-            "fixture must exceed the precise-run cap"
-        );
-
-        let iters = 6;
-        let mut expected = initial_values(n);
-        sequential_relaxation(&g, &mut expected, iters);
-
-        let run = |overlap: bool, default_range: bool| {
-            let g = g.clone();
-            let part = part.clone();
-            let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
-            let report = Cluster::new(spec).run(move |env| {
-                let rank = env.rank();
-                let adj = LocalAdjacency::extract(&g, &part, rank);
-                let (sched, _) =
-                    build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                let iv = part.interval_of(rank);
-                let init = initial_values(n);
-                let local = init[iv.start..iv.end].to_vec();
-                let out = if default_range {
-                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-                        .with_overlap(overlap);
-                    let mut values = runner.make_values(local);
-                    runner.run(env, &DefaultRangeRelaxation, &mut values, iters);
-                    values.local().to_vec()
-                } else {
-                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-                        .with_overlap(overlap);
-                    let mut values = runner.make_values(local);
-                    runner.run(env, &RelaxationKernel, &mut values, iters);
-                    values.local().to_vec()
-                };
-                out
-            });
-            let mut got = Vec::with_capacity(n);
-            for r in report.into_results() {
-                got.extend(r);
-            }
-            got
-        };
-        for default_range in [false, true] {
-            assert_eq!(
-                run(true, default_range),
-                expected,
-                "fragmented overlap diverged (default_range = {default_range})"
-            );
-            assert_eq!(
-                run(false, default_range),
-                expected,
-                "fragmented sync diverged (default_range = {default_range})"
-            );
-        }
-    }
-
-    /// The split-phase runner charges the same total virtual time as the
-    /// synchronous one when the wait is not on the critical path: the cost
-    /// hook is linear, so interior + boundary charges sum to the whole.
-    #[test]
-    fn overlap_never_slows_the_virtual_clock() {
-        let g = meshgen::triangulated_grid(10, 10, 0.2, 1);
-        let n = g.num_vertices();
-        let part = BlockPartition::uniform(n, 4);
-        let run = |overlap: bool| {
-            let g = g.clone();
-            let part = part.clone();
-            let spec = ClusterSpec::paper_cluster(4);
-            Cluster::new(spec)
-                .run(move |env| {
-                    let rank = env.rank();
-                    let adj = LocalAdjacency::extract(&g, &part, rank);
-                    let (sched, _) =
-                        build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::sun4())
-                        .with_overlap(overlap);
-                    let iv = part.interval_of(rank);
-                    let mut values =
-                        runner.make_values(iv.iter().map(|g| (g as f64).cos()).collect());
-                    runner.run(env, &RelaxationKernel, &mut values, 10);
-                    (env.now().as_secs(), values.local().to_vec())
-                })
-                .into_results()
-        };
-        let sync = run(false);
-        let split = run(true);
-        for (rank, ((t_sync, v_sync), (t_split, v_split))) in
-            sync.iter().zip(split.iter()).enumerate()
-        {
-            assert_eq!(v_sync, v_split, "rank {rank} values diverged");
-            assert!(
-                t_split <= &(t_sync * (1.0 + 1e-9)),
-                "rank {rank}: split-phase clock {t_split} exceeds synchronous {t_sync}"
-            );
-        }
-        // On the modelled Ethernet the interior sweep hides part of every
-        // exchange, so the slowest rank finishes strictly sooner.
-        let makespan = |ranks: &[(f64, Vec<f64>)]| ranks.iter().fold(0.0, |m, (t, _)| t.max(m));
-        assert!(
-            makespan(&split) < makespan(&sync),
-            "split-phase hid none of the exchange"
-        );
-    }
-
     /// `rebuild` must leave the runner exactly as a freshly constructed one:
     /// run the same phase sequence through one recycled runner and through
-    /// fresh runners, on both gather flavours, and compare bitwise.
+    /// fresh runners, and compare bitwise.
     #[test]
     fn rebuilt_runner_matches_fresh_runner_bitwise() {
         let g = meshgen::triangulated_grid(11, 9, 0.4, 6);
@@ -1166,57 +806,51 @@ mod tests {
             BlockPartition::from_sizes(&[33, 33, 33]),
         ];
         let iters = 5;
-        for overlap in [false, true] {
-            let run_recycled = |env: &mut Env| {
-                let rank = env.rank();
-                let init = initial_values(n);
-                let mut runner: Option<LoopRunner<f64>> = None;
-                let mut out = Vec::new();
-                for part in &phases {
-                    let adj = LocalAdjacency::extract(&g, part, rank);
-                    let (sched, _) =
-                        build_schedule_symmetric(part, &adj, rank, ScheduleStrategy::Sort2);
-                    match &mut runner {
-                        None => {
-                            runner = Some(
-                                LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-                                    .with_overlap(overlap),
-                            );
-                        }
-                        Some(r) => {
-                            let _retired = r.rebuild(sched, &adj);
-                        }
+        let run_recycled = |env: &mut Env| {
+            let rank = env.rank();
+            let init = initial_values(n);
+            let mut runner: Option<LoopRunner<f64>> = None;
+            let mut out = Vec::new();
+            for part in &phases {
+                let adj = LocalAdjacency::extract(&g, part, rank);
+                let (sched, _) =
+                    build_schedule_symmetric(part, &adj, rank, ScheduleStrategy::Sort2);
+                match &mut runner {
+                    None => {
+                        runner = Some(LoopRunner::new(sched, &adj, ComputeCostModel::zero()));
                     }
-                    let r = runner.as_mut().expect("runner built");
-                    let iv = part.interval_of(rank);
-                    let mut values = r.make_values(init[iv.start..iv.end].to_vec());
-                    r.run(env, &RelaxationKernel, &mut values, iters);
-                    out.push(values.local().to_vec());
+                    Some(r) => {
+                        let _retired = r.rebuild(sched, &adj);
+                    }
                 }
-                out
-            };
-            let run_fresh = |env: &mut Env| {
-                let rank = env.rank();
-                let init = initial_values(n);
-                let mut out = Vec::new();
-                for part in &phases {
-                    let adj = LocalAdjacency::extract(&g, part, rank);
-                    let (sched, _) =
-                        build_schedule_symmetric(part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-                        .with_overlap(overlap);
-                    let iv = part.interval_of(rank);
-                    let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                    runner.run(env, &RelaxationKernel, &mut values, iters);
-                    out.push(values.local().to_vec());
-                }
-                out
-            };
-            let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-            let recycled = Cluster::new(spec.clone()).run(run_recycled).into_results();
-            let fresh = Cluster::new(spec).run(run_fresh).into_results();
-            assert_eq!(recycled, fresh, "overlap = {overlap} diverged");
-        }
+                let r = runner.as_mut().expect("runner built");
+                let iv = part.interval_of(rank);
+                let mut values = r.make_values(init[iv.start..iv.end].to_vec());
+                r.run(env, &RelaxationKernel, &mut values, iters);
+                out.push(values.local().to_vec());
+            }
+            out
+        };
+        let run_fresh = |env: &mut Env| {
+            let rank = env.rank();
+            let init = initial_values(n);
+            let mut out = Vec::new();
+            for part in &phases {
+                let adj = LocalAdjacency::extract(&g, part, rank);
+                let (sched, _) =
+                    build_schedule_symmetric(part, &adj, rank, ScheduleStrategy::Sort2);
+                let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
+                let iv = part.interval_of(rank);
+                let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
+                runner.run(env, &RelaxationKernel, &mut values, iters);
+                out.push(values.local().to_vec());
+            }
+            out
+        };
+        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
+        let recycled = Cluster::new(spec.clone()).run(run_recycled).into_results();
+        let fresh = Cluster::new(spec).run(run_fresh).into_results();
+        assert_eq!(recycled, fresh, "rebuilt runner diverged from fresh");
     }
 
     #[test]
@@ -1461,10 +1095,10 @@ mod tests {
         assert_eq!(s2.avg_time_per_item(2), 1.0);
     }
 
-    /// Team size is purely a throughput knob: any `T`, with either gather
-    /// flavour, must reproduce the sequential reference bitwise — lanes
-    /// write disjoint windows of the output, each row exactly as a single
-    /// lane would, so the accumulation order never changes.
+    /// Team size is purely a throughput knob: any `T` must reproduce the
+    /// sequential reference bitwise — lanes write disjoint windows of the
+    /// output, each row exactly as a single lane would, so the
+    /// accumulation order never changes.
     #[test]
     fn team_runner_matches_sequential_bitwise() {
         let g = meshgen::triangulated_grid(11, 9, 0.4, 6);
@@ -1474,44 +1108,38 @@ mod tests {
         sequential_relaxation(&g, &mut expected, iters);
 
         for team in [1usize, 2, 3, 4] {
-            for overlap in [false, true] {
-                let part = BlockPartition::uniform(n, 2);
-                let g2 = g.clone();
-                let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
-                let report = Cluster::new(spec).run(move |env| {
-                    let rank = env.rank();
-                    let adj = LocalAdjacency::extract(&g2, &part, rank);
-                    let (sched, _) =
-                        build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-                        .with_overlap(overlap)
-                        .with_team(team);
-                    assert_eq!(runner.team_lanes(), team);
-                    let iv = part.interval_of(rank);
-                    let init = initial_values(n);
-                    let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                    runner.run(env, &RelaxationKernel, &mut values, iters);
-                    values.local().to_vec()
-                });
-                let mut got = Vec::with_capacity(n);
-                for r in report.into_results() {
-                    got.extend(r);
-                }
-                let bits_got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-                let bits_exp: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(
-                    bits_got, bits_exp,
-                    "team = {team}, overlap = {overlap} diverged from sequential"
-                );
+            let part = BlockPartition::uniform(n, 2);
+            let g2 = g.clone();
+            let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
+            let report = Cluster::new(spec).run(move |env| {
+                let rank = env.rank();
+                let adj = LocalAdjacency::extract(&g2, &part, rank);
+                let (sched, _) =
+                    build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
+                let mut runner =
+                    LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_team(team);
+                assert_eq!(runner.team_lanes(), team);
+                let iv = part.interval_of(rank);
+                let init = initial_values(n);
+                let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
+                runner.run(env, &RelaxationKernel, &mut values, iters);
+                values.local().to_vec()
+            });
+            let mut got = Vec::with_capacity(n);
+            for r in report.into_results() {
+                got.extend(r);
             }
+            let bits_got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            let bits_exp: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits_got, bits_exp, "team = {team} diverged from sequential");
         }
     }
 
-    /// The fragmented fixture of `fragmented_classification_correct_under_overlap`,
-    /// with a team: run splitting must stay exact when runs outnumber
-    /// lanes by an order of magnitude and lane fragments cut runs.
+    /// A block whose every other row reads a ghost (rank 0's even vertices
+    /// are each wired to a vertex of rank 1), with a team: ghost-reading
+    /// and ghost-free rows alternate inside every lane's range.
     #[test]
-    fn team_runner_correct_on_fragmented_classification() {
+    fn team_runner_correct_on_interleaved_ghost_rows() {
         let n = 200;
         let edges: Vec<(u32, u32)> = (0..50u32).map(|i| (2 * i, 100 + i)).collect();
         let g = Graph::from_edges(n, &edges, vec![[0.0; 3]; n], 2);
@@ -1520,38 +1148,32 @@ mod tests {
         sequential_relaxation(&g, &mut expected, iters);
 
         for team in [2usize, 4] {
-            for overlap in [false, true] {
-                let part = BlockPartition::uniform(n, 2);
-                let g2 = g.clone();
-                let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
-                let report = Cluster::new(spec).run(move |env| {
-                    let rank = env.rank();
-                    let adj = LocalAdjacency::extract(&g2, &part, rank);
-                    let (sched, _) =
-                        build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-                        .with_overlap(overlap)
-                        .with_team(team);
-                    let iv = part.interval_of(rank);
-                    let init = initial_values(n);
-                    let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
-                    runner.run(env, &RelaxationKernel, &mut values, iters);
-                    values.local().to_vec()
-                });
-                let mut got = Vec::with_capacity(n);
-                for r in report.into_results() {
-                    got.extend(r);
-                }
-                assert_eq!(
-                    got, expected,
-                    "fragmented team = {team}, overlap = {overlap} diverged"
-                );
+            let part = BlockPartition::uniform(n, 2);
+            let g2 = g.clone();
+            let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
+            let report = Cluster::new(spec).run(move |env| {
+                let rank = env.rank();
+                let adj = LocalAdjacency::extract(&g2, &part, rank);
+                let (sched, _) =
+                    build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
+                let mut runner =
+                    LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_team(team);
+                let iv = part.interval_of(rank);
+                let init = initial_values(n);
+                let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
+                runner.run(env, &RelaxationKernel, &mut values, iters);
+                values.local().to_vec()
+            });
+            let mut got = Vec::with_capacity(n);
+            for r in report.into_results() {
+                got.extend(r);
             }
+            assert_eq!(got, expected, "interleaved team = {team} diverged");
         }
     }
 
     /// A rebuilt team runner (remap) must match a fresh one bitwise —
-    /// the lane splits are recomputed from the new classification.
+    /// the lane splits are recomputed from the new row count.
     #[test]
     fn rebuilt_team_runner_matches_fresh_bitwise() {
         let g = meshgen::triangulated_grid(11, 9, 0.4, 6);
@@ -1580,7 +1202,6 @@ mod tests {
                             _ => {
                                 runner = Some(
                                     LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-                                        .with_overlap(true)
                                         .with_team(team),
                                 );
                             }

@@ -20,12 +20,7 @@
 //!   recycled through [`CommBuffers`] so steady-state iterations are
 //!   allocation-free;
 //! * [`gather_fused`] — the same gather for a *group* of arrays, one
-//!   message per neighbor ([`gather`] is its group-of-one spelling), and
-//!   [`gather_fused_start`] / [`gather_fused_finish`] — the
-//!   **split-phase** flavour: posts all traffic with the nonblocking
-//!   `Comm` primitives and lands it later, so the caller (a
-//!   [`LoopRunner`] with overlap enabled) sweeps interior vertices while
-//!   ghost bytes are in flight;
+//!   message per neighbor ([`gather`] is its group-of-one spelling);
 //! * [`kernel`] — the [`Kernel`] trait and [`LoopRunner`] (the one
 //!   exchange + sweep stage step every session runs), plus the two
 //!   built-in kernels: [`RelaxationKernel`] (the paper's Fig. 8 loop,
@@ -57,8 +52,8 @@ pub use cost::ComputeCostModel;
 pub use ghosted::GhostedArray;
 pub use kernel::{
     laplacian_matvec_step, parallel_relaxation_step, sequential_laplacian_matvec,
-    sequential_relaxation, sweep_phase, sweep_rows, Field, Kernel, LaplacianKernel, LoopRunner,
-    LoopStats, RelaxationKernel,
+    sequential_relaxation, sweep_rows, Field, Kernel, LaplacianKernel, LoopRunner, LoopStats,
+    RelaxationKernel,
 };
-pub use primitives::{gather, gather_fused, gather_fused_finish, gather_fused_start, scatter_add};
+pub use primitives::{gather, gather_fused, scatter_add};
 pub use team::SweepTeam;

@@ -20,9 +20,8 @@
 //! intermediate `Vec<E>`; send staging rides in byte buffers recycled
 //! through [`CommBuffers`], so steady-state iterations allocate nothing.
 //! Gathers come in one blocking body ([`gather_fused`]; [`gather`] is its
-//! group-of-one spelling) and one split-phase pair
-//! ([`gather_fused_start`] / [`gather_fused_finish`]). Every primitive
-//! takes the caller's [`CommBuffers`] — a
+//! group-of-one spelling). Every primitive takes the caller's
+//! [`CommBuffers`] — a
 //! [`LoopRunner`](crate::LoopRunner) owns one and rebuilds it only on
 //! remap; hand-driven callers build one with
 //! [`CommBuffers::for_schedule`].
@@ -215,114 +214,6 @@ fn gather_group<E: Element, C: Comm>(
     }
 }
 
-/// Starts a split-phase fused gather for the fields selected by `which`:
-/// posts one nonblocking receive per peer (handles parked in `bufs`'
-/// recycled request pool), then packs every selected field's boundary
-/// values into one message per peer and posts the sends, exactly as
-/// [`gather_fused`] would. The caller computes while the bytes are in
-/// flight — legally, anything that reads no ghost of a selected field
-/// (typically: the interior vertices, which need no gathered data) — then
-/// calls [`gather_fused_finish`] with the **same** selection to land them.
-///
-/// A start/finish pair moves exactly the bytes a blocking
-/// [`gather_fused`] moves, in the same per-peer order, and leaves the
-/// ghost regions bitwise identical — the split changes *when* the
-/// transfer is waited on, never what arrives.
-///
-/// An empty selection posts nothing (and the matching finish is a
-/// no-op), so callers can drive the pair unconditionally from
-/// dirty-tracking state.
-///
-/// # Panics
-/// Panics (in debug) if a split-phase gather is already in flight on
-/// `bufs` (the request pool would hold handles from both), or if a
-/// selected array's shape does not match the schedule.
-pub fn gather_fused_start<E: Element, C: Comm>(
-    env: &mut C,
-    schedule: &CommSchedule,
-    arrays: &[GhostedArray<E>],
-    which: &[usize],
-    cost: &ComputeCostModel,
-    bufs: &mut CommBuffers<E>,
-) {
-    if which.is_empty() {
-        return;
-    }
-    debug_assert!(
-        bufs.recv_reqs.is_empty(),
-        "gather_fused_start while a split-phase gather is already in flight"
-    );
-    debug_assert_selection(schedule, arrays, which);
-    // Post all receives first (MPI wisdom: a pre-posted receive gives the
-    // transport a landing slot before any matching send can arrive).
-    for (peer, _globals) in schedule.recvs() {
-        let req = env.irecv(*peer, TAG_GATHER_FUSED);
-        bufs.recv_reqs.push(req);
-    }
-    // Send handles are parked in the recycled request pool and waited by
-    // the finish — sends are buffered (the waits never block), but every
-    // posted request must be completed so the protocol checker can
-    // account for handles, and so a future backend with genuine send
-    // completion works unchanged.
-    for (peer, locals) in schedule.sends() {
-        let payload = pack_segments(env, arrays, which, locals, cost, bufs);
-        let req = env.isend(*peer, TAG_GATHER_FUSED, payload);
-        bufs.send_reqs.push(req);
-    }
-}
-
-/// Completes a split-phase fused gather started by
-/// [`gather_fused_start`] with the same selection: waits each posted
-/// receive in schedule (peer-ascending) order, decodes every field's
-/// segment into its ghost-region slice exactly as the blocking
-/// [`gather_fused`] does, then completes the posted sends. After this
-/// returns every selected array's `combined()` is fully consistent. A
-/// no-op for an empty selection.
-///
-/// # Panics
-/// Panics if no matching start was issued or a packet's length does not
-/// match the selection.
-pub fn gather_fused_finish<E: Element, C: Comm>(
-    env: &mut C,
-    schedule: &CommSchedule,
-    arrays: &mut [GhostedArray<E>],
-    which: &[usize],
-    cost: &ComputeCostModel,
-    bufs: &mut CommBuffers<E>,
-) {
-    if which.is_empty() {
-        return;
-    }
-    assert_eq!(
-        bufs.recv_reqs.len(),
-        schedule.recvs().len(),
-        "gather_fused_finish without a matching gather_fused_start"
-    );
-    let mut slot = 0usize;
-    for (i, (peer, globals)) in schedule.recvs().iter().enumerate() {
-        let bytes = env.wait_recv(bufs.recv_reqs[i]).into_bytes();
-        land_segments(
-            env,
-            bytes,
-            *peer,
-            arrays,
-            which,
-            slot,
-            globals.len(),
-            cost,
-            bufs,
-        );
-        slot += globals.len();
-    }
-    bufs.recv_reqs.clear();
-    // Complete the posted sends (never blocks — sends are buffered) so
-    // no request handle outlives the gather it belongs to.
-    for i in 0..bufs.send_reqs.len() {
-        env.wait_send(bufs.send_reqs[i]);
-    }
-    bufs.send_reqs.clear();
-}
-
 /// Charges and packs one peer's message: every selected field's `locals`
 /// segment, back to back in `which` order, staged in a recycled buffer
 /// (consecutive send runs bulk-pack straight from the owned block).
@@ -474,29 +365,6 @@ mod tests {
         assert!(total > 0.0);
     }
 
-    #[test]
-    #[should_panic(expected = "without a matching gather_fused_start")]
-    fn gather_fused_finish_requires_start() {
-        let g = meshgen::triangulated_grid(4, 4, 0.0, 1);
-        let part = BlockPartition::uniform(16, 2);
-        let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
-        Cluster::new(spec).run(|env| {
-            let adj = LocalAdjacency::extract(&g, &part, env.rank());
-            let (sched, _) =
-                build_schedule_symmetric(&part, &adj, env.rank(), ScheduleStrategy::Sort2);
-            let mut fields: Vec<GhostedArray> =
-                vec![GhostedArray::zeros(8, sched.num_ghosts() as usize)];
-            gather_fused_finish(
-                env,
-                &sched,
-                &mut fields,
-                &[0],
-                &ComputeCostModel::zero(),
-                &mut CommBuffers::new(),
-            );
-        });
-    }
-
     /// Gather must be deterministic and charge identical virtual time across
     /// runs.
     #[test]
@@ -538,9 +406,7 @@ mod tests {
     /// Fused gather of a selection — a group of one, a proper subset, and
     /// all fields (the paper's message coalescing) — must deliver exactly
     /// what separate gathers of those fields would, bitwise, in one
-    /// message per neighbor (`1/k` of the separate count); and the
-    /// split-phase pair must agree with the blocking flavour in ghosts
-    /// and message count, with compute legal between the phases.
+    /// message per neighbor (`1/k` of the separate count).
     #[test]
     fn fused_gather_equivalent_to_separate_and_single_message() {
         let g = meshgen::triangulated_grid(9, 7, 0.3, 2);
@@ -564,7 +430,6 @@ mod tests {
                     mk(|g| (g * g) as f64),
                     mk(|g| -(g as f64)),
                 ];
-                let mut split = fields.clone();
                 let mut separate = fields.clone();
                 let mut bufs = CommBuffers::for_schedule(&sched);
                 let cost = ComputeCostModel::zero();
@@ -578,18 +443,10 @@ mod tests {
                 gather_fused(env, &sched, &mut fields, which, &cost, &mut bufs);
                 let msgs_fused = env.stats().messages_sent - msgs_separate;
 
-                gather_fused_start(env, &sched, &split, which, &cost, &mut bufs);
-                // Anything may run here; the ghost regions are still stale.
-                env.compute(0.0);
-                gather_fused_finish(env, &sched, &mut split, which, &cost, &mut bufs);
-                let msgs_split = env.stats().messages_sent - msgs_separate - msgs_fused;
-
                 // Selected fields match their separate gathers; unselected
                 // fields' ghosts were never touched (still zero, like the
                 // reference copies nobody gathered).
                 assert_eq!(fields, separate, "fused ghosts differ");
-                assert_eq!(split, fields, "split-phase ghosts differ");
-                assert_eq!(msgs_split, msgs_fused, "split-phase message count differs");
                 (msgs_separate, msgs_fused)
             });
             for (separate, fused) in report.results() {
@@ -604,8 +461,7 @@ mod tests {
         }
     }
 
-    /// An empty selection is a complete no-op for all three fused
-    /// entry points.
+    /// An empty selection is a complete no-op.
     #[test]
     fn fused_gather_empty_selection_is_noop() {
         let g = meshgen::triangulated_grid(4, 4, 0.0, 1);
@@ -620,8 +476,6 @@ mod tests {
             let mut bufs = CommBuffers::new();
             let cost = ComputeCostModel::zero();
             gather_fused(env, &sched, &mut fields, &[], &cost, &mut bufs);
-            gather_fused_start(env, &sched, &fields, &[], &cost, &mut bufs);
-            gather_fused_finish(env, &sched, &mut fields, &[], &cost, &mut bufs);
             assert_eq!(env.stats().messages_sent, 0);
         });
     }

@@ -228,13 +228,6 @@ impl CommSchedule {
     /// Translates a whole adjacency into combined-buffer indices: values
     /// `< local_len` index the block, values `≥ local_len` index ghosts at
     /// `local_len + slot`. This is the executor-ready indirection array.
-    ///
-    /// Translation also classifies every owned vertex as *interior* (all
-    /// neighbor references point into the owned block) or *boundary* (at
-    /// least one reference lands in the ghost region) and records the
-    /// maximal runs of consecutive same-class vertices — the structure the
-    /// executor's split-phase gather sweeps interior vertices from while
-    /// ghost bytes are still in flight.
     pub fn translate_adjacency(&self, adj: &LocalAdjacency) -> TranslatedAdjacency {
         let mut out = TranslatedAdjacency {
             local_len: 0,
@@ -243,10 +236,6 @@ impl CommSchedule {
             slots: Vec::with_capacity(adj.num_refs()),
             order: Vec::with_capacity(adj.len()),
             class_rows: Vec::with_capacity(adj.len().div_ceil(TranslatedAdjacency::BLOCK_ROWS)),
-            interior_runs: Vec::new(),
-            boundary_runs: Vec::new(),
-            interior_vertices: 0,
-            interior_refs: 0,
         };
         self.translate_adjacency_into(adj, &mut out);
         out
@@ -274,15 +263,11 @@ impl CommSchedule {
         out.order.clear();
         out.order.reserve(adj.len());
         out.class_rows.clear();
-        out.interior_runs.clear();
-        out.boundary_runs.clear();
-        let mut interior_vertices = 0usize;
-        let mut interior_refs = 0usize;
         for (rows, refs) in adj.row_chunks() {
             // The row pointers are the adjacency's own, narrowed (the check
             // above covers the last and therefore all of them); while the
             // chunk's are in L1, group its rows by degree for the sweep.
-            let row_ptrs = adj.csr_window(rows.clone()).0;
+            let row_ptrs = adj.csr_window(rows).0;
             out.xadj.extend(row_ptrs[1..].iter().map(|&x| x as u32));
             out.class_rows
                 .push(group_by_degree(row_ptrs, &mut out.order));
@@ -293,40 +278,22 @@ impl CommSchedule {
             let base = out.slots.len();
             out.slots
                 .extend(refs.iter().map(|&g| g.wrapping_sub(start)));
-            if !any_outside(&out.slots[base..], 0, local_len) {
-                interior_vertices += rows.len();
-                interior_refs += refs.len();
-                extend_run(&mut out.interior_runs, rows);
-                continue;
-            }
-            // A boundary row somewhere in the chunk: go over it row by row
-            // and send the references that wrapped — the only ones touched
-            // one at a time — through the schedule's ghost map.
-            for l in rows {
-                let mut references_ghost = false;
-                for slot in &mut out.slots[out.xadj[l] as usize..out.xadj[l + 1] as usize] {
+            if any_outside(&out.slots[base..], 0, local_len) {
+                // A boundary row somewhere in the chunk: send the
+                // references that wrapped — the only ones touched one at a
+                // time — through the schedule's ghost map.
+                for slot in &mut out.slots[base..] {
                     if *slot >= local_len {
                         let LocalRef::Ghost(s) = self.resolve(slot.wrapping_add(start)) else {
                             unreachable!("an owned global translates below local_len");
                         };
-                        references_ghost = true;
                         *slot = local_len + s;
                     }
                 }
-                let runs = if references_ghost {
-                    &mut out.boundary_runs
-                } else {
-                    interior_vertices += 1;
-                    interior_refs += adj.degree_of(l);
-                    &mut out.interior_runs
-                };
-                extend_run(runs, l..l + 1);
             }
         }
         out.local_len = local_len;
         out.num_ghosts = self.num_ghosts;
-        out.interior_vertices = interior_vertices;
-        out.interior_refs = interior_refs;
     }
 
     /// Structural sanity checks (used by tests and debug assertions):
@@ -365,18 +332,7 @@ impl CommSchedule {
 /// Executor-ready indirection: CSR over owned vertices with combined-buffer
 /// indices (block values first, ghosts appended).
 ///
-/// Owned vertices are additionally classified into **interior** (every
-/// neighbor reference indexes the owned block — the sweep over them needs
-/// no gathered data) and **boundary** (at least one reference indexes the
-/// ghost region). The classification is stored as maximal runs of
-/// consecutive same-class local indices, so a split-phase executor sweeps
-/// the interior as a handful of contiguous ranges (cache-friendly, and one
-/// `Kernel::sweep_chunked` call each) while the ghost exchange is in flight,
-/// then the boundary runs once it completes. On a locality-ordered mesh
-/// the interior is typically one long run with short boundary runs at the
-/// block edges.
-///
-/// Finally the rows carry a **degree index** for the sweep itself. The
+/// The rows also carry a **degree index** for the sweep. The
 /// irregular loop's cost on a cache-resident block is not its memory
 /// traffic but the exit of the variable-trip `for s in neighbors` loop,
 /// mispredicted whenever consecutive rows differ in degree — on an
@@ -399,16 +355,6 @@ pub struct TranslatedAdjacency {
     /// Per block, how many of its rows fall into each degree class — the
     /// lengths of the consecutive groups of its `order`.
     class_rows: Vec<[u16; TranslatedAdjacency::DEGREE_CLASSES]>,
-    /// Maximal `[start, end)` runs of consecutive interior vertices,
-    /// ascending and disjoint.
-    interior_runs: Vec<(u32, u32)>,
-    /// Maximal `[start, end)` runs of consecutive boundary vertices —
-    /// exactly the complement of `interior_runs` within `0..len()`.
-    boundary_runs: Vec<(u32, u32)>,
-    /// Total interior vertices (Σ run lengths).
-    interior_vertices: usize,
-    /// Total neighbor references made by interior vertices.
-    interior_refs: usize,
 }
 
 impl TranslatedAdjacency {
@@ -499,47 +445,6 @@ impl TranslatedAdjacency {
     pub fn num_refs(&self) -> usize {
         self.slots.len()
     }
-
-    /// Maximal runs of consecutive *interior* vertices (no ghost
-    /// references), as `start..end` local-index ranges, ascending. A sweep
-    /// over exactly these ranges touches no gathered data.
-    pub fn interior_runs(&self) -> impl Iterator<Item = std::ops::Range<usize>> + Clone + '_ {
-        self.interior_runs
-            .iter()
-            .map(|&(s, e)| s as usize..e as usize)
-    }
-
-    /// Maximal runs of consecutive *boundary* vertices (at least one ghost
-    /// reference), the complement of [`TranslatedAdjacency::interior_runs`].
-    pub fn boundary_runs(&self) -> impl Iterator<Item = std::ops::Range<usize>> + Clone + '_ {
-        self.boundary_runs
-            .iter()
-            .map(|&(s, e)| s as usize..e as usize)
-    }
-
-    /// Number of interior vertices.
-    #[inline]
-    pub fn num_interior(&self) -> usize {
-        self.interior_vertices
-    }
-
-    /// Number of boundary vertices.
-    #[inline]
-    pub fn num_boundary(&self) -> usize {
-        self.len() - self.interior_vertices
-    }
-
-    /// Total neighbor references made by interior vertices.
-    #[inline]
-    pub fn interior_refs(&self) -> usize {
-        self.interior_refs
-    }
-
-    /// Total neighbor references made by boundary vertices.
-    #[inline]
-    pub fn boundary_refs(&self) -> usize {
-        self.num_refs() - self.interior_refs
-    }
 }
 
 /// Translated row pointers are 32-bit: a rank with more references than
@@ -584,16 +489,6 @@ fn any_outside(refs: &[u32], start: u32, len: u32) -> bool {
     refs.iter().fold(false, |outside, &g| {
         outside | (g.wrapping_sub(start) >= len)
     })
-}
-
-/// Appends the local-vertex range `rows` to a list of maximal runs, growing
-/// the last run when `rows` continues it.
-#[inline]
-fn extend_run(runs: &mut Vec<(u32, u32)>, rows: std::ops::Range<usize>) {
-    match runs.last_mut() {
-        Some((_, end)) if *end == rows.start as u32 => *end = rows.end as u32,
-        _ => runs.push((rows.start as u32, rows.end as u32)),
-    }
 }
 
 /// Bound on pooled segment vectors in a [`ScheduleScratch`] — generous for
@@ -1108,80 +1003,6 @@ mod tests {
         // Vertex 5 (local 2): neighbors 4 (local 1) and 6 (ghost slot 1 → 4).
         assert_eq!(t.neighbors_of(2), &[1, 4]);
         assert_eq!(t.num_refs(), 6);
-    }
-
-    #[test]
-    fn interior_boundary_classification_on_path() {
-        // Rank 1 of the 9-path owns {3, 4, 5}: 3 and 5 each reference a
-        // ghost (2 and 6), 4 references only owned vertices.
-        let g = path_graph(9);
-        let part = BlockPartition::uniform(9, 3);
-        let adj = LocalAdjacency::extract(&g, &part, 1);
-        let (s, _) = build_schedule_symmetric(&part, &adj, 1, ScheduleStrategy::Sort2);
-        let t = s.translate_adjacency(&adj);
-        assert_eq!(t.num_interior(), 1);
-        assert_eq!(t.num_boundary(), 2);
-        assert_eq!(t.interior_runs().collect::<Vec<_>>(), vec![1..2]);
-        assert_eq!(t.boundary_runs().collect::<Vec<_>>(), vec![0..1, 2..3]);
-        // Vertex 4's two references (to 3 and 5) are the interior refs.
-        assert_eq!(t.interior_refs(), 2);
-        assert_eq!(t.boundary_refs(), t.num_refs() - 2);
-    }
-
-    /// The runs are a disjoint ascending cover of `0..len()`, every
-    /// interior vertex references only owned slots, every boundary vertex
-    /// references at least one ghost slot, and the counted refs match.
-    #[test]
-    fn classification_invariants_on_meshes() {
-        let g = meshgen::triangulated_grid(13, 9, 0.4, 8);
-        let part = BlockPartition::from_sizes(&[30, 40, 27, 20]);
-        for r in 0..4 {
-            let adj = LocalAdjacency::extract(&g, &part, r);
-            let (s, _) = build_schedule_symmetric(&part, &adj, r, ScheduleStrategy::Sort2);
-            let t = s.translate_adjacency(&adj);
-            let local_len = t.local_len();
-            let mut covered = vec![false; t.len()];
-            let mut interior_refs = 0usize;
-            for run in t.interior_runs() {
-                for l in run {
-                    assert!(!covered[l], "vertex {l} covered twice");
-                    covered[l] = true;
-                    assert!(
-                        t.neighbors_of(l).iter().all(|&s| s < local_len),
-                        "interior vertex {l} references a ghost"
-                    );
-                    interior_refs += t.degree_of(l);
-                }
-            }
-            for run in t.boundary_runs() {
-                for l in run {
-                    assert!(!covered[l], "vertex {l} covered twice");
-                    covered[l] = true;
-                    assert!(
-                        t.neighbors_of(l).iter().any(|&s| s >= local_len),
-                        "boundary vertex {l} references no ghost"
-                    );
-                }
-            }
-            assert!(covered.iter().all(|&c| c), "runs must cover every vertex");
-            assert_eq!(t.interior_refs(), interior_refs);
-            assert_eq!(t.num_interior() + t.num_boundary(), t.len());
-        }
-    }
-
-    #[test]
-    fn single_rank_is_all_interior() {
-        let g = path_graph(5);
-        let part = BlockPartition::uniform(5, 1);
-        let adj = LocalAdjacency::extract(&g, &part, 0);
-        let (s, _) = build_schedule_symmetric(&part, &adj, 0, ScheduleStrategy::Sort2);
-        let t = s.translate_adjacency(&adj);
-        assert_eq!(t.num_interior(), 5);
-        assert_eq!(t.num_boundary(), 0);
-        assert_eq!(t.interior_runs().collect::<Vec<_>>(), vec![0..5]);
-        assert_eq!(t.boundary_runs().count(), 0);
-        assert_eq!(t.interior_refs(), t.num_refs());
-        assert_eq!(t.boundary_refs(), 0);
     }
 
     #[test]

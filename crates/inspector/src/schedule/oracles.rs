@@ -3,8 +3,8 @@
 //! [`build_schedule_symmetric_with`] and
 //! [`CommSchedule::translate_adjacency_into`] replaced, kept as oracles,
 //! plus the tests that hold the replacements to them field for field —
-//! schedule, [`TranslatedAdjacency`] (runs, interior counts and the degree
-//! index included) and [`InspectorWork`], under both sort strategies.
+//! schedule, [`TranslatedAdjacency`] (the degree index included) and
+//! [`InspectorWork`], under both sort strategies.
 
 use std::collections::HashSet;
 
@@ -74,9 +74,9 @@ fn symmetric_oracle(
     (schedule, work)
 }
 
-/// Translation as it was: one `resolve` and one `push` per reference, one
-/// run update per row — and the degree index by its definition, a stable
-/// sort of each block's row numbers on `min(degree, 9)`.
+/// Translation as it was: one `resolve` and one `push` per reference — and
+/// the degree index by its definition, a stable sort of each block's row
+/// numbers on `min(degree, 9)`.
 fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
     let local_len = schedule.interval.len() as u32;
     let mut order = Vec::new();
@@ -98,36 +98,15 @@ fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Translated
         slots: Vec::new(),
         order,
         class_rows,
-        interior_runs: Vec::new(),
-        boundary_runs: Vec::new(),
-        interior_vertices: 0,
-        interior_refs: 0,
     };
     for l in 0..adj.len() {
-        let mut references_ghost = false;
         for &g in adj.neighbors_of(l) {
-            let combined = match schedule.resolve(g) {
+            out.slots.push(match schedule.resolve(g) {
                 LocalRef::Local(i) => i,
-                LocalRef::Ghost(s) => {
-                    references_ghost = true;
-                    local_len + s
-                }
-            };
-            out.slots.push(combined);
+                LocalRef::Ghost(s) => local_len + s,
+            });
         }
-        let degree = out.slots.len() - out.xadj[l] as usize;
         out.xadj.push(out.slots.len() as u32);
-        let runs = if references_ghost {
-            &mut out.boundary_runs
-        } else {
-            out.interior_vertices += 1;
-            out.interior_refs += degree;
-            &mut out.interior_runs
-        };
-        match runs.last_mut() {
-            Some((_, end)) if *end == l as u32 => *end = l as u32 + 1,
-            _ => runs.push((l as u32, l as u32 + 1)),
-        }
     }
     out
 }
@@ -149,8 +128,6 @@ fn stale_storage(tadj: &TranslatedAdjacency, larger: bool) -> TranslatedAdjacenc
     resize(&mut out.slots, larger, 7);
     resize(&mut out.order, larger, 7);
     resize(&mut out.class_rows, larger, [7; 10]);
-    resize(&mut out.interior_runs, larger, (7, 8));
-    resize(&mut out.boundary_runs, larger, (8, 9));
     out
 }
 
@@ -306,7 +283,8 @@ fn block_lengths_around_the_chunk_size() {
     }
 }
 
-/// Isolated vertices are interior rows, whether their chunk is or not.
+/// Isolated vertices translate like any other row, whether their chunk
+/// holds a boundary row or not.
 #[test]
 fn rows_of_degree_zero() {
     // A 1200-path with every 7th vertex cut out of it, plus a block made of
@@ -323,8 +301,7 @@ fn rows_of_degree_zero() {
     let adj = LocalAdjacency::extract(&g, &partition, 2);
     assert_eq!(adj.num_refs(), 0);
     let tadj = assert_matches_oracles(&partition, &adj, 2);
-    assert_eq!(tadj.num_interior(), 97);
-    assert_eq!(tadj.interior_runs().collect::<Vec<_>>(), vec![0..97]);
+    assert_eq!((tadj.len(), tadj.num_refs()), (97, 0));
 }
 
 /// A shuffled numbering has no locality: every chunk holds a boundary row
@@ -364,19 +341,13 @@ fn lone_off_block_reference_at_a_chunk_edge() {
         1
     );
     let tadj = assert_matches_oracles(&partition, &adj, 0);
-    assert_eq!(
-        tadj.boundary_runs().collect::<Vec<_>>(),
-        vec![BLOCK_ROWS - 1..BLOCK_ROWS]
-    );
+    let ghost = tadj.local_len();
+    assert_eq!(tadj.neighbors_of(BLOCK_ROWS - 1), [ghost - 2, ghost]);
     // Rank 1: chunk 0 opens with the off-block reference, chunk 1 (one
-    // row) is interior and continues chunk 0's interior run.
+    // row) holds none.
     let adj = LocalAdjacency::extract(&g, &partition, 1);
     let tadj = assert_matches_oracles(&partition, &adj, 1);
-    assert_eq!(tadj.boundary_runs().collect::<Vec<_>>(), vec![0..1]);
-    assert_eq!(
-        tadj.interior_runs().collect::<Vec<_>>(),
-        vec![1..BLOCK_ROWS + 1]
-    );
+    assert_eq!(tadj.neighbors_of(0), [tadj.local_len(), 1]);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use stance_sim::launch::BarrierShared;
 use stance_sim::mailbox::{MailboxReceiver, MailboxSender, TagBuffer, Tagged};
 use stance_sim::time::VTime;
 use stance_sim::wait::deadline_after;
-use stance_sim::{Comm, Payload, RecvRequest, Tag};
+use stance_sim::{Comm, Payload, Tag};
 
 /// A message between two native ranks: no arrival stamp — delivery is
 /// whenever the receiving thread gets to it.
@@ -121,21 +121,6 @@ impl Comm for NativeComm {
         // a no-op (see `BarrierShared`); only the synchronization and the
         // poison semantics remain.
         let _ = self.barrier.wait(VTime::ZERO);
-    }
-
-    // `isend`/`irecv`/`wait_recv` use the trait defaults: mailbox sends
-    // are already buffered-and-immediate (the sender thread never blocks),
-    // so posting a send *is* completing it, and `wait_recv` is the
-    // ordinary tag-matched blocking receive. The overlap is real: between
-    // the post and the wait this rank's OS thread runs application code
-    // while peer threads push into its warm mailboxes.
-
-    /// Genuine nonblocking probe: drains whatever has physically arrived
-    /// from the peer into the tag buffer and reports whether the matching
-    /// message is among it. Never blocks, never consumes.
-    fn test_recv(&mut self, req: &RecvRequest) -> bool {
-        self.pending
-            .poll_matching(&mut self.rxs[req.src()], req.src(), req.tag())
     }
 
     /// Lossy send: a terminated receiver yields `false` instead of the

@@ -4,13 +4,15 @@
 //! gather/scatter primitives, the load balancer's redistribution and
 //! controller protocol, the inspector's "simple" strategy, the adaptive
 //! session — is written against this trait instead of a concrete backend.
-//! Two backends implement it:
+//! Three backends implement it:
 //!
 //! * [`Env`](crate::Env) — the deterministic virtual-time simulator in this
 //!   crate (one thread per simulated workstation, cost-modelled clocks);
 //! * `NativeComm` (crate `stance-native`) — one real OS thread per rank with
 //!   wall-clock timing, for running the same SPMD programs on actual
-//!   hardware.
+//!   hardware;
+//! * `TcpComm` (crate `stance-tcp`) — one OS process per rank over loopback
+//!   or real sockets, also on wall-clock time.
 //!
 //! The trait is the paper's §2 SPMD messaging contract: point-to-point
 //! tagged send/receive with per-(source, destination) FIFO order, a
@@ -35,105 +37,8 @@
 //! simulator overrides them only to refine *cost* accounting (e.g.
 //! hardware multicast), never the data movement order — the cross-backend
 //! equivalence tests pin this.
-//!
-//! ## Nonblocking point-to-point (split-phase communication)
-//!
-//! [`Comm::isend`] and [`Comm::irecv`] split a message transfer into a
-//! *post* and a *completion* so the caller can compute while bytes are in
-//! flight — the classic inspector/executor latency-hiding step the
-//! executor's split-phase gather is built on. The handles are small `Copy`
-//! records ([`SendRequest`], [`RecvRequest`]): posting allocates nothing,
-//! and callers that keep many requests outstanding (the executor) park
-//! them in a recycled pool.
-//!
-//! Semantics, shared by every backend:
-//!
-//! * `isend` is a **buffered** send: the payload is handed to the
-//!   transport at post time and the operation is complete immediately
-//!   ([`Comm::wait_send`] never blocks). Posted sends join the same
-//!   per-(source, destination) FIFO stream as blocking sends — mixing the
-//!   two preserves order.
-//! * `irecv` *posts* a receive; [`Comm::wait_recv`] blocks until the
-//!   matching message arrives and returns it. Multiple requests may be
-//!   outstanding, on the same or different `(source, tag)` streams; each
-//!   `wait_recv` delivers the next matching message in FIFO order, and
-//!   requests on different tags are isolated exactly as blocking receives
-//!   are.
-//! * [`Comm::test_recv`] is an advisory probe: `true` means the matching
-//!   message has arrived and `wait_recv` will return without waiting.
-//!   `false` means "not yet" — completion is only ever *claimed* by
-//!   `wait_recv`. The trait default conservatively reports `false`; both
-//!   in-tree backends override it with a real probe.
-//!
-//! What a backend's *clock* does at completion is backend-specific: the
-//! simulator completes a `wait_recv` at `max(now, modelled arrival)` (plus
-//! the receive overhead), so compute performed between post and wait hides
-//! communication in virtual time exactly as it would on real hardware; the
-//! native backend simply blocks until the peer's send lands, so the
-//! overlap is real wall-clock overlap across OS threads.
 
 use crate::payload::{Payload, Tag};
-
-/// Handle to a posted nonblocking send. Plain `Copy` data — posting a
-/// send never allocates. Sends are buffered (complete at post time), so
-/// the handle exists for API symmetry and forward compatibility with
-/// backends that acknowledge delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendRequest {
-    dst: usize,
-    tag: Tag,
-}
-
-impl SendRequest {
-    /// A handle for a send posted to `dst` with `tag` (backends that
-    /// override [`Comm::isend`] construct these).
-    pub fn new(dst: usize, tag: Tag) -> Self {
-        SendRequest { dst, tag }
-    }
-
-    /// The destination rank the send was posted to.
-    #[inline]
-    pub fn dst(&self) -> usize {
-        self.dst
-    }
-
-    /// The tag the send was posted with.
-    #[inline]
-    pub fn tag(&self) -> Tag {
-        self.tag
-    }
-}
-
-/// Handle to a posted nonblocking receive. Plain `Copy` data — posting a
-/// receive never allocates, so callers with many outstanding requests
-/// (the executor's split-phase gather) can pool and recycle them freely.
-///
-/// Requests on one `(source, tag)` stream are interchangeable: each
-/// [`Comm::wait_recv`] delivers the stream's next message in FIFO order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvRequest {
-    src: usize,
-    tag: Tag,
-}
-
-impl RecvRequest {
-    /// A handle for a receive posted for `src`'s messages carrying `tag`.
-    pub fn new(src: usize, tag: Tag) -> Self {
-        RecvRequest { src, tag }
-    }
-
-    /// The source rank the receive was posted for.
-    #[inline]
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
-    /// The tag the receive was posted for.
-    #[inline]
-    pub fn tag(&self) -> Tag {
-        self.tag
-    }
-}
 
 /// One rank's handle onto its cluster: the SPMD communication interface
 /// every backend provides. See the [module docs](self) for the contract.
@@ -181,77 +86,12 @@ pub trait Comm {
     /// Synchronizes all ranks. Collective.
     fn barrier(&mut self);
 
-    /// Posts a nonblocking (buffered) send of `payload` to `dst` with
-    /// `tag`. The payload is handed to the transport immediately and the
-    /// operation is complete at post time; the returned handle is consumed
-    /// by [`Comm::wait_send`]. Posted sends join the same per-(source,
-    /// destination) FIFO stream as blocking [`Comm::send`]s.
-    ///
-    /// Cost accounting matches `send`: a cost-modelling backend charges
-    /// the per-message setup at post time and stamps the arrival from the
-    /// post-completion clock — which is exactly what lets compute after
-    /// the post hide the transfer.
-    ///
-    /// # Panics
-    /// Panics if `dst` is out of range.
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Payload) -> SendRequest {
-        self.send(dst, tag, payload);
-        SendRequest::new(dst, tag)
-    }
-
-    /// Posts a nonblocking receive for the next message from `src`
-    /// carrying `tag`. Returns immediately; the message is claimed by
-    /// [`Comm::wait_recv`]. Any number of requests may be outstanding —
-    /// per-(source, tag) FIFO order and tag isolation hold exactly as for
-    /// blocking receives.
-    ///
-    /// # Panics
-    /// Panics if `src` is out of range.
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
-        assert!(
-            src < self.size(),
-            "irecv from rank {src} of {}",
-            self.size()
-        );
-        RecvRequest::new(src, tag)
-    }
-
-    /// Completes a posted send. Sends are buffered, so this never blocks;
-    /// it exists so split-phase code reads symmetrically and so a future
-    /// backend with genuine send completion has a hook.
-    fn wait_send(&mut self, _req: SendRequest) {}
-
-    /// Completes a posted receive: blocks until the matching message
-    /// arrives and returns its payload. On a cost-modelling backend the
-    /// clock completes at `max(now, modelled arrival)` plus the receive
-    /// overhead — compute performed between [`Comm::irecv`] and this call
-    /// therefore hides the transfer.
-    ///
-    /// # Panics
-    /// Panics if the sender terminates without ever sending a matching
-    /// message (a deadlocked protocol is a bug).
-    fn wait_recv(&mut self, req: RecvRequest) -> Payload {
-        self.recv(req.src(), req.tag())
-    }
-
-    /// Advisory probe of a posted receive: `true` means the matching
-    /// message has arrived and [`Comm::wait_recv`] will not wait. The
-    /// probe never consumes the message and charges no time. This default
-    /// conservatively reports `false` (completion is only claimed by
-    /// `wait_recv`); both in-tree backends override it — the native
-    /// backend with a genuine nonblocking mailbox poll, the simulator
-    /// with a deterministic virtual-time check (see `Env::test_recv`'s
-    /// documentation for the blocking caveat that keeps it deterministic).
-    fn test_recv(&mut self, _req: &RecvRequest) -> bool {
-        false
-    }
-
     /// **Lossy** send: like [`Comm::send`] but, where `send` panics if the
     /// receiving rank has terminated, `post` reports it by returning
     /// `false` (and delivers nothing). This is the failure detector's send
     /// primitive — heartbeats and verdict exchanges must survive a dead
     /// peer. The default delegates to `send` (correct for any backend on
-    /// which `send` cannot observe peer death); both in-tree backends
+    /// which `send` cannot observe peer death); all three in-tree backends
     /// override it with a genuinely non-panicking enqueue.
     ///
     /// # Panics
@@ -273,7 +113,7 @@ pub trait Comm {
     /// `timeout_secs` to its virtual clock on a timeout (deterministic —
     /// the wait really cost that long); the native backend waits in wall
     /// time. The default delegates to the blocking `recv` (no timeout) so
-    /// third-party `Comm` impls keep compiling; both in-tree backends
+    /// third-party `Comm` impls keep compiling; all three in-tree backends
     /// override it.
     ///
     /// # Panics
@@ -299,7 +139,7 @@ pub trait Comm {
     /// panicking peer). On `false` this rank has withdrawn its arrival,
     /// so the barrier state stays consistent. Collective among the ranks
     /// that do arrive. The default delegates to the blocking `barrier`
-    /// and returns `true`; both in-tree backends override it.
+    /// and returns `true`; all three in-tree backends override it.
     fn barrier_deadline(&mut self, _timeout_secs: f64) -> bool {
         self.barrier();
         true
@@ -402,7 +242,7 @@ pub trait Comm {
 
 #[cfg(test)]
 mod tests {
-    // The trait's default collectives are exercised against both backends
+    // The trait's default collectives are exercised against every backend
     // by the workspace-level `tests/comm_conformance.rs` suite; `Env`'s
     // implementation is covered by `cluster.rs` tests.
 }

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use crate::comm::{Comm, RecvRequest};
+use crate::comm::Comm;
 use crate::launch::BarrierShared;
 use crate::machine::MachineSpec;
 use crate::mailbox::{MailboxReceiver, MailboxSender, TagBuffer, Tagged};
@@ -371,37 +371,6 @@ impl Comm for Env {
 
     fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
         Env::multicast(self, dsts, tag, payload);
-    }
-
-    // `isend`/`irecv`/`wait_recv` use the trait defaults, which is the
-    // whole point of the virtual-time design: `isend` delegates to `send`
-    // (setup charged at post time, arrival stamped from the post-completion
-    // clock) and `wait_recv` delegates to `recv` (clock completes at
-    // `max(now, arrival)` + receive overhead). Compute charged between the
-    // post and the wait therefore advances the clock past the arrival
-    // stamp, and the wait costs nothing — communication hidden behind
-    // computation, visible in the cost model with no new charging rules.
-
-    /// Deterministic virtual-time probe: `true` iff the matching message's
-    /// modelled arrival is at or before this rank's current virtual clock.
-    /// The probe charges no time and consumes nothing.
-    ///
-    /// To stay deterministic it must read the message's arrival stamp, so
-    /// it blocks *in host time* until the peer's send has physically
-    /// executed (host-thread progress is not observable in virtual time —
-    /// returning "not ready" just because the peer's OS thread is behind
-    /// would make results depend on host scheduling). Virtual-time
-    /// semantics are unaffected: in simulated time the probe is
-    /// instantaneous.
-    ///
-    /// # Panics
-    /// Panics if the sender terminates without ever sending a matching
-    /// message, exactly as [`Env::recv`] does.
-    fn test_recv(&mut self, req: &RecvRequest) -> bool {
-        let msg =
-            self.pending
-                .peek_matching(&mut self.rxs[req.src()], self.rank, req.src(), req.tag());
-        msg.arrival <= self.clock
     }
 
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {

@@ -91,7 +91,7 @@ pub mod time;
 pub mod wait;
 
 pub use cluster::{Cluster, ClusterSpec, RankReport, RunReport};
-pub use comm::{Comm, RecvRequest, SendRequest};
+pub use comm::Comm;
 pub use env::Env;
 pub use machine::{LoadPhase, LoadTimeline, MachineSpec};
 pub use network::{NetworkKind, NetworkSpec};

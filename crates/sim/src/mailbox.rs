@@ -156,50 +156,6 @@ impl<T: Tagged> TagBuffer<T> {
         }
     }
 
-    /// Like [`TagBuffer::recv_matching`] but **leaves the message in the
-    /// buffer**: blocks (in host time) until a message from `src` carrying
-    /// `tag` is physically available, then returns a reference to it. The
-    /// next matching `recv_matching` will deliver exactly this message
-    /// (per-tag FIFO order is preserved — mismatches pulled in while
-    /// waiting are buffered in arrival order).
-    ///
-    /// This is what the simulator's `Comm::test_recv` builds on: the
-    /// *virtual-time* readiness decision needs the message's modelled
-    /// arrival stamp, which requires the message to be physically present —
-    /// blocking for it keeps the probe deterministic (see
-    /// `Env`'s `test_recv`).
-    ///
-    /// # Panics
-    /// Panics if `src`'s mailbox disconnects before a matching message
-    /// arrives — probing for a message that can never come is a protocol
-    /// bug, exactly as with a blocking receive.
-    pub fn peek_matching<S: MsgSource<T>>(
-        &mut self,
-        rx: &mut S,
-        rank: usize,
-        src: usize,
-        tag: Tag,
-    ) -> &T {
-        if self.pending[src].iter().all(|m| m.tag() != tag) {
-            loop {
-                let msg = rx.recv_msg().unwrap_or_else(|_disconnected| {
-                    panic!(
-                        "rank {rank} probing for tag {tag:?} from rank {src}, but the sender exited"
-                    )
-                });
-                let matched = msg.tag() == tag;
-                self.pending[src].push_back(msg);
-                if matched {
-                    break;
-                }
-            }
-        }
-        self.pending[src]
-            .iter()
-            .find(|m| m.tag() == tag)
-            .expect("a matching message was just ensured")
-    }
-
     /// Deadline-bounded variant of [`TagBuffer::recv_matching`]: returns
     /// the next matching message if one arrives before `deadline`, or the
     /// reason it could not ([`RecvTimeoutError::Disconnected`] the moment
@@ -232,7 +188,6 @@ impl<T: Tagged> TagBuffer<T> {
     /// into the pending buffer (preserving arrival order), then reports
     /// whether one from `src` carrying `tag` is available. Never blocks and
     /// never consumes — a following `recv_matching` delivers the message.
-    /// This is the wall-clock backend's `Comm::test_recv`.
     pub fn poll_matching<S: MsgSource<T>>(&mut self, rx: &mut S, src: usize, tag: Tag) -> bool {
         while let Some(msg) = rx.try_recv_msg() {
             self.pending[src].push_back(msg);
@@ -564,20 +519,6 @@ mod tests {
         // After disconnect with an empty queue, a probe still reports
         // "nothing available" rather than erroring.
         assert!(rx.try_recv().is_none());
-    }
-
-    #[test]
-    fn peek_matching_does_not_consume() {
-        let (tx, mut rx) = mailbox::<Msg>();
-        let mut buf = TagBuffer::new(1);
-        tx.send(msg(9)).unwrap();
-        tx.send(msg(5)).unwrap();
-        // Peeking for tag 5 buffers the tag-9 message ahead of it.
-        assert_eq!(buf.peek_matching(&mut rx, 0, 0, Tag(5)).tag, Tag(5));
-        assert_eq!(buf.peek_matching(&mut rx, 0, 0, Tag(5)).tag, Tag(5));
-        // Both messages are still deliverable, in per-tag FIFO order.
-        assert_eq!(buf.recv_matching(&mut rx, 0, 0, Tag(5)).tag, Tag(5));
-        assert_eq!(buf.recv_matching(&mut rx, 0, 0, Tag(9)).tag, Tag(9));
     }
 
     #[test]

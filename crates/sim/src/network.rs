@@ -15,15 +15,6 @@
 //!
 //! Multicast (§3.6 of the paper) lets one send reach many destinations for a
 //! single setup + transmission cost, as Ethernet broadcast frames do.
-//!
-//! Nonblocking operations add **no new timing rules**: an `isend` charges
-//! the same setup and stamps the same arrival as a blocking send, and a
-//! posted receive completes at `max(now, arrival)` plus the receive
-//! overhead — exactly what a blocking receive would have paid had it been
-//! issued at the wait point. Communication→computation overlap therefore
-//! falls out of the existing model (compute charged between post and wait
-//! advances the clock past the arrival stamp), and the synchronous path's
-//! charging is untouched.
 
 use std::sync::Mutex;
 

@@ -16,7 +16,7 @@
 //! only (gather-to-leader + release broadcast on the reserved
 //! [`TAG_SHRINK`] tag).
 
-use crate::comm::{Comm, RecvRequest, SendRequest};
+use crate::comm::Comm;
 use crate::payload::{Payload, Tag};
 use crate::tags::TAG_SHRINK;
 
@@ -144,38 +144,6 @@ impl<C: Comm> Comm for SurvivorComm<'_, C> {
             self.send(0, TAG_SHRINK, token);
             let _ = self.recv(0, TAG_SHRINK);
         }
-    }
-
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Payload) -> SendRequest {
-        let old_dst = self.old(dst);
-        self.inner.isend(old_dst, tag, payload);
-        // The caller's handle stays in survivor space so a later
-        // `wait_send` through this adapter remains consistent.
-        SendRequest::new(dst, tag)
-    }
-
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
-        assert!(
-            src < self.survivors.len(),
-            "irecv from rank {src} of {}",
-            self.survivors.len()
-        );
-        RecvRequest::new(src, tag)
-    }
-
-    fn wait_send(&mut self, req: SendRequest) {
-        self.inner
-            .wait_send(SendRequest::new(self.old(req.dst()), req.tag()));
-    }
-
-    fn wait_recv(&mut self, req: RecvRequest) -> Payload {
-        let src = self.old(req.src());
-        self.inner.wait_recv(RecvRequest::new(src, req.tag()))
-    }
-
-    fn test_recv(&mut self, req: &RecvRequest) -> bool {
-        let translated = RecvRequest::new(self.old(req.src()), req.tag());
-        self.inner.test_recv(&translated)
     }
 
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {

@@ -58,7 +58,7 @@ use stance_sim::comm::Comm;
 use stance_sim::mailbox::{RecvTimeoutError, TagBuffer, Tagged};
 use stance_sim::tags::TAG_TCP_BARRIER;
 use stance_sim::wait::deadline_after;
-use stance_sim::{Payload, RecvRequest, Tag};
+use stance_sim::{Payload, Tag};
 
 use crate::link::{PeerLink, TcpMsg};
 use crate::wire::WireError;
@@ -453,14 +453,6 @@ impl Comm for TcpComm {
     fn barrier(&mut self) {
         let released = self.barrier_impl(None);
         debug_assert!(released, "unbounded barrier always releases");
-    }
-
-    fn test_recv(&mut self, req: &RecvRequest) -> bool {
-        if req.src() == self.rank {
-            return self.selfq.iter().any(|m| m.tag() == req.tag());
-        }
-        let link = self.links[req.src()].as_mut().expect("src is a peer");
-        self.pending.poll_matching(link, req.src(), req.tag())
     }
 
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {

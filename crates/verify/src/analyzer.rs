@@ -2,10 +2,8 @@
 //!
 //! The analyzer replays every rank's [`RankTrace`] and matches traffic
 //! per `(source, destination, tag)` stream — the FIFO unit of the
-//! [`Comm`](stance_sim::Comm) contract. Blocking and nonblocking events
-//! on one stream are matched together, exactly as the transport orders
-//! them. Each event's barrier epoch is recomputed from the `Barrier`
-//! events preceding it in its trace.
+//! [`Comm`](stance_sim::Comm) contract. Each event's barrier epoch is
+//! recomputed from the `Barrier` events preceding it in its trace.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -20,8 +18,7 @@ type Stream = (usize, usize, u32);
 
 /// Analyzes a full set of per-rank traces and returns every protocol
 /// violation found: unmatched sends, receives no in-flight message could
-/// satisfy, payload kind/size corruption, send/receive requests never
-/// waited (or waited without a post), barrier arity mismatches, and
+/// satisfy, payload kind/size corruption, barrier arity mismatches, and
 /// matched pairs whose receive completed in an earlier barrier epoch
 /// than the send was posted in.
 pub fn analyze_traces(traces: &[RankTrace]) -> Vec<Diagnostic> {
@@ -30,8 +27,6 @@ pub fn analyze_traces(traces: &[RankTrace]) -> Vec<Diagnostic> {
     // Replay each trace once, bucketing events by stream.
     let mut sends: BTreeMap<Stream, Vec<(PayloadShape, u32)>> = BTreeMap::new();
     let mut recvs: BTreeMap<Stream, Vec<(PayloadShape, u32)>> = BTreeMap::new();
-    let mut send_posts: BTreeMap<Stream, (usize, usize)> = BTreeMap::new(); // (isends, waits)
-    let mut recv_posts: BTreeMap<Stream, (usize, usize)> = BTreeMap::new(); // (irecvs, waits)
     let mut barriers: Vec<(usize, u32)> = Vec::new();
     // (rank, tag) pairs caught using a reserved tag the runtime does not
     // register — one diagnostic per pair, not per event.
@@ -40,10 +35,7 @@ pub fn analyze_traces(traces: &[RankTrace]) -> Vec<Diagnostic> {
         let mut epoch = 0u32;
         for ev in &t.events {
             let tag_of = match *ev {
-                TraceEvent::Send { tag, .. }
-                | TraceEvent::Recv { tag, .. }
-                | TraceEvent::RecvPosted { tag, .. }
-                | TraceEvent::SendWaited { tag, .. } => Some(tag),
+                TraceEvent::Send { tag, .. } | TraceEvent::Recv { tag, .. } => Some(tag),
                 TraceEvent::Barrier => None,
             };
             if let Some(tag) = tag_of {
@@ -52,39 +44,17 @@ pub fn analyze_traces(traces: &[RankTrace]) -> Vec<Diagnostic> {
                 }
             }
             match *ev {
-                TraceEvent::Send {
-                    dst,
-                    tag,
-                    shape,
-                    nonblocking,
-                } => {
+                TraceEvent::Send { dst, tag, shape } => {
                     sends
                         .entry((t.rank, dst, tag.0))
                         .or_default()
                         .push((shape, epoch));
-                    if nonblocking {
-                        send_posts.entry((t.rank, dst, tag.0)).or_default().0 += 1;
-                    }
                 }
-                TraceEvent::Recv {
-                    src,
-                    tag,
-                    shape,
-                    via_wait,
-                } => {
+                TraceEvent::Recv { src, tag, shape } => {
                     recvs
                         .entry((src, t.rank, tag.0))
                         .or_default()
                         .push((shape, epoch));
-                    if via_wait {
-                        recv_posts.entry((src, t.rank, tag.0)).or_default().1 += 1;
-                    }
-                }
-                TraceEvent::RecvPosted { src, tag } => {
-                    recv_posts.entry((src, t.rank, tag.0)).or_default().0 += 1;
-                }
-                TraceEvent::SendWaited { dst, tag } => {
-                    send_posts.entry((t.rank, dst, tag.0)).or_default().1 += 1;
                 }
                 TraceEvent::Barrier => epoch += 1,
             }
@@ -205,44 +175,6 @@ pub fn analyze_traces(traces: &[RankTrace]) -> Vec<Diagnostic> {
             );
         }
     }
-
-    // Request-handle accounting, per stream.
-    for (&(src, dst, tag), &(posted, waited)) in &send_posts {
-        if posted != waited {
-            let detail = if posted > waited {
-                format!(
-                    "{} of {posted} send requests to rank {dst} were never waited",
-                    posted - waited
-                )
-            } else {
-                format!("{waited} wait_send calls for only {posted} posted sends to rank {dst}")
-            };
-            diags.push(
-                Diagnostic::new(DiagnosticKind::LeakedSendRequest, src, detail)
-                    .with_peer(dst)
-                    .with_tag(stance_sim::Tag(tag)),
-            );
-        }
-    }
-    for (&(src, dst, tag), &(posted, waited)) in &recv_posts {
-        if posted != waited {
-            let detail = if posted > waited {
-                format!(
-                    "{} of {posted} receive requests for rank {src} were never waited",
-                    posted - waited
-                )
-            } else {
-                format!(
-                    "{waited} wait_recv calls for only {posted} posted receives from rank {src}"
-                )
-            };
-            diags.push(
-                Diagnostic::new(DiagnosticKind::LeakedRecvRequest, dst, detail)
-                    .with_peer(src)
-                    .with_tag(stance_sim::Tag(tag)),
-            );
-        }
-    }
     diags
 }
 
@@ -270,7 +202,6 @@ mod tests {
             dst,
             tag: Tag(tag),
             shape: shape(bytes),
-            nonblocking: false,
         }
     }
 
@@ -279,7 +210,6 @@ mod tests {
             src,
             tag: Tag(tag),
             shape: shape(bytes),
-            via_wait: false,
         }
     }
 

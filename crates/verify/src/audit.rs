@@ -436,11 +436,9 @@ pub fn check_deadlock(ops: &[Vec<CommOp>]) -> Vec<Diagnostic> {
 }
 
 /// Audits one rank's translated adjacency against its schedule and raw
-/// adjacency — purely local, no communication. Recomputes each vertex's
-/// interior/boundary class from the raw references and the partition
-/// interval and compares it against the classification the translation
-/// recorded; also checks that every off-interval reference was actually
-/// scheduled as a ghost, and that the degree index the sweep visits rows
+/// adjacency — purely local, no communication. Checks that the shapes
+/// agree, that every off-interval reference was actually scheduled as a
+/// ghost, and that the degree index the sweep visits rows
 /// by is what the adjacency's degrees say it must be: each block's order
 /// a permutation of its rows, the class sizes summing to the block, every
 /// row filed under its own degree, each class ascending.
@@ -467,40 +465,18 @@ pub fn audit_translation(
         ));
         return diags;
     }
-    let mut interior = vec![false; tadj.len()];
-    for run in tadj.interior_runs() {
-        for flag in &mut interior[run] {
-            *flag = true;
-        }
-    }
-    for (l, &is_interior) in interior.iter().enumerate().take(adj.len()) {
-        let mut references_ghost = false;
+    for l in 0..adj.len() {
         for &g in adj.neighbors_of(l) {
-            if !iv.contains(g as usize) {
-                references_ghost = true;
-                if schedule.ghost_slot(g).is_none() {
-                    diags.push(Diagnostic::new(
-                        DiagnosticKind::ClassificationMismatch,
-                        rank,
-                        format!(
-                            "vertex {l} of {iv} references global {g}, which the \
-                             schedule never fetches"
-                        ),
-                    ));
-                }
+            if !iv.contains(g as usize) && schedule.ghost_slot(g).is_none() {
+                diags.push(Diagnostic::new(
+                    DiagnosticKind::ClassificationMismatch,
+                    rank,
+                    format!(
+                        "vertex {l} of {iv} references global {g}, which the \
+                         schedule never fetches"
+                    ),
+                ));
             }
-        }
-        if is_interior == references_ghost {
-            let (is, should) = if references_ghost {
-                ("interior", "boundary")
-            } else {
-                ("boundary", "interior")
-            };
-            diags.push(Diagnostic::new(
-                DiagnosticKind::ClassificationMismatch,
-                rank,
-                format!("vertex {l} of {iv} is classified {is} but is {should}"),
-            ));
         }
     }
     audit_degree_index(schedule, adj, tadj, &mut diags);

@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use stance_sim::{Comm, Payload, RecvRequest, SendRequest, Tag};
+use stance_sim::{Comm, Payload, Tag};
 
 /// Global count of [`CheckedComm`] constructions, for pinning that
 /// verification machinery is never engaged unless enabled (see
@@ -76,7 +76,7 @@ impl PayloadShape {
 /// preceding it in the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A blocking `send` or a posted `isend`.
+    /// A `send` (or an accepted `post`).
     Send {
         /// Destination rank.
         dst: usize,
@@ -84,10 +84,8 @@ pub enum TraceEvent {
         tag: Tag,
         /// Payload shape at the send side.
         shape: PayloadShape,
-        /// Whether this was an `isend` (needs a matching `wait_send`).
-        nonblocking: bool,
     },
-    /// A completed receive — a blocking `recv` or a `wait_recv`.
+    /// A completed receive.
     Recv {
         /// Source rank.
         src: usize,
@@ -95,22 +93,6 @@ pub enum TraceEvent {
         tag: Tag,
         /// Payload shape at the receive side.
         shape: PayloadShape,
-        /// Whether this receive completed a posted request (`wait_recv`).
-        via_wait: bool,
-    },
-    /// An `irecv` post (needs a matching `wait_recv`).
-    RecvPosted {
-        /// Source rank.
-        src: usize,
-        /// Message tag.
-        tag: Tag,
-    },
-    /// A `wait_send` completing a posted send.
-    SendWaited {
-        /// Destination rank.
-        dst: usize,
-        /// Message tag.
-        tag: Tag,
     },
     /// A cluster-wide barrier (advances this rank's epoch).
     Barrier,
@@ -141,45 +123,19 @@ impl RankTrace {
     /// Serializes the trace to a `u32` payload (for gathering traces to
     /// one place for analysis).
     pub fn to_payload(&self) -> Payload {
-        let mut w: Vec<u32> = Vec::with_capacity(3 + self.events.len() * 6);
+        let mut w: Vec<u32> = Vec::with_capacity(3 + self.events.len() * 5);
         w.push(self.rank as u32);
         w.push(self.size as u32);
         w.push(self.events.len() as u32);
         for ev in &self.events {
             match *ev {
-                TraceEvent::Send {
-                    dst,
-                    tag,
-                    shape,
-                    nonblocking,
-                } => {
-                    w.extend([
-                        0,
-                        dst as u32,
-                        tag.0,
-                        u32::from(shape.kind),
-                        shape.bytes,
-                        u32::from(nonblocking),
-                    ]);
+                TraceEvent::Send { dst, tag, shape } => {
+                    w.extend([0, dst as u32, tag.0, u32::from(shape.kind), shape.bytes]);
                 }
-                TraceEvent::Recv {
-                    src,
-                    tag,
-                    shape,
-                    via_wait,
-                } => {
-                    w.extend([
-                        1,
-                        src as u32,
-                        tag.0,
-                        u32::from(shape.kind),
-                        shape.bytes,
-                        u32::from(via_wait),
-                    ]);
+                TraceEvent::Recv { src, tag, shape } => {
+                    w.extend([1, src as u32, tag.0, u32::from(shape.kind), shape.bytes]);
                 }
-                TraceEvent::RecvPosted { src, tag } => w.extend([2, src as u32, tag.0, 0, 0, 0]),
-                TraceEvent::SendWaited { dst, tag } => w.extend([3, dst as u32, tag.0, 0, 0, 0]),
-                TraceEvent::Barrier => w.extend([4, 0, 0, 0, 0, 0]),
+                TraceEvent::Barrier => w.extend([2, 0, 0, 0, 0]),
             }
         }
         Payload::from_u32(w)
@@ -195,9 +151,8 @@ impl RankTrace {
         let size = w[1] as usize;
         let count = w[2] as usize;
         let mut events = Vec::with_capacity(count);
-        for chunk in w[3..3 + count * 6].chunks_exact(6) {
-            let [op, peer, tag, kind, bytes, flag] =
-                [chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5]];
+        for chunk in w[3..3 + count * 5].chunks_exact(5) {
+            let [op, peer, tag, kind, bytes] = [chunk[0], chunk[1], chunk[2], chunk[3], chunk[4]];
             let shape = PayloadShape {
                 kind: kind as u8,
                 bytes,
@@ -207,23 +162,13 @@ impl RankTrace {
                     dst: peer as usize,
                     tag: Tag(tag),
                     shape,
-                    nonblocking: flag != 0,
                 },
                 1 => TraceEvent::Recv {
                     src: peer as usize,
                     tag: Tag(tag),
                     shape,
-                    via_wait: flag != 0,
                 },
-                2 => TraceEvent::RecvPosted {
-                    src: peer as usize,
-                    tag: Tag(tag),
-                },
-                3 => TraceEvent::SendWaited {
-                    dst: peer as usize,
-                    tag: Tag(tag),
-                },
-                4 => TraceEvent::Barrier,
+                2 => TraceEvent::Barrier,
                 other => panic!("unknown trace opcode {other}"),
             });
         }
@@ -270,7 +215,6 @@ impl<C: Comm> Comm for CheckedComm<'_, C> {
             dst,
             tag,
             shape: PayloadShape::of(&payload),
-            nonblocking: false,
         });
         self.inner.send(dst, tag, payload);
     }
@@ -281,7 +225,6 @@ impl<C: Comm> Comm for CheckedComm<'_, C> {
             src,
             tag,
             shape: PayloadShape::of(&payload),
-            via_wait: false,
         });
         payload
     }
@@ -289,46 +232,6 @@ impl<C: Comm> Comm for CheckedComm<'_, C> {
     fn barrier(&mut self) {
         self.trace.events.push(TraceEvent::Barrier);
         self.inner.barrier();
-    }
-
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Payload) -> SendRequest {
-        self.trace.events.push(TraceEvent::Send {
-            dst,
-            tag,
-            shape: PayloadShape::of(&payload),
-            nonblocking: true,
-        });
-        self.inner.isend(dst, tag, payload)
-    }
-
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
-        self.trace.events.push(TraceEvent::RecvPosted { src, tag });
-        self.inner.irecv(src, tag)
-    }
-
-    fn wait_send(&mut self, req: SendRequest) {
-        self.trace.events.push(TraceEvent::SendWaited {
-            dst: req.dst(),
-            tag: req.tag(),
-        });
-        self.inner.wait_send(req);
-    }
-
-    fn wait_recv(&mut self, req: RecvRequest) -> Payload {
-        let payload = self.inner.wait_recv(req);
-        self.trace.events.push(TraceEvent::Recv {
-            src: req.src(),
-            tag: req.tag(),
-            shape: PayloadShape::of(&payload),
-            via_wait: true,
-        });
-        payload
-    }
-
-    fn test_recv(&mut self, req: &RecvRequest) -> bool {
-        // Advisory probe: consumes nothing, so it needs no matching in
-        // the analyzer — not recorded.
-        self.inner.test_recv(req)
     }
 
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
@@ -339,12 +242,7 @@ impl<C: Comm> Comm for CheckedComm<'_, C> {
         let shape = PayloadShape::of(&payload);
         let delivered = self.inner.post(dst, tag, payload);
         if delivered {
-            self.trace.events.push(TraceEvent::Send {
-                dst,
-                tag,
-                shape,
-                nonblocking: false,
-            });
+            self.trace.events.push(TraceEvent::Send { dst, tag, shape });
         }
         delivered
     }
@@ -358,7 +256,6 @@ impl<C: Comm> Comm for CheckedComm<'_, C> {
             src,
             tag,
             shape: PayloadShape::of(&payload),
-            via_wait: false,
         });
         Some(payload)
     }
@@ -473,26 +370,6 @@ impl<C: Comm> Comm for MaybeChecked<'_, C> {
         forward!(self, c => c.barrier());
     }
 
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Payload) -> SendRequest {
-        forward!(self, c => c.isend(dst, tag, payload))
-    }
-
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
-        forward!(self, c => c.irecv(src, tag))
-    }
-
-    fn wait_send(&mut self, req: SendRequest) {
-        forward!(self, c => c.wait_send(req));
-    }
-
-    fn wait_recv(&mut self, req: RecvRequest) -> Payload {
-        forward!(self, c => c.wait_recv(req))
-    }
-
-    fn test_recv(&mut self, req: &RecvRequest) -> bool {
-        forward!(self, c => c.test_recv(req))
-    }
-
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
         forward!(self, c => c.post(dst, tag, payload))
     }
@@ -550,22 +427,12 @@ mod tests {
             dst: 2,
             tag: Tag(7),
             shape: PayloadShape { kind: 4, bytes: 24 },
-            nonblocking: true,
-        });
-        t.events.push(TraceEvent::SendWaited {
-            dst: 2,
-            tag: Tag(7),
         });
         t.events.push(TraceEvent::Barrier);
-        t.events.push(TraceEvent::RecvPosted {
-            src: 0,
-            tag: Tag(3),
-        });
         t.events.push(TraceEvent::Recv {
             src: 0,
             tag: Tag(3),
             shape: PayloadShape { kind: 2, bytes: 8 },
-            via_wait: true,
         });
         assert_eq!(RankTrace::from_payload(t.to_payload()), t);
     }

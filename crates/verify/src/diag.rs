@@ -19,9 +19,10 @@ pub enum DiagnosticKind {
     DoubleOwnedGhost,
     /// A receive segment lists a global its peer does not own.
     GhostFromNonOwner,
-    /// The interior/boundary run classification disagrees with the ghost
-    /// set the schedule actually fetches, or the per-block degree classes
-    /// the sweep visits rows by disagree with the adjacency's degrees.
+    /// The translated adjacency disagrees with what it was translated
+    /// from: its shape, a reference the schedule never fetches, or
+    /// per-block degree classes (which the sweep visits rows by) that do
+    /// not match the adjacency's degrees.
     ClassificationMismatch,
     /// A redistribution's kept copy + receives do not exactly tile the
     /// new interval.
@@ -38,11 +39,6 @@ pub enum DiagnosticKind {
     /// A matched send/receive pair whose payload kind or byte size
     /// changed in flight.
     PayloadMismatch,
-    /// A posted `SendRequest` that was never waited.
-    LeakedSendRequest,
-    /// A posted `RecvRequest` that was never waited (or a wait with no
-    /// matching post).
-    LeakedRecvRequest,
     /// Ranks disagree on how many barriers the run performed.
     BarrierArity,
     /// A matched pair where the receive completed in an *earlier* barrier
@@ -83,8 +79,6 @@ impl DiagnosticKind {
             DiagnosticKind::UnmatchedSend => "unmatched-send",
             DiagnosticKind::PhantomRecv => "phantom-recv",
             DiagnosticKind::PayloadMismatch => "payload-mismatch",
-            DiagnosticKind::LeakedSendRequest => "leaked-send-request",
-            DiagnosticKind::LeakedRecvRequest => "leaked-recv-request",
             DiagnosticKind::BarrierArity => "barrier-arity",
             DiagnosticKind::EpochCrossing => "epoch-crossing",
             DiagnosticKind::ReservedTagMisuse => "reserved-tag-misuse",

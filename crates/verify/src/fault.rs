@@ -28,7 +28,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use stance_sim::{Comm, Payload, RecvRequest, SendRequest, Tag};
+use stance_sim::{Comm, Payload, Tag};
 
 /// What an injected fault does to the victim rank. See the module
 /// docs for the observable consequences of each.
@@ -313,32 +313,6 @@ impl<C: Comm> Comm for FaultyComm<'_, C> {
     fn barrier(&mut self) {
         self.tick();
         self.inner.barrier();
-    }
-
-    fn isend(&mut self, dst: usize, tag: Tag, payload: Payload) -> SendRequest {
-        self.tick();
-        self.inner.isend(dst, tag, payload)
-    }
-
-    fn irecv(&mut self, src: usize, tag: Tag) -> RecvRequest {
-        self.tick();
-        self.inner.irecv(src, tag)
-    }
-
-    fn wait_send(&mut self, req: SendRequest) {
-        self.tick();
-        self.inner.wait_send(req);
-    }
-
-    fn wait_recv(&mut self, req: RecvRequest) -> Payload {
-        self.tick();
-        self.inner.wait_recv(req)
-    }
-
-    fn test_recv(&mut self, req: &RecvRequest) -> bool {
-        // Advisory probe: not counted (probing in a poll loop would make
-        // `after_ops` depend on scheduling noise), never faults.
-        self.inner.test_recv(req)
     }
 
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {

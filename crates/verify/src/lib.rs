@@ -16,11 +16,10 @@
 //!   artifacts, verify the global invariants every backend relies on —
 //!   the partition intervals tile the index space, every ghost resolves
 //!   to exactly one owner, send/recv lists are pairwise symmetric
-//!   element-for-element, the interior/boundary run classification is
-//!   consistent with the ghost set, a redistribution's kept copy plus
-//!   receives exactly tile the new interval, and the blocking send/recv
-//!   order cannot deadlock (cycle detection on the cross-rank wait-for
-//!   graph).
+//!   element-for-element, every off-block reference is a scheduled
+//!   ghost, a redistribution's kept copy plus receives exactly tile the
+//!   new interval, and the blocking send/recv order cannot deadlock
+//!   (cycle detection on the cross-rank wait-for graph).
 //! * **Dataflow audit** ([`audit_stage_graph`]): given a stage graph's
 //!   declared field set and per-stage read/write sets, verify the names
 //!   resolve unambiguously and the writer→reader dependencies admit a
@@ -29,10 +28,9 @@
 //! * **Dynamic checker** ([`CheckedComm`] + [`analyze_traces`]): a
 //!   wrapper recording every point-to-point and barrier event into a
 //!   per-rank [`RankTrace`]; the offline analyzer then detects unmatched
-//!   sends, receives no in-flight message could satisfy, leaked
-//!   send/receive request handles, barrier arity mismatches, and
-//!   message/receive pairs that would have to cross a barrier epoch
-//!   backwards.
+//!   sends, receives no in-flight message could satisfy, barrier arity
+//!   mismatches, and message/receive pairs that would have to cross a
+//!   barrier epoch backwards.
 //!
 //! Both halves speak [`Diagnostic`]s — structured findings naming the
 //! rank, peer, tag, and interval involved — rather than generic

@@ -221,12 +221,10 @@ pub fn relaxation_body<C: Comm>(
     env: &mut C,
     mesh: &Graph,
     iters: usize,
-    overlap: bool,
     team: usize,
 ) -> (Vec<f64>, BlockPartition) {
     let config = StanceConfig::free()
         .without_load_balancing()
-        .with_overlap(overlap)
         .with_verification(true)
         .with_team(team);
     let mut session = AdaptiveSession::setup(env, mesh, RelaxationKernel, equiv_init, &config);
@@ -261,7 +259,6 @@ pub fn cg_body<C: Comm>(
     b: &[f64],
     shift: f64,
     max_iters: usize,
-    overlap: bool,
     team: usize,
 ) -> (Vec<f64>, RankTrace) {
     // Hand-driven (no session), so the protocol checker is attached
@@ -279,9 +276,7 @@ pub fn cg_body<C: Comm>(
         rank,
         stance::inspector::ScheduleStrategy::Sort2,
     );
-    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-        .with_overlap(overlap)
-        .with_team(team);
+    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_team(team);
     let iv = part.interval_of(rank);
     let mut x = vec![0.0f64; iv.len()];
     let mut r: Vec<f64> = iv.iter().map(|g| b[g]).collect();
@@ -332,7 +327,7 @@ pub fn bits(v: &[f64]) -> Vec<u64> {
 // The TCP worker registry.
 // ---------------------------------------------------------------------
 
-/// Every scenario `src/bin/tcp-rank-worker.rs` can run by name: the 13
+/// Every scenario `src/bin/tcp-rank-worker.rs` can run by name: the 9
 /// conformance bodies (each under [`CheckedComm`], returning its trace
 /// for parent-side analysis), the two equivalence workloads, and the
 /// fault-injection legs — including `fault_kill`, where the injected
@@ -344,22 +339,6 @@ pub const TCP_SCENARIOS: stance_tcp::ScenarioRegistry = &[
     ("conformance:allreduce_ops", tcp::allreduce_ops),
     ("conformance:exchange_ring", tcp::exchange_ring),
     ("conformance:bcast_and_gather", tcp::bcast_and_gather),
-    (
-        "conformance:irecv_posted_before_send",
-        tcp::irecv_posted_before_send,
-    ),
-    (
-        "conformance:mixed_blocking_nonblocking_fifo",
-        tcp::mixed_blocking_nonblocking_fifo,
-    ),
-    (
-        "conformance:outstanding_request_tag_isolation",
-        tcp::outstanding_request_tag_isolation,
-    ),
-    (
-        "conformance:wait_after_peer_completion",
-        tcp::wait_after_peer_completion,
-    ),
     (
         "conformance:post_and_recv_deadline",
         tcp::post_and_recv_deadline,
@@ -415,26 +394,22 @@ mod tcp {
         allreduce_ops,
         exchange_ring,
         bcast_and_gather,
-        irecv_posted_before_send,
-        mixed_blocking_nonblocking_fifo,
-        outstanding_request_tag_isolation,
-        wait_after_peer_completion,
         post_and_recv_deadline,
         deadline_timeout_preserves_stream,
         barrier_deadline_releases,
     );
 
     pub fn equiv_relax(c: &mut TcpComm, args: &[u8]) -> Vec<u8> {
-        let (iters, overlap, team) = <(usize, bool, usize)>::from_wire(args);
+        let (iters, team) = <(usize, usize)>::from_wire(args);
         let m = equiv_mesh();
-        let (values, part) = relaxation_body(c, &m, iters, overlap, team);
+        let (values, part) = relaxation_body(c, &m, iters, team);
         (values, part.block_sizes()).to_wire()
     }
 
     pub fn equiv_cg(c: &mut TcpComm, args: &[u8]) -> Vec<u8> {
-        let (max_iters, overlap, team) = <(usize, bool, usize)>::from_wire(args);
+        let (max_iters, team) = <(usize, usize)>::from_wire(args);
         let (m, b, _x_star, shift) = cg_problem();
-        let (x, trace) = cg_body(c, &m, &b, shift, max_iters, overlap, team);
+        let (x, trace) = cg_body(c, &m, &b, shift, max_iters, team);
         (x, trace.to_payload().into_u32()).to_wire()
     }
 

@@ -167,8 +167,7 @@ fn check_interval_bounds_check_count() {
 /// Churn: an oscillating load timeline (rank 0 repeatedly loses and
 /// regains most of its capacity) must force at least 4 controller-driven
 /// remaps in one run, with aux arrays attached at every check — and the
-/// final values must still match the sequential reference bitwise, on the
-/// synchronous and the overlapped gather alike. This exercises the
+/// final values must still match the sequential reference bitwise. This exercises the
 /// recycled remap pipeline (`RemapScratch`, schedule/runner rebuild
 /// reuse) through repeated shrink/grow cycles rather than a single remap.
 #[test]
@@ -190,69 +189,66 @@ fn oscillating_load_churn_stays_bitwise_correct() {
             available: if i % 2 == 0 { 1.0 } else { 0.2 },
         })
         .collect();
-    for overlap in [false, true] {
-        let mut config = adaptive_config().with_overlap(overlap);
-        // React on the freshest measurement so every flip is seen.
-        config.estimator = CapabilityEstimator::LastPhase;
-        let spec = ClusterSpec::uniform(2)
-            .with_network(NetworkSpec::zero_cost())
-            .with_load(0, LoadTimeline::from_phases(phases.clone()));
-        let report = Cluster::new(spec).run(|env| {
-            // aux[g] = 3g is a second registered field: it rides along
-            // through every controller-driven remap.
-            let graph = StageGraphBuilder::new()
-                .field("values")
-                .field("aux")
-                .stage("sweep", RelaxationKernel, "values", "values")
-                .build();
-            let init2 = |name: &str, g| {
-                if name == "aux" {
-                    3.0 * g as f64
-                } else {
-                    init(g)
-                }
-            };
-            let mut s = DataflowSession::setup(env, &m, graph, init2, &config);
-            let mut remaps = 0;
-            for b in 0..blocks {
-                s.run_block(env, per_block);
-                if b + 1 < blocks {
-                    let remaining = iters - (b + 1) * per_block;
-                    let (remapped, _, _) = s.check_and_rebalance(env, remaining);
-                    remaps += usize::from(remapped);
-                }
+    let mut config = adaptive_config();
+    // React on the freshest measurement so every flip is seen.
+    config.estimator = CapabilityEstimator::LastPhase;
+    let spec = ClusterSpec::uniform(2)
+        .with_network(NetworkSpec::zero_cost())
+        .with_load(0, LoadTimeline::from_phases(phases.clone()));
+    let report = Cluster::new(spec).run(|env| {
+        // aux[g] = 3g is a second registered field: it rides along
+        // through every controller-driven remap.
+        let graph = StageGraphBuilder::new()
+            .field("values")
+            .field("aux")
+            .stage("sweep", RelaxationKernel, "values", "values")
+            .build();
+        let init2 = |name: &str, g| {
+            if name == "aux" {
+                3.0 * g as f64
+            } else {
+                init(g)
             }
-            // Aux ownership must match the final partition exactly.
-            let iv = s.partition().interval_of(env.rank());
-            let aux = s.local("aux");
-            assert_eq!(aux.len(), iv.len(), "aux length follows the partition");
-            for (offset, g) in iv.iter().enumerate() {
-                assert_eq!(aux[offset], 3.0 * g as f64, "aux element strayed");
+        };
+        let mut s = DataflowSession::setup(env, &m, graph, init2, &config);
+        let mut remaps = 0;
+        for b in 0..blocks {
+            s.run_block(env, per_block);
+            if b + 1 < blocks {
+                let remaining = iters - (b + 1) * per_block;
+                let (remapped, _, _) = s.check_and_rebalance(env, remaining);
+                remaps += usize::from(remapped);
             }
-            (remaps, s.local("values").to_vec(), s.partition().clone())
-        });
-        let results: Vec<_> = report.into_results();
-        assert!(
-            results[0].0 >= 4,
-            "oscillating load should force >= 4 remaps (overlap = {overlap}), got {}",
-            results[0].0
-        );
-        let partition = results[0].2.clone();
-        let blocks_out = results.into_iter().map(|(_, v, _)| v).collect();
-        assert_eq!(
-            reassemble(&partition, blocks_out),
-            expected,
-            "churn run diverged from sequential (overlap = {overlap})"
-        );
-    }
+        }
+        // Aux ownership must match the final partition exactly.
+        let iv = s.partition().interval_of(env.rank());
+        let aux = s.local("aux");
+        assert_eq!(aux.len(), iv.len(), "aux length follows the partition");
+        for (offset, g) in iv.iter().enumerate() {
+            assert_eq!(aux[offset], 3.0 * g as f64, "aux element strayed");
+        }
+        (remaps, s.local("values").to_vec(), s.partition().clone())
+    });
+    let results: Vec<_> = report.into_results();
+    assert!(
+        results[0].0 >= 4,
+        "oscillating load should force >= 4 remaps, got {}",
+        results[0].0
+    );
+    let partition = results[0].2.clone();
+    let blocks_out = results.into_iter().map(|(_, v, _)| v).collect();
+    assert_eq!(
+        reassemble(&partition, blocks_out),
+        expected,
+        "churn run diverged from sequential"
+    );
 }
 
 /// The same churn on the **native** backend, where load cannot be
 /// injected: remaps are forced deterministically through
 /// `AdaptiveSession::remap_to` oscillating between skewed partitions,
 /// with an aux array attached — wall-clock scheduling must never affect
-/// the values (bitwise-identical to the sequential reference, both gather
-/// flavours).
+/// the values (bitwise-identical to the sequential reference).
 #[test]
 fn native_forced_churn_stays_bitwise_correct() {
     let m = mesh();
@@ -265,42 +261,40 @@ fn native_forced_churn_stays_bitwise_correct() {
 
     let skew_a = BlockPartition::from_sizes(&[n / 5, n / 2, n - n / 5 - n / 2]);
     let skew_b = BlockPartition::from_sizes(&[n / 2, n / 5, n - n / 5 - n / 2]);
-    for overlap in [false, true] {
-        let config = StanceConfig::free().with_overlap(overlap);
-        let report = stance_native::NativeCluster::new(3).run(|comm| {
-            let mut s = AdaptiveSession::setup(comm, &m, RelaxationKernel, init, &config);
-            let mut aux: Vec<f64> = s
-                .partition()
-                .interval_of(comm.rank())
-                .iter()
-                .map(|g| 3.0 * g as f64)
-                .collect();
-            for c in 0..cycles {
-                s.run_block(comm, per_phase);
-                s.remap_to(comm, skew_a.clone(), &mut [&mut aux]);
-                s.run_block(comm, per_phase);
-                let back = if c + 1 == cycles {
-                    BlockPartition::uniform(n, 3)
-                } else {
-                    skew_b.clone()
-                };
-                s.remap_to(comm, back, &mut [&mut aux]);
-            }
-            let iv = s.partition().interval_of(comm.rank());
-            for (offset, g) in iv.iter().enumerate() {
-                assert_eq!(aux[offset], 3.0 * g as f64, "aux element strayed");
-            }
-            (s.local_values().to_vec(), s.partition().clone())
-        });
-        let results: Vec<_> = report.into_results();
-        let partition = results[0].1.clone();
-        let blocks_out = results.into_iter().map(|(v, _)| v).collect();
-        assert_eq!(
-            reassemble(&partition, blocks_out),
-            expected,
-            "native forced churn diverged (overlap = {overlap})"
-        );
-    }
+    let config = StanceConfig::free();
+    let report = stance_native::NativeCluster::new(3).run(|comm| {
+        let mut s = AdaptiveSession::setup(comm, &m, RelaxationKernel, init, &config);
+        let mut aux: Vec<f64> = s
+            .partition()
+            .interval_of(comm.rank())
+            .iter()
+            .map(|g| 3.0 * g as f64)
+            .collect();
+        for c in 0..cycles {
+            s.run_block(comm, per_phase);
+            s.remap_to(comm, skew_a.clone(), &mut [&mut aux]);
+            s.run_block(comm, per_phase);
+            let back = if c + 1 == cycles {
+                BlockPartition::uniform(n, 3)
+            } else {
+                skew_b.clone()
+            };
+            s.remap_to(comm, back, &mut [&mut aux]);
+        }
+        let iv = s.partition().interval_of(comm.rank());
+        for (offset, g) in iv.iter().enumerate() {
+            assert_eq!(aux[offset], 3.0 * g as f64, "aux element strayed");
+        }
+        (s.local_values().to_vec(), s.partition().clone())
+    });
+    let results: Vec<_> = report.into_results();
+    let partition = results[0].1.clone();
+    let blocks_out = results.into_iter().map(|(v, _)| v).collect();
+    assert_eq!(
+        reassemble(&partition, blocks_out),
+        expected,
+        "native forced churn diverged"
+    );
 }
 
 /// The full adaptive churn scenario under `with_verification(true)`, on

@@ -1,12 +1,8 @@
 //! Pins the transport's allocation-free steady state: after a short
 //! warm-up, `LoopRunner` iterations (gather + sweep + commit) perform
-//! **zero heap allocations** on any rank — on the synchronous gather path
-//! and on the split-phase (overlapped) path alike. The split-phase state
-//! that must not allocate per iteration: receive-request handles come
-//! from the recycled pool in `CommBuffers` (plain `Copy` records, pool
-//! pre-sized from the schedule), send staging rides the same recycled
-//! byte buffers as the synchronous path, and the double-buffered commit
-//! swaps `Vec` pointers instead of copying.
+//! **zero heap allocations** on any rank: send staging rides recycled
+//! byte buffers (`CommBuffers`), and the double-buffered commit swaps
+//! `Vec` pointers instead of copying.
 //!
 //! A counting global allocator wraps the system allocator; counting is
 //! armed between cluster-wide barriers so the measured window contains
@@ -27,10 +23,11 @@
 //! everything after is allocation-free).
 //!
 //! **Worker teams** join the same discipline: with `with_team(T)` the
-//! rank's sweeps split across parked worker threads writing recycled
-//! staging buffers, dispatched through a borrowed-closure handshake (no
-//! boxing, no channels) — so teamed steady-state iterations allocate
-//! exactly as much as single-lane ones: nothing.
+//! rank's sweeps split across parked worker threads, each writing its own
+//! window of the sweep output, dispatched through a borrowed-closure
+//! handshake (no boxing, no channels, no per-lane buffers) — so teamed
+//! steady-state iterations allocate exactly as much as single-lane ones:
+//! nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,12 +76,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// The counter is process-global, so tests that arm it must not overlap.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn steady_state_allocations<E, K>(
-    kernel: K,
-    overlap: bool,
-    team: usize,
-    init: impl Fn(usize) -> E + Sync,
-) -> u64
+fn steady_state_allocations<E, K>(kernel: K, team: usize, init: impl Fn(usize) -> E + Sync) -> u64
 where
     E: Field,
     K: Kernel<E> + Copy + Send + Sync,
@@ -101,9 +93,7 @@ where
         let rank = env.rank();
         let adj = LocalAdjacency::extract(&g, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-            .with_overlap(overlap)
-            .with_team(team);
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_team(team);
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(&init).collect());
 
@@ -144,7 +134,6 @@ where
 /// real OS threads allocate nothing either.
 fn native_steady_state_allocations<E, K>(
     kernel: K,
-    overlap: bool,
     team: usize,
     init: impl Fn(usize) -> E + Sync,
 ) -> u64
@@ -163,9 +152,7 @@ where
         let rank = comm.rank();
         let adj = LocalAdjacency::extract(&g, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-            .with_overlap(overlap)
-            .with_team(team);
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_team(team);
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(&init).collect());
 
@@ -295,16 +282,14 @@ where
 
 /// Steady-state passes of a **multi-field dataflow session** — two
 /// relaxation stages over three named fields, fused (dirty-filtered)
-/// exchange, synchronous or split-phase — must be allocation-free too:
+/// exchange — must be allocation-free too:
 /// the fused gather packs every selected field into the same recycled
 /// `CommBuffers` staging as the single-field path, the dirty-filtered
 /// fusion group lives in a recycled index `Vec`, and each stage commits
 /// by swapping the shared sweep scratch into the output field's storage.
-fn dataflow_steady_state_body<C: Comm>(comm: &mut C, g: &Graph, overlap: bool) -> u64 {
+fn dataflow_steady_state_body<C: Comm>(comm: &mut C, g: &Graph) -> u64 {
     let rank = comm.rank();
-    let config = StanceConfig::free()
-        .without_load_balancing()
-        .with_overlap(overlap);
+    let config = StanceConfig::free().without_load_balancing();
     let graph = StageGraphBuilder::new()
         .field("y")
         .field("z")
@@ -349,23 +334,23 @@ fn dataflow_steady_state_body<C: Comm>(comm: &mut C, g: &Graph, overlap: bool) -
     counted
 }
 
-fn dataflow_steady_state_allocations(overlap: bool) -> u64 {
+fn dataflow_steady_state_allocations() -> u64 {
     let _serial = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let g = meshgen::triangulated_grid(16, 12, 0.3, 5);
     let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-    let report = Cluster::new(spec).run(|env| dataflow_steady_state_body(env, &g, overlap));
+    let report = Cluster::new(spec).run(|env| dataflow_steady_state_body(env, &g));
     report.into_results().into_iter().max().unwrap()
 }
 
-fn native_dataflow_steady_state_allocations(overlap: bool) -> u64 {
+fn native_dataflow_steady_state_allocations() -> u64 {
     let _serial = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let g = meshgen::triangulated_grid(16, 12, 0.3, 5);
-    let report = stance_native::NativeCluster::new(3)
-        .run(|comm| dataflow_steady_state_body(comm, &g, overlap));
+    let report =
+        stance_native::NativeCluster::new(3).run(|comm| dataflow_steady_state_body(comm, &g));
     report.into_results().into_iter().max().unwrap()
 }
 
@@ -457,7 +442,7 @@ fn steady_state_under_armed_fault_injection_is_allocation_free() {
         let mut faulty = stance_verify::FaultyComm::attach(env, &plan);
         let adj = LocalAdjacency::extract(&g, &part, rank);
         let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_overlap(false);
+        let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
         let iv = part.interval_of(rank);
         let mut values = runner.make_values(iv.iter().map(|g| (g as f64).sin()).collect());
 
@@ -495,7 +480,7 @@ fn steady_state_under_armed_fault_injection_is_allocation_free() {
 
 #[test]
 fn dataflow_steady_state_is_allocation_free() {
-    let allocations = dataflow_steady_state_allocations(false);
+    let allocations = dataflow_steady_state_allocations();
     assert_eq!(
         allocations, 0,
         "steady-state multi-field passes performed {allocations} heap allocations"
@@ -503,29 +488,11 @@ fn dataflow_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn overlapped_dataflow_steady_state_is_allocation_free() {
-    let allocations = dataflow_steady_state_allocations(true);
-    assert_eq!(
-        allocations, 0,
-        "overlapped multi-field passes performed {allocations} heap allocations"
-    );
-}
-
-#[test]
 fn native_dataflow_steady_state_is_allocation_free() {
-    let allocations = native_dataflow_steady_state_allocations(false);
+    let allocations = native_dataflow_steady_state_allocations();
     assert_eq!(
         allocations, 0,
         "native steady-state multi-field passes performed {allocations} heap allocations"
-    );
-}
-
-#[test]
-fn native_overlapped_dataflow_steady_state_is_allocation_free() {
-    let allocations = native_dataflow_steady_state_allocations(true);
-    assert_eq!(
-        allocations, 0,
-        "native overlapped multi-field passes performed {allocations} heap allocations"
     );
 }
 
@@ -563,8 +530,7 @@ fn native_remap_allocations_bounded_f64x4() {
 
 #[test]
 fn steady_state_loop_is_allocation_free_f64() {
-    let allocations =
-        steady_state_allocations::<f64, _>(RelaxationKernel, false, 1, |g| (g as f64).sin());
+    let allocations = steady_state_allocations::<f64, _>(RelaxationKernel, 1, |g| (g as f64).sin());
     assert_eq!(
         allocations, 0,
         "steady-state f64 iterations performed {allocations} heap allocations"
@@ -573,7 +539,7 @@ fn steady_state_loop_is_allocation_free_f64() {
 
 #[test]
 fn steady_state_loop_is_allocation_free_f64x4() {
-    let allocations = steady_state_allocations::<[f64; 4], _>(RelaxationKernel, false, 1, |g| {
+    let allocations = steady_state_allocations::<[f64; 4], _>(RelaxationKernel, 1, |g| {
         [g as f64, -(g as f64), 0.5 * g as f64, 1.0]
     });
     assert_eq!(
@@ -585,7 +551,7 @@ fn steady_state_loop_is_allocation_free_f64x4() {
 #[test]
 fn native_steady_state_loop_is_allocation_free_f64() {
     let allocations =
-        native_steady_state_allocations::<f64, _>(RelaxationKernel, false, 1, |g| (g as f64).sin());
+        native_steady_state_allocations::<f64, _>(RelaxationKernel, 1, |g| (g as f64).sin());
     assert_eq!(
         allocations, 0,
         "native steady-state f64 iterations performed {allocations} heap allocations"
@@ -594,10 +560,9 @@ fn native_steady_state_loop_is_allocation_free_f64() {
 
 #[test]
 fn native_steady_state_loop_is_allocation_free_f64x4() {
-    let allocations =
-        native_steady_state_allocations::<[f64; 4], _>(RelaxationKernel, false, 1, |g| {
-            [g as f64, -(g as f64), 0.5 * g as f64, 1.0]
-        });
+    let allocations = native_steady_state_allocations::<[f64; 4], _>(RelaxationKernel, 1, |g| {
+        [g as f64, -(g as f64), 0.5 * g as f64, 1.0]
+    });
     assert_eq!(
         allocations, 0,
         "native steady-state [f64; 4] iterations performed {allocations} heap allocations"
@@ -605,52 +570,8 @@ fn native_steady_state_loop_is_allocation_free_f64x4() {
 }
 
 #[test]
-fn overlapped_steady_state_loop_is_allocation_free_f64() {
-    let allocations =
-        steady_state_allocations::<f64, _>(RelaxationKernel, true, 1, |g| (g as f64).sin());
-    assert_eq!(
-        allocations, 0,
-        "overlapped steady-state f64 iterations performed {allocations} heap allocations"
-    );
-}
-
-#[test]
-fn overlapped_steady_state_loop_is_allocation_free_f64x4() {
-    let allocations = steady_state_allocations::<[f64; 4], _>(RelaxationKernel, true, 1, |g| {
-        [g as f64, -(g as f64), 0.5 * g as f64, 1.0]
-    });
-    assert_eq!(
-        allocations, 0,
-        "overlapped steady-state [f64; 4] iterations performed {allocations} heap allocations"
-    );
-}
-
-#[test]
-fn native_overlapped_steady_state_loop_is_allocation_free_f64() {
-    let allocations =
-        native_steady_state_allocations::<f64, _>(RelaxationKernel, true, 1, |g| (g as f64).sin());
-    assert_eq!(
-        allocations, 0,
-        "native overlapped steady-state f64 iterations performed {allocations} heap allocations"
-    );
-}
-
-#[test]
-fn native_overlapped_steady_state_loop_is_allocation_free_f64x4() {
-    let allocations =
-        native_steady_state_allocations::<[f64; 4], _>(RelaxationKernel, true, 1, |g| {
-            [g as f64, -(g as f64), 0.5 * g as f64, 1.0]
-        });
-    assert_eq!(
-        allocations, 0,
-        "native overlapped steady-state [f64; 4] iterations performed {allocations} heap allocations"
-    );
-}
-
-#[test]
 fn teamed_steady_state_loop_is_allocation_free() {
-    let allocations =
-        steady_state_allocations::<f64, _>(RelaxationKernel, false, 3, |g| (g as f64).sin());
+    let allocations = steady_state_allocations::<f64, _>(RelaxationKernel, 3, |g| (g as f64).sin());
     assert_eq!(
         allocations, 0,
         "teamed steady-state iterations performed {allocations} heap allocations"
@@ -658,31 +579,11 @@ fn teamed_steady_state_loop_is_allocation_free() {
 }
 
 #[test]
-fn teamed_overlapped_steady_state_loop_is_allocation_free() {
-    let allocations =
-        steady_state_allocations::<f64, _>(RelaxationKernel, true, 3, |g| (g as f64).sin());
-    assert_eq!(
-        allocations, 0,
-        "teamed overlapped steady-state iterations performed {allocations} heap allocations"
-    );
-}
-
-#[test]
 fn native_teamed_steady_state_loop_is_allocation_free() {
     let allocations =
-        native_steady_state_allocations::<f64, _>(RelaxationKernel, false, 3, |g| (g as f64).sin());
+        native_steady_state_allocations::<f64, _>(RelaxationKernel, 3, |g| (g as f64).sin());
     assert_eq!(
         allocations, 0,
         "native teamed steady-state iterations performed {allocations} heap allocations"
-    );
-}
-
-#[test]
-fn native_teamed_overlapped_steady_state_loop_is_allocation_free() {
-    let allocations =
-        native_steady_state_allocations::<f64, _>(RelaxationKernel, true, 3, |g| (g as f64).sin());
-    assert_eq!(
-        allocations, 0,
-        "native teamed overlapped steady-state iterations performed {allocations} heap allocations"
     );
 }

@@ -20,11 +20,9 @@
 //! [`stance_repro::scenarios`] — one copy for the in-process launchers
 //! here and for the worker processes behind the TCP legs.
 //!
-//! Each workload additionally runs with the **split-phase gather**
-//! (`overlap = true`) and with **worker teams** at sizes 2 and 4 (the
-//! in-process backends): posting the ghost exchange and sweeping interior
-//! vertices while bytes are in flight, or splitting a rank's sweeps
-//! across a team of threads, must be bitwise identical to the plain run.
+//! Each workload additionally runs with **worker teams** at sizes 2 and 4
+//! (the in-process backends): splitting a rank's sweeps across a team of
+//! threads must be bitwise identical to the plain run.
 //!
 //! Both workloads run **fully verified**: sessions enable
 //! `StanceConfig::with_verification(true)`, the hand-driven CG wraps its
@@ -45,9 +43,9 @@ use stance_verify::{analyze_traces, RankTrace};
 // Workload 1: quickstart relaxation through the session API.
 // ---------------------------------------------------------------------
 
-fn relaxation_on_sim(mesh: &Graph, p: usize, iters: usize, overlap: bool, team: usize) -> Vec<f64> {
+fn relaxation_on_sim(mesh: &Graph, p: usize, iters: usize, team: usize) -> Vec<f64> {
     let spec = ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost());
-    let report = Cluster::new(spec).run(|env| relaxation_body(env, mesh, iters, overlap, team));
+    let report = Cluster::new(spec).run(|env| relaxation_body(env, mesh, iters, team));
     let results: Vec<_> = report.into_results();
     let partition = results[0].1.clone();
     stance::reassemble(&partition, results.into_iter().map(|(v, _)| v).collect())
@@ -67,16 +65,9 @@ fn native_in_both_wait_regimes(run: impl Fn() -> Vec<f64>) -> Vec<f64> {
     spun
 }
 
-fn relaxation_on_native(
-    mesh: &Graph,
-    p: usize,
-    iters: usize,
-    overlap: bool,
-    team: usize,
-) -> Vec<f64> {
+fn relaxation_on_native(mesh: &Graph, p: usize, iters: usize, team: usize) -> Vec<f64> {
     native_in_both_wait_regimes(|| {
-        let report =
-            NativeCluster::new(p).run(|comm| relaxation_body(comm, mesh, iters, overlap, team));
+        let report = NativeCluster::new(p).run(|comm| relaxation_body(comm, mesh, iters, team));
         let results: Vec<_> = report.into_results();
         let partition = results[0].1.clone();
         stance::reassemble(&partition, results.into_iter().map(|(v, _)| v).collect())
@@ -86,9 +77,9 @@ fn relaxation_on_native(
 /// The same relaxation on `p` OS processes over loopback TCP; each
 /// worker returns `(values, block_sizes)` and the partition is
 /// reconstructed parent-side for reassembly.
-fn relaxation_on_tcp(p: usize, iters: usize, overlap: bool, team: usize) -> Vec<f64> {
+fn relaxation_on_tcp(p: usize, iters: usize, team: usize) -> Vec<f64> {
     let cluster = TcpCluster::new(p, env!("CARGO_BIN_EXE_tcp-rank-worker"));
-    let args = (iters, overlap, team).to_wire();
+    let args = (iters, team).to_wire();
     let results = cluster.run_scenario("equiv_relax", &args).into_results();
     let decoded: Vec<(Vec<f64>, Vec<usize>)> = results
         .iter()
@@ -106,77 +97,55 @@ fn relaxation_bitwise_identical_across_backends_and_paths() {
     sequential_relaxation(&m, &mut reference, iters);
 
     for p in [1usize, 2, 4] {
-        let sim = relaxation_on_sim(&m, p, iters, false, 1);
-        let native = relaxation_on_native(&m, p, iters, false, 1);
+        let sim = relaxation_on_sim(&m, p, iters, 1);
+        let native = relaxation_on_native(&m, p, iters, 1);
         assert_eq!(sim, reference, "sim diverged from sequential at p = {p}");
         assert_eq!(
             bits(&sim),
             bits(&native),
             "backends disagree bitwise at p = {p}"
         );
-        // The split-phase gather is numerically free: bitwise identical to
-        // the synchronous path on both backends.
-        let sim_split = relaxation_on_sim(&m, p, iters, true, 1);
-        let native_split = relaxation_on_native(&m, p, iters, true, 1);
-        assert_eq!(
-            bits(&sim),
-            bits(&sim_split),
-            "sim split-phase diverged from synchronous at p = {p}"
-        );
-        assert_eq!(
-            bits(&native),
-            bits(&native_split),
-            "native split-phase diverged from synchronous at p = {p}"
-        );
     }
 }
 
 /// The process backend closes the loop: values crossing real sockets as
 /// framed bytes must land bitwise identical to the simulator's, at every
-/// rank count and with both gather flavours.
+/// rank count.
 #[test]
 fn relaxation_bitwise_identical_on_tcp_processes() {
     let m = equiv_mesh();
     let iters = 25;
     for p in [1usize, 2, 4] {
-        let sim = relaxation_on_sim(&m, p, iters, false, 1);
-        for overlap in [false, true] {
-            let tcp = relaxation_on_tcp(p, iters, overlap, 1);
-            assert_eq!(
-                bits(&sim),
-                bits(&tcp),
-                "tcp diverged from sim at p = {p}, overlap = {overlap}"
-            );
-        }
+        let sim = relaxation_on_sim(&m, p, iters, 1);
+        let tcp = relaxation_on_tcp(p, iters, 1);
+        assert_eq!(bits(&sim), bits(&tcp), "tcp diverged from sim at p = {p}");
     }
 }
 
 /// Worker teams are numerically free: team sizes 2 and 4 must match the
-/// single-lane (T = 1) run bitwise on both backends, with both gather
-/// flavours, at every rank count — and the protocol traces (the session
-/// runs fully verified) must stay clean.
+/// single-lane (T = 1) run bitwise on both backends at every rank count
+/// — and the protocol traces (the session runs fully verified) must stay
+/// clean.
 #[test]
 fn relaxation_bitwise_identical_across_team_sizes() {
     let m = equiv_mesh();
     let iters = 25;
     for p in [1usize, 2, 4] {
-        let sim_serial = relaxation_on_sim(&m, p, iters, false, 1);
-        let native_serial = relaxation_on_native(&m, p, iters, false, 1);
+        let sim_serial = relaxation_on_sim(&m, p, iters, 1);
+        let native_serial = relaxation_on_native(&m, p, iters, 1);
         for team in [2usize, 4] {
-            for overlap in [false, true] {
-                let sim = relaxation_on_sim(&m, p, iters, overlap, team);
-                assert_eq!(
-                    bits(&sim_serial),
-                    bits(&sim),
-                    "sim team = {team} diverged from T = 1 at p = {p}, overlap = {overlap}"
-                );
-                let native = relaxation_on_native(&m, p, iters, overlap, team);
-                assert_eq!(
-                    bits(&native_serial),
-                    bits(&native),
-                    "native team = {team} diverged from T = 1 at p = {p}, overlap = {overlap}"
-                );
-            }
+            let sim = relaxation_on_sim(&m, p, iters, team);
+            assert_eq!(
+                bits(&sim_serial),
+                bits(&sim),
+                "sim team = {team} diverged from T = 1 at p = {p}"
+            );
+            let native = relaxation_on_native(&m, p, iters, team);
+            assert_eq!(
+                bits(&native_serial),
+                bits(&native),
+                "native team = {team} diverged from T = 1 at p = {p}"
+            );
         }
     }
 }
@@ -200,59 +169,46 @@ fn cg_solver_bitwise_identical_across_backends() {
             assert!(diags.is_empty(), "CG protocol diagnostics: {diags:?}");
             stance::reassemble(&part, blocks)
         };
-        let run_sim = |overlap: bool, team: usize| {
+        let run_sim = |team: usize| {
             let spec = ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost());
             check(
                 Cluster::new(spec)
-                    .run(|env| cg_body(env, m2, b2, shift, 120, overlap, team))
+                    .run(|env| cg_body(env, m2, b2, shift, 120, team))
                     .into_results(),
             )
         };
-        let run_native = |overlap: bool, team: usize| {
+        let run_native = |team: usize| {
             native_in_both_wait_regimes(|| {
                 check(
                     NativeCluster::new(p)
-                        .run(|comm| cg_body(comm, m2, b2, shift, 120, overlap, team))
+                        .run(|comm| cg_body(comm, m2, b2, shift, 120, team))
                         .into_results(),
                 )
             })
         };
-        let sim = run_sim(false, 1);
-        let native = run_native(false, 1);
+        let sim = run_sim(1);
+        let native = run_native(1);
         assert_eq!(
             bits(&sim),
             bits(&native),
             "CG backends disagree bitwise at p = {p}"
         );
-        // Split-phase matvec inside CG — the touchiest consumer, since CG
-        // compounds every rounding decision — must not change one bit.
-        assert_eq!(
-            bits(&sim),
-            bits(&run_sim(true, 1)),
-            "sim split-phase CG diverged at p = {p}"
-        );
-        assert_eq!(
-            bits(&native),
-            bits(&run_native(true, 1)),
-            "native split-phase CG diverged at p = {p}"
-        );
-        // Neither may a worker team: the matvec splits across lanes but
-        // commits in fixed order, so 120 compounding CG iterations stay
-        // bitwise identical at T = 2 and 4 on both backends and both
-        // gather flavours.
+        // A worker team inside CG — the touchiest consumer, since CG
+        // compounds every rounding decision — must not change one bit:
+        // the matvec splits across lanes, each row computed exactly as a
+        // single lane would, so 120 compounding CG iterations stay bitwise
+        // identical at T = 2 and 4 on both backends.
         for team in [2usize, 4] {
-            for overlap in [false, true] {
-                assert_eq!(
-                    bits(&sim),
-                    bits(&run_sim(overlap, team)),
-                    "sim team = {team} CG diverged at p = {p}, overlap = {overlap}"
-                );
-                assert_eq!(
-                    bits(&native),
-                    bits(&run_native(overlap, team)),
-                    "native team = {team} CG diverged at p = {p}, overlap = {overlap}"
-                );
-            }
+            assert_eq!(
+                bits(&sim),
+                bits(&run_sim(team)),
+                "sim team = {team} CG diverged at p = {p}"
+            );
+            assert_eq!(
+                bits(&native),
+                bits(&run_native(team)),
+                "native team = {team} CG diverged at p = {p}"
+            );
         }
         // And the answer is actually the solution.
         let max_err = sim
@@ -277,7 +233,7 @@ fn cg_solver_bitwise_identical_on_tcp_processes() {
         let part = BlockPartition::uniform(n, p);
         let spec = ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost());
         let sim_blocks: Vec<_> = Cluster::new(spec)
-            .run(|env| cg_body(env, &m, &b, shift, 120, false, 1))
+            .run(|env| cg_body(env, &m, &b, shift, 120, 1))
             .into_results()
             .into_iter()
             .map(|(x, _)| x)
@@ -285,7 +241,7 @@ fn cg_solver_bitwise_identical_on_tcp_processes() {
         let sim = stance::reassemble(&part, sim_blocks);
 
         let cluster = TcpCluster::new(p, env!("CARGO_BIN_EXE_tcp-rank-worker"));
-        let args = (120usize, false, 1usize).to_wire();
+        let args = (120usize, 1usize).to_wire();
         let results = cluster.run_scenario("equiv_cg", &args).into_results();
         let (blocks, traces): (Vec<_>, Vec<_>) = results
             .iter()

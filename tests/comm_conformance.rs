@@ -109,26 +109,6 @@ macro_rules! conformance_suite {
             }
 
             #[test]
-            fn irecv_posted_before_send() {
-                ($launch)(3, |c| bodies::irecv_posted_before_send(c));
-            }
-
-            #[test]
-            fn mixed_blocking_nonblocking_fifo() {
-                ($launch)(2, |c| bodies::mixed_blocking_nonblocking_fifo(c));
-            }
-
-            #[test]
-            fn outstanding_request_tag_isolation() {
-                ($launch)(2, |c| bodies::outstanding_request_tag_isolation(c));
-            }
-
-            #[test]
-            fn wait_after_peer_completion() {
-                ($launch)(2, |c| bodies::wait_after_peer_completion(c));
-            }
-
-            #[test]
             fn post_and_recv_deadline() {
                 ($launch)(2, |c| bodies::post_and_recv_deadline(c));
             }
@@ -173,10 +153,6 @@ tcp_conformance_suite!(
     allreduce_ops => 4,
     exchange_ring => 5,
     bcast_and_gather => 4,
-    irecv_posted_before_send => 3,
-    mixed_blocking_nonblocking_fifo => 2,
-    outstanding_request_tag_isolation => 2,
-    wait_after_peer_completion => 2,
     post_and_recv_deadline => 2,
     deadline_timeout_preserves_stream => 2,
     barrier_deadline_releases => 3,

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use stance::balance::BalancerConfig;
-use stance::executor::{sequential_relaxation, sweep_phase, sweep_rows, SweepTeam};
+use stance::executor::{sequential_relaxation, sweep_rows, SweepTeam};
 use stance::inspector::{build_schedule_symmetric, LocalAdjacency, TranslatedAdjacency};
 use stance::onedim::RedistCostModel;
 use stance::prelude::*;
@@ -328,56 +328,45 @@ fn user_kernel_matches_sequential<K: Kernel<f64> + 'static>(kernel: fn(f64) -> K
 
 /// A kernel that implements only `sweep` rides the default ranged hook — a
 /// whole-block sweep into a temporary per partial window — so it must come
-/// out of every team size and gather flavour bit for bit as the sequential
-/// loop does: on a locality-ordered mesh (a few runs per lane, one hook call
-/// each) and on a classification fragmented far past the precise-run cap
-/// (every lane collapses to its bounding span).
+/// out of every team size bit for bit as the sequential loop does: on a
+/// locality-ordered mesh and on a block whose every other row reads a
+/// ghost.
 #[test]
 fn sweep_only_kernel_matches_sequential_under_teams() {
-    // Every even vertex of rank 0's block is wired into rank 1's: rank 0
-    // alternates boundary/interior, 200 interior runs — more than 32 for
-    // each of three lanes.
+    // Every even vertex of rank 0's block is wired into rank 1's.
     let n = 800;
     let edges: Vec<(u32, u32)> = (0..200u32).map(|i| (2 * i, 400 + i)).collect();
-    let fragmented = Graph::from_edges(n, &edges, vec![[0.0; 3]; n], 2);
-    let part = BlockPartition::uniform(n, 2);
-    let adj = LocalAdjacency::extract(&fragmented, &part, 0);
-    let (sched, _) = build_schedule_symmetric(&part, &adj, 0, ScheduleStrategy::Sort2);
-    let interior_runs = sched.translate_adjacency(&adj).interior_runs().count();
-    assert!(interior_runs > 3 * 32, "{interior_runs} interior runs");
+    let interleaved = Graph::from_edges(n, &edges, vec![[0.0; 3]; n], 2);
 
     let (omega, iters) = (0.7, 6);
     let init = |g: usize| (g as f64 * 0.05).sin() * 3.0;
-    for (what, graph) in [("fragmented", fragmented), ("mesh", mesh())] {
+    for (what, graph) in [("interleaved", interleaved), ("mesh", mesh())] {
         let n = graph.num_vertices();
         let mut expected: Vec<f64> = (0..n).map(init).collect();
         sequential_damped_jacobi(&graph, &mut expected, omega, iters);
         let expected: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
         let part = BlockPartition::uniform(n, 2);
         for lanes in [2usize, 3] {
-            for overlap in [false, true] {
-                let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
-                let report = Cluster::new(spec).run(|env| {
-                    let rank = env.rank();
-                    let adj = LocalAdjacency::extract(&graph, &part, rank);
-                    let (sched, _) =
-                        build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-                    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero())
-                        .with_overlap(overlap)
-                        .with_team(lanes);
-                    let mut values =
-                        runner.make_values(part.interval_of(rank).iter().map(init).collect());
-                    runner.run(env, &DampedJacobi { omega }, &mut values, iters);
-                    values.local().to_vec()
-                });
-                let got: Vec<u64> = report
-                    .into_results()
-                    .iter()
-                    .flatten()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(got, expected, "{what}: {lanes} lanes, overlap {overlap}");
-            }
+            let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
+            let report = Cluster::new(spec).run(|env| {
+                let rank = env.rank();
+                let adj = LocalAdjacency::extract(&graph, &part, rank);
+                let (sched, _) =
+                    build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
+                let mut runner =
+                    LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_team(lanes);
+                let mut values =
+                    runner.make_values(part.interval_of(rank).iter().map(init).collect());
+                runner.run(env, &DampedJacobi { omega }, &mut values, iters);
+                values.local().to_vec()
+            });
+            let got: Vec<u64> = report
+                .into_results()
+                .iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, expected, "{what}: {lanes} lanes");
         }
     }
 }
@@ -440,9 +429,8 @@ fn single_rank_tadj(n: usize, raw_edges: &[(usize, usize)]) -> TranslatedAdjacen
 }
 
 /// Split `0..n` at the given (arbitrary, possibly duplicated) cut points
-/// into consecutive fragments — the run fragmentation a split-phase sweep
-/// or a team lane hands `sweep_chunked`, each with its own window of the
-/// output.
+/// into consecutive fragments — the ranges team lanes hand
+/// `sweep_chunked`, each with its own window of the output.
 fn fragments(n: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
     let mut points: Vec<usize> = cuts.iter().map(|&c| c % (n + 1)).collect();
     points.push(0);
@@ -695,28 +683,13 @@ fn assert_sweeps_match<E: Field, K: Kernel<E>>(
         assert_rows(&got, expected, untouched, &frags[..=k], "fragment");
     }
 
-    // A range strictly inside one block, and one that holds exactly one
-    // whole block between two ragged ends.
-    for run in [n / 3..n / 3 + n.min(200) / 2, n / 5..n - n / 7] {
+    // A range strictly inside one block, one that holds exactly one whole
+    // block between two ragged ends, and one that starts mid-block and
+    // runs to the end, as the last team lane's does.
+    for run in [n / 3..n / 3 + n.min(200) / 2, n / 5..n - n / 7, n / 4..n] {
         let mut got = fresh();
         kernel.sweep_chunked(tadj, combined, &mut got[run.clone()], run.clone());
         assert_rows(&got, expected, untouched, one(&run), "range");
-    }
-
-    // `sweep_phase`: every third row as its own run. Up to 32 runs it
-    // sweeps run by run, above that their bounding span in one call —
-    // into the whole block as the rank thread passes it, and into a window
-    // that starts mid-block as a team lane's does.
-    let runs: Vec<_> = (n / 4..n).step_by(3).map(|l| l..l + 1).collect();
-    for runs in [&runs[..], &runs[..runs.len().min(20)]] {
-        let span = runs.first().map_or(0, |r| r.start)..runs.last().map_or(0, |r| r.end);
-        let written = if runs.len() > 32 { one(&span) } else { runs };
-        for window in [0..n, span.clone()] {
-            let mut got = fresh();
-            let out = &mut got[window.clone()];
-            sweep_phase(kernel, tadj, combined, out, window, runs.iter().cloned());
-            assert_rows(&got, expected, untouched, written, "phase");
-        }
     }
 }
 
@@ -798,21 +771,15 @@ proptest! {
         for lanes in 1..=3 {
             let mut team = SweepTeam::new(lanes);
             team.rebuild_splits(&case.tadj);
-            for interior in [false, true] {
-                let mut got = vec![[UNTOUCHED; 3]; n];
-                if interior {
-                    team.sweep_interior(&RelaxationKernel, &case.tadj, &combined, &mut got);
-                } else {
-                    team.sweep_full(&RelaxationKernel, &case.tadj, &combined, &mut got);
-                }
-                assert_rows(
-                    &got,
-                    &expected,
-                    [UNTOUCHED; 3],
-                    std::slice::from_ref(&(0..n)),
-                    "team",
-                );
-            }
+            let mut got = vec![[UNTOUCHED; 3]; n];
+            team.sweep_full(&RelaxationKernel, &case.tadj, &combined, &mut got);
+            assert_rows(
+                &got,
+                &expected,
+                [UNTOUCHED; 3],
+                std::slice::from_ref(&(0..n)),
+                "team",
+            );
         }
     }
 }

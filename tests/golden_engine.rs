@@ -57,44 +57,29 @@ fn golden_balancer() -> BalancerConfig {
 const GOLDEN_REMAPS: usize = 1;
 const GOLDEN_CHECKS: usize = 3;
 const GOLDEN_SIZES: [usize; 3] = [17, 51, 52];
-/// Per-rank digest of the final owned block — identical in all legs:
-/// neither the network nor the gather flavour may change a value.
+/// Per-rank digest of the final owned block — identical in both legs:
+/// the network may not change a value.
 const GOLDEN_DIGESTS: [u64; 3] = [0xd3cf0c688913b0fa, 0x7a6588d2ee240615, 0xe649ae2f3548cada];
 
-/// One leg: network, gather flavour, and per rank the bits of the final
-/// virtual clock and the messages sent.
+/// One leg: network, and per rank the bits of the final virtual clock
+/// and the messages sent.
 struct GoldenLeg {
     network: fn() -> NetworkSpec,
-    overlap: bool,
     clock_bits: [u64; 3],
     messages_sent: [u64; 3],
 }
 
-const GOLDEN_LEGS: [GoldenLeg; 4] = [
+const GOLDEN_LEGS: [GoldenLeg; 2] = [
     GoldenLeg {
         network: NetworkSpec::zero_cost,
-        overlap: false,
         clock_bits: [0x3fa295f5f610e8da, 0x3fa2998aab144053, 0x3fa29ab09ae7f84b],
-        messages_sent: [45, 85, 43],
-    },
-    GoldenLeg {
-        network: NetworkSpec::zero_cost,
-        overlap: true,
-        clock_bits: [0x3fa26f2b3106324e, 0x3fa28b2a6b0d9517, 0x3fa28d35de085e7c],
         messages_sent: [45, 85, 43],
     },
     // Point-to-point Ethernet: message charging (setup, latency, per-byte
     // time, receive overhead) enters the clock.
     GoldenLeg {
         network: NetworkSpec::ethernet_10mbit,
-        overlap: false,
         clock_bits: [0x3fc63f4760d0340f, 0x3fc64e1fb12fe72e, 0x3fc6619016c4b5ba],
-        messages_sent: [48, 85, 43],
-    },
-    GoldenLeg {
-        network: NetworkSpec::ethernet_10mbit,
-        overlap: true,
-        clock_bits: [0x3fc58201583ceb7f, 0x3fc59a275a2b4c77, 0x3fc59f96753d3ff2],
         messages_sent: [48, 85, 43],
     },
 ];
@@ -103,15 +88,12 @@ const GOLDEN_LEGS: [GoldenLeg; 4] = [
 /// iterations: the façade **and** a hand-built one-stage
 /// `DataflowSession` must both reproduce what the retired engine
 /// produced — controller decisions, final partition, values, virtual
-/// clocks and message counts — in both gather flavours and with message
-/// charging on.
+/// clocks and message counts — with message charging off and on.
 #[test]
 fn one_stage_sessions_reproduce_the_golden_fingerprint() {
     let m = golden_mesh();
     for (l, leg) in GOLDEN_LEGS.iter().enumerate() {
-        let mut config = StanceConfig::default()
-            .with_check_interval(10)
-            .with_overlap(leg.overlap);
+        let mut config = StanceConfig::default().with_check_interval(10);
         config.balancer = golden_balancer();
         for facade in [true, false] {
             let spec = ClusterSpec::uniform(3)
