@@ -117,56 +117,20 @@ impl MeasuredCosts {
 /// `remaining_iters` is the number of iterations the new partition would
 /// serve ("using information from the current phase, the data should be
 /// redistributed such that the idle time for the next phase is minimized").
-pub fn load_balance_step<C: Comm>(
-    env: &mut C,
-    partition: &BlockPartition,
-    per_item_time: f64,
-    remaining_iters: usize,
-    config: &BalancerConfig,
-) -> Decision {
-    load_balance_step_calibrated(env, partition, per_item_time, remaining_iters, config, None)
-}
-
-/// [`load_balance_step`] with an optional **measured** rebuild cost
-/// (seconds) replacing the static `rebuild_cost_hint` in the
-/// profitability rule — the controller's calibration feedback loop.
 ///
-/// In centralized mode only the deciding rank's measurement matters (the
-/// decision is broadcast), so no extra communication is spent. In
-/// distributed mode the measurement **piggybacks on the existing load
-/// allgather** (the payload grows from one `f64` to two — still a single
-/// round) and every rank decides with the max over ranks: remaps are
-/// collective, so the slowest rank's rebuild is the cost the cluster
-/// actually pays. Collective-consistency requirement: every rank must
-/// pass `Some`/`None` uniformly (remaps are collective, so measured
-/// costs appear on all ranks together).
-pub fn load_balance_step_calibrated<C: Comm>(
-    env: &mut C,
-    partition: &BlockPartition,
-    per_item_time: f64,
-    remaining_iters: usize,
-    config: &BalancerConfig,
-    measured_rebuild_cost: Option<f64>,
-) -> Decision {
-    load_balance_step_measured(
-        env,
-        partition,
-        per_item_time,
-        remaining_iters,
-        config,
-        MeasuredCosts {
-            rebuild: measured_rebuild_cost,
-            movement: None,
-        },
-    )
-}
-
-/// [`load_balance_step_calibrated`] widened to the full set of measured
-/// costs: the rebuild share *and* the fitted per-message/per-element
-/// movement model both replace their static hints in the profitability
-/// rule. Same collective-consistency requirement: remaps are collective,
-/// so every rank passes measurements (or their absence) uniformly.
-pub fn load_balance_step_measured<C: Comm>(
+/// `measured` carries the calibration feedback loop: a measured rebuild
+/// cost and a fitted per-message/per-element movement model replace
+/// their static hints (`rebuild_cost_hint`, `redist_model`) in the
+/// profitability rule; [`MeasuredCosts::none`] leaves the config to
+/// decide alone. In centralized mode only the deciding rank's
+/// measurements matter (the decision is broadcast), so no extra
+/// communication is spent. In distributed mode they **piggyback on the
+/// existing load allgather** (still a single round) and every rank
+/// decides with the max over ranks: remaps are collective, so the slowest
+/// rank's costs are what the cluster actually pays — and so measured costs
+/// appear on all ranks together: every rank must pass measurements (or
+/// their absence) uniformly.
+pub fn load_balance_step<C: Comm>(
     env: &mut C,
     partition: &BlockPartition,
     per_item_time: f64,
@@ -535,7 +499,14 @@ mod tests {
         let report = Cluster::new(spec).run(|env| {
             // Rank 0 claims to be 4× slower.
             let t = if env.rank() == 0 { 4e-3 } else { 1e-3 };
-            load_balance_step(env, &part, t, 500, &config_free_movement())
+            load_balance_step(
+                env,
+                &part,
+                t,
+                500,
+                &config_free_movement(),
+                MeasuredCosts::none(),
+            )
         });
         let decisions: Vec<Decision> = report.into_results();
         assert!(matches!(decisions[0], Decision::Remap(_)));
@@ -552,7 +523,14 @@ mod tests {
             let spec = ClusterSpec::paper_cluster(p);
             let report = Cluster::new(spec).run(|env| {
                 let t0 = env.now();
-                load_balance_step(env, &part, 1e-3, 500, &BalancerConfig::default());
+                load_balance_step(
+                    env,
+                    &part,
+                    1e-3,
+                    500,
+                    &BalancerConfig::default(),
+                    MeasuredCosts::none(),
+                );
                 env.now() - t0
             });
             report.into_results().into_iter().fold(0.0f64, f64::max)
@@ -575,7 +553,7 @@ mod tests {
             Cluster::new(spec.clone())
                 .run(move |env| {
                     let t = if env.rank() == 1 { 5e-3 } else { 1e-3 };
-                    load_balance_step(env, &part, t, 400, &config)
+                    load_balance_step(env, &part, t, 400, &config, MeasuredCosts::none())
                 })
                 .into_results()
         };
@@ -596,7 +574,7 @@ mod tests {
         let mut config = config_free_movement();
         config.mode = ControllerMode::Distributed;
         let report = Cluster::new(spec).run(|env| {
-            load_balance_step(env, &part, 1e-3, 100, &config);
+            load_balance_step(env, &part, 1e-3, 100, &config, MeasuredCosts::none());
             (env.stats().messages_sent, env.stats().messages_received)
         });
         let counts: Vec<_> = report.into_results();
@@ -625,7 +603,7 @@ mod tests {
             let decisions = Cluster::new(spec.clone())
                 .run(move |env| {
                     let t = if env.rank() == 1 { 5e-3 } else { 1e-3 };
-                    load_balance_step_measured(env, &part, t, 400, &config, expensive)
+                    load_balance_step(env, &part, t, 400, &config, expensive)
                 })
                 .into_results();
             assert!(
@@ -653,7 +631,7 @@ mod tests {
                     }),
                 };
                 let t = if env.rank() == 1 { 5e-3 } else { 1e-3 };
-                load_balance_step_measured(env, &part, t, 400, &config, measured)
+                load_balance_step(env, &part, t, 400, &config, measured)
             })
             .into_results();
         assert!(decisions.windows(2).all(|w| w[0] == w[1]), "{decisions:?}");

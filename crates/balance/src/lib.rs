@@ -27,10 +27,7 @@ pub mod controller;
 pub mod monitor;
 pub mod redistribute;
 
-pub use controller::{
-    load_balance_step, load_balance_step_calibrated, load_balance_step_measured, BalancerConfig,
-    ControllerMode, Decision, MeasuredCosts,
-};
+pub use controller::{load_balance_step, BalancerConfig, ControllerMode, Decision, MeasuredCosts};
 pub use monitor::{CapabilityEstimator, LoadMonitor, MonitorSnapshot};
 pub use redistribute::{
     redistribute_adjacency, redistribute_values, redistribute_values_coalesced, RemapScratch,

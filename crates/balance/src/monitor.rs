@@ -16,7 +16,7 @@
 /// The paper's implementation uses the previous phase directly; its
 /// footnote 2 suggests "techniques that would predict the available
 /// computational resources based on more than one previous phase" — the
-/// window average and linear trend implement that suggestion.
+/// window average implements that suggestion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CapabilityEstimator {
     /// The most recent measurement block (the paper's §3.5 behaviour).
@@ -24,9 +24,6 @@ pub enum CapabilityEstimator {
     /// Mean over the window: smooths transient spikes.
     #[default]
     WindowAverage,
-    /// Least-squares linear extrapolation over the window: anticipates a
-    /// steadily rising or falling load.
-    LinearTrend,
 }
 
 /// Smoothing factor of the remap-cost EWMAs: new measurements count half,
@@ -205,35 +202,6 @@ impl LoadMonitor {
             CapabilityEstimator::WindowAverage => {
                 self.samples.iter().sum::<f64>() / self.samples.len() as f64
             }
-            CapabilityEstimator::LinearTrend => self.linear_trend_prediction(last),
-        }
-    }
-
-    /// Least-squares fit `s_i = a + b·i` over the window, evaluated one step
-    /// past the newest sample; clamped to stay positive (a per-item time can
-    /// shrink toward zero but never cross it).
-    fn linear_trend_prediction(&self, last: f64) -> f64 {
-        let k = self.samples.len();
-        if k < 2 {
-            return last;
-        }
-        let kf = k as f64;
-        let mean_i = (kf - 1.0) / 2.0;
-        let mean_s = self.samples.iter().sum::<f64>() / kf;
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (i, &s) in self.samples.iter().enumerate() {
-            let di = i as f64 - mean_i;
-            num += di * (s - mean_s);
-            den += di * di;
-        }
-        let b = num / den;
-        let a = mean_s - b * mean_i;
-        let predicted = a + b * kf;
-        if predicted > 0.0 {
-            predicted
-        } else {
-            last
         }
     }
 
@@ -613,46 +581,5 @@ mod tests {
         m.record(10.0, 1, 10);
         m.record(30.0, 1, 10);
         assert_eq!(m.per_item_time(), Some(3.0));
-    }
-
-    #[test]
-    fn linear_trend_extrapolates_rising_load() {
-        let mut m = LoadMonitor::with_estimator(4, CapabilityEstimator::LinearTrend);
-        // Per-item times 1, 2, 3: the trend predicts 4 for the next phase.
-        for s in [1.0, 2.0, 3.0] {
-            m.record(s * 10.0, 1, 10);
-        }
-        let p = m.per_item_time().unwrap();
-        assert!((p - 4.0).abs() < 1e-9, "predicted {p}");
-        // The average would have said 2.0; the trend anticipates the rise.
-    }
-
-    #[test]
-    fn linear_trend_constant_load_is_flat() {
-        let mut m = LoadMonitor::with_estimator(4, CapabilityEstimator::LinearTrend);
-        for _ in 0..4 {
-            m.record(20.0, 1, 10);
-        }
-        assert!((m.per_item_time().unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_trend_clamps_to_positive() {
-        let mut m = LoadMonitor::with_estimator(4, CapabilityEstimator::LinearTrend);
-        // Falling so fast the extrapolation would go negative: samples are
-        // per-item times 9, 5, 1 (trend predicts −3).
-        for s in [9.0, 5.0, 1.0] {
-            m.record(s * 10.0, 1, 10);
-        }
-        let p = m.per_item_time().unwrap();
-        assert!(p > 0.0, "prediction must stay positive, got {p}");
-        assert_eq!(p, 1.0, "falls back to the last sample");
-    }
-
-    #[test]
-    fn linear_trend_single_sample_uses_last() {
-        let mut m = LoadMonitor::with_estimator(4, CapabilityEstimator::LinearTrend);
-        m.record(10.0, 1, 10);
-        assert_eq!(m.per_item_time(), Some(1.0));
     }
 }

@@ -1,5 +1,4 @@
-//! Shared harness code for the table/figure reproduction binaries and the
-//! Criterion benches.
+//! Shared harness code for the table/figure reproduction binaries.
 //!
 //! Every binary regenerates one table or figure of the paper (see
 //! "Reproduction harness" in the workspace `README.md` for the index) and

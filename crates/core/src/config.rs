@@ -13,11 +13,6 @@ pub enum RecoveryPolicy {
     /// opt-in.
     #[default]
     FailFast,
-    /// Survivors renumber themselves densely (`SurvivorComm`) and
-    /// continue from their **current** in-memory state, abandoning
-    /// whatever the dead rank owned. Only correct for computations that
-    /// can tolerate losing a block.
-    Shrink,
     /// Survivors restore the last checkpoint onto the contracted rank
     /// count and continue — the lost block is reconstructed from the
     /// checkpoint, nothing is abandoned. Requires the application to
@@ -90,7 +85,7 @@ pub struct StanceConfig {
     pub monitor_window: usize,
     /// How the next phase's capability is predicted from the window (the
     /// paper uses the last phase; footnote 2 suggests multi-phase
-    /// prediction, provided here as window averaging and linear trend).
+    /// prediction, provided here as window averaging).
     pub estimator: CapabilityEstimator,
     /// Whether the controller's profitability rule uses the **measured**
     /// schedule-rebuild cost instead of the static

@@ -74,9 +74,7 @@
 //! the primitive, [`stance_executor::gather_fused`] against
 //! [`stance_executor::gather`]).
 
-use stance_balance::{
-    load_balance_step_measured, Decision, LoadMonitor, MeasuredCosts, RemapScratch,
-};
+use stance_balance::{load_balance_step, Decision, LoadMonitor, MeasuredCosts, RemapScratch};
 use stance_executor::{GhostedArray, Kernel, LoopRunner, LoopStats};
 use stance_inspector::{
     build_schedule_simple, build_schedule_symmetric_with, CommSchedule, LocalAdjacency,
@@ -392,11 +390,6 @@ impl<E: Element> StageGraph<E> {
         &self.fields
     }
 
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Stage names in execution (topological) order.
     pub fn execution_order(&self) -> impl Iterator<Item = &str> {
         self.order.iter().map(|&i| self.stages[i].name.as_str())
@@ -569,11 +562,6 @@ impl<E: Element> DataflowSession<E> {
         self.runner.schedule()
     }
 
-    /// The stage graph driving this session.
-    pub fn stage_graph(&self) -> &StageGraph<E> {
-        &self.graph
-    }
-
     /// The named field registry.
     pub fn fields(&self) -> &FieldSet<E> {
         &self.fields
@@ -662,7 +650,7 @@ impl<E: Element> DataflowSession<E> {
         let t0 = env.now_secs();
         let decision = {
             let mut env = MaybeChecked::new(env, self.verify.as_deref_mut());
-            load_balance_step_measured(
+            load_balance_step(
                 &mut env,
                 &self.partition,
                 per_item,

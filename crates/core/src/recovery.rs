@@ -141,14 +141,10 @@ pub fn survivors_of(alive: &[bool]) -> Vec<usize> {
 /// * Everyone alive → [`RecoveryAction::Continue`].
 /// * Dead ranks under [`RecoveryPolicy::FailFast`] → panics with the
 ///   verdict (the default: losing a rank is an error, not an event).
-/// * Dead ranks under [`RecoveryPolicy::Shrink`] or
-///   [`RecoveryPolicy::RestoreAndShrink`] → [`RecoveryAction::Shrink`]
-///   with the survivor list. The two policies differ in what the caller
-///   does next: `Shrink` re-partitions live in-memory state (only sound
-///   when the departing rank's data is recoverable elsewhere, e.g. a
-///   graceful withdrawal), `RestoreAndShrink` restores the last
-///   replicated checkpoint onto the survivors — the only option that
-///   recovers a *crashed* rank's block.
+/// * Dead ranks under [`RecoveryPolicy::RestoreAndShrink`] →
+///   [`RecoveryAction::Shrink`] with the survivor list; the caller
+///   restores the last replicated checkpoint onto the survivors — the
+///   only way to recover a *crashed* rank's block.
 pub fn probe_and_decide<C: Comm>(env: &mut C, config: &StanceConfig) -> RecoveryAction {
     let alive = probe_membership(env, &config.detector);
     if alive.iter().all(|&a| a) {
@@ -159,7 +155,7 @@ pub fn probe_and_decide<C: Comm>(env: &mut C, config: &StanceConfig) -> Recovery
         RecoveryPolicy::FailFast => panic!(
             "rank(s) {dead:?} failed (collective verdict) and the recovery policy is fail-fast"
         ),
-        RecoveryPolicy::Shrink | RecoveryPolicy::RestoreAndShrink => RecoveryAction::Shrink {
+        RecoveryPolicy::RestoreAndShrink => RecoveryAction::Shrink {
             survivors: survivors_of(&alive),
         },
     }

@@ -2,13 +2,12 @@
 //!
 //! The paper's execution structure runs thousands of gather/sweep
 //! iterations between inspector invocations (§3.3), so per-iteration
-//! constant factors dominate. [`CommBuffers`] removes the two allocations
-//! the transport used to make per message: send staging buffers are
-//! recycled from received payloads (a message's byte buffer makes a round
-//! trip through the cluster instead of being freed), and a per-runner
-//! element scratch absorbs the indexed decodes `scatter_add` needs. After
-//! a short warm-up — buffer capacities converge as each byte buffer
-//! circulates through its fixed send/receive cycle — a steady-state
+//! constant factors dominate. [`CommBuffers`] removes the allocation the
+//! transport used to make per message: send staging buffers are recycled
+//! from received payloads (a message's byte buffer makes a round trip
+//! through the cluster instead of being freed). After a short warm-up —
+//! buffer capacities converge as each byte buffer circulates through its
+//! fixed send/receive cycle — a steady-state
 //! [`LoopRunner`](crate::LoopRunner) iteration performs **zero heap
 //! allocations** (pinned by `tests/alloc_free.rs`).
 //!
@@ -18,6 +17,8 @@
 //! an asymmetric schedule the pool is capped — extra received buffers are
 //! dropped and missing send buffers are allocated fresh — so behaviour
 //! degrades to the old per-message allocation, never to unbounded memory.
+
+use std::marker::PhantomData;
 
 use stance_inspector::CommSchedule;
 use stance_sim::Element;
@@ -33,8 +34,8 @@ pub struct CommBuffers<E: Element> {
     /// Upper bound on `pool.len()`, so asymmetric schedules cannot grow
     /// the pool without bound.
     pool_cap: usize,
-    /// Element scratch for indexed decodes (scatter contributions).
-    elems: Vec<E>,
+    /// The element type whose wire width sizes the staging buffers.
+    _elem: PhantomData<E>,
 }
 
 impl<E: Element> CommBuffers<E> {
@@ -43,13 +44,12 @@ impl<E: Element> CommBuffers<E> {
         CommBuffers {
             pool: Vec::new(),
             pool_cap: 8,
-            elems: Vec::new(),
+            _elem: PhantomData,
         }
     }
 
     /// Buffers pre-sized from a schedule: one staging buffer per send
-    /// segment (capacity = one array's worth of that segment), element
-    /// scratch sized for the largest arriving scatter segment.
+    /// segment (capacity = one array's worth of that segment).
     ///
     /// Buffers are stacked in reverse peer order so the peer-ascending
     /// send loop pops them with matching capacities on the very first
@@ -61,26 +61,20 @@ impl<E: Element> CommBuffers<E> {
             .rev()
             .map(|(_, locals)| Vec::with_capacity(locals.len() * E::SIZE_BYTES))
             .collect();
-        let max_arriving = schedule
-            .sends()
-            .iter()
-            .map(|(_, locals)| locals.len())
-            .max()
-            .unwrap_or(0);
         let pool_cap = schedule.sends().len().max(schedule.recvs().len()).max(8);
         CommBuffers {
             pool,
             pool_cap,
-            elems: Vec::with_capacity(max_arriving),
+            _elem: PhantomData,
         }
     }
 
     /// Re-targets recycled buffers at a new schedule (after a remap):
-    /// pooled byte buffers and the element scratch are kept — only the
-    /// pool cap is adjusted, so a rebuild allocates nothing (compare
-    /// [`CommBuffers::for_schedule`], which starts from scratch). Any
-    /// buffer that turns out undersized for the new schedule grows lazily
-    /// in `take_bytes`/`decode_into_scratch`, exactly as during warm-up.
+    /// pooled byte buffers are kept — only the pool cap is adjusted, so a
+    /// rebuild allocates nothing (compare [`CommBuffers::for_schedule`],
+    /// which starts from scratch). Any buffer that turns out undersized
+    /// for the new schedule grows lazily in `take_bytes`, exactly as
+    /// during warm-up.
     pub fn rebuild(&mut self, schedule: &CommSchedule) {
         self.pool_cap = schedule.sends().len().max(schedule.recvs().len()).max(8);
         self.pool.truncate(self.pool_cap);
@@ -105,17 +99,6 @@ impl<E: Element> CommBuffers<E> {
         if self.pool.len() < self.pool_cap {
             self.pool.push(buf);
         }
-    }
-
-    /// Decodes `len` elements out of `bytes` into the element scratch,
-    /// recycles `bytes`, and returns the decoded slice.
-    pub(crate) fn decode_into_scratch(&mut self, bytes: Vec<u8>, len: usize) -> &[E] {
-        if self.elems.len() < len {
-            self.elems.resize(len, E::zero());
-        }
-        E::unpack_into(&bytes, &mut self.elems[..len]);
-        self.recycle(bytes);
-        &self.elems[..len]
     }
 }
 
@@ -149,15 +132,5 @@ mod tests {
             bufs.recycle(Vec::with_capacity(8));
         }
         assert!(bufs.pool.len() <= bufs.pool_cap);
-    }
-
-    #[test]
-    fn decode_into_scratch_round_trips() {
-        let mut bufs: CommBuffers<f64> = CommBuffers::new();
-        let mut bytes = Vec::new();
-        f64::pack_into(&[1.5, -2.0, 0.25], &mut bytes);
-        assert_eq!(bufs.decode_into_scratch(bytes, 3), &[1.5, -2.0, 0.25]);
-        // The spent buffer was recycled.
-        assert_eq!(bufs.pool.len(), 1);
     }
 }

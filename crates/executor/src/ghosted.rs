@@ -79,12 +79,6 @@ impl<E: Element> GhostedArray<E> {
         &self.data
     }
 
-    /// Mutable combined buffer.
-    #[inline]
-    pub fn combined_mut(&mut self) -> &mut [E] {
-        &mut self.data
-    }
-
     /// Replaces the owned values (length must match).
     ///
     /// # Panics

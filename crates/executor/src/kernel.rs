@@ -2,7 +2,7 @@
 //!
 //! The paper pitches the runtime as support for *data-parallel
 //! applications*: the runtime owns partitioning, the inspector,
-//! gather/scatter and load balancing, while the application supplies two
+//! the gather and load balancing, while the application supplies two
 //! things — the per-vertex state type ([`Element`])
 //! and the sweep over it ([`Kernel`]). A new workload is therefore a type
 //! implementing `Kernel` (usually a few dozen lines), not a fork of the
@@ -48,7 +48,7 @@ use crate::team::SweepTeam;
 /// Elements with the componentwise arithmetic the built-in kernels need.
 ///
 /// Separate from [`Element`] because the runtime core
-/// (gather, scatter, redistribution) only needs to *move* elements; only
+/// (gather, redistribution) only needs to *move* elements; only
 /// kernels need to compute with them. Operations take `self` by value —
 /// elements are small `Copy` records.
 pub trait Field: Element {
@@ -397,28 +397,6 @@ impl<E: Field> Kernel<E> for LaplacianKernel {
         // component.
         E::FIELDS as f64 * model.sweep_work(vertices, references)
     }
-}
-
-/// One relaxation sweep over owned vertices, as a free function (a thin
-/// wrapper over [`RelaxationKernel`] for callers that drive the pieces by
-/// hand).
-pub fn parallel_relaxation_step<E: Field>(
-    tadj: &TranslatedAdjacency,
-    values: &GhostedArray<E>,
-    out: &mut [E],
-) {
-    RelaxationKernel.sweep(tadj, values.combined(), out);
-}
-
-/// One local Laplacian matvec sweep, as a free function (a thin wrapper
-/// over [`LaplacianKernel`]).
-pub fn laplacian_matvec_step<E: Field>(
-    tadj: &TranslatedAdjacency,
-    values: &GhostedArray<E>,
-    shift: f64,
-    out: &mut [E],
-) {
-    LaplacianKernel { shift }.sweep(tadj, values.combined(), out);
 }
 
 /// Sequential reference for [`LaplacianKernel`] over the whole graph.

@@ -1,10 +1,11 @@
-//! # stance-executor — Phase C: gather/scatter and the generic parallel loop
+//! # stance-executor — Phase C: gather and the generic parallel loop
 //!
 //! §3.3 of the paper: "The executor uses the communication schedules
 //! generated by the inspector to move data between the processors … There
 //! are two basic primitives, gather and scatter. Gather is used to fetch
 //! off-processor elements, while scatter is used to send off-processor
-//! elements."
+//! elements." Every kernel here reads ghosts and writes owned rows only,
+//! so gather is the one primitive this executor carries.
 //!
 //! The executor is generic over the *application*: the runtime owns data
 //! movement and scheduling, the application supplies its per-vertex
@@ -13,7 +14,7 @@
 //! * [`GhostedArray`] — a rank's data block plus its ghost region, laid out
 //!   exactly as the paper's Fig. 4 local buffer ("local data" followed by
 //!   "off processor data"), for any element type;
-//! * [`gather`] / [`scatter_add`] — the two primitives, driven by a
+//! * [`gather`] — the exchange primitive, driven by a
 //!   [`CommSchedule`](stance_inspector::CommSchedule); received payloads
 //!   decode straight into the ghost region through the [`Element`
 //!   bulk codecs](stance_sim::Element::unpack_into), with send staging
@@ -51,9 +52,8 @@ pub use buffers::CommBuffers;
 pub use cost::ComputeCostModel;
 pub use ghosted::GhostedArray;
 pub use kernel::{
-    laplacian_matvec_step, parallel_relaxation_step, sequential_laplacian_matvec,
-    sequential_relaxation, sweep_rows, Field, Kernel, LaplacianKernel, LoopRunner, LoopStats,
-    RelaxationKernel,
+    sequential_laplacian_matvec, sequential_relaxation, sweep_rows, Field, Kernel, LaplacianKernel,
+    LoopRunner, LoopStats, RelaxationKernel,
 };
-pub use primitives::{gather, gather_fused, scatter_add};
+pub use primitives::{gather, gather_fused};
 pub use team::SweepTeam;

@@ -1,27 +1,23 @@
-//! The two executor primitives: gather and scatter.
+//! The executor's exchange primitive: gather.
 //!
-//! §3.3: "Gather is used to fetch off-processor elements, while scatter is
-//! used to send off-processor elements." Both walk the communication
-//! schedule; gather moves owner → ghost, scatter-add moves ghost → owner
-//! (accumulating, for symmetric update patterns like residual assembly).
+//! §3.3: "Gather is used to fetch off-processor elements". It walks the
+//! communication schedule and moves owner → ghost.
 //!
-//! All ranks must call these collectively with matched schedules (the
+//! All ranks must call it collectively with matched schedules (the
 //! inspector guarantees matching; `CommSchedule::validate` checks it).
 //!
-//! All primitives are generic over the application's
+//! Both spellings are generic over the application's
 //! [`Element`]: values travel as packed little-endian
 //! bytes, so the wire size the network model charges is
 //! `count × E::SIZE_BYTES` for every element type. Packing work is charged
 //! per *element* (one data item), matching the paper's per-item cost model.
 //!
 //! The transport is zero-copy on the hot path: received payloads are
-//! decoded **directly into** the ghost region (gather) or through a reused
-//! element scratch into the owned block (scatter), never via an
+//! decoded **directly into** the ghost region, never via an
 //! intermediate `Vec<E>`; send staging rides in byte buffers recycled
 //! through [`CommBuffers`], so steady-state iterations allocate nothing.
 //! Gathers come in one blocking body ([`gather_fused`]; [`gather`] is its
-//! group-of-one spelling). Every primitive takes the caller's
-//! [`CommBuffers`] — a
+//! group-of-one spelling). Both take the caller's [`CommBuffers`] — a
 //! [`LoopRunner`](crate::LoopRunner) owns one and rebuilds it only on
 //! remap; hand-driven callers build one with
 //! [`CommBuffers::for_schedule`].
@@ -32,10 +28,8 @@ use stance_sim::{Comm, Element, Payload, Tag};
 use crate::buffers::CommBuffers;
 use crate::cost::ComputeCostModel;
 use crate::ghosted::GhostedArray;
-use crate::kernel::Field;
 
 const TAG_GATHER: Tag = stance_sim::tags::TAG_GATHER;
-const TAG_SCATTER: Tag = stance_sim::tags::TAG_SCATTER;
 const TAG_GATHER_FUSED: Tag = stance_sim::tags::TAG_GATHER_FUSED;
 
 /// Whether an index list is one strictly consecutive ascending run
@@ -82,63 +76,6 @@ pub fn gather<E: Element, C: Comm>(
 ) {
     let group = std::slice::from_mut(values);
     gather_group(env, schedule, group, &[0], cost, bufs, TAG_GATHER);
-}
-
-/// Sends each ghost-region value back to its owner, which **adds** it into
-/// the corresponding owned element. The flow is the exact reverse of
-/// [`gather`]: receive segments become sends and send lists describe where
-/// arriving contributions accumulate. Requires a [`Field`] element (the
-/// accumulation needs addition).
-pub fn scatter_add<E: Field, C: Comm>(
-    env: &mut C,
-    schedule: &CommSchedule,
-    values: &mut GhostedArray<E>,
-    cost: &ComputeCostModel,
-    bufs: &mut CommBuffers<E>,
-) {
-    debug_assert_eq!(values.local_len(), schedule.interval().len());
-    debug_assert_eq!(values.num_ghosts(), schedule.num_ghosts() as usize);
-
-    // Ship my ghost contributions back to their owners: each segment is
-    // contiguous in the ghost region, so it bulk-packs straight from the
-    // buffer into recycled staging.
-    let mut slot = 0usize;
-    for (peer, globals) in schedule.recvs() {
-        let seg = globals.len();
-        env.compute(cost.pack_work(seg));
-        let mut bytes = bufs.take_bytes(seg * E::SIZE_BYTES);
-        E::pack_into(&values.ghosts()[slot..slot + seg], &mut bytes);
-        slot += seg;
-        env.send(*peer, TAG_SCATTER, Payload::from_bytes(bytes));
-    }
-    // Accumulate arriving contributions into my owned elements. The
-    // accumulation targets are an index scatter, so the payload decodes
-    // into the reused element scratch (no fresh `Vec<E>`) and adds from
-    // there.
-    for (peer, locals) in schedule.sends() {
-        let bytes = env.recv(*peer, TAG_SCATTER).into_bytes();
-        assert_eq!(
-            bytes.len(),
-            locals.len() * E::SIZE_BYTES,
-            "scatter packet from rank {peer} has wrong length"
-        );
-        env.compute(cost.pack_work(locals.len()));
-        let contributions = bufs.decode_into_scratch(bytes, locals.len());
-        let local = values.local_mut();
-        if !locals.is_empty() && consecutive_run(locals) {
-            let first = locals[0] as usize;
-            for (o, &v) in local[first..first + locals.len()]
-                .iter_mut()
-                .zip(contributions)
-            {
-                *o = o.add(v);
-            }
-        } else {
-            for (&l, &v) in locals.iter().zip(contributions) {
-                local[l as usize] = local[l as usize].add(v);
-            }
-        }
-    }
 }
 
 /// Gathers ghosts for the fields selected by `which` (indices into
@@ -322,47 +259,6 @@ mod tests {
                 }
             }
         });
-    }
-
-    /// scatter_add after setting each ghost to 1 must add, per owned vertex,
-    /// the number of remote blocks referencing it.
-    #[test]
-    fn scatter_add_accumulates() {
-        let g = meshgen::triangulated_grid(9, 7, 0.3, 2);
-        let n = g.num_vertices();
-        let part = BlockPartition::uniform(n, 3);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        let report = Cluster::new(spec).run(|env| {
-            let rank = env.rank();
-            let adj = LocalAdjacency::extract(&g, &part, rank);
-            let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
-            let mut values =
-                GhostedArray::zeros(part.interval_of(rank).len(), sched.num_ghosts() as usize);
-            for x in values.ghosts_mut() {
-                *x = 1.0;
-            }
-            scatter_add(
-                env,
-                &sched,
-                &mut values,
-                &ComputeCostModel::zero(),
-                &mut CommBuffers::for_schedule(&sched),
-            );
-            // Expected: each owned vertex receives one contribution per peer
-            // that lists it in the send list (i.e. per remote block that
-            // references it).
-            let mut expected = vec![0.0; values.local_len()];
-            for (_, locals) in sched.sends() {
-                for &l in locals {
-                    expected[l as usize] += 1.0;
-                }
-            }
-            assert_eq!(values.local(), expected.as_slice());
-            values.local().iter().sum::<f64>()
-        });
-        // Total contributions = total ghosts across all ranks.
-        let total: f64 = report.results().sum();
-        assert!(total > 0.0);
     }
 
     /// Gather must be deterministic and charge identical virtual time across

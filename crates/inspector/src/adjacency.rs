@@ -109,11 +109,6 @@ impl LocalAdjacency {
         self.refs.len()
     }
 
-    /// Iterates over `(local index, global neighbor)` pairs in CSR order.
-    pub fn iter_refs(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        (0..self.len()).flat_map(move |l| self.neighbors_of(l).iter().map(move |&g| (l, g)))
-    }
-
     /// All references of the contiguous local-vertex range `lo..hi`, as one
     /// slice (rows are CSR-adjacent, so a whole range of rows bulk-copies
     /// with a single `extend_from_slice` instead of one call per row).
@@ -185,27 +180,6 @@ mod tests {
         assert_eq!(first.neighbors_of(0), &[1]);
         let last = LocalAdjacency::extract(&g, &part, 2);
         assert_eq!(last.neighbors_of(2), &[7]);
-    }
-
-    #[test]
-    fn iter_refs_in_csr_order() {
-        let g = path_graph(5);
-        let part = BlockPartition::uniform(5, 1);
-        let adj = LocalAdjacency::extract(&g, &part, 0);
-        let pairs: Vec<_> = adj.iter_refs().collect();
-        assert_eq!(
-            pairs,
-            vec![
-                (0, 1),
-                (1, 0),
-                (1, 2),
-                (2, 1),
-                (2, 3),
-                (3, 2),
-                (3, 4),
-                (4, 3)
-            ]
-        );
     }
 
     #[test]

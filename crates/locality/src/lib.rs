@@ -26,7 +26,6 @@
 
 mod bisect;
 pub mod graph;
-pub mod io;
 pub mod meshgen;
 pub mod metrics;
 #[cfg(test)]
@@ -39,5 +38,4 @@ pub mod sfc;
 pub mod spectral;
 
 pub use graph::Graph;
-pub use io::{load_graph, read_graph, save_graph, write_graph, GraphIoError};
 pub use ordering::{compute_ordering, Ordering, OrderingMethod};

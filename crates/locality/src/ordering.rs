@@ -101,18 +101,6 @@ impl Ordering {
     pub fn apply(&self, graph: &Graph) -> Graph {
         graph.relabel(&self.position_of)
     }
-
-    /// Composes with another ordering: first `self`, then `then` on the
-    /// positions.
-    pub fn compose(&self, then: &Ordering) -> Ordering {
-        assert_eq!(self.len(), then.len(), "ordering length mismatch");
-        let position_of = self
-            .position_of
-            .iter()
-            .map(|&p| then.position_of[p as usize])
-            .collect();
-        Ordering { position_of }
-    }
 }
 
 /// The available one-dimensional indexing methods.
@@ -214,17 +202,6 @@ mod tests {
     #[should_panic(expected = "not a permutation")]
     fn bad_sequence_rejected() {
         let _ = Ordering::from_sequence(&[1, 1, 2]);
-    }
-
-    #[test]
-    fn compose() {
-        let a = Ordering::from_sequence(&[2, 0, 1]); // pos of 0=1, 1=2, 2=0
-        let reverse = Ordering::from_positions(vec![2, 1, 0]);
-        let c = a.compose(&reverse);
-        // Vertex 0: a puts it at 1, reverse maps 1→1 → stays 1.
-        assert_eq!(c.position_of(0), 1);
-        // Vertex 2: a→0, reverse 0→2.
-        assert_eq!(c.position_of(2), 2);
     }
 
     #[test]

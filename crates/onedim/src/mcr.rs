@@ -14,7 +14,7 @@
 
 use crate::arrangement::Arrangement;
 use crate::partition::BlockPartition;
-use crate::redistribution::{RedistCostModel, RedistributionPlan};
+use crate::redistribution::RedistCostModel;
 
 /// Result of an arrangement search.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,20 +130,10 @@ pub fn keep_arrangement(old: &BlockPartition, new_weights: &[f64]) -> BlockParti
     BlockPartition::from_weights(old.n(), new_weights, old.arrangement().clone())
 }
 
-/// Convenience: the redistribution plan MCR implies.
-pub fn mcr_plan(
-    old: &BlockPartition,
-    new_weights: &[f64],
-    model: &RedistCostModel,
-) -> (RedistributionPlan, McrResult) {
-    let result = minimize_cost_redistribution(old, new_weights, model);
-    let plan = RedistributionPlan::between(old, &result.partition);
-    (plan, result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::redistribution::RedistributionPlan;
 
     fn fig5_old() -> BlockPartition {
         BlockPartition::from_weights(
@@ -261,15 +251,6 @@ mod tests {
         let plan = RedistributionPlan::between(&old, &res.partition);
         let kept_plan = RedistributionPlan::between(&old, &keep_arrangement(&old, &new_w));
         assert!(plan.num_messages() <= kept_plan.num_messages());
-    }
-
-    #[test]
-    fn mcr_plan_consistency() {
-        let old = fig5_old();
-        let new_w = [0.2; 5];
-        let model = RedistCostModel::elements_only();
-        let (plan, res) = mcr_plan(&old, &new_w, &model);
-        assert!((model.cost(&plan) - res.cost).abs() < 1e-12);
     }
 
     #[test]

@@ -451,24 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_round_trip() {
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        let report = Cluster::new(spec).run(|env| {
-            // Ring: send rank to (rank+1) % 3, receive from (rank+2) % 3.
-            let next = (env.rank() + 1) % 3;
-            let prev = (env.rank() + 2) % 3;
-            let got = env.exchange(
-                vec![(next, Payload::from_u32(vec![env.rank() as u32]))],
-                &[prev],
-                Tag(2),
-            );
-            got[0].1.clone().into_u32()[0]
-        });
-        let results: Vec<u32> = report.into_results();
-        assert_eq!(results, vec![2, 0, 1]);
-    }
-
-    #[test]
     fn wait_time_accounted() {
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec).run(|env| {

@@ -1,7 +1,7 @@
 //! The backend-independent communication interface.
 //!
 //! Every layer of the runtime above the transport — the executor's
-//! gather/scatter primitives, the load balancer's redistribution and
+//! gather, the load balancer's redistribution and
 //! controller protocol, the inspector's "simple" strategy, the adaptive
 //! session — is written against this trait instead of a concrete backend.
 //! Three backends implement it:
@@ -90,16 +90,13 @@ pub trait Comm {
     /// receiving rank has terminated, `post` reports it by returning
     /// `false` (and delivers nothing). This is the failure detector's send
     /// primitive — heartbeats and verdict exchanges must survive a dead
-    /// peer. The default delegates to `send` (correct for any backend on
-    /// which `send` cannot observe peer death); all three in-tree backends
-    /// override it with a genuinely non-panicking enqueue.
+    /// peer. Required, like [`Comm::recv_deadline`] and
+    /// [`Comm::barrier_deadline`]: a fallback to the blocking primitive
+    /// would turn the detector into the hang it exists to prevent.
     ///
     /// # Panics
     /// Panics if `dst` is out of range.
-    fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
-        self.send(dst, tag, payload);
-        true
-    }
+    fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool;
 
     /// Bounded receive: like [`Comm::recv`] but gives up after
     /// `timeout_secs`, returning `None` instead of blocking forever — and
@@ -111,16 +108,12 @@ pub trait Comm {
     ///
     /// Clock semantics per backend: the simulator charges the full
     /// `timeout_secs` to its virtual clock on a timeout (deterministic —
-    /// the wait really cost that long); the native backend waits in wall
-    /// time. The default delegates to the blocking `recv` (no timeout) so
-    /// third-party `Comm` impls keep compiling; all three in-tree backends
-    /// override it.
+    /// the wait really cost that long); the wall-clock backends wait in
+    /// wall time.
     ///
     /// # Panics
     /// Panics if `src` is out of range.
-    fn recv_deadline(&mut self, src: usize, tag: Tag, _timeout_secs: f64) -> Option<Payload> {
-        Some(self.recv(src, tag))
-    }
+    fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload>;
 
     /// Terminates this rank as abruptly as the backend can manage — the
     /// fault injector's "kill" hook. In-process backends cannot die
@@ -138,12 +131,8 @@ pub trait Comm {
     /// (a participant is dead, wedged, or the barrier was poisoned by a
     /// panicking peer). On `false` this rank has withdrawn its arrival,
     /// so the barrier state stays consistent. Collective among the ranks
-    /// that do arrive. The default delegates to the blocking `barrier`
-    /// and returns `true`; all three in-tree backends override it.
-    fn barrier_deadline(&mut self, _timeout_secs: f64) -> bool {
-        self.barrier();
-        true
-    }
+    /// that do arrive.
+    fn barrier_deadline(&mut self, timeout_secs: f64) -> bool;
 
     /// Sends the same payload to several destinations. The default is a
     /// loop of unicast sends; backends with hardware multicast override it.
@@ -218,25 +207,6 @@ pub trait Comm {
             .map(|p| p.into_f64()[0])
             .reduce(&op)
             .expect("cluster has at least one rank")
-    }
-
-    /// Personalized all-to-all exchange: sends each `(dst, payload)` pair,
-    /// then receives one payload from each rank listed in `recv_from` (in
-    /// the given order). The caller must know its senders — in STANCE they
-    /// always follow from replicated interval tables or schedules.
-    fn exchange(
-        &mut self,
-        sends: Vec<(usize, Payload)>,
-        recv_from: &[usize],
-        tag: Tag,
-    ) -> Vec<(usize, Payload)> {
-        for (dst, payload) in sends {
-            self.send(dst, tag, payload);
-        }
-        recv_from
-            .iter()
-            .map(|&src| (src, self.recv(src, tag)))
-            .collect()
     }
 }
 

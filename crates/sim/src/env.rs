@@ -118,15 +118,6 @@ impl Env {
         self.clock = end;
     }
 
-    /// Advances the clock to `t` if `t` is in the future (models idle
-    /// waiting for an external event; accounted as wait time).
-    pub fn advance_to(&mut self, t: VTime) {
-        if t > self.clock {
-            self.stats.wait_time += t - self.clock;
-            self.clock = t;
-        }
-    }
-
     /// Sends `payload` to `dst` with `tag`. Charges this rank the
     /// per-message setup cost; the message arrives at
     /// `setup-completion + latency + bytes × byte_time`.

@@ -1,9 +1,11 @@
 //! The shared SPMD thread-launch harness.
 //!
-//! Both backends launch ranks the same way: one OS thread per rank, a
-//! generous stack (partitioners recurse over meshes), and a
-//! fail-without-deadlock panic protocol. The protocol lives here, once,
-//! so the two backends cannot drift apart on failure semantics:
+//! The two in-process backends (the simulator and the native thread
+//! pool; the TCP backend runs one OS process per rank) launch ranks the
+//! same way: one OS thread per rank, a generous stack (partitioners
+//! recurse over meshes), and a fail-without-deadlock panic protocol. The
+//! protocol lives here, once, so the two cannot drift apart on failure
+//! semantics:
 //!
 //! 1. every rank body runs under `catch_unwind`;
 //! 2. the **first** panic's payload is recorded (later ones are fallout —

@@ -13,7 +13,6 @@
 //! | 17 | [`TAG_SCHED_REPLY`] | inspector: ghost-owner replies |
 //! | 18 | [`TAG_SCHED_REQUEST`] | inspector: send-list requests |
 //! | 32 | [`TAG_GATHER`] | executor: ghost-value gather |
-//! | 33 | [`TAG_SCATTER`] | executor: accumulation scatter |
 //! | 34 | [`TAG_GATHER_FUSED`] | executor: fused multi-field ghost gather |
 //! | 48 | [`TAG_REDIST_VALUES`] | redistribution: coalesced value blocks |
 //! | 49 | [`TAG_REDIST_ADJ`] | redistribution: adjacency rows |
@@ -41,9 +40,6 @@ pub const TAG_SCHED_REQUEST: Tag = Tag::reserved(18);
 
 /// Executor: the ghost-value gather that precedes each sweep.
 pub const TAG_GATHER: Tag = Tag::reserved(32);
-
-/// Executor: the accumulation scatter (transpose of the gather).
-pub const TAG_SCATTER: Tag = Tag::reserved(33);
 
 /// Executor: the fused multi-field ghost gather — one message per
 /// neighbor carrying the concatenated ghost segments of every field a
@@ -97,7 +93,6 @@ pub const RUNTIME_TAGS: &[Tag] = &[
     TAG_SCHED_REPLY,
     TAG_SCHED_REQUEST,
     TAG_GATHER,
-    TAG_SCATTER,
     TAG_GATHER_FUSED,
     TAG_REDIST_VALUES,
     TAG_REDIST_ADJ,

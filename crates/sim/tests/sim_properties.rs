@@ -59,8 +59,9 @@ proptest! {
         }
     }
 
-    /// Exchange delivers exactly the payload each sender addressed to each
-    /// receiver, for a random traffic matrix.
+    /// All-pairs delivery, the self-send included: every receiver gets
+    /// exactly the payload each sender addressed to it, for a random
+    /// traffic matrix.
     #[test]
     fn exchange_delivers_traffic_matrix(
         p in 2usize..5,
@@ -70,17 +71,12 @@ proptest! {
         let report = Cluster::new(spec).run(move |env| {
             let me = env.rank();
             // Everyone sends to everyone (value encodes the pair).
-            let sends: Vec<(usize, Payload)> = (0..p)
-                .map(|dst| {
-                    let value = (matrix_seed as u32)
-                        .wrapping_add((me * 31 + dst) as u32);
-                    (dst, Payload::from_u32(vec![value]))
-                })
-                .collect();
-            let recv_from: Vec<usize> = (0..p).collect();
-            let got = env.exchange(sends, &recv_from, Tag(2));
-            got.into_iter()
-                .map(|(src, pl)| (src, pl.into_u32()[0]))
+            for dst in 0..p {
+                let value = (matrix_seed as u32).wrapping_add((me * 31 + dst) as u32);
+                env.send(dst, Tag(2), Payload::from_u32(vec![value]));
+            }
+            (0..p)
+                .map(|src| (src, env.recv(src, Tag(2)).into_u32()[0]))
                 .collect::<Vec<_>>()
         });
         for (me, got) in report.into_results().into_iter().enumerate() {

@@ -3,13 +3,13 @@
 //!
 //! [`CheckedComm`] forwards **every** trait method to the wrapped
 //! backend explicitly — relying on the trait defaults would silently
-//! bypass backend overrides (the simulator's probe, multicast cost
-//! accounting) and change behaviour under test, which is exactly what a
-//! checker must not do. Collectives are delegated *untraced*: their data
-//! movement is the backend's own (already covered by the conformance
-//! suite), and leaving them out keeps a checked run's messages and
-//! clocks identical to an unchecked run — the bitwise-equivalence tests
-//! hold with verification enabled for free.
+//! bypass backend overrides (the simulator's multicast cost accounting,
+//! the TCP backend's process-killing `crash`) and change behaviour under
+//! test, which is exactly what a checker must not do. Collectives are
+//! delegated *untraced*: their data movement is the backend's own
+//! (already covered by the conformance suite), and leaving them out keeps
+//! a checked run's messages and clocks identical to an unchecked run —
+//! the bitwise-equivalence tests hold with verification enabled for free.
 //!
 //! Traces are analyzed offline by [`analyze_traces`](crate::analyze_traces)
 //! after the run (typically: allgather the serialized traces on
@@ -300,15 +300,6 @@ impl<C: Comm> Comm for CheckedComm<'_, C> {
     fn allreduce_f64(&mut self, tag: Tag, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
         self.inner.allreduce_f64(tag, value, op)
     }
-
-    fn exchange(
-        &mut self,
-        sends: Vec<(usize, Payload)>,
-        recv_from: &[usize],
-        tag: Tag,
-    ) -> Vec<(usize, Payload)> {
-        self.inner.exchange(sends, recv_from, tag)
-    }
 }
 
 /// A backend that is either plain or checked, decided at runtime — the
@@ -405,15 +396,6 @@ impl<C: Comm> Comm for MaybeChecked<'_, C> {
     fn allreduce_f64(&mut self, tag: Tag, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
         forward!(self, c => c.allreduce_f64(tag, value, op))
     }
-
-    fn exchange(
-        &mut self,
-        sends: Vec<(usize, Payload)>,
-        recv_from: &[usize],
-        tag: Tag,
-    ) -> Vec<(usize, Payload)> {
-        forward!(self, c => c.exchange(sends, recv_from, tag))
-    }
 }
 
 #[cfg(test)]
@@ -456,6 +438,15 @@ mod tests {
                 Payload::Empty
             }
             fn barrier(&mut self) {}
+            fn post(&mut self, _dst: usize, _tag: Tag, _payload: Payload) -> bool {
+                true
+            }
+            fn recv_deadline(&mut self, _src: usize, _tag: Tag, _secs: f64) -> Option<Payload> {
+                Some(Payload::Empty)
+            }
+            fn barrier_deadline(&mut self, _secs: f64) -> bool {
+                true
+            }
         }
         let mut inner = Dummy;
         let before = checked_comm_constructions();

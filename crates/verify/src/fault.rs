@@ -365,16 +365,6 @@ impl<C: Comm> Comm for FaultyComm<'_, C> {
         self.tick();
         self.inner.allreduce_f64(tag, value, op)
     }
-
-    fn exchange(
-        &mut self,
-        sends: Vec<(usize, Payload)>,
-        recv_from: &[usize],
-        tag: Tag,
-    ) -> Vec<(usize, Payload)> {
-        self.tick();
-        self.inner.exchange(sends, recv_from, tag)
-    }
 }
 
 #[cfg(test)]

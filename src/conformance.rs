@@ -9,8 +9,8 @@
 //! Covered contract points: per-(source, tag) FIFO ordering, tag
 //! isolation (mismatched tags are buffered, not dropped or misdelivered,
 //! however long before the receiver asks they were sent), repeated
-//! barriers, rank-order `allreduce_f64` folding, personalized `exchange`,
-//! the broadcast/gather/allgather collectives, and the lossy/bounded
+//! barriers, rank-order `allreduce_f64` folding, the
+//! broadcast/gather/allgather collectives, and the lossy/bounded
 //! primitives (`post`, `recv_deadline`, `barrier_deadline`).
 
 use stance::prelude::*;
@@ -116,25 +116,6 @@ pub fn allreduce_ops<C: Comm>(c: &mut C) {
         .reduce(|a, b| a / 3.0 + b)
         .unwrap();
     assert_eq!(folded.to_bits(), expected.to_bits());
-}
-
-/// Personalized all-to-all: each rank sends a distinct payload to every
-/// other rank and receives one from each, in the order it asked for.
-/// Run with 5 ranks.
-pub fn exchange_ring<C: Comm>(c: &mut C) {
-    let p = c.size();
-    let me = c.rank();
-    let sends: Vec<(usize, Payload)> = (0..p)
-        .filter(|&dst| dst != me)
-        .map(|dst| (dst, Payload::from_u32(vec![me as u32, dst as u32])))
-        .collect();
-    let recv_from: Vec<usize> = (0..p).filter(|&src| src != me).rev().collect();
-    let got = c.exchange(sends, &recv_from, Tag(4));
-    assert_eq!(got.len(), p - 1);
-    for ((src, payload), &expected_src) in got.into_iter().zip(&recv_from) {
-        assert_eq!(src, expected_src, "exchange must follow recv_from order");
-        assert_eq!(payload.into_u32(), vec![src as u32, me as u32]);
-    }
 }
 
 /// `post` delivers like `send` (and reports delivery); `recv_deadline`

@@ -327,7 +327,7 @@ pub fn bits(v: &[f64]) -> Vec<u64> {
 // The TCP worker registry.
 // ---------------------------------------------------------------------
 
-/// Every scenario `src/bin/tcp-rank-worker.rs` can run by name: the 9
+/// Every scenario `src/bin/tcp-rank-worker.rs` can run by name: the 8
 /// conformance bodies (each under [`CheckedComm`], returning its trace
 /// for parent-side analysis), the two equivalence workloads, and the
 /// fault-injection legs — including `fault_kill`, where the injected
@@ -337,7 +337,6 @@ pub const TCP_SCENARIOS: stance_tcp::ScenarioRegistry = &[
     ("conformance:tag_isolation", tcp::tag_isolation),
     ("conformance:barrier_rounds", tcp::barrier_rounds),
     ("conformance:allreduce_ops", tcp::allreduce_ops),
-    ("conformance:exchange_ring", tcp::exchange_ring),
     ("conformance:bcast_and_gather", tcp::bcast_and_gather),
     (
         "conformance:post_and_recv_deadline",
@@ -392,7 +391,6 @@ mod tcp {
         tag_isolation,
         barrier_rounds,
         allreduce_ops,
-        exchange_ring,
         bcast_and_gather,
         post_and_recv_deadline,
         deadline_timeout_preserves_stream,

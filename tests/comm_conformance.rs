@@ -99,11 +99,6 @@ macro_rules! conformance_suite {
             }
 
             #[test]
-            fn exchange_ring() {
-                ($launch)(5, |c| bodies::exchange_ring(c));
-            }
-
-            #[test]
             fn bcast_and_gather() {
                 ($launch)(4, |c| bodies::bcast_and_gather(c));
             }
@@ -151,7 +146,6 @@ tcp_conformance_suite!(
     tag_isolation => 2,
     barrier_rounds => 4,
     allreduce_ops => 4,
-    exchange_ring => 5,
     bcast_and_gather => 4,
     post_and_recv_deadline => 2,
     deadline_timeout_preserves_stream => 2,
