@@ -28,10 +28,11 @@
 //! Both are generic over any [`Field`] element (`f64`, or `[f64; K]` for
 //! multi-field state), and both are one row closure handed to
 //! [`sweep_rows`], the block walk that visits rows grouped by degree.
-//! Because the translated adjacency preserves the graph's
-//! (ascending-neighbor) CSR order, a parallel sweep accumulates each row
-//! in exactly the sequential order — results are **bitwise identical** to
-//! the sequential references, which the integration tests assert.
+//! The translated adjacency stores a block's rows in that visit order, but
+//! within a row it preserves the graph's (ascending-neighbor) CSR order, so
+//! a parallel sweep accumulates each row in exactly the sequential order —
+//! results are **bitwise identical** to the sequential references, which
+//! the integration tests assert.
 
 use std::ops::Range;
 
@@ -177,10 +178,12 @@ pub trait Kernel<E: Element>: Sync {
     /// [`sweep_rows`] with the kernel's arithmetic as a per-row closure —
     /// and their `sweep` calls it for the whole block. [`sweep_rows`]
     /// visits the rows of every whole 512-row block inside `range` grouped
-    /// by degree, so the neighbor loop runs with a constant trip count.
-    /// That reorders *which row of a block is written when*, and nothing
-    /// else: the additions within a row stay in CSR order, so the outputs
-    /// are bitwise those of a plain ascending loop. Override this with
+    /// by degree, so the neighbor loop runs with a constant trip count over
+    /// references the inspector stored in that very order. That reorders
+    /// *where a row's slots live and which row of a block is written
+    /// when*, and nothing else: the additions within a row stay in CSR
+    /// order, so the outputs are bitwise those of a plain ascending loop.
+    /// Override this with
     /// your own row closure over [`sweep_rows`], or with any other
     /// formulation whose *per-vertex accumulation order* is unchanged;
     /// otherwise bitwise reproducibility across team sizes is lost.
@@ -225,16 +228,21 @@ pub trait Kernel<E: Element>: Sync {
 /// ([`TranslatedAdjacency::degree_classes`]): for degrees 1 to 8, `row` is
 /// called in a loop whose neighbor count is a compile-time constant, so
 /// the optimiser unrolls the accumulation and nothing about one row
-/// depends on the shape of the next. The ragged head and tail of a range,
-/// and rows with no or more than eight neighbors, go row by row through
-/// the same closure.
+/// depends on the shape of the next. The inspector stored the block's
+/// references in the same order ([`TranslatedAdjacency::block_slots`]), so
+/// a class of `rows` rows of degree `D` is the next `rows · D` slots of one
+/// forward stream, handed out `D` at a time: no row pointer is loaded, and
+/// the visit order is read only to know which `out[i]` a chunk belongs to.
+/// The ragged head and tail of a range, and rows with no or more than
+/// eight neighbors, go row by row through the same closure and
+/// [`TranslatedAdjacency::neighbors_of`].
 ///
-/// Only *which row of a block is written when* is reordered. Each call of
-/// `row` sees its references in CSR order, so a kernel that accumulates
-/// in the order it is handed — and whose outputs depend on nothing but
-/// the referenced inputs, as every [`Kernel`] must — writes bit for bit
-/// what a plain ascending loop would, for any fragmentation of `0..len`
-/// into ranges.
+/// Only *where a row's slots live and which row of a block is written
+/// when* is reordered. Each call of `row` sees its references in CSR
+/// order, so a kernel that accumulates in the order it is handed — and
+/// whose outputs depend on nothing but the referenced inputs, as every
+/// [`Kernel`] must — writes bit for bit what a plain ascending loop would,
+/// for any fragmentation of `0..len` into ranges.
 ///
 /// Call it from a `#[inline(never)]` [`Kernel::sweep_chunked`] and point
 /// `sweep` at that, as the built-in kernels do.
@@ -266,21 +274,21 @@ pub fn sweep_rows<E: Element>(
             at = end;
             continue;
         }
-        let (xadj, slots) = tadj.csr_window(block_start..block_end);
+        let mut slots = tadj.block_slots(block);
         let out = &mut out[block_start - range.start..block_end - range.start];
         let (mut order, classes) = tadj.degree_classes(block);
         for (degree, &rows) in classes.iter().enumerate() {
             let class;
             (class, order) = order.split_at(rows as usize);
             match degree {
-                1 => sweep_class::<1, _, _>(class, xadj, slots, out, block_start, &row),
-                2 => sweep_class::<2, _, _>(class, xadj, slots, out, block_start, &row),
-                3 => sweep_class::<3, _, _>(class, xadj, slots, out, block_start, &row),
-                4 => sweep_class::<4, _, _>(class, xadj, slots, out, block_start, &row),
-                5 => sweep_class::<5, _, _>(class, xadj, slots, out, block_start, &row),
-                6 => sweep_class::<6, _, _>(class, xadj, slots, out, block_start, &row),
-                7 => sweep_class::<7, _, _>(class, xadj, slots, out, block_start, &row),
-                8 => sweep_class::<8, _, _>(class, xadj, slots, out, block_start, &row),
+                1 => sweep_class::<1, _, _>(class, &mut slots, out, block_start, &row),
+                2 => sweep_class::<2, _, _>(class, &mut slots, out, block_start, &row),
+                3 => sweep_class::<3, _, _>(class, &mut slots, out, block_start, &row),
+                4 => sweep_class::<4, _, _>(class, &mut slots, out, block_start, &row),
+                5 => sweep_class::<5, _, _>(class, &mut slots, out, block_start, &row),
+                6 => sweep_class::<6, _, _>(class, &mut slots, out, block_start, &row),
+                7 => sweep_class::<7, _, _>(class, &mut slots, out, block_start, &row),
+                8 => sweep_class::<8, _, _>(class, &mut slots, out, block_start, &row),
                 _ => {
                     for &i in class {
                         let l = block_start + i as usize;
@@ -294,24 +302,24 @@ pub fn sweep_rows<E: Element>(
 }
 
 /// One degree class of one block: every row in `class` has exactly `D`
-/// neighbors, so `row` inlines into a loop of constant trip count. `xadj`
-/// and `out` are the block's windows, `block_start` its first local index.
+/// neighbors and the class's references are the next `class.len() · D` of
+/// the block's `slots`, `D` to a row in visit order — so `row` inlines
+/// into a loop of constant trip count over one forward stream, and `class`
+/// only says which `out[i]` a chunk belongs to. Leaves `slots` at the next
+/// class. `out` is the block's window, `block_start` its first local index.
 #[inline(always)]
 fn sweep_class<const D: usize, E, F: Fn(usize, &[u32]) -> E>(
     class: &[u16],
-    xadj: &[u32],
-    slots: &[u32],
+    slots: &mut &[u32],
     out: &mut [E],
     block_start: usize,
     row: &F,
 ) {
-    for &i in class {
-        let i = i as usize;
-        let first = xadj[i] as usize;
-        let nbrs: &[u32; D] = slots[first..first + D]
-            .try_into()
-            .expect("a slice of D slots");
-        out[i] = row(block_start + i, nbrs);
+    let mine;
+    (mine, *slots) = slots.split_at(class.len() * D);
+    for (&i, nbrs) in class.iter().zip(mine.chunks_exact(D)) {
+        let nbrs: &[u32; D] = nbrs.try_into().expect("a chunk of D slots");
+        out[i as usize] = row(block_start + i as usize, nbrs);
     }
 }
 

@@ -26,7 +26,10 @@
 //!   exchange + sweep stage step every session runs), plus the two
 //!   built-in kernels: [`RelaxationKernel`] (the paper's Fig. 8 loop,
 //!   `t[i] = Σ y[ia[k]]; y[i] = t[i]/deg(i)`) and [`LaplacianKernel`] (the
-//!   shifted graph-Laplacian matvec driving the CG example);
+//!   shifted graph-Laplacian matvec driving the CG example), both one row
+//!   closure over [`sweep_rows`] — the block walk that reads each 512-row
+//!   block's references as one forward stream, stored by the inspector in
+//!   the order this walk consumes them;
 //! * [`ComputeCostModel`] — prices kernel work in reference seconds so the
 //!   simulator's clock reflects the paper's SUN4-era magnitudes (500
 //!   iterations of the 30k mesh ≈ 97.6 s sequentially);

@@ -39,8 +39,9 @@
 //! whether any of them leaves the owned interval. On a locality-ordered mesh almost no chunk does (24 of 196
 //! for a 100k-row block of the 200k benchmark mesh): an interior chunk
 //! costs the builder one addition to the counted work and costs
-//! translation one bulk subtraction, and single references are looked at
-//! only inside the chunks that hold a boundary row. There is one builder
+//! translation one subtraction per reference on the way to where the sweep
+//! will read it, and single references are looked at only inside the
+//! chunks that hold a boundary row. There is one builder
 //! and one translation routine — the per-reference loop is the slow arm of
 //! the same function, taken chunk by chunk — and no state survives from
 //! one build to the next, so set-up, remap and restore all run the same
@@ -233,7 +234,8 @@ impl CommSchedule {
             local_len: 0,
             num_ghosts: 0,
             xadj: Vec::with_capacity(adj.len() + 1),
-            slots: Vec::with_capacity(adj.num_refs()),
+            row_start: vec![0; adj.len()],
+            slots: vec![0; adj.num_refs()],
             order: Vec::with_capacity(adj.len()),
             class_rows: Vec::with_capacity(adj.len().div_ceil(TranslatedAdjacency::BLOCK_ROWS)),
         };
@@ -258,8 +260,11 @@ impl CommSchedule {
         out.xadj.clear();
         out.xadj.reserve(adj.len() + 1);
         out.xadj.push(0);
-        out.slots.clear();
-        out.slots.reserve(adj.num_refs());
+        // Every row start and every slot is overwritten below (the blocks'
+        // windows tile the slot array), so recycled content need not be
+        // cleared first.
+        out.row_start.resize(adj.len(), 0);
+        out.slots.resize(adj.num_refs(), 0);
         out.order.clear();
         out.order.reserve(adj.len());
         out.class_rows.clear();
@@ -267,22 +272,32 @@ impl CommSchedule {
             // The row pointers are the adjacency's own, narrowed (the check
             // above covers the last and therefore all of them); while the
             // chunk's are in L1, group its rows by degree for the sweep.
-            let row_ptrs = adj.csr_window(rows).0;
+            let row_ptrs = adj.csr_window(rows.clone()).0;
             out.xadj.extend(row_ptrs[1..].iter().map(|&x| x as u32));
-            out.class_rows
-                .push(group_by_degree(row_ptrs, &mut out.order));
-            // Translate the chunk as if it were interior — one subtraction
-            // per reference, no branch — and learn on the way whether that
-            // was right: an owned global lands below `local_len`, anything
-            // else wraps above it.
-            let base = out.slots.len();
-            out.slots
-                .extend(refs.iter().map(|&g| g.wrapping_sub(start)));
-            if any_outside(&out.slots[base..], 0, local_len) {
+            let visited = out.order.len();
+            let classes = group_by_degree(row_ptrs, &mut out.order);
+            out.class_rows.push(classes);
+            // A block's rows stay together, so its slots are the window its
+            // references occupied in the CSR. Write them there in the order
+            // the sweep will read them, translated as if the chunk were
+            // interior — one subtraction per reference, no branch — and
+            // learn afterwards whether that was right: an owned global
+            // lands below `local_len`, anything else wraps above it.
+            let base = row_ptrs[0];
+            let block = &mut out.slots[base..base + refs.len()];
+            emit_in_visit_order(
+                row_ptrs,
+                refs,
+                start,
+                (&out.order[visited..], &classes),
+                block,
+                &mut out.row_start[rows],
+            );
+            if any_outside(block, 0, local_len) {
                 // A boundary row somewhere in the chunk: send the
                 // references that wrapped — the only ones touched one at a
                 // time — through the schedule's ghost map.
-                for slot in &mut out.slots[base..] {
+                for slot in block {
                     if *slot >= local_len {
                         let LocalRef::Ghost(s) = self.resolve(slot.wrapping_add(start)) else {
                             unreachable!("an owned global translates below local_len");
@@ -329,25 +344,35 @@ impl CommSchedule {
     }
 }
 
-/// Executor-ready indirection: CSR over owned vertices with combined-buffer
-/// indices (block values first, ghosts appended).
+/// Executor-ready indirection: every owned vertex's references as
+/// combined-buffer indices (block values first, ghosts appended), **stored
+/// in the order the sweep reads them**.
 ///
-/// The rows also carry a **degree index** for the sweep. The
-/// irregular loop's cost on a cache-resident block is not its memory
+/// The irregular loop's cost on a cache-resident block is not its memory
 /// traffic but the exit of the variable-trip `for s in neighbors` loop,
 /// mispredicted whenever consecutive rows differ in degree — on an
 /// unstructured mesh, most of the time. So every block of
 /// [`TranslatedAdjacency::BLOCK_ROWS`] rows records its rows grouped by
 /// degree ([`TranslatedAdjacency::degree_classes`]), planned once here so
 /// that the executor visits a block class by class with a constant trip
-/// count. Only the order in which a block's rows are *visited* is planned;
-/// each row's references stay in CSR order.
+/// count — and the slots are laid out the same way: block by block, within
+/// a block class by class, within a class rows ascending
+/// ([`TranslatedAdjacency::block_slots`]), so that visit is one forward
+/// walk over one array with no row pointer to chase. Within a row the
+/// references stay in CSR order, and a per-row start table the sweep never
+/// touches keeps [`TranslatedAdjacency::neighbors_of`] an O(1) contiguous
+/// slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranslatedAdjacency {
     local_len: u32,
     num_ghosts: u32,
-    /// CSR row pointers, `len + 1` of them; 32-bit, which pays for `order`.
+    /// CSR row pointers, `len + 1` of them, 32-bit: row `l` makes
+    /// `xadj[l + 1] - xadj[l]` references, and — a block's rows staying
+    /// together — block `b`'s slots are `slots[xadj[b · BLOCK_ROWS]..]`.
     xadj: Vec<u32>,
+    /// Where row `l`'s references start in `slots`.
+    row_start: Vec<u32>,
+    /// The references, each block's in its visit order.
     slots: Vec<u32>,
     /// Per block, its row-in-block numbers grouped by degree class, each
     /// class ascending. Block `b` owns `order[b · BLOCK_ROWS ..]`.
@@ -398,29 +423,17 @@ impl TranslatedAdjacency {
         (self.local_len + self.num_ghosts) as usize
     }
 
-    /// Combined-buffer indices of vertex `local`'s neighbors.
+    /// Combined-buffer indices of vertex `local`'s neighbors, in CSR order.
     #[inline]
     pub fn neighbors_of(&self, local: usize) -> &[u32] {
-        &self.slots[self.xadj[local] as usize..self.xadj[local + 1] as usize]
+        let first = self.row_start[local] as usize;
+        &self.slots[first..first + self.degree_of(local)]
     }
 
     /// Degree of vertex `local`.
     #[inline]
     pub fn degree_of(&self, local: usize) -> usize {
         (self.xadj[local + 1] - self.xadj[local]) as usize
-    }
-
-    /// The raw CSR window backing vertices `range`: the row-pointer slice
-    /// `xadj[range.start..=range.end]` (so `window.0[i + 1] - window.0[i]`
-    /// is the degree of local vertex `range.start + i`) together with the
-    /// full combined-index slot array it indexes into. This is what a
-    /// cache-blocked kernel wants — one slice-bounds proof per block
-    /// instead of two indexed loads per vertex — while
-    /// [`TranslatedAdjacency::neighbors_of`] stays the convenient
-    /// per-vertex view.
-    #[inline]
-    pub fn csr_window(&self, range: std::ops::Range<usize>) -> (&[u32], &[u32]) {
-        (&self.xadj[range.start..=range.end], &self.slots)
     }
 
     /// The degree index of block `block` (local vertices
@@ -435,9 +448,31 @@ impl TranslatedAdjacency {
     /// Panics if `block` is not below `len().div_ceil(BLOCK_ROWS)`.
     #[inline]
     pub fn degree_classes(&self, block: usize) -> (&[u16], &[u16; Self::DEGREE_CLASSES]) {
-        let start = block * Self::BLOCK_ROWS;
-        let end = self.len().min(start + Self::BLOCK_ROWS);
+        let (start, end) = self.block_rows(block);
         (&self.order[start..end], &self.class_rows[block])
+    }
+
+    /// The references of block `block`, in the order
+    /// [`TranslatedAdjacency::degree_classes`] visits its rows: row
+    /// `order[k]`'s references follow row `order[k - 1]`'s, each row's in
+    /// CSR order. A class of `rows` rows of degree `d < DEGREE_CLASSES - 1`
+    /// is therefore `rows · d` consecutive slots, `d` to a row, starting
+    /// where the class before it ended; the rows of the last class — of
+    /// any degree — are the tail of the stream.
+    ///
+    /// # Panics
+    /// Panics if `block` is not below `len().div_ceil(BLOCK_ROWS)`.
+    #[inline]
+    pub fn block_slots(&self, block: usize) -> &[u32] {
+        let (start, end) = self.block_rows(block);
+        &self.slots[self.xadj[start] as usize..self.xadj[end] as usize]
+    }
+
+    /// The local vertices of block `block`, as `(start, end)`.
+    #[inline]
+    fn block_rows(&self, block: usize) -> (usize, usize) {
+        let start = block * Self::BLOCK_ROWS;
+        (start, self.len().min(start + Self::BLOCK_ROWS))
     }
 
     /// Total references.
@@ -447,8 +482,8 @@ impl TranslatedAdjacency {
     }
 }
 
-/// Translated row pointers are 32-bit: a rank with more references than
-/// that cannot be translated.
+/// Translated row pointers and row starts are 32-bit: a rank with more
+/// references than that cannot be translated.
 fn check_row_pointers_fit(rank: usize, num_refs: usize) {
     assert!(
         u32::try_from(num_refs).is_ok(),
@@ -478,6 +513,87 @@ fn group_by_degree(
         order.extend_from_slice(&list[..rows]);
     }
     rows.map(|rows| rows as u16)
+}
+
+/// Lays one block's references out in the order the sweep reads them:
+/// writes row `order[k]`'s references — `refs`, the block's window of the
+/// CSR, indexed through its `row_ptrs` — after row `order[k - 1]`'s into
+/// `block`, each minus `start`, and records in `row_start` where every row
+/// went (as an index into the whole slot array, where `block` sits at
+/// `row_ptrs[0]`). Class by class like the sweep, and for the same reason:
+/// in a class below the last a row is a copy of constant length.
+fn emit_in_visit_order(
+    row_ptrs: &[usize],
+    refs: &[u32],
+    start: u32,
+    (mut order, classes): (&[u16], &[u16; TranslatedAdjacency::DEGREE_CLASSES]),
+    block: &mut [u32],
+    row_start: &mut [u32],
+) {
+    let src = (row_ptrs, refs, start);
+    let mut at = 0;
+    for (degree, &rows) in classes.iter().enumerate() {
+        let class;
+        (class, order) = order.split_at(rows as usize);
+        let (dst, first) = (&mut block[at..], row_ptrs[0] + at);
+        at += match degree {
+            1 => emit_class::<1>(class, src, dst, first, row_start),
+            2 => emit_class::<2>(class, src, dst, first, row_start),
+            3 => emit_class::<3>(class, src, dst, first, row_start),
+            4 => emit_class::<4>(class, src, dst, first, row_start),
+            5 => emit_class::<5>(class, src, dst, first, row_start),
+            6 => emit_class::<6>(class, src, dst, first, row_start),
+            7 => emit_class::<7>(class, src, dst, first, row_start),
+            8 => emit_class::<8>(class, src, dst, first, row_start),
+            _ => emit_rows(class, src, dst, first, row_start),
+        };
+    }
+}
+
+/// One degree class of [`emit_in_visit_order`], every row in `class` making
+/// exactly `D` references: fills the first `class.len() · D` slots of
+/// `dst`, which sits at `first` in the whole slot array, and returns how
+/// many that was.
+#[inline(always)]
+fn emit_class<const D: usize>(
+    class: &[u16],
+    (row_ptrs, refs, start): (&[usize], &[u32], u32),
+    dst: &mut [u32],
+    first: usize,
+    row_start: &mut [u32],
+) -> usize {
+    let dst = dst[..class.len() * D].chunks_exact_mut(D);
+    for ((&i, slots), at) in class.iter().zip(dst).zip((first..).step_by(D)) {
+        let i = i as usize;
+        let from = row_ptrs[i] - row_ptrs[0];
+        let row: &[u32; D] = refs[from..from + D].try_into().expect("D references");
+        let slots: &mut [u32; D] = slots.try_into().expect("a chunk of D slots");
+        *slots = row.map(|g| g.wrapping_sub(start));
+        row_start[i] = at as u32;
+    }
+    class.len() * D
+}
+
+/// [`emit_class`] for rows of any length — the class of no references and
+/// the open-ended last one.
+fn emit_rows(
+    class: &[u16],
+    (row_ptrs, refs, start): (&[usize], &[u32], u32),
+    dst: &mut [u32],
+    first: usize,
+    row_start: &mut [u32],
+) -> usize {
+    let mut at = 0;
+    for &i in class {
+        let i = i as usize;
+        let row = &refs[row_ptrs[i] - row_ptrs[0]..row_ptrs[i + 1] - row_ptrs[0]];
+        for (slot, &g) in dst[at..at + row.len()].iter_mut().zip(row) {
+            *slot = g.wrapping_sub(start);
+        }
+        row_start[i] = (first + at) as u32;
+        at += row.len();
+    }
+    at
 }
 
 /// Whether any of `refs` lies outside `[start, start + len)`: one

@@ -3,8 +3,8 @@
 //! [`build_schedule_symmetric_with`] and
 //! [`CommSchedule::translate_adjacency_into`] replaced, kept as oracles,
 //! plus the tests that hold the replacements to them field for field —
-//! schedule, [`TranslatedAdjacency`] (the degree index included) and
-//! [`InspectorWork`], under both sort strategies.
+//! schedule, [`TranslatedAdjacency`] (the degree index and the visit-order
+//! slot layout included) and [`InspectorWork`], under both sort strategies.
 
 use std::collections::HashSet;
 
@@ -74,41 +74,77 @@ fn symmetric_oracle(
     (schedule, work)
 }
 
-/// Translation as it was: one `resolve` and one `push` per reference — and
-/// the degree index by its definition, a stable sort of each block's row
-/// numbers on `min(degree, 9)`.
+/// One reference's combined-buffer index, through `resolve`.
+fn slot_of(schedule: &CommSchedule, g: u32) -> u32 {
+    match schedule.resolve(g) {
+        LocalRef::Local(i) => i,
+        LocalRef::Ghost(s) => schedule.interval.len() as u32 + s,
+    }
+}
+
+/// Translation by its definition, one `resolve` and one `push` per
+/// reference: the degree index is a stable sort of each block's row
+/// numbers on `min(degree, 9)`, and the slots are the rows laid out one at
+/// a time in that order, each row's references in CSR order.
 fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
     let local_len = schedule.interval.len() as u32;
-    let mut order = Vec::new();
-    let mut class_rows = Vec::new();
+    let mut out = TranslatedAdjacency {
+        local_len,
+        num_ghosts: schedule.num_ghosts,
+        xadj: vec![0],
+        row_start: vec![0; adj.len()],
+        slots: Vec::new(),
+        order: Vec::new(),
+        class_rows: Vec::new(),
+    };
+    for l in 0..adj.len() {
+        out.xadj.push(out.xadj[l] + adj.degree_of(l) as u32);
+    }
     for lo in (0..adj.len()).step_by(BLOCK_ROWS) {
         let rows = adj.len().min(lo + BLOCK_ROWS) - lo;
         let class_of = |&i: &u16| adj.degree_of(lo + i as usize).min(9);
         let mut block: Vec<u16> = (0..rows as u16).collect();
         block.sort_by_key(class_of);
-        class_rows.push(std::array::from_fn(|class| {
+        out.class_rows.push(std::array::from_fn(|class| {
             block.iter().filter(|&i| class_of(i) == class).count() as u16
         }));
-        order.extend(block);
-    }
-    let mut out = TranslatedAdjacency {
-        local_len,
-        num_ghosts: schedule.num_ghosts,
-        xadj: vec![0],
-        slots: Vec::new(),
-        order,
-        class_rows,
-    };
-    for l in 0..adj.len() {
-        for &g in adj.neighbors_of(l) {
-            out.slots.push(match schedule.resolve(g) {
-                LocalRef::Local(i) => i,
-                LocalRef::Ghost(s) => local_len + s,
-            });
+        for &i in &block {
+            let l = lo + i as usize;
+            out.row_start[l] = out.slots.len() as u32;
+            let row = adj.neighbors_of(l).iter();
+            out.slots.extend(row.map(|&g| slot_of(schedule, g)));
         }
-        out.xadj.push(out.slots.len() as u32);
+        out.order.extend(block);
     }
     out
+}
+
+/// What every reader of a translation relies on, whatever the storage
+/// order: `neighbors_of(l)` is row `l`'s references translated one by one,
+/// in CSR order, `degree_of(l)` the adjacency's degree — and what the sweep
+/// relies on: a block's slots are its rows' `neighbors_of`, concatenated in
+/// the order its degree index visits them.
+fn assert_rows_read_back(
+    schedule: &CommSchedule,
+    adj: &LocalAdjacency,
+    tadj: &TranslatedAdjacency,
+) {
+    assert_eq!(tadj.len(), adj.len());
+    for l in 0..adj.len() {
+        let row = adj.neighbors_of(l).iter();
+        let expected: Vec<u32> = row.map(|&g| slot_of(schedule, g)).collect();
+        assert_eq!(tadj.neighbors_of(l), expected, "row {l}");
+        assert_eq!(tadj.degree_of(l), adj.degree_of(l), "degree of row {l}");
+    }
+    for block in 0..adj.len().div_ceil(BLOCK_ROWS) {
+        let (order, _) = tadj.degree_classes(block);
+        let stream: Vec<u32> = order
+            .iter()
+            .flat_map(|&i| tadj.neighbors_of(block * BLOCK_ROWS + i as usize))
+            .copied()
+            .collect();
+        assert_eq!(tadj.block_slots(block), stream, "stream of block {block}");
+    }
 }
 
 /// What a previous translation of another size leaves behind for
@@ -125,6 +161,7 @@ fn stale_storage(tadj: &TranslatedAdjacency, larger: bool) -> TranslatedAdjacenc
     }
     let mut out = tadj.clone();
     resize(&mut out.xadj, larger, 7);
+    resize(&mut out.row_start, larger, 7);
     resize(&mut out.slots, larger, 7);
     resize(&mut out.order, larger, 7);
     resize(&mut out.class_rows, larger, [7; 10]);
@@ -133,8 +170,9 @@ fn stale_storage(tadj: &TranslatedAdjacency, larger: bool) -> TranslatedAdjacenc
 
 /// Holds the shipped builder and translation to their oracles on one
 /// rank's adjacency, fresh and through a reused scratch / a translation
-/// recycled from a larger and from a smaller one. Returns the translation
-/// so callers can assert on its shape.
+/// recycled from a larger and from a smaller one — and the translation to
+/// its readers' contract, oracle or no oracle ([`assert_rows_read_back`]).
+/// Returns the translation so callers can assert on its shape.
 fn assert_matches_oracles(
     partition: &BlockPartition,
     adj: &LocalAdjacency,
@@ -157,11 +195,12 @@ fn assert_matches_oracles(
         fresh.validate(partition);
 
         let expected_tadj = translate_oracle(&expected, adj);
+        let fresh_tadj = fresh.translate_adjacency(adj);
         assert_eq!(
-            fresh.translate_adjacency(adj),
-            expected_tadj,
+            fresh_tadj, expected_tadj,
             "rank {rank} {strategy:?}: translation"
         );
+        assert_rows_read_back(&fresh, adj, &fresh_tadj);
         for larger in [true, false] {
             let out = recycled.insert(stale_storage(&expected_tadj, larger));
             fresh.translate_adjacency_into(adj, out);
@@ -302,6 +341,79 @@ fn rows_of_degree_zero() {
     assert_eq!(adj.num_refs(), 0);
     let tadj = assert_matches_oracles(&partition, &adj, 2);
     assert_eq!((tadj.len(), tadj.num_refs()), (97, 0));
+}
+
+/// A ring: every row has two references, so every block holds one class
+/// and its visit order is its row order — the stream is the CSR.
+#[test]
+fn a_block_holding_only_one_class() {
+    let n = 3 * BLOCK_ROWS + 40;
+    let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
+    let coords = (0..n).map(|i| [i as f64, 0.0, 0.0]).collect();
+    let g = Graph::from_edges(n, &edges, coords, 2);
+    let partition = BlockPartition::from_sizes(&[2 * BLOCK_ROWS + 7, BLOCK_ROWS + 33]);
+    assert_all_ranks_match(&g, &partition);
+    let adj = LocalAdjacency::extract(&g, &partition, 0);
+    let tadj = assert_matches_oracles(&partition, &adj, 0);
+    for block in 0..3 {
+        let (order, classes) = tadj.degree_classes(block);
+        assert_eq!(classes[2] as usize, order.len(), "block {block}");
+        assert!(order.iter().map(|&i| i as usize).eq(0..order.len()));
+        let rows = block * BLOCK_ROWS..block * BLOCK_ROWS + order.len();
+        let csr: Vec<u32> = rows.flat_map(|l| tadj.neighbors_of(l)).copied().collect();
+        assert_eq!(tadj.block_slots(block), csr);
+    }
+}
+
+/// Hubs of ten and more references next to isolated vertices: the rows of
+/// the open-ended last class are the variable-length tail of their block's
+/// stream, the rows of degree zero take no room in it, and a hub whose
+/// spokes cross a block or a rank boundary translates like any other row.
+#[test]
+fn rows_of_degree_nine_and_more_are_the_tail_of_the_stream() {
+    let n = 1400;
+    let hubs = [3u32, 400, 505, 509, 700, 1020, 1100];
+    let isolated = |i: u32| i % 11 == 5 && !hubs.contains(&i);
+    let mut edges = std::collections::BTreeSet::new();
+    for i in 0..n as u32 - 1 {
+        if !isolated(i) && !isolated(i + 1) {
+            edges.insert((i, i + 1));
+        }
+    }
+    for (k, &h) in hubs.iter().enumerate() {
+        // 9 to 15 spokes each, to vertices after the hub.
+        for spoke in (h + 2..).filter(|&v| !isolated(v)).take(9 + k) {
+            edges.insert((h, spoke));
+        }
+    }
+    let edges: Vec<(u32, u32)> = edges.into_iter().collect();
+    let coords = (0..n).map(|i| [i as f64, 0.0, 0.0]).collect();
+    let g = Graph::from_edges(n, &edges, coords, 2);
+    // Hub 509's spokes cross rank 0's block boundary at 512, hub 1020's
+    // the rank boundary at 1030.
+    let partition = BlockPartition::from_sizes(&[1030, 370]);
+    assert_all_ranks_match(&g, &partition);
+    let adj = LocalAdjacency::extract(&g, &partition, 0);
+    let tadj = assert_matches_oracles(&partition, &adj, 0);
+    for block in 0..3 {
+        let (order, classes) = tadj.degree_classes(block);
+        let start = block * BLOCK_ROWS;
+        let many = classes[9] as usize;
+        let expected_hubs = hubs
+            .iter()
+            .filter(|&&h| (start..start + order.len()).contains(&(h as usize)))
+            .count();
+        assert_eq!(many, expected_hubs, "block {block}");
+        assert!(classes[0] > 0, "block {block} holds isolated vertices");
+        let tail: Vec<u32> = order[order.len() - many..]
+            .iter()
+            .flat_map(|&i| tadj.neighbors_of(start + i as usize))
+            .copied()
+            .collect();
+        assert!(tail.len() >= 9 * many);
+        assert!(tadj.block_slots(block).ends_with(&tail), "block {block}");
+    }
+    assert!(hubs.iter().all(|&h| g.degree(h as usize) >= 9));
 }
 
 /// A shuffled numbering has no locality: every chunk holds a boundary row

@@ -438,10 +438,10 @@ pub fn check_deadlock(ops: &[Vec<CommOp>]) -> Vec<Diagnostic> {
 /// Audits one rank's translated adjacency against its schedule and raw
 /// adjacency — purely local, no communication. Checks that the shapes
 /// agree, that every off-interval reference was actually scheduled as a
-/// ghost, and that the degree index the sweep visits rows
-/// by is what the adjacency's degrees say it must be: each block's order
-/// a permutation of its rows, the class sizes summing to the block, every
-/// row filed under its own degree, each class ascending.
+/// ghost, and then walks every block the way the sweep does: the degree
+/// index must be what the adjacency's degrees say, and the slots each row
+/// is swept over — and the ones `neighbors_of` returns for it — must be
+/// the translation of that row's references, in CSR order.
 pub fn audit_translation(
     schedule: &CommSchedule,
     adj: &LocalAdjacency,
@@ -479,12 +479,19 @@ pub fn audit_translation(
             }
         }
     }
-    audit_degree_index(schedule, adj, tadj, &mut diags);
+    audit_blocks(schedule, adj, tadj, &mut diags);
     diags
 }
 
-/// The degree-index half of [`audit_translation`] (shapes already agree).
-fn audit_degree_index(
+/// The block walk of [`audit_translation`] (shapes already agree), block
+/// by block and class by class exactly as `sweep_rows` goes. The degree
+/// index: each block's order a permutation of its rows, the class sizes
+/// summing to the block, every row filed under its own degree, each class
+/// ascending. The layout: a row of class 1 to 8 is swept over the next
+/// `class` slots of its block's stream, any other over `neighbors_of`;
+/// both must equal the row's references translated one by one — owned `g`
+/// to `g − start`, ghost to `local_len + ghost_slot(g)`.
+fn audit_blocks(
     schedule: &CommSchedule,
     adj: &LocalAdjacency,
     tadj: &TranslatedAdjacency,
@@ -493,6 +500,13 @@ fn audit_degree_index(
     const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
     const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
     let iv = schedule.interval();
+    let translate = |&g: &u32| {
+        if iv.contains(g as usize) {
+            Some(g - iv.start as u32)
+        } else {
+            schedule.ghost_slot(g).map(|s| tadj.local_len() + s)
+        }
+    };
     let mut mismatch = |detail: String| {
         diags.push(Diagnostic::new(
             DiagnosticKind::ClassificationMismatch,
@@ -512,6 +526,7 @@ fn audit_degree_index(
             continue;
         }
         let visited = &mut [false; ROWS][..order.len()];
+        let mut stream = tadj.block_slots(block);
         let mut rest = order;
         for (class, &rows) in classes.iter().enumerate() {
             let (group, tail) = rest.split_at(rows as usize);
@@ -522,6 +537,11 @@ fn audit_degree_index(
                 ));
             }
             for &i in group {
+                let chunk = (1..LAST).contains(&class).then(|| {
+                    let chunk;
+                    (chunk, stream) = stream.split_at(class.min(stream.len()));
+                    chunk
+                });
                 let Some(seen) = visited.get_mut(i as usize) else {
                     mismatch(format!(
                         "block {block} of {iv} visits row {i} of its {}",
@@ -536,6 +556,26 @@ fn audit_degree_index(
                     mismatch(format!(
                         "vertex {l} of {iv} has degree {degree} but is swept with degree \
                          class {class}"
+                    ));
+                    continue;
+                }
+                let expected = || adj.neighbors_of(l).iter().map(translate);
+                if expected().any(|slot| slot.is_none()) {
+                    // Reported above as a reference the schedule never fetches.
+                    continue;
+                }
+                let reads = tadj.neighbors_of(l);
+                let swept = chunk.unwrap_or(reads);
+                let wrong = |slots: &[u32]| !slots.iter().copied().map(Some).eq(expected());
+                let views = [
+                    ("is swept over", swept),
+                    ("reads through neighbors_of", reads),
+                ];
+                if let Some((how, slots)) = views.into_iter().find(|(_, slots)| wrong(slots)) {
+                    mismatch(format!(
+                        "vertex {l} of {iv} {how} slots {slots:?}, its references translate \
+                         to {:?}",
+                        expected().flatten().collect::<Vec<_>>()
                     ));
                 }
             }

@@ -259,6 +259,54 @@ fn degree_class_mismatch_names_the_vertex_and_both_degrees() {
     assert_eq!(d.detail, expected);
 }
 
+/// Kind 6 once more, the slots themselves: a translation audited against
+/// an adjacency of the same shape in which two rows of equal degree have
+/// exchanged one reference. Every shape and every degree agrees; the
+/// sweep would add up the wrong neighbours in exactly those two rows.
+#[test]
+fn swapped_reference_names_the_vertex_and_both_slot_lists() {
+    let mesh = stance::locality::meshgen::triangulated_grid(8, 8, 0.4, 1);
+    let part = BlockPartition::uniform(mesh.num_vertices(), 2);
+    let adj_a = LocalAdjacency::extract(&mesh, &part, 0);
+    let (schedule, _) = build_schedule_symmetric(&part, &adj_a, 0, ScheduleStrategy::Sort2);
+    let tadj = schedule.translate_adjacency(&adj_a);
+    assert_eq!(audit_translation(&schedule, &adj_a, &tadj), Vec::new());
+
+    // Two rows of the same degree that reference owned vertices only (so
+    // the schedule fetches nothing for them) and open with different ones:
+    // exchange those first references.
+    let owned = |l: usize| {
+        let refs = adj_a.neighbors_of(l);
+        !refs.is_empty() && refs.iter().all(|&g| adj_a.interval().contains(g as usize))
+    };
+    let (a, b) = (0..adj_a.len())
+        .flat_map(|a| (a + 1..adj_a.len()).map(move |b| (a, b)))
+        .find(|&(a, b)| {
+            owned(a)
+                && owned(b)
+                && adj_a.degree_of(a) == adj_a.degree_of(b)
+                && adj_a.neighbors_of(a)[0] != adj_a.neighbors_of(b)[0]
+        })
+        .expect("two such rows");
+    let (interval, xadj, mut refs) = adj_a.clone().into_parts();
+    refs.swap(xadj[a], xadj[b]);
+    let adj_b = LocalAdjacency::from_parts(interval, xadj, refs);
+
+    let diags = audit_translation(&schedule, &adj_b, &tadj);
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    for (d, l) in diags.iter().zip([a, b]) {
+        assert_eq!(d.kind, DiagnosticKind::ClassificationMismatch);
+        assert_eq!(d.rank, 0);
+        // Rank 0's interval starts at 0: an owned global is its own slot.
+        let expected = format!(
+            "vertex {l} of [0, 32) is swept over slots {:?}, its references translate to {:?}",
+            adj_a.neighbors_of(l),
+            adj_b.neighbors_of(l)
+        );
+        assert_eq!(d.detail, expected);
+    }
+}
+
 /// Kind 7: a redistribution plan that does not match the partitions it
 /// is audited against — moves ship data the source no longer owns and
 /// the receives no longer tile the new intervals.
