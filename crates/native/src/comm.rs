@@ -145,15 +145,6 @@ impl Comm for NativeComm {
             .ok()
             .map(|m| m.payload)
     }
-
-    /// Wall-clock bounded barrier: `false` if the barrier does not
-    /// release within `timeout_secs` (a participant is dead or wedged, or
-    /// the barrier was poisoned), with this rank's arrival withdrawn.
-    fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
-        self.barrier
-            .wait_deadline(VTime::ZERO, deadline_after(timeout_secs))
-            .is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -201,13 +192,11 @@ mod tests {
         let got = NativeCluster::new(2).run(|comm| {
             if comm.rank() == 0 {
                 comm.send(1, Tag(3), Payload::from_u32(vec![7]));
-                assert!(comm.barrier_deadline(f64::INFINITY));
                 return None;
             }
             // Already queued (or on its way): delivered, however long the wait.
-            let queued = comm.recv_deadline(0, Tag(3), f64::INFINITY);
-            assert!(comm.barrier_deadline(f64::MAX));
-            queued.map(Payload::into_u32)
+            comm.recv_deadline(0, Tag(3), f64::INFINITY)
+                .map(Payload::into_u32)
         });
         assert_eq!(got.into_results(), vec![None, Some(vec![7])]);
         // A dead peer ends an unbounded wait promptly, with `None`.

@@ -90,9 +90,9 @@ pub trait Comm {
     /// receiving rank has terminated, `post` reports it by returning
     /// `false` (and delivers nothing). This is the failure detector's send
     /// primitive — heartbeats and verdict exchanges must survive a dead
-    /// peer. Required, like [`Comm::recv_deadline`] and
-    /// [`Comm::barrier_deadline`]: a fallback to the blocking primitive
-    /// would turn the detector into the hang it exists to prevent.
+    /// peer. Required, like [`Comm::recv_deadline`]: a fallback to the
+    /// blocking primitive would turn the detector into the hang it exists
+    /// to prevent.
     ///
     /// # Panics
     /// Panics if `dst` is out of range.
@@ -125,14 +125,6 @@ pub trait Comm {
     fn crash(&mut self) -> bool {
         false
     }
-
-    /// Bounded barrier: like [`Comm::barrier`] but gives up after
-    /// `timeout_secs`, returning `false` if the barrier did not release
-    /// (a participant is dead, wedged, or the barrier was poisoned by a
-    /// panicking peer). On `false` this rank has withdrawn its arrival,
-    /// so the barrier state stays consistent. Collective among the ranks
-    /// that do arrive.
-    fn barrier_deadline(&mut self, timeout_secs: f64) -> bool;
 
     /// Sends the same payload to several destinations. The default is a
     /// loop of unicast sends; backends with hardware multicast override it.
@@ -207,6 +199,29 @@ pub trait Comm {
             .map(|p| p.into_f64()[0])
             .reduce(&op)
             .expect("cluster has at least one rank")
+    }
+}
+
+/// The one barrier built from messages, for communicators without a
+/// shared-memory barrier (the TCP backend, the survivor communicator): a
+/// dissemination barrier on `tag`. In round `k` of ⌈log₂ p⌉ every rank
+/// sends one [`Payload::Empty`] to `rank + 2^k` and receives one from
+/// `rank − 2^k` (mod p), so after the last round each rank has heard,
+/// through the chain, from every other — and no rank is special. A
+/// barrier's rounds have distinct sources, so per-(source, tag) FIFO keeps
+/// consecutive barriers apart. This is the algorithm whose cost
+/// [`BarrierShared::new`](crate::launch::BarrierShared::new) charges the
+/// simulator.
+///
+/// A dead peer fails it the way it fails a blocking [`Comm::send`] or
+/// [`Comm::recv`]: with a panic, never a hang. Collective.
+pub fn dissemination_barrier<C: Comm + ?Sized>(c: &mut C, tag: Tag) {
+    let (p, me) = (c.size(), c.rank());
+    let mut dist = 1;
+    while dist < p {
+        c.send((me + dist) % p, tag, Payload::Empty);
+        c.recv((me + p - dist) % p, tag);
+        dist *= 2;
     }
 }
 

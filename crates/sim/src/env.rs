@@ -292,30 +292,6 @@ impl Env {
             }
         }
     }
-
-    /// Bounded barrier (the failure detector's primitive): `false` if the
-    /// barrier does not release within `timeout_secs` of host time (or
-    /// was poisoned), with this rank's arrival withdrawn and the full
-    /// timeout charged to the virtual clock as wait time.
-    pub fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
-        let entry = self.clock;
-        match self
-            .barrier
-            .wait_deadline(entry, crate::wait::deadline_after(timeout_secs))
-        {
-            Ok(release) => {
-                debug_assert!(release >= entry, "barrier released before entry");
-                self.stats.barrier_time += release - entry;
-                self.clock = release;
-                true
-            }
-            Err(crate::launch::BarrierTimeout) => {
-                self.stats.wait_time += timeout_secs.max(0.0);
-                self.clock += timeout_secs.max(0.0);
-                false
-            }
-        }
-    }
 }
 
 /// The simulator backend's [`Comm`] implementation. The primitives
@@ -370,10 +346,6 @@ impl Comm for Env {
 
     fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
         Env::recv_deadline(self, src, tag, timeout_secs)
-    }
-
-    fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
-        Env::barrier_deadline(self, timeout_secs)
     }
 }
 

@@ -21,10 +21,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
-use std::time::Instant;
 
 use crate::time::VTime;
-use crate::wait::{park, RankContext, SpinBudget};
+use crate::wait::{RankContext, SpinBudget};
 
 /// Stack size for rank threads: partitioners recurse over meshes, so be
 /// generous — this costs only virtual address space.
@@ -36,17 +35,18 @@ pub const RANK_STACK_BYTES: usize = 16 * 1024 * 1024;
 /// `poisoned` flag wired into the panic protocol above: a failing rank
 /// calls [`BarrierShared::poison`], and every waiter panics out instead
 /// of waiting for a participant that will never arrive. The virtual-clock
-/// fold (release = max participant clock + log-tree cost) is the
-/// simulator's time model; the native backend constructs the barrier with
-/// zero cost and passes [`VTime::ZERO`], which reduces `wait` to a plain
-/// synchronization barrier — one copy of the protocol for both backends.
+/// fold (release = max participant clock + the cost of a dissemination
+/// barrier's rounds) is the simulator's time model; the native backend
+/// constructs the barrier with zero cost and passes [`VTime::ZERO`], which
+/// reduces `wait` to a plain synchronization barrier — one copy of the
+/// protocol for both backends.
 ///
 /// Early arrivers wait by the spin-then-park contract of [`crate::wait`]:
 /// they poll `hint` (a lock-free mirror of `generation`/`poisoned`, stored
 /// under the lock) for at most the barrier's [`SpinBudget`], then re-take
-/// the lock, read the real state, and park on the condvar if it has not
-/// moved. The last arriver and `poison` notify only when the lock-protected
-/// `parked` count says somebody is asleep.
+/// the lock, read the real state, and park on the condvar until the
+/// release or the poison. The last arriver and `poison` notify only when
+/// the lock-protected `parked` count says somebody is asleep.
 pub struct BarrierShared {
     inner: Mutex<BarrierInner>,
     cv: Condvar,
@@ -60,14 +60,6 @@ pub struct BarrierShared {
     hint: AtomicU64,
     spin: SpinBudget,
 }
-
-/// The error [`BarrierShared::wait_deadline`] returns when the barrier
-/// does not release in time: a participant is missing (dead, wedged, or
-/// merely slow) or the barrier was poisoned by a panicking peer. The
-/// timed-out rank has withdrawn its arrival, so the barrier remains
-/// usable if every participant turns out to be alive after all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierTimeout;
 
 struct BarrierInner {
     arrived: usize,
@@ -90,9 +82,9 @@ impl BarrierInner {
 }
 
 impl BarrierShared {
-    /// A barrier for `size` ranks whose release charges the log-tree
-    /// latency model derived from `per_message_latency` (pass `0.0` for a
-    /// pure synchronization barrier).
+    /// A barrier for `size` ranks whose release charges a dissemination
+    /// barrier's rounds at `per_message_latency` (pass `0.0` for a pure
+    /// synchronization barrier).
     pub fn new(size: usize, per_message_latency: f64) -> Arc<Self> {
         // A dissemination barrier needs ceil(log2(p)) rounds of messages.
         let rounds = if size <= 1 {
@@ -135,37 +127,18 @@ impl BarrierShared {
     }
 
     /// Blocks until all ranks arrive; returns the synchronized release time.
+    /// The last arriver releases the generation; everyone else spins on the
+    /// hint, then lock → check → park until the release or the poison.
     ///
     /// # Panics
     /// Panics if the barrier was [poisoned](Self::poison) by a rank that
     /// failed — the missing participant would otherwise deadlock everyone.
     pub fn wait(&self, clock: VTime) -> VTime {
-        // Without a deadline the only way out unreleased is the poison.
-        self.arrive(clock, None)
-            .unwrap_or_else(|_poisoned| panic!("barrier poisoned: a peer rank panicked"))
-    }
-
-    /// Deadline-bounded variant of [`BarrierShared::wait`], the failure
-    /// detector's entry point: if the barrier does not release by
-    /// `deadline` (a participant is dead or wedged), this rank *withdraws
-    /// its arrival* — leaving the barrier state consistent for any later
-    /// attempt — and returns [`BarrierTimeout`] instead of blocking
-    /// forever. A poisoned barrier also returns `Err` (rather than
-    /// panicking like the blocking variant): the caller is a recovery
-    /// path, and a dead peer is its input, not its crash.
-    pub fn wait_deadline(&self, clock: VTime, deadline: Instant) -> Result<VTime, BarrierTimeout> {
-        self.arrive(clock, Some(deadline))
-    }
-
-    /// The one arrive/release/wait protocol behind both entry points. The
-    /// last arriver releases the generation; everyone else spins on the
-    /// hint, then lock → check → park until the release, the poison, or
-    /// the deadline (withdrawing the arrival on either of the latter).
-    fn arrive(&self, clock: VTime, deadline: Option<Instant>) -> Result<VTime, BarrierTimeout> {
+        // Panicking with the lock held is fine: `lock` reads through a
+        // poisoned mutex.
+        const POISONED: &str = "barrier poisoned: a peer rank panicked";
         let mut g = self.lock();
-        if g.poisoned {
-            return Err(BarrierTimeout);
-        }
+        assert!(!g.poisoned, "{POISONED}");
         g.max_clock = g.max_clock.max(clock);
         g.arrived += 1;
         if g.arrived == self.size {
@@ -174,27 +147,26 @@ impl BarrierShared {
             g.arrived = 0;
             g.max_clock = VTime::ZERO;
             self.publish_and_wake(&g);
-            return Ok(g.release);
+            return g.release;
         }
         let gen = g.generation;
         if !self.spin.is_zero() {
             let arrived_at = g.hint();
             drop(g);
             self.spin
-                .spin_until(deadline, || self.hint.load(Ordering::Acquire) != arrived_at);
+                .spin_until(None, || self.hint.load(Ordering::Acquire) != arrived_at);
             g = self.lock();
         }
         loop {
             if g.generation != gen {
-                return Ok(g.release);
+                return g.release;
             }
-            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if g.poisoned || remaining.is_some_and(|left| left.is_zero()) {
-                g.arrived = g.arrived.saturating_sub(1);
-                return Err(BarrierTimeout);
-            }
+            assert!(!g.poisoned, "{POISONED}");
             g.parked += 1;
-            g = park(&self.cv, g, remaining).unwrap_or_else(std::sync::PoisonError::into_inner);
+            g = self
+                .cv
+                .wait(g)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             g.parked -= 1;
         }
     }
@@ -303,17 +275,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wait::{stress_rounds, with_forced_budget, Jitter, REGIMES, SPIN_BUDGET};
+    use crate::wait::{stress_rounds, with_forced_budget, Jitter, REGIMES};
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
 
     /// A zero-cost barrier whose waiters use `spin`, whatever the host.
     fn barrier(size: usize, spin: SpinBudget) -> Arc<BarrierShared> {
         with_forced_budget(spin, || BarrierShared::new(size, 0.0))
-    }
-
-    fn after(d: Duration) -> Instant {
-        Instant::now() + d
     }
 
     #[test]
@@ -329,80 +296,25 @@ mod tests {
     }
 
     #[test]
-    fn wait_deadline_times_out_and_withdraws() {
-        for spin in REGIMES {
-            let barrier = barrier(2, spin);
-            // Alone at a 2-rank barrier: must time out, not hang.
-            let r = barrier.wait_deadline(VTime::ZERO, after(Duration::from_millis(10)));
-            assert_eq!(r, Err(BarrierTimeout));
-            // The withdrawal left the state clean: a later full barrier works.
-            let b2 = Arc::clone(&barrier);
-            let peer = thread::spawn(move || b2.wait(VTime::ZERO));
-            let mine = barrier.wait_deadline(VTime::ZERO, after(Duration::from_secs(10)));
-            assert!(mine.is_ok());
-            peer.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn wait_deadline_shorter_than_the_budget_is_honoured() {
-        // The spin phase must stop at the deadline, not at the budget. A
-        // preempted attempt proves nothing, so the fastest of a few stands:
-        // if the spin overshot, every attempt would last the full budget.
-        let barrier = barrier(2, SpinBudget::SPIN);
-        let fastest = (0..50)
-            .map(|_| {
-                let t0 = Instant::now();
-                let r = barrier.wait_deadline(VTime::ZERO, t0 + SPIN_BUDGET / 10);
-                assert_eq!(r, Err(BarrierTimeout));
-                t0.elapsed()
-            })
-            .min()
-            .expect("attempts were made");
-        assert!(fastest < SPIN_BUDGET / 2, "fastest attempt {fastest:?}");
-    }
-
-    #[test]
-    fn wait_deadline_releases_with_all_present() {
-        for spin in REGIMES {
-            let barrier = barrier(3, spin);
-            let mut handles = Vec::new();
-            for _ in 0..3 {
-                let b = Arc::clone(&barrier);
-                handles.push(thread::spawn(move || {
-                    b.wait_deadline(VTime::ZERO, after(Duration::from_secs(10)))
-                }));
-            }
-            for h in handles {
-                assert!(h.join().unwrap().is_ok());
-            }
-        }
-    }
-
-    #[test]
-    fn wait_deadline_errors_on_poison() {
+    fn wait_panics_on_poison() {
         // The poison must reach a waiter wherever it is: the jittered
         // pause after its arrival lands it in the spin phase, at the
         // budget's expiry, and parked.
+        let panics = |b: &BarrierShared| catch_unwind(AssertUnwindSafe(|| b.wait(VTime::ZERO)));
         let mut jitter = Jitter::new(7);
         for spin in REGIMES {
             for _ in 0..40 {
                 let barrier = barrier(2, spin);
                 let b2 = Arc::clone(&barrier);
-                let waiter = thread::spawn(move || {
-                    b2.wait_deadline(VTime::ZERO, after(Duration::from_secs(30)))
-                });
+                let waiter = thread::spawn(move || panics(&b2).is_err());
                 while barrier.lock().arrived == 0 {
                     thread::yield_now();
                 }
                 jitter.pause();
                 barrier.poison();
-                assert_eq!(waiter.join().unwrap(), Err(BarrierTimeout));
+                assert!(waiter.join().unwrap(), "the waiter panicked out");
                 // A poisoned barrier refuses further arrivals outright.
-                assert_eq!(
-                    barrier.wait_deadline(VTime::ZERO, after(Duration::from_secs(30))),
-                    Err(BarrierTimeout)
-                );
+                assert!(panics(&barrier).is_err());
             }
         }
     }
@@ -426,13 +338,7 @@ mod tests {
                             jitter.pause();
                             stamps[me].store(round, Ordering::Release);
                             let clock = VTime::from_secs((round * 3 + me) as f64);
-                            let release = if (round + me) % 2 == 0 {
-                                barrier.wait(clock)
-                            } else {
-                                barrier
-                                    .wait_deadline(clock, after(Duration::from_secs(60)))
-                                    .expect("every party arrives")
-                            };
+                            let release = barrier.wait(clock);
                             assert_eq!(release, VTime::from_secs((round * 3 + 2) as f64));
                             for peer in stamps.iter() {
                                 assert!(peer.load(Ordering::Acquire) >= round);

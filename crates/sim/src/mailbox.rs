@@ -85,10 +85,6 @@ pub trait MsgSource<T> {
     /// Deadline-bounded receive, distinguishing a passed deadline from a
     /// provably-dead source.
     fn recv_msg_deadline(&mut self, deadline: Instant) -> Result<T, RecvTimeoutError>;
-
-    /// Nonblocking probe: the next message if one is ready right now,
-    /// `None` otherwise (a probe treats "gone" and "not yet" alike).
-    fn try_recv_msg(&mut self) -> Option<T>;
 }
 
 impl<T> MsgSource<T> for MailboxReceiver<T> {
@@ -98,10 +94,6 @@ impl<T> MsgSource<T> for MailboxReceiver<T> {
 
     fn recv_msg_deadline(&mut self, deadline: Instant) -> Result<T, RecvTimeoutError> {
         self.recv_deadline(deadline)
-    }
-
-    fn try_recv_msg(&mut self) -> Option<T> {
-        self.try_recv()
     }
 }
 
@@ -182,17 +174,6 @@ impl<T: Tagged> TagBuffer<T> {
             }
             self.pending[src].push_back(msg);
         }
-    }
-
-    /// Nonblocking probe: drains every message currently sitting in `rx`
-    /// into the pending buffer (preserving arrival order), then reports
-    /// whether one from `src` carrying `tag` is available. Never blocks and
-    /// never consumes — a following `recv_matching` delivers the message.
-    pub fn poll_matching<S: MsgSource<T>>(&mut self, rx: &mut S, src: usize, tag: Tag) -> bool {
-        while let Some(msg) = rx.try_recv_msg() {
-            self.pending[src].push_back(msg);
-        }
-        self.pending[src].iter().any(|m| m.tag() == tag)
     }
 }
 
@@ -332,20 +313,6 @@ impl<T> MailboxReceiver<T> {
     pub fn recv(&self) -> Result<T, Disconnected> {
         // Without a deadline the only way out empty-handed is the close.
         self.wait_for_msg(None).map_err(|_closed| Disconnected)
-    }
-
-    /// Nonblocking receive: returns the next buffered message if one is
-    /// available right now, `None` otherwise (including after the sender
-    /// hung up with the queue drained — a *probe* treats "gone" and "not
-    /// yet" alike; a blocking [`MailboxReceiver::recv`] is where
-    /// disconnection is an error).
-    pub fn try_recv(&self) -> Option<T> {
-        let mut g = self.0.lock();
-        let msg = g.queue.pop_front();
-        if msg.is_some() {
-            self.0.publish(&g);
-        }
-        msg
     }
 
     /// Like [`MailboxReceiver::recv`] but bounded by a wall-clock
@@ -506,36 +473,6 @@ mod tests {
             }
             peer.join().expect("the peer saw every message");
         }
-    }
-
-    #[test]
-    fn try_recv_is_nonblocking() {
-        let (tx, rx) = mailbox::<Msg>();
-        assert!(rx.try_recv().is_none());
-        tx.send(msg(3)).unwrap();
-        assert_eq!(rx.try_recv().unwrap().tag, Tag(3));
-        assert!(rx.try_recv().is_none());
-        drop(tx);
-        // After disconnect with an empty queue, a probe still reports
-        // "nothing available" rather than erroring.
-        assert!(rx.try_recv().is_none());
-    }
-
-    #[test]
-    fn poll_matching_probes_without_blocking() {
-        let (tx, mut rx) = mailbox::<Msg>();
-        let mut buf = TagBuffer::new(1);
-        assert!(!buf.poll_matching(&mut rx, 0, Tag(4)));
-        tx.send(msg(8)).unwrap();
-        assert!(
-            !buf.poll_matching(&mut rx, 0, Tag(4)),
-            "wrong tag is not a match"
-        );
-        tx.send(msg(4)).unwrap();
-        assert!(buf.poll_matching(&mut rx, 0, Tag(4)));
-        // The probe buffered, not consumed: both still arrive in order.
-        assert_eq!(buf.recv_matching(&mut rx, 0, 0, Tag(8)).tag, Tag(8));
-        assert_eq!(buf.recv_matching(&mut rx, 0, 0, Tag(4)).tag, Tag(4));
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //! The one primitive that cannot be forwarded is [`Comm::barrier`]: the
 //! underlying backend's barrier still counts the dead rank as a
 //! participant and would wait for it forever. `SurvivorComm` therefore
-//! emulates the barrier with point-to-point messages among survivors
-//! only (gather-to-leader + release broadcast on the reserved
-//! [`TAG_SHRINK`] tag).
+//! runs the message-built [`dissemination_barrier`] among survivors only,
+//! on the reserved [`TAG_SHRINK`] tag.
 
-use crate::comm::Comm;
+use crate::comm::{dissemination_barrier, Comm};
 use crate::payload::{Payload, Tag};
 use crate::tags::TAG_SHRINK;
 
@@ -124,26 +123,11 @@ impl<C: Comm> Comm for SurvivorComm<'_, C> {
         self.inner.recv(src, tag)
     }
 
-    /// Point-to-point barrier among survivors only: gather-to-leader then
-    /// release broadcast on [`TAG_SHRINK`]. The backend's own barrier is
-    /// *not* used — it would wait for the dead rank forever.
+    /// A [`dissemination_barrier`] among survivors only, on
+    /// [`TAG_SHRINK`]. The backend's own barrier is *not* used — it would
+    /// wait for the dead rank forever.
     fn barrier(&mut self) {
-        let p = self.survivors.len();
-        if p == 1 {
-            return;
-        }
-        let token = Payload::from_u32(Vec::new());
-        if self.new_rank == 0 {
-            for src in 1..p {
-                let _ = self.recv(src, TAG_SHRINK);
-            }
-            for dst in 1..p {
-                self.send(dst, TAG_SHRINK, token.clone());
-            }
-        } else {
-            self.send(0, TAG_SHRINK, token);
-            let _ = self.recv(0, TAG_SHRINK);
-        }
+        dissemination_barrier(self, TAG_SHRINK);
     }
 
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
@@ -158,37 +142,6 @@ impl<C: Comm> Comm for SurvivorComm<'_, C> {
 
     fn crash(&mut self) -> bool {
         self.inner.crash()
-    }
-
-    /// Bounded variant of the emulated survivor barrier. Uses
-    /// [`Comm::recv_deadline`] for every internal receive; any timeout
-    /// aborts the emulation with `false`. (Unlike the backend barrier
-    /// there is no shared arrival counter to withdraw from — a `false`
-    /// simply means some survivor's token never came.)
-    fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
-        let p = self.survivors.len();
-        if p == 1 {
-            return true;
-        }
-        let token = Payload::from_u32(Vec::new());
-        if self.new_rank == 0 {
-            for src in 1..p {
-                if self.recv_deadline(src, TAG_SHRINK, timeout_secs).is_none() {
-                    return false;
-                }
-            }
-            for dst in 1..p {
-                if !self.post(dst, TAG_SHRINK, token.clone()) {
-                    return false;
-                }
-            }
-            true
-        } else {
-            if !self.post(0, TAG_SHRINK, token) {
-                return false;
-            }
-            self.recv_deadline(0, TAG_SHRINK, timeout_secs).is_some()
-        }
     }
 }
 
@@ -226,7 +179,7 @@ mod tests {
             }
             let mut comm = SurvivorComm::new(env, vec![0, 2, 3]);
             comm.barrier();
-            assert!(comm.barrier_deadline(1.0));
+            comm.barrier();
             comm.rank() as u64
         });
         let got: Vec<u64> = report.results().copied().collect();

@@ -24,8 +24,8 @@
 //! | 66 | [`TAG_HEARTBEAT`] | failure detection: liveness probes |
 //! | 67 | [`TAG_VERDICT`] | failure detection: suspicion exchange |
 //! | 68 | [`TAG_CHECKPOINT`] | checkpoint: replicated state allgather |
-//! | 69 | [`TAG_SHRINK`] | survivor communicator: emulated barrier |
-//! | 70 | [`TAG_TCP_BARRIER`] | TCP backend: barrier arrive/release protocol |
+//! | 69 | [`TAG_SHRINK`] | survivor communicator: dissemination barrier |
+//! | 70 | [`TAG_TCP_BARRIER`] | TCP backend: dissemination barrier |
 
 use crate::payload::Tag;
 
@@ -77,14 +77,15 @@ pub const TAG_VERDICT: Tag = Tag::reserved(67);
 /// Checkpoint: the allgather replicating session recovery state.
 pub const TAG_CHECKPOINT: Tag = Tag::reserved(68);
 
-/// Survivor communicator: the emulated point-to-point barrier among
-/// surviving ranks (the shared-memory barrier would hang on the dead).
+/// Survivor communicator: the rounds of its
+/// [`dissemination_barrier`](crate::comm::dissemination_barrier) among
+/// surviving ranks (the backend's own barrier would hang on the dead).
 pub const TAG_SHRINK: Tag = Tag::reserved(69);
 
-/// TCP process backend: the centralized barrier protocol (arrive /
-/// withdraw / release / abort control messages between every rank and
-/// rank 0). Rides the ordinary framed message stream so data-vs-barrier
-/// FIFO order per peer pair is the socket's own order.
+/// TCP process backend: the rounds of its
+/// [`dissemination_barrier`](crate::comm::dissemination_barrier). Rides
+/// the ordinary framed message stream so data-vs-barrier FIFO order per
+/// peer pair is the socket's own order.
 pub const TAG_TCP_BARRIER: Tag = Tag::reserved(70);
 
 /// All registered runtime tags (the full contents of the table above).

@@ -4,9 +4,9 @@
 //! The simulator backend models a machine; the native backend shares one
 //! address space across thread-ranks. This crate is the third point on
 //! that line: **every rank is an OS process**, and every `Comm`
-//! primitive — send/recv, barrier, `post`, `recv_deadline`,
-//! `barrier_deadline` — runs over length-prefixed framed TCP with a
-//! versioned handshake. The paper's adaptive runtime
+//! primitive — send/recv, the barrier, `post`, `recv_deadline` — runs
+//! over length-prefixed framed TCP with a versioned handshake. The
+//! paper's adaptive runtime
 //! is precisely about surviving nonuniform, failure-prone clusters;
 //! this backend is where those claims meet an actual kernel:
 //!

@@ -131,23 +131,23 @@ impl PeerLink {
         Ok(Some(msg))
     }
 
-    /// One socket read into the accumulator. `Ok(true)` means bytes
-    /// arrived; `Ok(false)` means the operation would block / timed out.
-    fn fill_once(&mut self) -> Result<bool, WireError> {
+    /// One socket read into the accumulator: `Ok` whether bytes arrived
+    /// or the read timed out (the caller re-checks its deadline).
+    fn fill_once(&mut self) -> Result<(), WireError> {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(self.break_link(WireError::Disconnected)),
                 Ok(n) => {
                     self.acc.extend_from_slice(&chunk[..n]);
-                    return Ok(true);
+                    return Ok(());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
                 {
-                    return Ok(false)
+                    return Ok(())
                 }
                 Err(e) => return Err(self.break_link(io_to_wire(&e))),
             }
@@ -179,16 +179,13 @@ impl PeerLink {
             if self.set_timeout(None).is_err() {
                 return Err(Disconnected);
             }
-            match self.fill_once() {
-                Ok(_) => {}
-                Err(_) => {
-                    // The peer is gone — but a complete frame may already
-                    // be buffered; deliver it first, exactly as a mailbox
-                    // drains its queue after the sender hangs up.
-                    // (`try_extract` at the top of the loop would miss it
-                    // because `fault` is now set, so check here.)
-                    return self.drain_after_fault().ok_or(Disconnected);
-                }
+            if self.fill_once().is_err() {
+                // The peer is gone — but a complete frame may already be
+                // buffered; deliver it first, exactly as a mailbox drains
+                // its queue after the sender hangs up. (`try_extract` at
+                // the top of the loop would miss it because `fault` is now
+                // set, so check here.)
+                return self.drain_after_fault().ok_or(Disconnected);
             }
         }
     }
@@ -234,40 +231,10 @@ impl PeerLink {
             if self.set_timeout(Some(remaining)).is_err() {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            match self.fill_once() {
-                Ok(_) => {}
-                Err(_) => {
-                    return self
-                        .drain_after_fault()
-                        .ok_or(RecvTimeoutError::Disconnected)
-                }
-            }
-        }
-    }
-
-    /// Nonblocking probe: the next frame if its bytes are already here
-    /// (or arrive during one nonblocking drain), `None` otherwise —
-    /// including on a broken link with nothing complete buffered (a probe
-    /// treats "gone" and "not yet" alike, exactly as the mailbox does).
-    pub fn try_recv(&mut self) -> Option<TcpMsg> {
-        if self.fault.is_some() {
-            return self.drain_after_fault();
-        }
-        loop {
-            match self.try_extract() {
-                Ok(Some(msg)) => return Some(msg),
-                Ok(None) => {}
-                Err(_) => return None,
-            }
-            if self.stream.set_nonblocking(true).is_err() {
-                return None;
-            }
-            let filled = self.fill_once();
-            let _ = self.stream.set_nonblocking(false);
-            match filled {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(_) => return self.drain_after_fault(),
+            if self.fill_once().is_err() {
+                return self
+                    .drain_after_fault()
+                    .ok_or(RecvTimeoutError::Disconnected);
             }
         }
     }
@@ -280,10 +247,6 @@ impl MsgSource<TcpMsg> for PeerLink {
 
     fn recv_msg_deadline(&mut self, deadline: Instant) -> Result<TcpMsg, RecvTimeoutError> {
         self.recv_deadline(deadline)
-    }
-
-    fn try_recv_msg(&mut self) -> Option<TcpMsg> {
-        self.try_recv()
     }
 }
 

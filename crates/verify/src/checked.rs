@@ -260,17 +260,6 @@ impl<C: Comm> Comm for CheckedComm<'_, C> {
         Some(payload)
     }
 
-    fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
-        // A timed-out barrier withdrew this rank's arrival — nobody was
-        // released by it, so only a successful release is a `Barrier`
-        // epoch boundary.
-        let released = self.inner.barrier_deadline(timeout_secs);
-        if released {
-            self.trace.events.push(TraceEvent::Barrier);
-        }
-        released
-    }
-
     fn crash(&mut self) -> bool {
         // Untraced: a rank that dies abruptly leaves no trace event (and
         // on a process backend this call never returns at all).
@@ -369,10 +358,6 @@ impl<C: Comm> Comm for MaybeChecked<'_, C> {
         forward!(self, c => c.recv_deadline(src, tag, timeout_secs))
     }
 
-    fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
-        forward!(self, c => c.barrier_deadline(timeout_secs))
-    }
-
     fn crash(&mut self) -> bool {
         forward!(self, c => c.crash())
     }
@@ -443,9 +428,6 @@ mod tests {
             }
             fn recv_deadline(&mut self, _src: usize, _tag: Tag, _secs: f64) -> Option<Payload> {
                 Some(Payload::Empty)
-            }
-            fn barrier_deadline(&mut self, _secs: f64) -> bool {
-                true
             }
         }
         let mut inner = Dummy;

@@ -325,11 +325,6 @@ impl<C: Comm> Comm for FaultyComm<'_, C> {
         self.inner.recv_deadline(src, tag, timeout_secs)
     }
 
-    fn barrier_deadline(&mut self, timeout_secs: f64) -> bool {
-        self.tick();
-        self.inner.barrier_deadline(timeout_secs)
-    }
-
     fn crash(&mut self) -> bool {
         // Not an application operation — `crash` is how an injected kill
         // reaches the backend, so it must not itself advance the op

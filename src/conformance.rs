@@ -9,9 +9,12 @@
 //! Covered contract points: per-(source, tag) FIFO ordering, tag
 //! isolation (mismatched tags are buffered, not dropped or misdelivered,
 //! however long before the receiver asks they were sent), repeated
-//! barriers, rank-order `allreduce_f64` folding, the
-//! broadcast/gather/allgather collectives, and the lossy/bounded
-//! primitives (`post`, `recv_deadline`, `barrier_deadline`).
+//! barriers, a barrier holding every rank until the last arrives,
+//! rank-order `allreduce_f64` folding, the broadcast/gather/allgather
+//! collectives, and the lossy/bounded primitives (`post`,
+//! `recv_deadline`).
+
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use stance::prelude::*;
 use stance_verify::{analyze_traces, RankTrace};
@@ -164,13 +167,40 @@ pub fn deadline_timeout_preserves_stream<C: Comm>(c: &mut C) {
     c.barrier();
 }
 
-/// With every rank arriving, the bounded barrier releases, reports
-/// success, and composes with plain barriers afterwards. Run with 3
-/// ranks.
-pub fn barrier_deadline_releases<C: Comm>(c: &mut C) {
-    assert!(c.barrier_deadline(5.0), "all ranks arrived");
+/// A barrier holds every rank until the last one arrives: once a first
+/// barrier has lined everyone up, the last rank sleeps 60 ms, stamps the
+/// clock as it enters the second barrier and broadcasts the stamp after
+/// it, and no rank may have left the second barrier before that stamp.
+/// The check is causal, so a slow host cannot fail a correct barrier; one
+/// that skips a round — or does nothing — lets some rank out about 60 ms
+/// early. Run with 5 ranks (not a power of two, so the rounds wrap).
+pub fn barrier_waits_for_the_last_arrival<C: Comm>(c: &mut C) {
+    // The wall clock, in nanoseconds: the one clock the ranks of a
+    // multi-process backend share.
+    let now = || {
+        SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .expect("clock is past the epoch")
+            .as_nanos() as u64
+    };
+    let last = c.size() - 1;
     c.barrier();
-    assert!(c.barrier_deadline(5.0));
+    let mut entered = 0;
+    if c.rank() == last {
+        std::thread::sleep(Duration::from_millis(60));
+        entered = now();
+    }
+    c.barrier();
+    let left = now();
+    let entered = c
+        .bcast_from(last, Tag(42), Payload::from_u64(vec![entered]))
+        .into_u64()[0];
+    assert!(
+        left >= entered,
+        "rank {} left the barrier {} µs before the last rank arrived",
+        c.rank(),
+        (entered - left) / 1000
+    );
 }
 
 /// Broadcast, rooted gather, and allgather deliver rank-ordered data.

@@ -347,8 +347,8 @@ pub const TCP_SCENARIOS: stance_tcp::ScenarioRegistry = &[
         tcp::deadline_timeout_preserves_stream,
     ),
     (
-        "conformance:barrier_deadline_releases",
-        tcp::barrier_deadline_releases,
+        "conformance:barrier_waits_for_the_last_arrival",
+        tcp::barrier_waits_for_the_last_arrival,
     ),
     ("equiv_relax", tcp::equiv_relax),
     ("equiv_cg", tcp::equiv_cg),
@@ -394,7 +394,7 @@ mod tcp {
         bcast_and_gather,
         post_and_recv_deadline,
         deadline_timeout_preserves_stream,
-        barrier_deadline_releases,
+        barrier_waits_for_the_last_arrival,
     );
 
     pub fn equiv_relax(c: &mut TcpComm, args: &[u8]) -> Vec<u8> {

@@ -6,8 +6,10 @@
 //! zero-cost network), the native thread pool
 //! (`stance_native::NativeComm`), and the process-per-rank TCP cluster
 //! (`stance_tcp::TcpCluster`, where each body runs as a named worker
-//! scenario in real OS processes over real sockets). A backend that
-//! buffers, orders, or folds differently fails the same body everywhere.
+//! scenario in real OS processes over real sockets) — and against the
+//! survivor communicator the recovery path shrinks onto (`SurvivorComm`
+//! over the simulator, one rank gone). A backend that buffers, orders, or
+//! folds differently fails the same body everywhere.
 //!
 //! On every backend the body runs under [`CheckedComm`] and its recorded
 //! traffic must analyze clean — for the TCP backend the traces are
@@ -53,6 +55,29 @@ fn run_native(
         });
         expect_protocol_clean("native", &report.into_results());
     }
+}
+
+/// Launches a generic body in survivor space: `p + 1` simulator ranks,
+/// rank 1 leaves at once, and the other `p` run the body through
+/// [`CheckedComm`] over a [`SurvivorComm`] of the survivors — held, like
+/// every backend, to the same bodies and a clean protocol analysis.
+fn run_survivor(
+    p: usize,
+    body: impl Fn(&mut CheckedComm<'_, SurvivorComm<'_, Env>>) + Send + Sync,
+) {
+    let spec = ClusterSpec::uniform(p + 1).with_network(NetworkSpec::zero_cost());
+    let survivors: Vec<usize> = (0..=p).filter(|&r| r != 1).collect();
+    let report = Cluster::new(spec).run(|env| {
+        if env.rank() == 1 {
+            return None;
+        }
+        let mut sc = SurvivorComm::new(env, survivors.clone());
+        let mut trace = RankTrace::new(sc.rank(), sc.size());
+        body(&mut CheckedComm::attach(&mut sc, &mut trace));
+        Some(trace)
+    });
+    let traces: Vec<RankTrace> = report.into_results().into_iter().flatten().collect();
+    expect_protocol_clean("survivor", &traces);
 }
 
 /// Launches a registered conformance scenario on the TCP process
@@ -114,8 +139,8 @@ macro_rules! conformance_suite {
             }
 
             #[test]
-            fn barrier_deadline_releases() {
-                ($launch)(3, |c| bodies::barrier_deadline_releases(c));
+            fn barrier_waits_for_the_last_arrival() {
+                ($launch)(5, |c| bodies::barrier_waits_for_the_last_arrival(c));
             }
         }
     };
@@ -123,6 +148,7 @@ macro_rules! conformance_suite {
 
 conformance_suite!(sim_backend, run_sim);
 conformance_suite!(native_backend, run_native);
+conformance_suite!(survivor_space, run_survivor);
 
 // The TCP instantiation names scenarios instead of passing closures —
 // the body runs in another process — so it gets its own expansion, with
@@ -149,5 +175,5 @@ tcp_conformance_suite!(
     bcast_and_gather => 4,
     post_and_recv_deadline => 2,
     deadline_timeout_preserves_stream => 2,
-    barrier_deadline_releases => 3,
+    barrier_waits_for_the_last_arrival => 5,
 );
