@@ -102,14 +102,16 @@ pub struct StanceConfig {
     /// schedule build and remap is followed by a collective audit of the
     /// global schedule invariants (see `stance_verify::audit_schedules`),
     /// the redistribution plan of every remap is audited against the old
-    /// and new partitions, and all session communication runs through a
-    /// recording `CheckedComm` whose trace
+    /// and new partitions, and all session communication passes a
+    /// recording `stance_verify::TraceHook` (the hook `CheckedComm` is
+    /// built from) whose trace
     /// [`AdaptiveSession::verify_protocol`](crate::session::AdaptiveSession::verify_protocol)
     /// analyzes collectively. A violated invariant panics with the full
     /// diagnostic report. Verification never changes what is
     /// communicated — results stay bitwise identical — but costs audit
     /// messages and trace memory, so it is off by default; with it off,
-    /// no verification machinery is even constructed.
+    /// the session's `Interposed` communicator carries no hook and no
+    /// verification machinery is even constructed.
     pub verify: bool,
     /// What to do when the failure detector concludes a rank is dead:
     /// fail fast (default — the pre-fault behaviour), shrink onto the
@@ -163,7 +165,7 @@ impl StanceConfig {
 
     /// Enables (or disables) runtime verification of the SPMD contract:
     /// schedule audits after every build/remap, redistribution-plan
-    /// audits, and protocol tracing through `CheckedComm` (analyzed by
+    /// audits, and protocol tracing through a `TraceHook` (analyzed by
     /// [`AdaptiveSession::verify_protocol`](crate::session::AdaptiveSession::verify_protocol)).
     /// Results are bitwise identical either way; a violated invariant
     /// panics with the diagnostic report.

@@ -44,12 +44,13 @@
 //! resolve to owners, send/recv lists pairwise symmetric, derived
 //! orderings deadlock-free — see [`stance_verify`]), each remap's
 //! redistribution plan is audited against the old and new partitions, and
-//! all point-to-point traffic is recorded through a
-//! [`CheckedComm`](stance_verify::CheckedComm) whose trace
+//! all point-to-point traffic is recorded by a
+//! [`TraceHook`] on the session's [`Interposed`] communicator — what a
+//! [`CheckedComm`](stance_verify::CheckedComm) is — whose trace
 //! [`DataflowSession::verify_protocol`] analyzes collectively. A violated
 //! invariant panics with the full diagnostic report; results stay bitwise
-//! identical either way, and with verification off none of the machinery
-//! is constructed.
+//! identical either way, and with verification off the hook is `None` and
+//! none of the machinery is constructed.
 //!
 //! ## Exchange points, fusion and skipping
 //!
@@ -86,7 +87,7 @@ use stance_sim::tags::TAG_CHECKPOINT;
 use stance_sim::{Comm, Element, Payload};
 use stance_verify::{
     analyze_collective, audit_collective, audit_redistribution, audit_stage_graph, expect_clean,
-    topological_order, Diagnostic, MaybeChecked, RankTrace, StageDecl,
+    topological_order, Diagnostic, Interposed, RankTrace, StageDecl, TraceHook,
 };
 
 use crate::checkpoint::SessionCheckpoint;
@@ -514,7 +515,7 @@ impl<E: Element> DataflowSession<E> {
             .verify
             .then(|| Box::new(RankTrace::new(env.rank(), env.size())));
         let schedule = {
-            let mut env = MaybeChecked::new(env, verify.as_deref_mut());
+            let mut env = Interposed::new(env, verify.as_deref_mut().map(TraceHook::new));
             build_schedule(&mut env, &partition, &adj, config, &mut scratch.schedule)
         };
         let runner =
@@ -592,7 +593,7 @@ impl<E: Element> DataflowSession<E> {
             verify,
             ..
         } = self;
-        let mut env = MaybeChecked::new(env, verify.as_deref_mut());
+        let mut env = Interposed::new(env, verify.as_deref_mut().map(TraceHook::new));
         let mut stats = LoopStats::default();
         for _ in 0..passes {
             let mut pass_time = 0.0;
@@ -649,7 +650,7 @@ impl<E: Element> DataflowSession<E> {
         };
         let t0 = env.now_secs();
         let decision = {
-            let mut env = MaybeChecked::new(env, self.verify.as_deref_mut());
+            let mut env = Interposed::new(env, self.verify.as_deref_mut().map(TraceHook::new));
             load_balance_step(
                 &mut env,
                 &self.partition,
@@ -775,7 +776,7 @@ impl<E: Element> DataflowSession<E> {
             expect_clean("redistribution-plan audit", &diags);
         }
         {
-            let mut env = MaybeChecked::new(env, trace.as_deref_mut());
+            let mut env = Interposed::new(env, trace.as_deref_mut().map(TraceHook::new));
             let extra = self.fields.arrays.len() - 1;
             self.aux_staging.resize_with(extra, Vec::new);
             for (staged, f) in self.aux_staging.iter_mut().zip(&self.fields.arrays[1..]) {
@@ -820,7 +821,7 @@ impl<E: Element> DataflowSession<E> {
         self.monitor
             .record_movement_cost(moved_messages, moved_elements, t_rebuild - t0);
         let schedule = {
-            let mut env = MaybeChecked::new(env, trace.as_deref_mut());
+            let mut env = Interposed::new(env, trace.as_deref_mut().map(TraceHook::new));
             build_schedule(
                 &mut env,
                 &self.partition,
@@ -896,7 +897,7 @@ impl<E: Element> DataflowSession<E> {
             E::pack_into(block, &mut bytes);
         }
         let parts = {
-            let mut env = MaybeChecked::new(env, self.verify.as_deref_mut());
+            let mut env = Interposed::new(env, self.verify.as_deref_mut().map(TraceHook::new));
             env.allgather(TAG_CHECKPOINT, Payload::from_bytes(bytes))
         };
         let n = self.partition.n();

@@ -27,8 +27,9 @@ use crate::tags::TAG_SHRINK;
 /// run ordinary SPMD code against it — sessions, redistribution and
 /// collectives neither know nor care that rank ids are being translated
 /// underneath. The adapter borrows the backend mutably (the same pattern
-/// as the verifier's `CheckedComm`), so dropping it returns the original
-/// (uncontracted) handle to the caller.
+/// as the verifier's `Interposed`, which observes rank space where this
+/// translates it), so dropping it returns the original (uncontracted)
+/// handle to the caller.
 pub struct SurvivorComm<'a, C: Comm> {
     inner: &'a mut C,
     /// `survivors[new_rank] == old_rank`, strictly increasing.

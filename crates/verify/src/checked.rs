@@ -1,15 +1,7 @@
-//! The dynamic protocol checker: a [`Comm`] wrapper that records every
-//! point-to-point and barrier event into a per-rank [`RankTrace`].
-//!
-//! [`CheckedComm`] forwards **every** trait method to the wrapped
-//! backend explicitly — relying on the trait defaults would silently
-//! bypass backend overrides (the simulator's multicast cost accounting,
-//! the TCP backend's process-killing `crash`) and change behaviour under
-//! test, which is exactly what a checker must not do. Collectives are
-//! delegated *untraced*: their data movement is the backend's own
-//! (already covered by the conformance suite), and leaving them out keeps
-//! a checked run's messages and clocks identical to an unchecked run —
-//! the bitwise-equivalence tests hold with verification enabled for free.
+//! The dynamic protocol checker: a [`TraceHook`] on the one
+//! [`Interposed`] communicator records every point-to-point and barrier
+//! event into a per-rank [`RankTrace`]. Collectives pass through
+//! untraced (see [`Interposed`] for why).
 //!
 //! Traces are analyzed offline by [`analyze_traces`](crate::analyze_traces)
 //! after the run (typically: allgather the serialized traces on
@@ -19,13 +11,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stance_sim::{Comm, Payload, Tag};
 
-/// Global count of [`CheckedComm`] constructions, for pinning that
+use crate::interpose::{Hook, Interposed};
+
+/// Global count of [`TraceHook`] constructions, for pinning that
 /// verification machinery is never engaged unless enabled (see
 /// `tests/alloc_free.rs`).
 static CONSTRUCTIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// How many [`CheckedComm`] wrappers have been constructed
-/// process-wide. Strictly monotone; tests snapshot it before and after a
+/// How many [`TraceHook`]s — the recording half of every [`CheckedComm`]
+/// — have been constructed process-wide. Strictly monotone; tests snapshot it before and after a
 /// run with verification disabled and assert it did not move.
 pub fn checked_comm_constructions() -> usize {
     CONSTRUCTIONS.load(Ordering::Relaxed)
@@ -176,215 +170,61 @@ impl RankTrace {
     }
 }
 
-/// A [`Comm`] that records every point-to-point and barrier event into a
-/// borrowed [`RankTrace`] and forwards everything to the wrapped
-/// backend. Construction is counted (see [`checked_comm_constructions`])
-/// so the zero-overhead-when-disabled guarantee is pinnable.
-pub struct CheckedComm<'a, C: Comm> {
-    inner: &'a mut C,
+/// The protocol checker's [`Hook`]: appends every delivered message and
+/// every barrier to a borrowed [`RankTrace`]. Construction is counted
+/// (see [`checked_comm_constructions`]) so the
+/// zero-overhead-when-disabled guarantee is pinnable.
+pub struct TraceHook<'a> {
     trace: &'a mut RankTrace,
 }
 
-impl<'a, C: Comm> CheckedComm<'a, C> {
-    /// Wraps `inner`, appending events to `trace`.
-    pub fn attach(inner: &'a mut C, trace: &'a mut RankTrace) -> Self {
+impl<'a> TraceHook<'a> {
+    /// A hook appending events to `trace`.
+    pub fn new(trace: &'a mut RankTrace) -> Self {
         CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
-        CheckedComm { inner, trace }
+        TraceHook { trace }
     }
 }
 
-impl<C: Comm> Comm for CheckedComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
+impl Hook for TraceHook<'_> {
+    // `Interposed` calls `sent` for a `post` only once the transport
+    // accepted it, and `received` for a `recv_deadline` only when it
+    // returned a message: a post refused because the peer died delivered
+    // nothing, and a timeout consumed nothing, so recording either would
+    // fabricate an `UnmatchedSend` or a `PhantomRecv` in an otherwise
+    // clean recovered run. A rank that crashes leaves no event at all.
+
+    fn sent(&mut self, dst: usize, tag: Tag, shape: PayloadShape) {
+        self.trace.events.push(TraceEvent::Send { dst, tag, shape });
     }
 
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn compute(&mut self, work: f64) {
-        self.inner.compute(work);
-    }
-
-    fn now_secs(&self) -> f64 {
-        self.inner.now_secs()
-    }
-
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        self.trace.events.push(TraceEvent::Send {
-            dst,
-            tag,
-            shape: PayloadShape::of(&payload),
-        });
-        self.inner.send(dst, tag, payload);
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        let payload = self.inner.recv(src, tag);
-        self.trace.events.push(TraceEvent::Recv {
-            src,
-            tag,
-            shape: PayloadShape::of(&payload),
-        });
-        payload
+    fn received(&mut self, src: usize, tag: Tag, shape: PayloadShape) {
+        self.trace.events.push(TraceEvent::Recv { src, tag, shape });
     }
 
     fn barrier(&mut self) {
         self.trace.events.push(TraceEvent::Barrier);
-        self.inner.barrier();
-    }
-
-    fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
-        // Recorded as an ordinary send only when the transport accepted
-        // it: a post refused because the peer died delivered nothing, so
-        // tracing it would fabricate an `UnmatchedSend` in an otherwise
-        // clean recovered run.
-        let shape = PayloadShape::of(&payload);
-        let delivered = self.inner.post(dst, tag, payload);
-        if delivered {
-            self.trace.events.push(TraceEvent::Send { dst, tag, shape });
-        }
-        delivered
-    }
-
-    fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
-        // Dual of `post`: only a delivered message becomes a `Recv`
-        // event. A timeout consumed nothing, so recording it would
-        // fabricate a `PhantomRecv`.
-        let payload = self.inner.recv_deadline(src, tag, timeout_secs)?;
-        self.trace.events.push(TraceEvent::Recv {
-            src,
-            tag,
-            shape: PayloadShape::of(&payload),
-        });
-        Some(payload)
-    }
-
-    fn crash(&mut self) -> bool {
-        // Untraced: a rank that dies abruptly leaves no trace event (and
-        // on a process backend this call never returns at all).
-        self.inner.crash()
-    }
-
-    // Collectives delegate untraced (see the module docs): the wrapped
-    // backend's own (possibly overridden) implementations run, so a
-    // checked run moves exactly the bytes an unchecked run moves.
-
-    fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
-        self.inner.multicast(dsts, tag, payload);
-    }
-
-    fn bcast_from(&mut self, root: usize, tag: Tag, payload: Payload) -> Payload {
-        self.inner.bcast_from(root, tag, payload)
-    }
-
-    fn gather_to(&mut self, root: usize, tag: Tag, payload: Payload) -> Option<Vec<Payload>> {
-        self.inner.gather_to(root, tag, payload)
-    }
-
-    fn allgather(&mut self, tag: Tag, payload: Payload) -> Vec<Payload> {
-        self.inner.allgather(tag, payload)
-    }
-
-    fn allreduce_f64(&mut self, tag: Tag, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        self.inner.allreduce_f64(tag, value, op)
     }
 }
 
-/// A backend that is either plain or checked, decided at runtime — the
-/// session's way of wrapping its communication behind one code path
-/// without constructing a [`CheckedComm`] (or touching the construction
-/// counter) when verification is off.
-pub enum MaybeChecked<'a, C: Comm> {
-    /// Verification off: the raw backend.
-    Plain(&'a mut C),
-    /// Verification on: every event recorded.
-    Checked(CheckedComm<'a, C>),
-}
+/// A [`Comm`] that records every point-to-point and barrier event into a
+/// borrowed [`RankTrace`] and forwards everything to the wrapped backend:
+/// the [`Interposed`] communicator with a [`TraceHook`].
+pub type CheckedComm<'a, C> = Interposed<'a, C, TraceHook<'a>>;
 
-impl<'a, C: Comm> MaybeChecked<'a, C> {
-    /// Wraps `inner`, checked iff a trace is supplied.
-    pub fn new(inner: &'a mut C, trace: Option<&'a mut RankTrace>) -> Self {
-        match trace {
-            Some(t) => MaybeChecked::Checked(CheckedComm::attach(inner, t)),
-            None => MaybeChecked::Plain(inner),
-        }
-    }
-}
-
-macro_rules! forward {
-    ($self:ident, $inner:ident => $e:expr) => {
-        match $self {
-            MaybeChecked::Plain($inner) => $e,
-            MaybeChecked::Checked($inner) => $e,
-        }
-    };
-}
-
-impl<C: Comm> Comm for MaybeChecked<'_, C> {
-    fn rank(&self) -> usize {
-        forward!(self, c => c.rank())
-    }
-
-    fn size(&self) -> usize {
-        forward!(self, c => c.size())
-    }
-
-    fn compute(&mut self, work: f64) {
-        forward!(self, c => c.compute(work));
-    }
-
-    fn now_secs(&self) -> f64 {
-        forward!(self, c => c.now_secs())
-    }
-
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        forward!(self, c => c.send(dst, tag, payload));
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        forward!(self, c => c.recv(src, tag))
-    }
-
-    fn barrier(&mut self) {
-        forward!(self, c => c.barrier());
-    }
-
-    fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
-        forward!(self, c => c.post(dst, tag, payload))
-    }
-
-    fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
-        forward!(self, c => c.recv_deadline(src, tag, timeout_secs))
-    }
-
-    fn crash(&mut self) -> bool {
-        forward!(self, c => c.crash())
-    }
-
-    fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
-        forward!(self, c => c.multicast(dsts, tag, payload));
-    }
-
-    fn bcast_from(&mut self, root: usize, tag: Tag, payload: Payload) -> Payload {
-        forward!(self, c => c.bcast_from(root, tag, payload))
-    }
-
-    fn gather_to(&mut self, root: usize, tag: Tag, payload: Payload) -> Option<Vec<Payload>> {
-        forward!(self, c => c.gather_to(root, tag, payload))
-    }
-
-    fn allgather(&mut self, tag: Tag, payload: Payload) -> Vec<Payload> {
-        forward!(self, c => c.allgather(tag, payload))
-    }
-
-    fn allreduce_f64(&mut self, tag: Tag, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        forward!(self, c => c.allreduce_f64(tag, value, op))
+impl<'a, C: Comm> CheckedComm<'a, C> {
+    /// Wraps `inner`, appending events to `trace`.
+    pub fn attach(inner: &'a mut C, trace: &'a mut RankTrace) -> Self {
+        Interposed::new(inner, TraceHook::new(trace))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    use stance_sim::cluster::{Cluster, ClusterSpec};
+
     use super::*;
 
     #[test]
@@ -404,45 +244,42 @@ mod tests {
         assert_eq!(RankTrace::from_payload(t.to_payload()), t);
     }
 
+    /// Serialises the tests that construct a [`TraceHook`], so the
+    /// construction-counter test sees only its own.
+    fn counter_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn construction_counter_moves_only_when_attached() {
-        struct Dummy;
-        impl Comm for Dummy {
-            fn rank(&self) -> usize {
-                0
+        let _serial = counter_lock();
+        Cluster::new(ClusterSpec::uniform(1)).run(|env| {
+            let before = checked_comm_constructions();
+            Interposed::new(&mut *env, None::<TraceHook<'_>>).send(0, Tag(1), Payload::Empty);
+            assert_eq!(checked_comm_constructions(), before);
+            let mut trace = RankTrace::new(0, 1);
+            Interposed::new(env, Some(TraceHook::new(&mut trace))).send(0, Tag(1), Payload::Empty);
+            assert_eq!(checked_comm_constructions(), before + 1);
+            assert_eq!(trace.events.len(), 1);
+        });
+    }
+
+    #[test]
+    fn a_dead_peer_leaves_no_trace_event() {
+        let _serial = counter_lock();
+        let report = Cluster::new(ClusterSpec::uniform(2)).run(|env| {
+            let mut trace = RankTrace::new(env.rank(), env.size());
+            if env.rank() == 0 {
+                // Rank 1 returns at once, closing its mailboxes.
+                let mut checked = CheckedComm::attach(env, &mut trace);
+                assert!(checked.recv_deadline(1, Tag(5), 30.0).is_none());
+                assert!(!checked.post(1, Tag(5), Payload::from_u32(vec![1])));
             }
-            fn size(&self) -> usize {
-                1
-            }
-            fn compute(&mut self, _work: f64) {}
-            fn now_secs(&self) -> f64 {
-                0.0
-            }
-            fn send(&mut self, _dst: usize, _tag: Tag, _payload: Payload) {}
-            fn recv(&mut self, _src: usize, _tag: Tag) -> Payload {
-                Payload::Empty
-            }
-            fn barrier(&mut self) {}
-            fn post(&mut self, _dst: usize, _tag: Tag, _payload: Payload) -> bool {
-                true
-            }
-            fn recv_deadline(&mut self, _src: usize, _tag: Tag, _secs: f64) -> Option<Payload> {
-                Some(Payload::Empty)
-            }
+            trace
+        });
+        for trace in report.results() {
+            assert_eq!(trace.events, [], "rank {} recorded a message", trace.rank);
         }
-        let mut inner = Dummy;
-        let before = checked_comm_constructions();
-        {
-            let mut plain = MaybeChecked::new(&mut inner, None);
-            plain.send(0, Tag(1), Payload::Empty);
-        }
-        assert_eq!(checked_comm_constructions(), before);
-        let mut trace = RankTrace::new(0, 1);
-        {
-            let mut checked = MaybeChecked::new(&mut inner, Some(&mut trace));
-            checked.send(0, Tag(1), Payload::Empty);
-        }
-        assert_eq!(checked_comm_constructions(), before + 1);
-        assert_eq!(trace.events.len(), 1);
     }
 }

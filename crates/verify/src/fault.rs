@@ -1,10 +1,12 @@
 //! Deterministic fault injection: a [`Comm`] wrapper that kills, wedges,
 //! or stalls a rank at a planned operation count.
 //!
-//! [`FaultyComm`] is [`CheckedComm`](crate::CheckedComm)'s destructive
-//! sibling: where the checker records the protocol, the injector breaks
-//! it — on purpose, at a *reproducible* point. Every communication
-//! operation the wrapped rank performs advances an operation counter;
+//! [`FaultyComm`] is the [`Interposed`] communicator with a [`FaultHook`]
+//! — the destructive sibling of [`CheckedComm`](crate::CheckedComm)'s
+//! [`TraceHook`](crate::TraceHook): where the checker's [`Hook`] records
+//! the protocol, the injector's breaks it — on purpose, at a
+//! *reproducible* point. Every communication operation the wrapped rank
+//! performs advances an operation counter;
 //! when the counter crosses a planned [`FaultEvent`] the fault fires:
 //!
 //! * [`FaultKind::Kill`] — the rank dies abruptly: an [`InjectedFault`]
@@ -28,7 +30,9 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use stance_sim::{Comm, Payload, Tag};
+use stance_sim::Comm;
+
+use crate::interpose::{Hook, Interposed};
 
 /// What an injected fault does to the victim rank. See the module
 /// docs for the observable consequences of each.
@@ -60,12 +64,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A reproducible fault schedule: a list of [`FaultEvent`]s plus the seed
-/// that generated it (zero for hand-built plans). Pure data — cloneable,
-/// comparable, and identical in effect on both backends.
+/// A reproducible fault schedule: a list of [`FaultEvent`]s. Pure data —
+/// cloneable, comparable, and identical in effect on both backends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    seed: u64,
     events: Vec<FaultEvent>,
 }
 
@@ -74,10 +76,7 @@ impl FaultPlan {
     /// this plan is a pure pass-through (and allocation-free per
     /// operation — pinned by `tests/alloc_free.rs`).
     pub fn none() -> Self {
-        FaultPlan {
-            seed: 0,
-            events: Vec::new(),
-        }
+        FaultPlan { events: Vec::new() }
     }
 
     /// Plan that kills `rank` after it completes `after_ops` operations.
@@ -121,10 +120,12 @@ impl FaultPlan {
     /// A deterministic pseudo-random single-fault plan for a cluster of
     /// `size` ranks: the victim, trigger point (within `horizon_ops`
     /// operations), and fault kind all derive from `seed` via a xorshift
-    /// generator — the same seed always produces the same plan.
+    /// generator — the same seed always produces the same plan. The seed
+    /// is mixed (a splitmix64 finaliser, a bijection) before it becomes
+    /// the generator's state, so distinct seeds start distinct streams.
     pub fn randomized(seed: u64, size: usize, horizon_ops: u64) -> Self {
         assert!(size > 0, "cluster must have at least one rank");
-        let mut s = seed | 1; // xorshift state must be nonzero
+        let mut s = splitmix64(seed).max(1); // xorshift state must be nonzero
         s = xorshift64(s);
         let rank = (s % size as u64) as usize;
         s = xorshift64(s);
@@ -137,25 +138,24 @@ impl FaultPlan {
                 delay_secs: 1e-3 * ((s >> 8) % 10 + 1) as f64,
             },
         };
-        FaultPlan {
-            seed,
-            events: vec![FaultEvent {
-                rank,
-                after_ops,
-                kind,
-            }],
-        }
-    }
-
-    /// The seed this plan was generated from (zero for hand-built plans).
-    pub fn seed(&self) -> u64 {
-        self.seed
+        FaultPlan::none().with_event(FaultEvent {
+            rank,
+            after_ops,
+            kind,
+        })
     }
 
     /// The planned events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
+}
+
+fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 fn xorshift64(mut s: u64) -> u64 {
@@ -195,17 +195,17 @@ pub fn catch_fault<R>(f: impl FnOnce() -> R) -> Result<R, InjectedFault> {
     }
 }
 
-/// A [`Comm`] wrapper that injects the faults a [`FaultPlan`] schedules
-/// for this rank, and otherwise forwards every operation unchanged.
+/// The fault injector's [`Hook`]: counts every communication operation
+/// and fires the events a [`FaultPlan`] schedules for this rank.
 ///
 /// Ranks with no planned events pay one counter increment and one
 /// comparison per operation — no allocation, no behavioural change.
-/// Collectives forward to the backend's own implementations and count as
-/// **one** operation each (matching how `CheckedComm` treats them as
-/// opaque), so a plan's `after_ops` means the same thing whether the
-/// program uses collectives or spells them out.
-pub struct FaultyComm<'a, C: Comm> {
-    inner: &'a mut C,
+/// Collectives count as **one** operation each (they are opaque to every
+/// hook), so a plan's `after_ops` means the same thing whether the
+/// program uses collectives or spells them out. `crash` is how an
+/// injected kill reaches the backend and `compute` is not a protocol
+/// action, so neither advances the counter.
+pub struct FaultHook {
     /// Operations completed (or faulted on) so far.
     ops: u64,
     /// This rank's planned events, sorted by trigger point, soonest last
@@ -215,36 +215,11 @@ pub struct FaultyComm<'a, C: Comm> {
     stall_secs: f64,
 }
 
-impl<'a, C: Comm> FaultyComm<'a, C> {
-    /// Wraps `inner`, arming whatever events `plan` schedules for its
-    /// rank.
-    pub fn attach(inner: &'a mut C, plan: &FaultPlan) -> Self {
-        let rank = inner.rank();
-        let mut schedule: Vec<FaultEvent> = plan
-            .events()
-            .iter()
-            .filter(|e| e.rank == rank)
-            .copied()
-            .collect();
-        schedule.sort_by_key(|e| e.after_ops);
-        schedule.reverse();
-        FaultyComm {
-            inner,
-            ops: 0,
-            schedule,
-            stall_secs: 0.0,
-        }
-    }
-
-    /// Operations this rank has performed through the wrapper.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
+impl Hook for FaultHook {
     /// Counts one operation, firing any fault scheduled at this point.
     /// Kill/Wedge unwind with an [`InjectedFault`]; a stall arms the
     /// per-operation delay and charges it from this operation on.
-    fn tick(&mut self) {
+    fn before<C: Comm>(&mut self, inner: &mut C) {
         let op = self.ops;
         self.ops += 1;
         while let Some(&event) = self.schedule.last() {
@@ -260,10 +235,10 @@ impl<'a, C: Comm> FaultyComm<'a, C> {
                         // per rank) does so here and never returns; the
                         // in-process backends report `false` and the kill
                         // falls back to the panic-unwind below.
-                        let _ = self.inner.crash();
+                        let _ = inner.crash();
                     }
                     std::panic::panic_any(InjectedFault {
-                        rank: self.inner.rank(),
+                        rank: inner.rank(),
                         op,
                         kind,
                     });
@@ -275,90 +250,41 @@ impl<'a, C: Comm> FaultyComm<'a, C> {
             // backends live it. (`compute` is a no-op on native, sleep
             // is invisible to the simulator's clock — both paths are
             // charged exactly once.)
-            self.inner.compute(self.stall_secs);
+            inner.compute(self.stall_secs);
             std::thread::sleep(std::time::Duration::from_secs_f64(self.stall_secs));
         }
     }
 }
 
-impl<C: Comm> Comm for FaultyComm<'_, C> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
+/// A [`Comm`] wrapper that injects the faults a [`FaultPlan`] schedules
+/// for this rank, and otherwise forwards every operation unchanged: the
+/// [`Interposed`] communicator with a [`FaultHook`].
+pub type FaultyComm<'a, C> = Interposed<'a, C, FaultHook>;
+
+impl<'a, C: Comm> FaultyComm<'a, C> {
+    /// Wraps `inner`, arming whatever events `plan` schedules for its
+    /// rank.
+    pub fn attach(inner: &'a mut C, plan: &FaultPlan) -> Self {
+        let rank = inner.rank();
+        let mut schedule: Vec<FaultEvent> = plan
+            .events()
+            .iter()
+            .filter(|e| e.rank == rank)
+            .copied()
+            .collect();
+        schedule.sort_by_key(|e| e.after_ops);
+        schedule.reverse();
+        let hook = FaultHook {
+            ops: 0,
+            schedule,
+            stall_secs: 0.0,
+        };
+        Interposed::new(inner, hook)
     }
 
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-
-    fn compute(&mut self, work: f64) {
-        // Compute is not a communication operation: faults trigger on
-        // protocol actions, where both backends count identically.
-        self.inner.compute(work);
-    }
-
-    fn now_secs(&self) -> f64 {
-        self.inner.now_secs()
-    }
-
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        self.tick();
-        self.inner.send(dst, tag, payload);
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        self.tick();
-        self.inner.recv(src, tag)
-    }
-
-    fn barrier(&mut self) {
-        self.tick();
-        self.inner.barrier();
-    }
-
-    fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
-        self.tick();
-        self.inner.post(dst, tag, payload)
-    }
-
-    fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
-        self.tick();
-        self.inner.recv_deadline(src, tag, timeout_secs)
-    }
-
-    fn crash(&mut self) -> bool {
-        // Not an application operation — `crash` is how an injected kill
-        // reaches the backend, so it must not itself advance the op
-        // counter.
-        self.inner.crash()
-    }
-
-    // Collectives count as one operation and then forward to the
-    // backend's own implementations (preserving its cost accounting and
-    // data-movement order), exactly as `CheckedComm` delegates them.
-
-    fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
-        self.tick();
-        self.inner.multicast(dsts, tag, payload);
-    }
-
-    fn bcast_from(&mut self, root: usize, tag: Tag, payload: Payload) -> Payload {
-        self.tick();
-        self.inner.bcast_from(root, tag, payload)
-    }
-
-    fn gather_to(&mut self, root: usize, tag: Tag, payload: Payload) -> Option<Vec<Payload>> {
-        self.tick();
-        self.inner.gather_to(root, tag, payload)
-    }
-
-    fn allgather(&mut self, tag: Tag, payload: Payload) -> Vec<Payload> {
-        self.tick();
-        self.inner.allgather(tag, payload)
-    }
-
-    fn allreduce_f64(&mut self, tag: Tag, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        self.tick();
-        self.inner.allreduce_f64(tag, value, op)
+    /// Operations this rank has performed through the wrapper.
+    pub fn ops(&self) -> u64 {
+        self.hook.ops
     }
 }
 
@@ -366,6 +292,7 @@ impl<C: Comm> Comm for FaultyComm<'_, C> {
 mod tests {
     use super::*;
     use stance_sim::cluster::{Cluster, ClusterSpec};
+    use stance_sim::{Payload, Tag};
 
     #[test]
     fn randomized_plans_are_seed_deterministic() {
@@ -375,9 +302,15 @@ mod tests {
         assert_eq!(a.events().len(), 1);
         assert!(a.events()[0].rank < 4);
         assert!(a.events()[0].after_ops < 100);
-        // Different seeds eventually differ (not a strict requirement,
-        // but these two do — pinning guards against a degenerate mix).
-        assert_ne!(a, FaultPlan::randomized(43, 4, 100));
+        // Neighbouring seeds start distinct streams (a mix that drops the
+        // low bit would map 2k and 2k + 1 to the same plan).
+        assert_ne!(a.events(), FaultPlan::randomized(43, 4, 100).events());
+        let differing = (0..100u64)
+            .filter(|k| {
+                FaultPlan::randomized(2 * k, 4, 100) != FaultPlan::randomized(2 * k + 1, 4, 100)
+            })
+            .count();
+        assert!(differing >= 90, "only {differing} of 100 seed pairs differ");
     }
 
     #[test]

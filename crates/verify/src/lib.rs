@@ -26,11 +26,13 @@
 //!   deterministic topological schedule (cycle detection), before any
 //!   kernel runs.
 //! * **Dynamic checker** ([`CheckedComm`] + [`analyze_traces`]): a
-//!   wrapper recording every point-to-point and barrier event into a
-//!   per-rank [`RankTrace`]; the offline analyzer then detects unmatched
-//!   sends, receives no in-flight message could satisfy, barrier arity
-//!   mismatches, and message/receive pairs that would have to cross a
-//!   barrier epoch backwards.
+//!   [`TraceHook`] on the one [`Comm`](stance_sim::Comm) interposer,
+//!   [`Interposed`], recording every point-to-point and barrier event
+//!   into a per-rank [`RankTrace`]; the offline analyzer then detects
+//!   unmatched sends, receives no in-flight message could satisfy,
+//!   barrier arity mismatches, and message/receive pairs that would have
+//!   to cross a barrier epoch backwards. The fault injector
+//!   ([`FaultyComm`]) is another [`Hook`] on the same interposer.
 //!
 //! Both halves speak [`Diagnostic`]s — structured findings naming the
 //! rank, peer, tag, and interval involved — rather than generic
@@ -46,6 +48,7 @@ mod checked;
 mod dataflow;
 mod diag;
 mod fault;
+mod interpose;
 
 pub use analyzer::{analyze_collective, analyze_traces};
 pub use audit::{
@@ -53,8 +56,11 @@ pub use audit::{
     expect_clean, CommOp, ScheduleSummary, TAG_AUDIT, TAG_TRACE,
 };
 pub use checked::{
-    checked_comm_constructions, CheckedComm, MaybeChecked, PayloadShape, RankTrace, TraceEvent,
+    checked_comm_constructions, CheckedComm, PayloadShape, RankTrace, TraceEvent, TraceHook,
 };
 pub use dataflow::{audit_stage_graph, topological_order, StageDecl};
 pub use diag::{Diagnostic, DiagnosticKind};
-pub use fault::{catch_fault, FaultEvent, FaultKind, FaultPlan, FaultyComm, InjectedFault};
+pub use fault::{
+    catch_fault, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultyComm, InjectedFault,
+};
+pub use interpose::{Hook, Interposed};

@@ -26,8 +26,9 @@
 //!
 //! Both workloads run **fully verified**: sessions enable
 //! `StanceConfig::with_verification(true)`, the hand-driven CG wraps its
-//! backend in [`CheckedComm`](stance_verify::CheckedComm) directly, and
-//! every run's traces must analyze clean — including traces recorded
+//! backend in [`CheckedComm`](stance_verify::CheckedComm) directly (both
+//! are a `TraceHook` on the one `Interposed` communicator), and every
+//! run's traces must analyze clean — including traces recorded
 //! inside TCP worker processes and shipped back as bytes.
 
 use stance::executor::sequential_relaxation;

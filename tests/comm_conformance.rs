@@ -21,7 +21,7 @@ use stance::sim::wait::{with_forced_budget, REGIMES};
 use stance_native::NativeCluster;
 use stance_repro::conformance::{self as bodies, expect_protocol_clean};
 use stance_tcp::TcpCluster;
-use stance_verify::{CheckedComm, RankTrace};
+use stance_verify::{CheckedComm, FaultPlan, FaultyComm, Interposed, RankTrace, TraceHook};
 
 /// Launches a generic body on the simulator backend (zero-cost network —
 /// conformance is about data movement, not cost modelling), with every
@@ -177,3 +177,51 @@ tcp_conformance_suite!(
     deadline_timeout_preserves_stream => 2,
     barrier_waits_for_the_last_arrival => 5,
 );
+
+/// Every wrapper is invisible to the simulator: the same body — three
+/// conformance bodies, a hardware multicast, a rank-dependent `compute`
+/// and a barrier — leaves every rank's virtual clock and counters exactly
+/// where the bare run leaves them, under the checker, under an unarmed
+/// fault injector and under an interposer with no hook. A wrapper that
+/// lets a trait default stand in for the backend's own implementation
+/// (the simulator's multicast above all) moves both.
+#[test]
+fn wrappers_are_invisible_to_the_simulator() {
+    fn body<C: Comm>(c: &mut C) {
+        bodies::bcast_and_gather(c);
+        bodies::allreduce_ops(c);
+        bodies::barrier_rounds(c);
+        if c.rank() == 0 {
+            c.multicast(&[1, 2, 3], Tag(50), Payload::from_f64(vec![1.5; 64]));
+        } else {
+            c.recv(0, Tag(50));
+        }
+        c.compute(1e-3 * (c.rank() + 1) as f64);
+        c.barrier();
+    }
+    let plan = FaultPlan::none();
+    let run = |wrapper: usize| {
+        let net = NetworkSpec::ethernet_10mbit().with_multicast(true);
+        let report = Cluster::new(ClusterSpec::uniform(4).with_network(net)).run(|env| {
+            let mut trace = RankTrace::new(env.rank(), env.size());
+            match wrapper {
+                0 => body(env),
+                1 => body(&mut CheckedComm::attach(env, &mut trace)),
+                2 => body(&mut FaultyComm::attach(env, &plan)),
+                _ => body(&mut Interposed::new(env, None::<TraceHook<'_>>)),
+            }
+        });
+        let ranks = report.ranks.into_iter();
+        ranks
+            .map(|r| (r.clock.as_secs().to_bits(), r.stats))
+            .collect::<Vec<_>>()
+    };
+    let bare = run(0);
+    for wrapper in 1..4 {
+        assert_eq!(
+            run(wrapper),
+            bare,
+            "wrapper {wrapper} changed clocks or counts"
+        );
+    }
+}
