@@ -20,15 +20,18 @@
 //! * pooled byte buffers for value-message staging and pooled `u32`
 //!   buffers for adjacency-message staging (received payloads are recycled
 //!   back into the pools, so buffers circulate through the cluster);
-//! * the destination value blocks (swapped with the caller's aux vectors,
-//!   so retired aux storage becomes next remap's scratch);
-//! * CSR assembly storage for the new [`LocalAdjacency`] (a retired
-//!   adjacency donates its vectors back via
-//!   [`RemapScratch::recycle_adjacency`]); the new CSR is assembled
-//!   segment by segment — the kept rows and each received packet are one
-//!   copy of their references plus one mapped pass that rebases their row
-//!   pointers — never row by row;
+//! * the destination value blocks, one per moved array: the caller swaps
+//!   each into place afterwards (the session hands them to its fields'
+//!   buffers), so every array's values are copied once per remap and the
+//!   retired storage becomes the next remap's destination;
 //! * a [`ScheduleScratch`] for the inspector rebuild that follows.
+//!
+//! The adjacency is not assembled anew at all. Kept rows are **not
+//! copied**: [`RemapScratch::redistribute_adjacency`] hands the received
+//! packets to [`LocalAdjacency::rehome`], which drops the rows sent away by
+//! moving the ends of the rank's CSR and writes the received ones into the
+//! slack before and after the kept rows — a remap's adjacency move costs
+//! what moved, not what the rank owns.
 //!
 //! The destination blocks are **not pre-zeroed**: the kept intersection
 //! plus the plan's receive ranges provably tile the new interval (the plan
@@ -40,7 +43,7 @@
 //! unchanged.
 
 use stance_inspector::{LocalAdjacency, ScheduleScratch};
-use stance_onedim::{BlockPartition, RedistributionPlan};
+use stance_onedim::{BlockPartition, Interval, RedistributionPlan};
 use stance_sim::{Comm, Element, Payload, Tag};
 
 const TAG_VALUES: Tag = stance_sim::tags::TAG_REDIST_VALUES;
@@ -50,10 +53,6 @@ const TAG_ADJ: Tag = stance_sim::tags::TAG_REDIST_ADJ;
 /// realistic per-remap fan-out, small enough to cap retained memory.
 const POOL_CAP: usize = 16;
 
-/// Sentinel in the assembly segment list: the segment comes from the kept
-/// intersection of the old adjacency rather than a received packet.
-const SEG_KEPT: usize = usize::MAX;
-
 /// Recycled scratch for the adaptive remap pipeline. See the module docs.
 #[derive(Debug)]
 pub struct RemapScratch<E: Element> {
@@ -61,20 +60,17 @@ pub struct RemapScratch<E: Element> {
     plan: Option<RedistributionPlan>,
     /// Byte staging for value messages (recycled through send/receive).
     bytes_pool: Vec<Vec<u8>>,
-    /// Destination value blocks, one per moved array; `blocks[0]` is the
-    /// session's primary block, the rest swap with the caller's aux
-    /// vectors.
+    /// Destination value blocks, one per moved array, in the order the
+    /// last [`RemapScratch::redistribute`] was given the arrays.
     blocks: Vec<Vec<E>>,
+    /// How many of `blocks` the last redistribution filled.
+    moved: usize,
     /// `u32` staging for adjacency messages.
     words_pool: Vec<Vec<u32>>,
-    /// Received adjacency packets held between the receive phase and the
-    /// in-order CSR assembly.
+    /// Received adjacency packets, held until the adjacency takes them.
     packets: Vec<Vec<u32>>,
-    /// Assembly segment descriptors: `(global range start, row count,
-    /// packet index or `SEG_KEPT`)`.
+    /// Received runs: `(global range start, row count, packet index)`.
     segs: Vec<(usize, usize, usize)>,
-    /// Recycled CSR storage for the next adjacency build.
-    adj_parts: Option<(Vec<usize>, Vec<u32>)>,
     /// Scratch for the inspector's schedule rebuild.
     pub schedule: ScheduleScratch,
 }
@@ -87,10 +83,10 @@ impl<E: Element> RemapScratch<E> {
             plan: None,
             bytes_pool: Vec::new(),
             blocks: Vec::new(),
+            moved: 0,
             words_pool: Vec::new(),
             packets: Vec::new(),
             segs: Vec::new(),
-            adj_parts: None,
             schedule: ScheduleScratch::new(),
         }
     }
@@ -116,61 +112,45 @@ impl<E: Element> RemapScratch<E> {
         self.plan = Some(plan);
     }
 
-    /// Donates a retired adjacency's CSR storage to the next
-    /// [`RemapScratch::redistribute_adjacency`].
-    pub fn recycle_adjacency(&mut self, adj: LocalAdjacency) {
-        let (_, xadj, refs) = adj.into_parts();
-        self.adj_parts = Some((xadj, refs));
+    /// The new blocks (in new-interval order) of the arrays the last
+    /// [`RemapScratch::redistribute`] moved, in the order it was given
+    /// them. Swap each into place: the storage swapped out becomes the
+    /// next remap's destination, so nothing is copied or freed.
+    pub fn new_blocks(&mut self) -> &mut [Vec<E>] {
+        &mut self.blocks[..self.moved]
     }
 
-    /// The new primary value block produced by the last
-    /// [`RemapScratch::redistribute`] (in new-interval order).
-    pub fn primary_block(&self) -> &[E] {
-        &self.blocks[0]
-    }
-
-    /// Moves the primary value slice plus the caller's aux arrays to the
-    /// new distribution, coalescing all of a destination's segments into
-    /// one message per destination (§2 message coalescing) and drawing all
-    /// staging and destination storage from the scratch.
-    ///
-    /// The primary source is a *slice* so the session can redistribute
-    /// straight out of the `GhostedArray`'s storage — no upfront copy of
-    /// the owned block. The new primary block lands in
-    /// [`RemapScratch::primary_block`]; each aux vector is **swapped**
-    /// with its destination block, so the retired aux storage becomes the
-    /// next remap's scratch and nothing is copied or freed.
+    /// Moves `arrays` value arrays — array `a` is `source(a)`, one element
+    /// per owned vertex of the old interval — to the new distribution,
+    /// coalescing all of a destination's segments into one message per
+    /// destination (§2 message coalescing) and drawing all staging and
+    /// destination storage from the scratch. Each array's kept values are
+    /// copied once, straight out of the caller's storage; the new blocks
+    /// land in [`RemapScratch::new_blocks`].
     ///
     /// Wire format and message order are identical to
-    /// [`redistribute_values_coalesced`]: `1 + aux.len()` segments per
-    /// message, primary first, receives in the plan's `(src, range)`
-    /// order. A collective — every rank must pass the same number of
-    /// arrays.
+    /// [`redistribute_values_coalesced`]: `arrays` segments per message,
+    /// in array order, receives in the plan's `(src, range)` order. A
+    /// collective — every rank must pass the same number of arrays.
     ///
     /// # Panics
-    /// Panics if `primary` or any aux array does not match the rank's old
-    /// interval, or if `plan` was not computed for `old → new`.
-    pub fn redistribute<C: Comm>(
+    /// Panics if any array does not match the rank's old interval, or if
+    /// `plan` was not computed for `old → new`.
+    pub fn redistribute<'a, C: Comm>(
         &mut self,
         env: &mut C,
         old: &BlockPartition,
         new: &BlockPartition,
         plan: &RedistributionPlan,
-        primary: &[E],
-        aux: &mut [&mut Vec<E>],
+        arrays: usize,
+        source: impl Fn(usize) -> &'a [E],
     ) {
-        let k = 1 + aux.len();
         let rank = env.rank();
         let old_iv = old.interval_of(rank);
         let new_iv = new.interval_of(rank);
-        assert_eq!(
-            primary.len(),
-            old_iv.len(),
-            "value block does not match old interval"
-        );
-        for a in aux.iter() {
+        for a in 0..arrays {
             assert_eq!(
-                a.len(),
+                source(a).len(),
                 old_iv.len(),
                 "value block does not match old interval"
             );
@@ -180,12 +160,10 @@ impl<E: Element> RemapScratch<E> {
         // arrays' segments back to back, each bulk-packed straight from
         // the source block (the range is contiguous in interval order).
         for m in plan.sends_of(rank) {
-            let lo = m.range.start - old_iv.start;
-            let hi = m.range.end - old_iv.start;
-            let mut bytes = pool_take(&mut self.bytes_pool, (hi - lo) * k * E::SIZE_BYTES);
-            E::pack_into(&primary[lo..hi], &mut bytes);
-            for a in aux.iter() {
-                E::pack_into(&a[lo..hi], &mut bytes);
+            let range = m.range.start - old_iv.start..m.range.end - old_iv.start;
+            let mut bytes = pool_take(&mut self.bytes_pool, range.len() * arrays * E::SIZE_BYTES);
+            for a in 0..arrays {
+                E::pack_into(&source(a)[range.clone()], &mut bytes);
             }
             env.send(m.dst, TAG_VALUES, Payload::from_bytes(bytes));
         }
@@ -194,10 +172,12 @@ impl<E: Element> RemapScratch<E> {
         // touches a grown tail, and every slot is overwritten below
         // because the kept intersection plus the plan's receive ranges
         // tile the new interval exactly (hard-asserted below).
-        while self.blocks.len() < k {
-            self.blocks.push(Vec::new());
+        if self.blocks.len() < arrays {
+            self.blocks.resize_with(arrays, Vec::new);
         }
-        for block in self.blocks.iter_mut().take(k) {
+        self.moved = arrays;
+        let blocks = &mut self.blocks[..arrays];
+        for block in blocks.iter_mut() {
             block.resize(new_iv.len(), E::zero());
         }
 
@@ -206,9 +186,8 @@ impl<E: Element> RemapScratch<E> {
         if !kept.is_empty() {
             let dst = kept.start - new_iv.start..kept.end - new_iv.start;
             let src = kept.start - old_iv.start..kept.end - old_iv.start;
-            self.blocks[0][dst.clone()].copy_from_slice(&primary[src.clone()]);
-            for (block, a) in self.blocks[1..k].iter_mut().zip(aux.iter()) {
-                block[dst.clone()].copy_from_slice(&a[src.clone()]);
+            for (a, block) in blocks.iter_mut().enumerate() {
+                block[dst.clone()].copy_from_slice(&source(a)[src.clone()]);
             }
         }
         for m in plan.recvs_of(rank) {
@@ -216,16 +195,14 @@ impl<E: Element> RemapScratch<E> {
             let bytes = env.recv(m.src, TAG_VALUES).into_bytes();
             assert_eq!(
                 bytes.len(),
-                seg * k * E::SIZE_BYTES,
+                seg * arrays * E::SIZE_BYTES,
                 "redistribution packet length"
             );
             let lo = m.range.start - new_iv.start;
             let seg_bytes = seg * E::SIZE_BYTES;
-            for (i, block) in self.blocks.iter_mut().take(k).enumerate() {
-                E::unpack_into(
-                    &bytes[i * seg_bytes..(i + 1) * seg_bytes],
-                    &mut block[lo..lo + seg],
-                );
+            for (a, block) in blocks.iter_mut().enumerate() {
+                let packed = &bytes[a * seg_bytes..(a + 1) * seg_bytes];
+                E::unpack_into(packed, &mut block[lo..lo + seg]);
             }
             pool_put(&mut self.bytes_pool, bytes);
             covered += seg;
@@ -240,21 +217,14 @@ impl<E: Element> RemapScratch<E> {
             "kept intersection + plan receives must tile the new interval \
              (was the plan computed for these partitions?)"
         );
-
-        // Hand each aux its new block; its old storage joins the scratch.
-        for (block, a) in self.blocks[1..k].iter_mut().zip(aux.iter_mut()) {
-            std::mem::swap(*a, block);
-        }
     }
 
     /// Moves the distributed mesh rows (each vertex's global neighbor
-    /// list) to the new owners, returning this rank's new
-    /// [`LocalAdjacency`] — assembled **directly in CSR form** from the
-    /// kept rows and the received packets, one bulk copy of references
-    /// and one rebased run of row pointers per segment. Staging words come
-    /// from a recycled pool and the CSR arrays reuse the storage a
-    /// previous remap retired ([`RemapScratch::recycle_adjacency`]), so a
-    /// warm move allocates nothing.
+    /// list) to their new owners and re-homes `adj` onto this rank's new
+    /// interval **in place** ([`LocalAdjacency::rehome`]): the kept rows
+    /// stay where they are and only the received ones are written. Staging
+    /// words come from a recycled pool, so a warm move allocates nothing
+    /// unless the adjacency's slack is short.
     ///
     /// Wire format per moved range: `[deg(v) for v in range] ++ [refs…]`
     /// as one `u32` payload, receives in the plan's deterministic
@@ -266,11 +236,10 @@ impl<E: Element> RemapScratch<E> {
         old: &BlockPartition,
         new: &BlockPartition,
         plan: &RedistributionPlan,
-        adj: &LocalAdjacency,
-    ) -> LocalAdjacency {
+        adj: &mut LocalAdjacency,
+    ) {
         let rank = env.rank();
         let old_iv = old.interval_of(rank);
-        let new_iv = new.interval_of(rank);
         assert_eq!(
             adj.interval(),
             old_iv,
@@ -290,13 +259,9 @@ impl<E: Element> RemapScratch<E> {
             env.send(m.dst, TAG_ADJ, Payload::from_u32(words));
         }
 
-        // Receive packets in the plan's deterministic (src, range) order,
-        // then assemble the CSR in ascending-interval order.
+        // Receive packets in the plan's deterministic (src, range) order;
+        // the adjacency takes them in ascending-interval order.
         self.segs.clear();
-        let kept = old_iv.intersect(&new_iv);
-        if !kept.is_empty() {
-            self.segs.push((kept.start, kept.len(), SEG_KEPT));
-        }
         self.packets.clear();
         for m in plan.recvs_of(rank) {
             self.segs
@@ -304,46 +269,17 @@ impl<E: Element> RemapScratch<E> {
             self.packets.push(env.recv(m.src, TAG_ADJ).into_u32());
         }
         self.segs.sort_unstable();
-
-        let (mut xadj, mut refs) = self.adj_parts.take().unwrap_or_default();
-        xadj.clear();
-        refs.clear();
-        xadj.reserve(new_iv.len() + 1);
-        xadj.push(0);
-        let mut expected_start = new_iv.start;
-        for &(start, count, source) in &self.segs {
-            // Hard asserts (O(p) total): a plan/partition mismatch must not
-            // silently assemble a wrong CSR.
-            assert_eq!(start, expected_start, "segments must tile the interval");
-            // Each segment's row pointers are rebased onto the refs
-            // assembled so far with one mapped `extend`.
-            let base = refs.len();
-            if source == SEG_KEPT {
-                let lo = kept.start - old_iv.start;
-                let (rows, _) = adj.csr_window(lo..lo + count);
-                let first = rows[0];
-                xadj.extend(rows[1..].iter().map(|&x| x - first + base));
-                refs.extend_from_slice(adj.refs_in(lo, lo + count));
-            } else {
-                let (degrees, packet_refs) = self.packets[source].split_at(count);
-                let mut end = base;
-                xadj.extend(degrees.iter().map(|&d| {
-                    end += d as usize;
-                    end
-                }));
-                refs.extend_from_slice(packet_refs);
-                assert_eq!(end, refs.len(), "adjacency packet fully consumed");
-            }
-            expected_start = start + count;
-        }
-        assert_eq!(
-            expected_start, new_iv.end,
-            "segments must cover the interval"
+        let packets = &self.packets;
+        adj.rehome(
+            new.interval_of(rank),
+            self.segs.iter().map(|&(start, count, packet)| {
+                let (degrees, refs) = packets[packet].split_at(count);
+                (Interval::new(start, start + count), degrees, refs)
+            }),
         );
         while let Some(packet) = self.packets.pop() {
             pool_put(&mut self.words_pool, packet);
         }
-        LocalAdjacency::from_parts(new_iv, xadj, refs)
     }
 }
 
@@ -461,13 +397,10 @@ pub fn redistribute_values_coalesced<E: Element, C: Comm>(
     }
     let mut scratch = RemapScratch::new();
     let plan = scratch.take_plan(old, new);
-    let (first, rest) = arrays.split_first_mut().expect("nonempty");
-    // The first array is the primary source; swap its new block in
-    // afterwards (the scratch is transient here, so the swap just moves
-    // ownership of the freshly built block).
-    let primary: Vec<E> = std::mem::take(*first);
-    scratch.redistribute(env, old, new, &plan, &primary, rest);
-    **first = std::mem::replace(&mut scratch.blocks[0], primary);
+    scratch.redistribute(env, old, new, &plan, arrays.len(), |a| &arrays[a][..]);
+    for (a, block) in arrays.iter_mut().zip(scratch.new_blocks()) {
+        std::mem::swap(*a, block);
+    }
 }
 
 /// Moves the distributed mesh rows (each vertex's global neighbor list) to
@@ -476,7 +409,7 @@ pub fn redistribute_values_coalesced<E: Element, C: Comm>(
 /// Wire format per moved range: `[deg(v) for v in range] ++ [refs…]` as one
 /// `u32` payload (the receiver knows the range length from the plan).
 /// Convenience wrapper over [`RemapScratch::redistribute_adjacency`] with
-/// a transient scratch.
+/// a transient scratch, moving a copy of `adj`.
 pub fn redistribute_adjacency<C: Comm>(
     env: &mut C,
     old: &BlockPartition,
@@ -485,13 +418,19 @@ pub fn redistribute_adjacency<C: Comm>(
 ) -> LocalAdjacency {
     let mut scratch: RemapScratch<f64> = RemapScratch::new();
     let plan = scratch.take_plan(old, new);
-    scratch.redistribute_adjacency(env, old, new, &plan, adj)
+    let mut moved = adj.clone();
+    scratch.redistribute_adjacency(env, old, new, &plan, &mut moved);
+    moved
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use stance_inspector::schedule::reference::{symmetric_oracle, translate_oracle};
+    use stance_inspector::{
+        build_schedule_symmetric, build_schedule_symmetric_with, ScheduleStrategy,
+    };
     use stance_locality::{meshgen, Graph};
     use stance_native::NativeCluster;
     use stance_onedim::Arrangement;
@@ -557,8 +496,8 @@ mod tests {
     }
 
     /// A recycled [`RemapScratch`] driven through a chain of remaps must
-    /// deliver exactly what the convenience path delivers, for the primary
-    /// slice and the aux vectors alike.
+    /// deliver exactly what the convenience path delivers, for every array
+    /// alike.
     #[test]
     fn scratch_redistribute_matches_coalesced_across_remaps() {
         let n = 91;
@@ -583,10 +522,14 @@ mod tests {
                 redistribute_values_coalesced(env, old, new, &mut [&mut primary_ref, &mut aux_ref]);
                 // Scratch path, recycled across iterations.
                 let plan = scratch.take_plan(old, new);
-                scratch.redistribute(env, old, new, &plan, &primary, &mut [&mut aux]);
+                let arrays = [&primary[..], &aux[..]];
+                scratch.redistribute(env, old, new, &plan, 2, |a| arrays[a]);
                 scratch.put_plan(plan);
-                primary.clear();
-                primary.extend_from_slice(scratch.primary_block());
+                let [p, a] = scratch.new_blocks() else {
+                    unreachable!("two arrays moved")
+                };
+                std::mem::swap(&mut primary, p);
+                std::mem::swap(&mut aux, a);
                 assert_eq!(primary, primary_ref, "primary diverged");
                 assert_eq!(aux, aux_ref, "aux diverged");
             }
@@ -651,8 +594,8 @@ mod tests {
         }
     }
 
-    /// The recycled adjacency path, chained remap over remap with retired
-    /// structures donated back, must match fresh extraction at every step.
+    /// The in-place adjacency path, chained remap over remap through one
+    /// recycled scratch, must match fresh extraction at every step.
     #[test]
     fn scratch_adjacency_matches_fresh_across_remaps() {
         let g = meshgen::triangulated_grid(13, 7, 0.3, 9);
@@ -667,24 +610,38 @@ mod tests {
         Cluster::new(spec).run(|env| move_adjacency_along(env, &g, &parts));
     }
 
-    /// One rank's share of a chain of adjacency moves through one recycled
-    /// scratch, each step held to fresh extraction on the new partition.
+    /// One rank's share of a chain of remaps through one recycled scratch,
+    /// rebuilt after every move the way a session rebuilds: the moved
+    /// adjacency equals a fresh extraction; the schedule built from the
+    /// recycled scratch equals the per-reference oracle, counted work
+    /// included, under both sort strategies; and the translation recycled
+    /// from the step before equals the oracle and a fresh translation.
     fn move_adjacency_along<C: Comm>(env: &mut C, g: &Graph, parts: &[BlockPartition]) {
         let rank = env.rank();
         let mut scratch: RemapScratch<f64> = RemapScratch::new();
         let mut adj = LocalAdjacency::extract(g, &parts[0], rank);
+        let sort2 = ScheduleStrategy::Sort2;
+        let (schedule, _) = build_schedule_symmetric(&parts[0], &adj, rank, sort2);
+        let mut tadj = schedule.translate_adjacency(&adj);
         for w in parts.windows(2) {
             let (old, new) = (&w[0], &w[1]);
             let plan = scratch.take_plan(old, new);
-            let next = scratch.redistribute_adjacency(env, old, new, &plan, &adj);
+            scratch.redistribute_adjacency(env, old, new, &plan, &mut adj);
             scratch.put_plan(plan);
-            scratch.recycle_adjacency(adj);
-            assert_eq!(
-                next,
-                LocalAdjacency::extract(g, new, rank),
-                "rank {rank}: {old:?} → {new:?}"
-            );
-            adj = next;
+            let what = format!("rank {rank}: {:?} → {:?}", old.sizes(), new.sizes());
+            assert_eq!(adj, LocalAdjacency::extract(g, new, rank), "{what}");
+            for strategy in [ScheduleStrategy::Sort1, sort2] {
+                let built =
+                    build_schedule_symmetric_with(new, &adj, rank, strategy, &mut scratch.schedule);
+                assert_eq!(built, symmetric_oracle(new, &adj, rank, strategy), "{what}");
+                let schedule = built.0;
+                if strategy == sort2 {
+                    schedule.translate_adjacency_into(&adj, &mut tadj);
+                    assert_eq!(tadj, translate_oracle(&schedule, &adj), "{what}");
+                    assert_eq!(tadj, schedule.translate_adjacency(&adj), "{what}");
+                }
+                scratch.schedule.recycle(schedule);
+            }
         }
     }
 
@@ -698,13 +655,13 @@ mod tests {
 
         fn generate(&self, rng: &mut proptest::TestRng) -> Self::Value {
             let g = meshgen::triangulated_grid(
-                8 + rng.below(30) as usize,
-                8 + rng.below(30) as usize,
+                8 + rng.below(60) as usize,
+                8 + rng.below(60) as usize,
                 0.3,
                 rng.next_u64(),
             );
             let p = 2 + rng.below(3) as usize;
-            let parts = (0..4)
+            let parts = (0..5)
                 .map(|_| {
                     let mut weights: Vec<f64> = (0..p)
                         .map(|_| match rng.below(4) {

@@ -169,67 +169,89 @@ impl<E: Element> SessionCheckpoint<E> {
 
     /// Deserializes a checkpoint written by [`SessionCheckpoint::to_bytes`].
     ///
-    /// # Panics
-    /// Panics with a descriptive message if the blob is truncated, has the
-    /// wrong magic or version, was written for a different element size,
-    /// or carries malformed or duplicated field names — a corrupt
-    /// checkpoint must never restore silently. Counts and lengths in the
-    /// blob are checked against its size before they size an allocation, so
-    /// decoding never takes more than a small multiple of `bytes.len()`.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
+    /// The bytes may come from anywhere, so every defect is an error, never
+    /// a panic: a truncated blob, the wrong magic or version, a different
+    /// element size, block sizes that do not tile the list, an arrangement
+    /// that is not a permutation, a non-canonical monitor record, malformed
+    /// or duplicated field names, or trailing bytes — a corrupt checkpoint
+    /// must never restore silently. A blob that decodes re-encodes to
+    /// exactly its own bytes. Counts and lengths in the blob are checked
+    /// against its size before they size an allocation, so decoding never
+    /// takes more than a small multiple of `bytes.len()`.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut c = Cursor { bytes, at: 0 };
-        assert_eq!(c.take(4), MAGIC, "not a STANCE checkpoint (bad magic)");
-        let version = c.u32();
-        assert_eq!(version, VERSION, "unsupported checkpoint version {version}");
-        let elem = c.u32() as usize;
-        assert_eq!(
-            elem,
-            E::SIZE_BYTES,
-            "checkpoint holds {elem}-byte elements, expected {}",
-            E::SIZE_BYTES
-        );
+        if c.take(4)? != MAGIC {
+            return Err(CheckpointError::BadMagic);
+        }
+        let version = c.u32()?;
+        if version != VERSION {
+            return Err(CheckpointError::UnsupportedVersion(version));
+        }
+        let elem = c.u32()? as usize;
+        if elem != E::SIZE_BYTES {
+            return Err(CheckpointError::ElementSize {
+                found: elem,
+                expected: E::SIZE_BYTES,
+            });
+        }
         // The three counts come from outside the process: each is held
         // against the bytes actually present before anything is sized by it.
-        let n = usize::try_from(c.u64()).unwrap_or(usize::MAX);
-        let p = c.u32() as usize;
-        let aux_count = c.u32() as usize;
-        assert!(p > 0, "checkpoint has no ranks");
-        let primary_name = read_name(&mut c);
-        c.expect_room(p, 8 + 4 + SNAPSHOT_BYTES);
-        let block_sizes: Vec<usize> = (0..p).map(|_| c.u64() as usize).collect();
-        assert_eq!(
-            block_sizes
-                .iter()
-                .try_fold(0usize, |sum, &size| sum.checked_add(size)),
-            Some(n),
-            "checkpoint block sizes do not tile the list"
-        );
-        let arrangement: Vec<usize> = (0..p).map(|_| c.u32() as usize).collect();
-        let monitors: Vec<MonitorSnapshot> = (0..p).map(|_| read_snapshot(&mut c)).collect();
-        let field_bytes = c.expect_room(n, elem);
+        let n = usize::try_from(c.u64()?).unwrap_or(usize::MAX);
+        let p = c.u32()? as usize;
+        let aux_count = c.u32()? as usize;
+        if p == 0 {
+            return Err(CheckpointError::NoRanks);
+        }
+        let primary_name = read_name(&mut c)?;
+        c.expect_room(p, 8 + 4 + SNAPSHOT_BYTES)?;
+        let block_sizes = (0..p)
+            .map(|_| Ok(c.u64()? as usize))
+            .collect::<Result<Vec<usize>, _>>()?;
+        let tiled = block_sizes
+            .iter()
+            .try_fold(0usize, |sum, &size| sum.checked_add(size));
+        if tiled != Some(n) {
+            return Err(CheckpointError::SizesDoNotTile);
+        }
+        let arrangement = (0..p)
+            .map(|_| Ok(c.u32()? as usize))
+            .collect::<Result<Vec<usize>, _>>()?;
+        let mut placed = vec![false; p];
+        for &q in &arrangement {
+            if q >= p || std::mem::replace(&mut placed[q], true) {
+                return Err(CheckpointError::BadArrangement);
+            }
+        }
+        let monitors = (0..p)
+            .map(|_| read_snapshot(&mut c))
+            .collect::<Result<Vec<_>, _>>()?;
+        let field_bytes = c.expect_room(n, elem)?;
         let mut values = vec![E::zero(); n];
-        E::unpack_into(c.take(field_bytes), &mut values);
+        E::unpack_into(c.take(field_bytes)?, &mut values);
         // An auxiliary record is at least a name's length word and a field.
-        c.expect_room(aux_count, 4 + field_bytes);
-        let aux: Vec<(String, Vec<E>)> = (0..aux_count)
-            .map(|_| {
-                let name = read_name(&mut c);
-                let mut a = vec![E::zero(); n];
-                E::unpack_into(c.take(field_bytes), &mut a);
-                (name, a)
-            })
-            .collect();
-        assert_eq!(c.at, bytes.len(), "checkpoint has trailing garbage");
+        c.expect_room(aux_count, 4 + field_bytes)?;
+        let mut aux: Vec<(String, Vec<E>)> = Vec::with_capacity(aux_count);
+        for _ in 0..aux_count {
+            let name = read_name(&mut c)?;
+            let mut a = vec![E::zero(); n];
+            E::unpack_into(c.take(field_bytes)?, &mut a);
+            aux.push((name, a));
+        }
+        if c.at != bytes.len() {
+            return Err(CheckpointError::TrailingGarbage {
+                at: c.at,
+                len: bytes.len(),
+            });
+        }
         let names: Vec<&str> = std::iter::once(primary_name.as_str())
             .chain(aux.iter().map(|(n, _)| n.as_str()))
             .collect();
         for (i, name) in names.iter().enumerate() {
-            assert!(
-                !names[..i].contains(name),
-                "checkpoint field {name:?} appears more than once"
-            );
+            if names[..i].contains(name) {
+                return Err(CheckpointError::DuplicateName((*name).to_string()));
+            }
         }
-        SessionCheckpoint {
+        Ok(SessionCheckpoint {
             n,
             block_sizes,
             arrangement,
@@ -237,9 +259,94 @@ impl<E: Element> SessionCheckpoint<E> {
             primary_name,
             values,
             aux,
+        })
+    }
+}
+
+/// Why [`SessionCheckpoint::from_bytes`] rejected a blob.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// The blob does not open with the checkpoint magic.
+    BadMagic,
+    /// The blob was written in another format version (version 1 blobs,
+    /// with unnamed positional fields, included).
+    UnsupportedVersion(u32),
+    /// The blob holds elements of another size than the decoding type's.
+    ElementSize {
+        /// The blob's element size, bytes.
+        found: usize,
+        /// The decoding element type's size, bytes.
+        expected: usize,
+    },
+    /// The blob ended, at byte `at` of `len`, before a record it announces.
+    Truncated {
+        /// Where the missing record starts.
+        at: usize,
+        /// The blob's length.
+        len: usize,
+    },
+    /// The blob records a partition of no ranks.
+    NoRanks,
+    /// The block sizes do not add up to the element count.
+    SizesDoNotTile,
+    /// The block arrangement is not a permutation of the ranks.
+    BadArrangement,
+    /// A monitor record sets unknown flags, or carries a value under a
+    /// cleared one.
+    BadMonitor,
+    /// A field name is not UTF-8.
+    NameNotUtf8,
+    /// A field name is empty.
+    EmptyName,
+    /// Two field records share this name.
+    DuplicateName(String),
+    /// Bytes follow the last record, from byte `at` of `len`.
+    TrailingGarbage {
+        /// Where the last record ended.
+        at: usize,
+        /// The blob's length.
+        len: usize,
+    },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::BadMagic => write!(f, "not a STANCE checkpoint (bad magic)"),
+            CheckpointError::UnsupportedVersion(v) => {
+                write!(f, "unsupported checkpoint version {v}")
+            }
+            CheckpointError::ElementSize { found, expected } => write!(
+                f,
+                "checkpoint holds {found}-byte elements, expected {expected}"
+            ),
+            CheckpointError::Truncated { at, len } => {
+                write!(f, "checkpoint truncated at byte {at} of {len}")
+            }
+            CheckpointError::NoRanks => write!(f, "checkpoint has no ranks"),
+            CheckpointError::SizesDoNotTile => {
+                write!(f, "checkpoint block sizes do not tile the list")
+            }
+            CheckpointError::BadArrangement => {
+                write!(
+                    f,
+                    "checkpoint arrangement is not a permutation of its ranks"
+                )
+            }
+            CheckpointError::BadMonitor => write!(f, "checkpoint monitor record is malformed"),
+            CheckpointError::NameNotUtf8 => write!(f, "checkpoint field name is not UTF-8"),
+            CheckpointError::EmptyName => write!(f, "checkpoint field name is empty"),
+            CheckpointError::DuplicateName(name) => {
+                write!(f, "checkpoint field {name:?} appears more than once")
+            }
+            CheckpointError::TrailingGarbage { at, len } => {
+                write!(f, "checkpoint has trailing garbage from byte {at} of {len}")
+            }
         }
     }
 }
+
+impl std::error::Error for CheckpointError {}
 
 /// Appends one length-prefixed field name.
 fn write_name(name: &str, out: &mut Vec<u8>) {
@@ -248,11 +355,13 @@ fn write_name(name: &str, out: &mut Vec<u8>) {
 }
 
 /// Reads one length-prefixed field name back, rejecting malformed keys.
-fn read_name(c: &mut Cursor<'_>) -> String {
-    let len = c.u32() as usize;
-    let name = std::str::from_utf8(c.take(len)).expect("checkpoint field name is not UTF-8");
-    assert!(!name.is_empty(), "checkpoint field name is empty");
-    name.to_string()
+fn read_name(c: &mut Cursor<'_>) -> Result<String, CheckpointError> {
+    let len = c.u32()? as usize;
+    let name = std::str::from_utf8(c.take(len)?).map_err(|_| CheckpointError::NameNotUtf8)?;
+    if name.is_empty() {
+        return Err(CheckpointError::EmptyName);
+    }
+    Ok(name.to_string())
 }
 
 /// Appends one snapshot's fixed [`SNAPSHOT_BYTES`]-long wire form.
@@ -270,28 +379,41 @@ pub(crate) fn write_snapshot(snap: &MonitorSnapshot, out: &mut Vec<u8>) {
     out.extend_from_slice(&snap.movement_obs.to_le_bytes());
 }
 
-/// Reads one snapshot back.
-fn read_snapshot(c: &mut Cursor<'_>) -> MonitorSnapshot {
-    let flags = c.take(1)[0];
-    let per_item = c.f64();
-    let rebuild = c.f64();
-    let remap = c.f64();
-    let movement = [c.f64(), c.f64(), c.f64(), c.f64(), c.f64()];
-    let movement_obs = c.u32();
-    MonitorSnapshot {
-        per_item: (flags & 1 != 0).then_some(per_item),
-        rebuild_cost: (flags & 2 != 0).then_some(rebuild),
-        remap_cost: (flags & 4 != 0).then_some(remap),
-        movement,
-        movement_obs,
+/// Reads one snapshot back, accepting only what [`write_snapshot`]
+/// writes: no unknown flag, and a zero under every cleared one.
+fn read_snapshot(c: &mut Cursor<'_>) -> Result<MonitorSnapshot, CheckpointError> {
+    let flags = c.take(1)?[0];
+    let mut optional = [None; 3];
+    for (bit, slot) in optional.iter_mut().enumerate() {
+        let value = c.f64()?;
+        if flags & 1 << bit != 0 {
+            *slot = Some(value);
+        } else if value.to_bits() != 0 {
+            return Err(CheckpointError::BadMonitor);
+        }
     }
+    if flags >> 3 != 0 {
+        return Err(CheckpointError::BadMonitor);
+    }
+    let [per_item, rebuild_cost, remap_cost] = optional;
+    Ok(MonitorSnapshot {
+        per_item,
+        rebuild_cost,
+        remap_cost,
+        movement: [c.f64()?, c.f64()?, c.f64()?, c.f64()?, c.f64()?],
+        movement_obs: c.u32()?,
+    })
 }
 
 /// Reads one rank's checkpoint contribution (the allgather payload):
 /// a snapshot followed by that rank's slice of every field.
+///
+/// # Panics
+/// Panics if the payload does not open with a snapshot — every rank's
+/// contribution is written by [`write_snapshot`] in the same collective.
 pub(crate) fn read_contribution(bytes: &[u8]) -> (MonitorSnapshot, &[u8]) {
     let mut c = Cursor { bytes, at: 0 };
-    let snap = read_snapshot(&mut c);
+    let snap = read_snapshot(&mut c).expect("a checkpoint contribution opens with a snapshot");
     (snap, &bytes[c.at..])
 }
 
@@ -302,42 +424,48 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    /// Panics unless `count` records of `each` bytes can still follow, and
+    /// Checks that `count` records of `each` bytes can still follow, and
     /// returns their total size. Called before allocating for a count read
-    /// from the blob, so a hostile count costs a panic, not the memory.
-    fn expect_room(&self, count: usize, each: usize) -> usize {
+    /// from the blob, so a hostile count costs an error, not the memory.
+    fn expect_room(&self, count: usize, each: usize) -> Result<usize, CheckpointError> {
         match count.checked_mul(each) {
-            Some(total) if total <= self.bytes.len() - self.at => total,
-            _ => panic!(
-                "checkpoint truncated at byte {} (wanted {count} x {each} more of {})",
-                self.at,
-                self.bytes.len()
-            ),
+            Some(total) if total <= self.bytes.len() - self.at => Ok(total),
+            _ => Err(self.truncated()),
         }
     }
 
-    fn take(&mut self, len: usize) -> &'a [u8] {
-        assert!(
-            len <= self.bytes.len() - self.at,
-            "checkpoint truncated at byte {} (wanted {len} more of {})",
-            self.at,
-            self.bytes.len()
-        );
+    fn truncated(&self) -> CheckpointError {
+        CheckpointError::Truncated {
+            at: self.at,
+            len: self.bytes.len(),
+        }
+    }
+
+    fn take(&mut self, len: usize) -> Result<&'a [u8], CheckpointError> {
+        if len > self.bytes.len() - self.at {
+            return Err(self.truncated());
+        }
         let s = &self.bytes[self.at..self.at + len];
         self.at += len;
-        s
+        Ok(s)
     }
 
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().expect("exact chunk"))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
-    fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().expect("exact chunk"))
+    fn u32(&mut self) -> Result<u32, CheckpointError> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    fn f64(&mut self) -> f64 {
-        f64::from_le_bytes(self.take(8).try_into().expect("exact chunk"))
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, CheckpointError> {
+        self.array().map(f64::from_le_bytes)
     }
 }
 
@@ -376,7 +504,7 @@ mod tests {
     fn byte_round_trip_is_exact() {
         let ck = sample();
         let bytes = ck.to_bytes();
-        let back = SessionCheckpoint::<f64>::from_bytes(&bytes);
+        let back = SessionCheckpoint::<f64>::from_bytes(&bytes).expect("a valid blob");
         assert_eq!(back, ck);
         assert_eq!(back.partition().sizes(), ck.partition().sizes());
     }
@@ -400,64 +528,96 @@ mod tests {
         assert_eq!(part.interval_of(0).len(), 2);
     }
 
-    #[test]
-    #[should_panic(expected = "bad magic")]
-    fn rejects_foreign_blobs() {
-        let _ = SessionCheckpoint::<f64>::from_bytes(b"NOPE\0\0\0\0");
+    fn decode(bytes: &[u8]) -> Result<SessionCheckpoint<f64>, CheckpointError> {
+        SessionCheckpoint::from_bytes(bytes)
     }
 
     #[test]
-    #[should_panic(expected = "unsupported checkpoint version 1")]
+    fn rejects_foreign_blobs() {
+        assert_eq!(decode(b"NOPE\0\0\0\0"), Err(CheckpointError::BadMagic));
+    }
+
+    #[test]
     fn rejects_unnamed_v1_blobs() {
         let mut bytes = sample().to_bytes();
         bytes[4] = 1;
-        let _ = SessionCheckpoint::<f64>::from_bytes(&bytes);
+        let err = decode(&bytes).expect_err("a v1 blob");
+        assert_eq!(err, CheckpointError::UnsupportedVersion(1));
+        assert_eq!(err.to_string(), "unsupported checkpoint version 1");
     }
 
     #[test]
-    #[should_panic(expected = "unsupported checkpoint version")]
     fn rejects_future_versions() {
         let mut bytes = sample().to_bytes();
         bytes[4] = 99;
-        let _ = SessionCheckpoint::<f64>::from_bytes(&bytes);
+        assert_eq!(decode(&bytes), Err(CheckpointError::UnsupportedVersion(99)));
     }
 
     #[test]
-    #[should_panic(expected = "expected 16")]
     fn rejects_wrong_element_size() {
         let bytes = sample().to_bytes();
-        let _ = SessionCheckpoint::<[f64; 2]>::from_bytes(&bytes);
+        assert_eq!(
+            SessionCheckpoint::<[f64; 2]>::from_bytes(&bytes),
+            Err(CheckpointError::ElementSize {
+                found: 8,
+                expected: 16
+            })
+        );
     }
 
     #[test]
-    #[should_panic(expected = "appears more than once")]
     fn rejects_duplicate_field_names() {
         let mut ck = sample();
         ck.aux.push(("values".to_string(), vec![0.0; 5]));
-        let _ = SessionCheckpoint::<f64>::from_bytes(&ck.to_bytes());
+        assert_eq!(
+            decode(&ck.to_bytes()),
+            Err(CheckpointError::DuplicateName("values".to_string()))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "field name is empty")]
     fn rejects_empty_field_names() {
         let mut ck = sample();
         ck.aux[0].0 = String::new();
-        let _ = SessionCheckpoint::<f64>::from_bytes(&ck.to_bytes());
+        assert_eq!(decode(&ck.to_bytes()), Err(CheckpointError::EmptyName));
     }
 
     #[test]
-    #[should_panic(expected = "truncated")]
     fn rejects_truncation() {
         let bytes = sample().to_bytes();
-        let _ = SessionCheckpoint::<f64>::from_bytes(&bytes[..bytes.len() - 3]);
+        let err = decode(&bytes[..bytes.len() - 3]).expect_err("a truncated blob");
+        assert!(matches!(err, CheckpointError::Truncated { .. }), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "trailing garbage")]
     fn rejects_trailing_garbage() {
         let mut bytes = sample().to_bytes();
         bytes.push(0);
-        let _ = SessionCheckpoint::<f64>::from_bytes(&bytes);
+        let len = bytes.len();
+        assert_eq!(
+            decode(&bytes),
+            Err(CheckpointError::TrailingGarbage { at: len - 1, len })
+        );
+    }
+
+    /// What `to_bytes` never writes is rejected, so a decoded blob always
+    /// re-encodes to its own bytes: an arrangement that is not a
+    /// permutation, an unknown monitor flag, a value under a cleared one.
+    #[test]
+    fn rejects_what_it_never_writes() {
+        let bytes = sample().to_bytes();
+        let arrangement = 28 + 4 + "values".len() + 2 * 8;
+        let monitor = arrangement + 2 * 4;
+        let mut twice = bytes.clone();
+        twice[arrangement..arrangement + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(decode(&twice), Err(CheckpointError::BadArrangement));
+        let mut flag = bytes.clone();
+        flag[monitor] |= 8;
+        assert_eq!(decode(&flag), Err(CheckpointError::BadMonitor));
+        // Rank 0's snapshot has no rebuild cost: its word must stay zero.
+        let mut hidden = bytes;
+        hidden[monitor + 1 + 8] = 1;
+        assert_eq!(decode(&hidden), Err(CheckpointError::BadMonitor));
     }
 
     /// A header claiming `n` elements, `p` ranks and `aux` auxiliary
@@ -483,31 +643,30 @@ mod tests {
         bytes
     }
 
-    /// Decoding must end in the catchable "truncated" panic. An abort
-    /// (allocation failure) would take the test process down instead.
+    /// Decoding must end in the truncation error before it sizes anything
+    /// by the hostile count. An allocation failure would abort the test
+    /// process instead.
     fn assert_rejected_as_truncated(blob: &[u8]) {
-        let panic = std::panic::catch_unwind(|| SessionCheckpoint::<f64>::from_bytes(blob))
-            .expect_err("a hostile blob must not decode");
-        let message = panic.downcast_ref::<String>().expect("formatted panic");
-        assert!(message.contains("checkpoint truncated"), "{message}");
+        let err = decode(blob).expect_err("a hostile blob must not decode");
+        assert!(matches!(err, CheckpointError::Truncated { .. }), "{err}");
     }
 
     #[test]
-    fn hostile_rank_count_panics_before_allocating() {
+    fn hostile_rank_count_is_rejected_before_allocating() {
         let blob = hostile_header(5, u32::MAX, 0);
         assert_eq!(blob.len(), 33);
         assert_rejected_as_truncated(&blob);
     }
 
     #[test]
-    fn hostile_aux_count_panics_before_allocating() {
+    fn hostile_aux_count_is_rejected_before_allocating() {
         let mut blob = sample().to_bytes();
         blob[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_rejected_as_truncated(&blob);
     }
 
     #[test]
-    fn hostile_element_count_panics_before_allocating() {
+    fn hostile_element_count_is_rejected_before_allocating() {
         assert_rejected_as_truncated(&one_rank_prefix(1 << 40));
     }
 
@@ -521,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_name_length_panics_before_allocating() {
+    fn hostile_name_length_is_rejected_before_allocating() {
         let mut blob = hostile_header(5, 2, 0);
         blob[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_rejected_as_truncated(&blob);

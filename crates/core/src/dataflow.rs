@@ -117,8 +117,7 @@ pub struct SessionReport {
 /// [`GhostedArray`] per field, addressed by name, plus the per-field
 /// dirty flag the fused exchange uses to skip gathers of fields whose
 /// writers have not run. Field 0 is the session's *primary* field (the
-/// first one registered) — the one whose block the remap pipeline moves
-/// straight out of its array's storage.
+/// first one registered) — the checkpoint's primary record.
 pub struct FieldSet<E: Element = f64> {
     names: Vec<String>,
     pub(crate) arrays: Vec<GhostedArray<E>>,
@@ -435,17 +434,13 @@ pub struct DataflowSession<E: Element = f64> {
     fields: FieldSet<E>,
     /// Recycled dirty-filtered fusion group (field indices).
     group: Vec<usize>,
-    /// Recycled staging for the non-primary fields' owned blocks during a
-    /// remap (the primary moves through `RemapScratch` directly).
-    aux_staging: Vec<Vec<E>>,
     monitor: LoadMonitor,
     config: StanceConfig,
     /// Recycled storage for the whole remap pipeline (plan, message
-    /// staging, destination blocks, adjacency CSR assembly, schedule
-    /// rebuild) — the remap-path counterpart of the runner's
-    /// `CommBuffers`: after the first remap has warmed it up, a remap's
-    /// allocation count is bounded and independent of how many remaps the
-    /// run has already performed.
+    /// staging, destination blocks, schedule rebuild) — the remap-path
+    /// counterpart of the runner's `CommBuffers`: after the first remap has
+    /// warmed it up, a remap's allocation count is bounded and independent
+    /// of how many remaps the run has already performed.
     scratch: RemapScratch<E>,
     /// The protocol trace, recording every point-to-point event the
     /// session's communication performs — `Some` iff
@@ -544,7 +539,6 @@ impl<E: Element> DataflowSession<E> {
             runner,
             fields,
             group: Vec::with_capacity(k),
-            aux_staging: Vec::new(),
             monitor: LoadMonitor::with_estimator(config.monitor_window, config.estimator),
             config: config.clone(),
             scratch,
@@ -733,19 +727,20 @@ impl<E: Element> DataflowSession<E> {
     /// Moves every field and the structure to `new_partition` and
     /// rebuilds the schedule and the runner's scratch. Collective.
     ///
-    /// The whole pipeline draws on the session's [`RemapScratch`]: the
-    /// redistribution plan is computed once and shared, the primary
-    /// field moves straight out of its `GhostedArray`'s storage (no
-    /// upfront copy), the other registered fields stage through recycled
-    /// buffers, the caller's `aux` arrays (if any) follow them, and all
-    /// of it rides **one** coalesced message per destination (§2 message
-    /// coalescing); the new adjacency assembles into recycled CSR arrays,
-    /// and the schedule/runner rebuild reuses the retired schedule's
-    /// vectors — so after the first remap has warmed the scratch, a
-    /// remap's allocation count is bounded (pinned by
-    /// `tests/alloc_free.rs`). After the move every dirty flag is set:
-    /// ghost regions are rebuilt empty, so every field's next gathered
-    /// read re-exchanges.
+    /// The whole pipeline draws on the session's [`RemapScratch`] and
+    /// costs what moved, not what the rank owns: the redistribution plan
+    /// is computed once and shared; every registered field, then the
+    /// caller's `aux` arrays (if any), moves straight out of its own
+    /// storage into a recycled block, all of it riding **one** coalesced
+    /// message per destination (§2 message coalescing), and each block is
+    /// swapped into place — a field's values are copied once. The
+    /// adjacency is re-homed in place (kept rows stay put), the schedule
+    /// rebuild skips kept interior blocks, and the runner's translation
+    /// rebases them instead of translating them again. After the first
+    /// remap has warmed the scratch, a remap's allocation count is bounded
+    /// (pinned by `tests/alloc_free.rs`). After the move every dirty flag
+    /// is set: ghost regions are rebuilt empty, so every field's next
+    /// gathered read re-exchanges.
     ///
     /// The measured cost is fed back to the monitor: the schedule-rebuild
     /// share and the total, both in backend seconds (modelled on the
@@ -775,41 +770,38 @@ impl<E: Element> DataflowSession<E> {
             let diags = audit_redistribution(&self.partition, &new_partition, &plan);
             expect_clean("redistribution-plan audit", &diags);
         }
+        let fields = self.fields.arrays.len();
         {
             let mut env = Interposed::new(env, trace.as_deref_mut().map(TraceHook::new));
-            let extra = self.fields.arrays.len() - 1;
-            self.aux_staging.resize_with(extra, Vec::new);
-            for (staged, f) in self.aux_staging.iter_mut().zip(&self.fields.arrays[1..]) {
-                staged.clear();
-                staged.extend_from_slice(f.local());
-            }
-            // Registered fields first, then the caller's arrays. (An
-            // empty chain collects without allocating.)
-            let mut riders: Vec<&mut Vec<E>> = self
-                .aux_staging
-                .iter_mut()
-                .chain(aux.iter_mut().map(|a| &mut **a))
-                .collect();
+            // Registered fields first, then the caller's arrays, each read
+            // straight out of its own storage.
+            let arrays = &self.fields.arrays;
             self.scratch.redistribute(
                 &mut env,
                 &self.partition,
                 &new_partition,
                 &plan,
-                self.fields.arrays[0].local(),
-                &mut riders,
+                fields + aux.len(),
+                |a| match arrays.get(a) {
+                    Some(field) => field.local(),
+                    None => &aux[a - fields][..],
+                },
             );
-            let new_adj = self.scratch.redistribute_adjacency(
+            // The caller's arrays take their new blocks now; their old
+            // storage joins the scratch.
+            for (a, block) in aux.iter_mut().zip(&mut self.scratch.new_blocks()[fields..]) {
+                std::mem::swap(*a, block);
+            }
+            self.scratch.redistribute_adjacency(
                 &mut env,
                 &self.partition,
                 &new_partition,
                 &plan,
-                &self.adj,
+                &mut self.adj,
             );
             moved_messages = plan.num_messages();
             moved_elements = plan.elements_moved();
             self.scratch.put_plan(plan);
-            let old_adj = std::mem::replace(&mut self.adj, new_adj);
-            self.scratch.recycle_adjacency(old_adj);
         }
         self.partition = new_partition;
 
@@ -832,10 +824,11 @@ impl<E: Element> DataflowSession<E> {
         };
         let retired = self.runner.rebuild(schedule, &self.adj);
         self.scratch.schedule.recycle(retired);
-        self.runner
-            .reset_values(&mut self.fields.arrays[0], self.scratch.primary_block());
-        for (f, staged) in self.fields.arrays[1..].iter_mut().zip(&self.aux_staging) {
-            self.runner.reset_values(f, staged);
+        // Every field takes its new block by swapping storage: the values
+        // were copied once, by the move.
+        let blocks = &mut self.scratch.new_blocks()[..fields];
+        for (field, block) in self.fields.arrays.iter_mut().zip(blocks) {
+            self.runner.install_values(field, block);
         }
         for d in &mut self.fields.dirty {
             *d = true;
@@ -1401,6 +1394,57 @@ mod tests {
         );
     }
 
+    /// A remap leaves behind what a fresh set-up on the new partition
+    /// builds. Along a chain of forced remaps — shuffled arrangements, an
+    /// empty block — the session's adjacency, moved in place, equals a
+    /// fresh extraction; its schedule equals the per-reference oracle; and
+    /// the runner's translation, kept blocks rebased rather than rebuilt,
+    /// equals the oracle and a fresh translation. The values still match
+    /// the sequential reference.
+    #[test]
+    fn remap_chain_leaves_a_fresh_build() {
+        use stance_inspector::schedule::reference::{symmetric_oracle, translate_oracle};
+        let raw = stance_locality::meshgen::triangulated_grid(100, 60, 0.4, 5);
+        let m = crate::prepare_mesh(&raw, OrderingMethod::Rcb).0;
+        let n = m.num_vertices();
+        let shuffled = |w: &[f64], order: Vec<usize>| {
+            BlockPartition::from_weights(n, w, Arrangement::new(order))
+        };
+        // Ranks that keep whole blocks while their start moves, then a
+        // shuffle with an empty block, then back.
+        let chain = [
+            shuffled(&[1.0, 2.0, 1.0], vec![0, 1, 2]),
+            shuffled(&[1.0, 0.0, 2.0], vec![1, 2, 0]),
+            shuffled(&[0.5, 1.0, 1.5], vec![0, 2, 1]),
+            BlockPartition::uniform(n, 3),
+        ];
+        let passes = 2;
+        let mut expected: Vec<f64> = (0..n).map(init).collect();
+        sequential_relaxation(&m, &mut expected, passes * (chain.len() + 1));
+        let config = StanceConfig::free();
+        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
+        let report = Cluster::new(spec).run(|env| {
+            let rank = env.rank();
+            let mut s = DataflowSession::setup(env, &m, relax_graph(), |_, g| init(g), &config);
+            for partition in &chain {
+                s.run_block(env, passes);
+                s.remap_to(env, partition.clone());
+                assert_eq!(s.adj, LocalAdjacency::extract(&m, partition, rank));
+                let strategy = config.schedule_strategy;
+                let (schedule, _) = symmetric_oracle(partition, &s.adj, rank, strategy);
+                assert_eq!(*s.runner.schedule(), schedule);
+                assert_eq!(*s.runner.tadj(), translate_oracle(&schedule, &s.adj));
+                assert_eq!(*s.runner.tadj(), schedule.translate_adjacency(&s.adj));
+            }
+            s.run_block(env, passes);
+            (s.local("y").to_vec(), s.partition().clone())
+        });
+        let results: Vec<_> = report.into_results();
+        let partition = results[0].1.clone();
+        let blocks = results.into_iter().map(|(v, _)| v).collect();
+        assert_eq!(crate::reassemble(&partition, blocks), expected);
+    }
+
     /// A registered field must land on the same owners as the primary when
     /// the **controller** (not a forced `remap_to`) moves the partition.
     #[test]
@@ -1509,7 +1553,8 @@ mod tests {
             r.run_block(env, 5);
             let same = s.local("y") == r.local("y") && s.local("z") == r.local("z");
             // The round trip survives the wire form too.
-            let back = SessionCheckpoint::<f64>::from_bytes(&ckpt.to_bytes());
+            let back =
+                SessionCheckpoint::<f64>::from_bytes(&ckpt.to_bytes()).expect("a valid blob");
             (same, back == ckpt)
         });
         for (same, wire_same) in report.results() {

@@ -120,7 +120,7 @@ pub mod recovery;
 pub mod scenarios;
 pub mod session;
 
-pub use checkpoint::SessionCheckpoint;
+pub use checkpoint::{CheckpointError, SessionCheckpoint};
 pub use config::{DetectorConfig, RecoveryPolicy, StanceConfig};
 pub use dataflow::{DataflowSession, FieldSet, StageGraph, StageGraphBuilder};
 pub use efficiency::{adaptive_efficiency, static_efficiency};

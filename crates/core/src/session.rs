@@ -790,7 +790,7 @@ mod tests {
             .into_results()
             .pop()
             .expect("one blob per rank");
-        let ckpt = SessionCheckpoint::<f64>::from_bytes(&blob);
+        let ckpt = SessionCheckpoint::<f64>::from_bytes(&blob).expect("a valid blob");
         assert_eq!(ckpt.num_procs(), 4);
 
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());

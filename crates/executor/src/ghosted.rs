@@ -96,17 +96,17 @@ impl<E: Element> GhostedArray<E> {
         self.local_len = local_len;
     }
 
-    /// Rebuilds the buffer **in place** for a new distribution: the owned
-    /// block becomes a copy of `local`, followed by `num_ghosts` zeroed
-    /// ghost slots. Capacity is reused whenever the new combined size fits
-    /// (and never shrinks), so a remap whose blocks stay in the same size
-    /// class performs no allocation here — unlike dropping the array and
-    /// building a fresh one from [`GhostedArray::from_local`].
-    pub fn rebuild_from(&mut self, local: &[E], num_ghosts: usize) {
-        self.data.clear();
-        self.data.extend_from_slice(local);
-        self.data.resize(local.len() + num_ghosts, E::zero());
-        self.local_len = local.len();
+    /// Takes `block` as the new owned values for a new distribution,
+    /// **without copying them**: `block`'s storage becomes the buffer, its
+    /// `num_ghosts` ghost slots appended in place and zeroed, and the
+    /// retired storage is handed back in `block` — so a remap that fills
+    /// recycled blocks moves each field's values once, and allocates only
+    /// while a block's capacity is still short of its combined size.
+    pub fn swap_in(&mut self, block: &mut Vec<E>, num_ghosts: usize) {
+        let local_len = block.len();
+        block.resize(local_len + num_ghosts, E::zero());
+        std::mem::swap(&mut self.data, block);
+        self.local_len = local_len;
     }
 
     /// Swaps the whole combined buffer with `buf` — the double-buffered
@@ -175,18 +175,22 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_from_reuses_capacity() {
+    fn swap_in_takes_the_block_without_copying() {
         let mut a: GhostedArray = GhostedArray::from_local(vec![1.0, 2.0, 3.0, 4.0], 2);
-        let ptr = a.combined().as_ptr();
-        // Shrinking rebuild: same storage, new layout, ghosts zeroed.
-        a.rebuild_from(&[7.0, 8.0], 3);
+        let retired = a.combined().as_ptr();
+        let mut block = Vec::with_capacity(5);
+        block.extend_from_slice(&[7.0, 8.0]);
+        let taken = block.as_ptr();
+        // The block's storage becomes the buffer, ghosts zeroed in place.
+        a.swap_in(&mut block, 3);
         assert_eq!(a.local(), &[7.0, 8.0]);
         assert_eq!(a.ghosts(), &[0.0, 0.0, 0.0]);
-        assert_eq!(a.combined().as_ptr(), ptr, "rebuild must reuse capacity");
-        // Growing past capacity is allowed (reallocates once).
-        a.rebuild_from(&[1.0; 64], 8);
-        assert_eq!(a.local_len(), 64);
-        assert_eq!(a.num_ghosts(), 8);
+        assert_eq!(a.combined().as_ptr(), taken, "the block must not be copied");
+        assert_eq!(block.as_ptr(), retired, "the old storage comes back");
+        // A block short of capacity for its ghosts grows once.
+        let mut block = vec![1.0; 64];
+        a.swap_in(&mut block, 8);
+        assert_eq!((a.local_len(), a.num_ghosts()), (64, 8));
     }
 
     #[test]

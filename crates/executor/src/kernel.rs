@@ -221,10 +221,12 @@ pub trait Kernel<E: Element>: Sync {
 /// What makes the irregular loop slow on a block that fits in cache is not
 /// its memory traffic but the exit of the variable-trip neighbor loop,
 /// mispredicted whenever two consecutive rows differ in degree — most of
-/// the time, on an unstructured mesh. So the rows of every whole
-/// [`TranslatedAdjacency::BLOCK_ROWS`]-row block inside `range` (blocks sit
-/// at absolute multiples of the block size) are visited **grouped by
-/// degree**, in the order the inspector planned
+/// the time, on an unstructured mesh. So the rows of every whole block
+/// inside `range` are visited **grouped by degree** — blocks of
+/// [`TranslatedAdjacency::BLOCK_ROWS`] rows at *global* multiples of the
+/// block size, so a rank's first block may be short, as may its last
+/// ([`TranslatedAdjacency::block_rows`]) — in the order the inspector
+/// planned
 /// ([`TranslatedAdjacency::degree_classes`]): for degrees 1 to 8, `row` is
 /// called in a loop whose neighbor count is a compile-time constant, so
 /// the optimiser unrolls the accumulation and nothing about one row
@@ -257,14 +259,13 @@ pub fn sweep_rows<E: Element>(
     range: Range<usize>,
     row: impl Fn(usize, &[u32]) -> E,
 ) {
-    const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
     assert_eq!(out.len(), range.len(), "output length mismatch");
     assert!(range.end <= tadj.len(), "sweep range exceeds the block");
     let mut at = range.start;
     while at < range.end {
-        let block = at / ROWS;
-        let block_start = block * ROWS;
-        let block_end = tadj.len().min(block_start + ROWS);
+        let block = tadj.block_of(at);
+        let rows = tadj.block_rows(block);
+        let (block_start, block_end) = (rows.start, rows.end);
         if at != block_start || block_end > range.end {
             let end = block_end.min(range.end);
             let ragged = &mut out[at - range.start..end - range.start];
@@ -584,16 +585,18 @@ impl<E: Element> LoopRunner<E> {
         GhostedArray::from_local(local, self.tadj.num_ghosts() as usize)
     }
 
-    /// Rebuilds an existing ghosted value buffer **in place** for this
-    /// runner's (post-remap) shape: owned block = a copy of `local`,
-    /// ghost region zeroed, capacity reused where it fits. The in-place
-    /// counterpart of [`LoopRunner::make_values`].
+    /// Hands a redistributed owned block to an existing ghosted value
+    /// buffer for this runner's (post-remap) shape, **without copying it**:
+    /// `block` becomes the buffer's storage, its ghost tail appended and
+    /// zeroed, and the retired storage comes back in `block` for the next
+    /// remap to fill. The in-place counterpart of
+    /// [`LoopRunner::make_values`].
     ///
     /// # Panics
-    /// Panics if `local` does not match the runner's owned length.
-    pub fn reset_values(&self, values: &mut GhostedArray<E>, local: &[E]) {
-        assert_eq!(local.len(), self.tadj.len(), "owned value length mismatch");
-        values.rebuild_from(local, self.tadj.num_ghosts() as usize);
+    /// Panics if `block` does not match the runner's owned length.
+    pub fn install_values(&self, values: &mut GhostedArray<E>, block: &mut Vec<E>) {
+        assert_eq!(block.len(), self.tadj.len(), "owned value length mismatch");
+        values.swap_in(block, self.tadj.num_ghosts() as usize);
     }
 
     /// The one stage step: exchange (one fused message per neighbor),
@@ -840,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_values_matches_make_values() {
+    fn install_values_matches_make_values() {
         let g = meshgen::triangulated_grid(8, 8, 0.2, 4);
         let n = g.num_vertices();
         let part = BlockPartition::uniform(n, 2);
@@ -849,10 +852,13 @@ mod tests {
         let runner: LoopRunner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
         let local: Vec<f64> = (0..adj.len()).map(|i| i as f64).collect();
         let fresh = runner.make_values(local.clone());
-        // An arbitrarily shaped pre-owned buffer is rebuilt to the same state.
+        // An arbitrarily shaped pre-owned buffer ends in the same state, and
+        // its storage is handed back.
         let mut reused: GhostedArray = GhostedArray::from_local(vec![9.0; 200], 7);
-        runner.reset_values(&mut reused, &local);
+        let mut block = local;
+        runner.install_values(&mut reused, &mut block);
         assert_eq!(reused, fresh);
+        assert_eq!(block.len(), 207);
     }
 
     #[test]

@@ -33,20 +33,40 @@
 //! dereference per reference, one hash probe per off-processor reference
 //! and per (vertex, peer) pair. The *executed* work is proportional to the
 //! boundary. The builder and
-//! [`CommSchedule::translate_adjacency_into`] walk the CSR in fixed chunks
-//! of 512 rows ([`TranslatedAdjacency::BLOCK_ROWS`]) and ask each chunk,
-//! with one branch-free reduction over its contiguous slice of references,
-//! whether any of them leaves the owned interval. On a locality-ordered mesh almost no chunk does (24 of 196
-//! for a 100k-row block of the 200k benchmark mesh): an interior chunk
-//! costs the builder one addition to the counted work and costs
-//! translation one subtraction per reference on the way to where the sweep
-//! will read it, and single references are looked at only inside the
-//! chunks that hold a boundary row. There is one builder
-//! and one translation routine — the per-reference loop is the slow arm of
-//! the same function, taken chunk by chunk — and no state survives from
-//! one build to the next, so set-up, remap and restore all run the same
-//! code. `schedule/oracles.rs` keeps the plain per-reference versions as
-//! test oracles.
+//! [`CommSchedule::translate_adjacency_into`] walk the adjacency in blocks
+//! of 512 rows ([`TranslatedAdjacency::BLOCK_ROWS`]) that sit at global
+//! multiples of the block size, and every block carries the smallest and
+//! largest global id its rows reference, so whether it leaves the owned
+//! interval is one comparison. On a locality-ordered mesh almost no block
+//! does (24 of 196 for a 100k-row block of the 200k benchmark mesh): an
+//! interior block costs the builder one addition to the counted work and
+//! costs translation one subtraction per reference on the way to where the
+//! sweep will read it, and single references are looked at only inside
+//! the blocks that hold a boundary row. There is one builder and one
+//! translation routine — the per-reference loop is the slow arm of the
+//! same function, taken block by block — and set-up, remap and restore all
+//! run that code. `schedule/reference.rs` keeps the plain per-reference
+//! versions as test oracles; `schedule/oracles.rs` holds the builder, the
+//! translation and remap chains to them.
+//!
+//! ## What survives a remap
+//!
+//! The schedule itself does not: it is rebuilt, from recycled storage.
+//! What survives is what the adjacency and the translation already hold
+//! for rows that stayed on their rank. A block's bounds move with it
+//! ([`LocalAdjacency::rehome`]), so the builder skips a kept interior block
+//! like any interior block — and still charges its references, so the
+//! counted work, and the simulator's clock priced from it, is a fresh
+//! build's. A kept block that was interior before the remap and is interior
+//! after it holds no ghost slot, and its slots depend only on its rows and
+//! on the interval's start: its translation is the old one with every slot
+//! shifted by the change of start, and its row starts and row pointers by
+//! the change of position. [`CommSchedule::translate_adjacency_into`] moves
+//! such blocks and applies those two constant adds in one pass — a
+//! `copy_within` that adds on the way — or does nothing, when neither the
+//! blocks' position nor the interval's start moved, and translates every
+//! other block fresh. The result is therefore a fresh translation, vector
+//! for vector.
 //!
 //! ## Simple strategy
 //!
@@ -60,7 +80,9 @@
 use stance_onedim::{BlockPartition, Interval};
 use stance_sim::{Comm, Payload, Tag};
 
-use crate::adjacency::LocalAdjacency;
+use crate::adjacency::{
+    block_rows, move_within, num_blocks, shared_blocks, within, LocalAdjacency,
+};
 use crate::cost::{InspectorCostModel, InspectorWork};
 use crate::refhash::RefHashMap;
 use crate::translation::DenseTable;
@@ -233,82 +255,178 @@ impl CommSchedule {
         let mut out = TranslatedAdjacency {
             local_len: 0,
             num_ghosts: 0,
+            start: 0,
+            of: 0,
             xadj: Vec::with_capacity(adj.len() + 1),
             row_start: vec![0; adj.len()],
             slots: vec![0; adj.num_refs()],
-            order: Vec::with_capacity(adj.len()),
-            class_rows: Vec::with_capacity(adj.len().div_ceil(TranslatedAdjacency::BLOCK_ROWS)),
+            order: vec![0; adj.len()],
+            class_rows: Vec::new(),
         };
         self.translate_adjacency_into(adj, &mut out);
         out
     }
 
-    /// [`CommSchedule::translate_adjacency`] into recycled storage: clears
-    /// and refills `out`'s vectors in place (capacity never shrinks), so a
+    /// [`CommSchedule::translate_adjacency`] into recycled storage,
+    /// refilling `out`'s vectors in place (capacity never shrinks), so a
     /// remap's re-translation stops allocating once the runner's scratch
     /// has warmed up. The result is identical to a fresh translation.
+    ///
+    /// When `adj` came out of a remap's adjacency move
+    /// ([`LocalAdjacency::rehome`]) and `out` holds the translation of the
+    /// adjacency that move started from, the blocks the move kept whole and
+    /// that are interior before and after it are not translated again:
+    /// they are moved to their new position and shifted by two constants
+    /// (see the module docs). Every other block — all of them after a
+    /// set-up, a restore, or a move that kept nothing — is translated
+    /// fresh by the same loop.
     ///
     /// # Panics
     /// Panics if the adjacency and the schedule cover different intervals,
     /// or if the rank makes more than `u32::MAX` references (the translated
     /// row pointers are 32-bit).
     pub fn translate_adjacency_into(&self, adj: &LocalAdjacency, out: &mut TranslatedAdjacency) {
+        const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
         assert_eq!(adj.interval(), self.interval, "adjacency/schedule mismatch");
         check_row_pointers_fit(self.rank, adj.num_refs());
-        let start = self.interval.start as u32;
-        let local_len = self.interval.len() as u32;
-        out.xadj.clear();
-        out.xadj.reserve(adj.len() + 1);
-        out.xadj.push(0);
-        // Every row start and every slot is overwritten below (the blocks'
-        // windows tile the slot array), so recycled content need not be
-        // cleared first.
-        out.row_start.resize(adj.len(), 0);
-        out.slots.resize(adj.num_refs(), 0);
-        out.order.clear();
-        out.order.reserve(adj.len());
-        out.class_rows.clear();
-        for (rows, refs) in adj.row_chunks() {
-            // The row pointers are the adjacency's own, narrowed (the check
-            // above covers the last and therefore all of them); while the
-            // chunk's are in L1, group its rows by degree for the sweep.
-            let row_ptrs = adj.csr_window(rows.clone()).0;
-            out.xadj.extend(row_ptrs[1..].iter().map(|&x| x as u32));
-            let visited = out.order.len();
-            let classes = group_by_degree(row_ptrs, &mut out.order);
-            out.class_rows.push(classes);
-            // A block's rows stay together, so its slots are the window its
-            // references occupied in the CSR. Write them there in the order
-            // the sweep will read them, translated as if the chunk were
-            // interior — one subtraction per reference, no branch — and
-            // learn afterwards whether that was right: an owned global
-            // lands below `local_len`, anything else wraps above it.
-            let base = row_ptrs[0];
-            let block = &mut out.slots[base..base + refs.len()];
-            emit_in_visit_order(
-                row_ptrs,
+        let new = self.interval;
+        let (len, blocks) = (new.len(), num_blocks(new.start, new.len()));
+        // Slot positions are the adjacency's row pointers, rebased.
+        let (row_ptrs, _) = adj.csr_window(0..len);
+        let ptr = |l: usize| (row_ptrs[l] - row_ptrs[0]) as u32;
+        // What `out` holds is reusable only if it translates the adjacency
+        // `adj` was moved from.
+        let old = match adj.moved_from() {
+            Some(from) if from == out.of => {
+                Interval::new(out.start as usize, out.start as usize + out.len())
+            }
+            _ => Interval::EMPTY,
+        };
+        let shared = shared_blocks(old, new);
+        // Move what the shared blocks hold to where they now go, shifting
+        // on the way every slot by the change of start and every row start
+        // and row pointer by the change of position — in one pass, and not
+        // at all when nothing moved. That is the whole work for a shared
+        // block interior before and after; a shared boundary block is
+        // shifted wrongly and written again below. Size every vector for
+        // the new layout: each block not shared overwrites its own windows,
+        // so recycled content need not be cleared first.
+        let refs = adj.num_refs();
+        let shifted = (!shared.is_empty())
+            .then(|| {
+                let rows = |iv: Interval| {
+                    let lo = (shared.start * ROWS).max(iv.start) - iv.start;
+                    lo..(shared.end * ROWS).min(iv.end) - iv.start
+                };
+                let (from, to) = (rows(old), rows(new).start);
+                let slots = out.xadj[from.start] as usize..out.xadj[from.end] as usize;
+                let by_start = (old.start as u32).wrapping_sub(new.start as u32);
+                let by_position = ptr(to).wrapping_sub(slots.start as u32);
+                (from, to, slots, by_start, by_position)
+            })
+            .filter(|&(.., by_start, by_position)| by_start != 0 || by_position != 0);
+        if let Some((from, to, slots, by_start, by_position)) = shifted {
+            let shift = |d: u32| move |x: u32| x.wrapping_add(d);
+            move_within(
+                &mut out.slots,
+                slots,
+                ptr(to) as usize,
                 refs,
-                start,
-                (&out.order[visited..], &classes),
-                block,
-                &mut out.row_start[rows],
+                shift(by_start),
             );
-            if any_outside(block, 0, local_len) {
-                // A boundary row somewhere in the chunk: send the
-                // references that wrapped — the only ones touched one at a
-                // time — through the schedule's ghost map.
-                for slot in block {
-                    if *slot >= local_len {
-                        let LocalRef::Ghost(s) = self.resolve(slot.wrapping_add(start)) else {
-                            unreachable!("an owned global translates below local_len");
-                        };
-                        *slot = local_len + s;
-                    }
+            move_within(
+                &mut out.row_start,
+                from.clone(),
+                to,
+                len,
+                shift(by_position),
+            );
+            let ends = from.start..from.end + 1;
+            move_within(&mut out.xadj, ends, to, len + 1, shift(by_position));
+            move_within(&mut out.order, from, to, len, |x| x);
+            let (old_first, new_first) = (old.start / ROWS, new.start / ROWS);
+            let kept = shared.start - old_first..shared.end - old_first;
+            move_within(
+                &mut out.class_rows,
+                kept,
+                shared.start - new_first,
+                blocks,
+                |x| x,
+            );
+        } else {
+            out.xadj.resize(len + 1, 0);
+            out.row_start.resize(len, 0);
+            out.order.resize(len, 0);
+            out.slots.resize(refs, 0);
+            out.class_rows
+                .resize(blocks, [0; TranslatedAdjacency::DEGREE_CLASSES]);
+        }
+        out.xadj[0] = 0;
+        out.local_len = len as u32;
+        out.num_ghosts = self.num_ghosts;
+        out.start = new.start as u32;
+        out.of = adj.id();
+        for (b, (rows, bounds)) in adj.blocks().enumerate() {
+            let interior = within(bounds, new);
+            if !(interior && within(bounds, old) && shared.contains(&(new.start / ROWS + b))) {
+                self.translate_block(adj, b, rows, interior, out);
+            }
+        }
+    }
+
+    /// Translates block `block` (local rows `rows`) of `adj` fresh into its
+    /// windows of `out`, whose vectors are already sized for `adj`: the
+    /// block's row pointers, its degree index, and its slots in the order
+    /// the sweep reads them. `interior` says its bounds lie in the owned
+    /// interval.
+    fn translate_block(
+        &self,
+        adj: &LocalAdjacency,
+        block: usize,
+        rows: std::ops::Range<usize>,
+        interior: bool,
+        out: &mut TranslatedAdjacency,
+    ) {
+        let (start, local_len) = (self.interval.start as u32, out.local_len);
+        let base = adj.csr_window(0..0).0[0];
+        // The row pointers are the adjacency's own, rebased and narrowed
+        // (the caller's check covers the last and therefore all of them);
+        // while the block's are in L1, group its rows by degree for the
+        // sweep.
+        let (row_ptrs, store) = adj.csr_window(rows.clone());
+        let ends = &mut out.xadj[rows.start + 1..=rows.end];
+        for (x, &p) in ends.iter_mut().zip(&row_ptrs[1..]) {
+            *x = (p - base) as u32;
+        }
+        let classes = group_by_degree(row_ptrs, &mut out.order[rows.clone()]);
+        out.class_rows[block] = classes;
+        // A block's rows stay together, so its slots are the window its
+        // references occupy in the CSR. Write them there in the order the
+        // sweep will read them, translated as if the block were interior —
+        // one subtraction per reference, no branch.
+        let refs = &store[row_ptrs[0]..row_ptrs[rows.len()]];
+        let first = row_ptrs[0] - base;
+        let slots = &mut out.slots[first..first + refs.len()];
+        emit_in_visit_order(
+            (row_ptrs, refs, start),
+            (&out.order[rows.clone()], &classes),
+            (&mut *slots, first),
+            &mut out.row_start[rows],
+        );
+        if !interior {
+            // A boundary row somewhere in the block: an owned global landed
+            // below `local_len`, anything else wrapped above it. Send the
+            // references that wrapped — the only ones touched one at a
+            // time — through the schedule's ghost map.
+            for slot in slots {
+                if *slot >= local_len {
+                    let LocalRef::Ghost(s) = self.resolve(slot.wrapping_add(start)) else {
+                        unreachable!("an owned global translates below local_len");
+                    };
+                    *slot = local_len + s;
                 }
             }
         }
-        out.local_len = local_len;
-        out.num_ghosts = self.num_ghosts;
     }
 
     /// Structural sanity checks (used by tests and debug assertions):
@@ -362,31 +480,59 @@ impl CommSchedule {
 /// references stay in CSR order, and a per-row start table the sweep never
 /// touches keeps [`TranslatedAdjacency::neighbors_of`] an O(1) contiguous
 /// slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Blocks sit at global multiples of [`TranslatedAdjacency::BLOCK_ROWS`],
+/// like the adjacency's ([`TranslatedAdjacency::block_rows`]): a rank's
+/// first block may be short, as may its last, and a block that stays on
+/// its rank across a remap keeps its rows, its degree index and its slot
+/// layout.
+///
+/// Equality compares the translation, not which adjacency it came from.
+#[derive(Debug, Clone)]
 pub struct TranslatedAdjacency {
     local_len: u32,
     num_ghosts: u32,
+    /// The first owned global row, which places the block boundaries.
+    start: u32,
+    /// The id of the adjacency translated (0 for none yet).
+    of: u64,
     /// CSR row pointers, `len + 1` of them, 32-bit: row `l` makes
     /// `xadj[l + 1] - xadj[l]` references, and — a block's rows staying
-    /// together — block `b`'s slots are `slots[xadj[b · BLOCK_ROWS]..]`.
+    /// together — a block's slots are `slots[xadj[first row]..]`.
     xadj: Vec<u32>,
     /// Where row `l`'s references start in `slots`.
     row_start: Vec<u32>,
     /// The references, each block's in its visit order.
     slots: Vec<u32>,
-    /// Per block, its row-in-block numbers grouped by degree class, each
-    /// class ascending. Block `b` owns `order[b · BLOCK_ROWS ..]`.
+    /// Per row of each block, the block's row-in-block numbers grouped by
+    /// degree class, each class ascending: a block's rows own the same
+    /// positions of `order`.
     order: Vec<u16>,
     /// Per block, how many of its rows fall into each degree class — the
     /// lengths of the consecutive groups of its `order`.
     class_rows: Vec<[u16; TranslatedAdjacency::DEGREE_CLASSES]>,
 }
 
+impl PartialEq for TranslatedAdjacency {
+    fn eq(&self, other: &Self) -> bool {
+        (self.local_len, self.num_ghosts, self.start)
+            == (other.local_len, other.num_ghosts, other.start)
+            && self.xadj == other.xadj
+            && self.row_start == other.row_start
+            && self.slots == other.slots
+            && self.order == other.order
+            && self.class_rows == other.class_rows
+    }
+}
+
+impl Eq for TranslatedAdjacency {}
+
 impl TranslatedAdjacency {
-    /// Rows per block: the chunk of the inspector's CSR walks, the unit of
-    /// the degree index and the executor's cache block — ~12 KiB of
-    /// references on a degree-6 mesh, so a block touched twice is still in
-    /// L1 the second time, and a row-in-block number fits 16 bits.
+    /// Rows per block: the unit of the inspector's walks, of the degree
+    /// index and of the executor's cache block — ~12 KiB of references on a
+    /// degree-6 mesh, so a block touched twice is still in L1 the second
+    /// time, and a row-in-block number fits 16 bits. Blocks sit at global
+    /// multiples of it ([`TranslatedAdjacency::block_rows`]).
     pub const BLOCK_ROWS: usize = 512;
 
     /// Degree classes of the per-block index: class `d < 9` holds the rows
@@ -436,20 +582,20 @@ impl TranslatedAdjacency {
         (self.xadj[local + 1] - self.xadj[local]) as usize
     }
 
-    /// The degree index of block `block` (local vertices
-    /// `block · BLOCK_ROWS ..`, the last block possibly short): the block's
-    /// row-in-block numbers grouped by degree class, and the number of rows
-    /// in each class. The first `classes[0]` entries of the order are the
-    /// rows of degree 0, ascending; the next `classes[1]` those of degree
-    /// 1; and so on, the last class taking every degree of
+    /// The degree index of block `block` (the local vertices
+    /// [`TranslatedAdjacency::block_rows`]): the block's row-in-block
+    /// numbers — offsets from its first row — grouped by degree class, and
+    /// the number of rows in each class. The first `classes[0]` entries of
+    /// the order are the rows of degree 0, ascending; the next `classes[1]`
+    /// those of degree 1; and so on, the last class taking every degree of
     /// [`TranslatedAdjacency::DEGREE_CLASSES`]` - 1` and above.
     ///
     /// # Panics
-    /// Panics if `block` is not below `len().div_ceil(BLOCK_ROWS)`.
+    /// Panics if `block` is not below
+    /// [`TranslatedAdjacency::num_blocks`].
     #[inline]
     pub fn degree_classes(&self, block: usize) -> (&[u16], &[u16; Self::DEGREE_CLASSES]) {
-        let (start, end) = self.block_rows(block);
-        (&self.order[start..end], &self.class_rows[block])
+        (&self.order[self.block_rows(block)], &self.class_rows[block])
     }
 
     /// The references of block `block`, in the order
@@ -461,18 +607,33 @@ impl TranslatedAdjacency {
     /// any degree — are the tail of the stream.
     ///
     /// # Panics
-    /// Panics if `block` is not below `len().div_ceil(BLOCK_ROWS)`.
+    /// Panics if `block` is not below
+    /// [`TranslatedAdjacency::num_blocks`].
     #[inline]
     pub fn block_slots(&self, block: usize) -> &[u32] {
-        let (start, end) = self.block_rows(block);
-        &self.slots[self.xadj[start] as usize..self.xadj[end] as usize]
+        let rows = self.block_rows(block);
+        &self.slots[self.xadj[rows.start] as usize..self.xadj[rows.end] as usize]
     }
 
-    /// The local vertices of block `block`, as `(start, end)`.
+    /// The local vertices of block `block`. Blocks sit at global multiples
+    /// of [`TranslatedAdjacency::BLOCK_ROWS`], so the first block ends at
+    /// the first such multiple after the rank's first global row and may
+    /// be short, as may the last.
     #[inline]
-    fn block_rows(&self, block: usize) -> (usize, usize) {
-        let start = block * Self::BLOCK_ROWS;
-        (start, self.len().min(start + Self::BLOCK_ROWS))
+    pub fn block_rows(&self, block: usize) -> std::ops::Range<usize> {
+        block_rows(self.start as usize, self.len(), block)
+    }
+
+    /// The block holding local vertex `local`.
+    #[inline]
+    pub fn block_of(&self, local: usize) -> usize {
+        (local + self.start as usize % Self::BLOCK_ROWS) / Self::BLOCK_ROWS
+    }
+
+    /// Number of blocks.
+    #[inline]
+    pub fn num_blocks(&self) -> usize {
+        self.class_rows.len()
     }
 
     /// Total references.
@@ -492,13 +653,13 @@ fn check_row_pointers_fit(rank: usize, num_refs: usize) {
     );
 }
 
-/// Groups one block's rows by degree class: appends the block's
-/// row-in-block numbers to `order` class by class, each class ascending,
-/// and returns the class sizes. `row_ptrs` are the block's row pointers,
-/// one more than it has rows.
+/// Groups one block's rows by degree class: writes the block's
+/// row-in-block numbers to `order`, one per row, class by class, each
+/// class ascending, and returns the class sizes. `row_ptrs` are the
+/// block's row pointers, one more than it has rows.
 fn group_by_degree(
     row_ptrs: &[usize],
-    order: &mut Vec<u16>,
+    order: &mut [u16],
 ) -> [u16; TranslatedAdjacency::DEGREE_CLASSES] {
     const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
     // One row list per class, each with room for a whole block.
@@ -509,25 +670,25 @@ fn group_by_degree(
         lists[class][rows[class]] = i as u16;
         rows[class] += 1;
     }
+    let mut at = 0;
     for (list, &rows) in lists.iter().zip(&rows) {
-        order.extend_from_slice(&list[..rows]);
+        order[at..at + rows].copy_from_slice(&list[..rows]);
+        at += rows;
     }
     rows.map(|rows| rows as u16)
 }
 
 /// Lays one block's references out in the order the sweep reads them:
-/// writes row `order[k]`'s references — `refs`, the block's window of the
-/// CSR, indexed through its `row_ptrs` — after row `order[k - 1]`'s into
+/// writes row `order[k]`'s references — `refs`, the block's references,
+/// indexed through its `row_ptrs` — after row `order[k - 1]`'s into
 /// `block`, each minus `start`, and records in `row_start` where every row
 /// went (as an index into the whole slot array, where `block` sits at
-/// `row_ptrs[0]`). Class by class like the sweep, and for the same reason:
-/// in a class below the last a row is a copy of constant length.
+/// `first`). Class by class like the sweep, and for the same reason: in a
+/// class below the last a row is a copy of constant length.
 fn emit_in_visit_order(
-    row_ptrs: &[usize],
-    refs: &[u32],
-    start: u32,
+    (row_ptrs, refs, start): (&[usize], &[u32], u32),
     (mut order, classes): (&[u16], &[u16; TranslatedAdjacency::DEGREE_CLASSES]),
-    block: &mut [u32],
+    (block, first): (&mut [u32], usize),
     row_start: &mut [u32],
 ) {
     let src = (row_ptrs, refs, start);
@@ -535,7 +696,7 @@ fn emit_in_visit_order(
     for (degree, &rows) in classes.iter().enumerate() {
         let class;
         (class, order) = order.split_at(rows as usize);
-        let (dst, first) = (&mut block[at..], row_ptrs[0] + at);
+        let (dst, first) = (&mut block[at..], first + at);
         at += match degree {
             1 => emit_class::<1>(class, src, dst, first, row_start),
             2 => emit_class::<2>(class, src, dst, first, row_start),
@@ -594,17 +755,6 @@ fn emit_rows(
         at += row.len();
     }
     at
-}
-
-/// Whether any of `refs` lies outside `[start, start + len)`: one
-/// branch-free reduction over a contiguous slice (it vectorises), with no
-/// assumption that the references are sorted — `LocalAdjacency::from_parts`
-/// accepts any row order.
-#[inline]
-fn any_outside(refs: &[u32], start: u32, len: u32) -> bool {
-    refs.iter().fold(false, |outside, &g| {
-        outside | (g.wrapping_sub(start) >= len)
-    })
 }
 
 /// Bound on pooled segment vectors in a [`ScheduleScratch`] — generous for
@@ -758,14 +908,13 @@ pub fn build_schedule_symmetric_with(
     // boundary locals per destination, each (local, peer) pair once.
     ghost_dedup.clear();
 
-    let (start, len) = (interval.start as u32, interval.len() as u32);
-    for (rows, refs) in adj.row_chunks() {
+    for (rows, bounds) in adj.blocks() {
         // The paper's algorithm dereferences every reference; that is what
-        // the counted work charges. Ours asks the chunk first, and an
-        // interior chunk — all but the few that hold a boundary row on a
-        // locality-ordered mesh — is done.
-        work.translate_ops += refs.len() as u64;
-        if !any_outside(refs, start, len) {
+        // the counted work charges. Ours asks the block's bounds first, and
+        // an interior block — all but the few that hold a boundary row on
+        // a locality-ordered mesh — is done.
+        work.translate_ops += adj.refs_in(rows.start, rows.end).len() as u64;
+        if within(bounds, interval) {
             continue;
         }
         for l in rows {
@@ -968,6 +1117,9 @@ pub fn build_schedule_simple<C: Comm>(
 
     CommSchedule::from_parts(rank, interval, sends, recvs)
 }
+
+#[doc(hidden)]
+pub mod reference;
 
 #[cfg(test)]
 mod oracles;

@@ -1,123 +1,20 @@
-//! Test-only references for the chunked inspector passes: the
-//! per-reference symmetric builder and translation that
-//! [`build_schedule_symmetric_with`] and
-//! [`CommSchedule::translate_adjacency_into`] replaced, kept as oracles,
-//! plus the tests that hold the replacements to them field for field —
-//! schedule, [`TranslatedAdjacency`] (the degree index and the visit-order
-//! slot layout included) and [`InspectorWork`], under both sort strategies.
-
-use std::collections::HashSet;
+//! The tests that hold [`build_schedule_symmetric_with`] and
+//! [`CommSchedule::translate_adjacency_into`] to the per-reference oracles
+//! of [`super::reference`] field for field — schedule,
+//! [`TranslatedAdjacency`] (the degree index and the visit-order slot
+//! layout included) and [`InspectorWork`], under both sort strategies —
+//! on fresh adjacencies and along remap chains, where kept blocks are
+//! rebased instead of translated.
 
 use proptest::prelude::*;
 use stance_locality::rcb::rcb_ordering;
 use stance_locality::{meshgen, Graph};
 use stance_onedim::Arrangement;
 
+use super::reference::{slot_of, symmetric_oracle, translate_oracle};
 use super::*;
 
 const BLOCK_ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
-
-/// The symmetric builder as it was: every reference dereferenced one at a
-/// time, (local, peer) pairs deduplicated through a set keyed on the pair
-/// itself (the old packed `u32` key could wrap).
-fn symmetric_oracle(
-    partition: &BlockPartition,
-    adj: &LocalAdjacency,
-    rank: usize,
-    strategy: ScheduleStrategy,
-) -> (CommSchedule, InspectorWork) {
-    let mut work = InspectorWork::default();
-    let p = partition.num_procs();
-    let interval = partition.interval_of(rank);
-    let mut ghost_dedup = RefHashMap::with_capacity(16);
-    let mut seen_pairs = HashSet::new();
-    let mut recv_segments = vec![Vec::new(); p];
-    let mut send_segments = vec![Vec::new(); p];
-    for l in 0..adj.len() {
-        for &g in adj.neighbors_of(l) {
-            work.translate_ops += 1;
-            if interval.contains(g as usize) {
-                continue;
-            }
-            let owner = partition.owner_of(g as usize);
-            work.hash_ops += 1;
-            if ghost_dedup.insert_if_absent(g, 0).is_none() {
-                recv_segments[owner].push(g);
-                work.scan_ops += 1;
-            }
-            work.hash_ops += 1;
-            if seen_pairs.insert((l, owner)) {
-                send_segments[owner].push(l as u32);
-                work.scan_ops += 1;
-            }
-        }
-    }
-    for seg in &mut recv_segments {
-        work.add_sort(seg.len());
-        seg.sort_unstable();
-    }
-    if strategy == ScheduleStrategy::Sort1 {
-        for seg in &mut send_segments {
-            work.add_sort(seg.len());
-            seg.sort_unstable();
-        }
-    }
-    let keep = |segments: Vec<Vec<u32>>| -> Vec<(usize, Vec<u32>)> {
-        segments
-            .into_iter()
-            .enumerate()
-            .filter(|(peer, seg)| *peer != rank && !seg.is_empty())
-            .collect()
-    };
-    let schedule =
-        CommSchedule::from_parts(rank, interval, keep(send_segments), keep(recv_segments));
-    (schedule, work)
-}
-
-/// One reference's combined-buffer index, through `resolve`.
-fn slot_of(schedule: &CommSchedule, g: u32) -> u32 {
-    match schedule.resolve(g) {
-        LocalRef::Local(i) => i,
-        LocalRef::Ghost(s) => schedule.interval.len() as u32 + s,
-    }
-}
-
-/// Translation by its definition, one `resolve` and one `push` per
-/// reference: the degree index is a stable sort of each block's row
-/// numbers on `min(degree, 9)`, and the slots are the rows laid out one at
-/// a time in that order, each row's references in CSR order.
-fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
-    let local_len = schedule.interval.len() as u32;
-    let mut out = TranslatedAdjacency {
-        local_len,
-        num_ghosts: schedule.num_ghosts,
-        xadj: vec![0],
-        row_start: vec![0; adj.len()],
-        slots: Vec::new(),
-        order: Vec::new(),
-        class_rows: Vec::new(),
-    };
-    for l in 0..adj.len() {
-        out.xadj.push(out.xadj[l] + adj.degree_of(l) as u32);
-    }
-    for lo in (0..adj.len()).step_by(BLOCK_ROWS) {
-        let rows = adj.len().min(lo + BLOCK_ROWS) - lo;
-        let class_of = |&i: &u16| adj.degree_of(lo + i as usize).min(9);
-        let mut block: Vec<u16> = (0..rows as u16).collect();
-        block.sort_by_key(class_of);
-        out.class_rows.push(std::array::from_fn(|class| {
-            block.iter().filter(|&i| class_of(i) == class).count() as u16
-        }));
-        for &i in &block {
-            let l = lo + i as usize;
-            out.row_start[l] = out.slots.len() as u32;
-            let row = adj.neighbors_of(l).iter();
-            out.slots.extend(row.map(|&g| slot_of(schedule, g)));
-        }
-        out.order.extend(block);
-    }
-    out
-}
 
 /// What every reader of a translation relies on, whatever the storage
 /// order: `neighbors_of(l)` is row `l`'s references translated one by one,
@@ -136,11 +33,12 @@ fn assert_rows_read_back(
         assert_eq!(tadj.neighbors_of(l), expected, "row {l}");
         assert_eq!(tadj.degree_of(l), adj.degree_of(l), "degree of row {l}");
     }
-    for block in 0..adj.len().div_ceil(BLOCK_ROWS) {
+    for block in 0..tadj.num_blocks() {
         let (order, _) = tadj.degree_classes(block);
+        let first = tadj.block_rows(block).start;
         let stream: Vec<u32> = order
             .iter()
-            .flat_map(|&i| tadj.neighbors_of(block * BLOCK_ROWS + i as usize))
+            .flat_map(|&i| tadj.neighbors_of(first + i as usize))
             .copied()
             .collect();
         assert_eq!(tadj.block_slots(block), stream, "stream of block {block}");
@@ -257,6 +155,23 @@ struct Case {
     seed: u64,
 }
 
+/// A partition of `n` elements over `p` ranks with random weights (zeros
+/// allowed) and a shuffled block arrangement.
+fn random_partition(rng: &mut proptest::TestRng, n: usize, p: usize) -> BlockPartition {
+    let mut weights: Vec<f64> = (0..p)
+        .map(|_| match rng.below(4) {
+            0 => 0.0,
+            _ => 0.1 + rng.unit_f64(),
+        })
+        .collect();
+    weights[rng.below(p as u64) as usize] += 1.0;
+    let mut order: Vec<usize> = (0..p).collect();
+    for i in (1..p).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    BlockPartition::from_weights(n, &weights, Arrangement::new(order))
+}
+
 impl Strategy for Cases {
     type Value = Case;
 
@@ -266,24 +181,30 @@ impl Strategy for Cases {
         let seed = rng.next_u64();
         let graph = ordered_mesh(nx, ny, seed);
         let p = 1 + rng.below(5) as usize;
-        let mut weights: Vec<f64> = (0..p)
-            .map(|_| match rng.below(4) {
-                0 => 0.0,
-                _ => 0.1 + rng.unit_f64(),
-            })
-            .collect();
-        weights[rng.below(p as u64) as usize] += 1.0;
-        let mut order: Vec<usize> = (0..p).collect();
-        for i in (1..p).rev() {
-            order.swap(i, rng.below(i as u64 + 1) as usize);
-        }
-        let partition =
-            BlockPartition::from_weights(graph.num_vertices(), &weights, Arrangement::new(order));
+        let partition = random_partition(rng, graph.num_vertices(), p);
         Case {
             graph,
             partition,
             seed,
         }
+    }
+}
+
+/// A mesh and a chain of five partitions of it over one rank count.
+struct Chains;
+
+impl Strategy for Chains {
+    type Value = (Graph, Vec<BlockPartition>);
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> Self::Value {
+        let nx = 20 + rng.below(60) as usize;
+        let ny = 20 + rng.below(60) as usize;
+        let graph = ordered_mesh(nx, ny, rng.next_u64());
+        let p = 1 + rng.below(4) as usize;
+        let chain = (0..5)
+            .map(|_| random_partition(rng, graph.num_vertices(), p))
+            .collect();
+        (graph, chain)
     }
 }
 
@@ -302,6 +223,129 @@ proptest! {
             assert_matches_oracles(&case.partition, &unsorted(&adj, case.seed), rank);
         }
     }
+
+    #[test]
+    fn remap_chains_equal_their_oracles(case in Chains) {
+        let (graph, chain) = &case;
+        for rank in 0..chain[0].num_procs() {
+            assert_chain_matches_oracles(graph, chain, rank);
+        }
+    }
+}
+
+/// Moves `adj` onto `interval` the way a remap's adjacency move does, the
+/// rows it did not own read from `graph`.
+fn move_to(graph: &Graph, adj: &mut LocalAdjacency, interval: Interval) {
+    let kept = adj.interval().intersect(&interval);
+    let runs = if kept.is_empty() {
+        vec![interval]
+    } else {
+        vec![
+            Interval::new(interval.start, kept.start),
+            Interval::new(kept.end, interval.end),
+        ]
+    };
+    let runs: Vec<(Interval, Vec<u32>, Vec<u32>)> = runs
+        .into_iter()
+        .filter(|r| !r.is_empty())
+        .map(|r| {
+            let degrees = r.iter().map(|v| graph.degree(v) as u32).collect();
+            let refs = r.iter().flat_map(|v| graph.neighbors(v)).copied().collect();
+            (r, degrees, refs)
+        })
+        .collect();
+    adj.rehome(interval, runs.iter().map(|(r, d, f)| (*r, &d[..], &f[..])));
+}
+
+/// One rank along a chain of partitions, rebuilt after every move the way
+/// a session rebuilds — adjacency moved in place, schedule from a recycled
+/// scratch, translation into the previous one — and every step held to a
+/// fresh extraction, the oracles and a fresh translation.
+fn assert_chain_matches_oracles(graph: &Graph, chain: &[BlockPartition], rank: usize) {
+    let mut adj = LocalAdjacency::extract(graph, &chain[0], rank);
+    let mut scratch = ScheduleScratch::new();
+    let sort2 = ScheduleStrategy::Sort2;
+    let (schedule, _) = build_schedule_symmetric_with(&chain[0], &adj, rank, sort2, &mut scratch);
+    let mut tadj = schedule.translate_adjacency(&adj);
+    scratch.recycle(schedule);
+    for partition in &chain[1..] {
+        move_to(graph, &mut adj, partition.interval_of(rank));
+        let what = format!("rank {rank} on {:?}", partition.sizes());
+        assert_eq!(
+            adj,
+            LocalAdjacency::extract(graph, partition, rank),
+            "{what}"
+        );
+        for strategy in [ScheduleStrategy::Sort1, sort2] {
+            let built =
+                build_schedule_symmetric_with(partition, &adj, rank, strategy, &mut scratch);
+            assert_eq!(
+                built,
+                symmetric_oracle(partition, &adj, rank, strategy),
+                "{what}"
+            );
+            let schedule = built.0;
+            if strategy == sort2 {
+                schedule.translate_adjacency_into(&adj, &mut tadj);
+                assert_eq!(tadj, translate_oracle(&schedule, &adj), "{what}");
+                assert_eq!(tadj, schedule.translate_adjacency(&adj), "{what}");
+                assert_rows_read_back(&schedule, &adj, &tadj);
+            }
+            scratch.recycle(schedule);
+        }
+    }
+}
+
+/// A kept block that is interior before and after a remap is not
+/// translated again: a marker planted in it comes out of the remap shifted
+/// by the change of start — on rank 0, whose start stays, untouched — while
+/// every block that is not kept whole is written fresh.
+#[test]
+fn kept_interior_blocks_are_rebased_not_translated() {
+    const MARK: u32 = 0xDEAD_0000;
+    let g = ordered_mesh(100, 100, 3);
+    let (old, new) = (
+        BlockPartition::from_sizes(&[5000, 5000]),
+        BlockPartition::from_sizes(&[3000, 7000]),
+    );
+    for rank in 0..2 {
+        let (from, to) = (old.interval_of(rank), new.interval_of(rank));
+        let mut adj = LocalAdjacency::extract(&g, &old, rank);
+        let (schedule, _) = build_schedule_symmetric(&old, &adj, rank, ScheduleStrategy::Sort2);
+        let mut tadj = schedule.translate_adjacency(&adj);
+        let kept = |b: &(std::ops::Range<usize>, _)| within(b.1, from) && within(b.1, to);
+        let marked: Vec<usize> = adj
+            .blocks()
+            .enumerate()
+            .filter(|(k, b)| {
+                kept(b) && shared_blocks(from, to).contains(&(from.start / BLOCK_ROWS + k))
+            })
+            .map(|(k, _)| from.start / BLOCK_ROWS + k)
+            .collect();
+        assert!(!marked.is_empty(), "rank {rank} keeps an interior block");
+        for &k in &marked {
+            let b = k - from.start / BLOCK_ROWS;
+            let first = tadj.xadj[tadj.block_rows(b).start] as usize;
+            tadj.slots[first] = MARK;
+        }
+        move_to(&g, &mut adj, to);
+        let (schedule, _) = build_schedule_symmetric(&new, &adj, rank, ScheduleStrategy::Sort2);
+        schedule.translate_adjacency_into(&adj, &mut tadj);
+        let shift = (from.start as u32).wrapping_sub(to.start as u32);
+        for &k in &marked {
+            let b = k - to.start / BLOCK_ROWS;
+            let first = tadj.xadj[tadj.block_rows(b).start] as usize;
+            assert_eq!(
+                tadj.slots[first],
+                MARK.wrapping_add(shift),
+                "rank {rank} block {k}"
+            );
+        }
+        // Without the markers, the same remap is a fresh translation.
+        let fresh = schedule.translate_adjacency(&adj);
+        let wrong = (0..tadj.num_refs()).filter(|&s| tadj.slots[s] != fresh.slots[s]);
+        assert_eq!(wrong.count(), marked.len());
+    }
 }
 
 /// Block lengths around the chunk size: the last chunk is empty, one row,
@@ -317,7 +361,9 @@ fn block_lengths_around_the_chunk_size() {
         let partition = BlockPartition::from_sizes(&[1000, len, n - 1000 - len]);
         assert_all_ranks_match(&g, &partition);
         let adj = LocalAdjacency::extract(&g, &partition, 1);
-        assert_eq!(adj.row_chunks().count(), len.div_ceil(BLOCK_ROWS));
+        // Global blocks: rows 1000..1024 make a short first one.
+        let blocks = (1000..1000 + len).filter(|g| g % BLOCK_ROWS == 0).count();
+        assert_eq!(adj.blocks().count(), blocks + usize::from(len > 0));
         assert_eq!(assert_matches_oracles(&partition, &adj, 1).len(), len);
     }
 }
@@ -416,8 +462,8 @@ fn rows_of_degree_nine_and_more_are_the_tail_of_the_stream() {
     assert!(hubs.iter().all(|&h| g.degree(h as usize) >= 9));
 }
 
-/// A shuffled numbering has no locality: every chunk holds a boundary row
-/// and the whole block goes through the per-reference arm.
+/// A shuffled numbering has no locality: every block holds a boundary row
+/// and the whole rank goes through the per-reference arm.
 #[test]
 fn shuffled_numbering_has_no_interior_chunk() {
     let g = meshgen::shuffle_labels(&meshgen::triangulated_grid(50, 50, 0.3, 5), 17);
@@ -425,10 +471,7 @@ fn shuffled_numbering_has_no_interior_chunk() {
     assert_all_ranks_match(&g, &partition);
     for rank in 0..3 {
         let adj = LocalAdjacency::extract(&g, &partition, rank);
-        let (start, len) = (adj.interval().start as u32, adj.len() as u32);
-        assert!(adj
-            .row_chunks()
-            .all(|(_, refs)| any_outside(refs, start, len)));
+        assert!(adj.blocks().all(|(_, b)| !within(b, adj.interval())));
     }
 }
 

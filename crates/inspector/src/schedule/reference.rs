@@ -1,0 +1,121 @@
+//! The inspector's passes by their definition, one reference at a time:
+//! the symmetric builder and the translation that
+//! [`build_schedule_symmetric_with`] and
+//! [`CommSchedule::translate_adjacency_into`] replaced, kept as test
+//! oracles. Public (and hidden) so that the remap pipeline's tests in other
+//! crates can hold a moved adjacency's schedule and translation to them.
+
+use std::collections::HashSet;
+
+use super::*;
+
+const BLOCK_ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
+
+/// The symmetric builder as it was: every reference dereferenced one at a
+/// time, (local, peer) pairs deduplicated through a set keyed on the pair
+/// itself (the old packed `u32` key could wrap).
+pub fn symmetric_oracle(
+    partition: &BlockPartition,
+    adj: &LocalAdjacency,
+    rank: usize,
+    strategy: ScheduleStrategy,
+) -> (CommSchedule, InspectorWork) {
+    let mut work = InspectorWork::default();
+    let p = partition.num_procs();
+    let interval = partition.interval_of(rank);
+    let mut ghost_dedup = RefHashMap::with_capacity(16);
+    let mut seen_pairs = HashSet::new();
+    let mut recv_segments = vec![Vec::new(); p];
+    let mut send_segments = vec![Vec::new(); p];
+    for l in 0..adj.len() {
+        for &g in adj.neighbors_of(l) {
+            work.translate_ops += 1;
+            if interval.contains(g as usize) {
+                continue;
+            }
+            let owner = partition.owner_of(g as usize);
+            work.hash_ops += 1;
+            if ghost_dedup.insert_if_absent(g, 0).is_none() {
+                recv_segments[owner].push(g);
+                work.scan_ops += 1;
+            }
+            work.hash_ops += 1;
+            if seen_pairs.insert((l, owner)) {
+                send_segments[owner].push(l as u32);
+                work.scan_ops += 1;
+            }
+        }
+    }
+    for seg in &mut recv_segments {
+        work.add_sort(seg.len());
+        seg.sort_unstable();
+    }
+    if strategy == ScheduleStrategy::Sort1 {
+        for seg in &mut send_segments {
+            work.add_sort(seg.len());
+            seg.sort_unstable();
+        }
+    }
+    let keep = |segments: Vec<Vec<u32>>| -> Vec<(usize, Vec<u32>)> {
+        segments
+            .into_iter()
+            .enumerate()
+            .filter(|(peer, seg)| *peer != rank && !seg.is_empty())
+            .collect()
+    };
+    let schedule =
+        CommSchedule::from_parts(rank, interval, keep(send_segments), keep(recv_segments));
+    (schedule, work)
+}
+
+/// One reference's combined-buffer index, through `resolve`.
+pub(crate) fn slot_of(schedule: &CommSchedule, g: u32) -> u32 {
+    match schedule.resolve(g) {
+        LocalRef::Local(i) => i,
+        LocalRef::Ghost(s) => schedule.interval.len() as u32 + s,
+    }
+}
+
+/// Translation by its definition, one `resolve` and one `push` per
+/// reference: a block ends wherever the next global row is a multiple of
+/// `BLOCK_ROWS`, its degree index is a stable sort of its row numbers on
+/// `min(degree, 9)`, and the slots are the rows laid out one at a time in
+/// that order, each row's references in CSR order.
+pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
+    let local_len = schedule.interval.len() as u32;
+    let start = schedule.interval.start;
+    let mut out = TranslatedAdjacency {
+        local_len,
+        num_ghosts: schedule.num_ghosts,
+        start: start as u32,
+        of: adj.id(),
+        xadj: vec![0],
+        row_start: vec![0; adj.len()],
+        slots: Vec::new(),
+        order: Vec::new(),
+        class_rows: Vec::new(),
+    };
+    for l in 0..adj.len() {
+        out.xadj.push(out.xadj[l] + adj.degree_of(l) as u32);
+    }
+    let mut next = 0;
+    while next < adj.len() {
+        let lo = next;
+        next = adj.len().min(lo + BLOCK_ROWS - (start + lo) % BLOCK_ROWS);
+        let rows = next - lo;
+        let class_of = |&i: &u16| adj.degree_of(lo + i as usize).min(9);
+        let mut block: Vec<u16> = (0..rows as u16).collect();
+        block.sort_by_key(class_of);
+        out.class_rows.push(std::array::from_fn(|class| {
+            block.iter().filter(|&i| class_of(i) == class).count() as u16
+        }));
+        for &i in &block {
+            let l = lo + i as usize;
+            out.row_start[l] = out.slots.len() as u32;
+            let row = adj.neighbors_of(l).iter();
+            out.slots.extend(row.map(|&g| slot_of(schedule, g)));
+        }
+        out.order.extend(block);
+    }
+    out
+}

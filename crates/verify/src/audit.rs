@@ -514,8 +514,22 @@ fn audit_blocks(
             detail,
         ));
     };
-    for block in 0..adj.len().div_ceil(ROWS) {
-        let start = block * ROWS;
+    // Blocks sit at global multiples of ROWS.
+    let first = iv.start / ROWS;
+    let blocks = if iv.is_empty() {
+        0
+    } else {
+        (iv.end - 1) / ROWS + 1 - first
+    };
+    if tadj.num_blocks() != blocks {
+        mismatch(format!(
+            "{iv} spans {blocks} blocks, its translation indexes {}",
+            tadj.num_blocks()
+        ));
+        return;
+    }
+    for block in 0..blocks {
+        let start = ((first + block) * ROWS).max(iv.start) - iv.start;
         let (order, classes) = tadj.degree_classes(block);
         let filed: usize = classes.iter().map(|&rows| rows as usize).sum();
         if filed != order.len() {

@@ -158,7 +158,8 @@ pub fn check_recovery(
         survivors.windows(2).all(|w| w[0].2 == w[1].2),
         "the replicated checkpoint must be identical on every survivor"
     );
-    let ckpt = SessionCheckpoint::<f64>::from_bytes(&survivors[0].2);
+    let ckpt = SessionCheckpoint::<f64>::from_bytes(&survivors[0].2)
+        .expect("survivors replicate a well-formed checkpoint");
     assert_eq!(ckpt.num_procs(), 4, "the checkpoint predates the loss");
 
     let clean_results = clean(ckpt);
@@ -197,7 +198,7 @@ pub fn continue_from_checkpoint<C: Comm>(
 }
 
 // ---------------------------------------------------------------------
-// Equivalence workloads (relaxation + conjugate gradient).
+// Equivalence workloads (relaxation, forced churn, conjugate gradient).
 // ---------------------------------------------------------------------
 
 /// The mesh both equivalence workloads compute on.
@@ -229,6 +230,67 @@ pub fn relaxation_body<C: Comm>(
         .with_team(team);
     let mut session = AdaptiveSession::setup(env, mesh, RelaxationKernel, equiv_init, &config);
     session.run_adaptive(env, iters);
+    let diags = session.verify_protocol(env);
+    assert!(diags.is_empty(), "protocol diagnostics: {diags:?}");
+    (session.local_values().to_vec(), session.partition().clone())
+}
+
+/// The mesh the forced-churn legs compute on: large enough to span several
+/// 512-row blocks, so a remap keeps whole blocks and rebases them.
+pub fn churn_mesh() -> Graph {
+    let raw = meshgen::triangulated_grid(60, 40, 0.4, 8);
+    stance::prepare_mesh(&raw, OrderingMethod::Rcb).0
+}
+
+/// The partitions a forced-churn run remaps to, in order, from the uniform
+/// start. Two ranks run the benchmark's cycle, 1:3 → uniform → 0.85:1 →
+/// uniform; three run a chain of shuffled arrangements, one of them with
+/// an empty block.
+///
+/// # Panics
+/// Panics for rank counts other than 2 and 3.
+pub fn churn_script(n: usize, p: usize) -> Vec<BlockPartition> {
+    let weighted = |weights: &[f64], order: &[usize]| {
+        BlockPartition::from_weights(n, weights, Arrangement::new(order.to_vec()))
+    };
+    match p {
+        2 => vec![
+            weighted(&[1.0, 3.0], &[0, 1]),
+            BlockPartition::uniform(n, 2),
+            weighted(&[0.85, 1.0], &[0, 1]),
+            BlockPartition::uniform(n, 2),
+        ],
+        3 => vec![
+            weighted(&[1.0, 2.0, 1.0], &[2, 0, 1]),
+            weighted(&[1.0, 0.0, 2.0], &[1, 2, 0]),
+            weighted(&[0.5, 1.0, 1.5], &[0, 2, 1]),
+            BlockPartition::uniform(n, 3),
+        ],
+        _ => panic!("no churn script for {p} ranks"),
+    }
+}
+
+/// One rank's share of a forced-churn relaxation, generic over the
+/// backend: `per_block` passes, then a remap to the next partition of
+/// [`churn_script`], through the script, then `per_block` more — fully
+/// verified, on `lanes` compute lanes. The values are partition-invariant,
+/// so they must equal the sequential reference bitwise on every backend.
+pub fn churn_body<C: Comm>(
+    env: &mut C,
+    mesh: &Graph,
+    per_block: usize,
+    lanes: usize,
+) -> (Vec<f64>, BlockPartition) {
+    let config = StanceConfig::free()
+        .without_load_balancing()
+        .with_verification(true)
+        .with_team(lanes);
+    let mut session = AdaptiveSession::setup(env, mesh, RelaxationKernel, equiv_init, &config);
+    for partition in churn_script(mesh.num_vertices(), env.size()) {
+        session.run_block(env, per_block);
+        session.remap_to(env, partition, &mut []);
+    }
+    session.run_block(env, per_block);
     let diags = session.verify_protocol(env);
     assert!(diags.is_empty(), "protocol diagnostics: {diags:?}");
     (session.local_values().to_vec(), session.partition().clone())
@@ -329,7 +391,7 @@ pub fn bits(v: &[f64]) -> Vec<u64> {
 
 /// Every scenario `src/bin/tcp-rank-worker.rs` can run by name: the 8
 /// conformance bodies (each under [`CheckedComm`], returning its trace
-/// for parent-side analysis), the two equivalence workloads, and the
+/// for parent-side analysis), the three equivalence workloads, and the
 /// fault-injection legs — including `fault_kill`, where the injected
 /// kill is a real SIGKILL and the victim's "result" is its exit status.
 pub const TCP_SCENARIOS: stance_tcp::ScenarioRegistry = &[
@@ -352,6 +414,7 @@ pub const TCP_SCENARIOS: stance_tcp::ScenarioRegistry = &[
     ),
     ("equiv_relax", tcp::equiv_relax),
     ("equiv_cg", tcp::equiv_cg),
+    ("equiv_churn", tcp::equiv_churn),
     ("fault_marks", tcp::fault_marks),
     ("fault_kill", tcp::fault_kill),
     ("fault_continue", tcp::fault_continue),
@@ -411,6 +474,14 @@ mod tcp {
         (x, trace.to_payload().into_u32()).to_wire()
     }
 
+    pub fn equiv_churn(c: &mut TcpComm, args: &[u8]) -> Vec<u8> {
+        let (per_block, lanes) = <(usize, usize)>::from_wire(args);
+        let m = churn_mesh();
+        let (values, part) = churn_body(c, &m, per_block, lanes);
+        let arrangement = part.arrangement().as_slice().to_vec();
+        (values, part.block_sizes(), arrangement).to_wire()
+    }
+
     pub fn fault_marks(c: &mut TcpComm, _args: &[u8]) -> Vec<u8> {
         let m = fault_mesh();
         epoch_op_marks(c, &m).to_wire()
@@ -428,7 +499,8 @@ mod tcp {
     pub fn fault_continue(c: &mut TcpComm, args: &[u8]) -> Vec<u8> {
         let ckpt_bytes = Vec::<u8>::from_wire(args);
         let m = fault_mesh();
-        let ckpt = SessionCheckpoint::<f64>::from_bytes(&ckpt_bytes);
+        let ckpt = SessionCheckpoint::<f64>::from_bytes(&ckpt_bytes)
+            .expect("the coordinator forwards a survivor's checkpoint");
         let (values, part) = continue_from_checkpoint(c, &m, &ckpt);
         (values, part.block_sizes()).to_wire()
     }

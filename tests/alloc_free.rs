@@ -15,8 +15,9 @@
 //!
 //! The same discipline now covers the **remap path**: the session's
 //! `RemapScratch` recycles the redistribution plan, message staging,
-//! destination blocks, adjacency CSR storage and the schedule-builder
-//! scratch across remaps, and the runner/value buffers rebuild in place.
+//! destination blocks (swapped into the fields, the retired storage swapped
+//! back) and the schedule-builder scratch across remaps; the adjacency is
+//! re-homed in its own slack, and the runner rebuilds in place.
 //! The `remap_allocations_*` tests drive N forced remaps oscillating
 //! between two partitions and pin that per-remap allocation counts
 //! converge to **zero** on both backends (the first pairs warm the pools;
@@ -361,7 +362,7 @@ fn native_dataflow_steady_state_allocations() -> u64 {
 /// allocations at all** — the remap path has joined the steady-state loop
 /// in being allocation-free, and its cost cannot grow with how many
 /// remaps the run has already done. (Measured on both backends:
-/// `[82, 23, 9, 6, 0, 0, …]` for this workload.)
+/// `[80, 26, 9, 6, 0, 0, …]` for this workload.)
 fn assert_remap_allocations_bounded(counts: &[u64], what: &str) {
     let warmup = counts[..2].iter().copied().max().unwrap();
     for (i, &c) in counts.iter().enumerate().skip(2) {

@@ -6,14 +6,18 @@
 //! data flows in rank order on every backend (messages, gathers,
 //! reductions), so the only thing that differs is what a second of time
 //! means — virtual clocks, shared-memory channels, or framed bytes on a
-//! loopback socket. Two workloads are checked, each at 1, 2 and 4 ranks:
+//! loopback socket. Three workloads are checked:
 //!
 //! * the quickstart relaxation (the paper's Fig. 8 loop, run through
-//!   `AdaptiveSession` exactly as `examples/quickstart.rs` does);
+//!   `AdaptiveSession` exactly as `examples/quickstart.rs` does), at 1, 2
+//!   and 4 ranks;
+//! * the same relaxation under forced churn — `remap_to` through the
+//!   benchmark's partition cycle at 2 ranks and a shuffled chain with an
+//!   empty block at 3, on one and two lanes — the remap path's leg;
 //! * a conjugate-gradient solve (the `cg_solver` example's iteration,
 //!   driven by `LoopRunner` + rank-order `allreduce_f64` dot products —
 //!   the numerically touchiest path, since CG compounds every rounding
-//!   decision across iterations).
+//!   decision across iterations), at 1, 2 and 4 ranks.
 //!
 //! Both are also compared against the sequential reference, so
 //! "identical" can never mean "identically wrong". The bodies live in
@@ -35,7 +39,9 @@ use stance::executor::sequential_relaxation;
 use stance::prelude::*;
 use stance::sim::wait::{with_forced_budget, REGIMES};
 use stance_native::NativeCluster;
-use stance_repro::scenarios::{bits, cg_body, cg_problem, equiv_init, equiv_mesh, relaxation_body};
+use stance_repro::scenarios::{
+    bits, cg_body, cg_problem, churn_body, churn_mesh, equiv_init, equiv_mesh, relaxation_body,
+};
 use stance_tcp::codec::Wire;
 use stance_tcp::TcpCluster;
 use stance_verify::{analyze_traces, RankTrace};
@@ -152,7 +158,61 @@ fn relaxation_bitwise_identical_across_team_sizes() {
 }
 
 // ---------------------------------------------------------------------
-// Workload 2: conjugate gradient (the cg_solver example's iteration).
+// Workload 2: the relaxation under forced churn (the remap path).
+// ---------------------------------------------------------------------
+
+/// Forced churn on all three backends: every remap moves values and
+/// adjacency, rebuilds the schedule and rebases the kept blocks'
+/// translation, and the relaxation must still equal the sequential
+/// reference bitwise — on the simulator, the native threads and the TCP
+/// processes alike, at 2 ranks (the benchmark's cycle) and 3 (shuffled
+/// arrangements, an empty block), on one and two lanes, fully verified.
+#[test]
+fn forced_churn_bitwise_identical_on_sim_native_and_tcp() {
+    let m = churn_mesh();
+    let per_block = 3;
+    let mut reference: Vec<f64> = (0..m.num_vertices()).map(equiv_init).collect();
+    sequential_relaxation(&m, &mut reference, 5 * per_block);
+    let reassembled = |results: Vec<(Vec<f64>, BlockPartition)>| {
+        let partition = results[0].1.clone();
+        stance::reassemble(&partition, results.into_iter().map(|(v, _)| v).collect())
+    };
+    for p in [2usize, 3] {
+        for lanes in [1usize, 2] {
+            let spec = ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost());
+            let sim = reassembled(
+                Cluster::new(spec)
+                    .run(|env| churn_body(env, &m, per_block, lanes))
+                    .into_results(),
+            );
+            assert_eq!(bits(&sim), bits(&reference), "sim p = {p} lanes = {lanes}");
+            let native = native_in_both_wait_regimes(|| {
+                reassembled(
+                    NativeCluster::new(p)
+                        .run(|comm| churn_body(comm, &m, per_block, lanes))
+                        .into_results(),
+                )
+            });
+            assert_eq!(bits(&native), bits(&sim), "native p = {p} lanes = {lanes}");
+            let cluster = TcpCluster::new(p, env!("CARGO_BIN_EXE_tcp-rank-worker"));
+            let args = (per_block, lanes).to_wire();
+            let results = cluster.run_scenario("equiv_churn", &args).into_results();
+            let decoded: Vec<(Vec<f64>, Vec<usize>, Vec<usize>)> =
+                results.iter().map(|b| Wire::from_wire(b)).collect();
+            let (_, sizes, arrangement) = &decoded[0];
+            let partition = BlockPartition::from_sizes_with_arrangement(
+                sizes,
+                Arrangement::new(arrangement.clone()),
+            );
+            let blocks = decoded.into_iter().map(|(v, _, _)| v).collect();
+            let tcp = stance::reassemble(&partition, blocks);
+            assert_eq!(bits(&tcp), bits(&sim), "tcp p = {p} lanes = {lanes}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Workload 3: conjugate gradient (the cg_solver example's iteration).
 // ---------------------------------------------------------------------
 
 #[test]

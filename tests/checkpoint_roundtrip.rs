@@ -7,10 +7,81 @@
 //! elements and across rank counts 1/2/4/8 — including restoring onto a
 //! *different* rank count, where the partition becomes uniform but the
 //! data must still land identically in global order.
+//!
+//! And a blob is untrusted input: any prefix of one, or one with bytes
+//! flipped, must decode to an error or to a checkpoint that re-encodes to
+//! exactly those bytes — never a panic, and never an allocation beyond a
+//! small multiple of the blob. A counting allocator holds the decoder to
+//! the second half.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 use stance::balance::MonitorSnapshot;
 use stance::prelude::*;
+
+/// Counts the bytes the current thread asks for while it is armed (tests
+/// run on parallel threads; each arms only its own count).
+struct CountingAllocator;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATED.with(|a| a.set(a.get() + bytes));
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Decodes untrusted `bytes`: an error, or a checkpoint that re-encodes to
+/// exactly `bytes`, having asked for at most 16 bytes per input byte (plus
+/// a fixed allowance for the vectors' headers).
+fn assert_decodes_safely(bytes: &[u8]) {
+    ALLOCATED.with(|a| a.set(0));
+    ARMED.with(|a| a.set(true));
+    let decoded = SessionCheckpoint::<f64>::from_bytes(bytes);
+    ARMED.with(|a| a.set(false));
+    let allocated = ALLOCATED.with(Cell::get);
+    assert!(
+        allocated <= 16 * bytes.len() + 1024,
+        "decoding {} bytes allocated {allocated}",
+        bytes.len()
+    );
+    if let Ok(ck) = decoded {
+        assert_eq!(
+            ck.to_bytes(),
+            bytes,
+            "a decoded blob must re-encode exactly"
+        );
+    }
+}
 
 /// The rank counts the suite sweeps.
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -62,7 +133,7 @@ fn collective_checkpoint(p: usize, mesh: &Graph, iters: usize) -> SessionCheckpo
         .into_results();
     // Replication: every rank serialized the identical blob.
     assert!(blobs.windows(2).all(|w| w[0] == w[1]));
-    SessionCheckpoint::from_bytes(&blobs[0])
+    SessionCheckpoint::from_bytes(&blobs[0]).expect("a collective checkpoint decodes")
 }
 
 /// Compares two f64 slices bit-for-bit.
@@ -107,7 +178,7 @@ proptest! {
         }
         prop_assert!(block_sizes.iter().sum::<usize>() == n);
         let ck = rebuild_checkpoint(&block_sizes, &snaps[..p], &values_seed, aux_count);
-        let back = SessionCheckpoint::<f64>::from_bytes(&ck.to_bytes());
+        let back = SessionCheckpoint::<f64>::from_bytes(&ck.to_bytes()).expect("a valid blob");
         prop_assert_eq!(back.n(), ck.n());
         prop_assert_eq!(back.num_procs(), ck.num_procs());
         prop_assert_eq!(back.partition().intervals(), ck.partition().intervals());
@@ -122,6 +193,37 @@ proptest! {
             prop_assert_eq!(a.remap_cost.map(f64::to_bits), b.remap_cost.map(f64::to_bits));
             prop_assert_eq!(a.movement.map(f64::to_bits), b.movement.map(f64::to_bits));
             prop_assert_eq!(a.movement_obs, b.movement_obs);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every prefix of a valid blob, and the blob with seeded byte flips,
+    /// decodes safely ([`assert_decodes_safely`]).
+    #[test]
+    fn damaged_blobs_are_errors_or_exact_round_trips(
+        width_ix in 0usize..4,
+        value_bits in proptest::collection::vec(0u64..u64::MAX, 1..40),
+        aux_count in 0usize..3,
+        flips in proptest::collection::vec((0usize..usize::MAX, 1u8..255), 1..6),
+    ) {
+        let p = WIDTHS[width_ix];
+        let n = value_bits.len();
+        let values: Vec<f64> = value_bits.iter().map(|&u| f64::from_bits(u)).collect();
+        let mut sizes = vec![n / p; p];
+        sizes[0] += n % p;
+        let snaps = vec![snapshot_from_bits(&[1 | 5 << 32, 7, 0, 0, 1, 2, 3, 4, 5]); p];
+        let blob = rebuild_checkpoint(&sizes, &snaps, &values, aux_count).to_bytes();
+        for cut in 0..=blob.len() {
+            assert_decodes_safely(&blob[..cut]);
+        }
+        let mut flipped = blob.clone();
+        for (at, mask) in flips {
+            let at = at % blob.len();
+            flipped[at] ^= mask;
+            assert_decodes_safely(&flipped);
         }
     }
 }
@@ -176,7 +278,7 @@ fn rebuild_checkpoint(
         let aux: Vec<f64> = values.iter().map(|v| v * (k as f64 + 2.0)).collect();
         f64::pack_into(&aux, &mut out);
     }
-    SessionCheckpoint::from_bytes(&out)
+    SessionCheckpoint::from_bytes(&out).expect("a hand-built v2 blob decodes")
 }
 
 /// Collective checkpoints round-trip across every rank-count pair:
@@ -198,7 +300,7 @@ fn collective_checkpoint_restores_across_widths() {
             let restored =
                 Cluster::new(ClusterSpec::uniform(q).with_network(NetworkSpec::zero_cost()))
                     .run(|env| {
-                        let ck = SessionCheckpoint::<f64>::from_bytes(&blob);
+                        let ck = SessionCheckpoint::<f64>::from_bytes(&blob).expect("a valid blob");
                         let (s, aux) =
                             AdaptiveSession::restore(env, &m, RelaxationKernel, &ck, &config);
                         if q == ck.num_procs() {
@@ -259,8 +361,8 @@ fn multi_field_checkpoint_round_trips() {
         })
         .into_results();
     assert!(blobs.windows(2).all(|w| w[0] == w[1]));
-    let ckpt = SessionCheckpoint::<[f64; 3]>::from_bytes(&blobs[0]);
-    let back = SessionCheckpoint::<[f64; 3]>::from_bytes(&ckpt.to_bytes());
+    let ckpt = SessionCheckpoint::<[f64; 3]>::from_bytes(&blobs[0]).expect("a valid blob");
+    let back = SessionCheckpoint::<[f64; 3]>::from_bytes(&ckpt.to_bytes()).expect("a valid blob");
     assert_eq!(back, ckpt);
     for (a, b) in back.values().iter().zip(ckpt.values()) {
         for (x, y) in a.iter().zip(b) {

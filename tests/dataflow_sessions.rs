@@ -345,7 +345,7 @@ fn legacy_checkpoint_records_generated_names() {
             named_field, &expected,
             "registered field holds its own data"
         );
-        let back = SessionCheckpoint::<f64>::from_bytes(bytes);
+        let back = SessionCheckpoint::<f64>::from_bytes(bytes).expect("a valid blob");
         assert_eq!(back.field("residual"), Some(named_field.as_slice()));
     }
 }
@@ -370,7 +370,7 @@ fn dataflow_restore_is_keyed_by_name_not_position() {
             s.run_block(env, 3);
             let ckpt = s.checkpoint(env);
             let blob = ckpt.to_bytes();
-            let back = SessionCheckpoint::<f64>::from_bytes(&blob);
+            let back = SessionCheckpoint::<f64>::from_bytes(&blob).expect("a valid blob");
             let mut r = DataflowSession::restore(env, &m, writer_graph(), &back, &config);
             r.run_block(env, 2);
             s.run_block(env, 2);
