@@ -48,7 +48,8 @@ pub struct BalancerConfig {
     /// Cost model for the data movement a remap would trigger.
     pub redist_model: RedistCostModel,
     /// Estimated cost (seconds) of rebuilding the communication schedule
-    /// after a remap — part of what the expected saving must offset.
+    /// after a remap — part of what the expected saving must offset. A
+    /// static price: every check charges this value, never a measured one.
     pub rebuild_cost_hint: f64,
     /// Remap only if `saving > margin × (movement + rebuild)`. 1.0 is the
     /// paper's break-even rule; > 1 adds hysteresis.
@@ -81,31 +82,6 @@ pub enum Decision {
     Remap(BlockPartition),
 }
 
-/// Measured remap costs that replace the static hints in the
-/// profitability rule — the full calibration feedback loop: `rebuild`
-/// supersedes `rebuild_cost_hint`, `movement` supersedes `redist_model`.
-/// `None` components leave the corresponding static value in force.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MeasuredCosts {
-    /// Measured schedule-rebuild cost (seconds), e.g.
-    /// `LoadMonitor::rebuild_cost`.
-    pub rebuild: Option<f64>,
-    /// Fitted data-movement model, e.g. `LoadMonitor::movement_model`.
-    pub movement: Option<RedistCostModel>,
-}
-
-impl MeasuredCosts {
-    /// No measurements: the static config hints decide alone.
-    pub fn none() -> Self {
-        MeasuredCosts::default()
-    }
-
-    /// Whether neither component carries a measurement.
-    pub fn is_none(&self) -> bool {
-        self.rebuild.is_none() && self.movement.is_none()
-    }
-}
-
 /// One load-balancing check (a collective — all ranks must call it).
 ///
 /// Every rank contributes its measured per-item computation time;
@@ -118,25 +94,17 @@ impl MeasuredCosts {
 /// serve ("using information from the current phase, the data should be
 /// redistributed such that the idle time for the next phase is minimized").
 ///
-/// `measured` carries the calibration feedback loop: a measured rebuild
-/// cost and a fitted per-message/per-element movement model replace
-/// their static hints (`rebuild_cost_hint`, `redist_model`) in the
-/// profitability rule; [`MeasuredCosts::none`] leaves the config to
-/// decide alone. In centralized mode only the deciding rank's
-/// measurements matter (the decision is broadcast), so no extra
-/// communication is spent. In distributed mode they **piggyback on the
-/// existing load allgather** (still a single round) and every rank
-/// decides with the max over ranks: remaps are collective, so the slowest
-/// rank's costs are what the cluster actually pays — and so measured costs
-/// appear on all ranks together: every rank must pass measurements (or
-/// their absence) uniformly.
+/// What a remap costs is priced by `config` alone: `redist_model` on the
+/// redistribution plan plus `rebuild_cost_hint` (see [`decide`]).
+///
+/// # Panics
+/// Panics if `per_item_time` is negative, infinite or NaN.
 pub fn load_balance_step<C: Comm>(
     env: &mut C,
     partition: &BlockPartition,
     per_item_time: f64,
     remaining_iters: usize,
     config: &BalancerConfig,
-    measured: MeasuredCosts,
 ) -> Decision {
     assert!(
         per_item_time.is_finite() && per_item_time >= 0.0,
@@ -144,34 +112,11 @@ pub fn load_balance_step<C: Comm>(
     );
     match config.mode {
         ControllerMode::Centralized => {
-            // Only the controller's `decide` runs; overriding the hints
-            // locally is enough (workers' configs never enter a decision).
-            let storage;
-            let config = if measured.is_none() {
-                config
-            } else {
-                storage = with_measured(config, measured);
-                &storage
-            };
             centralized_step(env, partition, per_item_time, remaining_iters, config)
         }
-        ControllerMode::Distributed => distributed_step(
-            env,
-            partition,
-            per_item_time,
-            remaining_iters,
-            config,
-            measured,
-        ),
-    }
-}
-
-/// `config` with measured costs substituted for their static hints.
-fn with_measured(config: &BalancerConfig, measured: MeasuredCosts) -> BalancerConfig {
-    BalancerConfig {
-        rebuild_cost_hint: measured.rebuild.unwrap_or(config.rebuild_cost_hint),
-        redist_model: measured.movement.unwrap_or(config.redist_model),
-        ..config.clone()
+        ControllerMode::Distributed => {
+            distributed_step(env, partition, per_item_time, remaining_iters, config)
+        }
     }
 }
 
@@ -185,6 +130,8 @@ fn centralized_step<C: Comm>(
     let gathered = env.gather_to(CONTROLLER, TAG_LOAD, Payload::from_f64(vec![per_item_time]));
 
     let decision_payload = if env.rank() == CONTROLLER {
+        // `gather_to` returns `Some` exactly on the root, and this is it;
+        // every part is a rank's one-`f64` load payload, as sent above.
         let times: Vec<f64> = gathered
             .expect("controller receives the gather")
             .into_iter()
@@ -207,73 +154,29 @@ fn centralized_step<C: Comm>(
 /// The distributed variant: one all-gather round, then every rank runs the
 /// deterministic decision function on identical inputs — no controller, no
 /// second round, and the decision is provably identical everywhere.
-///
-/// Measured costs piggyback on the same round. The wire format is
-/// `[per_item]` (nothing measured), `[per_item, rebuild]` (the original
-/// rebuild-only calibration), or `[per_item, rebuild, per_message,
-/// per_element]` with `-1` standing for an absent component. Every rank
-/// folds the per-component **max** over ranks (remaps are collective, so
-/// the slowest rank's costs are what the cluster actually pays), and the
-/// folded values override the static hints identically everywhere — so
-/// the decision stays identical everywhere.
 fn distributed_step<C: Comm>(
     env: &mut C,
     partition: &BlockPartition,
     per_item_time: f64,
     remaining_iters: usize,
     config: &BalancerConfig,
-    measured: MeasuredCosts,
 ) -> Decision {
-    const ABSENT: f64 = -1.0;
-    let payload = if measured.is_none() {
-        vec![per_item_time]
-    } else {
-        vec![
-            per_item_time,
-            measured.rebuild.unwrap_or(ABSENT),
-            measured.movement.map_or(ABSENT, |m| m.per_message),
-            measured.movement.map_or(ABSENT, |m| m.per_element),
-        ]
-    };
-    let parts = env.allgather(TAG_LOAD_ALLGATHER, Payload::from_f64(payload));
-    let mut times = Vec::with_capacity(parts.len());
-    let mut max_rebuild: Option<f64> = None;
-    let mut max_per_message: Option<f64> = None;
-    let mut max_per_element: Option<f64> = None;
-    let fold = |slot: &mut Option<f64>, v: Option<&f64>| {
-        if let Some(&c) = v.filter(|&&c| c >= 0.0) {
-            *slot = Some(slot.unwrap_or(0.0).max(c));
-        }
-    };
-    for p in parts {
-        let v = p.into_f64();
-        times.push(v[0]);
-        fold(&mut max_rebuild, v.get(1));
-        fold(&mut max_per_message, v.get(2));
-        fold(&mut max_per_element, v.get(3));
-    }
+    // Every part is a rank's one-`f64` load payload, as sent here.
+    let times: Vec<f64> = env
+        .allgather(TAG_LOAD_ALLGATHER, Payload::from_f64(vec![per_item_time]))
+        .into_iter()
+        .map(|p| p.into_f64()[0])
+        .collect();
     env.compute(1.0e-5 * times.len() as f64);
-    let folded = MeasuredCosts {
-        rebuild: max_rebuild,
-        movement: match (max_per_message, max_per_element) {
-            (Some(per_message), Some(per_element)) => Some(RedistCostModel {
-                per_message,
-                per_element,
-            }),
-            _ => None,
-        },
-    };
-    let storage;
-    let config = if folded.is_none() {
-        config
-    } else {
-        storage = with_measured(config, folded);
-        &storage
-    };
     decide(partition, &times, remaining_iters, config)
 }
 
-/// The controller's pure decision logic (exposed for unit tests).
+/// The controller's pure decision logic: remap iff the projected saving
+/// over `remaining_iters` exceeds `profitability_margin ×
+/// (redist_model.cost(plan) + rebuild_cost_hint)`.
+///
+/// # Panics
+/// Panics unless `per_item_times` holds one sample per rank of `partition`.
 pub fn decide(
     partition: &BlockPartition,
     per_item_times: &[f64],
@@ -360,6 +263,8 @@ fn encode_decision(decision: &Decision) -> Payload {
 
 /// Decodes [`encode_decision`]'s wire format.
 fn decode_decision(payload: &Payload, expected_n: usize) -> Decision {
+    // The payload is `encode_decision`'s, written by the controller in the
+    // same collective: always `U64`, in that layout, for this `n`.
     let words = match payload {
         Payload::U64(w) => w,
         other => panic!("decision payload must be U64, got {other:?}"),
@@ -374,9 +279,11 @@ fn decode_decision(payload: &Payload, expected_n: usize) -> Decision {
                 .map(|&w| w as usize)
                 .collect();
             let part = BlockPartition::from_sizes_with_arrangement(&sizes, Arrangement::new(order));
+            // The controller's candidate repartitions the same `n` items.
             assert_eq!(part.n(), expected_n, "decoded partition has wrong length");
             Decision::Remap(part)
         }
+        // `encode_decision` writes only tags 0 and 1.
         _ => panic!("malformed decision payload"),
     }
 }
@@ -499,14 +406,7 @@ mod tests {
         let report = Cluster::new(spec).run(|env| {
             // Rank 0 claims to be 4× slower.
             let t = if env.rank() == 0 { 4e-3 } else { 1e-3 };
-            load_balance_step(
-                env,
-                &part,
-                t,
-                500,
-                &config_free_movement(),
-                MeasuredCosts::none(),
-            )
+            load_balance_step(env, &part, t, 500, &config_free_movement())
         });
         let decisions: Vec<Decision> = report.into_results();
         assert!(matches!(decisions[0], Decision::Remap(_)));
@@ -523,14 +423,7 @@ mod tests {
             let spec = ClusterSpec::paper_cluster(p);
             let report = Cluster::new(spec).run(|env| {
                 let t0 = env.now();
-                load_balance_step(
-                    env,
-                    &part,
-                    1e-3,
-                    500,
-                    &BalancerConfig::default(),
-                    MeasuredCosts::none(),
-                );
+                load_balance_step(env, &part, 1e-3, 500, &BalancerConfig::default());
                 env.now() - t0
             });
             report.into_results().into_iter().fold(0.0f64, f64::max)
@@ -553,7 +446,7 @@ mod tests {
             Cluster::new(spec.clone())
                 .run(move |env| {
                     let t = if env.rank() == 1 { 5e-3 } else { 1e-3 };
-                    load_balance_step(env, &part, t, 400, &config, MeasuredCosts::none())
+                    load_balance_step(env, &part, t, 400, &config)
                 })
                 .into_results()
         };
@@ -574,67 +467,12 @@ mod tests {
         let mut config = config_free_movement();
         config.mode = ControllerMode::Distributed;
         let report = Cluster::new(spec).run(|env| {
-            load_balance_step(env, &part, 1e-3, 100, &config, MeasuredCosts::none());
+            load_balance_step(env, &part, 1e-3, 100, &config);
             (env.stats().messages_sent, env.stats().messages_received)
         });
         let counts: Vec<_> = report.into_results();
         // zero_cost network has multicast=true: one multicast send each.
         assert!(counts.iter().all(|&(s, r)| s == 1 && r == 3), "{counts:?}");
-    }
-
-    #[test]
-    fn measured_movement_model_blocks_unprofitable_remap() {
-        // Static model says movement is free (remap looks profitable);
-        // the measured model says it is ruinously expensive. The measured
-        // model must win in both modes and on every rank.
-        let part = BlockPartition::uniform(120, 3);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        let expensive = MeasuredCosts {
-            rebuild: None,
-            movement: Some(RedistCostModel {
-                per_message: 1e6,
-                per_element: 1e6,
-            }),
-        };
-        for mode in [ControllerMode::Centralized, ControllerMode::Distributed] {
-            let part = part.clone();
-            let mut config = config_free_movement();
-            config.mode = mode;
-            let decisions = Cluster::new(spec.clone())
-                .run(move |env| {
-                    let t = if env.rank() == 1 { 5e-3 } else { 1e-3 };
-                    load_balance_step(env, &part, t, 400, &config, expensive)
-                })
-                .into_results();
-            assert!(
-                decisions.iter().all(|d| *d == Decision::Keep),
-                "{mode:?}: {decisions:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn distributed_wire_format_folds_component_max() {
-        // Ranks report different measured costs; every rank must fold the
-        // same per-component max and reach the same decision.
-        let part = BlockPartition::uniform(120, 3);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        let mut config = config_free_movement();
-        config.mode = ControllerMode::Distributed;
-        let decisions = Cluster::new(spec)
-            .run(move |env| {
-                let measured = MeasuredCosts {
-                    rebuild: Some(1e-4 * (env.rank() + 1) as f64),
-                    movement: (env.rank() == 2).then_some(RedistCostModel {
-                        per_message: 2e-3,
-                        per_element: 1e-5,
-                    }),
-                };
-                let t = if env.rank() == 1 { 5e-3 } else { 1e-3 };
-                load_balance_step(env, &part, t, 400, &config, measured)
-            })
-            .into_results();
-        assert!(decisions.windows(2).all(|w| w[0] == w[1]), "{decisions:?}");
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! The decision protocol ([`load_balance_step`]) is a collective: all ranks
 //! must call it together. Its message cost (a gather of one f64 per rank and
 //! a broadcast of the decision) is exactly the "load balance check" column
-//! of the paper's Table 5.
+//! of the paper's Table 5. A check charges one price for a remap, the
+//! static model in [`BalancerConfig`]: `redist_model` on the redistribution
+//! plan plus `rebuild_cost_hint`.
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +29,7 @@ pub mod controller;
 pub mod monitor;
 pub mod redistribute;
 
-pub use controller::{load_balance_step, BalancerConfig, ControllerMode, Decision, MeasuredCosts};
+pub use controller::{load_balance_step, BalancerConfig, ControllerMode, Decision};
 pub use monitor::{CapabilityEstimator, LoadMonitor, MonitorSnapshot};
 pub use redistribute::{
     redistribute_adjacency, redistribute_values, redistribute_values_coalesced, RemapScratch,

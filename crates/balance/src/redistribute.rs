@@ -193,6 +193,7 @@ impl<E: Element> RemapScratch<E> {
         for m in plan.recvs_of(rank) {
             let seg = m.range.len();
             let bytes = env.recv(m.src, TAG_VALUES).into_bytes();
+            // The sender packed this range for the same plan and array count.
             assert_eq!(
                 bytes.len(),
                 seg * arrays * E::SIZE_BYTES,
@@ -230,6 +231,9 @@ impl<E: Element> RemapScratch<E> {
     /// as one `u32` payload, receives in the plan's deterministic
     /// `(src, range)` order — identical messages and ordering to the
     /// allocating path, so virtual time is unchanged.
+    ///
+    /// # Panics
+    /// Panics if `adj` does not cover the rank's old interval.
     pub fn redistribute_adjacency<C: Comm>(
         &mut self,
         env: &mut C,

@@ -3,10 +3,11 @@
 //!
 //! A [`SessionCheckpoint`] is everything survivors need to reconstruct the
 //! computation after a rank is lost: the partition (block sizes and
-//! arrangement), every rank's calibrated [`MonitorSnapshot`], and every
-//! per-vertex field in **global order** — each recorded *under its name*,
-//! so a restore matches fields to the restoring session by name rather
-//! than zipping blobs to arrays by position. It is *replicated*:
+//! arrangement), every rank's [`MonitorSnapshot`] (its per-item
+//! estimate), and every per-vertex field in **global order** — each
+//! recorded *under its name*, so a restore matches fields to the
+//! restoring session by name rather than zipping blobs to arrays by
+//! position. It is *replicated*:
 //! [`AdaptiveSession::checkpoint`](crate::AdaptiveSession::checkpoint)
 //! and [`DataflowSession::checkpoint`](crate::DataflowSession::checkpoint)
 //! are allgathers, so after they return every rank holds the same
@@ -19,7 +20,7 @@
 //!
 //! ```text
 //! magic   b"STCK"                          4 bytes
-//! version u32 = 2                          4
+//! version u32 = 3                          4
 //! elem    u32 = E::SIZE_BYTES              4
 //! n       u64  (elements)                  8
 //! p       u32  (ranks at checkpoint time)  4
@@ -27,14 +28,16 @@
 //! primary u32 name length + that many utf-8 bytes
 //! sizes   p × u64   block sizes, block (left-to-right) order
 //! order   p × u32   arrangement: proc_at(slot) per slot
-//! mon     p × 69 bytes  monitor snapshots (flags byte + 8 f64 + u32)
+//! mon     p × 9 bytes   monitor snapshots (flags byte + per-item f64)
 //! values  n × elem      the primary field, global order
 //! aux     aux × { u32 name length, name bytes, n × elem data }
 //! ```
 //!
 //! Version 1 blobs (unnamed, positional aux arrays) are **rejected**, not
 //! silently adopted: a v1 restore would have to guess names, and a wrong
-//! guess would wire a solver vector to the wrong field. Decoding also
+//! guess would wire a solver vector to the wrong field. Version 2 blobs
+//! (69-byte monitor records carrying remap-cost statistics the monitor no
+//! longer keeps) are rejected too. Decoding also
 //! rejects non-UTF-8, empty, or duplicated field names — the name is the
 //! restore key, so it must be well-formed and unambiguous.
 //!
@@ -53,13 +56,13 @@ use stance_sim::Element;
 const MAGIC: &[u8; 4] = b"STCK";
 
 /// The current blob format version. Bumped 1 → 2 when field records
-/// became name-keyed.
-const VERSION: u32 = 2;
+/// became name-keyed, 2 → 3 when a monitor record shrank to the per-item
+/// estimate.
+const VERSION: u32 = 3;
 
-/// Wire size of one encoded [`MonitorSnapshot`]: a presence-flags byte,
-/// eight `f64`s (three optional costs + five movement moments) and the
-/// observation counter.
-const SNAPSHOT_BYTES: usize = 1 + 8 * 8 + 4;
+/// Wire size of one encoded [`MonitorSnapshot`]: a presence-flags byte
+/// and the per-item `f64`.
+const SNAPSHOT_BYTES: usize = 1 + 8;
 
 /// Replicated session recovery state — see the module docs for the role
 /// it plays and the wire format.
@@ -366,43 +369,21 @@ fn read_name(c: &mut Cursor<'_>) -> Result<String, CheckpointError> {
 
 /// Appends one snapshot's fixed [`SNAPSHOT_BYTES`]-long wire form.
 pub(crate) fn write_snapshot(snap: &MonitorSnapshot, out: &mut Vec<u8>) {
-    let flags = u8::from(snap.per_item.is_some())
-        | u8::from(snap.rebuild_cost.is_some()) << 1
-        | u8::from(snap.remap_cost.is_some()) << 2;
-    out.push(flags);
+    out.push(u8::from(snap.per_item.is_some()));
     out.extend_from_slice(&snap.per_item.unwrap_or(0.0).to_le_bytes());
-    out.extend_from_slice(&snap.rebuild_cost.unwrap_or(0.0).to_le_bytes());
-    out.extend_from_slice(&snap.remap_cost.unwrap_or(0.0).to_le_bytes());
-    for m in &snap.movement {
-        out.extend_from_slice(&m.to_le_bytes());
-    }
-    out.extend_from_slice(&snap.movement_obs.to_le_bytes());
 }
 
 /// Reads one snapshot back, accepting only what [`write_snapshot`]
-/// writes: no unknown flag, and a zero under every cleared one.
+/// writes: no flag above bit 0, and a zero under a cleared flag.
 fn read_snapshot(c: &mut Cursor<'_>) -> Result<MonitorSnapshot, CheckpointError> {
     let flags = c.take(1)?[0];
-    let mut optional = [None; 3];
-    for (bit, slot) in optional.iter_mut().enumerate() {
-        let value = c.f64()?;
-        if flags & 1 << bit != 0 {
-            *slot = Some(value);
-        } else if value.to_bits() != 0 {
-            return Err(CheckpointError::BadMonitor);
-        }
-    }
-    if flags >> 3 != 0 {
-        return Err(CheckpointError::BadMonitor);
-    }
-    let [per_item, rebuild_cost, remap_cost] = optional;
-    Ok(MonitorSnapshot {
-        per_item,
-        rebuild_cost,
-        remap_cost,
-        movement: [c.f64()?, c.f64()?, c.f64()?, c.f64()?, c.f64()?],
-        movement_obs: c.u32()?,
-    })
+    let value = c.f64()?;
+    let per_item = match flags {
+        1 => Some(value),
+        0 if value.to_bits() == 0 => None,
+        _ => return Err(CheckpointError::BadMonitor),
+    };
+    Ok(MonitorSnapshot { per_item })
 }
 
 /// Reads one rank's checkpoint contribution (the allgather payload):
@@ -481,18 +462,8 @@ mod tests {
             monitors: vec![
                 MonitorSnapshot {
                     per_item: Some(1.5e-6),
-                    rebuild_cost: None,
-                    remap_cost: Some(0.25),
-                    movement: [1.0, 2.0, 3.0, 4.0, 5.0],
-                    movement_obs: 7,
                 },
-                MonitorSnapshot {
-                    per_item: None,
-                    rebuild_cost: Some(0.125),
-                    remap_cost: None,
-                    movement: [0.0; 5],
-                    movement_obs: 0,
-                },
+                MonitorSnapshot { per_item: None },
             ],
             primary_name: "values".to_string(),
             values: vec![1.0, -2.0, 3.5, f64::MIN_POSITIVE, 0.0],
@@ -544,6 +515,9 @@ mod tests {
         let err = decode(&bytes).expect_err("a v1 blob");
         assert_eq!(err, CheckpointError::UnsupportedVersion(1));
         assert_eq!(err.to_string(), "unsupported checkpoint version 1");
+        // v2's 69-byte monitor records are gone with what they recorded.
+        bytes[4] = 2;
+        assert_eq!(decode(&bytes), Err(CheckpointError::UnsupportedVersion(2)));
     }
 
     #[test]
@@ -612,11 +586,11 @@ mod tests {
         twice[arrangement..arrangement + 4].copy_from_slice(&0u32.to_le_bytes());
         assert_eq!(decode(&twice), Err(CheckpointError::BadArrangement));
         let mut flag = bytes.clone();
-        flag[monitor] |= 8;
+        flag[monitor] |= 2;
         assert_eq!(decode(&flag), Err(CheckpointError::BadMonitor));
-        // Rank 0's snapshot has no rebuild cost: its word must stay zero.
+        // Rank 1's snapshot has no estimate: its word must stay zero.
         let mut hidden = bytes;
-        hidden[monitor + 1 + 8] = 1;
+        hidden[monitor + SNAPSHOT_BYTES + 1] = 1;
         assert_eq!(decode(&hidden), Err(CheckpointError::BadMonitor));
     }
 

@@ -73,7 +73,9 @@ pub struct StanceConfig {
     pub compute_cost: ComputeCostModel,
     /// Pricing of inspector work on the reference machine.
     pub inspector_cost: InspectorCostModel,
-    /// Remap policy (profitability, MCR, movement model).
+    /// Remap policy (profitability, MCR, movement model). Its static cost
+    /// model — `redist_model` on the plan plus `rebuild_cost_hint` — is
+    /// the one price every load-balance check charges for a remap.
     pub balancer: BalancerConfig,
     /// Iterations between load-balance checks. "The frequency of this
     /// load-balancing check has to be set based on … the overhead of load
@@ -82,22 +84,12 @@ pub struct StanceConfig {
     /// least 1 (session setup rejects zero).
     pub check_interval: usize,
     /// Load-monitor window (blocks averaged for the capability estimate).
+    /// Must be at least 1 (session setup rejects zero).
     pub monitor_window: usize,
     /// How the next phase's capability is predicted from the window (the
     /// paper uses the last phase; footnote 2 suggests multi-phase
     /// prediction, provided here as window averaging).
     pub estimator: CapabilityEstimator,
-    /// Whether the controller's profitability rule uses the **measured**
-    /// schedule-rebuild cost instead of the static
-    /// `BalancerConfig::rebuild_cost_hint`. Each remap brackets its
-    /// rebuild with the backend clock (modelled seconds on the simulator,
-    /// wall clock on the native backend) and feeds an EWMA; once at least
-    /// one remap has been observed, checks charge that EWMA — the static
-    /// hint remains the prior until then. Off by default so the paper's
-    /// reproduction tables keep their modelled decision inputs
-    /// byte-for-byte; turn it on for long-running adaptive workloads where
-    /// the hint would drift from reality.
-    pub calibrate_rebuild_cost: bool,
     /// Whether the session verifies the SPMD contract as it runs: every
     /// schedule build and remap is followed by a collective audit of the
     /// global schedule invariants (see `stance_verify::audit_schedules`),
@@ -142,7 +134,6 @@ impl Default for StanceConfig {
             check_interval: 10,
             monitor_window: 4,
             estimator: CapabilityEstimator::default(),
-            calibrate_rebuild_cost: false,
             verify: false,
             recovery: RecoveryPolicy::default(),
             detector: DetectorConfig::default(),
@@ -187,16 +178,6 @@ impl StanceConfig {
         assert!(lanes >= 1, "a rank has at least one compute lane");
         self.team_threads = lanes;
         self.compute_cost = self.compute_cost.with_team(lanes);
-        self
-    }
-
-    /// Enables (or disables) remap-cost calibration: once a remap has
-    /// been observed, the profitability rule charges the measured
-    /// schedule-rebuild EWMA instead of the static
-    /// `BalancerConfig::rebuild_cost_hint` (which remains the prior until
-    /// the first observation).
-    pub fn with_calibration(mut self, calibrate: bool) -> Self {
-        self.calibrate_rebuild_cost = calibrate;
         self
     }
 
@@ -278,15 +259,6 @@ mod tests {
         assert_eq!(c.check_interval, 25);
         let off = StanceConfig::default().without_load_balancing();
         assert!(!off.load_balancing_enabled());
-        // Calibration is strictly opt-in: the default (and the free test
-        // config) must keep the tables' static-hint decision inputs.
-        assert!(!StanceConfig::default().calibrate_rebuild_cost);
-        assert!(!StanceConfig::free().calibrate_rebuild_cost);
-        assert!(
-            StanceConfig::default()
-                .with_calibration(true)
-                .calibrate_rebuild_cost
-        );
         // Verification is strictly opt-in: the default and free configs
         // must construct no checking machinery at all.
         assert!(!StanceConfig::default().verify);

@@ -75,7 +75,7 @@
 //! the primitive, [`stance_executor::gather_fused`] against
 //! [`stance_executor::gather`]).
 
-use stance_balance::{load_balance_step, Decision, LoadMonitor, MeasuredCosts, RemapScratch};
+use stance_balance::{load_balance_step, Decision, LoadMonitor, RemapScratch};
 use stance_executor::{GhostedArray, Kernel, LoopRunner, LoopStats};
 use stance_inspector::{
     build_schedule_simple, build_schedule_symmetric_with, CommSchedule, LocalAdjacency,
@@ -629,19 +629,6 @@ impl<E: Element> DataflowSession<E> {
         remaining_passes: usize,
     ) -> (bool, f64, f64) {
         let per_item = self.monitor.per_item_for_check().unwrap_or(0.0);
-        // Calibration (opt-in): charge the profitability rule the costs
-        // this rank has *measured* — the rebuild EWMA and the fitted
-        // movement model — instead of the static hints.
-        let measured = if self.config.calibrate_rebuild_cost {
-            MeasuredCosts {
-                rebuild: self.monitor.rebuild_cost(),
-                movement: self
-                    .monitor
-                    .movement_model(self.config.balancer.redist_model),
-            }
-        } else {
-            MeasuredCosts::none()
-        };
         let t0 = env.now_secs();
         let decision = {
             let mut env = Interposed::new(env, self.verify.as_deref_mut().map(TraceHook::new));
@@ -651,7 +638,6 @@ impl<E: Element> DataflowSession<E> {
                 per_item,
                 remaining_passes,
                 &self.config.balancer,
-                measured,
             )
         };
         let check_cost = env.now_secs() - t0;
@@ -673,18 +659,6 @@ impl<E: Element> DataflowSession<E> {
     /// nothing.
     pub fn per_item_estimate(&self) -> Option<f64> {
         self.monitor.per_item_time()
-    }
-
-    /// The calibrated schedule-rebuild cost (EWMA, seconds), or `None`
-    /// before the first remap.
-    pub(crate) fn calibrated_rebuild_cost(&self) -> Option<f64> {
-        self.monitor.rebuild_cost()
-    }
-
-    /// The calibrated total remap cost (EWMA, seconds), or `None` before
-    /// the first remap.
-    pub(crate) fn calibrated_remap_cost(&self) -> Option<f64> {
-        self.monitor.remap_cost()
     }
 
     /// Forces a remap to an explicitly chosen partition, moving **every**
@@ -740,14 +714,8 @@ impl<E: Element> DataflowSession<E> {
     /// remap has warmed the scratch, a remap's allocation count is bounded
     /// (pinned by `tests/alloc_free.rs`). After the move every dirty flag
     /// is set: ghost regions are rebuilt empty, so every field's next
-    /// gathered read re-exchanges.
-    ///
-    /// The measured cost is fed back to the monitor: the schedule-rebuild
-    /// share and the total, both in backend seconds (modelled on the
-    /// simulator, wall clock on native). With
-    /// `StanceConfig::calibrate_rebuild_cost` the next check's
-    /// profitability rule charges the measured rebuild EWMA instead of
-    /// the static hint.
+    /// gathered read re-exchanges. The monitor rolls over: its per-item
+    /// estimate is carried into the new block.
     fn apply_remap<C: Comm>(
         &mut self,
         env: &mut C,
@@ -760,8 +728,6 @@ impl<E: Element> DataflowSession<E> {
             // explicit `remap_to` entry point.
             return;
         }
-        let t0 = env.now_secs();
-        let (moved_messages, moved_elements);
         let plan = self.scratch.take_plan(&self.partition, &new_partition);
         // The trace is taken for the duration so the redistribution and
         // rebuild below can wrap `env` while `self` stays borrowable.
@@ -799,19 +765,10 @@ impl<E: Element> DataflowSession<E> {
                 &plan,
                 &mut self.adj,
             );
-            moved_messages = plan.num_messages();
-            moved_elements = plan.elements_moved();
             self.scratch.put_plan(plan);
         }
         self.partition = new_partition;
 
-        // The schedule-rebuild share: inspector + runner + value buffers.
-        let t_rebuild = env.now_secs();
-        // Feed the movement model one (messages, elements, seconds)
-        // observation: the span just measured is exactly the data-movement
-        // share of this remap.
-        self.monitor
-            .record_movement_cost(moved_messages, moved_elements, t_rebuild - t0);
         let schedule = {
             let mut env = Interposed::new(env, trace.as_deref_mut().map(TraceHook::new));
             build_schedule(
@@ -833,13 +790,10 @@ impl<E: Element> DataflowSession<E> {
         for d in &mut self.fields.dirty {
             *d = true;
         }
-        let now = env.now_secs();
-        self.monitor.record_remap_cost(now - t_rebuild, now - t0);
         self.verify = trace;
         if self.verify.is_some() {
             // The rebuilt schedule must satisfy the same global contract
-            // the setup schedule did (audit messages are charged after the
-            // remap cost is recorded, so calibration stays unpolluted).
+            // the setup schedule did.
             let diags = audit_collective(
                 env,
                 self.partition.n(),

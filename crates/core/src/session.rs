@@ -145,21 +145,6 @@ impl<E: Element> AdaptiveSession<E> {
         self.engine.per_item_estimate()
     }
 
-    /// The calibrated schedule-rebuild cost (EWMA of measured rebuild
-    /// shares, seconds), or `None` before the first remap. This is what
-    /// replaces `rebuild_cost_hint` in checks when
-    /// `StanceConfig::calibrate_rebuild_cost` is enabled.
-    pub fn calibrated_rebuild_cost(&self) -> Option<f64> {
-        self.engine.calibrated_rebuild_cost()
-    }
-
-    /// The calibrated total remap cost (EWMA over measured remaps:
-    /// data movement + rebuild, seconds), or `None` before the first
-    /// remap.
-    pub fn calibrated_remap_cost(&self) -> Option<f64> {
-        self.engine.calibrated_remap_cost()
-    }
-
     /// Forces a remap to an explicitly chosen partition, moving the
     /// session's values (and the caller's aux arrays, in the same
     /// coalesced message per destination) and rebuilding the schedule,
@@ -525,82 +510,42 @@ mod tests {
         }
     }
 
-    /// Calibration closes the controller's feedback loop: an absurdly
-    /// wrong static `rebuild_cost_hint` blocks every remap, but once one
-    /// (forced) remap has been *measured*, a calibrated session charges
-    /// the observed cost and adapts again — while an uncalibrated session
-    /// stays stuck with the hint. Calibration is opt-in; with the flag off
-    /// the decision inputs are untouched.
+    /// `ControllerMode::Distributed` in a whole session: the loaded
+    /// 3-rank run agrees on every rank, and it reproduces the centralized
+    /// run's remaps, final partition and values bit for bit — every rank
+    /// runs the same `decide` on the same all-gathered loads.
     #[test]
-    fn calibration_replaces_static_hint_after_first_remap() {
+    fn distributed_sessions_agree_with_centralized() {
         let m = mesh();
-        let n = m.num_vertices();
-        let run = |calibrate: bool| {
-            let m = m.clone();
-            let mut config = StanceConfig::default()
-                .with_check_interval(10)
-                .with_calibration(calibrate);
+        let run = |mode: ControllerMode| {
+            let mut config = StanceConfig::default().with_check_interval(10);
             config.balancer = test_balancer();
-            config.balancer.rebuild_cost_hint = 1.0e9; // absurdly wrong
-            let spec = ClusterSpec::uniform(2)
+            config.balancer.mode = mode;
+            let spec = ClusterSpec::uniform(3)
                 .with_network(NetworkSpec::zero_cost())
                 .with_load(0, LoadTimeline::constant(1.0 / 3.0));
-            let report = Cluster::new(spec).run(move |env| {
-                let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
-                s.run_block(env, 10);
-                let (pre, _, _) = s.check_and_rebalance(env, 100_000);
-                // Force (and thereby measure) one remap out-of-band.
-                s.remap_to(
-                    env,
-                    BlockPartition::from_sizes(&[n / 2 - 10, n / 2 + 10]),
-                    &mut [],
-                );
-                let measured = s.calibrated_rebuild_cost();
-                s.run_block(env, 10);
-                let (post, _, _) = s.check_and_rebalance(env, 100_000);
-                (pre, measured, post)
-            });
-            report.into_results()
-        };
-        for (pre, measured, post) in run(false) {
-            assert!(!pre, "the absurd hint must block the first check");
-            let m = measured.expect("the forced remap was measured");
-            assert!(m > 0.0 && m < 1.0, "measured rebuild cost looks wrong: {m}");
-            assert!(!post, "without calibration the hint still blocks remaps");
-        }
-        for (pre, _, post) in run(true) {
-            assert!(!pre, "no measurement yet: the hint is the prior");
+            let results: Vec<_> = Cluster::new(spec)
+                .run(|env| {
+                    let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
+                    let rep = s.run_adaptive(env, 60);
+                    let values: Vec<u64> = s.local_values().iter().map(|v| v.to_bits()).collect();
+                    (rep.remaps, rep.checks, s.partition().clone(), values)
+                })
+                .into_results();
             assert!(
-                post,
-                "calibrated check must charge the measured cost and remap"
+                results
+                    .windows(2)
+                    .all(|w| (w[0].0, w[0].1, w[0].2.sizes()) == (w[1].0, w[1].1, w[1].2.sizes())),
+                "{mode:?}: ranks disagreed"
             );
-        }
-    }
-
-    /// Distributed-mode calibration agrees collectively (max over ranks),
-    /// so every rank reaches the same decision and the run completes with
-    /// identical reports.
-    #[test]
-    fn calibration_agrees_in_distributed_mode() {
-        let m = mesh();
-        let mut config = StanceConfig::default()
-            .with_check_interval(10)
-            .with_calibration(true);
-        config.balancer = test_balancer();
-        config.balancer.mode = ControllerMode::Distributed;
-        let spec = ClusterSpec::uniform(3)
-            .with_network(NetworkSpec::zero_cost())
-            .with_load(0, LoadTimeline::constant(1.0 / 3.0));
-        let report = Cluster::new(spec).run(|env| {
-            let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
-            let rep = s.run_adaptive(env, 60);
-            (rep.remaps, rep.checks, s.partition().sizes())
-        });
-        let results: Vec<_> = report.into_results();
-        assert!(results[0].0 >= 1, "the load should trigger a remap");
-        assert!(
-            results.windows(2).all(|w| w[0] == w[1]),
-            "ranks disagreed under distributed calibration: {results:?}"
+            results
+        };
+        let central = run(ControllerMode::Centralized);
+        let distributed = run(ControllerMode::Distributed);
+        assert!(central[0].0 >= 1, "the load should trigger a remap");
+        assert_eq!(
+            distributed, central,
+            "distributed mode must reproduce the centralized run"
         );
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for checkpoint round-trips.
 //!
 //! A checkpoint must be a *perfect* snapshot: serialize → deserialize
-//! reproduces values, aux arrays, partition intervals and monitor EWMAs
+//! reproduces values, aux arrays, partition intervals and monitor estimates
 //! **bitwise** (every `f64` compared by bit pattern, so `-0.0`,
 //! subnormals and NaN payloads all survive), for scalar and multi-field
 //! elements and across rank counts 1/2/4/8 — including restoring onto a
@@ -86,29 +86,16 @@ fn assert_decodes_safely(bytes: &[u8]) {
 /// The rank counts the suite sweeps.
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
-/// Raw `u64`s per generated monitor snapshot: one flags/obs word plus
-/// eight value words (3 optional costs + 5 movement accumulators).
-const SNAP_WORDS: usize = 9;
+/// Raw `u64`s per generated monitor snapshot: a presence word and the
+/// per-item estimate's bits.
+const SNAP_WORDS: usize = 2;
 
-/// Decodes one monitor snapshot from raw bits: presence flags and the
-/// observation count come from the first word, every `f64` is an
-/// arbitrary bit pattern (NaNs and ±0.0 included — round-trips are
-/// compared by bits, not by `==`).
+/// Decodes one monitor snapshot from raw bits: presence comes from the
+/// first word's low bit, the estimate is an arbitrary bit pattern (NaNs
+/// and ±0.0 included — round-trips are compared by bits, not by `==`).
 fn snapshot_from_bits(bits: &[u64]) -> MonitorSnapshot {
-    let flags = bits[0];
-    let opt = |on: bool, word: u64| on.then(|| f64::from_bits(word));
     MonitorSnapshot {
-        per_item: opt(flags & 1 != 0, bits[1]),
-        rebuild_cost: opt(flags & 2 != 0, bits[2]),
-        remap_cost: opt(flags & 4 != 0, bits[3]),
-        movement: [
-            f64::from_bits(bits[4]),
-            f64::from_bits(bits[5]),
-            f64::from_bits(bits[6]),
-            f64::from_bits(bits[7]),
-            f64::from_bits(bits[8]),
-        ],
-        movement_obs: (flags >> 32) as u32,
+        per_item: (bits[0] & 1 != 0).then(|| f64::from_bits(bits[1])),
     }
 }
 
@@ -149,7 +136,7 @@ proptest! {
 
     /// Serialize → deserialize is the identity on hand-built checkpoints:
     /// scalar elements, arbitrary value/aux bit patterns, arbitrary
-    /// monitor statistics, every width in 1/2/4/8.
+    /// monitor estimates, every width in 1/2/4/8.
     #[test]
     fn blob_round_trip_is_bitwise_scalar(
         width_ix in 0usize..4,
@@ -189,10 +176,6 @@ proptest! {
         }
         for (a, b) in back.monitors().iter().zip(ck.monitors()) {
             prop_assert_eq!(a.per_item.map(f64::to_bits), b.per_item.map(f64::to_bits));
-            prop_assert_eq!(a.rebuild_cost.map(f64::to_bits), b.rebuild_cost.map(f64::to_bits));
-            prop_assert_eq!(a.remap_cost.map(f64::to_bits), b.remap_cost.map(f64::to_bits));
-            prop_assert_eq!(a.movement.map(f64::to_bits), b.movement.map(f64::to_bits));
-            prop_assert_eq!(a.movement_obs, b.movement_obs);
         }
     }
 }
@@ -214,7 +197,7 @@ proptest! {
         let values: Vec<f64> = value_bits.iter().map(|&u| f64::from_bits(u)).collect();
         let mut sizes = vec![n / p; p];
         sizes[0] += n % p;
-        let snaps = vec![snapshot_from_bits(&[1 | 5 << 32, 7, 0, 0, 1, 2, 3, 4, 5]); p];
+        let snaps = vec![snapshot_from_bits(&[1, 7]); p];
         let blob = rebuild_checkpoint(&sizes, &snaps, &values, aux_count).to_bytes();
         for cut in 0..=blob.len() {
             assert_decodes_safely(&blob[..cut]);
@@ -237,8 +220,8 @@ fn rebuild_checkpoint(
     values: &[f64],
     aux_count: usize,
 ) -> SessionCheckpoint<f64> {
-    // Assemble the blob by hand, following the documented v2 wire format
-    // (name-keyed field records).
+    // Assemble the blob by hand, following the documented v3 wire format
+    // (name-keyed field records, per-item monitor records).
     let p = block_sizes.len();
     let n = values.len();
     let write_name = |name: &str, out: &mut Vec<u8>| {
@@ -247,7 +230,7 @@ fn rebuild_checkpoint(
     };
     let mut out = Vec::new();
     out.extend_from_slice(b"STCK");
-    out.extend_from_slice(&2u32.to_le_bytes());
+    out.extend_from_slice(&3u32.to_le_bytes());
     out.extend_from_slice(&(f64::SIZE_BYTES as u32).to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(p as u32).to_le_bytes());
@@ -260,17 +243,8 @@ fn rebuild_checkpoint(
         out.extend_from_slice(&(slot as u32).to_le_bytes());
     }
     for snap in snaps {
-        let flags = u8::from(snap.per_item.is_some())
-            | u8::from(snap.rebuild_cost.is_some()) << 1
-            | u8::from(snap.remap_cost.is_some()) << 2;
-        out.push(flags);
+        out.push(u8::from(snap.per_item.is_some()));
         out.extend_from_slice(&snap.per_item.unwrap_or(0.0).to_le_bytes());
-        out.extend_from_slice(&snap.rebuild_cost.unwrap_or(0.0).to_le_bytes());
-        out.extend_from_slice(&snap.remap_cost.unwrap_or(0.0).to_le_bytes());
-        for m in &snap.movement {
-            out.extend_from_slice(&m.to_le_bytes());
-        }
-        out.extend_from_slice(&snap.movement_obs.to_le_bytes());
     }
     f64::pack_into(values, &mut out);
     for k in 0..aux_count {
@@ -278,7 +252,7 @@ fn rebuild_checkpoint(
         let aux: Vec<f64> = values.iter().map(|v| v * (k as f64 + 2.0)).collect();
         f64::pack_into(&aux, &mut out);
     }
-    SessionCheckpoint::from_bytes(&out).expect("a hand-built v2 blob decodes")
+    SessionCheckpoint::from_bytes(&out).expect("a hand-built v3 blob decodes")
 }
 
 /// Collective checkpoints round-trip across every rank-count pair:
