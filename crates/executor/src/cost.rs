@@ -66,6 +66,7 @@ impl ComputeCostModel {
     /// # Panics
     /// Panics if `lanes` is zero.
     pub fn with_team(mut self, lanes: usize) -> Self {
+        // `team_speedup` divides by the lane count.
         assert!(lanes >= 1, "a rank has at least one compute lane");
         self.team_lanes = lanes;
         self

@@ -84,6 +84,7 @@ impl<E: Element> GhostedArray<E> {
     /// # Panics
     /// Panics on length mismatch.
     pub fn set_local(&mut self, values: &[E]) {
+        // Fig. 4 layout: the owned prefix is exactly `local_len` long.
         assert_eq!(values.len(), self.local_len, "local length mismatch");
         self.data[..self.local_len].copy_from_slice(values);
     }
@@ -122,6 +123,7 @@ impl<E: Element> GhostedArray<E> {
     /// # Panics
     /// Panics if `buf`'s length differs from the combined buffer's.
     pub fn swap_data(&mut self, buf: &mut Vec<E>) {
+        // The swapped-in buffer must keep the owned/ghost split in place.
         assert_eq!(buf.len(), self.data.len(), "combined length mismatch");
         std::mem::swap(&mut self.data, buf);
     }

@@ -43,7 +43,7 @@ use stance_sim::{Comm, Element};
 use crate::buffers::CommBuffers;
 use crate::cost::ComputeCostModel;
 use crate::ghosted::GhostedArray;
-use crate::primitives::gather_fused;
+use crate::primitives::{recv_ghosts, send_ghosts, TAG_GATHER_FUSED};
 use crate::team::SweepTeam;
 
 /// Elements with the componentwise arithmetic the built-in kernels need.
@@ -159,9 +159,11 @@ pub trait Kernel<E: Element>: Sync {
     /// window is the owned-output slice of [`Kernel::sweep`]. Inputs are
     /// indexed as ever: `combined[l]` is row `l`'s own value.
     ///
-    /// A [`crate::SweepTeam`] calls this once per lane, with the lane's
-    /// contiguous range of rows and that range's window of the output;
-    /// without a team the runner calls [`Kernel::sweep`]. Per-vertex
+    /// The runner sweeps through a [`crate::SweepTeam`] (of one lane,
+    /// without [`LoopRunner::with_team`]), which calls this once for each
+    /// piece of a run list a lane owns, with that piece's rows and their
+    /// window of the output — once, on `0..tadj.len()`, for a one-lane
+    /// sweep of the whole block. Per-vertex
     /// outputs must depend only on `combined` entries the vertex
     /// references — true for any kernel fitting this trait's model — so
     /// splitting the sweep cannot change any value.
@@ -171,7 +173,11 @@ pub trait Kernel<E: Element>: Sync {
     /// the **whole** block into a temporary and copies the window out.
     /// Such kernels stay correct under teams without changes, but every
     /// lane recomputes every vertex and allocates — they forfeit what
-    /// splitting would win.
+    /// splitting would win. They forfeit the overlap too: the runner sweeps
+    /// the blocks that read no ghost while the ghosts are in flight only
+    /// for a kernel whose [`Kernel::sweeps_ranges`] says this hook sweeps
+    /// just its range, so a sweep-only kernel is swept once, whole, after
+    /// every ghost has landed — the paper's gather-then-sweep.
     ///
     /// The built-in kernels point the delegation the other way: their
     /// `sweep_chunked` is the real implementation — one call of
@@ -200,6 +206,21 @@ pub trait Kernel<E: Element>: Sync {
         let mut block = vec![E::zero(); tadj.len()];
         self.sweep(tadj, combined, &mut block);
         out.copy_from_slice(&block[range]);
+    }
+
+    /// Whether [`Kernel::sweep_chunked`] sweeps only the rows of its range
+    /// — true of the built-in kernels and of any kernel whose ranged hook
+    /// is a [`sweep_rows`] call; `false`, the default, describes a kernel
+    /// on the default hook, which sweeps the whole block for any window.
+    ///
+    /// The runner reads it to choose how a stage's sweep is cut: a kernel
+    /// that sweeps ranges is swept in two parts (the blocks that read no
+    /// ghost while the ghosts are in flight, the rest once they have
+    /// landed), any other kernel once, after the receive, so no call
+    /// sweeps the whole block for part of it. It decides cost, never
+    /// values: every row is swept exactly once either way.
+    fn sweeps_ranges(&self) -> bool {
+        false
     }
 
     /// Reference-seconds of work one sweep over `vertices` owned vertices
@@ -259,7 +280,9 @@ pub fn sweep_rows<E: Element>(
     range: Range<usize>,
     row: impl Fn(usize, &[u32]) -> E,
 ) {
+    // `out` is the window of `range`: one slot per row swept.
     assert_eq!(out.len(), range.len(), "output length mismatch");
+    // Rows past the block have no row pointers to read.
     assert!(range.end <= tadj.len(), "sweep range exceeds the block");
     let mut at = range.start;
     while at < range.end {
@@ -319,6 +342,7 @@ fn sweep_class<const D: usize, E, F: Fn(usize, &[u32]) -> E>(
     let mine;
     (mine, *slots) = slots.split_at(class.len() * D);
     for (&i, nbrs) in class.iter().zip(mine.chunks_exact(D)) {
+        // `chunks_exact(D)` yields nothing but chunks of exactly D slots.
         let nbrs: &[u32; D] = nbrs.try_into().expect("a chunk of D slots");
         out[i as usize] = row(block_start + i as usize, nbrs);
     }
@@ -361,6 +385,10 @@ impl<E: Field> Kernel<E> for RelaxationKernel {
         });
     }
 
+    fn sweeps_ranges(&self) -> bool {
+        true
+    }
+
     fn cost(&self, model: &ComputeCostModel, vertices: usize, references: usize) -> f64 {
         // One add per reference and one divide per vertex — per component.
         E::FIELDS as f64 * model.sweep_work(vertices, references)
@@ -401,6 +429,10 @@ impl<E: Field> Kernel<E> for LaplacianKernel {
         });
     }
 
+    fn sweeps_ranges(&self) -> bool {
+        true
+    }
+
     fn cost(&self, model: &ComputeCostModel, vertices: usize, references: usize) -> f64 {
         // One subtract per reference and one scale per vertex — per
         // component.
@@ -409,7 +441,11 @@ impl<E: Field> Kernel<E> for LaplacianKernel {
 }
 
 /// Sequential reference for [`LaplacianKernel`] over the whole graph.
+///
+/// # Panics
+/// Panics if `x` or `out` is not one element per vertex.
 pub fn sequential_laplacian_matvec<E: Field>(graph: &Graph, x: &[E], shift: f64, out: &mut [E]) {
+    // One input and one output per vertex of the graph.
     assert_eq!(x.len(), graph.num_vertices());
     assert_eq!(out.len(), graph.num_vertices());
     for (i, o) in out.iter_mut().enumerate() {
@@ -423,7 +459,11 @@ pub fn sequential_laplacian_matvec<E: Field>(graph: &Graph, x: &[E], shift: f64,
 }
 
 /// The sequential reference: `iters` sweeps of Fig. 8 over the whole graph.
+///
+/// # Panics
+/// Panics if `y` is not one element per vertex.
 pub fn sequential_relaxation<E: Field>(graph: &Graph, y: &mut [E], iters: usize) {
+    // One value per vertex of the graph.
     assert_eq!(y.len(), graph.num_vertices(), "value array length mismatch");
     let n = graph.num_vertices();
     let mut t = vec![E::zero(); n];
@@ -451,8 +491,9 @@ pub struct LoopStats {
     pub iterations: usize,
     /// Seconds spent in the compute sweep, in the backend's time: virtual
     /// seconds on the simulator (expanded by machine speed and external
-    /// load), wall-clock seconds on the native backend. Either way this is
-    /// what the load monitor samples.
+    /// load), wall-clock seconds on the native backend — there, the sweep
+    /// before the receive plus the sweep after it, never the wait between
+    /// them. Either way this is what the load monitor samples.
     pub compute_time: f64,
 }
 
@@ -473,7 +514,7 @@ impl LoopStats {
 ///
 /// The runner owns everything that is sized from the schedule: the
 /// translated adjacency, the transport scratch ([`CommBuffers`]), the
-/// sweep scratch and the worker team's lane splits. All of it is rebuilt
+/// sweep scratch and the worker team. All of it is rebuilt
 /// only on remap ([`LoopRunner::rebuild`]), so steady-state iterations
 /// perform zero heap allocations (see `tests/alloc_free.rs`). The sweep
 /// scratch is a full combined-size buffer, which lets a stage commit by
@@ -490,10 +531,9 @@ pub struct LoopRunner<E: Element = f64> {
     /// rewritten by the next gather).
     scratch: Vec<E>,
     bufs: CommBuffers<E>,
-    /// The rank's worker team, present when [`LoopRunner::with_team`] was
-    /// given more than one lane. `None` means every sweep runs on the rank
-    /// thread exactly as before teams existed.
-    team: Option<SweepTeam<E>>,
+    /// The rank's worker team: one lane (the rank thread, no worker
+    /// threads) unless [`LoopRunner::with_team`] asked for more.
+    team: SweepTeam<E>,
 }
 
 impl<E: Element> LoopRunner<E> {
@@ -502,21 +542,23 @@ impl<E: Element> LoopRunner<E> {
         let tadj = schedule.translate_adjacency(adj);
         let scratch = vec![E::zero(); tadj.buffer_len()];
         let bufs = CommBuffers::for_schedule(&schedule);
+        let mut team = SweepTeam::new(1);
+        team.rebuild_splits(&tadj);
         LoopRunner {
             schedule,
             tadj,
             cost,
             scratch,
             bufs,
-            team: None,
+            team,
         }
     }
 
     /// Attaches a persistent worker team of `lanes` compute lanes (lane 0
     /// is the rank thread itself; `lanes - 1` parked worker threads are
     /// spawned now and recycled across every iteration and remap). `1`
-    /// detaches the team. Outputs are **bitwise identical** for every
-    /// `lanes` value — the team splits sweeps by deterministic static
+    /// sweeps on the rank thread alone. Outputs are **bitwise identical**
+    /// for every `lanes` value — the team splits sweeps by deterministic static
     /// chunking and every lane writes its rows straight into its own
     /// disjoint window of the output — so the team size is purely a
     /// throughput knob. The cost model is updated in
@@ -527,19 +569,17 @@ impl<E: Element> LoopRunner<E> {
     /// # Panics
     /// Panics if `lanes` is zero.
     pub fn with_team(mut self, lanes: usize) -> Self {
+        // The team model divides by the lane count.
         assert!(lanes >= 1, "a rank has at least one compute lane");
         self.cost = self.cost.with_team(lanes);
-        self.team = (lanes > 1).then(|| {
-            let mut team = SweepTeam::new(lanes);
-            team.rebuild_splits(&self.tadj);
-            team
-        });
+        self.team = SweepTeam::new(lanes);
+        self.team.rebuild_splits(&self.tadj);
         self
     }
 
     /// The number of compute lanes sweeps run on (`1` without a team).
     pub fn team_lanes(&self) -> usize {
-        self.team.as_ref().map_or(1, SweepTeam::lanes)
+        self.team.lanes()
     }
 
     /// The schedule in use.
@@ -569,18 +609,19 @@ impl<E: Element> LoopRunner<E> {
         // the ghost suffix is rewritten by every gather before any read
         // (the same argument as `GhostedArray::swap_data`).
         self.scratch.resize(self.tadj.buffer_len(), E::zero());
-        // The lane splits derive from the row count, so a remap
-        // invalidates them; the team itself (threads, split storage)
-        // is recycled.
-        if let Some(team) = &mut self.team {
-            team.rebuild_splits(&self.tadj);
-        }
+        // The team sweeps the new block from now on; its threads are
+        // recycled.
+        self.team.rebuild_splits(&self.tadj);
         retired
     }
 
     /// Allocates the ghosted value buffer for this runner with the given
     /// owned values.
+    ///
+    /// # Panics
+    /// Panics if `local` does not match the runner's owned length.
     pub fn make_values(&self, local: Vec<E>) -> GhostedArray<E> {
+        // The sweep indexes `combined[l]` for every owned row `l`.
         assert_eq!(local.len(), self.tadj.len(), "owned value length mismatch");
         GhostedArray::from_local(local, self.tadj.num_ghosts() as usize)
     }
@@ -595,13 +636,30 @@ impl<E: Element> LoopRunner<E> {
     /// # Panics
     /// Panics if `block` does not match the runner's owned length.
     pub fn install_values(&self, values: &mut GhostedArray<E>, block: &mut Vec<E>) {
+        // As in `make_values`: one value per owned row.
         assert_eq!(block.len(), self.tadj.len(), "owned value length mismatch");
         values.swap_in(block, self.tadj.num_ghosts() as usize);
     }
 
-    /// The one stage step: exchange (one fused message per neighbor),
-    /// sweep, leave the output in the sweep scratch. Returns the seconds
-    /// spent sweeping — the load monitor's sample.
+    /// The one stage step, in four parts: pack and send every peer its
+    /// boundary values (one fused message per neighbor), sweep the blocks
+    /// that read no ghost while those messages are in flight, receive and
+    /// unpack the ghosts, sweep the remaining blocks. The output is left in
+    /// the sweep scratch; every row is swept exactly once. Returns the
+    /// seconds spent sweeping — both sweeps, not the wait between them —
+    /// the load monitor's sample.
+    ///
+    /// The split is [`TranslatedAdjacency::interior_runs`] then
+    /// [`TranslatedAdjacency::boundary_runs`]. When nothing the stage reads
+    /// is in flight (`input` not exchanged: an empty selection, or a field
+    /// whose ghosts are current) the first part is the whole block; a
+    /// kernel that cannot sweep part of a block
+    /// ([`Kernel::sweeps_ranges`]) is swept whole in the second.
+    ///
+    /// The simulator's clock is charged exactly as by gather-then-sweep:
+    /// the sends and receives charge what they always did, and the sweep's
+    /// whole cost is charged after the receives — so virtual time, and
+    /// every decision priced from it, does not see the overlap.
     fn stage_step<C: Comm, K: Kernel<E> + ?Sized>(
         &mut self,
         env: &mut C,
@@ -619,16 +677,41 @@ impl<E: Element> LoopRunner<E> {
             team,
         } = self;
         let out = &mut scratch[..tadj.len()];
-        gather_fused(env, schedule, fields, exchange, cost, bufs);
-        let work = kernel.cost(cost, tadj.len(), tadj.num_refs());
+        let whole = 0..tadj.len();
+        let whole = std::slice::from_ref(&whole);
+        let (early, late) = if !exchange.contains(&input) {
+            (whole, &[][..])
+        } else if kernel.sweeps_ranges() {
+            (tadj.interior_runs(), tadj.boundary_runs())
+        } else {
+            (&[][..], whole)
+        };
+        send_ghosts(
+            env,
+            schedule,
+            fields,
+            exchange,
+            cost,
+            bufs,
+            TAG_GATHER_FUSED,
+        );
         let t0 = env.now_secs();
+        team.sweep_runs(kernel, tadj, fields[input].combined(), out, early);
+        let early_secs = env.now_secs() - t0;
+        recv_ghosts(
+            env,
+            schedule,
+            fields,
+            exchange,
+            cost,
+            bufs,
+            TAG_GATHER_FUSED,
+        );
+        let work = kernel.cost(cost, tadj.len(), tadj.num_refs());
+        let t1 = env.now_secs();
         env.compute(work);
-        let combined = fields[input].combined();
-        match team {
-            Some(team) => team.sweep_full(kernel, tadj, combined, out),
-            None => kernel.sweep(tadj, combined, out),
-        }
-        env.now_secs() - t0
+        team.sweep_runs(kernel, tadj, fields[input].combined(), out, late);
+        early_secs + (env.now_secs() - t1)
     }
 
     /// One application of `kernel` *without* committing: gathers the
@@ -1161,6 +1244,63 @@ mod tests {
                 got.extend(r);
             }
             assert_eq!(got, expected, "interleaved team = {team} diverged");
+        }
+    }
+
+    /// The overlapped step on a mesh large enough to have blocks that read
+    /// no ghost: every rank sweeps its interior runs before the receive and
+    /// its boundary runs after it, and the result is still the sequential
+    /// reference bit for bit — with one lane and with lane shares that
+    /// straddle runs, and for a kernel swept whole after the receive.
+    #[test]
+    fn overlapped_step_matches_sequential_bitwise() {
+        let raw = meshgen::triangulated_grid(90, 80, 0.3, 5);
+        let g = stance_locality::rcb::rcb_ordering(&raw).apply(&raw);
+        let n = g.num_vertices();
+        let iters = 7;
+        let mut expected = initial_values(n);
+        sequential_relaxation(&g, &mut expected, iters);
+        let part = BlockPartition::uniform(n, 2);
+        for team in [1usize, 3] {
+            let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
+            let report = Cluster::new(spec).run(|env| {
+                let rank = env.rank();
+                let adj = LocalAdjacency::extract(&g, &part, rank);
+                let (sched, _) =
+                    build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
+                let mut runner =
+                    LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_team(team);
+                let tadj = runner.tadj();
+                assert!(!tadj.interior_runs().is_empty() && !tadj.boundary_runs().is_empty());
+                let iv = part.interval_of(rank);
+                let init = initial_values(n);
+                let mut values = runner.make_values(init[iv.start..iv.end].to_vec());
+                runner.run(env, &RelaxationKernel, &mut values, iters);
+                let mut whole = runner.make_values(init[iv.start..iv.end].to_vec());
+                runner.run(env, &SweepOnlyRelaxation, &mut whole, iters);
+                (values.local().to_vec(), whole.local().to_vec())
+            });
+            let (mut got, mut got_whole) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for (r, w) in report.into_results() {
+                got.extend(r);
+                got_whole.extend(w);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&expected), "team = {team}");
+            assert_eq!(
+                bits(&got_whole),
+                bits(&expected),
+                "sweep-only, team = {team}"
+            );
+        }
+    }
+
+    /// The relaxation through `sweep` alone: the default ranged hook.
+    struct SweepOnlyRelaxation;
+
+    impl Kernel<f64> for SweepOnlyRelaxation {
+        fn sweep(&self, tadj: &TranslatedAdjacency, combined: &[f64], out: &mut [f64]) {
+            RelaxationKernel.sweep(tadj, combined, out);
         }
     }
 

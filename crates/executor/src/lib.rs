@@ -23,7 +23,8 @@
 //! * [`gather_fused`] — the same gather for a *group* of arrays, one
 //!   message per neighbor ([`gather`] is its group-of-one spelling);
 //! * [`kernel`] — the [`Kernel`] trait and [`LoopRunner`] (the one
-//!   exchange + sweep stage step every session runs), plus the two
+//!   exchange + sweep stage step every session runs: send, sweep the
+//!   blocks that read no ghost, receive, sweep the rest), plus the two
 //!   built-in kernels: [`RelaxationKernel`] (the paper's Fig. 8 loop,
 //!   `t[i] = Σ y[ia[k]]; y[i] = t[i]/deg(i)`) and [`LaplacianKernel`] (the
 //!   shifted graph-Laplacian matvec driving the CG example), both one row

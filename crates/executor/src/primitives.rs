@@ -17,7 +17,12 @@
 //! intermediate `Vec<E>`; send staging rides in byte buffers recycled
 //! through [`CommBuffers`], so steady-state iterations allocate nothing.
 //! Gathers come in one blocking body ([`gather_fused`]; [`gather`] is its
-//! group-of-one spelling). Both take the caller's [`CommBuffers`] — a
+//! group-of-one spelling), which is two halves called back to back: send to
+//! every peer, then receive from every peer. A
+//! [`LoopRunner`](crate::LoopRunner)'s stage step calls the halves itself,
+//! with the sweep of the blocks that read no ghost between them — `send` is
+//! buffered on every backend, so nothing waits on the far side while it
+//! sweeps. Both take the caller's [`CommBuffers`] — a
 //! [`LoopRunner`](crate::LoopRunner) owns one and rebuilds it only on
 //! remap; hand-driven callers build one with
 //! [`CommBuffers::for_schedule`].
@@ -30,7 +35,7 @@ use crate::cost::ComputeCostModel;
 use crate::ghosted::GhostedArray;
 
 const TAG_GATHER: Tag = stance_sim::tags::TAG_GATHER;
-const TAG_GATHER_FUSED: Tag = stance_sim::tags::TAG_GATHER_FUSED;
+pub(crate) const TAG_GATHER_FUSED: Tag = stance_sim::tags::TAG_GATHER_FUSED;
 
 /// Whether an index list is one strictly consecutive ascending run
 /// (`l, l+1, …, l+n−1`). Block-partitioned boundary segments usually are,
@@ -75,7 +80,8 @@ pub fn gather<E: Element, C: Comm>(
     bufs: &mut CommBuffers<E>,
 ) {
     let group = std::slice::from_mut(values);
-    gather_group(env, schedule, group, &[0], cost, bufs, TAG_GATHER);
+    send_ghosts(env, schedule, group, &[0], cost, bufs, TAG_GATHER);
+    recv_ghosts(env, schedule, group, &[0], cost, bufs, TAG_GATHER);
 }
 
 /// Gathers ghosts for the fields selected by `which` (indices into
@@ -108,12 +114,35 @@ pub fn gather_fused<E: Element, C: Comm>(
     cost: &ComputeCostModel,
     bufs: &mut CommBuffers<E>,
 ) {
-    gather_group(env, schedule, arrays, which, cost, bufs, TAG_GATHER_FUSED);
+    send_ghosts(env, schedule, arrays, which, cost, bufs, TAG_GATHER_FUSED);
+    recv_ghosts(env, schedule, arrays, which, cost, bufs, TAG_GATHER_FUSED);
 }
 
-/// The blocking exchange body behind [`gather`] and [`gather_fused`],
-/// which differ only in the stream they use.
-fn gather_group<E: Element, C: Comm>(
+/// The gather's first half: packs and sends my boundary values of the
+/// selected fields to every peer that needs them, on stream `tag`. Returns
+/// without waiting for anything (every backend buffers `send`).
+pub(crate) fn send_ghosts<E: Element, C: Comm>(
+    env: &mut C,
+    schedule: &CommSchedule,
+    arrays: &[GhostedArray<E>],
+    which: &[usize],
+    cost: &ComputeCostModel,
+    bufs: &mut CommBuffers<E>,
+    tag: Tag,
+) {
+    if which.is_empty() {
+        return;
+    }
+    debug_assert_selection(schedule, arrays, which);
+    for (peer, locals) in schedule.sends() {
+        let payload = pack_segments(env, arrays, which, locals, cost, bufs);
+        env.send(*peer, tag, payload);
+    }
+}
+
+/// The gather's second half: receives every peer's message on stream
+/// `tag` and lands it in the selected fields' ghost regions.
+pub(crate) fn recv_ghosts<E: Element, C: Comm>(
     env: &mut C,
     schedule: &CommSchedule,
     arrays: &mut [GhostedArray<E>],
@@ -124,12 +153,6 @@ fn gather_group<E: Element, C: Comm>(
 ) {
     if which.is_empty() {
         return;
-    }
-    debug_assert_selection(schedule, arrays, which);
-    // Send my boundary values to every peer that needs them.
-    for (peer, locals) in schedule.sends() {
-        let payload = pack_segments(env, arrays, which, locals, cost, bufs);
-        env.send(*peer, tag, payload);
     }
     // Receive ghost segments in schedule (peer-ascending) order; slots are
     // contiguous across segments by construction.
@@ -190,6 +213,8 @@ fn land_segments<E: Element, C: Comm>(
     bufs: &mut CommBuffers<E>,
 ) {
     let seg_bytes = seg * E::SIZE_BYTES;
+    // Matched schedules: the peer packs exactly the segment we expect, once
+    // per selected field — anything else is a schedule or wire bug.
     assert_eq!(
         bytes.len(),
         seg_bytes * which.len(),
@@ -215,6 +240,8 @@ fn debug_assert_selection<E: Element>(
 ) {
     if cfg!(debug_assertions) {
         for (i, &w) in which.iter().enumerate() {
+            // Packing and landing index by the schedule's shape; a field
+            // selected twice would be packed twice into one message.
             assert_eq!(arrays[w].local_len(), schedule.interval().len());
             assert_eq!(arrays[w].num_ghosts(), schedule.num_ghosts() as usize);
             assert!(!which[..i].contains(&w), "field {w} selected twice");

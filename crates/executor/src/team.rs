@@ -7,8 +7,10 @@
 //! spaces (few, communicating) and adds teams = cores (many, sharing the
 //! rank's memory): a [`SweepTeam`] owns `lanes - 1` worker threads that
 //! wait between sweeps by the spin-then-park contract below and split each
-//! sweep by *deterministic static chunking* of the rank's rows: lane `w` of
-//! `L` sweeps rows `w·len/L..(w+1)·len/L`.
+//! sweep by *deterministic static chunking* of the rows it is handed: a
+//! sweep covers a list of ascending runs of rows, and lane `w` of `L` sweeps
+//! rows `w·R/L..(w+1)·R/L` of its `R` rows laid end to end — for the whole
+//! block, the one run `0..len`, rows `w·len/L..(w+1)·len/L`.
 //!
 //! # How the lanes wait
 //!
@@ -34,27 +36,26 @@
 //! * every output slot is produced by a `sweep_chunked` call over a range
 //!   containing it, reading the same immutable `combined` buffer, so the
 //!   per-vertex accumulation order never changes;
-//! * the lane splits are a pure function of the row count and the lane
-//!   count (never of timing), so the same block always yields the same
-//!   splits;
-//! * every lane writes its rows where the result lives: lane `w` owns one
-//!   contiguous window of the output — the rows it sweeps — the windows
-//!   ascend with the lane index and never overlap — asserted when the
-//!   splits are built — so there are no concurrent writes to any slot, no
-//!   copy and no order dependence.
+//! * a lane's share is a pure function of the run list and the lane count
+//!   (never of timing), so the same runs always yield the same shares;
+//! * every lane writes its rows where the result lives: lane `w` owns the
+//!   windows of the output that its share cuts out of the runs — one per
+//!   run it touches — the runs ascend and never overlap — asserted at
+//!   every dispatch — and the shares tile them, so there are no concurrent
+//!   writes to any slot, no copy and no order dependence.
 //!
 //! # Steady-state allocation freedom
 //!
-//! Threads are spawned once, the split tables are recycled across
-//! iterations (rebuilt only on [`SweepTeam::rebuild_splits`], i.e. on
-//! remap), and dispatching a sweep publishes one borrowed closure under a
-//! mutex — no boxing, no channels, no per-lane buffers.
+//! Threads are spawned once, a lane walks the run list to find its share
+//! instead of reading a stored table, and dispatching a sweep publishes one
+//! borrowed closure under a mutex — no boxing, no channels, no per-lane
+//! buffers.
 //! `tests/alloc_free.rs` pins the team-mode steady state at zero
 //! allocations on both backends.
 
 // The two unsafe blocks in this crate live here — the lifetime erasure in
 // `TeamCore::run` and the carve of the output into lane windows in
-// `SweepTeam::sweep_full`, both resting on `run`'s join; everything else
+// `SweepTeam::sweep_runs`, both resting on `run`'s join; everything else
 // stays checked.
 #![allow(unsafe_code)]
 
@@ -167,6 +168,7 @@ impl TeamCore {
                 std::thread::Builder::new()
                     .name(format!("stance-team-{lane}"))
                     .spawn(move || worker_loop(&shared, lane))
+                    // A team the OS cannot give threads cannot exist.
                     .expect("spawn sweep-team worker")
             })
             .collect();
@@ -184,7 +186,7 @@ impl TeamCore {
         // SAFETY: we erase `worker_job`'s lifetime so the waiting threads
         // (whose loop is necessarily `'static`) can call it. The borrow
         // cannot be outlived (nor can what the closure borrows — the lane
-        // windows `SweepTeam::sweep_full` carves rest on this too): this
+        // windows `SweepTeam::sweep_runs` carves rest on this too): this
         // function publishes the job, then unconditionally blocks — even
         // when `lane0` panics — until `remaining` (read under the lock;
         // the spin on its hint only shortens the wait) drops to zero, i.e.
@@ -199,6 +201,8 @@ impl TeamCore {
         };
         let shared = &*self.shared;
         {
+            // Never poisoned: no code panics while holding the lock (jobs
+            // run outside it). The same holds for every lock and wait below.
             let mut st = shared.state.lock().expect("team state poisoned");
             st.job = Some(job);
             st.remaining = self.workers.len();
@@ -213,9 +217,11 @@ impl TeamCore {
             .spin
             .spin_until(None, || shared.remaining_hint.load(Ordering::Acquire) == 0);
         let worker_panicked = {
+            // Never poisoned, as above.
             let mut st = shared.state.lock().expect("team state poisoned");
             while st.remaining != 0 {
                 st.rank_parked = true;
+                // Never poisoned, as above.
                 st = shared.done.wait(st).expect("team state poisoned");
                 st.rank_parked = false;
             }
@@ -225,6 +231,7 @@ impl TeamCore {
         if let Err(payload) = lane0_result {
             resume_unwind(payload);
         }
+        // A lane's panic is re-raised on the rank thread, after the join.
         assert!(!worker_panicked, "a sweep-team worker lane panicked");
     }
 }
@@ -253,6 +260,7 @@ fn worker_loop(shared: &Shared, lane: usize) {
             shared.epoch_hint.load(Ordering::Acquire) != seen << 1
         });
         let job = {
+            // Never poisoned: see `TeamCore::run`.
             let mut st = shared.state.lock().expect("team state poisoned");
             loop {
                 if st.shutdown {
@@ -260,14 +268,17 @@ fn worker_loop(shared: &Shared, lane: usize) {
                 }
                 if st.epoch != seen {
                     seen = st.epoch;
+                    // `run` sets the job before it moves the epoch.
                     break st.job.expect("published epoch carries a job");
                 }
                 st.parked_workers += 1;
+                // Never poisoned: see `TeamCore::run`.
                 st = shared.work.wait(st).expect("team state poisoned");
                 st.parked_workers -= 1;
             }
         };
         let ok = catch_unwind(AssertUnwindSafe(|| (job.f)(lane))).is_ok();
+        // Never poisoned: see `TeamCore::run`.
         let mut st = shared.state.lock().expect("team state poisoned");
         if !ok {
             st.panicked = true;
@@ -280,55 +291,49 @@ fn worker_loop(shared: &Shared, lane: usize) {
     }
 }
 
-/// The precomputed lane split: which rows every lane sweeps, which is
-/// also the window of the output it writes them into.
-struct LaneSplit {
-    /// `spans[lane]` = `lane·len/L..(lane+1)·len/L` for a block of `len`
-    /// rows and `L` lanes: the lanes tile `0..len`, ascending with the
-    /// lane index and disjoint, lengths differing by at most one (with
-    /// more lanes than rows, the surplus lanes are empty).
-    spans: Vec<Range<usize>>,
-}
-
-impl LaneSplit {
-    fn new(lanes: usize) -> Self {
-        LaneSplit {
-            spans: vec![0..0; lanes],
-        }
-    }
-
-    /// Re-splits a block of `len` rows, checking what the carve in
-    /// [`SweepTeam::sweep_full`] rests on.
-    fn rebuild(&mut self, len: usize) {
-        let lanes = self.spans.len();
-        let mut floor = 0;
-        for (lane, span) in self.spans.iter_mut().enumerate() {
-            *span = lane * len / lanes..(lane + 1) * len / lanes;
-            assert!(
-                floor <= span.start && span.start <= span.end && span.end <= len,
-                "lane windows must ascend without overlap inside the block"
-            );
-            floor = span.end;
-        }
-    }
+/// Lane `lane`'s share of a run list holding `rows` rows in all: the rows
+/// `lane·rows/lanes..(lane+1)·rows/lanes` of the runs laid end to end, cut
+/// back into the pieces each run holds — so the lanes' shares tile the
+/// runs, ascending with the lane index and disjoint, lengths differing by
+/// at most one (with more lanes than rows, the surplus lanes get nothing).
+/// For the one run `0..len` that is rows `lane·len/lanes..(lane+1)·len/lanes`.
+fn lane_pieces(
+    runs: &[Range<usize>],
+    rows: usize,
+    lanes: usize,
+    lane: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let (lo, hi) = (lane * rows / lanes, (lane + 1) * rows / lanes);
+    runs.iter()
+        .scan(0, |at, run| {
+            // `at` is where `run` starts in the runs laid end to end.
+            let first = *at;
+            *at += run.len();
+            Some((first, run))
+        })
+        .map(move |(first, run)| {
+            let from = lo.max(first).min(first + run.len()) - first;
+            let to = hi.max(first).min(first + run.len()) - first;
+            run.start + from..run.start + to
+        })
+        .filter(|piece| !piece.is_empty())
 }
 
 /// A rank's persistent worker team for splitting sweeps across cores.
 ///
 /// Construct once per rank (or let [`LoopRunner::with_team`] do it), call
 /// [`SweepTeam::rebuild_splits`] whenever the translated adjacency
-/// changes, then dispatch [`SweepTeam::sweep_full`] every iteration. See
-/// the module docs for the reproducibility and allocation arguments.
+/// changes, then dispatch [`SweepTeam::sweep_runs`] (or
+/// [`SweepTeam::sweep_full`]) every iteration. See the module docs for the
+/// reproducibility and allocation arguments.
 ///
 /// [`LoopRunner::with_team`]: crate::LoopRunner::with_team
 pub struct SweepTeam<E: Element> {
     lanes: usize,
     /// `None` when `lanes == 1`: no threads, every sweep runs inline.
     core: Option<TeamCore>,
-    /// The split of the whole owned range `0..len`.
-    split: LaneSplit,
-    /// `tadj.len()` of the adjacency the splits were built for; a sweep
-    /// of a block with any other row count is refused.
+    /// `tadj.len()` of the adjacency [`SweepTeam::rebuild_splits`] last
+    /// saw; a sweep of a block with any other row count is refused.
     built_for: usize,
     /// Lanes write `E`s into the caller's output; the team stores none.
     element: PhantomData<fn(E)>,
@@ -343,11 +348,11 @@ impl<E: Element> SweepTeam<E> {
     /// # Panics
     /// Panics if `lanes` is zero.
     pub fn new(lanes: usize) -> Self {
+        // A team of no lanes could sweep nothing.
         assert!(lanes >= 1, "a sweep team has at least one lane");
         SweepTeam {
             lanes,
             core: (lanes > 1).then(|| TeamCore::new(lanes - 1)),
-            split: LaneSplit::new(lanes),
             built_for: 0,
             element: PhantomData,
         }
@@ -358,24 +363,21 @@ impl<E: Element> SweepTeam<E> {
         self.lanes
     }
 
-    /// Recomputes the deterministic static lane splits (and with them the
-    /// lane windows) from the block's row count — call after every
-    /// (re)translation of the adjacency. Storage is recycled; steady-state
-    /// iterations between calls allocate nothing.
+    /// Records the row count of the block the team now sweeps — call after
+    /// every (re)translation of the adjacency, so a runner that missed a
+    /// remap is refused instead of sweeping a block of another shape. The
+    /// lane shares themselves are a pure function of each dispatch's run
+    /// list; nothing is stored.
     pub fn rebuild_splits(&mut self, tadj: &TranslatedAdjacency) {
-        self.split.rebuild(tadj.len());
         self.built_for = tadj.len();
     }
 
-    /// Sweeps all owned vertices (`0..len`) split across the team,
-    /// writing `out` exactly as `kernel.sweep` would: every lane calls
-    /// `kernel.sweep_chunked` once, on its range and that range's window
-    /// of `out`.
+    /// Sweeps all owned vertices (`0..len`) split across the team: the
+    /// one-run [`SweepTeam::sweep_runs`], writing `out` exactly as
+    /// `kernel.sweep` would.
     ///
     /// # Panics
-    /// Panics if `tadj` has another row count than the adjacency
-    /// [`SweepTeam::rebuild_splits`] last saw, or `out` is not one slot
-    /// per owned vertex.
+    /// As [`SweepTeam::sweep_runs`].
     pub fn sweep_full<K: Kernel<E> + ?Sized>(
         &mut self,
         kernel: &K,
@@ -383,42 +385,84 @@ impl<E: Element> SweepTeam<E> {
         combined: &[E],
         out: &mut [E],
     ) {
+        let whole = 0..tadj.len();
+        self.sweep_runs(kernel, tadj, combined, out, std::slice::from_ref(&whole));
+    }
+
+    /// Sweeps the rows of `runs` split across the team, writing each row's
+    /// output to its slot of `out` (one slot per owned vertex) and leaving
+    /// every other slot alone. The runs laid end to end are cut into one
+    /// contiguous share per lane, lane `w` of `L` taking rows
+    /// `w·R/L..(w+1)·R/L` of the `R` rows; a share that straddles runs is
+    /// swept piece by piece, every piece one `kernel.sweep_chunked` call on
+    /// its range and that range's window of `out`. A list without rows
+    /// dispatches nothing.
+    ///
+    /// # Panics
+    /// Panics if `tadj` has another row count than the adjacency
+    /// [`SweepTeam::rebuild_splits`] last saw, if `out` is not one slot
+    /// per owned vertex, or if `runs` do not ascend without overlap inside
+    /// `0..len`.
+    pub fn sweep_runs<K: Kernel<E> + ?Sized>(
+        &mut self,
+        kernel: &K,
+        tadj: &TranslatedAdjacency,
+        combined: &[E],
+        out: &mut [E],
+        runs: &[Range<usize>],
+    ) {
+        // The runner rebuilds the team with every translation; a mismatch
+        // means a sweep of a block the caller never announced.
         assert_eq!(
             tadj.len(),
             self.built_for,
             "stale lane splits: rebuild_splits saw another row count"
         );
+        // Every lane window below is carved out of `out`, which must hold
+        // exactly the block's rows.
         assert_eq!(out.len(), tadj.len(), "output length mismatch");
-        let Some(core) = &self.core else {
-            // Single lane: sweep inline, no handshake.
-            kernel.sweep_chunked(tadj, combined, out, 0..tadj.len());
+        let mut rows = 0;
+        let mut floor = 0;
+        for run in runs {
+            // What the carve below rests on: pieces of distinct runs, and
+            // distinct pieces of one run, never share a slot of `out`.
+            assert!(
+                floor <= run.start && run.start <= run.end && run.end <= out.len(),
+                "runs must ascend without overlap inside the block"
+            );
+            floor = run.end;
+            rows += run.len();
+        }
+        if rows == 0 {
             return;
-        };
-        // `out` itself is not touched again until `run` has joined every
-        // lane: all windows derive from this one pointer. The atomic is
-        // only a `Sync` cell for it (hence `Relaxed`) — the dispatch
-        // handshake's lock orders every lane's load after this store.
+        }
+        let lanes = self.lanes;
+        // `out` itself is not touched again until every lane is done (for
+        // a team, until `run` has joined them): all windows derive from
+        // this one pointer. The atomic is only a `Sync` cell for it (hence
+        // `Relaxed`) — the dispatch handshake's lock orders every lane's
+        // load after this store.
         let base = AtomicPtr::new(out.as_mut_ptr());
-        let spans = &self.split.spans;
         let sweep_lane = |lane: usize| {
-            let span = spans[lane].clone();
-            if span.is_empty() {
-                return; // more lanes than rows
+            for piece in lane_pieces(runs, rows, lanes, lane) {
+                // SAFETY: the runs were just checked to ascend without
+                // overlap inside `out`, and `lane_pieces` cuts them into
+                // disjoint pieces of one lane each — so every window lies
+                // inside `out` and no two windows, of one lane or of two,
+                // share a slot. Each lane index runs once per dispatch,
+                // and `TeamCore::run` joins every lane before it returns,
+                // so no window outlives the borrow of `out`.
+                let window = unsafe {
+                    let first = base.load(Ordering::Relaxed).add(piece.start);
+                    std::slice::from_raw_parts_mut(first, piece.len())
+                };
+                kernel.sweep_chunked(tadj, combined, window, piece);
             }
-            // SAFETY: `rebuild` asserted that the lane ranges ascend with
-            // the lane index, never overlap and end inside the block the
-            // splits were built for, and `out` was just checked to be that
-            // long — so each lane's window lies inside `out` and no two
-            // lanes' windows share a slot. Each lane index runs once per
-            // dispatch, and `TeamCore::run` joins every lane before it
-            // returns, so no window outlives the borrow of `out`.
-            let window = unsafe {
-                let first = base.load(Ordering::Relaxed).add(span.start);
-                std::slice::from_raw_parts_mut(first, span.len())
-            };
-            kernel.sweep_chunked(tadj, combined, window, span);
         };
-        core.run(&sweep_lane, || sweep_lane(0));
+        match &self.core {
+            None => sweep_lane(0),
+            Some(core) => core.run(&sweep_lane, || sweep_lane(0)),
+        }
     }
 }
 
@@ -431,29 +475,55 @@ mod tests {
     use stance_onedim::BlockPartition;
     use stance_sim::wait::{stress_rounds, with_forced_budget, Jitter, REGIMES};
 
-    /// For every length and lane count the lane ranges tile `0..len`
-    /// exactly, ascend, differ in length by at most one, and with more
-    /// lanes than rows the surplus lanes are empty.
+    /// For every run list, length and lane count the lanes' pieces tile
+    /// the runs exactly, ascend with the lane index, and the lanes' shares
+    /// differ in length by at most one; with more lanes than rows the
+    /// surplus lanes get nothing, and the one run `0..len` is cut at
+    /// `lane·len/lanes`.
     #[test]
-    fn lane_ranges_tile_the_block_in_near_equal_ascending_pieces() {
-        for lanes in 1..=6usize {
-            let mut split = LaneSplit::new(lanes);
-            for len in (0..=40).chain([511, 512, 513, 1300, 100_003]) {
-                split.rebuild(len);
-                let what = format!("len {len}, {lanes} lanes");
-                assert_eq!(split.spans.len(), lanes, "{what}");
-                let mut at = 0;
-                for span in &split.spans {
-                    assert_eq!(span.start, at, "{what}: gap or overlap");
-                    assert!(span.start <= span.end, "{what}: descending range");
-                    at = span.end;
+    // The one-range vectors are run lists of one run, not ranges to expand.
+    #[allow(clippy::single_range_in_vec_init)]
+    fn lane_pieces_tile_the_runs_in_near_equal_ascending_shares() {
+        let lists: Vec<Vec<Range<usize>>> = vec![
+            vec![],
+            vec![3..4],
+            vec![0..512, 1024..1100, 1500..2048],
+            vec![0..7, 7..9, 20..21, 30..41],
+            vec![100..1300],
+        ];
+        let wholes = (0..=40)
+            .chain([511, 512, 513, 1300, 100_003])
+            .map(|len| vec![0..len]);
+        for runs in lists.into_iter().chain(wholes) {
+            let rows: usize = runs.iter().map(ExactSizeIterator::len).sum();
+            let tiled: Vec<usize> = runs.iter().flat_map(Clone::clone).collect();
+            for lanes in 1..=6usize {
+                let what = format!("{runs:?}, {lanes} lanes");
+                let mut got = Vec::new();
+                let mut sizes = Vec::new();
+                for lane in 0..lanes {
+                    let pieces: Vec<_> = lane_pieces(&runs, rows, lanes, lane).collect();
+                    if let [whole @ Range { start: 0, .. }] = runs.as_slice() {
+                        let share = lane * whole.end / lanes..(lane + 1) * whole.end / lanes;
+                        let expected = if share.is_empty() {
+                            vec![]
+                        } else {
+                            vec![share]
+                        };
+                        assert_eq!(pieces, expected, "{what}: lane {lane} of one run");
+                    }
+                    let before = got.len();
+                    for piece in pieces {
+                        assert!(!piece.is_empty(), "{what}: empty piece");
+                        got.extend(piece);
+                    }
+                    sizes.push(got.len() - before);
                 }
-                assert_eq!(at, len, "{what}: the ranges must cover the block");
-                let sizes = split.spans.iter().map(ExactSizeIterator::len);
-                let (lo, hi) = (sizes.clone().min().unwrap(), sizes.clone().max().unwrap());
-                assert!(hi - lo <= 1, "{what}: sizes {lo}..={hi}");
-                let empty = sizes.filter(|&n| n == 0).count();
-                assert_eq!(empty, lanes.saturating_sub(len), "{what}: empty lanes");
+                assert_eq!(got, tiled, "{what}: the pieces must tile the runs in order");
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(hi - lo <= 1, "{what}: shares {lo}..={hi}");
+                let empty = sizes.iter().filter(|&&n| n == 0).count();
+                assert_eq!(empty, lanes.saturating_sub(rows), "{what}: empty lanes");
             }
         }
     }
@@ -577,6 +647,48 @@ mod tests {
                 assert_eq!(bits(&got), bits(&single), "{what}");
             }
         }
+    }
+
+    /// A dispatch over three runs whose lane shares straddle them: with
+    /// two lanes each lane writes windows of two runs. Every row of a run
+    /// comes out bit for bit as a single lane writes it, and every row
+    /// outside the runs keeps its sentinel.
+    #[test]
+    fn lanes_write_the_windows_of_their_runs_and_nothing_else() {
+        const SENTINEL: f64 = -4.242_424_242e242;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let tadj = chain_block(1300);
+        let combined: Vec<f64> = (0..tadj.buffer_len())
+            .map(|i| (i as f64).cos() * 10.0)
+            .collect();
+        let mut single = vec![0.0; tadj.len()];
+        RelaxationKernel.sweep(&tadj, &combined, &mut single);
+        let runs = [0..300, 500..900, 1000..1300];
+        let mut expected = vec![SENTINEL; tadj.len()];
+        for run in &runs {
+            expected[run.clone()].copy_from_slice(&single[run.clone()]);
+        }
+        assert_eq!(lane_pieces(&runs, 1000, 2, 0).count(), 2);
+        assert_eq!(lane_pieces(&runs, 1000, 2, 1).count(), 2);
+        for lanes in 1..=4 {
+            let mut team = SweepTeam::new(lanes);
+            team.rebuild_splits(&tadj);
+            let mut got = vec![SENTINEL; tadj.len()];
+            team.sweep_runs(&RelaxationKernel, &tadj, &combined, &mut got, &runs);
+            assert_eq!(bits(&got), bits(&expected), "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "runs must ascend without overlap")]
+    fn overlapping_runs_panic() {
+        let tadj = chain_block(40);
+        let mut team = SweepTeam::new(2);
+        team.rebuild_splits(&tadj);
+        let combined = vec![0.0; tadj.buffer_len()];
+        let mut out = vec![0.0; tadj.len()];
+        let runs = [0..20, 10..30];
+        team.sweep_runs(&RelaxationKernel, &tadj, &combined, &mut out, &runs);
     }
 
     #[test]

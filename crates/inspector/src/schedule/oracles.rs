@@ -43,6 +43,37 @@ fn assert_rows_read_back(
             .collect();
         assert_eq!(tadj.block_slots(block), stream, "stream of block {block}");
     }
+    assert_runs_split_at_ghosts(tadj);
+}
+
+/// What the executor's early sweep relies on, by brute force: every block
+/// whose slots all lie below `local_len` is in an interior run and every
+/// other block in a boundary run; the two lists tile `0..len`, each run
+/// ascending, maximal, and cut only where a block starts.
+fn assert_runs_split_at_ghosts(tadj: &TranslatedAdjacency) {
+    let cut = |l: usize| l == tadj.len() || tadj.block_rows(tadj.block_of(l)).start == l;
+    let mut filed = vec![None; tadj.len()];
+    for (interior, runs) in [(true, tadj.interior_runs()), (false, tadj.boundary_runs())] {
+        for (k, run) in runs.iter().enumerate() {
+            assert!(run.start < run.end, "empty run {run:?}");
+            assert!(cut(run.start) && cut(run.end), "run {run:?} cuts a block");
+            if k > 0 {
+                assert!(runs[k - 1].end < run.start, "runs {runs:?} not maximal");
+            }
+            for l in run.clone() {
+                assert_eq!(filed[l].replace(interior), None, "row {l} filed twice");
+            }
+        }
+    }
+    for block in 0..tadj.num_blocks() {
+        let ghost_free = tadj
+            .block_slots(block)
+            .iter()
+            .all(|&s| s < tadj.local_len());
+        for l in tadj.block_rows(block) {
+            assert_eq!(filed[l], Some(ghost_free), "row {l} of block {block}");
+        }
+    }
 }
 
 /// What a previous translation of another size leaves behind for
@@ -63,6 +94,8 @@ fn stale_storage(tadj: &TranslatedAdjacency, larger: bool) -> TranslatedAdjacenc
     resize(&mut out.slots, larger, 7);
     resize(&mut out.order, larger, 7);
     resize(&mut out.class_rows, larger, [7; 10]);
+    resize(&mut out.interior, larger, 7..9);
+    resize(&mut out.boundary, larger, 7..9);
     out
 }
 
@@ -345,6 +378,37 @@ fn kept_interior_blocks_are_rebased_not_translated() {
         let fresh = schedule.translate_adjacency(&adj);
         let wrong = (0..tadj.num_refs()).filter(|&s| tadj.slots[s] != fresh.slots[s]);
         assert_eq!(wrong.count(), marked.len());
+    }
+}
+
+/// An RCB-ordered mesh over two ranks: most blocks read no ghost and a few
+/// do, so both run lists are non-empty and an interior run spans several
+/// blocks — fresh, and after a remap that keeps and rebases some blocks and
+/// translates the others fresh.
+#[test]
+fn runs_split_at_ghosts_fresh_and_after_a_remap() {
+    let g = ordered_mesh(100, 100, 3);
+    let (old, new) = (
+        BlockPartition::from_sizes(&[5000, 5000]),
+        BlockPartition::from_sizes(&[3000, 7000]),
+    );
+    for rank in 0..2 {
+        let mut adj = LocalAdjacency::extract(&g, &old, rank);
+        let (schedule, _) = build_schedule_symmetric(&old, &adj, rank, ScheduleStrategy::Sort2);
+        let mut tadj = schedule.translate_adjacency(&adj);
+        assert_runs_split_at_ghosts(&tadj);
+        assert!(!tadj.boundary_runs().is_empty(), "rank {rank} reads ghosts");
+        let widest = tadj
+            .interior_runs()
+            .iter()
+            .map(ExactSizeIterator::len)
+            .max();
+        assert!(widest > Some(BLOCK_ROWS), "rank {rank}: {widest:?}");
+        move_to(&g, &mut adj, new.interval_of(rank));
+        let (schedule, _) = build_schedule_symmetric(&new, &adj, rank, ScheduleStrategy::Sort2);
+        schedule.translate_adjacency_into(&adj, &mut tadj);
+        assert_eq!(tadj, translate_oracle(&schedule, &adj), "rank {rank}");
+        assert_runs_split_at_ghosts(&tadj);
     }
 }
 

@@ -80,7 +80,9 @@ pub(crate) fn slot_of(schedule: &CommSchedule, g: u32) -> u32 {
 /// reference: a block ends wherever the next global row is a multiple of
 /// `BLOCK_ROWS`, its degree index is a stable sort of its row numbers on
 /// `min(degree, 9)`, and the slots are the rows laid out one at a time in
-/// that order, each row's references in CSR order.
+/// that order, each row's references in CSR order. A block reads no ghost
+/// when every slot it stores is below `local_len`; the runs of such blocks,
+/// and of the others, are merged one block at a time.
 pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
     let local_len = schedule.interval.len() as u32;
     let start = schedule.interval.start;
@@ -94,6 +96,8 @@ pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Transl
         slots: Vec::new(),
         order: Vec::new(),
         class_rows: Vec::new(),
+        interior: Vec::new(),
+        boundary: Vec::new(),
     };
     for l in 0..adj.len() {
         out.xadj.push(out.xadj[l] + adj.degree_of(l) as u32);
@@ -116,6 +120,18 @@ pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Transl
             out.slots.extend(row.map(|&g| slot_of(schedule, g)));
         }
         out.order.extend(block);
+    }
+    for b in 0..out.num_blocks() {
+        let rows = out.block_rows(b);
+        let runs = if out.block_slots(b).iter().all(|&s| s < local_len) {
+            &mut out.interior
+        } else {
+            &mut out.boundary
+        };
+        match runs.last_mut() {
+            Some(last) if last.end == rows.start => last.end = rows.end,
+            _ => runs.push(rows),
+        }
     }
     out
 }

@@ -41,9 +41,12 @@ impl Tagged for TcpMsg {
     }
 }
 
-/// Read chunk size: one kernel `read` per pump keeps syscall count low
-/// without a large per-link resident buffer.
+/// Largest read: one kernel `read` per pump keeps syscall count low.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// A link's first read buffer. A read that fills it doubles it, up to
+/// [`READ_CHUNK`], so a link that carries small frames keeps one page.
+const FIRST_READ: usize = 4 * 1024;
 
 /// One framed, fault-tracking connection to a peer rank.
 #[derive(Debug)]
@@ -55,6 +58,15 @@ pub struct PeerLink {
     acc: Vec<u8>,
     /// Recycled scratch for outgoing frames.
     wbuf: Vec<u8>,
+    /// What one socket read lands in before it joins `acc`: allocated with
+    /// the link and zeroed only when a full read doubles it, so a read
+    /// neither zeroes nor allocates.
+    rbuf: Vec<u8>,
+    /// The read timeout last applied to the socket, or `None` when it is
+    /// unknown (a fresh link, or one whose socket was handed out by
+    /// [`PeerLink::stream_mut`]): a receive asks the kernel to change the
+    /// timeout only when it differs from this.
+    timeout: Option<Option<Duration>>,
     /// Set once the link is unusable, with the first error observed;
     /// every later operation reports `Disconnected` without touching the
     /// socket again.
@@ -70,6 +82,8 @@ impl PeerLink {
             stream,
             acc: Vec::new(),
             wbuf: Vec::new(),
+            rbuf: vec![0; FIRST_READ],
+            timeout: None,
             fault: None,
         })
     }
@@ -81,7 +95,10 @@ impl PeerLink {
 
     /// Direct access to the underlying socket, for the rendezvous steps
     /// that happen outside framing (handshake records, shutdown drains).
+    /// The caller may change the socket's read timeout, so the link
+    /// forgets the one it applied and sets it again on the next receive.
     pub fn stream_mut(&mut self) -> &mut TcpStream {
+        self.timeout = None;
         &mut self.stream
     }
 
@@ -134,12 +151,14 @@ impl PeerLink {
     /// One socket read into the accumulator: `Ok` whether bytes arrived
     /// or the read timed out (the caller re-checks its deadline).
     fn fill_once(&mut self) -> Result<(), WireError> {
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.rbuf) {
                 Ok(0) => return Err(self.break_link(WireError::Disconnected)),
                 Ok(n) => {
-                    self.acc.extend_from_slice(&chunk[..n]);
+                    self.acc.extend_from_slice(&self.rbuf[..n]);
+                    if n == self.rbuf.len() && n < READ_CHUNK {
+                        self.rbuf.resize(2 * n, 0);
+                    }
                     return Ok(());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -154,13 +173,21 @@ impl PeerLink {
         }
     }
 
+    /// Applies `timeout` to the socket's reads, unless it already is the
+    /// one applied — a blocking receive after a blocking receive costs no
+    /// system call.
     fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
+        if self.timeout == Some(timeout) {
+            return Ok(());
+        }
         // `set_read_timeout(Some(0))` is an invalid argument; a zero
         // remaining budget is expressed as an (arbitrary small) nonzero
         // timeout by the callers.
         self.stream
             .set_read_timeout(timeout)
-            .map_err(|e| self.break_link(io_to_wire(&e)))
+            .map_err(|e| self.break_link(io_to_wire(&e)))?;
+        self.timeout = Some(timeout);
+        Ok(())
     }
 
     /// Blocking receive of the next frame. `Err(Disconnected)` once the
@@ -314,6 +341,95 @@ mod tests {
             .expect("second half completes the frame");
         assert_eq!(m.tag, Tag(9));
         assert_eq!(m.payload.into_u64(), vec![7, 8, 9, 10]);
+    }
+
+    /// A deadline that expires leaves its timeout on the socket; the
+    /// blocking receive after it must clear it and block until the frame
+    /// comes, not wake every time the old deadline's timeout fires.
+    #[test]
+    fn blocking_recv_after_a_timed_out_deadline_still_blocks() {
+        let (a, b) = pair();
+        let mut tx = PeerLink::new(a).unwrap();
+        let mut rx = PeerLink::new(b).unwrap();
+        let deadline = Instant::now() + Duration::from_millis(20);
+        assert!(matches!(
+            rx.recv_deadline(deadline),
+            Err(RecvTimeoutError::TimedOut)
+        ));
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(300));
+            tx.send(Tag(4), &Payload::from_u32(vec![11])).unwrap();
+            tx
+        });
+        let m = rx.recv().expect("the blocking receive waits for the frame");
+        assert_eq!(m.payload.into_u32(), vec![11]);
+        assert_eq!(rx.timeout, Some(None), "blocking receives leave no timeout");
+        assert_eq!(rx.stream.read_timeout().unwrap(), None);
+        drop(late.join().unwrap());
+    }
+
+    /// Whatever the socket's timeout became through `stream_mut`, the next
+    /// receive applies its own again: a short timeout set behind the link's
+    /// back cannot turn a blocking receive into an early return.
+    #[test]
+    fn stream_mut_makes_the_next_recv_set_its_timeout() {
+        let (a, b) = pair();
+        let mut tx = PeerLink::new(a).unwrap();
+        let mut rx = PeerLink::new(b).unwrap();
+        tx.send(Tag(1), &Payload::from_u32(vec![1])).unwrap();
+        assert_eq!(rx.recv().unwrap().payload.into_u32(), vec![1]);
+        assert_eq!(rx.timeout, Some(None));
+        rx.stream_mut()
+            .set_read_timeout(Some(Duration::from_millis(1)))
+            .unwrap();
+        assert_eq!(rx.timeout, None, "stream_mut forgets the timeout");
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            tx.send(Tag(2), &Payload::from_u32(vec![2])).unwrap();
+            tx
+        });
+        assert_eq!(rx.recv().unwrap().payload.into_u32(), vec![2]);
+        assert_eq!(rx.stream.read_timeout().unwrap(), None);
+        drop(late.join().unwrap());
+    }
+
+    /// A frame written a few bytes at a time reaches the blocking receive
+    /// in many reads and still comes out whole — as do two frames that
+    /// share one read, and a frame many read buffers long, over which the
+    /// buffer grows to at most `READ_CHUNK`.
+    #[test]
+    fn a_frame_split_across_reads_reassembles() {
+        let (mut raw, b) = pair();
+        let mut rx = PeerLink::new(b).unwrap();
+        let mut frames = Vec::new();
+        wire::encode_frame(Tag(7), &Payload::from_u64((0..300).collect()), &mut frames);
+        wire::encode_frame(Tag(8), &Payload::from_u32(vec![5, 6]), &mut frames);
+        let mut large = Vec::new();
+        wire::encode_frame(
+            Tag(9),
+            &Payload::from_u64((0..50_000).collect()),
+            &mut large,
+        );
+        let writer = std::thread::spawn(move || {
+            for piece in frames.chunks(97) {
+                raw.write_all(piece).unwrap();
+                raw.flush().unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            raw.write_all(&large).unwrap();
+            raw
+        });
+        let m = rx.recv().unwrap();
+        assert_eq!(m.tag, Tag(7));
+        assert_eq!(m.payload.into_u64(), (0..300).collect::<Vec<u64>>());
+        let m = rx.recv().unwrap();
+        assert_eq!(m.tag, Tag(8));
+        assert_eq!(m.payload.into_u32(), vec![5, 6]);
+        let m = rx.recv().unwrap();
+        assert_eq!(m.tag, Tag(9));
+        assert_eq!(m.payload.into_u64(), (0..50_000).collect::<Vec<u64>>());
+        assert!(rx.rbuf.len() <= READ_CHUNK, "read buffer {}", rx.rbuf.len());
+        drop(writer.join().unwrap());
     }
 
     #[test]

@@ -265,6 +265,10 @@ impl<E: Field> Kernel<E> for GroupedDampedJacobi {
                 .add(t.div(nbrs.len() as f64).scale(self.omega))
         });
     }
+
+    fn sweeps_ranges(&self) -> bool {
+        true
+    }
 }
 
 /// The matching sequential reference.
