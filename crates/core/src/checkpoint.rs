@@ -394,6 +394,7 @@ fn read_snapshot(c: &mut Cursor<'_>) -> Result<MonitorSnapshot, CheckpointError>
 /// contribution is written by [`write_snapshot`] in the same collective.
 pub(crate) fn read_contribution(bytes: &[u8]) -> (MonitorSnapshot, &[u8]) {
     let mut c = Cursor { bytes, at: 0 };
+    // Invariant: every rank writes its snapshot first, in the same collective.
     let snap = read_snapshot(&mut c).expect("a checkpoint contribution opens with a snapshot");
     (snap, &bytes[c.at..])
 }

@@ -175,6 +175,7 @@ impl StanceConfig {
     /// # Panics
     /// Panics if `lanes` is zero.
     pub fn with_team(mut self, lanes: usize) -> Self {
+        // Caller error: the rank thread itself is lane 0.
         assert!(lanes >= 1, "a rank has at least one compute lane");
         self.team_threads = lanes;
         self.compute_cost = self.compute_cost.with_team(lanes);
@@ -195,11 +196,13 @@ impl StanceConfig {
     /// Panics if the timeout is not finite and positive or the backoff
     /// is below 1.0.
     pub fn with_detector(mut self, detector: DetectorConfig) -> Self {
+        // Caller error: every wait needs a finite, positive deadline.
         assert!(
             detector.timeout_secs.is_finite() && detector.timeout_secs > 0.0,
             "detector timeout must be finite and positive, got {}",
             detector.timeout_secs
         );
+        // Caller error: retries must not shrink the patience window.
         assert!(
             detector.backoff >= 1.0,
             "detector backoff must be at least 1.0, got {}",
@@ -220,6 +223,7 @@ impl StanceConfig {
     /// # Panics
     /// Panics if `interval` is zero.
     pub fn with_check_interval(mut self, interval: usize) -> Self {
+        // Caller error: the controller checks every `interval` passes.
         assert!(interval >= 1, "check interval must be at least 1");
         self.check_interval = interval;
         self

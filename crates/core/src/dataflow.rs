@@ -173,6 +173,7 @@ impl<E: Element> FieldSet<E> {
     }
 
     fn must_index(&self, name: &str) -> usize {
+        // Caller error: the name must be one the graph registered.
         self.index_of(name)
             .unwrap_or_else(|| panic!("no field named {name:?} (fields: {:?})", self.names))
     }
@@ -293,22 +294,27 @@ impl<E: Element> StageGraphBuilder<E> {
     /// Panics with the full diagnostic report if the declaration is
     /// invalid, or if no field or no stage was registered.
     pub fn build(self) -> StageGraph<E> {
+        // Caller error: field 0 is the primary every checkpoint records.
         assert!(
             !self.fields.is_empty(),
             "a stage graph needs at least one field"
         );
+        // Caller error: a graph with no stage has no pass to run.
         assert!(
             !self.stages.is_empty(),
             "a stage graph needs at least one stage"
         );
         let diags = self.validate();
+        // Caller error: the declaration must pass its own audit.
         expect_clean("stage-graph validation", &diags);
         let decls = self.decls();
+        // Invariant: the clean audit above rules out every cycle.
         let order = topological_order(&decls).expect("audit rejected cyclic graphs");
         let field_index = |name: &str| {
             self.fields
                 .iter()
                 .position(|f| f == name)
+                // Invariant: the clean audit resolved every stage's fields.
                 .expect("audit resolved every access")
         };
         let stages: Vec<Stage<E>> = self
@@ -406,6 +412,7 @@ impl<E: Element> StageGraph<E> {
             .order
             .iter()
             .position(|&i| self.stages[i].name == stage)
+            // Caller error: the name must be one the graph registered.
             .unwrap_or_else(|| panic!("no stage named {stage:?}"));
         self.plan[pos]
             .iter()
@@ -482,14 +489,17 @@ impl<E: Element> DataflowSession<E> {
         init: impl Fn(&str, usize) -> E,
         config: &StanceConfig,
     ) -> Self {
+        // Caller error: a public field can bypass `with_check_interval`.
         assert!(
             config.check_interval >= 1,
             "check interval must be at least 1"
         );
+        // Caller error: a public field can bypass `with_team`.
         assert!(
             config.team_threads >= 1,
             "a rank has at least one compute lane"
         );
+        // Caller error: one block per rank of this cluster.
         assert_eq!(
             partition.num_procs(),
             env.size(),
@@ -497,6 +507,7 @@ impl<E: Element> DataflowSession<E> {
             partition.num_procs(),
             env.size()
         );
+        // Caller error: the partition divides this mesh's vertex list.
         assert_eq!(
             partition.n(),
             mesh.num_vertices(),
@@ -689,11 +700,13 @@ impl<E: Element> DataflowSession<E> {
         new_partition: BlockPartition,
         aux: &mut [&mut Vec<E>],
     ) {
+        // Caller error: changing the rank count is a restore, not a remap.
         assert_eq!(
             new_partition.num_procs(),
             self.partition.num_procs(),
             "partition rank count changed"
         );
+        // Caller error: a remap moves the same list, never a resized one.
         assert_eq!(new_partition.n(), self.partition.n(), "list length changed");
         self.apply_remap(env, new_partition, aux);
     }
@@ -814,6 +827,10 @@ impl<E: Element> DataflowSession<E> {
     /// recorded **under its name** — the blob identifies fields by name,
     /// not position, and [`DataflowSession::restore`] validates the names
     /// against the restoring graph.
+    ///
+    /// # Panics
+    /// Panics only if a rank's contribution does not open with its
+    /// monitor snapshot, which every rank writes in this same collective.
     pub fn checkpoint<C: Comm>(&mut self, env: &mut C) -> SessionCheckpoint<E> {
         self.checkpoint_with(env, &[])
     }
@@ -830,6 +847,7 @@ impl<E: Element> DataflowSession<E> {
     ) -> SessionCheckpoint<E> {
         let owned = self.fields.arrays[0].local_len();
         for (i, a) in aux.iter().enumerate() {
+            // Caller error: an aux array holds one element per owned vertex.
             assert_eq!(
                 a.len(),
                 owned,
@@ -863,6 +881,7 @@ impl<E: Element> DataflowSession<E> {
             }
         }
         let mut globals = globals.into_iter();
+        // Invariant: `build` rejects a graph with no field, so `k ≥ 1`.
         let values = globals.next().expect("a graph has at least one field");
         let names = self.graph.fields[1..].iter().cloned();
         let aux = names
@@ -905,6 +924,7 @@ impl<E: Element> DataflowSession<E> {
         ckpt: &SessionCheckpoint<E>,
         config: &StanceConfig,
     ) -> Self {
+        // Caller error: the checkpoint holds exactly this graph's fields.
         assert_eq!(
             ckpt.aux().len(),
             graph.fields.len() - 1,
@@ -925,6 +945,7 @@ impl<E: Element> DataflowSession<E> {
         ckpt: &SessionCheckpoint<E>,
         config: &StanceConfig,
     ) -> Self {
+        // Caller error: the checkpoint was taken on this mesh.
         assert_eq!(
             mesh.num_vertices(),
             ckpt.n(),
@@ -932,6 +953,7 @@ impl<E: Element> DataflowSession<E> {
             ckpt.n(),
             mesh.num_vertices()
         );
+        // Caller error: fields are matched by name, never by position.
         assert_eq!(
             ckpt.primary_name(),
             graph.fields[0],
@@ -940,6 +962,7 @@ impl<E: Element> DataflowSession<E> {
             graph.fields[0]
         );
         for name in &graph.fields[1..] {
+            // Caller error: every registered field must have a record.
             assert!(
                 ckpt.field(name).is_some(),
                 "checkpoint is missing field {name:?}"
@@ -956,6 +979,7 @@ impl<E: Element> DataflowSession<E> {
             mesh,
             partition,
             graph,
+            // Invariant: every name was checked against `ckpt` above.
             |name, g| ckpt.field(name).expect("names validated above")[g],
             config,
         );

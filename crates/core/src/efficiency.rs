@@ -21,10 +21,12 @@
 /// # Panics
 /// Panics if any time is non-positive or the list is empty.
 pub fn static_efficiency(parallel_time: f64, sequential_times: &[f64]) -> f64 {
+    // Caller error: the ideal rate sums over at least one processor.
     assert!(
         !sequential_times.is_empty(),
         "need at least one sequential time"
     );
+    // Caller error: every time is a divisor.
     assert!(
         parallel_time > 0.0 && sequential_times.iter().all(|&t| t > 0.0),
         "times must be positive"
@@ -39,17 +41,21 @@ pub fn static_efficiency(parallel_time: f64, sequential_times: &[f64]) -> f64 {
 /// the total work).
 ///
 /// # Panics
-/// Panics if the fractions are empty or any is negative.
+/// Panics if the fractions are empty, any is negative, or they sum to
+/// zero.
 pub fn adaptive_efficiency(could_have_completed: &[f64]) -> f64 {
+    // Caller error: the sum runs over at least one processor.
     assert!(
         !could_have_completed.is_empty(),
         "need at least one fraction"
     );
+    // Caller error: a fraction of work done cannot be negative.
     assert!(
         could_have_completed.iter().all(|&f| f >= 0.0),
         "fractions must be non-negative"
     );
     let total: f64 = could_have_completed.iter().sum();
+    // Caller error: the total is the divisor.
     assert!(total > 0.0, "at least one processor must have capacity");
     1.0 / total
 }

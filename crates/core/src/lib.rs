@@ -169,6 +169,7 @@ pub fn prepare_mesh(graph: &Graph, method: OrderingMethod) -> (Graph, Ordering) 
 /// Panics if the number of blocks or any block length does not match the
 /// partition.
 pub fn reassemble<E: Element>(partition: &BlockPartition, blocks: Vec<Vec<E>>) -> Vec<E> {
+    // Caller error: one block per rank of the partition.
     assert_eq!(
         blocks.len(),
         partition.num_procs(),
@@ -177,6 +178,7 @@ pub fn reassemble<E: Element>(partition: &BlockPartition, blocks: Vec<Vec<E>>) -
     let mut out = vec![E::zero(); partition.n()];
     for (rank, block) in blocks.into_iter().enumerate() {
         let iv = partition.interval_of(rank);
+        // Caller error: each block fills exactly its rank's interval.
         assert_eq!(block.len(), iv.len(), "rank {rank} block size mismatch");
         out[iv.start..iv.end].copy_from_slice(&block);
     }

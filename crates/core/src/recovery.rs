@@ -71,6 +71,7 @@ pub enum RecoveryAction {
 pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool> {
     let p = env.size();
     let me = env.rank();
+    // Limit: the verdict travels as one `u64` bitmask.
     assert!(p <= 64, "membership probe supports at most 64 ranks");
     if p == 1 {
         return vec![true];
@@ -145,6 +146,10 @@ pub fn survivors_of(alive: &[bool]) -> Vec<usize> {
 ///   [`RecoveryAction::Shrink`] with the survivor list; the caller
 ///   restores the last replicated checkpoint onto the survivors — the
 ///   only way to recover a *crashed* rank's block.
+///
+/// # Panics
+/// Panics if a rank is dead and the policy is
+/// [`RecoveryPolicy::FailFast`], or as [`probe_membership`] does.
 pub fn probe_and_decide<C: Comm>(env: &mut C, config: &StanceConfig) -> RecoveryAction {
     let alive = probe_membership(env, &config.detector);
     if alive.iter().all(|&a| a) {
@@ -152,6 +157,7 @@ pub fn probe_and_decide<C: Comm>(env: &mut C, config: &StanceConfig) -> Recovery
     }
     let dead: Vec<usize> = (0..alive.len()).filter(|&q| !alive[q]).collect();
     match config.recovery {
+        // Policy: fail-fast treats a lost rank as an error, by design.
         RecoveryPolicy::FailFast => panic!(
             "rank(s) {dead:?} failed (collective verdict) and the recovery policy is fail-fast"
         ),

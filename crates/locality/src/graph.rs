@@ -12,7 +12,8 @@ use crate::bisect::{host_threads, FORK_MIN};
 /// An undirected computational graph in CSR form with coordinates.
 ///
 /// Invariants (checked at construction):
-/// * adjacency is symmetric: `v ∈ adj(u) ⇔ u ∈ adj(v)`;
+/// * adjacency is symmetric: `v ∈ adj(u) ⇔ u ∈ adj(v)` (by construction:
+///   every constructor writes both directions of an edge);
 /// * no self-loops, no duplicate edges;
 /// * neighbor lists are sorted ascending;
 /// * one coordinate per vertex.
@@ -70,6 +71,51 @@ impl Graph {
             row.sort_unstable();
             for w in row.windows(2) {
                 assert_ne!(w[0], w[1], "duplicate edge at vertex {v}");
+            }
+        }
+        Graph {
+            xadj,
+            adjncy,
+            coords,
+            dim,
+        }
+    }
+
+    /// Adopts CSR arrays built elsewhere (a generator that writes its rows
+    /// directly), making the checks [`Graph::from_edges`] makes in one pass
+    /// and without allocating: every id in range, no self-loop, every row
+    /// strictly ascending (which excludes duplicates). Symmetry is the
+    /// caller's to guarantee.
+    ///
+    /// # Panics
+    /// Panics if any of those checks fails, if `xadj` does not run from 0
+    /// to `adjncy.len()` without decreasing, if `coords.len()` is not the
+    /// vertex count, or if `dim` is not 2 or 3.
+    pub(crate) fn from_csr(
+        xadj: Vec<usize>,
+        adjncy: Vec<u32>,
+        coords: Vec<[f64; 3]>,
+        dim: usize,
+    ) -> Self {
+        assert!(dim == 2 || dim == 3, "dim must be 2 or 3, got {dim}");
+        let n = xadj.len() - 1;
+        assert_eq!(coords.len(), n, "need one coordinate per vertex");
+        assert_eq!(xadj[0], 0, "row pointers must start at 0");
+        assert_eq!(
+            xadj[n],
+            adjncy.len(),
+            "row pointers must end at the column count"
+        );
+        for (v, bounds) in xadj.windows(2).enumerate() {
+            // Slicing also rejects a decreasing row pointer.
+            let row = &adjncy[bounds[0]..bounds[1]];
+            for (i, &w) in row.iter().enumerate() {
+                assert!((w as usize) < n, "edge ({v}, {w}) out of range for n = {n}");
+                assert_ne!(w as usize, v, "self-loop at vertex {v}");
+                assert!(
+                    i == 0 || row[i - 1] < w,
+                    "row {v} is not strictly ascending (duplicate edge or unsorted)"
+                );
             }
         }
         Graph {
@@ -394,6 +440,30 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range() {
         let _ = Graph::from_edges(2, &[(0, 2)], vec![[0.0; 3]; 2], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_csr_rejects_out_of_range() {
+        let _ = Graph::from_csr(vec![0, 1, 2], vec![1, 2], vec![[0.0; 3]; 2], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop")]
+    fn from_csr_rejects_self_loop() {
+        let _ = Graph::from_csr(vec![0, 1, 2], vec![1, 1], vec![[0.0; 3]; 2], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn from_csr_rejects_duplicate_edges() {
+        let _ = Graph::from_csr(vec![0, 2, 4], vec![1, 1, 0, 0], vec![[0.0; 3]; 2], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn from_csr_rejects_unsorted_rows() {
+        let _ = Graph::from_csr(vec![0, 2, 3, 4], vec![2, 1, 0, 0], vec![[0.0; 3]; 3], 2);
     }
 
     #[test]

@@ -34,37 +34,54 @@ pub fn triangulated_grid(nx: usize, ny: usize, jitter: f64, seed: u64) -> Graph 
         jitter.is_finite() && jitter >= 0.0,
         "jitter must be finite and non-negative"
     );
-    let n = nx * ny;
+    grid_prefix(nx, ny, jitter, seed, nx * ny)
+}
+
+/// The first `n` vertices of [`triangulated_grid`]`(nx, ny, jitter, seed)`
+/// and the edges among them — the grid's induced subgraph on `0..n`,
+/// written as sorted CSR rows straight from the cell pattern. Cell
+/// `(x, y)` carries the diagonal `(x, y)–(x+1, y+1)` when `x + y` is even
+/// and `(x+1, y)–(x, y+1)` otherwise, so a vertex with `x + y` even meets
+/// all eight neighbours around it and any other vertex its four axis
+/// neighbours. The rows push those in id order and drop ids `≥ n`.
+pub(crate) fn grid_prefix(nx: usize, ny: usize, jitter: f64, seed: u64, n: usize) -> Graph {
+    assert!(n <= nx * ny, "a {nx}×{ny} grid has no {n}-vertex prefix");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut coords = Vec::with_capacity(n);
-    for y in 0..ny {
-        for x in 0..nx {
+    let coords: Vec<[f64; 3]> = (0..n)
+        .map(|v| {
             let dx = (rng.random::<f64>() - 0.5) * jitter;
             let dy = (rng.random::<f64>() - 0.5) * jitter;
-            coords.push([x as f64 + dx, y as f64 + dy, 0.0]);
+            [(v % nx) as f64 + dx, (v / nx) as f64 + dy, 0.0]
+        })
+        .collect();
+    // Twice the whole grid's edge count: every prefix fits.
+    let full = (nx - 1) * ny + nx * (ny - 1) + (nx - 1) * (ny - 1);
+    let mut adjncy = Vec::with_capacity(2 * full);
+    let mut xadj = Vec::with_capacity(n + 1);
+    xadj.push(0);
+    for v in 0..n {
+        let (x, y) = (v % nx, v / nx);
+        let (left, right) = (x > 0, x + 1 < nx);
+        let (below, above) = (y > 0, y + 1 < ny);
+        let diagonals = (x + y) % 2 == 0;
+        let candidates = [
+            (below && left && diagonals, v.wrapping_sub(nx + 1)),
+            (below, v.wrapping_sub(nx)),
+            (below && right && diagonals, v.wrapping_sub(nx - 1)),
+            (left, v.wrapping_sub(1)),
+            (right, v + 1),
+            (above && left && diagonals, v + nx - 1),
+            (above, v + nx),
+            (above && right && diagonals, v + nx + 1),
+        ];
+        for (present, w) in candidates {
+            if present && w < n {
+                adjncy.push(w as u32);
+            }
         }
+        xadj.push(adjncy.len());
     }
-    let mut edges = Vec::new();
-    let idx = |x: usize, y: usize| (y * nx + x) as u32;
-    for y in 0..ny {
-        for x in 0..nx {
-            if x + 1 < nx {
-                edges.push((idx(x, y), idx(x + 1, y)));
-            }
-            if y + 1 < ny {
-                edges.push((idx(x, y), idx(x, y + 1)));
-            }
-            if x + 1 < nx && y + 1 < ny {
-                // Alternate diagonal direction per cell for irregularity.
-                if (x + y) % 2 == 0 {
-                    edges.push((idx(x, y), idx(x + 1, y + 1)));
-                } else {
-                    edges.push((idx(x + 1, y), idx(x, y + 1)));
-                }
-            }
-        }
-    }
-    Graph::from_edges(n, &edges, coords, 2)
+    Graph::from_csr(xadj, adjncy, coords, 2)
 }
 
 /// Removes random non-tree edges until exactly `target_edges` remain,
@@ -113,12 +130,9 @@ pub fn shuffle_labels(graph: &Graph, seed: u64) -> Graph {
 /// (average degree ≈ 2.97, matching the paper's mesh), with vertex labels
 /// shuffled as in a real mesh file.
 pub fn paper_mesh(seed: u64) -> Graph {
-    // 174 × 174 = 30 276 vertices; drop the trailing 7 (end of the last
-    // row — removal keeps the grid connected).
-    let full = triangulated_grid(174, 174, 0.6, seed);
-    let keep = PAPER_MESH_VERTICES;
-    let kept_ids: Vec<u32> = (0..keep as u32).collect();
-    let (trimmed, _) = full.induced_subgraph(&kept_ids);
+    // 174 × 174 = 30 276 vertices less the trailing 7 (end of the last
+    // row — removal keeps the grid connected), written without them.
+    let trimmed = grid_prefix(174, 174, 0.6, seed, PAPER_MESH_VERTICES);
     debug_assert!(trimmed.is_connected());
     let g = thin_to_edges(&trimmed, PAPER_MESH_EDGES, seed ^ 0x5EED_CAFE);
     debug_assert_eq!(g.num_vertices(), PAPER_MESH_VERTICES);

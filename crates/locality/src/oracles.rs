@@ -1,16 +1,16 @@
 //! Test-only references for Phase A's fast paths: the implementations that
-//! [`crate::bisect`] and the in-place [`Graph::relabel`] replaced, kept
-//! verbatim as oracles, plus the property and golden tests that hold the
-//! replacements to them bit for bit.
+//! [`crate::bisect`], the in-place [`Graph::relabel`] and the CSR-writing
+//! grid generator replaced, kept verbatim as oracles, plus the property and
+//! golden tests that hold the replacements to them bit for bit.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 use crate::graph::Graph;
-use crate::meshgen;
+use crate::meshgen::{self, grid_prefix};
 use crate::ordering::Ordering;
 use crate::rcb::{rcb_on_threads, rcb_ordering};
 use crate::rib::{inertial_on_threads, inertial_ordering};
@@ -161,11 +161,49 @@ fn relabel_oracle(graph: &Graph, new_of_old: &[u32]) -> Graph {
     Graph::from_edges(n, &edges, coords, graph.dim())
 }
 
+/// `meshgen::triangulated_grid` as it was: an edge list through
+/// `from_edges`.
+fn triangulated_grid_oracle(nx: usize, ny: usize, jitter: f64, seed: u64) -> Graph {
+    let n = nx * ny;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coords = Vec::with_capacity(n);
+    for y in 0..ny {
+        for x in 0..nx {
+            let dx = (rng.random::<f64>() - 0.5) * jitter;
+            let dy = (rng.random::<f64>() - 0.5) * jitter;
+            coords.push([x as f64 + dx, y as f64 + dy, 0.0]);
+        }
+    }
+    let mut edges = Vec::new();
+    let idx = |x: usize, y: usize| (y * nx + x) as u32;
+    for y in 0..ny {
+        for x in 0..nx {
+            if x + 1 < nx {
+                edges.push((idx(x, y), idx(x + 1, y)));
+            }
+            if y + 1 < ny {
+                edges.push((idx(x, y), idx(x, y + 1)));
+            }
+            if x + 1 < nx && y + 1 < ny {
+                // Alternate diagonal direction per cell for irregularity.
+                if (x + y) % 2 == 0 {
+                    edges.push((idx(x, y), idx(x + 1, y + 1)));
+                } else {
+                    edges.push((idx(x + 1, y), idx(x, y + 1)));
+                }
+            }
+        }
+    }
+    Graph::from_edges(n, &edges, coords, 2)
+}
+
 /// Random 2-D and 3-D graphs built to hit the comparator's corners: clouds
 /// on a five-value lattice holding both zeros (exact ties on every axis,
 /// coincident points), clouds where every other point repeats an earlier
 /// one, plain uniform clouds, and the sizes where the recursion bottoms out
-/// at once. Edges are a random sparse set, for the relabel property.
+/// at once. Half the 2-D clouds carry a z coordinate as well, which a 2-D
+/// ordering must ignore (RCB loads no z key for them). Edges are a random
+/// sparse set, for the relabel property.
 struct Clouds;
 
 impl Strategy for Clouds {
@@ -179,6 +217,11 @@ impl Strategy for Clouds {
         };
         let dim = 2 + rng.below(2) as usize;
         let style = rng.below(3);
+        let drawn = if dim == 2 && rng.below(2) == 0 {
+            3
+        } else {
+            dim
+        };
         let mut coords: Vec<[f64; 3]> = Vec::with_capacity(n);
         for v in 0..n {
             if style == 1 && v % 2 == 1 {
@@ -186,7 +229,7 @@ impl Strategy for Clouds {
                 continue;
             }
             let mut c = [0.0; 3];
-            for x in &mut c[..dim] {
+            for x in &mut c[..drawn] {
                 *x = match style {
                     0 => LATTICE[rng.below(5) as usize],
                     _ => rng.unit_f64() * 2.0 - 1.0,
@@ -239,6 +282,35 @@ proptest! {
         let expected = relabel_oracle(&graph, &perm);
         assert_same_graph(&graph.relabel(&perm), &expected);
         assert_same_graph(&graph.relabel_on_threads(&perm, threads), &expected);
+    }
+}
+
+/// The CSR writer against the edge-list generator it replaced: every grid
+/// up to 6 × 6 with and without jitter on two seeds, plus the paper's
+/// 174 × 174; and each prefix the writer can stop at against the oracle's
+/// induced subgraph on the same vertices.
+#[test]
+fn grid_writer_equals_its_oracle() {
+    let mut cases = vec![(174, 174, 0.6, 7)];
+    for nx in 1..=6 {
+        for ny in 1..=6 {
+            for jitter in [0.0, 0.3] {
+                for seed in [3, 11] {
+                    cases.push((nx, ny, jitter, seed));
+                }
+            }
+        }
+    }
+    for (nx, ny, jitter, seed) in cases {
+        let oracle = triangulated_grid_oracle(nx, ny, jitter, seed);
+        assert_same_graph(&meshgen::triangulated_grid(nx, ny, jitter, seed), &oracle);
+        let all = nx * ny;
+        let prefixes = [1, nx - 1, nx, nx + 1, all.saturating_sub(7), all];
+        for n in prefixes.into_iter().filter(|&n| n <= all) {
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let (expected, _) = oracle.induced_subgraph(&ids);
+            assert_same_graph(&grid_prefix(nx, ny, jitter, seed, n), &expected);
+        }
     }
 }
 

@@ -24,26 +24,33 @@ pub fn rcb_ordering(graph: &Graph) -> Ordering {
 }
 
 /// [`rcb_ordering`] on at most `threads` threads; the same ordering for any.
+/// A 2-D mesh travels on its two coordinates alone (24-byte records, not
+/// 32): RCB never splits a 2-D mesh on z.
 pub(crate) fn rcb_on_threads(graph: &Graph, threads: usize) -> Ordering {
-    let dim = graph.dim();
-    bisection_ordering(graph, threads, |points: &mut [Point<3>]| {
-        widest_axis(points, dim)
-    })
+    if graph.dim() == 2 {
+        bisection_ordering(graph, threads, |points: &mut [Point<2>]| {
+            widest_axis(points)
+        })
+    } else {
+        bisection_ordering(graph, threads, |points: &mut [Point<3>]| {
+            widest_axis(points)
+        })
+    }
 }
 
-/// The axis with the largest coordinate extent over `points`.
-fn widest_axis(points: &[Point<3>], dim: usize) -> usize {
-    let mut lo = [u64::MAX; 3];
-    let mut hi = [u64::MIN; 3];
+/// The key slot with the largest coordinate extent over `points`.
+fn widest_axis<const K: usize>(points: &[Point<K>]) -> usize {
+    let mut lo = [u64::MAX; K];
+    let mut hi = [u64::MIN; K];
     for p in points {
-        for d in 0..dim {
+        for d in 0..K {
             lo[d] = lo[d].min(p.key[d]);
             hi[d] = hi[d].max(p.key[d]);
         }
     }
     let extent = |d: usize| value_of(hi[d]) - value_of(lo[d]);
     let mut best = 0;
-    for d in 1..dim {
+    for d in 1..K {
         if extent(d) > extent(best) {
             best = d;
         }
