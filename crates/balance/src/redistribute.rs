@@ -18,20 +18,21 @@
 //! * the [`RedistributionPlan`] (recomputed in place, computed **once** per
 //!   remap and shared by the value move and the adjacency move);
 //! * pooled byte buffers for value-message staging and pooled `u32`
-//!   buffers for adjacency-message staging (received payloads are recycled
-//!   back into the pools, so buffers circulate through the cluster);
+//!   buffers for row-message staging (received payloads are recycled back
+//!   into the pools, so buffers circulate through the cluster);
 //! * the destination value blocks, one per moved array: the caller swaps
 //!   each into place afterwards (the session hands them to its fields'
 //!   buffers), so every array's values are copied once per remap and the
 //!   retired storage becomes the next remap's destination;
-//! * a [`ScheduleScratch`] for the inspector rebuild that follows.
+//! * the [`MovedRows`] the rows move into, and a [`ScheduleScratch`], for
+//!   the inspector rebuild that follows.
 //!
-//! The adjacency is not assembled anew at all. Kept rows are **not
-//! copied**: [`RemapScratch::redistribute_adjacency`] hands the received
-//! packets to [`LocalAdjacency::rehome`], which drops the rows sent away by
-//! moving the ends of the rank's CSR and writes the received ones into the
-//! slack before and after the kept rows — a remap's adjacency move costs
-//! what moved, not what the rank owns.
+//! A rank keeps its rows only in its translation, so the adjacency is not
+//! assembled anew at all: [`RemapScratch::redistribute_adjacency`] decodes
+//! the rows it sends away straight out of the translation, and hands the
+//! received packets to [`MovedRows`], which stages them and leaves every
+//! block kept whole where it lies — a remap's adjacency move costs what
+//! moved plus the boundary blocks, not what the rank owns.
 //!
 //! The destination blocks are **not pre-zeroed**: the kept intersection
 //! plus the plan's receive ranges provably tile the new interval (the plan
@@ -42,7 +43,9 @@
 //! the allocating path, so simulated results and clocks are bitwise
 //! unchanged.
 
-use stance_inspector::{LocalAdjacency, ScheduleScratch};
+use stance_inspector::{
+    CommSchedule, LocalAdjacency, MovedRows, ScheduleScratch, TranslatedAdjacency,
+};
 use stance_onedim::{BlockPartition, Interval, RedistributionPlan};
 use stance_sim::{Comm, Element, Payload, Tag};
 
@@ -65,12 +68,15 @@ pub struct RemapScratch<E: Element> {
     blocks: Vec<Vec<E>>,
     /// How many of `blocks` the last redistribution filled.
     moved: usize,
-    /// `u32` staging for adjacency messages.
+    /// `u32` staging for row messages.
     words_pool: Vec<Vec<u32>>,
-    /// Received adjacency packets, held until the adjacency takes them.
+    /// Received row packets, held until the rows take them.
     packets: Vec<Vec<u32>>,
     /// Received runs: `(global range start, row count, packet index)`.
     segs: Vec<(usize, usize, usize)>,
+    /// The rows after the last [`RemapScratch::redistribute_adjacency`],
+    /// for the inspector's rebuild.
+    pub rows: MovedRows,
     /// Scratch for the inspector's schedule rebuild.
     pub schedule: ScheduleScratch,
 }
@@ -87,6 +93,7 @@ impl<E: Element> RemapScratch<E> {
             words_pool: Vec::new(),
             packets: Vec::new(),
             segs: Vec::new(),
+            rows: MovedRows::new(),
             schedule: ScheduleScratch::new(),
         }
     }
@@ -221,60 +228,46 @@ impl<E: Element> RemapScratch<E> {
     }
 
     /// Moves the distributed mesh rows (each vertex's global neighbor
-    /// list) to their new owners and re-homes `adj` onto this rank's new
-    /// interval **in place** ([`LocalAdjacency::rehome`]): the kept rows
-    /// stay where they are and only the received ones are written. Staging
-    /// words come from a recycled pool, so a warm move allocates nothing
-    /// unless the adjacency's slack is short.
+    /// list) to their new owners, out of `tadj` — this rank's translation,
+    /// which `schedule` made — and into [`RemapScratch::rows`], which the
+    /// schedule rebuild and the re-translation read: rows sent away are
+    /// decoded on their way out, received ones staged, and the blocks
+    /// kept whole are left in the translation ([`MovedRows`]). Staging
+    /// words come from a recycled pool, so a warm move allocates nothing.
     ///
     /// Wire format per moved range: `[deg(v) for v in range] ++ [refs…]`
     /// as one `u32` payload, receives in the plan's deterministic
-    /// `(src, range)` order — identical messages and ordering to the
-    /// allocating path, so virtual time is unchanged.
+    /// `(src, range)` order — the messages and order of
+    /// [`redistribute_adjacency`], so virtual time is unchanged.
     ///
     /// # Panics
-    /// Panics if `adj` does not cover the rank's old interval.
+    /// Panics if `schedule` does not cover the rank's old interval, or
+    /// `tadj` is not its translation.
     pub fn redistribute_adjacency<C: Comm>(
         &mut self,
         env: &mut C,
         old: &BlockPartition,
         new: &BlockPartition,
         plan: &RedistributionPlan,
-        adj: &mut LocalAdjacency,
+        schedule: &CommSchedule,
+        tadj: &TranslatedAdjacency,
     ) {
         let rank = env.rank();
         let old_iv = old.interval_of(rank);
         assert_eq!(
-            adj.interval(),
+            schedule.interval(),
             old_iv,
-            "adjacency does not match old interval"
+            "schedule does not match old interval"
         );
-
-        for m in plan.sends_of(rank) {
-            let lo = m.range.start - old_iv.start;
-            let hi = m.range.end - old_iv.start;
-            // Rows are CSR-adjacent: the range's degrees are one pass over
-            // its row pointers and its refs are one slice.
-            let (rows, _) = adj.csr_window(lo..hi);
-            let refs = adj.refs_in(lo, hi);
-            let mut words = pool_take(&mut self.words_pool, m.range.len() + refs.len());
-            words.extend(rows.windows(2).map(|w| (w[1] - w[0]) as u32));
-            words.extend_from_slice(refs);
-            env.send(m.dst, TAG_ADJ, Payload::from_u32(words));
-        }
-
-        // Receive packets in the plan's deterministic (src, range) order;
-        // the adjacency takes them in ascending-interval order.
-        self.segs.clear();
-        self.packets.clear();
-        for m in plan.recvs_of(rank) {
-            self.segs
-                .push((m.range.start, m.range.len(), self.packets.len()));
-            self.packets.push(env.recv(m.src, TAG_ADJ).into_u32());
-        }
-        self.segs.sort_unstable();
+        let rows = &mut self.rows;
+        rows.start(schedule, tadj);
+        send_rows(env, plan, old_iv, &mut self.words_pool, |range, words| {
+            rows.pack(tadj, range, words);
+        });
+        recv_rows(env, plan, &mut self.segs, &mut self.packets);
         let packets = &self.packets;
-        adj.rehome(
+        rows.finish(
+            tadj,
             new.interval_of(rank),
             self.segs.iter().map(|&(start, count, packet)| {
                 let (degrees, refs) = packets[packet].split_at(count);
@@ -285,6 +278,43 @@ impl<E: Element> RemapScratch<E> {
             pool_put(&mut self.words_pool, packet);
         }
     }
+}
+
+/// Sends every range of rows `plan` moves away from this rank — whose old
+/// interval is `old_iv` — as one `u32` message: `pack(local rows, words)`
+/// fills a pooled, empty buffer with the range's degrees, then its
+/// references.
+fn send_rows<C: Comm>(
+    env: &mut C,
+    plan: &RedistributionPlan,
+    old_iv: Interval,
+    pool: &mut Vec<Vec<u32>>,
+    mut pack: impl FnMut(std::ops::Range<usize>, &mut Vec<u32>),
+) {
+    for m in plan.sends_of(env.rank()) {
+        let rows = m.range.start - old_iv.start..m.range.end - old_iv.start;
+        let mut words = pool_take(pool, 0);
+        pack(rows, &mut words);
+        env.send(m.dst, TAG_ADJ, Payload::from_u32(words));
+    }
+}
+
+/// Receives every range of rows `plan` moves to this rank, in its
+/// deterministic `(src, range)` order, into `packets`, and lists them in
+/// ascending-interval order in `segs` as `(range start, rows, packet)`.
+fn recv_rows<C: Comm>(
+    env: &mut C,
+    plan: &RedistributionPlan,
+    segs: &mut Vec<(usize, usize, usize)>,
+    packets: &mut Vec<Vec<u32>>,
+) {
+    segs.clear();
+    packets.clear();
+    for m in plan.recvs_of(env.rank()) {
+        segs.push((m.range.start, m.range.len(), packets.len()));
+        packets.push(env.recv(m.src, TAG_ADJ).into_u32());
+    }
+    segs.sort_unstable();
 }
 
 /// Pops a cleared buffer with at least `capacity` reserved from `pool`,
@@ -411,27 +441,82 @@ pub fn redistribute_values_coalesced<E: Element, C: Comm>(
 /// the new owners, returning this rank's new [`LocalAdjacency`].
 ///
 /// Wire format per moved range: `[deg(v) for v in range] ++ [refs…]` as one
-/// `u32` payload (the receiver knows the range length from the plan).
-/// Convenience wrapper over [`RemapScratch::redistribute_adjacency`] with
-/// a transient scratch, moving a copy of `adj`.
+/// `u32` payload (the receiver knows the range length from the plan) — the
+/// messages [`RemapScratch::redistribute_adjacency`] sends.
+///
+/// # Panics
+/// Panics if `adj` does not cover the rank's old interval.
 pub fn redistribute_adjacency<C: Comm>(
     env: &mut C,
     old: &BlockPartition,
     new: &BlockPartition,
     adj: &LocalAdjacency,
 ) -> LocalAdjacency {
-    let mut scratch: RemapScratch<f64> = RemapScratch::new();
-    let plan = scratch.take_plan(old, new);
-    let mut moved = adj.clone();
-    scratch.redistribute_adjacency(env, old, new, &plan, &mut moved);
-    moved
+    let rank = env.rank();
+    let (old_iv, new_iv) = (old.interval_of(rank), new.interval_of(rank));
+    assert_eq!(
+        adj.interval(),
+        old_iv,
+        "adjacency does not match old interval"
+    );
+    let plan = RedistributionPlan::between(old, new);
+    send_rows(env, &plan, old_iv, &mut Vec::new(), |rows, words| {
+        words.reserve(rows.len() + adj.refs_in(rows.start, rows.end).len());
+        words.extend(rows.clone().map(|l| adj.degree_of(l) as u32));
+        words.extend_from_slice(adj.refs_in(rows.start, rows.end));
+    });
+    let (mut segs, mut packets) = (Vec::new(), Vec::new());
+    recv_rows(env, &plan, &mut segs, &mut packets);
+    let received: usize = segs
+        .iter()
+        .map(|&(_, rows, p)| packets[p].len() - rows)
+        .sum();
+    // The kept rows between the received runs, in interval order.
+    let kept = old_iv.intersect(&new_iv);
+    let mut kept_refs = 0;
+    if !kept.is_empty() {
+        segs.push((kept.start, kept.len(), usize::MAX));
+        segs.sort_unstable();
+        kept_refs = adj
+            .refs_in(kept.start - old_iv.start, kept.end - old_iv.start)
+            .len();
+    }
+    let mut xadj = Vec::with_capacity(new_iv.len() + 1);
+    xadj.push(0);
+    let mut refs = Vec::with_capacity(received + kept_refs);
+    let mut next = new_iv.start;
+    for (start, count, packet) in segs {
+        assert_eq!(start, next, "segments must tile the interval");
+        next += count;
+        let mut at = refs.len();
+        if packet == usize::MAX {
+            let rows = start - old_iv.start..next - old_iv.start;
+            xadj.extend(rows.clone().map(|l| {
+                at += adj.degree_of(l);
+                at
+            }));
+            refs.extend_from_slice(adj.refs_in(rows.start, rows.end));
+        } else {
+            let (degrees, packed) = packets[packet].split_at(count);
+            xadj.extend(degrees.iter().map(|&d| {
+                at += d as usize;
+                at
+            }));
+            refs.extend_from_slice(packed);
+        }
+        assert_eq!(at, refs.len(), "adjacency packet fully consumed");
+    }
+    assert_eq!(next, new_iv.end, "segments must cover the interval");
+    LocalAdjacency::from_parts(new_iv, xadj, refs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use stance_inspector::schedule::reference::{symmetric_oracle, translate_oracle};
+    use stance_inspector::schedule::reference::{
+        assert_decodes_to, symmetric_oracle, translate_oracle,
+    };
     use stance_inspector::{
         build_schedule_symmetric, build_schedule_symmetric_with, ScheduleStrategy,
     };
@@ -615,36 +700,43 @@ mod tests {
     }
 
     /// One rank's share of a chain of remaps through one recycled scratch,
-    /// rebuilt after every move the way a session rebuilds: the moved
-    /// adjacency equals a fresh extraction; the schedule built from the
-    /// recycled scratch equals the per-reference oracle, counted work
-    /// included, under both sort strategies; and the translation recycled
-    /// from the step before equals the oracle and a fresh translation.
+    /// rebuilt after every move the way a session rebuilds — rows moved
+    /// out of the translation, the schedule built from them, the
+    /// translation rewritten in place: the schedule equals the
+    /// per-reference oracle on a fresh extraction, counted work included,
+    /// under both sort strategies; the translation equals the oracle and a
+    /// fresh translation, decodes back to the extraction and carries every
+    /// block's bounds.
     fn move_adjacency_along<C: Comm>(env: &mut C, g: &Graph, parts: &[BlockPartition]) {
         let rank = env.rank();
         let mut scratch: RemapScratch<f64> = RemapScratch::new();
-        let mut adj = LocalAdjacency::extract(g, &parts[0], rank);
+        let adj = LocalAdjacency::extract(g, &parts[0], rank);
         let sort2 = ScheduleStrategy::Sort2;
-        let (schedule, _) = build_schedule_symmetric(&parts[0], &adj, rank, sort2);
+        let (mut schedule, _) = build_schedule_symmetric(&parts[0], &adj, rank, sort2);
         let mut tadj = schedule.translate_adjacency(&adj);
         for w in parts.windows(2) {
             let (old, new) = (&w[0], &w[1]);
             let plan = scratch.take_plan(old, new);
-            scratch.redistribute_adjacency(env, old, new, &plan, &mut adj);
+            scratch.redistribute_adjacency(env, old, new, &plan, &schedule, &tadj);
             scratch.put_plan(plan);
             let what = format!("rank {rank}: {:?} → {:?}", old.sizes(), new.sizes());
-            assert_eq!(adj, LocalAdjacency::extract(g, new, rank), "{what}");
+            let adj = LocalAdjacency::extract(g, new, rank);
             for strategy in [ScheduleStrategy::Sort1, sort2] {
+                let rows = &scratch.rows;
                 let built =
-                    build_schedule_symmetric_with(new, &adj, rank, strategy, &mut scratch.schedule);
+                    build_schedule_symmetric_with(new, rows, rank, strategy, &mut scratch.schedule);
                 assert_eq!(built, symmetric_oracle(new, &adj, rank, strategy), "{what}");
-                let schedule = built.0;
+                let built = built.0;
                 if strategy == sort2 {
-                    schedule.translate_adjacency_into(&adj, &mut tadj);
-                    assert_eq!(tadj, translate_oracle(&schedule, &adj), "{what}");
-                    assert_eq!(tadj, schedule.translate_adjacency(&adj), "{what}");
+                    built.translate_adjacency_into(rows, &mut tadj);
+                    assert_eq!(tadj, translate_oracle(&built, &adj), "{what}");
+                    assert_eq!(tadj, built.translate_adjacency(&adj), "{what}");
+                    assert_decodes_to(&built, &tadj, &adj);
+                    let retired = std::mem::replace(&mut schedule, built);
+                    scratch.schedule.recycle(retired);
+                } else {
+                    scratch.schedule.recycle(built);
                 }
-                scratch.schedule.recycle(schedule);
             }
         }
     }

@@ -78,7 +78,7 @@
 use stance_balance::{load_balance_step, Decision, LoadMonitor, RemapScratch};
 use stance_executor::{GhostedArray, Kernel, LoopRunner, LoopStats};
 use stance_inspector::{
-    build_schedule_simple, build_schedule_symmetric_with, CommSchedule, LocalAdjacency,
+    build_schedule_simple, build_schedule_symmetric_with, CommSchedule, MeshRows, Rows,
     ScheduleScratch, ScheduleStrategy,
 };
 use stance_locality::Graph;
@@ -430,13 +430,13 @@ impl<E: Element> StageGraph<E> {
 /// methods are collectives (the SPMD contract of §2).
 pub struct DataflowSession<E: Element = f64> {
     partition: BlockPartition,
-    adj: LocalAdjacency,
     graph: StageGraph<E>,
     /// The stage step and everything sized from the schedule (translated
     /// adjacency, transport and sweep scratch, lane splits) — shared by
     /// all stages and fields (they live on one mesh, so one inspector
     /// pass serves all) and rebuilt only on remap, so blocks of passes
-    /// between load-balance checks are allocation-free.
+    /// between load-balance checks are allocation-free. Its translation
+    /// is the one copy of the rank's mesh rows the session keeps.
     runner: LoopRunner<E>,
     fields: FieldSet<E>,
     /// Recycled dirty-filtered fusion group (field indices).
@@ -515,21 +515,22 @@ impl<E: Element> DataflowSession<E> {
             partition.n(),
             mesh.num_vertices()
         );
-        let adj = LocalAdjacency::extract(mesh, &partition, env.rank());
+        // The rank's rows are read in place from the mesh: the schedule
+        // and the translation are built from its CSR window, and the
+        // translation is all the session keeps of them.
+        let rows = MeshRows::new(mesh, &partition, env.rank());
         let mut scratch = RemapScratch::new();
         let mut verify = config
             .verify
             .then(|| Box::new(RankTrace::new(env.rank(), env.size())));
         let schedule = {
             let mut env = Interposed::new(env, verify.as_deref_mut().map(TraceHook::new));
-            build_schedule(&mut env, &partition, &adj, config, &mut scratch.schedule)
+            build_schedule(&mut env, &partition, &rows, config, &mut scratch.schedule)
         };
         let runner =
-            LoopRunner::new(schedule, &adj, config.compute_cost).with_team(config.team_threads);
+            LoopRunner::new(schedule, &rows, config.compute_cost).with_team(config.team_threads);
         if verify.is_some() {
-            let diags =
-                audit_collective(env, partition.n(), runner.schedule(), &adj, runner.tadj());
-            expect_clean("post-setup schedule audit", &diags);
+            audit(env, partition.n(), &runner, "post-setup schedule audit");
         }
         let iv = partition.interval_of(env.rank());
         let arrays: Vec<GhostedArray<E>> = graph
@@ -545,7 +546,6 @@ impl<E: Element> DataflowSession<E> {
         };
         DataflowSession {
             partition,
-            adj,
             graph,
             runner,
             fields,
@@ -720,10 +720,12 @@ impl<E: Element> DataflowSession<E> {
     /// caller's `aux` arrays (if any), moves straight out of its own
     /// storage into a recycled block, all of it riding **one** coalesced
     /// message per destination (§2 message coalescing), and each block is
-    /// swapped into place — a field's values are copied once. The
-    /// adjacency is re-homed in place (kept rows stay put), the schedule
-    /// rebuild skips kept interior blocks, and the runner's translation
-    /// rebases them instead of translating them again. After the first
+    /// swapped into place — a field's values are copied once. The mesh
+    /// rows move out of and into the runner's translation: rows sent away
+    /// are decoded on their way out and received ones staged, while the
+    /// blocks kept whole stay where they are — the schedule rebuild skips
+    /// the interior ones, and the translation rebases them instead of
+    /// translating them again. After the first
     /// remap has warmed the scratch, a remap's allocation count is bounded
     /// (pinned by `tests/alloc_free.rs`). After the move every dirty flag
     /// is set: ghost regions are rebuilt empty, so every field's next
@@ -776,7 +778,8 @@ impl<E: Element> DataflowSession<E> {
                 &self.partition,
                 &new_partition,
                 &plan,
-                &mut self.adj,
+                self.runner.schedule(),
+                self.runner.tadj(),
             );
             self.scratch.put_plan(plan);
         }
@@ -787,12 +790,12 @@ impl<E: Element> DataflowSession<E> {
             build_schedule(
                 &mut env,
                 &self.partition,
-                &self.adj,
+                &self.scratch.rows,
                 &self.config,
                 &mut self.scratch.schedule,
             )
         };
-        let retired = self.runner.rebuild(schedule, &self.adj);
+        let retired = self.runner.rebuild(schedule, &self.scratch.rows);
         self.scratch.schedule.recycle(retired);
         // Every field takes its new block by swapping storage: the values
         // were copied once, by the move.
@@ -807,14 +810,8 @@ impl<E: Element> DataflowSession<E> {
         if self.verify.is_some() {
             // The rebuilt schedule must satisfy the same global contract
             // the setup schedule did.
-            let diags = audit_collective(
-                env,
-                self.partition.n(),
-                self.runner.schedule(),
-                &self.adj,
-                self.runner.tadj(),
-            );
-            expect_clean("post-remap schedule audit", &diags);
+            let n = self.partition.n();
+            audit(env, n, &self.runner, "post-remap schedule audit");
         }
         self.monitor.rollover();
     }
@@ -1041,6 +1038,16 @@ impl<E: Element> DataflowSession<E> {
     }
 }
 
+/// The collective audit of a verified session's schedule and translation
+/// against the rows the translation decodes to (the session keeps no
+/// other copy); panics with the report on any violation.
+fn audit<C: Comm, E: Element>(env: &mut C, n: usize, runner: &LoopRunner<E>, context: &str) {
+    let (schedule, tadj) = (runner.schedule(), runner.tadj());
+    let adj = schedule.decode_adjacency(tadj);
+    let diags = audit_collective(env, n, schedule, &adj, tadj);
+    expect_clean(context, &diags);
+}
+
 /// Builds the schedule with the configured strategy, charging inspector
 /// work to the rank's clock. Collective for [`ScheduleStrategy::Simple`].
 /// The symmetric builders draw their working storage from `scratch`
@@ -1050,7 +1057,7 @@ impl<E: Element> DataflowSession<E> {
 fn build_schedule<C: Comm>(
     env: &mut C,
     partition: &BlockPartition,
-    adj: &LocalAdjacency,
+    adj: &impl Rows,
     config: &StanceConfig,
     scratch: &mut ScheduleScratch,
 ) -> CommSchedule {
@@ -1373,15 +1380,19 @@ mod tests {
     }
 
     /// A remap leaves behind what a fresh set-up on the new partition
-    /// builds. Along a chain of forced remaps — shuffled arrangements, an
-    /// empty block — the session's adjacency, moved in place, equals a
-    /// fresh extraction; its schedule equals the per-reference oracle; and
-    /// the runner's translation, kept blocks rebased rather than rebuilt,
-    /// equals the oracle and a fresh translation. The values still match
-    /// the sequential reference.
+    /// builds. After set-up and along a chain of forced remaps — shuffled
+    /// arrangements, an empty block — the runner's translation, the one
+    /// copy of the rows the session keeps, decodes back to a fresh
+    /// extraction and carries every block's bounds; its schedule equals
+    /// the per-reference oracle; and the translation, kept blocks rebased
+    /// rather than rebuilt, equals the oracle and a fresh translation. The
+    /// values still match the sequential reference.
     #[test]
     fn remap_chain_leaves_a_fresh_build() {
-        use stance_inspector::schedule::reference::{symmetric_oracle, translate_oracle};
+        use stance_inspector::schedule::reference::{
+            assert_decodes_to, symmetric_oracle, translate_oracle,
+        };
+        use stance_inspector::LocalAdjacency;
         let raw = stance_locality::meshgen::triangulated_grid(100, 60, 0.4, 5);
         let m = crate::prepare_mesh(&raw, OrderingMethod::Rcb).0;
         let n = m.num_vertices();
@@ -1404,15 +1415,21 @@ mod tests {
         let report = Cluster::new(spec).run(|env| {
             let rank = env.rank();
             let mut s = DataflowSession::setup(env, &m, relax_graph(), |_, g| init(g), &config);
+            let check = |s: &DataflowSession| {
+                let adj = LocalAdjacency::extract(&m, s.partition(), rank);
+                let (schedule, tadj) = (s.runner.schedule(), s.runner.tadj());
+                assert_decodes_to(schedule, tadj, &adj);
+                let strategy = config.schedule_strategy;
+                let (oracle, _) = symmetric_oracle(s.partition(), &adj, rank, strategy);
+                assert_eq!(*schedule, oracle);
+                assert_eq!(*tadj, translate_oracle(&oracle, &adj));
+                assert_eq!(*tadj, oracle.translate_adjacency(&adj));
+            };
+            check(&s);
             for partition in &chain {
                 s.run_block(env, passes);
                 s.remap_to(env, partition.clone());
-                assert_eq!(s.adj, LocalAdjacency::extract(&m, partition, rank));
-                let strategy = config.schedule_strategy;
-                let (schedule, _) = symmetric_oracle(partition, &s.adj, rank, strategy);
-                assert_eq!(*s.runner.schedule(), schedule);
-                assert_eq!(*s.runner.tadj(), translate_oracle(&schedule, &s.adj));
-                assert_eq!(*s.runner.tadj(), schedule.translate_adjacency(&s.adj));
+                check(&s);
             }
             s.run_block(env, passes);
             (s.local("y").to_vec(), s.partition().clone())

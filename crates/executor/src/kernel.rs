@@ -36,7 +36,7 @@
 
 use std::ops::Range;
 
-use stance_inspector::{CommSchedule, LocalAdjacency, TranslatedAdjacency};
+use stance_inspector::{CommSchedule, Rows, TranslatedAdjacency};
 use stance_locality::Graph;
 use stance_sim::{Comm, Element};
 
@@ -537,8 +537,9 @@ pub struct LoopRunner<E: Element = f64> {
 }
 
 impl<E: Element> LoopRunner<E> {
-    /// Builds a runner from a schedule and the rank's adjacency.
-    pub fn new(schedule: CommSchedule, adj: &LocalAdjacency, cost: ComputeCostModel) -> Self {
+    /// Builds a runner from a schedule and the rank's rows, which it
+    /// translates: the translation is all the runner keeps of them.
+    pub fn new(schedule: CommSchedule, adj: &impl Rows, cost: ComputeCostModel) -> Self {
         let tadj = schedule.translate_adjacency(adj);
         let scratch = vec![E::zero(); tadj.buffer_len()];
         let bufs = CommBuffers::for_schedule(&schedule);
@@ -592,8 +593,10 @@ impl<E: Element> LoopRunner<E> {
         &self.tadj
     }
 
-    /// Replaces the schedule and adjacency (after a remap) while keeping
-    /// the cost model and team — **in place**: the
+    /// Replaces the schedule and the rows (after a remap: the
+    /// [`MovedRows`](stance_inspector::MovedRows) moved out of this
+    /// runner's own translation) while keeping the cost model and team —
+    /// **in place**: the
     /// translated adjacency, the transport scratch ([`CommBuffers`]) and
     /// the sweep scratch are all rebuilt into their existing storage
     /// (capacity never shrinks), so a rebuild's allocation count is
@@ -601,7 +604,7 @@ impl<E: Element> LoopRunner<E> {
     ///
     /// Returns the retired schedule so the caller can recycle its storage
     /// (e.g. via `ScheduleScratch::recycle`) instead of dropping it.
-    pub fn rebuild(&mut self, schedule: CommSchedule, adj: &LocalAdjacency) -> CommSchedule {
+    pub fn rebuild(&mut self, schedule: CommSchedule, adj: &impl Rows) -> CommSchedule {
         schedule.translate_adjacency_into(adj, &mut self.tadj);
         self.bufs.rebuild(&schedule);
         let retired = std::mem::replace(&mut self.schedule, schedule);
@@ -788,7 +791,7 @@ impl<E: Element> LoopRunner<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stance_inspector::{build_schedule_symmetric, ScheduleStrategy};
+    use stance_inspector::{build_schedule_symmetric, LocalAdjacency, ScheduleStrategy};
     use stance_locality::meshgen;
     use stance_onedim::BlockPartition;
     use stance_sim::{Cluster, ClusterSpec, Env, NetworkSpec};

@@ -1,15 +1,24 @@
 //! Each processor's local view of the computational graph.
 //!
 //! After Phase A the graph is relabeled so vertex ids equal list positions;
-//! each rank owns a contiguous interval. [`LocalAdjacency`] is that rank's
-//! slice of the CSR structure: for every owned vertex, the *global* ids of
-//! its neighbors (which the inspector will classify as local or
-//! off-processor). This is exactly the indirection array `ia` of the
-//! paper's Fig. 8 loop, restricted to one processor.
+//! each rank owns a contiguous interval. The inspector reads that rank's
+//! rows — for every owned vertex, the *global* ids of its neighbors, which
+//! it classifies as local or off-processor — through [`Rows`]: exactly the
+//! indirection array `ia` of the paper's Fig. 8 loop, restricted to one
+//! processor. Three things are rows:
 //!
-//! ## Blocks, and what a remap leaves in place
+//! * [`MeshRows`] — the rank's window of the mesh's own CSR, read in place:
+//!   what a session's set-up builds its schedule and translation from, so
+//!   no rank copies its rows;
+//! * [`MovedRows`](crate::MovedRows) — what a remap hands the inspector:
+//!   the rows that moved, the kept rows of the blocks that must be looked
+//!   at again, and nothing for the blocks the translation keeps;
+//! * [`LocalAdjacency`] — an owned copy of one rank's rows, for tests,
+//!   probes and custom pipelines.
 //!
-//! The inspector walks an adjacency in blocks of
+//! ## Blocks
+//!
+//! The inspector walks the rows in blocks of
 //! [`TranslatedAdjacency::BLOCK_ROWS`] rows that sit at **global**
 //! multiples of the block size, so a rank's first block may be short, as
 //! may its last. Each block carries the smallest and largest global id its
@@ -17,16 +26,8 @@
 //! one comparison instead of a scan. Because the blocks are global, a block
 //! whose rows stay on their rank across a remap is the same block
 //! afterwards, with the same bounds.
-//!
-//! The CSR keeps slack at both ends, so that a remap need not copy what
-//! stays. Its adjacency move ([`LocalAdjacency::rehome`]) leaves the rows a
-//! rank keeps where they are: rows sent away are dropped by moving the ends, received
-//! rows are written into the slack before or after the kept ones, and only
-//! the blocks the received rows touch are scanned for their bounds. A rank
-//! pays for what moved, not for what it owns.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use stance_locality::Graph;
 use stance_onedim::{BlockPartition, Interval};
@@ -38,37 +39,6 @@ const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
 /// The `(smallest, largest)` global id a block's rows reference;
 /// `(u32::MAX, 0)` for a block that references nothing.
 pub(crate) type Bounds = (u32, u32);
-
-/// One rank's slice of the (reordered) computational graph.
-///
-/// Equality compares what the adjacency says — interval, rows and their
-/// references — not where its storage keeps them.
-#[derive(Debug, Clone)]
-pub struct LocalAdjacency {
-    /// The global interval this rank owns.
-    interval: Interval,
-    /// Row pointers into `refs`: owned row `l` makes
-    /// `refs[xadj[row0 + l]..xadj[row0 + l + 1]]`. Entries before `row0`
-    /// and after `row0 + len` are slack a remap can write rows into.
-    xadj: Vec<usize>,
-    row0: usize,
-    /// Global neighbor ids, with slack on both sides of the owned rows'.
-    refs: Vec<u32>,
-    /// Per block, the [`Bounds`] of its references.
-    bounds: Vec<Bounds>,
-    /// Names these rows: fresh for every extraction, construction and
-    /// move, so a translation can tell whose rows it holds.
-    id: u64,
-    /// The `id` of the adjacency that [`LocalAdjacency::rehome`] turned into
-    /// this one: the rows both own are the same rows.
-    moved_from: Option<u64>,
-}
-
-/// Hands out adjacency ids; 0 is never one, so it can stand for "none".
-fn fresh_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
 
 /// The local rows of block `block` of the interval of `len` rows from
 /// global row `start`: blocks sit at global multiples of the block size,
@@ -116,6 +86,13 @@ pub(crate) fn within(bounds: Bounds, iv: Interval) -> bool {
     lo > hi || (iv.start <= lo as usize && (hi as usize) < iv.end)
 }
 
+/// The [`Bounds`] of a run of references.
+#[inline]
+pub(crate) fn scan(refs: &[u32]) -> Bounds {
+    refs.iter()
+        .fold((u32::MAX, 0), |(lo, hi), &g| (lo.min(g), hi.max(g)))
+}
+
 /// Moves `v[from]` to start at `to`, passing every entry through `f` on
 /// the way, then makes `v` `len` long. One pass over memory — a
 /// `copy_within` and a map at once — through a small buffer, chunk by
@@ -149,42 +126,111 @@ pub(crate) fn move_within<T: Copy + Default>(
     v.resize(len, T::default());
 }
 
-/// Makes room for `head` entries before `store[at..at + len]` and `tail`
-/// after it: moves the run right as far as the front is short, and returns
-/// that shift. A store short of capacity is replaced by one of exactly the
-/// size needed, the run copied into place once.
-fn make_room<T: Copy + Default>(
-    store: &mut Vec<T>,
-    at: usize,
-    len: usize,
-    head: usize,
-    tail: usize,
-) -> usize {
-    let shift = head.saturating_sub(at);
-    let need = at + shift + len + tail;
-    if store.capacity() < need {
-        let mut grown = Vec::with_capacity(need);
-        grown.resize(at + shift, T::default());
-        grown.extend_from_slice(&store[at..at + len]);
-        grown.resize(need, T::default());
-        *store = grown;
-        return shift;
-    }
-    if store.len() < need {
-        store.resize(need, T::default());
-    }
-    if shift > 0 {
-        store.copy_within(at..at + len, at + shift);
-    }
-    shift
+/// One block of a rank's rows, as the schedule builders and the
+/// translation read it.
+#[derive(Debug, Clone)]
+pub struct RowBlock<'a> {
+    /// The block's local rows.
+    pub rows: Range<usize>,
+    /// The smallest and largest global id the rows reference;
+    /// `(u32::MAX, 0)` when they reference nothing.
+    pub bounds: (u32, u32),
+    /// How many references the rows make.
+    pub num_refs: usize,
+    /// Where its references are.
+    pub refs: BlockRefs<'a>,
 }
 
-impl LocalAdjacency {
-    /// Extracts rank `rank`'s slice from the reordered graph.
+/// Where a [`RowBlock`]'s references are.
+#[derive(Debug, Clone, Copy)]
+pub enum BlockRefs<'a> {
+    /// In a CSR: `rows.len() + 1` row pointers into a reference store, row
+    /// `rows.start + i` making `store[ptrs[i]..ptrs[i + 1]]`.
+    Csr(&'a [usize], &'a [u32]),
+    /// In the translation the rows were moved out of
+    /// ([`Rows::kept_from`]), which keeps the block: a block whose rows
+    /// all stayed, cut alike before and after the move. Listed here are
+    /// only the references that leave the owned interval, each with its
+    /// local row, in CSR order — none for an interior block.
+    Kept(&'a [(u32, u32)]),
+}
+
+/// A rank's rows, block by block: what
+/// [`build_schedule_symmetric`](crate::build_schedule_symmetric),
+/// [`build_schedule_simple`](crate::build_schedule_simple) and
+/// [`CommSchedule::translate_adjacency`](crate::CommSchedule::translate_adjacency)
+/// read. Blocks sit at global multiples of
+/// [`TranslatedAdjacency::BLOCK_ROWS`].
+pub trait Rows {
+    /// The owned global interval.
+    fn interval(&self) -> Interval;
+
+    /// Total number of references.
+    fn num_refs(&self) -> usize;
+
+    /// Block `block` (below [`Rows::num_blocks`]).
+    fn block(&self, block: usize) -> RowBlock<'_>;
+
+    /// Number of blocks.
+    fn num_blocks(&self) -> usize {
+        let iv = self.interval();
+        num_blocks(iv.start, iv.len())
+    }
+
+    /// The translation whose blocks these rows keep in place, if any: the
+    /// id of the [`TranslatedAdjacency`] the rows were moved out of, which
+    /// must be the one a translation of them is written into, and the
+    /// global id of each of its ghost slots.
+    fn kept_from(&self) -> Option<(u64, &[u32])> {
+        None
+    }
+}
+
+/// Per block of `interval`, the [`Bounds`] of its rows' references —
+/// `row_ptrs` (`len + 1` of them) indexing `refs`.
+fn scan_bounds(interval: Interval, row_ptrs: &[usize], refs: &[u32]) -> Vec<Bounds> {
+    (0..num_blocks(interval.start, interval.len()))
+        .map(|b| {
+            let rows = block_rows(interval.start, interval.len(), b);
+            scan(&refs[row_ptrs[rows.start]..row_ptrs[rows.end]])
+        })
+        .collect()
+}
+
+/// Block `block` of a contiguous CSR over `interval`.
+fn csr_block<'a>(
+    interval: Interval,
+    (row_ptrs, refs): (&'a [usize], &'a [u32]),
+    bounds: &[Bounds],
+    block: usize,
+) -> RowBlock<'a> {
+    let rows = block_rows(interval.start, interval.len(), block);
+    let ptrs = &row_ptrs[rows.start..=rows.end];
+    RowBlock {
+        num_refs: ptrs[ptrs.len() - 1] - ptrs[0],
+        bounds: bounds[block],
+        refs: BlockRefs::Csr(ptrs, refs),
+        rows,
+    }
+}
+
+/// One rank's rows read in place from the (reordered) mesh: its window of
+/// the graph's CSR and, per block, the bounds of its references — the one
+/// thing set-up computes, in one pass over the window. Nothing is copied.
+#[derive(Debug, Clone)]
+pub struct MeshRows<'a> {
+    interval: Interval,
+    row_ptrs: &'a [usize],
+    refs: &'a [u32],
+    bounds: Vec<Bounds>,
+}
+
+impl<'a> MeshRows<'a> {
+    /// Rank `rank`'s rows of `graph` under `partition`.
     ///
     /// # Panics
     /// Panics if the partition does not cover the graph's vertex set.
-    pub fn extract(graph: &Graph, partition: &BlockPartition, rank: usize) -> Self {
+    pub fn new(graph: &'a Graph, partition: &BlockPartition, rank: usize) -> Self {
         assert_eq!(
             graph.num_vertices(),
             partition.n(),
@@ -193,15 +239,72 @@ impl LocalAdjacency {
             graph.num_vertices()
         );
         let interval = partition.interval_of(rank);
-        // A rank's rows are contiguous in the graph's CSR as well: one copy
-        // of the window's references, and its row pointers rebased to zero.
-        let (rows, adjncy) = graph.csr_window(interval.start..interval.end);
-        let base = rows[0];
-        Self::tight(
+        // A rank's rows are contiguous in the graph's CSR.
+        let (row_ptrs, refs) = graph.csr_window(interval.start..interval.end);
+        MeshRows {
             interval,
-            rows.iter().map(|&x| x - base).collect(),
-            adjncy[base..rows[interval.len()]].to_vec(),
+            row_ptrs,
+            refs,
+            bounds: scan_bounds(interval, row_ptrs, refs),
+        }
+    }
+}
+
+impl Rows for MeshRows<'_> {
+    fn interval(&self) -> Interval {
+        self.interval
+    }
+
+    fn num_refs(&self) -> usize {
+        self.row_ptrs[self.interval.len()] - self.row_ptrs[0]
+    }
+
+    fn block(&self, block: usize) -> RowBlock<'_> {
+        csr_block(
+            self.interval,
+            (self.row_ptrs, self.refs),
+            &self.bounds,
+            block,
         )
+    }
+}
+
+/// One rank's slice of the (reordered) computational graph, copied out of
+/// it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalAdjacency {
+    /// The global interval this rank owns.
+    interval: Interval,
+    /// Row pointers into `refs`, from 0: owned row `l` makes
+    /// `refs[xadj[l]..xadj[l + 1]]`.
+    xadj: Vec<usize>,
+    /// Global neighbor ids.
+    refs: Vec<u32>,
+    /// Per block, the [`Bounds`] of its references.
+    bounds: Vec<Bounds>,
+}
+
+impl LocalAdjacency {
+    /// Extracts rank `rank`'s slice from the reordered graph.
+    ///
+    /// # Panics
+    /// Panics if the partition does not cover the graph's vertex set.
+    pub fn extract(graph: &Graph, partition: &BlockPartition, rank: usize) -> Self {
+        let MeshRows {
+            interval,
+            row_ptrs,
+            refs,
+            bounds,
+        } = MeshRows::new(graph, partition, rank);
+        // One copy of the window's references, and its row pointers
+        // rebased to zero.
+        let base = row_ptrs[0];
+        LocalAdjacency {
+            interval,
+            xadj: row_ptrs.iter().map(|&x| x - base).collect(),
+            refs: refs[base..row_ptrs[interval.len()]].to_vec(),
+            bounds,
+        }
     }
 
     /// Builds directly from parts (for tests and custom pipelines).
@@ -216,25 +319,13 @@ impl LocalAdjacency {
             xadj.windows(2).all(|w| w[0] <= w[1]),
             "xadj must be monotone"
         );
-        Self::tight(interval, xadj, refs)
-    }
-
-    /// A slack-free adjacency over a CSR rebased to zero, with every
-    /// block's bounds scanned.
-    fn tight(interval: Interval, xadj: Vec<usize>, refs: Vec<u32>) -> Self {
-        let mut adj = LocalAdjacency {
+        let bounds = scan_bounds(interval, &xadj, &refs);
+        LocalAdjacency {
             interval,
             xadj,
-            row0: 0,
             refs,
-            bounds: Vec::new(),
-            id: fresh_id(),
-            moved_from: None,
-        };
-        adj.bounds = (0..num_blocks(interval.start, interval.len()))
-            .map(|b| adj.scan_bounds(b))
-            .collect();
-        adj
+            bounds,
+        }
     }
 
     /// The owned global interval.
@@ -255,13 +346,6 @@ impl LocalAdjacency {
         self.interval.is_empty()
     }
 
-    /// The owned rows' pointers into the reference storage, `len + 1` of
-    /// them.
-    #[inline]
-    fn row_ptrs(&self) -> &[usize] {
-        &self.xadj[self.row0..=self.row0 + self.len()]
-    }
-
     /// Global neighbor ids of the `local`-th owned vertex.
     #[inline]
     pub fn neighbors_of(&self, local: usize) -> &[u32] {
@@ -271,20 +355,13 @@ impl LocalAdjacency {
     /// Degree of the `local`-th owned vertex.
     #[inline]
     pub fn degree_of(&self, local: usize) -> usize {
-        self.xadj[self.row0 + local + 1] - self.xadj[self.row0 + local]
-    }
-
-    /// All global references in CSR order (the raw indirection array).
-    #[inline]
-    pub fn refs(&self) -> &[u32] {
-        self.refs_in(0, self.len())
+        self.xadj[local + 1] - self.xadj[local]
     }
 
     /// Total number of references (2 × local edges + cut edges).
     #[inline]
     pub fn num_refs(&self) -> usize {
-        let rows = self.row_ptrs();
-        rows[rows.len() - 1] - rows[0]
+        self.refs.len()
     }
 
     /// All references of the contiguous local-vertex range `lo..hi`, as one
@@ -292,183 +369,39 @@ impl LocalAdjacency {
     /// with a single `extend_from_slice` instead of one call per row).
     #[inline]
     pub fn refs_in(&self, lo: usize, hi: usize) -> &[u32] {
-        &self.refs[self.xadj[self.row0 + lo]..self.xadj[self.row0 + hi]]
-    }
-
-    /// The raw CSR window backing local vertices `range`: the row pointers
-    /// of `range.start..=range.end` (so `window.0[i + 1] - window.0[i]` is
-    /// the degree of local vertex `range.start + i`) together with the
-    /// reference storage they index into — what a bulk consumer (the
-    /// remap's adjacency move, a chunked inspector pass) wants instead of
-    /// one [`LocalAdjacency::neighbors_of`] call per row. The pointers are
-    /// positions in that storage, which need not start at the first owned
-    /// row's references.
-    #[inline]
-    pub fn csr_window(&self, range: Range<usize>) -> (&[usize], &[u32]) {
-        (
-            &self.xadj[self.row0 + range.start..=self.row0 + range.end],
-            &self.refs,
-        )
+        &self.refs[self.xadj[lo]..self.xadj[hi]]
     }
 
     /// Walks the rows block by block, yielding each block's local-vertex
-    /// range and the [`Bounds`] of its references — the unit the
-    /// inspector's passes decide "interior or not" on.
+    /// range and the [`Bounds`] of its references.
+    #[cfg(test)]
     pub(crate) fn blocks(&self) -> impl Iterator<Item = (Range<usize>, Bounds)> + '_ {
-        let (start, len) = (self.interval.start, self.len());
-        let rows = move |b| block_rows(start, len, b);
-        self.bounds
-            .iter()
-            .enumerate()
-            .map(move |(b, &bounds)| (rows(b), bounds))
+        (0..Rows::num_blocks(self)).map(|b| {
+            let block = self.block(b);
+            (block.rows, block.bounds)
+        })
     }
 
-    /// This adjacency's id (see the field).
-    pub(crate) fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The id of the adjacency a move made this one from, if any.
-    pub(crate) fn moved_from(&self) -> Option<u64> {
-        self.moved_from
-    }
-
-    /// The bounds of block `block`'s references, scanned.
-    fn scan_bounds(&self, block: usize) -> Bounds {
-        let rows = block_rows(self.interval.start, self.len(), block);
-        self.refs_in(rows.start, rows.end)
-            .iter()
-            .fold((u32::MAX, 0), |(lo, hi), &g| (lo.min(g), hi.max(g)))
-    }
-
-    /// Re-homes the adjacency onto `interval` after a remap, in place. The
-    /// rows of `interval` this rank already owned stay where they are; the
-    /// rows it no longer owns are dropped; and `moved` supplies every other
-    /// row of `interval` — runs of consecutive rows, ascending, each as
-    /// `(rows, degrees, references)` — which are written into the slack
-    /// before and after the kept rows (the storage grows only when a side
-    /// is short). Blocks whose rows were kept whole keep their bounds; the
-    /// others are scanned. The cost is the moved rows plus the boundary
-    /// blocks, whatever the size of the kept run.
-    ///
-    /// # Panics
-    /// Panics if the runs do not tile `interval` around the kept rows, or if
-    /// a run's degrees do not add up to its references.
-    pub fn rehome<'a, I>(&mut self, interval: Interval, moved: I)
-    where
-        I: Iterator<Item = (Interval, &'a [u32], &'a [u32])> + Clone,
-    {
-        let old = self.interval;
-        let kept = old.intersect(&interval);
-        // Hard asserts (one pass over the runs, not their rows): a
-        // plan/partition mismatch must not silently assemble a wrong CSR.
-        let (mut head, mut tail) = ((0, 0), (0, 0));
-        let mut expected = interval.start;
-        for (rows, degrees, refs) in moved.clone() {
-            if !kept.is_empty() && expected == kept.start {
-                expected = kept.end;
-            }
-            assert_eq!(rows.start, expected, "segments must tile the interval");
-            assert_eq!(degrees.len(), rows.len(), "one degree per moved row");
-            let side = if rows.end <= kept.start {
-                &mut head
-            } else {
-                &mut tail
-            };
-            *side = (side.0 + rows.len(), side.1 + refs.len());
-            expected = rows.end;
-        }
-        if !kept.is_empty() && expected == kept.start {
-            expected = kept.end;
-        }
-        assert_eq!(expected, interval.end, "segments must cover the interval");
-
-        // Drop what left by moving the ends; an empty kept run restarts
-        // the storage from its front.
-        if kept.is_empty() {
-            self.row0 = 0;
-            self.xadj[0] = 0;
-        } else {
-            self.row0 += kept.start - old.start;
-        }
-        let len = kept.len();
-        self.row0 += make_room(&mut self.xadj, self.row0, len + 1, head.0, tail.0);
-        let (first, last) = (self.xadj[self.row0], self.xadj[self.row0 + len]);
-        let shift = make_room(&mut self.refs, first, last - first, head.1, tail.1);
-        if shift > 0 {
-            for x in &mut self.xadj[self.row0..=self.row0 + len] {
-                *x += shift;
-            }
-        }
-
-        // Write the runs: the head ends exactly where the kept rows begin.
-        let mut at = self.row0 - head.0;
-        self.xadj[at] = self.xadj[self.row0] - head.1;
-        for (rows, degrees, refs) in moved {
-            if rows.start == kept.end && !kept.is_empty() {
-                assert_eq!(at, self.row0, "head runs end at the kept rows");
-                at = self.row0 + len;
-            }
-            at = self.write_rows(at, degrees, refs);
-        }
-        self.row0 -= head.0;
-
-        // Bounds: kept whole blocks keep theirs, the rest are scanned.
-        let shared = shared_blocks(old, interval);
-        let (old_first, new_first) = (old.start / ROWS, interval.start / ROWS);
-        let blocks = num_blocks(interval.start, interval.len());
-        let from = shared.start.saturating_sub(old_first)..shared.end.saturating_sub(old_first);
-        let to = shared.start.saturating_sub(new_first);
-        move_within(&mut self.bounds, from, to, blocks, |b| b);
-        self.interval = interval;
-        for b in 0..blocks {
-            if !shared.contains(&(new_first + b)) {
-                self.bounds[b] = self.scan_bounds(b);
-            }
-        }
-        self.moved_from = Some(self.id);
-        self.id = fresh_id();
-    }
-
-    /// Writes a run of rows from row slot `at` on (whose pointer is
-    /// already set): their pointers from `degrees`, their references after
-    /// the pointer at `at`. Returns the slot after the run.
-    fn write_rows(&mut self, at: usize, degrees: &[u32], refs: &[u32]) -> usize {
-        let first = self.xadj[at];
-        let mut end = first;
-        for (x, &d) in self.xadj[at + 1..=at + degrees.len()]
-            .iter_mut()
-            .zip(degrees)
-        {
-            end += d as usize;
-            *x = end;
-        }
-        assert_eq!(end - first, refs.len(), "adjacency packet fully consumed");
-        self.refs[first..end].copy_from_slice(refs);
-        at + degrees.len()
-    }
-
-    /// Dismantles the structure into a slack-free `(interval, xadj, refs)`
-    /// CSR, row pointers rebased to zero — the inverse of
-    /// [`LocalAdjacency::from_parts`].
+    /// Dismantles the structure into its `(interval, xadj, refs)` CSR, row
+    /// pointers from zero — the inverse of [`LocalAdjacency::from_parts`].
     pub fn into_parts(self) -> (Interval, Vec<usize>, Vec<u32>) {
-        let base = self.row_ptrs()[0];
-        let xadj = self.row_ptrs().iter().map(|&x| x - base).collect();
-        (self.interval, xadj, self.refs().to_vec())
+        (self.interval, self.xadj, self.refs)
     }
 }
 
-impl PartialEq for LocalAdjacency {
-    fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.row_ptrs(), other.row_ptrs());
-        self.interval == other.interval
-            && self.refs() == other.refs()
-            && self.bounds == other.bounds
-            && a.iter().zip(b).all(|(&x, &y)| x - a[0] == y - b[0])
+impl Rows for LocalAdjacency {
+    fn interval(&self) -> Interval {
+        self.interval
+    }
+
+    fn num_refs(&self) -> usize {
+        self.refs.len()
+    }
+
+    fn block(&self, block: usize) -> RowBlock<'_> {
+        csr_block(self.interval, (&self.xadj, &self.refs), &self.bounds, block)
     }
 }
-
-impl Eq for LocalAdjacency {}
 
 #[cfg(test)]
 mod tests {
@@ -549,6 +482,35 @@ mod tests {
         assert!(within((u32::MAX, 0), Interval::EMPTY), "no references");
     }
 
+    /// The mesh's rows read in place are block for block the extracted
+    /// copy's: same rows, bounds, reference counts and references.
+    #[test]
+    fn mesh_rows_are_the_extracted_rows() {
+        let g = path_graph(3000);
+        let part = BlockPartition::from_sizes(&[1000, 1100, 0, 900]);
+        for rank in 0..4 {
+            let (mesh, adj) = (
+                MeshRows::new(&g, &part, rank),
+                LocalAdjacency::extract(&g, &part, rank),
+            );
+            assert_eq!(
+                (mesh.interval(), mesh.num_refs(), Rows::num_blocks(&mesh)),
+                (adj.interval(), adj.num_refs(), Rows::num_blocks(&adj))
+            );
+            for b in 0..Rows::num_blocks(&mesh) {
+                let (m, a) = (mesh.block(b), adj.block(b));
+                assert_eq!(
+                    (&m.rows, m.bounds, m.num_refs),
+                    (&a.rows, a.bounds, a.num_refs)
+                );
+                let (BlockRefs::Csr(mp, ms), BlockRefs::Csr(ap, as_)) = (m.refs, a.refs) else {
+                    panic!("block {b} is not a CSR");
+                };
+                assert_eq!(&ms[mp[0]..mp[mp.len() - 1]], &as_[ap[0]..ap[ap.len() - 1]]);
+            }
+        }
+    }
+
     /// The rows a block holds in both intervals: whole blocks of the
     /// intersection, and a short end block only where both cut it alike.
     #[test]
@@ -560,49 +522,5 @@ mod tests {
         assert!(shared_blocks(iv(600, 1500), iv(700, 1000)).is_empty());
         assert!(shared_blocks(iv(0, 512), iv(512, 1024)).is_empty());
         assert_eq!(shared_blocks(iv(1000, 1030), iv(1000, 1030)), 1..3);
-    }
-
-    /// A move keeps the rows both intervals own where they were, writes
-    /// the rest around them, and leaves an adjacency equal to a fresh
-    /// extraction, bounds included, whichever way the interval moved.
-    #[test]
-    fn rehome_equals_extraction() {
-        let g = path_graph(4000);
-        let take = |iv: Interval| {
-            let part = BlockPartition::from_sizes(&[iv.start, iv.len(), 4000 - iv.end]);
-            LocalAdjacency::extract(&g, &part, 1)
-        };
-        let mut adj = take(Interval::new(1000, 2000));
-        let chain = [
-            (1500, 2000),
-            (700, 2000),
-            (700, 3500),
-            (3000, 3999),
-            (10, 20),
-        ];
-        for (start, end) in chain {
-            let new = Interval::new(start, end);
-            let kept = adj.interval().intersect(&new);
-            let runs: Vec<LocalAdjacency> = [(new.start, kept.start), (kept.end, new.end)]
-                .into_iter()
-                .filter(|_| !kept.is_empty())
-                .chain(kept.is_empty().then_some((new.start, new.end)))
-                .filter(|(a, b)| a < b)
-                .map(|(a, b)| take(Interval::new(a, b)))
-                .collect();
-            let degrees: Vec<Vec<u32>> = runs
-                .iter()
-                .map(|r| (0..r.len()).map(|l| r.degree_of(l) as u32).collect())
-                .collect();
-            let before = adj.id();
-            adj.rehome(
-                new,
-                runs.iter()
-                    .zip(&degrees)
-                    .map(|(r, d)| (r.interval(), &d[..], r.refs())),
-            );
-            assert_eq!(adj, take(new), "{new}");
-            assert_eq!(adj.moved_from(), Some(before));
-        }
     }
 }

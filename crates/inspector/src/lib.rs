@@ -31,17 +31,25 @@
 //! Duplicate off-processor references are removed with an open-addressing
 //! hash table ([`refhash::RefHashMap`]), "to avoid fetching a data item more
 //! than once".
+//!
+//! Both jobs read a rank's rows through [`Rows`]: in place from the mesh at
+//! set-up ([`MeshRows`]), out of the previous translation after a remap
+//! ([`MovedRows`]), or from an owned copy ([`LocalAdjacency`]). What the
+//! inspector hands the executor — the [`TranslatedAdjacency`] — is the one
+//! copy of its rows a rank keeps.
 
 #![forbid(unsafe_code)]
 
 pub mod adjacency;
 pub mod cost;
+pub mod moved;
 pub mod refhash;
 pub mod schedule;
 pub mod translation;
 
-pub use adjacency::LocalAdjacency;
+pub use adjacency::{BlockRefs, LocalAdjacency, MeshRows, RowBlock, Rows};
 pub use cost::InspectorCostModel;
+pub use moved::MovedRows;
 pub use refhash::RefHashMap;
 pub use schedule::{
     build_schedule_simple, build_schedule_symmetric, build_schedule_symmetric_with, CommSchedule,

@@ -33,7 +33,7 @@
 //! dereference per reference, one hash probe per off-processor reference
 //! and per (vertex, peer) pair. The *executed* work is proportional to the
 //! boundary. The builder and
-//! [`CommSchedule::translate_adjacency_into`] walk the adjacency in blocks
+//! [`CommSchedule::translate_adjacency_into`] walk a rank's [`Rows`] in blocks
 //! of 512 rows ([`TranslatedAdjacency::BLOCK_ROWS`]) that sit at global
 //! multiples of the block size, and every block carries the smallest and
 //! largest global id its rows reference, so whether it leaves the owned
@@ -52,21 +52,24 @@
 //! ## What survives a remap
 //!
 //! The schedule itself does not: it is rebuilt, from recycled storage.
-//! What survives is what the adjacency and the translation already hold
-//! for rows that stayed on their rank. A block's bounds move with it
-//! ([`LocalAdjacency::rehome`]), so the builder skips a kept interior block
-//! like any interior block — and still charges its references, so the
-//! counted work, and the simulator's clock priced from it, is a fresh
-//! build's. A kept block that was interior before the remap and is interior
-//! after it holds no ghost slot, and its slots depend only on its rows and
-//! on the interval's start: its translation is the old one with every slot
-//! shifted by the change of start, and its row starts and row pointers by
-//! the change of position. [`CommSchedule::translate_adjacency_into`] moves
-//! such blocks and applies those two constant adds in one pass — a
-//! `copy_within` that adds on the way — or does nothing, when neither the
-//! blocks' position nor the interval's start moved, and translates every
-//! other block fresh. The result is therefore a fresh translation, vector
-//! for vector.
+//! What survives is what the translation already holds for rows that
+//! stayed on their rank — a rank keeps no other copy of its rows. A
+//! block's bounds live in the translation and move with it, so a remap's
+//! [`MovedRows`](crate::MovedRows) hands the builder a kept block that is
+//! interior before and after the move as bounds and a reference count
+//! only, and the builder skips it like any interior block — and still
+//! charges its references, so the counted work, and the simulator's clock
+//! priced from it, is a fresh build's. Such a block holds no ghost slot,
+//! and its slots depend only on its rows and on the interval's start: its
+//! translation is the old one with every slot shifted by the change of
+//! start, and its row starts and row pointers by the change of position.
+//! [`CommSchedule::translate_adjacency_into`] moves such blocks and
+//! applies those two constant adds in one pass — a `copy_within` that adds
+//! on the way — or does nothing, when neither the blocks' position nor the
+//! interval's start moved. A kept block that reads a ghost before or after
+//! the move keeps its layout as well: only its slots are read back and
+//! resolved anew, in place. Every other block is translated fresh. The
+//! result is therefore a fresh translation, vector for vector.
 //!
 //! ## Simple strategy
 //!
@@ -78,12 +81,14 @@
 //! as processors are added while the sort strategies get *cheaper*.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use stance_onedim::{BlockPartition, Interval};
 use stance_sim::{Comm, Payload, Tag};
 
 use crate::adjacency::{
-    block_rows, move_within, num_blocks, shared_blocks, within, LocalAdjacency,
+    block_rows, move_within, shared_blocks, within, BlockRefs, Bounds, LocalAdjacency, RowBlock,
+    Rows,
 };
 use crate::cost::{InspectorCostModel, InspectorWork};
 use crate::refhash::RefHashMap;
@@ -250,28 +255,35 @@ impl CommSchedule {
         }
     }
 
-    /// Translates a whole adjacency into combined-buffer indices: values
+    /// Translates a rank's rows into combined-buffer indices: values
     /// `< local_len` index the block, values `≥ local_len` index ghosts at
     /// `local_len + slot`. This is the executor-ready indirection array.
-    pub fn translate_adjacency(&self, adj: &LocalAdjacency) -> TranslatedAdjacency {
+    ///
+    /// # Panics
+    /// As [`CommSchedule::translate_adjacency_into`]; and if the rows keep
+    /// blocks of a translation ([`Rows::kept_from`]), which a fresh one
+    /// cannot hold.
+    pub fn translate_adjacency(&self, adj: &impl Rows) -> TranslatedAdjacency {
         // Runs of one kind alternate with runs of the other, so neither list
         // outgrows half the blocks: sized here, they are not grown by the
         // remaps of a block no wider than this one. They are allocated
         // before the large vectors, not among or after them, where a small
         // long-lived block can split the free space a remap's large buffers
         // reuse (measured: +1.5 MiB peak on a two-rank 200k-row remap cycle).
-        let runs = num_blocks(self.interval.start, adj.len()).div_ceil(2);
+        let len = adj.interval().len();
+        let runs = adj.num_blocks().div_ceil(2);
         let (interior, boundary) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
         let mut out = TranslatedAdjacency {
             local_len: 0,
             num_ghosts: 0,
             start: 0,
-            of: 0,
-            xadj: Vec::with_capacity(adj.len() + 1),
-            row_start: vec![0; adj.len()],
+            id: 0,
+            xadj: Vec::with_capacity(len + 1),
+            row_start: vec![0; len],
             slots: vec![0; adj.num_refs()],
-            order: vec![0; adj.len()],
+            order: vec![0; len],
             class_rows: Vec::new(),
+            bounds: Vec::new(),
             interior,
             boundary,
         };
@@ -284,46 +296,46 @@ impl CommSchedule {
     /// remap's re-translation stops allocating once the runner's scratch
     /// has warmed up. The result is identical to a fresh translation.
     ///
-    /// When `adj` came out of a remap's adjacency move
-    /// ([`LocalAdjacency::rehome`]) and `out` holds the translation of the
-    /// adjacency that move started from, the blocks the move kept whole and
-    /// that are interior before and after it are not translated again:
-    /// they are moved to their new position and shifted by two constants
-    /// (see the module docs). Every other block — all of them after a
-    /// set-up, a restore, or a move that kept nothing — is translated
-    /// fresh by the same loop.
+    /// When the rows came out of a remap ([`MovedRows`](crate::MovedRows))
+    /// and `out` is the translation they were moved out of, the blocks the
+    /// move kept whole and that are interior before and after it are not
+    /// read again — the rows do not even hold them: they are moved to their
+    /// new position in `out` and shifted by two constants (see the module
+    /// docs). Every other block is translated fresh by the same loop.
     ///
     /// # Panics
-    /// Panics if the adjacency and the schedule cover different intervals,
-    /// or if the rank makes more than `u32::MAX` references (the translated
-    /// row pointers are 32-bit).
-    pub fn translate_adjacency_into(&self, adj: &LocalAdjacency, out: &mut TranslatedAdjacency) {
+    /// Panics if the rows and the schedule cover different intervals, if
+    /// the rows keep blocks of a translation other than `out`, or if the
+    /// rank makes more than `u32::MAX` references (the translated row
+    /// pointers are 32-bit).
+    pub fn translate_adjacency_into(&self, adj: &impl Rows, out: &mut TranslatedAdjacency) {
         const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
         assert_eq!(adj.interval(), self.interval, "adjacency/schedule mismatch");
-        check_row_pointers_fit(self.rank, adj.num_refs());
+        let refs = adj.num_refs();
+        check_row_pointers_fit(self.rank, refs);
         let new = self.interval;
-        let (len, blocks) = (new.len(), num_blocks(new.start, new.len()));
-        // Slot positions are the adjacency's row pointers, rebased.
-        let (row_ptrs, _) = adj.csr_window(0..len);
-        let ptr = |l: usize| (row_ptrs[l] - row_ptrs[0]) as u32;
-        // What `out` holds is reusable only if it translates the adjacency
-        // `adj` was moved from.
-        let old = match adj.moved_from() {
-            Some(from) if from == out.of => {
-                Interval::new(out.start as usize, out.start as usize + out.len())
+        let (len, blocks) = (new.len(), adj.num_blocks());
+        let new_first = new.start / ROWS;
+        // The blocks the rows keep are `out`'s own, its slots read through
+        // its own interval and `ghosts`.
+        let (old, old_len, ghosts) = match adj.kept_from() {
+            Some((id, ghosts)) => {
+                assert_eq!(id, out.id, "rows keep the blocks of another translation");
+                (out.interval(), out.local_len, ghosts)
             }
-            _ => Interval::EMPTY,
+            None => (Interval::EMPTY, 0, &[][..]),
         };
         let shared = shared_blocks(old, new);
+        let by_start = (old.start as u32).wrapping_sub(new.start as u32);
         // Move what the shared blocks hold to where they now go, shifting
         // on the way every slot by the change of start and every row start
         // and row pointer by the change of position — in one pass, and not
-        // at all when nothing moved. That is the whole work for a shared
-        // block interior before and after; a shared boundary block is
-        // shifted wrongly and written again below. Size every vector for
-        // the new layout: each block not shared overwrites its own windows,
-        // so recycled content need not be cleared first.
-        let refs = adj.num_refs();
+        // at all when nothing moved. That is the whole work for a kept
+        // block interior before and after; another kept block has its
+        // slots read again below, and a shared block the rows hold is
+        // written again. Size every vector for the new layout: each block
+        // not kept overwrites its own windows, so recycled content need
+        // not be cleared first.
         let shifted = (!shared.is_empty())
             .then(|| {
                 let rows = |iv: Interval| {
@@ -332,20 +344,18 @@ impl CommSchedule {
                 };
                 let (from, to) = (rows(old), rows(new).start);
                 let slots = out.xadj[from.start] as usize..out.xadj[from.end] as usize;
-                let by_start = (old.start as u32).wrapping_sub(new.start as u32);
-                let by_position = ptr(to).wrapping_sub(slots.start as u32);
-                (from, to, slots, by_start, by_position)
+                // Where the shared blocks' slots now start: after every
+                // block before them.
+                let at: usize = (0..shared.start - new_first)
+                    .map(|b| adj.block(b).num_refs)
+                    .sum();
+                let by_position = (at as u32).wrapping_sub(slots.start as u32);
+                (from, to, slots, at, by_position)
             })
-            .filter(|&(.., by_start, by_position)| by_start != 0 || by_position != 0);
-        if let Some((from, to, slots, by_start, by_position)) = shifted {
+            .filter(|&(.., by_position)| by_start != 0 || by_position != 0);
+        if let Some((from, to, slots, at, by_position)) = shifted {
             let shift = |d: u32| move |x: u32| x.wrapping_add(d);
-            move_within(
-                &mut out.slots,
-                slots,
-                ptr(to) as usize,
-                refs,
-                shift(by_start),
-            );
+            move_within(&mut out.slots, slots, at, refs, shift(by_start));
             move_within(
                 &mut out.row_start,
                 from.clone(),
@@ -356,15 +366,11 @@ impl CommSchedule {
             let ends = from.start..from.end + 1;
             move_within(&mut out.xadj, ends, to, len + 1, shift(by_position));
             move_within(&mut out.order, from, to, len, |x| x);
-            let (old_first, new_first) = (old.start / ROWS, new.start / ROWS);
+            let old_first = old.start / ROWS;
             let kept = shared.start - old_first..shared.end - old_first;
-            move_within(
-                &mut out.class_rows,
-                kept,
-                shared.start - new_first,
-                blocks,
-                |x| x,
-            );
+            let to = shared.start - new_first;
+            move_within(&mut out.class_rows, kept.clone(), to, blocks, |x| x);
+            move_within(&mut out.bounds, kept, to, blocks, |x| x);
         } else {
             out.xadj.resize(len + 1, 0);
             out.row_start.resize(len, 0);
@@ -372,65 +378,107 @@ impl CommSchedule {
             out.slots.resize(refs, 0);
             out.class_rows
                 .resize(blocks, [0; TranslatedAdjacency::DEGREE_CLASSES]);
+            out.bounds.resize(blocks, (u32::MAX, 0));
         }
         out.xadj[0] = 0;
         out.local_len = len as u32;
         out.num_ghosts = self.num_ghosts;
         out.start = new.start as u32;
-        out.of = adj.id();
+        out.id = fresh_id();
         out.interior.clear();
         out.boundary.clear();
-        for (b, (rows, bounds)) in adj.blocks().enumerate() {
-            let interior = within(bounds, new);
+        let mut at = 0;
+        for b in 0..blocks {
+            let block = adj.block(b);
+            let interior = within(block.bounds, new);
             let runs = if interior {
                 &mut out.interior
             } else {
                 &mut out.boundary
             };
-            extend_runs(runs, rows.clone());
-            if !(interior && within(bounds, old) && shared.contains(&(new.start / ROWS + b))) {
-                self.translate_block(adj, b, rows, interior, out);
+            extend_runs(runs, block.rows.clone());
+            let slots = at..at + block.num_refs;
+            match block.refs {
+                BlockRefs::Csr(row_ptrs, store) => {
+                    out.bounds[b] = block.bounds;
+                    self.translate_block(b, block.rows, (row_ptrs, store), at, interior, out);
+                }
+                BlockRefs::Kept(_) => {
+                    assert!(
+                        shared.contains(&(new_first + b)),
+                        "only a shared block is kept"
+                    );
+                    if !(interior && within(block.bounds, old)) {
+                        let was = (old, old_len, ghosts);
+                        self.resolve_kept(&mut out.slots[slots.clone()], was, by_start);
+                    }
+                }
             }
+            at = slots.end;
         }
     }
 
-    /// Translates block `block` (local rows `rows`) of `adj` fresh into its
-    /// windows of `out`, whose vectors are already sized for `adj`: the
-    /// block's row pointers, its degree index, and its slots in the order
-    /// the sweep reads them. `interior` says its bounds lie in the owned
-    /// interval.
+    /// Resolves anew the `slots` of a kept block that reads a ghost before
+    /// or after a move — same rows, same layout, only what a slot names
+    /// changes. The slots were moved and shifted by `by_start`, which is
+    /// right for a slot owned before and after; every other one is read
+    /// back through the interval, local length and `ghosts` it had
+    /// (`was`) and resolved through this schedule.
+    fn resolve_kept(&self, slots: &mut [u32], was: (Interval, u32, &[u32]), by_start: u32) {
+        let (old, old_len, ghosts) = was;
+        let len = self.interval.len() as u32;
+        for slot in slots {
+            let s = slot.wrapping_sub(by_start);
+            if s < old_len && *slot < len {
+                continue;
+            }
+            let g = match s.checked_sub(old_len) {
+                None => old.start as u32 + s,
+                Some(ghost) => ghosts[ghost as usize],
+            };
+            *slot = match self.resolve(g) {
+                LocalRef::Local(l) => l,
+                LocalRef::Ghost(k) => len + k,
+            };
+        }
+    }
+
+    /// Translates block `block` (local rows `rows`, whose CSR is
+    /// `(row_ptrs, store)` and whose slots start at `at`) fresh into its
+    /// windows of `out`, whose
+    /// vectors are already sized: the block's row pointers, its degree
+    /// index, and its slots in the order the sweep reads them. `interior`
+    /// says its bounds lie in the owned interval.
     fn translate_block(
         &self,
-        adj: &LocalAdjacency,
         block: usize,
         rows: std::ops::Range<usize>,
+        (row_ptrs, store): (&[usize], &[u32]),
+        at: usize,
         interior: bool,
         out: &mut TranslatedAdjacency,
     ) {
         let (start, local_len) = (self.interval.start as u32, out.local_len);
-        let base = adj.csr_window(0..0).0[0];
-        // The row pointers are the adjacency's own, rebased and narrowed
+        // The row pointers are the rows' own, moved to `at` and narrowed
         // (the caller's check covers the last and therefore all of them);
         // while the block's are in L1, group its rows by degree for the
         // sweep.
-        let (row_ptrs, store) = adj.csr_window(rows.clone());
         let ends = &mut out.xadj[rows.start + 1..=rows.end];
         for (x, &p) in ends.iter_mut().zip(&row_ptrs[1..]) {
-            *x = (p - base) as u32;
+            *x = (at + p - row_ptrs[0]) as u32;
         }
         let classes = group_by_degree(row_ptrs, &mut out.order[rows.clone()]);
         out.class_rows[block] = classes;
-        // A block's rows stay together, so its slots are the window its
-        // references occupy in the CSR. Write them there in the order the
-        // sweep will read them, translated as if the block were interior —
-        // one subtraction per reference, no branch.
+        // A block's rows stay together, so its slots are one window. Write
+        // them there in the order the sweep will read them, translated as
+        // if the block were interior — one subtraction per reference, no
+        // branch.
         let refs = &store[row_ptrs[0]..row_ptrs[rows.len()]];
-        let first = row_ptrs[0] - base;
-        let slots = &mut out.slots[first..first + refs.len()];
+        let slots = &mut out.slots[at..at + refs.len()];
         emit_in_visit_order(
             (row_ptrs, refs, start),
             (&out.order[rows.clone()], &classes),
-            (&mut *slots, first),
+            (&mut *slots, at),
             &mut out.row_start[rows],
         );
         if !interior {
@@ -447,6 +495,37 @@ impl CommSchedule {
                 }
             }
         }
+    }
+
+    /// The globals the ghost slots hold, slot by slot: the receive
+    /// segments laid end to end.
+    pub(crate) fn ghost_globals(&self) -> impl Iterator<Item = u32> + '_ {
+        self.recvs
+            .iter()
+            .flat_map(|(_, globals)| globals.iter().copied())
+    }
+
+    /// The rows `tadj` — this schedule's translation — was made from:
+    /// every slot decoded back to its global id, an owned slot `s` to
+    /// `start + s` and a ghost slot through the receive segments. The
+    /// inverse of [`CommSchedule::translate_adjacency`], for audits and
+    /// tests that want the rows a rank no longer keeps beside its
+    /// translation.
+    ///
+    /// # Panics
+    /// Panics if `tadj` does not cover this schedule's interval or reads a
+    /// slot beyond its ghosts.
+    pub fn decode_adjacency(&self, tadj: &TranslatedAdjacency) -> LocalAdjacency {
+        assert_eq!(
+            tadj.interval(),
+            self.interval,
+            "translation/schedule mismatch"
+        );
+        let ghosts: Vec<u32> = self.ghost_globals().collect();
+        let mut refs = Vec::with_capacity(tadj.num_refs());
+        tadj.decode_rows(&ghosts, 0..tadj.len(), &mut Vec::new(), &mut refs);
+        let xadj = tadj.xadj.iter().map(|&x| x as usize).collect();
+        LocalAdjacency::from_parts(self.interval, xadj, refs)
     }
 
     /// Structural sanity checks (used by tests and debug assertions):
@@ -507,6 +586,13 @@ impl CommSchedule {
 /// its rank across a remap keeps its rows, its degree index and its slot
 /// layout.
 ///
+/// Each block carries the smallest and largest global id its rows
+/// reference ([`TranslatedAdjacency::bounds`]), so that the translation is
+/// all a rank keeps of its rows: a remap asks a block whether it stays
+/// interior with one comparison, and decodes only the rows it sends away
+/// and the kept rows of the blocks it cuts differently
+/// ([`MovedRows`](crate::MovedRows)).
+///
 /// Each block is also filed by whether it reads a ghost: the blocks whose
 /// every slot is below `local_len` form the
 /// [`TranslatedAdjacency::interior_runs`], the others the
@@ -521,8 +607,9 @@ pub struct TranslatedAdjacency {
     num_ghosts: u32,
     /// The first owned global row, which places the block boundaries.
     start: u32,
-    /// The id of the adjacency translated (0 for none yet).
-    of: u64,
+    /// Names this translation: fresh for every translation written, so
+    /// rows moved out of it can tell it from any other (0 for none yet).
+    id: u64,
     /// CSR row pointers, `len + 1` of them, 32-bit: row `l` makes
     /// `xadj[l + 1] - xadj[l]` references, and — a block's rows staying
     /// together — a block's slots are `slots[xadj[first row]..]`.
@@ -538,6 +625,8 @@ pub struct TranslatedAdjacency {
     /// Per block, how many of its rows fall into each degree class — the
     /// lengths of the consecutive groups of its `order`.
     class_rows: Vec<[u16; TranslatedAdjacency::DEGREE_CLASSES]>,
+    /// Per block, the smallest and largest global id its rows reference.
+    bounds: Vec<Bounds>,
     /// The rows of the blocks that read no ghost, as maximal runs of
     /// consecutive blocks, ascending.
     interior: Vec<Range<usize>>,
@@ -554,6 +643,7 @@ impl PartialEq for TranslatedAdjacency {
             && self.slots == other.slots
             && self.order == other.order
             && self.class_rows == other.class_rows
+            && self.bounds == other.bounds
             && self.interior == other.interior
             && self.boundary == other.boundary
     }
@@ -691,6 +781,171 @@ impl TranslatedAdjacency {
     pub fn boundary_runs(&self) -> &[Range<usize>] {
         &self.boundary
     }
+
+    /// The smallest and largest global id block `block`'s rows reference;
+    /// `(u32::MAX, 0)` when they reference nothing.
+    ///
+    /// # Panics
+    /// Panics if `block` is not below
+    /// [`TranslatedAdjacency::num_blocks`].
+    #[inline]
+    pub fn bounds(&self, block: usize) -> (u32, u32) {
+        self.bounds[block]
+    }
+
+    /// The owned global interval.
+    pub(crate) fn interval(&self) -> Interval {
+        let start = self.start as usize;
+        Interval::new(start, start + self.len())
+    }
+
+    /// How many references local rows `rows` make.
+    pub(crate) fn num_refs_of(&self, rows: Range<usize>) -> usize {
+        (self.xadj[rows.end] - self.xadj[rows.start]) as usize
+    }
+
+    /// This translation's id (see the field).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The global id slot `slot` holds: an owned slot past the interval's
+    /// start, a ghost slot the entry of `ghosts` (the schedule's
+    /// [`CommSchedule::ghost_globals`]) it indexes.
+    #[inline]
+    pub(crate) fn global(&self, ghosts: &[u32], slot: u32) -> u32 {
+        match slot.checked_sub(self.local_len) {
+            None => self.start + slot,
+            Some(ghost) => *ghosts
+                .get(ghost as usize)
+                .unwrap_or_else(|| panic!("slot {slot} reads beyond the ghost region")),
+        }
+    }
+
+    /// Appends to `out` every reference of block `block` that leaves
+    /// `interval`, as `(local row, global id)` in CSR order, the block's
+    /// rows numbered from `first` on. The block's slots are
+    /// scanned in the order they are stored, one comparison each: a slot
+    /// owned by `interval` cannot leave it. Only the others are read back
+    /// ([`Self::global`]), and those that leave are sorted into CSR order
+    /// through `found`, recycled storage.
+    pub(crate) fn leaving(
+        &self,
+        (ghosts, block, interval): (&[u32], usize, Interval),
+        first: usize,
+        found: &mut Vec<(u16, u32, u32)>,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
+        // The slots of the owned rows `interval` holds: `lo..lo + span`.
+        let kept = self.interval().intersect(&interval);
+        let (lo, span) = (
+            (kept.start as u32).wrapping_sub(self.start),
+            kept.len() as u32,
+        );
+        let rows = self.block_rows(block);
+        let (mut order, classes) = self.degree_classes(block);
+        let mut stream = self.block_slots(block);
+        found.clear();
+        // Row `i`'s reference `j` is slot `s`: kept unless it leaves.
+        let mut keep = |(i, j): (u16, usize), s: u32| {
+            let g = self.global(ghosts, s);
+            if !interval.contains(g as usize) {
+                found.push((i, j as u32, g));
+            }
+        };
+        for (degree, &rows_in) in classes.iter().enumerate() {
+            let class;
+            (class, order) = order.split_at(rows_in as usize);
+            if (1..LAST).contains(&degree) {
+                // `degree` slots to a row: a hit's row is its position's.
+                let region;
+                (region, stream) = stream.split_at(class.len() * degree);
+                for (p, &s) in region.iter().enumerate() {
+                    if s.wrapping_sub(lo) >= span {
+                        keep((class[p / degree], p % degree), s);
+                    }
+                }
+            } else {
+                for &i in class {
+                    let row;
+                    (row, stream) = stream.split_at(self.degree_of(rows.start + i as usize));
+                    for (j, &s) in row.iter().enumerate() {
+                        if s.wrapping_sub(lo) >= span {
+                            keep((i, j), s);
+                        }
+                    }
+                }
+            }
+        }
+        found.sort_unstable();
+        out.extend(
+            found
+                .iter()
+                .map(|&(i, _, g)| ((first + i as usize) as u32, g)),
+        );
+    }
+
+    /// Appends the references of local rows `rows` to `out`, row by row in
+    /// CSR order, each slot read back to its global id ([`Self::global`]).
+    /// A whole block is read in the order it is stored, each row written
+    /// to its place in `block` ([`decode_block`]) and the block appended
+    /// at once; a block that reads no ghost needs no lookup.
+    pub(crate) fn decode_rows(
+        &self,
+        ghosts: &[u32],
+        rows: Range<usize>,
+        block: &mut Vec<u32>,
+        out: &mut Vec<u32>,
+    ) {
+        let mut l = rows.start;
+        while l < rows.end {
+            let b = self.block_of(l);
+            let whole = self.block_rows(b);
+            let end = rows.end.min(whole.end);
+            if l != whole.start || end != whole.end {
+                for l in l..end {
+                    let row = self.neighbors_of(l).iter();
+                    out.extend(row.map(|&s| self.global(ghosts, s)));
+                }
+            } else {
+                block.clear();
+                block.resize(self.num_refs_of(whole.clone()), 0);
+                let base = self.xadj[whole.start];
+                if within(self.bounds[b], self.interval()) {
+                    let start = self.start;
+                    decode_block(self, b, base, block, |s| s.wrapping_add(start));
+                } else {
+                    decode_block(self, b, base, block, |s| self.global(ghosts, s));
+                }
+                out.extend_from_slice(block);
+            }
+            l = end;
+        }
+    }
+}
+
+/// Hands out translation ids; 0 is never one, so it can stand for "none".
+fn fresh_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Calls `f(local row, reference)` for every reference of `block` that
+/// leaves `interval`, in CSR order.
+fn for_each_leaving(block: &RowBlock, interval: Interval, mut f: impl FnMut(usize, u32)) {
+    match block.refs {
+        BlockRefs::Csr(row_ptrs, store) => {
+            for (l, w) in block.rows.clone().zip(row_ptrs.windows(2)) {
+                for &g in &store[w[0]..w[1]] {
+                    if !interval.contains(g as usize) {
+                        f(l, g);
+                    }
+                }
+            }
+        }
+        BlockRefs::Kept(refs) => refs.iter().for_each(|&(l, g)| f(l as usize, g)),
+    }
 }
 
 /// Appends `rows` to `runs`, merged into the last run when it ends where
@@ -768,6 +1023,72 @@ fn emit_in_visit_order(
             _ => emit_rows(class, src, dst, first, row_start),
         };
     }
+}
+
+/// Writes block `block` of `tadj` — read in the order it is stored, class
+/// by class — row by row in CSR order into `out`, row `l` from
+/// `out[xadj[l] - base]` on, each slot through `f`: the inverse of
+/// [`emit_in_visit_order`], and for the same reason class by class — in a
+/// class below the last, a row is a copy of constant length.
+fn decode_block(
+    tadj: &TranslatedAdjacency,
+    block: usize,
+    base: u32,
+    out: &mut [u32],
+    f: impl Fn(u32) -> u32,
+) {
+    let rows = tadj.block_rows(block);
+    let ends = &tadj.xadj[rows.start..=rows.end];
+    let (mut order, classes) = tadj.degree_classes(block);
+    let mut stream = tadj.block_slots(block);
+    for (degree, &rows) in classes.iter().enumerate() {
+        let class;
+        (class, order) = order.split_at(rows as usize);
+        let dst = (&mut *out, ends, base);
+        let read = match degree {
+            1 => decode_class::<1>(class, stream, dst, &f),
+            2 => decode_class::<2>(class, stream, dst, &f),
+            3 => decode_class::<3>(class, stream, dst, &f),
+            4 => decode_class::<4>(class, stream, dst, &f),
+            5 => decode_class::<5>(class, stream, dst, &f),
+            6 => decode_class::<6>(class, stream, dst, &f),
+            7 => decode_class::<7>(class, stream, dst, &f),
+            8 => decode_class::<8>(class, stream, dst, &f),
+            _ => {
+                let mut read = 0;
+                for &i in class {
+                    let (from, to) = (ends[i as usize], ends[i as usize + 1]);
+                    let row = &stream[read..read + (to - from) as usize];
+                    let at = (from - base) as usize;
+                    for (g, &s) in out[at..at + row.len()].iter_mut().zip(row) {
+                        *g = f(s);
+                    }
+                    read += row.len();
+                }
+                read
+            }
+        };
+        stream = &stream[read..];
+    }
+}
+
+/// One degree class of [`decode_block`], every row in `class` making
+/// exactly `D` references: reads the first `class.len() · D` slots of
+/// `stream` and returns how many that was.
+#[inline(always)]
+fn decode_class<const D: usize>(
+    class: &[u16],
+    stream: &[u32],
+    (out, ends, base): (&mut [u32], &[u32], u32),
+    f: impl Fn(u32) -> u32,
+) -> usize {
+    for (&i, row) in class.iter().zip(stream.chunks_exact(D)) {
+        let at = (ends[i as usize] - base) as usize;
+        let dst: &mut [u32; D] = (&mut out[at..at + D]).try_into().expect("D references");
+        let row: &[u32; D] = row.try_into().expect("a chunk of D slots");
+        *dst = row.map(&f);
+    }
+    class.len() * D
 }
 
 /// One degree class of [`emit_in_visit_order`], every row in `class` making
@@ -921,7 +1242,7 @@ impl Default for ScheduleScratch {
 /// is only valid for symmetric accesses (§3.2).
 pub fn build_schedule_symmetric(
     partition: &BlockPartition,
-    adj: &LocalAdjacency,
+    adj: &impl Rows,
     rank: usize,
     strategy: ScheduleStrategy,
 ) -> (CommSchedule, InspectorWork) {
@@ -939,7 +1260,7 @@ pub fn build_schedule_symmetric(
 /// Panics (in debug) if the reference pattern is not symmetric.
 pub fn build_schedule_symmetric_with(
     partition: &BlockPartition,
-    adj: &LocalAdjacency,
+    adj: &impl Rows,
     rank: usize,
     strategy: ScheduleStrategy,
     scratch: &mut ScheduleScratch,
@@ -967,37 +1288,33 @@ pub fn build_schedule_symmetric_with(
     // boundary locals per destination, each (local, peer) pair once.
     ghost_dedup.clear();
 
-    for (rows, bounds) in adj.blocks() {
+    for b in 0..adj.num_blocks() {
         // The paper's algorithm dereferences every reference; that is what
         // the counted work charges. Ours asks the block's bounds first, and
         // an interior block — all but the few that hold a boundary row on
         // a locality-ordered mesh — is done.
-        work.translate_ops += adj.refs_in(rows.start, rows.end).len() as u64;
-        if within(bounds, interval) {
+        let block = adj.block(b);
+        work.translate_ops += block.num_refs as u64;
+        if within(block.bounds, interval) {
             continue;
         }
-        for l in rows {
-            for &g in adj.neighbors_of(l) {
-                if interval.contains(g as usize) {
-                    continue;
-                }
-                let owner = partition.owner_of(g as usize);
-                work.hash_ops += 1;
-                if ghost_dedup.insert_if_absent(g, 0).is_none() {
-                    recv_segments[owner].push(g);
-                    work.scan_ops += 1;
-                }
-                // Symmetric accesses: the owner of g references my vertex
-                // l. Rows are visited in ascending l, so a repeated
-                // (l, owner) pair is always the segment's last entry; the
-                // probe is charged as the paper's hash lookup regardless.
-                work.hash_ops += 1;
-                if send_segments[owner].last() != Some(&(l as u32)) {
-                    send_segments[owner].push(l as u32);
-                    work.scan_ops += 1;
-                }
+        for_each_leaving(&block, interval, |l, g| {
+            let owner = partition.owner_of(g as usize);
+            work.hash_ops += 1;
+            if ghost_dedup.insert_if_absent(g, 0).is_none() {
+                recv_segments[owner].push(g);
+                work.scan_ops += 1;
             }
-        }
+            // Symmetric accesses: the owner of g references my vertex l.
+            // Rows are visited in ascending l, so a repeated (l, owner)
+            // pair is always the segment's last entry; the probe is
+            // charged as the paper's hash lookup regardless.
+            work.hash_ops += 1;
+            if send_segments[owner].last() != Some(&(l as u32)) {
+                send_segments[owner].push(l as u32);
+                work.scan_ops += 1;
+            }
+        });
     }
 
     // Receive segments: both variants sort by the sender's local reference,
@@ -1060,7 +1377,7 @@ pub fn build_schedule_symmetric_with(
 pub fn build_schedule_simple<C: Comm>(
     env: &mut C,
     partition: &BlockPartition,
-    adj: &LocalAdjacency,
+    adj: &impl Rows,
     cost: &InspectorCostModel,
 ) -> CommSchedule {
     let rank = env.rank();
@@ -1077,16 +1394,20 @@ pub fn build_schedule_simple<C: Comm>(
     let mut work = InspectorWork::default();
     let mut dedup = RefHashMap::with_capacity(adj.num_refs() / 4 + 4);
     let mut queries: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for &g in adj.refs() {
-        work.hash_ops += 1;
-        if interval.contains(g as usize) {
+    for b in 0..adj.num_blocks() {
+        // One hash operation per reference; an owned one is done.
+        let block = adj.block(b);
+        work.hash_ops += block.num_refs as u64;
+        if within(block.bounds, interval) {
             continue;
         }
-        if dedup.insert_if_absent(g, 0).is_none() {
-            let table_owner = DenseTable::table_owner_of(g as usize, n, p);
-            queries[table_owner].push(g);
-            work.scan_ops += 1;
-        }
+        for_each_leaving(&block, interval, |_, g| {
+            if dedup.insert_if_absent(g, 0).is_none() {
+                let table_owner = DenseTable::table_owner_of(g as usize, n, p);
+                queries[table_owner].push(g);
+                work.scan_ops += 1;
+            }
+        });
     }
     env.compute(cost.seconds(&work));
 

@@ -13,6 +13,7 @@ use stance_onedim::Arrangement;
 
 use super::reference::{slot_of, symmetric_oracle, translate_oracle};
 use super::*;
+use crate::MovedRows;
 
 const BLOCK_ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
 
@@ -94,6 +95,7 @@ fn stale_storage(tadj: &TranslatedAdjacency, larger: bool) -> TranslatedAdjacenc
     resize(&mut out.slots, larger, 7);
     resize(&mut out.order, larger, 7);
     resize(&mut out.class_rows, larger, [7; 10]);
+    resize(&mut out.bounds, larger, (7, 9));
     resize(&mut out.interior, larger, 7..9);
     resize(&mut out.boundary, larger, 7..9);
     out
@@ -266,10 +268,15 @@ proptest! {
     }
 }
 
-/// Moves `adj` onto `interval` the way a remap's adjacency move does, the
-/// rows it did not own read from `graph`.
-fn move_to(graph: &Graph, adj: &mut LocalAdjacency, interval: Interval) {
-    let kept = adj.interval().intersect(&interval);
+/// Moves the rows of `tadj` — `schedule`'s translation — onto `interval`
+/// the way a remap does, the rows it did not own received from `graph`.
+fn move_to(
+    graph: &Graph,
+    (schedule, tadj): (&CommSchedule, &TranslatedAdjacency),
+    interval: Interval,
+    moved: &mut MovedRows,
+) {
+    let kept = tadj.interval().intersect(&interval);
     let runs = if kept.is_empty() {
         vec![interval]
     } else {
@@ -287,44 +294,95 @@ fn move_to(graph: &Graph, adj: &mut LocalAdjacency, interval: Interval) {
             (r, degrees, refs)
         })
         .collect();
-    adj.rehome(interval, runs.iter().map(|(r, d, f)| (*r, &d[..], &f[..])));
+    moved.start(schedule, tadj);
+    moved.finish(
+        tadj,
+        interval,
+        runs.iter().map(|(r, d, f)| (*r, &d[..], &f[..])),
+    );
+}
+
+/// What a move hands the inspector is the extracted adjacency block for
+/// block: rows, bounds and reference counts; the rows themselves wherever
+/// it stages them; and, for every block it keeps — each one shared by the
+/// old and the new interval — the references that leave the interval.
+fn assert_moved_rows_are(moved: &MovedRows, adj: &LocalAdjacency, old: Interval) {
+    assert_eq!(
+        (moved.interval(), moved.num_refs(), Rows::num_blocks(moved)),
+        (adj.interval(), adj.num_refs(), Rows::num_blocks(adj))
+    );
+    let (iv, shared) = (adj.interval(), shared_blocks(old, adj.interval()));
+    for b in 0..Rows::num_blocks(adj) {
+        let (m, a) = (moved.block(b), adj.block(b));
+        assert_eq!(
+            (&m.rows, m.bounds, m.num_refs),
+            (&a.rows, a.bounds, a.num_refs)
+        );
+        let kept = shared.contains(&(iv.start / BLOCK_ROWS + b));
+        match m.refs {
+            BlockRefs::Kept(leaving) => {
+                assert!(kept, "block {b} is not shared but kept");
+                let expected: Vec<(u32, u32)> = a
+                    .rows
+                    .clone()
+                    .flat_map(|l| adj.neighbors_of(l).iter().map(move |&g| (l as u32, g)))
+                    .filter(|&(_, g)| !iv.contains(g as usize))
+                    .collect();
+                assert_eq!(leaving, expected, "block {b}");
+            }
+            BlockRefs::Csr(ptrs, store) => {
+                assert!(!kept, "block {b} is shared but staged");
+                for (i, l) in a.rows.clone().enumerate() {
+                    assert_eq!(&store[ptrs[i]..ptrs[i + 1]], adj.neighbors_of(l));
+                }
+            }
+        }
+    }
 }
 
 /// One rank along a chain of partitions, rebuilt after every move the way
-/// a session rebuilds — adjacency moved in place, schedule from a recycled
-/// scratch, translation into the previous one — and every step held to a
-/// fresh extraction, the oracles and a fresh translation.
+/// a session rebuilds — rows moved out of the translation, schedule from a
+/// recycled scratch, translation into the previous one — and every step
+/// held to a fresh extraction, the oracles and a fresh translation, and
+/// the translation decoded back to the extracted adjacency.
 fn assert_chain_matches_oracles(graph: &Graph, chain: &[BlockPartition], rank: usize) {
-    let mut adj = LocalAdjacency::extract(graph, &chain[0], rank);
     let mut scratch = ScheduleScratch::new();
+    let mut moved = MovedRows::new();
     let sort2 = ScheduleStrategy::Sort2;
-    let (schedule, _) = build_schedule_symmetric_with(&chain[0], &adj, rank, sort2, &mut scratch);
+    let adj = LocalAdjacency::extract(graph, &chain[0], rank);
+    let (mut schedule, _) =
+        build_schedule_symmetric_with(&chain[0], &adj, rank, sort2, &mut scratch);
     let mut tadj = schedule.translate_adjacency(&adj);
-    scratch.recycle(schedule);
     for partition in &chain[1..] {
-        move_to(graph, &mut adj, partition.interval_of(rank));
-        let what = format!("rank {rank} on {:?}", partition.sizes());
-        assert_eq!(
-            adj,
-            LocalAdjacency::extract(graph, partition, rank),
-            "{what}"
+        let old = tadj.interval();
+        move_to(
+            graph,
+            (&schedule, &tadj),
+            partition.interval_of(rank),
+            &mut moved,
         );
+        let what = format!("rank {rank} on {:?}", partition.sizes());
+        let adj = LocalAdjacency::extract(graph, partition, rank);
+        assert_moved_rows_are(&moved, &adj, old);
         for strategy in [ScheduleStrategy::Sort1, sort2] {
             let built =
-                build_schedule_symmetric_with(partition, &adj, rank, strategy, &mut scratch);
+                build_schedule_symmetric_with(partition, &moved, rank, strategy, &mut scratch);
             assert_eq!(
                 built,
                 symmetric_oracle(partition, &adj, rank, strategy),
                 "{what}"
             );
-            let schedule = built.0;
+            let built = built.0;
             if strategy == sort2 {
-                schedule.translate_adjacency_into(&adj, &mut tadj);
-                assert_eq!(tadj, translate_oracle(&schedule, &adj), "{what}");
-                assert_eq!(tadj, schedule.translate_adjacency(&adj), "{what}");
-                assert_rows_read_back(&schedule, &adj, &tadj);
+                built.translate_adjacency_into(&moved, &mut tadj);
+                assert_eq!(tadj, translate_oracle(&built, &adj), "{what}");
+                assert_eq!(tadj, built.translate_adjacency(&adj), "{what}");
+                assert_rows_read_back(&built, &adj, &tadj);
+                assert_eq!(built.decode_adjacency(&tadj), adj, "{what}");
+                scratch.recycle(std::mem::replace(&mut schedule, built));
+            } else {
+                scratch.recycle(built);
             }
-            scratch.recycle(schedule);
         }
     }
 }
@@ -343,7 +401,7 @@ fn kept_interior_blocks_are_rebased_not_translated() {
     );
     for rank in 0..2 {
         let (from, to) = (old.interval_of(rank), new.interval_of(rank));
-        let mut adj = LocalAdjacency::extract(&g, &old, rank);
+        let adj = LocalAdjacency::extract(&g, &old, rank);
         let (schedule, _) = build_schedule_symmetric(&old, &adj, rank, ScheduleStrategy::Sort2);
         let mut tadj = schedule.translate_adjacency(&adj);
         let kept = |b: &(std::ops::Range<usize>, _)| within(b.1, from) && within(b.1, to);
@@ -361,9 +419,10 @@ fn kept_interior_blocks_are_rebased_not_translated() {
             let first = tadj.xadj[tadj.block_rows(b).start] as usize;
             tadj.slots[first] = MARK;
         }
-        move_to(&g, &mut adj, to);
-        let (schedule, _) = build_schedule_symmetric(&new, &adj, rank, ScheduleStrategy::Sort2);
-        schedule.translate_adjacency_into(&adj, &mut tadj);
+        let mut moved = MovedRows::new();
+        move_to(&g, (&schedule, &tadj), to, &mut moved);
+        let (schedule, _) = build_schedule_symmetric(&new, &moved, rank, ScheduleStrategy::Sort2);
+        schedule.translate_adjacency_into(&moved, &mut tadj);
         let shift = (from.start as u32).wrapping_sub(to.start as u32);
         for &k in &marked {
             let b = k - to.start / BLOCK_ROWS;
@@ -375,7 +434,7 @@ fn kept_interior_blocks_are_rebased_not_translated() {
             );
         }
         // Without the markers, the same remap is a fresh translation.
-        let fresh = schedule.translate_adjacency(&adj);
+        let fresh = schedule.translate_adjacency(&LocalAdjacency::extract(&g, &new, rank));
         let wrong = (0..tadj.num_refs()).filter(|&s| tadj.slots[s] != fresh.slots[s]);
         assert_eq!(wrong.count(), marked.len());
     }
@@ -393,7 +452,7 @@ fn runs_split_at_ghosts_fresh_and_after_a_remap() {
         BlockPartition::from_sizes(&[3000, 7000]),
     );
     for rank in 0..2 {
-        let mut adj = LocalAdjacency::extract(&g, &old, rank);
+        let adj = LocalAdjacency::extract(&g, &old, rank);
         let (schedule, _) = build_schedule_symmetric(&old, &adj, rank, ScheduleStrategy::Sort2);
         let mut tadj = schedule.translate_adjacency(&adj);
         assert_runs_split_at_ghosts(&tadj);
@@ -404,9 +463,11 @@ fn runs_split_at_ghosts_fresh_and_after_a_remap() {
             .map(ExactSizeIterator::len)
             .max();
         assert!(widest > Some(BLOCK_ROWS), "rank {rank}: {widest:?}");
-        move_to(&g, &mut adj, new.interval_of(rank));
-        let (schedule, _) = build_schedule_symmetric(&new, &adj, rank, ScheduleStrategy::Sort2);
-        schedule.translate_adjacency_into(&adj, &mut tadj);
+        let mut moved = MovedRows::new();
+        move_to(&g, (&schedule, &tadj), new.interval_of(rank), &mut moved);
+        let (schedule, _) = build_schedule_symmetric(&new, &moved, rank, ScheduleStrategy::Sort2);
+        schedule.translate_adjacency_into(&moved, &mut tadj);
+        let adj = LocalAdjacency::extract(&g, &new, rank);
         assert_eq!(tadj, translate_oracle(&schedule, &adj), "rank {rank}");
         assert_runs_split_at_ghosts(&tadj);
     }
@@ -551,14 +612,9 @@ fn lone_off_block_reference_at_a_chunk_edge() {
     // Rank 0's single chunk ends in row 511 → [510, 512]: 512 is rank 1's.
     let partition = BlockPartition::from_sizes(&[BLOCK_ROWS, BLOCK_ROWS + 1]);
     let adj = LocalAdjacency::extract(&g, &partition, 0);
-    assert_eq!(adj.refs().last(), Some(&(BLOCK_ROWS as u32)));
-    assert_eq!(
-        adj.refs()
-            .iter()
-            .filter(|&&g| g >= BLOCK_ROWS as u32)
-            .count(),
-        1
-    );
+    let refs = adj.refs_in(0, adj.len());
+    assert_eq!(refs.last(), Some(&(BLOCK_ROWS as u32)));
+    assert_eq!(refs.iter().filter(|&&g| g >= BLOCK_ROWS as u32).count(), 1);
     let tadj = assert_matches_oracles(&partition, &adj, 0);
     let ghost = tadj.local_len();
     assert_eq!(tadj.neighbors_of(BLOCK_ROWS - 1), [ghost - 2, ghost]);

@@ -80,7 +80,8 @@ pub(crate) fn slot_of(schedule: &CommSchedule, g: u32) -> u32 {
 /// reference: a block ends wherever the next global row is a multiple of
 /// `BLOCK_ROWS`, its degree index is a stable sort of its row numbers on
 /// `min(degree, 9)`, and the slots are the rows laid out one at a time in
-/// that order, each row's references in CSR order. A block reads no ghost
+/// that order, each row's references in CSR order; its bounds are the
+/// smallest and largest of its references. A block reads no ghost
 /// when every slot it stores is below `local_len`; the runs of such blocks,
 /// and of the others, are merged one block at a time.
 pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
@@ -90,12 +91,13 @@ pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Transl
         local_len,
         num_ghosts: schedule.num_ghosts,
         start: start as u32,
-        of: adj.id(),
+        id: 0,
         xadj: vec![0],
         row_start: vec![0; adj.len()],
         slots: Vec::new(),
         order: Vec::new(),
         class_rows: Vec::new(),
+        bounds: Vec::new(),
         interior: Vec::new(),
         boundary: Vec::new(),
     };
@@ -113,6 +115,11 @@ pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Transl
         out.class_rows.push(std::array::from_fn(|class| {
             block.iter().filter(|&i| class_of(i) == class).count() as u16
         }));
+        let refs = (lo..next).flat_map(|l| adj.neighbors_of(l));
+        out.bounds.push((
+            refs.clone().copied().min().unwrap_or(u32::MAX),
+            refs.copied().max().unwrap_or(0),
+        ));
         for &i in &block {
             let l = lo + i as usize;
             out.row_start[l] = out.slots.len() as u32;
@@ -134,4 +141,26 @@ pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Transl
         }
     }
     out
+}
+
+/// Holds a translation to the rows it was made from: `schedule` decodes
+/// it back to `adj`, and every block carries the smallest and largest
+/// global id its rows reference, found by looking at every one.
+///
+/// # Panics
+/// Panics, naming what differs, if either does not hold.
+pub fn assert_decodes_to(
+    schedule: &CommSchedule,
+    tadj: &TranslatedAdjacency,
+    adj: &LocalAdjacency,
+) {
+    assert_eq!(schedule.decode_adjacency(tadj), *adj, "decoded translation");
+    for b in 0..tadj.num_blocks() {
+        let refs = tadj.block_rows(b).flat_map(|l| adj.neighbors_of(l));
+        let scanned = (
+            refs.clone().copied().min().unwrap_or(u32::MAX),
+            refs.copied().max().unwrap_or(0),
+        );
+        assert_eq!(tadj.bounds(b), scanned, "bounds of block {b}");
+    }
 }
