@@ -14,7 +14,7 @@ use stance_onedim::{
     mcr::{keep_arrangement, minimize_cost_redistribution},
     Arrangement, BlockPartition, RedistCostModel, RedistributionPlan,
 };
-use stance_sim::{Comm, Payload, Tag};
+use stance_sim::{Comm, Element, Payload, Tag};
 
 /// Tag for the load gather (workers → controller).
 const TAG_LOAD: Tag = stance_sim::tags::TAG_LOAD;
@@ -127,7 +127,7 @@ fn centralized_step<C: Comm>(
     remaining_iters: usize,
     config: &BalancerConfig,
 ) -> Decision {
-    let gathered = env.gather_to(CONTROLLER, TAG_LOAD, Payload::from_f64(vec![per_item_time]));
+    let gathered = env.gather_to(CONTROLLER, TAG_LOAD, f64::pack(&[per_item_time]));
 
     let decision_payload = if env.rank() == CONTROLLER {
         // `gather_to` returns `Some` exactly on the root, and this is it;
@@ -135,7 +135,7 @@ fn centralized_step<C: Comm>(
         let times: Vec<f64> = gathered
             .expect("controller receives the gather")
             .into_iter()
-            .map(|p| p.into_f64()[0])
+            .map(|p| f64::unpack(p)[0])
             .collect();
         let decision = decide(partition, &times, remaining_iters, config);
         // A little controller compute: O(p³) for MCR is priced inside
@@ -148,7 +148,7 @@ fn centralized_step<C: Comm>(
         env.bcast_from(CONTROLLER, TAG_DECISION, Payload::Empty)
     };
 
-    decode_decision(&decision_payload, partition.n())
+    decode_decision(decision_payload, partition.n())
 }
 
 /// The distributed variant: one all-gather round, then every rank runs the
@@ -163,9 +163,9 @@ fn distributed_step<C: Comm>(
 ) -> Decision {
     // Every part is a rank's one-`f64` load payload, as sent here.
     let times: Vec<f64> = env
-        .allgather(TAG_LOAD_ALLGATHER, Payload::from_f64(vec![per_item_time]))
+        .allgather(TAG_LOAD_ALLGATHER, f64::pack(&[per_item_time]))
         .into_iter()
-        .map(|p| p.into_f64()[0])
+        .map(|p| f64::unpack(p)[0])
         .collect();
     env.compute(1.0e-5 * times.len() as f64);
     decide(partition, &times, remaining_iters, config)
@@ -248,7 +248,7 @@ fn capabilities(per_item_times: &[f64]) -> Vec<f64> {
 /// arrangement…]` = remap.
 fn encode_decision(decision: &Decision) -> Payload {
     match decision {
-        Decision::Keep => Payload::from_u64(vec![0]),
+        Decision::Keep => u64::pack(&[0]),
         Decision::Remap(part) => {
             let p = part.num_procs() as u64;
             let mut words = Vec::with_capacity(2 + 2 * part.num_procs());
@@ -256,35 +256,41 @@ fn encode_decision(decision: &Decision) -> Payload {
             words.push(p);
             words.extend(part.block_sizes().iter().map(|&s| s as u64));
             words.extend(part.arrangement().as_slice().iter().map(|&q| q as u64));
-            Payload::from_u64(words)
+            u64::pack(&words)
         }
     }
 }
 
 /// Decodes [`encode_decision`]'s wire format.
-fn decode_decision(payload: &Payload, expected_n: usize) -> Decision {
-    // The payload is `encode_decision`'s, written by the controller in the
-    // same collective: always `U64`, in that layout, for this `n`.
-    let words = match payload {
-        Payload::U64(w) => w,
-        other => panic!("decision payload must be U64, got {other:?}"),
-    };
-    match words.first() {
-        Some(0) => Decision::Keep,
-        Some(1) => {
-            let p = words[1] as usize;
-            let sizes: Vec<usize> = words[2..2 + p].iter().map(|&w| w as usize).collect();
-            let order: Vec<usize> = words[2 + p..2 + 2 * p]
-                .iter()
-                .map(|&w| w as usize)
-                .collect();
+///
+/// # Panics
+/// Panics unless `payload` is `[0]`, or `[1, p]` followed by `2p` words —
+/// the controller's encoding, sent in the same collective — and the
+/// partition it names covers `expected_n` items.
+fn decode_decision(payload: Payload, expected_n: usize) -> Decision {
+    let words = u64::unpack(payload);
+    match words[..] {
+        [0] => Decision::Keep,
+        [1, p, ref rest @ ..] => {
+            let p = p as usize;
+            assert_eq!(
+                rest.len(),
+                2 * p,
+                "a remap decision for p = {p} ranks is 2 + 2p words, got {}",
+                words.len()
+            );
+            let (sizes, order) = rest.split_at(p);
+            let sizes: Vec<usize> = sizes.iter().map(|&w| w as usize).collect();
+            let order: Vec<usize> = order.iter().map(|&w| w as usize).collect();
             let part = BlockPartition::from_sizes_with_arrangement(&sizes, Arrangement::new(order));
             // The controller's candidate repartitions the same `n` items.
             assert_eq!(part.n(), expected_n, "decoded partition has wrong length");
             Decision::Remap(part)
         }
-        // `encode_decision` writes only tags 0 and 1.
-        _ => panic!("malformed decision payload"),
+        _ => panic!(
+            "a decision is [0] (keep) or [1, p, …] (remap), got {} words",
+            words.len()
+        ),
     }
 }
 
@@ -383,11 +389,11 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let keep = Decision::Keep;
-        assert_eq!(decode_decision(&encode_decision(&keep), 100), keep);
+        assert_eq!(decode_decision(encode_decision(&keep), 100), keep);
         let part =
             BlockPartition::from_weights(100, &[0.3, 0.5, 0.2], Arrangement::new(vec![2, 0, 1]));
         let remap = Decision::Remap(part.clone());
-        match decode_decision(&encode_decision(&remap), 100) {
+        match decode_decision(encode_decision(&remap), 100) {
             Decision::Remap(got) => {
                 assert_eq!(got.sizes(), part.sizes());
                 assert_eq!(got.arrangement(), part.arrangement());
@@ -397,6 +403,12 @@ mod tests {
             }
             Decision::Keep => panic!("round trip lost the remap"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "2 + 2p words")]
+    fn short_remap_decision_is_refused() {
+        decode_decision(u64::pack(&[1, 2, 50, 50, 1]), 100);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!
 //! * the [`RedistributionPlan`] (recomputed in place, computed **once** per
 //!   remap and shared by the value move and the adjacency move);
-//! * pooled byte buffers for value-message staging and pooled `u32`
-//!   buffers for row-message staging (received payloads are recycled back
-//!   into the pools, so buffers circulate through the cluster);
+//! * pooled byte buffers for value- and row-message staging, one pool
+//!   each (received payloads are recycled back into the pools, so buffers
+//!   circulate through the cluster);
 //! * the destination value blocks, one per moved array: the caller swaps
 //!   each into place afterwards (the session hands them to its fields'
 //!   buffers), so every array's values are copied once per remap and the
@@ -43,6 +43,7 @@
 //! the allocating path, so simulated results and clocks are bitwise
 //! unchanged.
 
+use stance_inspector::moved::{pack_degrees, read_words};
 use stance_inspector::{
     CommSchedule, LocalAdjacency, MovedRows, ScheduleScratch, TranslatedAdjacency,
 };
@@ -52,8 +53,8 @@ use stance_sim::{Comm, Element, Payload, Tag};
 const TAG_VALUES: Tag = stance_sim::tags::TAG_REDIST_VALUES;
 const TAG_ADJ: Tag = stance_sim::tags::TAG_REDIST_ADJ;
 
-/// Bound on pooled staging buffers (bytes and words): enough for any
-/// realistic per-remap fan-out, small enough to cap retained memory.
+/// Bound on each pool of staging buffers: enough for any realistic
+/// per-remap fan-out, small enough to cap retained memory.
 const POOL_CAP: usize = 16;
 
 /// Recycled scratch for the adaptive remap pipeline. See the module docs.
@@ -68,10 +69,14 @@ pub struct RemapScratch<E: Element> {
     blocks: Vec<Vec<E>>,
     /// How many of `blocks` the last redistribution filled.
     moved: usize,
-    /// `u32` staging for row messages.
-    words_pool: Vec<Vec<u32>>,
+    /// Byte staging for row messages. Kept apart from `bytes_pool`
+    /// because a pooled buffer keeps the capacity of the largest message
+    /// it carried, and a row packet is several times a value message: one
+    /// shared pool holds every buffer at row size (+1.7 MiB
+    /// `peak_rss_mb` on `churn-200k`, measured).
+    rows_pool: Vec<Vec<u8>>,
     /// Received row packets, held until the rows take them.
-    packets: Vec<Vec<u32>>,
+    packets: Vec<Vec<u8>>,
     /// Received runs: `(global range start, row count, packet index)`.
     segs: Vec<(usize, usize, usize)>,
     /// The rows after the last [`RemapScratch::redistribute_adjacency`],
@@ -90,7 +95,7 @@ impl<E: Element> RemapScratch<E> {
             bytes_pool: Vec::new(),
             blocks: Vec::new(),
             moved: 0,
-            words_pool: Vec::new(),
+            rows_pool: Vec::new(),
             packets: Vec::new(),
             segs: Vec::new(),
             rows: MovedRows::new(),
@@ -233,10 +238,11 @@ impl<E: Element> RemapScratch<E> {
     /// schedule rebuild and the re-translation read: rows sent away are
     /// decoded on their way out, received ones staged, and the blocks
     /// kept whole are left in the translation ([`MovedRows`]). Staging
-    /// words come from a recycled pool, so a warm move allocates nothing.
+    /// bytes come from the recycled row pool, so a warm move allocates
+    /// nothing.
     ///
     /// Wire format per moved range: `[deg(v) for v in range] ++ [refs…]`
-    /// as one `u32` payload, receives in the plan's deterministic
+    /// as little-endian `u32`s in one payload, receives in the plan's deterministic
     /// `(src, range)` order — the messages and order of
     /// [`redistribute_adjacency`], so virtual time is unchanged.
     ///
@@ -261,8 +267,8 @@ impl<E: Element> RemapScratch<E> {
         );
         let rows = &mut self.rows;
         rows.start(schedule, tadj);
-        send_rows(env, plan, old_iv, &mut self.words_pool, |range, words| {
-            rows.pack(tadj, range, words);
+        send_rows(env, plan, old_iv, &mut self.rows_pool, |range, bytes| {
+            rows.pack(tadj, range, bytes);
         });
         recv_rows(env, plan, &mut self.segs, &mut self.packets);
         let packets = &self.packets;
@@ -270,32 +276,31 @@ impl<E: Element> RemapScratch<E> {
             tadj,
             new.interval_of(rank),
             self.segs.iter().map(|&(start, count, packet)| {
-                let (degrees, refs) = packets[packet].split_at(count);
-                (Interval::new(start, start + count), degrees, refs)
+                (Interval::new(start, start + count), &packets[packet][..])
             }),
         );
         while let Some(packet) = self.packets.pop() {
-            pool_put(&mut self.words_pool, packet);
+            pool_put(&mut self.rows_pool, packet);
         }
     }
 }
 
 /// Sends every range of rows `plan` moves away from this rank — whose old
-/// interval is `old_iv` — as one `u32` message: `pack(local rows, words)`
-/// fills a pooled, empty buffer with the range's degrees, then its
-/// references.
+/// interval is `old_iv` — as one message: `pack(local rows, bytes)` fills
+/// a pooled, empty buffer with the range's degrees, then its references,
+/// as little-endian `u32`s.
 fn send_rows<C: Comm>(
     env: &mut C,
     plan: &RedistributionPlan,
     old_iv: Interval,
-    pool: &mut Vec<Vec<u32>>,
-    mut pack: impl FnMut(std::ops::Range<usize>, &mut Vec<u32>),
+    pool: &mut Vec<Vec<u8>>,
+    mut pack: impl FnMut(std::ops::Range<usize>, &mut Vec<u8>),
 ) {
     for m in plan.sends_of(env.rank()) {
         let rows = m.range.start - old_iv.start..m.range.end - old_iv.start;
-        let mut words = pool_take(pool, 0);
-        pack(rows, &mut words);
-        env.send(m.dst, TAG_ADJ, Payload::from_u32(words));
+        let mut bytes = pool_take(pool, 0);
+        pack(rows, &mut bytes);
+        env.send(m.dst, TAG_ADJ, Payload::from_bytes(bytes));
     }
 }
 
@@ -306,21 +311,20 @@ fn recv_rows<C: Comm>(
     env: &mut C,
     plan: &RedistributionPlan,
     segs: &mut Vec<(usize, usize, usize)>,
-    packets: &mut Vec<Vec<u32>>,
+    packets: &mut Vec<Vec<u8>>,
 ) {
     segs.clear();
     packets.clear();
     for m in plan.recvs_of(env.rank()) {
         segs.push((m.range.start, m.range.len(), packets.len()));
-        packets.push(env.recv(m.src, TAG_ADJ).into_u32());
+        packets.push(env.recv(m.src, TAG_ADJ).into_bytes());
     }
     segs.sort_unstable();
 }
 
 /// Pops a cleared buffer with at least `capacity` reserved from `pool`,
-/// or allocates one on a pool miss. One implementation serves the byte
-/// and word pools alike.
-fn pool_take<T>(pool: &mut Vec<Vec<T>>, capacity: usize) -> Vec<T> {
+/// or allocates one on a pool miss.
+fn pool_take(pool: &mut Vec<Vec<u8>>, capacity: usize) -> Vec<u8> {
     match pool.pop() {
         Some(mut buf) => {
             buf.clear();
@@ -332,7 +336,7 @@ fn pool_take<T>(pool: &mut Vec<Vec<T>>, capacity: usize) -> Vec<T> {
 }
 
 /// Returns a spent buffer to `pool`, bounded by [`POOL_CAP`].
-fn pool_put<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
+fn pool_put(pool: &mut Vec<Vec<u8>>, buf: Vec<u8>) {
     if pool.len() < POOL_CAP {
         pool.push(buf);
     }
@@ -440,9 +444,10 @@ pub fn redistribute_values_coalesced<E: Element, C: Comm>(
 /// Moves the distributed mesh rows (each vertex's global neighbor list) to
 /// the new owners, returning this rank's new [`LocalAdjacency`].
 ///
-/// Wire format per moved range: `[deg(v) for v in range] ++ [refs…]` as one
-/// `u32` payload (the receiver knows the range length from the plan) — the
-/// messages [`RemapScratch::redistribute_adjacency`] sends.
+/// Wire format per moved range: `[deg(v) for v in range] ++ [refs…]` as
+/// little-endian `u32`s in one payload (the receiver knows the range length
+/// from the plan) — the messages [`RemapScratch::redistribute_adjacency`]
+/// sends.
 ///
 /// # Panics
 /// Panics if `adj` does not cover the rank's old interval.
@@ -460,16 +465,17 @@ pub fn redistribute_adjacency<C: Comm>(
         "adjacency does not match old interval"
     );
     let plan = RedistributionPlan::between(old, new);
-    send_rows(env, &plan, old_iv, &mut Vec::new(), |rows, words| {
-        words.reserve(rows.len() + adj.refs_in(rows.start, rows.end).len());
-        words.extend(rows.clone().map(|l| adj.degree_of(l) as u32));
-        words.extend_from_slice(adj.refs_in(rows.start, rows.end));
+    send_rows(env, &plan, old_iv, &mut Vec::new(), |rows, bytes| {
+        let refs = adj.refs_in(rows.start, rows.end);
+        bytes.reserve(4 * (rows.len() + refs.len()));
+        pack_degrees(rows.map(|l| adj.degree_of(l)), bytes);
+        u32::pack_into(refs, bytes);
     });
     let (mut segs, mut packets) = (Vec::new(), Vec::new());
     recv_rows(env, &plan, &mut segs, &mut packets);
     let received: usize = segs
         .iter()
-        .map(|&(_, rows, p)| packets[p].len() - rows)
+        .map(|&(_, rows, p)| packets[p].len() / 4 - rows)
         .sum();
     // The kept rows between the received runs, in interval order.
     let kept = old_iv.intersect(&new_iv);
@@ -497,12 +503,12 @@ pub fn redistribute_adjacency<C: Comm>(
             }));
             refs.extend_from_slice(adj.refs_in(rows.start, rows.end));
         } else {
-            let (degrees, packed) = packets[packet].split_at(count);
-            xadj.extend(degrees.iter().map(|&d| {
+            let (degrees, packed) = packets[packet].split_at(4 * count);
+            xadj.extend(read_words(degrees).map(|d| {
                 at += d as usize;
                 at
             }));
-            refs.extend_from_slice(packed);
+            refs.extend(read_words(packed));
         }
         assert_eq!(at, refs.len(), "adjacency packet fully consumed");
     }

@@ -36,7 +36,7 @@
 //! verdict travels as one `u64` bitmask).
 
 use stance_sim::tags::{TAG_HEARTBEAT, TAG_VERDICT};
-use stance_sim::{Comm, Payload};
+use stance_sim::{Comm, Element, Payload};
 
 use crate::config::{DetectorConfig, RecoveryPolicy, StanceConfig};
 
@@ -98,7 +98,7 @@ pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool>
     // between rounds) is folded in as dead too.
     for q in 0..p {
         if q != me && suspected & (1 << q) == 0 {
-            env.post(q, TAG_VERDICT, Payload::from_u64(vec![suspected]));
+            env.post(q, TAG_VERDICT, u64::pack(&[suspected]));
         }
     }
     let mut verdict = suspected;
@@ -107,7 +107,7 @@ pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool>
             continue;
         }
         match recv_patient(env, q, TAG_VERDICT, det) {
-            Some(mask) => verdict |= mask.into_u64()[0],
+            Some(mask) => verdict |= u64::unpack(mask)[0],
             None => verdict |= 1 << q,
         }
     }

@@ -8,8 +8,9 @@
 //!
 //! * a row sent away is decoded on its way out ([`MovedRows::pack`]): an
 //!   owned slot `s` is global `start + s`, a ghost slot the global its
-//!   receive segment names; it travels as `[deg(v)…] ++ [refs…]`, the
-//!   remap's wire format;
+//!   receive segment names; it travels as `[deg(v)…] ++ [refs…]`, each a
+//!   little-endian `u32` — the remap's wire format, written straight into
+//!   the message's bytes and read straight out of them;
 //! * a block whose rows all stay, cut alike before and after the move, is
 //!   kept where it lies: the translation moves it, and rebases its slots
 //!   ([`CommSchedule::translate_adjacency_into`]) — which is all a block
@@ -29,6 +30,7 @@
 use std::ops::Range;
 
 use stance_onedim::Interval;
+use stance_sim::Element;
 
 use crate::adjacency::{block_rows, num_blocks, scan, shared_blocks, within, Bounds};
 use crate::adjacency::{BlockRefs, RowBlock, Rows};
@@ -112,23 +114,25 @@ impl MovedRows {
         self.from = tadj.id();
     }
 
-    /// Appends local rows `rows` of `tadj` to `words` in a remap's wire
-    /// form: their degrees, then their references as global ids, row by
-    /// row in CSR order.
+    /// Appends local rows `rows` of `tadj` to `bytes` in a remap's wire
+    /// form: their degrees ([`pack_degrees`]), then their references as
+    /// global ids, row by row in CSR order, each a little-endian `u32`.
     ///
     /// # Panics
     /// Panics if `tadj` is not the translation [`MovedRows::start`] was
     /// given.
-    pub fn pack(&mut self, tadj: &TranslatedAdjacency, rows: Range<usize>, words: &mut Vec<u32>) {
+    pub fn pack(&mut self, tadj: &TranslatedAdjacency, rows: Range<usize>, bytes: &mut Vec<u8>) {
         self.check_from(tadj);
-        words.reserve(rows.len() + tadj.num_refs_of(rows.clone()));
-        words.extend(rows.clone().map(|l| tadj.degree_of(l) as u32));
-        tadj.decode_rows(&self.ghosts, rows, &mut self.block, words);
+        bytes.reserve(4 * (rows.len() + tadj.num_refs_of(rows.clone())));
+        pack_degrees(rows.clone().map(|l| tadj.degree_of(l)), bytes);
+        tadj.decode_rows(&self.ghosts, rows, &mut self.block, |refs| {
+            u32::pack_into(refs, bytes);
+        });
     }
 
     /// Finishes the move onto `interval`: the rows of `tadj`'s interval
     /// this rank keeps, and the runs it `received` — ascending, each
-    /// `(rows, degrees, references)` in the wire form of
+    /// `(rows, packet)` with the packet in the wire form of
     /// [`MovedRows::pack`] — tile it. Blocks kept whole are left in the
     /// translation; every other block is staged.
     ///
@@ -140,7 +144,7 @@ impl MovedRows {
         &mut self,
         tadj: &TranslatedAdjacency,
         interval: Interval,
-        received: impl IntoIterator<Item = (Interval, &'a [u32], &'a [u32])>,
+        received: impl IntoIterator<Item = (Interval, &'a [u8])>,
     ) {
         self.check_from(tadj);
         let old = tadj.interval();
@@ -154,10 +158,10 @@ impl MovedRows {
         self.ptrs.push(0);
         self.refs.clear();
         self.leaving.clear();
-        let mut received = received.into_iter().filter(|(rows, ..)| !rows.is_empty());
-        // The run being read: its rows, degrees and references, and how
-        // many of its references were read.
-        let mut run: Option<(Interval, &[u32], &[u32], usize)> = None;
+        let mut received = received.into_iter().filter(|(rows, _)| !rows.is_empty());
+        // The run being read: its rows, its degrees' and its references'
+        // bytes, and how many of its references were read.
+        let mut run: Option<(Interval, &[u8], &[u8], usize)> = None;
         for b in 0..num_blocks(interval.start, interval.len()) {
             let rows = block_rows(interval.start, interval.len(), b);
             if shared.contains(&(new_first + b)) {
@@ -181,7 +185,9 @@ impl MovedRows {
                     let to = end.min(kept.end);
                     let rows = g - old.start..to - old.start;
                     let mut at = self.refs.len();
-                    tadj.decode_rows(&self.ghosts, rows.clone(), &mut self.block, &mut self.refs);
+                    tadj.decode_rows(&self.ghosts, rows.clone(), &mut self.block, |refs| {
+                        self.refs.extend_from_slice(refs);
+                    });
                     self.ptrs.extend(rows.map(|l| {
                         at += tadj.degree_of(l);
                         at
@@ -193,12 +199,14 @@ impl MovedRows {
                     Some(run) if run.0.contains(g) => run,
                     done => {
                         if let Some((_, _, refs, read)) = done {
-                            assert_eq!(read, refs.len(), "adjacency packet fully consumed");
+                            assert_eq!(4 * read, refs.len(), "adjacency packet fully consumed");
                         }
-                        let (rows, degrees, refs) =
+                        let (rows, packet) =
                             received.next().expect("segments must cover the interval");
                         assert_eq!(rows.start, g, "segments must tile the interval");
-                        assert_eq!(degrees.len(), rows.len(), "one degree per moved row");
+                        let (degrees, refs) = packet
+                            .split_at_checked(4 * rows.len())
+                            .expect("one degree per moved row");
                         assert!(
                             rows.intersect(&kept).is_empty(),
                             "segments must tile the interval"
@@ -208,13 +216,15 @@ impl MovedRows {
                 };
                 let (to, staged) = (end.min(rows.end), self.refs.len());
                 let mut at = read;
-                self.ptrs
-                    .extend(degrees[g - rows.start..to - rows.start].iter().map(|&d| {
-                        at += d as usize;
-                        staged + at - read
-                    }));
-                let row_refs = refs.get(read..at).expect("adjacency packet fully consumed");
-                self.refs.extend_from_slice(row_refs);
+                let row_degrees = &degrees[4 * (g - rows.start)..4 * (to - rows.start)];
+                self.ptrs.extend(read_words(row_degrees).map(|d| {
+                    at += d as usize;
+                    staged + at - read
+                }));
+                let row_refs = refs
+                    .get(4 * read..4 * at)
+                    .expect("adjacency packet fully consumed");
+                self.refs.extend(read_words(row_refs));
                 run = Some((rows, degrees, refs, at));
                 g = to;
             }
@@ -224,7 +234,7 @@ impl MovedRows {
             self.num_refs += refs.len();
         }
         if let Some((_, _, refs, read)) = run {
-            assert_eq!(read, refs.len(), "adjacency packet fully consumed");
+            assert_eq!(4 * read, refs.len(), "adjacency packet fully consumed");
         }
         assert!(
             received.next().is_none(),
@@ -239,6 +249,39 @@ impl MovedRows {
             "rows are moved out of the translation the move started from"
         );
     }
+}
+
+/// Appends rows' `degrees` to `bytes` in a remap's wire form, one
+/// little-endian `u32` each, with the built-in [`Element::pack_into`]'s
+/// pattern: fixed-width copies into a 4 KiB stack stage, appended whole.
+// This and `read_words` are inlined into their callers: as an
+// out-of-crate call, the same loop measured 3.5× slower.
+#[inline]
+pub fn pack_degrees(mut degrees: impl Iterator<Item = usize>, bytes: &mut Vec<u8>) {
+    let mut stage = [0u8; 4096];
+    loop {
+        let mut staged = 0;
+        for (chunk, d) in stage.chunks_exact_mut(4).zip(&mut degrees) {
+            chunk.copy_from_slice(&(d as u32).to_le_bytes());
+            staged += 4;
+        }
+        bytes.extend_from_slice(&stage[..staged]);
+        if staged < stage.len() {
+            return;
+        }
+    }
+}
+
+/// The little-endian `u32`s of part of a remap packet, read in place.
+///
+/// # Panics
+/// Panics unless `bytes` is a whole number of words.
+#[inline]
+pub fn read_words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    assert_eq!(bytes.len() % 4, 0, "a remap packet holds whole u32 words");
+    bytes
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
 }
 
 impl Rows for MovedRows {
@@ -268,5 +311,24 @@ impl Rows for MovedRows {
 
     fn kept_from(&self) -> Option<(u64, &[u32])> {
         Some((self.from, &self.ghosts))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn packet_words_round_trip_and_ragged_ones_are_refused() {
+        let mut bytes = Vec::new();
+        pack_degrees([3usize, 0, 7].into_iter(), &mut bytes);
+        u32::pack_into(&[9, u32::MAX], &mut bytes);
+        assert_eq!(bytes.len(), 20);
+        assert_eq!(
+            read_words(&bytes).collect::<Vec<_>>(),
+            [3, 0, 7, 9, u32::MAX]
+        );
+        let ragged = std::panic::catch_unwind(|| read_words(&bytes[..6]).count());
+        assert!(ragged.is_err(), "6 bytes are not whole words");
     }
 }

@@ -84,7 +84,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stance_onedim::{BlockPartition, Interval};
-use stance_sim::{Comm, Payload, Tag};
+use stance_sim::{Comm, Element, Tag};
 
 use crate::adjacency::{
     block_rows, move_within, shared_blocks, within, BlockRefs, Bounds, LocalAdjacency, RowBlock,
@@ -523,7 +523,9 @@ impl CommSchedule {
         );
         let ghosts: Vec<u32> = self.ghost_globals().collect();
         let mut refs = Vec::with_capacity(tadj.num_refs());
-        tadj.decode_rows(&ghosts, 0..tadj.len(), &mut Vec::new(), &mut refs);
+        tadj.decode_rows(&ghosts, 0..tadj.len(), &mut Vec::new(), |r| {
+            refs.extend_from_slice(r);
+        });
         let xadj = tadj.xadj.iter().map(|&x| x as usize).collect();
         LocalAdjacency::from_parts(self.interval, xadj, refs)
     }
@@ -886,17 +888,18 @@ impl TranslatedAdjacency {
         );
     }
 
-    /// Appends the references of local rows `rows` to `out`, row by row in
-    /// CSR order, each slot read back to its global id ([`Self::global`]).
-    /// A whole block is read in the order it is stored, each row written
-    /// to its place in `block` ([`decode_block`]) and the block appended
-    /// at once; a block that reads no ghost needs no lookup.
+    /// Hands the references of local rows `rows` to `out`, row by row in
+    /// CSR order, each slot read back to its global id ([`Self::global`]),
+    /// one block's part of `rows` per call, decoded into `block`. A whole
+    /// block is read in the order it is stored, each row written to its
+    /// place in `block` ([`decode_block`]); a block that reads no ghost
+    /// needs no lookup.
     pub(crate) fn decode_rows(
         &self,
         ghosts: &[u32],
         rows: Range<usize>,
         block: &mut Vec<u32>,
-        out: &mut Vec<u32>,
+        mut out: impl FnMut(&[u32]),
     ) {
         let mut l = rows.start;
         while l < rows.end {
@@ -904,9 +907,10 @@ impl TranslatedAdjacency {
             let whole = self.block_rows(b);
             let end = rows.end.min(whole.end);
             if l != whole.start || end != whole.end {
+                block.clear();
                 for l in l..end {
                     let row = self.neighbors_of(l).iter();
-                    out.extend(row.map(|&s| self.global(ghosts, s)));
+                    block.extend(row.map(|&s| self.global(ghosts, s)));
                 }
             } else {
                 block.clear();
@@ -918,8 +922,8 @@ impl TranslatedAdjacency {
                 } else {
                     decode_block(self, b, base, block, |s| self.global(ghosts, s));
                 }
-                out.extend_from_slice(block);
             }
+            out(block);
             l = end;
         }
     }
@@ -1415,7 +1419,7 @@ pub fn build_schedule_simple<C: Comm>(
     // the receiver cannot otherwise know nobody needs it).
     for (dst, qs) in queries.iter().enumerate() {
         if dst != rank {
-            env.send(dst, TAG_QUERY, Payload::from_u32(qs.clone()));
+            env.send(dst, TAG_QUERY, u32::pack(qs));
         }
     }
     // Serve queries against my table segment. Each protocol message costs
@@ -1424,7 +1428,7 @@ pub fn build_schedule_simple<C: Comm>(
     let mut incoming_queries: Vec<(usize, Vec<u32>)> = Vec::with_capacity(p - 1);
     for src in 0..p {
         if src != rank {
-            incoming_queries.push((src, env.recv(src, TAG_QUERY).into_u32()));
+            incoming_queries.push((src, u32::unpack(env.recv(src, TAG_QUERY))));
             env.compute(cost.per_message_service);
         }
     }
@@ -1439,7 +1443,7 @@ pub fn build_schedule_simple<C: Comm>(
             })
             .collect();
         env.compute(cost.seconds(&reply_work));
-        env.send(src, TAG_REPLY, Payload::from_u64(reply));
+        env.send(src, TAG_REPLY, u64::pack(&reply));
     }
 
     // Round 1b: collect replies; now each unique global has (owner, local).
@@ -1454,7 +1458,7 @@ pub fn build_schedule_simple<C: Comm>(
             }
             continue;
         }
-        let reply = env.recv(table_owner, TAG_REPLY).into_u64();
+        let reply = u64::unpack(env.recv(table_owner, TAG_REPLY));
         env.compute(cost.per_message_service);
         for (&g, &packed) in qs.iter().zip(&reply) {
             located.push((g, (packed >> 32) as u32, (packed & 0xFFFF_FFFF) as u32));
@@ -1475,13 +1479,13 @@ pub fn build_schedule_simple<C: Comm>(
     env.compute(cost.seconds(&group_work));
     for (dst, locals) in request_locals.iter().enumerate() {
         if dst != rank {
-            env.send(dst, TAG_REQUEST, Payload::from_u32(locals.clone()));
+            env.send(dst, TAG_REQUEST, u32::pack(locals));
         }
     }
     let mut sends: Vec<(usize, Vec<u32>)> = Vec::new();
     for src in 0..p {
         if src != rank {
-            let locals = env.recv(src, TAG_REQUEST).into_u32();
+            let locals = u32::unpack(env.recv(src, TAG_REQUEST));
             env.compute(cost.per_message_service);
             if !locals.is_empty() {
                 sends.push((src, locals));

@@ -13,6 +13,7 @@ use stance_onedim::Arrangement;
 
 use super::reference::{slot_of, symmetric_oracle, translate_oracle};
 use super::*;
+use crate::moved::pack_degrees;
 use crate::MovedRows;
 
 const BLOCK_ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
@@ -285,21 +286,19 @@ fn move_to(
             Interval::new(kept.end, interval.end),
         ]
     };
-    let runs: Vec<(Interval, Vec<u32>, Vec<u32>)> = runs
+    let runs: Vec<(Interval, Vec<u8>)> = runs
         .into_iter()
         .filter(|r| !r.is_empty())
         .map(|r| {
-            let degrees = r.iter().map(|v| graph.degree(v) as u32).collect();
-            let refs = r.iter().flat_map(|v| graph.neighbors(v)).copied().collect();
-            (r, degrees, refs)
+            let mut packet = Vec::new();
+            pack_degrees(r.iter().map(|v| graph.degree(v)), &mut packet);
+            let refs: Vec<u32> = r.iter().flat_map(|v| graph.neighbors(v)).copied().collect();
+            u32::pack_into(&refs, &mut packet);
+            (r, packet)
         })
         .collect();
     moved.start(schedule, tadj);
-    moved.finish(
-        tadj,
-        interval,
-        runs.iter().map(|(r, d, f)| (*r, &d[..], &f[..])),
-    );
+    moved.finish(tadj, interval, runs.iter().map(|(r, p)| (*r, &p[..])));
 }
 
 /// What a move hands the inspector is the extracted adjacency block for

@@ -113,7 +113,7 @@ impl NativeCluster {
 mod tests {
     use super::*;
     use stance_sim::wait::{with_forced_budget, REGIMES};
-    use stance_sim::{Comm, Payload, Tag};
+    use stance_sim::{Comm, Element, Tag};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
@@ -127,10 +127,10 @@ mod tests {
     fn send_recv_moves_data() {
         let report = NativeCluster::new(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, Tag(1), Payload::from_f64(vec![42.0]));
+                comm.send(1, Tag(1), f64::pack(&[42.0]));
                 0.0
             } else {
-                comm.recv(0, Tag(1)).into_f64()[0]
+                f64::unpack(comm.recv(0, Tag(1)))[0]
             }
         });
         assert_eq!(report.into_results(), vec![0.0, 42.0]);
@@ -140,11 +140,11 @@ mod tests {
     fn tag_mismatch_is_buffered() {
         NativeCluster::new(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, Tag(10), Payload::from_u32(vec![10]));
-                comm.send(1, Tag(20), Payload::from_u32(vec![20]));
+                comm.send(1, Tag(10), u32::pack(&[10]));
+                comm.send(1, Tag(20), u32::pack(&[20]));
             } else {
-                assert_eq!(comm.recv(0, Tag(20)).into_u32(), vec![20]);
-                assert_eq!(comm.recv(0, Tag(10)).into_u32(), vec![10]);
+                assert_eq!(u32::unpack(comm.recv(0, Tag(20))), vec![20]);
+                assert_eq!(u32::unpack(comm.recv(0, Tag(10))), vec![10]);
             }
         });
     }
@@ -152,11 +152,8 @@ mod tests {
     #[test]
     fn collectives_agree_with_rank_order() {
         let report = NativeCluster::new(4).run(|comm| {
-            let all = comm.allgather(Tag(5), Payload::from_u32(vec![comm.rank() as u32]));
-            let ids: Vec<u32> = all
-                .into_iter()
-                .flat_map(stance_sim::Payload::into_u32)
-                .collect();
+            let all = comm.allgather(Tag(5), u32::pack(&[comm.rank() as u32]));
+            let ids: Vec<u32> = all.into_iter().flat_map(u32::unpack).collect();
             assert_eq!(ids, vec![0, 1, 2, 3]);
             comm.allreduce_f64(Tag(6), (comm.rank() + 1) as f64, |a, b| a + b)
         });

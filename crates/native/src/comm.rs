@@ -152,6 +152,7 @@ mod tests {
     use super::*;
     use crate::NativeCluster;
     use stance_sim::wait::{with_forced_budget, Jitter, REGIMES};
+    use stance_sim::Element;
 
     #[test]
     fn zero_cost_barrier_synchronizes_two_threads() {
@@ -191,12 +192,12 @@ mod tests {
     fn infinite_timeout_is_no_deadline_not_a_panic() {
         let got = NativeCluster::new(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.send(1, Tag(3), Payload::from_u32(vec![7]));
+                comm.send(1, Tag(3), u32::pack(&[7]));
                 return None;
             }
             // Already queued (or on its way): delivered, however long the wait.
             comm.recv_deadline(0, Tag(3), f64::INFINITY)
-                .map(Payload::into_u32)
+                .map(u32::unpack)
         });
         assert_eq!(got.into_results(), vec![None, Some(vec![7])]);
         // A dead peer ends an unbounded wait promptly, with `None`.

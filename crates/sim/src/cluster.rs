@@ -222,7 +222,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::comm::Comm;
-    use crate::payload::{Payload, Tag};
+    use crate::payload::{Element, Payload, Tag};
     use crate::wait::{with_forced_budget, REGIMES};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
@@ -264,10 +264,10 @@ mod tests {
         let report = Cluster::new(spec).run(|env| {
             if env.rank() == 0 {
                 env.compute(1.0);
-                env.send(1, Tag(1), Payload::from_f64(vec![42.0]));
+                env.send(1, Tag(1), f64::pack(&[42.0]));
                 env.now().as_secs()
             } else {
-                let data = env.recv(0, Tag(1)).into_f64();
+                let data = f64::unpack(env.recv(0, Tag(1)));
                 assert_eq!(data, vec![42.0]);
                 env.now().as_secs()
             }
@@ -284,12 +284,12 @@ mod tests {
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
         Cluster::new(spec).run(|env| {
             if env.rank() == 0 {
-                env.send(1, Tag(10), Payload::from_u32(vec![10]));
-                env.send(1, Tag(20), Payload::from_u32(vec![20]));
+                env.send(1, Tag(10), u32::pack(&[10]));
+                env.send(1, Tag(20), u32::pack(&[20]));
             } else {
                 // Receive out of order: tag 20 first.
-                assert_eq!(env.recv(0, Tag(20)).into_u32(), vec![20]);
-                assert_eq!(env.recv(0, Tag(10)).into_u32(), vec![10]);
+                assert_eq!(u32::unpack(env.recv(0, Tag(20))), vec![20]);
+                assert_eq!(u32::unpack(env.recv(0, Tag(10))), vec![10]);
             }
         });
     }
@@ -298,8 +298,8 @@ mod tests {
     fn self_send_works() {
         let spec = ClusterSpec::uniform(1).with_network(NetworkSpec::zero_cost());
         Cluster::new(spec).run(|env| {
-            env.send(0, Tag(3), Payload::from_u64(vec![7]));
-            assert_eq!(env.recv(0, Tag(3)).into_u64(), vec![7]);
+            env.send(0, Tag(3), u64::pack(&[7]));
+            assert_eq!(u64::unpack(env.recv(0, Tag(3))), vec![7]);
         });
     }
 
@@ -354,11 +354,11 @@ mod tests {
         let spec = ClusterSpec::uniform(5).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec).run(|env| {
             let payload = if env.rank() == 2 {
-                Payload::from_f64(vec![3.25])
+                f64::pack(&[3.25])
             } else {
                 Payload::Empty
             };
-            env.bcast_from(2, Tag(9), payload).into_f64()
+            f64::unpack(env.bcast_from(2, Tag(9), payload))
         });
         for data in report.results() {
             assert_eq!(data, &vec![3.25]);
@@ -369,12 +369,9 @@ mod tests {
     fn gather_collects_in_rank_order() {
         let spec = ClusterSpec::uniform(4).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec).run(|env| {
-            let mine = Payload::from_u32(vec![env.rank() as u32 * 10]);
-            env.gather_to(0, Tag(4), mine).map(|v| {
-                v.into_iter()
-                    .flat_map(super::super::payload::Payload::into_u32)
-                    .collect::<Vec<_>>()
-            })
+            let mine = u32::pack(&[env.rank() as u32 * 10]);
+            env.gather_to(0, Tag(4), mine)
+                .map(|v| v.into_iter().flat_map(u32::unpack).collect::<Vec<_>>())
         });
         let results: Vec<_> = report.into_results();
         assert_eq!(results[0], Some(vec![0, 10, 20, 30]));
@@ -385,11 +382,8 @@ mod tests {
     fn allgather_and_allreduce() {
         let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec).run(|env| {
-            let all = env.allgather(Tag(5), Payload::from_u32(vec![env.rank() as u32]));
-            let ids: Vec<u32> = all
-                .into_iter()
-                .flat_map(super::super::payload::Payload::into_u32)
-                .collect();
+            let all = env.allgather(Tag(5), u32::pack(&[env.rank() as u32]));
+            let ids: Vec<u32> = all.into_iter().flat_map(u32::unpack).collect();
             assert_eq!(ids, vec![0, 1, 2]);
             env.allreduce_f64(Tag(6), (env.rank() + 1) as f64, |a, b| a + b)
         });
@@ -494,7 +488,7 @@ mod tests {
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec).run(|env| {
             if env.rank() == 0 {
-                env.send(1, Tag(1), Payload::from_f64(vec![0.0; 16]));
+                env.send(1, Tag(1), f64::pack(&[0.0; 16]));
             } else {
                 env.recv(0, Tag(1));
             }
@@ -573,12 +567,11 @@ mod tests {
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec.clone()).run(|env| {
             if env.rank() == 0 {
-                env.send(1, Tag(3), Payload::from_u32(vec![7]));
+                env.send(1, Tag(3), u32::pack(&[7]));
                 return None;
             }
             // Already queued (or on its way): delivered, however long the wait.
-            env.recv_deadline(0, Tag(3), f64::INFINITY)
-                .map(Payload::into_u32)
+            env.recv_deadline(0, Tag(3), f64::INFINITY).map(u32::unpack)
         });
         assert_eq!(report.into_results(), vec![None, Some(vec![7])]);
         // A dead peer ends an unbounded wait promptly, with `None`.
@@ -600,7 +593,7 @@ mod tests {
                     env.compute(0.01 * f64::from(env.rank() as u32 + 1));
                     let next = (env.rank() + 1) % env.size();
                     let prev = (env.rank() + env.size() - 1) % env.size();
-                    env.send(next, Tag(step), Payload::from_f64(vec![0.0; 100]));
+                    env.send(next, Tag(step), f64::pack(&[0.0; 100]));
                     env.recv(prev, Tag(step));
                     env.barrier();
                 }

@@ -38,7 +38,7 @@
 //! hardware multicast), never the data movement order — the cross-backend
 //! equivalence tests pin this.
 
-use crate::payload::{Payload, Tag};
+use crate::payload::{Element, Payload, Tag};
 
 /// One rank's handle onto its cluster: the SPMD communication interface
 /// every backend provides. See the [module docs](self) for the contract.
@@ -193,10 +193,14 @@ pub trait Comm {
     /// result is bitwise identical on every backend and every rank.
     /// Collective.
     fn allreduce_f64(&mut self, tag: Tag, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        let parts = self.allgather(tag, Payload::from_f64(vec![value]));
+        let parts = self.allgather(tag, f64::pack(&[value]));
         parts
             .into_iter()
-            .map(|p| p.into_f64()[0])
+            .map(|p| {
+                let mut v = [0.0];
+                f64::unpack_into(p.as_bytes(), &mut v);
+                v[0]
+            })
             .reduce(&op)
             .expect("cluster has at least one rank")
     }

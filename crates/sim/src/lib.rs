@@ -53,19 +53,19 @@
 //! ## Example
 //!
 //! ```
-//! use stance_sim::{Cluster, ClusterSpec, Comm, Payload, Tag};
+//! use stance_sim::{Cluster, ClusterSpec, Comm, Element, Tag};
 //!
 //! let spec = ClusterSpec::uniform(4);
 //! let report = Cluster::new(spec).run(|env| {
 //!     // Every rank computes for 1 reference second, then rank 0 gathers
 //!     // everyone's rank id.
 //!     env.compute(1.0);
-//!     let gathered = env.gather_to(0, Tag(7), Payload::from_u32(vec![env.rank() as u32]));
+//!     let gathered = env.gather_to(0, Tag(7), u32::pack(&[env.rank() as u32]));
 //!     if env.rank() == 0 {
 //!         let ids: Vec<u32> = gathered
 //!             .unwrap()
 //!             .into_iter()
-//!             .flat_map(|p| p.into_u32())
+//!             .flat_map(u32::unpack)
 //!             .collect();
 //!         assert_eq!(ids, vec![0, 1, 2, 3]);
 //!     }

@@ -365,7 +365,7 @@ impl<T> Drop for MailboxReceiver<T> {
 mod tests {
     use super::*;
     use crate::env::Msg;
-    use crate::payload::{Payload, Tag};
+    use crate::payload::{Element, Payload, Tag};
     use crate::time::VTime;
     use crate::wait::{stress_rounds, Jitter, REGIMES, SPIN_BUDGET};
     use std::time::Duration;
@@ -560,9 +560,9 @@ mod tests {
     fn generic_over_plain_message_types() {
         // The native backend's message shape: no arrival stamp.
         let (tx, rx) = mailbox::<(Tag, Payload)>();
-        tx.send((Tag(9), Payload::from_u32(vec![3]))).unwrap();
+        tx.send((Tag(9), u32::pack(&[3]))).unwrap();
         let (tag, payload) = rx.recv().unwrap();
         assert_eq!(tag, Tag(9));
-        assert_eq!(payload.into_u32(), vec![3]);
+        assert_eq!(u32::unpack(payload), vec![3]);
     }
 }

@@ -150,6 +150,7 @@ impl<C: Comm> Comm for SurvivorComm<'_, C> {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterSpec};
+    use crate::payload::Element;
 
     /// Three of four ranks wrap themselves as survivors (rank 2 "dies"
     /// by returning early) and run an allgather in survivor space.
@@ -162,8 +163,8 @@ mod tests {
             let mut comm = SurvivorComm::new(env, vec![0, 1, 3]);
             assert_eq!(comm.size(), 3);
             let me = comm.rank() as u64;
-            let parts = comm.allgather(Tag(7), Payload::from_u64(vec![me]));
-            parts.into_iter().map(|p| p.into_u64()[0]).collect()
+            let parts = comm.allgather(Tag(7), u64::pack(&[me]));
+            parts.into_iter().map(|p| u64::unpack(p)[0]).collect()
         });
         for (rank, r) in report.results().enumerate() {
             if rank != 2 {
@@ -196,10 +197,10 @@ mod tests {
             // Survivors are old ranks {1, 2} -> new ranks {0, 1}.
             let mut comm = SurvivorComm::new(env, vec![1, 2]);
             if comm.rank() == 0 {
-                comm.send(1, Tag(9), Payload::from_u64(vec![41]));
+                comm.send(1, Tag(9), u64::pack(&[41]));
                 0
             } else {
-                comm.recv(0, Tag(9)).into_u64()[0]
+                u64::unpack(comm.recv(0, Tag(9)))[0]
             }
         });
         assert_eq!(report.ranks[2].result, 41);

@@ -2,7 +2,7 @@
 //! invariants under randomized workloads.
 
 use proptest::prelude::*;
-use stance_sim::{Cluster, ClusterSpec, Comm, NetworkSpec, Payload, Tag};
+use stance_sim::{Cluster, ClusterSpec, Comm, Element, NetworkSpec, Tag};
 
 proptest! {
     // Each case spins up real threads; keep the case count modest.
@@ -23,14 +23,14 @@ proptest! {
         let report = Cluster::new(spec).run(move |env| {
             if env.rank() == 0 {
                 for &v in &sent {
-                    env.send(1, Tag(9), Payload::from_u32(vec![v]));
+                    env.send(1, Tag(9), u32::pack(&[v]));
                 }
                 Vec::new()
             } else {
                 let mut got = Vec::new();
                 let mut clocks = Vec::new();
                 for _ in 0..sent.len() {
-                    got.push(env.recv(0, Tag(9)).into_u32()[0]);
+                    got.push(u32::unpack(env.recv(0, Tag(9)))[0]);
                     clocks.push(env.now().as_secs());
                 }
                 assert!(clocks.windows(2).all(|w| w[0] <= w[1]), "clock regressed");
@@ -47,8 +47,8 @@ proptest! {
         let spec = ClusterSpec::uniform(p).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec).run(move |env| {
             let mine = (seed ^ env.rank() as u64) as u32;
-            let all = env.allgather(Tag(1), Payload::from_u32(vec![mine]));
-            all.into_iter().map(|pl| pl.into_u32()[0]).collect::<Vec<u32>>()
+            let all = env.allgather(Tag(1), u32::pack(&[mine]));
+            all.into_iter().map(|pl| u32::unpack(pl)[0]).collect::<Vec<u32>>()
         });
         let results: Vec<Vec<u32>> = report.into_results();
         for r in 1..p {
@@ -73,10 +73,10 @@ proptest! {
             // Everyone sends to everyone (value encodes the pair).
             for dst in 0..p {
                 let value = (matrix_seed as u32).wrapping_add((me * 31 + dst) as u32);
-                env.send(dst, Tag(2), Payload::from_u32(vec![value]));
+                env.send(dst, Tag(2), u32::pack(&[value]));
             }
             (0..p)
-                .map(|src| (src, env.recv(src, Tag(2)).into_u32()[0]))
+                .map(|src| (src, u32::unpack(env.recv(src, Tag(2)))[0]))
                 .collect::<Vec<_>>()
         });
         for (me, got) in report.into_results().into_iter().enumerate() {
@@ -140,10 +140,10 @@ fn recv_completes_at_the_later_of_clock_and_arrival() {
         let spec = ClusterSpec::uniform(2).with_network(net.clone());
         let report = Cluster::new(spec).run(move |env| {
             if env.rank() == 0 {
-                env.send(1, Tag(1), Payload::from_u32(vec![7]));
+                env.send(1, Tag(1), u32::pack(&[7]));
             } else {
                 env.compute(work);
-                assert_eq!(env.recv(0, Tag(1)).into_u32(), vec![7]);
+                assert_eq!(u32::unpack(env.recv(0, Tag(1))), vec![7]);
             }
             env.now_secs()
         });

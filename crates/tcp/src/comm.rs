@@ -140,7 +140,8 @@ impl Comm for TcpComm {
             self.selfq.push_back(TcpMsg { tag, payload });
             return;
         }
-        if self.link_mut(dst).send(tag, &payload).is_err() {
+        if let Err(e) = self.link_mut(dst).send(tag, &payload) {
+            refuse_oversize(&e, &payload);
             panic!("receiver rank terminated before message was delivered");
         }
     }
@@ -170,7 +171,13 @@ impl Comm for TcpComm {
             self.selfq.push_back(TcpMsg { tag, payload });
             return true;
         }
-        self.link_mut(dst).send(tag, &payload).is_ok()
+        match self.link_mut(dst).send(tag, &payload) {
+            Ok(()) => true,
+            Err(e) => {
+                refuse_oversize(&e, &payload);
+                false
+            }
+        }
     }
 
     fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
@@ -201,9 +208,22 @@ impl Comm for TcpComm {
     }
 }
 
+/// Panics if `e` is the sender's refusal of a payload too large for one
+/// frame: a caller's bug to name as such, not a peer's death.
+fn refuse_oversize(e: &WireError, payload: &Payload) {
+    if let WireError::FrameTooLarge { max, .. } = e {
+        panic!(
+            "a {}-byte payload does not fit one TCP frame (at most {max} bytes, {} of them header)",
+            payload.size_bytes(),
+            crate::wire::FRAME_OVERHEAD
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stance_sim::Element;
     use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
@@ -252,8 +272,8 @@ mod tests {
             let prev = (rank + 2) % 3;
             let mut acc = vec![rank as u64];
             for lap in 0..2u32 {
-                c.send(next, Tag(10 + lap), Payload::from_u64(acc.clone()));
-                let mut got = c.recv(prev, Tag(10 + lap)).into_u64();
+                c.send(next, Tag(10 + lap), u64::pack(&acc));
+                let mut got = u64::unpack(c.recv(prev, Tag(10 + lap)));
                 got.push(rank as u64);
                 acc = got;
                 c.barrier();
@@ -266,12 +286,36 @@ mod tests {
         }
     }
 
+    /// A payload too large for one frame is the sender's bug: `send` and
+    /// `post` name its size and the cap instead of blaming the receiver.
+    #[test]
+    fn oversize_send_panics_naming_size_and_cap() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let max = crate::wire::MAX_FRAME;
+        let mut comms = mesh(2);
+        let huge = || Payload::from_bytes(vec![0; max as usize]);
+        let send = catch_unwind(AssertUnwindSafe(|| comms[0].send(1, Tag(1), huge())));
+        let post = catch_unwind(AssertUnwindSafe(|| comms[0].post(1, Tag(1), huge())));
+        for err in [
+            send.expect_err("send panics"),
+            post.expect_err("post panics"),
+        ] {
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                msg.contains(&format!("a {max}-byte payload"))
+                    && msg.contains(&format!("at most {max} bytes")),
+                "{msg}"
+            );
+        }
+        assert!(comms[0].link_fault(1).is_none(), "the link stays usable");
+    }
+
     #[test]
     fn self_send_and_deadline_receive() {
         let out = run_ranks(mesh(2), |c| {
             // Self-sends never touch the wire.
-            c.send(c.rank(), Tag(1), Payload::from_u32(vec![7]));
-            let me = c.recv(c.rank(), Tag(1)).into_u32();
+            c.send(c.rank(), Tag(1), u32::pack(&[7]));
+            let me = u32::unpack(c.recv(c.rank(), Tag(1)));
             assert_eq!(me, vec![7]);
 
             // Bounded receive with nothing coming: clean None.
@@ -280,15 +324,11 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(10));
 
             // Bounded receive with data coming: delivers.
-            c.send(
-                1 - c.rank(),
-                Tag(3),
-                Payload::from_u64(vec![c.rank() as u64]),
-            );
+            c.send(1 - c.rank(), Tag(3), u64::pack(&[c.rank() as u64]));
             let got = c
                 .recv_deadline(1 - c.rank(), Tag(3), 20.0)
                 .expect("peer sent");
-            got.into_u64()
+            u64::unpack(got)
         });
         assert_eq!(out[0], vec![1]);
         assert_eq!(out[1], vec![0]);
@@ -297,14 +337,10 @@ mod tests {
     #[test]
     fn infinite_timeout_is_no_deadline_not_a_panic() {
         let out = run_ranks(mesh(2), |c| {
-            c.send(
-                1 - c.rank(),
-                Tag(3),
-                Payload::from_u32(vec![c.rank() as u32]),
-            );
+            c.send(1 - c.rank(), Tag(3), u32::pack(&[c.rank() as u32]));
             // Already on the wire: delivered, however long the wait.
             c.recv_deadline(1 - c.rank(), Tag(3), f64::INFINITY)
-                .map(Payload::into_u32)
+                .map(u32::unpack)
         });
         assert_eq!(out, vec![Some(vec![1]), Some(vec![0])]);
         // A dead peer ends an unbounded wait promptly, with `None`.
@@ -353,7 +389,7 @@ mod tests {
         let t0 = Instant::now();
         let mut refused = false;
         while t0.elapsed() < Duration::from_secs(20) {
-            if !alive.post(1, Tag(4), Payload::from_u64(vec![0; 2048])) {
+            if !alive.post(1, Tag(4), u64::pack(&[0; 2048])) {
                 refused = true;
                 break;
             }

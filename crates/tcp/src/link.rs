@@ -111,13 +111,15 @@ impl PeerLink {
 
     /// Sends one complete frame, or reports why the peer can no longer
     /// receive. Short writes and `EINTR` are absorbed by `write_all`;
-    /// `EPIPE`/reset break the link.
+    /// `EPIPE`/reset break the link. A payload too large for one frame is
+    /// refused with [`WireError::FrameTooLarge`] before a byte is written,
+    /// and the link stays usable.
     pub fn send(&mut self, tag: Tag, payload: &Payload) -> Result<(), WireError> {
         if let Some(f) = &self.fault {
             return Err(f.clone());
         }
         self.wbuf.clear();
-        wire::encode_frame(tag, payload, &mut self.wbuf);
+        wire::encode_frame(tag, payload, &mut self.wbuf)?;
         match self.stream.write_all(&self.wbuf) {
             Ok(()) => Ok(()),
             Err(e) => Err(self.break_link(io_to_wire(&e))),
@@ -290,6 +292,7 @@ fn io_to_wire(e: &std::io::Error) -> WireError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stance_sim::Element;
     use std::net::TcpListener;
 
     fn pair() -> (TcpStream, TcpStream) {
@@ -305,11 +308,11 @@ mod tests {
         let (a, b) = pair();
         let mut tx = PeerLink::new(a).unwrap();
         let mut rx = PeerLink::new(b).unwrap();
-        tx.send(Tag(5), &Payload::from_u64(vec![1, 2, 3])).unwrap();
+        tx.send(Tag(5), &u64::pack(&[1, 2, 3])).unwrap();
         tx.send(Tag(6), &Payload::Empty).unwrap();
         let m = rx.recv().unwrap();
         assert_eq!(m.tag, Tag(5));
-        assert_eq!(m.payload.into_u64(), vec![1, 2, 3]);
+        assert_eq!(u64::unpack(m.payload), vec![1, 2, 3]);
         assert_eq!(rx.recv().unwrap().tag, Tag(6));
     }
 
@@ -320,7 +323,7 @@ mod tests {
 
         // Hand-craft a frame and send only half of it.
         let mut frame = Vec::new();
-        wire::encode_frame(Tag(9), &Payload::from_u64(vec![7, 8, 9, 10]), &mut frame);
+        wire::encode_frame(Tag(9), &u64::pack(&[7, 8, 9, 10]), &mut frame).unwrap();
         let split = frame.len() / 2;
         raw.write_all(&frame[..split]).unwrap();
 
@@ -340,7 +343,7 @@ mod tests {
             .recv_deadline(Instant::now() + Duration::from_secs(20))
             .expect("second half completes the frame");
         assert_eq!(m.tag, Tag(9));
-        assert_eq!(m.payload.into_u64(), vec![7, 8, 9, 10]);
+        assert_eq!(u64::unpack(m.payload), vec![7, 8, 9, 10]);
     }
 
     /// A deadline that expires leaves its timeout on the socket; the
@@ -358,11 +361,11 @@ mod tests {
         ));
         let late = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(300));
-            tx.send(Tag(4), &Payload::from_u32(vec![11])).unwrap();
+            tx.send(Tag(4), &u32::pack(&[11])).unwrap();
             tx
         });
         let m = rx.recv().expect("the blocking receive waits for the frame");
-        assert_eq!(m.payload.into_u32(), vec![11]);
+        assert_eq!(u32::unpack(m.payload), vec![11]);
         assert_eq!(rx.timeout, Some(None), "blocking receives leave no timeout");
         assert_eq!(rx.stream.read_timeout().unwrap(), None);
         drop(late.join().unwrap());
@@ -376,8 +379,8 @@ mod tests {
         let (a, b) = pair();
         let mut tx = PeerLink::new(a).unwrap();
         let mut rx = PeerLink::new(b).unwrap();
-        tx.send(Tag(1), &Payload::from_u32(vec![1])).unwrap();
-        assert_eq!(rx.recv().unwrap().payload.into_u32(), vec![1]);
+        tx.send(Tag(1), &u32::pack(&[1])).unwrap();
+        assert_eq!(u32::unpack(rx.recv().unwrap().payload), vec![1]);
         assert_eq!(rx.timeout, Some(None));
         rx.stream_mut()
             .set_read_timeout(Some(Duration::from_millis(1)))
@@ -385,10 +388,10 @@ mod tests {
         assert_eq!(rx.timeout, None, "stream_mut forgets the timeout");
         let late = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(100));
-            tx.send(Tag(2), &Payload::from_u32(vec![2])).unwrap();
+            tx.send(Tag(2), &u32::pack(&[2])).unwrap();
             tx
         });
-        assert_eq!(rx.recv().unwrap().payload.into_u32(), vec![2]);
+        assert_eq!(u32::unpack(rx.recv().unwrap().payload), vec![2]);
         assert_eq!(rx.stream.read_timeout().unwrap(), None);
         drop(late.join().unwrap());
     }
@@ -402,14 +405,20 @@ mod tests {
         let (mut raw, b) = pair();
         let mut rx = PeerLink::new(b).unwrap();
         let mut frames = Vec::new();
-        wire::encode_frame(Tag(7), &Payload::from_u64((0..300).collect()), &mut frames);
-        wire::encode_frame(Tag(8), &Payload::from_u32(vec![5, 6]), &mut frames);
+        wire::encode_frame(
+            Tag(7),
+            &u64::pack(&(0..300).collect::<Vec<_>>()),
+            &mut frames,
+        )
+        .unwrap();
+        wire::encode_frame(Tag(8), &u32::pack(&[5, 6]), &mut frames).unwrap();
         let mut large = Vec::new();
         wire::encode_frame(
             Tag(9),
-            &Payload::from_u64((0..50_000).collect()),
+            &u64::pack(&(0..50_000).collect::<Vec<_>>()),
             &mut large,
-        );
+        )
+        .unwrap();
         let writer = std::thread::spawn(move || {
             for piece in frames.chunks(97) {
                 raw.write_all(piece).unwrap();
@@ -421,13 +430,13 @@ mod tests {
         });
         let m = rx.recv().unwrap();
         assert_eq!(m.tag, Tag(7));
-        assert_eq!(m.payload.into_u64(), (0..300).collect::<Vec<u64>>());
+        assert_eq!(u64::unpack(m.payload), (0..300).collect::<Vec<u64>>());
         let m = rx.recv().unwrap();
         assert_eq!(m.tag, Tag(8));
-        assert_eq!(m.payload.into_u32(), vec![5, 6]);
+        assert_eq!(u32::unpack(m.payload), vec![5, 6]);
         let m = rx.recv().unwrap();
         assert_eq!(m.tag, Tag(9));
-        assert_eq!(m.payload.into_u64(), (0..50_000).collect::<Vec<u64>>());
+        assert_eq!(u64::unpack(m.payload), (0..50_000).collect::<Vec<u64>>());
         assert!(rx.rbuf.len() <= READ_CHUNK, "read buffer {}", rx.rbuf.len());
         drop(writer.join().unwrap());
     }
@@ -455,12 +464,12 @@ mod tests {
         let (a, b) = pair();
         let mut tx = PeerLink::new(a).unwrap();
         let mut rx = PeerLink::new(b).unwrap();
-        tx.send(Tag(3), &Payload::from_u32(vec![42])).unwrap();
+        tx.send(Tag(3), &u32::pack(&[42])).unwrap();
         drop(tx);
         // The frame written before death still delivers — mailbox
         // semantics ("buffered messages are still delivered").
         let m = rx.recv().expect("pre-death frame delivers");
-        assert_eq!(m.payload.into_u32(), vec![42]);
+        assert_eq!(u32::unpack(m.payload), vec![42]);
         assert!(rx.recv().is_err(), "then the disconnect is reported");
     }
 
@@ -492,7 +501,7 @@ mod tests {
         let t0 = Instant::now();
         let mut broke = false;
         while t0.elapsed() < Duration::from_secs(20) {
-            if tx.send(Tag(1), &Payload::from_u64(vec![0; 4096])).is_err() {
+            if tx.send(Tag(1), &u64::pack(&[0; 4096])).is_err() {
                 broke = true;
                 break;
             }

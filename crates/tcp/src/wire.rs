@@ -22,13 +22,15 @@
 //! ## Data frames
 //!
 //! ```text
-//! [len: u32 LE] [ptype: u8] [tag: u32 LE] [payload bytes, LE-packed]
+//! [len: u32 LE] [tag: u32 LE] [payload bytes]
 //! ```
 //!
-//! `len` counts everything after itself (so `len = 5 + payload bytes`) and
-//! must be in `5..=MAX_FRAME`. `ptype` selects the [`Payload`] variant;
-//! numeric payloads are packed little-endian, so a round trip is bitwise
-//! exact — the cross-backend equivalence tests depend on that.
+//! `len` counts everything after itself (so `len = 4 + payload bytes`) and
+//! must be in `4..=MAX_FRAME`. A [`Payload`] is bytes, carried as they
+//! are: typing them is the layer above's business ([`stance_sim::Element`]),
+//! so a round trip is bitwise exact — the cross-backend equivalence tests
+//! depend on that. A sender refuses a payload too large for one frame
+//! before it writes a byte ([`encode_frame`]).
 
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -40,16 +42,16 @@ pub const MAGIC: u32 = 0x434E_5453;
 
 /// The protocol version this build speaks. Bumped on any incompatible
 /// wire change; the handshake rejects mismatches on both sides.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Hard cap on a data frame's `len` field. A length prefix above this is
 /// rejected before any buffer is reserved — the defense against a corrupt
 /// or malicious peer driving unbounded allocation.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Bytes of frame body that precede the payload (`ptype` + `tag`), and
+/// Bytes of frame body that precede the payload (the `tag`), and
 /// therefore the minimum legal `len`.
-pub const FRAME_OVERHEAD: u32 = 5;
+pub const FRAME_OVERHEAD: u32 = 4;
 
 /// Size of the fixed handshake record.
 pub const HANDSHAKE_LEN: usize = 20;
@@ -110,19 +112,6 @@ pub enum WireError {
         /// The announced length.
         len: u32,
     },
-    /// The frame's payload-type byte is not a known [`Payload`] variant.
-    BadPayloadKind {
-        /// The byte received.
-        got: u8,
-    },
-    /// The payload's byte count is not a whole number of elements for its
-    /// announced type (e.g. an `F64` payload not divisible by 8).
-    TornPayload {
-        /// The payload-type byte.
-        kind: u8,
-        /// The payload's byte count.
-        bytes: u32,
-    },
     /// The peer is gone: EOF, connection reset, or broken pipe.
     Disconnected,
     /// Any other I/O failure on the socket.
@@ -156,13 +145,6 @@ impl std::fmt::Display for WireError {
             }
             WireError::FrameTooShort { len } => {
                 write!(f, "frame length {len} cannot hold a frame header")
-            }
-            WireError::BadPayloadKind { got } => write!(f, "unknown payload kind {got}"),
-            WireError::TornPayload { kind, bytes } => {
-                write!(
-                    f,
-                    "payload kind {kind} torn: {bytes} bytes is not a whole element count"
-                )
             }
             WireError::Disconnected => write!(f, "peer disconnected"),
             WireError::Io(kind) => write!(f, "socket error: {kind:?}"),
@@ -254,112 +236,47 @@ pub fn check_frame_len(len: u32) -> Result<usize, WireError> {
     Ok(len as usize)
 }
 
-fn payload_kind(payload: &Payload) -> u8 {
-    match payload {
-        Payload::Empty => 0,
-        Payload::F64(_) => 1,
-        Payload::U32(_) => 2,
-        Payload::U64(_) => 3,
-        Payload::Bytes(_) => 4,
-    }
-}
-
 /// Appends one complete frame (length prefix included) to `out`. The
 /// caller recycles `out` across sends, so steady-state framing allocates
 /// only when a payload outgrows every previous one.
-pub fn encode_frame(tag: Tag, payload: &Payload, out: &mut Vec<u8>) {
-    let body_bytes = payload_size_bytes(payload);
-    let len = FRAME_OVERHEAD + body_bytes as u32;
-    debug_assert!(len <= MAX_FRAME, "payload exceeds MAX_FRAME");
+///
+/// # Errors
+/// [`WireError::FrameTooLarge`] for a payload too large for one frame —
+/// the sender's check, so an oversize message fails on the rank that sent
+/// it instead of breaking the link at the peer. `out` is left as it was,
+/// and `len` is reported saturated at `u32::MAX` when it does not fit the
+/// word at all.
+pub fn encode_frame(tag: Tag, payload: &Payload, out: &mut Vec<u8>) -> Result<(), WireError> {
+    let len = u64::from(FRAME_OVERHEAD) + payload.size_bytes() as u64;
+    if len > u64::from(MAX_FRAME) {
+        return Err(WireError::FrameTooLarge {
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+            max: MAX_FRAME,
+        });
+    }
+    let len = len as u32;
     out.reserve(4 + len as usize);
     out.extend_from_slice(&len.to_le_bytes());
-    out.push(payload_kind(payload));
     out.extend_from_slice(&tag.0.to_le_bytes());
-    match payload {
-        Payload::Empty => {}
-        Payload::F64(v) => {
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Payload::U32(v) => {
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Payload::U64(v) => {
-            for x in v {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Payload::Bytes(v) => out.extend_from_slice(v),
-    }
-}
-
-fn payload_size_bytes(payload: &Payload) -> usize {
-    match payload {
-        Payload::Empty => 0,
-        Payload::F64(v) => v.len() * 8,
-        Payload::U32(v) => v.len() * 4,
-        Payload::U64(v) => v.len() * 8,
-        Payload::Bytes(v) => v.len(),
-    }
+    out.extend_from_slice(payload.as_bytes());
+    Ok(())
 }
 
 /// Decodes a frame body (the bytes after the length prefix, already
 /// validated by [`check_frame_len`]) into its tag and payload.
+///
+/// # Errors
+/// [`WireError::FrameTooShort`] for a body that cannot hold a tag.
 pub fn decode_frame_body(body: &[u8]) -> Result<(Tag, Payload), WireError> {
-    debug_assert!(body.len() >= FRAME_OVERHEAD as usize);
-    let kind = body[0];
-    let tag = Tag(u32::from_le_bytes(
-        body[1..5].try_into().expect("fixed slice"),
-    ));
-    let data = &body[5..];
-    let torn = |k| WireError::TornPayload {
-        kind: k,
-        bytes: data.len() as u32,
+    let Some((tag, data)) = body.split_first_chunk::<4>() else {
+        return Err(WireError::FrameTooShort {
+            len: body.len() as u32,
+        });
     };
-    let payload = match kind {
-        0 => {
-            if !data.is_empty() {
-                return Err(torn(0));
-            }
-            Payload::Empty
-        }
-        1 => {
-            if data.len() % 8 != 0 {
-                return Err(torn(1));
-            }
-            Payload::from_f64(
-                data.chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact")))
-                    .collect(),
-            )
-        }
-        2 => {
-            if data.len() % 4 != 0 {
-                return Err(torn(2));
-            }
-            Payload::from_u32(
-                data.chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact")))
-                    .collect(),
-            )
-        }
-        3 => {
-            if data.len() % 8 != 0 {
-                return Err(torn(3));
-            }
-            Payload::from_u64(
-                data.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact")))
-                    .collect(),
-            )
-        }
-        4 => Payload::from_bytes(data.to_vec()),
-        other => return Err(WireError::BadPayloadKind { got: other }),
-    };
-    Ok((tag, payload))
+    Ok((
+        Tag(u32::from_le_bytes(*tag)),
+        Payload::from_bytes(data.to_vec()),
+    ))
 }
 
 /// Connect-phase retry policy: exponential backoff from `base` by
@@ -435,6 +352,7 @@ pub fn connect_with_backoff(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stance_sim::Element;
 
     #[test]
     fn handshake_round_trip() {
@@ -494,31 +412,21 @@ mod tests {
     }
 
     #[test]
-    fn frame_round_trip_all_payload_kinds() {
+    fn frame_round_trip() {
         let cases = vec![
             Payload::Empty,
-            Payload::from_f64(vec![1.5, -0.0, f64::NAN.abs(), 1e300]),
-            Payload::from_u32(vec![0, 1, u32::MAX]),
-            Payload::from_u64(vec![u64::MAX, 42]),
+            f64::pack(&[1.5, -0.0, f64::NAN, 1e300]),
+            u32::pack(&[0, 1, u32::MAX]),
             Payload::from_bytes(vec![0, 255, 7]),
         ];
         for payload in cases {
             let mut buf = Vec::new();
-            encode_frame(Tag(99), &payload, &mut buf);
+            encode_frame(Tag(99), &payload, &mut buf).expect("fits a frame");
             let len = u32::from_le_bytes(buf[0..4].try_into().unwrap());
             let body_len = check_frame_len(len).expect("legal length");
             assert_eq!(buf.len(), 4 + body_len);
-            let (tag, decoded) = decode_frame_body(&buf[4..]).expect("decodes");
-            assert_eq!(tag, Tag(99));
-            match (&payload, &decoded) {
-                // NaN != NaN under PartialEq; compare bit patterns.
-                (Payload::F64(a), Payload::F64(b)) => {
-                    let ab: Vec<u64> = a.iter().map(|x| x.to_bits()).collect();
-                    let bb: Vec<u64> = b.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(ab, bb);
-                }
-                _ => assert_eq!(payload, decoded),
-            }
+            let decoded = decode_frame_body(&buf[4..]).expect("decodes");
+            assert_eq!(decoded, (Tag(99), payload));
         }
     }
 
@@ -536,21 +444,20 @@ mod tests {
     }
 
     #[test]
-    fn torn_and_unknown_payloads_rejected() {
-        // F64 payload of 7 bytes: not a whole element.
-        let mut body = vec![1u8];
-        body.extend_from_slice(&7u32.to_le_bytes());
-        body.extend_from_slice(&[0u8; 7]);
+    fn oversize_payload_is_refused_before_encoding() {
+        let payload = Payload::from_bytes(vec![0; (MAX_FRAME - FRAME_OVERHEAD) as usize + 1]);
+        let mut out = vec![7];
         assert_eq!(
-            decode_frame_body(&body),
-            Err(WireError::TornPayload { kind: 1, bytes: 7 })
+            encode_frame(Tag(1), &payload, &mut out),
+            Err(WireError::FrameTooLarge {
+                len: MAX_FRAME + 1,
+                max: MAX_FRAME
+            })
         );
-
-        let mut body = vec![9u8];
-        body.extend_from_slice(&1u32.to_le_bytes());
+        assert_eq!(out, vec![7], "nothing was written");
         assert_eq!(
-            decode_frame_body(&body),
-            Err(WireError::BadPayloadKind { got: 9 })
+            decode_frame_body(&[1, 2, 3]),
+            Err(WireError::FrameTooShort { len: 3 })
         );
     }
 

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use stance_sim::Comm;
 
 use crate::audit::TAG_TRACE;
-use crate::checked::{PayloadShape, RankTrace, TraceEvent};
+use crate::checked::{RankTrace, TraceEvent};
 use crate::diag::{Diagnostic, DiagnosticKind};
 
 /// A stream key: (sender, receiver, tag value).
@@ -18,15 +18,16 @@ type Stream = (usize, usize, u32);
 
 /// Analyzes a full set of per-rank traces and returns every protocol
 /// violation found: unmatched sends, receives no in-flight message could
-/// satisfy, payload kind/size corruption, barrier arity mismatches, and
+/// satisfy, payload size corruption, barrier arity mismatches, and
 /// matched pairs whose receive completed in an earlier barrier epoch
 /// than the send was posted in.
 pub fn analyze_traces(traces: &[RankTrace]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
     // Replay each trace once, bucketing events by stream.
-    let mut sends: BTreeMap<Stream, Vec<(PayloadShape, u32)>> = BTreeMap::new();
-    let mut recvs: BTreeMap<Stream, Vec<(PayloadShape, u32)>> = BTreeMap::new();
+    // Each stream's messages as (bytes, epoch).
+    let mut sends: BTreeMap<Stream, Vec<(u32, u32)>> = BTreeMap::new();
+    let mut recvs: BTreeMap<Stream, Vec<(u32, u32)>> = BTreeMap::new();
     let mut barriers: Vec<(usize, u32)> = Vec::new();
     // (rank, tag) pairs caught using a reserved tag the runtime does not
     // register — one diagnostic per pair, not per event.
@@ -44,17 +45,17 @@ pub fn analyze_traces(traces: &[RankTrace]) -> Vec<Diagnostic> {
                 }
             }
             match *ev {
-                TraceEvent::Send { dst, tag, shape } => {
+                TraceEvent::Send { dst, tag, bytes } => {
                     sends
                         .entry((t.rank, dst, tag.0))
                         .or_default()
-                        .push((shape, epoch));
+                        .push((bytes, epoch));
                 }
-                TraceEvent::Recv { src, tag, shape } => {
+                TraceEvent::Recv { src, tag, bytes } => {
                     recvs
                         .entry((src, t.rank, tag.0))
                         .or_default()
-                        .push((shape, epoch));
+                        .push((bytes, epoch));
                 }
                 TraceEvent::Barrier => epoch += 1,
             }
@@ -108,19 +109,15 @@ pub fn analyze_traces(traces: &[RankTrace]) -> Vec<Diagnostic> {
         let empty = Vec::new();
         let s = sends.get(&key).unwrap_or(&empty);
         let r = recvs.get(&key).unwrap_or(&empty);
-        for (i, ((s_shape, s_epoch), (r_shape, r_epoch))) in s.iter().zip(r).enumerate() {
-            if s_shape != r_shape {
+        for (i, ((s_bytes, s_epoch), (r_bytes, r_epoch))) in s.iter().zip(r).enumerate() {
+            if s_bytes != r_bytes {
                 diags.push(
                     Diagnostic::new(
                         DiagnosticKind::PayloadMismatch,
                         dst,
                         format!(
-                            "message {i} from rank {src}: sent {} ({} bytes), \
-                             received {} ({} bytes)",
-                            s_shape.kind_name(),
-                            s_shape.bytes,
-                            r_shape.kind_name(),
-                            r_shape.bytes
+                            "message {i} from rank {src}: sent {s_bytes} bytes, \
+                             received {r_bytes} bytes"
                         ),
                     )
                     .with_peer(src)
@@ -193,15 +190,11 @@ mod tests {
     use super::*;
     use stance_sim::Tag;
 
-    fn shape(bytes: u32) -> PayloadShape {
-        PayloadShape { kind: 2, bytes }
-    }
-
     fn send(dst: usize, tag: u32, bytes: u32) -> TraceEvent {
         TraceEvent::Send {
             dst,
             tag: Tag(tag),
-            shape: shape(bytes),
+            bytes,
         }
     }
 
@@ -209,7 +202,7 @@ mod tests {
         TraceEvent::Recv {
             src,
             tag: Tag(tag),
-            shape: shape(bytes),
+            bytes,
         }
     }
 

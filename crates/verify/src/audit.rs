@@ -9,7 +9,7 @@
 
 use stance_inspector::{CommSchedule, LocalAdjacency, TranslatedAdjacency};
 use stance_onedim::{BlockPartition, Interval, RedistributionPlan};
-use stance_sim::{Comm, Payload, Tag};
+use stance_sim::{Comm, Element, Payload, Tag};
 
 use crate::diag::{render, Diagnostic, DiagnosticKind};
 
@@ -25,7 +25,7 @@ pub const TAG_TRACE: Tag = stance_sim::tags::TAG_TRACE;
 /// One rank's schedule, flattened to globals for cross-rank comparison:
 /// send lists are translated from block-local indices to global element
 /// ids, so rank p's segment to q and q's segment from p must be equal
-/// element-for-element. Serializes to a `u32` payload for the audit's
+/// element-for-element. Serializes to packed `u32` words for the audit's
 /// allgather; tests hand-build corrupted summaries directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleSummary {
@@ -59,7 +59,7 @@ impl ScheduleSummary {
         }
     }
 
-    /// Packs the summary into a `u32` payload for the audit allgather.
+    /// Packs the summary into `u32` words for the audit allgather.
     pub fn to_payload(&self) -> Payload {
         let mut w: Vec<u32> = vec![
             self.rank as u32,
@@ -74,7 +74,7 @@ impl ScheduleSummary {
             w.push(globals.len() as u32);
             w.extend_from_slice(globals);
         }
-        Payload::from_u32(w)
+        u32::pack(&w)
     }
 
     /// Decodes a payload produced by [`ScheduleSummary::to_payload`].
@@ -82,7 +82,7 @@ impl ScheduleSummary {
     /// # Panics
     /// Panics on a malformed payload (the audit protocol is internal).
     pub fn from_payload(p: Payload) -> Self {
-        let w = p.into_u32();
+        let w = u32::unpack(p);
         let rank = w[0] as usize;
         let interval = Interval::new(w[1] as usize, w[2] as usize);
         let index_space = w[3] as usize;

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use stance_sim::{Comm, Payload, Tag};
+use stance_sim::{Comm, Element, Payload, Tag};
 
 use crate::interpose::{Hook, Interposed};
 
@@ -25,46 +25,6 @@ pub fn checked_comm_constructions() -> usize {
     CONSTRUCTIONS.load(Ordering::Relaxed)
 }
 
-/// The shape of a payload as the analyzer compares it: the variant and
-/// its length in bytes. Enough to catch kind and size corruption without
-/// hauling the data itself through the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PayloadShape {
-    /// Payload variant discriminant (0 = Empty, 1 = F64, 2 = U32,
-    /// 3 = U64, 4 = Bytes).
-    pub kind: u8,
-    /// Payload size in bytes.
-    pub bytes: u32,
-}
-
-impl PayloadShape {
-    /// The shape of `p`.
-    pub fn of(p: &Payload) -> Self {
-        let kind = match p {
-            Payload::Empty => 0,
-            Payload::F64(_) => 1,
-            Payload::U32(_) => 2,
-            Payload::U64(_) => 3,
-            Payload::Bytes(_) => 4,
-        };
-        PayloadShape {
-            kind,
-            bytes: p.size_bytes() as u32,
-        }
-    }
-
-    /// The variant's name, for diagnostics.
-    pub fn kind_name(self) -> &'static str {
-        match self.kind {
-            0 => "Empty",
-            1 => "F64",
-            2 => "U32",
-            3 => "U64",
-            _ => "Bytes",
-        }
-    }
-}
-
 /// One recorded communication event. Epochs are not stored: the analyzer
 /// recomputes each event's barrier epoch from the `Barrier` events
 /// preceding it in the trace.
@@ -76,8 +36,8 @@ pub enum TraceEvent {
         dst: usize,
         /// Message tag.
         tag: Tag,
-        /// Payload shape at the send side.
-        shape: PayloadShape,
+        /// Payload size in bytes at the send side.
+        bytes: u32,
     },
     /// A completed receive.
     Recv {
@@ -85,8 +45,8 @@ pub enum TraceEvent {
         src: usize,
         /// Message tag.
         tag: Tag,
-        /// Payload shape at the receive side.
-        shape: PayloadShape,
+        /// Payload size in bytes at the receive side.
+        bytes: u32,
     },
     /// A cluster-wide barrier (advances this rank's epoch).
     Barrier,
@@ -114,25 +74,21 @@ impl RankTrace {
         }
     }
 
-    /// Serializes the trace to a `u32` payload (for gathering traces to
-    /// one place for analysis).
+    /// Serializes the trace to packed `u32` words, four per event (for
+    /// gathering traces to one place for analysis).
     pub fn to_payload(&self) -> Payload {
-        let mut w: Vec<u32> = Vec::with_capacity(3 + self.events.len() * 5);
+        let mut w: Vec<u32> = Vec::with_capacity(3 + self.events.len() * 4);
         w.push(self.rank as u32);
         w.push(self.size as u32);
         w.push(self.events.len() as u32);
         for ev in &self.events {
             match *ev {
-                TraceEvent::Send { dst, tag, shape } => {
-                    w.extend([0, dst as u32, tag.0, u32::from(shape.kind), shape.bytes]);
-                }
-                TraceEvent::Recv { src, tag, shape } => {
-                    w.extend([1, src as u32, tag.0, u32::from(shape.kind), shape.bytes]);
-                }
-                TraceEvent::Barrier => w.extend([2, 0, 0, 0, 0]),
+                TraceEvent::Send { dst, tag, bytes } => w.extend([0, dst as u32, tag.0, bytes]),
+                TraceEvent::Recv { src, tag, bytes } => w.extend([1, src as u32, tag.0, bytes]),
+                TraceEvent::Barrier => w.extend([2, 0, 0, 0]),
             }
         }
-        Payload::from_u32(w)
+        u32::pack(&w)
     }
 
     /// Decodes a payload produced by [`RankTrace::to_payload`].
@@ -140,27 +96,23 @@ impl RankTrace {
     /// # Panics
     /// Panics on a malformed payload (the trace protocol is internal).
     pub fn from_payload(p: Payload) -> Self {
-        let w = p.into_u32();
+        let w = u32::unpack(p);
         let rank = w[0] as usize;
         let size = w[1] as usize;
         let count = w[2] as usize;
         let mut events = Vec::with_capacity(count);
-        for chunk in w[3..3 + count * 5].chunks_exact(5) {
-            let [op, peer, tag, kind, bytes] = [chunk[0], chunk[1], chunk[2], chunk[3], chunk[4]];
-            let shape = PayloadShape {
-                kind: kind as u8,
-                bytes,
-            };
+        for chunk in w[3..3 + count * 4].chunks_exact(4) {
+            let [op, peer, tag, bytes] = [chunk[0], chunk[1], chunk[2], chunk[3]];
             events.push(match op {
                 0 => TraceEvent::Send {
                     dst: peer as usize,
                     tag: Tag(tag),
-                    shape,
+                    bytes,
                 },
                 1 => TraceEvent::Recv {
                     src: peer as usize,
                     tag: Tag(tag),
-                    shape,
+                    bytes,
                 },
                 2 => TraceEvent::Barrier,
                 other => panic!("unknown trace opcode {other}"),
@@ -194,12 +146,12 @@ impl Hook for TraceHook<'_> {
     // fabricate an `UnmatchedSend` or a `PhantomRecv` in an otherwise
     // clean recovered run. A rank that crashes leaves no event at all.
 
-    fn sent(&mut self, dst: usize, tag: Tag, shape: PayloadShape) {
-        self.trace.events.push(TraceEvent::Send { dst, tag, shape });
+    fn sent(&mut self, dst: usize, tag: Tag, bytes: u32) {
+        self.trace.events.push(TraceEvent::Send { dst, tag, bytes });
     }
 
-    fn received(&mut self, src: usize, tag: Tag, shape: PayloadShape) {
-        self.trace.events.push(TraceEvent::Recv { src, tag, shape });
+    fn received(&mut self, src: usize, tag: Tag, bytes: u32) {
+        self.trace.events.push(TraceEvent::Recv { src, tag, bytes });
     }
 
     fn barrier(&mut self) {
@@ -233,13 +185,13 @@ mod tests {
         t.events.push(TraceEvent::Send {
             dst: 2,
             tag: Tag(7),
-            shape: PayloadShape { kind: 4, bytes: 24 },
+            bytes: 24,
         });
         t.events.push(TraceEvent::Barrier);
         t.events.push(TraceEvent::Recv {
             src: 0,
             tag: Tag(3),
-            shape: PayloadShape { kind: 2, bytes: 8 },
+            bytes: 8,
         });
         assert_eq!(RankTrace::from_payload(t.to_payload()), t);
     }
@@ -274,7 +226,7 @@ mod tests {
                 // Rank 1 returns at once, closing its mailboxes.
                 let mut checked = CheckedComm::attach(env, &mut trace);
                 assert!(checked.recv_deadline(1, Tag(5), 30.0).is_none());
-                assert!(!checked.post(1, Tag(5), Payload::from_u32(vec![1])));
+                assert!(!checked.post(1, Tag(5), u32::pack(&[1])));
             }
             trace
         });

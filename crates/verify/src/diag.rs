@@ -36,8 +36,8 @@ pub enum DiagnosticKind {
     /// A receive on a (source, tag) stream no in-flight message could
     /// satisfy.
     PhantomRecv,
-    /// A matched send/receive pair whose payload kind or byte size
-    /// changed in flight.
+    /// A matched send/receive pair whose payload byte size changed in
+    /// flight.
     PayloadMismatch,
     /// Ranks disagree on how many barriers the run performed.
     BarrierArity,

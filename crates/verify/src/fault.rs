@@ -292,7 +292,7 @@ impl<'a, C: Comm> FaultyComm<'a, C> {
 mod tests {
     use super::*;
     use stance_sim::cluster::{Cluster, ClusterSpec};
-    use stance_sim::{Payload, Tag};
+    use stance_sim::{Element, Tag};
 
     #[test]
     fn randomized_plans_are_seed_deterministic() {
@@ -321,9 +321,9 @@ mod tests {
             let outcome = catch_fault(|| {
                 let mut comm = FaultyComm::attach(env, &plan);
                 // ops 0, 1: survive. Rank 1's op 2 fires.
-                comm.post(rank ^ 1, Tag(5), Payload::from_u64(vec![1]));
+                comm.post(rank ^ 1, Tag(5), u64::pack(&[1]));
                 comm.recv_deadline(rank ^ 1, Tag(5), 1.0);
-                comm.post(rank ^ 1, Tag(5), Payload::from_u64(vec![2]));
+                comm.post(rank ^ 1, Tag(5), u64::pack(&[2]));
                 comm.ops()
             });
             match outcome {
@@ -351,8 +351,8 @@ mod tests {
             let plan = FaultPlan::none();
             let peer = env.rank() ^ 1;
             let mut comm = FaultyComm::attach(env, &plan);
-            comm.send(peer, Tag(3), Payload::from_u64(vec![comm.rank() as u64]));
-            let got = comm.recv(peer, Tag(3)).into_u64()[0];
+            comm.send(peer, Tag(3), u64::pack(&[comm.rank() as u64]));
+            let got = u64::unpack(comm.recv(peer, Tag(3)))[0];
             comm.barrier();
             assert_eq!(comm.ops(), 3);
             got

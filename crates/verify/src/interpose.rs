@@ -20,8 +20,6 @@
 
 use stance_sim::{Comm, Payload, Tag};
 
-use crate::checked::PayloadShape;
-
 /// What an [`Interposed`] communicator calls as operations pass through
 /// it. Every method defaults to a no-op, so a hook names only the points
 /// it cares about.
@@ -35,12 +33,12 @@ pub trait Hook {
     /// A message is about to be handed to the transport: called for every
     /// `send`, and for a `post` only once the transport reports delivery
     /// (a refused post delivered nothing).
-    fn sent(&mut self, _dst: usize, _tag: Tag, _shape: PayloadShape) {}
+    fn sent(&mut self, _dst: usize, _tag: Tag, _bytes: u32) {}
 
     /// A message was delivered: called after every `recv`, and after a
     /// `recv_deadline` only when it returns a message (a timeout consumed
     /// nothing).
-    fn received(&mut self, _src: usize, _tag: Tag, _shape: PayloadShape) {}
+    fn received(&mut self, _src: usize, _tag: Tag, _bytes: u32) {}
 
     /// Called before the barrier is entered.
     fn barrier(&mut self) {}
@@ -55,15 +53,15 @@ impl<H: Hook> Hook for Option<H> {
         }
     }
 
-    fn sent(&mut self, dst: usize, tag: Tag, shape: PayloadShape) {
+    fn sent(&mut self, dst: usize, tag: Tag, bytes: u32) {
         if let Some(h) = self {
-            h.sent(dst, tag, shape);
+            h.sent(dst, tag, bytes);
         }
     }
 
-    fn received(&mut self, src: usize, tag: Tag, shape: PayloadShape) {
+    fn received(&mut self, src: usize, tag: Tag, bytes: u32) {
         if let Some(h) = self {
-            h.received(src, tag, shape);
+            h.received(src, tag, bytes);
         }
     }
 
@@ -107,14 +105,14 @@ impl<C: Comm, H: Hook> Comm for Interposed<'_, C, H> {
 
     fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
         self.hook.before(self.inner);
-        self.hook.sent(dst, tag, PayloadShape::of(&payload));
+        self.hook.sent(dst, tag, size(&payload));
         self.inner.send(dst, tag, payload);
     }
 
     fn recv(&mut self, src: usize, tag: Tag) -> Payload {
         self.hook.before(self.inner);
         let payload = self.inner.recv(src, tag);
-        self.hook.received(src, tag, PayloadShape::of(&payload));
+        self.hook.received(src, tag, size(&payload));
         payload
     }
 
@@ -126,10 +124,10 @@ impl<C: Comm, H: Hook> Comm for Interposed<'_, C, H> {
 
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
         self.hook.before(self.inner);
-        let shape = PayloadShape::of(&payload);
+        let bytes = size(&payload);
         let delivered = self.inner.post(dst, tag, payload);
         if delivered {
-            self.hook.sent(dst, tag, shape);
+            self.hook.sent(dst, tag, bytes);
         }
         delivered
     }
@@ -137,7 +135,7 @@ impl<C: Comm, H: Hook> Comm for Interposed<'_, C, H> {
     fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
         self.hook.before(self.inner);
         let payload = self.inner.recv_deadline(src, tag, timeout_secs)?;
-        self.hook.received(src, tag, PayloadShape::of(&payload));
+        self.hook.received(src, tag, size(&payload));
         Some(payload)
     }
 
@@ -169,4 +167,9 @@ impl<C: Comm, H: Hook> Comm for Interposed<'_, C, H> {
         self.hook.before(self.inner);
         self.inner.allreduce_f64(tag, value, op)
     }
+}
+
+/// A payload's size as a [`Hook`] sees it and a trace records it.
+fn size(payload: &Payload) -> u32 {
+    payload.size_bytes() as u32
 }

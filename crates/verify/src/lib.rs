@@ -55,9 +55,7 @@ pub use audit::{
     audit_collective, audit_redistribution, audit_schedules, audit_translation, check_deadlock,
     expect_clean, CommOp, ScheduleSummary, TAG_AUDIT, TAG_TRACE,
 };
-pub use checked::{
-    checked_comm_constructions, CheckedComm, PayloadShape, RankTrace, TraceEvent, TraceHook,
-};
+pub use checked::{checked_comm_constructions, CheckedComm, RankTrace, TraceEvent, TraceHook};
 pub use dataflow::{audit_stage_graph, topological_order, StageDecl};
 pub use diag::{Diagnostic, DiagnosticKind};
 pub use fault::{

@@ -38,14 +38,14 @@ pub fn send_recv_ordering<C: Comm>(c: &mut C) {
     for dst in 0..c.size() {
         if dst != c.rank() {
             for seq in 0..MSGS {
-                c.send(dst, Tag(7), Payload::from_u32(vec![me, seq]));
+                c.send(dst, Tag(7), u32::pack(&[me, seq]));
             }
         }
     }
     for src in 0..c.size() {
         if src != c.rank() {
             for seq in 0..MSGS {
-                let words = c.recv(src, Tag(7)).into_u32();
+                let words = u32::unpack(c.recv(src, Tag(7)));
                 assert_eq!(words, vec![src as u32, seq], "out-of-order from {src}");
             }
         }
@@ -58,32 +58,32 @@ pub fn send_recv_ordering<C: Comm>(c: &mut C) {
 pub fn tag_isolation<C: Comm>(c: &mut C) {
     if c.rank() == 0 {
         // Interleave two tag streams.
-        c.send(1, Tag(1), Payload::from_u32(vec![10]));
-        c.send(1, Tag(2), Payload::from_u32(vec![20]));
-        c.send(1, Tag(1), Payload::from_u32(vec![11]));
-        c.send(1, Tag(2), Payload::from_u32(vec![21]));
+        c.send(1, Tag(1), u32::pack(&[10]));
+        c.send(1, Tag(2), u32::pack(&[20]));
+        c.send(1, Tag(1), u32::pack(&[11]));
+        c.send(1, Tag(2), u32::pack(&[21]));
     } else if c.rank() == 1 {
         // Drain tag 2 first, then tag 1: both streams stay FIFO.
-        assert_eq!(c.recv(0, Tag(2)).into_u32(), vec![20]);
-        assert_eq!(c.recv(0, Tag(2)).into_u32(), vec![21]);
-        assert_eq!(c.recv(0, Tag(1)).into_u32(), vec![10]);
-        assert_eq!(c.recv(0, Tag(1)).into_u32(), vec![11]);
+        assert_eq!(u32::unpack(c.recv(0, Tag(2))), vec![20]);
+        assert_eq!(u32::unpack(c.recv(0, Tag(2))), vec![21]);
+        assert_eq!(u32::unpack(c.recv(0, Tag(1))), vec![10]);
+        assert_eq!(u32::unpack(c.recv(0, Tag(1))), vec![11]);
     }
     // The same with no sender in sight: two barriers, so the sender
     // completed its sends strictly before the first and has nothing left
     // to do by the second. The messages are buffered, and delivered FIFO
     // per (source, tag) whichever tag is asked for first.
     if c.rank() == 0 {
-        c.send(1, Tag(8), Payload::from_u64(vec![77]));
-        c.send(1, Tag(9), Payload::from_u64(vec![90]));
-        c.send(1, Tag(8), Payload::from_u64(vec![78]));
+        c.send(1, Tag(8), u64::pack(&[77]));
+        c.send(1, Tag(9), u64::pack(&[90]));
+        c.send(1, Tag(8), u64::pack(&[78]));
     }
     c.barrier();
     c.barrier();
     if c.rank() == 1 {
-        assert_eq!(c.recv(0, Tag(9)).into_u64(), vec![90]);
-        assert_eq!(c.recv(0, Tag(8)).into_u64(), vec![77]);
-        assert_eq!(c.recv(0, Tag(8)).into_u64(), vec![78]);
+        assert_eq!(u64::unpack(c.recv(0, Tag(9))), vec![90]);
+        assert_eq!(u64::unpack(c.recv(0, Tag(8))), vec![77]);
+        assert_eq!(u64::unpack(c.recv(0, Tag(8))), vec![78]);
     }
 }
 
@@ -95,8 +95,8 @@ pub fn barrier_rounds<C: Comm>(c: &mut C) {
     for round in 0..20u32 {
         let next = (c.rank() + 1) % p;
         let prev = (c.rank() + p - 1) % p;
-        c.send(next, Tag(round), Payload::from_u32(vec![round]));
-        let got = c.recv(prev, Tag(round)).into_u32();
+        c.send(next, Tag(round), u32::pack(&[round]));
+        let got = u32::unpack(c.recv(prev, Tag(round)));
         assert_eq!(got, vec![round]);
         c.barrier();
     }
@@ -127,14 +127,14 @@ pub fn allreduce_ops<C: Comm>(c: &mut C) {
 pub fn post_and_recv_deadline<C: Comm>(c: &mut C) {
     if c.rank() == 0 {
         assert!(
-            c.post(1, Tag(40), Payload::from_u32(vec![99])),
+            c.post(1, Tag(40), u32::pack(&[99])),
             "post to a live rank must report delivery"
         );
     } else if c.rank() == 1 {
         let got = c
             .recv_deadline(0, Tag(40), 5.0)
             .expect("posted message must arrive within the deadline");
-        assert_eq!(got.into_u32(), vec![99]);
+        assert_eq!(u32::unpack(got), vec![99]);
         // Nothing else is coming on this tag: the deadline lapses.
         assert!(c.recv_deadline(0, Tag(40), 0.05).is_none());
     }
@@ -153,14 +153,15 @@ pub fn deadline_timeout_preserves_stream<C: Comm>(c: &mut C) {
     }
     c.barrier();
     if c.rank() == 0 {
-        c.send(1, Tag(41), Payload::from_u32(vec![1]));
-        c.send(1, Tag(41), Payload::from_u32(vec![2]));
+        c.send(1, Tag(41), u32::pack(&[1]));
+        c.send(1, Tag(41), u32::pack(&[2]));
     } else if c.rank() == 1 {
-        assert_eq!(c.recv(0, Tag(41)).into_u32(), vec![1]);
+        assert_eq!(u32::unpack(c.recv(0, Tag(41))), vec![1]);
         assert_eq!(
-            c.recv_deadline(0, Tag(41), 5.0)
-                .expect("second message is in flight")
-                .into_u32(),
+            u32::unpack(
+                c.recv_deadline(0, Tag(41), 5.0)
+                    .expect("second message is in flight")
+            ),
             vec![2]
         );
     }
@@ -192,9 +193,7 @@ pub fn barrier_waits_for_the_last_arrival<C: Comm>(c: &mut C) {
     }
     c.barrier();
     let left = now();
-    let entered = c
-        .bcast_from(last, Tag(42), Payload::from_u64(vec![entered]))
-        .into_u64()[0];
+    let entered = u64::unpack(c.bcast_from(last, Tag(42), u64::pack(&[entered])))[0];
     assert!(
         left >= entered,
         "rank {} left the barrier {} µs before the last rank arrived",
@@ -207,19 +206,19 @@ pub fn barrier_waits_for_the_last_arrival<C: Comm>(c: &mut C) {
 /// Run with 4 ranks.
 pub fn bcast_and_gather<C: Comm>(c: &mut C) {
     let payload = if c.rank() == 2 {
-        Payload::from_f64(vec![3.25])
+        f64::pack(&[3.25])
     } else {
         Payload::Empty
     };
-    assert_eq!(c.bcast_from(2, Tag(9), payload).into_f64(), vec![3.25]);
+    assert_eq!(f64::unpack(c.bcast_from(2, Tag(9), payload)), vec![3.25]);
 
-    let mine = Payload::from_u32(vec![c.rank() as u32 * 10]);
+    let mine = u32::pack(&[c.rank() as u32 * 10]);
     let gathered = c.gather_to(1, Tag(5), mine);
     if c.rank() == 1 {
         let ids: Vec<u32> = gathered
             .expect("root receives the gather")
             .into_iter()
-            .flat_map(Payload::into_u32)
+            .flat_map(u32::unpack)
             .collect();
         let expected: Vec<u32> = (0..c.size() as u32).map(|r| r * 10).collect();
         assert_eq!(ids, expected);
@@ -227,8 +226,8 @@ pub fn bcast_and_gather<C: Comm>(c: &mut C) {
         assert!(gathered.is_none());
     }
 
-    let all = c.allgather(Tag(6), Payload::from_u64(vec![c.rank() as u64]));
-    let ids: Vec<u64> = all.into_iter().flat_map(Payload::into_u64).collect();
+    let all = c.allgather(Tag(6), u64::pack(&[c.rank() as u64]));
+    let ids: Vec<u64> = all.into_iter().flat_map(u64::unpack).collect();
     let expected: Vec<u64> = (0..c.size() as u64).collect();
     assert_eq!(ids, expected);
 }

@@ -425,7 +425,7 @@ pub const TCP_SCENARIOS: stance_tcp::ScenarioRegistry = &[
 /// Decodes the trace words a TCP conformance worker returns.
 pub fn trace_from_result(bytes: &[u8]) -> RankTrace {
     use stance_tcp::codec::Wire;
-    RankTrace::from_payload(Payload::from_u32(Vec::<u32>::from_wire(bytes)))
+    RankTrace::from_payload(u32::pack(&Vec::<u32>::from_wire(bytes)))
 }
 
 /// The worker-side wrappers: each adapts one generic body to the
@@ -438,7 +438,7 @@ mod tcp {
     fn with_trace(c: &mut TcpComm, body: fn(&mut CheckedComm<'_, TcpComm>)) -> Vec<u8> {
         let mut trace = RankTrace::new(c.rank(), c.size());
         body(&mut CheckedComm::attach(c, &mut trace));
-        trace.to_payload().into_u32().to_wire()
+        u32::unpack(trace.to_payload()).to_wire()
     }
 
     macro_rules! conformance_scenarios {
@@ -471,7 +471,7 @@ mod tcp {
         let (max_iters, team) = <(usize, usize)>::from_wire(args);
         let (m, b, _x_star, shift) = cg_problem();
         let (x, trace) = cg_body(c, &m, &b, shift, max_iters, team);
-        (x, trace.to_payload().into_u32()).to_wire()
+        (x, u32::unpack(trace.to_payload())).to_wire()
     }
 
     pub fn equiv_churn(c: &mut TcpComm, args: &[u8]) -> Vec<u8> {

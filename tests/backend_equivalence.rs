@@ -308,7 +308,7 @@ fn cg_solver_bitwise_identical_on_tcp_processes() {
             .iter()
             .map(|bytes| {
                 let (x, words) = <(Vec<f64>, Vec<u32>)>::from_wire(bytes);
-                (x, RankTrace::from_payload(Payload::from_u32(words)))
+                (x, RankTrace::from_payload(u32::pack(&words)))
             })
             .unzip();
         let diags = analyze_traces(&traces);

@@ -192,7 +192,7 @@ fn wrappers_are_invisible_to_the_simulator() {
         bodies::allreduce_ops(c);
         bodies::barrier_rounds(c);
         if c.rank() == 0 {
-            c.multicast(&[1, 2, 3], Tag(50), Payload::from_f64(vec![1.5; 64]));
+            c.multicast(&[1, 2, 3], Tag(50), f64::pack(&[1.5; 64]));
         } else {
             c.recv(0, Tag(50));
         }

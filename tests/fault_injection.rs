@@ -318,9 +318,9 @@ fn seeded_faults_reproduce_run_for_run() {
                         for step in 0..8u32 {
                             let next = (me + 1) % p;
                             let prev = (me + p - 1) % p;
-                            faulty.post(next, Tag(5), Payload::from_u32(vec![step]));
+                            faulty.post(next, Tag(5), u32::pack(&[step]));
                             if let Some(got) = faulty.recv_deadline(prev, Tag(5), 0.3) {
-                                received.extend(got.into_u32());
+                                received.extend(u32::unpack(got));
                             }
                         }
                         received

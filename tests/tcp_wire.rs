@@ -3,11 +3,14 @@
 //!
 //! The robustness contract under test: any garbage a socket can carry —
 //! wrong magic, wrong protocol version, truncated handshakes, absurd or
-//! impossible length prefixes, unknown payload kinds, torn payloads —
-//! produces a *structured* [`WireError`] and a clean disconnect. Never a
-//! panic, never a hang, and never an allocation sized by attacker-chosen
-//! bytes (the length prefix is validated **before** any buffer is
-//! reserved). The same tests pin down the timing edges: a deadline
+//! impossible length prefixes — produces a *structured* [`WireError`] and
+//! a clean disconnect. Never a panic, never a hang, and never an
+//! allocation sized by attacker-chosen bytes (the length prefix is
+//! validated **before** any buffer is reserved). A frame is
+//! `[len][tag][bytes]`, and the codec is total and exact over every
+//! length prefix and body (property tests below); a payload too large for
+//! one frame is refused by its sender, not by the peer. The same tests
+//! pin down the timing edges: a deadline
 //! expiring mid-frame is suspicion (the partial bytes stay buffered and
 //! the frame is delivered intact later), peer death mid-frame is proof,
 //! and the connect-phase backoff is capped so rendezvous polling can
@@ -17,7 +20,8 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use stance::prelude::{Payload, Tag};
+use proptest::prelude::*;
+use stance::prelude::{Element, Payload, Tag};
 use stance_tcp::wire::{
     self, Backoff, WireError, FRAME_OVERHEAD, HANDSHAKE_LEN, KIND_HELLO, KIND_PEER, MAX_FRAME,
     PROTOCOL_VERSION,
@@ -168,28 +172,79 @@ fn impossible_short_length_prefix_is_rejected() {
     assert_eq!(fault, WireError::FrameTooShort { len: 2 });
 }
 
-/// A well-framed message of an unknown payload kind breaks the link with
-/// the kind named — the receiver must not guess at bytes it cannot type.
+/// A payload too large for one frame is refused by the link that would
+/// send it, before a byte is written: the failure surfaces on the sending
+/// rank, the link stays usable, and the next frame arrives intact.
 #[test]
-fn unknown_payload_kind_is_rejected() {
-    let mut frame = FRAME_OVERHEAD.to_le_bytes().to_vec();
-    frame.push(200); // no such payload kind
-    frame.extend_from_slice(&7u32.to_le_bytes()); // tag
-    let fault = fault_from_rogue_bytes(&frame);
-    assert_eq!(fault, WireError::BadPayloadKind { got: 200 });
+fn oversize_payload_is_refused_at_the_sender() {
+    let (a, b) = pair();
+    let mut tx = PeerLink::new(a).expect("wrap sender socket");
+    let mut rx = PeerLink::new(b).expect("wrap receiver socket");
+    let huge = Payload::from_bytes(vec![0; MAX_FRAME as usize]);
+    assert_eq!(
+        tx.send(Tag(1), &huge),
+        Err(WireError::FrameTooLarge {
+            len: MAX_FRAME + FRAME_OVERHEAD,
+            max: MAX_FRAME
+        })
+    );
+    assert!(tx.fault().is_none(), "a refused send is not a link fault");
+    tx.send(Tag(2), &u32::pack(&[5, 6]))
+        .expect("the link still sends");
+    let msg = rx.recv().expect("the small frame arrives");
+    assert_eq!(msg.tag, Tag(2));
+    assert_eq!(u32::unpack(msg.payload), vec![5, 6]);
 }
 
-/// An `F64` payload whose byte count is not a multiple of eight cannot
-/// be reassembled into the values the sender meant — torn, by name.
-#[test]
-fn torn_payload_is_rejected() {
-    let body = 12u32; // one-and-a-half f64s
-    let mut frame = (FRAME_OVERHEAD + body).to_le_bytes().to_vec();
-    frame.push(1); // kind: F64
-    frame.extend_from_slice(&3u32.to_le_bytes()); // tag
-    frame.extend_from_slice(&[0xAB; 12]);
-    let fault = fault_from_rogue_bytes(&frame);
-    assert_eq!(fault, WireError::TornPayload { kind: 1, bytes: 12 });
+/// Bytes drawn from `0..256`, for the codec properties.
+fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u16>> {
+    proptest::collection::vec(0u16..256, len)
+}
+
+proptest! {
+    /// Every length prefix is accepted or rejected, never a panic: exactly
+    /// the ones in `FRAME_OVERHEAD..=MAX_FRAME` are frame bodies of that
+    /// length. (One draw over the whole word, one near the bounds.)
+    #[test]
+    fn every_length_prefix_is_judged(any in 0u32..u32::MAX, near in 0u32..MAX_FRAME + 64) {
+        for len in [any, near, 0, FRAME_OVERHEAD - 1, FRAME_OVERHEAD, MAX_FRAME, MAX_FRAME + 1, u32::MAX] {
+            match wire::check_frame_len(len) {
+                Ok(n) => prop_assert!(n == len as usize && (FRAME_OVERHEAD..=MAX_FRAME).contains(&len)),
+                Err(WireError::FrameTooShort { len: l }) => prop_assert!(l == len && len < FRAME_OVERHEAD),
+                Err(WireError::FrameTooLarge { len: l, max }) => {
+                    prop_assert!(l == len && max == MAX_FRAME && len > MAX_FRAME);
+                }
+                Err(other) => prop_assert!(false, "unexpected {other:?} for {len}"),
+            }
+        }
+    }
+
+    /// Any body that can hold a tag decodes: its first four bytes are the
+    /// tag and the rest, whatever they are, the payload.
+    #[test]
+    fn every_body_decodes(body in bytes(FRAME_OVERHEAD as usize..4096)) {
+        let body: Vec<u8> = body.into_iter().map(|b| b as u8).collect();
+        let (tag, payload) = wire::decode_frame_body(&body).expect("a body with a tag decodes");
+        prop_assert_eq!(tag.0.to_le_bytes(), [body[0], body[1], body[2], body[3]]);
+        prop_assert_eq!(payload.as_bytes(), &body[4..]);
+    }
+
+    /// Encode, check the length prefix, decode: the same tag and bytes come
+    /// back, in a frame of exactly `8 + n` bytes.
+    #[test]
+    fn frames_round_trip_exactly(tag in 0u32..u32::MAX, data in bytes(0..4097)) {
+        let data: Vec<u8> = data.into_iter().map(|b| b as u8).collect();
+        let n = data.len();
+        let payload = Payload::from_bytes(data);
+        let mut frame = Vec::new();
+        wire::encode_frame(Tag(tag), &payload, &mut frame).expect("fits a frame");
+        prop_assert_eq!(frame.len(), 8 + n);
+        let len = u32::from_le_bytes(frame[0..4].try_into().expect("fixed slice"));
+        let body_len = wire::check_frame_len(len).expect("a legal length");
+        prop_assert_eq!(body_len, 4 + n);
+        let decoded = wire::decode_frame_body(&frame[4..]).expect("decodes");
+        prop_assert_eq!(decoded, (Tag(tag), payload));
+    }
 }
 
 /// Valid traffic already buffered ahead of the garbage is still
@@ -199,14 +254,14 @@ fn valid_frames_ahead_of_garbage_are_still_delivered() {
     let (mut attacker, victim) = pair();
     let mut link = PeerLink::new(victim).expect("wrap victim socket");
     let mut good = Vec::new();
-    wire::encode_frame(Tag(9), &Payload::from_u32(vec![1, 2, 3]), &mut good);
+    wire::encode_frame(Tag(9), &u32::pack(&[1, 2, 3]), &mut good).expect("fits a frame");
     good.extend_from_slice(&u32::MAX.to_le_bytes()); // then the lie
     attacker.write_all(&good).expect("write frame + garbage");
     drop(attacker);
 
     let msg = link.recv().expect("the intact frame must be delivered");
     assert_eq!(msg.tag, Tag(9));
-    assert_eq!(msg.payload.into_u32(), vec![1, 2, 3]);
+    assert_eq!(u32::unpack(msg.payload), vec![1, 2, 3]);
     assert!(link.recv().is_err(), "then the link is dead");
     assert_eq!(
         link.fault(),
@@ -226,7 +281,7 @@ fn deadline_mid_frame_is_suspicion_and_the_frame_survives() {
     let (mut sender, receiver) = pair();
     let mut link = PeerLink::new(receiver).expect("wrap receiver socket");
     let mut frame = Vec::new();
-    wire::encode_frame(Tag(4), &Payload::from_f64(vec![1.5, -2.5]), &mut frame);
+    wire::encode_frame(Tag(4), &f64::pack(&[1.5, -2.5]), &mut frame).expect("fits a frame");
     let split = frame.len() / 2;
     sender.write_all(&frame[..split]).expect("first half");
 
@@ -242,7 +297,7 @@ fn deadline_mid_frame_is_suspicion_and_the_frame_survives() {
         .recv_deadline(Instant::now() + Duration::from_secs(5))
         .expect("completed frame must arrive intact");
     assert_eq!(msg.tag, Tag(4));
-    assert_eq!(msg.payload.into_f64(), vec![1.5, -2.5]);
+    assert_eq!(f64::unpack(msg.payload), vec![1.5, -2.5]);
 }
 
 /// Peer death mid-frame is *proof*: the half-frame can never complete,
@@ -253,7 +308,7 @@ fn peer_death_mid_frame_is_proof() {
     let (mut sender, receiver) = pair();
     let mut link = PeerLink::new(receiver).expect("wrap receiver socket");
     let mut frame = Vec::new();
-    wire::encode_frame(Tag(2), &Payload::from_u64(vec![42]), &mut frame);
+    wire::encode_frame(Tag(2), &u64::pack(&[42]), &mut frame).expect("fits a frame");
     sender
         .write_all(&frame[..frame.len() - 3])
         .expect("almost all of it");

@@ -15,8 +15,7 @@ use stance::onedim::{BlockPartition, Interval, RedistributionPlan};
 use stance::prelude::*;
 use stance::verify::{
     analyze_traces, audit_redistribution, audit_schedules, audit_translation, check_deadlock,
-    expect_clean, CommOp, Diagnostic, DiagnosticKind, PayloadShape, RankTrace, ScheduleSummary,
-    TraceEvent,
+    expect_clean, CommOp, Diagnostic, DiagnosticKind, RankTrace, ScheduleSummary, TraceEvent,
 };
 
 // ---------------------------------------------------------------------
@@ -62,15 +61,11 @@ fn find(diags: &[Diagnostic], kind: DiagnosticKind) -> &Diagnostic {
         .unwrap_or_else(|| panic!("no {kind:?} diagnostic in {diags:?}"))
 }
 
-fn shape(kind: u8, bytes: u32) -> PayloadShape {
-    PayloadShape { kind, bytes }
-}
-
 fn send(dst: usize, tag: u32, bytes: u32) -> TraceEvent {
     TraceEvent::Send {
         dst,
         tag: Tag(tag),
-        shape: shape(2, bytes),
+        bytes,
     }
 }
 
@@ -78,7 +73,7 @@ fn recv(src: usize, tag: u32, bytes: u32) -> TraceEvent {
     TraceEvent::Recv {
         src,
         tag: Tag(tag),
-        shape: shape(2, bytes),
+        bytes,
     }
 }
 
@@ -383,8 +378,8 @@ fn phantom_recv_names_stream_and_tag() {
     assert_eq!((d.rank, d.peer, d.tag), (1, Some(0), Some(Tag(7))));
 }
 
-/// Kind 11: matched send and receive whose payload shapes differ — the
-/// diagnostic names both shapes.
+/// Kind 11: matched send and receive whose payload sizes differ — the
+/// diagnostic names both sizes.
 #[test]
 fn payload_mismatch_names_both_shapes() {
     let traces = vec![
@@ -395,7 +390,7 @@ fn payload_mismatch_names_both_shapes() {
             vec![TraceEvent::Recv {
                 src: 0,
                 tag: Tag(7),
-                shape: shape(1, 16),
+                bytes: 16,
             }],
         ),
     ];
@@ -403,12 +398,7 @@ fn payload_mismatch_names_both_shapes() {
     let d = find(&diags, DiagnosticKind::PayloadMismatch);
     assert_eq!(d.tag, Some(Tag(7)));
     assert!(
-        d.detail.contains("U32") && d.detail.contains("F64"),
-        "detail must name both payload kinds: {}",
-        d.detail
-    );
-    assert!(
-        d.detail.contains('8') && d.detail.contains("16"),
+        d.detail.contains("sent 8 bytes") && d.detail.contains("received 16 bytes"),
         "detail must name both sizes: {}",
         d.detail
     );

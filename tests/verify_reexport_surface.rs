@@ -18,7 +18,7 @@ fn facade_paths_resolve_and_work() {
         let mut checked = CheckedComm::attach(env, &mut trace);
         let peer = 1 - checked.rank();
         if checked.rank() == 0 {
-            checked.send(peer, Tag(1), Payload::from_u32(vec![7]));
+            checked.send(peer, Tag(1), u32::pack(&[7]));
         } else {
             let _ = checked.recv(peer, Tag(1));
         }
