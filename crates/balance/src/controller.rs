@@ -20,27 +20,9 @@ use stance_sim::{Comm, Element, Payload, Tag};
 const TAG_LOAD: Tag = stance_sim::tags::TAG_LOAD;
 /// Tag for the decision broadcast (controller → workers).
 const TAG_DECISION: Tag = stance_sim::tags::TAG_DECISION;
-/// Tag for the distributed-mode load allgather.
-const TAG_LOAD_ALLGATHER: Tag = stance_sim::tags::TAG_LOAD_ALLGATHER;
 
 /// The controller rank (the paper uses a fixed controller processor).
 pub const CONTROLLER: usize = 0;
-
-/// How the remap decision is coordinated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ControllerMode {
-    /// The paper's implementation: loads gathered at a controller rank,
-    /// which decides and broadcasts. "Centralized load-balancing algorithms
-    /// are suitable for an environment with a small number of processors"
-    /// (§3.5).
-    #[default]
-    Centralized,
-    /// The strategy the paper leaves as future work ("we hope to have
-    /// distributed strategies"): loads are all-gathered and every rank runs
-    /// the (deterministic) decision logic locally. One communication round,
-    /// no controller bottleneck, more total messages.
-    Distributed,
-}
 
 /// Remap policy parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,8 +39,6 @@ pub struct BalancerConfig {
     /// Use `MinimizeCostRedistribution` to pick the arrangement (§3.4);
     /// otherwise the old arrangement is kept and only block sizes change.
     pub use_mcr: bool,
-    /// Centralized (the paper) or distributed (its future work) decision.
-    pub mode: ControllerMode,
 }
 
 impl Default for BalancerConfig {
@@ -68,7 +48,6 @@ impl Default for BalancerConfig {
             rebuild_cost_hint: 0.1,
             profitability_margin: 1.0,
             use_mcr: true,
-            mode: ControllerMode::Centralized,
         }
     }
 }
@@ -98,7 +77,8 @@ pub enum Decision {
 /// redistribution plan plus `rebuild_cost_hint` (see [`decide`]).
 ///
 /// # Panics
-/// Panics if `per_item_time` is negative, infinite or NaN.
+/// Panics if `per_item_time` is negative, infinite or NaN, and on the
+/// controller if a gathered load sample is not exactly one `f64`.
 pub fn load_balance_step<C: Comm>(
     env: &mut C,
     partition: &BlockPartition,
@@ -110,32 +90,20 @@ pub fn load_balance_step<C: Comm>(
         per_item_time.is_finite() && per_item_time >= 0.0,
         "per-item time must be finite and non-negative, got {per_item_time}"
     );
-    match config.mode {
-        ControllerMode::Centralized => {
-            centralized_step(env, partition, per_item_time, remaining_iters, config)
-        }
-        ControllerMode::Distributed => {
-            distributed_step(env, partition, per_item_time, remaining_iters, config)
-        }
-    }
-}
-
-fn centralized_step<C: Comm>(
-    env: &mut C,
-    partition: &BlockPartition,
-    per_item_time: f64,
-    remaining_iters: usize,
-    config: &BalancerConfig,
-) -> Decision {
     let gathered = env.gather_to(CONTROLLER, TAG_LOAD, f64::pack(&[per_item_time]));
 
     let decision_payload = if env.rank() == CONTROLLER {
-        // `gather_to` returns `Some` exactly on the root, and this is it;
-        // every part is a rank's one-`f64` load payload, as sent above.
+        // `gather_to` returns `Some` exactly on the root, and this is it.
+        // Each part is a peer's bytes (another process on TCP), so it is
+        // read into an exact one-`f64` buffer: anything else panics.
         let times: Vec<f64> = gathered
             .expect("controller receives the gather")
             .into_iter()
-            .map(|p| f64::unpack(p)[0])
+            .map(|p| {
+                let mut t = [0.0];
+                f64::unpack_into(p.as_bytes(), &mut t);
+                t[0]
+            })
             .collect();
         let decision = decide(partition, &times, remaining_iters, config);
         // A little controller compute: O(p³) for MCR is priced inside
@@ -149,26 +117,6 @@ fn centralized_step<C: Comm>(
     };
 
     decode_decision(decision_payload, partition.n())
-}
-
-/// The distributed variant: one all-gather round, then every rank runs the
-/// deterministic decision function on identical inputs — no controller, no
-/// second round, and the decision is provably identical everywhere.
-fn distributed_step<C: Comm>(
-    env: &mut C,
-    partition: &BlockPartition,
-    per_item_time: f64,
-    remaining_iters: usize,
-    config: &BalancerConfig,
-) -> Decision {
-    // Every part is a rank's one-`f64` load payload, as sent here.
-    let times: Vec<f64> = env
-        .allgather(TAG_LOAD_ALLGATHER, f64::pack(&[per_item_time]))
-        .into_iter()
-        .map(|p| f64::unpack(p)[0])
-        .collect();
-    env.compute(1.0e-5 * times.len() as f64);
-    decide(partition, &times, remaining_iters, config)
 }
 
 /// The controller's pure decision logic: remap iff the projected saving
@@ -308,7 +256,6 @@ mod tests {
             rebuild_cost_hint: 0.0,
             profitability_margin: 1.0,
             use_mcr: true,
-            mode: ControllerMode::Centralized,
         }
     }
 
@@ -352,7 +299,6 @@ mod tests {
             rebuild_cost_hint: 0.0,
             profitability_margin: 1.0,
             use_mcr: true,
-            mode: ControllerMode::Centralized,
         };
         // Saving per phase is ~milliseconds; cost is enormous.
         let d = decide(&part, &[3e-3, 1e-3], 10, &config);
@@ -426,6 +372,23 @@ mod tests {
         assert_eq!(decisions[1], decisions[2]);
     }
 
+    /// A load sample is a peer's bytes: the controller reads exactly one
+    /// `f64` and refuses a longer payload instead of reading its first word.
+    #[test]
+    #[should_panic(expected = "bulk unpack of 16 bytes into 1 8-byte elements")]
+    fn two_word_load_sample_is_refused() {
+        let part = BlockPartition::uniform(100, 2);
+        let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
+        Cluster::new(spec).run(|env| {
+            if env.rank() == CONTROLLER {
+                load_balance_step(env, &part, 1e-3, 100, &config_free_movement());
+            } else {
+                env.send(CONTROLLER, TAG_LOAD, f64::pack(&[1e-3, 2e-3]));
+                let _ = env.recv(CONTROLLER, TAG_DECISION);
+            }
+        });
+    }
+
     #[test]
     fn check_cost_is_small_and_scales_with_p() {
         // The virtual cost of a check should be a few messages' worth —
@@ -445,46 +408,6 @@ mod tests {
         assert!(c2 > 0.0 && c2 < 0.1, "check cost for 2 ws was {c2}");
         assert!(c5 > c2, "check cost should grow with p: {c2} vs {c5}");
         assert!(c5 < 0.1, "check cost for 5 ws was {c5}");
-    }
-
-    #[test]
-    fn distributed_mode_agrees_with_centralized() {
-        let part = BlockPartition::uniform(120, 3);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        let run = |mode: ControllerMode| {
-            let part = part.clone();
-            let mut config = config_free_movement();
-            config.mode = mode;
-            Cluster::new(spec.clone())
-                .run(move |env| {
-                    let t = if env.rank() == 1 { 5e-3 } else { 1e-3 };
-                    load_balance_step(env, &part, t, 400, &config)
-                })
-                .into_results()
-        };
-        let central = run(ControllerMode::Centralized);
-        let distributed = run(ControllerMode::Distributed);
-        assert_eq!(central, distributed, "modes must make the same decision");
-        // And all ranks agree within each mode.
-        assert!(distributed.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn distributed_mode_message_pattern() {
-        // Distributed: every rank multicasts once and receives p-1 — no
-        // central hot spot (the controller otherwise receives p-1 and sends
-        // the broadcast).
-        let part = BlockPartition::uniform(40, 4);
-        let spec = ClusterSpec::uniform(4).with_network(NetworkSpec::zero_cost());
-        let mut config = config_free_movement();
-        config.mode = ControllerMode::Distributed;
-        let report = Cluster::new(spec).run(|env| {
-            load_balance_step(env, &part, 1e-3, 100, &config);
-            (env.stats().messages_sent, env.stats().messages_received)
-        });
-        let counts: Vec<_> = report.into_results();
-        // zero_cost network has multicast=true: one multicast send each.
-        assert!(counts.iter().all(|&(s, r)| s == 1 && r == 3), "{counts:?}");
     }
 
     #[test]

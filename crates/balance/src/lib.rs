@@ -29,8 +29,6 @@ pub mod controller;
 pub mod monitor;
 pub mod redistribute;
 
-pub use controller::{load_balance_step, BalancerConfig, ControllerMode, Decision};
-pub use monitor::{CapabilityEstimator, LoadMonitor, MonitorSnapshot};
-pub use redistribute::{
-    redistribute_adjacency, redistribute_values, redistribute_values_coalesced, RemapScratch,
-};
+pub use controller::{load_balance_step, BalancerConfig, Decision};
+pub use monitor::{LoadMonitor, MonitorSnapshot};
+pub use redistribute::{redistribute_adjacency, redistribute_values, RemapScratch};

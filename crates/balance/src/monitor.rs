@@ -6,27 +6,15 @@
 //! assumes that the variation in computational cost per data unit is
 //! relatively small."
 //!
-//! The monitor keeps a sliding window of recent measurements so a transient
-//! spike does not trigger a remap on its own, and exposes the per-item time
-//! the controller exchanges. That metric is all it tracks: what a remap
+//! The monitor keeps a sliding window of recent measurements and estimates
+//! the next phase's per-item time as the window's mean. A window of 1 is
+//! the paper's estimate, the previous phase (§3.5); a longer window is its
+//! footnote 2's "more than one previous phase", so a transient spike does
+//! not trigger a remap on its own. It exposes the per-item time the
+//! controller exchanges. That metric is all it tracks: what a remap
 //! costs is priced by the controller's static model
 //! (`BalancerConfig::redist_model` and `rebuild_cost_hint`), not measured
 //! here.
-
-/// How the next phase's per-item time is estimated from the sample window.
-///
-/// The paper's implementation uses the previous phase directly; its
-/// footnote 2 suggests "techniques that would predict the available
-/// computational resources based on more than one previous phase" — the
-/// window average implements that suggestion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CapabilityEstimator {
-    /// The most recent measurement block (the paper's §3.5 behaviour).
-    LastPhase,
-    /// Mean over the window: smooths transient spikes.
-    #[default]
-    WindowAverage,
-}
 
 /// How many consecutive checks a carried estimate may answer while the
 /// window stays empty ([`LoadMonitor::per_item_for_check`]). A rank whose
@@ -53,13 +41,12 @@ pub struct MonitorSnapshot {
 }
 
 /// Sliding-window tracker of per-item computation time on one rank: the
-/// window, the [`CapabilityEstimator`] over it, and the estimate carried
+/// window, whose mean is the estimate, and the estimate carried
 /// across a remap ([`LoadMonitor::rollover`]) with its check budget.
 #[derive(Debug, Clone)]
 pub struct LoadMonitor {
     window: usize,
     samples: std::collections::VecDeque<f64>,
-    estimator: CapabilityEstimator,
     /// Per-item estimate carried across a remap ([`LoadMonitor::rollover`]):
     /// used only while the window is empty, so a check that lands before
     /// any post-remap measurement is still informed.
@@ -71,24 +58,16 @@ pub struct LoadMonitor {
 }
 
 impl LoadMonitor {
-    /// Creates a monitor averaging over the last `window` samples.
+    /// Creates a monitor averaging over the last `window` samples (`1`:
+    /// the last phase alone).
     ///
     /// # Panics
     /// Panics if `window` is zero.
     pub fn new(window: usize) -> Self {
-        Self::with_estimator(window, CapabilityEstimator::default())
-    }
-
-    /// Creates a monitor with an explicit estimator.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    pub fn with_estimator(window: usize, estimator: CapabilityEstimator) -> Self {
         assert!(window >= 1, "window must be at least 1");
         LoadMonitor {
             window,
             samples: std::collections::VecDeque::with_capacity(window),
-            estimator,
             carry: None,
             carry_checks_left: 0,
         }
@@ -112,7 +91,7 @@ impl LoadMonitor {
     }
 
     /// The estimated computation time per data item for the *next* phase
-    /// (seconds), per the configured [`CapabilityEstimator`], or `None`
+    /// (seconds) — the mean of the window — or `None`
     /// before the first sample. While the window is empty after a
     /// [`LoadMonitor::rollover`], the estimate carried across the remap is
     /// returned — the metric is *per element*, so it survives a block
@@ -147,17 +126,10 @@ impl LoadMonitor {
         self.carry
     }
 
-    /// The window estimate per the configured [`CapabilityEstimator`].
-    /// Callers guarantee the window is nonempty.
+    /// The window's mean. Callers guarantee the window is nonempty; with
+    /// one sample the mean is that sample bit for bit.
     fn windowed_estimate(&self) -> f64 {
-        // Nonempty: both callers answer an empty window without calling here.
-        let last = *self.samples.back().expect("nonempty");
-        match self.estimator {
-            CapabilityEstimator::LastPhase => last,
-            CapabilityEstimator::WindowAverage => {
-                self.samples.iter().sum::<f64>() / self.samples.len() as f64
-            }
-        }
+        self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
     /// Rolls the monitor across a remap: the window is cleared (its
@@ -290,9 +262,15 @@ mod tests {
 
     #[test]
     fn last_phase_estimator_tracks_newest() {
-        let mut m = LoadMonitor::with_estimator(4, CapabilityEstimator::LastPhase);
+        let mut m = LoadMonitor::new(1);
         m.record(10.0, 1, 10);
         m.record(30.0, 1, 10);
         assert_eq!(m.per_item_time(), Some(3.0));
+        // The paper's last-phase estimate, bit for bit.
+        m.record(1.0, 3, 7);
+        assert_eq!(
+            m.per_item_time().map(f64::to_bits),
+            Some((1.0f64 / 21.0).to_bits())
+        );
     }
 }

@@ -140,10 +140,12 @@ impl<E: Element> RemapScratch<E> {
     /// copied once, straight out of the caller's storage; the new blocks
     /// land in [`RemapScratch::new_blocks`].
     ///
-    /// Wire format and message order are identical to
-    /// [`redistribute_values_coalesced`]: `arrays` segments per message,
-    /// in array order, receives in the plan's `(src, range)` order. A
-    /// collective — every rank must pass the same number of arrays.
+    /// Wire format: one message per destination carrying `arrays`
+    /// segments, in array order; receives in the plan's `(src, range)`
+    /// order. For `k` arrays that is `1/k` of the messages `k` separate
+    /// moves send (the §2 coalescing the executor's `gather_fused`
+    /// applies). A collective — every rank must pass the same number of
+    /// arrays.
     ///
     /// # Panics
     /// Panics if any array does not match the rank's old interval, or if
@@ -359,9 +361,11 @@ impl<E: Element> Default for RemapScratch<E> {
 ///
 /// On an identity remap (`old == new`) no messages are sent and no
 /// elements are reshuffled; the only remaining cost is the one owned-block
-/// copy this function's *return type* demands. Callers that can accept
-/// in-place movement should use [`redistribute_values_coalesced`] (or a
-/// [`RemapScratch`]), which on identity touches nothing at all.
+/// copy this function's *return type* demands. Otherwise the move runs
+/// through a fresh [`RemapScratch`], reading straight from `local_values`;
+/// a long-lived adaptive runtime holds one scratch and calls
+/// [`RemapScratch::redistribute`] itself, which moves several arrays per
+/// message and recycles every allocation across remaps.
 ///
 /// # Panics
 /// Panics if `local_values` does not match the rank's old interval.
@@ -381,64 +385,10 @@ pub fn redistribute_values<E: Element, C: Comm>(
     if old == new {
         return local_values.to_vec();
     }
-    let mut values = local_values.to_vec();
-    redistribute_values_coalesced(env, old, new, &mut [&mut values]);
-    values
-}
-
-/// Moves **several value arrays at once** to the new distribution,
-/// coalescing all of a destination's segments into one message (the same
-/// §2 message-coalescing optimization the executor's `gather_fused`
-/// applies: for `k` arrays, `1/k` of the messages, paying the per-message
-/// setup once). Each array must hold one element per owned vertex of the
-/// old interval and is replaced in place with its new block.
-///
-/// Wire format per move: `k` consecutive segments, one per array, each in
-/// range order, bulk-packed straight from the source block and decoded
-/// straight into the destination block (the
-/// [`Element::pack_into`]/[`Element::unpack_into`] codecs — no per-element
-/// calls, no intermediate `Vec<E>`). When the old and new partitions are
-/// identical the call returns immediately: zero messages, zero copies, the
-/// caller's vectors untouched in place. A collective — every rank must
-/// pass the same number of arrays.
-///
-/// This is the convenience entry point; a long-lived adaptive runtime
-/// holds a [`RemapScratch`] and calls [`RemapScratch::redistribute`]
-/// instead, which is the same movement with every allocation recycled
-/// across remaps.
-///
-/// # Panics
-/// Panics if any array does not match the rank's old interval.
-pub fn redistribute_values_coalesced<E: Element, C: Comm>(
-    env: &mut C,
-    old: &BlockPartition,
-    new: &BlockPartition,
-    arrays: &mut [&mut Vec<E>],
-) {
-    if arrays.is_empty() {
-        return;
-    }
-    // Identity remap: every rank keeps exactly its block. Return before
-    // building the plan or touching the arrays — zero messages, zero
-    // copies (the caller's vectors are left untouched in place).
-    if old == new {
-        let rank = env.rank();
-        let old_iv = old.interval_of(rank);
-        for a in arrays.iter() {
-            assert_eq!(
-                a.len(),
-                old_iv.len(),
-                "value block does not match old interval"
-            );
-        }
-        return;
-    }
     let mut scratch = RemapScratch::new();
     let plan = scratch.take_plan(old, new);
-    scratch.redistribute(env, old, new, &plan, arrays.len(), |a| &arrays[a][..]);
-    for (a, block) in arrays.iter_mut().zip(scratch.new_blocks()) {
-        std::mem::swap(*a, block);
-    }
+    scratch.redistribute(env, old, new, &plan, 1, |_| local_values);
+    std::mem::take(&mut scratch.new_blocks()[0])
 }
 
 /// Moves the distributed mesh rows (each vertex's global neighbor list) to
@@ -566,9 +516,9 @@ mod tests {
         Cluster::new(spec).run(|env| {
             let old_iv = old.interval_of(env.rank());
             let mk = |f: fn(usize) -> f64| -> Vec<f64> { old_iv.iter().map(f).collect() };
-            let mut a = mk(|g| g as f64);
-            let mut b = mk(|g| (g * g) as f64);
-            let mut c = mk(|g| -(g as f64));
+            let a = mk(|g| g as f64);
+            let b = mk(|g| (g * g) as f64);
+            let c = mk(|g| -(g as f64));
 
             // Reference: separate moves.
             let a_ref = redistribute_values(env, &old, &new, &a);
@@ -576,12 +526,13 @@ mod tests {
             let c_ref = redistribute_values(env, &old, &new, &c);
             let msgs_separate = env.stats().messages_sent;
 
-            redistribute_values_coalesced(env, &old, &new, &mut [&mut a, &mut b, &mut c]);
+            let mut scratch = RemapScratch::new();
+            let plan = scratch.take_plan(&old, &new);
+            let arrays = [&a[..], &b[..], &c[..]];
+            scratch.redistribute(env, &old, &new, &plan, 3, |k| arrays[k]);
             let msgs_coalesced = env.stats().messages_sent - msgs_separate;
 
-            assert_eq!(a, a_ref);
-            assert_eq!(b, b_ref);
-            assert_eq!(c, c_ref);
+            assert_eq!(scratch.new_blocks(), [a_ref, b_ref, c_ref]);
             assert_eq!(
                 msgs_separate,
                 3 * msgs_coalesced,
@@ -591,10 +542,10 @@ mod tests {
     }
 
     /// A recycled [`RemapScratch`] driven through a chain of remaps must
-    /// deliver exactly what the convenience path delivers, for every array
-    /// alike.
+    /// deliver exactly what separate one-array moves deliver, for every
+    /// array alike.
     #[test]
-    fn scratch_redistribute_matches_coalesced_across_remaps() {
+    fn scratch_redistribute_matches_separate_moves_across_remaps() {
         let n = 91;
         let parts = [
             BlockPartition::uniform(n, 3),
@@ -613,8 +564,9 @@ mod tests {
             let mut aux_ref = aux.clone();
             for w in parts.windows(2) {
                 let (old, new) = (&w[0], &w[1]);
-                // Reference path: the convenience function.
-                redistribute_values_coalesced(env, old, new, &mut [&mut primary_ref, &mut aux_ref]);
+                // Reference path: one array per move.
+                primary_ref = redistribute_values(env, old, new, &primary_ref);
+                aux_ref = redistribute_values(env, old, new, &aux_ref);
                 // Scratch path, recycled across iterations.
                 let plan = scratch.take_plan(old, new);
                 let arrays = [&primary[..], &aux[..]];
@@ -645,32 +597,6 @@ mod tests {
         for msgs in report.results() {
             assert_eq!(*msgs, 0, "identity remap must move nothing");
         }
-    }
-
-    /// The identity early-return must be copy-free, not just message-free:
-    /// the coalesced call leaves the caller's vectors physically in place
-    /// (same heap allocation, same contents), and no bytes hit the wire.
-    #[test]
-    fn identity_redistribution_zero_copies() {
-        let part = BlockPartition::uniform(30, 3);
-        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
-        Cluster::new(spec).run(|env| {
-            let iv = part.interval_of(env.rank());
-            let mut a: Vec<f64> = iv.iter().map(|g| g as f64).collect();
-            let mut b: Vec<f64> = iv.iter().map(|g| (g * 2) as f64).collect();
-            let (ptr_a, ptr_b) = (a.as_ptr(), b.as_ptr());
-            let (copy_a, copy_b) = (a.clone(), b.clone());
-            redistribute_values_coalesced(env, &part, &part, &mut [&mut a, &mut b]);
-            assert_eq!(env.stats().messages_sent, 0);
-            assert_eq!(env.stats().bytes_sent, 0);
-            assert_eq!(
-                (a.as_ptr(), b.as_ptr()),
-                (ptr_a, ptr_b),
-                "identity remap must not reallocate or replace the blocks"
-            );
-            assert_eq!(a, copy_a);
-            assert_eq!(b, copy_b);
-        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Top-level runtime configuration.
 
-use stance_balance::{BalancerConfig, CapabilityEstimator};
+use stance_balance::BalancerConfig;
 use stance_executor::ComputeCostModel;
 use stance_inspector::{InspectorCostModel, ScheduleStrategy};
 
@@ -83,13 +83,12 @@ pub struct StanceConfig {
     /// resources adapt" (§3.5). The paper's experiment used 10. Must be at
     /// least 1 (session setup rejects zero).
     pub check_interval: usize,
-    /// Load-monitor window (blocks averaged for the capability estimate).
-    /// Must be at least 1 (session setup rejects zero).
+    /// Load-monitor window: the capability estimate is the mean of the
+    /// last `monitor_window` measurement blocks. `1` is the paper's
+    /// estimate, the previous phase (§3.5); the default, 4, is its
+    /// footnote 2's prediction from "more than one previous phase". Must
+    /// be at least 1 (session setup rejects zero).
     pub monitor_window: usize,
-    /// How the next phase's capability is predicted from the window (the
-    /// paper uses the last phase; footnote 2 suggests multi-phase
-    /// prediction, provided here as window averaging).
-    pub estimator: CapabilityEstimator,
     /// Whether the session verifies the SPMD contract as it runs: every
     /// schedule build and remap is followed by a collective audit of the
     /// global schedule invariants (see `stance_verify::audit_schedules`),
@@ -118,9 +117,11 @@ pub struct StanceConfig {
     /// sweep runs on the rank thread and no worker threads exist. Larger
     /// values make each rank split its sweeps across a persistent team of
     /// parked threads (`stance_executor::SweepTeam`), with **bitwise
-    /// identical** results for any value — set it via
-    /// [`StanceConfig::with_team`] so the cost model stays in step. Must
-    /// be at least 1 (session setup rejects zero).
+    /// identical** results for any value. The one lane count: the session
+    /// hands it to its runner, which prices sweeps by it, so
+    /// `compute_cost` never holds a copy. Set it via
+    /// [`StanceConfig::with_team`]. Must be at least 1 (session setup
+    /// rejects zero).
     pub team_threads: usize,
 }
 
@@ -133,7 +134,6 @@ impl Default for StanceConfig {
             balancer: BalancerConfig::default(),
             check_interval: 10,
             monitor_window: 4,
-            estimator: CapabilityEstimator::default(),
             verify: false,
             recovery: RecoveryPolicy::default(),
             detector: DetectorConfig::default(),
@@ -168,9 +168,9 @@ impl StanceConfig {
     /// Sets the intra-rank worker-team size: each rank splits its sweeps
     /// across `lanes` compute lanes (the rank thread plus `lanes - 1`
     /// persistent worker threads). Numerically free — results are bitwise
-    /// identical for any `lanes` on every backend. The compute cost
-    /// model's `team_lanes` is set in tandem so the simulated clock and
-    /// the load balancer see the rank's effective speed.
+    /// identical for any `lanes` on every backend. The session's runner
+    /// prices its sweeps by `lanes`, so the simulated clock and the load
+    /// balancer see the rank's effective speed.
     ///
     /// # Panics
     /// Panics if `lanes` is zero.
@@ -178,7 +178,6 @@ impl StanceConfig {
         // Caller error: the rank thread itself is lane 0.
         assert!(lanes >= 1, "a rank has at least one compute lane");
         self.team_threads = lanes;
-        self.compute_cost = self.compute_cost.with_team(lanes);
         self
     }
 
@@ -285,12 +284,11 @@ mod tests {
         };
         assert_eq!(StanceConfig::free().with_detector(det).detector, det);
         // Teams are strictly opt-in (paper model: one processor per
-        // rank), and with_team keeps the cost model in step.
+        // rank).
         assert_eq!(StanceConfig::default().team_threads, 1);
         assert_eq!(StanceConfig::free().team_threads, 1);
         let teamed = StanceConfig::free().with_team(4);
         assert_eq!(teamed.team_threads, 4);
-        assert_eq!(teamed.compute_cost.team_lanes, 4);
     }
 
     #[test]

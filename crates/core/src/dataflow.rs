@@ -550,7 +550,7 @@ impl<E: Element> DataflowSession<E> {
             runner,
             fields,
             group: Vec::with_capacity(k),
-            monitor: LoadMonitor::with_estimator(config.monitor_window, config.estimator),
+            monitor: LoadMonitor::new(config.monitor_window),
             config: config.clone(),
             scratch,
             verify,

@@ -195,7 +195,7 @@ pub mod prelude {
     pub use crate::reassemble;
     pub use crate::recovery::{probe_and_decide, probe_membership, survivors_of, RecoveryAction};
     pub use crate::session::{AdaptiveSession, SessionReport};
-    pub use stance_balance::{BalancerConfig, CapabilityEstimator, ControllerMode, Decision};
+    pub use stance_balance::{BalancerConfig, Decision};
     pub use stance_executor::{
         CommBuffers, ComputeCostModel, Field, GhostedArray, Kernel, LaplacianKernel, LoopRunner,
         RelaxationKernel,
@@ -235,7 +235,6 @@ pub(crate) mod testkit {
             rebuild_cost_hint: 1.0e-4,
             profitability_margin: 1.0,
             use_mcr: true,
-            mode: ControllerMode::Centralized,
         }
     }
 }

@@ -67,7 +67,7 @@ pub enum RecoveryAction {
 ///
 /// # Panics
 /// Panics if the cluster has more than 64 ranks (the verdict bitmask is
-/// a `u64`).
+/// a `u64`), or if a peer's verdict mask is not exactly one `u64`.
 pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool> {
     let p = env.size();
     let me = env.rank();
@@ -107,7 +107,12 @@ pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool>
             continue;
         }
         match recv_patient(env, q, TAG_VERDICT, det) {
-            Some(mask) => verdict |= u64::unpack(mask)[0],
+            Some(mask) => {
+                // A peer's bytes: exactly one `u64`, or a named panic.
+                let mut m = [0u64];
+                u64::unpack_into(mask.as_bytes(), &mut m);
+                verdict |= m[0];
+            }
             None => verdict |= 1 << q,
         }
     }
@@ -213,6 +218,24 @@ mod tests {
             );
             assert_eq!(survivors_of(alive), vec![0, 1, 3]);
         }
+    }
+
+    /// A verdict mask is a peer's bytes: the probe reads exactly one `u64`
+    /// and refuses a longer payload instead of reading its first word.
+    #[test]
+    #[should_panic(expected = "bulk unpack of 16 bytes into 1 8-byte elements")]
+    fn two_word_verdict_mask_is_refused() {
+        let det = fast_detector();
+        Cluster::new(ClusterSpec::uniform(2)).run(move |env| {
+            if env.rank() == 0 {
+                probe_membership(env, &det);
+            } else {
+                env.post(0, TAG_HEARTBEAT, Payload::Empty);
+                let _ = env.recv(0, TAG_HEARTBEAT);
+                env.post(0, TAG_VERDICT, u64::pack(&[0, 0]));
+                let _ = env.recv(0, TAG_VERDICT);
+            }
+        });
     }
 
     #[test]

@@ -510,45 +510,6 @@ mod tests {
         }
     }
 
-    /// `ControllerMode::Distributed` in a whole session: the loaded
-    /// 3-rank run agrees on every rank, and it reproduces the centralized
-    /// run's remaps, final partition and values bit for bit — every rank
-    /// runs the same `decide` on the same all-gathered loads.
-    #[test]
-    fn distributed_sessions_agree_with_centralized() {
-        let m = mesh();
-        let run = |mode: ControllerMode| {
-            let mut config = StanceConfig::default().with_check_interval(10);
-            config.balancer = test_balancer();
-            config.balancer.mode = mode;
-            let spec = ClusterSpec::uniform(3)
-                .with_network(NetworkSpec::zero_cost())
-                .with_load(0, LoadTimeline::constant(1.0 / 3.0));
-            let results: Vec<_> = Cluster::new(spec)
-                .run(|env| {
-                    let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
-                    let rep = s.run_adaptive(env, 60);
-                    let values: Vec<u64> = s.local_values().iter().map(|v| v.to_bits()).collect();
-                    (rep.remaps, rep.checks, s.partition().clone(), values)
-                })
-                .into_results();
-            assert!(
-                results
-                    .windows(2)
-                    .all(|w| (w[0].0, w[0].1, w[0].2.sizes()) == (w[1].0, w[1].1, w[1].2.sizes())),
-                "{mode:?}: ranks disagreed"
-            );
-            results
-        };
-        let central = run(ControllerMode::Centralized);
-        let distributed = run(ControllerMode::Distributed);
-        assert!(central[0].0 >= 1, "the load should trigger a remap");
-        assert_eq!(
-            distributed, central,
-            "distributed mode must reproduce the centralized run"
-        );
-    }
-
     /// `remap_to` is the deterministic repartitioning entry point: an
     /// explicit chain of forced remaps must keep values bitwise equal to
     /// the sequential reference, and an identity remap must be free.

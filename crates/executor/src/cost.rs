@@ -16,25 +16,21 @@ pub struct ComputeCostModel {
     /// Per element packed into / unpacked from a message buffer.
     pub per_pack: f64,
     /// Compute lanes per rank — the intra-rank worker-team size (rank =
-    /// address space, team = cores). `1` (the default, and every
-    /// calibration constructor) models the paper's one-processor ranks;
-    /// the session sets it from `StanceConfig::with_team`, and
-    /// [`ComputeCostModel::sweep_work`] divides by the effective speedup
-    /// so the load monitor (and therefore the remap controller) sees the
-    /// rank's *effective* per-item speed.
-    pub team_lanes: usize,
-    /// Marginal efficiency of each lane beyond the first, in `(0, 1]`:
-    /// the effective speedup of a `T`-lane team is
-    /// `1 + (T − 1) · team_efficiency` (static chunking splits the sweep
-    /// near-perfectly and every lane writes its own window of the output,
-    /// but the wake/join handshake and the cores' shared memory bandwidth
-    /// tax every extra lane).
-    pub team_efficiency: f64,
+    /// address space, team = cores). `1` (every calibration constructor)
+    /// models the paper's one-processor ranks; only
+    /// [`LoopRunner::with_team`](crate::LoopRunner::with_team) sets it, to
+    /// the team it spawns, and [`ComputeCostModel::sweep_work`] divides by
+    /// the effective speedup so the load monitor (and therefore the remap
+    /// controller) sees the rank's *effective* per-item speed.
+    pub(crate) team_lanes: usize,
 }
 
-/// Default marginal efficiency of additional team lanes (see
-/// [`ComputeCostModel::team_efficiency`]).
-pub const DEFAULT_TEAM_EFFICIENCY: f64 = 0.85;
+/// Marginal efficiency of each lane beyond the first: the effective
+/// speedup of a `T`-lane team is `1 + (T − 1) · TEAM_EFFICIENCY` (static
+/// chunking splits the sweep near-perfectly and every lane writes its own
+/// window of the output, but the wake/join handshake and the cores' shared
+/// memory bandwidth tax every extra lane).
+const TEAM_EFFICIENCY: f64 = 0.85;
 
 impl ComputeCostModel {
     /// SUN4-class calibration (see module docs): reproduces T(1) ≈ 97.6 s
@@ -45,7 +41,6 @@ impl ComputeCostModel {
             per_vertex: 1.0e-6,
             per_pack: 0.4e-6,
             team_lanes: 1,
-            team_efficiency: DEFAULT_TEAM_EFFICIENCY,
         }
     }
 
@@ -56,7 +51,6 @@ impl ComputeCostModel {
             per_vertex: 0.0,
             per_pack: 0.0,
             team_lanes: 1,
-            team_efficiency: DEFAULT_TEAM_EFFICIENCY,
         }
     }
 
@@ -65,7 +59,7 @@ impl ComputeCostModel {
     ///
     /// # Panics
     /// Panics if `lanes` is zero.
-    pub fn with_team(mut self, lanes: usize) -> Self {
+    pub(crate) fn with_team(mut self, lanes: usize) -> Self {
         // `team_speedup` divides by the lane count.
         assert!(lanes >= 1, "a rank has at least one compute lane");
         self.team_lanes = lanes;
@@ -73,13 +67,13 @@ impl ComputeCostModel {
     }
 
     /// Effective sweep speedup of this model's worker team:
-    /// `1 + (team_lanes − 1) · team_efficiency`, i.e. exactly `1.0` for
+    /// `1 + (team_lanes − 1) · TEAM_EFFICIENCY`, i.e. exactly `1.0` for
     /// the single-lane default.
-    pub fn team_speedup(&self) -> f64 {
+    pub(crate) fn team_speedup(&self) -> f64 {
         if self.team_lanes <= 1 {
             1.0
         } else {
-            1.0 + (self.team_lanes as f64 - 1.0) * self.team_efficiency
+            1.0 + (self.team_lanes as f64 - 1.0) * TEAM_EFFICIENCY
         }
     }
 
@@ -150,7 +144,7 @@ mod tests {
     fn team_scales_sweep_but_not_pack() {
         let serial = ComputeCostModel::sun4();
         let team = serial.with_team(4);
-        let speedup = 1.0 + 3.0 * DEFAULT_TEAM_EFFICIENCY;
+        let speedup = 1.0 + 3.0 * TEAM_EFFICIENCY;
         assert_eq!(team.team_speedup(), speedup);
         assert_eq!(
             team.sweep_work(1000, 4000),

@@ -562,10 +562,9 @@ impl<E: Element> LoopRunner<E> {
     /// for every `lanes` value — the team splits sweeps by deterministic static
     /// chunking and every lane writes its rows straight into its own
     /// disjoint window of the output — so the team size is purely a
-    /// throughput knob. The cost model is updated in
-    /// tandem (see [`ComputeCostModel::with_team`]) so the simulator's
-    /// clock, and through it the load balancer, sees the rank's effective
-    /// speed.
+    /// throughput knob. The runner's cost model takes the lane count
+    /// from here — the only place it is set — so the simulator's clock,
+    /// and through it the load balancer, sees the rank's effective speed.
     ///
     /// # Panics
     /// Panics if `lanes` is zero.

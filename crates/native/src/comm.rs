@@ -65,26 +65,16 @@ impl NativeComm {
             barrier,
         }
     }
-
-    /// This rank's id in `0..size()`.
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the cluster.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
 }
 
 impl Comm for NativeComm {
+    /// This rank's id in `0..size()`.
     #[inline]
     fn rank(&self) -> usize {
         self.rank
     }
 
+    /// Number of ranks in the cluster.
     #[inline]
     fn size(&self) -> usize {
         self.size

@@ -75,18 +75,6 @@ impl Env {
         }
     }
 
-    /// This rank's id in `0..size()`.
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the cluster.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
     /// Current virtual time on this rank.
     #[inline]
     pub fn now(&self) -> VTime {
@@ -108,14 +96,42 @@ impl Env {
     pub(crate) fn into_parts(self) -> (VTime, EnvStats) {
         (self.clock, self.stats)
     }
+}
+
+/// The simulator backend's [`Comm`] implementation: every primitive is
+/// cost-modelled on this rank's virtual clock, and `multicast` is
+/// overridden because the network model has a hardware-multicast fast
+/// path (§3.6) the trait's unicast-loop default can't express. The
+/// remaining collectives use the trait defaults, which are built from
+/// these primitives — so they charge virtual time exactly as hand-rolled
+/// versions would, and there is exactly one copy of each collective's
+/// data-movement logic for all backends (see [`crate::comm`]).
+impl Comm for Env {
+    /// This rank's id in `0..size()`.
+    #[inline]
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Number of ranks in the cluster.
+    #[inline]
+    fn size(&self) -> usize {
+        self.size
+    }
 
     /// Charges `work` reference seconds of computation. The clock advances
     /// according to this machine's speed and external-load timeline, so the
     /// same work takes longer on a slow or loaded workstation.
-    pub fn compute(&mut self, work: f64) {
+    #[inline]
+    fn compute(&mut self, work: f64) {
         let end = self.machine.finish_time(self.clock, work);
         self.stats.compute_time += end - self.clock;
         self.clock = end;
+    }
+
+    #[inline]
+    fn now_secs(&self) -> f64 {
+        self.now().as_secs()
     }
 
     /// Sends `payload` to `dst` with `tag`. Charges this rank the
@@ -127,7 +143,7 @@ impl Env {
     ///
     /// # Panics
     /// Panics if `dst` is out of range.
-    pub fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
+    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
         let bytes = payload.size_bytes();
         let spec = self.net.spec();
@@ -155,7 +171,7 @@ impl Env {
     /// Sends the same payload to several destinations. If the network
     /// supports multicast (§3.6), one setup and one transmission serve all
     /// destinations; otherwise this degenerates to a loop of unicast sends.
-    pub fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
+    fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
         if dsts.is_empty() {
             return;
         }
@@ -203,7 +219,7 @@ impl Env {
     /// # Panics
     /// Panics if `src` is out of range, or if `src` terminates without ever
     /// sending a matching message (a deadlocked protocol is a bug).
-    pub fn recv(&mut self, src: usize, tag: Tag) -> Payload {
+    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
         let msg = self
             .pending
@@ -220,7 +236,7 @@ impl Env {
 
     /// Synchronizes all ranks: every clock advances to the maximum
     /// participant clock plus the barrier's log-tree latency.
-    pub fn barrier(&mut self) {
+    fn barrier(&mut self) {
         let entry = self.clock;
         let release = self.barrier.wait(entry);
         debug_assert!(release >= entry, "barrier released before entry");
@@ -229,10 +245,10 @@ impl Env {
     }
 
     /// Lossy send (the failure detector's primitive): identical cost
-    /// accounting to [`Env::send`], but a terminated receiver yields
+    /// accounting to [`Comm::send`], but a terminated receiver yields
     /// `false` instead of a panic. The setup cost is charged either way —
     /// the sender cannot know the peer is gone until it tries.
-    pub fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
+    fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
         assert!(dst < self.size, "post to rank {dst} of {}", self.size);
         let bytes = payload.size_bytes();
         let spec = self.net.spec();
@@ -265,9 +281,9 @@ impl Env {
     /// timeout the full `timeout_secs` is charged to this rank's virtual
     /// clock as wait time, so a timed-out probe costs in the model what
     /// it costs on real hardware. A delivered message advances the clock
-    /// exactly as [`Env::recv`] does; mismatched tags buffered while
+    /// exactly as [`Comm::recv`] does; mismatched tags buffered while
     /// waiting are preserved.
-    pub fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
+    fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
         let deadline = crate::wait::deadline_after(timeout_secs);
         match self
@@ -291,61 +307,6 @@ impl Env {
                 None
             }
         }
-    }
-}
-
-/// The simulator backend's [`Comm`] implementation. The primitives
-/// (`send`/`recv`/`barrier`/`compute`) delegate to `Env`'s inherent
-/// cost-modelled methods; `multicast` is also overridden because the
-/// network model has a hardware-multicast fast path (§3.6) the trait's
-/// unicast-loop default can't express. The remaining collectives use the
-/// trait defaults, which are built from these overridden primitives — so
-/// they charge virtual time exactly as hand-rolled versions would, and
-/// there is exactly one copy of each collective's data-movement logic for
-/// all backends (see [`crate::comm`]).
-impl Comm for Env {
-    #[inline]
-    fn rank(&self) -> usize {
-        Env::rank(self)
-    }
-
-    #[inline]
-    fn size(&self) -> usize {
-        Env::size(self)
-    }
-
-    #[inline]
-    fn compute(&mut self, work: f64) {
-        Env::compute(self, work);
-    }
-
-    #[inline]
-    fn now_secs(&self) -> f64 {
-        self.now().as_secs()
-    }
-
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        Env::send(self, dst, tag, payload);
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        Env::recv(self, src, tag)
-    }
-
-    fn barrier(&mut self) {
-        Env::barrier(self);
-    }
-
-    fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
-        Env::multicast(self, dsts, tag, payload);
-    }
-
-    fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
-        Env::post(self, dst, tag, payload)
-    }
-
-    fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
-        Env::recv_deadline(self, src, tag, timeout_secs)
     }
 }
 

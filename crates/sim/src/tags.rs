@@ -18,7 +18,6 @@
 //! | 49 | [`TAG_REDIST_ADJ`] | redistribution: adjacency rows |
 //! | 50 | [`TAG_LOAD`] | load balancing: per-item time gather |
 //! | 51 | [`TAG_DECISION`] | load balancing: decision broadcast |
-//! | 52 | [`TAG_LOAD_ALLGATHER`] | load balancing: distributed allgather |
 //! | 64 | [`TAG_AUDIT`] | verifier: schedule-summary allgather |
 //! | 65 | [`TAG_TRACE`] | verifier: protocol-trace allgather |
 //! | 66 | [`TAG_HEARTBEAT`] | failure detection: liveness probes |
@@ -58,9 +57,6 @@ pub const TAG_LOAD: Tag = Tag::reserved(50);
 /// Load balancing: the controller's decision broadcast.
 pub const TAG_DECISION: Tag = Tag::reserved(51);
 
-/// Load balancing: the distributed-mode load allgather.
-pub const TAG_LOAD_ALLGATHER: Tag = Tag::reserved(52);
-
 /// Verifier: the static audit's schedule-summary allgather.
 pub const TAG_AUDIT: Tag = Tag::reserved(64);
 
@@ -99,7 +95,6 @@ pub const RUNTIME_TAGS: &[Tag] = &[
     TAG_REDIST_ADJ,
     TAG_LOAD,
     TAG_DECISION,
-    TAG_LOAD_ALLGATHER,
     TAG_AUDIT,
     TAG_TRACE,
     TAG_HEARTBEAT,

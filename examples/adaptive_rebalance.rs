@@ -34,7 +34,6 @@ fn main() {
             rebuild_cost_hint: 0.02,
             profitability_margin: 1.0,
             use_mcr: true,
-            mode: ControllerMode::Centralized,
         },
         ..StanceConfig::default()
     };

@@ -83,7 +83,6 @@ fn main() {
             rebuild_cost_hint: 1.0e-4,
             profitability_margin: 1.0,
             use_mcr: true,
-            mode: ControllerMode::Centralized,
         },
         ..StanceConfig::default()
     };

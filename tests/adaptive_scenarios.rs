@@ -28,7 +28,6 @@ fn test_balancer() -> BalancerConfig {
         rebuild_cost_hint: 1.0e-4,
         profitability_margin: 1.0,
         use_mcr: true,
-        mode: ControllerMode::Centralized,
     }
 }
 
@@ -190,8 +189,9 @@ fn oscillating_load_churn_stays_bitwise_correct() {
         })
         .collect();
     let mut config = adaptive_config();
-    // React on the freshest measurement so every flip is seen.
-    config.estimator = CapabilityEstimator::LastPhase;
+    // React on the freshest measurement so every flip is seen: a window
+    // of one is the paper's last-phase estimate.
+    config.monitor_window = 1;
     let spec = ClusterSpec::uniform(2)
         .with_network(NetworkSpec::zero_cost())
         .with_load(0, LoadTimeline::from_phases(phases.clone()));

@@ -49,7 +49,6 @@ fn golden_balancer() -> BalancerConfig {
         rebuild_cost_hint: 1.0e-4,
         profitability_margin: 1.0,
         use_mcr: true,
-        mode: ControllerMode::Centralized,
     }
 }
 
