@@ -351,39 +351,6 @@ impl Graph {
             .max()
             .unwrap_or(0)
     }
-
-    /// A spanning tree (edge set) found by BFS from vertex 0.
-    ///
-    /// # Panics
-    /// Panics if the graph is disconnected.
-    pub fn spanning_tree_edges(&self) -> Vec<(u32, u32)> {
-        let n = self.num_vertices();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        let mut tree = Vec::with_capacity(n.saturating_sub(1));
-        seen[0] = true;
-        queue.push_back(0usize);
-        while let Some(u) = queue.pop_front() {
-            for &v in self.neighbors(u) {
-                let v = v as usize;
-                if !seen[v] {
-                    seen[v] = true;
-                    let (a, b) = if u < v { (u, v) } else { (v, u) };
-                    tree.push((a as u32, b as u32));
-                    queue.push_back(v);
-                }
-            }
-        }
-        assert_eq!(
-            tree.len(),
-            n - 1,
-            "spanning_tree_edges requires a connected graph"
-        );
-        tree
-    }
 }
 
 #[cfg(test)]
@@ -516,16 +483,6 @@ mod tests {
         assert_eq!(sub.num_edges(), 2);
         assert_eq!(back, vec![0, 1, 3]);
         assert_eq!(sub.neighbors(1), &[0, 2]); // sub 1 = old 1, adjacent to old 0 and old 3
-    }
-
-    #[test]
-    fn spanning_tree_size() {
-        let g = square();
-        let tree = g.spanning_tree_edges();
-        assert_eq!(tree.len(), 3);
-        // Tree edges are a subset of graph edges.
-        let all: std::collections::HashSet<_> = g.edges().collect();
-        assert!(tree.iter().all(|e| all.contains(e)));
     }
 
     #[test]

@@ -85,7 +85,11 @@ pub(crate) fn grid_prefix(nx: usize, ny: usize, jitter: f64, seed: u64, n: usize
 }
 
 /// Removes random non-tree edges until exactly `target_edges` remain,
-/// preserving connectivity (a BFS spanning tree is never touched).
+/// preserving connectivity. The kept set is exactly the BFS tree from
+/// vertex 0 plus the first `target_edges − (n − 1)` edges of a shuffle,
+/// seeded with `seed`, of the non-tree edges in [`Graph::edges`] order: the
+/// contract that keeps every thinned mesh bitwise-stable. Each row is
+/// copied from the input with only its kept slots, so it stays sorted.
 ///
 /// # Panics
 /// Panics if the graph is disconnected, or if `target_edges` is below
@@ -101,17 +105,46 @@ pub fn thin_to_edges(graph: &Graph, target_edges: usize, seed: u64) -> Graph {
         target_edges + 1 >= n,
         "target {target_edges} cannot keep {n} vertices connected"
     );
-    let tree: std::collections::HashSet<(u32, u32)> =
-        graph.spanning_tree_edges().into_iter().collect();
-    let mut non_tree: Vec<(u32, u32)> = graph.edges().filter(|e| !tree.contains(e)).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    non_tree.shuffle(&mut rng);
-    let keep_extra = target_edges - tree.len();
-    let mut edges: Vec<(u32, u32)> = tree.into_iter().collect();
-    edges.sort_unstable(); // deterministic base order
-    edges.extend(non_tree.into_iter().take(keep_extra));
-    let coords = graph.coords().to_vec();
-    Graph::from_edges(n, &edges, coords, graph.dim())
+    // BFS parents. The root is its own, which no edge matches (there are no
+    // self-loops), so `(u, w)` is a tree edge iff one is the other's parent.
+    let mut parent = vec![u32::MAX; n];
+    let mut queue = Vec::with_capacity(n);
+    if n > 0 {
+        parent[0] = 0;
+        queue.push(0);
+    }
+    for i in 0..n {
+        assert!(i < queue.len(), "thin_to_edges requires a connected graph");
+        let u = queue[i];
+        for &w in graph.neighbors(u as usize) {
+            if parent[w as usize] == u32::MAX {
+                parent[w as usize] = u;
+                queue.push(w);
+            }
+        }
+    }
+    let is_tree = |u: u32, w: u32| parent[w as usize] == u || parent[u as usize] == w;
+    let mut non_tree: Vec<(u32, u32)> = graph.edges().filter(|&(u, w)| !is_tree(u, w)).collect();
+    non_tree.shuffle(&mut StdRng::seed_from_u64(seed));
+    let (xadj, adjncy) = graph.csr_window(0..n);
+    let mut kept = vec![false; adjncy.len()];
+    for &(u, w) in &non_tree[..target_edges - n.saturating_sub(1)] {
+        for (a, b) in [(u, w), (w, u)] {
+            kept[xadj[a as usize] + graph.neighbors(a as usize).binary_search(&b).unwrap()] = true;
+        }
+    }
+    let mut thin_xadj = Vec::with_capacity(n + 1);
+    let mut thin_adjncy = Vec::with_capacity(2 * target_edges);
+    thin_xadj.push(0);
+    for (u, bounds) in xadj.windows(2).enumerate() {
+        for s in bounds[0]..bounds[1] {
+            if kept[s] || is_tree(u as u32, adjncy[s]) {
+                thin_adjncy.push(adjncy[s]);
+            }
+        }
+        thin_xadj.push(thin_adjncy.len());
+    }
+    Graph::from_csr(thin_xadj, thin_adjncy, graph.coords().to_vec(), graph.dim())
 }
 
 /// Randomly permutes vertex labels (structure and geometry unchanged).
@@ -296,6 +329,28 @@ mod tests {
         let tree = thin_to_edges(&g, g.num_vertices() - 1, 5);
         assert_eq!(tree.num_edges(), 35);
         assert!(tree.is_connected());
+        assert_eq!(tree, crate::oracles::thin_to_edges_oracle(&g, 35, 5));
+    }
+
+    #[test]
+    fn thin_to_every_edge_is_the_input() {
+        // The empty and one-vertex graphs have no `n − 1` edges to keep.
+        let empty = Graph::from_edges(0, &[], vec![], 2);
+        for g in [
+            empty,
+            triangulated_grid(1, 1, 0.3, 4),
+            triangulated_grid(7, 5, 0.3, 4),
+        ] {
+            assert_eq!(thin_to_edges(&g, g.num_edges(), 1), g);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a connected graph")]
+    fn thin_rejects_disconnected_input() {
+        let triangle_and_pair = [(0, 1), (0, 2), (1, 2), (3, 4)];
+        let g = Graph::from_edges(5, &triangle_and_pair, vec![[0.0; 3]; 5], 2);
+        let _ = thin_to_edges(&g, 4, 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Test-only references for Phase A's fast paths: the implementations that
-//! [`crate::bisect`], the in-place [`Graph::relabel`] and the CSR-writing
-//! grid generator replaced, kept verbatim as oracles, plus the property and
-//! golden tests that hold the replacements to them bit for bit.
+//! [`crate::bisect`], the in-place [`Graph::relabel`], the CSR-writing
+//! grid generator and the slot-marking thinning replaced, kept verbatim as
+//! oracles, plus the property and golden tests that hold the replacements
+//! to them bit for bit.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -197,6 +198,62 @@ fn triangulated_grid_oracle(nx: usize, ny: usize, jitter: f64, seed: u64) -> Gra
     Graph::from_edges(n, &edges, coords, 2)
 }
 
+/// `meshgen::thin_to_edges` as it was: the tree edges in a `HashSet`, the
+/// kept edges rebuilt through `from_edges`. The spanning tree is the
+/// `Graph::spanning_tree_edges` it called.
+pub(crate) fn thin_to_edges_oracle(graph: &Graph, target_edges: usize, seed: u64) -> Graph {
+    fn spanning_tree_edges(graph: &Graph) -> Vec<(u32, u32)> {
+        let n = graph.num_vertices();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut seen = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        let mut tree = Vec::with_capacity(n.saturating_sub(1));
+        seen[0] = true;
+        queue.push_back(0usize);
+        while let Some(u) = queue.pop_front() {
+            for &v in graph.neighbors(u) {
+                let v = v as usize;
+                if !seen[v] {
+                    seen[v] = true;
+                    let (a, b) = if u < v { (u, v) } else { (v, u) };
+                    tree.push((a as u32, b as u32));
+                    queue.push_back(v);
+                }
+            }
+        }
+        assert_eq!(
+            tree.len(),
+            n - 1,
+            "spanning_tree_edges requires a connected graph"
+        );
+        tree
+    }
+
+    let n = graph.num_vertices();
+    let m = graph.num_edges();
+    assert!(
+        target_edges <= m,
+        "cannot thin {m} edges up to {target_edges}"
+    );
+    assert!(
+        target_edges + 1 >= n,
+        "target {target_edges} cannot keep {n} vertices connected"
+    );
+    let tree: std::collections::HashSet<(u32, u32)> =
+        spanning_tree_edges(graph).into_iter().collect();
+    let mut non_tree: Vec<(u32, u32)> = graph.edges().filter(|e| !tree.contains(e)).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    non_tree.shuffle(&mut rng);
+    let keep_extra = target_edges - tree.len();
+    let mut edges: Vec<(u32, u32)> = tree.into_iter().collect();
+    edges.sort_unstable(); // deterministic base order
+    edges.extend(non_tree.into_iter().take(keep_extra));
+    let coords = graph.coords().to_vec();
+    Graph::from_edges(n, &edges, coords, graph.dim())
+}
+
 /// Random 2-D and 3-D graphs built to hit the comparator's corners: clouds
 /// on a five-value lattice holding both zeros (exact ties on every axis,
 /// coincident points), clouds where every other point repeats an earlier
@@ -263,6 +320,32 @@ fn assert_same_graph(a: &Graph, b: &Graph) {
     assert_eq!(bits(a), bits(b));
 }
 
+/// Thinning inputs: a grid of 1 × 1 to 12 × 12 cells, with or without
+/// jitter, in half the cases with its labels shuffled so BFS parents are not
+/// monotone in id; a target of `n − 1`, `m` or anything between; and a
+/// thinning seed.
+struct ThinCases;
+
+impl Strategy for ThinCases {
+    type Value = (Graph, usize, u64);
+
+    fn generate(&self, rng: &mut TestRng) -> (Graph, usize, u64) {
+        let (nx, ny) = (1 + rng.below(12) as usize, 1 + rng.below(12) as usize);
+        let jitter = [0.0, 0.3][rng.below(2) as usize];
+        let mut grid = meshgen::triangulated_grid(nx, ny, jitter, rng.next_u64());
+        if rng.below(2) == 0 {
+            grid = meshgen::shuffle_labels(&grid, rng.next_u64());
+        }
+        let (tree, m) = (grid.num_vertices() - 1, grid.num_edges());
+        let target = match rng.below(4) {
+            0 => tree,
+            1 => m,
+            _ => tree + rng.below((m - tree + 1) as u64) as usize,
+        };
+        (grid, target, rng.next_u64())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -282,6 +365,15 @@ proptest! {
         let expected = relabel_oracle(&graph, &perm);
         assert_same_graph(&graph.relabel(&perm), &expected);
         assert_same_graph(&graph.relabel_on_threads(&perm, threads), &expected);
+    }
+
+    #[test]
+    fn thinning_equals_its_oracle(case in ThinCases) {
+        let (graph, target, seed) = case;
+        assert_same_graph(
+            &meshgen::thin_to_edges(&graph, target, seed),
+            &thin_to_edges_oracle(&graph, target, seed),
+        );
     }
 }
 
@@ -311,6 +403,17 @@ fn grid_writer_equals_its_oracle() {
             let (expected, _) = oracle.induced_subgraph(&ids);
             assert_same_graph(&grid_prefix(nx, ny, jitter, seed, n), &expected);
         }
+    }
+}
+
+/// The paper mesh is the old thinning of the same grid prefix, relabelled.
+#[test]
+fn paper_mesh_equals_the_oracle_thinning() {
+    for seed in 0..8 {
+        let grid = grid_prefix(174, 174, 0.6, seed, meshgen::PAPER_MESH_VERTICES);
+        let thinned = thin_to_edges_oracle(&grid, meshgen::PAPER_MESH_EDGES, seed ^ 0x5EED_CAFE);
+        let expected = meshgen::shuffle_labels(&thinned, seed ^ 0x0BAD_C0DE);
+        assert_same_graph(&meshgen::paper_mesh(seed), &expected);
     }
 }
 
