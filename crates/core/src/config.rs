@@ -2,7 +2,7 @@
 
 use stance_balance::BalancerConfig;
 use stance_executor::ComputeCostModel;
-use stance_inspector::{InspectorCostModel, ScheduleStrategy};
+use stance_inspector::InspectorCostModel;
 
 /// What the runtime does when the failure detector reaches a verdict
 /// that some rank is dead.
@@ -50,6 +50,28 @@ impl Default for DetectorConfig {
 }
 
 impl DetectorConfig {
+    /// Refuses settings under which a wait would not wait: checked by
+    /// [`StanceConfig::with_detector`] and again where the probe reads
+    /// them, since `StanceConfig::detector` is a public field.
+    ///
+    /// # Panics
+    /// Panics if the timeout is not finite and positive or the backoff
+    /// is below 1.0.
+    pub(crate) fn check(&self) {
+        // Caller error: every wait needs a finite, positive deadline.
+        assert!(
+            self.timeout_secs.is_finite() && self.timeout_secs > 0.0,
+            "detector timeout must be finite and positive, got {}",
+            self.timeout_secs
+        );
+        // Caller error: retries must not shrink the patience window.
+        assert!(
+            self.backoff >= 1.0,
+            "detector backoff must be at least 1.0, got {}",
+            self.backoff
+        );
+    }
+
     /// Total worst-case seconds one peer can be waited on across the
     /// initial attempt and all retries.
     pub fn total_patience_secs(&self) -> f64 {
@@ -67,8 +89,6 @@ impl DetectorConfig {
 /// and its one-field spelling, [`AdaptiveSession`](crate::AdaptiveSession)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StanceConfig {
-    /// How communication schedules are built (Table 3's strategies).
-    pub schedule_strategy: ScheduleStrategy,
     /// Pricing of kernel work on the reference machine.
     pub compute_cost: ComputeCostModel,
     /// Pricing of inspector work on the reference machine.
@@ -128,7 +148,6 @@ pub struct StanceConfig {
 impl Default for StanceConfig {
     fn default() -> Self {
         StanceConfig {
-            schedule_strategy: ScheduleStrategy::Sort2,
             compute_cost: ComputeCostModel::sun4(),
             inspector_cost: InspectorCostModel::sun4(),
             balancer: BalancerConfig::default(),
@@ -195,25 +214,8 @@ impl StanceConfig {
     /// Panics if the timeout is not finite and positive or the backoff
     /// is below 1.0.
     pub fn with_detector(mut self, detector: DetectorConfig) -> Self {
-        // Caller error: every wait needs a finite, positive deadline.
-        assert!(
-            detector.timeout_secs.is_finite() && detector.timeout_secs > 0.0,
-            "detector timeout must be finite and positive, got {}",
-            detector.timeout_secs
-        );
-        // Caller error: retries must not shrink the patience window.
-        assert!(
-            detector.backoff >= 1.0,
-            "detector backoff must be at least 1.0, got {}",
-            detector.backoff
-        );
+        detector.check();
         self.detector = detector;
-        self
-    }
-
-    /// Sets the schedule strategy.
-    pub fn with_strategy(mut self, strategy: ScheduleStrategy) -> Self {
-        self.schedule_strategy = strategy;
         self
     }
 
@@ -249,16 +251,12 @@ mod tests {
     fn default_matches_paper_choices() {
         let c = StanceConfig::default();
         assert_eq!(c.check_interval, 10);
-        assert_eq!(c.schedule_strategy, ScheduleStrategy::Sort2);
         assert!(c.load_balancing_enabled());
     }
 
     #[test]
     fn builders() {
-        let c = StanceConfig::free()
-            .with_strategy(ScheduleStrategy::Sort1)
-            .with_check_interval(25);
-        assert_eq!(c.schedule_strategy, ScheduleStrategy::Sort1);
+        let c = StanceConfig::free().with_check_interval(25);
         assert_eq!(c.check_interval, 25);
         let off = StanceConfig::default().without_load_balancing();
         assert!(!off.load_balancing_enabled());

@@ -8,9 +8,9 @@
 //! CG example already) sweep *several* kernels over *several* per-vertex
 //! arrays each outer iteration, so the engine is built around that shape:
 //!
-//! * a [`FieldSet`] — the registry of **named** per-vertex arrays
-//!   (name → [`GhostedArray`]): every registered field moves through
-//!   remaps and checkpoints automatically, keyed by name;
+//! * a field registry — **named** per-vertex arrays (name →
+//!   [`GhostedArray`]): every registered field moves through remaps and
+//!   checkpoints automatically, keyed by name;
 //! * a [`StageGraph`] — kernel stages declaring which field they read and
 //!   which they write, validated at build time by the
 //!   [`stance_verify`] dataflow audit (duplicate names, undeclared
@@ -78,8 +78,7 @@
 use stance_balance::{load_balance_step, Decision, LoadMonitor, RemapScratch};
 use stance_executor::{GhostedArray, Kernel, LoopRunner, LoopStats};
 use stance_inspector::{
-    build_schedule_simple, build_schedule_symmetric_with, CommSchedule, MeshRows, Rows,
-    ScheduleScratch, ScheduleStrategy,
+    build_schedule_symmetric_with, CommSchedule, MeshRows, Rows, ScheduleScratch, ScheduleStrategy,
 };
 use stance_locality::Graph;
 use stance_onedim::BlockPartition;
@@ -118,7 +117,7 @@ pub struct SessionReport {
 /// dirty flag the fused exchange uses to skip gathers of fields whose
 /// writers have not run. Field 0 is the session's *primary* field (the
 /// first one registered) — the checkpoint's primary record.
-pub struct FieldSet<E: Element = f64> {
+pub(crate) struct FieldSet<E: Element = f64> {
     names: Vec<String>,
     pub(crate) arrays: Vec<GhostedArray<E>>,
     /// `dirty[f]` — field `f`'s owned block changed since its ghosts were
@@ -128,53 +127,11 @@ pub struct FieldSet<E: Element = f64> {
 }
 
 impl<E: Element> FieldSet<E> {
-    /// Number of registered fields.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the set is empty (never true for a built session — a
-    /// stage graph requires at least one field).
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// The field names, in registration order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// The registration index of `name`, if registered.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// This rank's owned values of field `name` (in interval order).
-    ///
-    /// # Panics
-    /// Panics if no field of that name is registered.
-    pub fn local(&self, name: &str) -> &[E] {
-        self.arrays[self.must_index(name)].local()
-    }
-
-    /// Replaces this rank's owned values of field `name` and marks the
-    /// field dirty, so its next gathered read re-exchanges ghosts. Host
-    /// writes are collective by convention: every rank must update the
-    /// same fields between the same passes, or the replicated dirty
-    /// filter (and with it the fused wire format) diverges.
-    ///
-    /// # Panics
-    /// Panics if no field of that name is registered, or if `values`
-    /// does not match the rank's current interval.
-    pub fn set_local(&mut self, name: &str, values: &[E]) {
-        let i = self.must_index(name);
-        self.arrays[i].set_local(values);
-        self.dirty[i] = true;
-    }
-
     fn must_index(&self, name: &str) -> usize {
         // Caller error: the name must be one the graph registered.
-        self.index_of(name)
+        self.names
+            .iter()
+            .position(|n| n == name)
             .unwrap_or_else(|| panic!("no field named {name:?} (fields: {:?})", self.names))
     }
 }
@@ -230,7 +187,7 @@ impl<E: Element> StageGraphBuilder<E> {
     }
 
     /// Registers a named per-vertex field. Registration order is the
-    /// [`FieldSet`] order; the first field is the session's primary.
+    /// session's field order; the first field is the session's primary.
     pub fn field(mut self, name: &str) -> Self {
         self.fields.push(name.to_string());
         self
@@ -377,7 +334,8 @@ impl<E: Element> StageGraphBuilder<E> {
 /// [`StageGraphBuilder::build`]; identical on every rank by construction
 /// (it is plain replicated data).
 pub struct StageGraph<E: Element = f64> {
-    /// Field names, registration order (index = [`FieldSet`] index).
+    /// Field names, registration order (index = the session's field
+    /// index).
     fields: Vec<String>,
     /// Stages, declaration order.
     stages: Vec<Stage<E>>,
@@ -422,7 +380,7 @@ impl<E: Element> StageGraph<E> {
 }
 
 /// One rank's state for an adaptive computation: the [`StageGraph`]'s
-/// schedule driven over a [`FieldSet`] through the paper's execution
+/// schedule driven over its named fields through the paper's execution
 /// structure — blocks of passes separated by load-balance checks, with
 /// full remaps (data movement + inspector re-run) when the controller
 /// finds one profitable. *Every* field is named, moves through remaps
@@ -568,20 +526,27 @@ impl<E: Element> DataflowSession<E> {
         self.runner.schedule()
     }
 
-    /// The named field registry.
-    pub fn fields(&self) -> &FieldSet<E> {
-        &self.fields
-    }
-
-    /// This rank's owned values of field `name` — see [`FieldSet::local`].
+    /// This rank's owned values of field `name` (in interval order).
+    ///
+    /// # Panics
+    /// Panics if no field of that name is registered.
     pub fn local(&self, name: &str) -> &[E] {
-        self.fields.local(name)
+        self.fields.arrays[self.fields.must_index(name)].local()
     }
 
-    /// Replaces this rank's owned values of field `name` and marks it
-    /// dirty — see [`FieldSet::set_local`].
+    /// Replaces this rank's owned values of field `name` and marks the
+    /// field dirty, so its next gathered read re-exchanges ghosts. Host
+    /// writes are collective by convention: every rank must update the
+    /// same fields between the same passes, or the replicated dirty
+    /// filter (and with it the fused wire format) diverges.
+    ///
+    /// # Panics
+    /// Panics if no field of that name is registered, or if `values`
+    /// does not match the rank's current interval.
     pub fn set_local(&mut self, name: &str, values: &[E]) {
-        self.fields.set_local(name, values);
+        let i = self.fields.must_index(name);
+        self.fields.arrays[i].set_local(values);
+        self.fields.dirty[i] = true;
     }
 
     /// Runs a block of `passes` full passes — each pass executes every
@@ -1048,12 +1013,10 @@ fn audit<C: Comm, E: Element>(env: &mut C, n: usize, runner: &LoopRunner<E>, con
     expect_clean(context, &diags);
 }
 
-/// Builds the schedule with the configured strategy, charging inspector
-/// work to the rank's clock. Collective for [`ScheduleStrategy::Simple`].
-/// The symmetric builders draw their working storage from `scratch`
-/// (recycled across remaps); the simple strategy's three communication
-/// rounds allocate as they always did — its cost is dominated by the
-/// messages, not the allocator.
+/// Builds the schedule with Sort2, the paper's choice, charging inspector
+/// work to the rank's clock. The builder draws its working storage from
+/// `scratch` (recycled across remaps), so set-up and every remap take the
+/// same allocation-bounded, communication-free path.
 fn build_schedule<C: Comm>(
     env: &mut C,
     partition: &BlockPartition,
@@ -1061,22 +1024,10 @@ fn build_schedule<C: Comm>(
     config: &StanceConfig,
     scratch: &mut ScheduleScratch,
 ) -> CommSchedule {
-    match config.schedule_strategy {
-        ScheduleStrategy::Sort1 | ScheduleStrategy::Sort2 => {
-            let (schedule, work) = build_schedule_symmetric_with(
-                partition,
-                adj,
-                env.rank(),
-                config.schedule_strategy,
-                scratch,
-            );
-            env.compute(config.inspector_cost.seconds(&work));
-            schedule
-        }
-        ScheduleStrategy::Simple => {
-            build_schedule_simple(env, partition, adj, &config.inspector_cost)
-        }
-    }
+    let (schedule, work) =
+        build_schedule_symmetric_with(partition, adj, env.rank(), ScheduleStrategy::Sort2, scratch);
+    env.compute(config.inspector_cost.seconds(&work));
+    schedule
 }
 
 #[cfg(test)]
@@ -1419,8 +1370,8 @@ mod tests {
                 let adj = LocalAdjacency::extract(&m, s.partition(), rank);
                 let (schedule, tadj) = (s.runner.schedule(), s.runner.tadj());
                 assert_decodes_to(schedule, tadj, &adj);
-                let strategy = config.schedule_strategy;
-                let (oracle, _) = symmetric_oracle(s.partition(), &adj, rank, strategy);
+                let sort2 = ScheduleStrategy::Sort2;
+                let (oracle, _) = symmetric_oracle(s.partition(), &adj, rank, sort2);
                 assert_eq!(*schedule, oracle);
                 assert_eq!(*tadj, translate_oracle(&oracle, &adj));
                 assert_eq!(*tadj, oracle.translate_adjacency(&adj));

@@ -122,7 +122,7 @@ pub mod session;
 
 pub use checkpoint::{CheckpointError, SessionCheckpoint};
 pub use config::{DetectorConfig, RecoveryPolicy, StanceConfig};
-pub use dataflow::{DataflowSession, FieldSet, StageGraph, StageGraphBuilder};
+pub use dataflow::{DataflowSession, StageGraph, StageGraphBuilder};
 pub use efficiency::{adaptive_efficiency, static_efficiency};
 pub use recovery::{probe_and_decide, probe_membership, survivors_of, RecoveryAction};
 pub use session::{AdaptiveSession, SessionReport};
@@ -189,7 +189,7 @@ pub fn reassemble<E: Element>(partition: &BlockPartition, blocks: Vec<Vec<E>>) -
 pub mod prelude {
     pub use crate::checkpoint::SessionCheckpoint;
     pub use crate::config::{DetectorConfig, RecoveryPolicy, StanceConfig};
-    pub use crate::dataflow::{DataflowSession, FieldSet, StageGraph, StageGraphBuilder};
+    pub use crate::dataflow::{DataflowSession, StageGraph, StageGraphBuilder};
     pub use crate::efficiency::{adaptive_efficiency, static_efficiency};
     pub use crate::prepare_mesh;
     pub use crate::reassemble;

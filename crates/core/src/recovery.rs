@@ -66,9 +66,13 @@ pub enum RecoveryAction {
 /// participate.
 ///
 /// # Panics
-/// Panics if the cluster has more than 64 ranks (the verdict bitmask is
-/// a `u64`), or if a peer's verdict mask is not exactly one `u64`.
+/// Panics if `det`'s timeout is not finite and positive or its backoff
+/// is below 1.0 (as [`StanceConfig::with_detector`] does: a zero or NaN
+/// timeout would suspect every peer whose heartbeat is not already
+/// queued), if the cluster has more than 64 ranks (the verdict bitmask
+/// is a `u64`), or if a peer's verdict mask is not exactly one `u64`.
 pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool> {
+    det.check();
     let p = env.size();
     let me = env.rank();
     // Limit: the verdict travels as one `u64` bitmask.
@@ -236,6 +240,34 @@ mod tests {
                 let _ = env.recv(0, TAG_VERDICT);
             }
         });
+    }
+
+    /// `StanceConfig::detector` is a public field, so the probe checks
+    /// the settings it reads itself: a zero or NaN timeout and a
+    /// shrinking backoff are refused with `with_detector`'s messages.
+    #[test]
+    fn unchecked_detector_settings_are_refused() {
+        const TIMEOUT: &str = "detector timeout must be finite and positive";
+        const BACKOFF: &str = "detector backoff must be at least 1.0";
+        let base = fast_detector();
+        let cases = [
+            (0.0, base.backoff, TIMEOUT),
+            (f64::NAN, base.backoff, TIMEOUT),
+            (base.timeout_secs, 0.5, BACKOFF),
+        ];
+        for (timeout_secs, backoff, expected) in cases {
+            let det = DetectorConfig {
+                timeout_secs,
+                backoff,
+                ..base
+            };
+            let refused = std::panic::catch_unwind(|| {
+                Cluster::new(ClusterSpec::uniform(2)).run(move |env| probe_membership(env, &det))
+            })
+            .expect_err("unchecked detector settings must be refused");
+            let message = refused.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.starts_with(expected), "{det:?}: {message}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct ComputeCostModel {
 /// Marginal efficiency of each lane beyond the first: the effective
 /// speedup of a `T`-lane team is `1 + (T − 1) · TEAM_EFFICIENCY` (static
 /// chunking splits the sweep near-perfectly and every lane writes its own
-/// window of the output, but the wake/join handshake and the cores' shared
+/// window of the output, but the two barrier rounds and the cores' shared
 /// memory bandwidth tax every extra lane).
 const TEAM_EFFICIENCY: f64 = 0.85;
 

@@ -54,12 +54,6 @@ impl<E: Element> GhostedArray<E> {
         &self.data[..self.local_len]
     }
 
-    /// Mutable owned values.
-    #[inline]
-    pub fn local_mut(&mut self) -> &mut [E] {
-        &mut self.data[..self.local_len]
-    }
-
     /// The ghost region.
     #[inline]
     pub fn ghosts(&self) -> &[E] {
@@ -87,14 +81,6 @@ impl<E: Element> GhostedArray<E> {
         // Fig. 4 layout: the owned prefix is exactly `local_len` long.
         assert_eq!(values.len(), self.local_len, "local length mismatch");
         self.data[..self.local_len].copy_from_slice(values);
-    }
-
-    /// Resizes for a new distribution: keeps nothing (used after
-    /// redistribution, when the owner writes a fresh block).
-    pub fn reset(&mut self, local_len: usize, num_ghosts: usize) {
-        self.data.clear();
-        self.data.resize(local_len + num_ghosts, E::zero());
-        self.local_len = local_len;
     }
 
     /// Takes `block` as the new owned values for a new distribution,
@@ -139,7 +125,7 @@ mod tests {
         assert_eq!(a.local_len(), 3);
         assert_eq!(a.num_ghosts(), 2);
         assert_eq!(a.combined().len(), 5);
-        a.local_mut()[1] = 7.0;
+        a.set_local(&[0.0, 7.0, 0.0]);
         a.ghosts_mut()[0] = 9.0;
         assert_eq!(a.combined(), &[0.0, 7.0, 0.0, 9.0, 0.0]);
     }
@@ -152,14 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn set_local_and_reset() {
+    fn set_local_replaces_the_owned_values() {
         let mut a: GhostedArray = GhostedArray::zeros(2, 1);
         a.set_local(&[4.0, 5.0]);
         assert_eq!(a.local(), &[4.0, 5.0]);
-        a.reset(4, 0);
-        assert_eq!(a.local_len(), 4);
-        assert_eq!(a.num_ghosts(), 0);
-        assert_eq!(a.local(), &[0.0; 4]);
+        assert_eq!(a.ghosts(), &[0.0]);
     }
 
     #[test]

@@ -497,17 +497,6 @@ pub struct LoopStats {
     pub compute_time: f64,
 }
 
-impl LoopStats {
-    /// "Average computation time per data item" (§5): the capability
-    /// estimate the paper's load balancer uses.
-    pub fn avg_time_per_item(&self, owned_items: usize) -> f64 {
-        if owned_items == 0 || self.iterations == 0 {
-            return 0.0;
-        }
-        self.compute_time / (self.iterations as f64 * owned_items as f64)
-    }
-}
-
 /// Drives the exchange + sweep stage step on one rank — the one loop
 /// body behind both the single-array spelling ([`LoopRunner::run`]) and
 /// the multi-field dataflow pass ([`LoopRunner::run_stage`]).
@@ -1127,7 +1116,6 @@ mod tests {
                 "compute time {} != expected {expected}",
                 stats.compute_time
             );
-            assert!(stats.avg_time_per_item(*owned) > 0.0);
             assert_eq!(stats.iterations, 10);
         }
     }
@@ -1149,7 +1137,8 @@ mod tests {
             let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::sun4());
             let mut values = runner.make_values(vec![0.0; owned]);
             let stats = runner.run(env, &RelaxationKernel, &mut values, 4);
-            stats.avg_time_per_item(owned)
+            // "Average computation time per data item" (§5).
+            stats.compute_time / (stats.iterations * owned) as f64
         });
         let per_item: Vec<f64> = report.into_results();
         // Rank 0 runs at 1/3 availability: ~3× the per-item time.
@@ -1158,18 +1147,6 @@ mod tests {
             (ratio - 3.0).abs() < 0.2,
             "expected ~3× slowdown, got {ratio}"
         );
-    }
-
-    #[test]
-    fn avg_time_per_item_edge_cases() {
-        let s = LoopStats::default();
-        assert_eq!(s.avg_time_per_item(10), 0.0);
-        let s2 = LoopStats {
-            iterations: 2,
-            compute_time: 4.0,
-        };
-        assert_eq!(s2.avg_time_per_item(0), 0.0);
-        assert_eq!(s2.avg_time_per_item(2), 1.0);
     }
 
     /// Team size is purely a throughput knob: any `T` must reproduce the

@@ -6,27 +6,27 @@
 //! pair of cores. The hierarchical alternative keeps ranks = address
 //! spaces (few, communicating) and adds teams = cores (many, sharing the
 //! rank's memory): a [`SweepTeam`] owns `lanes - 1` worker threads that
-//! wait between sweeps by the spin-then-park contract below and split each
-//! sweep by *deterministic static chunking* of the rows it is handed: a
-//! sweep covers a list of ascending runs of rows, and lane `w` of `L` sweeps
+//! wait between sweeps on a barrier and split each sweep by
+//! *deterministic static chunking* of the rows it is handed: a sweep
+//! covers a list of ascending runs of rows, and lane `w` of `L` sweeps
 //! rows `w·R/L..(w+1)·R/L` of its `R` rows laid end to end — for the whole
 //! block, the one run `0..len`, rows `w·len/L..(w+1)·len/L`.
 //!
 //! # How the lanes wait
 //!
-//! Both directions of the handshake — a worker waiting for the next
-//! dispatch, the rank thread waiting for the last worker at the join — use
-//! the one wait of [`stance_sim::wait`]: poll a lock-free hint (`Shared::
-//! epoch_hint`, a mirror of `epoch`/`shutdown`; `Shared::remaining_hint`,
-//! a mirror of `remaining`) for at most the team's [`SpinBudget`], then
-//! take the lock, read the real state there, and park on the condvar if
-//! it has not moved. The hints are stored only under the lock and decide
-//! nothing; the publisher and the last worker notify only when the
-//! lock-protected `parked_workers` / `rank_parked` records say somebody is
-//! asleep, so back-to-back sweeps hand off without a futex call. The
-//! budget is [`stance_sim::wait::SPIN_BUDGET`], or zero — the plain
-//! lock → check → `Condvar::wait` handshake — when ranks × lanes exceed
-//! the host's cores.
+//! A dispatch is two rounds of one [`BarrierShared`] — the barrier every
+//! in-process rank already waits on, built with zero cost over the team's
+//! lanes: the rank thread stores the job and meets the workers in the
+//! *opening* round; every lane runs its share; all of them meet again in
+//! the *closing* round, after which no worker touches the job. The
+//! barrier's lock orders the job (and the lane windows) before every
+//! worker's share, and every share before the rank thread's return. Its
+//! waiters spin on a hint for the team's [`SpinBudget`] before they park
+//! (see [`stance_sim::wait`]); the budget is zero when ranks × lanes
+//! exceed the host's cores. A lane that panics still reaches the closing
+//! round, so the barrier is never poisoned.
+//!
+//! [`SpinBudget`]: stance_sim::wait::SpinBudget
 //!
 //! # Bitwise reproducibility
 //!
@@ -55,20 +55,20 @@
 
 // The two unsafe blocks in this crate live here — the lifetime erasure in
 // `TeamCore::run` and the carve of the output into lane windows in
-// `SweepTeam::sweep_runs`, both resting on `run`'s join; everything else
-// stays checked.
+// `SweepTeam::sweep_runs`, both resting on `run`'s closing barrier round;
+// everything else stays checked.
 #![allow(unsafe_code)]
 
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use stance_inspector::TranslatedAdjacency;
-use stance_sim::wait::SpinBudget;
-use stance_sim::Element;
+use stance_sim::launch::BarrierShared;
+use stance_sim::{Element, VTime};
 
 use crate::kernel::Kernel;
 
@@ -76,68 +76,27 @@ use crate::kernel::Kernel;
 /// lane, with the lane index as its argument.
 ///
 /// The reference is type-erased to `'static` by [`TeamCore::run`], which
-/// guarantees the underlying closure outlives the job (it blocks until
-/// every worker has retired the epoch before returning).
+/// guarantees the underlying closure outlives the job (it returns only
+/// after every lane has reached the closing barrier round).
 #[derive(Clone, Copy)]
 struct Job {
     f: &'static (dyn Fn(usize) + Sync),
 }
 
-/// State shared between the rank thread and its waiting workers.
+/// State shared between the rank thread and its waiting workers. The
+/// flags are `Relaxed`: the barrier's rounds order every access.
 struct Shared {
-    state: Mutex<State>,
-    /// Signalled by the publisher when a new epoch (or shutdown) is posted
-    /// and a worker is parked.
-    work: Condvar,
-    /// Signalled by the last worker to retire the current epoch, if the
-    /// rank thread is parked.
-    done: Condvar,
-    /// Hint for the workers' spin phase: [`State::epoch_hint`] as of the
-    /// last dispatch or shutdown. Like `remaining_hint`, stored
-    /// (`Release`) only under `state`'s lock, polled (`Acquire`) without
-    /// it, never acted on.
-    epoch_hint: AtomicU64,
-    /// Hint for the rank thread's spin phase at the join: `remaining`.
-    remaining_hint: AtomicUsize,
-    spin: SpinBudget,
-}
-
-struct State {
-    /// Monotonic dispatch counter; a worker runs one job per observed
-    /// increment, so a spurious condvar wakeup can never re-run a job.
-    epoch: u64,
-    job: Option<Job>,
-    /// Workers still running the current epoch's job.
-    remaining: usize,
+    /// One round opens a dispatch (or the shutdown), one closes it.
+    barrier: Arc<BarrierShared>,
+    /// The current dispatch's job, set before the opening round.
+    job: Mutex<Option<Job>>,
+    /// Set before the last opening round: the workers return.
+    shutdown: AtomicBool,
     /// Set when any worker's job panicked; re-raised on the rank thread.
-    panicked: bool,
-    shutdown: bool,
-    /// Workers currently asleep on `work`.
-    parked_workers: usize,
-    /// The rank thread is asleep on `done`.
-    rank_parked: bool,
+    panicked: AtomicBool,
 }
 
-impl State {
-    /// What a waiting worker watches: changes whenever `epoch` or
-    /// `shutdown` does.
-    fn epoch_hint(&self) -> u64 {
-        self.epoch << 1 | u64::from(self.shutdown)
-    }
-}
-
-impl Shared {
-    /// Publishes a change workers watch for — call with the lock held,
-    /// after moving `epoch` or `shutdown` — and wakes the parked ones.
-    fn publish_and_wake(&self, st: &State) {
-        self.epoch_hint.store(st.epoch_hint(), Ordering::Release);
-        if st.parked_workers > 0 {
-            self.work.notify_all();
-        }
-    }
-}
-
-/// The element-type-independent thread pool: worker threads + handshake.
+/// The element-type-independent thread pool: worker threads + barrier.
 struct TeamCore {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -147,20 +106,10 @@ impl TeamCore {
     /// Spawns `workers` waiting worker threads (lanes `1..=workers`).
     fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                panicked: false,
-                shutdown: false,
-                parked_workers: 0,
-                rank_parked: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-            epoch_hint: AtomicU64::new(0),
-            remaining_hint: AtomicUsize::new(0),
-            spin: SpinBudget::for_threads(workers + 1),
+            barrier: BarrierShared::new(workers + 1, 0.0),
+            job: Mutex::new(None),
+            shutdown: AtomicBool::new(false),
+            panicked: AtomicBool::new(false),
         });
         let handles = (1..=workers)
             .map(|lane| {
@@ -187,11 +136,11 @@ impl TeamCore {
         // (whose loop is necessarily `'static`) can call it. The borrow
         // cannot be outlived (nor can what the closure borrows — the lane
         // windows `SweepTeam::sweep_runs` carves rest on this too): this
-        // function publishes the job, then unconditionally blocks — even
-        // when `lane0` panics — until `remaining` (read under the lock;
-        // the spin on its hint only shortens the wait) drops to zero, i.e.
-        // until every worker has finished calling the closure and will
-        // never touch it again (the epoch check stops re-runs).
+        // function publishes the job, then unconditionally — even when
+        // `lane0` panics — waits in the closing barrier round, which no
+        // lane leaves before every worker has finished calling the closure
+        // and will never touch it again (a worker reads the job once per
+        // opening round, and the next one needs this thread).
         let job = Job {
             f: unsafe {
                 std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(
@@ -200,34 +149,14 @@ impl TeamCore {
             },
         };
         let shared = &*self.shared;
-        {
-            // Never poisoned: no code panics while holding the lock (jobs
-            // run outside it). The same holds for every lock and wait below.
-            let mut st = shared.state.lock().expect("team state poisoned");
-            st.job = Some(job);
-            st.remaining = self.workers.len();
-            shared.remaining_hint.store(st.remaining, Ordering::Release);
-            st.epoch += 1;
-            shared.publish_and_wake(&st);
-        }
-
+        // Never poisoned: no code panics while holding the lock (jobs run
+        // outside it). The same holds for the worker's lock.
+        *shared.job.lock().expect("team job poisoned") = Some(job);
+        shared.barrier.wait(VTime::ZERO);
         let lane0_result = catch_unwind(AssertUnwindSafe(lane0));
-
-        shared
-            .spin
-            .spin_until(None, || shared.remaining_hint.load(Ordering::Acquire) == 0);
-        let worker_panicked = {
-            // Never poisoned, as above.
-            let mut st = shared.state.lock().expect("team state poisoned");
-            while st.remaining != 0 {
-                st.rank_parked = true;
-                // Never poisoned, as above.
-                st = shared.done.wait(st).expect("team state poisoned");
-                st.rank_parked = false;
-            }
-            st.job = None;
-            std::mem::take(&mut st.panicked)
-        };
+        shared.barrier.wait(VTime::ZERO);
+        *shared.job.lock().expect("team job poisoned") = None;
+        let worker_panicked = shared.panicked.swap(false, Ordering::Relaxed);
         if let Err(payload) = lane0_result {
             resume_unwind(payload);
         }
@@ -238,15 +167,8 @@ impl TeamCore {
 
 impl Drop for TeamCore {
     fn drop(&mut self) {
-        {
-            let mut st = self
-                .shared
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            st.shutdown = true;
-            self.shared.publish_and_wake(&st);
-        }
+        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.barrier.wait(VTime::ZERO);
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -254,40 +176,19 @@ impl Drop for TeamCore {
 }
 
 fn worker_loop(shared: &Shared, lane: usize) {
-    let mut seen = 0u64;
     loop {
-        shared.spin.spin_until(None, || {
-            shared.epoch_hint.load(Ordering::Acquire) != seen << 1
-        });
-        let job = {
-            // Never poisoned: see `TeamCore::run`.
-            let mut st = shared.state.lock().expect("team state poisoned");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen {
-                    seen = st.epoch;
-                    // `run` sets the job before it moves the epoch.
-                    break st.job.expect("published epoch carries a job");
-                }
-                st.parked_workers += 1;
-                // Never poisoned: see `TeamCore::run`.
-                st = shared.work.wait(st).expect("team state poisoned");
-                st.parked_workers -= 1;
-            }
-        };
-        let ok = catch_unwind(AssertUnwindSafe(|| (job.f)(lane))).is_ok();
-        // Never poisoned: see `TeamCore::run`.
-        let mut st = shared.state.lock().expect("team state poisoned");
-        if !ok {
-            st.panicked = true;
+        shared.barrier.wait(VTime::ZERO);
+        if shared.shutdown.load(Ordering::Relaxed) {
+            return;
         }
-        st.remaining -= 1;
-        shared.remaining_hint.store(st.remaining, Ordering::Release);
-        if st.remaining == 0 && st.rank_parked {
-            shared.done.notify_one();
+        // Never poisoned: see `TeamCore::run`. `run` sets the job before
+        // the opening round.
+        let job = *shared.job.lock().expect("team job poisoned");
+        let job = job.expect("an opening round carries a job");
+        if catch_unwind(AssertUnwindSafe(|| (job.f)(lane))).is_err() {
+            shared.panicked.store(true, Ordering::Relaxed);
         }
+        shared.barrier.wait(VTime::ZERO);
     }
 }
 
@@ -438,10 +339,10 @@ impl<E: Element> SweepTeam<E> {
         }
         let lanes = self.lanes;
         // `out` itself is not touched again until every lane is done (for
-        // a team, until `run` has joined them): all windows derive from
+        // a team, until `run`'s closing round): all windows derive from
         // this one pointer. The atomic is only a `Sync` cell for it (hence
-        // `Relaxed`) — the dispatch handshake's lock orders every lane's
-        // load after this store.
+        // `Relaxed`) — the opening barrier round orders every lane's load
+        // after this store.
         let base = AtomicPtr::new(out.as_mut_ptr());
         let sweep_lane = |lane: usize| {
             for piece in lane_pieces(runs, rows, lanes, lane) {
@@ -450,7 +351,7 @@ impl<E: Element> SweepTeam<E> {
                 // disjoint pieces of one lane each — so every window lies
                 // inside `out` and no two windows, of one lane or of two,
                 // share a slot. Each lane index runs once per dispatch,
-                // and `TeamCore::run` joins every lane before it returns,
+                // and `TeamCore::run` returns only after the closing round,
                 // so no window outlives the borrow of `out`.
                 let window = unsafe {
                     let first = base.load(Ordering::Relaxed).add(piece.start);
@@ -473,7 +374,9 @@ mod tests {
     use stance_inspector::{build_schedule_symmetric, LocalAdjacency, ScheduleStrategy};
     use stance_locality::Graph;
     use stance_onedim::BlockPartition;
+    use stance_sim::wait::SpinBudget;
     use stance_sim::wait::{stress_rounds, with_forced_budget, Jitter, REGIMES};
+    use std::sync::atomic::AtomicUsize;
 
     /// For every run list, length and lane count the lanes' pieces tile
     /// the runs exactly, ascend with the lane index, and the lanes' shares

@@ -343,14 +343,6 @@ impl Graph {
             vertices.to_vec(),
         )
     }
-
-    /// Maximum degree.
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices())
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -452,7 +444,7 @@ mod tests {
         assert_eq!(empty.num_edges(), 0);
         let single = Graph::from_edges(1, &[], vec![[0.0; 3]], 3);
         assert!(single.is_connected());
-        assert_eq!(single.max_degree(), 0);
+        assert_eq!(single.degree(0), 0);
     }
 
     #[test]
@@ -483,11 +475,5 @@ mod tests {
         assert_eq!(sub.num_edges(), 2);
         assert_eq!(back, vec![0, 1, 3]);
         assert_eq!(sub.neighbors(1), &[0, 2]); // sub 1 = old 1, adjacent to old 0 and old 3
-    }
-
-    #[test]
-    fn max_degree() {
-        let star = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)], vec![[0.0; 3]; 4], 2);
-        assert_eq!(star.max_degree(), 3);
     }
 }

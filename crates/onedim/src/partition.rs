@@ -226,28 +226,6 @@ impl BlockPartition {
             .map(|q| self.interval_of(q).overlap(&other.interval_of(q)))
             .sum()
     }
-
-    /// Load imbalance of this partition under per-processor capabilities:
-    /// `max_i (size_i / weight_i) / (n / total_weight)`, i.e. the ratio of
-    /// the slowest processor's finish time to the ideal. 1.0 is perfect.
-    pub fn imbalance(&self, weights: &[f64]) -> f64 {
-        assert_eq!(weights.len(), self.num_procs());
-        let total_w: f64 = weights.iter().sum();
-        let ideal = self.n as f64 / total_w;
-        let mut worst: f64 = 0.0;
-        for (q, &w) in weights.iter().enumerate() {
-            let size = self.interval_of(q).len() as f64;
-            if size == 0.0 {
-                continue;
-            }
-            assert!(
-                w > 0.0,
-                "processor {q} was assigned elements but has zero capability"
-            );
-            worst = worst.max(size / w);
-        }
-        worst / ideal
-    }
 }
 
 #[cfg(test)]
@@ -379,20 +357,6 @@ mod tests {
         assert_eq!(part.owner_of(0), 1);
         assert_eq!(part.owner_of(7), 0);
         assert_eq!(part.interval_of(1), Interval::new(0, 4));
-    }
-
-    #[test]
-    fn imbalance_metrics() {
-        let part = BlockPartition::from_sizes(&[50, 50]);
-        // Equal split, equal weights: perfect.
-        assert!((part.imbalance(&[1.0, 1.0]) - 1.0).abs() < 1e-12);
-        // Equal split but P1 is half speed: it takes 100 time units vs 66.7 ideal.
-        let imb = part.imbalance(&[1.0, 0.5]);
-        assert!((imb - 1.5).abs() < 1e-12);
-        // Weighted split fixes it.
-        let balanced = BlockPartition::from_weights(99, &[2.0, 1.0], Arrangement::identity(2));
-        assert_eq!(balanced.sizes(), vec![66, 33]);
-        assert!((balanced.imbalance(&[2.0, 1.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

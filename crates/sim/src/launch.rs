@@ -319,7 +319,11 @@ mod tests {
         }
     }
 
+    // Miri: thousands of jittered rounds take the interpreter hours, and
+    // it is the spin-then-park wait, not aliasing, that they probe —
+    // TSan's job.
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn three_party_barrier_never_loses_a_wakeup() {
         // Every round each party stamps its slot, waits, and checks that
         // both peers have stamped at least this round — and that all three

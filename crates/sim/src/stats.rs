@@ -26,12 +26,6 @@ pub struct EnvStats {
 }
 
 impl EnvStats {
-    /// Total virtual seconds attributed to communication (send setup, receive
-    /// overhead, waiting, barriers).
-    pub fn comm_time(&self) -> f64 {
-        self.send_time + self.recv_time + self.wait_time + self.barrier_time
-    }
-
     /// Merges another rank's counters into this one (for cluster-wide sums).
     pub fn merge(&mut self, other: &EnvStats) {
         self.compute_time += other.compute_time;
@@ -68,13 +62,13 @@ mod tests {
         assert_eq!(a.compute_time, 2.0);
         assert_eq!(a.messages_sent, 12);
         assert_eq!(a.bytes_received, 18);
-        assert_eq!(a.comm_time(), 2.0 * (2.0 + 3.0 + 4.0 + 5.0));
+        assert_eq!(a.barrier_time, 10.0);
     }
 
     #[test]
     fn default_is_zero() {
         let s = EnvStats::default();
-        assert_eq!(s.comm_time(), 0.0);
+        assert_eq!(s.barrier_time, 0.0);
         assert_eq!(s.messages_sent, 0);
     }
 }

@@ -1,14 +1,16 @@
 //! How an in-process rank waits: spin briefly on a hint, then park.
 //!
-//! Every blocking point between threads of one process — the mailbox
-//! receive, the barrier, the sweep team's dispatch and join — used to go
+//! Every blocking point between threads of one process is one of two
+//! wait sites — the mailbox receive and the barrier
+//! ([`crate::launch::BarrierShared`], which is also the sweep team's
+//! dispatch and join: two rounds per sweep) — and both used to go
 //! straight to `Condvar::wait`. When the peer it waits for is *already
 //! running on another core* and will deliver within microseconds, that
 //! puts the core to sleep and pays a futex (and, in a VM, a hypervisor)
 //! wake-up to bring it back: ≈ 20 µs per message on the hosts the
 //! benchmark ledger was recorded on, none of it data movement.
 //!
-//! The contract all three sites share:
+//! The contract both sites share:
 //!
 //! * **Spin, bounded, on a hint.** Before taking the lock a waiter polls a
 //!   lock-free *hint* — an atomic the other side stores, under its lock,

@@ -302,9 +302,8 @@ fn native_forced_churn_stays_bitwise_correct() {
 /// remap's redistribution plan is checked, all point-to-point traffic is
 /// traced, the final protocol analysis is clean — and the values stay
 /// bitwise identical to the sequential reference. The simulator leg runs
-/// controller-driven remaps for both schedule strategies (Sort2's local
-/// build and Simple's collective three-round build both execute traced);
-/// the native leg forces deterministic churn through `remap_to`.
+/// controller-driven remaps; the native leg forces deterministic churn
+/// through `remap_to`.
 #[test]
 fn verified_adaptive_churn_is_clean_on_both_backends() {
     let m = mesh();
@@ -313,37 +312,27 @@ fn verified_adaptive_churn_is_clean_on_both_backends() {
     let mut expected: Vec<f64> = (0..n).map(init).collect();
     sequential_relaxation(&m, &mut expected, iters);
 
-    for strategy in [ScheduleStrategy::Sort2, ScheduleStrategy::Simple] {
-        let mut config = adaptive_config()
-            .with_strategy(strategy)
-            .with_verification(true);
-        config.inspector_cost = InspectorCostModel::zero();
-        let spec = ClusterSpec::uniform(3)
-            .with_network(NetworkSpec::zero_cost())
-            .with_load(0, LoadTimeline::constant(1.0 / 3.0));
-        let report = Cluster::new(spec).run(|env| {
-            let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
-            let rep = s.run_adaptive(env, iters);
-            let diags = s.verify_protocol(env);
-            assert!(
-                diags.is_empty(),
-                "sim protocol diagnostics ({strategy:?}): {diags:?}"
-            );
-            (rep.remaps, s.local_values().to_vec(), s.partition().clone())
-        });
-        let results: Vec<_> = report.into_results();
-        assert!(
-            results[0].0 >= 1,
-            "expected a verified remap ({strategy:?})"
-        );
-        let partition = results[0].2.clone();
-        let blocks = results.into_iter().map(|(_, v, _)| v).collect();
-        assert_eq!(
-            reassemble(&partition, blocks),
-            expected,
-            "verified sim churn diverged ({strategy:?})"
-        );
-    }
+    let mut config = adaptive_config().with_verification(true);
+    config.inspector_cost = InspectorCostModel::zero();
+    let spec = ClusterSpec::uniform(3)
+        .with_network(NetworkSpec::zero_cost())
+        .with_load(0, LoadTimeline::constant(1.0 / 3.0));
+    let report = Cluster::new(spec).run(|env| {
+        let mut s = AdaptiveSession::setup(env, &m, RelaxationKernel, init, &config);
+        let rep = s.run_adaptive(env, iters);
+        let diags = s.verify_protocol(env);
+        assert!(diags.is_empty(), "sim protocol diagnostics: {diags:?}");
+        (rep.remaps, s.local_values().to_vec(), s.partition().clone())
+    });
+    let results: Vec<_> = report.into_results();
+    assert!(results[0].0 >= 1, "expected a verified remap");
+    let partition = results[0].2.clone();
+    let blocks = results.into_iter().map(|(_, v, _)| v).collect();
+    assert_eq!(
+        reassemble(&partition, blocks),
+        expected,
+        "verified sim churn diverged"
+    );
 
     let skew = BlockPartition::from_sizes(&[n / 5, n / 2, n - n / 5 - n / 2]);
     let config = StanceConfig::free().with_verification(true);
@@ -366,22 +355,4 @@ fn verified_adaptive_churn_is_clean_on_both_backends() {
         expected,
         "verified native churn diverged"
     );
-}
-
-#[test]
-fn remap_with_simple_strategy_rebuild() {
-    // The post-remap schedule rebuild must also work with the
-    // communication-based simple strategy (a collective rebuild).
-    let m = mesh();
-    let iters = 40;
-    let mut expected: Vec<f64> = (0..m.num_vertices()).map(init).collect();
-    sequential_relaxation(&m, &mut expected, iters);
-    let mut config = adaptive_config().with_strategy(ScheduleStrategy::Simple);
-    config.inspector_cost = InspectorCostModel::zero();
-    let spec = ClusterSpec::uniform(3)
-        .with_network(NetworkSpec::zero_cost())
-        .with_load(0, LoadTimeline::constant(1.0 / 3.0));
-    let (got, reports) = run(&m, spec, &config, iters);
-    assert!(reports[0].remaps >= 1, "expected a remap: {:?}", reports[0]);
-    assert_eq!(got, expected, "simple-strategy rebuild diverged");
 }
