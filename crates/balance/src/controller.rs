@@ -14,7 +14,7 @@ use stance_onedim::{
     mcr::{keep_arrangement, minimize_cost_redistribution},
     Arrangement, BlockPartition, RedistCostModel, RedistributionPlan,
 };
-use stance_sim::{Comm, Element, Payload, Tag};
+use stance_sim::{Collectives, Comm, Element, Payload, Tag};
 
 /// Tag for the load gather (workers → controller).
 const TAG_LOAD: Tag = stance_sim::tags::TAG_LOAD;

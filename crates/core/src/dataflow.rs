@@ -44,7 +44,7 @@
 //! resolve to owners, send/recv lists pairwise symmetric, derived
 //! orderings deadlock-free — see [`stance_verify`]), each remap's
 //! redistribution plan is audited against the old and new partitions, and
-//! all point-to-point traffic is recorded by a
+//! all traffic, collectives included, is recorded by a
 //! [`TraceHook`] on the session's [`Interposed`] communicator — what a
 //! [`CheckedComm`](stance_verify::CheckedComm) is — whose trace
 //! [`DataflowSession::verify_protocol`] analyzes collectively. A violated
@@ -83,7 +83,7 @@ use stance_inspector::{
 use stance_locality::Graph;
 use stance_onedim::BlockPartition;
 use stance_sim::tags::TAG_CHECKPOINT;
-use stance_sim::{Comm, Element, Payload};
+use stance_sim::{Collectives, Comm, Element, Payload};
 use stance_verify::{
     analyze_collective, audit_collective, audit_redistribution, audit_stage_graph, expect_clean,
     topological_order, Diagnostic, Interposed, RankTrace, StageDecl, TraceHook,

@@ -204,8 +204,8 @@ pub mod prelude {
     pub use stance_locality::{Graph, Ordering, OrderingMethod};
     pub use stance_onedim::{Arrangement, BlockPartition, RedistCostModel};
     pub use stance_sim::{
-        Cluster, ClusterSpec, Comm, Element, Env, LoadTimeline, MachineSpec, NetworkSpec, Payload,
-        SurvivorComm, Tag,
+        Cluster, ClusterSpec, Collectives, Comm, Element, Env, LoadTimeline, MachineSpec,
+        NetworkSpec, Payload, SurvivorComm, Tag,
     };
 }
 

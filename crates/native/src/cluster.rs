@@ -113,7 +113,7 @@ impl NativeCluster {
 mod tests {
     use super::*;
     use stance_sim::wait::{with_forced_budget, REGIMES};
-    use stance_sim::{Comm, Element, Tag};
+    use stance_sim::{Collectives, Comm, Element, Tag};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use stance_native::NativeCluster;
-//! use stance_sim::{Comm, Payload, Tag};
+//! use stance_sim::{Collectives, Comm, Payload, Tag};
 //!
 //! let report = NativeCluster::new(4).run(|comm| {
 //!     // Every rank contributes its id; everyone gets the rank-order sum.
@@ -46,4 +46,4 @@ pub mod comm;
 
 pub use cluster::{NativeCluster, NativeRankReport, NativeRunReport};
 pub use comm::NativeComm;
-pub use stance_sim::{Comm, Payload, Tag};
+pub use stance_sim::{Collectives, Comm, Payload, Tag};

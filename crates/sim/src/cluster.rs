@@ -221,7 +221,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::Comm;
+    use crate::comm::{Collectives, Comm};
     use crate::payload::{Element, Payload, Tag};
     use crate::wait::{with_forced_budget, REGIMES};
     use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -16,8 +16,8 @@
 //!
 //! The trait is the paper's §2 SPMD messaging contract: point-to-point
 //! tagged send/receive with per-(source, destination) FIFO order, a
-//! cluster-wide barrier, and collectives built from those primitives. Two
-//! extra hooks make time portable across backends:
+//! cluster-wide barrier, and collectives ([`Collectives`]) built from
+//! those primitives. Two extra hooks make time portable across backends:
 //!
 //! * [`Comm::compute`] — the *compute-cost charging hook*. The simulator
 //!   advances its virtual clock by the charged work (scaled by machine
@@ -30,13 +30,12 @@
 //!   backends (model-driven in the simulator, measurement-driven on real
 //!   threads).
 //!
-//! Collectives have default implementations in terms of `send`/`recv`,
-//! with **deterministic rank-order data flow**: `allgather` returns
-//! payloads in rank order and `allreduce_f64` folds in rank order, so a
-//! floating-point reduction is bitwise identical on every backend. The
-//! simulator overrides them only to refine *cost* accounting (e.g.
-//! hardware multicast), never the data movement order — the cross-backend
-//! equivalence tests pin this.
+//! [`Collectives`] has one implementation, built from `send`, `recv` and
+//! `multicast`, with **deterministic rank-order data flow**: `allgather`
+//! returns payloads in rank order and `allreduce_f64` folds in rank order,
+//! so a floating-point reduction is bitwise identical on every backend. A
+//! backend refines only a collective's *cost*, through its primitives
+//! (hardware multicast), and a wrapper sees each message a collective moves.
 
 use crate::payload::{Element, Payload, Tag};
 
@@ -140,7 +139,12 @@ pub trait Comm {
             }
         }
     }
+}
 
+/// The collectives, built once from [`Comm`]'s primitives (see the
+/// [module docs](self)). The blanket impl below is the only one, so no
+/// backend or wrapper can replace a collective.
+pub trait Collectives: Comm {
     /// Broadcast from `root`: the root multicasts `payload` to everyone and
     /// returns it; the others receive it. Collective.
     fn bcast_from(&mut self, root: usize, tag: Tag, payload: Payload) -> Payload {
@@ -206,6 +210,8 @@ pub trait Comm {
     }
 }
 
+impl<C: Comm + ?Sized> Collectives for C {}
+
 /// The one barrier built from messages, for communicators without a
 /// shared-memory barrier (the TCP backend, the survivor communicator): a
 /// dissemination barrier on `tag`. In round `k` of ⌈log₂ p⌉ every rank
@@ -231,7 +237,7 @@ pub fn dissemination_barrier<C: Comm + ?Sized>(c: &mut C, tag: Tag) {
 
 #[cfg(test)]
 mod tests {
-    // The trait's default collectives are exercised against every backend
-    // by the workspace-level `tests/comm_conformance.rs` suite; `Env`'s
+    // The collectives are exercised against every backend by the
+    // workspace-level `tests/comm_conformance.rs` suite; `Env`'s
     // implementation is covered by `cluster.rs` tests.
 }

@@ -102,8 +102,8 @@ impl Env {
 /// cost-modelled on this rank's virtual clock, and `multicast` is
 /// overridden because the network model has a hardware-multicast fast
 /// path (§3.6) the trait's unicast-loop default can't express. The
-/// remaining collectives use the trait defaults, which are built from
-/// these primitives — so they charge virtual time exactly as hand-rolled
+/// collectives ([`Collectives`](crate::Collectives)) are built from these
+/// primitives — so they charge virtual time exactly as hand-rolled
 /// versions would, and there is exactly one copy of each collective's
 /// data-movement logic for all backends (see [`crate::comm`]).
 impl Comm for Env {

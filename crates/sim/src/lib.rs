@@ -23,10 +23,10 @@
 //! communication schedules, gathers, scatters and redistributions) is fully
 //! exercised.
 //!
-//! The messaging contract itself — tagged send/receive, barrier,
-//! collectives, compute charging — is captured by the [`Comm`] trait
-//! (module [`comm`]), which this crate's [`Env`] implements with virtual
-//! time and the `stance-native` crate implements with real threads and
+//! The messaging contract itself — tagged send/receive, barrier, compute
+//! charging — is captured by the [`Comm`] trait (module [`comm`]; the
+//! [`Collectives`] are built on it), which this crate's [`Env`] implements
+//! with virtual time and the `stance-native` crate with real threads and
 //! wall-clock time. Runtime layers above the transport are generic over
 //! `Comm`, so the same SPMD program runs on either backend.
 //!
@@ -41,9 +41,9 @@
 //!   byte_time`.
 //! * [`Env::recv`] sets `C_r ← max(C_r, arrival)`, recording the difference as
 //!   idle (wait) time.
-//! * Collectives ([`Env::barrier`], [`Comm::bcast_from`], …) are built from the
-//!   same primitives (a shared-memory fast path is used for the barrier; its
-//!   cost model is the usual `O(log p)` latency tree).
+//! * Collectives ([`Env::barrier`], [`Collectives::bcast_from`], …) are built
+//!   from the same primitives (a shared-memory fast path is used for the
+//!   barrier; its cost model is the usual `O(log p)` latency tree).
 //!
 //! The simulation is deterministic: all clock arithmetic depends only on
 //! message causality and the [`ClusterSpec`], never on host scheduling. (The
@@ -53,7 +53,7 @@
 //! ## Example
 //!
 //! ```
-//! use stance_sim::{Cluster, ClusterSpec, Comm, Element, Tag};
+//! use stance_sim::{Cluster, ClusterSpec, Collectives, Comm, Element, Tag};
 //!
 //! let spec = ClusterSpec::uniform(4);
 //! let report = Cluster::new(spec).run(|env| {
@@ -91,7 +91,7 @@ pub mod time;
 pub mod wait;
 
 pub use cluster::{Cluster, ClusterSpec, RankReport, RunReport};
-pub use comm::Comm;
+pub use comm::{Collectives, Comm};
 pub use env::Env;
 pub use machine::{LoadPhase, LoadTimeline, MachineSpec};
 pub use network::{NetworkKind, NetworkSpec};

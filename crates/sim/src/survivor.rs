@@ -6,8 +6,9 @@
 //! of the original run. [`SurvivorComm`] presents that contracted view —
 //! `rank()`/`size()` are in survivor space and every point-to-point
 //! operation translates survivor ranks to original ranks before touching
-//! the wrapped transport, so all of the runtime's collectives (which are
-//! built from `send`/`recv`) work unmodified on the shrunken cluster.
+//! the wrapped transport, so all of the runtime's collectives (built from
+//! `send`, `recv` and `multicast`) work unmodified on the shrunken cluster,
+//! with the backend's hardware multicast.
 //!
 //! The one primitive that cannot be forwarded is [`Comm::barrier`]: the
 //! underlying backend's barrier still counts the dead rank as a
@@ -144,12 +145,19 @@ impl<C: Comm> Comm for SurvivorComm<'_, C> {
     fn crash(&mut self) -> bool {
         self.inner.crash()
     }
+
+    fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
+        let dsts: Vec<usize> = dsts.iter().map(|&d| self.old(d)).collect();
+        self.inner.multicast(&dsts, tag, payload);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Cluster, ClusterSpec};
+    use crate::cluster::{Cluster, ClusterSpec, RunReport};
+    use crate::comm::Collectives;
+    use crate::network::NetworkSpec;
     use crate::payload::Element;
 
     /// Three of four ranks wrap themselves as survivors (rank 2 "dies"
@@ -204,6 +212,46 @@ mod tests {
             }
         });
         assert_eq!(report.ranks[2].result, 41);
+    }
+
+    /// A survivor-space multicast costs what the backend's own multicast
+    /// costs on a bare cluster of the survivors' size: one send at the
+    /// root, and the same clock on every survivor.
+    #[test]
+    fn survivor_multicast_keeps_the_backends_multicast() {
+        fn body<C: Comm>(c: &mut C) {
+            if c.rank() == 0 {
+                c.multicast(&[1, 2], Tag(3), f64::pack(&[1.5; 64]));
+            } else {
+                c.recv(0, Tag(3));
+            }
+        }
+        let spec = |p| {
+            let net = NetworkSpec::ethernet_10mbit().with_multicast(true);
+            ClusterSpec::uniform(p).with_network(net)
+        };
+        // (messages sent, clock bits) of every rank that ran the body.
+        let live = |report: RunReport<bool>| {
+            report
+                .ranks
+                .into_iter()
+                .filter(|r| r.result)
+                .map(|r| (r.stats.messages_sent, r.clock.as_secs().to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let bare = live(Cluster::new(spec(3)).run(|env| {
+            body(env);
+            true
+        }));
+        let survivors = live(Cluster::new(spec(4)).run(|env| {
+            let alive = env.rank() != 1;
+            if alive {
+                body(&mut SurvivorComm::new(env, vec![0, 2, 3]));
+            }
+            alive
+        }));
+        assert_eq!(survivors, bare);
+        assert_eq!(bare[0].0, 1, "one hardware multicast at the root");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! invariants under randomized workloads.
 
 use proptest::prelude::*;
-use stance_sim::{Cluster, ClusterSpec, Comm, Element, NetworkSpec, Tag};
+use stance_sim::{Cluster, ClusterSpec, Collectives, Comm, Element, NetworkSpec, Tag};
 
 proptest! {
     // Each case spins up real threads; keep the case count modest.

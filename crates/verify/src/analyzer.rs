@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use stance_sim::Comm;
+use stance_sim::{Collectives, Comm};
 
 use crate::audit::TAG_TRACE;
 use crate::checked::{RankTrace, TraceEvent};

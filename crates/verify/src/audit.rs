@@ -9,7 +9,7 @@
 
 use stance_inspector::{CommSchedule, LocalAdjacency, TranslatedAdjacency};
 use stance_onedim::{BlockPartition, Interval, RedistributionPlan};
-use stance_sim::{Comm, Element, Payload, Tag};
+use stance_sim::{Collectives, Comm, Element, Payload, Tag};
 
 use crate::diag::{render, Diagnostic, DiagnosticKind};
 

@@ -1,7 +1,7 @@
 //! The dynamic protocol checker: a [`TraceHook`] on the one
 //! [`Interposed`] communicator records every point-to-point and barrier
-//! event into a per-rank [`RankTrace`]. Collectives pass through
-//! untraced (see [`Interposed`] for why).
+//! event into a per-rank [`RankTrace`] — the messages of the collectives
+//! included, which are built from those primitives (see [`Interposed`]).
 //!
 //! Traces are analyzed offline by [`analyze_traces`](crate::analyze_traces)
 //! after the run (typically: allgather the serialized traces on

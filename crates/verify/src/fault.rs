@@ -200,11 +200,11 @@ pub fn catch_fault<R>(f: impl FnOnce() -> R) -> Result<R, InjectedFault> {
 ///
 /// Ranks with no planned events pay one counter increment and one
 /// comparison per operation — no allocation, no behavioural change.
-/// Collectives count as **one** operation each (they are opaque to every
-/// hook), so a plan's `after_ops` means the same thing whether the
-/// program uses collectives or spells them out. `crash` is how an
-/// injected kill reaches the backend and `compute` is not a protocol
-/// action, so neither advances the counter.
+/// An operation is each `send`, `recv`, `barrier`, `post`, `recv_deadline`
+/// and `multicast`, a collective's own included, so a plan's `after_ops`
+/// means the same thing whether the program uses collectives or spells
+/// them out. `crash` is how an injected kill reaches the backend and
+/// `compute` is not a protocol action, so neither advances the counter.
 pub struct FaultHook {
     /// Operations completed (or faulted on) so far.
     ops: u64,
@@ -292,7 +292,7 @@ impl<'a, C: Comm> FaultyComm<'a, C> {
 mod tests {
     use super::*;
     use stance_sim::cluster::{Cluster, ClusterSpec};
-    use stance_sim::{Element, Tag};
+    use stance_sim::{Collectives, Element, Tag};
 
     #[test]
     fn randomized_plans_are_seed_deterministic() {
@@ -359,6 +359,20 @@ mod tests {
         });
         let got: Vec<u64> = report.results().copied().collect();
         assert_eq!(got, vec![1, 0]);
+    }
+
+    /// A collective's messages are operations: a 3-rank `allgather` is
+    /// one multicast and two receives on every rank.
+    #[test]
+    fn a_collective_counts_each_of_its_messages() {
+        let report = Cluster::new(ClusterSpec::uniform(3)).run(|env| {
+            let plan = FaultPlan::none();
+            let mut comm = FaultyComm::attach(env, &plan);
+            comm.allgather(Tag(4), u64::pack(&[comm.rank() as u64]));
+            comm.ops()
+        });
+        let ops: Vec<u64> = report.results().copied().collect();
+        assert_eq!(ops, vec![3; 3]);
     }
 
     #[test]

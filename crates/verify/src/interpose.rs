@@ -6,17 +6,16 @@
 //! [`FaultHook`](crate::FaultHook)) are two hooks on it; an `Option` of a
 //! hook is a hook that may be switched off at run time.
 //!
-//! [`Interposed`] forwards **every** trait method to the wrapped backend
-//! explicitly — relying on the trait defaults would silently bypass
-//! backend overrides (the simulator's multicast cost accounting, the TCP
-//! backend's process-killing `crash`) and change behaviour under test,
-//! which is exactly what an observer must not do. Collectives are
-//! forwarded *opaque*: one operation, run by the backend's own
-//! implementation, with no `sent`/`received` calls for the messages inside
-//! it. Their data movement is the backend's own (already covered by the
-//! conformance suite), and leaving them out keeps a wrapped run's messages
-//! and clocks identical to a bare run — the bitwise-equivalence tests hold
-//! with verification enabled for free.
+//! [`Interposed`] forwards **every** [`Comm`] method to the wrapped
+//! backend explicitly — relying on the trait defaults would silently
+//! bypass backend overrides (the simulator's multicast cost accounting,
+//! the TCP backend's process-killing `crash`) and change behaviour under
+//! test, which is exactly what an observer must not do. The collectives
+//! ([`Collectives`](stance_sim::Collectives)) are not `Comm` methods: they
+//! run on the interposer itself, built from the primitives it forwards,
+//! so a hook sees every message a collective moves while the backend
+//! moves exactly the messages, in exactly the order, of a bare run — a
+//! wrapped run's clocks are a bare run's.
 
 use stance_sim::{Comm, Payload, Tag};
 
@@ -25,14 +24,14 @@ use stance_sim::{Comm, Payload, Tag};
 /// it cares about.
 pub trait Hook {
     /// Called before every communication operation — `send`, `recv`,
-    /// `barrier`, `post`, `recv_deadline` and each collective — with the
-    /// wrapped backend. Never called for `rank`, `size`, `compute`,
-    /// `now_secs` or `crash`: those are not protocol actions.
+    /// `barrier`, `post`, `recv_deadline`, `multicast`, a collective's own
+    /// included — with the wrapped backend. Never called for `rank`,
+    /// `size`, `compute`, `now_secs` or `crash`: not protocol actions.
     fn before<C: Comm>(&mut self, _inner: &mut C) {}
 
     /// A message is about to be handed to the transport: called for every
-    /// `send`, and for a `post` only once the transport reports delivery
-    /// (a refused post delivered nothing).
+    /// `send`, each `multicast` destination, and a `post` only once the
+    /// transport reports delivery (a refused post delivered nothing).
     fn sent(&mut self, _dst: usize, _tag: Tag, _bytes: u32) {}
 
     /// A message was delivered: called after every `recv`, and after a
@@ -145,27 +144,11 @@ impl<C: Comm, H: Hook> Comm for Interposed<'_, C, H> {
 
     fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
         self.hook.before(self.inner);
+        let bytes = size(&payload);
+        for &dst in dsts {
+            self.hook.sent(dst, tag, bytes);
+        }
         self.inner.multicast(dsts, tag, payload);
-    }
-
-    fn bcast_from(&mut self, root: usize, tag: Tag, payload: Payload) -> Payload {
-        self.hook.before(self.inner);
-        self.inner.bcast_from(root, tag, payload)
-    }
-
-    fn gather_to(&mut self, root: usize, tag: Tag, payload: Payload) -> Option<Vec<Payload>> {
-        self.hook.before(self.inner);
-        self.inner.gather_to(root, tag, payload)
-    }
-
-    fn allgather(&mut self, tag: Tag, payload: Payload) -> Vec<Payload> {
-        self.hook.before(self.inner);
-        self.inner.allgather(tag, payload)
-    }
-
-    fn allreduce_f64(&mut self, tag: Tag, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        self.hook.before(self.inner);
-        self.inner.allreduce_f64(tag, value, op)
     }
 }
 

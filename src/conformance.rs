@@ -11,8 +11,8 @@
 //! however long before the receiver asks they were sent), repeated
 //! barriers, a barrier holding every rank until the last arrives,
 //! rank-order `allreduce_f64` folding, the broadcast/gather/allgather
-//! collectives, and the lossy/bounded primitives (`post`,
-//! `recv_deadline`).
+//! collectives, `multicast` to a set of destinations, and the
+//! lossy/bounded primitives (`post`, `recv_deadline`).
 
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -230,4 +230,23 @@ pub fn bcast_and_gather<C: Comm>(c: &mut C) {
     let ids: Vec<u64> = all.into_iter().flat_map(u64::unpack).collect();
     let expected: Vec<u64> = (0..c.size() as u64).collect();
     assert_eq!(ids, expected);
+}
+
+/// A multicast reaches each of its destinations: rank 0 multicasts to
+/// every other rank, then the last rank to ranks 0 and 2, a subset that
+/// skips rank 1. Run with 4 ranks.
+pub fn multicast_reaches_each_destination<C: Comm>(c: &mut C) {
+    let others: Vec<usize> = (1..c.size()).collect();
+    if c.rank() == 0 {
+        c.multicast(&others, Tag(43), u64::pack(&[7, 8, 9]));
+    } else {
+        assert_eq!(u64::unpack(c.recv(0, Tag(43))), vec![7, 8, 9]);
+    }
+    let last = c.size() - 1;
+    if c.rank() == last {
+        c.multicast(&[0, 2], Tag(44), u32::pack(&[last as u32]));
+    } else if c.rank() % 2 == 0 {
+        assert_eq!(u32::unpack(c.recv(last, Tag(44))), vec![last as u32]);
+    }
+    c.barrier();
 }

@@ -389,7 +389,7 @@ pub fn bits(v: &[f64]) -> Vec<u64> {
 // The TCP worker registry.
 // ---------------------------------------------------------------------
 
-/// Every scenario `src/bin/tcp-rank-worker.rs` can run by name: the 8
+/// Every scenario `src/bin/tcp-rank-worker.rs` can run by name: the 9
 /// conformance bodies (each under [`CheckedComm`], returning its trace
 /// for parent-side analysis), the three equivalence workloads, and the
 /// fault-injection legs — including `fault_kill`, where the injected
@@ -411,6 +411,10 @@ pub const TCP_SCENARIOS: stance_tcp::ScenarioRegistry = &[
     (
         "conformance:barrier_waits_for_the_last_arrival",
         tcp::barrier_waits_for_the_last_arrival,
+    ),
+    (
+        "conformance:multicast_reaches_each_destination",
+        tcp::multicast_reaches_each_destination,
     ),
     ("equiv_relax", tcp::equiv_relax),
     ("equiv_cg", tcp::equiv_cg),
@@ -458,6 +462,7 @@ mod tcp {
         post_and_recv_deadline,
         deadline_timeout_preserves_stream,
         barrier_waits_for_the_last_arrival,
+        multicast_reaches_each_destination,
     );
 
     pub fn equiv_relax(c: &mut TcpComm, args: &[u8]) -> Vec<u8> {

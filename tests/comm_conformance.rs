@@ -142,6 +142,11 @@ macro_rules! conformance_suite {
             fn barrier_waits_for_the_last_arrival() {
                 ($launch)(5, |c| bodies::barrier_waits_for_the_last_arrival(c));
             }
+
+            #[test]
+            fn multicast_reaches_each_destination() {
+                ($launch)(4, |c| bodies::multicast_reaches_each_destination(c));
+            }
         }
     };
 }
@@ -176,6 +181,7 @@ tcp_conformance_suite!(
     post_and_recv_deadline => 2,
     deadline_timeout_preserves_stream => 2,
     barrier_waits_for_the_last_arrival => 5,
+    multicast_reaches_each_destination => 4,
 );
 
 /// Every wrapper is invisible to the simulator: the same body — three
@@ -184,7 +190,8 @@ tcp_conformance_suite!(
 /// where the bare run leaves them, under the checker, under an unarmed
 /// fault injector and under an interposer with no hook. A wrapper that
 /// lets a trait default stand in for the backend's own implementation
-/// (the simulator's multicast above all) moves both.
+/// (the simulator's multicast above all) moves both. The checker's traces
+/// of that body, collectives and multicast included, analyze clean.
 #[test]
 fn wrappers_are_invisible_to_the_simulator() {
     fn body<C: Comm>(c: &mut C) {
@@ -210,7 +217,10 @@ fn wrappers_are_invisible_to_the_simulator() {
                 2 => body(&mut FaultyComm::attach(env, &plan)),
                 _ => body(&mut Interposed::new(env, None::<TraceHook<'_>>)),
             }
+            trace
         });
+        let traces: Vec<RankTrace> = report.ranks.iter().map(|r| r.result.clone()).collect();
+        expect_protocol_clean("sim", &traces);
         let ranks = report.ranks.into_iter();
         ranks
             .map(|r| (r.clock.as_secs().to_bits(), r.stats))
@@ -224,4 +234,22 @@ fn wrappers_are_invisible_to_the_simulator() {
             "wrapper {wrapper} changed clocks or counts"
         );
     }
+}
+
+/// The checker sees the messages a collective moves: a trace of
+/// `bcast_and_gather` holds one event per message each rank sends or
+/// receives — the broadcast from rank 2, the gather to rank 1 and the
+/// allgather — and analyzes clean.
+#[test]
+fn collective_messages_are_traced() {
+    let spec = ClusterSpec::uniform(4).with_network(NetworkSpec::zero_cost());
+    let report = Cluster::new(spec).run(|env| {
+        let mut trace = RankTrace::new(env.rank(), env.size());
+        bodies::bcast_and_gather(&mut CheckedComm::attach(env, &mut trace));
+        trace
+    });
+    let traces = report.into_results();
+    let events: Vec<usize> = traces.iter().map(|t| t.events.len()).collect();
+    assert_eq!(events, vec![8, 10, 10, 8]);
+    expect_protocol_clean("sim", &traces);
 }
