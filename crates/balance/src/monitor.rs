@@ -6,15 +6,18 @@
 //! assumes that the variation in computational cost per data unit is
 //! relatively small."
 //!
-//! The monitor keeps a sliding window of recent measurements and estimates
-//! the next phase's per-item time as the window's mean. A window of 1 is
-//! the paper's estimate, the previous phase (§3.5); a longer window is its
-//! footnote 2's "more than one previous phase", so a transient spike does
-//! not trigger a remap on its own. It exposes the per-item time the
-//! controller exchanges. That metric is all it tracks: what a remap
-//! costs is priced by the controller's static model
-//! (`BalancerConfig::redist_model` and `rebuild_cost_hint`), not measured
-//! here.
+//! The monitor keeps a sliding window of the last four measurements and
+//! estimates the next phase's per-item time as the window's mean — the
+//! paper's footnote 2, a prediction from "more than one previous phase"
+//! (§3.5), so a transient spike does not trigger a remap on its own. It
+//! exposes the per-item time the controller exchanges. That metric is
+//! all it tracks: what a remap costs is priced by the controller's static
+//! model (`BalancerConfig::redist_model` and `rebuild_cost_hint`), not
+//! measured here.
+
+/// Measurement blocks the estimate averages over: footnote 2's "more
+/// than one previous phase", four blocks of `check_interval` passes each.
+const WINDOW: usize = 4;
 
 /// How many consecutive checks a carried estimate may answer while the
 /// window stays empty ([`LoadMonitor::per_item_for_check`]). A rank whose
@@ -41,11 +44,11 @@ pub struct MonitorSnapshot {
 }
 
 /// Sliding-window tracker of per-item computation time on one rank: the
-/// window, whose mean is the estimate, and the estimate carried
-/// across a remap ([`LoadMonitor::rollover`]) with its check budget.
+/// last `WINDOW` (4) samples, whose mean is the estimate, and the estimate
+/// carried across a remap ([`LoadMonitor::rollover`]) with its check
+/// budget.
 #[derive(Debug, Clone)]
 pub struct LoadMonitor {
-    window: usize,
     samples: std::collections::VecDeque<f64>,
     /// Per-item estimate carried across a remap ([`LoadMonitor::rollover`]):
     /// used only while the window is empty, so a check that lands before
@@ -58,16 +61,10 @@ pub struct LoadMonitor {
 }
 
 impl LoadMonitor {
-    /// Creates a monitor averaging over the last `window` samples (`1`:
-    /// the last phase alone).
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window >= 1, "window must be at least 1");
+    /// Creates a monitor averaging over the last `WINDOW` (4) samples.
+    pub fn new() -> Self {
         LoadMonitor {
-            window,
-            samples: std::collections::VecDeque::with_capacity(window),
+            samples: std::collections::VecDeque::with_capacity(WINDOW),
             carry: None,
             carry_checks_left: 0,
         }
@@ -84,7 +81,7 @@ impl LoadMonitor {
             return;
         }
         let per_item = compute_seconds / (iterations as f64 * owned_items as f64);
-        if self.samples.len() == self.window {
+        if self.samples.len() == WINDOW {
             self.samples.pop_front();
         }
         self.samples.push_back(per_item);
@@ -162,25 +159,33 @@ impl LoadMonitor {
     }
 }
 
+impl Default for LoadMonitor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn averages_over_window() {
-        let mut m = LoadMonitor::new(2);
+        let mut m = LoadMonitor::new();
         assert_eq!(m.per_item_time(), None);
-        m.record(10.0, 1, 10); // 1.0 per item
-        m.record(20.0, 1, 10); // 2.0 per item
-        assert_eq!(m.per_item_time(), Some(1.5));
-        // Window evicts the oldest.
-        m.record(30.0, 1, 10); // 3.0 per item → window = [2, 3]
+        for per_item in 1..=WINDOW {
+            m.record(10.0 * per_item as f64, 1, 10);
+        }
+        // Window = [1, 2, 3, 4].
         assert_eq!(m.per_item_time(), Some(2.5));
+        // Window evicts the oldest.
+        m.record(50.0, 1, 10); // 5.0 per item → window = [2, 3, 4, 5]
+        assert_eq!(m.per_item_time(), Some(3.5));
     }
 
     #[test]
     fn ignores_empty_blocks() {
-        let mut m = LoadMonitor::new(4);
+        let mut m = LoadMonitor::new();
         m.record(5.0, 0, 10);
         m.record(5.0, 10, 0);
         assert_eq!(m.per_item_time(), None);
@@ -188,7 +193,7 @@ mod tests {
 
     #[test]
     fn rollover_carries_estimate_until_next_sample() {
-        let mut m = LoadMonitor::new(3);
+        let mut m = LoadMonitor::new();
         m.record(10.0, 1, 10); // 1.0
         m.record(20.0, 1, 10); // 2.0
         assert_eq!(m.per_item_time(), Some(1.5));
@@ -205,7 +210,7 @@ mod tests {
 
     #[test]
     fn carried_estimate_expires_after_check_budget() {
-        let mut m = LoadMonitor::new(3);
+        let mut m = LoadMonitor::new();
         m.record(10.0, 1, 10); // 1.0
         m.rollover();
         // Reads don't consume the budget; checks do.
@@ -227,7 +232,7 @@ mod tests {
 
     #[test]
     fn check_with_samples_does_not_consume_budget() {
-        let mut m = LoadMonitor::new(3);
+        let mut m = LoadMonitor::new();
         m.record(10.0, 1, 10);
         m.rollover();
         m.record(30.0, 1, 10); // window nonempty again
@@ -238,12 +243,12 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_bitwise() {
-        let mut m = LoadMonitor::new(3);
+        let mut m = LoadMonitor::new();
         m.record(10.0, 1, 10);
         m.record(25.0, 1, 10);
         let snap = m.snapshot();
 
-        let mut fresh = LoadMonitor::new(3);
+        let mut fresh = LoadMonitor::new();
         fresh.restore_snapshot(&snap);
         assert_eq!(
             fresh.per_item_time().map(f64::to_bits),
@@ -255,22 +260,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window must be")]
-    fn zero_window_rejected() {
-        let _ = LoadMonitor::new(0);
-    }
-
-    #[test]
-    fn last_phase_estimator_tracks_newest() {
-        let mut m = LoadMonitor::new(1);
+    fn window_forgets_all_but_the_last_blocks() {
+        let mut m = LoadMonitor::new();
         m.record(10.0, 1, 10);
         m.record(30.0, 1, 10);
-        assert_eq!(m.per_item_time(), Some(3.0));
-        // The paper's last-phase estimate, bit for bit.
-        m.record(1.0, 3, 7);
+        // One sample is its own mean, bit for bit.
+        let mut one = LoadMonitor::new();
+        one.record(1.0, 3, 7);
         assert_eq!(
-            m.per_item_time().map(f64::to_bits),
+            one.per_item_time().map(f64::to_bits),
             Some((1.0f64 / 21.0).to_bits())
         );
+        // After WINDOW newer blocks the old ones are gone entirely.
+        for _ in 0..WINDOW {
+            m.record(1.0, 3, 7);
+        }
+        assert_eq!(m.per_item_time(), one.per_item_time());
     }
 }

@@ -20,24 +20,24 @@
 //!
 //! ```text
 //! magic   b"STCK"                          4 bytes
-//! version u32 = 3                          4
+//! version u32 = 4                          4
 //! elem    u32 = E::SIZE_BYTES              4
 //! n       u64  (elements)                  8
 //! p       u32  (ranks at checkpoint time)  4
-//! aux     u32  (auxiliary field count)     4
-//! primary u32 name length + that many utf-8 bytes
+//! fields  u32  (field record count)        4
 //! sizes   p × u64   block sizes, block (left-to-right) order
 //! order   p × u32   arrangement: proc_at(slot) per slot
 //! mon     p × 9 bytes   monitor snapshots (flags byte + per-item f64)
-//! values  n × elem      the primary field, global order
-//! aux     aux × { u32 name length, name bytes, n × elem data }
+//! fields  fields × { u32 name length, name bytes, n × elem data }
 //! ```
 //!
-//! Version 1 blobs (unnamed, positional aux arrays) are **rejected**, not
-//! silently adopted: a v1 restore would have to guess names, and a wrong
-//! guess would wire a solver vector to the wrong field. Version 2 blobs
-//! (69-byte monitor records carrying remap-cost statistics the monitor no
-//! longer keeps) are rejected too. Decoding also
+//! Every field is one `{name, data}` record; none is special. Blobs of
+//! earlier versions are **rejected**, not silently adopted: version 1
+//! (unnamed, positional arrays) would have to guess names, and a wrong
+//! guess would wire a solver vector to the wrong field; version 2 carried
+//! 69-byte monitor records with remap-cost statistics the monitor no
+//! longer keeps; version 3 set its first field apart in the header (the
+//! same bytes for the same content, in another order). Decoding also
 //! rejects non-UTF-8, empty, or duplicated field names — the name is the
 //! restore key, so it must be well-formed and unambiguous.
 //!
@@ -57,8 +57,9 @@ const MAGIC: &[u8; 4] = b"STCK";
 
 /// The current blob format version. Bumped 1 → 2 when field records
 /// became name-keyed, 2 → 3 when a monitor record shrank to the per-item
-/// estimate.
-const VERSION: u32 = 3;
+/// estimate, 3 → 4 when the primary field became one record among the
+/// others.
+const VERSION: u32 = 4;
 
 /// Wire size of one encoded [`MonitorSnapshot`]: a presence-flags byte
 /// and the per-item `f64`.
@@ -72,9 +73,7 @@ pub struct SessionCheckpoint<E: Element> {
     pub(crate) block_sizes: Vec<usize>,
     pub(crate) arrangement: Vec<usize>,
     pub(crate) monitors: Vec<MonitorSnapshot>,
-    pub(crate) primary_name: String,
-    pub(crate) values: Vec<E>,
-    pub(crate) aux: Vec<(String, Vec<E>)>,
+    pub(crate) fields: Vec<(String, Vec<E>)>,
 }
 
 impl<E: Element> SessionCheckpoint<E> {
@@ -101,58 +100,36 @@ impl<E: Element> SessionCheckpoint<E> {
         &self.monitors
     }
 
-    /// The name of the primary field — the graph's first registered
-    /// field (`"values"` for an
-    /// [`AdaptiveSession`](crate::AdaptiveSession)).
-    pub fn primary_name(&self) -> &str {
-        &self.primary_name
+    /// Every recorded field: `(name, global-order data)` records, in
+    /// checkpoint order.
+    pub fn fields(&self) -> &[(String, Vec<E>)] {
+        &self.fields
     }
 
-    /// The checkpointed primary field, in global order.
-    pub fn values(&self) -> &[E] {
-        &self.values
-    }
-
-    /// The checkpointed auxiliary fields: `(name, global-order data)`
-    /// records, in checkpoint order.
-    pub fn aux(&self) -> &[(String, Vec<E>)] {
-        &self.aux
-    }
-
-    /// The names of every recorded field (primary first), in checkpoint
-    /// order.
-    pub fn field_names(&self) -> impl Iterator<Item = &str> {
-        std::iter::once(self.primary_name.as_str()).chain(self.aux.iter().map(|(n, _)| n.as_str()))
-    }
-
-    /// Looks a field up **by name** (primary or auxiliary); the
-    /// global-order data if recorded.
+    /// Looks a field up **by name**; the global-order data if recorded.
     pub fn field(&self, name: &str) -> Option<&[E]> {
-        if name == self.primary_name {
-            return Some(&self.values);
-        }
-        self.aux
+        self.fields
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, a)| a.as_slice())
+            .map(|(_, data)| data.as_slice())
     }
 
     /// Serializes the checkpoint to its versioned byte form.
     pub fn to_bytes(&self) -> Vec<u8> {
         let p = self.num_procs();
         let elem = E::SIZE_BYTES;
-        let name_bytes: usize =
-            4 + self.primary_name.len() + self.aux.iter().map(|(n, _)| 4 + n.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(
-            28 + name_bytes + p * (12 + SNAPSHOT_BYTES) + (1 + self.aux.len()) * self.n * elem,
-        );
+        let records: usize = self
+            .fields
+            .iter()
+            .map(|(name, _)| 4 + name.len() + self.n * elem)
+            .sum();
+        let mut out = Vec::with_capacity(28 + p * (12 + SNAPSHOT_BYTES) + records);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(elem as u32).to_le_bytes());
         out.extend_from_slice(&(self.n as u64).to_le_bytes());
         out.extend_from_slice(&(p as u32).to_le_bytes());
-        out.extend_from_slice(&(self.aux.len() as u32).to_le_bytes());
-        write_name(&self.primary_name, &mut out);
+        out.extend_from_slice(&(self.fields.len() as u32).to_le_bytes());
         for &s in &self.block_sizes {
             out.extend_from_slice(&(s as u64).to_le_bytes());
         }
@@ -162,10 +139,9 @@ impl<E: Element> SessionCheckpoint<E> {
         for snap in &self.monitors {
             write_snapshot(snap, &mut out);
         }
-        E::pack_into(&self.values, &mut out);
-        for (name, a) in &self.aux {
+        for (name, data) in &self.fields {
             write_name(name, &mut out);
-            E::pack_into(a, &mut out);
+            E::pack_into(data, &mut out);
         }
         out
     }
@@ -201,11 +177,10 @@ impl<E: Element> SessionCheckpoint<E> {
         // against the bytes actually present before anything is sized by it.
         let n = usize::try_from(c.u64()?).unwrap_or(usize::MAX);
         let p = c.u32()? as usize;
-        let aux_count = c.u32()? as usize;
+        let count = c.u32()? as usize;
         if p == 0 {
             return Err(CheckpointError::NoRanks);
         }
-        let primary_name = read_name(&mut c)?;
         c.expect_room(p, 8 + 4 + SNAPSHOT_BYTES)?;
         let block_sizes = (0..p)
             .map(|_| Ok(c.u64()? as usize))
@@ -228,17 +203,19 @@ impl<E: Element> SessionCheckpoint<E> {
         let monitors = (0..p)
             .map(|_| read_snapshot(&mut c))
             .collect::<Result<Vec<_>, _>>()?;
-        let field_bytes = c.expect_room(n, elem)?;
-        let mut values = vec![E::zero(); n];
-        E::unpack_into(c.take(field_bytes)?, &mut values);
-        // An auxiliary record is at least a name's length word and a field.
-        c.expect_room(aux_count, 4 + field_bytes)?;
-        let mut aux: Vec<(String, Vec<E>)> = Vec::with_capacity(aux_count);
-        for _ in 0..aux_count {
+        // A record is at least a length word, a one-byte name and its data.
+        let data_bytes = n.saturating_mul(elem);
+        c.expect_room(count, data_bytes.saturating_add(5))?;
+        let mut fields: Vec<(String, Vec<E>)> = Vec::with_capacity(count);
+        for _ in 0..count {
             let name = read_name(&mut c)?;
-            let mut a = vec![E::zero(); n];
-            E::unpack_into(c.take(field_bytes)?, &mut a);
-            aux.push((name, a));
+            if fields.iter().any(|(known, _)| *known == name) {
+                return Err(CheckpointError::DuplicateName(name));
+            }
+            let packed = c.take(data_bytes)?;
+            let mut data = vec![E::zero(); n];
+            E::unpack_into(packed, &mut data);
+            fields.push((name, data));
         }
         if c.at != bytes.len() {
             return Err(CheckpointError::TrailingGarbage {
@@ -246,22 +223,12 @@ impl<E: Element> SessionCheckpoint<E> {
                 len: bytes.len(),
             });
         }
-        let names: Vec<&str> = std::iter::once(primary_name.as_str())
-            .chain(aux.iter().map(|(n, _)| n.as_str()))
-            .collect();
-        for (i, name) in names.iter().enumerate() {
-            if names[..i].contains(name) {
-                return Err(CheckpointError::DuplicateName((*name).to_string()));
-            }
-        }
         Ok(SessionCheckpoint {
             n,
             block_sizes,
             arrangement,
             monitors,
-            primary_name,
-            values,
-            aux,
+            fields,
         })
     }
 }
@@ -271,8 +238,8 @@ impl<E: Element> SessionCheckpoint<E> {
 pub enum CheckpointError {
     /// The blob does not open with the checkpoint magic.
     BadMagic,
-    /// The blob was written in another format version (version 1 blobs,
-    /// with unnamed positional fields, included).
+    /// The blob was written in another format version (every earlier
+    /// version included).
     UnsupportedVersion(u32),
     /// The blob holds elements of another size than the decoding type's.
     ElementSize {
@@ -466,11 +433,19 @@ mod tests {
                 },
                 MonitorSnapshot { per_item: None },
             ],
-            primary_name: "values".to_string(),
-            values: vec![1.0, -2.0, 3.5, f64::MIN_POSITIVE, 0.0],
-            aux: vec![("residual".to_string(), vec![9.0, 8.0, 7.0, 6.0, 5.0])],
+            fields: vec![
+                (
+                    "values".to_string(),
+                    vec![1.0, -2.0, 3.5, f64::MIN_POSITIVE, 0.0],
+                ),
+                ("residual".to_string(), vec![9.0, 8.0, 7.0, 6.0, 5.0]),
+            ],
         }
     }
+
+    /// Where the sample's first field record starts: the fixed header and
+    /// two ranks' sizes, arrangement and monitor records.
+    const SAMPLE_RECORDS: usize = 28 + 2 * (8 + 4 + SNAPSHOT_BYTES);
 
     #[test]
     fn byte_round_trip_is_exact() {
@@ -484,11 +459,43 @@ mod tests {
     #[test]
     fn fields_are_looked_up_by_name() {
         let ck = sample();
-        assert_eq!(ck.field("values"), Some(ck.values()));
-        assert_eq!(ck.field("residual"), Some(ck.aux()[0].1.as_slice()));
+        assert_eq!(ck.field("values"), Some(ck.fields()[0].1.as_slice()));
+        assert_eq!(ck.field("residual"), Some(ck.fields()[1].1.as_slice()));
         assert_eq!(ck.field("nope"), None);
-        let names: Vec<&str> = ck.field_names().collect();
+        let names: Vec<&str> = ck.fields().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["values", "residual"]);
+    }
+
+    /// The version 3 layout of the same content: the first field's name
+    /// in the header, the other records' count in its place, the first
+    /// field's data after the monitors, then the other records.
+    fn v3_bytes(ck: &SessionCheckpoint<f64>) -> Vec<u8> {
+        let (first, rest) = ck.fields.split_first().expect("a field");
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&3u32.to_le_bytes());
+        out.extend_from_slice(&8u32.to_le_bytes());
+        out.extend_from_slice(&(ck.n as u64).to_le_bytes());
+        out.extend_from_slice(&(ck.num_procs() as u32).to_le_bytes());
+        out.extend_from_slice(&(rest.len() as u32).to_le_bytes());
+        write_name(&first.0, &mut out);
+        let v4 = ck.to_bytes();
+        out.extend_from_slice(&v4[28..SAMPLE_RECORDS]);
+        f64::pack_into(&first.1, &mut out);
+        for (name, data) in rest {
+            write_name(name, &mut out);
+            f64::pack_into(data, &mut out);
+        }
+        out
+    }
+
+    /// One list of records costs no byte over version 3's primary field
+    /// plus auxiliary records, and a version 3 blob is refused.
+    #[test]
+    fn v4_is_as_long_as_v3_and_v3_is_refused() {
+        let ck = sample();
+        let v3 = v3_bytes(&ck);
+        assert_eq!(ck.to_bytes().len(), v3.len());
+        assert_eq!(decode(&v3), Err(CheckpointError::UnsupportedVersion(3)));
     }
 
     #[test]
@@ -516,9 +523,13 @@ mod tests {
         let err = decode(&bytes).expect_err("a v1 blob");
         assert_eq!(err, CheckpointError::UnsupportedVersion(1));
         assert_eq!(err.to_string(), "unsupported checkpoint version 1");
-        // v2's 69-byte monitor records are gone with what they recorded.
-        bytes[4] = 2;
-        assert_eq!(decode(&bytes), Err(CheckpointError::UnsupportedVersion(2)));
+        // v2's 69-byte monitor records are gone with what they recorded,
+        // v3's header-held primary field with the primary.
+        for old in [2, 3] {
+            bytes[4] = old;
+            let expected = CheckpointError::UnsupportedVersion(u32::from(old));
+            assert_eq!(decode(&bytes), Err(expected));
+        }
     }
 
     #[test]
@@ -543,7 +554,7 @@ mod tests {
     #[test]
     fn rejects_duplicate_field_names() {
         let mut ck = sample();
-        ck.aux.push(("values".to_string(), vec![0.0; 5]));
+        ck.fields.push(("values".to_string(), vec![0.0; 5]));
         assert_eq!(
             decode(&ck.to_bytes()),
             Err(CheckpointError::DuplicateName("values".to_string()))
@@ -553,8 +564,32 @@ mod tests {
     #[test]
     fn rejects_empty_field_names() {
         let mut ck = sample();
-        ck.aux[0].0 = String::new();
+        ck.fields[1].0 = String::new();
         assert_eq!(decode(&ck.to_bytes()), Err(CheckpointError::EmptyName));
+    }
+
+    #[test]
+    fn rejects_non_utf8_field_names() {
+        let mut bytes = sample().to_bytes();
+        // The first byte of the first record's name, `v` of "values".
+        bytes[SAMPLE_RECORDS + 4] = 0xff;
+        assert_eq!(decode(&bytes), Err(CheckpointError::NameNotUtf8));
+    }
+
+    #[test]
+    fn rejects_a_partition_of_no_ranks() {
+        assert_eq!(
+            decode(&hostile_header(0, 0, 0)),
+            Err(CheckpointError::NoRanks)
+        );
+    }
+
+    #[test]
+    fn rejects_sizes_that_do_not_tile() {
+        let mut bytes = sample().to_bytes();
+        // Block sizes 3 + 2 against n = 5: make the first 4.
+        bytes[28..36].copy_from_slice(&4u64.to_le_bytes());
+        assert_eq!(decode(&bytes), Err(CheckpointError::SizesDoNotTile));
     }
 
     #[test]
@@ -581,7 +616,7 @@ mod tests {
     #[test]
     fn rejects_what_it_never_writes() {
         let bytes = sample().to_bytes();
-        let arrangement = 28 + 4 + "values".len() + 2 * 8;
+        let arrangement = 28 + 2 * 8;
         let monitor = arrangement + 2 * 4;
         let mut twice = bytes.clone();
         twice[arrangement..arrangement + 4].copy_from_slice(&0u32.to_le_bytes());
@@ -595,26 +630,27 @@ mod tests {
         assert_eq!(decode(&hidden), Err(CheckpointError::BadMonitor));
     }
 
-    /// A header claiming `n` elements, `p` ranks and `aux` auxiliary
-    /// fields, followed by the one-byte primary name `"v"`: 33 bytes.
-    fn hostile_header(n: u64, p: u32, aux: u32) -> Vec<u8> {
+    /// A 28-byte header claiming `n` elements, `p` ranks and `fields`
+    /// field records.
+    fn hostile_header(n: u64, p: u32, fields: u32) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&8u32.to_le_bytes());
         bytes.extend_from_slice(&n.to_le_bytes());
         bytes.extend_from_slice(&p.to_le_bytes());
-        bytes.extend_from_slice(&aux.to_le_bytes());
-        write_name("v", &mut bytes);
+        bytes.extend_from_slice(&fields.to_le_bytes());
         bytes
     }
 
-    /// A well-formed one-rank prefix (sizes, arrangement, snapshot) for a
-    /// blob claiming `n` elements, stopping where the values would start.
+    /// A well-formed one-rank prefix (sizes, arrangement, snapshot, the
+    /// one-byte name `"v"` of its one record) for a blob claiming `n`
+    /// elements, stopping where the record's data would start.
     fn one_rank_prefix(n: u64) -> Vec<u8> {
-        let mut bytes = hostile_header(n, 1, 0);
+        let mut bytes = hostile_header(n, 1, 1);
         bytes.extend_from_slice(&n.to_le_bytes());
         bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.extend_from_slice(&[0; SNAPSHOT_BYTES]);
+        write_name("v", &mut bytes);
         bytes
     }
 
@@ -629,12 +665,12 @@ mod tests {
     #[test]
     fn hostile_rank_count_is_rejected_before_allocating() {
         let blob = hostile_header(5, u32::MAX, 0);
-        assert_eq!(blob.len(), 33);
+        assert_eq!(blob.len(), 28);
         assert_rejected_as_truncated(&blob);
     }
 
     #[test]
-    fn hostile_aux_count_is_rejected_before_allocating() {
+    fn hostile_field_count_is_rejected_before_allocating() {
         let mut blob = sample().to_bytes();
         blob[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_rejected_as_truncated(&blob);
@@ -656,12 +692,12 @@ mod tests {
 
     #[test]
     fn hostile_name_length_is_rejected_before_allocating() {
-        let mut blob = hostile_header(5, 2, 0);
-        blob[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_rejected_as_truncated(&blob);
-        let mut blob = sample().to_bytes();
-        let aux_name_at = blob.len() - (4 + "residual".len() + 5 * 8);
-        blob[aux_name_at..aux_name_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_rejected_as_truncated(&blob);
+        let sample = sample().to_bytes();
+        let second = SAMPLE_RECORDS + 4 + "values".len() + 5 * 8;
+        for record in [SAMPLE_RECORDS, second] {
+            let mut blob = sample.clone();
+            blob[record..record + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_rejected_as_truncated(&blob);
+        }
     }
 }

@@ -115,8 +115,8 @@ pub struct SessionReport {
 /// The registry of a session's named per-vertex arrays: one
 /// [`GhostedArray`] per field, addressed by name, plus the per-field
 /// dirty flag the fused exchange uses to skip gathers of fields whose
-/// writers have not run. Field 0 is the session's *primary* field (the
-/// first one registered) — the checkpoint's primary record.
+/// writers have not run. Each field is one record of a checkpoint, under
+/// its name.
 pub(crate) struct FieldSet<E: Element = f64> {
     names: Vec<String>,
     pub(crate) arrays: Vec<GhostedArray<E>>,
@@ -187,7 +187,7 @@ impl<E: Element> StageGraphBuilder<E> {
     }
 
     /// Registers a named per-vertex field. Registration order is the
-    /// session's field order; the first field is the session's primary.
+    /// session's field order and a checkpoint's record order.
     pub fn field(mut self, name: &str) -> Self {
         self.fields.push(name.to_string());
         self
@@ -251,7 +251,7 @@ impl<E: Element> StageGraphBuilder<E> {
     /// Panics with the full diagnostic report if the declaration is
     /// invalid, or if no field or no stage was registered.
     pub fn build(self) -> StageGraph<E> {
-        // Caller error: field 0 is the primary every checkpoint records.
+        // Caller error: a graph with no field has no state to compute on.
         assert!(
             !self.fields.is_empty(),
             "a stage graph needs at least one field"
@@ -508,7 +508,7 @@ impl<E: Element> DataflowSession<E> {
             runner,
             fields,
             group: Vec::with_capacity(k),
-            monitor: LoadMonitor::new(config.monitor_window),
+            monitor: LoadMonitor::new(),
             config: config.clone(),
             scratch,
             verify,
@@ -842,11 +842,8 @@ impl<E: Element> DataflowSession<E> {
                 E::unpack_into(&rest[i * vb..(i + 1) * vb], &mut g[riv.start..riv.end]);
             }
         }
-        let mut globals = globals.into_iter();
-        // Invariant: `build` rejects a graph with no field, so `k ≥ 1`.
-        let values = globals.next().expect("a graph has at least one field");
-        let names = self.graph.fields[1..].iter().cloned();
-        let aux = names
+        let names = self.graph.fields.iter().cloned();
+        let fields = names
             .chain((0..aux.len()).map(|i| format!("aux{i}")))
             .zip(globals)
             .collect();
@@ -855,9 +852,7 @@ impl<E: Element> DataflowSession<E> {
             block_sizes: self.partition.block_sizes(),
             arrangement: self.partition.arrangement().as_slice().to_vec(),
             monitors,
-            primary_name: self.graph.fields[0].clone(),
-            values,
-            aux,
+            fields,
         }
     }
 
@@ -872,13 +867,13 @@ impl<E: Element> DataflowSession<E> {
     /// fresh monitors (a redistribution plan cannot cross rank counts, and
     /// fresh monitors keep a recovered run identical to a clean start
     /// from the same blob). The checkpoint's field records are matched to
-    /// the graph **by name**: a checkpoint missing a graph field, holding
-    /// an unknown field, or naming a different primary is rejected —
-    /// never zipped by position.
+    /// the graph **by name only**, in whatever order they were recorded:
+    /// a checkpoint missing a graph field or holding an unknown one is
+    /// rejected — never zipped by position.
     ///
     /// # Panics
     /// Panics if `mesh` does not have the checkpoint's element count or
-    /// the field names do not match the graph exactly.
+    /// the field names do not match the graph's exactly.
     pub fn restore<C: Comm>(
         env: &mut C,
         mesh: &Graph,
@@ -888,10 +883,10 @@ impl<E: Element> DataflowSession<E> {
     ) -> Self {
         // Caller error: the checkpoint holds exactly this graph's fields.
         assert_eq!(
-            ckpt.aux().len(),
-            graph.fields.len() - 1,
-            "checkpoint holds {} auxiliary fields for a {}-field graph",
-            ckpt.aux().len(),
+            ckpt.fields().len(),
+            graph.fields.len(),
+            "checkpoint holds {} fields for a {}-field graph",
+            ckpt.fields().len(),
             graph.fields.len()
         );
         Self::restore_registered(env, mesh, graph, ckpt, config)
@@ -915,15 +910,7 @@ impl<E: Element> DataflowSession<E> {
             ckpt.n(),
             mesh.num_vertices()
         );
-        // Caller error: fields are matched by name, never by position.
-        assert_eq!(
-            ckpt.primary_name(),
-            graph.fields[0],
-            "checkpoint primary field {:?} does not match graph field {:?}",
-            ckpt.primary_name(),
-            graph.fields[0]
-        );
-        for name in &graph.fields[1..] {
+        for name in &graph.fields {
             // Caller error: every registered field must have a record.
             assert!(
                 ckpt.field(name).is_some(),
@@ -1391,7 +1378,7 @@ mod tests {
         assert_eq!(crate::reassemble(&partition, blocks), expected);
     }
 
-    /// A registered field must land on the same owners as the primary when
+    /// A registered field must land on the same owners as the first when
     /// the **controller** (not a forced `remap_to`) moves the partition.
     #[test]
     fn registered_fields_follow_a_controller_remap() {
@@ -1463,7 +1450,7 @@ mod tests {
                 assert_eq!(mine[offset], -(g as f64), "caller array strayed");
             }
             let ckpt = s.checkpoint_with(env, &[&mine]);
-            let names: Vec<&str> = ckpt.field_names().collect();
+            let names: Vec<&str> = ckpt.fields().iter().map(|(n, _)| n.as_str()).collect();
             assert_eq!(names, ["y", "tag", "aux0"]);
             let global = ckpt.field("aux0").expect("caller array recorded");
             assert!(global.iter().enumerate().all(|(g, &v)| v == -(g as f64)));
@@ -1491,9 +1478,8 @@ mod tests {
             let mut s = DataflowSession::setup(env, &m, graph(), init2, &config);
             s.run_block(env, 5);
             let ckpt = s.checkpoint(env);
-            assert_eq!(ckpt.primary_name(), "y");
-            assert_eq!(ckpt.aux().len(), 1);
-            assert_eq!(ckpt.aux()[0].0, "z");
+            let names: Vec<&str> = ckpt.fields().iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, ["y", "z"]);
             s.run_block(env, 5);
             let mut r = DataflowSession::restore(env, &m, graph(), &ckpt, &config);
             r.run_block(env, 5);
@@ -1507,6 +1493,45 @@ mod tests {
             assert!(same, "restored run diverged");
             assert!(wire_same, "wire round trip changed the checkpoint");
         }
+    }
+
+    /// Records are matched by name only: a complete checkpoint whose
+    /// records run in another order than the graph's fields (here
+    /// reversed, and through the wire form) restores bitwise.
+    #[test]
+    fn reordered_records_restore_bitwise() {
+        let m = mesh();
+        let config = StanceConfig::free();
+        let graph = || {
+            StageGraphBuilder::new()
+                .field("y")
+                .field("z")
+                .stage("relax_y", RelaxationKernel, "y", "y")
+                .stage("relax_z", RelaxationKernel, "z", "z")
+                .build()
+        };
+        let init2 = |name: &str, g: usize| if name == "y" { init(g) } else { -init(g) };
+        let spec = ClusterSpec::uniform(3).with_network(NetworkSpec::zero_cost());
+        Cluster::new(spec).run(|env| {
+            let mut s = DataflowSession::setup(env, &m, graph(), init2, &config);
+            s.run_block(env, 5);
+            let ckpt = s.checkpoint(env);
+            let mut reversed = ckpt.clone();
+            reversed.fields.reverse();
+            let reversed =
+                SessionCheckpoint::<f64>::from_bytes(&reversed.to_bytes()).expect("a valid blob");
+            assert_eq!(reversed.fields()[0].0, "z");
+            let mut a = DataflowSession::restore(env, &m, graph(), &ckpt, &config);
+            let mut b = DataflowSession::restore(env, &m, graph(), &reversed, &config);
+            a.run_block(env, 5);
+            b.run_block(env, 5);
+            for f in ["y", "z"] {
+                let bits = |s: &DataflowSession| -> Vec<u64> {
+                    s.local(f).iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "field {f} restored differently");
+            }
+        });
     }
 
     #[test]

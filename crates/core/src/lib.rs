@@ -121,10 +121,10 @@ pub mod scenarios;
 pub mod session;
 
 pub use checkpoint::{CheckpointError, SessionCheckpoint};
-pub use config::{DetectorConfig, RecoveryPolicy, StanceConfig};
+pub use config::StanceConfig;
 pub use dataflow::{DataflowSession, StageGraph, StageGraphBuilder};
 pub use efficiency::{adaptive_efficiency, static_efficiency};
-pub use recovery::{probe_and_decide, probe_membership, survivors_of, RecoveryAction};
+pub use recovery::{probe_membership, survivors_of, DetectorConfig};
 pub use session::{AdaptiveSession, SessionReport};
 
 /// Re-export: the cluster simulator / messaging substrate.
@@ -188,12 +188,12 @@ pub fn reassemble<E: Element>(partition: &BlockPartition, blocks: Vec<Vec<E>>) -
 /// Commonly used items in one import.
 pub mod prelude {
     pub use crate::checkpoint::SessionCheckpoint;
-    pub use crate::config::{DetectorConfig, RecoveryPolicy, StanceConfig};
+    pub use crate::config::StanceConfig;
     pub use crate::dataflow::{DataflowSession, StageGraph, StageGraphBuilder};
     pub use crate::efficiency::{adaptive_efficiency, static_efficiency};
     pub use crate::prepare_mesh;
     pub use crate::reassemble;
-    pub use crate::recovery::{probe_and_decide, probe_membership, survivors_of, RecoveryAction};
+    pub use crate::recovery::{probe_membership, survivors_of, DetectorConfig};
     pub use crate::session::{AdaptiveSession, SessionReport};
     pub use stance_balance::{BalancerConfig, Decision};
     pub use stance_executor::{

@@ -4,8 +4,9 @@
 //! turns them into deadlocks. This module is the escape hatch: a
 //! *membership probe* built entirely on the lossy/bounded primitives
 //! ([`Comm::post`], [`Comm::recv_deadline`]), so it terminates no matter
-//! who died, and a policy layer that turns the probe's verdict into a
-//! recovery decision.
+//! who died. The probe returns data — who is alive — and the caller
+//! decides what a loss means: losing a resource is a routine event for
+//! the application's own loop, not a runtime policy.
 //!
 //! The probe is two rounds:
 //!
@@ -21,12 +22,12 @@
 //!    survivors**: a collective agreement on who is dead, reached without
 //!    any collective primitive.
 //!
-//! With the verdict in hand, [`probe_and_decide`] applies the session's
-//! [`RecoveryPolicy`]: fail fast (panic with the verdict), or hand back
-//! the survivor list for the shrink path — wrap the backend in a
-//! [`SurvivorComm`](stance_sim::SurvivorComm), restore the last
+//! With the verdict in hand, a caller that carries on lists the
+//! survivors ([`survivors_of`]), wraps the backend in a
+//! [`SurvivorComm`](stance_sim::SurvivorComm), restores the last
 //! [`SessionCheckpoint`](crate::SessionCheckpoint) onto the contracted
-//! rank space, and continue.
+//! rank space, and continues (`src/scenarios.rs::drive` in the
+//! repository root is that loop).
 //!
 //! False suspicion is possible on a wildly overloaded host (a live rank
 //! slower than the whole patience window); the protocol then excludes it
@@ -38,21 +39,47 @@
 use stance_sim::tags::{TAG_HEARTBEAT, TAG_VERDICT};
 use stance_sim::{Comm, Element, Payload};
 
-use crate::config::{DetectorConfig, RecoveryPolicy, StanceConfig};
+/// Failure-detection tuning: how long a silent peer is waited on before
+/// it is suspected, and how suspicion is retried before the collective
+/// verdict. A dead peer (closed mailbox) is detected immediately
+/// regardless of these settings; the timeout exists for the
+/// wedged-but-alive case.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DetectorConfig {
+    /// Seconds a single heartbeat receive waits before suspecting the
+    /// peer (wall clock on the native backend, charged virtual time on
+    /// the simulator).
+    pub timeout_secs: f64,
+    /// How many additional bounded waits a suspected peer is granted
+    /// before the suspicion stands.
+    pub retries: u32,
+    /// Multiplier applied to the timeout on each retry (≥ 1.0): a
+    /// transiently slow peer gets geometrically more patience.
+    pub backoff: f64,
+}
 
-/// What a membership probe concluded, interpreted under a
-/// [`RecoveryPolicy`] — see [`probe_and_decide`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// Every rank answered: continue the computation unchanged.
-    Continue,
-    /// The verdict named dead ranks and the policy says to shrink onto
-    /// the survivors (checkpoint-time ranks, ascending — exactly the
-    /// list [`SurvivorComm::new`](stance_sim::SurvivorComm::new) wants).
-    Shrink {
-        /// The surviving ranks, in the original numbering.
-        survivors: Vec<usize>,
-    },
+impl Default for DetectorConfig {
+    fn default() -> Self {
+        DetectorConfig {
+            timeout_secs: 0.2,
+            retries: 2,
+            backoff: 2.0,
+        }
+    }
+}
+
+impl DetectorConfig {
+    /// Total worst-case seconds one peer can be waited on across the
+    /// initial attempt and all retries.
+    pub fn total_patience_secs(&self) -> f64 {
+        let mut total = 0.0;
+        let mut t = self.timeout_secs;
+        for _ in 0..=self.retries {
+            total += t;
+            t *= self.backoff;
+        }
+        total
+    }
 }
 
 /// Probes cluster membership: returns `alive[q]` for every rank `q`,
@@ -66,13 +93,24 @@ pub enum RecoveryAction {
 /// participate.
 ///
 /// # Panics
-/// Panics if `det`'s timeout is not finite and positive or its backoff
-/// is below 1.0 (as [`StanceConfig::with_detector`] does: a zero or NaN
+/// Panics if `det`'s timeout is not finite and positive (a zero or NaN
 /// timeout would suspect every peer whose heartbeat is not already
-/// queued), if the cluster has more than 64 ranks (the verdict bitmask
-/// is a `u64`), or if a peer's verdict mask is not exactly one `u64`.
+/// queued) or its backoff is below 1.0, if the cluster has more than 64
+/// ranks (the verdict bitmask is a `u64`), or if a peer's verdict mask
+/// is not exactly one `u64`.
 pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool> {
-    det.check();
+    // Caller error: every wait needs a finite, positive deadline.
+    assert!(
+        det.timeout_secs.is_finite() && det.timeout_secs > 0.0,
+        "detector timeout must be finite and positive, got {}",
+        det.timeout_secs
+    );
+    // Caller error: retries must not shrink the patience window.
+    assert!(
+        det.backoff >= 1.0,
+        "detector backoff must be at least 1.0, got {}",
+        det.backoff
+    );
     let p = env.size();
     let me = env.rank();
     // Limit: the verdict travels as one `u64` bitmask.
@@ -146,36 +184,6 @@ pub fn survivors_of(alive: &[bool]) -> Vec<usize> {
     (0..alive.len()).filter(|&q| alive[q]).collect()
 }
 
-/// Probes membership and applies the configured [`RecoveryPolicy`].
-///
-/// * Everyone alive → [`RecoveryAction::Continue`].
-/// * Dead ranks under [`RecoveryPolicy::FailFast`] → panics with the
-///   verdict (the default: losing a rank is an error, not an event).
-/// * Dead ranks under [`RecoveryPolicy::RestoreAndShrink`] →
-///   [`RecoveryAction::Shrink`] with the survivor list; the caller
-///   restores the last replicated checkpoint onto the survivors — the
-///   only way to recover a *crashed* rank's block.
-///
-/// # Panics
-/// Panics if a rank is dead and the policy is
-/// [`RecoveryPolicy::FailFast`], or as [`probe_membership`] does.
-pub fn probe_and_decide<C: Comm>(env: &mut C, config: &StanceConfig) -> RecoveryAction {
-    let alive = probe_membership(env, &config.detector);
-    if alive.iter().all(|&a| a) {
-        return RecoveryAction::Continue;
-    }
-    let dead: Vec<usize> = (0..alive.len()).filter(|&q| !alive[q]).collect();
-    match config.recovery {
-        // Policy: fail-fast treats a lost rank as an error, by design.
-        RecoveryPolicy::FailFast => panic!(
-            "rank(s) {dead:?} failed (collective verdict) and the recovery policy is fail-fast"
-        ),
-        RecoveryPolicy::RestoreAndShrink => RecoveryAction::Shrink {
-            survivors: survivors_of(&alive),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,9 +250,8 @@ mod tests {
         });
     }
 
-    /// `StanceConfig::detector` is a public field, so the probe checks
-    /// the settings it reads itself: a zero or NaN timeout and a
-    /// shrinking backoff are refused with `with_detector`'s messages.
+    /// The probe checks the settings it reads: a zero or NaN timeout and
+    /// a shrinking backoff are refused with named messages.
     #[test]
     fn unchecked_detector_settings_are_refused() {
         const TIMEOUT: &str = "detector timeout must be finite and positive";
@@ -279,50 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn decide_continues_when_everyone_answers() {
-        let config = StanceConfig::free();
-        let report =
-            Cluster::new(ClusterSpec::uniform(3)).run(move |env| probe_and_decide(env, &config));
-        for action in report.results() {
-            assert_eq!(action, &RecoveryAction::Continue);
-        }
-    }
-
-    #[test]
-    fn decide_shrinks_under_a_shrink_policy() {
-        let config = StanceConfig::free()
-            .with_recovery(RecoveryPolicy::RestoreAndShrink)
-            .with_detector(fast_detector());
-        let report = Cluster::new(ClusterSpec::uniform(3)).run(move |env| {
-            if env.rank() == 1 {
-                return None;
-            }
-            Some(probe_and_decide(env, &config))
-        });
-        for (rank, action) in report.into_results().into_iter().enumerate() {
-            if rank == 1 {
-                continue;
-            }
-            assert_eq!(
-                action,
-                Some(RecoveryAction::Shrink {
-                    survivors: vec![0, 2]
-                })
-            );
-        }
-    }
-
-    #[test]
-    fn fail_fast_panics_with_the_verdict() {
-        let config = StanceConfig::free().with_detector(fast_detector());
-        let caught = std::panic::catch_unwind(|| {
-            Cluster::new(ClusterSpec::uniform(2)).run(move |env| {
-                if env.rank() == 1 {
-                    return;
-                }
-                let _ = probe_and_decide(env, &config);
-            });
-        });
-        assert!(caught.is_err(), "fail-fast must propagate the panic");
+    fn detector_patience_sums_geometric_backoff() {
+        let det = DetectorConfig {
+            timeout_secs: 0.1,
+            retries: 2,
+            backoff: 2.0,
+        };
+        // 0.1 + 0.2 + 0.4
+        assert!((det.total_patience_secs() - 0.7).abs() < 1e-12);
     }
 }

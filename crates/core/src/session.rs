@@ -184,12 +184,13 @@ impl<E: Element> AdaptiveSession<E> {
 
     /// Collective restore from a [`SessionCheckpoint`], onto **any** rank
     /// count — see [`DataflowSession::restore`] for the same-width /
-    /// cross-width semantics. Returns the session and the checkpoint's
-    /// aux arrays localized to this rank's new interval.
+    /// cross-width semantics. The `"values"` record becomes the session's
+    /// values, wherever it stands; every other record is returned as an
+    /// aux array, in record order, localized to this rank's new interval.
     ///
     /// # Panics
     /// Panics if `graph` does not have the checkpoint's element count or
-    /// the checkpoint's primary field is not `"values"`.
+    /// the checkpoint has no `"values"` record.
     pub fn restore<C: Comm, K: Kernel<E> + 'static>(
         env: &mut C,
         graph: &Graph,
@@ -201,8 +202,9 @@ impl<E: Element> AdaptiveSession<E> {
             DataflowSession::restore_registered(env, graph, one_stage(kernel), ckpt, config);
         let iv = engine.partition().interval_of(env.rank());
         let aux = ckpt
-            .aux()
+            .fields()
             .iter()
+            .filter(|(name, _)| name != VALUES)
             .map(|(_, a)| a[iv.start..iv.end].to_vec())
             .collect();
         (AdaptiveSession { engine }, aux)

@@ -161,13 +161,14 @@ pub trait Collectives: Comm {
     /// `Some(payloads)` at the root and `None` elsewhere. Collective.
     fn gather_to(&mut self, root: usize, tag: Tag, payload: Payload) -> Option<Vec<Payload>> {
         if self.rank() == root {
+            // The root's own payload moves into its slot, uncopied.
             let mut out = Vec::with_capacity(self.size());
-            for src in 0..self.size() {
-                if src == root {
-                    out.push(payload.clone());
-                } else {
-                    out.push(self.recv(src, tag));
-                }
+            for src in 0..root {
+                out.push(self.recv(src, tag));
+            }
+            out.push(payload);
+            for src in root + 1..self.size() {
+                out.push(self.recv(src, tag));
             }
             Some(out)
         } else {
@@ -179,15 +180,18 @@ pub trait Collectives: Comm {
     /// All-gather: every rank ends up with every rank's payload, in rank
     /// order. Collective.
     fn allgather(&mut self, tag: Tag, payload: Payload) -> Vec<Payload> {
-        let others: Vec<usize> = (0..self.size()).filter(|&r| r != self.rank()).collect();
+        let me = self.rank();
+        let others: Vec<usize> = (0..self.size()).filter(|&r| r != me).collect();
         self.multicast(&others, tag, payload.clone());
+        // The multicast took the one copy; the own payload moves into its
+        // slot.
         let mut out = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            if src == self.rank() {
-                out.push(payload.clone());
-            } else {
-                out.push(self.recv(src, tag));
-            }
+        for src in 0..me {
+            out.push(self.recv(src, tag));
+        }
+        out.push(payload);
+        for src in me + 1..self.size() {
+            out.push(self.recv(src, tag));
         }
         out
     }

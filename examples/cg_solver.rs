@@ -90,9 +90,9 @@ fn main() {
     let mesh_ref = &mesh;
     let b_ref = &b;
     let report = Cluster::new(spec).run(move |env| {
-        // The solver's whole state, registered by name; `x` first makes it
-        // the checkpoint's primary field. One pass = precond then matvec,
-        // with u's fused exchange between them.
+        // The solver's whole state, registered (and checkpointed) by
+        // name. One pass = precond then matvec, with u's fused exchange
+        // between them.
         let graph = StageGraphBuilder::new()
             .field("x")
             .field("r")

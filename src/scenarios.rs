@@ -52,12 +52,10 @@ pub fn detector() -> DetectorConfig {
     }
 }
 
-/// The fault scenario's session configuration: restore-and-shrink
-/// recovery under the test detector.
+/// The fault scenario's session configuration: zero-cost models (the
+/// scenario checks data, not clocks).
 pub fn fault_config() -> StanceConfig {
     StanceConfig::free()
-        .with_recovery(RecoveryPolicy::RestoreAndShrink)
-        .with_detector(detector())
 }
 
 /// One survivor's recovery outcome: its new (survivor-space) rank, final
@@ -74,13 +72,12 @@ pub fn epoch_op_marks<C: Comm>(env: &mut C, m: &Graph) -> Vec<u64> {
     let mut faulty = FaultyComm::attach(env, &plan);
     let mut s = AdaptiveSession::setup(&mut faulty, m, RelaxationKernel, fault_init, &cfg);
     let _ = s.checkpoint(&mut faulty, &[]);
+    let det = detector();
     let mut marks = Vec::new();
     for _ in 0..EPOCHS {
         marks.push(faulty.ops());
-        assert_eq!(
-            probe_and_decide(&mut faulty, &cfg),
-            RecoveryAction::Continue
-        );
+        let alive = probe_membership(&mut faulty, &det);
+        assert!(alive.iter().all(|&a| a), "a fault-free probe sees everyone");
         s.run_block(&mut faulty, BLOCK);
         let _ = s.checkpoint(&mut faulty, &[]);
     }
@@ -112,33 +109,32 @@ pub fn faulted_run<C: Comm>(env: &mut C, m: &Graph, kill_at: u64) -> Option<Surv
 pub fn drive<C: Comm>(env: &mut C, m: &Graph, cfg: &StanceConfig) -> Option<SurvivorOutcome> {
     let mut s = AdaptiveSession::setup(env, m, RelaxationKernel, fault_init, cfg);
     let mut ckpt = s.checkpoint(env, &[]);
+    let det = detector();
     for e in 0..EPOCHS {
-        match probe_and_decide(env, cfg) {
-            RecoveryAction::Continue => {
-                s.run_block(env, BLOCK);
-                ckpt = s.checkpoint(env, &[]);
-            }
-            RecoveryAction::Shrink { survivors } => {
-                assert_eq!(e, FAULT_EPOCH, "the fault must surface at the aimed epoch");
-                assert_eq!(survivors, vec![0, 1, 3], "exactly the victim is evicted");
-                let mut sc = SurvivorComm::new(env, survivors);
-                // The recovered run re-checks the whole SPMD contract:
-                // audits after setup, every p2p event traced.
-                let vcfg = cfg.clone().with_verification(true);
-                let (mut r, aux) =
-                    AdaptiveSession::restore(&mut sc, m, RelaxationKernel, &ckpt, &vcfg);
-                assert!(aux.is_empty());
-                for _ in e..EPOCHS {
-                    r.run_block(&mut sc, BLOCK);
-                }
-                let diags = r.verify_protocol(&mut sc);
-                assert!(
-                    diags.is_empty(),
-                    "recovered-run protocol diagnostics: {diags:?}"
-                );
-                return Some((sc.rank(), r.local_values().to_vec(), ckpt.to_bytes()));
-            }
+        let alive = probe_membership(env, &det);
+        if alive.iter().all(|&a| a) {
+            s.run_block(env, BLOCK);
+            ckpt = s.checkpoint(env, &[]);
+            continue;
         }
+        assert_eq!(e, FAULT_EPOCH, "the fault must surface at the aimed epoch");
+        let survivors = survivors_of(&alive);
+        assert_eq!(survivors, vec![0, 1, 3], "exactly the victim is evicted");
+        let mut sc = SurvivorComm::new(env, survivors);
+        // The recovered run re-checks the whole SPMD contract: audits
+        // after setup, every p2p event traced.
+        let vcfg = cfg.clone().with_verification(true);
+        let (mut r, aux) = AdaptiveSession::restore(&mut sc, m, RelaxationKernel, &ckpt, &vcfg);
+        assert!(aux.is_empty());
+        for _ in e..EPOCHS {
+            r.run_block(&mut sc, BLOCK);
+        }
+        let diags = r.verify_protocol(&mut sc);
+        assert!(
+            diags.is_empty(),
+            "recovered-run protocol diagnostics: {diags:?}"
+        );
+        return Some((sc.rank(), r.local_values().to_vec(), ckpt.to_bytes()));
     }
     unreachable!("the planned kill fires before the loop completes")
 }

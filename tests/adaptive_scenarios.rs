@@ -173,25 +173,23 @@ fn check_interval_bounds_check_count() {
 fn oscillating_load_churn_stays_bitwise_correct() {
     let m = mesh();
     let n = m.num_vertices();
-    let blocks = 16;
+    let blocks = 24;
     let per_block = 10;
     let iters = blocks * per_block;
     let mut expected: Vec<f64> = (0..n).map(init).collect();
     sequential_relaxation(&m, &mut expected, iters);
 
-    // Availability flips between full speed and 1/5 every 40 ms of
-    // virtual time — several flips over the run's horizon, each making
-    // the current partition wrong again.
+    // Availability flips between full speed and 1/5 every 160 ms of
+    // virtual time — about four blocks at full speed, so the monitor's
+    // four-block mean sees each flip — four flips over the run's
+    // horizon, each making the current partition wrong again.
     let phases: Vec<LoadPhase> = (0..40)
         .map(|i| LoadPhase {
-            start: 0.040 * i as f64,
+            start: 0.160 * i as f64,
             available: if i % 2 == 0 { 1.0 } else { 0.2 },
         })
         .collect();
-    let mut config = adaptive_config();
-    // React on the freshest measurement so every flip is seen: a window
-    // of one is the paper's last-phase estimate.
-    config.monitor_window = 1;
+    let config = adaptive_config();
     let spec = ClusterSpec::uniform(2)
         .with_network(NetworkSpec::zero_cost())
         .with_load(0, LoadTimeline::from_phases(phases.clone()));

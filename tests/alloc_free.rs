@@ -390,6 +390,54 @@ fn assert_remap_allocations_bounded(counts: &[u64], what: &str) {
 /// process-global construction counter precisely so this file can pin the
 /// zero-overhead claim structurally, alongside the allocation counts that
 /// pin it behaviourally.
+/// A collective allocates what its messages need and nothing more:
+/// `allreduce_f64` at p = 2 makes four allocations per call on each rank
+/// — the packed value, its one copy for the multicast, the destination
+/// list and the gathered payloads. The rank's own payload moves into its
+/// slot uncopied.
+#[test]
+fn native_allreduce_makes_four_allocations_per_call() {
+    const CALLS: u64 = 200;
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let p = 2;
+    let tag = Tag(9);
+    let report = stance_native::NativeCluster::new(p).run(|comm| {
+        let rank = comm.rank();
+        let mut sum = 0.0;
+        for i in 0..20 {
+            sum += comm.allreduce_f64(tag, i as f64, |a, b| a + b);
+        }
+        comm.barrier();
+        if rank == 0 {
+            ALLOCATIONS.store(0, Ordering::SeqCst);
+            ARMED.store(true, Ordering::SeqCst);
+        }
+        comm.barrier();
+        for i in 0..CALLS {
+            sum += comm.allreduce_f64(tag, i as f64, |a, b| a + b);
+        }
+        comm.barrier();
+        let counted = if rank == 0 {
+            let counted = ALLOCATIONS.load(Ordering::SeqCst);
+            ARMED.store(false, Ordering::SeqCst);
+            counted
+        } else {
+            0
+        };
+        comm.barrier();
+        (counted, sum)
+    });
+    let results = report.into_results();
+    assert_eq!(results[0].1, results[1].1, "every rank reduces alike");
+    assert_eq!(
+        results[0].0,
+        4 * CALLS * p as u64,
+        "allocations over {CALLS} allreduce calls on {p} ranks"
+    );
+}
+
 #[test]
 fn disabled_verification_never_constructs_checked_comm() {
     let _serial = SERIAL

@@ -169,9 +169,9 @@ proptest! {
         prop_assert_eq!(back.n(), ck.n());
         prop_assert_eq!(back.num_procs(), ck.num_procs());
         prop_assert_eq!(back.partition().intervals(), ck.partition().intervals());
-        assert_bits_eq(back.values(), ck.values());
-        for ((an, a), (bn, b)) in back.aux().iter().zip(ck.aux()) {
-            prop_assert_eq!(an, bn, "aux field name changed across the wire");
+        prop_assert_eq!(back.fields().len(), ck.fields().len());
+        for ((an, a), (bn, b)) in back.fields().iter().zip(ck.fields()) {
+            prop_assert_eq!(an, bn, "field name changed across the wire");
             assert_bits_eq(a, b);
         }
         for (a, b) in back.monitors().iter().zip(ck.monitors()) {
@@ -220,8 +220,8 @@ fn rebuild_checkpoint(
     values: &[f64],
     aux_count: usize,
 ) -> SessionCheckpoint<f64> {
-    // Assemble the blob by hand, following the documented v3 wire format
-    // (name-keyed field records, per-item monitor records).
+    // Assemble the blob by hand, following the documented v4 wire format
+    // (one list of name-keyed field records, per-item monitor records).
     let p = block_sizes.len();
     let n = values.len();
     let write_name = |name: &str, out: &mut Vec<u8>| {
@@ -230,12 +230,11 @@ fn rebuild_checkpoint(
     };
     let mut out = Vec::new();
     out.extend_from_slice(b"STCK");
-    out.extend_from_slice(&3u32.to_le_bytes());
+    out.extend_from_slice(&4u32.to_le_bytes());
     out.extend_from_slice(&(f64::SIZE_BYTES as u32).to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(p as u32).to_le_bytes());
-    out.extend_from_slice(&(aux_count as u32).to_le_bytes());
-    write_name("values", &mut out);
+    out.extend_from_slice(&(1 + aux_count as u32).to_le_bytes());
     for &s in block_sizes {
         out.extend_from_slice(&(s as u64).to_le_bytes());
     }
@@ -246,13 +245,14 @@ fn rebuild_checkpoint(
         out.push(u8::from(snap.per_item.is_some()));
         out.extend_from_slice(&snap.per_item.unwrap_or(0.0).to_le_bytes());
     }
+    write_name("values", &mut out);
     f64::pack_into(values, &mut out);
     for k in 0..aux_count {
         write_name(&format!("aux{k}"), &mut out);
         let aux: Vec<f64> = values.iter().map(|v| v * (k as f64 + 2.0)).collect();
         f64::pack_into(&aux, &mut out);
     }
-    SessionCheckpoint::from_bytes(&out).expect("a hand-built v3 blob decodes")
+    SessionCheckpoint::from_bytes(&out).expect("a hand-built v4 blob decodes")
 }
 
 /// Collective checkpoints round-trip across every rank-count pair:
@@ -307,8 +307,8 @@ fn collective_checkpoint_restores_across_widths() {
                 values[iv.start..iv.end].copy_from_slice(v);
                 aux[iv.start..iv.end].copy_from_slice(a);
             }
-            assert_bits_eq(&values, ckpt.values());
-            assert_bits_eq(&aux, &ckpt.aux()[0].1);
+            assert_bits_eq(&values, ckpt.field("values").expect("recorded"));
+            assert_bits_eq(&aux, ckpt.field("aux0").expect("recorded"));
         }
     }
 }
@@ -338,7 +338,8 @@ fn multi_field_checkpoint_round_trips() {
     let ckpt = SessionCheckpoint::<[f64; 3]>::from_bytes(&blobs[0]).expect("a valid blob");
     let back = SessionCheckpoint::<[f64; 3]>::from_bytes(&ckpt.to_bytes()).expect("a valid blob");
     assert_eq!(back, ckpt);
-    for (a, b) in back.values().iter().zip(ckpt.values()) {
+    let values = |ck: &SessionCheckpoint<[f64; 3]>| ck.field("values").expect("recorded").to_vec();
+    for (a, b) in values(&back).iter().zip(&values(&ckpt)) {
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

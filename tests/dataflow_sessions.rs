@@ -329,16 +329,15 @@ fn legacy_checkpoint_records_generated_names() {
                 .build();
             let mut d = DataflowSession::setup(env, &m, graph, init, &config);
             let named = d.checkpoint(env);
+            let auto_names: Vec<String> = auto.fields().iter().map(|(n, _)| n.clone()).collect();
             (
-                auto.primary_name().to_string(),
-                auto.aux()[0].0.clone(),
+                auto_names,
                 named.field("residual").map(<[f64]>::to_vec),
                 named.to_bytes(),
             )
         });
-    for (primary, auto_name, named_field, bytes) in report.results() {
-        assert_eq!(primary, "values");
-        assert_eq!(auto_name, "aux0");
+    for (auto_names, named_field, bytes) in report.results() {
+        assert_eq!(*auto_names, ["values", "aux0"]);
         let named_field = named_field.as_ref().expect("named field recorded");
         let expected: Vec<f64> = (0..named_field.len()).map(|g| g as f64).collect();
         assert_eq!(
