@@ -437,6 +437,8 @@ pub fn redistribute_adjacency<C: Comm>(
             .refs_in(kept.start - old_iv.start, kept.end - old_iv.start)
             .len();
     }
+    // 32-bit row pointers; `from_parts` refuses a last one that was cut
+    // short.
     let mut xadj = Vec::with_capacity(new_iv.len() + 1);
     xadj.push(0);
     let mut refs = Vec::with_capacity(received + kept_refs);
@@ -449,14 +451,14 @@ pub fn redistribute_adjacency<C: Comm>(
             let rows = start - old_iv.start..next - old_iv.start;
             xadj.extend(rows.clone().map(|l| {
                 at += adj.degree_of(l);
-                at
+                at as u32
             }));
             refs.extend_from_slice(adj.refs_in(rows.start, rows.end));
         } else {
             let (degrees, packed) = packets[packet].split_at(4 * count);
             xadj.extend(read_words(degrees).map(|d| {
                 at += d as usize;
-                at
+                at as u32
             }));
             refs.extend(read_words(packed));
         }

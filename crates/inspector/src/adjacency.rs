@@ -144,9 +144,9 @@ pub struct RowBlock<'a> {
 /// Where a [`RowBlock`]'s references are.
 #[derive(Debug, Clone, Copy)]
 pub enum BlockRefs<'a> {
-    /// In a CSR: `rows.len() + 1` row pointers into a reference store, row
-    /// `rows.start + i` making `store[ptrs[i]..ptrs[i + 1]]`.
-    Csr(&'a [usize], &'a [u32]),
+    /// In a CSR: `rows.len() + 1` 32-bit row pointers into a reference
+    /// store, row `rows.start + i` making `store[ptrs[i]..ptrs[i + 1]]`.
+    Csr(&'a [u32], &'a [u32]),
     /// In the translation the rows were moved out of
     /// ([`Rows::kept_from`]), which keeps the block: a block whose rows
     /// all stayed, cut alike before and after the move. Listed here are
@@ -188,11 +188,11 @@ pub trait Rows {
 
 /// Per block of `interval`, the [`Bounds`] of its rows' references —
 /// `row_ptrs` (`len + 1` of them) indexing `refs`.
-fn scan_bounds(interval: Interval, row_ptrs: &[usize], refs: &[u32]) -> Vec<Bounds> {
+fn scan_bounds(interval: Interval, row_ptrs: &[u32], refs: &[u32]) -> Vec<Bounds> {
     (0..num_blocks(interval.start, interval.len()))
         .map(|b| {
             let rows = block_rows(interval.start, interval.len(), b);
-            scan(&refs[row_ptrs[rows.start]..row_ptrs[rows.end]])
+            scan(&refs[row_ptrs[rows.start] as usize..row_ptrs[rows.end] as usize])
         })
         .collect()
 }
@@ -200,14 +200,14 @@ fn scan_bounds(interval: Interval, row_ptrs: &[usize], refs: &[u32]) -> Vec<Boun
 /// Block `block` of a contiguous CSR over `interval`.
 fn csr_block<'a>(
     interval: Interval,
-    (row_ptrs, refs): (&'a [usize], &'a [u32]),
+    (row_ptrs, refs): (&'a [u32], &'a [u32]),
     bounds: &[Bounds],
     block: usize,
 ) -> RowBlock<'a> {
     let rows = block_rows(interval.start, interval.len(), block);
     let ptrs = &row_ptrs[rows.start..=rows.end];
     RowBlock {
-        num_refs: ptrs[ptrs.len() - 1] - ptrs[0],
+        num_refs: (ptrs[ptrs.len() - 1] - ptrs[0]) as usize,
         bounds: bounds[block],
         refs: BlockRefs::Csr(ptrs, refs),
         rows,
@@ -220,7 +220,7 @@ fn csr_block<'a>(
 #[derive(Debug, Clone)]
 pub struct MeshRows<'a> {
     interval: Interval,
-    row_ptrs: &'a [usize],
+    row_ptrs: &'a [u32],
     refs: &'a [u32],
     bounds: Vec<Bounds>,
 }
@@ -256,7 +256,7 @@ impl Rows for MeshRows<'_> {
     }
 
     fn num_refs(&self) -> usize {
-        self.row_ptrs[self.interval.len()] - self.row_ptrs[0]
+        (self.row_ptrs[self.interval.len()] - self.row_ptrs[0]) as usize
     }
 
     fn block(&self, block: usize) -> RowBlock<'_> {
@@ -277,7 +277,7 @@ pub struct LocalAdjacency {
     interval: Interval,
     /// Row pointers into `refs`, from 0: owned row `l` makes
     /// `refs[xadj[l]..xadj[l + 1]]`.
-    xadj: Vec<usize>,
+    xadj: Vec<u32>,
     /// Global neighbor ids.
     refs: Vec<u32>,
     /// Per block, the [`Bounds`] of its references.
@@ -302,19 +302,21 @@ impl LocalAdjacency {
         LocalAdjacency {
             interval,
             xadj: row_ptrs.iter().map(|&x| x - base).collect(),
-            refs: refs[base..row_ptrs[interval.len()]].to_vec(),
+            refs: refs[base as usize..row_ptrs[interval.len()] as usize].to_vec(),
             bounds,
         }
     }
 
-    /// Builds directly from parts (for tests and custom pipelines).
+    /// Builds directly from parts (for tests and custom pipelines): `xadj`
+    /// holds 32-bit row pointers from zero, so `refs` holds at most
+    /// `u32::MAX` references.
     ///
     /// # Panics
     /// Panics if the CSR shape is inconsistent.
-    pub fn from_parts(interval: Interval, xadj: Vec<usize>, refs: Vec<u32>) -> Self {
+    pub fn from_parts(interval: Interval, xadj: Vec<u32>, refs: Vec<u32>) -> Self {
         assert_eq!(xadj.len(), interval.len() + 1, "xadj length mismatch");
         assert_eq!(*xadj.first().expect("nonempty xadj"), 0);
-        assert_eq!(*xadj.last().expect("nonempty xadj"), refs.len());
+        assert_eq!(*xadj.last().expect("nonempty xadj") as usize, refs.len());
         assert!(
             xadj.windows(2).all(|w| w[0] <= w[1]),
             "xadj must be monotone"
@@ -355,7 +357,7 @@ impl LocalAdjacency {
     /// Degree of the `local`-th owned vertex.
     #[inline]
     pub fn degree_of(&self, local: usize) -> usize {
-        self.xadj[local + 1] - self.xadj[local]
+        (self.xadj[local + 1] - self.xadj[local]) as usize
     }
 
     /// Total number of references (2 × local edges + cut edges).
@@ -369,7 +371,7 @@ impl LocalAdjacency {
     /// with a single `extend_from_slice` instead of one call per row).
     #[inline]
     pub fn refs_in(&self, lo: usize, hi: usize) -> &[u32] {
-        &self.refs[self.xadj[lo]..self.xadj[hi]]
+        &self.refs[self.xadj[lo] as usize..self.xadj[hi] as usize]
     }
 
     /// Walks the rows block by block, yielding each block's local-vertex
@@ -382,9 +384,10 @@ impl LocalAdjacency {
         })
     }
 
-    /// Dismantles the structure into its `(interval, xadj, refs)` CSR, row
-    /// pointers from zero — the inverse of [`LocalAdjacency::from_parts`].
-    pub fn into_parts(self) -> (Interval, Vec<usize>, Vec<u32>) {
+    /// Dismantles the structure into its `(interval, xadj, refs)` CSR,
+    /// 32-bit row pointers from zero (so at most `u32::MAX` references) —
+    /// the inverse of [`LocalAdjacency::from_parts`].
+    pub fn into_parts(self) -> (Interval, Vec<u32>, Vec<u32>) {
         (self.interval, self.xadj, self.refs)
     }
 }
@@ -506,7 +509,8 @@ mod tests {
                 let (BlockRefs::Csr(mp, ms), BlockRefs::Csr(ap, as_)) = (m.refs, a.refs) else {
                     panic!("block {b} is not a CSR");
                 };
-                assert_eq!(&ms[mp[0]..mp[mp.len() - 1]], &as_[ap[0]..ap[ap.len() - 1]]);
+                let (m_end, a_end) = (mp[mp.len() - 1] as usize, ap[ap.len() - 1] as usize);
+                assert_eq!(&ms[mp[0] as usize..m_end], &as_[ap[0] as usize..a_end]);
             }
         }
     }

@@ -62,8 +62,9 @@ pub struct MovedRows {
     /// where its references are held.
     blocks: Vec<(usize, Bounds, Held)>,
     num_refs: usize,
-    /// The staged rows' CSR: row pointers into `refs`, from 0.
-    ptrs: Vec<usize>,
+    /// The staged rows' CSR: row pointers into `refs`, from 0 — 32-bit,
+    /// as the rows come from a `Graph`, whose references fit in `u32`.
+    ptrs: Vec<u32>,
     refs: Vec<u32>,
     /// The references of the kept blocks that leave the interval, with
     /// their local rows, in CSR order.
@@ -190,7 +191,7 @@ impl MovedRows {
                     });
                     self.ptrs.extend(rows.map(|l| {
                         at += tadj.degree_of(l);
-                        at
+                        at as u32
                     }));
                     g = to;
                     continue;
@@ -219,7 +220,7 @@ impl MovedRows {
                 let row_degrees = &degrees[4 * (g - rows.start)..4 * (to - rows.start)];
                 self.ptrs.extend(read_words(row_degrees).map(|d| {
                     at += d as usize;
-                    staged + at - read
+                    (staged + at - read) as u32
                 }));
                 let row_refs = refs
                     .get(4 * read..4 * at)
@@ -228,7 +229,7 @@ impl MovedRows {
                 run = Some((rows, degrees, refs, at));
                 g = to;
             }
-            let refs = &self.refs[self.ptrs[first]..];
+            let refs = &self.refs[self.ptrs[first] as usize..];
             self.blocks
                 .push((refs.len(), scan(refs), Held::Staged(first)));
             self.num_refs += refs.len();

@@ -453,7 +453,7 @@ impl CommSchedule {
         &self,
         block: usize,
         rows: std::ops::Range<usize>,
-        (row_ptrs, store): (&[usize], &[u32]),
+        (row_ptrs, store): (&[u32], &[u32]),
         at: usize,
         interior: bool,
         out: &mut TranslatedAdjacency,
@@ -465,7 +465,7 @@ impl CommSchedule {
         // sweep.
         let ends = &mut out.xadj[rows.start + 1..=rows.end];
         for (x, &p) in ends.iter_mut().zip(&row_ptrs[1..]) {
-            *x = (at + p - row_ptrs[0]) as u32;
+            *x = at as u32 + (p - row_ptrs[0]);
         }
         let classes = group_by_degree(row_ptrs, &mut out.order[rows.clone()]);
         out.class_rows[block] = classes;
@@ -473,7 +473,7 @@ impl CommSchedule {
         // them there in the order the sweep will read them, translated as
         // if the block were interior — one subtraction per reference, no
         // branch.
-        let refs = &store[row_ptrs[0]..row_ptrs[rows.len()]];
+        let refs = &store[row_ptrs[0] as usize..row_ptrs[rows.len()] as usize];
         let slots = &mut out.slots[at..at + refs.len()];
         emit_in_visit_order(
             (row_ptrs, refs, start),
@@ -526,8 +526,7 @@ impl CommSchedule {
         tadj.decode_rows(&ghosts, 0..tadj.len(), &mut Vec::new(), |r| {
             refs.extend_from_slice(r);
         });
-        let xadj = tadj.xadj.iter().map(|&x| x as usize).collect();
-        LocalAdjacency::from_parts(self.interval, xadj, refs)
+        LocalAdjacency::from_parts(self.interval, tadj.xadj.clone(), refs)
     }
 
     /// Structural sanity checks (used by tests and debug assertions):
@@ -941,7 +940,7 @@ fn for_each_leaving(block: &RowBlock, interval: Interval, mut f: impl FnMut(usiz
     match block.refs {
         BlockRefs::Csr(row_ptrs, store) => {
             for (l, w) in block.rows.clone().zip(row_ptrs.windows(2)) {
-                for &g in &store[w[0]..w[1]] {
+                for &g in &store[w[0] as usize..w[1] as usize] {
                     if !interval.contains(g as usize) {
                         f(l, g);
                     }
@@ -976,7 +975,7 @@ fn check_row_pointers_fit(rank: usize, num_refs: usize) {
 /// class ascending, and returns the class sizes. `row_ptrs` are the
 /// block's row pointers, one more than it has rows.
 fn group_by_degree(
-    row_ptrs: &[usize],
+    row_ptrs: &[u32],
     order: &mut [u16],
 ) -> [u16; TranslatedAdjacency::DEGREE_CLASSES] {
     const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
@@ -984,7 +983,7 @@ fn group_by_degree(
     let mut lists = [[0u16; TranslatedAdjacency::BLOCK_ROWS]; LAST + 1];
     let mut rows = [0usize; LAST + 1];
     for (i, w) in row_ptrs.windows(2).enumerate() {
-        let class = (w[1] - w[0]).min(LAST);
+        let class = ((w[1] - w[0]) as usize).min(LAST);
         lists[class][rows[class]] = i as u16;
         rows[class] += 1;
     }
@@ -1004,7 +1003,7 @@ fn group_by_degree(
 /// `first`). Class by class like the sweep, and for the same reason: in a
 /// class below the last a row is a copy of constant length.
 fn emit_in_visit_order(
-    (row_ptrs, refs, start): (&[usize], &[u32], u32),
+    (row_ptrs, refs, start): (&[u32], &[u32], u32),
     (mut order, classes): (&[u16], &[u16; TranslatedAdjacency::DEGREE_CLASSES]),
     (block, first): (&mut [u32], usize),
     row_start: &mut [u32],
@@ -1102,7 +1101,7 @@ fn decode_class<const D: usize>(
 #[inline(always)]
 fn emit_class<const D: usize>(
     class: &[u16],
-    (row_ptrs, refs, start): (&[usize], &[u32], u32),
+    (row_ptrs, refs, start): (&[u32], &[u32], u32),
     dst: &mut [u32],
     first: usize,
     row_start: &mut [u32],
@@ -1110,7 +1109,7 @@ fn emit_class<const D: usize>(
     let dst = dst[..class.len() * D].chunks_exact_mut(D);
     for ((&i, slots), at) in class.iter().zip(dst).zip((first..).step_by(D)) {
         let i = i as usize;
-        let from = row_ptrs[i] - row_ptrs[0];
+        let from = (row_ptrs[i] - row_ptrs[0]) as usize;
         let row: &[u32; D] = refs[from..from + D].try_into().expect("D references");
         let slots: &mut [u32; D] = slots.try_into().expect("a chunk of D slots");
         *slots = row.map(|g| g.wrapping_sub(start));
@@ -1123,7 +1122,7 @@ fn emit_class<const D: usize>(
 /// the open-ended last one.
 fn emit_rows(
     class: &[u16],
-    (row_ptrs, refs, start): (&[usize], &[u32], u32),
+    (row_ptrs, refs, start): (&[u32], &[u32], u32),
     dst: &mut [u32],
     first: usize,
     row_start: &mut [u32],
@@ -1131,7 +1130,8 @@ fn emit_rows(
     let mut at = 0;
     for &i in class {
         let i = i as usize;
-        let row = &refs[row_ptrs[i] - row_ptrs[0]..row_ptrs[i + 1] - row_ptrs[0]];
+        let row =
+            &refs[(row_ptrs[i] - row_ptrs[0]) as usize..(row_ptrs[i + 1] - row_ptrs[0]) as usize];
         for (slot, &g) in dst[at..at + row.len()].iter_mut().zip(row) {
             *slot = g.wrapping_sub(start);
         }

@@ -167,7 +167,7 @@ fn ordered_mesh(nx: usize, ny: usize, seed: u64) -> Graph {
 fn unsorted(adj: &LocalAdjacency, seed: u64) -> LocalAdjacency {
     let (interval, xadj, mut refs) = adj.clone().into_parts();
     for (l, w) in xadj.windows(2).enumerate() {
-        let row = &mut refs[w[0]..w[1]];
+        let row = &mut refs[w[0] as usize..w[1] as usize];
         if row.is_empty() {
             continue;
         }
@@ -332,7 +332,8 @@ fn assert_moved_rows_are(moved: &MovedRows, adj: &LocalAdjacency, old: Interval)
             BlockRefs::Csr(ptrs, store) => {
                 assert!(!kept, "block {b} is shared but staged");
                 for (i, l) in a.rows.clone().enumerate() {
-                    assert_eq!(&store[ptrs[i]..ptrs[i + 1]], adj.neighbors_of(l));
+                    let row = &store[ptrs[i] as usize..ptrs[i + 1] as usize];
+                    assert_eq!(row, adj.neighbors_of(l));
                 }
             }
         }
@@ -646,7 +647,7 @@ fn send_list_keeps_rows_whose_packed_pair_key_would_wrap() {
     assert_eq!((late * p + 1) as u32, (early * p + 1) as u32);
     // Rows `early` and `late` each reference one vertex of rank 1; every
     // other row is empty.
-    let mut xadj = vec![0usize; 70_001];
+    let mut xadj = vec![0u32; 70_001];
     xadj[early + 1..].fill(1);
     xadj[late + 1..].fill(2);
     let adj = LocalAdjacency::from_parts(partition.interval_of(0), xadj, vec![70_000, 70_001]);

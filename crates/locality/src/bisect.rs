@@ -71,27 +71,32 @@ pub(crate) fn bisection_ordering<const K: usize>(
 ) -> Ordering {
     let mut points = points_of(graph);
     bisect(&mut points, threads, &choose);
-    let sequence: Vec<u32> = points.iter().map(|p| p.id).collect();
-    // 8·K + 8 bytes per vertex: gone before the caller relabels.
+    // The position map straight from the records, which are then gone
+    // (8·K + 8 bytes per vertex) before the caller relabels.
+    let mut position_of = vec![0; points.len()];
+    for (position, p) in points.iter().enumerate() {
+        position_of[p.id as usize] = position as u32;
+    }
     drop(points);
-    Ordering::from_sequence(&sequence)
+    Ordering::from_positions(position_of)
 }
 
-/// One point per vertex, in id order: the first `K.min(3)` coordinates as
-/// keys, any further slot zero.
+/// One point per vertex, in id order: the first `K.min(3)` coordinates
+/// (`z = 0` in a 2-D graph) as keys, any further slot zero.
 fn points_of<const K: usize>(graph: &Graph) -> Vec<Point<K>> {
-    let load = |(v, c): (usize, &[f64; 3])| {
+    let load = |(v, c): (usize, &[f64])| {
         assert!(
             c.iter().all(|x| x.is_finite()),
             "coordinates must not be NaN or infinite: vertex {v} is at {c:?}"
         );
         let mut key = [0; K];
-        for (k, &x) in key.iter_mut().zip(c) {
-            *k = key_of(x);
+        for (d, k) in key.iter_mut().enumerate().take(3) {
+            *k = key_of(c.get(d).copied().unwrap_or(0.0));
         }
         Point { key, id: v as u32 }
     };
-    graph.coords().iter().enumerate().map(load).collect()
+    let coords = graph.coords().chunks_exact(graph.dim());
+    coords.enumerate().map(load).collect()
 }
 
 /// Recursively orders `points` in place: split at the median of the slot

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::graph::Graph;
+use crate::graph::{row_pointer, Graph};
 
 /// Vertex/edge counts of the paper's Fig. 9 mesh.
 pub const PAPER_MESH_VERTICES: usize = 30_269;
@@ -47,13 +47,12 @@ pub fn triangulated_grid(nx: usize, ny: usize, jitter: f64, seed: u64) -> Graph 
 pub(crate) fn grid_prefix(nx: usize, ny: usize, jitter: f64, seed: u64, n: usize) -> Graph {
     assert!(n <= nx * ny, "a {nx}×{ny} grid has no {n}-vertex prefix");
     let mut rng = StdRng::seed_from_u64(seed);
-    let coords: Vec<[f64; 3]> = (0..n)
-        .map(|v| {
-            let dx = (rng.random::<f64>() - 0.5) * jitter;
-            let dy = (rng.random::<f64>() - 0.5) * jitter;
-            [(v % nx) as f64 + dx, (v / nx) as f64 + dy, 0.0]
-        })
-        .collect();
+    let mut coords = Vec::with_capacity(2 * n);
+    for v in 0..n {
+        let dx = (rng.random::<f64>() - 0.5) * jitter;
+        let dy = (rng.random::<f64>() - 0.5) * jitter;
+        coords.extend([(v % nx) as f64 + dx, (v / nx) as f64 + dy]);
+    }
     // Twice the whole grid's edge count: every prefix fits.
     let full = (nx - 1) * ny + nx * (ny - 1) + (nx - 1) * (ny - 1);
     let mut adjncy = Vec::with_capacity(2 * full);
@@ -79,7 +78,7 @@ pub(crate) fn grid_prefix(nx: usize, ny: usize, jitter: f64, seed: u64, n: usize
                 adjncy.push(w as u32);
             }
         }
-        xadj.push(adjncy.len());
+        xadj.push(row_pointer(adjncy.len()));
     }
     Graph::from_csr(xadj, adjncy, coords, 2)
 }
@@ -124,25 +123,42 @@ pub fn thin_to_edges(graph: &Graph, target_edges: usize, seed: u64) -> Graph {
         }
     }
     let is_tree = |u: u32, w: u32| parent[w as usize] == u || parent[u as usize] == w;
-    let mut non_tree: Vec<(u32, u32)> = graph.edges().filter(|&(u, w)| !is_tree(u, w)).collect();
-    non_tree.shuffle(&mut StdRng::seed_from_u64(seed));
+    // Each non-tree edge `(u, w)`, `u < w`, as its slot in `u`'s row: the
+    // order of `Graph::edges`, in 4 bytes an edge. The shuffle's draws do
+    // not depend on what it permutes.
     let (xadj, adjncy) = graph.csr_window(0..n);
-    let mut kept = vec![false; adjncy.len()];
-    for &(u, w) in &non_tree[..target_edges - n.saturating_sub(1)] {
-        for (a, b) in [(u, w), (w, u)] {
-            kept[xadj[a as usize] + graph.neighbors(a as usize).binary_search(&b).unwrap()] = true;
+    let mut non_tree = Vec::with_capacity(m - n.saturating_sub(1));
+    for (u, bounds) in xadj.windows(2).enumerate() {
+        for s in bounds[0]..bounds[1] {
+            let w = adjncy[s as usize];
+            if u < w as usize && !is_tree(u as u32, w) {
+                non_tree.push(s);
+            }
         }
     }
+    non_tree.shuffle(&mut StdRng::seed_from_u64(seed));
+    let mut kept = vec![false; adjncy.len()];
+    for &s in &non_tree[..target_edges - n.saturating_sub(1)] {
+        // The row holding slot `s`, and the mirror slot in `w`'s row.
+        let u = xadj.partition_point(|&p| p <= s) - 1;
+        let w = adjncy[s as usize] as usize;
+        let mirror = graph.neighbors(w).binary_search(&(u as u32)).unwrap();
+        kept[s as usize] = true;
+        kept[xadj[w] as usize + mirror] = true;
+    }
+    // Not held while the thinned rows are written.
+    drop(non_tree);
     let mut thin_xadj = Vec::with_capacity(n + 1);
     let mut thin_adjncy = Vec::with_capacity(2 * target_edges);
     thin_xadj.push(0);
     for (u, bounds) in xadj.windows(2).enumerate() {
-        for s in bounds[0]..bounds[1] {
+        for s in bounds[0] as usize..bounds[1] as usize {
             if kept[s] || is_tree(u as u32, adjncy[s]) {
                 thin_adjncy.push(adjncy[s]);
             }
         }
-        thin_xadj.push(thin_adjncy.len());
+        // At most the input's references: no overflow.
+        thin_xadj.push(thin_adjncy.len() as u32);
     }
     Graph::from_csr(thin_xadj, thin_adjncy, graph.coords().to_vec(), graph.dim())
 }
@@ -186,14 +202,14 @@ pub fn annulus_mesh(rings: usize, sectors: usize, seed: u64) -> Graph {
     );
     let n = rings * sectors;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut coords = Vec::with_capacity(n);
+    let mut coords = Vec::with_capacity(2 * n);
     let growth: f64 = 1.15;
     for r in 0..rings {
         let radius = growth.powi(r as i32);
         for s in 0..sectors {
             let jitter = (rng.random::<f64>() - 0.5) * 0.05;
             let theta = (s as f64 + jitter) / sectors as f64 * std::f64::consts::TAU;
-            coords.push([radius * theta.cos(), radius * theta.sin(), 0.0]);
+            coords.extend([radius * theta.cos(), radius * theta.sin()]);
         }
     }
     let idx = |r: usize, s: usize| (r * sectors + s % sectors) as u32;
@@ -219,7 +235,7 @@ pub fn annulus_mesh(rings: usize, sectors: usize, seed: u64) -> Graph {
     }
     edges.sort_unstable();
     edges.dedup();
-    Graph::from_edges(n, &edges, coords, 2)
+    Graph::from_edge_list(n, &edges, coords, 2)
 }
 
 /// A random geometric graph: `n` uniform points in the unit square, edges
@@ -232,21 +248,19 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
         "radius must be positive"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let coords: Vec<[f64; 3]> = (0..n)
-        .map(|_| [rng.random::<f64>(), rng.random::<f64>(), 0.0])
-        .collect();
+    let coords: Vec<f64> = (0..2 * n).map(|_| rng.random::<f64>()).collect();
     // Cell grid for neighbor search.
     let cell = radius;
     let cells_per_axis = (1.0 / cell).ceil() as i64 + 1;
     let mut grid: std::collections::HashMap<(i64, i64), Vec<u32>> =
         std::collections::HashMap::new();
-    for (v, c) in coords.iter().enumerate() {
+    for (v, c) in coords.chunks_exact(2).enumerate() {
         let key = ((c[0] / cell) as i64, (c[1] / cell) as i64);
         grid.entry(key).or_default().push(v as u32);
     }
     let mut edges = Vec::new();
     let r2 = radius * radius;
-    for (v, c) in coords.iter().enumerate() {
+    for (v, c) in coords.chunks_exact(2).enumerate() {
         let (cx, cy) = ((c[0] / cell) as i64, (c[1] / cell) as i64);
         for dx in -1..=1 {
             for dy in -1..=1 {
@@ -257,7 +271,7 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
                 if let Some(cands) = grid.get(&(nx, ny)) {
                     for &w in cands {
                         if (w as usize) > v {
-                            let cw = coords[w as usize];
+                            let cw = &coords[2 * w as usize..];
                             let d2 = (cw[0] - c[0]).powi(2) + (cw[1] - c[1]).powi(2);
                             if d2 <= r2 {
                                 edges.push((v as u32, w));
@@ -271,8 +285,8 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
     // Connectivity backbone: path through x-sorted order.
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by(|&a, &b| {
-        coords[a as usize][0]
-            .partial_cmp(&coords[b as usize][0])
+        coords[2 * a as usize]
+            .partial_cmp(&coords[2 * b as usize])
             .expect("coords are finite")
             .then(a.cmp(&b))
     });
@@ -282,7 +296,7 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
     }
     edges.sort_unstable();
     edges.dedup();
-    Graph::from_edges(n, &edges, coords, 2)
+    Graph::from_edge_list(n, &edges, coords, 2)
 }
 
 #[cfg(test)]

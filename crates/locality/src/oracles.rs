@@ -16,6 +16,11 @@ use crate::ordering::Ordering;
 use crate::rcb::{rcb_on_threads, rcb_ordering};
 use crate::rib::{inertial_on_threads, inertial_ordering};
 
+/// Every vertex's coordinate as `[x, y, z]`, the form the oracles read.
+fn coords_of(graph: &Graph) -> Vec<[f64; 3]> {
+    (0..graph.num_vertices()).map(|v| graph.coord(v)).collect()
+}
+
 /// RCB as it was: ids through `coords[id]`, `partial_cmp` per comparison.
 fn rcb_oracle(graph: &Graph) -> Ordering {
     fn recurse(ids: &mut [u32], coords: &[[f64; 3]], dim: usize) {
@@ -60,7 +65,7 @@ fn rcb_oracle(graph: &Graph) -> Ordering {
     }
 
     let mut ids: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-    recurse(&mut ids, graph.coords(), graph.dim());
+    recurse(&mut ids, &coords_of(graph), graph.dim());
     Ordering::from_sequence(&ids)
 }
 
@@ -144,7 +149,7 @@ fn rib_oracle(graph: &Graph) -> Ordering {
     }
 
     let mut ids: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-    recurse(&mut ids, graph.coords(), graph.dim());
+    recurse(&mut ids, &coords_of(graph), graph.dim());
     Ordering::from_sequence(&ids)
 }
 
@@ -250,17 +255,15 @@ pub(crate) fn thin_to_edges_oracle(graph: &Graph, target_edges: usize, seed: u64
     let mut edges: Vec<(u32, u32)> = tree.into_iter().collect();
     edges.sort_unstable(); // deterministic base order
     edges.extend(non_tree.into_iter().take(keep_extra));
-    let coords = graph.coords().to_vec();
-    Graph::from_edges(n, &edges, coords, graph.dim())
+    Graph::from_edges(n, &edges, coords_of(graph), graph.dim())
 }
 
 /// Random 2-D and 3-D graphs built to hit the comparator's corners: clouds
 /// on a five-value lattice holding both zeros (exact ties on every axis,
 /// coincident points), clouds where every other point repeats an earlier
 /// one, plain uniform clouds, and the sizes where the recursion bottoms out
-/// at once. Half the 2-D clouds carry a z coordinate as well, which a 2-D
-/// ordering must ignore (RCB loads no z key for them). Edges are a random
-/// sparse set, for the relabel property.
+/// at once. A 2-D cloud has `z = 0`, as a 2-D graph must. Edges are a
+/// random sparse set, for the relabel property.
 struct Clouds;
 
 impl Strategy for Clouds {
@@ -274,11 +277,6 @@ impl Strategy for Clouds {
         };
         let dim = 2 + rng.below(2) as usize;
         let style = rng.below(3);
-        let drawn = if dim == 2 && rng.below(2) == 0 {
-            3
-        } else {
-            dim
-        };
         let mut coords: Vec<[f64; 3]> = Vec::with_capacity(n);
         for v in 0..n {
             if style == 1 && v % 2 == 1 {
@@ -286,7 +284,7 @@ impl Strategy for Clouds {
                 continue;
             }
             let mut c = [0.0; 3];
-            for x in &mut c[..drawn] {
+            for x in &mut c[..dim] {
                 *x = match style {
                     0 => LATTICE[rng.below(5) as usize],
                     _ => rng.unit_f64() * 2.0 - 1.0,
@@ -315,8 +313,7 @@ fn permutation(n: usize, seed: u64) -> Vec<u32> {
 /// Bitwise graph equality: `Graph`'s `==` would let `-0.0` pass for `0.0`.
 fn assert_same_graph(a: &Graph, b: &Graph) {
     assert_eq!(a, b);
-    let bits =
-        |g: &Graph| -> Vec<[u64; 3]> { g.coords().iter().map(|c| c.map(f64::to_bits)).collect() };
+    let bits = |g: &Graph| -> Vec<u64> { g.coords().iter().map(|c| c.to_bits()).collect() };
     assert_eq!(bits(a), bits(b));
 }
 

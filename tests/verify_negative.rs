@@ -237,7 +237,7 @@ fn degree_class_mismatch_names_the_vertex_and_both_degrees() {
     let (interval, mut xadj, mut refs) = adj_a.clone().into_parts();
     let degree = xadj[10] - xadj[9];
     assert!(degree >= 2);
-    refs.remove(xadj[10] - 1);
+    refs.remove(xadj[10] as usize - 1);
     for x in &mut xadj[10..] {
         *x -= 1;
     }
@@ -284,7 +284,7 @@ fn swapped_reference_names_the_vertex_and_both_slot_lists() {
         })
         .expect("two such rows");
     let (interval, xadj, mut refs) = adj_a.clone().into_parts();
-    refs.swap(xadj[a], xadj[b]);
+    refs.swap(xadj[a] as usize, xadj[b] as usize);
     let adj_b = LocalAdjacency::from_parts(interval, xadj, refs);
 
     let diags = audit_translation(&schedule, &adj_b, &tadj);
