@@ -233,7 +233,12 @@ impl<E: Element> SessionCheckpoint<E> {
     }
 }
 
-/// Why [`SessionCheckpoint::from_bytes`] rejected a blob.
+/// Why a checkpoint was rejected: a blob [`SessionCheckpoint::from_bytes`]
+/// could not decode, or a well-formed checkpoint that does not fit the
+/// graph a restore
+/// ([`DataflowSession::restore`](crate::DataflowSession::restore),
+/// [`AdaptiveSession::restore`](crate::AdaptiveSession::restore)) was
+/// handed — the last three variants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The blob does not open with the checkpoint magic.
@@ -277,6 +282,20 @@ pub enum CheckpointError {
         /// The blob's length.
         len: usize,
     },
+    /// The checkpoint covers another element count than the restoring
+    /// mesh has vertices.
+    ElementCount {
+        /// The checkpoint's element count.
+        found: usize,
+        /// The restoring mesh's vertex count.
+        expected: usize,
+    },
+    /// The restoring graph registers a field the checkpoint holds no
+    /// record of.
+    MissingField(String),
+    /// The checkpoint records a field the restoring graph does not
+    /// register.
+    UnexpectedField(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -311,6 +330,16 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::TrailingGarbage { at, len } => {
                 write!(f, "checkpoint has trailing garbage from byte {at} of {len}")
+            }
+            CheckpointError::ElementCount { found, expected } => write!(
+                f,
+                "checkpoint covers {found} elements for a {expected}-vertex graph"
+            ),
+            CheckpointError::MissingField(name) => {
+                write!(f, "checkpoint is missing field {name:?}")
+            }
+            CheckpointError::UnexpectedField(name) => {
+                write!(f, "checkpoint field {name:?} is not a field of the graph")
             }
         }
     }

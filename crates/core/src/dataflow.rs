@@ -12,10 +12,10 @@
 //!   [`GhostedArray`]): every registered field moves through remaps and
 //!   checkpoints automatically, keyed by name;
 //! * a [`StageGraph`] — kernel stages declaring which field they read and
-//!   which they write, validated at build time by the
-//!   [`stance_verify`] dataflow audit (duplicate names, undeclared
-//!   accesses, dependency cycles) and scheduled deterministically in
-//!   topological order;
+//!   which they write. Its builder checks the declaration itself
+//!   (duplicate names, undeclared accesses, dependency cycles, reported
+//!   as [`Diagnostic`]s) and orders the stages with one Kahn pass over
+//!   the resolved field indices, ties going to declaration order;
 //! * a [`DataflowSession`] — one rank's share of the computation
 //!   (partition interval, mesh rows, field values, load monitor) plus a
 //!   [`LoopRunner`], which owns everything sized from the communication
@@ -41,8 +41,8 @@
 //! With `StanceConfig::with_verification(true)` the session *checks* that
 //! contract as it runs: every schedule build and remap is followed by a
 //! collective audit of the global invariants (intervals tile, ghosts
-//! resolve to owners, send/recv lists pairwise symmetric, derived
-//! orderings deadlock-free — see [`stance_verify`]), each remap's
+//! resolve to owners, one segment per peer and direction, send/recv lists
+//! pairwise symmetric — see [`stance_verify`]), each remap's
 //! redistribution plan is audited against the old and new partitions, and
 //! all traffic, collectives included, is recorded by a
 //! [`TraceHook`] on the session's [`Interposed`] communicator — what a
@@ -85,11 +85,11 @@ use stance_onedim::BlockPartition;
 use stance_sim::tags::TAG_CHECKPOINT;
 use stance_sim::{Collectives, Comm, Element, Payload};
 use stance_verify::{
-    analyze_collective, audit_collective, audit_redistribution, audit_stage_graph, expect_clean,
-    topological_order, Diagnostic, Interposed, RankTrace, StageDecl, TraceHook,
+    analyze_collective, audit_collective, audit_redistribution, expect_clean, Diagnostic,
+    DiagnosticKind, Interposed, RankTrace, TraceHook,
 };
 
-use crate::checkpoint::SessionCheckpoint;
+use crate::checkpoint::{CheckpointError, SessionCheckpoint};
 use crate::config::StanceConfig;
 
 /// Aggregate timing of an adaptive run on one rank.
@@ -136,39 +136,35 @@ impl<E: Element> FieldSet<E> {
     }
 }
 
-/// One built stage: the kernel plus its resolved field indices.
-struct Stage<E: Element> {
+/// One stage: the kernel plus the fields it reads and writes — by name
+/// (`F = String`) as declared, by registration index once built.
+struct Stage<E: Element, F = usize> {
     name: String,
     kernel: Box<dyn Kernel<E>>,
-    /// Index of the field the kernel sweeps over.
-    input: usize,
+    /// The field the kernel sweeps over.
+    input: F,
     /// Whether the input is read through its ghosts (and therefore needs
     /// an exchange) or owned entries only.
     gathered: bool,
-    /// Index of the field the sweep's output commits to.
-    output: usize,
+    /// The field the sweep's output commits to.
+    output: F,
 }
 
-/// A builder-stage before name resolution.
-struct StageSpec<E: Element> {
-    name: String,
-    kernel: Box<dyn Kernel<E>>,
-    input: String,
-    gathered: bool,
-    output: String,
-}
+/// A declaration resolved by [`StageGraphBuilder::validate`]'s checks:
+/// every stage's `(input, output)` field indices in declaration order,
+/// and the execution order over them.
+type Resolved = (Vec<(usize, usize)>, Vec<usize>);
 
 /// Declares a [`StageGraph`]: register fields with
 /// [`StageGraphBuilder::field`], then stages with
 /// [`StageGraphBuilder::stage`] (ghost-reading input) or
 /// [`StageGraphBuilder::stage_local`] (owned-only input).
-/// [`StageGraphBuilder::build`] validates the declaration through the
-/// [`stance_verify`] dataflow audit and computes the deterministic
-/// schedule; [`StageGraphBuilder::validate`] exposes the diagnostics
-/// without panicking.
+/// [`StageGraphBuilder::build`] checks the declaration and computes the
+/// deterministic schedule; [`StageGraphBuilder::validate`] exposes the
+/// diagnostics without panicking.
 pub struct StageGraphBuilder<E: Element = f64> {
     fields: Vec<String>,
-    stages: Vec<StageSpec<E>>,
+    stages: Vec<Stage<E, String>>,
 }
 
 impl<E: Element> Default for StageGraphBuilder<E> {
@@ -199,20 +195,13 @@ impl<E: Element> StageGraphBuilder<E> {
     /// `writes`. `reads == writes` declares an in-place update (the
     /// relaxation pattern) and creates no self-dependency.
     pub fn stage(
-        mut self,
+        self,
         name: &str,
         kernel: impl Kernel<E> + 'static,
         reads: &str,
         writes: &str,
     ) -> Self {
-        self.stages.push(StageSpec {
-            name: name.to_string(),
-            kernel: Box::new(kernel),
-            input: reads.to_string(),
-            gathered: true,
-            output: writes.to_string(),
-        });
-        self
+        self.push(name, Box::new(kernel), reads, true, writes)
     }
 
     /// Like [`StageGraphBuilder::stage`], but the kernel promises to
@@ -220,17 +209,29 @@ impl<E: Element> StageGraphBuilder<E> {
     /// preconditioner), so the field needs no ghost exchange for this
     /// stage and never triggers one.
     pub fn stage_local(
-        mut self,
+        self,
         name: &str,
         kernel: impl Kernel<E> + 'static,
         reads: &str,
         writes: &str,
     ) -> Self {
-        self.stages.push(StageSpec {
+        self.push(name, Box::new(kernel), reads, false, writes)
+    }
+
+    /// Appends one stage as declared.
+    fn push(
+        mut self,
+        name: &str,
+        kernel: Box<dyn Kernel<E>>,
+        reads: &str,
+        gathered: bool,
+        writes: &str,
+    ) -> Self {
+        self.stages.push(Stage {
             name: name.to_string(),
-            kernel: Box::new(kernel),
+            kernel,
             input: reads.to_string(),
-            gathered: false,
+            gathered,
             output: writes.to_string(),
         });
         self
@@ -239,9 +240,86 @@ impl<E: Element> StageGraphBuilder<E> {
     /// The declaration's dataflow diagnostics (empty means
     /// [`StageGraphBuilder::build`] will succeed): duplicate field or
     /// stage names, reads/writes of unregistered fields, dependency
-    /// cycles. See [`stance_verify::audit_stage_graph`].
+    /// cycles. The details name the stage and the field.
     pub fn validate(&self) -> Vec<Diagnostic> {
-        audit_stage_graph(&self.fields, &self.decls())
+        self.resolve().err().unwrap_or_default()
+    }
+
+    /// Resolves every stage's `(input, output)` to field indices and
+    /// orders the stages, or returns every diagnostic found. The order is
+    /// one Kahn pass over the resolved indices: stage `a` precedes stage
+    /// `b` iff `a != b` and `a`'s output is `b`'s input, and the lowest
+    /// ready declaration index goes first, so the schedule is identical
+    /// on every rank and across runs. The stages the pass cannot place
+    /// are reported as the cycle. The graph is replicated data, so the
+    /// diagnostics carry rank 0.
+    fn resolve(&self) -> Result<Resolved, Vec<Diagnostic>> {
+        let mut diags = Vec::new();
+        let fields = &self.fields;
+        for (i, f) in fields.iter().enumerate() {
+            if fields[..i].contains(f) {
+                diags.push(Diagnostic::new(
+                    DiagnosticKind::DuplicateFieldName,
+                    0,
+                    format!("field {f:?} is registered more than once"),
+                ));
+            }
+        }
+        let mut access = Vec::with_capacity(self.stages.len());
+        for (i, s) in self.stages.iter().enumerate() {
+            if self.stages[..i].iter().any(|t| t.name == s.name) {
+                diags.push(Diagnostic::new(
+                    DiagnosticKind::DuplicateStageName,
+                    0,
+                    format!("stage {:?} is declared more than once", s.name),
+                ));
+            }
+            let [input, output] = [("reads", &s.input), ("writes", &s.output)].map(|(what, f)| {
+                let index = fields.iter().position(|g| g == f);
+                if index.is_none() {
+                    diags.push(Diagnostic::new(
+                        DiagnosticKind::UndeclaredFieldAccess,
+                        0,
+                        format!("stage {:?} {what} unregistered field {f:?}", s.name),
+                    ));
+                }
+                index
+            });
+            access.extend(input.zip(output));
+        }
+        // Ordering only makes sense on a graph whose names resolve.
+        if !diags.is_empty() {
+            return Err(diags);
+        }
+        let m = access.len();
+        let edge = |a: usize, b: usize| a != b && access[a].1 == access[b].0;
+        let mut indegree: Vec<usize> = (0..m)
+            .map(|b| (0..m).filter(|&a| edge(a, b)).count())
+            .collect();
+        let mut order = Vec::with_capacity(m);
+        while let Some(next) = (0..m).find(|&i| indegree[i] == 0 && !order.contains(&i)) {
+            order.push(next);
+            for (b, deg) in indegree.iter_mut().enumerate() {
+                if edge(next, b) {
+                    *deg -= 1;
+                }
+            }
+        }
+        if order.len() < m {
+            let cycle: Vec<&str> = (0..m)
+                .filter(|i| !order.contains(i))
+                .map(|i| self.stages[i].name.as_str())
+                .collect();
+            return Err(vec![Diagnostic::new(
+                DiagnosticKind::StageCycle,
+                0,
+                format!(
+                    "stage dependencies contain a cycle through {}",
+                    cycle.join(" -> ")
+                ),
+            )]);
+        }
+        Ok((access, order))
     }
 
     /// Validates the declaration and computes the deterministic stage
@@ -261,28 +339,21 @@ impl<E: Element> StageGraphBuilder<E> {
             !self.stages.is_empty(),
             "a stage graph needs at least one stage"
         );
-        let diags = self.validate();
-        // Caller error: the declaration must pass its own audit.
-        expect_clean("stage-graph validation", &diags);
-        let decls = self.decls();
-        // Invariant: the clean audit above rules out every cycle.
-        let order = topological_order(&decls).expect("audit rejected cyclic graphs");
-        let field_index = |name: &str| {
-            self.fields
-                .iter()
-                .position(|f| f == name)
-                // Invariant: the clean audit resolved every stage's fields.
-                .expect("audit resolved every access")
-        };
+        let (access, order) = self.resolve().unwrap_or_else(|diags| {
+            // Caller error: the declaration must pass its own checks.
+            expect_clean("stage-graph validation", &diags);
+            unreachable!("a failed resolution reports why")
+        });
         let stages: Vec<Stage<E>> = self
             .stages
             .into_iter()
-            .map(|s| Stage {
-                input: field_index(&s.input),
-                output: field_index(&s.output),
+            .zip(access)
+            .map(|(s, (input, output))| Stage {
                 name: s.name,
                 kernel: s.kernel,
+                input,
                 gathered: s.gathered,
+                output,
             })
             .collect();
         // Exchange plan: a gathered read of field f at topological
@@ -315,17 +386,6 @@ impl<E: Element> StageGraphBuilder<E> {
             order,
             plan,
         }
-    }
-
-    fn decls(&self) -> Vec<StageDecl> {
-        self.stages
-            .iter()
-            .map(|s| StageDecl {
-                name: s.name.clone(),
-                reads: vec![s.input.clone()],
-                writes: vec![s.output.clone()],
-            })
-            .collect()
     }
 }
 
@@ -871,51 +931,49 @@ impl<E: Element> DataflowSession<E> {
     /// a checkpoint missing a graph field or holding an unknown one is
     /// rejected — never zipped by position.
     ///
-    /// # Panics
-    /// Panics if `mesh` does not have the checkpoint's element count or
-    /// the field names do not match the graph's exactly.
+    /// # Errors
+    /// [`CheckpointError::ElementCount`] if `mesh` does not have the
+    /// checkpoint's element count, [`CheckpointError::MissingField`] if
+    /// the graph registers a field the checkpoint has no record of, and
+    /// [`CheckpointError::UnexpectedField`] if the checkpoint records one
+    /// the graph does not register. The checkpoint is replicated, so the
+    /// restore decides this before its first message and every rank
+    /// returns the same error.
     pub fn restore<C: Comm>(
         env: &mut C,
         mesh: &Graph,
         graph: StageGraph<E>,
         ckpt: &SessionCheckpoint<E>,
         config: &StanceConfig,
-    ) -> Self {
-        // Caller error: the checkpoint holds exactly this graph's fields.
-        assert_eq!(
-            ckpt.fields().len(),
-            graph.fields.len(),
-            "checkpoint holds {} fields for a {}-field graph",
-            ckpt.fields().len(),
-            graph.fields.len()
-        );
-        Self::restore_registered(env, mesh, graph, ckpt, config)
+    ) -> Result<Self, CheckpointError> {
+        Self::restore_registered(env, mesh, graph, ckpt, config, false)
     }
 
-    /// [`DataflowSession::restore`] that tolerates records beyond the
-    /// graph's fields (the façade's caller-owned aux arrays, which it
-    /// hands back to the caller instead).
+    /// [`DataflowSession::restore`], which with `extra_records` tolerates
+    /// records beyond the graph's fields (the façade's caller-owned aux
+    /// arrays, which it hands back to the caller instead).
     pub(crate) fn restore_registered<C: Comm>(
         env: &mut C,
         mesh: &Graph,
         graph: StageGraph<E>,
         ckpt: &SessionCheckpoint<E>,
         config: &StanceConfig,
-    ) -> Self {
-        // Caller error: the checkpoint was taken on this mesh.
-        assert_eq!(
-            mesh.num_vertices(),
-            ckpt.n(),
-            "checkpoint covers {} elements for a {}-vertex graph",
-            ckpt.n(),
-            mesh.num_vertices()
-        );
-        for name in &graph.fields {
-            // Caller error: every registered field must have a record.
-            assert!(
-                ckpt.field(name).is_some(),
-                "checkpoint is missing field {name:?}"
-            );
+        extra_records: bool,
+    ) -> Result<Self, CheckpointError> {
+        if mesh.num_vertices() != ckpt.n() {
+            return Err(CheckpointError::ElementCount {
+                found: ckpt.n(),
+                expected: mesh.num_vertices(),
+            });
+        }
+        if let Some(name) = graph.fields.iter().find(|f| ckpt.field(f).is_none()) {
+            return Err(CheckpointError::MissingField(name.clone()));
+        }
+        if !extra_records {
+            let mut records = ckpt.fields().iter();
+            if let Some((name, _)) = records.find(|(f, _)| !graph.fields.contains(f)) {
+                return Err(CheckpointError::UnexpectedField(name.clone()));
+            }
         }
         let same_width = env.size() == ckpt.num_procs();
         let partition = if same_width {
@@ -937,7 +995,7 @@ impl<E: Element> DataflowSession<E> {
                 .monitor
                 .restore_snapshot(&ckpt.monitors()[env.rank()]);
         }
-        session
+        Ok(session)
     }
 
     /// Analyzes the protocol traces recorded so far: allgathers every
@@ -1069,6 +1127,66 @@ mod tests {
             .field("y")
             .stage("relax", RelaxationKernel, "ghost", "y")
             .build();
+    }
+
+    /// A builder over `fields` with one ghost-reading relaxation stage per
+    /// `(name, reads, writes)`.
+    fn builder(fields: &[&str], stages: &[(&str, &str, &str)]) -> StageGraphBuilder<f64> {
+        let b = fields
+            .iter()
+            .fold(StageGraphBuilder::new(), |b, f| b.field(f));
+        stages.iter().fold(b, |b, &(name, reads, writes)| {
+            b.stage(name, RelaxationKernel, reads, writes)
+        })
+    }
+
+    fn order_of(b: StageGraphBuilder<f64>) -> Vec<String> {
+        b.build().execution_order().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn in_place_stage_is_not_a_self_cycle() {
+        let b = builder(&["y"], &[("relax", "y", "y")]);
+        assert_eq!(b.validate(), Vec::new());
+        assert_eq!(order_of(b), ["relax"]);
+    }
+
+    #[test]
+    fn ties_break_by_declaration_order() {
+        // Two independent stages: declaration order is the schedule.
+        let b = builder(&["a", "b"], &[("z2", "b", "b"), ("a1", "a", "a")]);
+        assert_eq!(order_of(b), ["z2", "a1"]);
+    }
+
+    #[test]
+    fn cycle_detail_names_its_members() {
+        // `c` is independent and placed; `a` and `b` feed each other.
+        let stages = [("a", "f", "g"), ("b", "g", "f"), ("c", "h", "h")];
+        let diags = builder(&["f", "g", "h"], &stages).validate();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].kind, DiagnosticKind::StageCycle);
+        assert!(
+            diags[0].detail.ends_with("through a -> b"),
+            "{}",
+            diags[0].detail
+        );
+    }
+
+    #[test]
+    fn undeclared_access_names_the_stage_and_field() {
+        let stages = [("relax", "ghost", "y"), ("spill", "y", "out")];
+        let diags = builder(&["y"], &stages).validate();
+        assert!(diags
+            .iter()
+            .all(|d| d.kind == DiagnosticKind::UndeclaredFieldAccess));
+        let details: Vec<&str> = diags.iter().map(|d| d.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            [
+                "stage \"relax\" reads unregistered field \"ghost\"",
+                "stage \"spill\" writes unregistered field \"out\"",
+            ]
+        );
     }
 
     /// `check_interval` and `team_threads` are public fields, so the
@@ -1481,7 +1599,8 @@ mod tests {
             let names: Vec<&str> = ckpt.fields().iter().map(|(n, _)| n.as_str()).collect();
             assert_eq!(names, ["y", "z"]);
             s.run_block(env, 5);
-            let mut r = DataflowSession::restore(env, &m, graph(), &ckpt, &config);
+            let mut r = DataflowSession::restore(env, &m, graph(), &ckpt, &config)
+                .expect("the checkpoint fits the graph");
             r.run_block(env, 5);
             let same = s.local("y") == r.local("y") && s.local("z") == r.local("z");
             // The round trip survives the wire form too.
@@ -1521,8 +1640,10 @@ mod tests {
             let reversed =
                 SessionCheckpoint::<f64>::from_bytes(&reversed.to_bytes()).expect("a valid blob");
             assert_eq!(reversed.fields()[0].0, "z");
-            let mut a = DataflowSession::restore(env, &m, graph(), &ckpt, &config);
-            let mut b = DataflowSession::restore(env, &m, graph(), &reversed, &config);
+            let mut a = DataflowSession::restore(env, &m, graph(), &ckpt, &config)
+                .expect("the checkpoint fits the graph");
+            let mut b = DataflowSession::restore(env, &m, graph(), &reversed, &config)
+                .expect("the checkpoint fits the graph");
             a.run_block(env, 5);
             b.run_block(env, 5);
             for f in ["y", "z"] {
@@ -1534,29 +1655,54 @@ mod tests {
         });
     }
 
+    /// A well-formed checkpoint that does not fit the restoring graph is
+    /// an error, the same on every rank, returned before any message
+    /// moves: a renamed field is missing, a record the graph lacks is
+    /// unexpected, another mesh has another element count, and the façade
+    /// needs a `"values"` record.
     #[test]
-    #[should_panic(expected = "missing field")]
     fn restore_rejects_mismatched_field_names() {
         let m = mesh();
+        let small = stance_locality::meshgen::triangulated_grid(5, 4, 0.0, 0);
         let config = StanceConfig::free();
+        let graph = |names: &[&str]| {
+            let b = names
+                .iter()
+                .fold(StageGraphBuilder::new(), |b, f| b.field(f));
+            let b = names
+                .iter()
+                .fold(b, |b, f| b.stage(f, RelaxationKernel, f, f));
+            b.build()
+        };
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
-        Cluster::new(spec).run(|env| {
-            let graph = StageGraphBuilder::new()
-                .field("y")
-                .field("z")
-                .stage("relax", RelaxationKernel, "y", "y")
-                .stage("copy", RelaxationKernel, "z", "z")
-                .build();
-            let mut s = DataflowSession::setup(env, &m, graph, |_, g| init(g), &config);
+        let report = Cluster::new(spec).run(|env| {
+            let mut s =
+                DataflowSession::setup(env, &m, graph(&["y", "z"]), |_, g| init(g), &config);
             let ckpt = s.checkpoint(env);
-            let renamed = StageGraphBuilder::new()
-                .field("y")
-                .field("w")
-                .stage("relax", RelaxationKernel, "y", "y")
-                .stage("copy", RelaxationKernel, "w", "w")
-                .build();
-            let _ = DataflowSession::restore(env, &m, renamed, &ckpt, &config);
+            let sent = env.stats().messages_sent;
+            let errors = [
+                DataflowSession::restore(env, &m, graph(&["y", "w"]), &ckpt, &config).err(),
+                DataflowSession::restore(env, &m, graph(&["y"]), &ckpt, &config).err(),
+                DataflowSession::restore(env, &small, graph(&["y", "z"]), &ckpt, &config).err(),
+                AdaptiveSession::restore(env, &m, RelaxationKernel, &ckpt, &config).err(),
+            ];
+            assert_eq!(env.stats().messages_sent, sent, "a rejected restore sent");
+            errors
         });
+        for errors in report.into_results() {
+            assert_eq!(
+                errors,
+                [
+                    Some(CheckpointError::MissingField("w".into())),
+                    Some(CheckpointError::UnexpectedField("z".into())),
+                    Some(CheckpointError::ElementCount {
+                        found: m.num_vertices(),
+                        expected: small.num_vertices(),
+                    }),
+                    Some(CheckpointError::MissingField("values".into())),
+                ]
+            );
+        }
     }
 
     /// Verified multi-field run: audits and protocol analysis stay clean

@@ -37,7 +37,7 @@ use stance_onedim::BlockPartition;
 use stance_sim::{Comm, Element};
 use stance_verify::{Diagnostic, RankTrace};
 
-use crate::checkpoint::SessionCheckpoint;
+use crate::checkpoint::{CheckpointError, SessionCheckpoint};
 use crate::config::StanceConfig;
 use crate::dataflow::{DataflowSession, StageGraph, StageGraphBuilder};
 
@@ -188,18 +188,20 @@ impl<E: Element> AdaptiveSession<E> {
     /// values, wherever it stands; every other record is returned as an
     /// aux array, in record order, localized to this rank's new interval.
     ///
-    /// # Panics
-    /// Panics if `graph` does not have the checkpoint's element count or
-    /// the checkpoint has no `"values"` record.
+    /// # Errors
+    /// [`CheckpointError::ElementCount`] if `graph` does not have the
+    /// checkpoint's element count, [`CheckpointError::MissingField`] if
+    /// the checkpoint has no `"values"` record — decided before the first
+    /// message, identically on every rank.
     pub fn restore<C: Comm, K: Kernel<E> + 'static>(
         env: &mut C,
         graph: &Graph,
         kernel: K,
         ckpt: &SessionCheckpoint<E>,
         config: &StanceConfig,
-    ) -> (Self, Vec<Vec<E>>) {
+    ) -> Result<(Self, Vec<Vec<E>>), CheckpointError> {
         let engine =
-            DataflowSession::restore_registered(env, graph, one_stage(kernel), ckpt, config);
+            DataflowSession::restore_registered(env, graph, one_stage(kernel), ckpt, config, true)?;
         let iv = engine.partition().interval_of(env.rank());
         let aux = ckpt
             .fields()
@@ -207,7 +209,7 @@ impl<E: Element> AdaptiveSession<E> {
             .filter(|(name, _)| name != VALUES)
             .map(|(_, a)| a[iv.start..iv.end].to_vec())
             .collect();
-        (AdaptiveSession { engine }, aux)
+        Ok((AdaptiveSession { engine }, aux))
     }
 
     /// Analyzes the protocol traces recorded so far — see
@@ -656,7 +658,8 @@ mod tests {
             s.run_block(env, iters);
             let uninterrupted = s.local_values().to_vec();
             // … versus a fresh session restored from the checkpoint.
-            let (mut r, raux) = AdaptiveSession::restore(env, &m, RelaxationKernel, &ckpt, &config);
+            let (mut r, raux) = AdaptiveSession::restore(env, &m, RelaxationKernel, &ckpt, &config)
+                .expect("the checkpoint fits the mesh");
             assert_eq!(raux.len(), 1);
             assert_eq!(raux[0], aux, "aux array must survive the round trip");
             assert_eq!(
@@ -700,7 +703,8 @@ mod tests {
 
         let spec = ClusterSpec::uniform(2).with_network(NetworkSpec::zero_cost());
         let report = Cluster::new(spec).run(|env| {
-            let (mut s, aux) = AdaptiveSession::restore(env, &m, RelaxationKernel, &ckpt, &config);
+            let (mut s, aux) = AdaptiveSession::restore(env, &m, RelaxationKernel, &ckpt, &config)
+                .expect("the checkpoint fits the mesh");
             assert!(aux.is_empty());
             s.run_block(env, rest);
             (s.local_values().to_vec(), s.partition().clone())

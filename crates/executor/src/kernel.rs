@@ -705,30 +705,6 @@ impl<E: Element> LoopRunner<E> {
         early_secs + (env.now_secs() - t1)
     }
 
-    /// One application of `kernel` *without* committing: gathers the
-    /// ghosts of `values`, charges and performs the sweep, and leaves the
-    /// result in [`LoopRunner::scratch`]. The input values' owned block is
-    /// untouched — this is what operator-style workloads (matvec inside a
-    /// solver) use.
-    pub fn apply<C: Comm, K: Kernel<E> + ?Sized>(
-        &mut self,
-        env: &mut C,
-        kernel: &K,
-        values: &mut GhostedArray<E>,
-    ) -> LoopStats {
-        let group = std::slice::from_mut(values);
-        LoopStats {
-            iterations: 1,
-            compute_time: self.stage_step(env, kernel, group, &[0], 0),
-        }
-    }
-
-    /// The output of the most recent [`LoopRunner::apply`] (one element per
-    /// owned vertex).
-    pub fn scratch(&self) -> &[E] {
-        &self.scratch[..self.tadj.len()]
-    }
-
     /// One committed stage of a multi-field pass: exchanges the ghosts of
     /// the fields selected by `exchange` (indices into `fields`), sweeps
     /// `kernel` over `fields[input]`, and commits the output to
@@ -755,10 +731,9 @@ impl<E: Element> LoopRunner<E> {
     /// perform the sweep, commit the new values. The commit is
     /// double-buffered — the sweep scratch and the value buffer exchange
     /// pointers instead of copying the owned block, so committing is O(1)
-    /// regardless of block size. (After the swap, `scratch()` holds the
-    /// *previous* values, not the committed output — callers that need
-    /// the output of a non-committing application use `apply` +
-    /// `scratch()`.) Returns measured timing.
+    /// regardless of block size. (An application that must leave its
+    /// input untouched — a matvec inside a solver — commits to a second
+    /// field through [`LoopRunner::run_stage`].) Returns measured timing.
     pub fn run<C: Comm, K: Kernel<E> + ?Sized>(
         &mut self,
         env: &mut C,
@@ -970,9 +945,11 @@ mod tests {
             let (sched, _) = build_schedule_symmetric(&part, &adj, rank, ScheduleStrategy::Sort2);
             let iv = part.interval_of(rank);
             let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
-            let mut values = runner.make_values(x2[iv.start..iv.end].to_vec());
-            runner.apply(env, &LaplacianKernel { shift }, &mut values);
-            runner.scratch().to_vec()
+            let x = runner.make_values(x2[iv.start..iv.end].to_vec());
+            let ax = runner.make_values(vec![0.0; iv.len()]);
+            let mut fields = [x, ax];
+            runner.run_stage(env, &LaplacianKernel { shift }, &mut fields, &[0], 0, 1);
+            fields[1].local().to_vec()
         });
         let mut got = Vec::with_capacity(n);
         for r in report.into_results() {
@@ -982,7 +959,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_leaves_input_untouched() {
+    fn run_stage_into_another_field_leaves_input_untouched() {
         let g = meshgen::triangulated_grid(6, 6, 0.0, 1);
         let n = g.num_vertices();
         let part = BlockPartition::uniform(n, 2);
@@ -994,9 +971,20 @@ mod tests {
             let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero());
             let iv = part.interval_of(rank);
             let init: Vec<f64> = iv.iter().map(|g| g as f64).collect();
-            let mut values = runner.make_values(init.clone());
-            runner.apply(env, &RelaxationKernel, &mut values);
-            assert_eq!(values.local(), init.as_slice(), "apply must not commit");
+            let values = runner.make_values(init.clone());
+            let out = runner.make_values(vec![0.0; iv.len()]);
+            let mut fields = [values, out];
+            runner.run_stage(env, &RelaxationKernel, &mut fields, &[0], 0, 1);
+            assert_eq!(
+                fields[0].local(),
+                init.as_slice(),
+                "the input must not change"
+            );
+            assert_ne!(
+                fields[1].local(),
+                init.as_slice(),
+                "the output must be committed"
+            );
         });
     }
 

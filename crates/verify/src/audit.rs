@@ -113,30 +113,19 @@ impl ScheduleSummary {
     }
 }
 
-/// One communication step of a rank's program order, as the deadlock
-/// check models it: sends are buffered (never block), receives block
-/// until the matching send has been *posted* by the peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommOp {
-    /// A (buffered) send to `to`.
-    Send {
-        /// Destination rank.
-        to: usize,
-    },
-    /// A blocking receive from `from`.
-    Recv {
-        /// Source rank.
-        from: usize,
-    },
-}
-
 /// Audits a full set of per-rank schedule summaries (one per rank, in
 /// rank order — the shape [`audit_collective`]'s allgather produces).
-/// Checks: intervals tile the index space; send globals are owned by the
-/// sender and receive globals by the peer; no global is fetched from two
-/// peers; send/recv lists are pairwise symmetric element-for-element;
-/// and the gather/scatter orderings the executor derives from the
-/// schedules are deadlock-free.
+/// Checks: intervals tile the index space; a summary names each peer in at
+/// most one send segment and at most one receive segment; send globals are
+/// owned by the sender and receive globals by the peer; no global is
+/// fetched from two peers; send/recv lists are pairwise symmetric
+/// element-for-element.
+///
+/// No ordering needs simulating on top. A step posts every send before
+/// its first receive, and sends are buffered on every backend, so no send
+/// blocks; once these checks pass, each receive a step posts has exactly
+/// one matching send, which its peer posts before waiting on anything. A
+/// step over distinct segments that match pairwise cannot deadlock.
 pub fn audit_schedules(summaries: &[ScheduleSummary]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let p = summaries.len();
@@ -185,10 +174,14 @@ pub fn audit_schedules(summaries: &[ScheduleSummary]) -> Vec<Diagnostic> {
         ));
     }
 
-    // 2. Per-rank segment sanity: sends own their globals, recvs' globals
-    // lie in the peer's interval, and no global arrives from two peers.
+    // 2. Per-rank segment sanity: a peer heads at most one segment in each
+    // direction (a repeat is reported and not walked), sends own their
+    // globals, recvs' globals lie in the peer's interval, and no global
+    // arrives from two peers.
     for s in summaries {
-        for (peer, globals) in &s.sends {
+        let sends = distinct_segments(s.rank, "send", &s.sends, &mut diags);
+        let recvs = distinct_segments(s.rank, "receive", &s.recvs, &mut diags);
+        for (peer, globals) in sends {
             for &g in globals {
                 if !s.interval.contains(g as usize) {
                     diags.push(
@@ -206,7 +199,7 @@ pub fn audit_schedules(summaries: &[ScheduleSummary]) -> Vec<Diagnostic> {
             }
         }
         let mut seen: Vec<(u32, usize)> = Vec::new();
-        for (peer, globals) in &s.recvs {
+        for (peer, globals) in recvs {
             let peer_iv = summaries
                 .get(*peer)
                 .map_or(Interval::EMPTY, |ps| ps.interval);
@@ -301,138 +294,35 @@ pub fn audit_schedules(summaries: &[ScheduleSummary]) -> Vec<Diagnostic> {
         }
     }
 
-    // 4. The executor orderings derived from these schedules must be
-    // deadlock-free (trivially true for sends-then-receives programs with
-    // buffered sends and symmetric segments — but a corrupted or
-    // hand-built schedule set has no such guarantee).
-    if diags.is_empty() {
-        let gather: Vec<Vec<CommOp>> = summaries.iter().map(|s| gather_ops(s, false)).collect();
-        let scatter: Vec<Vec<CommOp>> = summaries.iter().map(|s| gather_ops(s, true)).collect();
-        diags.extend(check_deadlock(&gather));
-        diags.extend(check_deadlock(&scatter));
-    }
     diags
 }
 
-/// One rank's executor program order: gather posts all sends then drains
-/// receives in segment order; scatter is the reverse flow.
-fn gather_ops(s: &ScheduleSummary, scatter: bool) -> Vec<CommOp> {
-    let (send_segs, recv_segs) = if scatter {
-        (&s.recvs, &s.sends)
-    } else {
-        (&s.sends, &s.recvs)
-    };
-    let mut ops: Vec<CommOp> = send_segs
-        .iter()
-        .map(|(to, _)| CommOp::Send { to: *to })
-        .collect();
-    ops.extend(
-        recv_segs
-            .iter()
-            .map(|(from, _)| CommOp::Recv { from: *from }),
-    );
-    ops
-}
-
-/// Simulates one communication step sequence per rank under the
-/// transport's semantics — buffered sends, blocking receives — and
-/// reports ranks that can never progress. For each stuck rank the
-/// wait-for graph (who is blocked on whom) is walked: a cycle is the
-/// classic deadlock and is reported once with its full rank cycle; a
-/// stuck rank whose sender simply terminated without sending is reported
-/// individually.
-pub fn check_deadlock(ops: &[Vec<CommOp>]) -> Vec<Diagnostic> {
-    let p = ops.len();
-    let mut at = vec![0usize; p];
-    // in_flight[src * p + dst]: messages posted but not yet received.
-    let mut in_flight = vec![0usize; p * p];
-    loop {
-        let mut progressed = false;
-        for (rank, seq) in ops.iter().enumerate() {
-            while at[rank] < seq.len() {
-                match seq[at[rank]] {
-                    CommOp::Send { to } => {
-                        in_flight[rank * p + to] += 1;
-                        at[rank] += 1;
-                        progressed = true;
-                    }
-                    CommOp::Recv { from } => {
-                        if in_flight[from * p + rank] > 0 {
-                            in_flight[from * p + rank] -= 1;
-                            at[rank] += 1;
-                            progressed = true;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if !progressed {
-            break;
+/// `rank`'s segments of one direction, each peer's first only: a peer a
+/// later segment names again is reported as an asymmetry naming the rank,
+/// the peer and the direction.
+fn distinct_segments<'a>(
+    rank: usize,
+    direction: &str,
+    segments: &'a [(usize, Vec<u32>)],
+    diags: &mut Vec<Diagnostic>,
+) -> Vec<&'a (usize, Vec<u32>)> {
+    let mut distinct: Vec<&(usize, Vec<u32>)> = Vec::with_capacity(segments.len());
+    for segment in segments {
+        let peer = segment.0;
+        if distinct.iter().any(|(q, _)| *q == peer) {
+            diags.push(
+                Diagnostic::new(
+                    DiagnosticKind::SendRecvAsymmetry,
+                    rank,
+                    format!("names rank {peer} in more than one {direction} segment"),
+                )
+                .with_peer(peer),
+            );
+        } else {
+            distinct.push(segment);
         }
     }
-
-    let blocked_on = |rank: usize| -> Option<usize> {
-        (at[rank] < ops[rank].len()).then(|| match ops[rank][at[rank]] {
-            CommOp::Recv { from } => from,
-            CommOp::Send { .. } => unreachable!("buffered sends never block"),
-        })
-    };
-    let mut diags = Vec::new();
-    let mut reported = vec![false; p];
-    for rank in 0..p {
-        if reported[rank] || blocked_on(rank).is_none() {
-            continue;
-        }
-        // Walk the wait-for chain from this stuck rank; it either reaches
-        // a finished rank (starvation) or revisits a rank (cycle).
-        let mut chain = vec![rank];
-        let mut cur = rank;
-        loop {
-            match blocked_on(cur) {
-                None => {
-                    diags.push(
-                        Diagnostic::new(
-                            DiagnosticKind::DeadlockCycle,
-                            rank,
-                            format!(
-                                "blocked receiving from rank {cur}, which finishes \
-                                 without a matching send"
-                            ),
-                        )
-                        .with_peer(cur),
-                    );
-                    break;
-                }
-                Some(next) => {
-                    if let Some(pos) = chain.iter().position(|&r| r == next) {
-                        let cycle: Vec<String> =
-                            chain[pos..].iter().map(|r| format!("rank {r}")).collect();
-                        diags.push(
-                            Diagnostic::new(
-                                DiagnosticKind::DeadlockCycle,
-                                next,
-                                format!(
-                                    "wait-for cycle: {} -> rank {next}, every rank blocked \
-                                     in a receive posted before its matching send",
-                                    cycle.join(" -> ")
-                                ),
-                            )
-                            .with_peer(chain[pos]),
-                        );
-                        break;
-                    }
-                    chain.push(next);
-                    cur = next;
-                }
-            }
-        }
-        for &r in &chain {
-            reported[r] = true;
-        }
-    }
-    diags
+    distinct
 }
 
 /// Audits one rank's translated adjacency against its schedule and raw
@@ -773,38 +663,5 @@ mod tests {
                 .any(|d| d.kind == DiagnosticKind::IntervalOverlap && d.rank == 1),
             "{diags:?}"
         );
-    }
-
-    #[test]
-    fn deadlock_cycle_is_detected() {
-        // Both ranks receive before sending: the classic head-to-head
-        // blocking-receive deadlock.
-        let ops = vec![
-            vec![CommOp::Recv { from: 1 }, CommOp::Send { to: 1 }],
-            vec![CommOp::Recv { from: 0 }, CommOp::Send { to: 0 }],
-        ];
-        let diags = check_deadlock(&ops);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].kind, DiagnosticKind::DeadlockCycle);
-        assert!(diags[0].detail.contains("cycle"), "{}", diags[0].detail);
-    }
-
-    #[test]
-    fn sends_then_receives_never_deadlock() {
-        let ops = vec![
-            vec![CommOp::Send { to: 1 }, CommOp::Recv { from: 1 }],
-            vec![CommOp::Send { to: 0 }, CommOp::Recv { from: 0 }],
-        ];
-        assert_eq!(check_deadlock(&ops), Vec::new());
-    }
-
-    #[test]
-    fn starved_receive_names_the_finished_peer() {
-        let ops = vec![vec![CommOp::Recv { from: 1 }], vec![]];
-        let diags = check_deadlock(&ops);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].kind, DiagnosticKind::DeadlockCycle);
-        assert_eq!(diags[0].peer, Some(1));
-        assert!(diags[0].detail.contains("finishes"), "{}", diags[0].detail);
     }
 }

@@ -6,14 +6,17 @@ use stance_sim::Tag;
 
 /// The kind of contract violation a check found. Each variant corresponds
 /// to one invariant of the SPMD contract — the static audit produces the
-/// schedule/plan kinds, the trace analyzer the protocol kinds.
+/// schedule/plan kinds, the trace analyzer the protocol kinds, and the
+/// stage-graph builder (`StageGraphBuilder::validate` in `stance`) the
+/// dataflow kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagnosticKind {
     /// The partition intervals leave part of the index space unowned.
     IntervalGap,
     /// Two partition intervals claim the same indices.
     IntervalOverlap,
-    /// Rank p's send list to q and q's receive list from p differ.
+    /// Rank p's send list to q and q's receive list from p differ, or a
+    /// schedule names one peer in two segments of the same direction.
     SendRecvAsymmetry,
     /// One global element is fetched as a ghost from two different peers.
     DoubleOwnedGhost,
@@ -27,10 +30,6 @@ pub enum DiagnosticKind {
     /// A redistribution's kept copy + receives do not exactly tile the
     /// new interval.
     RedistributionTile,
-    /// The blocking send/receive order contains a cross-rank wait-for
-    /// cycle: every rank on the cycle is blocked in a receive whose
-    /// matching send comes later in its peer's program order.
-    DeadlockCycle,
     /// A send no receive ever consumed.
     UnmatchedSend,
     /// A receive on a (source, tag) stream no in-flight message could
@@ -75,7 +74,6 @@ impl DiagnosticKind {
             DiagnosticKind::GhostFromNonOwner => "ghost-from-non-owner",
             DiagnosticKind::ClassificationMismatch => "classification-mismatch",
             DiagnosticKind::RedistributionTile => "redistribution-tile",
-            DiagnosticKind::DeadlockCycle => "deadlock-cycle",
             DiagnosticKind::UnmatchedSend => "unmatched-send",
             DiagnosticKind::PhantomRecv => "phantom-recv",
             DiagnosticKind::PayloadMismatch => "payload-mismatch",

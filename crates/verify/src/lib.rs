@@ -15,16 +15,11 @@
 //! * **Static audit** (the `audit` module): given the per-rank inspector
 //!   artifacts, verify the global invariants every backend relies on —
 //!   the partition intervals tile the index space, every ghost resolves
-//!   to exactly one owner, send/recv lists are pairwise symmetric
+//!   to exactly one owner, each peer heads at most one segment per
+//!   direction, send/recv lists are pairwise symmetric
 //!   element-for-element, every off-block reference is a scheduled
-//!   ghost, a redistribution's kept copy plus receives exactly tile the
-//!   new interval, and the blocking send/recv order cannot deadlock
-//!   (cycle detection on the cross-rank wait-for graph).
-//! * **Dataflow audit** ([`audit_stage_graph`]): given a stage graph's
-//!   declared field set and per-stage read/write sets, verify the names
-//!   resolve unambiguously and the writer→reader dependencies admit a
-//!   deterministic topological schedule (cycle detection), before any
-//!   kernel runs.
+//!   ghost, and a redistribution's kept copy plus receives exactly tile
+//!   the new interval.
 //! * **Dynamic checker** ([`CheckedComm`] + [`analyze_traces`]): a
 //!   [`TraceHook`] on the one [`Comm`](stance_sim::Comm) interposer,
 //!   [`Interposed`], recording every point-to-point and barrier event
@@ -40,23 +35,24 @@
 //! the report alone. The adaptive session runs both behind
 //! `StanceConfig::with_verification(true)`; the conformance and
 //! equivalence suites run under [`CheckedComm`] on both backends as the
-//! acceptance gate every future backend must pass.
+//! acceptance gate every future backend must pass. A stage graph's own
+//! declaration (duplicate names, undeclared fields, dependency cycles) is
+//! checked where it is ordered, by `StageGraphBuilder` in `stance`, and
+//! reported in the same currency.
 
 mod analyzer;
 mod audit;
 mod checked;
-mod dataflow;
 mod diag;
 mod fault;
 mod interpose;
 
 pub use analyzer::{analyze_collective, analyze_traces};
 pub use audit::{
-    audit_collective, audit_redistribution, audit_schedules, audit_translation, check_deadlock,
-    expect_clean, CommOp, ScheduleSummary, TAG_AUDIT, TAG_TRACE,
+    audit_collective, audit_redistribution, audit_schedules, audit_translation, expect_clean,
+    ScheduleSummary, TAG_AUDIT, TAG_TRACE,
 };
 pub use checked::{checked_comm_constructions, CheckedComm, RankTrace, TraceEvent, TraceHook};
-pub use dataflow::{audit_stage_graph, topological_order, StageDecl};
 pub use diag::{Diagnostic, DiagnosticKind};
 pub use fault::{
     catch_fault, FaultEvent, FaultHook, FaultKind, FaultPlan, FaultyComm, InjectedFault,

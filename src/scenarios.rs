@@ -13,7 +13,6 @@
 //! drifted test.
 
 use stance::executor::sequential_laplacian_matvec;
-use stance::inspector::{build_schedule_symmetric, LocalAdjacency};
 use stance::locality::meshgen;
 use stance::prelude::*;
 use stance_verify::{catch_fault, CheckedComm, FaultKind, FaultPlan, FaultyComm, RankTrace};
@@ -124,7 +123,8 @@ pub fn drive<C: Comm>(env: &mut C, m: &Graph, cfg: &StanceConfig) -> Option<Surv
         // The recovered run re-checks the whole SPMD contract: audits
         // after setup, every p2p event traced.
         let vcfg = cfg.clone().with_verification(true);
-        let (mut r, aux) = AdaptiveSession::restore(&mut sc, m, RelaxationKernel, &ckpt, &vcfg);
+        let (mut r, aux) = AdaptiveSession::restore(&mut sc, m, RelaxationKernel, &ckpt, &vcfg)
+            .expect("the checkpoint fits the mesh");
         assert!(aux.is_empty());
         for _ in e..EPOCHS {
             r.run_block(&mut sc, BLOCK);
@@ -186,7 +186,8 @@ pub fn continue_from_checkpoint<C: Comm>(
     ckpt: &SessionCheckpoint<f64>,
 ) -> (Vec<f64>, BlockPartition) {
     let cfg = fault_config();
-    let (mut s, _) = AdaptiveSession::restore(env, m, RelaxationKernel, ckpt, &cfg);
+    let (mut s, _) = AdaptiveSession::restore(env, m, RelaxationKernel, ckpt, &cfg)
+        .expect("the checkpoint fits the mesh");
     for _ in FAULT_EPOCH..EPOCHS {
         s.run_block(env, BLOCK);
     }
@@ -306,11 +307,11 @@ pub fn cg_problem() -> (Graph, Vec<f64>, Vec<f64>, f64) {
 }
 
 /// One rank's share of a fixed-iteration CG solve of `(L + shift·I)x =
-/// b`, generic over the backend: `LoopRunner` does the gather + matvec,
-/// `allreduce_f64` the dot products. Every branch depends only on
-/// allreduced values, which are bitwise identical everywhere — so all
-/// ranks and every backend walk the same path. The recorded trace rides
-/// back with the result for cross-rank protocol analysis.
+/// b`, generic over the backend: a one-stage `p → Ap` session does the
+/// gather + matvec, `allreduce_f64` the dot products. Every branch depends
+/// only on allreduced values, which are bitwise identical everywhere — so
+/// all ranks and every backend walk the same path. The recorded trace
+/// rides back with the result for cross-rank protocol analysis.
 pub fn cg_body<C: Comm>(
     env: &mut C,
     mesh: &Graph,
@@ -319,27 +320,23 @@ pub fn cg_body<C: Comm>(
     max_iters: usize,
     team: usize,
 ) -> (Vec<f64>, RankTrace) {
-    // Hand-driven (no session), so the protocol checker is attached
-    // directly.
+    // The dot products run outside the session, so the protocol checker
+    // is attached by hand and the session's own verification stays off.
     let mut trace = RankTrace::new(env.rank(), env.size());
     let mut checked = CheckedComm::attach(env, &mut trace);
     let env = &mut checked;
-    let n = mesh.num_vertices();
-    let part = BlockPartition::uniform(n, env.size());
-    let rank = env.rank();
-    let adj = LocalAdjacency::extract(mesh, &part, rank);
-    let (sched, _) = build_schedule_symmetric(
-        &part,
-        &adj,
-        rank,
-        stance::inspector::ScheduleStrategy::Sort2,
-    );
-    let mut runner = LoopRunner::new(sched, &adj, ComputeCostModel::zero()).with_team(team);
-    let iv = part.interval_of(rank);
+    let graph = StageGraphBuilder::new()
+        .field("p")
+        .field("Ap")
+        .stage("matvec", LaplacianKernel { shift }, "p", "Ap")
+        .build();
+    let config = StanceConfig::free().with_team(team);
+    // `p` starts as `b` (= `r`); every pass overwrites `Ap` whole.
+    let mut session = DataflowSession::setup(env, mesh, graph, |_, g| b[g], &config);
+    let iv = session.partition().interval_of(env.rank());
     let mut x = vec![0.0f64; iv.len()];
     let mut r: Vec<f64> = iv.iter().map(|g| b[g]).collect();
     let mut p = r.clone();
-    let mut values = runner.make_values(p.clone());
 
     let mut rho = {
         let local: f64 = r.iter().map(|v| v * v).sum();
@@ -347,11 +344,11 @@ pub fn cg_body<C: Comm>(
     };
     let rho0 = rho;
     for _ in 0..max_iters {
-        values.set_local(&p);
-        runner.apply(env, &LaplacianKernel { shift }, &mut values);
-        let ap = runner.scratch().to_vec();
+        session.set_local("p", &p);
+        session.run_block(env, 1);
+        let ap = session.local("Ap");
         let p_dot_ap = {
-            let local: f64 = p.iter().zip(&ap).map(|(a, c)| a * c).sum();
+            let local: f64 = p.iter().zip(ap).map(|(a, c)| a * c).sum();
             env.allreduce_f64(Tag(2), local, |a, b| a + b)
         };
         let alpha = rho / p_dot_ap;

@@ -276,7 +276,8 @@ fn collective_checkpoint_restores_across_widths() {
                     .run(|env| {
                         let ck = SessionCheckpoint::<f64>::from_bytes(&blob).expect("a valid blob");
                         let (s, aux) =
-                            AdaptiveSession::restore(env, &m, RelaxationKernel, &ck, &config);
+                            AdaptiveSession::restore(env, &m, RelaxationKernel, &ck, &config)
+                                .expect("the checkpoint fits the mesh");
                         if q == ck.num_procs() {
                             assert_eq!(
                                 s.per_item_estimate().map(f64::to_bits),

@@ -370,7 +370,8 @@ fn dataflow_restore_is_keyed_by_name_not_position() {
             let ckpt = s.checkpoint(env);
             let blob = ckpt.to_bytes();
             let back = SessionCheckpoint::<f64>::from_bytes(&blob).expect("a valid blob");
-            let mut r = DataflowSession::restore(env, &m, writer_graph(), &back, &config);
+            let mut r = DataflowSession::restore(env, &m, writer_graph(), &back, &config)
+                .expect("the checkpoint fits the graph");
             r.run_block(env, 2);
             s.run_block(env, 2);
             (

@@ -14,8 +14,8 @@ use stance::inspector::{build_schedule_symmetric, LocalAdjacency, ScheduleStrate
 use stance::onedim::{BlockPartition, Interval, RedistributionPlan};
 use stance::prelude::*;
 use stance::verify::{
-    analyze_traces, audit_redistribution, audit_schedules, audit_translation, check_deadlock,
-    expect_clean, CommOp, Diagnostic, DiagnosticKind, RankTrace, ScheduleSummary, TraceEvent,
+    analyze_traces, audit_redistribution, audit_schedules, audit_translation, expect_clean,
+    Diagnostic, DiagnosticKind, RankTrace, ScheduleSummary, TraceEvent,
 };
 
 // ---------------------------------------------------------------------
@@ -162,6 +162,43 @@ fn missing_receive_and_missing_send_are_both_reported() {
                 && d.rank == 1
                 && d.detail.contains("sends nothing")),
         "{diags:?}"
+    );
+}
+
+/// Kind 3c: a send segment listed twice. Symmetry alone cannot see it
+/// (both copies match the peer's one receive), so the audit names the
+/// rank, the peer and the direction — and nothing else.
+#[test]
+fn duplicated_send_segment_is_an_asymmetry() {
+    let mut set = clean_summaries();
+    let repeat = set[1].sends[0].clone();
+    set[1].sends.push(repeat);
+    let diags = audit_schedules(&set);
+    assert_eq!(diags.len(), 1, "one repeat, one report: {diags:?}");
+    let d = find(&diags, DiagnosticKind::SendRecvAsymmetry);
+    assert_eq!((d.rank, d.peer), (1, Some(0)));
+    assert!(
+        d.detail.contains("rank 0") && d.detail.contains("send segment"),
+        "detail must name the peer and the direction: {}",
+        d.detail
+    );
+}
+
+/// Kind 3d: a receive segment listed twice — reported as the repeat it
+/// is, not as a ghost fetched from the same peer twice.
+#[test]
+fn duplicated_receive_segment_is_an_asymmetry() {
+    let mut set = clean_summaries();
+    let repeat = set[1].recvs[1].clone();
+    set[1].recvs.push(repeat);
+    let diags = audit_schedules(&set);
+    assert_eq!(diags.len(), 1, "one repeat, one report: {diags:?}");
+    let d = find(&diags, DiagnosticKind::SendRecvAsymmetry);
+    assert_eq!((d.rank, d.peer), (1, Some(2)));
+    assert!(
+        d.detail.contains("rank 2") && d.detail.contains("receive segment"),
+        "detail must name the peer and the direction: {}",
+        d.detail
     );
 }
 
@@ -334,33 +371,11 @@ fn redistribution_tile_errors_name_ranges_and_intervals() {
     );
 }
 
-/// Kind 8: a cyclic blocking-receive order across three ranks — the
-/// diagnostic spells out the full wait-for cycle.
-#[test]
-fn deadlock_cycle_names_the_full_chain() {
-    let ops = vec![
-        vec![CommOp::Recv { from: 2 }, CommOp::Send { to: 1 }],
-        vec![CommOp::Recv { from: 0 }, CommOp::Send { to: 2 }],
-        vec![CommOp::Recv { from: 1 }, CommOp::Send { to: 0 }],
-    ];
-    let diags = check_deadlock(&ops);
-    assert_eq!(diags.len(), 1, "one cycle, one report: {diags:?}");
-    let d = &diags[0];
-    assert_eq!(d.kind, DiagnosticKind::DeadlockCycle);
-    for r in 0..3 {
-        assert!(
-            d.detail.contains(&format!("rank {r}")),
-            "cycle must name rank {r}: {}",
-            d.detail
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
 // Dynamic protocol analysis
 // ---------------------------------------------------------------------
 
-/// Kind 9: a send no receiver ever drains.
+/// Kind 8: a send no receiver ever drains.
 #[test]
 fn unmatched_send_names_stream_and_tag() {
     let traces = vec![trace(0, 2, vec![send(1, 7, 8)]), trace(1, 2, Vec::new())];
@@ -369,7 +384,7 @@ fn unmatched_send_names_stream_and_tag() {
     assert_eq!((d.rank, d.peer, d.tag), (0, Some(1), Some(Tag(7))));
 }
 
-/// Kind 10: a receive whose message was never sent.
+/// Kind 9: a receive whose message was never sent.
 #[test]
 fn phantom_recv_names_stream_and_tag() {
     let traces = vec![trace(0, 2, Vec::new()), trace(1, 2, vec![recv(0, 7, 8)])];
@@ -378,7 +393,7 @@ fn phantom_recv_names_stream_and_tag() {
     assert_eq!((d.rank, d.peer, d.tag), (1, Some(0), Some(Tag(7))));
 }
 
-/// Kind 11: matched send and receive whose payload sizes differ — the
+/// Kind 10: matched send and receive whose payload sizes differ — the
 /// diagnostic names both sizes.
 #[test]
 fn payload_mismatch_names_both_shapes() {
@@ -404,7 +419,7 @@ fn payload_mismatch_names_both_shapes() {
     );
 }
 
-/// Kind 12: ranks disagree on how many barriers the run performed.
+/// Kind 11: ranks disagree on how many barriers the run performed.
 #[test]
 fn barrier_arity_mismatch_names_both_counts() {
     let traces = vec![
@@ -420,7 +435,7 @@ fn barrier_arity_mismatch_names_both_counts() {
     );
 }
 
-/// Kind 13: a message received in an earlier barrier epoch than it was
+/// Kind 12: a message received in an earlier barrier epoch than it was
 /// sent in — impossible under a correct barrier, so the trace itself is
 /// inconsistent. (The reverse — received in a *later* epoch — is legal
 /// buffering and must stay clean.)
