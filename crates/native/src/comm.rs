@@ -29,7 +29,8 @@ impl Tagged for NativeMsg {
 /// deque per (source, destination) pair); tag-mismatched messages are
 /// buffered per source exactly as the simulator buffers them, so receive
 /// semantics (FIFO per matching tag, tag isolation) are identical across
-/// backends. Collectives are the [`Comm`] trait's rank-order defaults.
+/// backends. Collectives are the rank-order blanket impl of
+/// [`Collectives`](stance_sim::Collectives).
 pub struct NativeComm {
     rank: usize,
     size: usize,
@@ -92,20 +93,6 @@ impl Comm for NativeComm {
         self.start.elapsed().as_secs_f64()
     }
 
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        assert!(dst < self.size, "send to rank {dst} of {}", self.size);
-        if self.txs[dst].send(NativeMsg { tag, payload }).is_err() {
-            panic!("receiver rank terminated before message was delivered");
-        }
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        self.pending
-            .recv_matching(&mut self.rxs[src], self.rank, src, tag)
-            .payload
-    }
-
     fn barrier(&mut self) {
         // Zero-cost barrier: the shared protocol's clock fold collapses to
         // a no-op (see `BarrierShared`); only the synchronization and the
@@ -113,16 +100,15 @@ impl Comm for NativeComm {
         let _ = self.barrier.wait(VTime::ZERO);
     }
 
-    /// Lossy send: a terminated receiver yields `false` instead of the
-    /// panic [`Comm::send`] raises — the failure detector's heartbeats
-    /// must survive a dead peer.
+    /// The one send: a terminated receiver yields `false`.
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
         assert!(dst < self.size, "post to rank {dst} of {}", self.size);
         self.txs[dst].send(NativeMsg { tag, payload }).is_ok()
     }
 
-    /// Genuine wall-clock bounded receive: waits up to `timeout_secs` for
-    /// the matching message, returning `None` on timeout — and `None`
+    /// The one receive, bounded in wall-clock time: waits up to
+    /// `timeout_secs` for the matching message (forever for an infinite
+    /// one), returning `None` on timeout — and `None`
     /// immediately once the sender is provably gone (closed mailbox), so
     /// dead peers are detected at mailbox-teardown speed while wedged
     /// ones take the full timeout. Mismatched tags buffered while waiting
@@ -131,7 +117,7 @@ impl Comm for NativeComm {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
         let deadline = deadline_after(timeout_secs);
         self.pending
-            .recv_matching_deadline(&mut self.rxs[src], src, tag, deadline)
+            .recv_matching(&mut self.rxs[src], src, tag, deadline)
             .ok()
             .map(|m| m.payload)
     }

@@ -30,6 +30,16 @@
 //!   backends (model-driven in the simulator, measurement-driven on real
 //!   threads).
 //!
+//! A backend implements seven methods: `rank`, `size`, `compute`,
+//! `now_secs`, `barrier`, and one send and one receive — the lossy
+//! [`Comm::post`] and the bounded [`Comm::recv_deadline`]. Resource
+//! failure is routine on an adaptive cluster, so these are the primitives
+//! and blocking is their special case: [`Comm::send`] is a `post` that
+//! must land and [`Comm::recv`] a `recv_deadline` with no deadline, both
+//! provided and never overridden. [`Comm::multicast`] (hardware multicast)
+//! and [`Comm::crash`] (a real process kill) have defaults a backend may
+//! override.
+//!
 //! [`Collectives`] has one implementation, built from `send`, `recv` and
 //! `multicast`, with **deterministic rank-order data flow**: `allgather`
 //! returns payloads in rank order and `allreduce_f64` folds in rank order,
@@ -40,7 +50,9 @@
 use crate::payload::{Element, Payload, Tag};
 
 /// One rank's handle onto its cluster: the SPMD communication interface
-/// every backend provides. See the [module docs](self) for the contract.
+/// every backend provides. See the [module docs](self) for the contract:
+/// seven methods are required, and `send` and `recv` are built on `post`
+/// and `recv_deadline`.
 ///
 /// All methods take `&mut self`: a rank is a single sequential process,
 /// exactly as in the paper's SPMD model (§2). Methods documented as
@@ -65,54 +77,72 @@ pub trait Comm {
     /// records.
     fn now_secs(&self) -> f64;
 
-    /// Sends `payload` to `dst` with `tag`. Sending to self is allowed.
-    /// Messages between one (source, destination) pair are delivered in
-    /// FIFO order per tag match.
-    ///
-    /// # Panics
-    /// Panics if `dst` is out of range.
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload);
-
-    /// Receives the next message from `src` carrying `tag`, blocking until
-    /// it arrives. Messages with other tags from `src` are buffered and
-    /// returned by later matching receives (tag isolation).
-    ///
-    /// # Panics
-    /// Panics if `src` is out of range, or if `src` terminates without ever
-    /// sending a matching message (a deadlocked protocol is a bug).
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload;
-
     /// Synchronizes all ranks. Collective.
     fn barrier(&mut self);
 
-    /// **Lossy** send: like [`Comm::send`] but, where `send` panics if the
-    /// receiving rank has terminated, `post` reports it by returning
-    /// `false` (and delivers nothing). This is the failure detector's send
-    /// primitive — heartbeats and verdict exchanges must survive a dead
-    /// peer. Required, like [`Comm::recv_deadline`]: a fallback to the
-    /// blocking primitive would turn the detector into the hang it exists
-    /// to prevent.
+    /// **Lossy** send of `payload` to `dst` with `tag`: returns `false`
+    /// (and delivers nothing) if the receiving rank has terminated. This
+    /// is the one send every backend implements; [`Comm::send`] is this
+    /// call for a message that must land. Sending to self is allowed.
+    /// Messages between one (source, destination) pair are delivered in
+    /// FIFO order per tag match. Heartbeats and verdict exchanges use it
+    /// directly: they must survive a dead peer.
     ///
     /// # Panics
     /// Panics if `dst` is out of range.
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool;
 
-    /// Bounded receive: like [`Comm::recv`] but gives up after
-    /// `timeout_secs`, returning `None` instead of blocking forever — and
-    /// `None` (immediately) if the sender is provably gone. This is the
-    /// failure detector's receive primitive: a wedged-but-alive peer is
-    /// *detected* (timeout) rather than hung on. Messages with other tags
-    /// pulled in while waiting are buffered exactly as `recv` buffers
-    /// them; a timed-out wait loses nothing.
+    /// Bounded receive: the next message from `src` carrying `tag`, or
+    /// `None` once `timeout_secs` pass — and `None` (immediately) if the
+    /// sender is provably gone. This is the one receive every backend
+    /// implements; [`Comm::recv`] is this call with no deadline
+    /// (`f64::INFINITY`). Messages with other tags from `src` are buffered
+    /// and returned by later matching receives (tag isolation); a
+    /// timed-out wait loses nothing. The failure detector calls it with a
+    /// finite timeout, so a wedged-but-alive peer is *detected* rather
+    /// than hung on.
     ///
     /// Clock semantics per backend: the simulator charges the full
     /// `timeout_secs` to its virtual clock on a timeout (deterministic —
     /// the wait really cost that long); the wall-clock backends wait in
-    /// wall time.
+    /// wall time. An unbounded wait on this rank itself blocks on the
+    /// in-process backends (nothing can arrive); the TCP backend returns
+    /// `None` at once.
     ///
     /// # Panics
     /// Panics if `src` is out of range.
     fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload>;
+
+    /// Sends `payload` to `dst` with `tag`: [`Comm::post`] for a message
+    /// that must land. Provided, and never overridden, so every backend
+    /// and wrapper has one send path.
+    ///
+    /// # Panics
+    /// Panics if `dst` is out of range, or if `dst` has terminated.
+    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
+        if !self.post(dst, tag, payload) {
+            panic!("receiver rank terminated before message was delivered");
+        }
+    }
+
+    /// Receives the next message from `src` carrying `tag`, blocking until
+    /// it arrives: [`Comm::recv_deadline`] with no deadline. Provided, and
+    /// never overridden, so every backend and wrapper has one receive
+    /// path.
+    ///
+    /// # Panics
+    /// Panics if `src` is out of range, or if `src` terminates without ever
+    /// sending a matching message (a deadlocked protocol is a bug).
+    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
+        self.recv_deadline(src, tag, f64::INFINITY)
+            .unwrap_or_else(|| {
+                panic!(
+                    "rank {} waiting on tag {tag:?} from rank {src}, but nothing can arrive \
+                     (the sender exited, or a rank waits on itself with no self-send pending)",
+                    self.rank()
+                )
+            })
+    }
 
     /// Terminates this rank as abruptly as the backend can manage — the
     /// fault injector's "kill" hook. In-process backends cannot die

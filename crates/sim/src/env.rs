@@ -11,11 +11,12 @@ use std::sync::Arc;
 use crate::comm::Comm;
 use crate::launch::BarrierShared;
 use crate::machine::MachineSpec;
-use crate::mailbox::{MailboxReceiver, MailboxSender, TagBuffer, Tagged};
+use crate::mailbox::{MailboxReceiver, MailboxSender, RecvTimeoutError, TagBuffer, Tagged};
 use crate::network::NetworkState;
 use crate::payload::{Payload, Tag};
 use crate::stats::EnvStats;
 use crate::time::VTime;
+use crate::wait::deadline_after;
 
 /// A message in flight between two ranks.
 #[derive(Debug)]
@@ -96,6 +97,47 @@ impl Env {
     pub(crate) fn into_parts(self) -> (VTime, EnvStats) {
         (self.clock, self.stats)
     }
+
+    /// One transmission, to one destination or — hardware multicast
+    /// (§3.6) — to several: charges the send setup once, stamps one
+    /// network arrival for the remote destinations (a self-send arrives at
+    /// once), and counts one message sent once every destination has
+    /// accepted it. `false` if one had terminated.
+    fn transmit(&mut self, dsts: &[usize], tag: Tag, payload: Payload) -> bool {
+        let bytes = payload.size_bytes();
+        let setup = self.net.spec().send_setup;
+        self.clock += setup;
+        self.stats.send_time += setup;
+        let arrival = if dsts.iter().any(|&dst| dst != self.rank) {
+            self.net.arrival(self.clock, bytes)
+        } else {
+            self.clock
+        };
+        let deliver = |env: &Self, dst: usize, payload| {
+            assert!(dst < env.size, "send to rank {dst} of {}", env.size);
+            let arrival = if dst == env.rank { env.clock } else { arrival };
+            let msg = Msg {
+                tag,
+                arrival,
+                payload,
+            };
+            env.txs[dst].send(msg).is_ok()
+        };
+        let Some((&last, head)) = dsts.split_last() else {
+            return true;
+        };
+        for &dst in head {
+            if !deliver(self, dst, payload.clone()) {
+                return false;
+            }
+        }
+        if !deliver(self, last, payload) {
+            return false;
+        }
+        self.stats.messages_sent += 1;
+        self.stats.bytes_sent += bytes as u64;
+        true
+    }
 }
 
 /// The simulator backend's [`Comm`] implementation: every primitive is
@@ -134,106 +176,6 @@ impl Comm for Env {
         self.now().as_secs()
     }
 
-    /// Sends `payload` to `dst` with `tag`. Charges this rank the
-    /// per-message setup cost; the message arrives at
-    /// `setup-completion + latency + bytes × byte_time`.
-    ///
-    /// Sending to self is allowed (the message is delivered through the same
-    /// mailbox with zero network cost beyond setup).
-    ///
-    /// # Panics
-    /// Panics if `dst` is out of range.
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        assert!(dst < self.size, "send to rank {dst} of {}", self.size);
-        let bytes = payload.size_bytes();
-        let spec = self.net.spec();
-        self.clock += spec.send_setup;
-        self.stats.send_time += spec.send_setup;
-        let arrival = if dst == self.rank {
-            self.clock
-        } else {
-            self.net.arrival(self.clock, bytes)
-        };
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        if self.txs[dst]
-            .send(Msg {
-                tag,
-                arrival,
-                payload,
-            })
-            .is_err()
-        {
-            panic!("receiver rank terminated before message was delivered");
-        }
-    }
-
-    /// Sends the same payload to several destinations. If the network
-    /// supports multicast (§3.6), one setup and one transmission serve all
-    /// destinations; otherwise this degenerates to a loop of unicast sends.
-    fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
-        if dsts.is_empty() {
-            return;
-        }
-        if dsts.len() == 1 {
-            self.send(dsts[0], tag, payload);
-            return;
-        }
-        if self.net.multicast_supported() {
-            let bytes = payload.size_bytes();
-            let spec = self.net.spec();
-            self.clock += spec.send_setup;
-            self.stats.send_time += spec.send_setup;
-            let arrival = self.net.arrival(self.clock, bytes);
-            self.stats.messages_sent += 1;
-            self.stats.bytes_sent += bytes as u64;
-            for &dst in dsts {
-                assert!(dst < self.size, "multicast to rank {dst} of {}", self.size);
-                let arrival = if dst == self.rank {
-                    self.clock
-                } else {
-                    arrival
-                };
-                if self.txs[dst]
-                    .send(Msg {
-                        tag,
-                        arrival,
-                        payload: payload.clone(),
-                    })
-                    .is_err()
-                {
-                    panic!("receiver rank terminated before message was delivered");
-                }
-            }
-        } else {
-            for &dst in dsts {
-                self.send(dst, tag, payload.clone());
-            }
-        }
-    }
-
-    /// Receives the next message from `src` carrying `tag`, blocking until it
-    /// arrives. The clock advances to the message's arrival time (waiting is
-    /// accounted) plus the receive overhead.
-    ///
-    /// # Panics
-    /// Panics if `src` is out of range, or if `src` terminates without ever
-    /// sending a matching message (a deadlocked protocol is a bug).
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let msg = self
-            .pending
-            .recv_matching(&mut self.rxs[src], self.rank, src, tag);
-        self.stats.wait_time += msg.arrival.saturating_gap(self.clock);
-        self.clock = self.clock.max(msg.arrival);
-        let overhead = self.net.spec().recv_overhead;
-        self.clock += overhead;
-        self.stats.recv_time += overhead;
-        self.stats.messages_received += 1;
-        self.stats.bytes_received += msg.payload.size_bytes() as u64;
-        msg.payload
-    }
-
     /// Synchronizes all ranks: every clock advances to the maximum
     /// participant clock plus the barrier's log-tree latency.
     fn barrier(&mut self) {
@@ -244,51 +186,31 @@ impl Comm for Env {
         self.clock = release;
     }
 
-    /// Lossy send (the failure detector's primitive): identical cost
-    /// accounting to [`Comm::send`], but a terminated receiver yields
-    /// `false` instead of a panic. The setup cost is charged either way —
+    /// The one send: charges this rank the per-message setup cost; the
+    /// message arrives at `setup-completion + latency + bytes × byte_time`
+    /// (a self-send arrives at once, with no network cost beyond setup). A
+    /// terminated receiver yields `false`; the setup is charged either way —
     /// the sender cannot know the peer is gone until it tries.
     fn post(&mut self, dst: usize, tag: Tag, payload: Payload) -> bool {
-        assert!(dst < self.size, "post to rank {dst} of {}", self.size);
-        let bytes = payload.size_bytes();
-        let spec = self.net.spec();
-        self.clock += spec.send_setup;
-        self.stats.send_time += spec.send_setup;
-        let arrival = if dst == self.rank {
-            self.clock
-        } else {
-            self.net.arrival(self.clock, bytes)
-        };
-        match self.txs[dst].send(Msg {
-            tag,
-            arrival,
-            payload,
-        }) {
-            Ok(()) => {
-                self.stats.messages_sent += 1;
-                self.stats.bytes_sent += bytes as u64;
-                true
-            }
-            Err(_undelivered) => false,
-        }
+        self.transmit(&[dst], tag, payload)
     }
 
-    /// Bounded receive (the failure detector's primitive). A terminated
-    /// sender yields `None` immediately; otherwise the wait is bounded by
-    /// `timeout_secs` of *host* time (the peer's send must physically
-    /// execute for its virtual arrival stamp to exist — a rank that will
-    /// never send cannot be waited out in virtual time alone). On a
-    /// timeout the full `timeout_secs` is charged to this rank's virtual
-    /// clock as wait time, so a timed-out probe costs in the model what
-    /// it costs on real hardware. A delivered message advances the clock
-    /// exactly as [`Comm::recv`] does; mismatched tags buffered while
+    /// The one receive. A delivered message advances the clock to its
+    /// arrival time (waiting is accounted) plus the receive overhead. A
+    /// terminated sender yields `None` immediately; otherwise the wait is
+    /// bounded by `timeout_secs` of *host* time (the peer's send must
+    /// physically execute for its virtual arrival stamp to exist — a rank
+    /// that will never send cannot be waited out in virtual time alone).
+    /// On a timeout the full `timeout_secs` is charged to this rank's
+    /// virtual clock as wait time, so a timed-out probe costs in the model
+    /// what it costs on real hardware. Mismatched tags buffered while
     /// waiting are preserved.
     fn recv_deadline(&mut self, src: usize, tag: Tag, timeout_secs: f64) -> Option<Payload> {
         assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let deadline = crate::wait::deadline_after(timeout_secs);
+        let deadline = deadline_after(timeout_secs);
         match self
             .pending
-            .recv_matching_deadline(&mut self.rxs[src], src, tag, deadline)
+            .recv_matching(&mut self.rxs[src], src, tag, deadline)
         {
             Ok(msg) => {
                 self.stats.wait_time += msg.arrival.saturating_gap(self.clock);
@@ -300,11 +222,27 @@ impl Comm for Env {
                 self.stats.bytes_received += msg.payload.size_bytes() as u64;
                 Some(msg.payload)
             }
-            Err(crate::mailbox::RecvTimeoutError::Disconnected) => None,
-            Err(crate::mailbox::RecvTimeoutError::TimedOut) => {
+            Err(RecvTimeoutError::Disconnected) => None,
+            Err(RecvTimeoutError::TimedOut) => {
                 self.stats.wait_time += timeout_secs.max(0.0);
                 self.clock += timeout_secs.max(0.0);
                 None
+            }
+        }
+    }
+
+    /// Sends the same payload to several destinations. If the network
+    /// supports multicast (§3.6), one setup and one transmission serve all
+    /// destinations; otherwise this degenerates to a loop of unicast sends.
+    fn multicast(&mut self, dsts: &[usize], tag: Tag, payload: Payload) {
+        if dsts.len() > 1 && self.net.multicast_supported() {
+            assert!(
+                self.transmit(dsts, tag, payload),
+                "receiver rank terminated before message was delivered"
+            );
+        } else {
+            for &dst in dsts {
+                self.send(dst, tag, payload.clone());
             }
         }
     }

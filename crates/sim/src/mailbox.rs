@@ -30,16 +30,17 @@
 //! host.
 //!
 //! Semantics match the mpsc channel it replaces: FIFO per (source,
-//! destination) pair, blocking receive, and disconnection reporting — a
-//! send fails once the receiver is gone, a receive fails once the sender is
-//! gone *and* the queue is drained (buffered messages are still delivered,
-//! exactly as mpsc does).
+//! destination) pair, blocking or deadline-bounded receive, and
+//! disconnection reporting — a send fails once the receiver is gone, a
+//! receive fails once the sender is gone *and* the queue is drained
+//! (buffered messages are still delivered, exactly as mpsc does).
 //!
-//! The mailbox is generic over its message type so both backends share the
-//! same transport: the simulator carries arrival-stamped messages
-//! (`Msg`), the native thread-pool backend (crate `stance-native`) carries
-//! plain `(tag, payload)` records — same deque, same warm-up behaviour,
-//! same zero-allocation steady state on real threads.
+//! The mailbox is generic over its message type so both in-process
+//! backends share the same transport: the simulator carries
+//! arrival-stamped messages (`Msg`), the native thread-pool backend (crate
+//! `stance-native`) carries plain `(tag, payload)` records — same deque,
+//! same warm-up behaviour, same zero-allocation steady state on real
+//! threads.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,16 +50,11 @@ use std::time::Instant;
 use crate::payload::Tag;
 use crate::wait::{park, SpinBudget};
 
-/// The error a [`MailboxReceiver::recv`] returns when the sending rank
-/// terminated without ever sending a matching message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Disconnected;
-
-/// Why a deadline-bounded receive returned without a message: the sender
-/// is gone (and the queue drained), or the deadline passed first. The
-/// distinction matters to failure detection — `Disconnected` is *proof*
-/// the peer died, `TimedOut` is only suspicion (the peer may be wedged,
-/// stalled, or slow).
+/// Why a receive returned without a message: the sender is gone (and the
+/// queue drained), or the deadline passed first. The distinction matters
+/// to failure detection — `Disconnected` is *proof* the peer died,
+/// `TimedOut` is only suspicion (the peer may be wedged, stalled, or
+/// slow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvTimeoutError {
     /// The deadline passed with no message available.
@@ -78,29 +74,22 @@ pub trait Tagged {
 /// implementation; the TCP backend implements it over a framed socket, so
 /// the tag-isolation semantics the conformance suite pins stay one copy.
 pub trait MsgSource<T> {
-    /// Blocks until the next message arrives; `Err` once the source is
+    /// The next message, waiting until `deadline` (`None`: for as long as
+    /// it takes); distinguishes a passed deadline from a source that is
     /// provably gone with nothing left buffered.
-    fn recv_msg(&mut self) -> Result<T, Disconnected>;
-
-    /// Deadline-bounded receive, distinguishing a passed deadline from a
-    /// provably-dead source.
-    fn recv_msg_deadline(&mut self, deadline: Instant) -> Result<T, RecvTimeoutError>;
+    fn recv_msg(&mut self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError>;
 }
 
 impl<T> MsgSource<T> for MailboxReceiver<T> {
-    fn recv_msg(&mut self) -> Result<T, Disconnected> {
-        self.recv()
-    }
-
-    fn recv_msg_deadline(&mut self, deadline: Instant) -> Result<T, RecvTimeoutError> {
-        self.recv_deadline(deadline)
+    fn recv_msg(&mut self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+        self.recv(deadline)
     }
 }
 
-/// Per-source tag-matched receive buffering, shared by both backends: a
-/// receive for tag `t` skips (and preserves, in order) earlier messages
-/// with other tags, so per-tag FIFO order survives out-of-order receives.
-/// This is the one copy of the tag-isolation semantics the
+/// Per-source tag-matched receive buffering, shared by all three
+/// backends: a receive for tag `t` skips (and preserves, in order) earlier
+/// messages with other tags, so per-tag FIFO order survives out-of-order
+/// receives. This is the one copy of the tag-isolation semantics the
 /// `comm_conformance` suite pins.
 #[derive(Debug)]
 pub struct TagBuffer<T> {
@@ -118,49 +107,17 @@ impl<T: Tagged> TagBuffer<T> {
     }
 
     /// Returns the next message from `src` carrying `tag`: from the pending
-    /// buffer if one matched earlier, otherwise blocking on `rx` and
-    /// buffering mismatches. `rank` is the receiver's id, used in the
-    /// diagnostic when `src` terminates without ever sending a match.
-    ///
-    /// # Panics
-    /// Panics if `src`'s mailbox disconnects before a matching message
-    /// arrives — a deadlocked protocol is a bug.
+    /// buffer if one matched earlier, otherwise waiting on `rx` until
+    /// `deadline` (`None`: no deadline) and buffering mismatches in arrival
+    /// order — a timed-out wait loses nothing. Fails with
+    /// [`RecvTimeoutError::Disconnected`] the moment the sender is provably
+    /// gone, and [`RecvTimeoutError::TimedOut`] when the deadline passes.
     pub fn recv_matching<S: MsgSource<T>>(
         &mut self,
         rx: &mut S,
-        rank: usize,
         src: usize,
         tag: Tag,
-    ) -> T {
-        if let Some(pos) = self.pending[src].iter().position(|m| m.tag() == tag) {
-            return self.pending[src]
-                .remove(pos)
-                .expect("position was just found");
-        }
-        loop {
-            let msg = rx.recv_msg().unwrap_or_else(|_disconnected| {
-                panic!("rank {rank} waiting on tag {tag:?} from rank {src}, but the sender exited")
-            });
-            if msg.tag() == tag {
-                return msg;
-            }
-            self.pending[src].push_back(msg);
-        }
-    }
-
-    /// Deadline-bounded variant of [`TagBuffer::recv_matching`]: returns
-    /// the next matching message if one arrives before `deadline`, or the
-    /// reason it could not ([`RecvTimeoutError::Disconnected`] the moment
-    /// the sender is provably gone, [`RecvTimeoutError::TimedOut`] when
-    /// the deadline passes). Mismatched tags pulled in while waiting are
-    /// buffered in arrival order, exactly as the blocking variant does —
-    /// a timed-out wait loses nothing.
-    pub fn recv_matching_deadline<S: MsgSource<T>>(
-        &mut self,
-        rx: &mut S,
-        src: usize,
-        tag: Tag,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> Result<T, RecvTimeoutError> {
         if let Some(pos) = self.pending[src].iter().position(|m| m.tag() == tag) {
             return Ok(self.pending[src]
@@ -168,7 +125,7 @@ impl<T: Tagged> TagBuffer<T> {
                 .expect("position was just found"));
         }
         loop {
-            let msg = rx.recv_msg_deadline(deadline)?;
+            let msg = rx.recv_msg(deadline)?;
             if msg.tag() == tag {
                 return Ok(msg);
             }
@@ -308,26 +265,14 @@ pub fn mailbox_matrix<T>(p: usize) -> Vec<RankMailboxes<T>> {
 pub struct MailboxReceiver<T>(Arc<Mailbox<T>>);
 
 impl<T> MailboxReceiver<T> {
-    /// Blocks until a message is available and returns it; already-buffered
-    /// messages are delivered even after the sender hung up.
-    pub fn recv(&self) -> Result<T, Disconnected> {
-        // Without a deadline the only way out empty-handed is the close.
-        self.wait_for_msg(None).map_err(|_closed| Disconnected)
-    }
-
-    /// Like [`MailboxReceiver::recv`] but bounded by a wall-clock
-    /// `deadline`: returns [`RecvTimeoutError::TimedOut`] once the
-    /// deadline passes with no message, and
-    /// [`RecvTimeoutError::Disconnected`] as soon as the sender is gone
-    /// with the queue drained (dead peers are detected immediately, not
-    /// after the full timeout). Buffered messages are always delivered.
-    pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
-        self.wait_for_msg(Some(deadline))
-    }
-
-    /// The one receive wait (module docs): spin on the hint, then lock →
-    /// check → park, until a message, the close, or the deadline.
-    fn wait_for_msg(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+    /// The next message, waiting until `deadline` (`None`: for as long as
+    /// it takes) by the spin-then-park contract (module docs). Returns
+    /// [`RecvTimeoutError::TimedOut`] once the deadline passes with no
+    /// message, and [`RecvTimeoutError::Disconnected`] as soon as the sender
+    /// is gone with the queue drained (dead peers are detected
+    /// immediately, not after the full timeout). Buffered messages are
+    /// always delivered, even after the sender hung up.
+    pub fn recv(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
         let mb = &*self.0;
         mb.spin
             .spin_until(deadline, || mb.ready.load(Ordering::Acquire));
@@ -383,8 +328,8 @@ mod tests {
         let (tx, rx) = mailbox();
         tx.send(msg(1)).unwrap();
         tx.send(msg(2)).unwrap();
-        assert_eq!(rx.recv().unwrap().tag, Tag(1));
-        assert_eq!(rx.recv().unwrap().tag, Tag(2));
+        assert_eq!(rx.recv(None).unwrap().tag, Tag(1));
+        assert_eq!(rx.recv(None).unwrap().tag, Tag(2));
     }
 
     #[test]
@@ -392,8 +337,8 @@ mod tests {
         let (tx, rx) = mailbox();
         tx.send(msg(7)).unwrap();
         drop(tx);
-        assert_eq!(rx.recv().unwrap().tag, Tag(7));
-        assert!(matches!(rx.recv(), Err(Disconnected)));
+        assert_eq!(rx.recv(None).unwrap().tag, Tag(7));
+        assert_eq!(rx.recv(None).err(), Some(RecvTimeoutError::Disconnected));
     }
 
     #[test]
@@ -407,7 +352,7 @@ mod tests {
     fn cross_thread_blocking_recv() {
         for spin in REGIMES {
             let (tx, rx) = mailbox_with::<Msg>(spin);
-            let handle = std::thread::spawn(move || rx.recv().unwrap().tag);
+            let handle = std::thread::spawn(move || rx.recv(None).unwrap().tag);
             std::thread::sleep(Duration::from_millis(10));
             tx.send(msg(42)).unwrap();
             assert_eq!(handle.join().unwrap(), Tag(42));
@@ -427,14 +372,17 @@ mod tests {
                 let handle = std::thread::spawn(move || {
                     started_tx.send(()).unwrap();
                     let far = Instant::now() + Duration::from_secs(60);
-                    (rx.recv_deadline(far).err(), rx.recv().err())
+                    (rx.recv(Some(far)).err(), rx.recv(None).err())
                 });
-                started_rx.recv().unwrap();
+                started_rx.recv(None).unwrap();
                 jitter.pause();
                 drop(tx);
                 assert_eq!(
                     handle.join().unwrap(),
-                    (Some(RecvTimeoutError::Disconnected), Some(Disconnected))
+                    (
+                        Some(RecvTimeoutError::Disconnected),
+                        Some(RecvTimeoutError::Disconnected)
+                    )
                 );
             }
         }
@@ -454,12 +402,9 @@ mod tests {
                 let mut jitter = Jitter::new(2);
                 let far = Instant::now() + Duration::from_secs(600);
                 for round in 0..ROUNDS {
-                    // Alternate the two receive entry points.
-                    let got = if round % 2 == 0 {
-                        from_main.recv().unwrap()
-                    } else {
-                        from_main.recv_deadline(far).unwrap()
-                    };
+                    // Alternate unbounded and bounded waits.
+                    let deadline = (round % 2 == 1).then_some(far);
+                    let got = from_main.recv(deadline).unwrap();
                     assert_eq!(got, round);
                     jitter.pause();
                     to_main.send(got + 1).unwrap();
@@ -469,7 +414,7 @@ mod tests {
             for round in 0..ROUNDS {
                 jitter.pause();
                 to_peer.send(round).unwrap();
-                assert_eq!(from_peer.recv().unwrap(), round + 1);
+                assert_eq!(from_peer.recv(None).unwrap(), round + 1);
             }
             peer.join().expect("the peer saw every message");
         }
@@ -481,12 +426,12 @@ mod tests {
             let (tx, rx) = mailbox_with::<Msg>(spin);
             let soon = Instant::now() + Duration::from_millis(5);
             assert!(matches!(
-                rx.recv_deadline(soon),
+                rx.recv(Some(soon)),
                 Err(RecvTimeoutError::TimedOut)
             ));
             tx.send(msg(2)).unwrap();
             let later = Instant::now() + Duration::from_secs(5);
-            assert_eq!(rx.recv_deadline(later).unwrap().tag, Tag(2));
+            assert_eq!(rx.recv(Some(later)).unwrap().tag, Tag(2));
         }
     }
 
@@ -500,7 +445,7 @@ mod tests {
             .map(|_| {
                 let t0 = Instant::now();
                 assert!(matches!(
-                    rx.recv_deadline(t0 + SPIN_BUDGET / 10),
+                    rx.recv(Some(t0 + SPIN_BUDGET / 10)),
                     Err(RecvTimeoutError::TimedOut)
                 ));
                 t0.elapsed()
@@ -518,10 +463,10 @@ mod tests {
             drop(tx);
             let far = Instant::now() + Duration::from_secs(60);
             // Buffered messages still deliver; then disconnect, not timeout.
-            assert_eq!(rx.recv_deadline(far).unwrap().tag, Tag(1));
+            assert_eq!(rx.recv(Some(far)).unwrap().tag, Tag(1));
             let t0 = Instant::now();
             assert!(matches!(
-                rx.recv_deadline(far),
+                rx.recv(Some(far)),
                 Err(RecvTimeoutError::Disconnected)
             ));
             assert!(t0.elapsed() < Duration::from_secs(10));
@@ -534,7 +479,7 @@ mod tests {
             let (tx, rx) = mailbox_with::<Msg>(spin);
             let handle = std::thread::spawn(move || {
                 let deadline = Instant::now() + Duration::from_secs(30);
-                rx.recv_deadline(deadline).unwrap().tag
+                rx.recv(Some(deadline)).unwrap().tag
             });
             std::thread::sleep(Duration::from_millis(10));
             tx.send(msg(6)).unwrap();
@@ -543,17 +488,20 @@ mod tests {
     }
 
     #[test]
-    fn recv_matching_deadline_buffers_mismatches() {
+    fn recv_matching_buffers_mismatches() {
         let (tx, mut rx) = mailbox::<Msg>();
         let mut buf = TagBuffer::new(1);
         tx.send(msg(9)).unwrap();
         let soon = Instant::now() + std::time::Duration::from_millis(5);
         // Waiting for tag 5 times out, but the tag-9 message is preserved.
         assert!(matches!(
-            buf.recv_matching_deadline(&mut rx, 0, Tag(5), soon),
+            buf.recv_matching(&mut rx, 0, Tag(5), Some(soon)),
             Err(RecvTimeoutError::TimedOut)
         ));
-        assert_eq!(buf.recv_matching(&mut rx, 0, 0, Tag(9)).tag, Tag(9));
+        assert_eq!(
+            buf.recv_matching(&mut rx, 0, Tag(9), None).unwrap().tag,
+            Tag(9)
+        );
     }
 
     #[test]
@@ -561,7 +509,7 @@ mod tests {
         // The native backend's message shape: no arrival stamp.
         let (tx, rx) = mailbox::<(Tag, Payload)>();
         tx.send((Tag(9), u32::pack(&[3]))).unwrap();
-        let (tag, payload) = rx.recv().unwrap();
+        let (tag, payload) = rx.recv(None).unwrap();
         assert_eq!(tag, Tag(9));
         assert_eq!(u32::unpack(payload), vec![3]);
     }

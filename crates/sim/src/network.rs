@@ -162,10 +162,9 @@ impl NetworkState {
         }
     }
 
-    /// Arrival time for a multicast to `fanout` destinations: one transmission
-    /// if multicast is supported (the caller must then deliver the same
-    /// arrival to every destination); otherwise callers should loop over
-    /// unicast sends instead.
+    /// Whether the network has hardware multicast: if so, one transmission
+    /// serves every destination of a multicast (the caller delivers the one
+    /// arrival to each); if not, callers loop over unicast sends.
     pub fn multicast_supported(&self) -> bool {
         self.spec.multicast
     }

@@ -115,16 +115,6 @@ impl<C: Comm> Comm for SurvivorComm<'_, C> {
         self.inner.now_secs()
     }
 
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        let dst = self.old(dst);
-        self.inner.send(dst, tag, payload);
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        let src = self.old(src);
-        self.inner.recv(src, tag)
-    }
-
     /// A [`dissemination_barrier`] among survivors only, on
     /// [`TAG_SHRINK`]. The backend's own barrier is *not* used — it would
     /// wait for the dead rank forever.

@@ -47,9 +47,6 @@ use std::time::{Duration, Instant};
 /// holding one or two such round trips).
 pub const SPIN_BUDGET: Duration = Duration::from_micros(50);
 
-/// A timeout no wait outlives; what an unrepresentable one is clamped to.
-const FOREVER: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
-
 /// The spin phase of one wait site, fixed when the site is constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpinBudget(Duration);
@@ -138,15 +135,13 @@ pub fn park<'a, T>(
 }
 
 /// The instant `timeout_secs` from now, for the backends' deadline-bounded
-/// `Comm` primitives. NaN and negative timeouts mean zero; one too large to
-/// represent (`f64::INFINITY`, or past the end of the clock) means "no
-/// deadline" and is clamped to a century away instead of overflowing.
-pub fn deadline_after(timeout_secs: f64) -> Instant {
-    let now = Instant::now();
-    Duration::try_from_secs_f64(timeout_secs.max(0.0))
-        .ok()
-        .and_then(|timeout| now.checked_add(timeout))
-        .unwrap_or_else(|| now + FOREVER)
+/// receives; `None` means no deadline. NaN and negative timeouts mean zero.
+/// One too large to represent (`f64::INFINITY`, or past the end of the
+/// clock) is no deadline, decided before the clock is read — so a blocking
+/// receive reads no clock.
+pub fn deadline_after(timeout_secs: f64) -> Option<Instant> {
+    let timeout = Duration::try_from_secs_f64(timeout_secs.max(0.0)).ok()?;
+    Instant::now().checked_add(timeout)
 }
 
 /// Carries the launching thread's wait context onto the rank threads it
@@ -250,15 +245,16 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
-    fn unrepresentable_timeouts_clamp_instead_of_panicking() {
-        let now = Instant::now();
+    fn unrepresentable_timeouts_are_no_deadline() {
         for huge in [f64::INFINITY, f64::MAX, 1.9e19] {
-            assert!(deadline_after(huge) > now + Duration::from_secs(3600));
+            assert_eq!(deadline_after(huge), None, "{huge}");
         }
         for zero in [f64::NAN, -1.0, f64::NEG_INFINITY, 0.0] {
-            assert!(deadline_after(zero) <= Instant::now());
+            let t = deadline_after(zero).expect("a zero timeout is a deadline");
+            assert!(t <= Instant::now(), "{zero}");
         }
-        let soon = deadline_after(0.25);
+        let now = Instant::now();
+        let soon = deadline_after(0.25).expect("a finite deadline");
         assert!(soon > now + Duration::from_millis(200));
         assert!(soon < now + Duration::from_secs(5));
     }

@@ -149,7 +149,7 @@ impl TcpCluster {
         let outcomes: Vec<RankOutcome> = links
             .iter_mut()
             .enumerate()
-            .map(|(rank, (link, _))| match link.recv_deadline(deadline) {
+            .map(|(rank, (link, _))| match link.recv(Some(deadline)) {
                 Ok(msg) => decode_result(rank, &msg.payload.into_bytes()),
                 Err(RecvTimeoutError::Disconnected) => guard.reap(rank),
                 Err(RecvTimeoutError::TimedOut) => {

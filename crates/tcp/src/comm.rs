@@ -24,7 +24,9 @@
 //! Exactly the in-process mailbox contract: blocking `recv` from a dead
 //! peer panics (a deadlocked protocol is a bug), `recv_deadline` returns
 //! `None` *immediately* on proof of death (EOF/reset — not after the
-//! timeout), `post` returns `false` instead of panicking, and
+//! timeout), `post` returns `false` instead of panicking, an unbounded
+//! `recv_deadline` on the rank itself with no self-send pending returns
+//! `None` at once (nothing can arrive), and
 //! [`Comm::crash`] really kills the process (SIGKILL, no unwinding) so
 //! an injected kill looks like a crashed workstation, not a tidy exit.
 
@@ -134,33 +136,6 @@ impl Comm for TcpComm {
         self.start.elapsed().as_secs_f64()
     }
 
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        assert!(dst < self.size, "send to rank {dst} of {}", self.size);
-        if dst == self.rank {
-            self.selfq.push_back(TcpMsg { tag, payload });
-            return;
-        }
-        if let Err(e) = self.link_mut(dst).send(tag, &payload) {
-            refuse_oversize(&e, &payload);
-            panic!("receiver rank terminated before message was delivered");
-        }
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        if src == self.rank {
-            return self.take_self(tag).unwrap_or_else(|| {
-                panic!(
-                    "rank {} waiting on tag {tag:?} from itself, but no self-send is pending",
-                    self.rank
-                )
-            });
-        }
-        let rank = self.rank;
-        let link = self.links[src].as_mut().expect("src is a peer");
-        self.pending.recv_matching(link, rank, src, tag).payload
-    }
-
     fn barrier(&mut self) {
         dissemination_barrier(self, TAG_TCP_BARRIER);
     }
@@ -173,10 +148,14 @@ impl Comm for TcpComm {
         }
         match self.link_mut(dst).send(tag, &payload) {
             Ok(()) => true,
-            Err(e) => {
-                refuse_oversize(&e, &payload);
-                false
-            }
+            // A payload too large for one frame is a caller's bug to name
+            // as such, not a peer's death.
+            Err(WireError::FrameTooLarge { max, .. }) => panic!(
+                "a {}-byte payload does not fit one TCP frame (at most {max} bytes, {} of them header)",
+                payload.size_bytes(),
+                crate::wire::FRAME_OVERHEAD
+            ),
+            Err(_) => false,
         }
     }
 
@@ -187,15 +166,18 @@ impl Comm for TcpComm {
             if let Some(p) = self.take_self(tag) {
                 return Some(p);
             }
-            // A single sequential rank cannot self-send while waiting;
-            // live the timeout (wall-clock parity with the native
-            // backend) and give up.
-            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+            // A single sequential rank cannot self-send while waiting, so
+            // nothing can arrive: give up at once with no deadline, or
+            // live a finite timeout out (wall-clock parity with the native
+            // backend).
+            if let Some(deadline) = deadline {
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+            }
             return None;
         }
         let link = self.links[src].as_mut().expect("src is a peer");
         self.pending
-            .recv_matching_deadline(link, src, tag, deadline)
+            .recv_matching(link, src, tag, deadline)
             .ok()
             .map(|m| m.payload)
     }
@@ -205,18 +187,6 @@ impl Comm for TcpComm {
         // glue, no FIN beyond the kernel's cleanup — peers observe
         // exactly what a crashed workstation produces.
         crate::sys::die_hard()
-    }
-}
-
-/// Panics if `e` is the sender's refusal of a payload too large for one
-/// frame: a caller's bug to name as such, not a peer's death.
-fn refuse_oversize(e: &WireError, payload: &Payload) {
-    if let WireError::FrameTooLarge { max, .. } = e {
-        panic!(
-            "a {}-byte payload does not fit one TCP frame (at most {max} bytes, {} of them header)",
-            payload.size_bytes(),
-            crate::wire::FRAME_OVERHEAD
-        );
     }
 }
 
@@ -350,6 +320,31 @@ mod tests {
         let t0 = Instant::now();
         assert!(alive.recv_deadline(1, Tag(3), f64::INFINITY).is_none());
         assert!(t0.elapsed() < Duration::from_secs(10));
+    }
+
+    /// Nothing can arrive on an unbounded wait for a self-send that is not
+    /// pending: `recv_deadline` gives up at once and `recv` panics, where a
+    /// finite timeout is still lived out.
+    #[test]
+    fn unbounded_self_wait_returns_at_once() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut comm = mesh(1).pop().expect("one rank");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let none = comm.recv_deadline(0, Tag(1), f64::INFINITY).is_none();
+            let panicked = catch_unwind(AssertUnwindSafe(|| comm.recv(0, Tag(1)))).is_err();
+            done_tx.send((none, panicked)).expect("the test waits");
+            comm
+        });
+        assert_eq!(
+            done_rx.recv_timeout(Duration::from_secs(10)),
+            Ok((true, true)),
+            "an unbounded self-wait must end promptly"
+        );
+        let mut comm = waiter.join().expect("waiter thread");
+        let t0 = Instant::now();
+        assert!(comm.recv_deadline(0, Tag(1), 0.05).is_none());
+        assert!(t0.elapsed() >= Duration::from_millis(50));
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub mod worker;
 pub use cluster::{RankOutcome, TcpCluster, TcpRunReport};
 pub use comm::TcpComm;
 pub use link::{PeerLink, TcpMsg};
-// `PeerLink`'s receive methods speak the mailbox error vocabulary —
-// re-exported so transport callers name them without a stance-sim dep.
-pub use stance_sim::mailbox::{Disconnected, RecvTimeoutError};
+// `PeerLink::recv` speaks the mailbox error vocabulary — re-exported so
+// transport callers name it without a stance-sim dep.
+pub use stance_sim::mailbox::RecvTimeoutError;
 pub use wire::{Backoff, WireError, MAX_FRAME, PROTOCOL_VERSION};
 pub use worker::{maybe_rank_main, ScenarioFn, ScenarioRegistry};

@@ -10,7 +10,8 @@
 //!
 //! Failure surfaces exactly like the in-process mailbox: EOF, reset, or a
 //! wire-format violation marks the link broken and every subsequent
-//! operation reports [`Disconnected`] — *proof* the peer is unusable —
+//! operation reports [`RecvTimeoutError::Disconnected`] — *proof* the peer
+//! is unusable —
 //! while a deadline that merely passes reports
 //! [`RecvTimeoutError::TimedOut`], which is only suspicion. That is the
 //! distinction the failure detector's `probe_membership` consumes, and it
@@ -21,7 +22,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use stance_sim::mailbox::{Disconnected, MsgSource, RecvTimeoutError, Tagged};
+use stance_sim::mailbox::{MsgSource, RecvTimeoutError, Tagged};
 use stance_sim::{Payload, Tag};
 
 use crate::wire::{self, WireError};
@@ -68,8 +69,7 @@ pub struct PeerLink {
     /// timeout only when it differs from this.
     timeout: Option<Option<Duration>>,
     /// Set once the link is unusable, with the first error observed;
-    /// every later operation reports `Disconnected` without touching the
-    /// socket again.
+    /// every later operation fails without touching the socket again.
     fault: Option<WireError>,
 }
 
@@ -192,21 +192,34 @@ impl PeerLink {
         Ok(())
     }
 
-    /// Blocking receive of the next frame. `Err(Disconnected)` once the
-    /// peer is provably gone (EOF/reset/garbage) with no complete frame
-    /// buffered.
-    pub fn recv(&mut self) -> Result<TcpMsg, Disconnected> {
+    /// The next frame, waiting until `deadline` (`None`: for as long as it
+    /// takes): `TimedOut` when the clock wins (partial bytes stay buffered
+    /// — nothing tears), `Disconnected` the moment the peer is provably
+    /// gone (EOF/reset/garbage) with no complete frame buffered. Without a
+    /// deadline the socket read blocks, and a receive with no deadline
+    /// after another costs no `set_read_timeout` call.
+    pub fn recv(&mut self, deadline: Option<Instant>) -> Result<TcpMsg, RecvTimeoutError> {
         loop {
             if self.fault.is_some() {
-                return self.drain_after_fault().ok_or(Disconnected);
+                return self
+                    .drain_after_fault()
+                    .ok_or(RecvTimeoutError::Disconnected);
             }
             match self.try_extract() {
                 Ok(Some(msg)) => return Ok(msg),
                 Ok(None) => {}
-                Err(_) => return Err(Disconnected),
+                Err(_) => return Err(RecvTimeoutError::Disconnected),
             }
-            if self.set_timeout(None).is_err() {
-                return Err(Disconnected);
+            let timeout = deadline
+                .map(|deadline| {
+                    deadline
+                        .checked_duration_since(Instant::now())
+                        .filter(|d| !d.is_zero())
+                        .ok_or(RecvTimeoutError::TimedOut)
+                })
+                .transpose()?;
+            if self.set_timeout(timeout).is_err() {
+                return Err(RecvTimeoutError::Disconnected);
             }
             if self.fill_once().is_err() {
                 // The peer is gone — but a complete frame may already be
@@ -214,7 +227,9 @@ impl PeerLink {
                 // its queue after the sender hangs up. (`try_extract` at
                 // the top of the loop would miss it because `fault` is now
                 // set, so check here.)
-                return self.drain_after_fault().ok_or(Disconnected);
+                return self
+                    .drain_after_fault()
+                    .ok_or(RecvTimeoutError::Disconnected);
             }
         }
     }
@@ -234,48 +249,11 @@ impl PeerLink {
         self.acc.drain(..4 + body_len);
         Some(TcpMsg { tag, payload })
     }
-
-    /// Deadline-bounded receive: the next frame if it completes before
-    /// `deadline`, `TimedOut` when the clock wins (partial bytes stay
-    /// buffered — nothing tears), `Disconnected` the moment the peer is
-    /// provably gone.
-    pub fn recv_deadline(&mut self, deadline: Instant) -> Result<TcpMsg, RecvTimeoutError> {
-        loop {
-            if self.fault.is_some() {
-                return self
-                    .drain_after_fault()
-                    .ok_or(RecvTimeoutError::Disconnected);
-            }
-            match self.try_extract() {
-                Ok(Some(msg)) => return Ok(msg),
-                Ok(None) => {}
-                Err(_) => return Err(RecvTimeoutError::Disconnected),
-            }
-            let Some(remaining) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())
-            else {
-                return Err(RecvTimeoutError::TimedOut);
-            };
-            if self.set_timeout(Some(remaining)).is_err() {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            if self.fill_once().is_err() {
-                return self
-                    .drain_after_fault()
-                    .ok_or(RecvTimeoutError::Disconnected);
-            }
-        }
-    }
 }
 
 impl MsgSource<TcpMsg> for PeerLink {
-    fn recv_msg(&mut self) -> Result<TcpMsg, Disconnected> {
-        self.recv()
-    }
-
-    fn recv_msg_deadline(&mut self, deadline: Instant) -> Result<TcpMsg, RecvTimeoutError> {
-        self.recv_deadline(deadline)
+    fn recv_msg(&mut self, deadline: Option<Instant>) -> Result<TcpMsg, RecvTimeoutError> {
+        self.recv(deadline)
     }
 }
 
@@ -310,10 +288,10 @@ mod tests {
         let mut rx = PeerLink::new(b).unwrap();
         tx.send(Tag(5), &u64::pack(&[1, 2, 3])).unwrap();
         tx.send(Tag(6), &Payload::Empty).unwrap();
-        let m = rx.recv().unwrap();
+        let m = rx.recv(None).unwrap();
         assert_eq!(m.tag, Tag(5));
         assert_eq!(u64::unpack(m.payload), vec![1, 2, 3]);
-        assert_eq!(rx.recv().unwrap().tag, Tag(6));
+        assert_eq!(rx.recv(None).unwrap().tag, Tag(6));
     }
 
     #[test]
@@ -331,7 +309,7 @@ mod tests {
         let t0 = Instant::now();
         let deadline = t0 + Duration::from_millis(150);
         assert!(matches!(
-            rx.recv_deadline(deadline),
+            rx.recv(Some(deadline)),
             Err(RecvTimeoutError::TimedOut)
         ));
         assert!(rx.fault().is_none(), "a timeout is not a link fault");
@@ -340,7 +318,7 @@ mod tests {
         // from the buffered half.
         raw.write_all(&frame[split..]).unwrap();
         let m = rx
-            .recv_deadline(Instant::now() + Duration::from_secs(20))
+            .recv(Some(Instant::now() + Duration::from_secs(20)))
             .expect("second half completes the frame");
         assert_eq!(m.tag, Tag(9));
         assert_eq!(u64::unpack(m.payload), vec![7, 8, 9, 10]);
@@ -356,7 +334,7 @@ mod tests {
         let mut rx = PeerLink::new(b).unwrap();
         let deadline = Instant::now() + Duration::from_millis(20);
         assert!(matches!(
-            rx.recv_deadline(deadline),
+            rx.recv(Some(deadline)),
             Err(RecvTimeoutError::TimedOut)
         ));
         let late = std::thread::spawn(move || {
@@ -364,7 +342,9 @@ mod tests {
             tx.send(Tag(4), &u32::pack(&[11])).unwrap();
             tx
         });
-        let m = rx.recv().expect("the blocking receive waits for the frame");
+        let m = rx
+            .recv(None)
+            .expect("the blocking receive waits for the frame");
         assert_eq!(u32::unpack(m.payload), vec![11]);
         assert_eq!(rx.timeout, Some(None), "blocking receives leave no timeout");
         assert_eq!(rx.stream.read_timeout().unwrap(), None);
@@ -380,7 +360,7 @@ mod tests {
         let mut tx = PeerLink::new(a).unwrap();
         let mut rx = PeerLink::new(b).unwrap();
         tx.send(Tag(1), &u32::pack(&[1])).unwrap();
-        assert_eq!(u32::unpack(rx.recv().unwrap().payload), vec![1]);
+        assert_eq!(u32::unpack(rx.recv(None).unwrap().payload), vec![1]);
         assert_eq!(rx.timeout, Some(None));
         rx.stream_mut()
             .set_read_timeout(Some(Duration::from_millis(1)))
@@ -391,7 +371,7 @@ mod tests {
             tx.send(Tag(2), &u32::pack(&[2])).unwrap();
             tx
         });
-        assert_eq!(u32::unpack(rx.recv().unwrap().payload), vec![2]);
+        assert_eq!(u32::unpack(rx.recv(None).unwrap().payload), vec![2]);
         assert_eq!(rx.stream.read_timeout().unwrap(), None);
         drop(late.join().unwrap());
     }
@@ -428,13 +408,13 @@ mod tests {
             raw.write_all(&large).unwrap();
             raw
         });
-        let m = rx.recv().unwrap();
+        let m = rx.recv(None).unwrap();
         assert_eq!(m.tag, Tag(7));
         assert_eq!(u64::unpack(m.payload), (0..300).collect::<Vec<u64>>());
-        let m = rx.recv().unwrap();
+        let m = rx.recv(None).unwrap();
         assert_eq!(m.tag, Tag(8));
         assert_eq!(u32::unpack(m.payload), vec![5, 6]);
-        let m = rx.recv().unwrap();
+        let m = rx.recv(None).unwrap();
         assert_eq!(m.tag, Tag(9));
         assert_eq!(u64::unpack(m.payload), (0..50_000).collect::<Vec<u64>>());
         assert!(rx.rbuf.len() <= READ_CHUNK, "read buffer {}", rx.rbuf.len());
@@ -450,7 +430,7 @@ mod tests {
         drop(raw);
         let t0 = Instant::now();
         assert!(matches!(
-            rx.recv_deadline(t0 + Duration::from_secs(30)),
+            rx.recv(Some(t0 + Duration::from_secs(30))),
             Err(RecvTimeoutError::Disconnected)
         ));
         assert!(
@@ -468,9 +448,9 @@ mod tests {
         drop(tx);
         // The frame written before death still delivers — mailbox
         // semantics ("buffered messages are still delivered").
-        let m = rx.recv().expect("pre-death frame delivers");
+        let m = rx.recv(None).expect("pre-death frame delivers");
         assert_eq!(u32::unpack(m.payload), vec![42]);
-        assert!(rx.recv().is_err(), "then the disconnect is reported");
+        assert!(rx.recv(None).is_err(), "then the disconnect is reported");
     }
 
     #[test]
@@ -478,7 +458,10 @@ mod tests {
         let (mut raw, b) = pair();
         let mut rx = PeerLink::new(b).unwrap();
         raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        assert!(rx.recv().is_err(), "absurd prefix is a clean disconnect");
+        assert!(
+            rx.recv(None).is_err(),
+            "absurd prefix is a clean disconnect"
+        );
         assert_eq!(
             rx.fault(),
             Some(&WireError::FrameTooLarge {

@@ -120,7 +120,7 @@ fn rank_main(registry: ScenarioRegistry) -> i32 {
             .expect("send HELLO");
     }
     let welcome = coord_link
-        .recv_deadline(Instant::now() + WELCOME_TIMEOUT)
+        .recv(Some(Instant::now() + WELCOME_TIMEOUT))
         .expect("receive WELCOME");
     let (ports, args) = <(Vec<u16>, Vec<u8>)>::from_wire(&welcome.payload.into_bytes());
     assert_eq!(ports.len(), size, "WELCOME carries one port per rank");

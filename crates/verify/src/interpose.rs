@@ -6,11 +6,16 @@
 //! [`FaultHook`](crate::FaultHook)) are two hooks on it; an `Option` of a
 //! hook is a hook that may be switched off at run time.
 //!
-//! [`Interposed`] forwards **every** [`Comm`] method to the wrapped
-//! backend explicitly — relying on the trait defaults would silently
-//! bypass backend overrides (the simulator's multicast cost accounting,
-//! the TCP backend's process-killing `crash`) and change behaviour under
-//! test, which is exactly what an observer must not do. The collectives
+//! [`Interposed`] forwards the seven required [`Comm`] methods and the
+//! two a backend may override — `multicast` and `crash` — to the wrapped
+//! backend explicitly. That is every path into the backend: `send` and
+//! `recv` are provided methods built on `post` and `recv_deadline`, which
+//! no backend overrides, so a `send` through the interposer is its `post`
+//! and the hook sees it once. Leaving `multicast` or `crash` to the trait
+//! defaults would silently bypass backend overrides (the simulator's
+//! multicast cost accounting, the TCP backend's process-killing `crash`)
+//! and change behaviour under test, which is exactly what an observer
+//! must not do. The collectives
 //! ([`Collectives`](stance_sim::Collectives)) are not `Comm` methods: they
 //! run on the interposer itself, built from the primitives it forwards,
 //! so a hook sees every message a collective moves while the backend
@@ -29,13 +34,13 @@ pub trait Hook {
     /// `size`, `compute`, `now_secs` or `crash`: not protocol actions.
     fn before<C: Comm>(&mut self, _inner: &mut C) {}
 
-    /// A message is about to be handed to the transport: called for every
-    /// `send`, each `multicast` destination, and a `post` only once the
+    /// A message was handed to the transport: called for each `multicast`
+    /// destination, and for a `post` — a `send` is one — only once the
     /// transport reports delivery (a refused post delivered nothing).
     fn sent(&mut self, _dst: usize, _tag: Tag, _bytes: u32) {}
 
-    /// A message was delivered: called after every `recv`, and after a
-    /// `recv_deadline` only when it returns a message (a timeout consumed
+    /// A message was delivered: called after a `recv_deadline` — a `recv`
+    /// is one — only when it returns a message (a timeout consumed
     /// nothing).
     fn received(&mut self, _src: usize, _tag: Tag, _bytes: u32) {}
 
@@ -102,19 +107,6 @@ impl<C: Comm, H: Hook> Comm for Interposed<'_, C, H> {
         self.inner.now_secs()
     }
 
-    fn send(&mut self, dst: usize, tag: Tag, payload: Payload) {
-        self.hook.before(self.inner);
-        self.hook.sent(dst, tag, size(&payload));
-        self.inner.send(dst, tag, payload);
-    }
-
-    fn recv(&mut self, src: usize, tag: Tag) -> Payload {
-        self.hook.before(self.inner);
-        let payload = self.inner.recv(src, tag);
-        self.hook.received(src, tag, size(&payload));
-        payload
-    }
-
     fn barrier(&mut self) {
         self.hook.before(self.inner);
         self.hook.barrier();
@@ -155,4 +147,128 @@ impl<C: Comm, H: Hook> Comm for Interposed<'_, C, H> {
 /// A payload's size as a [`Hook`] sees it and a trace records it.
 fn size(payload: &Payload) -> u32 {
     payload.size_bytes() as u32
+}
+
+#[cfg(test)]
+mod tests {
+    //! `send` and `recv` are built on `post` and `recv_deadline`, so a
+    //! hook must not tell the two spellings of one protocol apart.
+
+    use stance_native::NativeCluster;
+    use stance_sim::cluster::{Cluster, ClusterSpec};
+    use stance_sim::{Comm, Element, Tag};
+
+    use crate::{catch_fault, CheckedComm, FaultPlan, FaultyComm, RankTrace, TraceEvent};
+
+    const ROUNDS: u32 = 3;
+
+    /// Two ranks swap one value per round, with the blocking calls or with
+    /// the primitives they are built on, counting rounds in `rounds_done`.
+    fn exchange<C: Comm>(c: &mut C, primitives: bool, rounds_done: &mut u32) {
+        let peer = c.rank() ^ 1;
+        for round in 0..ROUNDS {
+            let out = u64::pack(&[u64::from(round)]);
+            let back = if primitives {
+                assert!(c.post(peer, Tag(round), out));
+                c.recv_deadline(peer, Tag(round), f64::INFINITY)
+                    .expect("the peer sent")
+            } else {
+                c.send(peer, Tag(round), out);
+                c.recv(peer, Tag(round))
+            };
+            assert_eq!(u64::unpack(back), [u64::from(round)]);
+            *rounds_done += 1;
+        }
+    }
+
+    /// Each spelling's trace, and the operations a fault hook counted.
+    fn observe<C: Comm>(c: &mut C) -> [(Vec<TraceEvent>, u64); 2] {
+        [false, true].map(|primitives| {
+            let mut trace = RankTrace::new(c.rank(), c.size());
+            exchange(&mut CheckedComm::attach(c, &mut trace), primitives, &mut 0);
+            let mut faulty = FaultyComm::attach(c, &FaultPlan::none());
+            exchange(&mut faulty, primitives, &mut 0);
+            (trace.events, faulty.ops())
+        })
+    }
+
+    /// Rank 1 runs the exchange under `FaultPlan::kill(1, at)`, and rank 0
+    /// feeds it with lossy calls that survive its death. Returns, for the
+    /// victim, the operation the fault fired on and the rounds it finished.
+    fn killed_at<C: Comm>(c: &mut C, at: u64, primitives: bool) -> Option<(u64, u32)> {
+        if c.rank() == 0 {
+            for round in 0..ROUNDS {
+                c.post(1, Tag(round), u64::pack(&[u64::from(round)]));
+            }
+            for round in 0..ROUNDS {
+                c.recv_deadline(1, Tag(round), f64::INFINITY);
+            }
+            return None;
+        }
+        let mut rounds_done = 0;
+        let fault = catch_fault(|| {
+            let mut faulty = FaultyComm::attach(c, &FaultPlan::kill(1, at));
+            exchange(&mut faulty, primitives, &mut rounds_done);
+        })
+        .expect_err("the planned kill fires");
+        Some((fault.op, rounds_done))
+    }
+
+    fn check_observed(per_rank: Vec<[(Vec<TraceEvent>, u64); 2]>) {
+        for (rank, [blocking, primitives]) in per_rank.into_iter().enumerate() {
+            let peer = rank ^ 1;
+            let expected: Vec<TraceEvent> = (0..ROUNDS)
+                .flat_map(|round| {
+                    let tag = Tag(round);
+                    [
+                        TraceEvent::Send {
+                            dst: peer,
+                            tag,
+                            bytes: 8,
+                        },
+                        TraceEvent::Recv {
+                            src: peer,
+                            tag,
+                            bytes: 8,
+                        },
+                    ]
+                })
+                .collect();
+            assert_eq!(blocking.0, expected, "rank {rank}, send/recv");
+            assert_eq!(primitives.0, expected, "rank {rank}, post/recv_deadline");
+            assert_eq!(blocking.1, u64::from(2 * ROUNDS), "rank {rank}, send/recv");
+            assert_eq!(primitives.1, blocking.1, "rank {rank}, post/recv_deadline");
+        }
+    }
+
+    fn check_kill(run: impl Fn(u64, bool) -> Vec<Option<(u64, u32)>>) {
+        for at in 0..u64::from(2 * ROUNDS) {
+            for primitives in [false, true] {
+                let expected = Some((at, (at / 2) as u32));
+                assert_eq!(run(at, primitives), [None, expected], "kill at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_spellings_look_the_same_to_hooks_on_the_simulator() {
+        let cluster = Cluster::new(ClusterSpec::uniform(2));
+        check_observed(cluster.run(observe).into_results());
+        check_kill(|at, primitives| {
+            cluster
+                .run(|env| killed_at(env, at, primitives))
+                .into_results()
+        });
+    }
+
+    #[test]
+    fn both_spellings_look_the_same_to_hooks_on_native() {
+        let cluster = NativeCluster::new(2);
+        check_observed(cluster.run(observe).into_results());
+        check_kill(|at, primitives| {
+            cluster
+                .run(|comm| killed_at(comm, at, primitives))
+                .into_results()
+        });
+    }
 }

@@ -1,17 +1,12 @@
 //! Integration surface of the STANCE reproduction workspace.
 //!
 //! This crate exists to host the workspace-level `examples/` and `tests/`
-//! (Cargo attaches those to a package, not a workspace). The library itself
-//! re-exports the public API; depend on [`stance`] directly in real use.
+//! (Cargo attaches those to a package, not a workspace), with the test
+//! bodies and scenarios they share; depend on [`stance`] directly in real
+//! use.
 //!
 //! See `README.md` for the project overview and migration notes for the
 //! trait-based application API.
-
-pub use stance;
-
-/// Re-export of [`stance::reassemble`], kept so older callers of the shim
-/// crate keep working; new code should call it through `stance` directly.
-pub use stance::reassemble;
 
 pub mod conformance;
 pub mod scenarios;

@@ -51,13 +51,16 @@ fn fault_from_rogue_bytes(bytes: &[u8]) -> WireError {
     drop(attacker);
 
     let started = Instant::now();
-    assert!(link.recv().is_err(), "garbage must not decode to a message");
+    assert!(
+        link.recv(None).is_err(),
+        "garbage must not decode to a message"
+    );
     let fault = link
         .fault()
         .expect("broken link must record a fault")
         .clone();
     // Sticky: the link is dead for good, and says so immediately.
-    assert!(link.recv().is_err(), "fault must be sticky");
+    assert!(link.recv(None).is_err(), "fault must be sticky");
     assert_eq!(link.fault(), Some(&fault), "first error must be preserved");
     assert!(
         started.elapsed() < Duration::from_secs(5),
@@ -191,7 +194,7 @@ fn oversize_payload_is_refused_at_the_sender() {
     assert!(tx.fault().is_none(), "a refused send is not a link fault");
     tx.send(Tag(2), &u32::pack(&[5, 6]))
         .expect("the link still sends");
-    let msg = rx.recv().expect("the small frame arrives");
+    let msg = rx.recv(None).expect("the small frame arrives");
     assert_eq!(msg.tag, Tag(2));
     assert_eq!(u32::unpack(msg.payload), vec![5, 6]);
 }
@@ -259,10 +262,10 @@ fn valid_frames_ahead_of_garbage_are_still_delivered() {
     attacker.write_all(&good).expect("write frame + garbage");
     drop(attacker);
 
-    let msg = link.recv().expect("the intact frame must be delivered");
+    let msg = link.recv(None).expect("the intact frame must be delivered");
     assert_eq!(msg.tag, Tag(9));
     assert_eq!(u32::unpack(msg.payload), vec![1, 2, 3]);
-    assert!(link.recv().is_err(), "then the link is dead");
+    assert!(link.recv(None).is_err(), "then the link is dead");
     assert_eq!(
         link.fault(),
         Some(&WireError::FrameTooLarge {
@@ -285,7 +288,7 @@ fn deadline_mid_frame_is_suspicion_and_the_frame_survives() {
     let split = frame.len() / 2;
     sender.write_all(&frame[..split]).expect("first half");
 
-    let verdict = link.recv_deadline(Instant::now() + Duration::from_millis(50));
+    let verdict = link.recv(Some(Instant::now() + Duration::from_millis(50)));
     assert!(
         matches!(verdict, Err(RecvTimeoutError::TimedOut)),
         "mid-frame deadline must be TimedOut (suspicion), got {verdict:?}"
@@ -294,7 +297,7 @@ fn deadline_mid_frame_is_suspicion_and_the_frame_survives() {
 
     sender.write_all(&frame[split..]).expect("second half");
     let msg = link
-        .recv_deadline(Instant::now() + Duration::from_secs(5))
+        .recv(Some(Instant::now() + Duration::from_secs(5)))
         .expect("completed frame must arrive intact");
     assert_eq!(msg.tag, Tag(4));
     assert_eq!(f64::unpack(msg.payload), vec![1.5, -2.5]);
@@ -314,7 +317,7 @@ fn peer_death_mid_frame_is_proof() {
         .expect("almost all of it");
     drop(sender); // SIGKILL's view from the other end: reset, mid-frame
 
-    let verdict = link.recv_deadline(Instant::now() + Duration::from_secs(5));
+    let verdict = link.recv(Some(Instant::now() + Duration::from_secs(5)));
     assert!(
         matches!(verdict, Err(RecvTimeoutError::Disconnected)),
         "death mid-frame must be Disconnected (proof), got {verdict:?}"
