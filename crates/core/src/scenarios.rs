@@ -26,15 +26,11 @@ pub fn paper_mesh_ordered(method: OrderingMethod, seed: u64) -> Graph {
     prepare_mesh(&raw, method).0
 }
 
-/// A smaller stand-in with the same construction (for quick runs and debug
-/// builds): ~3k vertices, same sparsity regime, labels shuffled like a real
-/// mesh file.
+/// [`meshgen::small_mesh`], the smaller stand-in with the same
+/// construction (for quick runs and debug builds), renumbered along the
+/// given 1-D indexing.
 pub fn small_mesh_ordered(method: OrderingMethod, seed: u64) -> Graph {
-    let grid = meshgen::triangulated_grid(56, 56, 0.6, seed);
-    let target = grid.num_vertices() * 3 / 2;
-    let thinned = meshgen::thin_to_edges(&grid, target, seed ^ 0xABCD);
-    let shuffled = meshgen::shuffle_labels(&thinned, seed ^ 0x51AB);
-    prepare_mesh(&shuffled, method).0
+    prepare_mesh(&meshgen::small_mesh(seed), method).0
 }
 
 /// The static test-bed of Tables 4–5: `p` equal workstations on 10 Mbit/s

@@ -7,6 +7,9 @@
 //! rebased instead of translated.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use stance_locality::rcb::rcb_ordering;
 use stance_locality::{meshgen, Graph};
 use stance_onedim::Arrangement;
@@ -591,7 +594,9 @@ fn rows_of_degree_nine_and_more_are_the_tail_of_the_stream() {
 /// and the whole rank goes through the per-reference arm.
 #[test]
 fn shuffled_numbering_has_no_interior_chunk() {
-    let g = meshgen::shuffle_labels(&meshgen::triangulated_grid(50, 50, 0.3, 5), 17);
+    let mut new_of_old: Vec<u32> = (0..2500).collect();
+    new_of_old.shuffle(&mut StdRng::seed_from_u64(17));
+    let g = meshgen::triangulated_grid(50, 50, 0.3, 5).relabel(&new_of_old);
     let partition = BlockPartition::from_sizes(&[1100, 900, 500]);
     assert_all_ranks_match(&g, &partition);
     for rank in 0..3 {

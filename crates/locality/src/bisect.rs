@@ -13,6 +13,8 @@
 //! (ties break on id), a half's contents do not depend on who orders it, and
 //! leaves are sorted by id.
 
+use std::sync::OnceLock;
+
 use crate::graph::Graph;
 use crate::ordering::Ordering;
 
@@ -20,9 +22,12 @@ use crate::ordering::Ordering;
 /// this many points up. Also the row grain of [`Graph::relabel`].
 pub(crate) const FORK_MIN: usize = 32 * 1024;
 
-/// Threads this process may use (cgroup- and affinity-aware).
+/// Threads this process may use (cgroup- and affinity-aware), probed once:
+/// the probe reads cgroup files, tens of µs a call, and every ordering and
+/// relabel asks.
 pub(crate) fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// One vertex on its way through the recursion: `K` order-preserving keys

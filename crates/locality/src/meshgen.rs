@@ -9,6 +9,12 @@
 //! partitioner and the symmetric-schedule optimizations assume
 //! connectivity-friendly meshes; disconnected inputs are still handled but
 //! make worse test fixtures).
+//!
+//! [`paper_mesh`] and [`small_mesh`] are one construction at two sizes: a
+//! jittered triangulated grid, thinned to a target edge count and
+//! relabelled at random. One writer makes both in a single pass, from the
+//! cell pattern to the thinned, relabelled rows; its documentation states
+//! the thinning contract that keeps every such mesh bitwise-stable.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -37,21 +43,51 @@ pub fn triangulated_grid(nx: usize, ny: usize, jitter: f64, seed: u64) -> Graph 
     grid_prefix(nx, ny, jitter, seed, nx * ny)
 }
 
+/// The eight neighbour candidates of vertex `v` of an `nx × ny`
+/// triangulated grid, in ascending id order, each with whether the cell
+/// pattern has that edge. Cell `(x, y)` carries the diagonal
+/// `(x, y)–(x+1, y+1)` when `x + y` is even and `(x+1, y)–(x, y+1)`
+/// otherwise, so a vertex with `x + y` even meets all eight neighbours
+/// around it and any other vertex its four axis neighbours. Candidate `k`
+/// of `v` is `v`'s edge to `w` exactly when candidate `7 − k` of `w` is
+/// the same edge back; candidates `4..8` are the ones above `v`.
+#[inline]
+fn candidates(nx: usize, ny: usize, v: usize) -> [(bool, usize); 8] {
+    let (x, y) = (v % nx, v / nx);
+    let (left, right) = (x > 0, x + 1 < nx);
+    let (below, above) = (y > 0, y + 1 < ny);
+    let diagonals = (x + y) % 2 == 0;
+    [
+        (below && left && diagonals, v.wrapping_sub(nx + 1)),
+        (below, v.wrapping_sub(nx)),
+        (below && right && diagonals, v.wrapping_sub(nx - 1)),
+        (left, v.wrapping_sub(1)),
+        (right, v + 1),
+        (above && left && diagonals, v + nx - 1),
+        (above, v + nx),
+        (above && right && diagonals, v + nx + 1),
+    ]
+}
+
+/// The jittered coordinates of grid vertex `v`: the draws every grid
+/// generator makes, two per vertex in id order from `rng`.
+#[inline]
+fn jittered(rng: &mut StdRng, nx: usize, jitter: f64, v: usize) -> [f64; 2] {
+    let dx = (rng.random::<f64>() - 0.5) * jitter;
+    let dy = (rng.random::<f64>() - 0.5) * jitter;
+    [(v % nx) as f64 + dx, (v / nx) as f64 + dy]
+}
+
 /// The first `n` vertices of [`triangulated_grid`]`(nx, ny, jitter, seed)`
 /// and the edges among them — the grid's induced subgraph on `0..n`,
-/// written as sorted CSR rows straight from the cell pattern. Cell
-/// `(x, y)` carries the diagonal `(x, y)–(x+1, y+1)` when `x + y` is even
-/// and `(x+1, y)–(x, y+1)` otherwise, so a vertex with `x + y` even meets
-/// all eight neighbours around it and any other vertex its four axis
-/// neighbours. The rows push those in id order and drop ids `≥ n`.
+/// written as sorted CSR rows straight from the cell pattern
+/// ([`candidates`], dropping ids `≥ n`).
 pub(crate) fn grid_prefix(nx: usize, ny: usize, jitter: f64, seed: u64, n: usize) -> Graph {
     assert!(n <= nx * ny, "a {nx}×{ny} grid has no {n}-vertex prefix");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut coords = Vec::with_capacity(2 * n);
     for v in 0..n {
-        let dx = (rng.random::<f64>() - 0.5) * jitter;
-        let dy = (rng.random::<f64>() - 0.5) * jitter;
-        coords.extend([(v % nx) as f64 + dx, (v / nx) as f64 + dy]);
+        coords.extend(jittered(&mut rng, nx, jitter, v));
     }
     // Twice the whole grid's edge count: every prefix fits.
     let full = (nx - 1) * ny + nx * (ny - 1) + (nx - 1) * (ny - 1);
@@ -59,21 +95,7 @@ pub(crate) fn grid_prefix(nx: usize, ny: usize, jitter: f64, seed: u64, n: usize
     let mut xadj = Vec::with_capacity(n + 1);
     xadj.push(0);
     for v in 0..n {
-        let (x, y) = (v % nx, v / nx);
-        let (left, right) = (x > 0, x + 1 < nx);
-        let (below, above) = (y > 0, y + 1 < ny);
-        let diagonals = (x + y) % 2 == 0;
-        let candidates = [
-            (below && left && diagonals, v.wrapping_sub(nx + 1)),
-            (below, v.wrapping_sub(nx)),
-            (below && right && diagonals, v.wrapping_sub(nx - 1)),
-            (left, v.wrapping_sub(1)),
-            (right, v + 1),
-            (above && left && diagonals, v + nx - 1),
-            (above, v + nx),
-            (above && right && diagonals, v + nx + 1),
-        ];
-        for (present, w) in candidates {
+        for (present, w) in candidates(nx, ny, v) {
             if present && w < n {
                 adjncy.push(w as u32);
             }
@@ -83,110 +105,164 @@ pub(crate) fn grid_prefix(nx: usize, ny: usize, jitter: f64, seed: u64, n: usize
     Graph::from_csr(xadj, adjncy, coords, 2)
 }
 
-/// Removes random non-tree edges until exactly `target_edges` remain,
-/// preserving connectivity. The kept set is exactly the BFS tree from
-/// vertex 0 plus the first `target_edges − (n − 1)` edges of a shuffle,
-/// seeded with `seed`, of the non-tree edges in [`Graph::edges`] order: the
-/// contract that keeps every thinned mesh bitwise-stable. Each row is
-/// copied from the input with only its kept slots, so it stays sorted.
+/// The grid prefix [`grid_prefix`]`(nx, ny, jitter, seed, n)` thinned to
+/// `target_edges` edges and relabelled, in one pass: no grid, no thinned
+/// copy, only the returned graph's arrays and four per-vertex or per-edge
+/// scratch lists.
+///
+/// The thinning keeps the mesh connected, and its kept set is exactly the
+/// BFS tree from vertex 0 plus the first `target_edges − (n − 1)` edges of
+/// a shuffle, seeded with `thin_seed`, of the non-tree edges in
+/// [`Graph::edges`] order — the contract that keeps every thinned mesh
+/// bitwise-stable. Vertex `v` is then labelled `perm[v]`, where `perm` is
+/// `0..n` shuffled with `shuffle_seed`, as mesh files rarely number
+/// vertices in a spatially coherent order.
+///
+/// The grid's rows are never written: a vertex's neighbours are its
+/// [`candidates`], the BFS and the non-tree list walk those, an edge is
+/// coded `u·8 + k` for `u`'s candidate `k`, and the kept edges are one
+/// direction mask per vertex. Each row is written once, at its new label,
+/// and sorted.
 ///
 /// # Panics
-/// Panics if the graph is disconnected, or if `target_edges` is below
-/// `n − 1` (connectivity would be impossible) or above the current count.
-pub fn thin_to_edges(graph: &Graph, target_edges: usize, seed: u64) -> Graph {
-    let n = graph.num_vertices();
-    let m = graph.num_edges();
+/// Panics if `n` exceeds the grid or `2^29` vertices, or if `target_edges`
+/// is below `n − 1` (connectivity would be impossible) or above the
+/// prefix's edge count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn thinned_grid(
+    nx: usize,
+    ny: usize,
+    jitter: f64,
+    seed: u64,
+    n: usize,
+    target_edges: usize,
+    thin_seed: u64,
+    shuffle_seed: u64,
+) -> Graph {
+    assert!(n <= nx * ny, "a {nx}×{ny} grid has no {n}-vertex prefix");
+    assert!(n <= 1 << 29, "edge codes u·8 + k must fit a u32");
+    let tree = n.saturating_sub(1);
     assert!(
-        target_edges <= m,
-        "cannot thin {m} edges up to {target_edges}"
-    );
-    assert!(
-        target_edges + 1 >= n,
+        target_edges >= tree,
         "target {target_edges} cannot keep {n} vertices connected"
     );
-    // BFS parents. The root is its own, which no edge matches (there are no
-    // self-loops), so `(u, w)` is a tree edge iff one is the other's parent.
-    let mut parent = vec![u32::MAX; n];
+    // The labels first (their own RNG), so each coordinate is written once,
+    // at its vertex's new label.
+    let mut new_of: Vec<u32> = (0..n as u32).collect();
+    new_of.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut coords = vec![0.0; 2 * n];
+    for (v, &new) in new_of.iter().enumerate() {
+        let at = 2 * new as usize;
+        coords[at..at + 2].copy_from_slice(&jittered(&mut rng, nx, jitter, v));
+    }
+    // Bit `k` of `kept[v]`: `v` keeps its edge to candidate `k`. The BFS
+    // sets the tree's, so once the root's row is walked (no candidate of
+    // the root is the root) a vertex is reached exactly when its mask is
+    // not empty.
+    let mut kept = vec![0u8; n];
     let mut queue = Vec::with_capacity(n);
     if n > 0 {
-        parent[0] = 0;
-        queue.push(0);
+        queue.push(0u32);
+    }
+    let mut refs = 0;
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let u = u as usize;
+        for (k, (present, w)) in candidates(nx, ny, u).into_iter().enumerate() {
+            if present && w < n {
+                refs += 1;
+                if kept[w] == 0 {
+                    kept[u] |= 1 << k;
+                    kept[w] |= 1 << (7 - k);
+                    queue.push(w as u32);
+                }
+            }
+        }
+    }
+    assert_eq!(queue.len(), n, "a grid prefix is connected");
+    drop(queue);
+    let edges = refs / 2;
+    assert!(
+        target_edges <= edges,
+        "cannot thin {edges} edges up to {target_edges}"
+    );
+    // The non-tree edges in `Graph::edges` order: by lower end, then by
+    // candidate. The shuffle's draws do not depend on what it permutes.
+    let mut non_tree = Vec::with_capacity(edges - tree);
+    for (u, &mask) in kept.iter().enumerate() {
+        for (k, (present, w)) in candidates(nx, ny, u).into_iter().enumerate().skip(4) {
+            if present && w < n && mask & 1 << k == 0 {
+                non_tree.push((8 * u + k) as u32);
+            }
+        }
+    }
+    non_tree.shuffle(&mut StdRng::seed_from_u64(thin_seed));
+    for &code in &non_tree[..target_edges - tree] {
+        let (u, k) = (code as usize / 8, code as usize % 8);
+        let w = candidates(nx, ny, u)[k].1;
+        kept[u] |= 1 << k;
+        kept[w] |= 1 << (7 - k);
+    }
+    // Not held while the rows are written.
+    drop(non_tree);
+    let mut xadj = vec![0; n + 1];
+    for (v, &new) in new_of.iter().enumerate() {
+        xadj[new as usize + 1] = kept[v].count_ones();
     }
     for i in 0..n {
-        assert!(i < queue.len(), "thin_to_edges requires a connected graph");
-        let u = queue[i];
-        for &w in graph.neighbors(u as usize) {
-            if parent[w as usize] == u32::MAX {
-                parent[w as usize] = u;
-                queue.push(w);
-            }
+        xadj[i + 1] += xadj[i];
+    }
+    let mut adjncy = vec![0; 2 * target_edges];
+    for (v, &new) in new_of.iter().enumerate() {
+        let row = &mut adjncy[xadj[new as usize] as usize..xadj[new as usize + 1] as usize];
+        let neighbours = candidates(nx, ny, v)
+            .into_iter()
+            .enumerate()
+            .filter(|&(k, _)| kept[v] & 1 << k != 0)
+            .map(|(_, (_, w))| new_of[w]);
+        for (slot, w) in row.iter_mut().zip(neighbours) {
+            *slot = w;
         }
+        row.sort_unstable();
     }
-    let is_tree = |u: u32, w: u32| parent[w as usize] == u || parent[u as usize] == w;
-    // Each non-tree edge `(u, w)`, `u < w`, as its slot in `u`'s row: the
-    // order of `Graph::edges`, in 4 bytes an edge. The shuffle's draws do
-    // not depend on what it permutes.
-    let (xadj, adjncy) = graph.csr_window(0..n);
-    let mut non_tree = Vec::with_capacity(m - n.saturating_sub(1));
-    for (u, bounds) in xadj.windows(2).enumerate() {
-        for s in bounds[0]..bounds[1] {
-            let w = adjncy[s as usize];
-            if u < w as usize && !is_tree(u as u32, w) {
-                non_tree.push(s);
-            }
-        }
-    }
-    non_tree.shuffle(&mut StdRng::seed_from_u64(seed));
-    let mut kept = vec![false; adjncy.len()];
-    for &s in &non_tree[..target_edges - n.saturating_sub(1)] {
-        // The row holding slot `s`, and the mirror slot in `w`'s row.
-        let u = xadj.partition_point(|&p| p <= s) - 1;
-        let w = adjncy[s as usize] as usize;
-        let mirror = graph.neighbors(w).binary_search(&(u as u32)).unwrap();
-        kept[s as usize] = true;
-        kept[xadj[w] as usize + mirror] = true;
-    }
-    // Not held while the thinned rows are written.
-    drop(non_tree);
-    let mut thin_xadj = Vec::with_capacity(n + 1);
-    let mut thin_adjncy = Vec::with_capacity(2 * target_edges);
-    thin_xadj.push(0);
-    for (u, bounds) in xadj.windows(2).enumerate() {
-        for s in bounds[0] as usize..bounds[1] as usize {
-            if kept[s] || is_tree(u as u32, adjncy[s]) {
-                thin_adjncy.push(adjncy[s]);
-            }
-        }
-        // At most the input's references: no overflow.
-        thin_xadj.push(thin_adjncy.len() as u32);
-    }
-    Graph::from_csr(thin_xadj, thin_adjncy, graph.coords().to_vec(), graph.dim())
+    Graph::from_csr(xadj, adjncy, coords, 2)
 }
 
-/// Randomly permutes vertex labels (structure and geometry unchanged).
-/// Mesh files rarely number vertices in a spatially coherent order, so a
-/// shuffle makes the "natural ordering" baseline honest.
-pub fn shuffle_labels(graph: &Graph, seed: u64) -> Graph {
-    let n = graph.num_vertices();
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    perm.shuffle(&mut rng);
-    graph.relabel(&perm)
-}
-
-/// The Fig. 9 substitute: a jittered triangulated grid trimmed to exactly
-/// [`PAPER_MESH_VERTICES`] vertices, thinned to [`PAPER_MESH_EDGES`] edges
+/// The Fig. 9 substitute: a jittered 174 × 174 triangulated grid trimmed to
+/// exactly [`PAPER_MESH_VERTICES`] vertices (the last row loses its trailing
+/// 7, which keeps it connected), thinned to [`PAPER_MESH_EDGES`] edges
 /// (average degree ≈ 2.97, matching the paper's mesh), with vertex labels
 /// shuffled as in a real mesh file.
 pub fn paper_mesh(seed: u64) -> Graph {
-    // 174 × 174 = 30 276 vertices less the trailing 7 (end of the last
-    // row — removal keeps the grid connected), written without them.
-    let trimmed = grid_prefix(174, 174, 0.6, seed, PAPER_MESH_VERTICES);
-    debug_assert!(trimmed.is_connected());
-    let g = thin_to_edges(&trimmed, PAPER_MESH_EDGES, seed ^ 0x5EED_CAFE);
-    debug_assert_eq!(g.num_vertices(), PAPER_MESH_VERTICES);
-    debug_assert_eq!(g.num_edges(), PAPER_MESH_EDGES);
-    shuffle_labels(&g, seed ^ 0x0BAD_C0DE)
+    thinned_grid(
+        174,
+        174,
+        0.6,
+        seed,
+        PAPER_MESH_VERTICES,
+        PAPER_MESH_EDGES,
+        seed ^ 0x5EED_CAFE,
+        seed ^ 0x0BAD_C0DE,
+    )
+}
+
+/// A smaller stand-in with the paper mesh's construction, for quick runs
+/// and debug builds: a jittered 56 × 56 triangulated grid thinned to 4 704
+/// edges (average degree 3), with vertex labels shuffled.
+pub fn small_mesh(seed: u64) -> Graph {
+    let n = 56 * 56;
+    thinned_grid(
+        56,
+        56,
+        0.6,
+        seed,
+        n,
+        n * 3 / 2,
+        seed ^ 0xABCD,
+        seed ^ 0x51AB,
+    )
 }
 
 /// An annulus ("airfoil-like") mesh: `rings` concentric rings of `sectors`
@@ -329,49 +405,42 @@ mod tests {
 
     #[test]
     fn thin_preserves_connectivity_and_count() {
-        let g = triangulated_grid(10, 10, 0.3, 3);
-        let target = g.num_vertices() + 20;
-        let thinned = thin_to_edges(&g, target, 9);
+        let target = 100 + 20;
+        let thinned = thinned_grid(10, 10, 0.3, 3, 100, target, 9, 1);
         assert_eq!(thinned.num_edges(), target);
-        assert_eq!(thinned.num_vertices(), g.num_vertices());
+        assert_eq!(thinned.num_vertices(), 100);
         assert!(thinned.is_connected());
     }
 
     #[test]
     fn thin_to_tree() {
-        let g = triangulated_grid(6, 6, 0.0, 2);
-        let tree = thin_to_edges(&g, g.num_vertices() - 1, 5);
+        let tree = thinned_grid(6, 6, 0.0, 2, 36, 35, 5, 1);
         assert_eq!(tree.num_edges(), 35);
         assert!(tree.is_connected());
-        assert_eq!(tree, crate::oracles::thin_to_edges_oracle(&g, 35, 5));
     }
 
     #[test]
-    fn thin_to_every_edge_is_the_input() {
-        // The empty and one-vertex graphs have no `n − 1` edges to keep.
-        let empty = Graph::from_edges(0, &[], vec![], 2);
-        for g in [
-            empty,
-            triangulated_grid(1, 1, 0.3, 4),
-            triangulated_grid(7, 5, 0.3, 4),
-        ] {
-            assert_eq!(thin_to_edges(&g, g.num_edges(), 1), g);
+    fn thin_to_every_edge_keeps_the_grid() {
+        // The empty and one-vertex grids have no `n − 1` edges to keep.
+        for (nx, ny) in [(1, 1), (7, 5)] {
+            let grid = triangulated_grid(nx, ny, 0.3, 4);
+            let (n, m) = (grid.num_vertices(), grid.num_edges());
+            let whole = thinned_grid(nx, ny, 0.3, 4, n, m, 1, 2);
+            assert_eq!((whole.num_vertices(), whole.num_edges()), (n, m));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a connected graph")]
-    fn thin_rejects_disconnected_input() {
-        let triangle_and_pair = [(0, 1), (0, 2), (1, 2), (3, 4)];
-        let g = Graph::from_edges(5, &triangle_and_pair, vec![[0.0; 3]; 5], 2);
-        let _ = thin_to_edges(&g, 4, 0);
+        assert_eq!(thinned_grid(3, 3, 0.3, 4, 0, 0, 1, 2).num_vertices(), 0);
     }
 
     #[test]
     #[should_panic(expected = "cannot keep")]
     fn thin_below_tree_rejected() {
-        let g = triangulated_grid(4, 4, 0.0, 2);
-        let _ = thin_to_edges(&g, 10, 0);
+        let _ = thinned_grid(4, 4, 0.0, 2, 16, 10, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot thin 33 edges up to 34")]
+    fn thin_above_the_grid_rejected() {
+        let _ = thinned_grid(4, 4, 0.0, 2, 16, 34, 0, 0);
     }
 
     #[test]
@@ -389,6 +458,15 @@ mod tests {
     fn paper_mesh_deterministic_per_seed() {
         assert_eq!(paper_mesh(1), paper_mesh(1));
         assert_ne!(paper_mesh(1), paper_mesh(2));
+    }
+
+    #[test]
+    fn small_mesh_is_the_paper_construction_at_56_by_56() {
+        let g = small_mesh(5);
+        assert_eq!((g.num_vertices(), g.num_edges()), (3136, 4704));
+        assert!(g.is_connected());
+        assert_eq!(small_mesh(5), g);
+        assert_ne!(small_mesh(6), g);
     }
 
     #[test]

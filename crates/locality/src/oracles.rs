@@ -1,8 +1,10 @@
 //! Test-only references for Phase A's fast paths: the implementations that
 //! [`crate::bisect`], the in-place [`Graph::relabel`], the CSR-writing
-//! grid generator and the slot-marking thinning replaced, kept verbatim as
-//! oracles, plus the property and golden tests that hold the replacements
-//! to them bit for bit.
+//! grid generator and the one-pass thinned-mesh writer replaced, kept
+//! verbatim as oracles, plus the property and golden tests that hold the
+//! replacements to them bit for bit. The writer's reference is the three
+//! stages it fused: [`grid_prefix`], then [`thin_to_edges`] (itself held to
+//! the `HashSet` thinning before it), then [`shuffle_labels`].
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -11,7 +13,7 @@ use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
 use crate::graph::Graph;
-use crate::meshgen::{self, grid_prefix};
+use crate::meshgen::{self, grid_prefix, thinned_grid};
 use crate::ordering::Ordering;
 use crate::rcb::{rcb_on_threads, rcb_ordering};
 use crate::rib::{inertial_on_threads, inertial_ordering};
@@ -206,7 +208,7 @@ fn triangulated_grid_oracle(nx: usize, ny: usize, jitter: f64, seed: u64) -> Gra
 /// `meshgen::thin_to_edges` as it was: the tree edges in a `HashSet`, the
 /// kept edges rebuilt through `from_edges`. The spanning tree is the
 /// `Graph::spanning_tree_edges` it called.
-pub(crate) fn thin_to_edges_oracle(graph: &Graph, target_edges: usize, seed: u64) -> Graph {
+fn thin_to_edges_oracle(graph: &Graph, target_edges: usize, seed: u64) -> Graph {
     fn spanning_tree_edges(graph: &Graph) -> Vec<(u32, u32)> {
         let n = graph.num_vertices();
         if n == 0 {
@@ -256,6 +258,103 @@ pub(crate) fn thin_to_edges_oracle(graph: &Graph, target_edges: usize, seed: u64
     edges.sort_unstable(); // deterministic base order
     edges.extend(non_tree.into_iter().take(keep_extra));
     Graph::from_edges(n, &edges, coords_of(graph), graph.dim())
+}
+
+/// `meshgen::thin_to_edges` as it was before the one-pass writer: removes
+/// random non-tree edges until exactly `target_edges` remain, keeping the
+/// BFS tree from vertex 0 plus the first `target_edges − (n − 1)` edges of
+/// a shuffle, seeded with `seed`, of the non-tree edges in [`Graph::edges`]
+/// order. Each row is copied from the input with only its kept slots, so
+/// it stays sorted.
+///
+/// # Panics
+/// Panics if the graph is disconnected, or if `target_edges` is below
+/// `n − 1` (connectivity would be impossible) or above the current count.
+fn thin_to_edges(graph: &Graph, target_edges: usize, seed: u64) -> Graph {
+    let n = graph.num_vertices();
+    let m = graph.num_edges();
+    assert!(
+        target_edges <= m,
+        "cannot thin {m} edges up to {target_edges}"
+    );
+    assert!(
+        target_edges + 1 >= n,
+        "target {target_edges} cannot keep {n} vertices connected"
+    );
+    // BFS parents. The root is its own, which no edge matches (there are no
+    // self-loops), so `(u, w)` is a tree edge iff one is the other's parent.
+    let mut parent = vec![u32::MAX; n];
+    let mut queue = Vec::with_capacity(n);
+    if n > 0 {
+        parent[0] = 0;
+        queue.push(0);
+    }
+    for i in 0..n {
+        assert!(i < queue.len(), "thin_to_edges requires a connected graph");
+        let u = queue[i];
+        for &w in graph.neighbors(u as usize) {
+            if parent[w as usize] == u32::MAX {
+                parent[w as usize] = u;
+                queue.push(w);
+            }
+        }
+    }
+    let is_tree = |u: u32, w: u32| parent[w as usize] == u || parent[u as usize] == w;
+    // Each non-tree edge `(u, w)`, `u < w`, as its slot in `u`'s row.
+    let (xadj, adjncy) = graph.csr_window(0..n);
+    let mut non_tree = Vec::with_capacity(m - n.saturating_sub(1));
+    for (u, bounds) in xadj.windows(2).enumerate() {
+        for s in bounds[0]..bounds[1] {
+            let w = adjncy[s as usize];
+            if u < w as usize && !is_tree(u as u32, w) {
+                non_tree.push(s);
+            }
+        }
+    }
+    non_tree.shuffle(&mut StdRng::seed_from_u64(seed));
+    let mut kept = vec![false; adjncy.len()];
+    for &s in &non_tree[..target_edges - n.saturating_sub(1)] {
+        // The row holding slot `s`, and the mirror slot in `w`'s row.
+        let u = xadj.partition_point(|&p| p <= s) - 1;
+        let w = adjncy[s as usize] as usize;
+        let mirror = graph.neighbors(w).binary_search(&(u as u32)).unwrap();
+        kept[s as usize] = true;
+        kept[xadj[w] as usize + mirror] = true;
+    }
+    let mut thin_xadj = Vec::with_capacity(n + 1);
+    let mut thin_adjncy = Vec::with_capacity(2 * target_edges);
+    thin_xadj.push(0);
+    for (u, bounds) in xadj.windows(2).enumerate() {
+        for s in bounds[0] as usize..bounds[1] as usize {
+            if kept[s] || is_tree(u as u32, adjncy[s]) {
+                thin_adjncy.push(adjncy[s]);
+            }
+        }
+        thin_xadj.push(thin_adjncy.len() as u32);
+    }
+    Graph::from_csr(thin_xadj, thin_adjncy, graph.coords().to_vec(), graph.dim())
+}
+
+/// `meshgen::shuffle_labels` as it was before the one-pass writer:
+/// randomly permutes vertex labels (structure and geometry unchanged).
+fn shuffle_labels(graph: &Graph, seed: u64) -> Graph {
+    graph.relabel(&permutation(graph.num_vertices(), seed))
+}
+
+/// The writer's reference: the three stages it fused, each writing a graph.
+#[allow(clippy::too_many_arguments)]
+fn three_stages(
+    nx: usize,
+    ny: usize,
+    jitter: f64,
+    seed: u64,
+    n: usize,
+    target_edges: usize,
+    thin_seed: u64,
+    shuffle_seed: u64,
+) -> Graph {
+    let grid = grid_prefix(nx, ny, jitter, seed, n);
+    shuffle_labels(&thin_to_edges(&grid, target_edges, thin_seed), shuffle_seed)
 }
 
 /// Random 2-D and 3-D graphs built to hit the comparator's corners: clouds
@@ -331,7 +430,7 @@ impl Strategy for ThinCases {
         let jitter = [0.0, 0.3][rng.below(2) as usize];
         let mut grid = meshgen::triangulated_grid(nx, ny, jitter, rng.next_u64());
         if rng.below(2) == 0 {
-            grid = meshgen::shuffle_labels(&grid, rng.next_u64());
+            grid = shuffle_labels(&grid, rng.next_u64());
         }
         let (tree, m) = (grid.num_vertices() - 1, grid.num_edges());
         let target = match rng.below(4) {
@@ -368,7 +467,7 @@ proptest! {
     fn thinning_equals_its_oracle(case in ThinCases) {
         let (graph, target, seed) = case;
         assert_same_graph(
-            &meshgen::thin_to_edges(&graph, target, seed),
+            &thin_to_edges(&graph, target, seed),
             &thin_to_edges_oracle(&graph, target, seed),
         );
     }
@@ -403,14 +502,100 @@ fn grid_writer_equals_its_oracle() {
     }
 }
 
-/// The paper mesh is the old thinning of the same grid prefix, relabelled.
+/// The one-pass writer's inputs: a grid of 1 × 1 to 12 × 12 cells, with or
+/// without jitter; a prefix of any length (most end mid-row); a target of
+/// `n − 1`, every edge or anything between; and the three seeds.
+struct WriterCases;
+
+impl Strategy for WriterCases {
+    type Value = (usize, usize, f64, u64, usize, usize, u64, u64);
+
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        let (nx, ny) = (1 + rng.below(12) as usize, 1 + rng.below(12) as usize);
+        let jitter = [0.0, 0.3][rng.below(2) as usize];
+        let n = match rng.below(4) {
+            0 => nx * ny,
+            _ => rng.below((nx * ny + 1) as u64) as usize,
+        };
+        let seed = rng.next_u64();
+        let m = grid_prefix(nx, ny, jitter, seed, n).num_edges();
+        let tree = n.saturating_sub(1);
+        let target = match rng.below(4) {
+            0 => tree,
+            1 => m,
+            _ => tree + rng.below((m - tree + 1) as u64) as usize,
+        };
+        (
+            nx,
+            ny,
+            jitter,
+            seed,
+            n,
+            target,
+            rng.next_u64(),
+            rng.next_u64(),
+        )
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn writer_equals_the_three_stages(case in WriterCases) {
+        let (nx, ny, jitter, seed, n, target, thin_seed, shuffle_seed) = case;
+        assert_same_graph(
+            &thinned_grid(nx, ny, jitter, seed, n, target, thin_seed, shuffle_seed),
+            &three_stages(nx, ny, jitter, seed, n, target, thin_seed, shuffle_seed),
+        );
+    }
+}
+
+/// Both meshes the writer ships, at the seeds the tables, figures and
+/// ablations use and then some, against the three stages they replaced.
 #[test]
-fn paper_mesh_equals_the_oracle_thinning() {
+fn paper_and_small_mesh_equal_the_three_stages() {
     for seed in 0..8 {
-        let grid = grid_prefix(174, 174, 0.6, seed, meshgen::PAPER_MESH_VERTICES);
-        let thinned = thin_to_edges_oracle(&grid, meshgen::PAPER_MESH_EDGES, seed ^ 0x5EED_CAFE);
-        let expected = meshgen::shuffle_labels(&thinned, seed ^ 0x0BAD_C0DE);
+        let expected = three_stages(
+            174,
+            174,
+            0.6,
+            seed,
+            meshgen::PAPER_MESH_VERTICES,
+            meshgen::PAPER_MESH_EDGES,
+            seed ^ 0x5EED_CAFE,
+            seed ^ 0x0BAD_C0DE,
+        );
         assert_same_graph(&meshgen::paper_mesh(seed), &expected);
+    }
+    for seed in [0, 1, 5, 7, 42, 999] {
+        let grid = meshgen::triangulated_grid(56, 56, 0.6, seed);
+        let thinned = thin_to_edges(&grid, 56 * 56 * 3 / 2, seed ^ 0xABCD);
+        let expected = shuffle_labels(&thinned, seed ^ 0x51AB);
+        assert_same_graph(&meshgen::small_mesh(seed), &expected);
+    }
+}
+
+/// The ends of the thinning's range and a prefix that stops mid-row, at
+/// the paper mesh's width: a tree-only target (`n − 1` edges), a target
+/// that thins nothing, and the paper mesh's own prefix of its grid.
+#[test]
+fn writer_equals_the_three_stages_at_the_edges_of_its_range() {
+    let mid_row = 174 * 40 + 77;
+    let every_edge = grid_prefix(174, 174, 0.6, 3, mid_row).num_edges();
+    for (n, target) in [
+        (mid_row, mid_row - 1),
+        (mid_row, every_edge),
+        (mid_row, mid_row * 3 / 2),
+        (
+            meshgen::PAPER_MESH_VERTICES,
+            meshgen::PAPER_MESH_VERTICES - 1,
+        ),
+    ] {
+        assert_same_graph(
+            &thinned_grid(174, 174, 0.6, 3, n, target, 11, 12),
+            &three_stages(174, 174, 0.6, 3, n, target, 11, 12),
+        );
     }
 }
 
@@ -436,11 +621,13 @@ fn graph_digest(g: &Graph) -> u64 {
 
 /// One mesh per generator with the digests of its RCB positions, its RIB
 /// positions and its RCB-relabelled CSR, all captured at commit `4652aeb`
-/// (the last with the oracle loops in charge).
+/// (the last with the oracle loops in charge); `small_mesh(42)`'s, the
+/// ablations' mesh, at `98ed230` (the last with the three mesh stages in
+/// charge).
 #[test]
 fn golden_digests_per_generator() {
     let grid = meshgen::triangulated_grid(60, 50, 0.3, 2);
-    let cases: [(&str, Graph, [u64; 3]); 6] = [
+    let cases: [(&str, Graph, [u64; 3]); 7] = [
         (
             "paper_mesh(7)",
             meshgen::paper_mesh(7),
@@ -448,6 +635,15 @@ fn golden_digests_per_generator() {
                 0x8411_794f_56da_0907,
                 0xbcfc_a4e8_a697_85db,
                 0x6592_5fde_2bb0_a474,
+            ],
+        ),
+        (
+            "small_mesh(42)",
+            meshgen::small_mesh(42),
+            [
+                0x109d_ead3_1b0b_a1a1,
+                0x53be_500e_514b_59ab,
+                0xce64_2d09_05f9_09e9,
             ],
         ),
         (
@@ -479,7 +675,7 @@ fn golden_digests_per_generator() {
         ),
         (
             "shuffle_labels(triangulated_grid(60, 50, 0.3, 2), 9)",
-            meshgen::shuffle_labels(&grid, 9),
+            shuffle_labels(&grid, 9),
             [
                 0x54dd_a7aa_7930_be87,
                 0x9b7b_4f0f_6464_0b4f,
@@ -488,7 +684,7 @@ fn golden_digests_per_generator() {
         ),
         (
             "thin_to_edges(triangulated_grid(60, 50, 0.3, 2), 5000, 4)",
-            meshgen::thin_to_edges(&grid, 5000, 4),
+            thin_to_edges(&grid, 5000, 4),
             [
                 0x528a_0c8c_de2a_cd91,
                 0x175a_2cb0_4481_90a1,

@@ -5,10 +5,9 @@
 use stance::prelude::*;
 
 fn full_run(seed: u64) -> (Vec<f64>, Vec<f64>, Vec<u64>) {
-    // Thinning randomizes the edge structure per seed (grid jitter alone
+    // A random geometric graph's edges differ per seed (grid jitter alone
     // would only move coordinates, which spectral ordering ignores).
-    let grid = stance::locality::meshgen::triangulated_grid(15, 13, 0.4, seed);
-    let raw = stance::locality::meshgen::thin_to_edges(&grid, grid.num_vertices() * 3 / 2, seed);
+    let raw = stance::locality::meshgen::random_geometric(195, 0.08, seed);
     let (mesh, _) = stance::prepare_mesh(&raw, OrderingMethod::Spectral);
     let config = StanceConfig::default().with_check_interval(5);
     let spec = ClusterSpec::uniform(4)
