@@ -9,9 +9,8 @@ use stance_inspector::InspectorCostModel;
 /// only what the session reads — the cost models, the adaptive loop's
 /// balancer and check interval (§3.5), verification and the lane count.
 /// Surviving a lost rank is the caller's loop, not a setting: it probes
-/// with its own [`DetectorConfig`](crate::DetectorConfig)
-/// ([`probe_membership`](crate::probe_membership)) and restores onto the
-/// survivors itself.
+/// with its own patience ([`probe_membership`](crate::probe_membership))
+/// and restores onto the survivors itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StanceConfig {
     /// Pricing of kernel work on the reference machine.

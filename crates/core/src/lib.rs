@@ -124,7 +124,7 @@ pub use checkpoint::{CheckpointError, SessionCheckpoint};
 pub use config::StanceConfig;
 pub use dataflow::{DataflowSession, StageGraph, StageGraphBuilder};
 pub use efficiency::{adaptive_efficiency, static_efficiency};
-pub use recovery::{probe_membership, survivors_of, DetectorConfig};
+pub use recovery::probe_membership;
 pub use session::{AdaptiveSession, SessionReport};
 
 /// Re-export: the cluster simulator / messaging substrate.
@@ -193,7 +193,7 @@ pub mod prelude {
     pub use crate::efficiency::{adaptive_efficiency, static_efficiency};
     pub use crate::prepare_mesh;
     pub use crate::reassemble;
-    pub use crate::recovery::{probe_membership, survivors_of, DetectorConfig};
+    pub use crate::recovery::probe_membership;
     pub use crate::session::{AdaptiveSession, SessionReport};
     pub use stance_balance::{BalancerConfig, Decision};
     pub use stance_executor::{

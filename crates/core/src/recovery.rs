@@ -11,10 +11,10 @@
 //! The probe is two rounds:
 //!
 //! 1. **Heartbeats** — every rank posts a heartbeat to every other rank
-//!    (`TAG_HEARTBEAT`), then waits for each peer's heartbeat with a
-//!    bounded timeout, retried with exponential backoff per
-//!    [`DetectorConfig`]. A peer whose mailbox is closed (it exited) or
-//!    that stays silent past the full patience window is *suspected*.
+//!    (`TAG_HEARTBEAT`), then waits for each peer's heartbeat with one
+//!    `recv_deadline` of the caller's patience. A peer whose mailbox is
+//!    closed (it exited) or that stays silent past the patience is
+//!    *suspected*.
 //! 2. **Verdict** — every rank posts its suspicion bitmask to the peers
 //!    it believes alive (`TAG_VERDICT`) and folds the masks it receives
 //!    into its own. Because every surviving rank's round-1 mask reaches
@@ -22,101 +22,58 @@
 //!    survivors**: a collective agreement on who is dead, reached without
 //!    any collective primitive.
 //!
-//! With the verdict in hand, a caller that carries on lists the
-//! survivors ([`survivors_of`]), wraps the backend in a
+//! One wait per peer and round is enough: a timed-out `recv_deadline`
+//! consumes nothing, so retries would wait no longer in total — they
+//! would only add operations for the fault injector to count and, on
+//! the simulator, timed-out attempts to charge to the virtual clock.
+//!
+//! With the verdict in hand — the survivors, ascending — a caller that
+//! carries on wraps the backend in a
 //! [`SurvivorComm`](stance_sim::SurvivorComm), restores the last
 //! [`SessionCheckpoint`](crate::SessionCheckpoint) onto the contracted
 //! rank space, and continues (`src/scenarios.rs::drive` in the
 //! repository root is that loop).
 //!
 //! False suspicion is possible on a wildly overloaded host (a live rank
-//! slower than the whole patience window); the protocol then excludes it
-//! like a dead one, which is safe — shrink-recovery never depends on the
-//! excluded rank — but wasteful, so patience should comfortably exceed
-//! worst-case scheduling noise. The probe supports up to 64 ranks (the
-//! verdict travels as one `u64` bitmask).
+//! slower than the whole patience); the protocol then excludes it like a
+//! dead one, which is safe — shrink-recovery never depends on the
+//! excluded rank — but wasteful, so the patience should comfortably
+//! exceed worst-case scheduling noise. The probe supports up to 64 ranks
+//! (the verdict travels as one `u64` bitmask).
 
 use stance_sim::tags::{TAG_HEARTBEAT, TAG_VERDICT};
 use stance_sim::{Comm, Element, Payload};
 
-/// Failure-detection tuning: how long a silent peer is waited on before
-/// it is suspected, and how suspicion is retried before the collective
-/// verdict. A dead peer (closed mailbox) is detected immediately
-/// regardless of these settings; the timeout exists for the
-/// wedged-but-alive case.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Seconds a single heartbeat receive waits before suspecting the
-    /// peer (wall clock on the native backend, charged virtual time on
-    /// the simulator).
-    pub timeout_secs: f64,
-    /// How many additional bounded waits a suspected peer is granted
-    /// before the suspicion stands.
-    pub retries: u32,
-    /// Multiplier applied to the timeout on each retry (≥ 1.0): a
-    /// transiently slow peer gets geometrically more patience.
-    pub backoff: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            timeout_secs: 0.2,
-            retries: 2,
-            backoff: 2.0,
-        }
-    }
-}
-
-impl DetectorConfig {
-    /// Total worst-case seconds one peer can be waited on across the
-    /// initial attempt and all retries.
-    pub fn total_patience_secs(&self) -> f64 {
-        let mut total = 0.0;
-        let mut t = self.timeout_secs;
-        for _ in 0..=self.retries {
-            total += t;
-            t *= self.backoff;
-        }
-        total
-    }
-}
-
-/// Probes cluster membership: returns `alive[q]` for every rank `q`,
-/// **identical on every surviving rank** (see the module docs for the
-/// two-round protocol). The caller's own entry is always `true`.
+/// Probes cluster membership: returns the surviving ranks in ascending
+/// order, this rank included — **identical on every surviving rank**
+/// (see the module docs for the two-round protocol). Everyone is alive
+/// when the list is `env.size()` long.
 ///
-/// Terminates in bounded time regardless of who died: every wait is a
-/// `recv_deadline` with at most [`DetectorConfig::total_patience_secs`]
-/// of patience. Collective among survivors only — dead ranks are
-/// neither waited on (past the patience window) nor required to
-/// participate.
+/// Terminates in bounded time regardless of who died: every wait is one
+/// `recv_deadline` of `patience_secs` (wall clock on the native and TCP
+/// backends, charged virtual time on the simulator when it expires). A
+/// dead peer (closed mailbox, reset socket) is detected at once; the
+/// patience exists for the wedged-but-alive case. Collective among
+/// survivors only — dead ranks are neither waited on past the patience
+/// nor required to participate.
 ///
 /// # Panics
-/// Panics if `det`'s timeout is not finite and positive (a zero or NaN
-/// timeout would suspect every peer whose heartbeat is not already
-/// queued) or its backoff is below 1.0, if the cluster has more than 64
-/// ranks (the verdict bitmask is a `u64`), or if a peer's verdict mask
-/// is not exactly one `u64`.
-pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool> {
+/// Panics if `patience_secs` is not finite and positive (a zero or NaN
+/// patience would suspect every peer whose heartbeat is not already
+/// queued), if the cluster has more than 64 ranks (the verdict bitmask
+/// is a `u64`), or if a peer's verdict mask is not exactly one `u64`.
+pub fn probe_membership<C: Comm>(env: &mut C, patience_secs: f64) -> Vec<usize> {
     // Caller error: every wait needs a finite, positive deadline.
     assert!(
-        det.timeout_secs.is_finite() && det.timeout_secs > 0.0,
-        "detector timeout must be finite and positive, got {}",
-        det.timeout_secs
-    );
-    // Caller error: retries must not shrink the patience window.
-    assert!(
-        det.backoff >= 1.0,
-        "detector backoff must be at least 1.0, got {}",
-        det.backoff
+        patience_secs.is_finite() && patience_secs > 0.0,
+        "detector patience must be finite and positive, got {patience_secs}"
     );
     let p = env.size();
     let me = env.rank();
     // Limit: the verdict travels as one `u64` bitmask.
     assert!(p <= 64, "membership probe supports at most 64 ranks");
     if p == 1 {
-        return vec![true];
+        return vec![0];
     }
 
     // Round 1: heartbeats out, then bounded waits in. Posting *all*
@@ -130,7 +87,7 @@ pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool>
     }
     let mut suspected = 0u64;
     for q in 0..p {
-        if q != me && recv_patient(env, q, TAG_HEARTBEAT, det).is_none() {
+        if q != me && env.recv_deadline(q, TAG_HEARTBEAT, patience_secs).is_none() {
             suspected |= 1 << q;
         }
     }
@@ -148,7 +105,7 @@ pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool>
         if q == me || suspected & (1 << q) != 0 {
             continue;
         }
-        match recv_patient(env, q, TAG_VERDICT, det) {
+        match env.recv_deadline(q, TAG_VERDICT, patience_secs) {
             Some(mask) => {
                 // A peer's bytes: exactly one `u64`, or a named panic.
                 let mut m = [0u64];
@@ -158,30 +115,9 @@ pub fn probe_membership<C: Comm>(env: &mut C, det: &DetectorConfig) -> Vec<bool>
             None => verdict |= 1 << q,
         }
     }
-    (0..p).map(|q| q == me || verdict & (1 << q) == 0).collect()
-}
-
-/// One bounded wait with the detector's retry/backoff schedule: tries
-/// `retries + 1` times, each timeout `backoff` times the previous.
-fn recv_patient<C: Comm>(
-    env: &mut C,
-    src: usize,
-    tag: stance_sim::Tag,
-    det: &DetectorConfig,
-) -> Option<Payload> {
-    let mut timeout = det.timeout_secs;
-    for _ in 0..=det.retries {
-        if let Some(payload) = env.recv_deadline(src, tag, timeout) {
-            return Some(payload);
-        }
-        timeout *= det.backoff;
-    }
-    None
-}
-
-/// The survivor list of a probe verdict: ranks still alive, ascending.
-pub fn survivors_of(alive: &[bool]) -> Vec<usize> {
-    (0..alive.len()).filter(|&q| alive[q]).collect()
+    (0..p)
+        .filter(|&q| q == me || verdict & (1 << q) == 0)
+        .collect()
 }
 
 #[cfg(test)]
@@ -189,21 +125,15 @@ mod tests {
     use super::*;
     use stance_sim::{Cluster, ClusterSpec};
 
-    fn fast_detector() -> DetectorConfig {
-        DetectorConfig {
-            timeout_secs: 0.05,
-            retries: 2,
-            backoff: 2.0,
-        }
-    }
+    /// Patient enough not to suspect a live peer on a loaded test host.
+    const PATIENCE: f64 = 0.35;
 
     #[test]
     fn all_alive_probe_is_unanimous() {
-        let det = fast_detector();
         let report =
-            Cluster::new(ClusterSpec::uniform(4)).run(move |env| probe_membership(env, &det));
-        for alive in report.results() {
-            assert_eq!(alive, &vec![true; 4]);
+            Cluster::new(ClusterSpec::uniform(4)).run(|env| probe_membership(env, PATIENCE));
+        for survivors in report.results() {
+            assert_eq!(survivors, &vec![0, 1, 2, 3]);
         }
     }
 
@@ -211,24 +141,18 @@ mod tests {
     fn survivors_agree_on_a_dead_rank() {
         // Rank 2 exits immediately without participating; the other
         // three must each conclude exactly {0, 1, 3} alive.
-        let det = fast_detector();
-        let report = Cluster::new(ClusterSpec::uniform(4)).run(move |env| {
+        let report = Cluster::new(ClusterSpec::uniform(4)).run(|env| {
             if env.rank() == 2 {
                 return Vec::new();
             }
-            probe_membership(env, &det)
+            probe_membership(env, PATIENCE)
         });
         let results: Vec<_> = report.into_results();
-        for (rank, alive) in results.iter().enumerate() {
+        for (rank, survivors) in results.iter().enumerate() {
             if rank == 2 {
                 continue;
             }
-            assert_eq!(
-                alive,
-                &vec![true, true, false, true],
-                "rank {rank} verdict diverged"
-            );
-            assert_eq!(survivors_of(alive), vec![0, 1, 3]);
+            assert_eq!(survivors, &vec![0, 1, 3], "rank {rank} verdict diverged");
         }
     }
 
@@ -237,10 +161,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "bulk unpack of 16 bytes into 1 8-byte elements")]
     fn two_word_verdict_mask_is_refused() {
-        let det = fast_detector();
-        Cluster::new(ClusterSpec::uniform(2)).run(move |env| {
+        Cluster::new(ClusterSpec::uniform(2)).run(|env| {
             if env.rank() == 0 {
-                probe_membership(env, &det);
+                probe_membership(env, PATIENCE);
             } else {
                 env.post(0, TAG_HEARTBEAT, Payload::Empty);
                 let _ = env.recv(0, TAG_HEARTBEAT);
@@ -250,49 +173,27 @@ mod tests {
         });
     }
 
-    /// The probe checks the settings it reads: a zero or NaN timeout and
-    /// a shrinking backoff are refused with named messages.
+    /// The probe checks the patience it waits with: a zero, negative,
+    /// infinite or NaN patience is refused with a named message.
     #[test]
-    fn unchecked_detector_settings_are_refused() {
-        const TIMEOUT: &str = "detector timeout must be finite and positive";
-        const BACKOFF: &str = "detector backoff must be at least 1.0";
-        let base = fast_detector();
-        let cases = [
-            (0.0, base.backoff, TIMEOUT),
-            (f64::NAN, base.backoff, TIMEOUT),
-            (base.timeout_secs, 0.5, BACKOFF),
-        ];
-        for (timeout_secs, backoff, expected) in cases {
-            let det = DetectorConfig {
-                timeout_secs,
-                backoff,
-                ..base
-            };
+    fn unchecked_patience_is_refused() {
+        for patience in [0.0, -1.0, f64::INFINITY, f64::NAN] {
             let refused = std::panic::catch_unwind(|| {
-                Cluster::new(ClusterSpec::uniform(2)).run(move |env| probe_membership(env, &det))
+                Cluster::new(ClusterSpec::uniform(2)).run(|env| probe_membership(env, patience))
             })
-            .expect_err("unchecked detector settings must be refused");
+            .expect_err("an unchecked patience must be refused");
             let message = refused.downcast_ref::<String>().expect("a formatted panic");
-            assert!(message.starts_with(expected), "{det:?}: {message}");
+            assert!(
+                message.starts_with("detector patience must be finite and positive"),
+                "{patience}: {message}"
+            );
         }
     }
 
     #[test]
     fn single_rank_probe_is_trivially_alive() {
-        let det = fast_detector();
         let report =
-            Cluster::new(ClusterSpec::uniform(1)).run(move |env| probe_membership(env, &det));
-        assert_eq!(report.into_results(), vec![vec![true]]);
-    }
-
-    #[test]
-    fn detector_patience_sums_geometric_backoff() {
-        let det = DetectorConfig {
-            timeout_secs: 0.1,
-            retries: 2,
-            backoff: 2.0,
-        };
-        // 0.1 + 0.2 + 0.4
-        assert!((det.total_patience_secs() - 0.7).abs() < 1e-12);
+            Cluster::new(ClusterSpec::uniform(1)).run(|env| probe_membership(env, PATIENCE));
+        assert_eq!(report.into_results(), vec![vec![0]]);
     }
 }

@@ -115,16 +115,8 @@ impl LoadTimeline {
 
     /// Availability at time `t`.
     pub fn available_at(&self, t: VTime) -> f64 {
-        let t = t.as_secs();
-        let mut avail = 1.0;
-        for p in &self.phases {
-            if p.start <= t {
-                avail = p.available;
-            } else {
-                break;
-            }
-        }
-        avail
+        self.phase_index_at(t.as_secs())
+            .map_or(1.0, |i| self.phases[i].available)
     }
 
     /// Index of the phase active at `t` (or `None` before any phase / when

@@ -79,10 +79,11 @@ impl TcpRunReport {
 pub struct TcpCluster {
     size: usize,
     worker: PathBuf,
-    setup_timeout: Duration,
     run_timeout: Duration,
 }
 
+/// How long every rank gets to dial the coordinator and say HELLO.
+const SETUP_TIMEOUT: Duration = Duration::from_secs(60);
 /// How long a freshly-accepted child gets to produce its HELLO bytes.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long a child that closed its coordinator socket gets to finish
@@ -99,7 +100,6 @@ impl TcpCluster {
         TcpCluster {
             size,
             worker: worker.into(),
-            setup_timeout: Duration::from_secs(60),
             run_timeout: Duration::from_secs(300),
         }
     }
@@ -183,7 +183,7 @@ impl TcpCluster {
         listener
             .set_nonblocking(true)
             .expect("coordinator listener nonblocking");
-        let deadline = Instant::now() + self.setup_timeout;
+        let deadline = Instant::now() + SETUP_TIMEOUT;
         let mut slots: Vec<Option<(PeerLink, u16)>> = (0..self.size).map(|_| None).collect();
         let mut present = 0usize;
         while present < self.size {
@@ -191,7 +191,7 @@ impl TcpCluster {
                 Instant::now() < deadline,
                 "only {present} of {} ranks said HELLO within {:?}",
                 self.size,
-                self.setup_timeout
+                SETUP_TIMEOUT
             );
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,

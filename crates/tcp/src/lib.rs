@@ -11,8 +11,8 @@
 //! this backend is where those claims meet an actual kernel:
 //!
 //! * **Rendezvous** retries with capped exponential backoff
-//!   ([`wire::Backoff`]) — a peer that is still being spawned is a
-//!   transient, not an error.
+//!   ([`wire::connect_with_backoff`]) — a peer that is still being
+//!   spawned is a transient, not an error.
 //! * **Deadline-bounded receives** use real socket timeouts; a deadline
 //!   expiring mid-frame leaves the partial bytes buffered
 //!   ([`link::PeerLink`]) — nothing ever tears a frame.
@@ -46,5 +46,5 @@ pub use link::{PeerLink, TcpMsg};
 // `PeerLink::recv` speaks the mailbox error vocabulary — re-exported so
 // transport callers name it without a stance-sim dep.
 pub use stance_sim::mailbox::RecvTimeoutError;
-pub use wire::{Backoff, WireError, MAX_FRAME, PROTOCOL_VERSION};
+pub use wire::{WireError, MAX_FRAME, PROTOCOL_VERSION};
 pub use worker::{maybe_rank_main, ScenarioFn, ScenarioRegistry};

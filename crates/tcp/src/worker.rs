@@ -32,7 +32,7 @@ use stance_sim::{Payload, Tag};
 use crate::codec::Wire;
 use crate::comm::TcpComm;
 use crate::link::PeerLink;
-use crate::wire::{self, Backoff, HANDSHAKE_LEN, KIND_HELLO, KIND_PEER};
+use crate::wire::{self, HANDSHAKE_LEN, KIND_HELLO, KIND_PEER};
 
 /// Environment variable: this process's rank (presence makes the process
 /// a worker).
@@ -108,8 +108,8 @@ fn rank_main(registry: ScenarioRegistry) -> i32 {
     let peer_port = listener.local_addr().expect("listener addr").port();
 
     // Rendezvous with the coordinator.
-    let coord_stream = wire::connect_with_backoff(coord, COORD_CONNECT_TIMEOUT, Backoff::default())
-        .expect("dial coordinator");
+    let coord_stream =
+        wire::connect_with_backoff(coord, COORD_CONNECT_TIMEOUT).expect("dial coordinator");
     let mut coord_link = PeerLink::new(coord_stream).expect("wrap coordinator link");
     {
         use std::io::Write;
@@ -200,7 +200,7 @@ fn establish_mesh(
     for peer in 0..rank {
         use std::io::Write;
         let addr = SocketAddr::from(([127, 0, 0, 1], ports[peer]));
-        let mut stream = wire::connect_with_backoff(addr, MESH_TIMEOUT, Backoff::default())
+        let mut stream = wire::connect_with_backoff(addr, MESH_TIMEOUT)
             .unwrap_or_else(|e| panic!("rank {rank} dialing rank {peer}: {e}"));
         let intro = wire::encode_handshake(KIND_PEER, rank as u32, size as u32, 0);
         stream

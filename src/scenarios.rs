@@ -41,15 +41,9 @@ pub fn fault_init(g: usize) -> f64 {
     (g as f64).cos() * 5.0
 }
 
-/// A detector fast enough for tests but patient enough (0.35 s total)
-/// not to false-positive on a loaded CI host.
-pub fn detector() -> DetectorConfig {
-    DetectorConfig {
-        timeout_secs: 0.05,
-        retries: 2,
-        backoff: 2.0,
-    }
-}
+/// The membership probe's patience, in seconds: short enough for tests,
+/// long enough not to false-positive on a loaded CI host.
+pub const PATIENCE_SECS: f64 = 0.35;
 
 /// The fault scenario's session configuration: zero-cost models (the
 /// scenario checks data, not clocks).
@@ -71,12 +65,15 @@ pub fn epoch_op_marks<C: Comm>(env: &mut C, m: &Graph) -> Vec<u64> {
     let mut faulty = FaultyComm::attach(env, &plan);
     let mut s = AdaptiveSession::setup(&mut faulty, m, RelaxationKernel, fault_init, &cfg);
     let _ = s.checkpoint(&mut faulty, &[]);
-    let det = detector();
     let mut marks = Vec::new();
     for _ in 0..EPOCHS {
         marks.push(faulty.ops());
-        let alive = probe_membership(&mut faulty, &det);
-        assert!(alive.iter().all(|&a| a), "a fault-free probe sees everyone");
+        let survivors = probe_membership(&mut faulty, PATIENCE_SECS);
+        assert_eq!(
+            survivors.len(),
+            faulty.size(),
+            "a fault-free probe sees everyone"
+        );
         s.run_block(&mut faulty, BLOCK);
         let _ = s.checkpoint(&mut faulty, &[]);
     }
@@ -108,16 +105,14 @@ pub fn faulted_run<C: Comm>(env: &mut C, m: &Graph, kill_at: u64) -> Option<Surv
 pub fn drive<C: Comm>(env: &mut C, m: &Graph, cfg: &StanceConfig) -> Option<SurvivorOutcome> {
     let mut s = AdaptiveSession::setup(env, m, RelaxationKernel, fault_init, cfg);
     let mut ckpt = s.checkpoint(env, &[]);
-    let det = detector();
     for e in 0..EPOCHS {
-        let alive = probe_membership(env, &det);
-        if alive.iter().all(|&a| a) {
+        let survivors = probe_membership(env, PATIENCE_SECS);
+        if survivors.len() == env.size() {
             s.run_block(env, BLOCK);
             ckpt = s.checkpoint(env, &[]);
             continue;
         }
         assert_eq!(e, FAULT_EPOCH, "the fault must surface at the aimed epoch");
-        let survivors = survivors_of(&alive);
         assert_eq!(survivors, vec![0, 1, 3], "exactly the victim is evicted");
         let mut sc = SurvivorComm::new(env, survivors);
         // The recovered run re-checks the whole SPMD contract: audits
@@ -525,13 +520,12 @@ mod tcp {
     }
 
     pub fn fault_wedge(c: &mut TcpComm, _args: &[u8]) -> Vec<u8> {
-        let det = detector();
         let plan = FaultPlan::wedge(1, 2);
         let mut faulty = FaultyComm::attach(c, &plan);
         let verdict = match with_quiet_injected_faults(|| {
-            catch_fault(|| probe_membership(&mut faulty, &det))
+            catch_fault(|| probe_membership(&mut faulty, PATIENCE_SECS))
         }) {
-            Ok(alive) => Some(alive),
+            Ok(survivors) => Some(survivors),
             Err(fault) => {
                 assert_eq!(fault.rank, 1);
                 assert!(matches!(fault.kind, FaultKind::Wedge));
@@ -539,9 +533,7 @@ mod tcp {
                 // socket open but silent, past the survivors' patience
                 // window — so eviction must happen by timeout, never by
                 // disconnection.
-                std::thread::sleep(std::time::Duration::from_secs_f64(
-                    det.total_patience_secs() * 2.0,
-                ));
+                std::thread::sleep(std::time::Duration::from_secs_f64(PATIENCE_SECS * 2.0));
                 None
             }
         };
@@ -554,10 +546,10 @@ mod tcp {
         let mut faulty = FaultyComm::attach(c, &plan);
         let cfg = fault_config();
         let mut s = AdaptiveSession::setup(&mut faulty, &m, RelaxationKernel, fault_init, &cfg);
-        let alive = probe_membership(&mut faulty, &detector());
+        let survivors = probe_membership(&mut faulty, PATIENCE_SECS);
         s.run_block(&mut faulty, BLOCK);
         (
-            alive,
+            survivors,
             s.local_values().to_vec(),
             s.partition().block_sizes(),
         )

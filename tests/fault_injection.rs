@@ -32,8 +32,8 @@ use stance::executor::sequential_relaxation;
 use stance::prelude::*;
 use stance_native::NativeCluster;
 use stance_repro::scenarios::{
-    check_recovery, continue_from_checkpoint, detector, epoch_op_marks, fault_config, fault_init,
-    fault_mesh, faulted_run, SurvivorOutcome, BLOCK, FAULT_EPOCH, VICTIM,
+    check_recovery, continue_from_checkpoint, epoch_op_marks, fault_config, fault_init, fault_mesh,
+    faulted_run, SurvivorOutcome, BLOCK, FAULT_EPOCH, PATIENCE_SECS, VICTIM,
 };
 use stance_tcp::codec::Wire;
 use stance_tcp::{RankOutcome, TcpCluster};
@@ -179,15 +179,15 @@ fn stall_is_alive_to_the_detector_and_numerically_free() {
         let mut faulty = FaultyComm::attach(env, &plan);
         let cfg = fault_config();
         let mut s = AdaptiveSession::setup(&mut faulty, &m, RelaxationKernel, fault_init, &cfg);
-        let alive = probe_membership(&mut faulty, &detector());
+        let survivors = probe_membership(&mut faulty, PATIENCE_SECS);
         s.run_block(&mut faulty, BLOCK);
-        (alive, s.local_values().to_vec(), s.partition().clone())
+        (survivors, s.local_values().to_vec(), s.partition().clone())
     });
     let results: Vec<_> = report.into_results();
-    for (alive, _, _) in &results {
+    for (survivors, _, _) in &results {
         assert_eq!(
-            alive,
-            &vec![true; 3],
+            survivors,
+            &vec![0, 1, 2],
             "a stalled rank must stay in the group"
         );
     }
@@ -211,16 +211,16 @@ fn tcp_stall_is_alive_to_the_detector_and_numerically_free() {
     let mut expected: Vec<f64> = (0..n).map(fault_init).collect();
     sequential_relaxation(&m, &mut expected, BLOCK);
 
-    let results: Vec<(Vec<bool>, Vec<f64>, Vec<usize>)> = tcp_cluster(3)
+    let results: Vec<(Vec<usize>, Vec<f64>, Vec<usize>)> = tcp_cluster(3)
         .run_scenario("fault_stall", &[])
         .into_results()
         .iter()
-        .map(|bytes| <(Vec<bool>, Vec<f64>, Vec<usize>)>::from_wire(bytes))
+        .map(|bytes| <(Vec<usize>, Vec<f64>, Vec<usize>)>::from_wire(bytes))
         .collect();
-    for (alive, _, _) in &results {
+    for (survivors, _, _) in &results {
         assert_eq!(
-            alive,
-            &vec![true; 3],
+            survivors,
+            &vec![0, 1, 2],
             "a stalled process must stay in the group"
         );
     }
@@ -240,36 +240,29 @@ fn tcp_stall_is_alive_to_the_detector_and_numerically_free() {
 /// verdict wait is what times out.
 #[test]
 fn wedge_is_evicted_by_collective_timeout() {
-    let det = detector();
     // The victim's probe ops: two heartbeat posts (ops 0, 1), then the
     // wedge fires on its first bounded receive (op 2).
     let plan = FaultPlan::wedge(1, 2);
     let report = Cluster::new(ClusterSpec::uniform(3)).run(|env| {
         let mut faulty = FaultyComm::attach(env, &plan);
-        match catch_fault(|| probe_membership(&mut faulty, &det)) {
-            Ok(alive) => Some(alive),
+        match catch_fault(|| probe_membership(&mut faulty, PATIENCE_SECS)) {
+            Ok(survivors) => Some(survivors),
             Err(fault) => {
                 assert_eq!(fault.rank, 1);
                 assert!(matches!(fault.kind, FaultKind::Wedge));
                 // Wedged, not dead: hold the mailboxes open past the
                 // survivors' patience window so eviction happens by
                 // timeout, not by disconnection.
-                std::thread::sleep(std::time::Duration::from_secs_f64(
-                    det.total_patience_secs() * 2.0,
-                ));
+                std::thread::sleep(std::time::Duration::from_secs_f64(PATIENCE_SECS * 2.0));
                 None
             }
         }
     });
-    for (rank, alive) in report.into_results().into_iter().enumerate() {
+    for (rank, survivors) in report.into_results().into_iter().enumerate() {
         if rank == 1 {
-            assert_eq!(alive, None, "the victim must wedge");
+            assert_eq!(survivors, None, "the victim must wedge");
         } else {
-            assert_eq!(
-                alive,
-                Some(vec![true, false, true]),
-                "rank {rank} verdict diverged"
-            );
+            assert_eq!(survivors, Some(vec![0, 2]), "rank {rank} verdict diverged");
         }
     }
 }
@@ -286,17 +279,48 @@ fn tcp_wedge_is_evicted_by_collective_timeout() {
             RankOutcome::Completed(bytes) => bytes,
             other => panic!("rank {rank} did not complete: {other:?}"),
         };
-        let verdict = Option::<Vec<bool>>::from_wire(bytes);
+        let verdict = Option::<Vec<usize>>::from_wire(bytes);
         if rank == 1 {
             assert_eq!(verdict, None, "the victim must wedge");
         } else {
-            assert_eq!(
-                verdict,
-                Some(vec![true, false, true]),
-                "rank {rank} verdict diverged"
-            );
+            assert_eq!(verdict, Some(vec![0, 2]), "rank {rank} verdict diverged");
         }
     }
+}
+
+/// A peer that arrives late is waited on once: what the probe costs the
+/// prober — operations counted by the fault injector, virtual seconds on
+/// the simulator's clock — depends on what the peer sent, not on how long
+/// its host took to send it. The peer here sleeps 0.15 s of wall clock
+/// (inside the patience) before probing; a wait split into retries would
+/// count each timed-out attempt as an operation, moving the kill index
+/// `epoch_op_marks` aims, and charge it to the virtual clock.
+#[test]
+fn late_heartbeat_costs_no_operation_or_virtual_time() {
+    let probe = |delay: std::time::Duration| {
+        let plan = FaultPlan::none();
+        Cluster::new(ClusterSpec::uniform(2))
+            .run(|env| {
+                if env.rank() == 1 {
+                    std::thread::sleep(delay);
+                    probe_membership(env, PATIENCE_SECS);
+                    return None;
+                }
+                let mut faulty = FaultyComm::attach(env, &plan);
+                let survivors = probe_membership(&mut faulty, PATIENCE_SECS);
+                Some((survivors, faulty.ops(), faulty.now_secs()))
+            })
+            .into_results()
+            .swap_remove(0)
+            .expect("rank 0 reports its probe")
+    };
+    let prompt = probe(std::time::Duration::ZERO);
+    assert_eq!(prompt.0, vec![0, 1], "both ranks are alive");
+    let late = probe(std::time::Duration::from_millis(150));
+    assert_eq!(
+        late, prompt,
+        "a late peer changed the probe's (survivors, ops, virtual secs)"
+    );
 }
 
 /// Seeded plans reproduce: the same seed yields the same fault at the
