@@ -124,8 +124,9 @@ impl MovedRows {
     /// given.
     pub fn pack(&mut self, tadj: &TranslatedAdjacency, rows: Range<usize>, bytes: &mut Vec<u8>) {
         self.check_from(tadj);
-        bytes.reserve(4 * (rows.len() + tadj.num_refs_of(rows.clone())));
-        pack_degrees(rows.clone().map(|l| tadj.degree_of(l)), bytes);
+        let refs: usize = tadj.degrees(rows.clone()).sum();
+        bytes.reserve(4 * (rows.len() + refs));
+        pack_degrees(tadj.degrees(rows.clone()), bytes);
         tadj.decode_rows(&self.ghosts, rows, &mut self.block, |refs| {
             u32::pack_into(refs, bytes);
         });
@@ -189,8 +190,8 @@ impl MovedRows {
                     tadj.decode_rows(&self.ghosts, rows.clone(), &mut self.block, |refs| {
                         self.refs.extend_from_slice(refs);
                     });
-                    self.ptrs.extend(rows.map(|l| {
-                        at += tadj.degree_of(l);
+                    self.ptrs.extend(tadj.degrees(rows).map(|d| {
+                        at += d;
                         at as u32
                     }));
                     g = to;

@@ -62,11 +62,13 @@
 //! priced from it, is a fresh build's. Such a block holds no ghost slot,
 //! and its slots depend only on its rows and on the interval's start: its
 //! translation is the old one with every slot shifted by the change of
-//! start, and its row starts and row pointers by the change of position.
+//! start. Everything else it holds is relative to the block — its rows'
+//! visit order, visit positions and degree bytes, its degree index — and
+//! moves as plain bytes; only where its slots start is written anew.
 //! [`CommSchedule::translate_adjacency_into`] moves such blocks and
-//! applies those two constant adds in one pass — a `copy_within` that adds
-//! on the way — or does nothing, when neither the blocks' position nor the
-//! interval's start moved. A kept block that reads a ghost before or after
+//! applies the one constant add in the same pass — a `copy_within` that
+//! adds on the way — or does nothing, when neither the blocks' position nor
+//! the interval's start moved. A kept block that reads a ghost before or after
 //! the move keeps its layout as well: only its slots are read back and
 //! resolved anew, in place. Every other block is translated fresh. The
 //! result is therefore a fresh translation, vector for vector.
@@ -278,11 +280,14 @@ impl CommSchedule {
             num_ghosts: 0,
             start: 0,
             id: 0,
-            xadj: Vec::with_capacity(len + 1),
-            row_start: vec![0; len],
             slots: vec![0; adj.num_refs()],
+            block_start: Vec::new(),
             order: vec![0; len],
+            visit: vec![0; len],
+            degree: vec![0; len],
+            wide: Vec::new(),
             class_rows: Vec::new(),
+            class_skew: Vec::new(),
             bounds: Vec::new(),
             interior,
             boundary,
@@ -300,19 +305,20 @@ impl CommSchedule {
     /// and `out` is the translation they were moved out of, the blocks the
     /// move kept whole and that are interior before and after it are not
     /// read again — the rows do not even hold them: they are moved to their
-    /// new position in `out` and shifted by two constants (see the module
-    /// docs). Every other block is translated fresh by the same loop.
+    /// new position in `out` and their slots shifted by the change of start
+    /// (see the module docs). Every other block is translated fresh by the
+    /// same loop.
     ///
     /// # Panics
     /// Panics if the rows and the schedule cover different intervals, if
     /// the rows keep blocks of a translation other than `out`, or if the
-    /// rank makes more than `u32::MAX` references (the translated row
-    /// pointers are 32-bit).
+    /// rank makes more than `u32::MAX` references (the translated block
+    /// starts are 32-bit).
     pub fn translate_adjacency_into(&self, adj: &impl Rows, out: &mut TranslatedAdjacency) {
         const ROWS: usize = TranslatedAdjacency::BLOCK_ROWS;
         assert_eq!(adj.interval(), self.interval, "adjacency/schedule mismatch");
         let refs = adj.num_refs();
-        check_row_pointers_fit(self.rank, refs);
+        check_block_starts_fit(self.rank, refs);
         let new = self.interval;
         let (len, blocks) = (new.len(), adj.num_blocks());
         let new_first = new.start / ROWS;
@@ -327,15 +333,23 @@ impl CommSchedule {
         };
         let shared = shared_blocks(old, new);
         let by_start = (old.start as u32).wrapping_sub(new.start as u32);
+        // The wide rows of the blocks kept whole stay listed — by global
+        // row, which a move does not change; every other block lists its
+        // own again below.
+        let kept_whole = |g: u32| {
+            let b = g as usize / ROWS;
+            shared.contains(&b) && matches!(adj.block(b - new_first).refs, BlockRefs::Kept(_))
+        };
+        out.wide.retain(|&(g, _)| kept_whole(g));
         // Move what the shared blocks hold to where they now go, shifting
-        // on the way every slot by the change of start and every row start
-        // and row pointer by the change of position — in one pass, and not
-        // at all when nothing moved. That is the whole work for a kept
-        // block interior before and after; another kept block has its
-        // slots read again below, and a shared block the rows hold is
-        // written again. Size every vector for the new layout: each block
-        // not kept overwrites its own windows, so recycled content need
-        // not be cleared first.
+        // every slot on the way by the change of start — in one pass, and
+        // not at all when nothing moved. What a block holds besides its
+        // slots is relative to the block and moves as it is. That is the
+        // whole work for a kept block interior before and after; another
+        // kept block has its slots read again below, and a shared block
+        // the rows hold is written again. Size every vector for the new
+        // layout: each block not kept overwrites its own windows, so
+        // recycled content need not be cleared first.
         let shifted = (!shared.is_empty())
             .then(|| {
                 let rows = |iv: Interval| {
@@ -343,44 +357,41 @@ impl CommSchedule {
                     lo..(shared.end * ROWS).min(iv.end) - iv.start
                 };
                 let (from, to) = (rows(old), rows(new).start);
-                let slots = out.xadj[from.start] as usize..out.xadj[from.end] as usize;
+                let old_first = old.start / ROWS;
+                let kept = shared.start - old_first..shared.end - old_first;
+                let slots =
+                    out.block_start[kept.start] as usize..out.block_start[kept.end] as usize;
                 // Where the shared blocks' slots now start: after every
                 // block before them.
                 let at: usize = (0..shared.start - new_first)
                     .map(|b| adj.block(b).num_refs)
                     .sum();
-                let by_position = (at as u32).wrapping_sub(slots.start as u32);
-                (from, to, slots, at, by_position)
+                (from, to, kept, slots, at)
             })
-            .filter(|&(.., by_position)| by_start != 0 || by_position != 0);
-        if let Some((from, to, slots, at, by_position)) = shifted {
-            let shift = |d: u32| move |x: u32| x.wrapping_add(d);
-            move_within(&mut out.slots, slots, at, refs, shift(by_start));
-            move_within(
-                &mut out.row_start,
-                from.clone(),
-                to,
-                len,
-                shift(by_position),
-            );
-            let ends = from.start..from.end + 1;
-            move_within(&mut out.xadj, ends, to, len + 1, shift(by_position));
-            move_within(&mut out.order, from, to, len, |x| x);
-            let old_first = old.start / ROWS;
-            let kept = shared.start - old_first..shared.end - old_first;
+            .filter(|(.., slots, at)| by_start != 0 || *at != slots.start);
+        if let Some((from, to, kept, slots, at)) = shifted {
+            move_within(&mut out.slots, slots, at, refs, |x| {
+                x.wrapping_add(by_start)
+            });
+            move_within(&mut out.order, from.clone(), to, len, |x| x);
+            move_within(&mut out.visit, from.clone(), to, len, |x| x);
+            move_within(&mut out.degree, from, to, len, |x| x);
             let to = shared.start - new_first;
             move_within(&mut out.class_rows, kept.clone(), to, blocks, |x| x);
+            move_within(&mut out.class_skew, kept.clone(), to, blocks, |x| x);
             move_within(&mut out.bounds, kept, to, blocks, |x| x);
         } else {
-            out.xadj.resize(len + 1, 0);
-            out.row_start.resize(len, 0);
             out.order.resize(len, 0);
+            out.visit.resize(len, 0);
+            out.degree.resize(len, 0);
             out.slots.resize(refs, 0);
             out.class_rows
                 .resize(blocks, [0; TranslatedAdjacency::DEGREE_CLASSES]);
+            out.class_skew
+                .resize(blocks, [0; TranslatedAdjacency::SKEWED]);
             out.bounds.resize(blocks, (u32::MAX, 0));
         }
-        out.xadj[0] = 0;
+        out.block_start.resize(blocks + 1, 0);
         out.local_len = len as u32;
         out.num_ghosts = self.num_ghosts;
         out.start = new.start as u32;
@@ -398,6 +409,7 @@ impl CommSchedule {
             };
             extend_runs(runs, block.rows.clone());
             let slots = at..at + block.num_refs;
+            out.block_start[b] = at as u32;
             match block.refs {
                 BlockRefs::Csr(row_ptrs, store) => {
                     out.bounds[b] = block.bounds;
@@ -416,6 +428,9 @@ impl CommSchedule {
             }
             at = slots.end;
         }
+        out.block_start[blocks] = at as u32;
+        // Blocks before the kept ones listed their wide rows after them.
+        out.wide.sort_unstable();
     }
 
     /// Resolves anew the `slots` of a kept block that reads a ghost before
@@ -445,10 +460,10 @@ impl CommSchedule {
 
     /// Translates block `block` (local rows `rows`, whose CSR is
     /// `(row_ptrs, store)` and whose slots start at `at`) fresh into its
-    /// windows of `out`, whose
-    /// vectors are already sized: the block's row pointers, its degree
-    /// index, and its slots in the order the sweep reads them. `interior`
-    /// says its bounds lie in the owned interval.
+    /// windows of `out`, whose vectors are already sized: its rows' degree
+    /// bytes (its wide rows appended to `out`'s list), its degree index,
+    /// and its slots in the order the sweep reads them. `interior` says its
+    /// bounds lie in the owned interval.
     fn translate_block(
         &self,
         block: usize,
@@ -458,29 +473,33 @@ impl CommSchedule {
         interior: bool,
         out: &mut TranslatedAdjacency,
     ) {
+        const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
         let (start, local_len) = (self.interval.start as u32, out.local_len);
-        // The row pointers are the rows' own, moved to `at` and narrowed
-        // (the caller's check covers the last and therefore all of them);
-        // while the block's are in L1, group its rows by degree for the
-        // sweep.
-        let ends = &mut out.xadj[rows.start + 1..=rows.end];
-        for (x, &p) in ends.iter_mut().zip(&row_ptrs[1..]) {
-            *x = at as u32 + (p - row_ptrs[0]);
-        }
-        let classes = group_by_degree(row_ptrs, &mut out.order[rows.clone()]);
+        // While the block's row pointers are in L1, group its rows by
+        // degree for the sweep.
+        let classes = group_by_degree(
+            row_ptrs,
+            (&mut out.order[rows.clone()], &mut out.visit[rows.clone()]),
+            &mut out.degree[rows.clone()],
+        );
         out.class_rows[block] = classes;
+        out.class_skew[block] = class_skew(&classes);
+        // Only the last class holds rows too wide for their degree byte.
+        let order = &out.order[rows.clone()];
+        for &i in &order[order.len() - classes[LAST] as usize..] {
+            let i = i as usize;
+            if out.degree[rows.start + i] == TranslatedAdjacency::WIDE {
+                let row = (self.interval.start + rows.start + i) as u32;
+                out.wide.push((row, row_ptrs[i + 1] - row_ptrs[i]));
+            }
+        }
         // A block's rows stay together, so its slots are one window. Write
         // them there in the order the sweep will read them, translated as
         // if the block were interior — one subtraction per reference, no
         // branch.
         let refs = &store[row_ptrs[0] as usize..row_ptrs[rows.len()] as usize];
         let slots = &mut out.slots[at..at + refs.len()];
-        emit_in_visit_order(
-            (row_ptrs, refs, start),
-            (&out.order[rows.clone()], &classes),
-            (&mut *slots, at),
-            &mut out.row_start[rows],
-        );
+        emit_in_visit_order((row_ptrs, refs, start), (order, &classes), &mut *slots);
         if !interior {
             // A boundary row somewhere in the block: an owned global landed
             // below `local_len`, anything else wrapped above it. Send the
@@ -526,7 +545,13 @@ impl CommSchedule {
         tadj.decode_rows(&ghosts, 0..tadj.len(), &mut Vec::new(), |r| {
             refs.extend_from_slice(r);
         });
-        LocalAdjacency::from_parts(self.interval, tadj.xadj.clone(), refs)
+        let mut xadj = Vec::with_capacity(tadj.len() + 1);
+        xadj.push(0);
+        xadj.extend(tadj.degrees(0..tadj.len()).scan(0, |at, d| {
+            *at += d as u32;
+            Some(*at)
+        }));
+        LocalAdjacency::from_parts(self.interval, xadj, refs)
     }
 
     /// Structural sanity checks (used by tests and debug assertions):
@@ -577,9 +602,18 @@ impl CommSchedule {
 /// a block class by class, within a class rows ascending
 /// ([`TranslatedAdjacency::block_slots`]), so that visit is one forward
 /// walk over one array with no row pointer to chase. Within a row the
-/// references stay in CSR order, and a per-row start table the sweep never
-/// touches keeps [`TranslatedAdjacency::neighbors_of`] an O(1) contiguous
-/// slice.
+/// references stay in CSR order.
+///
+/// Beside its 4-byte references the translation keeps 5 bytes per row: its
+/// place in its block's visit order (`order`, 2 bytes), the inverse of that
+/// (`visit`, 2 bytes) and its degree (1 byte; a row of 255 or more
+/// references finds its degree in a short sorted list of wide rows). Per
+/// block it keeps where the block's slots start, its class sizes, a skew
+/// for each degree from 1 to 8 and its bounds. That keeps
+/// [`TranslatedAdjacency::neighbors_of`] an O(1) contiguous slice with no
+/// per-row start table: a row of degree `d` at visit position `k` starts
+/// `k · d` slots into its block, less its class's skew; a row of the open
+/// last class adds the degrees of the block's earlier last-class rows.
 ///
 /// Blocks sit at global multiples of [`TranslatedAdjacency::BLOCK_ROWS`],
 /// like the adjacency's ([`TranslatedAdjacency::block_rows`]): a rank's
@@ -611,21 +645,33 @@ pub struct TranslatedAdjacency {
     /// Names this translation: fresh for every translation written, so
     /// rows moved out of it can tell it from any other (0 for none yet).
     id: u64,
-    /// CSR row pointers, `len + 1` of them, 32-bit: row `l` makes
-    /// `xadj[l + 1] - xadj[l]` references, and — a block's rows staying
-    /// together — a block's slots are `slots[xadj[first row]..]`.
-    xadj: Vec<u32>,
-    /// Where row `l`'s references start in `slots`.
-    row_start: Vec<u32>,
     /// The references, each block's in its visit order.
     slots: Vec<u32>,
+    /// Per block, and once more after the last, where the block's slots
+    /// start in `slots`: a block's rows stay together, so its slots are
+    /// `slots[block_start[b]..block_start[b + 1]]`.
+    block_start: Vec<u32>,
     /// Per row of each block, the block's row-in-block numbers grouped by
     /// degree class, each class ascending: a block's rows own the same
     /// positions of `order`.
     order: Vec<u16>,
+    /// Per row, its position in its block's part of `order`: the inverse.
+    visit: Vec<u16>,
+    /// Per row, its degree, or [`TranslatedAdjacency::WIDE`] for a row
+    /// listed in `wide`.
+    degree: Vec<u8>,
+    /// `(global row, degree)` of every row of `WIDE` or more references,
+    /// ascending. Keyed by global row, so a move does not change it.
+    wide: Vec<(u32, u32)>,
     /// Per block, how many of its rows fall into each degree class — the
     /// lengths of the consecutive groups of its `order`.
     class_rows: Vec<[u16; TranslatedAdjacency::DEGREE_CLASSES]>,
+    /// Per block, for each degree `d` from 1 to 8, how far class `d`'s
+    /// first slot lies before `pos · d`, `pos` its first visit position:
+    /// a row of class `d` at visit position `k` starts `k · d - skew`
+    /// slots into its block. The last class starts where a row of degree
+    /// 8 at its first position would.
+    class_skew: Vec<[u16; TranslatedAdjacency::SKEWED]>,
     /// Per block, the smallest and largest global id its rows reference.
     bounds: Vec<Bounds>,
     /// The rows of the blocks that read no ghost, as maximal runs of
@@ -639,11 +685,14 @@ impl PartialEq for TranslatedAdjacency {
     fn eq(&self, other: &Self) -> bool {
         (self.local_len, self.num_ghosts, self.start)
             == (other.local_len, other.num_ghosts, other.start)
-            && self.xadj == other.xadj
-            && self.row_start == other.row_start
             && self.slots == other.slots
+            && self.block_start == other.block_start
             && self.order == other.order
+            && self.visit == other.visit
+            && self.degree == other.degree
+            && self.wide == other.wide
             && self.class_rows == other.class_rows
+            && self.class_skew == other.class_skew
             && self.bounds == other.bounds
             && self.interior == other.interior
             && self.boundary == other.boundary
@@ -664,10 +713,16 @@ impl TranslatedAdjacency {
     /// with exactly `d` references, the last class every row with more.
     pub const DEGREE_CLASSES: usize = 10;
 
+    /// The degree byte of a row whose degree is in the list of wide rows.
+    const WIDE: u8 = u8::MAX;
+
+    /// The classes of constant degree that have a skew: degrees 1 to 8.
+    const SKEWED: usize = Self::DEGREE_CLASSES - 2;
+
     /// Number of owned vertices.
     #[inline]
     pub fn len(&self) -> usize {
-        self.xadj.len() - 1
+        self.degree.len()
     }
 
     /// Whether there are no owned vertices.
@@ -697,14 +752,65 @@ impl TranslatedAdjacency {
     /// Combined-buffer indices of vertex `local`'s neighbors, in CSR order.
     #[inline]
     pub fn neighbors_of(&self, local: usize) -> &[u32] {
-        let first = self.row_start[local] as usize;
-        &self.slots[first..first + self.degree_of(local)]
+        let d = self.degree[local] as usize;
+        if d == 0 {
+            return &[];
+        }
+        if d > Self::SKEWED {
+            return self.last_class_row(local);
+        }
+        let block = self.block_of(local);
+        let k = self.visit[local] as usize;
+        let from = self.block_start[block] as usize + k * d;
+        let from = from - self.class_skew[block][d - 1] as usize;
+        &self.slots[from..from + d]
+    }
+
+    /// [`TranslatedAdjacency::neighbors_of`] for a row of the open last
+    /// class: its references follow those of the class's rows before it,
+    /// and the class starts where a row of degree 8 at its first position
+    /// would.
+    fn last_class_row(&self, local: usize) -> &[u32] {
+        const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
+        let block = self.block_of(local);
+        let rows = self.block_rows(block);
+        let pos = rows.len() - self.class_rows[block][LAST] as usize;
+        let before = &self.order[rows.start + pos..rows.start + self.visit[local] as usize];
+        let skew = self.class_skew[block][Self::SKEWED - 1] as usize;
+        let from = self.block_start[block] as usize + pos * Self::SKEWED - skew
+            + before
+                .iter()
+                .map(|&i| self.degree_of(rows.start + i as usize))
+                .sum::<usize>();
+        &self.slots[from..from + self.degree_of(local)]
     }
 
     /// Degree of vertex `local`.
     #[inline]
     pub fn degree_of(&self, local: usize) -> usize {
-        (self.xadj[local + 1] - self.xadj[local]) as usize
+        // With no wide row the byte is the degree. The test does not
+        // depend on the row, so a loop over rows is split on it once and
+        // its fast copy vectorizes; a lookup call in the loop would stop
+        // that (2× on a per-row Jacobi loop).
+        if self.wide.is_empty() {
+            return self.degree[local] as usize;
+        }
+        match self.degree[local] {
+            Self::WIDE => self.wide_degree(local),
+            d => d as usize,
+        }
+    }
+
+    /// The degree of a wide row, from the list.
+    #[cold]
+    #[inline(never)]
+    fn wide_degree(&self, local: usize) -> usize {
+        let row = self.start + local as u32;
+        let at = self
+            .wide
+            .binary_search_by_key(&row, |&(r, _)| r)
+            .unwrap_or_else(|_| panic!("row {local} is marked wide but not listed"));
+        self.wide[at].1 as usize
     }
 
     /// The degree index of block `block` (the local vertices
@@ -736,8 +842,7 @@ impl TranslatedAdjacency {
     /// [`TranslatedAdjacency::num_blocks`].
     #[inline]
     pub fn block_slots(&self, block: usize) -> &[u32] {
-        let rows = self.block_rows(block);
-        &self.slots[self.xadj[rows.start] as usize..self.xadj[rows.end] as usize]
+        &self.slots[self.block_start[block] as usize..self.block_start[block + 1] as usize]
     }
 
     /// The local vertices of block `block`. Blocks sit at global multiples
@@ -800,9 +905,20 @@ impl TranslatedAdjacency {
         Interval::new(start, start + self.len())
     }
 
-    /// How many references local rows `rows` make.
-    pub(crate) fn num_refs_of(&self, rows: Range<usize>) -> usize {
-        (self.xadj[rows.end] - self.xadj[rows.start]) as usize
+    /// The degrees of local rows `rows`, in order: their degree bytes, a
+    /// wide row's looked up — read as one slice, for the loops that take
+    /// a run of rows at a time.
+    #[inline]
+    pub(crate) fn degrees(&self, rows: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let wide = !self.wide.is_empty();
+        let bytes = self.degree[rows.clone()].iter();
+        bytes.zip(rows).map(move |(&d, l)| {
+            if wide && d == Self::WIDE {
+                self.wide_degree(l)
+            } else {
+                d as usize
+            }
+        })
     }
 
     /// This translation's id (see the field).
@@ -889,10 +1005,10 @@ impl TranslatedAdjacency {
 
     /// Hands the references of local rows `rows` to `out`, row by row in
     /// CSR order, each slot read back to its global id ([`Self::global`]),
-    /// one block's part of `rows` per call, decoded into `block`. A whole
-    /// block is read in the order it is stored, each row written to its
-    /// place in `block` ([`decode_block`]); a block that reads no ghost
-    /// needs no lookup.
+    /// one block's part of `rows` per call, decoded into `block`. A block
+    /// is read whole, in the order it is stored, each row written to its
+    /// place in `block` ([`decode_block`]), and its part of `rows` handed
+    /// on; a block that reads no ghost needs no lookup.
     pub(crate) fn decode_rows(
         &self,
         ghosts: &[u32],
@@ -900,29 +1016,29 @@ impl TranslatedAdjacency {
         block: &mut Vec<u32>,
         mut out: impl FnMut(&[u32]),
     ) {
+        let mut ends = [0u32; Self::BLOCK_ROWS + 1];
         let mut l = rows.start;
         while l < rows.end {
             let b = self.block_of(l);
             let whole = self.block_rows(b);
             let end = rows.end.min(whole.end);
-            if l != whole.start || end != whole.end {
-                block.clear();
-                for l in l..end {
-                    let row = self.neighbors_of(l).iter();
-                    block.extend(row.map(|&s| self.global(ghosts, s)));
-                }
-            } else {
-                block.clear();
-                block.resize(self.num_refs_of(whole.clone()), 0);
-                let base = self.xadj[whole.start];
-                if within(self.bounds[b], self.interval()) {
-                    let start = self.start;
-                    decode_block(self, b, base, block, |s| s.wrapping_add(start));
-                } else {
-                    decode_block(self, b, base, block, |s| self.global(ghosts, s));
-                }
+            // The block's CSR offsets, from its rows' degrees.
+            let ends = &mut ends[..=whole.len()];
+            let mut at = 0;
+            for (end, d) in ends[1..].iter_mut().zip(self.degrees(whole.clone())) {
+                at += d as u32;
+                *end = at;
             }
-            out(block);
+            block.clear();
+            block.resize(ends[whole.len()] as usize, 0);
+            if within(self.bounds[b], self.interval()) {
+                let start = self.start;
+                decode_block(self, b, ends, block, |s| s.wrapping_add(start));
+            } else {
+                decode_block(self, b, ends, block, |s| self.global(ghosts, s));
+            }
+            let part = ends[l - whole.start] as usize..ends[end - whole.start] as usize;
+            out(&block[part]);
             l = end;
         }
     }
@@ -960,30 +1076,35 @@ fn extend_runs(runs: &mut Vec<Range<usize>>, rows: Range<usize>) {
     }
 }
 
-/// Translated row pointers and row starts are 32-bit: a rank with more
-/// references than that cannot be translated.
-fn check_row_pointers_fit(rank: usize, num_refs: usize) {
+/// Translated block starts are 32-bit: a rank with more references than
+/// that cannot be translated.
+fn check_block_starts_fit(rank: usize, num_refs: usize) {
     assert!(
         u32::try_from(num_refs).is_ok(),
         "rank {rank} makes {num_refs} references, more than the u32::MAX a translated \
-         adjacency's 32-bit row pointers can address"
+         adjacency's 32-bit block starts can address"
     );
 }
 
 /// Groups one block's rows by degree class: writes the block's
 /// row-in-block numbers to `order`, one per row, class by class, each
-/// class ascending, and returns the class sizes. `row_ptrs` are the
-/// block's row pointers, one more than it has rows.
+/// class ascending, and every row's position in it to `visit`; writes
+/// every row's degree byte to `degree`; and returns the class sizes.
+/// `row_ptrs` are the block's row pointers, one more than it has rows.
 fn group_by_degree(
     row_ptrs: &[u32],
-    order: &mut [u16],
+    (order, visit): (&mut [u16], &mut [u16]),
+    degree: &mut [u8],
 ) -> [u16; TranslatedAdjacency::DEGREE_CLASSES] {
     const LAST: usize = TranslatedAdjacency::DEGREE_CLASSES - 1;
+    const WIDE: u32 = TranslatedAdjacency::WIDE as u32;
     // One row list per class, each with room for a whole block.
     let mut lists = [[0u16; TranslatedAdjacency::BLOCK_ROWS]; LAST + 1];
     let mut rows = [0usize; LAST + 1];
-    for (i, w) in row_ptrs.windows(2).enumerate() {
-        let class = ((w[1] - w[0]) as usize).min(LAST);
+    for ((i, w), byte) in row_ptrs.windows(2).enumerate().zip(degree) {
+        let d = w[1] - w[0];
+        *byte = d.min(WIDE) as u8;
+        let class = (d as usize).min(LAST);
         lists[class][rows[class]] = i as u16;
         rows[class] += 1;
     }
@@ -992,62 +1113,76 @@ fn group_by_degree(
         order[at..at + rows].copy_from_slice(&list[..rows]);
         at += rows;
     }
+    for (k, &i) in order.iter().enumerate() {
+        visit[i as usize] = k as u16;
+    }
     rows.map(|rows| rows as u16)
+}
+
+/// A block's skews ([`TranslatedAdjacency`]'s `class_skew`) from its class
+/// sizes: class `d`'s is `Σ_{j<d} rows_j · (d - j)`, each class's the one
+/// before plus the rows before it. At most `8 · BLOCK_ROWS`.
+fn class_skew(
+    classes: &[u16; TranslatedAdjacency::DEGREE_CLASSES],
+) -> [u16; TranslatedAdjacency::SKEWED] {
+    let (mut before, mut skew) = (0, 0);
+    std::array::from_fn(|d| {
+        before += classes[d];
+        skew += before;
+        skew
+    })
 }
 
 /// Lays one block's references out in the order the sweep reads them:
 /// writes row `order[k]`'s references — `refs`, the block's references,
 /// indexed through its `row_ptrs` — after row `order[k - 1]`'s into
-/// `block`, each minus `start`, and records in `row_start` where every row
-/// went (as an index into the whole slot array, where `block` sits at
-/// `first`). Class by class like the sweep, and for the same reason: in a
-/// class below the last a row is a copy of constant length.
+/// `block`, each minus `start`. Class by class like the sweep, and for the
+/// same reason: in a class below the last a row is a copy of constant
+/// length.
 fn emit_in_visit_order(
     (row_ptrs, refs, start): (&[u32], &[u32], u32),
     (mut order, classes): (&[u16], &[u16; TranslatedAdjacency::DEGREE_CLASSES]),
-    (block, first): (&mut [u32], usize),
-    row_start: &mut [u32],
+    block: &mut [u32],
 ) {
     let src = (row_ptrs, refs, start);
     let mut at = 0;
     for (degree, &rows) in classes.iter().enumerate() {
         let class;
         (class, order) = order.split_at(rows as usize);
-        let (dst, first) = (&mut block[at..], first + at);
+        let dst = &mut block[at..];
         at += match degree {
-            1 => emit_class::<1>(class, src, dst, first, row_start),
-            2 => emit_class::<2>(class, src, dst, first, row_start),
-            3 => emit_class::<3>(class, src, dst, first, row_start),
-            4 => emit_class::<4>(class, src, dst, first, row_start),
-            5 => emit_class::<5>(class, src, dst, first, row_start),
-            6 => emit_class::<6>(class, src, dst, first, row_start),
-            7 => emit_class::<7>(class, src, dst, first, row_start),
-            8 => emit_class::<8>(class, src, dst, first, row_start),
-            _ => emit_rows(class, src, dst, first, row_start),
+            1 => emit_class::<1>(class, src, dst),
+            2 => emit_class::<2>(class, src, dst),
+            3 => emit_class::<3>(class, src, dst),
+            4 => emit_class::<4>(class, src, dst),
+            5 => emit_class::<5>(class, src, dst),
+            6 => emit_class::<6>(class, src, dst),
+            7 => emit_class::<7>(class, src, dst),
+            8 => emit_class::<8>(class, src, dst),
+            _ => emit_rows(class, src, dst),
         };
     }
 }
 
 /// Writes block `block` of `tadj` — read in the order it is stored, class
-/// by class — row by row in CSR order into `out`, row `l` from
-/// `out[xadj[l] - base]` on, each slot through `f`: the inverse of
-/// [`emit_in_visit_order`], and for the same reason class by class — in a
-/// class below the last, a row is a copy of constant length.
+/// by class — row by row in CSR order into `out`, row `i` of the block
+/// from `out[ends[i]]` on, `ends` the block's CSR offsets from 0, each
+/// slot through `f`: the inverse of [`emit_in_visit_order`], and for the
+/// same reason class by class — in a class below the last, a row is a
+/// copy of constant length.
 fn decode_block(
     tadj: &TranslatedAdjacency,
     block: usize,
-    base: u32,
+    ends: &[u32],
     out: &mut [u32],
     f: impl Fn(u32) -> u32,
 ) {
-    let rows = tadj.block_rows(block);
-    let ends = &tadj.xadj[rows.start..=rows.end];
     let (mut order, classes) = tadj.degree_classes(block);
     let mut stream = tadj.block_slots(block);
     for (degree, &rows) in classes.iter().enumerate() {
         let class;
         (class, order) = order.split_at(rows as usize);
-        let dst = (&mut *out, ends, base);
+        let dst = (&mut *out, ends);
         let read = match degree {
             1 => decode_class::<1>(class, stream, dst, &f),
             2 => decode_class::<2>(class, stream, dst, &f),
@@ -1062,7 +1197,7 @@ fn decode_block(
                 for &i in class {
                     let (from, to) = (ends[i as usize], ends[i as usize + 1]);
                     let row = &stream[read..read + (to - from) as usize];
-                    let at = (from - base) as usize;
+                    let at = from as usize;
                     for (g, &s) in out[at..at + row.len()].iter_mut().zip(row) {
                         *g = f(s);
                     }
@@ -1082,11 +1217,11 @@ fn decode_block(
 fn decode_class<const D: usize>(
     class: &[u16],
     stream: &[u32],
-    (out, ends, base): (&mut [u32], &[u32], u32),
+    (out, ends): (&mut [u32], &[u32]),
     f: impl Fn(u32) -> u32,
 ) -> usize {
     for (&i, row) in class.iter().zip(stream.chunks_exact(D)) {
-        let at = (ends[i as usize] - base) as usize;
+        let at = ends[i as usize] as usize;
         let dst: &mut [u32; D] = (&mut out[at..at + D]).try_into().expect("D references");
         let row: &[u32; D] = row.try_into().expect("a chunk of D slots");
         *dst = row.map(&f);
@@ -1096,24 +1231,19 @@ fn decode_class<const D: usize>(
 
 /// One degree class of [`emit_in_visit_order`], every row in `class` making
 /// exactly `D` references: fills the first `class.len() · D` slots of
-/// `dst`, which sits at `first` in the whole slot array, and returns how
-/// many that was.
+/// `dst` and returns how many that was.
 #[inline(always)]
 fn emit_class<const D: usize>(
     class: &[u16],
     (row_ptrs, refs, start): (&[u32], &[u32], u32),
     dst: &mut [u32],
-    first: usize,
-    row_start: &mut [u32],
 ) -> usize {
     let dst = dst[..class.len() * D].chunks_exact_mut(D);
-    for ((&i, slots), at) in class.iter().zip(dst).zip((first..).step_by(D)) {
-        let i = i as usize;
-        let from = (row_ptrs[i] - row_ptrs[0]) as usize;
+    for (&i, slots) in class.iter().zip(dst) {
+        let from = (row_ptrs[i as usize] - row_ptrs[0]) as usize;
         let row: &[u32; D] = refs[from..from + D].try_into().expect("D references");
         let slots: &mut [u32; D] = slots.try_into().expect("a chunk of D slots");
         *slots = row.map(|g| g.wrapping_sub(start));
-        row_start[i] = at as u32;
     }
     class.len() * D
 }
@@ -1124,8 +1254,6 @@ fn emit_rows(
     class: &[u16],
     (row_ptrs, refs, start): (&[u32], &[u32], u32),
     dst: &mut [u32],
-    first: usize,
-    row_start: &mut [u32],
 ) -> usize {
     let mut at = 0;
     for &i in class {
@@ -1135,7 +1263,6 @@ fn emit_rows(
         for (slot, &g) in dst[at..at + row.len()].iter_mut().zip(row) {
             *slot = g.wrapping_sub(start);
         }
-        row_start[i] = (first + at) as u32;
         at += row.len();
     }
     at

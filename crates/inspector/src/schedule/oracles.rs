@@ -94,11 +94,14 @@ fn stale_storage(tadj: &TranslatedAdjacency, larger: bool) -> TranslatedAdjacenc
         v.resize(len, stale);
     }
     let mut out = tadj.clone();
-    resize(&mut out.xadj, larger, 7);
-    resize(&mut out.row_start, larger, 7);
     resize(&mut out.slots, larger, 7);
+    resize(&mut out.block_start, larger, 7);
     resize(&mut out.order, larger, 7);
+    resize(&mut out.visit, larger, 7);
+    resize(&mut out.degree, larger, 7);
+    resize(&mut out.wide, larger, (7, 9));
     resize(&mut out.class_rows, larger, [7; 10]);
+    resize(&mut out.class_skew, larger, [7; 8]);
     resize(&mut out.bounds, larger, (7, 9));
     resize(&mut out.interior, larger, 7..9);
     resize(&mut out.boundary, larger, 7..9);
@@ -419,7 +422,7 @@ fn kept_interior_blocks_are_rebased_not_translated() {
         assert!(!marked.is_empty(), "rank {rank} keeps an interior block");
         for &k in &marked {
             let b = k - from.start / BLOCK_ROWS;
-            let first = tadj.xadj[tadj.block_rows(b).start] as usize;
+            let first = tadj.block_start[b] as usize;
             tadj.slots[first] = MARK;
         }
         let mut moved = MovedRows::new();
@@ -429,7 +432,7 @@ fn kept_interior_blocks_are_rebased_not_translated() {
         let shift = (from.start as u32).wrapping_sub(to.start as u32);
         for &k in &marked {
             let b = k - to.start / BLOCK_ROWS;
-            let first = tadj.xadj[tadj.block_rows(b).start] as usize;
+            let first = tadj.block_start[b] as usize;
             assert_eq!(
                 tadj.slots[first],
                 MARK.wrapping_add(shift),
@@ -632,9 +635,9 @@ fn lone_off_block_reference_at_a_chunk_edge() {
 
 #[test]
 #[should_panic(expected = "rank 3 makes 4294967296 references, more than the u32::MAX")]
-fn more_references_than_row_pointers_can_address() {
-    check_row_pointers_fit(3, u32::MAX as usize);
-    check_row_pointers_fit(3, u32::MAX as usize + 1);
+fn more_references_than_block_starts_can_address() {
+    check_block_starts_fit(3, u32::MAX as usize);
+    check_block_starts_fit(3, u32::MAX as usize + 1);
 }
 
 /// The packed `local · p + peer` dedup key this builder used to hash on
@@ -662,5 +665,94 @@ fn send_list_keeps_rows_whose_packed_pair_key_would_wrap() {
         assert_eq!(schedule.sends(), [(1, vec![early as u32, late as u32])]);
         assert_eq!(schedule.recvs(), [(1, vec![70_000, 70_001])]);
         assert_eq!((work.hash_ops, work.scan_ops), (4, 4));
+    }
+}
+
+/// A path of 1500 rows with two rows too wide for their degree byte — 320
+/// and 260 spokes, each crossing block and rank boundaries — and rows of
+/// degree 9 to 20 scattered over the blocks: the rows the open last class
+/// holds, and the wide ones listed beside the degree bytes.
+fn wide_rows_mesh() -> Graph {
+    const N: u32 = 1500;
+    let mut edges = std::collections::BTreeSet::new();
+    edges.extend((0..N - 1).map(|i| (i, i + 1)));
+    let mut spokes = |hub: u32, step: usize, count: usize| {
+        let leaves = (0..N).step_by(step).filter(|&v| v.abs_diff(hub) > 1);
+        edges.extend(leaves.take(count).map(|v| (hub.min(v), hub.max(v))));
+    };
+    spokes(700, 4, 320);
+    spokes(300, 5, 260);
+    for (k, hub) in [100, 513, 1030, 1200, 1400, 1497].into_iter().enumerate() {
+        // 9 to 20 references in all, the path's two included.
+        spokes(hub, 7 + 2 * k, 7 + 2 * k);
+    }
+    let edges: Vec<(u32, u32)> = edges.into_iter().collect();
+    let coords = (0..N as usize).map(|i| [i as f64, 0.0, 0.0]).collect();
+    Graph::from_edges(N as usize, &edges, coords, 2)
+}
+
+/// Rows the old layout's row pointers held like any other — a hub of 320
+/// references, another of 260 and rows of 9 to 20 — are decoded from
+/// their degree bytes, the list of wide rows and their blocks' skews:
+/// every translation equals its oracle, reads back row by row through
+/// `neighbors_of` and `degree_of`, and decodes to the rows it was made
+/// from.
+#[test]
+fn wide_rows_and_rows_of_nine_to_twenty_decode_like_any_other() {
+    let g = wide_rows_mesh();
+    assert!(g.degree(700) >= 300 && g.degree(300) >= 255);
+    let between: Vec<usize> = (0..g.num_vertices())
+        .filter(|&v| (9..=20).contains(&g.degree(v)))
+        .collect();
+    assert!(between.len() >= 6, "{between:?}");
+    for sizes in [&[1500][..], &[512, 988], &[700, 1, 799], &[301, 400, 799]] {
+        let partition = BlockPartition::from_sizes(sizes);
+        for rank in 0..partition.num_procs() {
+            let adj = LocalAdjacency::extract(&g, &partition, rank);
+            let tadj = assert_matches_oracles(&partition, &adj, rank);
+            let (schedule, _) =
+                build_schedule_symmetric(&partition, &adj, rank, ScheduleStrategy::Sort2);
+            super::reference::assert_decodes_to(&schedule, &tadj, &adj);
+            let iv = partition.interval_of(rank);
+            let listed = tadj.wide.iter().map(|&(row, _)| row as usize);
+            let expected = [300, 700].into_iter().filter(|&v| iv.contains(v));
+            assert!(listed.eq(expected), "rank {rank} of {sizes:?}");
+        }
+    }
+}
+
+/// Remap chains that hand the two wide rows from rank to rank, keep the
+/// block of one whole while the interval's start moves — so a block
+/// translated fresh lists its wide row before the kept one's — and cut
+/// their blocks differently: every step equals a fresh translation and the
+/// oracles.
+#[test]
+fn remap_chains_move_the_wide_rows_between_ranks() {
+    let g = wide_rows_mesh();
+    let chains: [&[&[usize]]; 2] = [
+        &[
+            &[512, 988],
+            &[256, 1244],
+            &[1024, 476],
+            &[800, 700],
+            &[300, 1200],
+            &[512, 988],
+        ],
+        &[
+            &[200, 600, 700],
+            &[650, 350, 500],
+            &[100, 1100, 300],
+            &[1500, 0, 0],
+            &[0, 701, 799],
+        ],
+    ];
+    for chain in chains {
+        let chain: Vec<BlockPartition> = chain
+            .iter()
+            .map(|s| BlockPartition::from_sizes(s))
+            .collect();
+        for rank in 0..chain[0].num_procs() {
+            assert_chain_matches_oracles(&g, &chain, rank);
+        }
     }
 }

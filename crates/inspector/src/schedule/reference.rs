@@ -79,11 +79,16 @@ pub(crate) fn slot_of(schedule: &CommSchedule, g: u32) -> u32 {
 /// Translation by its definition, one `resolve` and one `push` per
 /// reference: a block ends wherever the next global row is a multiple of
 /// `BLOCK_ROWS`, its degree index is a stable sort of its row numbers on
-/// `min(degree, 9)`, and the slots are the rows laid out one at a time in
-/// that order, each row's references in CSR order; its bounds are the
-/// smallest and largest of its references. A block reads no ghost
-/// when every slot it stores is below `local_len`; the runs of such blocks,
-/// and of the others, are merged one block at a time.
+/// `min(degree, 9)`, every row's visit position is where that sort put it,
+/// and the slots are the rows laid out one at a time in that order, each
+/// row's references in CSR order, from where the block's slots start. A
+/// row's degree byte is its degree, or 255 with `(global row, degree)`
+/// listed when it makes 255 or more references. A class `d` from 1 to 8
+/// is skewed by its first visit position times `d` less its first slot,
+/// both counted over the rows of lower classes; its bounds are the
+/// smallest and largest of its references. A block reads no ghost when
+/// every slot it stores is below `local_len`; the runs of such blocks, and
+/// of the others, are merged one block at a time.
 pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> TranslatedAdjacency {
     let local_len = schedule.interval.len() as u32;
     let start = schedule.interval.start;
@@ -92,17 +97,24 @@ pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Transl
         num_ghosts: schedule.num_ghosts,
         start: start as u32,
         id: 0,
-        xadj: vec![0],
-        row_start: vec![0; adj.len()],
         slots: Vec::new(),
+        block_start: Vec::new(),
         order: Vec::new(),
+        visit: vec![0; adj.len()],
+        degree: Vec::new(),
+        wide: Vec::new(),
         class_rows: Vec::new(),
+        class_skew: Vec::new(),
         bounds: Vec::new(),
         interior: Vec::new(),
         boundary: Vec::new(),
     };
     for l in 0..adj.len() {
-        out.xadj.push(out.xadj[l] + adj.degree_of(l) as u32);
+        let degree = adj.degree_of(l);
+        out.degree.push(degree.min(255) as u8);
+        if degree >= 255 {
+            out.wide.push(((start + l) as u32, degree as u32));
+        }
     }
     let mut next = 0;
     while next < adj.len() {
@@ -115,19 +127,27 @@ pub fn translate_oracle(schedule: &CommSchedule, adj: &LocalAdjacency) -> Transl
         out.class_rows.push(std::array::from_fn(|class| {
             block.iter().filter(|&i| class_of(i) == class).count() as u16
         }));
+        out.class_skew.push(std::array::from_fn(|c| {
+            let d = c + 1;
+            let below: Vec<&u16> = block.iter().filter(|&i| class_of(i) < d).collect();
+            let slots: usize = below.iter().map(|&&i| adj.degree_of(lo + i as usize)).sum();
+            (below.len() * d - slots) as u16
+        }));
         let refs = (lo..next).flat_map(|l| adj.neighbors_of(l));
         out.bounds.push((
             refs.clone().copied().min().unwrap_or(u32::MAX),
             refs.copied().max().unwrap_or(0),
         ));
-        for &i in &block {
+        out.block_start.push(out.slots.len() as u32);
+        for (k, &i) in block.iter().enumerate() {
             let l = lo + i as usize;
-            out.row_start[l] = out.slots.len() as u32;
+            out.visit[l] = k as u16;
             let row = adj.neighbors_of(l).iter();
             out.slots.extend(row.map(|&g| slot_of(schedule, g)));
         }
         out.order.extend(block);
     }
+    out.block_start.push(out.slots.len() as u32);
     for b in 0..out.num_blocks() {
         let rows = out.block_rows(b);
         let runs = if out.block_slots(b).iter().all(|&s| s < local_len) {

@@ -33,13 +33,14 @@
 //! The allocator also keeps the **live heap bytes** and their high-water
 //! mark, so a set-up step can be held to the bytes it returns: Phase A's
 //! paper mesh is written in one pass, with no grid or thinned copy beside
-//! it.
+//! it, and a translation holds its references and 5 bytes per row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use stance::inspector::{build_schedule_symmetric, LocalAdjacency};
+use stance::inspector::{build_schedule_symmetric, LocalAdjacency, MeshRows, Rows};
 use stance::locality::meshgen;
+use stance::locality::rcb::rcb_ordering;
 use stance::prelude::*;
 
 /// Counts allocation events (alloc/realloc/alloc_zeroed) while armed.
@@ -693,5 +694,35 @@ fn paper_mesh_peak_heap_stays_near_its_own_size() {
     assert!(
         peak * 2 <= own * 3,
         "paper_mesh(7) peaked at {peak} heap bytes for a {own}-byte graph"
+    );
+}
+
+/// A translation holds its references (4 bytes each) and 5 bytes per row —
+/// the row's place in its block's visit order, the inverse of that, and its
+/// degree byte — plus a few dozen bytes per block: where its slots start,
+/// its degree index, its bounds and its share of the run lists. Row
+/// pointers and per-row slot starts (8 more bytes per row) are not kept.
+#[test]
+fn translation_holds_its_references_and_five_bytes_a_row() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let grid = meshgen::triangulated_grid(400, 300, 0.3, 5);
+    let mesh = rcb_ordering(&grid).apply(&grid);
+    drop(grid);
+    let partition = BlockPartition::uniform(mesh.num_vertices(), 1);
+    let rows = MeshRows::new(&mesh, &partition, 0);
+    let (schedule, _) = build_schedule_symmetric(&partition, &rows, 0, ScheduleStrategy::Sort2);
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    let tadj = schedule.translate_adjacency(&rows);
+    let held = LIVE_BYTES.load(Ordering::SeqCst) - before;
+    let (refs, len, blocks) = (tadj.num_refs(), tadj.len(), rows.num_blocks());
+    assert_eq!((len, blocks), (120_000, 235));
+    let budget = 4 * refs + 5 * len + 64 * blocks + 256;
+    assert!(
+        held <= budget,
+        "a translation of {len} rows, {refs} references and {blocks} blocks holds {held} \
+         heap bytes, over its {budget}: {:.2} bytes a row beyond its references",
+        (held - 4 * refs) as f64 / len as f64
     );
 }

@@ -513,7 +513,8 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Degree-grouped blocks: `sweep_rows` visits the rows of every whole block
-// class by class, the ragged ends of a range row by row. Whatever the degree
+// class by class, and walks the block of a ragged end of a range in the same
+// visit order, a row at a time, writing only the range's rows. Whatever the degree
 // mix, the block count, the range and the element type, each row must come
 // out bit for bit as the frozen per-row loops above compute it.
 // ---------------------------------------------------------------------------
@@ -785,4 +786,89 @@ proptest! {
             );
         }
     }
+}
+
+/// An order-sensitive digest of what `sweep_rows` hands `row`: the row, and
+/// its references in the order they come.
+fn digest(l: usize, refs: &[u32]) -> u64 {
+    let seed = l as u64 ^ (refs.len() as u64) << 40;
+    refs.iter().fold(seed, |h, &s| {
+        (h ^ u64::from(s)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// `sweep_rows` over the whole of `tadj` hands every row its
+/// `neighbors_of`, and over each of `ranges` writes that range's window of
+/// the whole sweep, bit for bit.
+fn assert_windows_of_the_whole_sweep(
+    tadj: &TranslatedAdjacency,
+    ranges: &[std::ops::Range<usize>],
+) {
+    let n = tadj.len();
+    let mut whole = vec![0u64; n];
+    sweep_rows(tadj, &mut whole, 0..n, digest);
+    for (l, &got) in whole.iter().enumerate() {
+        assert_eq!(got, digest(l, tadj.neighbors_of(l)), "row {l}");
+    }
+    for range in ranges {
+        let mut window = vec![u64::MAX; range.len()];
+        sweep_rows(tadj, &mut window, range.clone(), digest);
+        assert_eq!(window, whole[range.clone()], "window {range:?}");
+    }
+}
+
+/// The ranges around every row of the open last class (degree 9 and up):
+/// the row alone, everything before it and everything after it — each cut
+/// falls between two of its block's last-class rows, or next to one.
+fn ranges_around_the_last_class(tadj: &TranslatedAdjacency) -> Vec<std::ops::Range<usize>> {
+    let n = tadj.len();
+    (0..n)
+        .filter(|&l| tadj.degree_of(l) >= 9)
+        .flat_map(|l| [l..l + 1, 0..l, l + 1..n])
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A ragged piece walks its whole block in visit order and writes only
+    /// its own rows: over arbitrary sub-ranges — ragged starts and ends,
+    /// pieces inside one block, cuts between the rows of the open last
+    /// class — `sweep_rows` writes the window of the whole sweep.
+    #[test]
+    fn sweep_rows_over_any_sub_range_is_the_window_of_the_whole_sweep(
+        case in SweepCases(None),
+        picks in proptest::collection::vec((0usize..1 << 20, 0usize..1 << 20), 1..12),
+    ) {
+        let n = case.tadj.len();
+        let mut ranges = ranges_around_the_last_class(&case.tadj);
+        if n >= PLANTED_FROM {
+            prop_assert!(ranges.len() >= 3 * 11, "{} last-class cuts", ranges.len());
+        }
+        ranges.extend(picks.into_iter().map(|(a, b)| {
+            let (a, b) = (a % (n + 1), b % (n + 1));
+            a.min(b)..a.max(b)
+        }));
+        assert_windows_of_the_whole_sweep(&case.tadj, &ranges);
+    }
+}
+
+/// The same over rows too wide for their degree byte — 300 and 256
+/// references — beside rows of 9 to 20, with ragged cuts around all of
+/// them and lane cuts mid-block.
+#[test]
+fn sweep_rows_windows_around_wide_rows() {
+    let n = 1300;
+    let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+    for (hub, step, count) in [(600, 4, 300), (1100, 5, 256), (40, 13, 7), (515, 11, 12)] {
+        let leaves = (0..n)
+            .step_by(step)
+            .filter(|&v: &usize| v.abs_diff(hub) > 1);
+        edges.extend(leaves.take(count).map(|v| (hub, v)));
+    }
+    let tadj = single_rank_tadj(n, &edges);
+    assert!(tadj.degree_of(600) >= 300 && tadj.degree_of(1100) >= 256);
+    let mut ranges = ranges_around_the_last_class(&tadj);
+    ranges.extend([433..866, 650..1300, 0..650, 599..601, 1099..1101]);
+    assert_windows_of_the_whole_sweep(&tadj, &ranges);
 }
